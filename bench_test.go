@@ -302,16 +302,15 @@ func BenchmarkAblationHashedMemories(b *testing.B) {
 // compilation for the sequential engine.
 func BenchmarkAblationSharing(b *testing.B) {
 	for _, bench := range []struct {
-		name    string
-		disable bool
-	}{{"shared", false}, {"unshared", true}} {
+		name string
+	}{{"shared"}, {"unshared"}} {
 		b.Run(bench.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				prog, err := ops5.ParseProgram(workloads.BlocksWorld)
 				if err != nil {
 					b.Fatal(err)
 				}
-				e, err := engine.New(prog, engine.Options{DisableSharing: bench.disable})
+				e, err := engine.New(prog, engine.Options{Variant: bench.name})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -120,8 +120,9 @@ func main() {
 		fatal("transport", fmt.Errorf("-transport tcp needs -parallel N (the worker process count)"))
 	}
 	var timeline *obs.Recorder
-	var rt *parallel.Runtime
-	var ctl *transport.Control
+	// drv is the parallel match phase's cycle driver, whichever carrier
+	// (goroutines or worker processes) runs under it; nil when sequential.
+	var drv *parallel.Driver
 	if *par > 0 {
 		if *tracePath != "" {
 			fatal("parallel", fmt.Errorf("-trace requires the sequential matcher (the recorder hooks rete.Matcher)"))
@@ -163,7 +164,7 @@ func main() {
 			if *timelinePath != "" {
 				timeline = obs.NewRecorder()
 			}
-			rt, err = parallel.New(net, parallel.Options{
+			rt, err := parallel.New(net, parallel.Options{
 				Workers:      *par,
 				NBuckets:     *nbuckets,
 				RouteRoots:   *routeRoots,
@@ -174,12 +175,12 @@ func main() {
 			})
 			fatal("parallel runtime", err)
 			defer rt.Close()
-			opts.Matcher = rt
+			drv = rt.Driver
 		case "tcp":
 			if *timelinePath != "" {
 				fatal("timeline", fmt.Errorf("-timeline hooks the in-process runtime; use -flight-dump with -transport tcp"))
 			}
-			ctl, err = transport.Listen(net, *listenAddr, transport.ControlOptions{
+			ctl, err := transport.Listen(net, *listenAddr, transport.ControlOptions{
 				Workers:      *par,
 				NBuckets:     *nbuckets,
 				RouteRoots:   *routeRoots,
@@ -192,19 +193,17 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ops5run: control listening on %s; waiting for %d ops5worker processes\n", ctl.Addr(), *par)
 			fatal("worker handshake", ctl.WaitWorkers())
 			fmt.Fprintf(os.Stderr, "ops5run: %d workers connected\n", *par)
-			opts.Matcher = ctl
+			drv = ctl.Driver
 		default:
 			fatal("transport", fmt.Errorf("unknown transport %q (inproc or tcp)", *transportName))
 		}
+		opts.Matcher = drv
 	}
 
 	if *debugAddr != "" {
 		snapshots := map[string]func() any{}
-		if rt != nil {
-			snapshots["runtime"] = func() any { return rt.Stats() }
-		}
-		if ctl != nil {
-			snapshots["runtime"] = func() any { return ctl.Stats() }
+		if drv != nil {
+			snapshots["runtime"] = func() any { return drv.Stats() }
 		}
 		addr, stop, err := obs.ServeDebug(*debugAddr, snapshots)
 		fatal("debug server", err)
@@ -240,39 +239,23 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ops5run: %d productions, %d alpha patterns, %d joins, %d negatives, %d bounded collectors\n",
 			len(prog.Productions), s.AlphaPatterns, s.JoinNodes, s.NegativeNodes, s.BoundedNodes)
 		fmt.Fprintf(os.Stderr, "ops5run: fired %d, wm size %d, halted %v\n", fired, e.WMCount(), e.Halted())
-		var st parallel.Stats
-		switch {
-		case rt != nil:
-			st = rt.Stats()
-		case ctl != nil:
-			st = ctl.Stats()
-		}
-		for w, n := range st.Processed {
-			fmt.Fprintf(os.Stderr, "ops5run: worker %d: %d activations, %d messages sent\n",
-				w, n, st.MsgsSent[w])
-		}
-		if *rebalance > 0 || *migrateEvery > 0 {
-			var migs, buckets, entries int64
-			switch {
-			case rt != nil:
-				migs, buckets, entries = rt.RebalanceStats()
-			case ctl != nil:
-				migs, buckets, entries = ctl.RebalanceStats()
+		if drv != nil {
+			st := drv.Stats()
+			for w, n := range st.Processed {
+				fmt.Fprintf(os.Stderr, "ops5run: worker %d: %d activations, %d messages sent\n",
+					w, n, st.MsgsSent[w])
 			}
-			fmt.Fprintf(os.Stderr, "ops5run: %d migrations moved %d buckets (%d memory entries)\n",
-				migs, buckets, entries)
+			if *rebalance > 0 || *migrateEvery > 0 {
+				migs, buckets, entries := drv.RebalanceStats()
+				fmt.Fprintf(os.Stderr, "ops5run: %d migrations moved %d buckets (%d memory entries)\n",
+					migs, buckets, entries)
+			}
 		}
 	}
 	if *flightPath != "" {
-		var dump *obs.FlightDump
-		if rt != nil {
-			dump = rt.FlightDump()
-		} else {
-			dump = ctl.FlightDump()
-		}
 		f, err := os.Create(*flightPath)
 		fatal("create flight dump", err)
-		fatal("write flight dump", dump.WriteJSON(f))
+		fatal("write flight dump", drv.FlightDump().WriteJSON(f))
 		fatal("close flight dump", f.Close())
 		if *verbose {
 			fmt.Fprintf(os.Stderr, "ops5run: flight dump written to %s\n", *flightPath)

@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -169,13 +170,14 @@ func (m *Mismatch) Error() string {
 }
 
 // built is one configuration's instantiated match machinery. close is
-// non-nil for parallel configurations; dump is non-nil when a flight
-// recorder is attached and snapshots it (legal once the run is
-// quiescent).
+// non-nil for parallel configurations and reports what shutting the
+// machinery down found (a star row's worker loops return their errors
+// there); dump snapshots the run's flight recorder (legal once the run
+// is quiescent; nil result when CheckOptions.FlightCycles is 0).
 type built struct {
 	net     *rete.Network
 	matcher engine.MatchApplier
-	close   func()
+	close   func() error
 	dump    func() *obs.FlightDump
 }
 
@@ -212,14 +214,76 @@ func seqConfig(variant string) config {
 	}}
 }
 
-// parConfig is a parallel-runtime configuration: worker count, message
-// plane mode, and network variant.
-func parConfig(workers int, routed bool, variant string) config {
+// carrier names what moves a parallel configuration's messages.
+type carrier int
+
+const (
+	// inProc is the goroutine runtime over its in-process mailboxes.
+	inProc carrier = iota
+	// loopback is the goroutine runtime with the mailboxes replaced by
+	// the loopback TCP transport: identical scheduling, but every message
+	// (and every migrated bucket) crosses the full wire codec and a real
+	// localhost socket.
+	loopback
+	// star is the multi-process control plane: a transport.Control hub
+	// with worker protocol loops served over local TCP connections — the
+	// same code path ops5run -transport tcp and ops5worker run as
+	// separate OS processes.
+	star
+)
+
+// schedule names a migration schedule. Every schedule must produce
+// conflict sets identical to the static sequential reference —
+// migration moves state, never match semantics.
+type schedule int
+
+const (
+	static schedule = iota
+	// adapt arms the online rebalancer hair-trigger from an
+	// all-on-worker-0 assignment: any imbalance above 1% replans
+	// immediately, so the skewed start guarantees mid-run migrations on
+	// any case with a few activations.
+	adapt
+	// migrate forces a full rotation at every cycle boundary, so every
+	// bucket (and every resident token) changes owner between every pair
+	// of cycles.
+	migrate
+)
+
+// apply sets the schedule's fields on a runtime's options.
+func (sch schedule) apply(o *parallel.Options) {
+	switch sch {
+	case adapt:
+		o.Partition = make(sched.Partition, checkNBuckets) // every bucket on worker 0
+		o.Rebalance = sched.Rebalance{Threshold: 1.01, MinInterval: 1}
+	case migrate:
+		workers := o.Workers
+		o.ForceMigrate = func(cycle int) sched.Partition {
+			p := make(sched.Partition, checkNBuckets)
+			for b := range p {
+				p[b] = (b + cycle) % workers
+			}
+			return p
+		}
+	}
+}
+
+// runtimeConfig is a parallel configuration: what carries the messages,
+// the migration schedule, worker count, message-plane mode, and network
+// variant. Chaos scheduling exists only in the goroutine workers' own
+// mailbox loop, so only inProc rows take the seed; Metrics reach every
+// goroutine runtime.
+func runtimeConfig(c carrier, sch schedule, workers int, routed bool, variant string) config {
+	kind := [...]string{inProc: "", loopback: "tcp", star: "tcpproc"}[c] +
+		[...]string{static: "", adapt: "adapt", migrate: "migrate"}[sch]
+	if kind == "" {
+		kind = "par"
+	}
 	mode := "bcast"
 	if routed {
 		mode = "routed"
 	}
-	name := fmt.Sprintf("par-w%d-%s", workers, mode)
+	name := fmt.Sprintf("%s-w%d-%s", kind, workers, mode)
 	if variant != "shared" {
 		name += "-" + variant
 	}
@@ -228,240 +292,59 @@ func parConfig(workers int, routed bool, variant string) config {
 		if err != nil {
 			return built{}, err
 		}
-		popts := parallel.Options{
-			Workers:    workers,
-			NBuckets:   checkNBuckets,
-			RouteRoots: routed,
-			ChaosSeed:  opts.ChaosSeed,
-			Metrics:    opts.Metrics,
-		}
+		popts := parallel.Options{Workers: workers, NBuckets: checkNBuckets, RouteRoots: routed}
+		sch.apply(&popts)
 		if opts.FlightCycles > 0 {
 			// A small ring suffices: generated cases are tiny and the
 			// recorder exists to explain the last few cycles before a
 			// divergence.
 			popts.Causal = parallel.NewFlightRecorder(workers, 2048, opts.FlightCycles, checkNBuckets)
 		}
-		rt, err := parallel.New(net, popts)
-		if err != nil {
-			return built{}, err
-		}
-		b := built{net: net, matcher: rt, close: rt.Close}
-		if opts.FlightCycles > 0 {
-			b.dump = rt.FlightDump
+		b := built{net: net}
+		if c == star {
+			ctl, err := transport.Listen(net, "127.0.0.1:0", transport.ControlOptions{
+				Workers:      workers,
+				NBuckets:     checkNBuckets,
+				Partition:    popts.Partition,
+				RouteRoots:   routed,
+				Rebalance:    popts.Rebalance,
+				ForceMigrate: popts.ForceMigrate,
+				Causal:       popts.Causal,
+			})
+			if err != nil {
+				return built{}, err
+			}
+			served := make(chan error, workers)
+			for i := 0; i < workers; i++ {
+				go func() { served <- transport.Serve(ctl.Addr(), 10*time.Second) }()
+			}
+			if err := ctl.WaitWorkers(); err != nil {
+				ctl.Close()
+				return built{}, err
+			}
+			b.matcher, b.dump = ctl, ctl.FlightDump
+			b.close = func() error {
+				errs := []error{ctl.Close()}
+				for i := 0; i < workers; i++ {
+					errs = append(errs, <-served)
+				}
+				return errors.Join(errs...)
+			}
+		} else {
+			popts.Metrics = opts.Metrics
+			if c == loopback {
+				popts.Transport = transport.NewLoopback(net)
+			} else {
+				popts.ChaosSeed = opts.ChaosSeed
+			}
+			rt, err := parallel.New(net, popts)
+			if err != nil {
+				return built{}, err
+			}
+			b.matcher, b.dump = rt, rt.FlightDump
+			b.close = func() error { rt.Close(); return nil }
 		}
 		return b, nil
-	}}
-}
-
-// hairTrigger is the adaptive-rebalance tuning the migration
-// configurations arm: any imbalance above 1% replans immediately, so
-// the skewed starting assignment guarantees mid-run migrations on any
-// case with a few activations.
-func hairTrigger() sched.Rebalance {
-	return sched.Rebalance{Threshold: 1.01, MinInterval: 1}
-}
-
-// skewedPartition assigns every bucket to worker 0 — the pathological
-// start the adaptive configurations recover from.
-func skewedPartition() sched.Partition {
-	return make(sched.Partition, checkNBuckets)
-}
-
-// rotateEvery is the forced-migration schedule: every cycle boundary
-// rotates the whole partition by one worker, so every bucket (and
-// every resident token) changes owner between every pair of cycles.
-func rotateEvery(workers int) func(cycle int) sched.Partition {
-	return func(cycle int) sched.Partition {
-		p := make(sched.Partition, checkNBuckets)
-		for b := range p {
-			p[b] = (b + cycle) % workers
-		}
-		return p
-	}
-}
-
-// adaptConfig is the parallel runtime with the online adaptive
-// rebalancer armed hair-trigger from an all-on-worker-0 assignment;
-// migrateConfig is the runtime under the forced full-rotation
-// schedule. Both must produce conflict sets identical to the static
-// sequential reference — migration moves state, never match semantics.
-func adaptConfig(workers int, routed bool) config {
-	return migrationConfig("adapt", workers, routed, true, false)
-}
-
-func migrateConfig(workers int, routed bool) config {
-	return migrationConfig("migrate", workers, routed, false, true)
-}
-
-func migrationConfig(kind string, workers int, routed, adaptive, forced bool) config {
-	mode := "bcast"
-	if routed {
-		mode = "routed"
-	}
-	name := fmt.Sprintf("%s-w%d-%s", kind, workers, mode)
-	return config{name: name, build: func(prods []*ops5.Production, opts CheckOptions) (built, error) {
-		net, err := compileVariant(prods, "shared")
-		if err != nil {
-			return built{}, err
-		}
-		popts := parallel.Options{
-			Workers:    workers,
-			NBuckets:   checkNBuckets,
-			RouteRoots: routed,
-			ChaosSeed:  opts.ChaosSeed,
-			Metrics:    opts.Metrics,
-		}
-		if adaptive {
-			popts.Partition = skewedPartition()
-			popts.Rebalance = hairTrigger()
-		}
-		if forced {
-			popts.ForceMigrate = rotateEvery(workers)
-		}
-		rt, err := parallel.New(net, popts)
-		if err != nil {
-			return built{}, err
-		}
-		return built{net: net, matcher: rt, close: rt.Close}, nil
-	}}
-}
-
-// tcpMigrationConfig is the same two schedules over the loopback wire
-// codec: every migrated bucket's tokens serialize through the frame
-// codec and a real localhost socket.
-func tcpMigrationConfig(kind string, workers int, routed, adaptive, forced bool) config {
-	mode := "bcast"
-	if routed {
-		mode = "routed"
-	}
-	name := fmt.Sprintf("tcp%s-w%d-%s", kind, workers, mode)
-	return config{name: name, build: func(prods []*ops5.Production, opts CheckOptions) (built, error) {
-		net, err := compileVariant(prods, "shared")
-		if err != nil {
-			return built{}, err
-		}
-		popts := parallel.Options{
-			Workers:    workers,
-			NBuckets:   checkNBuckets,
-			RouteRoots: routed,
-			Metrics:    opts.Metrics,
-			Transport:  transport.NewLoopback(net),
-		}
-		if adaptive {
-			popts.Partition = skewedPartition()
-			popts.Rebalance = hairTrigger()
-		}
-		if forced {
-			popts.ForceMigrate = rotateEvery(workers)
-		}
-		rt, err := parallel.New(net, popts)
-		if err != nil {
-			return built{}, err
-		}
-		return built{net: net, matcher: rt, close: rt.Close}, nil
-	}}
-}
-
-// tcpProcMigrationConfig runs the schedules on the multi-process
-// control plane: buckets migrate between worker protocol loops across
-// real TCP connections mid-run.
-func tcpProcMigrationConfig(kind string, workers int, routed, adaptive, forced bool) config {
-	mode := "bcast"
-	if routed {
-		mode = "routed"
-	}
-	name := fmt.Sprintf("tcpproc%s-w%d-%s", kind, workers, mode)
-	return config{name: name, build: func(prods []*ops5.Production, opts CheckOptions) (built, error) {
-		net, err := compileVariant(prods, "shared")
-		if err != nil {
-			return built{}, err
-		}
-		copts := transport.ControlOptions{
-			Workers:    workers,
-			NBuckets:   checkNBuckets,
-			RouteRoots: routed,
-		}
-		if adaptive {
-			copts.Partition = skewedPartition()
-			copts.Rebalance = hairTrigger()
-		}
-		if forced {
-			copts.ForceMigrate = rotateEvery(workers)
-		}
-		ctl, err := transport.Listen(net, "127.0.0.1:0", copts)
-		if err != nil {
-			return built{}, err
-		}
-		for i := 0; i < workers; i++ {
-			go transport.Serve(ctl.Addr(), 10*time.Second)
-		}
-		if err := ctl.WaitWorkers(); err != nil {
-			ctl.Close()
-			return built{}, err
-		}
-		return built{net: net, matcher: ctl, close: func() { ctl.Close() }}, nil
-	}}
-}
-
-// tcpConfig is the in-process runtime with its mailboxes replaced by
-// the loopback TCP transport: identical scheduling, but every message
-// crosses the full wire codec and a real localhost socket.
-func tcpConfig(workers int, routed bool) config {
-	mode := "bcast"
-	if routed {
-		mode = "routed"
-	}
-	name := fmt.Sprintf("tcp-w%d-%s", workers, mode)
-	return config{name: name, build: func(prods []*ops5.Production, opts CheckOptions) (built, error) {
-		net, err := compileVariant(prods, "shared")
-		if err != nil {
-			return built{}, err
-		}
-		rt, err := parallel.New(net, parallel.Options{
-			Workers:    workers,
-			NBuckets:   checkNBuckets,
-			RouteRoots: routed,
-			Metrics:    opts.Metrics,
-			Transport:  transport.NewLoopback(net),
-		})
-		if err != nil {
-			return built{}, err
-		}
-		return built{net: net, matcher: rt, close: rt.Close}, nil
-	}}
-}
-
-// tcpProcConfig is the multi-process control plane: a transport.Control
-// hub with worker protocol loops served over local TCP connections —
-// the same code path ops5run -transport tcp and ops5worker run as
-// separate OS processes.
-func tcpProcConfig(workers int, routed bool) config {
-	mode := "bcast"
-	if routed {
-		mode = "routed"
-	}
-	name := fmt.Sprintf("tcpproc-w%d-%s", workers, mode)
-	return config{name: name, build: func(prods []*ops5.Production, opts CheckOptions) (built, error) {
-		net, err := compileVariant(prods, "shared")
-		if err != nil {
-			return built{}, err
-		}
-		ctl, err := transport.Listen(net, "127.0.0.1:0", transport.ControlOptions{
-			Workers:    workers,
-			NBuckets:   checkNBuckets,
-			RouteRoots: routed,
-		})
-		if err != nil {
-			return built{}, err
-		}
-		for i := 0; i < workers; i++ {
-			go transport.Serve(ctl.Addr(), 10*time.Second)
-		}
-		if err := ctl.WaitWorkers(); err != nil {
-			ctl.Close()
-			return built{}, err
-		}
-		return built{net: net, matcher: ctl, close: func() { ctl.Close() }}, nil
 	}}
 }
 
@@ -478,7 +361,7 @@ func configMatrix(opts CheckOptions) []config {
 			configs = append(configs, seqConfig(opts.Variant))
 		}
 		for _, w := range opts.Workers {
-			configs = append(configs, parConfig(w, false, opts.Variant), parConfig(w, true, opts.Variant))
+			configs = append(configs, runtimeConfig(inProc, static, w, false, opts.Variant), runtimeConfig(inProc, static, w, true, opts.Variant))
 		}
 		return configs
 	}
@@ -489,7 +372,7 @@ func configMatrix(opts CheckOptions) []config {
 		seqConfig("bounded"),
 	}
 	for _, w := range opts.Workers {
-		configs = append(configs, parConfig(w, false, "shared"), parConfig(w, true, "shared"))
+		configs = append(configs, runtimeConfig(inProc, static, w, false, "shared"), runtimeConfig(inProc, static, w, true, "shared"))
 	}
 	cross := 4
 	if len(opts.Workers) > 0 {
@@ -500,15 +383,15 @@ func configMatrix(opts CheckOptions) []config {
 		first = opts.Workers[0]
 	}
 	configs = append(configs,
-		parConfig(cross, false, "unshared"),
-		parConfig(cross, true, "candc"),
-		parConfig(first, false, "bounded"),
-		parConfig(cross, true, "bounded"),
+		runtimeConfig(inProc, static, cross, false, "unshared"),
+		runtimeConfig(inProc, static, cross, true, "candc"),
+		runtimeConfig(inProc, static, first, false, "bounded"),
+		runtimeConfig(inProc, static, cross, true, "bounded"),
 	)
 	if opts.TCP {
 		configs = append(configs,
-			tcpConfig(2, false), tcpConfig(2, true),
-			tcpProcConfig(2, false), tcpProcConfig(2, true),
+			runtimeConfig(loopback, static, 2, false, "shared"), runtimeConfig(loopback, static, 2, true, "shared"),
+			runtimeConfig(star, static, 2, false, "shared"), runtimeConfig(star, static, 2, true, "shared"),
 		)
 	}
 	if opts.Rebalance {
@@ -517,16 +400,16 @@ func configMatrix(opts CheckOptions) []config {
 				continue // migration between one worker is vacuous
 			}
 			configs = append(configs,
-				adaptConfig(w, false), adaptConfig(w, true),
-				migrateConfig(w, false), migrateConfig(w, true),
+				runtimeConfig(inProc, adapt, w, false, "shared"), runtimeConfig(inProc, adapt, w, true, "shared"),
+				runtimeConfig(inProc, migrate, w, false, "shared"), runtimeConfig(inProc, migrate, w, true, "shared"),
 			)
 		}
 		if opts.TCP {
 			configs = append(configs,
-				tcpMigrationConfig("adapt", 2, true, true, false),
-				tcpMigrationConfig("migrate", 2, false, false, true),
-				tcpProcMigrationConfig("adapt", 2, false, true, false),
-				tcpProcMigrationConfig("migrate", 2, true, false, true),
+				runtimeConfig(loopback, adapt, 2, true, "shared"),
+				runtimeConfig(loopback, migrate, 2, false, "shared"),
+				runtimeConfig(star, adapt, 2, false, "shared"),
+				runtimeConfig(star, migrate, 2, true, "shared"),
 			)
 		}
 	}
@@ -569,9 +452,6 @@ func runConfig(c Case, cfg config, opts CheckOptions) *Outcome {
 	if err != nil {
 		return &Outcome{Err: "build: " + err.Error()}
 	}
-	if b.close != nil {
-		defer b.close()
-	}
 	var out *Outcome
 	if c.IsScript() {
 		out = runScript(c, b.matcher, opts)
@@ -580,9 +460,16 @@ func runConfig(c Case, cfg config, opts CheckOptions) *Outcome {
 	}
 	if b.dump != nil {
 		// The run is quiescent here (between Apply calls), so the
-		// snapshot is race-free; taken before the deferred close so a
-		// closed runtime never surprises the recorder.
+		// snapshot is race-free; taken before the close so a closed
+		// runtime never surprises the recorder.
 		out.Dump = b.dump()
+	}
+	if b.close != nil {
+		// A shutdown error (a worker loop that died on a bad frame, say)
+		// is an outcome the sequential reference never has: a divergence.
+		if err := b.close(); err != nil && out.Err == "" {
+			out.Err = "close: " + err.Error()
+		}
 	}
 	return out
 }

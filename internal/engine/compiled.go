@@ -26,22 +26,6 @@ type CompileOptions struct {
 	// "candc", or "bounded". The single spelling shared with the
 	// ops5run/ops5d -variant flag and the difftest oracle.
 	Variant string
-	// DisableSharing compiles the network without node sharing.
-	//
-	// Deprecated: the old spelling of Variant: "unshared"; ignored when
-	// Variant is set.
-	DisableSharing bool
-}
-
-// variant resolves the CompileOptions to a rete variant name.
-func (o CompileOptions) variant() string {
-	if o.Variant != "" {
-		return o.Variant
-	}
-	if o.DisableSharing {
-		return "unshared"
-	}
-	return "shared"
 }
 
 // Compiled is the immutable, shareable half of an OPS5 interpreter: a
@@ -63,7 +47,7 @@ type Compiled struct {
 
 // Compile compiles a program into a shareable Compiled.
 func Compile(prog *ops5.Program, opts CompileOptions) (*Compiled, error) {
-	net, err := rete.CompileVariant(prog.Productions, opts.variant())
+	net, err := rete.CompileVariant(prog.Productions, opts.Variant)
 	if err != nil {
 		return nil, err
 	}

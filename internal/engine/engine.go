@@ -7,9 +7,9 @@
 // The interpreter state is split in two (compiled.go): Compiled is the
 // immutable half — the Rete network and production metadata, shared
 // read-only by any number of sessions — and Session is the mutable half
-// — working memory, token memories, conflict set, and counters. Engine
-// is an alias for Session kept for the original single-tenant API:
-// engine.New compiles a private Compiled and opens its one session.
+// — working memory, token memories, conflict set, and counters. The
+// single-tenant API is a shorthand for the two: engine.New compiles a
+// private Compiled and opens its one session.
 package engine
 
 import (
@@ -52,7 +52,7 @@ type MatchApplier interface {
 	Apply(changes []rete.Change) []rete.InstChange
 }
 
-// Options configure a single-tenant Engine made by New/NewWithNetwork.
+// Options configure a single-tenant Session made by New/NewWithNetwork.
 // Multi-session callers use CompileOptions + SessionOptions instead;
 // Options is the union of the two, kept for compatibility.
 type Options struct {
@@ -68,11 +68,6 @@ type Options struct {
 	// Variant names the network variant to compile (see
 	// rete.Variants(); empty means "shared").
 	Variant string
-	// DisableSharing compiles the network without node sharing.
-	//
-	// Deprecated: the old spelling of Variant: "unshared"; ignored when
-	// Variant is set.
-	DisableSharing bool
 	// Matcher, when non-nil, supplies the match implementation (e.g. a
 	// parallel.Runtime over the same network); NBuckets and Listener
 	// are then ignored — configure them on the supplied matcher.
@@ -135,15 +130,11 @@ type Session struct {
 	closed   bool
 }
 
-// Engine is the original name of Session, kept as an alias for the
-// single-tenant API.
-type Engine = Session
-
 // New compiles a program and returns a ready single-tenant engine. The
 // compiled network is private to this engine, so dynamic production
 // management (excise, live addition) is permitted.
-func New(prog *ops5.Program, opts Options) (*Engine, error) {
-	c, err := Compile(prog, CompileOptions{Variant: opts.Variant, DisableSharing: opts.DisableSharing})
+func New(prog *ops5.Program, opts Options) (*Session, error) {
+	c, err := Compile(prog, CompileOptions{Variant: opts.Variant})
 	if err != nil {
 		return nil, err
 	}
@@ -154,7 +145,7 @@ func New(prog *ops5.Program, opts Options) (*Engine, error) {
 
 // NewWithNetwork builds a single-tenant engine over a pre-compiled
 // (possibly transformed) network for the same program.
-func NewWithNetwork(prog *ops5.Program, net *rete.Network, opts Options) (*Engine, error) {
+func NewWithNetwork(prog *ops5.Program, net *rete.Network, opts Options) (*Session, error) {
 	c, err := NewCompiled(prog, net)
 	if err != nil {
 		return nil, err

@@ -345,7 +345,7 @@ func TestEngineLinearAndUnsharedAgree(t *testing.T) {
 	if linear := run(Options{NBuckets: 1}); linear != base {
 		t.Errorf("linear memories fired %d, hashed %d", linear, base)
 	}
-	if unshared := run(Options{DisableSharing: true}); unshared != base {
+	if unshared := run(Options{Variant: "unshared"}); unshared != base {
 		t.Errorf("unshared fired %d, shared %d", unshared, base)
 	}
 }

@@ -37,9 +37,9 @@ func Example() {
 	// fired: 1
 }
 
-// ExampleEngine_Step shows single-cycle stepping with conflict-set
+// ExampleSession_Step shows single-cycle stepping with conflict-set
 // inspection.
-func ExampleEngine_Step() {
+func ExampleSession_Step() {
 	prog, err := ops5.ParseProgram(`(p note (item ^v <x>) --> (remove 1))`)
 	if err != nil {
 		log.Fatal(err)

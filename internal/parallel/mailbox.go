@@ -54,31 +54,21 @@ func newMailbox(dropped *obs.Counter, stamped bool) *mailbox {
 	return m
 }
 
-// push enqueues one message; it never blocks. batch and src stamp the
+// Push enqueues one message; it never blocks. batch and src stamp the
 // message's causal provenance (ignored on unstamped mailboxes). Sends
 // on a closed mailbox are dropped (and counted): during shutdown a
 // straggler worker flushing its coalescing buffer can race close, and
 // by the time Close is legal (the runtime is quiescent) no droppable
 // message can carry live work.
 func (m *mailbox) Push(msg Message, batch, src int32) {
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
-		m.dropped.Inc()
-		return
-	}
-	m.queue = append(m.queue, msg)
-	if m.stamped {
-		m.stamps = append(m.stamps, RecvStamp{Batch: batch, Src: src, Count: 1})
-	}
-	m.cond.Signal()
-	m.mu.Unlock()
+	one := [1]Message{msg} // stays on the stack: PushBatch copies
+	m.PushBatch(one[:], batch, src)
 }
 
-// pushBatch enqueues a sender's coalesced messages in order under one
+// PushBatch enqueues a sender's coalesced messages in order under one
 // lock acquisition, recording a single stamp for the whole run on
 // stamped mailboxes. The batch is copied, so the caller may reuse its
-// buffer immediately. Like push, it drops (and counts) after close.
+// buffer immediately. Like Push, it drops (and counts) after close.
 func (m *mailbox) PushBatch(msgs []Message, batch, src int32) {
 	if len(msgs) == 0 {
 		return
@@ -97,7 +87,7 @@ func (m *mailbox) PushBatch(msgs []Message, batch, src int32) {
 	m.mu.Unlock()
 }
 
-// drain blocks until at least one message is pending (or the mailbox
+// Drain blocks until at least one message is pending (or the mailbox
 // closes, reported as ok == false), then takes the entire pending
 // queue in one swap: the caller receives every queued message (and, on
 // stamped mailboxes, the matching stamps) and donates buf/sbuf
@@ -105,36 +95,26 @@ func (m *mailbox) PushBatch(msgs []Message, batch, src int32) {
 // Pending messages are still delivered after close; ok == false means
 // closed *and* empty.
 func (m *mailbox) Drain(buf []Message, sbuf []RecvStamp) (batch []Message, stamps []RecvStamp, ok bool) {
-	buf = buf[:0]
-	if sbuf != nil {
-		sbuf = sbuf[:0]
-	}
-	m.mu.Lock()
-	for len(m.queue) == 0 && !m.closed {
-		m.cond.Wait()
-	}
-	if len(m.queue) == 0 {
-		m.mu.Unlock()
-		return buf, sbuf, false
-	}
-	batch = m.queue
-	m.queue = buf
-	stamps = m.stamps
-	m.stamps = sbuf
-	m.mu.Unlock()
-	return batch, stamps, true
+	return m.drain(buf, sbuf, true)
 }
 
-// tryDrain is the non-blocking drain the chaos layer uses while it
+// TryDrain is the non-blocking drain the chaos layer uses while it
 // holds deferred messages: it takes whatever is pending (possibly
 // nothing) without waiting. ok == false means closed and empty, as for
-// drain.
+// Drain.
 func (m *mailbox) TryDrain(buf []Message, sbuf []RecvStamp) (batch []Message, stamps []RecvStamp, ok bool) {
+	return m.drain(buf, sbuf, false)
+}
+
+func (m *mailbox) drain(buf []Message, sbuf []RecvStamp, wait bool) (batch []Message, stamps []RecvStamp, ok bool) {
 	buf = buf[:0]
 	if sbuf != nil {
 		sbuf = sbuf[:0]
 	}
 	m.mu.Lock()
+	for wait && len(m.queue) == 0 && !m.closed {
+		m.cond.Wait()
+	}
 	if len(m.queue) == 0 {
 		closed := m.closed
 		m.mu.Unlock()

@@ -213,9 +213,9 @@ func TestRebalanceIdleAllocs(t *testing.T) {
 	}
 }
 
-// opaqueTransport wraps the in-process endpoints but implements
-// neither RefTransport nor MigrationTransport — a stand-in for a wire
-// transport whose codec cannot carry bucket contents.
+// opaqueTransport wraps the in-process endpoints but does not implement
+// MigrationTransport — a stand-in for a wire transport whose codec
+// cannot carry bucket contents.
 type opaqueTransport struct{ inner Transport }
 
 func (o opaqueTransport) Open(workers int, opts EndpointOptions) ([]Endpoint, error) {

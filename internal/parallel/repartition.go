@@ -1,8 +1,11 @@
 package parallel
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
 
+	"mpcrete/internal/obs"
 	"mpcrete/internal/sched"
 )
 
@@ -21,42 +24,92 @@ type MigrationStats struct {
 }
 
 // Repartition changes the bucket-to-worker assignment of a quiescent
-// runtime, migrating stored tokens to their new owners, and returns
-// the measured cost. It must be called between Apply calls. The same
+// machine, migrating stored tokens to their new owners, and returns
+// the measured cost. It must be called between cycles. The same
 // machinery runs automatically at cycle boundaries when
 // Options.Rebalance or Options.ForceMigrate is set.
-func (rt *Runtime) Repartition(newPart sched.Partition) (MigrationStats, error) {
-	if rt.closed {
-		return MigrationStats{}, fmt.Errorf("parallel: Repartition after Close")
+func (d *Driver) Repartition(newPart sched.Partition) (MigrationStats, error) {
+	if d.Closed() {
+		return MigrationStats{}, errors.New("parallel: Repartition after Close")
 	}
-	return rt.migrate(newPart)
+	return d.migrate(newPart)
 }
 
-// migrate executes a bucket migration on the quiescent runtime: each
-// losing worker extracts the moved buckets and ships their contents to
-// the new owners; the work counter provides the barrier; routing
-// switches atomically (from the workers' point of view, between
-// cycles) when rt.opts.Partition is replaced at the end.
-func (rt *Runtime) migrate(newPart sched.Partition) (MigrationStats, error) {
-	if !rt.canMigrate {
-		// Migration messages carry *rete.BucketContents; they travel by
-		// pointer on a RefTransport and serialized on a
-		// MigrationTransport. Anything else cannot deliver them.
-		return MigrationStats{}, fmt.Errorf("parallel: migration requires a transport that carries the migration protocol (RefTransport or MigrationTransport)")
+// maybeRebalance runs at the cycle boundary, on the quiescent machine:
+// fold the turns' per-bucket activation counts into the balancer, ask
+// it (or the ForceMigrate test hook) for a new assignment, and migrate.
+// Migration happens strictly between cycles, so the match semantics of
+// neighbouring cycles are untouched — only where state lives changes.
+func (d *Driver) maybeRebalance(cycle int32) error {
+	var newPart sched.Partition
+	forced := false
+	if d.opts.ForceMigrate != nil {
+		newPart = d.opts.ForceMigrate(int(cycle))
+		forced = newPart != nil
 	}
-	if len(newPart) != rt.opts.NBuckets {
-		return MigrationStats{}, fmt.Errorf("parallel: partition covers %d buckets, want %d", len(newPart), rt.opts.NBuckets)
+	var imbalance float64
+	if d.balancer != nil && !forced {
+		// Quiescent: every turn's bucketLoad writes happened before its
+		// deregistration, which the cycle's wait observed.
+		for b, n := range d.bucketLoad {
+			if n > 0 {
+				d.balancer.Observe(b, n)
+				d.bucketLoad[b] = 0
+			}
+		}
+		imbalance = d.balancer.Imbalance()
+		if np, ok := d.balancer.EndCycle(); ok {
+			newPart = np
+		}
 	}
-	if err := newPart.Validate(rt.opts.Workers); err != nil {
+	if newPart == nil {
+		return nil
+	}
+	var t0 int64
+	if d.rec != nil {
+		t0 = d.Now()
+	}
+	stats, err := d.migrate(newPart)
+	if err != nil {
+		// The carrier was vetted at construction and the partition shape
+		// in migrate; an error here means a ForceMigrate hook returned a
+		// bad partition or the carrier lost a message.
+		return err
+	}
+	if forced && d.balancer != nil {
+		// A forced move invalidates the balancer's notion of the
+		// current assignment; restart it from the imposed partition.
+		d.balancer = sched.NewBalancer(d.opts.Rebalance, newPart, d.opts.Workers)
+	}
+	d.rebSeries.Append(float64(cycle), imbalance,
+		float64(stats.BucketsMoved), float64(stats.EntriesMoved), float64(stats.Messages))
+	if d.rec != nil {
+		d.rec.Span(d.controlTrack(), "migrate", t0, d.Now(),
+			obs.Label{Key: "buckets", Value: strconv.Itoa(stats.BucketsMoved)},
+			obs.Label{Key: "entries", Value: strconv.Itoa(stats.EntriesMoved)})
+	}
+	return nil
+}
+
+// migrate executes a bucket migration on the quiescent machine: the
+// carrier delivers the order, each losing worker step extracts the
+// moved buckets and its carrier ships their contents to the new owners
+// (Shipping), and the work counter provides the barrier. Control-side
+// routing switches when d.opts.Partition is replaced at the end.
+func (d *Driver) migrate(newPart sched.Partition) (MigrationStats, error) {
+	if len(newPart) != d.opts.NBuckets {
+		return MigrationStats{}, fmt.Errorf("parallel: partition covers %d buckets, want %d", len(newPart), d.opts.NBuckets)
+	}
+	if err := newPart.Validate(d.opts.Workers); err != nil {
 		return MigrationStats{}, err
 	}
 
 	// Plan the moves per losing worker, sorted by bucket (the loop
 	// ascends buckets) for reproducible message counts.
-	perWorker := make([][]BucketMove, rt.opts.Workers)
+	perWorker := make([][]BucketMove, d.opts.Workers)
 	var stats MigrationStats
 	for b := range newPart {
-		oldOwner, newOwner := rt.opts.Partition[b], newPart[b]
+		oldOwner, newOwner := d.opts.Partition[b], newPart[b]
 		if oldOwner == newOwner {
 			continue
 		}
@@ -64,42 +117,25 @@ func (rt *Runtime) migrate(newPart sched.Partition) (MigrationStats, error) {
 		stats.BucketsMoved++
 	}
 
-	for w, moves := range perWorker {
-		if moves == nil {
-			continue
-		}
-		rt.counter.Add(1)
-		rt.controlCounts().IncSent()
-		rt.workers[w].inbox.Push(Message{Kind: MsgMigrateOut, Moves: moves}, rt.causal.NextBatch(), int32(rt.opts.Workers))
-	}
-	rt.counter.Wait()
-	if err := rt.counter.Err(); err != nil {
+	entries0, msgs0 := d.entriesMoved.Load(), d.migMsgs.Load()
+	if err := d.carrier.Migrate(newPart, perWorker); err != nil {
 		return MigrationStats{}, err
 	}
-
-	// Collect measured costs from the workers (quiescent again).
-	for _, w := range rt.workers {
-		stats.EntriesMoved += w.migratedEntries
-		stats.Messages += w.migrationMsgs
-		w.migratedEntries, w.migrationMsgs = 0, 0
+	d.counter.Wait()
+	if err := d.Err(); err != nil {
+		return MigrationStats{}, err
 	}
-	rt.opts.Partition = newPart
+	stats.EntriesMoved = int(d.entriesMoved.Load() - entries0)
+	stats.Messages = int(d.migMsgs.Load() - msgs0)
+	d.opts.Partition = newPart
+	d.migrations.Add(1)
+	d.bucketsMoved.Add(int64(stats.BucketsMoved))
 	return stats, nil
 }
 
-// handleMigrateOut runs on the losing worker: extract each listed
-// bucket and ship its contents to the new owner.
-func (w *worker) handleMigrateOut(moves []BucketMove) {
-	rt := w.rt
-	for _, mv := range moves {
-		bc := w.proc.ExtractBucket(int(mv.Bucket))
-		if bc.Entries() == 0 {
-			continue // nothing stored; ownership transfer is free
-		}
-		w.migratedEntries += bc.Entries()
-		w.migrationMsgs++
-		rt.counter.Add(1)
-		rt.counts[w.id].IncSent()
-		rt.workers[mv.NewOwner].inbox.Push(Message{Kind: MsgMigrateIn, Inject: bc}, rt.causal.NextBatch(), int32(w.id))
-	}
+// RebalanceStats reports the cumulative cost of every migration the
+// driver executed: migration events, bucket pairs moved, and entries
+// shipped.
+func (d *Driver) RebalanceStats() (migrations, bucketsMoved, entriesMoved int64) {
+	return d.migrations.Load(), d.bucketsMoved.Load(), d.entriesMoved.Load()
 }

@@ -1,14 +1,20 @@
 // Package parallel is a real (not simulated) implementation of the
-// paper's distributed hash-table mapping: match processors are
-// goroutines, messages are mailbox sends, and each worker owns a
-// partition of the global left/right hash-bucket space. It realizes
-// the Fig 3-3 variation — the control goroutine broadcasts each
-// cycle's wme changes, every worker runs all constant tests and keeps
-// the root activations whose buckets it owns, and successor (left)
-// tokens travel to the worker owning their bucket. Options.RouteRoots
-// selects the Fig 3-2 scheme instead: the control goroutine runs the
-// constant tests once and hash-routes each root activation to its
-// owner.
+// paper's distributed hash-table mapping: each worker owns a partition
+// of the global left/right hash-bucket space. It realizes the Fig 3-3
+// variation — the control side broadcasts each cycle's wme changes,
+// every worker runs all constant tests and keeps the root activations
+// whose buckets it owns, and successor (left) tokens travel to the
+// worker owning their bucket. Options.RouteRoots selects the Fig 3-2
+// scheme instead: the control side runs the constant tests once and
+// hash-routes each root activation to its owner.
+//
+// The mapping is written once, as two carrier-agnostic types: Driver
+// (driver.go) is the control processor's cycle, Step (step.go) a match
+// processor's turn. A carrier only moves Message batches between them.
+// Runtime, in this file, is the goroutine carrier: workers are
+// goroutines and messages are Transport endpoint pushes (in-process
+// mailboxes by default). internal/transport carries the same two types
+// between OS processes.
 //
 // The message plane is batched, because the paper's central finding is
 // that per-message overhead is what makes or breaks MPC speedups:
@@ -28,18 +34,15 @@
 package parallel
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
-	"sort"
 	"strconv"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"mpcrete/internal/obs"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/sched"
-	"mpcrete/internal/termdet"
 )
 
 // Detector selects the termination-detection scheme.
@@ -71,7 +74,7 @@ type Options struct {
 	// machinery. The netted conflict-set output is byte-identical to
 	// the static run — migration moves state, never match semantics.
 	// Requires a transport that can carry the migration protocol
-	// (RefTransport or MigrationTransport).
+	// (MigrationTransport).
 	Rebalance sched.Rebalance
 	// ForceMigrate, when non-nil, is consulted at every cycle boundary
 	// (after the cycle's quiescence) with the 1-based number of the
@@ -188,146 +191,40 @@ const (
 	numMsgKinds
 )
 
-// Stats reports per-worker work counts (snapshot).
-type Stats struct {
-	// Processed[w] counts activations performed by worker w.
-	Processed []int64
-	// MsgsSent[w] counts activation messages worker w sent to other
-	// workers.
-	MsgsSent []int64
-	// Insts counts instantiation deltas delivered to the control
-	// goroutine over all cycles (before netting).
-	Insts int64
-}
-
-// Runtime is a parallel match engine over one compiled network. Apply
-// is the match phase of the MRA cycle; resolve and act remain the
-// caller's job, as on the control processor of the paper's mapping.
+// Runtime is the goroutine carrier of the mapping: a cycle driver
+// (embedded — Apply, Cycle, Stats, Repartition and the rest are its)
+// plus one goroutine per match processor, each running a worker step
+// fed from its Transport endpoint. Close must be called to stop the
+// goroutines.
 type Runtime struct {
-	net  *rete.Network
-	opts Options
+	*Driver
 
-	workers  []*worker
-	cyclePkt *CyclePacket
+	workers []*worker
 
-	// transport owns the message plane; refDelivery records whether it
-	// delivers by reference, canMigrate whether it can carry the
-	// migration protocol at all (by reference or serialized — see
-	// MigrationTransport).
-	transport   Transport
-	refDelivery bool
-	canMigrate  bool
-
-	// balancer is the online rebalance detector/planner (nil unless
-	// Options.Rebalance is enabled); rebSeries is the obs series
-	// migrations publish into, and the counters below aggregate
-	// migration costs across the run (also surfaced via
-	// RebalanceStats).
-	balancer     *sched.Balancer
-	rebSeries    *obs.Series
-	migrations   atomic.Int64
-	bucketsMoved atomic.Int64
-	entriesMoved atomic.Int64
-
-	// root-routing state (RouteRoots mode): the control goroutine's
-	// constant-test processor plus reusable per-destination buffers.
-	rootProc    *rete.Processor
-	rootBufs    [][]Message
-	rootScratch []rete.Activation
-
-	counter *termdet.Counter
-	counts  []*termdet.ChannelCounts // one per worker + control last
-	four    *termdet.FourCounter
-
-	// insts is the control goroutine's conflict-set intake; workers
-	// append their buffered deltas in bulk at end of turn. netter holds
-	// the netting scratch reused across cycles.
-	instMu  sync.Mutex
-	insts   []rete.InstChange
-	netting netter
-
-	processed []atomic.Int64
-	msgsSent  []atomic.Int64
-	instCount atomic.Int64
-
-	rec   *obs.Recorder
-	epoch time.Time
-
-	// causal is the flight recorder (nil unless Options.Causal);
-	// ctlTrack caches its control track, and curCycle publishes the
-	// 1-based cycle number workers stamp on their events (workers are
-	// quiescent between Applies, so a relaxed load per turn suffices).
-	causal   *obs.CausalRecorder
-	ctlTrack *obs.TrackRecorder
-	curCycle atomic.Int32
-
-	// ctlChaos perturbs the control goroutine's quiescence wait when
-	// chaos is enabled (nil otherwise).
-	ctlChaos *chaos
-
-	closed bool
+	// transport owns the message plane; canMigrate records whether it
+	// can carry the migration protocol (see MigrationTransport).
+	transport  Transport
+	canMigrate bool
 }
 
-// nowNS is the recorder clock: wall-clock nanoseconds since New.
-func (rt *Runtime) nowNS() int64 { return time.Since(rt.epoch).Nanoseconds() }
-
-// controlTrack is the recorder track for the control goroutine (the
-// workers occupy tracks 0..Workers-1).
-func (rt *Runtime) controlTrack() int { return rt.opts.Workers }
-
-// localAct is one queued unit of locally-owned match work: an
-// activation, its hash bucket, and its dependency depth within the
-// current cycle.
-type localAct struct {
-	act    rete.Activation
-	bucket int32
-	depth  int32
-}
-
+// worker is one match goroutine: the carrier loop around a Step.
 type worker struct {
 	id    int
 	rt    *Runtime
-	proc  *rete.Processor
+	step  *Step
 	inbox Endpoint
 	done  sync.WaitGroup
 
-	// localQ is the worker's FIFO of locally-owned activations,
-	// drained breadth-first (see drainLocal).
-	localQ []localAct
-
-	// turn-local state, reused across turns: the drained batch, the
-	// constant-test scratch, the per-destination coalescing buffers,
-	// and the conflict-set delta buffer. pendingSends counts messages
-	// buffered in outBufs since the last flush; turnProcessed/turnSent
-	// accumulate the per-activation counters published once per turn.
-	batch         []Message
-	stampBuf      []RecvStamp
-	rootScratch   []rete.Activation
-	outBufs       [][]Message
-	instBuf       []rete.InstChange
-	pendingSends  int
-	turnProcessed int64
-	turnSent      int64
+	// batch and stampBuf are the drained turn and its recv stamps, reused
+	// across turns (donated back to the endpoint on the next drain).
+	batch    []Message
+	stampBuf []RecvStamp
 
 	// ctrack is the worker's causal event ring (nil when the flight
-	// recorder is off — every recording call is then one nil check).
-	// turnTS and turnCycle are the timestamp and cycle number stamped
-	// on the turn's handle events, cached at drain time so the hot loop
-	// never reads the clock per activation.
+	// recorder is off); turnCycle is the cycle number stamped on the
+	// turn's send and flush events.
 	ctrack    *obs.TrackRecorder
-	turnTS    int64
 	turnCycle int32
-
-	// migration accounting, read by Repartition after its barrier.
-	migratedEntries int
-	migrationMsgs   int
-
-	// bucketLoad counts activations per bucket for the rebalance
-	// detector (nil unless Options.Rebalance is enabled — the hot path
-	// then pays one nil check). The control goroutine drains it at
-	// quiescence (foldBucketLoads); the termination-detector barrier
-	// orders the worker's writes before the control read.
-	bucketLoad []int64
 
 	// chaos is the worker's scheduling perturbator (nil unless
 	// Options.ChaosSeed is set).
@@ -337,87 +234,27 @@ type worker struct {
 // New creates and starts a runtime. Close must be called to stop the
 // worker goroutines.
 func New(net *rete.Network, opts Options) (*Runtime, error) {
-	if opts.Workers == 0 {
-		opts.Workers = runtime.GOMAXPROCS(0)
-	}
-	if opts.Workers < 1 {
-		return nil, fmt.Errorf("parallel: Workers = %d", opts.Workers)
-	}
-	if opts.NBuckets == 0 {
-		opts.NBuckets = rete.DefaultNBuckets
-	}
-	if opts.Partition == nil {
-		opts.Partition = sched.RoundRobin(opts.NBuckets, opts.Workers)
-	}
-	if len(opts.Partition) != opts.NBuckets {
-		return nil, fmt.Errorf("parallel: partition covers %d buckets, want %d", len(opts.Partition), opts.NBuckets)
-	}
-	if err := opts.Partition.Validate(opts.Workers); err != nil {
-		return nil, err
-	}
-
-	rt := &Runtime{
-		net:       net,
-		opts:      opts,
-		cyclePkt:  &CyclePacket{},
-		counter:   termdet.NewCounter(),
-		processed: make([]atomic.Int64, opts.Workers),
-		msgsSent:  make([]atomic.Int64, opts.Workers),
-		rec:       opts.Recorder,
-		epoch:     time.Now(),
-	}
-	if opts.Causal != nil {
-		if got := opts.Causal.Tracks(); got != opts.Workers+1 {
-			return nil, fmt.Errorf("parallel: causal recorder has %d tracks, want Workers+1 = %d (use NewFlightRecorder)", got, opts.Workers+1)
-		}
-		rt.causal = opts.Causal
-		rt.ctlTrack = opts.Causal.Track(opts.Workers)
-		for i := 0; i < opts.Workers; i++ {
-			opts.Causal.SetTrackName(i, fmt.Sprintf("worker %d", i))
-		}
-		opts.Causal.SetTrackName(opts.Workers, "control")
-	}
-	if opts.RouteRoots {
-		rt.rootProc = rete.NewProcessor(net, opts.NBuckets)
-		rt.rootBufs = make([][]Message, opts.Workers)
-	}
-	dropped := opts.Metrics.Counter("parallel.dropped_post_close")
-	if opts.ChaosSeed != 0 {
-		rt.ctlChaos = newChaos(opts.ChaosSeed, opts.Workers)
-	}
-	rt.transport = opts.Transport
+	rt := &Runtime{transport: opts.Transport}
 	if rt.transport == nil {
 		rt.transport = InProc()
 	}
-	_, rt.refDelivery = rt.transport.(RefTransport)
-	_, wireMigration := rt.transport.(MigrationTransport)
-	rt.canMigrate = rt.refDelivery || wireMigration
-	if opts.Rebalance.Enabled() || opts.ForceMigrate != nil {
-		if !rt.canMigrate {
-			return nil, fmt.Errorf("parallel: Rebalance/ForceMigrate require a transport that carries the migration protocol (RefTransport or MigrationTransport)")
-		}
-		if opts.Rebalance.Enabled() {
-			rt.balancer = sched.NewBalancer(opts.Rebalance, opts.Partition, opts.Workers)
-			rt.rebSeries = opts.Metrics.Series("parallel/rebalance",
-				"cycle", "imbalance", "buckets_moved", "entries_moved", "messages")
-		}
+	_, rt.canMigrate = rt.transport.(MigrationTransport)
+	if (opts.Rebalance.Enabled() || opts.ForceMigrate != nil) && !rt.canMigrate {
+		return nil, errNoMigration
 	}
-	if rt.rec != nil {
-		for i := 0; i < opts.Workers; i++ {
-			rt.rec.SetTrack(i, fmt.Sprintf("worker %d", i))
-		}
-		rt.rec.SetTrack(rt.controlTrack(), "control")
+	d, err := NewDriver(net, opts, rt)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i <= opts.Workers; i++ {
-		rt.counts = append(rt.counts, &termdet.ChannelCounts{})
-	}
-	rt.four = termdet.NewFourCounter(rt.counts)
+	rt.Driver = d
+	opts = d.opts
 
 	eps, err := rt.transport.Open(opts.Workers, EndpointOptions{
-		Dropped: dropped,
-		Stamped: rt.causal != nil,
+		NBuckets: opts.NBuckets,
+		Dropped:  opts.Metrics.Counter("parallel.dropped_post_close"),
+		Stamped:  d.causal != nil,
 		OnError: func(err error) {
-			rt.counter.Fail(fmt.Errorf("parallel: transport failed: %w", err))
+			d.Fail(fmt.Errorf("parallel: transport failed: %w", err))
 		},
 	})
 	if err != nil {
@@ -428,15 +265,11 @@ func New(net *rete.Network, opts Options) (*Runtime, error) {
 	}
 	for i := 0; i < opts.Workers; i++ {
 		w := &worker{
-			id:      i,
-			rt:      rt,
-			proc:    rete.NewProcessor(net, opts.NBuckets),
-			inbox:   eps[i],
-			outBufs: make([][]Message, opts.Workers),
-			ctrack:  rt.causal.Track(i),
-		}
-		if rt.balancer != nil {
-			w.bucketLoad = make([]int64, opts.NBuckets)
+			id:     i,
+			rt:     rt,
+			step:   NewStep(net, i, opts.Workers, opts.Partition, d.balancer != nil, d.causal.Track(i)),
+			inbox:  eps[i],
+			ctrack: d.causal.Track(i),
 		}
 		if opts.ChaosSeed != 0 {
 			w.chaos = newChaos(opts.ChaosSeed, i)
@@ -448,249 +281,41 @@ func New(net *rete.Network, opts Options) (*Runtime, error) {
 	return rt, nil
 }
 
-// controlCounts returns the control goroutine's message counters.
-func (rt *Runtime) controlCounts() *termdet.ChannelCounts {
-	return rt.counts[len(rt.counts)-1]
-}
+// errNoMigration rejects migration over a transport that cannot deliver
+// MsgMigrateIn's bucket contents.
+var errNoMigration = errors.New("parallel: Repartition, Rebalance and ForceMigrate require a transport that carries the migration protocol (MigrationTransport)")
 
-// Apply runs one parallel match phase and returns the conflict-set
-// deltas, netted per instantiation and deterministically ordered
-// (delivery order across workers is not deterministic; the netted set
-// is).
-func (rt *Runtime) Apply(changes []rete.Change) []rete.InstChange {
-	if rt.closed {
-		panic("parallel: Apply after Close")
-	}
-	rt.insts = rt.insts[:0] // quiescent: no worker holds instMu
-
-	cycle := rt.curCycle.Add(1)
-	if rt.causal != nil {
-		rt.causal.BeginCycle(cycle, rt.nowNS())
-	}
-
-	if rt.opts.RouteRoots {
-		rt.routeRoots(changes)
-	} else {
-		rt.broadcast(changes)
-	}
-
-	// Wait for global quiescence.
-	var waitStart int64
-	if rt.rec != nil {
-		waitStart = rt.nowNS()
-	}
-	waves := 0
-	if rt.opts.Detector == FourCounterDetector {
-		yield := runtime.Gosched
-		if rt.ctlChaos != nil {
-			// Jittered polling stretches the window between the two
-			// four-counter passes, the interval the protocol must
-			// tolerate in-flight messages across.
-			yield = rt.ctlChaos.yield
-		}
-		if rt.rec != nil {
-			inner := yield
-			yield = func() {
-				waves++
-				inner()
-			}
-		}
-		// A failed transport means quiescence is unreachable: the
-		// four-counter totals can never balance once messages are lost.
-		// Bail out of the polling loop through the same panic surface as
-		// the counter check below.
-		inner := yield
-		yield = func() {
-			if err := rt.counter.Err(); err != nil {
-				panic(err)
-			}
-			inner()
-		}
-		rt.four.WaitTerminated(yield)
-	}
-	rt.counter.Wait()
-	if err := rt.counter.Err(); err != nil {
-		// The transport lost accepted messages (see
-		// EndpointOptions.OnError). Apply cannot return an error — it is
-		// engine.MatchApplier — so the failure surfaces as a panic
-		// rather than a hang.
-		panic(err)
-	}
-	if rt.rec != nil {
-		rt.rec.Span(rt.controlTrack(), "quiesce", waitStart, rt.nowNS(),
-			obs.Label{Key: "waves", Value: strconv.Itoa(waves)})
-	}
-
-	if rt.causal != nil {
-		// Quiescent again: every worker's events for this cycle are
-		// recorded, so the aggregate commit observes them all.
-		rt.causal.EndCycle(cycle, rt.nowNS())
-	}
-
-	if rt.balancer != nil || rt.opts.ForceMigrate != nil {
-		rt.maybeRebalance(cycle)
-	}
-
-	rt.cyclePkt.Changes = nil // release the caller's slice
-	return rt.netting.net(rt.insts)
-}
-
-// maybeRebalance runs at the cycle boundary, on the quiescent runtime:
-// fold the workers' per-bucket activation counters into the balancer,
-// ask it (or the ForceMigrate test hook) for a new assignment, and
-// migrate. Migration happens strictly between cycles, so the match
-// semantics of neighbouring cycles are untouched — only where state
-// lives changes.
-func (rt *Runtime) maybeRebalance(cycle int32) {
-	var newPart sched.Partition
-	forced := false
-	if rt.opts.ForceMigrate != nil {
-		newPart = rt.opts.ForceMigrate(int(cycle))
-		forced = newPart != nil
-	}
-	var imbalance float64
-	if rt.balancer != nil && !forced {
-		rt.foldBucketLoads()
-		imbalance = rt.balancer.Imbalance()
-		if np, ok := rt.balancer.EndCycle(); ok {
-			newPart = np
-		}
-	}
-	if newPart == nil {
-		return
-	}
-	var t0 int64
-	if rt.rec != nil {
-		t0 = rt.nowNS()
-	}
-	stats, err := rt.migrate(newPart)
-	if err != nil {
-		// The transport was vetted in New and the partition shape in
-		// migrate; an error here means a ForceMigrate hook returned a
-		// bad partition — surface it like any other fatal Apply error.
-		panic(err)
-	}
-	if forced && rt.balancer != nil {
-		// A forced move invalidates the balancer's notion of the
-		// current assignment; restart it from the imposed partition.
-		rt.balancer = sched.NewBalancer(rt.opts.Rebalance, newPart, rt.opts.Workers)
-	}
-	rt.migrations.Add(1)
-	rt.bucketsMoved.Add(int64(stats.BucketsMoved))
-	rt.entriesMoved.Add(int64(stats.EntriesMoved))
-	rt.rebSeries.Append(float64(cycle), imbalance,
-		float64(stats.BucketsMoved), float64(stats.EntriesMoved), float64(stats.Messages))
-	if rt.rec != nil {
-		rt.rec.Span(rt.controlTrack(), "migrate", t0, rt.nowNS(),
-			obs.Label{Key: "buckets", Value: strconv.Itoa(stats.BucketsMoved)},
-			obs.Label{Key: "entries", Value: strconv.Itoa(stats.EntriesMoved)})
-	}
-}
-
-// foldBucketLoads drains every worker's per-bucket activation counter
-// into the balancer. Runs at quiescence: the workers' last counter
-// writes happened before their termination-detector decrements, which
-// the control goroutine's Wait observed.
-func (rt *Runtime) foldBucketLoads() {
+// Broadcast implements Carrier: every worker's endpoint gets the shared
+// packet under the same batch stamp.
+func (rt *Runtime) Broadcast(m Message, batch int32) error {
 	for _, w := range rt.workers {
-		for b, n := range w.bucketLoad {
-			if n > 0 {
-				rt.balancer.Observe(b, n)
-				w.bucketLoad[b] = 0
-			}
-		}
+		w.inbox.Push(m, batch, int32(rt.controlTrack()))
 	}
+	return nil
 }
 
-// RebalanceStats reports the adaptive repartitioner's cumulative cost:
-// migration events, bucket pairs moved, and entries shipped.
-func (rt *Runtime) RebalanceStats() (migrations, bucketsMoved, entriesMoved int64) {
-	return rt.migrations.Load(), rt.bucketsMoved.Load(), rt.entriesMoved.Load()
+// Deliver implements Carrier.
+func (rt *Runtime) Deliver(dst int, ms []Message, batch int32) error {
+	rt.workers[dst].inbox.PushBatch(ms, batch, int32(rt.controlTrack()))
+	return nil
 }
 
-// broadcast ships the cycle packet to every worker (Fig 3-3): one
-// pooled packet shared read-only, one outstanding-work registration
-// and one sent-counter update for the whole wave.
-func (rt *Runtime) broadcast(changes []rete.Change) {
-	if rt.rec != nil {
-		rt.rec.Instant(rt.controlTrack(), "cycle-broadcast", rt.nowNS(),
-			obs.Label{Key: "changes", Value: strconv.Itoa(len(changes))})
+// Migrate implements Carrier. The workers are parked in Drain behind the
+// quiescence barrier, so their steps' partitions can be switched from
+// here; only the losers need a message.
+func (rt *Runtime) Migrate(newPart sched.Partition, moves [][]BucketMove) error {
+	if !rt.canMigrate {
+		return errNoMigration
 	}
-	rt.cyclePkt.Changes = changes
-	rt.counter.Add(len(rt.workers))
-	rt.controlCounts().AddSent(len(rt.workers))
-	// One broadcast send event covers the whole wave; every worker's
-	// mailbox carries the same batch stamp, so each recv joins back to
-	// this send.
-	batch := rt.causal.NextBatch()
-	if rt.ctlTrack != nil {
-		rt.ctlTrack.Send(rt.nowNS(), rt.curCycle.Load(), batch, obs.BroadcastDst, int32(len(rt.workers)))
-	}
-	msg := Message{Kind: MsgCycle, Cycle: rt.cyclePkt}
-	for _, w := range rt.workers {
-		w.inbox.Push(msg, batch, int32(rt.opts.Workers))
-	}
-}
-
-// routeRoots runs the constant tests once on the control goroutine and
-// hash-routes each root activation to its owner (Fig 3-2), coalescing
-// per destination so each worker's mailbox is locked at most once.
-func (rt *Runtime) routeRoots(changes []rete.Change) {
-	sent := 0
-	for _, ch := range changes {
-		rt.rootScratch = rt.rootProc.RootActivationsInto(ch, rt.rootScratch[:0])
-		for _, act := range rt.rootScratch {
-			b := rt.rootProc.Bucket(act)
-			owner := rt.opts.Partition[b]
-			rt.rootBufs[owner] = append(rt.rootBufs[owner], Message{Kind: MsgAct, Bucket: int32(b), Depth: 1, Act: act})
-			sent++
-		}
-	}
-	if rt.rec != nil {
-		rt.rec.Instant(rt.controlTrack(), "cycle-route", rt.nowNS(),
-			obs.Label{Key: "changes", Value: strconv.Itoa(len(changes))},
-			obs.Label{Key: "roots", Value: strconv.Itoa(sent)})
-	}
-	if sent == 0 {
-		return
-	}
-	rt.counter.Add(sent)
-	rt.controlCounts().AddSent(sent)
-	var ts int64
-	if rt.ctlTrack != nil {
-		ts = rt.nowNS()
-	}
-	for dst, buf := range rt.rootBufs {
-		if len(buf) == 0 {
+	for i, w := range rt.workers {
+		w.step.SetPartition(newPart)
+		if moves[i] == nil {
 			continue
 		}
-		batch := rt.causal.NextBatch()
-		rt.ctlTrack.Send(ts, rt.curCycle.Load(), batch, int32(dst), int32(len(buf)))
-		rt.workers[dst].inbox.PushBatch(buf, batch, int32(rt.opts.Workers))
-		rt.rootBufs[dst] = buf[:0]
+		rt.Sending(rt.controlTrack(), 1)
+		w.inbox.Push(Message{Kind: MsgMigrateOut, Moves: moves[i]}, rt.causal.NextBatch(), int32(rt.controlTrack()))
 	}
-}
-
-// Stats snapshots per-worker counters.
-func (rt *Runtime) Stats() Stats {
-	s := Stats{
-		Processed: make([]int64, len(rt.processed)),
-		MsgsSent:  make([]int64, len(rt.msgsSent)),
-		Insts:     rt.instCount.Load(),
-	}
-	for i := range rt.processed {
-		s.Processed[i] = rt.processed[i].Load()
-		s.MsgsSent[i] = rt.msgsSent[i].Load()
-	}
-	return s
-}
-
-// FlightDump snapshots the attached flight recorder: the last-N causal
-// events per track plus the retained per-cycle aggregates. Nil when no
-// recorder is attached. Only legal at quiescence — between Apply calls
-// or after Close — which is when post-mortem analysis runs.
-func (rt *Runtime) FlightDump() *obs.FlightDump {
-	return rt.causal.Dump()
+	return nil
 }
 
 // Close stops the workers. The runtime cannot be reused. Any message a
@@ -698,10 +323,9 @@ func (rt *Runtime) FlightDump() *obs.FlightDump {
 // only legal on a quiescent runtime, so no dropped message carries
 // live work).
 func (rt *Runtime) Close() {
-	if rt.closed {
+	if !rt.Shutdown() {
 		return
 	}
-	rt.closed = true
 	for _, w := range rt.workers {
 		w.inbox.Close()
 	}
@@ -712,9 +336,10 @@ func (rt *Runtime) Close() {
 }
 
 // loop is the worker goroutine: one match processor of the mapping. It
-// consumes its mailbox one drained batch at a time — one lock
-// acquisition per turn, however many messages arrived — and flushes
-// coalesced outgoing activations at the end of each handled message.
+// consumes its endpoint one drained batch at a time — one lock
+// acquisition per turn, however many messages arrived — hands each
+// message to the step, and flushes the step's coalesced outgoing
+// activations at the end of each handled message.
 func (w *worker) loop() {
 	defer w.done.Done()
 	rt := w.rt
@@ -731,63 +356,30 @@ func (w *worker) loop() {
 		}
 		var t0 int64
 		if rt.rec != nil || w.ctrack != nil {
-			t0 = rt.nowNS()
+			t0 = rt.Now()
 		}
 		if w.ctrack != nil {
-			// Cache the turn's timestamp and cycle once: handle events
-			// reuse them instead of reading the clock per activation.
-			w.turnTS = t0
 			w.turnCycle = rt.curCycle.Load()
 			for _, s := range stamps {
 				w.ctrack.Recv(t0, w.turnCycle, s.Batch, s.Src, s.Count)
 			}
 		}
 		w.stampBuf = stamps // donate the stamp buffer back next drain
+		w.step.BeginTurn(t0, w.turnCycle)
 		var kinds [numMsgKinds]int
 		for i := range w.batch {
-			msg := &w.batch[i]
-			kinds[msg.Kind]++
-			switch msg.Kind {
-			case MsgCycle:
-				// Constant tests run on every worker (duplicated work,
-				// the coarse granularity of Section 3.2); only
-				// locally-owned roots are processed. Every root of the
-				// turn is enqueued before any is expanded so storage
-				// precedes discovery (see drainLocal).
-				for _, ch := range msg.Cycle.Changes {
-					w.rootScratch = w.proc.RootActivationsInto(ch, w.rootScratch[:0])
-					for _, act := range w.rootScratch {
-						b := w.proc.Bucket(act)
-						if rt.opts.Partition[b] == w.id {
-							w.localQ = append(w.localQ, localAct{act: act, bucket: int32(b), depth: 1})
-						}
-					}
-				}
-				w.drainLocal()
-			case MsgAct:
-				w.localQ = append(w.localQ, localAct{act: msg.Act, bucket: msg.Bucket, depth: msg.Depth})
-				w.drainLocal()
-			case MsgMigrateOut:
-				w.handleMigrateOut(msg.Moves)
-			case MsgMigrateIn:
-				w.proc.InjectBucket(msg.Inject)
-			}
-			w.flushActs(false)
+			kinds[w.batch[i].Kind]++
+			w.step.Handle(w.batch[i : i+1])
+			w.flush(false)
 		}
 		// Force out anything a chaotic flush deferral held back; a
 		// no-op on the plain path (per-message flushes left nothing).
-		w.flushActs(true)
+		w.flush(true)
 		n := len(w.batch)
 		if rt.rec != nil {
-			rt.rec.Span(w.id, "batch", t0, rt.nowNS(), batchLabels(n, &kinds)...)
+			rt.rec.Span(w.id, "batch", t0, rt.Now(), batchLabels(n, &kinds)...)
 		}
-		// Deliver buffered conflict-set deltas and publish counters
-		// before deregistering the batch, so quiescence implies the
-		// control goroutine sees every delta.
-		w.flushInsts()
-		w.publishCounters()
-		rt.counts[w.id].AddRecv(n)
-		rt.counter.Add(-n)
+		rt.TurnDone(w.id, n, w.step.EndTurn())
 	}
 }
 
@@ -805,212 +397,38 @@ func batchLabels(n int, kinds *[numMsgKinds]int) []obs.Label {
 	return labels
 }
 
-// flushActs ships the coalescing buffers: outstanding work and sent
-// counters are accounted for the whole flush before any message
-// becomes visible, then each destination mailbox is locked once.
-// Under chaos a non-forced flush may be randomly deferred — the
-// pending messages simply coalesce into a later flush of the same
-// turn, which the end-of-turn forced call guarantees. Deferral is safe
-// because the turn's batch stays registered with the termination
-// detector until after the forced flush.
-func (w *worker) flushActs(force bool) {
-	if w.pendingSends == 0 {
-		return
-	}
-	if !force && w.chaos != nil && w.chaos.deferFlush() {
-		return
-	}
-	rt := w.rt
-	rt.counter.Add(w.pendingSends)
-	rt.counts[w.id].AddSent(w.pendingSends)
-	w.turnSent += int64(w.pendingSends)
-	total := w.pendingSends
-	w.pendingSends = 0
-	var ts int64
-	if w.ctrack != nil {
-		ts = rt.nowNS()
-	}
-	for dst, buf := range w.outBufs {
-		if len(buf) == 0 {
-			continue
+// flush ships what the step left behind: the whole flush is registered
+// with the driver before any message becomes visible, then each
+// destination endpoint is locked once. Under chaos a non-forced flush
+// of activations may be randomly deferred — the pending messages simply
+// coalesce into a later flush of the same turn, which the end-of-turn
+// forced call guarantees. Deferral is safe because the turn's batch
+// stays registered with the termination detector until after the forced
+// flush.
+func (w *worker) flush(force bool) {
+	rt, s := w.rt, w.step
+	if s.Pending > 0 && (force || w.chaos == nil || !w.chaos.deferFlush()) {
+		rt.Sending(w.id, s.Pending)
+		total := s.Pending
+		s.Pending = 0
+		var ts int64
+		if w.ctrack != nil {
+			ts = rt.Now()
 		}
-		batch := rt.causal.NextBatch()
-		w.ctrack.Send(ts, w.turnCycle, batch, int32(dst), int32(len(buf)))
-		rt.workers[dst].inbox.PushBatch(buf, batch, int32(w.id))
-		w.outBufs[dst] = buf[:0]
-	}
-	w.ctrack.Flush(ts, w.turnCycle, int32(total))
-}
-
-// flushInsts delivers the turn's conflict-set deltas to the control
-// goroutine in one append.
-func (w *worker) flushInsts() {
-	if len(w.instBuf) == 0 {
-		return
-	}
-	rt := w.rt
-	rt.instMu.Lock()
-	rt.insts = append(rt.insts, w.instBuf...)
-	rt.instMu.Unlock()
-	rt.instCount.Add(int64(len(w.instBuf)))
-	w.instBuf = w.instBuf[:0]
-}
-
-// publishCounters folds the turn-local activation counters into the
-// shared snapshot atomics (once per turn, not once per activation).
-func (w *worker) publishCounters() {
-	if w.turnProcessed > 0 {
-		w.rt.processed[w.id].Add(w.turnProcessed)
-		w.turnProcessed = 0
-	}
-	if w.turnSent > 0 {
-		w.rt.msgsSent[w.id].Add(w.turnSent)
-		w.turnSent = 0
-	}
-}
-
-// sendInst buffers an instantiation delta for bulk delivery to the
-// control goroutine at end of turn.
-func (w *worker) sendInst(ic rete.InstChange) {
-	w.instBuf = append(w.instBuf, ic)
-}
-
-// process performs one activation, routing successors to the workers
-// owning their buckets. Locally-owned successors are processed
-// recursively — the zero-message fast path of the fine granularity;
-// remote successors are coalesced per destination and flushed at end
-// of turn. bucket is the activation's hash bucket, already computed by
-// whoever routed the activation here; depth is the activation's
-// position in the cycle's dependency chain (roots are 1), carried so
-// the flight recorder can measure the cycle's critical path.
-//
-// Production-node activations become instantiation deltas, not handle
-// events, and contribute neither depth nor fan-out — mirroring the
-// sequential matcher, whose trace listener records Instantiation, not
-// Activation, for them. The measured per-cycle MaxDepth therefore
-// walks the same activation forest as analysis.CriticalPath.
-// drainLocal performs queued activations in FIFO order, appending
-// locally-owned successors to the same queue. Breadth-first order
-// matches the sequential matcher's queue discipline, which keeps the
-// measured depth attribution of join discovery comparable to the
-// recorded trace: a depth-first expansion could walk a chain into a
-// join node before the sibling roots feeding the join's other side
-// have been stored, so the join would later fire from the shallow
-// side and the measured activation forest would flatten.
-func (w *worker) drainLocal() {
-	for qi := 0; qi < len(w.localQ); qi++ {
-		la := w.localQ[qi]
-		w.processOne(la.act, int(la.bucket), la.depth)
-	}
-	w.localQ = w.localQ[:0]
-}
-
-// processOne performs a single activation, queueing locally-owned
-// successors on localQ and buffering remote ones for the turn's flush.
-func (w *worker) processOne(act rete.Activation, bucket int, depth int32) {
-	rt := w.rt
-	if act.Node.Kind == rete.KindProduction {
-		// A root activation of a single-CE production.
-		w.sendInst(w.proc.BuildInst(act))
-		return
-	}
-	w.turnProcessed++
-	if w.bucketLoad != nil {
-		w.bucketLoad[bucket]++
-	}
-
-	fanout := int32(0)
-	w.proc.ProcessAt(act, bucket,
-		func(child rete.Activation) {
-			if child.Node.Kind == rete.KindProduction {
-				w.sendInst(w.proc.BuildInst(child))
-				return
+		for dst, buf := range s.Out {
+			if len(buf) == 0 {
+				continue
 			}
-			fanout++
-			b := w.proc.Bucket(child)
-			owner := rt.opts.Partition[b]
-			if owner == w.id {
-				w.localQ = append(w.localQ, localAct{act: child, bucket: int32(b), depth: depth + 1})
-				return
-			}
-			w.outBufs[owner] = append(w.outBufs[owner], Message{Kind: MsgAct, Bucket: int32(b), Depth: depth + 1, Act: child})
-			w.pendingSends++
-		},
-		func(rete.InstChange) {
-			panic("parallel: unexpected instantiation emission")
-		})
-	w.ctrack.Handle(w.turnTS, w.turnCycle, int32(bucket), depth, fanout)
-}
-
-// netter nets raw deltas per instantiation key: within one match
-// phase an instantiation may be added and deleted several times (e.g.
-// through negative-node transients whose interleaving is
-// order-dependent); only the net effect is meaningful, and netting
-// makes the result independent of worker scheduling. The index map and
-// accumulator slices are scratch reused across cycles; the returned
-// slice is freshly allocated (callers may retain it).
-type netter struct {
-	idx  map[string]int
-	accs []netAcc
-	keys []string
-}
-
-type netAcc struct {
-	net  int
-	last rete.InstChange
-}
-
-func (n *netter) net(raw []rete.InstChange) []rete.InstChange {
-	if len(raw) == 0 {
-		return nil
-	}
-	if n.idx == nil {
-		n.idx = make(map[string]int)
-	} else {
-		clear(n.idx)
-	}
-	n.accs = n.accs[:0]
-	n.keys = n.keys[:0]
-	for _, ic := range raw {
-		k := ic.Key()
-		i, ok := n.idx[k]
-		if !ok {
-			i = len(n.accs)
-			n.idx[k] = i
-			n.accs = append(n.accs, netAcc{})
-			n.keys = append(n.keys, k)
+			batch := rt.causal.NextBatch()
+			w.ctrack.Send(ts, w.turnCycle, batch, int32(dst), int32(len(buf)))
+			rt.workers[dst].inbox.PushBatch(buf, batch, int32(w.id))
+			s.Out[dst] = buf[:0]
 		}
-		a := &n.accs[i]
-		if ic.Tag == rete.Add {
-			a.net++
-		} else {
-			a.net--
-		}
-		a.last = ic
+		w.ctrack.Flush(ts, w.turnCycle, int32(total))
 	}
-	sort.Strings(n.keys)
-	var out []rete.InstChange
-	for _, k := range n.keys {
-		a := &n.accs[n.idx[k]]
-		switch {
-		case a.net > 0:
-			ic := a.last
-			ic.Tag = rete.Add
-			out = append(out, ic)
-		case a.net < 0:
-			ic := a.last
-			ic.Tag = rete.Delete
-			out = append(out, ic)
-		}
+	for _, mv := range s.Moved {
+		rt.Shipping(w.id, mv.Contents.Entries())
+		rt.workers[mv.Dst].inbox.Push(Message{Kind: MsgMigrateIn, Inject: mv.Contents}, rt.causal.NextBatch(), int32(w.id))
 	}
-	return out
-}
-
-// NetInsts nets raw conflict-set deltas per instantiation key exactly
-// as Apply does before returning — exported so out-of-process control
-// planes (internal/transport) produce the same deterministic netted
-// output as the in-process runtime.
-func NetInsts(raw []rete.InstChange) []rete.InstChange {
-	var n netter
-	return n.net(raw)
+	s.Moved = s.Moved[:0]
 }

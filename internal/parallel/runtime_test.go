@@ -477,16 +477,19 @@ func TestNetInsts(t *testing.T) {
 	mk := func(tag rete.Tag) rete.InstChange {
 		return rete.InstChange{Tag: tag, Prod: p, WMEs: []*ops5.WME{w}}
 	}
+	// One netter across all three calls, as the driver reuses its scratch
+	// across cycles.
+	var n netter
 	// +, -, + nets to a single add.
-	out := NetInsts([]rete.InstChange{mk(rete.Add), mk(rete.Delete), mk(rete.Add)})
+	out := n.net([]rete.InstChange{mk(rete.Add), mk(rete.Delete), mk(rete.Add)})
 	if len(out) != 1 || out[0].Tag != rete.Add {
 		t.Errorf("net of +-+ = %v", out)
 	}
 	// +, - cancels.
-	if out := NetInsts([]rete.InstChange{mk(rete.Add), mk(rete.Delete)}); len(out) != 0 {
+	if out := n.net([]rete.InstChange{mk(rete.Add), mk(rete.Delete)}); len(out) != 0 {
 		t.Errorf("net of +- = %v", out)
 	}
-	if out := NetInsts(nil); len(out) != 0 {
+	if out := n.net(nil); len(out) != 0 {
 		t.Errorf("net of empty = %v", out)
 	}
 }

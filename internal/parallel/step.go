@@ -1,0 +1,240 @@
+package parallel
+
+import (
+	"mpcrete/internal/obs"
+	"mpcrete/internal/rete"
+	"mpcrete/internal/sched"
+)
+
+// Step is the worker step: one match processor's share of the mapping,
+// with no termination detector, no endpoints and no sockets. It owns
+// the rete.Processor holding the worker's slice of the hash-bucket
+// space, the worker's view of the bucket-to-worker assignment, and the
+// buffers a turn fills. A carrier — the goroutine worker in runtime.go,
+// or transport.ServeConn behind a socket — decodes or drains messages,
+// hands them to Handle, ships what Handle left in Out and Moved, and
+// reports EndTurn's result to the cycle driver.
+type Step struct {
+	id   int
+	proc *rete.Processor
+	part sched.Partition
+
+	// localQ is the FIFO of locally-owned activations, drained
+	// breadth-first (see drainLocal); rootScratch is the constant-test
+	// scratch.
+	localQ      []queuedAct
+	rootScratch []rete.Activation
+
+	// Out[dst] holds the successor activations bound for worker dst and
+	// Pending their total; Moved holds the nonempty buckets a
+	// MsgMigrateOut extracted. The carrier ships them and truncates the
+	// buffers; the step only appends.
+	Out     [][]Message
+	Pending int
+	Moved   []MovedBucket
+
+	// turn accumulates what the current turn produced. bucketLoad counts
+	// activations per bucket for the rebalance detector (nil unless load
+	// tracking is on — the hot path then pays one nil check); dirty lists
+	// its nonzero entries so EndTurn never scans the whole bucket space.
+	turn       Turn
+	bucketLoad []int64
+	dirty      []int32
+
+	// ctrack is the worker's causal event ring (nil when the flight
+	// recorder is off or lives in another process — every recording call
+	// is then one nil check). turnTS and turnCycle are stamped on the
+	// turn's handle events, cached by BeginTurn so the hot loop never
+	// reads the clock per activation.
+	ctrack    *obs.TrackRecorder
+	turnTS    int64
+	turnCycle int32
+}
+
+// queuedAct is one queued unit of locally-owned match work: an
+// activation, its hash bucket, and its dependency depth within the
+// current cycle.
+type queuedAct struct {
+	act    rete.Activation
+	bucket int32
+	depth  int32
+}
+
+// MovedBucket is one extracted bucket pair awaiting shipment to its new
+// owner as a MsgMigrateIn.
+type MovedBucket struct {
+	Dst      int32
+	Contents *rete.BucketContents
+}
+
+// BucketLoad is one bucket's activation count for a turn.
+type BucketLoad struct {
+	Bucket int32
+	N      int64
+}
+
+// Turn is what one worker turn produced, in the shape the cycle driver
+// accounts it (Driver.TurnDone) and the star carrier's turn frame
+// ships it.
+type Turn struct {
+	// Handled counts the node activations performed; MaxDepth is the
+	// deepest dependency depth among them.
+	Handled  int64
+	MaxDepth int32
+	// Insts are the conflict-set deltas produced, in production order.
+	Insts []rete.InstChange
+	// Loads lists the buckets that saw activations, when load tracking
+	// is on.
+	Loads []BucketLoad
+}
+
+// NewStep builds worker id's step over net. part is the initial
+// assignment (its length is the bucket-space size); trackLoads turns on
+// per-bucket activation counting; ctrack, when non-nil, receives one
+// handle event per activation.
+func NewStep(net *rete.Network, id, workers int, part sched.Partition, trackLoads bool, ctrack *obs.TrackRecorder) *Step {
+	s := &Step{
+		id:     id,
+		proc:   rete.NewProcessor(net, len(part)),
+		part:   part,
+		Out:    make([][]Message, workers),
+		ctrack: ctrack,
+	}
+	if trackLoads {
+		s.bucketLoad = make([]int64, len(part))
+	}
+	return s
+}
+
+// SetPartition switches the step's routing to a new assignment. Only
+// legal between turns of a quiescent machine: the migration barrier
+// orders it against every activation routed under the old assignment.
+func (s *Step) SetPartition(part sched.Partition) { s.part = part }
+
+// BeginTurn opens a turn: it clears the previous turn's result and
+// caches the timestamp and cycle number for the turn's handle events.
+func (s *Step) BeginTurn(ts int64, cycle int32) {
+	s.turnTS, s.turnCycle = ts, cycle
+	s.turn.Handled, s.turn.MaxDepth = 0, 0
+	s.turn.Insts = s.turn.Insts[:0]
+	s.turn.Loads = s.turn.Loads[:0]
+}
+
+// EndTurn closes the turn and returns what it produced. The result is
+// valid until the next BeginTurn.
+func (s *Step) EndTurn() *Turn {
+	for _, b := range s.dirty {
+		s.turn.Loads = append(s.turn.Loads, BucketLoad{Bucket: b, N: s.bucketLoad[b]})
+		s.bucketLoad[b] = 0
+	}
+	s.dirty = s.dirty[:0]
+	return &s.turn
+}
+
+// Handle performs the messages of one delivery. Every activation of
+// the delivery — the locally-owned roots of a MsgCycle, or a run of
+// MsgAct — is queued before any is expanded, so storage precedes
+// discovery (see drainLocal). Successors owned elsewhere are left in
+// Out, extracted buckets in Moved.
+func (s *Step) Handle(ms []Message) {
+	for i := range ms {
+		m := &ms[i]
+		switch m.Kind {
+		case MsgCycle:
+			// Constant tests run on every worker (duplicated work, the
+			// coarse granularity of Section 3.2); only locally-owned
+			// roots are kept.
+			for _, ch := range m.Cycle.Changes {
+				s.rootScratch = s.proc.RootActivationsInto(ch, s.rootScratch[:0])
+				for _, act := range s.rootScratch {
+					b := s.proc.Bucket(act)
+					if s.part[b] == s.id {
+						s.localQ = append(s.localQ, queuedAct{act: act, bucket: int32(b), depth: 1})
+					}
+				}
+			}
+		case MsgAct:
+			s.localQ = append(s.localQ, queuedAct{act: m.Act, bucket: m.Bucket, depth: m.Depth})
+		case MsgMigrateOut:
+			for _, mv := range m.Moves {
+				bc := s.proc.ExtractBucket(int(mv.Bucket))
+				if bc.Entries() == 0 {
+					continue // nothing stored; ownership transfer is free
+				}
+				s.Moved = append(s.Moved, MovedBucket{Dst: mv.NewOwner, Contents: bc})
+			}
+		case MsgMigrateIn:
+			s.proc.InjectBucket(m.Inject)
+		}
+	}
+	s.drainLocal()
+}
+
+// drainLocal performs queued activations in FIFO order, appending
+// locally-owned successors to the same queue — the zero-message fast
+// path of the fine granularity. Breadth-first order matches the
+// sequential matcher's queue discipline, which keeps the measured depth
+// attribution of join discovery comparable to the recorded trace: a
+// depth-first expansion could walk a chain into a join node before the
+// sibling roots feeding the join's other side have been stored, so the
+// join would later fire from the shallow side and the measured
+// activation forest would flatten.
+func (s *Step) drainLocal() {
+	for qi := 0; qi < len(s.localQ); qi++ {
+		la := s.localQ[qi]
+		s.processOne(la.act, int(la.bucket), la.depth)
+	}
+	s.localQ = s.localQ[:0]
+}
+
+// processOne performs a single activation, queueing locally-owned
+// successors on localQ and coalescing remote ones per destination in
+// Out. bucket is the activation's hash bucket, already computed by
+// whoever routed the activation here; depth is its position in the
+// cycle's dependency chain (roots are 1), carried so the flight
+// recorder can measure the cycle's critical path.
+//
+// Production-node activations become instantiation deltas, not handle
+// events, and contribute neither depth nor fan-out — mirroring the
+// sequential matcher, whose trace listener records Instantiation, not
+// Activation, for them. The measured per-cycle MaxDepth therefore
+// walks the same activation forest as analysis.CriticalPath.
+func (s *Step) processOne(act rete.Activation, bucket int, depth int32) {
+	if act.Node.Kind == rete.KindProduction {
+		// A root activation of a single-CE production.
+		s.turn.Insts = append(s.turn.Insts, s.proc.BuildInst(act))
+		return
+	}
+	s.turn.Handled++
+	if depth > s.turn.MaxDepth {
+		s.turn.MaxDepth = depth
+	}
+	if s.bucketLoad != nil {
+		if s.bucketLoad[bucket] == 0 {
+			s.dirty = append(s.dirty, int32(bucket))
+		}
+		s.bucketLoad[bucket]++
+	}
+
+	fanout := int32(0)
+	s.proc.ProcessAt(act, bucket,
+		func(child rete.Activation) {
+			if child.Node.Kind == rete.KindProduction {
+				s.turn.Insts = append(s.turn.Insts, s.proc.BuildInst(child))
+				return
+			}
+			fanout++
+			b := s.proc.Bucket(child)
+			owner := s.part[b]
+			if owner == s.id {
+				s.localQ = append(s.localQ, queuedAct{act: child, bucket: int32(b), depth: depth + 1})
+				return
+			}
+			s.Out[owner] = append(s.Out[owner], Message{Kind: MsgAct, Bucket: int32(b), Depth: depth + 1, Act: child})
+			s.Pending++
+		},
+		func(rete.InstChange) {
+			panic("parallel: unexpected instantiation emission")
+		})
+	s.ctrack.Handle(s.turnTS, s.turnCycle, int32(bucket), depth, fanout)
+}

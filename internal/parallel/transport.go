@@ -41,6 +41,12 @@ type Transport interface {
 
 // EndpointOptions configure the endpoints a Transport opens.
 type EndpointOptions struct {
+	// NBuckets is the size of the hash-bucket space (0 means
+	// rete.DefaultNBuckets, as everywhere). A wire transport
+	// holds every decoded bucket index to it (and every worker index to
+	// the count Open was given), so a corrupt frame is a transport error
+	// rather than an out-of-range memory access in a worker.
+	NBuckets int
 	// Dropped counts post-close sends (the parallel.dropped_post_close
 	// counter; nil is a no-op). Every implementation must drop-and-count
 	// rather than block or panic when pushed after Close.
@@ -72,20 +78,12 @@ type Endpoint interface {
 	Close()
 }
 
-// RefTransport marks transports that deliver messages by reference
-// within one address space. Such transports carry the migration
-// protocol (MsgMigrateOut/MsgMigrateIn) for free: the live bucket
-// contents travel by pointer.
-type RefTransport interface {
-	DeliversByReference()
-}
-
-// MigrationTransport marks wire transports that can carry the
-// migration protocol by value: their codec serializes Message.Moves
-// and Message.Inject (bucket contents) across the wire. Every
-// RefTransport implicitly carries migration; a transport implementing
-// neither interface makes Runtime.Repartition (and therefore
-// Options.Rebalance / Options.ForceMigrate) fail.
+// MigrationTransport marks transports that can carry the migration
+// protocol (MsgMigrateOut/MsgMigrateIn): in one address space the live
+// bucket contents travel by pointer; a wire transport's codec must
+// serialize Message.Moves and Message.Inject. Over a transport without
+// the marker, Repartition (and therefore Options.Rebalance /
+// Options.ForceMigrate) is refused.
 type MigrationTransport interface {
 	CarriesMigration()
 }
@@ -118,4 +116,4 @@ func (inProcTransport) Open(workers int, opts EndpointOptions) ([]Endpoint, erro
 
 func (inProcTransport) Close() error { return nil }
 
-func (inProcTransport) DeliversByReference() {}
+func (inProcTransport) CarriesMigration() {}

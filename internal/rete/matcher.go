@@ -2,6 +2,8 @@ package rete
 
 import (
 	"strconv"
+
+	"mpcrete/internal/ops5"
 )
 
 // Change is one working-memory change presented to the matcher: an
@@ -9,11 +11,8 @@ import (
 // followed by an add, as in OPS5.
 type Change struct {
 	Tag Tag
-	WME *WMEType
+	WME *ops5.WME
 }
-
-// WMEType aliases ops5.WME for Change's field without an extra import
-// at call sites. (Defined in wme_alias.go.)
 
 // Event describes one two-input (or dummy) node activation, the unit
 // of work the MPC simulator schedules. Seq numbers are assigned in
@@ -34,10 +33,10 @@ type Event struct {
 // InstChange is a conflict-set delta produced by a production node.
 type InstChange struct {
 	Tag  Tag
-	Prod *ProductionType
+	Prod *ops5.Production
 	// WMEs holds the matched wmes indexed by original condition-element
 	// position; entries for negated CEs are nil.
-	WMEs []*WMEType
+	WMEs []*ops5.WME
 	// TimeTags are the sorted time tags of the matched wmes (used by
 	// conflict resolution).
 	TimeTags  []int

@@ -9,6 +9,7 @@ import (
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
+	"mpcrete/internal/sched"
 )
 
 // Payload codec: varint-encoded values over the frame payloads, in the
@@ -48,118 +49,131 @@ func boolByte(b bool) byte {
 	return 0
 }
 
-// dec is a bounds-checked payload decoder; every failure wraps
-// ErrBadPayload.
+// dec is a bounds-checked payload decoder with a sticky error: the
+// first failure is recorded in err (always wrapping ErrBadPayload) and
+// empties the input, so every later read fails the same way and yields
+// a zero value. Decoders therefore read straight through and their
+// callers check err (or done) once, before using anything decoded.
+//
+// nbuckets and workers are the topology's index bounds: every
+// wire-supplied bucket and worker index is held to them here (bucket,
+// worker), the one place such indices enter the process, so the worker
+// step and the cycle driver can index with them unchecked. The zero
+// bounds reject every index.
 type dec struct {
-	b   []byte
-	off int // consumed bytes, for error context
+	b                 []byte
+	off               int // consumed bytes, for error context
+	nbuckets, workers int
+	err               error
 }
 
-func (d *dec) fail(what string) error {
-	return fmt.Errorf("%w: %s at offset %d", ErrBadPayload, what, d.off)
+func (d *dec) fail(what string) {
+	if d.err == nil {
+		d.err = fmt.Errorf("%w: %s at offset %d", ErrBadPayload, what, d.off)
+	}
+	d.b = nil
 }
 
-func (d *dec) u64() (uint64, error) {
+func (d *dec) advance(n int) {
+	d.b = d.b[n:]
+	d.off += n
+}
+
+func (d *dec) u64() uint64 {
 	v, n := binary.Uvarint(d.b)
 	if n <= 0 {
-		return 0, d.fail("uvarint")
+		d.fail("uvarint")
+		return 0
 	}
-	d.b = d.b[n:]
-	d.off += n
-	return v, nil
+	d.advance(n)
+	return v
 }
 
-func (d *dec) i64() (int64, error) {
+func (d *dec) i64() int64 {
 	v, n := binary.Varint(d.b)
 	if n <= 0 {
-		return 0, d.fail("varint")
+		d.fail("varint")
+		return 0
 	}
-	d.b = d.b[n:]
-	d.off += n
-	return v, nil
+	d.advance(n)
+	return v
 }
 
-func (d *dec) byte() (byte, error) {
+func (d *dec) byte() byte {
 	if len(d.b) == 0 {
-		return 0, d.fail("byte")
+		d.fail("byte")
+		return 0
 	}
 	b := d.b[0]
-	d.b = d.b[1:]
-	d.off++
-	return b, nil
+	d.advance(1)
+	return b
 }
 
-func (d *dec) bool() (bool, error) {
-	b, err := d.byte()
-	if err != nil {
-		return false, err
-	}
+func (d *dec) bool() bool {
+	b := d.byte()
 	if b > 1 {
-		return false, d.fail("bool")
+		d.fail("bool")
 	}
-	return b == 1, nil
+	return b == 1
 }
 
-func (d *dec) i32() (int32, error) {
-	v, err := d.i64()
-	if err != nil {
-		return 0, err
-	}
+func (d *dec) i32() int32 {
+	v := d.i64()
 	if v < math.MinInt32 || v > math.MaxInt32 {
-		return 0, d.fail("int32 range")
+		d.fail("int32 range")
+		return 0
 	}
-	return int32(v), nil
+	return int32(v)
 }
 
-func (d *dec) int() (int, error) {
-	v, err := d.i64()
-	if err != nil {
-		return 0, err
+// index decodes an index into a space of the given size.
+func (d *dec) index(size int, what string) int32 {
+	v := d.i64()
+	if d.err != nil || v < 0 || v >= int64(size) {
+		d.fail(fmt.Sprintf("%s %d out of range [0,%d)", what, v, size))
+		return 0
 	}
-	return int(v), nil
+	return int32(v)
 }
+
+func (d *dec) bucket() int32 { return d.index(d.nbuckets, "bucket") }
+func (d *dec) worker() int32 { return d.index(d.workers, "worker") }
+func (d *dec) int() int      { return int(d.i64()) }
+func (d *dec) f64() float64  { return math.Float64frombits(d.u64()) }
 
 // count decodes a collection length, bounded both by an explicit limit
 // and by the bytes remaining (each element costs at least one byte), so
-// a hostile length cannot trigger a huge allocation.
-func (d *dec) count(limit int) (int, error) {
-	v, err := d.u64()
-	if err != nil {
-		return 0, err
-	}
+// a hostile length cannot trigger a huge allocation. After a failure it
+// is zero, so element loops do not run.
+func (d *dec) count(limit int) int {
+	v := d.u64()
 	if v > uint64(limit) || v > uint64(len(d.b)) {
-		return 0, d.fail(fmt.Sprintf("count %d exceeds limit", v))
+		d.fail(fmt.Sprintf("count %d exceeds limit", v))
+		return 0
 	}
-	return int(v), nil
+	return int(v)
 }
 
-func (d *dec) str() (string, error) {
-	n, err := d.count(1 << 20)
-	if err != nil {
-		return "", err
-	}
+// bytes consumes the next n bytes (aliasing the input).
+func (d *dec) bytes(n int, what string) []byte {
 	if len(d.b) < n {
-		return "", d.fail("string bytes")
+		d.fail(what)
+		return nil
 	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	d.off += n
-	return s, nil
+	b := d.b[:n]
+	d.advance(n)
+	return b
 }
 
-func (d *dec) f64() (float64, error) {
-	v, err := d.u64()
-	if err != nil {
-		return 0, err
-	}
-	return math.Float64frombits(v), nil
-}
+func (d *dec) str() string { return string(d.bytes(d.count(1<<20), "string bytes")) }
 
+// done reports the decode's outcome: the sticky error, or trailing
+// bytes.
 func (d *dec) done() error {
 	if len(d.b) != 0 {
-		return d.fail(fmt.Sprintf("%d trailing bytes", len(d.b)))
+		d.fail(fmt.Sprintf("%d trailing bytes", len(d.b)))
 	}
-	return nil
+	return d.err
 }
 
 // --- values and wmes ---
@@ -174,22 +188,17 @@ func (e *enc) value(v ops5.Value) {
 	}
 }
 
-func (d *dec) value() (ops5.Value, error) {
-	kind, err := d.byte()
-	if err != nil {
-		return ops5.Value{}, err
-	}
-	switch ops5.Kind(kind) {
+func (d *dec) value() ops5.Value {
+	switch kind := d.byte(); ops5.Kind(kind) {
 	case ops5.KindNil:
-		return ops5.Value{}, nil
 	case ops5.KindSym:
-		s, err := d.str()
-		return ops5.S(s), err
+		return ops5.S(d.str())
 	case ops5.KindNum:
-		f, err := d.f64()
-		return ops5.N(f), err
+		return ops5.N(d.f64())
+	default:
+		d.fail(fmt.Sprintf("value kind %d", kind))
 	}
-	return ops5.Value{}, d.fail(fmt.Sprintf("value kind %d", kind))
+	return ops5.Value{}
 }
 
 func (e *enc) wme(w *ops5.WME) {
@@ -208,54 +217,47 @@ func (e *enc) wme(w *ops5.WME) {
 	}
 }
 
-func (d *dec) wme() (*ops5.WME, error) {
-	w := &ops5.WME{}
-	var err error
-	if w.ID, err = d.int(); err != nil {
-		return nil, err
-	}
-	if w.TimeTag, err = d.int(); err != nil {
-		return nil, err
-	}
-	if w.Class, err = d.str(); err != nil {
-		return nil, err
-	}
-	n, err := d.count(1 << 16)
-	if err != nil {
-		return nil, err
-	}
+func (d *dec) wme() *ops5.WME {
+	w := &ops5.WME{ID: d.int(), TimeTag: d.int(), Class: d.str()}
+	n := d.count(1 << 16)
 	w.Attrs = make(map[string]ops5.Value, n)
 	for i := 0; i < n; i++ {
-		a, err := d.str()
-		if err != nil {
-			return nil, err
-		}
-		v, err := d.value()
-		if err != nil {
-			return nil, err
-		}
-		w.Attrs[a] = v
+		a := d.str()
+		w.Attrs[a] = d.value()
 	}
-	return w, nil
+	return w
 }
 
 // optWME encodes a possibly-nil wme (InstChange entries for negated
 // CEs are nil).
 func (e *enc) optWME(w *ops5.WME) {
-	if w == nil {
-		e.byte(0)
-		return
+	e.bool(w != nil)
+	if w != nil {
+		e.wme(w)
 	}
-	e.byte(1)
-	e.wme(w)
 }
 
-func (d *dec) optWME() (*ops5.WME, error) {
-	present, err := d.bool()
-	if err != nil || !present {
-		return nil, err
+func (d *dec) optWME() *ops5.WME {
+	if !d.bool() {
+		return nil
 	}
 	return d.wme()
+}
+
+// wmes encodes a counted list of wmes (a token's).
+func (e *enc) wmes(ws []*ops5.WME) {
+	e.count(len(ws))
+	for _, w := range ws {
+		e.wme(w)
+	}
+}
+
+func (d *dec) wmes() []*ops5.WME {
+	ws := make([]*ops5.WME, d.count(1<<16))
+	for i := range ws {
+		ws[i] = d.wme()
+	}
+	return ws
 }
 
 // --- changes, activations, instantiations ---
@@ -265,87 +267,89 @@ func (e *enc) change(ch rete.Change) {
 	e.wme(ch.WME)
 }
 
-func (d *dec) change() (rete.Change, error) {
-	tag, err := d.tag()
-	if err != nil {
-		return rete.Change{}, err
+func (e *enc) changes(chs []rete.Change) {
+	e.count(len(chs))
+	for _, ch := range chs {
+		e.change(ch)
 	}
-	w, err := d.wme()
-	if err != nil {
-		return rete.Change{}, err
-	}
-	return rete.Change{Tag: tag, WME: w}, nil
 }
 
-func (d *dec) tag() (rete.Tag, error) {
-	b, err := d.byte()
-	if err != nil {
-		return 0, err
+// changes decodes a cycle's wme changes into buf.
+func (d *dec) changes(buf []rete.Change) []rete.Change {
+	n := d.count(1 << 24)
+	if cap(buf) < n {
+		buf = make([]rete.Change, 0, n)
 	}
+	buf = buf[:0]
+	for i := 0; i < n; i++ {
+		buf = append(buf, rete.Change{Tag: d.tag(), WME: d.wme()})
+	}
+	return buf
+}
+
+func (d *dec) tag() rete.Tag {
+	b := d.byte()
 	if t := rete.Tag(b); t == rete.Add || t == rete.Delete {
-		return t, nil
+		return t
 	}
-	return 0, d.fail(fmt.Sprintf("tag %d", b))
+	d.fail(fmt.Sprintf("tag %d", b))
+	return 0
 }
 
 func (e *enc) activation(a rete.Activation) {
 	e.int(a.Node.ID)
 	e.byte(byte(a.Side))
 	e.byte(byte(a.Tag))
+	e.bool(a.Token != nil)
 	if a.Token != nil {
-		e.byte(1)
-		e.count(len(a.Token.WMEs))
-		for _, w := range a.Token.WMEs {
-			e.wme(w)
-		}
-	} else {
-		e.byte(0)
+		e.wmes(a.Token.WMEs)
 	}
 	e.optWME(a.WME)
 }
 
-func (d *dec) activation(net *rete.Network) (rete.Activation, error) {
-	var a rete.Activation
-	id, err := d.int()
-	if err != nil {
-		return a, err
+// node decodes a compiled-network node reference (nil on failure).
+func (d *dec) node(net *rete.Network) *rete.Node {
+	id := d.int()
+	if d.err != nil || id < 0 || id >= len(net.Nodes) {
+		d.fail(fmt.Sprintf("node id %d out of range [0,%d)", id, len(net.Nodes)))
+		return nil
 	}
-	if id < 0 || id >= len(net.Nodes) {
-		return a, d.fail(fmt.Sprintf("node id %d out of range [0,%d)", id, len(net.Nodes)))
-	}
-	a.Node = net.Nodes[id]
-	side, err := d.byte()
-	if err != nil {
-		return a, err
-	}
+	return net.Nodes[id]
+}
+
+func (d *dec) activation(net *rete.Network) rete.Activation {
+	a := rete.Activation{Node: d.node(net)}
+	side := d.byte()
 	if side != byte(rete.Left) && side != byte(rete.Right) {
-		return a, d.fail(fmt.Sprintf("side %d", side))
+		d.fail(fmt.Sprintf("side %d", side))
 	}
 	a.Side = rete.Side(side)
-	if a.Tag, err = d.tag(); err != nil {
-		return a, err
+	a.Tag = d.tag()
+	if d.bool() {
+		a.Token = &rete.Token{WMEs: d.wmes()}
 	}
-	hasToken, err := d.bool()
-	if err != nil {
-		return a, err
+	a.WME = d.optWME()
+	return a
+}
+
+// actList encodes a run of MsgAct messages with their routing
+// metadata — the body of the ftActs and ftRelay frames.
+func (e *enc) actList(ms []parallel.Message) {
+	e.count(len(ms))
+	for i := range ms {
+		e.i32(ms[i].Bucket)
+		e.i32(ms[i].Depth)
+		e.activation(ms[i].Act)
 	}
-	if hasToken {
-		n, err := d.count(1 << 16)
-		if err != nil {
-			return a, err
-		}
-		tok := &rete.Token{WMEs: make([]*ops5.WME, n)}
-		for i := range tok.WMEs {
-			if tok.WMEs[i], err = d.wme(); err != nil {
-				return a, err
-			}
-		}
-		a.Token = tok
+}
+
+func (d *dec) actList(net *rete.Network, buf []parallel.Message) []parallel.Message {
+	n := d.count(1 << 24)
+	buf = buf[:0]
+	for i := 0; i < n; i++ {
+		buf = append(buf, parallel.Message{Kind: parallel.MsgAct, Bucket: d.bucket(), Depth: d.i32(), Act: d.activation(net)})
 	}
-	if a.WME, err = d.optWME(); err != nil {
-		return a, err
-	}
-	return a, nil
+	return buf
 }
 
 func (e *enc) instChange(ic rete.InstChange) {
@@ -361,46 +365,67 @@ func (e *enc) instChange(ic rete.InstChange) {
 	}
 }
 
-func (d *dec) instChange(net *rete.Network) (rete.InstChange, error) {
-	var ic rete.InstChange
-	var err error
-	if ic.Tag, err = d.tag(); err != nil {
-		return ic, err
-	}
-	name, err := d.str()
-	if err != nil {
-		return ic, err
-	}
+func (d *dec) instChange(net *rete.Network) rete.InstChange {
+	ic := rete.InstChange{Tag: d.tag()}
+	name := d.str()
 	info, ok := net.Prods[name]
 	if !ok {
-		return ic, d.fail(fmt.Sprintf("unknown production %q", name))
+		d.fail(fmt.Sprintf("unknown production %q", name))
+		return ic
 	}
 	ic.Prod = info.Prod
-	n, err := d.count(1 << 16)
-	if err != nil {
-		return ic, err
-	}
-	ic.WMEs = make([]*ops5.WME, n)
+	ic.WMEs = make([]*ops5.WME, d.count(1<<16))
 	for i := range ic.WMEs {
-		if ic.WMEs[i], err = d.optWME(); err != nil {
-			return ic, err
-		}
+		ic.WMEs[i] = d.optWME()
 	}
-	if n, err = d.count(1 << 16); err != nil {
-		return ic, err
-	}
-	if n > 0 {
+	if n := d.count(1 << 16); n > 0 {
 		ic.TimeTags = make([]int, n)
 		for i := range ic.TimeTags {
-			if ic.TimeTags[i], err = d.int(); err != nil {
-				return ic, err
-			}
+			ic.TimeTags[i] = d.int()
 		}
 	}
-	return ic, nil
+	return ic
 }
 
-// --- bucket contents (the migration protocol's payload) ---
+// --- migration payloads: move lists, partitions, bucket contents ---
+
+func (e *enc) moves(mvs []parallel.BucketMove) {
+	e.count(len(mvs))
+	for _, mv := range mvs {
+		e.i32(mv.Bucket)
+		e.i32(mv.NewOwner)
+	}
+}
+
+func (d *dec) moves() []parallel.BucketMove {
+	mvs := make([]parallel.BucketMove, d.count(1<<24))
+	for i := range mvs {
+		mvs[i] = parallel.BucketMove{Bucket: d.bucket(), NewOwner: d.worker()}
+	}
+	return mvs
+}
+
+func (e *enc) partition(p sched.Partition) {
+	e.count(len(p))
+	for _, owner := range p {
+		e.int(owner)
+	}
+}
+
+// partition decodes a bucket-to-worker assignment covering exactly the
+// decoder's bucket space.
+func (d *dec) partition() sched.Partition {
+	n := d.count(1 << 24)
+	if n != d.nbuckets {
+		d.fail(fmt.Sprintf("partition covers %d buckets, want %d", n, d.nbuckets))
+		return nil
+	}
+	p := make(sched.Partition, n)
+	for i := range p {
+		p[i] = int(d.worker())
+	}
+	return p
+}
 
 // bucketContents encodes one extracted hash-bucket pair. Node
 // references travel as compiled-network ids; tokens and wmes travel by
@@ -413,10 +438,7 @@ func (e *enc) bucketContents(bc *rete.BucketContents) {
 	for i, tok := range bc.LeftTokens {
 		e.int(bc.LeftNodes[i].ID)
 		e.int(bc.LeftCounts[i])
-		e.count(len(tok.WMEs))
-		for _, w := range tok.WMEs {
-			e.wme(w)
-		}
+		e.wmes(tok.WMEs)
 	}
 	e.count(len(bc.RightWMEs))
 	for i, w := range bc.RightWMEs {
@@ -425,67 +447,18 @@ func (e *enc) bucketContents(bc *rete.BucketContents) {
 	}
 }
 
-func (d *dec) node(net *rete.Network) (*rete.Node, error) {
-	id, err := d.int()
-	if err != nil {
-		return nil, err
+func (d *dec) bucketContents(net *rete.Network) *rete.BucketContents {
+	bc := &rete.BucketContents{Bucket: int(d.bucket())}
+	for i, n := 0, d.count(1<<24); i < n; i++ {
+		bc.LeftNodes = append(bc.LeftNodes, d.node(net))
+		bc.LeftCounts = append(bc.LeftCounts, d.int())
+		bc.LeftTokens = append(bc.LeftTokens, &rete.Token{WMEs: d.wmes()})
 	}
-	if id < 0 || id >= len(net.Nodes) {
-		return nil, d.fail(fmt.Sprintf("node id %d out of range [0,%d)", id, len(net.Nodes)))
+	for i, n := 0, d.count(1<<24); i < n; i++ {
+		bc.RightNodes = append(bc.RightNodes, d.node(net))
+		bc.RightWMEs = append(bc.RightWMEs, d.wme())
 	}
-	return net.Nodes[id], nil
-}
-
-func (d *dec) bucketContents(net *rete.Network) (*rete.BucketContents, error) {
-	bc := &rete.BucketContents{}
-	var err error
-	if bc.Bucket, err = d.int(); err != nil {
-		return nil, err
-	}
-	nl, err := d.count(1 << 24)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nl; i++ {
-		n, err := d.node(net)
-		if err != nil {
-			return nil, err
-		}
-		cnt, err := d.int()
-		if err != nil {
-			return nil, err
-		}
-		nw, err := d.count(1 << 16)
-		if err != nil {
-			return nil, err
-		}
-		tok := &rete.Token{WMEs: make([]*ops5.WME, nw)}
-		for j := range tok.WMEs {
-			if tok.WMEs[j], err = d.wme(); err != nil {
-				return nil, err
-			}
-		}
-		bc.LeftNodes = append(bc.LeftNodes, n)
-		bc.LeftTokens = append(bc.LeftTokens, tok)
-		bc.LeftCounts = append(bc.LeftCounts, cnt)
-	}
-	nr, err := d.count(1 << 24)
-	if err != nil {
-		return nil, err
-	}
-	for i := 0; i < nr; i++ {
-		n, err := d.node(net)
-		if err != nil {
-			return nil, err
-		}
-		w, err := d.wme()
-		if err != nil {
-			return nil, err
-		}
-		bc.RightNodes = append(bc.RightNodes, n)
-		bc.RightWMEs = append(bc.RightWMEs, w)
-	}
-	return bc, nil
+	return bc
 }
 
 // --- message batches (the Loopback transport's ftBatch payload) ---
@@ -500,27 +473,17 @@ func appendBatch(buf []byte, ms []parallel.Message, batch, src int32) ([]byte, e
 	e.count(len(ms))
 	for i := range ms {
 		m := &ms[i]
+		e.byte(byte(m.Kind))
 		switch m.Kind {
 		case parallel.MsgCycle:
-			e.byte(byte(parallel.MsgCycle))
-			e.count(len(m.Cycle.Changes))
-			for _, ch := range m.Cycle.Changes {
-				e.change(ch)
-			}
+			e.changes(m.Cycle.Changes)
 		case parallel.MsgAct:
-			e.byte(byte(parallel.MsgAct))
 			e.i32(m.Bucket)
 			e.i32(m.Depth)
 			e.activation(m.Act)
 		case parallel.MsgMigrateOut:
-			e.byte(byte(parallel.MsgMigrateOut))
-			e.count(len(m.Moves))
-			for _, mv := range m.Moves {
-				e.i32(mv.Bucket)
-				e.i32(mv.NewOwner)
-			}
+			e.moves(m.Moves)
 		case parallel.MsgMigrateIn:
-			e.byte(byte(parallel.MsgMigrateIn))
 			e.bucketContents(m.Inject)
 		default:
 			return nil, fmt.Errorf("transport: message kind %d cannot cross the wire", m.Kind)
@@ -529,81 +492,85 @@ func appendBatch(buf []byte, ms []parallel.Message, batch, src int32) ([]byte, e
 	return e.buf, nil
 }
 
-// decodeBatch decodes an ftBatch payload into messages backed by fresh
-// wme copies.
-func decodeBatch(net *rete.Network, payload []byte, ms []parallel.Message) ([]parallel.Message, int32, int32, error) {
-	d := dec{b: payload}
-	batch, err := d.i32()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	src, err := d.i32()
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	n, err := d.count(1 << 24)
-	if err != nil {
-		return nil, 0, 0, err
-	}
+// decodeBatch decodes an ftBatch payload (d.b) into messages backed by
+// fresh wme copies.
+func decodeBatch(net *rete.Network, d dec, ms []parallel.Message) ([]parallel.Message, int32, int32, error) {
+	batch, src := d.i32(), d.i32()
+	n := d.count(1 << 24)
 	ms = ms[:0]
 	for i := 0; i < n; i++ {
-		kind, err := d.byte()
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		switch parallel.MsgKind(kind) {
+		m := parallel.Message{Kind: parallel.MsgKind(d.byte())}
+		switch m.Kind {
 		case parallel.MsgCycle:
-			nch, err := d.count(1 << 24)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			pkt := &parallel.CyclePacket{Changes: make([]rete.Change, nch)}
-			for j := range pkt.Changes {
-				if pkt.Changes[j], err = d.change(); err != nil {
-					return nil, 0, 0, err
-				}
-			}
-			ms = append(ms, parallel.Message{Kind: parallel.MsgCycle, Cycle: pkt})
+			m.Cycle = &parallel.CyclePacket{Changes: d.changes(nil)}
 		case parallel.MsgAct:
-			var m parallel.Message
-			m.Kind = parallel.MsgAct
-			if m.Bucket, err = d.i32(); err != nil {
-				return nil, 0, 0, err
-			}
-			if m.Depth, err = d.i32(); err != nil {
-				return nil, 0, 0, err
-			}
-			if m.Act, err = d.activation(net); err != nil {
-				return nil, 0, 0, err
-			}
-			ms = append(ms, m)
+			m.Bucket, m.Depth, m.Act = d.bucket(), d.i32(), d.activation(net)
 		case parallel.MsgMigrateOut:
-			nm, err := d.count(1 << 24)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			moves := make([]parallel.BucketMove, nm)
-			for j := range moves {
-				if moves[j].Bucket, err = d.i32(); err != nil {
-					return nil, 0, 0, err
-				}
-				if moves[j].NewOwner, err = d.i32(); err != nil {
-					return nil, 0, 0, err
-				}
-			}
-			ms = append(ms, parallel.Message{Kind: parallel.MsgMigrateOut, Moves: moves})
+			m.Moves = d.moves()
 		case parallel.MsgMigrateIn:
-			bc, err := d.bucketContents(net)
-			if err != nil {
-				return nil, 0, 0, err
-			}
-			ms = append(ms, parallel.Message{Kind: parallel.MsgMigrateIn, Inject: bc})
+			m.Inject = d.bucketContents(net)
 		default:
-			return nil, 0, 0, d.fail(fmt.Sprintf("message kind %d", kind))
+			d.fail(fmt.Sprintf("message kind %d", m.Kind))
 		}
+		ms = append(ms, m)
 	}
 	if err := d.done(); err != nil {
 		return nil, 0, 0, err
 	}
 	return ms, batch, src, nil
+}
+
+// --- turn frames (the star carrier's ftTurn payload) ---
+
+// turnFrame is a decoded ftTurn payload: how many protocol messages the
+// worker fully processed, the recv stamps it drained, how many times it
+// flushed, and what the step produced.
+type turnFrame struct {
+	n       int
+	stamps  []parallel.RecvStamp
+	flushes int64
+	turn    parallel.Turn
+}
+
+func (e *enc) turn(n int, stamps []parallel.RecvStamp, flushes int64, t *parallel.Turn) {
+	e.int(n)
+	e.count(len(stamps))
+	for _, s := range stamps {
+		e.i32(s.Batch)
+		e.i32(s.Src)
+		e.i32(s.Count)
+	}
+	e.i64(t.Handled)
+	e.i64(flushes)
+	e.i32(t.MaxDepth)
+	e.count(len(t.Insts))
+	for i := range t.Insts {
+		e.instChange(t.Insts[i])
+	}
+	e.count(len(t.Loads))
+	for _, l := range t.Loads {
+		e.i32(l.Bucket)
+		e.i64(l.N)
+	}
+}
+
+// turn decodes an ftTurn payload into tf, reusing its slices.
+func (d *dec) turn(net *rete.Network, tf *turnFrame) error {
+	if tf.n = d.int(); tf.n < 0 {
+		d.fail("negative turn count")
+	}
+	tf.stamps = tf.stamps[:0]
+	for i, n := 0, d.count(1<<16); i < n; i++ {
+		tf.stamps = append(tf.stamps, parallel.RecvStamp{Batch: d.i32(), Src: d.i32(), Count: d.i32()})
+	}
+	tf.turn.Handled, tf.flushes, tf.turn.MaxDepth = d.i64(), d.i64(), d.i32()
+	tf.turn.Insts = tf.turn.Insts[:0]
+	for i, n := 0, d.count(1<<24); i < n; i++ {
+		tf.turn.Insts = append(tf.turn.Insts, d.instChange(net))
+	}
+	tf.turn.Loads = tf.turn.Loads[:0]
+	for i, n := 0, d.count(1<<24); i < n; i++ {
+		tf.turn.Loads = append(tf.turn.Loads, parallel.BucketLoad{Bucket: d.bucket(), N: d.i64()})
+	}
+	return d.done()
 }

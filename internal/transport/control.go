@@ -5,14 +5,12 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mpcrete/internal/obs"
 	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/sched"
-	"mpcrete/internal/termdet"
 )
 
 // ControlOptions configure a multi-process control plane.
@@ -30,16 +28,16 @@ type ControlOptions struct {
 	RouteRoots bool
 	// Rebalance, when enabled, turns on the online adaptive
 	// repartitioner across OS processes: workers report per-bucket
-	// activation counts in their turn frames, the control process folds
+	// activation counts in their turn frames, the cycle driver folds
 	// them into a sched.Balancer at every quiescence, and armed replans
 	// migrate buckets over the wire (ftRepart/ftBucketRelay/ftBucket)
 	// at cycle boundaries. The netted conflict-set output is identical
 	// to the static run.
 	Rebalance sched.Rebalance
-	// ForceMigrate mirrors parallel.Options.ForceMigrate: consulted at
-	// every quiescent cycle boundary with the 1-based completed cycle
-	// number; a non-nil partition is migrated to before the next cycle
-	// (and wins over the detector, resetting it).
+	// ForceMigrate is parallel.Options.ForceMigrate: consulted at every
+	// quiescent cycle boundary with the 1-based completed cycle number;
+	// a non-nil partition is migrated to before the next cycle (and
+	// wins over the detector, resetting it).
 	ForceMigrate func(cycle int) sched.Partition
 	// Causal, when non-nil, attaches a flight recorder with Workers+1
 	// tracks (workers first, control last; build it with
@@ -52,57 +50,29 @@ type ControlOptions struct {
 }
 
 // Control is the control process of the multi-process runtime: the
-// paper's control processor realized as the hub of a star topology.
-// It owns the MRA cycle — broadcast or routed root delivery, relay
-// forwarding of worker-to-worker activations, exact credit-counting
-// termination detection over the wire, and conflict-set netting —
-// while N worker processes own the match state.
+// star carrier of parallel.Driver. The embedded driver owns the MRA
+// cycle — root delivery, termination detection, netting, rebalancing
+// (Cycle, Apply, Stats, RebalanceStats, FlightDump and Err are its
+// methods). Control is the hub that moves its messages: it encodes the
+// driver's deliveries into frames, forwards worker-to-worker traffic,
+// and reports each relay and turn frame to the driver's accounting
+// calls, while N worker processes (ServeConn) own the match state.
 //
-// Control implements engine.MatchApplier via Apply; Cycle is the
-// error-returning form (a worker disconnect mid-cycle surfaces as an
-// error from Cycle, not a hang: the conn reader fails the termination
-// counter, which wakes the cycle's wait).
+// A worker disconnect or malformed frame mid-cycle surfaces as an error
+// from Cycle, not a hang: the conn reader fails the driver, which wakes
+// the cycle's wait.
 type Control struct {
-	network *rete.Network
-	opts    ControlOptions
-	ln      net.Listener
-	conns   []*ctlConn
+	*parallel.Driver
+	network  *rete.Network
+	nbuckets int // len(Partition()): NBuckets with its default applied
+	opts     ControlOptions
+	ln       net.Listener
+	conns    []*ctlConn
+	readers  sync.WaitGroup
 
-	counter *termdet.Counter
-	counts  []*termdet.ChannelCounts // workers first, control last
-	four    *termdet.FourCounter
-
-	rootProc    *rete.Processor
-	rootBufs    [][]wireAct
-	rootScratch []rete.Activation
-
-	instMu sync.Mutex
-	insts  []rete.InstChange
-
-	processed []atomic.Int64
-	msgsSent  []atomic.Int64
-	instCount atomic.Int64
-
-	// balancer is the online rebalance detector (nil unless
-	// ControlOptions.Rebalance); loadMu guards bucketLoad, the
-	// per-bucket activation counts accumulated from turn frames by the
-	// conn readers and folded into the balancer at quiescence. The
-	// migration counters mirror parallel.Runtime's RebalanceStats.
-	balancer     *sched.Balancer
-	loadMu       sync.Mutex
-	bucketLoad   []int64
-	migrations   atomic.Int64
-	bucketsMoved atomic.Int64
-	entriesMoved atomic.Int64
-	migMsgs      atomic.Int64
-
-	causal   *obs.CausalRecorder
-	ctlTrack *obs.TrackRecorder
-	curCycle atomic.Int32
-	epoch    time.Time
-
-	closed  atomic.Bool
-	readers sync.WaitGroup
+	// ebuf is the delivery encode buffer, reused across cycles; only the
+	// goroutine calling Cycle touches it.
+	ebuf []byte
 }
 
 // ctlConn is one worker's connection: the conn reader goroutine is the
@@ -114,13 +84,11 @@ type ctlConn struct {
 	c  net.Conn
 	br *bufio.Reader
 
-	mu   sync.Mutex
-	bw   *bufio.Writer
-	ebuf []byte
+	mu sync.Mutex
+	bw *bufio.Writer
 }
 
-// writeLocked frames and flushes one payload under the conn's write
-// mutex.
+// write frames and flushes one payload under the conn's write mutex.
 func (cc *ctlConn) write(ft frameType, payload []byte) error {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
@@ -137,65 +105,32 @@ func Listen(network *rete.Network, addr string, opts ControlOptions) (*Control, 
 	if opts.Workers < 1 {
 		return nil, fmt.Errorf("transport: Workers = %d", opts.Workers)
 	}
-	if opts.NBuckets == 0 {
-		opts.NBuckets = rete.DefaultNBuckets
-	}
-	if opts.Partition == nil {
-		opts.Partition = sched.RoundRobin(opts.NBuckets, opts.Workers)
-	}
-	if len(opts.Partition) != opts.NBuckets {
-		return nil, fmt.Errorf("transport: partition covers %d buckets, want %d", len(opts.Partition), opts.NBuckets)
-	}
-	if err := opts.Partition.Validate(opts.Workers); err != nil {
-		return nil, err
-	}
 	if opts.HandshakeTimeout == 0 {
 		opts.HandshakeTimeout = 30 * time.Second
 	}
-	ln, err := net.Listen("tcp", addr)
+	c := &Control{network: network, opts: opts}
+	d, err := parallel.NewDriver(network, parallel.Options{
+		Workers:      opts.Workers,
+		NBuckets:     opts.NBuckets,
+		Partition:    opts.Partition,
+		RouteRoots:   opts.RouteRoots,
+		Rebalance:    opts.Rebalance,
+		ForceMigrate: opts.ForceMigrate,
+		Causal:       opts.Causal,
+	}, c)
 	if err != nil {
+		return nil, err
+	}
+	c.Driver = d
+	c.nbuckets = len(d.Partition())
+	if c.ln, err = net.Listen("tcp", addr); err != nil {
 		return nil, fmt.Errorf("transport: control listen: %w", err)
 	}
-	c := &Control{
-		network:   network,
-		opts:      opts,
-		ln:        ln,
-		counter:   termdet.NewCounter(),
-		processed: make([]atomic.Int64, opts.Workers),
-		msgsSent:  make([]atomic.Int64, opts.Workers),
-		epoch:     time.Now(),
-	}
-	if opts.Causal != nil {
-		if got := opts.Causal.Tracks(); got != opts.Workers+1 {
-			ln.Close()
-			return nil, fmt.Errorf("transport: causal recorder has %d tracks, want Workers+1 = %d", got, opts.Workers+1)
-		}
-		c.causal = opts.Causal
-		c.ctlTrack = opts.Causal.Track(opts.Workers)
-		for i := 0; i < opts.Workers; i++ {
-			opts.Causal.SetTrackName(i, fmt.Sprintf("worker %d", i))
-		}
-		opts.Causal.SetTrackName(opts.Workers, "control")
-	}
-	if opts.RouteRoots {
-		c.rootProc = rete.NewProcessor(network, opts.NBuckets)
-		c.rootBufs = make([][]wireAct, opts.Workers)
-	}
-	if opts.Rebalance.Enabled() {
-		c.balancer = sched.NewBalancer(opts.Rebalance, opts.Partition, opts.Workers)
-		c.bucketLoad = make([]int64, opts.NBuckets)
-	}
-	for i := 0; i <= opts.Workers; i++ {
-		c.counts = append(c.counts, &termdet.ChannelCounts{})
-	}
-	c.four = termdet.NewFourCounter(c.counts)
 	return c, nil
 }
 
 // Addr returns the listener's address for worker processes to dial.
 func (c *Control) Addr() string { return c.ln.Addr().String() }
-
-func (c *Control) nowNS() int64 { return time.Since(c.epoch).Nanoseconds() }
 
 // WaitWorkers accepts and handshakes all worker connections (worker
 // ids are assigned in accept order) and starts the conn readers. It
@@ -216,37 +151,10 @@ func (c *Control) WaitWorkers() error {
 			br: bufio.NewReaderSize(conn, 1<<16),
 			bw: bufio.NewWriterSize(conn, 1<<16),
 		}
-		payload, err := encodeHello(nil, hello{
-			id:         id,
-			workers:    c.opts.Workers,
-			nbuckets:   c.opts.NBuckets,
-			routeRoots: c.opts.RouteRoots,
-			trackLoads: c.balancer != nil,
-			partition:  c.opts.Partition,
-		}, c.network)
-		if err != nil {
+		conn.SetReadDeadline(deadline)
+		if err := c.handshake(cc); err != nil {
 			conn.Close()
 			return err
-		}
-		if err := cc.write(ftHello, payload); err != nil {
-			conn.Close()
-			return fmt.Errorf("transport: hello to worker %d: %w", id, err)
-		}
-		conn.SetReadDeadline(deadline)
-		ft, rp, err := readFrame(cc.br, nil)
-		if err != nil {
-			conn.Close()
-			return fmt.Errorf("transport: ready from worker %d: %w", id, err)
-		}
-		if ft != ftReady {
-			conn.Close()
-			return fmt.Errorf("%w: expected ready from worker %d, got %s", ErrBadPayload, id, ft)
-		}
-		d := dec{b: rp}
-		gotID, err := d.int()
-		if err != nil || gotID != id {
-			conn.Close()
-			return fmt.Errorf("%w: worker %d echoed id %d", ErrBadPayload, id, gotID)
 		}
 		conn.SetReadDeadline(time.Time{})
 		c.conns = append(c.conns, cc)
@@ -258,428 +166,195 @@ func (c *Control) WaitWorkers() error {
 	return nil
 }
 
-// fail records a fatal runtime error and wakes any cycle wait.
-func (c *Control) fail(err error) { c.counter.Fail(err) }
+// handshake sends worker cc its hello — topology slice plus the compiled
+// network — and checks the ready reply echoes its id.
+func (c *Control) handshake(cc *ctlConn) error {
+	payload, err := encodeHello(nil, hello{
+		id:         cc.id,
+		workers:    c.opts.Workers,
+		nbuckets:   c.nbuckets,
+		routeRoots: c.opts.RouteRoots,
+		trackLoads: c.opts.Rebalance.Enabled(),
+		partition:  c.Partition(),
+	}, c.network)
+	if err != nil {
+		return err
+	}
+	if err := cc.write(ftHello, payload); err != nil {
+		return fmt.Errorf("transport: hello to worker %d: %w", cc.id, err)
+	}
+	ft, rp, err := readFrame(cc.br, nil)
+	if err != nil {
+		return fmt.Errorf("transport: ready from worker %d: %w", cc.id, err)
+	}
+	if ft != ftReady {
+		return fmt.Errorf("%w: expected ready from worker %d, got %s", ErrBadPayload, cc.id, ft)
+	}
+	d := dec{b: rp}
+	if gotID := d.int(); d.done() != nil || gotID != cc.id {
+		return fmt.Errorf("%w: worker %d echoed id %d", ErrBadPayload, cc.id, gotID)
+	}
+	return nil
+}
 
-// readLoop consumes one worker's frames: relays are forwarded to their
-// destination conn, turns deregister processed work and deliver
-// measurements and conflict-set deltas. It is the single producer of
-// the worker's causal track.
+// send writes one driver delivery to a worker and keeps the encode
+// buffer for the next.
+func (c *Control) send(cc *ctlConn, ft frameType, e enc) error {
+	c.ebuf = e.buf[:0]
+	if err := cc.write(ft, e.buf); err != nil {
+		err = fmt.Errorf("transport: %s frame to worker %d: %w", ft, cc.id, err)
+		c.Fail(err) // the message was registered and is lost
+		return err
+	}
+	return nil
+}
+
+// stamped starts a delivery payload with its causal stamp: the batch id
+// and the control track as source.
+func (c *Control) stamped(batch int32) enc {
+	e := enc{buf: c.ebuf[:0]}
+	e.i32(batch)
+	e.i32(int32(c.opts.Workers))
+	return e
+}
+
+// Broadcast implements parallel.Carrier: the cycle's changes, encoded
+// once, in an ftCycle frame to every worker (Fig 3-3).
+func (c *Control) Broadcast(m parallel.Message, batch int32) error {
+	e := c.stamped(batch)
+	e.changes(m.Cycle.Changes)
+	for _, cc := range c.conns {
+		if err := c.send(cc, ftCycle, e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// Deliver implements parallel.Carrier: one coalesced ftActs frame of
+// routed roots (Fig 3-2).
+func (c *Control) Deliver(dst int, ms []parallel.Message, batch int32) error {
+	e := c.stamped(batch)
+	e.actList(ms)
+	return c.send(c.conns[dst], ftActs, e)
+}
+
+// Migrate implements parallel.Carrier: an ftRepart order to every
+// worker, because each worker process keeps its own copy of the
+// assignment and all must switch routing; losers additionally extract
+// and ship. Every order is a registered message, answered by a turn
+// frame.
+func (c *Control) Migrate(newPart sched.Partition, moves [][]parallel.BucketMove) error {
+	c.Sending(c.opts.Workers, len(c.conns))
+	for _, cc := range c.conns {
+		e := enc{buf: c.ebuf[:0]}
+		e.partition(newPart)
+		e.moves(moves[cc.id])
+		if err := c.send(cc, ftRepart, e); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// readLoop consumes one worker's frames: relays are registered and
+// forwarded to their destination conn, turn frames deliver the turn's
+// result to the driver and deregister its messages. It is the single
+// producer of the worker's causal track.
 func (c *Control) readLoop(cc *ctlConn) {
 	defer c.readers.Done()
-	track := c.causal.Track(cc.id)
-	var fbuf []byte
-	var acts []wireAct
+	if err := c.read(cc); err != nil && !c.Closed() {
+		c.Fail(err)
+	}
+}
+
+func (c *Control) read(cc *ctlConn) error {
+	track := c.opts.Causal.Track(cc.id)
+	var fbuf, ebuf []byte
+	var acts []parallel.Message
+	var tf turnFrame
 	for {
 		ft, payload, err := readFrame(cc.br, fbuf)
 		if err != nil {
-			if !c.closed.Load() {
-				c.fail(fmt.Errorf("transport: worker %d connection: %w", cc.id, err))
-			}
-			return
+			return fmt.Errorf("transport: worker %d connection: %w", cc.id, err)
 		}
 		fbuf = payload[:0]
+		d := dec{b: payload, nbuckets: c.nbuckets, workers: c.opts.Workers}
 		switch ft {
 		case ftRelay:
-			d := dec{b: payload}
-			dst32, err := d.i32()
+			dst, err := relayDst(&d, cc, ft)
 			if err != nil {
-				c.fail(err)
-				return
+				return err
 			}
-			dst := int(dst32)
-			if dst < 0 || dst >= len(c.conns) || dst == cc.id {
-				c.fail(fmt.Errorf("%w: worker %d relayed to %d", ErrBadPayload, cc.id, dst))
-				return
-			}
-			if acts, err = d.actList(c.network, acts); err != nil {
-				c.fail(err)
-				return
-			}
+			acts = d.actList(c.network, acts)
 			if err := d.done(); err != nil {
-				c.fail(err)
-				return
+				return err
 			}
-			k := len(acts)
-			if k == 0 {
+			if len(acts) == 0 {
 				continue
 			}
 			// Register the forwarded work BEFORE it becomes visible to
-			// the destination — the wire form of Add-before-send.
-			c.counter.Add(k)
-			c.counts[cc.id].AddSent(k)
-			c.msgsSent[cc.id].Add(int64(k))
-			batch := c.causal.NextBatch()
-			track.Send(c.nowNS(), c.curCycle.Load(), batch, dst32, int32(k))
-			e := enc{buf: cc.ebuf[:0]}
+			// the destination — the wire form of Add-before-send — and
+			// before the sender's closing turn frame deregisters its own.
+			c.Sending(cc.id, len(acts))
+			batch := c.opts.Causal.NextBatch()
+			track.Send(c.Now(), c.CurrentCycle(), batch, dst, int32(len(acts)))
+			e := enc{buf: ebuf[:0]}
 			e.i32(batch)
 			e.i32(int32(cc.id))
 			e.actList(acts)
-			cc.ebuf = e.buf[:0]
+			ebuf = e.buf[:0]
 			if err := c.conns[dst].write(ftActs, e.buf); err != nil {
-				c.fail(fmt.Errorf("transport: forwarding to worker %d: %w", dst, err))
-				return
+				return fmt.Errorf("transport: forwarding to worker %d: %w", dst, err)
+			}
+		case ftBucketRelay:
+			// A migrated bucket in flight: registered like a relay, then
+			// forwarded verbatim — the control process never decodes the
+			// contents.
+			dst, err := relayDst(&d, cc, ft)
+			if err != nil {
+				return err
+			}
+			entries := d.int()
+			if d.err != nil {
+				return d.err
+			}
+			c.Shipping(cc.id, entries)
+			if err := c.conns[dst].write(ftBucket, d.b); err != nil {
+				return fmt.Errorf("transport: forwarding bucket to worker %d: %w", dst, err)
 			}
 		case ftTurn:
-			d := dec{b: payload}
-			n, err := d.int()
-			if err != nil {
-				c.fail(err)
-				return
+			if err := d.turn(c.network, &tf); err != nil {
+				return err
 			}
-			nstamps, err := d.count(1 << 16)
-			if err != nil {
-				c.fail(err)
-				return
+			ts, cycle := c.Now(), c.CurrentCycle()
+			for _, s := range tf.stamps {
+				track.Recv(ts, cycle, s.Batch, s.Src, s.Count)
 			}
-			ts := c.nowNS()
-			cycle := c.curCycle.Load()
-			for i := 0; i < nstamps; i++ {
-				batch, err1 := d.i32()
-				src, err2 := d.i32()
-				cnt, err3 := d.i32()
-				if err1 != nil || err2 != nil || err3 != nil {
-					c.fail(fmt.Errorf("%w: turn stamp", ErrBadPayload))
-					return
-				}
-				track.Recv(ts, cycle, batch, src, cnt)
-			}
-			handles, err1 := d.i64()
-			flushes, err2 := d.i64()
-			maxDepth, err3 := d.i32()
-			if err1 != nil || err2 != nil || err3 != nil {
-				c.fail(fmt.Errorf("%w: turn aggregate", ErrBadPayload))
-				return
-			}
-			track.MergeRemote(handles, flushes, maxDepth)
-			c.processed[cc.id].Add(handles)
-			ninsts, err := d.count(1 << 24)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			if ninsts > 0 {
-				c.instMu.Lock()
-				for i := 0; i < ninsts; i++ {
-					ic, err := d.instChange(c.network)
-					if err != nil {
-						c.instMu.Unlock()
-						c.fail(err)
-						return
-					}
-					c.insts = append(c.insts, ic)
-				}
-				c.instMu.Unlock()
-				c.instCount.Add(int64(ninsts))
-			}
-			nloads, err := d.count(1 << 24)
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			if nloads > 0 {
-				c.loadMu.Lock()
-				for i := 0; i < nloads; i++ {
-					b, err1 := d.i32()
-					l, err2 := d.i64()
-					if err1 != nil || err2 != nil || int(b) < 0 || int(b) >= len(c.bucketLoad) {
-						c.loadMu.Unlock()
-						c.fail(fmt.Errorf("%w: turn load pair", ErrBadPayload))
-						return
-					}
-					c.bucketLoad[b] += l
-				}
-				c.loadMu.Unlock()
-			}
-			if err := d.done(); err != nil {
-				c.fail(err)
-				return
-			}
-			// Deregister AFTER everything the turn produced (relays on
-			// this stream arrived first; deltas and counters are
-			// published above).
-			c.counts[cc.id].AddRecv(n)
-			c.counter.Add(-n)
-		case ftBucketRelay:
-			// A migrated bucket in flight: register the forwarded
-			// delivery before the sender's closing turn frame can
-			// deregister its work, then forward the contents verbatim —
-			// the control process never decodes them.
-			d := dec{b: payload}
-			dst32, err := d.i32()
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			dst := int(dst32)
-			if dst < 0 || dst >= len(c.conns) || dst == cc.id {
-				c.fail(fmt.Errorf("%w: worker %d shipped a bucket to %d", ErrBadPayload, cc.id, dst))
-				return
-			}
-			entries, err := d.int()
-			if err != nil {
-				c.fail(err)
-				return
-			}
-			c.counter.Add(1)
-			c.counts[cc.id].IncSent()
-			c.entriesMoved.Add(int64(entries))
-			c.migMsgs.Add(1)
-			if err := c.conns[dst].write(ftBucket, d.b); err != nil {
-				c.fail(fmt.Errorf("transport: forwarding bucket to worker %d: %w", dst, err))
-				return
-			}
+			track.MergeRemote(tf.turn.Handled, tf.flushes, tf.turn.MaxDepth)
+			// Everything the turn sent arrived earlier on this stream and
+			// is registered; now its own messages can be deregistered.
+			c.TurnDone(cc.id, tf.n, &tf.turn)
 		default:
-			c.fail(fmt.Errorf("%w: control got unexpected %s frame from worker %d", ErrBadPayload, ft, cc.id))
-			return
+			return fmt.Errorf("%w: control got unexpected %s frame from worker %d", ErrBadPayload, ft, cc.id)
 		}
 	}
 }
 
-// Cycle runs one match phase across the worker processes and returns
-// the netted conflict-set deltas. A worker failure (disconnect,
-// malformed frame) surfaces as an error — the cycle does not hang.
-func (c *Control) Cycle(changes []rete.Change) ([]rete.InstChange, error) {
-	if c.closed.Load() {
-		return nil, fmt.Errorf("transport: Cycle after Close")
+// relayDst decodes the destination a worker addressed a relay frame to:
+// another worker of the topology.
+func relayDst(d *dec, from *ctlConn, ft frameType) (int32, error) {
+	dst := d.worker()
+	if d.err == nil && int(dst) == from.id {
+		d.fail(fmt.Sprintf("worker %d sent a %s frame to itself", from.id, ft))
 	}
-	if err := c.counter.Err(); err != nil {
-		return nil, err
-	}
-	c.insts = c.insts[:0] // quiescent: no reader holds instMu
-	cycle := c.curCycle.Add(1)
-	c.causal.BeginCycle(cycle, c.nowNS())
-
-	if c.opts.RouteRoots {
-		if err := c.routeRoots(changes); err != nil {
-			return nil, err
-		}
-	} else if err := c.broadcast(changes); err != nil {
-		return nil, err
-	}
-
-	c.counter.Wait()
-	if err := c.counter.Err(); err != nil {
-		return nil, err
-	}
-	// Four-counter mirror: at quiescence every message registered as
-	// sent must have been registered received, or the wire accounting
-	// has diverged from the credit counter.
-	if sent, recv := c.four.Poll(); sent != recv {
-		return nil, fmt.Errorf("transport: channel counts diverged at quiescence: sent=%d recv=%d", sent, recv)
-	}
-	c.causal.EndCycle(cycle, c.nowNS())
-	if c.balancer != nil || c.opts.ForceMigrate != nil {
-		if err := c.maybeRebalance(int(cycle)); err != nil {
-			return nil, err
-		}
-	}
-	return parallel.NetInsts(c.insts), nil
+	return dst, d.err
 }
-
-// maybeRebalance runs at the quiescent cycle boundary: fold the
-// accumulated per-bucket loads into the balancer, ask it (or the
-// ForceMigrate hook) for a new assignment, and migrate over the wire.
-// Mirrors parallel.Runtime.maybeRebalance.
-func (c *Control) maybeRebalance(cycle int) error {
-	var newPart sched.Partition
-	forced := false
-	if c.opts.ForceMigrate != nil {
-		newPart = c.opts.ForceMigrate(cycle)
-		forced = newPart != nil
-	}
-	if c.balancer != nil && !forced {
-		c.loadMu.Lock()
-		for b, l := range c.bucketLoad {
-			if l > 0 {
-				c.balancer.Observe(b, l)
-				c.bucketLoad[b] = 0
-			}
-		}
-		c.loadMu.Unlock()
-		if np, ok := c.balancer.EndCycle(); ok {
-			newPart = np
-		}
-	}
-	if newPart == nil {
-		return nil
-	}
-	if err := c.migrate(newPart); err != nil {
-		return err
-	}
-	if forced && c.balancer != nil {
-		// A forced move invalidates the detector's notion of the
-		// current assignment; restart it from the imposed partition.
-		c.balancer = sched.NewBalancer(c.opts.Rebalance, newPart, c.opts.Workers)
-	}
-	return nil
-}
-
-// migrate executes one wire migration: an ftRepart order to every
-// worker (all must switch routing; losers additionally extract and
-// ship), then the credit-counter barrier until every shipped bucket
-// has been injected at its new owner.
-func (c *Control) migrate(newPart sched.Partition) error {
-	if len(newPart) != c.opts.NBuckets {
-		return fmt.Errorf("transport: partition covers %d buckets, want %d", len(newPart), c.opts.NBuckets)
-	}
-	if err := newPart.Validate(c.opts.Workers); err != nil {
-		return err
-	}
-	perWorker := make([][]parallel.BucketMove, c.opts.Workers)
-	moved := 0
-	for b := range newPart {
-		oldOwner, newOwner := c.opts.Partition[b], newPart[b]
-		if oldOwner == newOwner {
-			continue
-		}
-		perWorker[oldOwner] = append(perWorker[oldOwner], parallel.BucketMove{Bucket: int32(b), NewOwner: int32(newOwner)})
-		moved++
-	}
-	c.counter.Add(len(c.conns))
-	c.controlCounts().AddSent(len(c.conns))
-	var ebuf []byte
-	for _, cc := range c.conns {
-		e := enc{buf: ebuf[:0]}
-		e.count(len(newPart))
-		for _, owner := range newPart {
-			e.int(owner)
-		}
-		e.count(len(perWorker[cc.id]))
-		for _, mv := range perWorker[cc.id] {
-			e.i32(mv.Bucket)
-			e.i32(mv.NewOwner)
-		}
-		ebuf = e.buf[:0]
-		if err := cc.write(ftRepart, e.buf); err != nil {
-			err = fmt.Errorf("transport: repartition order to worker %d: %w", cc.id, err)
-			c.fail(err)
-			return err
-		}
-	}
-	c.counter.Wait()
-	if err := c.counter.Err(); err != nil {
-		return err
-	}
-	c.opts.Partition = newPart
-	c.migrations.Add(1)
-	c.bucketsMoved.Add(int64(moved))
-	return nil
-}
-
-// RebalanceStats reports the adaptive repartitioner's cumulative cost
-// across the run, in the parallel.Runtime.RebalanceStats shape.
-func (c *Control) RebalanceStats() (migrations, bucketsMoved, entriesMoved int64) {
-	return c.migrations.Load(), c.bucketsMoved.Load(), c.entriesMoved.Load()
-}
-
-// Apply implements engine.MatchApplier. Transport failures panic (the
-// interface has no error path); engines needing errors call Cycle.
-func (c *Control) Apply(changes []rete.Change) []rete.InstChange {
-	insts, err := c.Cycle(changes)
-	if err != nil {
-		panic(err)
-	}
-	return insts
-}
-
-// broadcast ships the cycle's changes to every worker (Fig 3-3).
-func (c *Control) broadcast(changes []rete.Change) error {
-	c.counter.Add(len(c.conns))
-	c.controlCounts().AddSent(len(c.conns))
-	batch := c.causal.NextBatch()
-	c.ctlTrack.Send(c.nowNS(), c.curCycle.Load(), batch, obs.BroadcastDst, int32(len(c.conns)))
-	e := enc{}
-	e.i32(batch)
-	e.i32(int32(c.opts.Workers)) // src: the control track
-	e.count(len(changes))
-	for _, ch := range changes {
-		e.change(ch)
-	}
-	for _, cc := range c.conns {
-		if err := cc.write(ftCycle, e.buf); err != nil {
-			err = fmt.Errorf("transport: broadcast to worker %d: %w", cc.id, err)
-			c.fail(err)
-			return err
-		}
-	}
-	return nil
-}
-
-// routeRoots runs the constant tests once and routes each root to its
-// owner (Fig 3-2), one coalesced ftActs frame per destination.
-func (c *Control) routeRoots(changes []rete.Change) error {
-	sent := 0
-	for _, ch := range changes {
-		c.rootScratch = c.rootProc.RootActivationsInto(ch, c.rootScratch[:0])
-		for _, act := range c.rootScratch {
-			b := c.rootProc.Bucket(act)
-			owner := c.opts.Partition[b]
-			c.rootBufs[owner] = append(c.rootBufs[owner], wireAct{bucket: int32(b), depth: 1, act: act})
-			sent++
-		}
-	}
-	if sent == 0 {
-		return nil
-	}
-	c.counter.Add(sent)
-	c.controlCounts().AddSent(sent)
-	ts := c.nowNS()
-	var ebuf []byte
-	for dst, buf := range c.rootBufs {
-		if len(buf) == 0 {
-			continue
-		}
-		batch := c.causal.NextBatch()
-		c.ctlTrack.Send(ts, c.curCycle.Load(), batch, int32(dst), int32(len(buf)))
-		e := enc{buf: ebuf[:0]}
-		e.i32(batch)
-		e.i32(int32(c.opts.Workers))
-		e.actList(buf)
-		ebuf = e.buf[:0]
-		if err := c.conns[dst].write(ftActs, e.buf); err != nil {
-			err = fmt.Errorf("transport: routing to worker %d: %w", dst, err)
-			c.fail(err)
-			return err
-		}
-		c.rootBufs[dst] = buf[:0]
-	}
-	return nil
-}
-
-func (c *Control) controlCounts() *termdet.ChannelCounts {
-	return c.counts[len(c.counts)-1]
-}
-
-// Stats snapshots per-worker counters in the parallel.Stats shape:
-// Processed counts worker-side node activations (from turn
-// aggregates), MsgsSent counts relayed worker-to-worker activations.
-func (c *Control) Stats() parallel.Stats {
-	s := parallel.Stats{
-		Processed: make([]int64, len(c.processed)),
-		MsgsSent:  make([]int64, len(c.msgsSent)),
-		Insts:     c.instCount.Load(),
-	}
-	for i := range c.processed {
-		s.Processed[i] = c.processed[i].Load()
-		s.MsgsSent[i] = c.msgsSent[i].Load()
-	}
-	return s
-}
-
-// FlightDump snapshots the attached flight recorder (nil without one).
-// Only legal at quiescence, as for parallel.Runtime.
-func (c *Control) FlightDump() *obs.FlightDump {
-	return c.causal.Dump()
-}
-
-// Err reports a recorded fatal transport error, if any.
-func (c *Control) Err() error { return c.counter.Err() }
 
 // Close shuts the topology down: a shutdown frame to every worker,
 // then the connections and listener. Safe to call more than once.
 func (c *Control) Close() error {
-	if !c.closed.CompareAndSwap(false, true) {
+	if !c.Shutdown() {
 		return nil
 	}
 	for _, cc := range c.conns {

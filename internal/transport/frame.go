@@ -1,17 +1,21 @@
-// Package transport carries the parallel runtime's message plane over
-// TCP: length-prefixed frames with coalesced per-batch payloads, the
-// wire realization of the paper's message-passing machine. It provides
-// two layers:
+// Package transport carries internal/parallel's messages over TCP:
+// length-prefixed frames with coalesced per-batch payloads, the wire
+// realization of the paper's message-passing machine. The mapping
+// itself — the cycle, routing, termination accounting, netting,
+// migration, and what a worker turn computes — is parallel.Driver and
+// parallel.Step; nothing here decides bucket ownership, nets
+// instantiations or plans moves. This package provides two carriers:
 //
 //   - Loopback: a parallel.Transport that ships every mailbox message
 //     through a real localhost TCP connection pair per worker, used to
 //     validate the wire codec and framing against the in-process
 //     reference (difftest plugs it into the differential oracle).
-//   - Control / ServeWorker: a star-topology multi-process runtime —
-//     one control process, N worker processes — with a compiled-network
-//     handshake, per-batch framing, relay routing of worker-to-worker
-//     activations, and exact termination-detection accounting across
-//     the wire (see control.go).
+//   - Control / ServeConn: a star of worker connections — the driver in
+//     one process (control.go), one step per worker process
+//     (worker.go) — with a compiled-network handshake, per-batch
+//     framing, and relay forwarding of worker-to-worker activations;
+//     every relay and turn frame is reported to the driver's accounting
+//     calls, so termination detection stays exact across the wire.
 //
 // The frame format is the QCDSP-style minimum: a 4-byte big-endian
 // length, a 1-byte frame type, and a varint-encoded payload. The

@@ -99,7 +99,7 @@ func TestFrameFaults(t *testing.T) {
 	})
 	t.Run("garbage-batch-payload", func(t *testing.T) {
 		net, _ := mustCompile("blocks")
-		_, _, _, err := decodeBatch(net, []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}, nil)
+		_, _, _, err := decodeBatch(net, dec{b: []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}}, nil)
 		if !errors.Is(err, ErrBadPayload) {
 			t.Fatalf("got %v, want ErrBadPayload", err)
 		}
@@ -117,7 +117,7 @@ func TestFrameFaults(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := decodeBatch(net, append(buf, 0xab), nil); !errors.Is(err, ErrBadPayload) {
+		if _, _, _, err := decodeBatch(net, dec{b: append(buf, 0xab)}, nil); !errors.Is(err, ErrBadPayload) {
 			t.Fatalf("got %v, want ErrBadPayload for trailing bytes", err)
 		}
 	})
@@ -135,7 +135,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, batch, src, err := decodeBatch(net, buf, nil)
+	got, batch, src, err := decodeBatch(net, dec{b: buf}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +172,8 @@ func FuzzTransportFrame(f *testing.F) {
 		f.Add(b.Bytes())
 	}
 	f.Add([]byte{0, 0, 0, 1, byte(ftShutdown)})
+	// The topology bounds decoded bucket and worker indices are held to.
+	dims := dec{nbuckets: rete.DefaultNBuckets, workers: 2}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ft, payload, err := readFrame(bytes.NewReader(data), nil)
 		if err != nil {
@@ -184,7 +186,9 @@ func FuzzTransportFrame(f *testing.F) {
 			// canonical property is that ENCODER output is a fixed
 			// point: decode, re-encode, decode, re-encode — the two
 			// encoder outputs must match exactly.
-			ms, batch, src, err := decodeBatch(net, payload, nil)
+			d := dims
+			d.b = payload
+			ms, batch, src, err := decodeBatch(net, d, nil)
 			if err != nil {
 				return
 			}
@@ -192,7 +196,8 @@ func FuzzTransportFrame(f *testing.F) {
 			if err != nil {
 				t.Fatalf("decoded batch failed to re-encode: %v", err)
 			}
-			ms2, b2, s2, err := decodeBatch(net, buf, nil)
+			d.b = buf
+			ms2, b2, s2, err := decodeBatch(net, d, nil)
 			if err != nil {
 				t.Fatalf("re-encoded batch failed to decode: %v", err)
 			}
@@ -206,19 +211,13 @@ func FuzzTransportFrame(f *testing.F) {
 		case ftHello:
 			decodeHello(payload)
 		case ftActs, ftRelay:
-			var d dec
+			d := dims
 			d.b = payload
 			if ft == ftRelay {
-				if _, err := d.i32(); err != nil {
-					return
-				}
+				d.worker() // destination
 			} else {
-				if _, err := d.i32(); err != nil {
-					return
-				}
-				if _, err := d.i32(); err != nil {
-					return
-				}
+				d.i32() // batch
+				d.i32() // src
 			}
 			d.actList(net, nil)
 		}

@@ -65,6 +65,9 @@ func (l *Loopback) Open(workers int, opts parallel.EndpointOptions) ([]parallel.
 	l.lns = append(l.lns, ln)
 	l.mu.Unlock()
 
+	if opts.NBuckets == 0 {
+		opts.NBuckets = rete.DefaultNBuckets
+	}
 	eps := make([]parallel.Endpoint, workers)
 	for i := 0; i < workers; i++ {
 		// Sequential dial-then-accept pairs the connections
@@ -82,6 +85,7 @@ func (l *Loopback) Open(workers int, opts parallel.EndpointOptions) ([]parallel.
 		}
 		ep := &loopEndpoint{
 			net:   l.net,
+			dims:  dec{nbuckets: opts.NBuckets, workers: workers},
 			wconn: wc,
 			rconn: rc,
 			inner: parallel.NewEndpoint(opts),
@@ -115,7 +119,10 @@ func (l *Loopback) Close() error {
 // loopEndpoint is one worker's inbox: writers frame messages onto
 // wconn; the reader goroutine decodes rconn into inner.
 type loopEndpoint struct {
-	net   *rete.Network
+	net *rete.Network
+	// dims is the decoder template: the index bounds every received
+	// frame's bucket and worker indices are held to.
+	dims  dec
 	inner parallel.Endpoint
 	opts  parallel.EndpointOptions
 	rconn net.Conn
@@ -164,36 +171,36 @@ func (ep *loopEndpoint) fail(err error) {
 	}
 }
 
+// readLoop delivers everything the socket holds into the unbounded
+// inner buffer, then closes the inner endpoint so the draining worker
+// sees closed-and-empty. A clean EOF (writer side closed) is the normal
+// end; anything else lost accepted messages.
 func (ep *loopEndpoint) readLoop() {
-	// Deliver everything the socket holds into the unbounded inner
-	// buffer; on clean EOF (writer side closed) close the inner
-	// endpoint so the draining worker sees closed-and-empty.
+	err := ep.read()
+	if err != io.EOF && !errors.Is(err, net.ErrClosed) && !ep.isClosed() {
+		ep.fail(fmt.Errorf("transport: loopback recv: %w", err))
+	}
+	ep.inner.Close()
+	ep.rconn.Close()
+}
+
+func (ep *loopEndpoint) read() error {
 	var fbuf []byte
 	var ms []parallel.Message
 	for {
 		ft, payload, err := readFrame(ep.rconn, fbuf)
 		if err != nil {
-			if err != io.EOF && !errors.Is(err, net.ErrClosed) && !ep.isClosed() {
-				ep.fail(fmt.Errorf("transport: loopback recv: %w", err))
-			}
-			ep.inner.Close()
-			ep.rconn.Close()
-			return
+			return err
 		}
 		fbuf = payload[:0]
 		if ft != ftBatch {
-			ep.fail(fmt.Errorf("%w: unexpected %s frame on loopback", ErrBadPayload, ft))
-			ep.inner.Close()
-			ep.rconn.Close()
-			return
+			return fmt.Errorf("%w: unexpected %s frame on loopback", ErrBadPayload, ft)
 		}
+		d := ep.dims
+		d.b = payload
 		var batch, src int32
-		ms, batch, src, err = decodeBatch(ep.net, payload, ms)
-		if err != nil {
-			ep.fail(fmt.Errorf("transport: loopback decode: %w", err))
-			ep.inner.Close()
-			ep.rconn.Close()
-			return
+		if ms, batch, src, err = decodeBatch(ep.net, d, ms); err != nil {
+			return err
 		}
 		ep.inner.PushBatch(ms, batch, src)
 	}

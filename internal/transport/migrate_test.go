@@ -1,12 +1,14 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"testing"
 	"time"
 
 	"mpcrete/internal/ops5"
+	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/sched"
 )
@@ -54,6 +56,132 @@ func sameSet(a, b map[string]bool) bool {
 	return true
 }
 
+// migrationProds is the program the forced-migration tests churn: a
+// three-way join and a negation, so resident left tokens, right wmes and
+// negative-node counts all cross between workers.
+var migrationProds = []string{
+	`(p join (a ^x <v>) (b ^x <v>) (c ^x <v>) --> (halt))`,
+	`(p neg (a ^x <v>) -(d ^x <v>) --> (halt))`,
+}
+
+// churnScript is a fixed pseudo-random run of single-wme cycles over
+// migrationProds' classes: two adds for every delete of a live wme.
+func churnScript(steps int) [][]rete.Change {
+	var script [][]rete.Change
+	id := 1
+	var live []*ops5.WME
+	rng := rand.New(rand.NewSource(7))
+	for i := 0; i < steps; i++ {
+		if len(live) > 0 && rng.Intn(3) == 0 {
+			j := rng.Intn(len(live))
+			script = append(script, []rete.Change{{Tag: rete.Delete, WME: live[j]}})
+			live = append(live[:j], live[j+1:]...)
+			continue
+		}
+		class := []string{"a", "b", "c", "d"}[rng.Intn(4)]
+		w := ops5.NewWME(class, "x", rng.Intn(3))
+		w.ID, w.TimeTag = id, id
+		id++
+		script = append(script, []rete.Change{{Tag: rete.Add, WME: w}})
+		live = append(live, w)
+	}
+	return script
+}
+
+// TestCrossCarrierMigrationAccounting runs one forced-rotation schedule
+// on all three carriers of the cycle driver — in-process mailboxes, the
+// loopback wire codec, and the star of worker connections. What a bucket
+// holds at a quiescent cycle boundary does not depend on how messages
+// were scheduled, so beyond each carrier matching the sequential
+// matcher cycle by cycle, all three must report the same migrations,
+// buckets moved and entries moved.
+func TestCrossCarrierMigrationAccounting(t *testing.T) {
+	const (
+		workers  = 3
+		nbuckets = 64
+	)
+	rotate := func(cycle int) sched.Partition {
+		p := make(sched.Partition, nbuckets)
+		for b := range p {
+			p[b] = (b + cycle) % workers
+		}
+		return p
+	}
+	carriers := []struct {
+		name string
+		open func(t *testing.T, net *rete.Network) (*parallel.Driver, func() error)
+	}{
+		{"inproc", func(t *testing.T, net *rete.Network) (*parallel.Driver, func() error) {
+			rt, err := parallel.New(net, parallel.Options{Workers: workers, NBuckets: nbuckets, ForceMigrate: rotate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rt.Driver, func() error { rt.Close(); return nil }
+		}},
+		{"loopback", func(t *testing.T, net *rete.Network) (*parallel.Driver, func() error) {
+			rt, err := parallel.New(net, parallel.Options{Workers: workers, NBuckets: nbuckets, ForceMigrate: rotate, Transport: NewLoopback(net)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rt.Driver, func() error { rt.Close(); return nil }
+		}},
+		{"star", func(t *testing.T, net *rete.Network) (*parallel.Driver, func() error) {
+			ctl, err := Listen(net, "127.0.0.1:0", ControlOptions{Workers: workers, NBuckets: nbuckets, ForceMigrate: rotate})
+			if err != nil {
+				t.Fatal(err)
+			}
+			werrs := startWorkers(t, ctl.Addr(), workers)
+			if err := ctl.WaitWorkers(); err != nil {
+				ctl.Close()
+				t.Fatal(err)
+			}
+			return ctl.Driver, func() error {
+				errs := []error{ctl.Close()}
+				for i := 0; i < workers; i++ {
+					errs = append(errs, <-werrs)
+				}
+				return errors.Join(errs...)
+			}
+		}},
+	}
+	script := churnScript(30)
+	type accounting struct{ migrations, bucketsMoved, entriesMoved int64 }
+	got := map[string]accounting{}
+	for _, c := range carriers {
+		t.Run(c.name, func(t *testing.T) {
+			seq := rete.NewMatcher(compileProdsT(t, migrationProds...), rete.MatcherOptions{NBuckets: nbuckets})
+			drv, closeCarrier := c.open(t, compileProdsT(t, migrationProds...))
+			seqCS, parCS := map[string]bool{}, map[string]bool{}
+			for i, ch := range script {
+				foldInsts(seqCS, seq.Apply(ch))
+				insts, err := drv.Cycle(ch)
+				if err != nil {
+					t.Fatal(err)
+				}
+				foldInsts(parCS, insts)
+				if !sameSet(seqCS, parCS) {
+					t.Fatalf("divergence at step %d:\nseq: %v\ngot: %v", i, seqCS, parCS)
+				}
+			}
+			var a accounting
+			a.migrations, a.bucketsMoved, a.entriesMoved = drv.RebalanceStats()
+			got[c.name] = a
+			if err := closeCarrier(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	want := got["inproc"]
+	if want.migrations != int64(len(script)) || want.bucketsMoved == 0 || want.entriesMoved == 0 {
+		t.Fatalf("in-process accounting %+v: want %d migrations moving buckets and entries", want, len(script))
+	}
+	for name, a := range got {
+		if a != want {
+			t.Errorf("%s accounted %+v, in-process %+v", name, a, want)
+		}
+	}
+}
+
 // TestControlForcedMigrationParity is the cross-process form of the
 // migration metamorphic property: buckets migrate between worker
 // processes over real TCP connections mid-run — extraction, wire
@@ -63,10 +191,7 @@ func sameSet(a, b map[string]bool) bool {
 // the whole partition at every cycle boundary, so every resident token
 // crosses the wire between every pair of cycles.
 func TestControlForcedMigrationParity(t *testing.T) {
-	srcs := []string{
-		`(p join (a ^x <v>) (b ^x <v>) (c ^x <v>) --> (halt))`,
-		`(p neg (a ^x <v>) -(d ^x <v>) --> (halt))`,
-	}
+	srcs := migrationProds
 	const nbuckets = 64
 	for _, routed := range []bool{false, true} {
 		t.Run(fmt.Sprintf("routed=%v", routed), func(t *testing.T) {
@@ -96,23 +221,7 @@ func TestControlForcedMigrationParity(t *testing.T) {
 
 			seqCS, wireCS := map[string]bool{}, map[string]bool{}
 			cycles := 0
-			id := 1
-			var live []*ops5.WME
-			rng := rand.New(rand.NewSource(7))
-			for i := 0; i < 30; i++ {
-				var ch []rete.Change
-				if len(live) > 0 && rng.Intn(3) == 0 {
-					j := rng.Intn(len(live))
-					ch = []rete.Change{{Tag: rete.Delete, WME: live[j]}}
-					live = append(live[:j], live[j+1:]...)
-				} else {
-					class := []string{"a", "b", "c", "d"}[rng.Intn(4)]
-					w := ops5.NewWME(class, "x", rng.Intn(3))
-					w.ID, w.TimeTag = id, id
-					id++
-					ch = []rete.Change{{Tag: rete.Add, WME: w}}
-					live = append(live, w)
-				}
+			for i, ch := range churnScript(30) {
 				foldInsts(seqCS, seq.Apply(ch))
 				got, err := ctl.Cycle(ch)
 				if err != nil {
@@ -210,7 +319,7 @@ func TestControlAdaptiveParity(t *testing.T) {
 		t.Fatal("migration moved no buckets")
 	}
 	owners := map[int]bool{}
-	for _, o := range ctl.opts.Partition {
+	for _, o := range ctl.Partition() {
 		owners[o] = true
 	}
 	if len(owners) < 2 {

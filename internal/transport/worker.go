@@ -7,79 +7,36 @@ import (
 	"net"
 	"time"
 
+	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
+	"mpcrete/internal/sched"
 )
 
-// The worker half of the multi-process star topology: one match
-// process owning a partition slice of the hash-bucket space, mirroring
-// parallel.worker message for message. It dials the control process,
-// receives the compiled network in the hello handshake, and then runs
-// the turn protocol: each incoming ftCycle/ftActs frame is one turn —
-// constant tests (broadcast mode) or direct enqueue (routed mode), a
-// breadth-first local drain identical to the in-process worker's, one
-// coalesced ftRelay frame per remote destination, and a closing ftTurn
-// frame carrying the processed count, the echoed recv stamps, the
-// turn's measurement aggregate, and the conflict-set deltas.
+// The worker half of the star carrier: parallel.Step behind a socket.
+// A worker process dials the control process, receives the compiled
+// network and its slice of the topology in the hello handshake, and
+// then turns frames into step calls: each incoming ftCycle, ftActs,
+// ftRepart or ftBucket frame is decoded into parallel.Messages, handed
+// to Step.Handle as one turn, and answered with what the step left
+// behind — one coalesced ftRelay frame per remote destination, one
+// ftBucketRelay per extracted bucket, and a closing ftTurn frame
+// carrying the processed count, the echoed recv stamp, and the
+// parallel.Turn (measurement aggregate, conflict-set deltas, bucket
+// loads). What a turn computes is the step's business; this file only
+// decodes, encodes and orders frames.
 //
 // Frame order is the termination-detection argument: relays precede
 // the turn frame on the same TCP stream, so the control process
-// registers forwarded work (counter.Add, AddSent) before it
-// deregisters the turn's processed messages (AddRecv, counter.Add(-n))
-// — the exact Add-before-visible / Done-after-processed discipline the
-// in-process runtime keeps with function-call ordering.
+// registers forwarded work (Driver.Sending, Driver.Shipping) before it
+// deregisters the turn's processed messages (Driver.TurnDone) — the
+// exact Add-before-visible / Done-after-processed discipline the
+// goroutine carrier keeps with function-call ordering.
 
 // protoVersion is the handshake protocol version; a mismatch aborts
 // the handshake rather than mis-decoding frames. Version 2 added the
 // migration protocol (ftRepart/ftBucketRelay/ftBucket), the trackLoads
 // hello flag, and the per-bucket load section of ftTurn.
 const protoVersion = 2
-
-// wireAct is one routed activation with its routing metadata.
-type wireAct struct {
-	bucket int32
-	depth  int32
-	act    rete.Activation
-}
-
-func (e *enc) actList(acts []wireAct) {
-	e.count(len(acts))
-	for i := range acts {
-		e.i32(acts[i].bucket)
-		e.i32(acts[i].depth)
-		e.activation(acts[i].act)
-	}
-}
-
-func (d *dec) actList(net *rete.Network, buf []wireAct) ([]wireAct, error) {
-	n, err := d.count(1 << 24)
-	if err != nil {
-		return nil, err
-	}
-	buf = buf[:0]
-	for i := 0; i < n; i++ {
-		var wa wireAct
-		if wa.bucket, err = d.i32(); err != nil {
-			return nil, err
-		}
-		if wa.depth, err = d.i32(); err != nil {
-			return nil, err
-		}
-		if wa.act, err = d.activation(net); err != nil {
-			return nil, err
-		}
-		buf = append(buf, wa)
-	}
-	return buf, nil
-}
-
-// turnAgg is the worker-side measurement aggregate shipped home in
-// each ftTurn frame (merged into the control's flight recorder via
-// obs.TrackRecorder.MergeRemote).
-type turnAgg struct {
-	handles  int64
-	flushes  int64
-	maxDepth int32
-}
 
 // hello is the decoded handshake.
 type hello struct {
@@ -91,7 +48,7 @@ type hello struct {
 	// report nonzero counts in each ftTurn frame (the control plane's
 	// rebalance detector feeds on them).
 	trackLoads bool
-	partition  []int
+	partition  sched.Partition
 	net        *rete.Network
 }
 
@@ -103,10 +60,7 @@ func encodeHello(buf []byte, h hello, network *rete.Network) ([]byte, error) {
 	e.int(h.nbuckets)
 	e.bool(h.routeRoots)
 	e.bool(h.trackLoads)
-	e.count(len(h.partition))
-	for _, owner := range h.partition {
-		e.int(owner)
-	}
+	e.partition(h.partition)
 	var nb bytes.Buffer
 	if err := rete.EncodeNetwork(&nb, network); err != nil {
 		return nil, fmt.Errorf("transport: encoding network for handshake: %w", err)
@@ -117,57 +71,21 @@ func encodeHello(buf []byte, h hello, network *rete.Network) ([]byte, error) {
 }
 
 func decodeHello(payload []byte) (hello, error) {
-	var h hello
 	d := dec{b: payload}
-	ver, err := d.u64()
-	if err != nil {
-		return h, err
+	if ver := d.u64(); d.err == nil && ver != protoVersion {
+		return hello{}, fmt.Errorf("%w: protocol version %d, want %d", ErrBadPayload, ver, protoVersion)
 	}
-	if ver != protoVersion {
-		return h, fmt.Errorf("%w: protocol version %d, want %d", ErrBadPayload, ver, protoVersion)
-	}
-	if h.id, err = d.int(); err != nil {
-		return h, err
-	}
-	if h.workers, err = d.int(); err != nil {
-		return h, err
-	}
-	if h.nbuckets, err = d.int(); err != nil {
-		return h, err
-	}
-	if h.routeRoots, err = d.bool(); err != nil {
-		return h, err
-	}
-	if h.trackLoads, err = d.bool(); err != nil {
-		return h, err
-	}
-	if h.id < 0 || h.workers < 1 || h.id >= h.workers || h.nbuckets < 1 {
+	h := hello{id: d.int(), workers: d.int(), nbuckets: d.int(), routeRoots: d.bool(), trackLoads: d.bool()}
+	if d.err == nil && (h.id < 0 || h.workers < 1 || h.id >= h.workers || h.nbuckets < 1) {
 		return h, fmt.Errorf("%w: topology id=%d workers=%d nbuckets=%d", ErrBadPayload, h.id, h.workers, h.nbuckets)
 	}
-	np, err := d.count(1 << 24)
-	if err != nil {
-		return h, err
+	d.nbuckets, d.workers = h.nbuckets, h.workers
+	h.partition = d.partition()
+	nb := d.bytes(d.count(1<<26), "network bytes")
+	if d.err != nil {
+		return h, d.err
 	}
-	if np != h.nbuckets {
-		return h, fmt.Errorf("%w: partition covers %d buckets, want %d", ErrBadPayload, np, h.nbuckets)
-	}
-	h.partition = make([]int, np)
-	for i := range h.partition {
-		if h.partition[i], err = d.int(); err != nil {
-			return h, err
-		}
-		if h.partition[i] < 0 || h.partition[i] >= h.workers {
-			return h, fmt.Errorf("%w: bucket %d owned by worker %d of %d", ErrBadPayload, i, h.partition[i], h.workers)
-		}
-	}
-	nb, err := d.count(1 << 26)
-	if err != nil {
-		return h, err
-	}
-	if len(d.b) < nb {
-		return h, d.fail("network bytes")
-	}
-	network, err := rete.DecodeNetwork(bytes.NewReader(d.b[:nb]))
+	network, err := rete.DecodeNetwork(bytes.NewReader(nb))
 	if err != nil {
 		return h, fmt.Errorf("%w: decoding network: %v", ErrBadPayload, err)
 	}
@@ -213,13 +131,10 @@ func ServeConn(conn net.Conn) error {
 	if err != nil {
 		return fmt.Errorf("transport: worker handshake: %w", err)
 	}
-	w := &wireWorker{
-		hello:   h,
-		proc:    rete.NewProcessor(h.net, h.nbuckets),
-		outBufs: make([][]wireAct, h.workers),
-	}
-	if h.trackLoads {
-		w.bucketLoad = make([]int64, h.nbuckets)
+	w := &starWorker{
+		hello: h,
+		step:  parallel.NewStep(h.net, h.id, h.workers, h.partition, h.trackLoads, nil),
+		out:   bw,
 	}
 
 	var ready enc
@@ -238,112 +153,79 @@ func ServeConn(conn net.Conn) error {
 			return fmt.Errorf("transport: worker %d read: %w", h.id, err)
 		}
 		fbuf = payload[:0]
-		switch ft {
-		case ftShutdown:
+		if ft == ftShutdown {
 			return nil
-		case ftCycle, ftActs:
-			if err := w.turn(ft, payload, bw); err != nil {
-				return fmt.Errorf("transport: worker %d turn: %w", h.id, err)
-			}
-			if err := bw.Flush(); err != nil {
-				return fmt.Errorf("transport: worker %d write: %w", h.id, err)
-			}
-		case ftRepart:
-			if err := w.repartition(payload, bw); err != nil {
-				return fmt.Errorf("transport: worker %d repartition: %w", h.id, err)
-			}
-			if err := bw.Flush(); err != nil {
-				return fmt.Errorf("transport: worker %d write: %w", h.id, err)
-			}
-		case ftBucket:
-			if err := w.injectBucket(payload, bw); err != nil {
-				return fmt.Errorf("transport: worker %d bucket inject: %w", h.id, err)
-			}
-			if err := bw.Flush(); err != nil {
-				return fmt.Errorf("transport: worker %d write: %w", h.id, err)
-			}
-		default:
-			return fmt.Errorf("%w: worker got unexpected %s frame", ErrBadPayload, ft)
+		}
+		if err := w.turn(ft, payload); err != nil {
+			return fmt.Errorf("transport: worker %d %s turn: %w", h.id, ft, err)
+		}
+		if err := bw.Flush(); err != nil {
+			return fmt.Errorf("transport: worker %d write: %w", h.id, err)
 		}
 	}
 }
 
-// wireWorker is the match state of one worker process.
-type wireWorker struct {
+// starWorker is one worker process's carrier state: the step, and the
+// decode and encode buffers reused across turns.
+type starWorker struct {
 	hello
-	proc *rete.Processor
+	step *parallel.Step
+	out  *bufio.Writer
 
-	localQ      []wireAct
-	rootScratch []rete.Activation
-	outBufs     [][]wireAct // per-destination coalescing buffers
-	instBuf     []rete.InstChange
-	actScratch  []wireAct
-	ebuf        []byte
-
-	agg     turnAgg
-	pending int // acts buffered in outBufs this turn
-
-	// bucketLoad counts activations per bucket since the last turn
-	// frame (nil unless hello.trackLoads); dirty lists the nonzero
-	// entries so the turn encoder never scans the whole bucket space.
-	bucketLoad []int64
-	dirty      []int32
+	pkt   parallel.CyclePacket
+	msgs  []parallel.Message
+	stamp [1]parallel.RecvStamp
+	ebuf  []byte
 }
 
-// turn handles one incoming protocol frame end to end and writes the
-// relay and turn frames. Mirrors worker.loop in internal/parallel.
-func (w *wireWorker) turn(ft frameType, payload []byte, out *bufio.Writer) error {
-	d := dec{b: payload}
-	batch, err := d.i32()
-	if err != nil {
-		return err
-	}
-	src, err := d.i32()
-	if err != nil {
-		return err
-	}
-	var n int // protocol messages processed this turn
+// turn handles one incoming protocol frame end to end: decode it into
+// messages, run them through the step as one turn, and write the relay,
+// bucket-relay and turn frames.
+func (w *starWorker) turn(ft frameType, payload []byte) error {
+	d := dec{b: payload, nbuckets: w.nbuckets, workers: w.workers}
+	n := 1 // protocol messages this turn deregisters
+	var stamps []parallel.RecvStamp
+	var newPart sched.Partition
 	switch ft {
-	case ftCycle:
-		nch, err := d.count(1 << 24)
-		if err != nil {
-			return err
+	case ftCycle, ftActs:
+		// Both open with the causal stamp the turn frame echoes.
+		stamps = append(w.stamp[:0], parallel.RecvStamp{Batch: d.i32(), Src: d.i32()})
+		if ft == ftCycle {
+			w.pkt.Changes = d.changes(w.pkt.Changes)
+			w.msgs = append(w.msgs[:0], parallel.Message{Kind: parallel.MsgCycle, Cycle: &w.pkt})
+		} else {
+			w.msgs = d.actList(w.net, w.msgs)
+			n = len(w.msgs)
 		}
-		for i := 0; i < nch; i++ {
-			ch, err := d.change()
-			if err != nil {
-				return err
-			}
-			// Broadcast mode: every worker runs the constant tests and
-			// keeps the roots it owns. All roots of the turn are stored
-			// before any is expanded (breadth-first; see drainLocal).
-			w.rootScratch = w.proc.RootActivationsInto(ch, w.rootScratch[:0])
-			for _, act := range w.rootScratch {
-				b := w.proc.Bucket(act)
-				if w.partition[b] == w.id {
-					w.localQ = append(w.localQ, wireAct{bucket: int32(b), depth: 1, act: act})
-				}
-			}
-		}
-		n = 1
-	case ftActs:
-		if w.actScratch, err = d.actList(w.net, w.actScratch); err != nil {
-			return err
-		}
-		w.localQ = append(w.localQ, w.actScratch...)
-		n = len(w.actScratch)
+		stamps[0].Count = int32(n)
+	case ftRepart:
+		// The order reaches every worker (all must switch routing); only
+		// losers have moves. Migration turns carry no causal stamp.
+		newPart = d.partition()
+		w.msgs = append(w.msgs[:0], parallel.Message{Kind: parallel.MsgMigrateOut, Moves: d.moves()})
+	case ftBucket:
+		w.msgs = append(w.msgs[:0], parallel.Message{Kind: parallel.MsgMigrateIn, Inject: d.bucketContents(w.net)})
+	default:
+		return fmt.Errorf("%w: worker got unexpected %s frame", ErrBadPayload, ft)
 	}
 	if err := d.done(); err != nil {
 		return err
 	}
-	w.drainLocal()
 
-	// One coalesced relay frame per destination, then the turn frame —
-	// in that order, on this one stream (see the package comment on
-	// termination accounting).
-	if w.pending > 0 {
-		w.agg.flushes++
-		for dst, buf := range w.outBufs {
+	s := w.step
+	if newPart != nil {
+		s.SetPartition(newPart)
+	}
+	s.BeginTurn(0, 0)
+	s.Handle(w.msgs)
+
+	// One coalesced relay frame per destination and one bucket relay per
+	// extracted bucket, then the turn frame — in that order, on this one
+	// stream (see the comment on termination accounting above).
+	var flushes int64
+	if s.Pending > 0 {
+		flushes = 1
+		for dst, buf := range s.Out {
 			if len(buf) == 0 {
 				continue
 			}
@@ -351,166 +233,27 @@ func (w *wireWorker) turn(ft frameType, payload []byte, out *bufio.Writer) error
 			e.i32(int32(dst))
 			e.actList(buf)
 			w.ebuf = e.buf[:0]
-			if err := writeFrame(out, ftRelay, e.buf); err != nil {
+			if err := writeFrame(w.out, ftRelay, e.buf); err != nil {
 				return err
 			}
-			w.outBufs[dst] = buf[:0]
+			s.Out[dst] = buf[:0]
 		}
-		w.pending = 0
+		s.Pending = 0
 	}
-
-	return w.writeTurn(out, n, true, batch, src)
-}
-
-// writeTurn ends a turn on the wire: processed count, recv stamps
-// (none for migration acks — they carry no causal batch), measurement
-// aggregate, conflict-set deltas, and the per-bucket load section.
-func (w *wireWorker) writeTurn(out *bufio.Writer, n int, stamped bool, batch, src int32) error {
-	e := enc{buf: w.ebuf[:0]}
-	e.int(n)
-	if stamped {
-		e.count(1)
-		e.i32(batch)
-		e.i32(src)
-		e.i32(int32(n))
-	} else {
-		e.count(0)
-	}
-	e.i64(w.agg.handles)
-	e.i64(w.agg.flushes)
-	e.i32(w.agg.maxDepth)
-	e.count(len(w.instBuf))
-	for i := range w.instBuf {
-		e.instChange(w.instBuf[i])
-	}
-	e.count(len(w.dirty))
-	for _, b := range w.dirty {
-		e.i32(b)
-		e.i64(w.bucketLoad[b])
-		w.bucketLoad[b] = 0
-	}
-	w.dirty = w.dirty[:0]
-	w.ebuf = e.buf[:0]
-	w.agg = turnAgg{}
-	w.instBuf = w.instBuf[:0]
-	return writeFrame(out, ftTurn, e.buf)
-}
-
-// repartition handles an ftRepart order: switch to the new partition,
-// extract every listed bucket, ship each nonempty one through the
-// control process (ftBucketRelay precedes the closing ftTurn on this
-// stream, so the control registers the forwarded work before it
-// deregisters this turn — the same ordering argument as relays).
-func (w *wireWorker) repartition(payload []byte, out *bufio.Writer) error {
-	d := dec{b: payload}
-	np, err := d.count(1 << 24)
-	if err != nil {
-		return err
-	}
-	if np != w.nbuckets {
-		return fmt.Errorf("%w: repartition covers %d buckets, want %d", ErrBadPayload, np, w.nbuckets)
-	}
-	newPart := make([]int, np)
-	for i := range newPart {
-		if newPart[i], err = d.int(); err != nil {
-			return err
-		}
-		if newPart[i] < 0 || newPart[i] >= w.workers {
-			return fmt.Errorf("%w: bucket %d owned by worker %d of %d", ErrBadPayload, i, newPart[i], w.workers)
-		}
-	}
-	nm, err := d.count(1 << 24)
-	if err != nil {
-		return err
-	}
-	type move struct{ bucket, dst int32 }
-	moves := make([]move, nm)
-	for i := range moves {
-		if moves[i].bucket, err = d.i32(); err != nil {
-			return err
-		}
-		if moves[i].dst, err = d.i32(); err != nil {
-			return err
-		}
-	}
-	if err := d.done(); err != nil {
-		return err
-	}
-	w.partition = newPart
-	for _, mv := range moves {
-		bc := w.proc.ExtractBucket(int(mv.bucket))
-		if bc.Entries() == 0 {
-			continue // nothing stored; ownership transfer is free
-		}
+	for _, mv := range s.Moved {
 		e := enc{buf: w.ebuf[:0]}
-		e.i32(mv.dst)
-		e.int(bc.Entries())
-		e.bucketContents(bc)
+		e.i32(mv.Dst)
+		e.int(mv.Contents.Entries())
+		e.bucketContents(mv.Contents)
 		w.ebuf = e.buf[:0]
-		if err := writeFrame(out, ftBucketRelay, e.buf); err != nil {
+		if err := writeFrame(w.out, ftBucketRelay, e.buf); err != nil {
 			return err
 		}
 	}
-	return w.writeTurn(out, 1, false, 0, 0)
-}
+	s.Moved = s.Moved[:0]
 
-// injectBucket handles an ftBucket delivery: install the migrated
-// contents and close the turn.
-func (w *wireWorker) injectBucket(payload []byte, out *bufio.Writer) error {
-	d := dec{b: payload}
-	bc, err := d.bucketContents(w.net)
-	if err != nil {
-		return err
-	}
-	if err := d.done(); err != nil {
-		return err
-	}
-	w.proc.InjectBucket(bc)
-	return w.writeTurn(out, 1, false, 0, 0)
-}
-
-// drainLocal expands locally-owned activations breadth-first, exactly
-// as the in-process worker does; remote successors coalesce into
-// outBufs.
-func (w *wireWorker) drainLocal() {
-	for qi := 0; qi < len(w.localQ); qi++ {
-		la := w.localQ[qi]
-		w.processOne(la.act, int(la.bucket), la.depth)
-	}
-	w.localQ = w.localQ[:0]
-}
-
-func (w *wireWorker) processOne(act rete.Activation, bucket int, depth int32) {
-	if act.Node.Kind == rete.KindProduction {
-		w.instBuf = append(w.instBuf, w.proc.BuildInst(act))
-		return
-	}
-	w.agg.handles++
-	if depth > w.agg.maxDepth {
-		w.agg.maxDepth = depth
-	}
-	if w.bucketLoad != nil {
-		if w.bucketLoad[bucket] == 0 {
-			w.dirty = append(w.dirty, int32(bucket))
-		}
-		w.bucketLoad[bucket]++
-	}
-	w.proc.ProcessAt(act, bucket,
-		func(child rete.Activation) {
-			if child.Node.Kind == rete.KindProduction {
-				w.instBuf = append(w.instBuf, w.proc.BuildInst(child))
-				return
-			}
-			b := w.proc.Bucket(child)
-			owner := w.partition[b]
-			if owner == w.id {
-				w.localQ = append(w.localQ, wireAct{bucket: int32(b), depth: depth + 1, act: child})
-				return
-			}
-			w.outBufs[owner] = append(w.outBufs[owner], wireAct{bucket: int32(b), depth: depth + 1, act: child})
-			w.pending++
-		},
-		func(rete.InstChange) {
-			panic("transport: unexpected instantiation emission")
-		})
+	e := enc{buf: w.ebuf[:0]}
+	e.turn(n, stamps, flushes, s.EndTurn())
+	w.ebuf = e.buf[:0]
+	return writeFrame(w.out, ftTurn, e.buf)
 }

@@ -11,7 +11,7 @@ import (
 
 // runConfigurator executes the configurator on the given orders and
 // returns the engine and its write output.
-func runConfigurator(t *testing.T, orders ...ConfiguratorOrder) (*engine.Engine, string) {
+func runConfigurator(t *testing.T, orders ...ConfiguratorOrder) (*engine.Session, string) {
 	t.Helper()
 	prog, err := ops5.ParseProgram(Configurator)
 	if err != nil {

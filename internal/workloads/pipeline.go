@@ -14,7 +14,7 @@ import (
 // uniprocessor run instrumented to drive the MPC simulator.
 //
 // maxCycles bounds the number of MRA cycles fired.
-func RecordRun(name, programSrc, wmeSrc string, maxCycles int) (*trace.Trace, *engine.Engine, error) {
+func RecordRun(name, programSrc, wmeSrc string, maxCycles int) (*trace.Trace, *engine.Session, error) {
 	prog, err := ops5.ParseProgram(programSrc)
 	if err != nil {
 		return nil, nil, fmt.Errorf("workloads: parse %s: %w", name, err)

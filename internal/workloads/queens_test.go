@@ -10,7 +10,7 @@ import (
 
 // solveQueens runs the solver and returns the engine plus the queen
 // positions (col -> row) extracted from working memory.
-func solveQueens(t *testing.T, n, maxCycles int) (*engine.Engine, map[int]int) {
+func solveQueens(t *testing.T, n, maxCycles int) (*engine.Session, map[int]int) {
 	t.Helper()
 	prog, err := ops5.ParseProgram(Queens)
 	if err != nil {

@@ -17,7 +17,6 @@ import (
 	"mpcrete/internal/experiments"
 	"mpcrete/internal/obs"
 	"mpcrete/internal/ops5"
-	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/sched"
 	"mpcrete/internal/sweep"
@@ -327,69 +326,87 @@ func BenchmarkAblationSharing(b *testing.B) {
 	}
 }
 
-// BenchmarkSequentialEngine measures interpreter throughput on the
-// counter chain (MRA cycles per second).
-func BenchmarkSequentialEngine(b *testing.B) {
-	prog, err := ops5.ParseProgram(workloads.CounterChain)
+// The join family: workloads.CrossChain(k) with 16 wmes per class on
+// the sequential matcher, under plain hashed Rete, copy-and-constraint
+// and the worst-case-bounded variant. Plain Rete's beta memories grow
+// as N^(k/2) while bounded stores no tokens at all, so the gap widens
+// as k doubles; TestCrossChainStorage pins the storage, the benchmark
+// times it.
+var crossChainVariants = []struct{ label, variant string }{
+	{"plain", "shared"}, {"candc", "candc"}, {"bounded", "bounded"},
+}
+
+func crossChain(tb testing.TB, k int) ([]*ops5.Production, []rete.Change) {
+	tb.Helper()
+	prog, err := ops5.ParseProgram(workloads.CrossChain(k))
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	for i := 0; i < b.N; i++ {
-		e, err := engine.New(prog, engine.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.MakeWME("counter", "value", 0, "limit", 100)
-		if _, err := e.Run(200); err != nil {
-			b.Fatal(err)
+	wmes, err := ops5.ParseWMEs(workloads.CrossChainWMEs(k, 16))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	changes := make([]rete.Change, len(wmes))
+	for i, w := range wmes {
+		w.ID, w.TimeTag = i+1, i+1
+		changes[i] = rete.Change{Tag: rete.Add, WME: w}
+	}
+	return prog.Productions, changes
+}
+
+// BenchmarkCrossChain replays the full burst into a Reset matcher per
+// op, for k in {2, 4, 8} under each variant.
+func BenchmarkCrossChain(b *testing.B) {
+	for _, k := range []int{2, 4, 8} {
+		prods, changes := crossChain(b, k)
+		for _, v := range crossChainVariants {
+			b.Run(fmt.Sprintf("%s-k%d", v.label, k), func(b *testing.B) {
+				net, err := rete.CompileVariant(prods, v.variant)
+				if err != nil {
+					b.Fatal(err)
+				}
+				m := rete.NewMatcher(net, rete.MatcherOptions{})
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					m.Reset()
+					m.Apply(changes)
+				}
+			})
 		}
 	}
 }
 
-// BenchmarkParallelRuntime measures the real goroutine runtime against
-// the sequential matcher on a cross-product burst.
-func BenchmarkParallelRuntime(b *testing.B) {
-	prog, err := ops5.ParseProgram(workloads.TourneyLike)
-	if err != nil {
-		b.Fatal(err)
-	}
-	mkChanges := func() []rete.Change {
-		wmes, err := ops5.ParseWMEs(workloads.TourneyLikeWMEs(30, 25))
-		if err != nil {
-			b.Fatal(err)
-		}
-		changes := make([]rete.Change, len(wmes))
-		for i, w := range wmes {
-			w.ID, w.TimeTag = i+1, i+1
-			changes[i] = rete.Change{Tag: rete.Add, WME: w}
-		}
-		return changes
-	}
-	b.Run("sequential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			net, err := rete.Compile(prog.Productions)
+// TestCrossChainStorage pins the half of the join family that needs no
+// clock: every variant emits the same conflict-set deltas, plain Rete
+// holds the N^(k/2) cross-product tokens in its left memories, and
+// bounded holds none, only the k*16 wmes in its right memories.
+func TestCrossChainStorage(t *testing.T) {
+	for _, c := range []struct{ k, deltas, plainLeft int }{
+		{2, 15, 16}, {4, 13, 286}, {8, 9, 73690},
+	} {
+		prods, changes := crossChain(t, c.k)
+		for _, v := range crossChainVariants {
+			net, err := rete.CompileVariant(prods, v.variant)
 			if err != nil {
-				b.Fatal(err)
+				t.Fatal(err)
 			}
 			m := rete.NewMatcher(net, rete.MatcherOptions{})
-			m.Apply(mkChanges())
-		}
-	})
-	for _, workers := range []int{2, 4, 8} {
-		b.Run(fmt.Sprintf("parallel%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				net, err := rete.Compile(prog.Productions)
-				if err != nil {
-					b.Fatal(err)
-				}
-				rt, err := parallel.New(net, parallel.Options{Workers: workers})
-				if err != nil {
-					b.Fatal(err)
-				}
-				rt.Apply(mkChanges())
-				rt.Close()
+			if got := len(m.Apply(changes)); got != c.deltas {
+				t.Errorf("%s k=%d: %d conflict-set deltas, want %d", v.label, c.k, got, c.deltas)
 			}
-		})
+			left, right := m.Memories()
+			switch v.label {
+			case "plain":
+				if left.Len() != c.plainLeft {
+					t.Errorf("plain k=%d: %d left tokens, want %d", c.k, left.Len(), c.plainLeft)
+				}
+			case "bounded":
+				if left.Len() != 0 || right.Len() != c.k*16 {
+					t.Errorf("bounded k=%d: %d left tokens, %d right wmes, want 0, %d",
+						c.k, left.Len(), right.Len(), c.k*16)
+				}
+			}
+		}
 	}
 }
 
@@ -426,8 +443,7 @@ func BenchmarkRecorderOverhead(b *testing.B) {
 	})
 }
 
-// Infrastructure benchmarks: the codecs, the analyzer, and live
-// bucket migration.
+// Infrastructure benchmarks: the codecs and the analyzer.
 
 // BenchmarkTraceCodec measures trace serialization round-trips on the
 // largest section.
@@ -477,76 +493,6 @@ func BenchmarkAnalysis(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if r := analysis.Analyze(tr, analysis.Options{}); len(r.HotNodes) == 0 {
 			b.Fatal("analysis lost the hot node")
-		}
-	}
-}
-
-// BenchmarkRepartition measures live bucket migration in the goroutine
-// runtime — the cost the paper declared prohibitive.
-func BenchmarkRepartition(b *testing.B) {
-	prog, err := ops5.ParseProgram(workloads.TourneyLike)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net, err := rete.Compile(prog.Productions)
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt, err := parallel.New(net, parallel.Options{Workers: 4, NBuckets: 256})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rt.Close()
-	wmes, err := ops5.ParseWMEs(workloads.TourneyLikeWMEs(20, 16))
-	if err != nil {
-		b.Fatal(err)
-	}
-	var changes []rete.Change
-	for i, w := range wmes {
-		w.ID, w.TimeTag = i+1, i+1
-		changes = append(changes, rete.Change{Tag: rete.Add, WME: w})
-	}
-	rt.Apply(changes)
-	parts := []sched.Partition{
-		sched.Random(256, 4, 1),
-		sched.Random(256, 4, 2),
-	}
-	b.ResetTimer()
-	var moved int
-	for i := 0; i < b.N; i++ {
-		st, err := rt.Repartition(parts[i%2])
-		if err != nil {
-			b.Fatal(err)
-		}
-		moved = st.EntriesMoved
-	}
-	b.ReportMetric(float64(moved), "entries")
-}
-
-// BenchmarkQueens measures the sequential engine on the backtracking
-// n-queens search (the heaviest bundled OPS5 program).
-func BenchmarkQueens(b *testing.B) {
-	prog, err := ops5.ParseProgram(workloads.Queens)
-	if err != nil {
-		b.Fatal(err)
-	}
-	wmeSrc := workloads.QueensWMEs(6)
-	for i := 0; i < b.N; i++ {
-		e, err := engine.New(prog, engine.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		wmes, err := ops5.ParseWMEs(wmeSrc)
-		if err != nil {
-			b.Fatal(err)
-		}
-		e.InsertWMEs(wmes...)
-		fired, err := e.Run(50000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !e.Halted() {
-			b.Fatalf("did not halt after %d firings", fired)
 		}
 	}
 }

@@ -2,9 +2,8 @@
 // simulated clients each replay full session lifecycles (open the
 // served workload, run it to quiescence, snapshot, close) against a
 // running server, and the per-operation latency distribution
-// (p50/p99) plus sustained sessions/sec throughput is written in
-// cmd/bench's results JSON schema (internal/benchfmt) so the same CI
-// tooling reads both.
+// (p50/p99) plus sustained sessions/sec throughput is written as a
+// server.LoadReport in JSON. It exits 1 when any request failed.
 //
 // Usage:
 //
@@ -14,6 +13,7 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -49,17 +49,23 @@ func main() {
 		os.Exit(1)
 	}
 
-	for _, b := range report.Benchmarks {
-		extra := ""
-		if b.EventsPerSec > 0 {
-			extra = fmt.Sprintf("  %10.1f sessions/s", b.EventsPerSec)
-		}
-		fmt.Printf("%-16s %6d ops  mean %10.0f ns  p50 %s ns  p99 %s ns%s\n",
-			b.Name, b.Iters, b.NsPerOp, b.Meta["p50_ns"], b.Meta["p99_ns"], extra)
+	for _, op := range report.Ops {
+		fmt.Printf("%-10s %6d ops  mean %10.0f ns  p50 %10.0f ns  p99 %10.0f ns\n",
+			op.Op, op.N, op.MeanNs, op.P50Ns, op.P99Ns)
 	}
-	if err := report.WriteFile(*out); err != nil {
+	fmt.Printf("%d sessions in %.2f s  %.1f sessions/s  %d errors\n",
+		report.Sessions, report.ElapsedS, report.SessionsPerS, report.Errors)
+	data, err := json.MarshalIndent(report, "", "  ")
+	if err == nil {
+		err = os.WriteFile(*out, append(data, '\n'), 0o644)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "ops5load:", err)
 		os.Exit(1)
 	}
 	fmt.Printf("wrote %s\n", *out)
+	if report.Errors > 0 {
+		fmt.Fprintf(os.Stderr, "ops5load: %d requests failed\n", report.Errors)
+		os.Exit(1)
+	}
 }

@@ -100,8 +100,8 @@ type Result struct {
 	BucketsMoved int `json:"buckets_moved,omitempty"`
 	// Events counts the discrete events the underlying network
 	// simulator executed — the natural unit of simulation throughput
-	// (cmd/bench reports events/sec from it). It is excluded from JSON
-	// so the structured experiment documents stay stable.
+	// (the benchmark's core.ns_per_event divides by it). It is excluded
+	// from JSON so the structured experiment documents stay stable.
 	Events int64 `json:"-"`
 }
 

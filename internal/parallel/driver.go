@@ -329,20 +329,17 @@ func (d *Driver) quiesce() error {
 	}
 	waves := 0
 	if d.opts.Detector == FourCounterDetector {
-		prevS, prevR := int64(-1), int64(-1)
-		for {
-			s, r, done := d.four.Check(prevS, prevR)
-			if done {
-				break
-			}
-			// Once messages are lost the four-counter totals can never
-			// balance; leave the polling loop through the same error.
+		// Once messages are lost the four-counter totals can never
+		// balance, so a failed driver ends the poll.
+		if err := d.four.WaitTerminated(func() error {
 			if err := d.Err(); err != nil {
 				return err
 			}
-			prevS, prevR = s, r
 			waves++
 			d.yield()
+			return nil
+		}); err != nil {
+			return err
 		}
 	}
 	d.counter.Wait()

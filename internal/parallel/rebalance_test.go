@@ -9,6 +9,7 @@ import (
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/sched"
+	"mpcrete/internal/workloads"
 )
 
 // rotatedPartition maps bucket b to worker (b + shift) % workers — the
@@ -253,36 +254,87 @@ func TestRebalanceRequiresMigratableTransport(t *testing.T) {
 	}
 }
 
-// BenchmarkMigration measures the cost of one full-rotation migration
-// on a runtime holding resident join state — the per-boundary price
-// the adaptive policy pays, isolated from match work.
+// BenchmarkMigration prices the migration protocol. repartition is one
+// full-rotation migration on a runtime holding resident join state —
+// the per-boundary price the adaptive policy pays, isolated from match
+// work. The other three each run New, one tourney-like 30x25 burst and
+// Close under one schedule: rotate moves every bucket to a new owner
+// at the cycle boundary (the worst case §5.2.2 priced), adapt starts
+// with every bucket on worker 0 and lets the hair-trigger balancer
+// spread it, idle arms a detector that never fires (the bookkeeping
+// alone).
 func BenchmarkMigration(b *testing.B) {
-	srcs := `(p j (a ^x <v>) (b ^x <v>) (c ^x <v>) --> (halt))`
-	p, err := ops5.ParseProduction(srcs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net, err := rete.Compile([]*ops5.Production{p})
-	if err != nil {
-		b.Fatal(err)
-	}
-	rt, err := New(net, Options{Workers: 4, NBuckets: 64})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer rt.Close()
-	var changes []rete.Change
-	for i := 1; i <= 200; i++ {
-		class := []string{"a", "b"}[i%2]
-		w := ops5.NewWME(class, "x", i/2)
-		w.ID, w.TimeTag = i, i
-		changes = append(changes, rete.Change{Tag: rete.Add, WME: w})
-	}
-	rt.Apply(changes)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := rt.Repartition(rotatedPartition(64, 4, i%4+1)); err != nil {
+	b.Run("repartition", func(b *testing.B) {
+		p, err := ops5.ParseProduction(`(p j (a ^x <v>) (b ^x <v>) (c ^x <v>) --> (halt))`)
+		if err != nil {
 			b.Fatal(err)
 		}
+		net, err := rete.Compile([]*ops5.Production{p})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rt, err := New(net, Options{Workers: 4, NBuckets: 64})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer rt.Close()
+		var changes []rete.Change
+		for i := 1; i <= 200; i++ {
+			class := []string{"a", "b"}[i%2]
+			w := ops5.NewWME(class, "x", i/2)
+			w.ID, w.TimeTag = i, i
+			changes = append(changes, rete.Change{Tag: rete.Add, WME: w})
+		}
+		rt.Apply(changes)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := rt.Repartition(rotatedPartition(64, 4, i%4+1)); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+
+	prog, err := ops5.ParseProgram(workloads.TourneyLike)
+	if err != nil {
+		b.Fatal(err)
+	}
+	net, err := rete.Compile(prog.Productions)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wmes, err := ops5.ParseWMEs(workloads.TourneyLikeWMEs(30, 25))
+	if err != nil {
+		b.Fatal(err)
+	}
+	changes := make([]rete.Change, len(wmes))
+	for i, w := range wmes {
+		w.ID, w.TimeTag = i+1, i+1
+		changes[i] = rete.Change{Tag: rete.Add, WME: w}
+	}
+	for _, s := range []struct {
+		name string
+		opts Options
+	}{
+		{"rotate", Options{Workers: 4, ForceMigrate: func(cycle int) sched.Partition {
+			return rotatedPartition(rete.DefaultNBuckets, 4, cycle)
+		}}},
+		{"adapt", Options{
+			Workers:   4,
+			Partition: make(sched.Partition, rete.DefaultNBuckets),
+			Rebalance: sched.Rebalance{Threshold: 1.01, MinInterval: 1},
+		}},
+		{"idle", Options{Workers: 4, Rebalance: sched.Rebalance{Threshold: 1e9, MinInterval: 1}}},
+	} {
+		b.Run(s.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				rt, err := New(net, s.opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rt.Apply(changes)
+				rt.Close()
+			}
+		})
 	}
 }

@@ -3,11 +3,8 @@ package server
 import (
 	"fmt"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
-
-	"mpcrete/internal/benchfmt"
 )
 
 // LoadSpec parameterizes a load run: Clients concurrent simulated
@@ -22,8 +19,29 @@ type LoadSpec struct {
 	// Batch folds assert-free run+snapshot into one batch round trip
 	// followed by a snapshot, exercising the batching path.
 	Batch bool
-	// Label prefixes the emitted benchmark names (default "load").
-	Label string
+}
+
+// LoadReport is the outcome of one load run. Sessions counts completed
+// lifecycles; Errors counts failed requests, each of which abandons its
+// lifecycle. Ops is in lifecycle order and ends with "session", the
+// whole open-to-close latency.
+type LoadReport struct {
+	Clients      int         `json:"clients"`
+	Sessions     int         `json:"sessions"`
+	Errors       int         `json:"errors"`
+	ElapsedS     float64     `json:"elapsed_s"`
+	SessionsPerS float64     `json:"sessions_per_s"`
+	Ops          []OpLatency `json:"ops"`
+}
+
+// OpLatency is the latency distribution of one operation across all
+// clients.
+type OpLatency struct {
+	Op     string  `json:"op"`
+	N      int     `json:"n"`
+	MeanNs float64 `json:"mean_ns"`
+	P50Ns  float64 `json:"p50_ns"`
+	P99Ns  float64 `json:"p99_ns"`
 }
 
 // latencies accumulates per-operation latency samples from all
@@ -64,19 +82,14 @@ func percentile(sorted []float64, q float64) float64 {
 }
 
 // RunLoad drives the load spec against the server behind c and returns
-// the latency/throughput report in the cmd/bench results schema: one
-// benchmark per operation (NsPerOp = mean latency; p50_ns/p99_ns in
-// Meta) plus a whole-lifecycle benchmark whose EventsPerSec is the
-// sustained sessions/sec across all clients.
-func RunLoad(c *Client, spec LoadSpec) (*benchfmt.File, error) {
+// the latency/throughput report. It fails only when no session
+// completed; a partly failed run reports its failures in Errors.
+func RunLoad(c *Client, spec LoadSpec) (*LoadReport, error) {
 	if spec.Clients <= 0 {
 		spec.Clients = 1
 	}
 	if spec.Sessions <= 0 {
 		spec.Sessions = 1
-	}
-	if spec.Label == "" {
-		spec.Label = "load"
 	}
 	lat := &latencies{byOp: make(map[string][]float64)}
 
@@ -143,35 +156,30 @@ func RunLoad(c *Client, spec LoadSpec) (*benchfmt.File, error) {
 		return nil, fmt.Errorf("server: load run completed no sessions (%d errors, last: %v)", lat.errs, lat.lastErr)
 	}
 
-	f := benchfmt.NewFile(false)
-	ops := make([]string, 0, len(lat.byOp))
-	for op := range lat.byOp {
-		ops = append(ops, op)
+	report := &LoadReport{
+		Clients:      spec.Clients,
+		Sessions:     completed,
+		Errors:       lat.errs,
+		ElapsedS:     elapsed.Seconds(),
+		SessionsPerS: float64(completed) / elapsed.Seconds(),
 	}
-	sort.Strings(ops)
-	for _, op := range ops {
+	for _, op := range []string{"open", "run", "batch", "snapshot", "close", "session"} {
 		samples := lat.byOp[op]
+		if len(samples) == 0 {
+			continue
+		}
 		sort.Float64s(samples)
 		var sum float64
 		for _, v := range samples {
 			sum += v
 		}
-		b := benchfmt.Benchmark{
-			Name:        spec.Label + "/" + op,
-			Iters:       len(samples),
-			NsPerOp:     sum / float64(len(samples)),
-			NsTolerance: 1.0, // wall-clock over HTTP: very noisy
-			Meta: map[string]string{
-				"clients": strconv.Itoa(spec.Clients),
-				"p50_ns":  strconv.FormatFloat(percentile(samples, 0.50), 'f', 0, 64),
-				"p99_ns":  strconv.FormatFloat(percentile(samples, 0.99), 'f', 0, 64),
-				"errors":  strconv.Itoa(lat.errs),
-			},
-		}
-		if op == "session" {
-			b.EventsPerSec = float64(completed) / elapsed.Seconds()
-		}
-		f.Add(b)
+		report.Ops = append(report.Ops, OpLatency{
+			Op:     op,
+			N:      len(samples),
+			MeanNs: sum / float64(len(samples)),
+			P50Ns:  percentile(samples, 0.50),
+			P99Ns:  percentile(samples, 0.99),
+		})
 	}
-	return f, nil
+	return report, nil
 }

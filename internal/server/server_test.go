@@ -441,27 +441,26 @@ func TestLoadGenerator(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunLoad: %v", err)
 	}
-	byName := map[string]bool{}
-	var sessionsSec float64
-	for _, b := range report.Benchmarks {
-		byName[b.Name] = true
-		if b.Meta["p99_ns"] == "" || b.Meta["p50_ns"] == "" {
-			t.Errorf("%s: missing percentile meta: %v", b.Name, b.Meta)
+	byOp := map[string]bool{}
+	for _, op := range report.Ops {
+		byOp[op.Op] = true
+		if op.P99Ns <= 0 || op.P50Ns <= 0 {
+			t.Errorf("%s: missing percentiles: %+v", op.Op, op)
 		}
-		if b.Name == "load/session" {
-			sessionsSec = b.EventsPerSec
-			if b.Iters != 12 {
-				t.Errorf("load/session iters = %d, want 12", b.Iters)
-			}
+		if op.Op == "session" && op.N != 12 {
+			t.Errorf("session n = %d, want 12", op.N)
 		}
 	}
-	for _, want := range []string{"load/open", "load/run", "load/snapshot", "load/close", "load/session"} {
-		if !byName[want] {
-			t.Errorf("report missing benchmark %s (have %v)", want, byName)
+	for _, want := range []string{"open", "run", "snapshot", "close", "session"} {
+		if !byOp[want] {
+			t.Errorf("report missing op %s (have %v)", want, byOp)
 		}
 	}
-	if sessionsSec <= 0 {
-		t.Errorf("load/session events/sec = %v, want > 0", sessionsSec)
+	if report.Sessions != 12 || report.Errors != 0 {
+		t.Errorf("sessions, errors = %d, %d, want 12, 0", report.Sessions, report.Errors)
+	}
+	if report.SessionsPerS <= 0 {
+		t.Errorf("sessions/sec = %v, want > 0", report.SessionsPerS)
 	}
 
 	// Batch mode exercises the batch endpoint instead of run.
@@ -470,13 +469,40 @@ func TestLoadGenerator(t *testing.T) {
 		t.Fatalf("RunLoad batch: %v", err)
 	}
 	found := false
-	for _, b := range report.Benchmarks {
-		if b.Name == "load/batch" {
+	for _, op := range report.Ops {
+		if op.Op == "batch" {
 			found = true
 		}
 	}
 	if !found {
-		t.Errorf("batch report missing load/batch benchmark")
+		t.Errorf("batch report missing batch op")
+	}
+
+	// A session limit below the client count: every close waits until
+	// all three opens are answered, so exactly one open is admitted and
+	// the other two are rejected with 429.
+	srv, _, _ := newTestServer(t, Config{
+		Workload:    workloads.NamedProgram{Name: "test", WMEs: testWMEs(2)},
+		MaxSessions: 1,
+	})
+	var opens sync.WaitGroup
+	opens.Add(3)
+	gated := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodDelete {
+			opens.Wait()
+		}
+		srv.Handler().ServeHTTP(w, r)
+		if r.Method == http.MethodPost && r.URL.Path == "/v1/sessions" {
+			opens.Done()
+		}
+	}))
+	defer gated.Close()
+	report, err = RunLoad(NewClient(gated.URL, gated.Client()), LoadSpec{Clients: 3, Sessions: 1})
+	if err != nil {
+		t.Fatalf("RunLoad over the session limit: %v", err)
+	}
+	if report.Sessions != 1 || report.Errors != 2 {
+		t.Errorf("sessions, errors = %d, %d, want 1, 2", report.Sessions, report.Errors)
 	}
 }
 

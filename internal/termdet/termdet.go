@@ -163,20 +163,22 @@ func (f *FourCounter) Check(prevSent, prevRecv int64) (sent, recv int64, done bo
 	return sent, recv, done
 }
 
-// WaitTerminated polls until termination is proven, yielding between
-// rounds via the provided function (e.g. runtime.Gosched or a sleep).
+// WaitTerminated polls until termination is proven, calling yield
+// between rounds (e.g. runtime.Gosched or a sleep). An error from
+// yield ends the wait and is returned: a caller that knows messages
+// were lost, so the totals can never balance, leaves through it.
 // Intended for workloads that are already draining; it spins
 // otherwise.
-func (f *FourCounter) WaitTerminated(yield func()) {
+func (f *FourCounter) WaitTerminated(yield func() error) error {
 	prevS, prevR := int64(-1), int64(-1)
 	for {
 		s, r, done := f.Check(prevS, prevR)
 		if done {
-			return
+			return nil
 		}
 		prevS, prevR = s, r
-		if yield != nil {
-			yield()
+		if err := yield(); err != nil {
+			return err
 		}
 	}
 }

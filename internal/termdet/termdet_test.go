@@ -113,7 +113,9 @@ func TestFourCounterDetectsTermination(t *testing.T) {
 	counts[0].IncSent() // initial injection counts as a send
 	chB <- 50
 
-	det.WaitTerminated(func() { runtime.Gosched() })
+	if err := det.WaitTerminated(func() error { runtime.Gosched(); return nil }); err != nil {
+		t.Fatal(err)
+	}
 	s, r := det.Poll()
 	if s != r {
 		t.Errorf("after termination sent=%d recv=%d", s, r)

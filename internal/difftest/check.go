@@ -198,6 +198,18 @@ func compileVariant(prods []*ops5.Production, variant string) (*rete.Network, er
 	return rete.CompileVariant(prods, variant)
 }
 
+// seqBuild builds the sequential matcher over a network variant with
+// the given memory size.
+func seqBuild(variant string, nbuckets int) func([]*ops5.Production, CheckOptions) (built, error) {
+	return func(prods []*ops5.Production, _ CheckOptions) (built, error) {
+		net, err := compileVariant(prods, variant)
+		if err != nil {
+			return built{}, err
+		}
+		return built{net: net, matcher: rete.NewMatcher(net, rete.MatcherOptions{NBuckets: nbuckets})}, nil
+	}
+}
+
 // seqConfig is a sequential-matcher configuration over a network
 // variant.
 func seqConfig(variant string) config {
@@ -205,14 +217,15 @@ func seqConfig(variant string) config {
 	if variant != "shared" {
 		name = "seq-" + variant
 	}
-	return config{name: name, build: func(prods []*ops5.Production, _ CheckOptions) (built, error) {
-		net, err := compileVariant(prods, variant)
-		if err != nil {
-			return built{}, err
-		}
-		return built{net: net, matcher: rete.NewMatcher(net, rete.MatcherOptions{NBuckets: checkNBuckets})}, nil
-	}}
+	return config{name: name, build: seqBuild(variant, checkNBuckets)}
 }
+
+// seqLinear is the sequential matcher over the shared network with
+// linear memories (one bucket): the only row whose answer does not
+// depend on rete.HashKey. Every other row hashes with the same
+// function, so a key that separates two Equal values makes them all
+// miss the same join and agree; this row still finds it.
+var seqLinear = config{name: "seq-linear", build: seqBuild("shared", 1)}
 
 // carrier names what moves a parallel configuration's messages.
 type carrier int
@@ -349,7 +362,8 @@ func runtimeConfig(c carrier, sch schedule, workers int, routed bool, variant st
 }
 
 // configMatrix is the full run matrix: the sequential reference comes
-// first, then the sequential network variants, the parallel sweep over
+// first, then the same network on linear memories and the sequential
+// network variants, the parallel sweep over
 // worker counts and both message-plane modes, and cross-variant
 // parallel runs (a routed copy-and-constraint runtime is the paper's
 // Fig 3-2 machine executing a Section 5.2.2 network). With opts.TCP
@@ -367,6 +381,7 @@ func configMatrix(opts CheckOptions) []config {
 	}
 	configs := []config{
 		seqConfig("shared"),
+		seqLinear,
 		seqConfig("unshared"),
 		seqConfig("candc"),
 		seqConfig("bounded"),

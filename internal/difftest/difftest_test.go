@@ -202,7 +202,7 @@ func (f filterMatcher) Apply(changes []rete.Change) []rete.InstChange {
 	out := f.inner.Apply(changes)
 	kept := out[:0]
 	for _, ic := range out {
-		if ic.Prod.Name != f.drop {
+		if ic.Info.Prod.Name != f.drop {
 			kept = append(kept, ic)
 		}
 	}

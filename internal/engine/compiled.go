@@ -12,8 +12,8 @@ import (
 // This file implements the compiled / per-session state split that the
 // multi-tenant server (internal/server, cmd/ops5d) is built on: one
 // Compiled holds everything that is immutable once a program is
-// compiled — the Rete network, production metadata, and the
-// specificity table — and any number of Sessions share it read-only,
+// compiled — the Rete network and production metadata — and any
+// number of Sessions share it read-only,
 // each owning only its mutable half (working memory, token memories,
 // conflict set, counters). engine.New remains a thin wrapper that
 // compiles a private Compiled and opens its single session, so
@@ -42,7 +42,6 @@ type CompileOptions struct {
 type Compiled struct {
 	prog *ops5.Program
 	net  *rete.Network
-	spec map[string]int // production name -> specificity (read-only)
 }
 
 // Compile compiles a program into a shareable Compiled.
@@ -57,14 +56,12 @@ func Compile(prog *ops5.Program, opts CompileOptions) (*Compiled, error) {
 // NewCompiled wraps a pre-compiled (possibly transformed) network for
 // the same program as a shareable Compiled.
 func NewCompiled(prog *ops5.Program, net *rete.Network) (*Compiled, error) {
-	c := &Compiled{prog: prog, net: net, spec: make(map[string]int, len(prog.Productions))}
 	for _, p := range prog.Productions {
 		if net.Prods[p.Name] == nil {
 			return nil, fmt.Errorf("engine: network lacks production %q", p.Name)
 		}
-		c.spec[p.Name] = specificity(p)
 	}
-	return c, nil
+	return &Compiled{prog: prog, net: net}, nil
 }
 
 // Program returns the compiled program.
@@ -73,9 +70,6 @@ func (c *Compiled) Program() *ops5.Program { return c.prog }
 // Network returns the compiled Rete network (shared, read-only during
 // matching).
 func (c *Compiled) Network() *rete.Network { return c.net }
-
-// Specificity returns the LHS test count of the named production.
-func (c *Compiled) Specificity(name string) int { return c.spec[name] }
 
 // SessionOptions configure one Session over a Compiled. The zero value
 // is a ready default: LEX strategy, default bucket count, discarded

@@ -17,8 +17,8 @@ import (
 //
 // Both rewrite the compiled network, so they are only legal on the
 // private single-session engines made by New/NewWithNetwork. Sessions
-// opened with Compiled.NewSession share their network (and specificity
-// table) with sibling sessions and refuse with errSharedNetwork.
+// opened with Compiled.NewSession share their network with sibling
+// sessions and refuse with errSharedNetwork.
 
 // errSharedNetwork explains why a multi-tenant session cannot rewrite
 // its network.
@@ -36,7 +36,6 @@ func (e *Session) ExciseProduction(name string) error {
 	if err := e.c.net.Excise(name); err != nil {
 		return err
 	}
-	delete(e.c.spec, name)
 	for key, in := range e.conflict {
 		if in.Prod.Name == name {
 			delete(e.conflict, key)
@@ -69,7 +68,6 @@ func (e *Session) AddProductionLive(p *ops5.Production) error {
 	if err != nil {
 		return err
 	}
-	e.c.spec[p.Name] = specificity(p)
 	e.c.prog.Productions = append(e.c.prog.Productions, p)
 
 	allowed := make(map[*rete.Node]bool, len(nodes))
@@ -87,19 +85,6 @@ func (e *Session) AddProductionLive(p *ops5.Production) error {
 	for _, id := range ids {
 		changes = append(changes, rete.Change{Tag: rete.Add, WME: e.wm[id]})
 	}
-	for _, ic := range m.ApplyFiltered(changes, func(n *rete.Node) bool { return allowed[n] }) {
-		key := ic.Key()
-		if ic.Tag == rete.Add {
-			e.conflict[key] = &Instantiation{
-				Prod:     ic.Prod,
-				WMEs:     ic.WMEs,
-				TimeTags: ic.TimeTags,
-				key:      key,
-				spec:     e.c.spec[ic.Prod.Name],
-			}
-		} else {
-			delete(e.conflict, key)
-		}
-	}
+	e.absorb(m.ApplyFiltered(changes, func(n *rete.Node) bool { return allowed[n] }))
 	return nil
 }

@@ -99,7 +99,7 @@ type Instantiation struct {
 	// TimeTags are sorted ascending.
 	TimeTags []int
 	key      string
-	spec     int // specificity: number of LHS tests
+	info     *rete.ProdInfo // Prod's compilation record
 }
 
 // Key identifies the instantiation (production name + wme IDs).
@@ -122,12 +122,17 @@ type Session struct {
 	shared   bool
 	wm       map[int]*ops5.WME
 	conflict map[string]*Instantiation
-	pending  []rete.Change
-	nextID   int
-	timetag  int
-	fired    int
-	halted   bool
-	closed   bool
+	// pending collects the wme changes of the next match phase; spare is
+	// the previous phase's buffer, swapped back in by match. keyBuf is
+	// the scratch each conflict-set delta's key is built in.
+	pending []rete.Change
+	spare   []rete.Change
+	keyBuf  []byte
+	nextID  int
+	timetag int
+	fired   int
+	halted  bool
+	closed  bool
 }
 
 // New compiles a program and returns a ready single-tenant engine. The
@@ -153,19 +158,6 @@ func NewWithNetwork(prog *ops5.Program, net *rete.Network, opts Options) (*Sessi
 	e := c.NewSession(opts.sessionOptions())
 	e.shared = false
 	return e, nil
-}
-
-// specificity counts the LHS tests of a production: one for each class
-// filter plus one per term.
-func specificity(p *ops5.Production) int {
-	n := 0
-	for _, ce := range p.LHS {
-		n++ // class test
-		for _, at := range ce.Tests {
-			n += len(at.Terms)
-		}
-	}
-	return n
 }
 
 // Compiled returns the shared immutable half of this session.
@@ -297,7 +289,7 @@ func (e *Session) removeWME(w *ops5.WME) {
 // working memory and the conflict set.
 func (e *Session) match() {
 	changes := e.pending
-	e.pending = nil
+	e.pending = e.spare[:0]
 	for _, ch := range changes {
 		if ch.Tag == rete.Add {
 			e.wm[ch.WME.ID] = ch.WME
@@ -305,18 +297,31 @@ func (e *Session) match() {
 			delete(e.wm, ch.WME.ID)
 		}
 	}
-	for _, ic := range e.matcher.Apply(changes) {
-		key := ic.Key()
+	e.absorb(e.matcher.Apply(changes))
+	// No matcher keeps the slice past Apply, so the next phase but one
+	// fills it again; cleared, it does not hold deleted wmes meanwhile.
+	clear(changes)
+	e.spare = changes
+}
+
+// absorb applies a match phase's deltas to the conflict set. Each
+// delta's key is built once, in keyBuf; a delete looks it up as bytes
+// and only an add, which must store it, makes the string.
+func (e *Session) absorb(deltas []rete.InstChange) {
+	for i := range deltas {
+		ic := &deltas[i]
+		e.keyBuf = ic.AppendKey(e.keyBuf[:0])
 		if ic.Tag == rete.Add {
+			key := string(e.keyBuf)
 			e.conflict[key] = &Instantiation{
-				Prod:     ic.Prod,
+				Prod:     ic.Info.Prod,
 				WMEs:     ic.WMEs,
 				TimeTags: ic.TimeTags,
 				key:      key,
-				spec:     e.c.spec[ic.Prod.Name],
+				info:     ic.Info,
 			}
-		} else {
-			delete(e.conflict, key)
+		} else if in, ok := e.conflict[string(e.keyBuf)]; ok {
+			delete(e.conflict, in.key) // the stored key: string(keyBuf) here would allocate
 		}
 	}
 }
@@ -409,8 +414,8 @@ func (e *Session) better(a, b *Instantiation) bool {
 	if c := compareRecency(a.TimeTags, b.TimeTags); c != 0 {
 		return c > 0
 	}
-	if a.spec != b.spec {
-		return a.spec > b.spec
+	if a.info.Specificity != b.info.Specificity {
+		return a.info.Specificity > b.info.Specificity
 	}
 	// Deterministic final tie-break.
 	if a.Prod.Name != b.Prod.Name {
@@ -467,7 +472,7 @@ func compareRecency(a, b []int) int {
 
 // act executes the RHS of the fired instantiation.
 func (e *Session) act(in *Instantiation) error {
-	info := e.c.net.Prods[in.Prod.Name]
+	info := in.info
 	local := map[string]ops5.Value{}
 
 	lookup := func(v string) (ops5.Value, error) {

@@ -12,6 +12,7 @@ package ops5
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -104,8 +105,9 @@ func (v Value) String() string {
 	}
 }
 
-// Key returns a canonical encoding of the value, distinct across kinds,
-// suitable for use as part of a hash key.
+// Key returns a canonical text encoding of the value, distinct across
+// kinds. It keys compile-time structures (alpha-pattern sharing); the
+// match-time bucket hash is HashFNV, which folds different bytes.
 func (v Value) Key() string {
 	switch v.Kind {
 	case KindSym:
@@ -119,9 +121,21 @@ func (v Value) Key() string {
 
 const fnvPrime64 = 1099511628211
 
-// HashFNV folds the value's canonical Key() encoding into a running
-// FNV-1a hash without materializing the string — the hot-path
-// equivalent of hashing Key()'s bytes, producing identical hashes.
+// HashFNV folds the value into a running FNV-1a hash, byte by byte and
+// without allocating. The contract is the one hashed memories rest on:
+// values that are Equal fold alike, and values of different kinds fold
+// different bytes (the symbol "3" and the number 3 carry different
+// prefixes).
+//
+// A symbol folds as 's' ':' and its bytes. A number folds as 'n' ':'
+// and the eight little-endian bytes of its IEEE-754 bit pattern, after
+// two adjustments. -0 is folded as +0, because Equal says they are the
+// same number. And the bits are passed through the splitmix64
+// finaliser first: FNV-1a's low k output bits depend only on the low k
+// bits of each input byte, a small integer as a float64 has six zero
+// low bytes and an even seventh, and a bucket is the key's low bits —
+// unmixed, nearly every numeric key of a node would land in the same
+// few buckets, and on the same worker of a round-robin partition.
 func (v Value) HashFNV(h uint64) uint64 {
 	switch v.Kind {
 	case KindSym:
@@ -133,15 +147,29 @@ func (v Value) HashFNV(h uint64) uint64 {
 	case KindNum:
 		h = (h ^ 'n') * fnvPrime64
 		h = (h ^ ':') * fnvPrime64
-		var buf [32]byte
-		b := strconv.AppendFloat(buf[:0], v.Num, 'b', -1, 64)
-		for i := 0; i < len(b); i++ {
-			h = (h ^ uint64(b[i])) * fnvPrime64
+		x := numHashBits(v.Num)
+		for i := 0; i < 8; i++ {
+			h = (h ^ uint64(byte(x>>(8*i)))) * fnvPrime64
 		}
 	default:
 		h = (h ^ '_') * fnvPrime64
 	}
 	return h
+}
+
+// numHashBits is the bit pattern HashFNV folds for a number: -0
+// normalised to +0, then the splitmix64 finaliser.
+func numHashBits(f float64) uint64 {
+	if f == 0 {
+		f = 0 // -0 == 0 is true; the assignment drops the sign
+	}
+	x := math.Float64bits(f)
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return x
 }
 
 // PredOp enumerates the OPS5 predicate operators.

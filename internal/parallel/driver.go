@@ -458,13 +458,15 @@ func (d *Driver) FlightDump() *obs.FlightDump {
 // phase an instantiation may be added and deleted several times (e.g.
 // through negative-node transients whose interleaving is
 // order-dependent); only the net effect is meaningful, and netting
-// makes the result independent of worker scheduling. The index map and
-// accumulator slices are scratch reused across cycles; the returned
+// makes the result independent of worker scheduling. The index map,
+// accumulators and key buffer are scratch reused across cycles — a key
+// becomes a string only the first time the phase sees it; the returned
 // slice is freshly allocated (callers may retain it).
 type netter struct {
 	idx  map[string]int
 	accs []netAcc
 	keys []string
+	kbuf []byte
 }
 
 type netAcc struct {
@@ -484,9 +486,10 @@ func (n *netter) net(raw []rete.InstChange) []rete.InstChange {
 	n.accs = n.accs[:0]
 	n.keys = n.keys[:0]
 	for _, ic := range raw {
-		k := ic.Key()
-		i, ok := n.idx[k]
+		n.kbuf = ic.AppendKey(n.kbuf[:0])
+		i, ok := n.idx[string(n.kbuf)]
 		if !ok {
+			k := string(n.kbuf)
 			i = len(n.accs)
 			n.idx[k] = i
 			n.accs = append(n.accs, netAcc{})
@@ -500,20 +503,28 @@ func (n *netter) net(raw []rete.InstChange) []rete.InstChange {
 		}
 		a.last = ic
 	}
+	standing := 0
+	for i := range n.accs {
+		if n.accs[i].net != 0 {
+			standing++
+		}
+	}
+	if standing == 0 {
+		return nil
+	}
 	sort.Strings(n.keys)
-	var out []rete.InstChange
+	out := make([]rete.InstChange, 0, standing)
 	for _, k := range n.keys {
 		a := &n.accs[n.idx[k]]
-		switch {
-		case a.net > 0:
-			ic := a.last
-			ic.Tag = rete.Add
-			out = append(out, ic)
-		case a.net < 0:
-			ic := a.last
-			ic.Tag = rete.Delete
-			out = append(out, ic)
+		if a.net == 0 {
+			continue
 		}
+		ic := a.last
+		ic.Tag = rete.Add
+		if a.net < 0 {
+			ic.Tag = rete.Delete
+		}
+		out = append(out, ic)
 	}
 	return out
 }

@@ -475,7 +475,7 @@ func TestNetInsts(t *testing.T) {
 	w := ops5.NewWME("a", "v", 1)
 	w.ID = 7
 	mk := func(tag rete.Tag) rete.InstChange {
-		return rete.InstChange{Tag: tag, Prod: p, WMEs: []*ops5.WME{w}}
+		return rete.InstChange{Tag: tag, Info: &rete.ProdInfo{Prod: p}, WMEs: []*ops5.WME{w}}
 	}
 	// One netter across all three calls, as the driver reuses its scratch
 	// across cycles.

@@ -21,9 +21,13 @@ type Step struct {
 
 	// localQ is the FIFO of locally-owned activations, drained
 	// breadth-first (see drainLocal); rootScratch is the constant-test
-	// scratch.
+	// scratch and succScratch one activation's successors. instActs
+	// holds the turn's production-node activations, in production order,
+	// until EndTurn builds their deltas in one pass.
 	localQ      []queuedAct
 	rootScratch []rete.Activation
+	succScratch []rete.Activation
+	instActs    []rete.Activation
 
 	// Out[dst] holds the successor activations bound for worker dst and
 	// Pending their total; Moved holds the nonempty buckets a
@@ -120,9 +124,12 @@ func (s *Step) BeginTurn(ts int64, cycle int32) {
 	s.turn.Loads = s.turn.Loads[:0]
 }
 
-// EndTurn closes the turn and returns what it produced. The result is
-// valid until the next BeginTurn.
+// EndTurn closes the turn and returns what it produced: the deltas of
+// the turn's production-node activations are built here, in one batch.
+// The result is valid until the next BeginTurn.
 func (s *Step) EndTurn() *Turn {
+	s.turn.Insts = rete.BuildInsts(s.instActs, s.turn.Insts)
+	s.instActs = s.instActs[:0]
 	for _, b := range s.dirty {
 		s.turn.Loads = append(s.turn.Loads, BucketLoad{Bucket: b, N: s.bucketLoad[b]})
 		s.bucketLoad[b] = 0
@@ -202,7 +209,7 @@ func (s *Step) drainLocal() {
 func (s *Step) processOne(act rete.Activation, bucket int, depth int32) {
 	if act.Node.Kind == rete.KindProduction {
 		// A root activation of a single-CE production.
-		s.turn.Insts = append(s.turn.Insts, s.proc.BuildInst(act))
+		s.instActs = append(s.instActs, act)
 		return
 	}
 	s.turn.Handled++
@@ -217,24 +224,21 @@ func (s *Step) processOne(act rete.Activation, bucket int, depth int32) {
 	}
 
 	fanout := int32(0)
-	s.proc.ProcessAt(act, bucket,
-		func(child rete.Activation) {
-			if child.Node.Kind == rete.KindProduction {
-				s.turn.Insts = append(s.turn.Insts, s.proc.BuildInst(child))
-				return
-			}
-			fanout++
-			b := s.proc.Bucket(child)
-			owner := s.part[b]
-			if owner == s.id {
-				s.localQ = append(s.localQ, queuedAct{act: child, bucket: int32(b), depth: depth + 1})
-				return
-			}
-			s.Out[owner] = append(s.Out[owner], Message{Kind: MsgAct, Bucket: int32(b), Depth: depth + 1, Act: child})
-			s.Pending++
-		},
-		func(rete.InstChange) {
-			panic("parallel: unexpected instantiation emission")
-		})
+	s.succScratch = s.proc.ProcessAt(act, bucket, s.succScratch[:0])
+	for _, child := range s.succScratch {
+		if child.Node.Kind == rete.KindProduction {
+			s.instActs = append(s.instActs, child)
+			continue
+		}
+		fanout++
+		b := s.proc.Bucket(child)
+		owner := s.part[b]
+		if owner == s.id {
+			s.localQ = append(s.localQ, queuedAct{act: child, bucket: int32(b), depth: depth + 1})
+			continue
+		}
+		s.Out[owner] = append(s.Out[owner], Message{Kind: MsgAct, Bucket: int32(b), Depth: depth + 1, Act: child})
+		s.Pending++
+	}
 	s.ctrack.Handle(s.turnTS, s.turnCycle, int32(bucket), depth, fanout)
 }

@@ -272,7 +272,6 @@ func (net *Network) addProductionBounded(p *ops5.Production) (*ProdInfo, error) 
 	}
 
 	pn := net.newNode(KindProduction)
-	pn.Prod = p
 	pn.Parent = prev
 	pn.LeftLen = nPos
 	pn.TokenLen = nPos
@@ -280,9 +279,7 @@ func (net *Network) addProductionBounded(p *ops5.Production) (*ProdInfo, error) 
 	prev.Succs = append(prev.Succs, pn)
 	g.terminal = pn
 	info.Node = pn
-
-	net.Prods[p.Name] = info
-	net.ProdOrder = append(net.ProdOrder, p.Name)
+	net.register(info)
 	return info, nil
 }
 
@@ -306,14 +303,14 @@ func boundedKeyGreater(a, b [4]int) bool {
 // collectors of one group emit each instantiation exactly once: on
 // adds, only the last-processed of its activations sees every position
 // populated; on deletes, only the first-processed still does.
-func (p *Processor) processBounded(a Activation, b int, emit func(Activation)) {
+func (p *Processor) processBounded(a Activation, b int, out []Activation) []Activation {
 	n := a.Node
 	if a.Tag == Add {
 		p.right.addRight(b, n, a.WME)
 	} else if p.right.removeRight(b, n, a.WME.ID) == nil {
 		// Duplicate delete: the first removal already unwound every
 		// instantiation this wme participated in.
-		return
+		return out
 	}
 	g := n.group
 	if cap(p.bstack) < g.nPos {
@@ -342,38 +339,36 @@ func (p *Processor) processBounded(a Activation, b int, emit func(Activation)) {
 	// fill itself means no instantiation can complete: skip the DFS.
 	for pos := 0; pos < g.nPos; pos++ {
 		if len(p.bmem[pos]) == 0 && (n.bNeg || g.members[pos] != n) {
-			return
+			return out
 		}
 	}
 
 	if n.bNeg {
-		p.boundedEnumNeg(g, n, 0, a, emit)
-	} else {
-		p.boundedEnumPos(g, n, 0, a, emit)
+		return p.boundedEnumNeg(g, n, 0, a, out)
 	}
+	return p.boundedEnumPos(g, n, 0, a, out)
 }
 
 // boundedEnumPos extends the DFS stack at join position pos, with the
 // activated wme pinned at pin's position. At a full stack the
 // instantiation exists unless some negated collector has a matching
 // wme.
-func (p *Processor) boundedEnumPos(g *boundedGroup, pin *Node, pos int, a Activation, emit func(Activation)) {
+func (p *Processor) boundedEnumPos(g *boundedGroup, pin *Node, pos int, a Activation, out []Activation) []Activation {
 	if pos == g.nPos {
 		for _, m := range g.members[g.nPos:] {
 			if p.boundedNegCount(m, nil) > 0 {
-				return
+				return out
 			}
 		}
-		p.boundedEmit(g, a.Tag, emit)
-		return
+		return p.boundedEmit(g, a.Tag, out)
 	}
 	m := g.members[pos]
 	if m == pin {
 		if p.boundedTests(m, a.WME) {
 			p.bstack[pos] = a.WME
-			p.boundedEnumPos(g, pin, pos+1, a, emit)
+			out = p.boundedEnumPos(g, pin, pos+1, a, out)
 		}
-		return
+		return out
 	}
 	for _, w := range p.bmem[pos] {
 		if !p.boundedTests(m, w) {
@@ -383,8 +378,9 @@ func (p *Processor) boundedEnumPos(g *boundedGroup, pin *Node, pos int, a Activa
 			continue
 		}
 		p.bstack[pos] = w
-		p.boundedEnumPos(g, pin, pos+1, a, emit)
+		out = p.boundedEnumPos(g, pin, pos+1, a, out)
 	}
+	return out
 }
 
 // boundedEnumNeg enumerates the positive instantiations whose negation
@@ -395,22 +391,21 @@ func (p *Processor) boundedEnumPos(g *boundedGroup, pin *Node, pos int, a Activa
 // already stored, on Delete already gone), and every other negated
 // collector is empty for this stack. An add of a blocking wme deletes
 // the instantiation; a delete revives it.
-func (p *Processor) boundedEnumNeg(g *boundedGroup, negm *Node, pos int, a Activation, emit func(Activation)) {
+func (p *Processor) boundedEnumNeg(g *boundedGroup, negm *Node, pos int, a Activation, out []Activation) []Activation {
 	if pos == g.nPos {
 		if p.boundedNegCount(negm, a.WME) > 0 {
-			return
+			return out
 		}
 		for _, m := range g.members[g.nPos:] {
 			if m != negm && p.boundedNegCount(m, nil) > 0 {
-				return
+				return out
 			}
 		}
 		tag := Delete
 		if a.Tag == Delete {
 			tag = Add
 		}
-		p.boundedEmit(g, tag, emit)
-		return
+		return p.boundedEmit(g, tag, out)
 	}
 	m := g.members[pos]
 	for _, w := range p.bmem[pos] {
@@ -421,8 +416,9 @@ func (p *Processor) boundedEnumNeg(g *boundedGroup, negm *Node, pos int, a Activ
 			continue
 		}
 		p.bstack[pos] = w
-		p.boundedEnumNeg(g, negm, pos+1, a, emit)
+		out = p.boundedEnumNeg(g, negm, pos+1, a, out)
 	}
+	return out
 }
 
 // boundedTests reports whether w can fill collector m's join position
@@ -465,8 +461,8 @@ func (p *Processor) boundedNegCount(m *Node, exclude *ops5.WME) int {
 
 // boundedEmit materializes the completed stack as an arena-carved token
 // and emits it to the group's production node.
-func (p *Processor) boundedEmit(g *boundedGroup, tag Tag, emit func(Activation)) {
+func (p *Processor) boundedEmit(g *boundedGroup, tag Tag, out []Activation) []Activation {
 	t := p.arena.newToken(g.nPos)
 	copy(t.WMEs, p.bstack)
-	emit(Activation{Node: g.terminal, Side: Left, Tag: tag, Token: t})
+	return append(out, Activation{Node: g.terminal, Side: Left, Tag: tag, Token: t})
 }

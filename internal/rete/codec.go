@@ -209,7 +209,7 @@ func EncodeNetwork(w io.Writer, net *Network) error {
 			nw.str(t.LeftAttr)
 		}
 		if n.Kind == KindProduction {
-			nw.str(n.Prod.Name)
+			nw.str(n.Info.Prod.Name)
 		}
 		nw.str(n.shareKey)
 	}
@@ -501,19 +501,6 @@ func DecodeNetwork(r io.Reader) (*Network, error) {
 			n.Succs = append(n.Succs, s)
 		}
 	}
-	byName := map[string]*ops5.Production{}
-	for _, p := range prods {
-		byName[p.Name] = p
-	}
-	for i, n := range net.Nodes {
-		if n.Kind == KindProduction {
-			p, ok := byName[prodNames[i]]
-			if !ok {
-				return nil, fmt.Errorf("rete: production node references unknown production %q", prodNames[i])
-			}
-			n.Prod = p
-		}
-	}
 	for _, rr := range routes {
 		n, err := nodeAt(rr.node)
 		if err != nil {
@@ -531,6 +518,9 @@ func DecodeNetwork(r io.Reader) (*Network, error) {
 		}
 		if info.Node, err = nodeAt(int(nid)); err != nil {
 			return nil, err
+		}
+		if info.Node.Kind != KindProduction || prodNames[nid] != p.Name {
+			return nil, fmt.Errorf("rete: production %q names node %d, which is not its terminal", p.Name, nid)
 		}
 		nvars, err := nr.intn(1 << 16)
 		if err != nil {
@@ -588,8 +578,12 @@ func DecodeNetwork(r io.Reader) (*Network, error) {
 			}
 			info.Node.group = g
 		}
-		net.Prods[p.Name] = info
-		net.ProdOrder = append(net.ProdOrder, p.Name)
+		net.register(info)
+	}
+	for i, n := range net.Nodes {
+		if n.Kind == KindProduction && n.Info == nil {
+			return nil, fmt.Errorf("rete: production node references unknown production %q", prodNames[i])
+		}
 	}
 	return net, nil
 }

@@ -84,7 +84,7 @@ func TestNetworkCodecPreservesTransformations(t *testing.T) {
 		// The cross production's join: no tests at all (the c^k joins
 		// of the shared productions also lack eq tests but are keyed
 		// to constant-test alphas).
-		if n.Kind == KindJoin && len(n.Tests) == 0 && n.Prod == nil && len(n.Succs) == 1 && n.Succs[0].Prod != nil && n.Succs[0].Prod.Name == "cross" {
+		if n.Kind == KindJoin && len(n.Tests) == 0 && n.Info == nil && len(n.Succs) == 1 && n.Succs[0].Info != nil && n.Succs[0].Info.Prod.Name == "cross" {
 			cross = n
 		}
 	}

@@ -30,7 +30,7 @@ func WriteDOT(w io.Writer, net *Network) error {
 		}
 		switch n.Kind {
 		case KindProduction:
-			fmt.Fprintf(&b, "  n%d [shape=doubleoctagon, label=\"%s\"];\n", n.ID, n.Prod.Name)
+			fmt.Fprintf(&b, "  n%d [shape=doubleoctagon, label=\"%s\"];\n", n.ID, n.Info.Prod.Name)
 		case KindNegative:
 			fmt.Fprintf(&b, "  n%d [shape=ellipse, label=\"not n%d\\n%s\"];\n", n.ID, n.ID, testsLabel(n))
 		case KindDummy:

@@ -107,8 +107,8 @@ func TestApplyFilteredPrimesOnlyNewNodes(t *testing.T) {
 	// 2 a-wmes x 2 b-wmes instantiations for the new production.
 	adds := 0
 	for _, ic := range out {
-		if ic.Prod.Name != "added" {
-			t.Errorf("priming produced instantiation for %s", ic.Prod.Name)
+		if ic.Info.Prod.Name != "added" {
+			t.Errorf("priming produced instantiation for %s", ic.Info.Prod.Name)
 		}
 		if ic.Tag == Add {
 			adds++

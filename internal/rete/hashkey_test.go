@@ -2,23 +2,29 @@ package rete
 
 import (
 	"hash/fnv"
+	"math"
+	"math/bits"
+	"math/rand"
 	"testing"
 
 	"mpcrete/internal/ops5"
 )
 
-// refHashKey is the original hash/fnv-based implementation; the
-// inlined HashKey must keep producing identical keys so bucket
-// assignments (and with them traces, partition statistics, and the
-// distributed runtime's routing) are stable across the optimization.
+// refHashKey is HashKey written the slow way: the canonical bytes of
+// the activation, spelled out, through the library's FNV-1a. It pins
+// the inlined hash to hash/fnv and the byte layout to its
+// documentation: node id, then per equality test a kind prefix, the
+// value's bytes and a zero separator.
 func refHashKey(n *Node, side Side, t *Token, w *ops5.WME) uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
-	id := uint64(n.ID)
-	for i := 0; i < 8; i++ {
-		buf[i] = byte(id >> (8 * i))
+	le64 := func(x uint64) []byte {
+		var buf [8]byte
+		for i := range buf {
+			buf[i] = byte(x >> (8 * i))
+		}
+		return buf[:]
 	}
-	h.Write(buf[:])
+	h := fnv.New64a()
+	h.Write(le64(uint64(n.ID)))
 	for _, jt := range n.EqTests {
 		var v ops5.Value
 		if side == Left {
@@ -26,36 +32,43 @@ func refHashKey(n *Node, side Side, t *Token, w *ops5.WME) uint64 {
 		} else {
 			v = w.Get(jt.RightAttr)
 		}
-		h.Write([]byte(v.Key()))
+		switch v.Kind {
+		case ops5.KindSym:
+			h.Write([]byte("s:" + v.Sym))
+		case ops5.KindNum:
+			x := math.Float64bits(v.Num)
+			if v.Num == 0 {
+				x = 0 // -0 folds as +0
+			}
+			// splitmix64 finaliser
+			x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+			x = (x ^ x>>27) * 0x94d049bb133111eb
+			x ^= x >> 31
+			h.Write([]byte("n:"))
+			h.Write(le64(x))
+		default:
+			h.Write([]byte("_"))
+		}
 		h.Write([]byte{0})
 	}
 	return h.Sum64()
 }
 
 func TestHashKeyMatchesFNVReference(t *testing.T) {
-	var prods []*ops5.Production
-	for _, src := range []string{
+	net := compileT(t, []string{
 		`(p join (a ^x <v> ^y <u>) (b ^x <v> ^z <u>) --> (halt))`,
 		`(p nums (c ^n <m>) (d ^n <m>) --> (halt))`,
 		`(p cross (a ^x <v>) (d ^q <r>) --> (halt))`,
-	} {
-		p, err := ops5.ParseProduction(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prods = append(prods, p)
-	}
-	net, err := Compile(prods)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	proc := NewProcessor(net, 64)
 	wmes := []*ops5.WME{
 		ops5.NewWME("a", "x", "red", "y", 3),
 		ops5.NewWME("a", "x", 2.5, "y", "blue"),
+		ops5.NewWME("a", "x", math.Copysign(0, -1)), // ^y absent: the nil value
 		ops5.NewWME("b", "x", "red", "z", 3),
 		ops5.NewWME("c", "n", -17),
 		ops5.NewWME("d", "n", -17, "q", "deep"),
+		ops5.NewWME("d", "n", 1e300),
 	}
 	checked := 0
 	for i, w := range wmes {
@@ -69,5 +82,167 @@ func TestHashKeyMatchesFNVReference(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("no root activations generated")
+	}
+}
+
+// joinNodeT returns the network's first join node.
+func joinNodeT(t *testing.T, net *Network) *Node {
+	t.Helper()
+	for _, n := range net.Nodes {
+		if n.Kind == KindJoin {
+			return n
+		}
+	}
+	t.Fatal("no join node")
+	return nil
+}
+
+// TestHashKeyConsistentAcrossSides is the contract hashed memories rest
+// on: a left token and a right wme that pass a node's equality tests
+// hash to the same key — whatever spelling the equal values arrived in.
+func TestHashKeyConsistentAcrossSides(t *testing.T) {
+	net := compileT(t, []string{`(p x (a ^k <v> ^j <u>) (b ^k <v> ^j <u>) --> (halt))`})
+	join, proc := joinNodeT(t, net), NewProcessor(net, 1)
+	keys := func(l, r *ops5.WME) (uint64, uint64) {
+		return HashKey(join, Left, &Token{WMEs: []*ops5.WME{l}}, nil), HashKey(join, Right, nil, r)
+	}
+
+	// Random values of every kind: whenever the pair passes the tests,
+	// the keys agree.
+	rng := rand.New(rand.NewSource(1))
+	pool := []ops5.Value{
+		{}, ops5.S("red"), ops5.S("3"), ops5.N(3), ops5.N(0), ops5.N(math.Copysign(0, -1)),
+		ops5.N(-17), ops5.N(2.5), ops5.N(1e300), ops5.N(math.Inf(1)),
+	}
+	for i := 0; i < 20; i++ {
+		pool = append(pool, ops5.N(float64(rng.Intn(64))), ops5.N(rng.NormFloat64()))
+	}
+	pick := func() ops5.Value { return pool[rng.Intn(len(pool))] }
+	// twin returns v, another spelling of v, or (rarely) something else.
+	twin := func(v ops5.Value) ops5.Value {
+		switch {
+		case rng.Intn(8) == 0:
+			return pick()
+		case v.Kind == ops5.KindNum && v.Num == 0:
+			return ops5.N(math.Copysign(0, float64(rng.Intn(2))-0.5))
+		}
+		return v
+	}
+	passed := 0
+	for i := 0; i < 2000; i++ {
+		l := ops5.NewWME("a", "k", pick(), "j", pick())
+		r := ops5.NewWME("b", "k", twin(l.Get("k")), "j", twin(l.Get("j")))
+		if !proc.testsPass(join, &Token{WMEs: []*ops5.WME{l}}, r) {
+			continue
+		}
+		passed++
+		if lk, rk := keys(l, r); lk != rk {
+			t.Fatalf("%v joins %v but left key %#x != right key %#x", l, r, lk, rk)
+		}
+	}
+	if passed < 1000 {
+		t.Fatalf("only %d of 2000 random pairs passed the tests", passed)
+	}
+
+	// The same numbers as source text spells them.
+	parsed, err := ops5.ParseWMEs(`(a ^k 3 ^j 0) (b ^k 3.0 ^j -0) (b ^k 3 ^j 0)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Signbit(parsed[0].Get("j").Num) || !math.Signbit(parsed[1].Get("j").Num) {
+		t.Fatalf("fixture: want ^j 0 and ^j -0, have %v and %v", parsed[0], parsed[1])
+	}
+	for _, r := range parsed[1:] {
+		if lk, rk := keys(parsed[0], r); lk != rk {
+			t.Errorf("%v and %v are Equal field by field but hash %#x and %#x", parsed[0], r, lk, rk)
+		}
+	}
+
+	// Kinds never collide: the symbol "3" is not the number 3.
+	if lk, rk := keys(ops5.NewWME("a", "k", "3", "j", 0), ops5.NewWME("b", "k", 3, "j", 0)); lk == rk {
+		t.Errorf("symbol \"3\" and number 3 share key %#x", lk)
+	}
+}
+
+// TestHashKeySpread pins why numbers are mixed before they are folded.
+// A bucket is the key's low bits and the default owner is bucket mod
+// workers; FNV-1a's low bits see only the low bits of each input byte,
+// and small integers as float64 differ only in their top two bytes. An
+// unmixed fold leaves 15 of the 16 board coordinates on one side of the
+// bucket's low bit — one worker of two does all the work.
+func TestHashKeySpread(t *testing.T) {
+	join := joinNodeT(t, compileT(t, []string{`(p x (a ^k <v>) (b ^k <v>) --> (halt))`}))
+	mem := NewMemory(Right, 1024)
+	bucket := func(i int) int {
+		return mem.Bucket(HashKey(join, Right, nil, ops5.NewWME("b", "k", i)))
+	}
+
+	odd := 0
+	for i := 1; i <= 16; i++ {
+		odd += bucket(i) & 1
+	}
+	if odd < 4 || odd > 12 {
+		t.Errorf("integers 1..16: %d odd buckets, %d even; want at most 12 on either side", odd, 16-odd)
+	}
+
+	var seen [1024 / 64]uint64
+	for i := 0; i < 256; i++ {
+		b := bucket(i)
+		seen[b/64] |= 1 << (b % 64)
+	}
+	distinct := 0
+	for _, w := range seen {
+		distinct += bits.OnesCount64(w)
+	}
+	if distinct < 200 {
+		t.Errorf("integers 0..255 cover %d of 1024 buckets, want >= 200", distinct)
+	}
+}
+
+func TestHashKeyDoesNotAllocate(t *testing.T) {
+	join := joinNodeT(t, compileT(t, []string{`(p x (a ^k <v> ^j <u>) (b ^k <v> ^j <u>) --> (halt))`}))
+	tok := &Token{WMEs: []*ops5.WME{ops5.NewWME("a", "k", 12345.678, "j", "a-symbol-longer-than-a-word")}}
+	w := ops5.NewWME("b", "k", -3, "j", "blue")
+	var sink uint64
+	if n := testing.AllocsPerRun(100, func() {
+		sink += HashKey(join, Left, tok, nil) + HashKey(join, Right, nil, w)
+	}); n != 0 {
+		t.Errorf("HashKey allocates %v times per left+right pair, want 0", n)
+	}
+	_ = sink
+}
+
+// TestNegZeroJoins: -0 == 0 under Value.Equal, so a wme carrying one
+// joins a token binding the other — with linear memories and with
+// hashed ones. -0 reaches working memory as the literal and as the
+// product 0 * -1 of a compute action.
+func TestNegZeroJoins(t *testing.T) {
+	literal, err := ops5.ParseWMEs(`(b ^x -0)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	zero := 0.0
+	rights := map[string]ops5.Value{
+		"literal -0":      literal[0].Get("x"),
+		"compute(0 * -1)": ops5.N(zero * -1),
+	}
+	const src = `(p j (a ^x <v>) (b ^x <v>) --> (halt))`
+	join := joinNodeT(t, compileT(t, []string{src}))
+	for name, v := range rights {
+		if !math.Signbit(v.Num) || v.Num != 0 {
+			t.Fatalf("fixture %s: want -0, have %v", name, v)
+		}
+		lk := HashKey(join, Left, &Token{WMEs: []*ops5.WME{ops5.NewWME("a", "x", 0)}}, nil)
+		if rk := HashKey(join, Right, nil, ops5.NewWME("b", "x", v)); lk != rk {
+			t.Errorf("%s: left key of 0 is %#x, right key of -0 is %#x", name, lk, rk)
+		}
+		for _, nbuckets := range []int{1, 64, 1024} {
+			h := newHarness(t, nbuckets, src)
+			h.add("a", "x", 0)
+			h.add("b", "x", v)
+			if len(h.cs) != 1 {
+				t.Errorf("%s, %d buckets: %d instantiations of (a ^x 0) (b ^x -0), want 1", name, nbuckets, len(h.cs))
+			}
+		}
 	}
 }

@@ -32,8 +32,9 @@ type Event struct {
 
 // InstChange is a conflict-set delta produced by a production node.
 type InstChange struct {
-	Tag  Tag
-	Prod *ops5.Production
+	Tag Tag
+	// Info is the compilation record of the production instantiated.
+	Info *ProdInfo
 	// WMEs holds the matched wmes indexed by original condition-element
 	// position; entries for negated CEs are nil.
 	WMEs []*ops5.WME
@@ -46,26 +47,28 @@ type InstChange struct {
 
 // Key identifies the instantiation by production name and matched wme
 // IDs; an add and its corresponding delete share a key. The encoding
-// is exactly fmt.Sprintf("%s%v", name, ids) — e.g. `pair[3 17]` — but
-// built with strconv because Key is on the conflict-set netting hot
-// path of the parallel runtime.
-func (ic *InstChange) Key() string {
-	b := make([]byte, 0, len(ic.Prod.Name)+2+8*len(ic.WMEs))
-	b = append(b, ic.Prod.Name...)
-	b = append(b, '[')
+// is exactly fmt.Sprintf("%s%v", name, ids) — e.g. `pair[3 17]`.
+func (ic *InstChange) Key() string { return string(ic.AppendKey(nil)) }
+
+// AppendKey appends Key's encoding to buf. Conflict-set bookkeeping
+// builds each delta's key once into a reused buffer and looks it up as
+// m[string(buf)], which does not allocate; only an insertion needs the
+// string.
+func (ic *InstChange) AppendKey(buf []byte) []byte {
+	buf = append(buf, ic.Info.Prod.Name...)
+	buf = append(buf, '[')
 	first := true
 	for _, w := range ic.WMEs {
 		if w == nil {
 			continue
 		}
 		if !first {
-			b = append(b, ' ')
+			buf = append(buf, ' ')
 		}
 		first = false
-		b = strconv.AppendInt(b, int64(w.ID), 10)
+		buf = strconv.AppendInt(buf, int64(w.ID), 10)
 	}
-	b = append(b, ']')
-	return string(b)
+	return append(buf, ']')
 }
 
 // Listener observes match activity; the trace recorder implements it.
@@ -75,7 +78,10 @@ type Listener interface {
 	BeginCycle(cycle int, changes []Change)
 	// Activation is called for every two-input / dummy node activation.
 	Activation(ev Event)
-	// Instantiation is called for every conflict-set delta.
+	// Instantiation is called for every conflict-set delta, after the
+	// cycle's last Activation (the deltas are built once the match
+	// phase has drained); ParentSeq names the activation that produced
+	// each.
 	Instantiation(ch InstChange)
 	// EndCycle is called when the match phase reaches fixpoint.
 	EndCycle(cycle int)
@@ -112,7 +118,15 @@ type Matcher struct {
 	cycle    int
 	seq      int
 	queue    []queued
-	rootBuf  []Activation // scratch for RootActivationsInto, reused across changes
+	// rootBuf and succBuf are scratch for one change's root activations
+	// and one activation's successors, reused across calls.
+	rootBuf []Activation
+	succBuf []Activation
+	// instActs holds the phase's production-node activations, set aside
+	// in generation order until the queue has drained and the deltas can
+	// be built in one pass; instParents is each one's ParentSeq.
+	instActs    []Activation
+	instParents []int
 }
 
 // NewMatcher creates a matcher over a compiled network.
@@ -146,7 +160,8 @@ func (m *Matcher) Reset() {
 }
 
 // Apply runs one match phase over the given wme changes and returns
-// the conflict-set deltas in deterministic generation order.
+// the conflict-set deltas in deterministic generation order. The result
+// is freshly allocated and belongs to the caller.
 func (m *Matcher) Apply(changes []Change) []InstChange {
 	return m.ApplyFiltered(changes, nil)
 }
@@ -169,19 +184,35 @@ func (m *Matcher) ApplyFiltered(changes []Change, allow func(*Node) bool) []Inst
 			if allow != nil && !allow(act.Node) {
 				continue
 			}
-			m.queue = append(m.queue, queued{act: act, parentSeq: -1})
+			m.enqueue(act, -1)
 		}
 	}
 
-	var out []InstChange
 	// Drain by index rather than popping the slice front: reslicing
 	// m.queue[1:] would walk the append cursor down the backing array
 	// and force a fresh allocation every few cycles even at steady
 	// state.
 	for head := 0; head < len(m.queue); head++ {
-		m.step(m.queue[head], &out)
+		m.step(m.queue[head])
 	}
 	m.queue = m.queue[:0]
+
+	// One exact-size allocation for the result (BuildInsts makes two
+	// more for what the deltas point at), so a phase's allocation count
+	// does not grow with its output.
+	var out []InstChange
+	if n := len(m.instActs); n > 0 {
+		out = BuildInsts(m.instActs, make([]InstChange, 0, n))
+		for i := range out {
+			out[i].ParentSeq = m.instParents[i]
+			out[i].Cycle = m.cycle
+			if m.listener != nil {
+				m.listener.Instantiation(out[i])
+			}
+		}
+		m.instActs = m.instActs[:0]
+		m.instParents = m.instParents[:0]
+	}
 
 	if m.listener != nil {
 		m.listener.EndCycle(m.cycle)
@@ -189,18 +220,18 @@ func (m *Matcher) ApplyFiltered(changes []Change, allow func(*Node) bool) []Inst
 	return out
 }
 
-func (m *Matcher) step(q queued, out *[]InstChange) {
-	if q.act.Node.Kind == KindProduction {
-		ch := m.proc.BuildInst(q.act)
-		ch.ParentSeq = q.parentSeq
-		ch.Cycle = m.cycle
-		*out = append(*out, ch)
-		if m.listener != nil {
-			m.listener.Instantiation(ch)
-		}
+// enqueue files an activation generated by parentSeq: match work joins
+// the queue, a production-node activation is a conflict-set delta.
+func (m *Matcher) enqueue(act Activation, parentSeq int) {
+	if act.Node.Kind == KindProduction {
+		m.instActs = append(m.instActs, act)
+		m.instParents = append(m.instParents, parentSeq)
 		return
 	}
+	m.queue = append(m.queue, queued{act: act, parentSeq: parentSeq})
+}
 
+func (m *Matcher) step(q queued) {
 	key := q.act.HashKey()
 	ev := Event{
 		Seq:       m.seq,
@@ -210,18 +241,15 @@ func (m *Matcher) step(q queued, out *[]InstChange) {
 		Side:      q.act.Side,
 		Tag:       q.act.Tag,
 		Key:       key,
-		Bucket:    m.proc.Bucket(q.act),
+		Bucket:    m.proc.left.Bucket(key),
 	}
 	m.seq++
 	if m.listener != nil {
 		m.listener.Activation(ev)
 	}
 
-	m.proc.ProcessAt(q.act, ev.Bucket,
-		func(child Activation) {
-			m.queue = append(m.queue, queued{act: child, parentSeq: ev.Seq})
-		},
-		func(InstChange) {
-			panic("rete: Processor emitted an instantiation for a non-production node")
-		})
+	m.succBuf = m.proc.ProcessAt(q.act, ev.Bucket, m.succBuf[:0])
+	for _, child := range m.succBuf {
+		m.enqueue(child, ev.Seq)
+	}
 }

@@ -255,45 +255,6 @@ func TestMatcherCrossProductNoEqTests(t *testing.T) {
 	}
 }
 
-func TestHashKeyConsistentAcrossSides(t *testing.T) {
-	// A left token and right wme that pass the equality tests must
-	// hash to the same key.
-	p, err := ops5.ParseProduction(`(p x (a ^k <v>) (b ^k <v>) --> (halt))`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := Compile([]*ops5.Production{p})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var join *Node
-	for _, n := range net.Nodes {
-		if n.Kind == KindJoin {
-			join = n
-		}
-	}
-	if join == nil {
-		t.Fatal("no join node")
-	}
-	for i := 0; i < 50; i++ {
-		val := ops5.N(float64(i))
-		wa := ops5.NewWME("a", "k", val)
-		wb := ops5.NewWME("b", "k", val)
-		lt := &Token{WMEs: []*ops5.WME{wa}}
-		lk := HashKey(join, Left, lt, nil)
-		rk := HashKey(join, Right, nil, wb)
-		if lk != rk {
-			t.Fatalf("hash mismatch for value %v: left %x right %x", val, lk, rk)
-		}
-	}
-	// Different values should (generally) hash differently.
-	k1 := HashKey(join, Right, nil, ops5.NewWME("b", "k", 1))
-	k2 := HashKey(join, Right, nil, ops5.NewWME("b", "k", 2))
-	if k1 == k2 {
-		t.Error("distinct values collided (possible but FNV should separate 1 and 2)")
-	}
-}
-
 // TestMatcherRandomizedDifferential drives random add/delete sequences
 // through randomly generated productions and checks the conflict set
 // against the brute-force matcher after every cycle, for both hashed
@@ -359,4 +320,94 @@ func randomProductions(rng *rand.Rand, n int) []string {
 		srcs = append(srcs, src)
 	}
 	return srcs
+}
+
+// pairingBurst builds the wide-join burst of the tourney workload: a
+// phase wme, teams and slots whose cross product instantiates one
+// production teams x slots times behind a negated CE, as one add burst
+// and the delete burst that unwinds it.
+func pairingBurst(t *testing.T, teams, slots int) (m *Matcher, adds, dels []Change) {
+	t.Helper()
+	net := compileT(t, []string{`(p propose-pairing
+		(phase ^name propose) (team ^name <t>) (slot ^round <r> ^field <f>)
+		-(pairing ^team <t> ^round <r>)
+		--> (make pairing ^team <t> ^round <r> ^field <f>))`})
+	wmes := []*ops5.WME{ops5.NewWME("phase", "name", "propose")}
+	for i := 1; i <= teams; i++ {
+		wmes = append(wmes, ops5.NewWME("team", "name", fmt.Sprintf("t%d", i)))
+	}
+	for i := 1; i <= slots; i++ {
+		wmes = append(wmes, ops5.NewWME("slot", "round", i, "field", fmt.Sprintf("f%d", i%2+1)))
+	}
+	for i, w := range wmes {
+		w.ID, w.TimeTag = i+1, i+1
+		adds = append(adds, Change{Tag: Add, WME: w})
+		dels = append(dels, Change{Tag: Delete, WME: w})
+	}
+	return NewMatcher(net, MatcherOptions{}), adds, dels
+}
+
+// TestApplyAllocsDoNotGrowWithOutput pins the allocation count of a
+// match phase to its arena chunks plus a fixed number of result arrays:
+// nothing is allocated per conflict-set delta.
+func TestApplyAllocsDoNotGrowWithOutput(t *testing.T) {
+	measure := func(teams, slots int) (allocs float64, deltas int) {
+		m, adds, dels := pairingBurst(t, teams, slots)
+		m.Apply(adds)
+		m.Apply(dels) // the hash tables, queue and scratch grow here and never again
+		allocs = testing.AllocsPerRun(5, func() {
+			deltas = len(m.Apply(adds)) + len(m.Apply(dels))
+		})
+		return allocs, deltas
+	}
+	allocs, deltas := measure(60, 50)
+	if deltas != 6000 {
+		t.Fatalf("60x50 add and delete bursts made %d deltas, want 6000", deltas)
+	}
+	// Token chunks (256 tokens, 1024 wme references), memory-entry
+	// chunks (256) and three result arrays per Apply: 60 when written.
+	if allocs > 80 {
+		t.Errorf("60x50 burst pair: %.0f allocations for %d deltas, want <= 80", allocs, deltas)
+	}
+	allocs2, deltas2 := measure(120, 50)
+	if deltas2 != 12000 {
+		t.Fatalf("120x50 add and delete bursts made %d deltas, want 12000", deltas2)
+	}
+	// Twice the output needs twice the arena chunks and the same six
+	// result arrays: about one more allocation per hundred deltas.
+	if extra := allocs2 - allocs; extra > float64(deltas2-deltas)/100 {
+		t.Errorf("doubling the burst added %.0f allocations for %d more deltas: allocations grow per delta", extra, deltas2-deltas)
+	}
+}
+
+// TestApplyResultBelongsToCaller: a caller may hold one Apply's result
+// across later calls (the burst benchmark nets the add burst's deltas
+// after the delete burst has run).
+func TestApplyResultBelongsToCaller(t *testing.T) {
+	m, adds, dels := pairingBurst(t, 6, 5)
+	type delta struct {
+		tag  Tag
+		key  string
+		tags string
+	}
+	snapshot := func(ics []InstChange) []delta {
+		out := make([]delta, len(ics))
+		for i := range ics {
+			out[i] = delta{ics[i].Tag, ics[i].Key(), fmt.Sprint(ics[i].TimeTags)}
+		}
+		return out
+	}
+	held := m.Apply(adds)
+	want := snapshot(held)
+	if len(want) != 30 {
+		t.Fatalf("6x5 add burst made %d deltas, want 30", len(want))
+	}
+	m.Apply(dels)
+	m.Apply(adds)
+	m.Apply(dels)
+	for i, got := range snapshot(held) {
+		if got != want[i] {
+			t.Fatalf("delta %d of a held result changed under later Apply calls: %v, was %v", i, got, want[i])
+		}
+	}
 }

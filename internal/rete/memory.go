@@ -26,9 +26,8 @@ const memEntryChunkLen = 256
 // Entries are carved from chunks (chunk holds the current tail) so
 // steady-state add/remove churn allocates O(1/memEntryChunkLen) per
 // stored token instead of one heap object each. Removed entries are
-// never reused — a scan interrupted by recursive processing may still
-// hold pointers into the bucket's old slice — so a chunk becomes
-// garbage only when every entry carved from it is unreachable.
+// never reused, so a chunk becomes garbage only when every entry carved
+// from it is unreachable.
 type Memory struct {
 	side    Side
 	buckets [][]*memEntry
@@ -110,19 +109,10 @@ func (m *Memory) removeRight(b int, n *Node, id int) *memEntry {
 	return nil
 }
 
-// entries returns bucket b's entry slice for callers that partition a
-// whole bucket in one pass (the bounded enumerator). Read-only: the
-// slice aliases live storage.
+// entries returns bucket b's entry slice; an activation scans it for
+// the entries of its own node. Read-only: the slice aliases live
+// storage.
 func (m *Memory) entries(b int) []*memEntry { return m.buckets[b] }
-
-// scan visits every entry for node n in bucket b.
-func (m *Memory) scan(b int, n *Node, visit func(*memEntry)) {
-	for _, e := range m.buckets[b] {
-		if e.node == n {
-			visit(e)
-		}
-	}
-}
 
 // Reset empties every bucket while keeping the bucket slices' backing
 // arrays for reuse — the session-pool hook. Stored entry pointers are

@@ -25,11 +25,15 @@ func TestMemoryAddRemoveScan(t *testing.T) {
 	if m.Len() != 3 {
 		t.Fatalf("len = %d", m.Len())
 	}
-	// Scan filters by node.
+	// A bucket's entries carry their node, which is what a scan filters on.
 	var seen []int
-	m.scan(3, n1, func(e *memEntry) { seen = append(seen, e.wme.ID) })
+	for _, e := range m.entries(3) {
+		if e.node == n1 {
+			seen = append(seen, e.wme.ID)
+		}
+	}
 	if len(seen) != 1 || seen[0] != 1 {
-		t.Errorf("scan(3, n1) = %v", seen)
+		t.Errorf("n1's entries in bucket 3 = %v", seen)
 	}
 	// Remove is node- and id-specific.
 	if e := m.removeRight(3, n1, 2); e != nil {
@@ -157,12 +161,10 @@ func TestProcessorProcessEmitsOnlyToCallback(t *testing.T) {
 	proc := NewProcessor(net, 16)
 
 	var emitted []Activation
-	emit := func(a Activation) { emitted = append(emitted, a) }
-	noInst := func(InstChange) { t.Fatal("unexpected inst") }
 
 	// Right wme first: stored, no matches.
 	for _, a := range proc.RootActivations(Change{Tag: Add, WME: mkWME(1, "b", "x", 5)}) {
-		proc.Process(a, emit, noInst)
+		emitted = proc.Process(a, emitted)
 	}
 	if len(emitted) != 0 {
 		t.Fatalf("emitted = %v", emitted)
@@ -170,7 +172,7 @@ func TestProcessorProcessEmitsOnlyToCallback(t *testing.T) {
 	// Matching left token: emits the joined token to the production
 	// node.
 	for _, a := range proc.RootActivations(Change{Tag: Add, WME: mkWME(2, "a", "x", 5)}) {
-		proc.Process(a, emit, noInst)
+		emitted = proc.Process(a, emitted)
 	}
 	if len(emitted) != 1 || emitted[0].Node.Kind != KindProduction {
 		t.Fatalf("emitted = %+v", emitted)

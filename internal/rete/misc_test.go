@@ -49,6 +49,19 @@ func TestProcessorAccessors(t *testing.T) {
 	}
 }
 
+// drainT performs queue and every successor it generates on p, in FIFO
+// order, and returns the production-node activations reached.
+func drainT(p *Processor, queue []Activation) (prods []Activation) {
+	for i := 0; i < len(queue); i++ {
+		if a := queue[i]; a.Node.Kind == KindProduction {
+			prods = append(prods, a)
+		} else {
+			queue = p.Process(a, queue)
+		}
+	}
+	return prods
+}
+
 func TestExtractInjectBucketDirect(t *testing.T) {
 	net := compileT(t, []string{`(p p1 (a ^x <v>) -(b ^x <v>) --> (halt))`})
 	src := NewProcessor(net, 16)
@@ -56,25 +69,10 @@ func TestExtractInjectBucketDirect(t *testing.T) {
 
 	// Populate: one left token (with a negative-node count) and one
 	// right wme in some buckets.
-	var insts []InstChange
-	emit := func(a Activation) {
-		src.Process(a, func(Activation) {}, func(ic InstChange) {})
-	}
-	_ = emit
 	wa := mkWME(1, "a", "x", 5)
 	wb := mkWME(2, "b", "x", 5)
 	for _, ch := range []Change{{Tag: Add, WME: wa}, {Tag: Add, WME: wb}} {
-		for _, act := range src.RootActivations(ch) {
-			var rec func(a Activation)
-			rec = func(a Activation) {
-				if a.Node.Kind == KindProduction {
-					insts = append(insts, src.BuildInst(a))
-					return
-				}
-				src.Process(a, rec, func(InstChange) {})
-			}
-			rec(act)
-		}
+		drainT(src, src.RootActivations(ch))
 	}
 	left, right := src.Memories()
 	if left.Len() == 0 || right.Len() == 0 {
@@ -102,18 +100,10 @@ func TestExtractInjectBucketDirect(t *testing.T) {
 	// Negative-node counts survive: deleting the b-wme at dst must
 	// re-propagate the left token (count 1 -> 0).
 	reborn := 0
-	for _, act := range dst.RootActivations(Change{Tag: Delete, WME: wb}) {
-		var rec func(a Activation)
-		rec = func(a Activation) {
-			if a.Node.Kind == KindProduction {
-				if ic := dst.BuildInst(a); ic.Tag == Add {
-					reborn++
-				}
-				return
-			}
-			dst.Process(a, rec, func(InstChange) {})
+	for _, ic := range BuildInsts(drainT(dst, dst.RootActivations(Change{Tag: Delete, WME: wb})), nil) {
+		if ic.Tag == Add {
+			reborn++
 		}
-		rec(act)
 	}
 	if reborn != 1 {
 		t.Errorf("negation count lost in migration: reborn = %d, want 1", reborn)

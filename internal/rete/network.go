@@ -73,8 +73,10 @@ type Node struct {
 	// left input comes directly from an alpha pattern.
 	Parent *Node
 	Succs  []*Node
-	// Prod is set on production nodes.
-	Prod *ops5.Production
+	// Info is set on production nodes: the compilation record of the
+	// production the node terminates, so turning a token into a
+	// conflict-set delta needs no lookup by name.
+	Info *ProdInfo
 	// OrigCE is the production-LHS index (0-based, original order) of
 	// the condition element on this node's right input; -1 for
 	// production and dummy nodes.
@@ -134,6 +136,23 @@ type ProdInfo struct {
 	// TokenPos maps original CE index -> position in the terminal
 	// node's token (only positive CEs appear; negated CEs map to -1).
 	TokenPos []int
+	// Specificity is the number of LHS tests — one per class filter plus
+	// one per term — the last criterion of conflict resolution.
+	Specificity int
+}
+
+// register enters a compiled production, terminal node attached, into
+// the network's tables.
+func (net *Network) register(info *ProdInfo) {
+	for _, ce := range info.Prod.LHS {
+		info.Specificity++ // class test
+		for _, at := range ce.Tests {
+			info.Specificity += len(at.Terms)
+		}
+	}
+	info.Node.Info = info
+	net.Prods[info.Prod.Name] = info
+	net.ProdOrder = append(net.ProdOrder, info.Prod.Name)
 }
 
 // Network is a compiled Rete network.
@@ -391,15 +410,12 @@ func (net *Network) addProduction(p *ops5.Production, shareJoins bool) (*ProdInf
 
 	// Terminal production node.
 	pn := net.newNode(KindProduction)
-	pn.Prod = p
 	pn.Parent = cur
 	pn.LeftLen = tokenLen
 	pn.TokenLen = tokenLen
 	attach(pn)
 	info.Node = pn
-
-	net.Prods[p.Name] = info
-	net.ProdOrder = append(net.ProdOrder, p.Name)
+	net.register(info)
 	return info, nil
 }
 

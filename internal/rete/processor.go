@@ -23,9 +23,10 @@ func (a Activation) HashKey() uint64 { return HashKey(a.Node, a.Side, a.Token, a
 
 // Processor owns a pair of hashed token memories and knows how to
 // perform single node activations against them. It has no queue and no
-// policy: callers decide where emitted successor activations go (the
-// sequential matcher enqueues them; a distributed worker routes them to
-// the owner of their hash bucket).
+// policy: it appends successor activations to a slice the caller
+// supplies, and the caller decides where they go (the sequential
+// matcher enqueues them; a distributed worker routes them to the owner
+// of their hash bucket).
 type Processor struct {
 	net   *Network
 	left  *Memory
@@ -113,34 +114,35 @@ func (p *Processor) RootActivationsInto(ch Change, out []Activation) []Activatio
 	return out
 }
 
-// Process performs one activation: production-node activations invoke
-// inst; dummy nodes forward; join and negative nodes update this
-// processor's memories and emit successor (left) activations via emit.
-// The caller must route every activation for a given bucket to the
-// same Processor, or memory state will be inconsistent.
-func (p *Processor) Process(a Activation, emit func(Activation), inst func(InstChange)) {
-	p.ProcessAt(a, p.Bucket(a), emit, inst)
+// Process performs one activation of a dummy, join, negative or
+// bounded node against this processor's memories and returns out with
+// the successor (left) activations appended. The caller must route
+// every activation for a given bucket to the same Processor, or memory
+// state will be inconsistent.
+func (p *Processor) Process(a Activation, out []Activation) []Activation {
+	return p.ProcessAt(a, p.Bucket(a), out)
 }
 
 // ProcessAt is Process with the activation's hash bucket supplied by
-// the caller. Both the sequential matcher and the parallel runtime
-// already compute the bucket to route the activation (for the trace
-// event and for worker ownership respectively), so this entry point
-// halves the HashKey work on the hot path. bucket is ignored for
-// production and dummy nodes, which touch no memory.
-func (p *Processor) ProcessAt(a Activation, bucket int, emit func(Activation), inst func(InstChange)) {
+// the caller, who has already hashed the activation to route it (for
+// the trace event, or for worker ownership): each activation is hashed
+// once. bucket is ignored for dummy nodes, which touch no memory.
+//
+// Production-node activations are not match work. A successor aimed at
+// a production node is a conflict-set delta: callers set those aside
+// and convert them with BuildInsts.
+func (p *Processor) ProcessAt(a Activation, bucket int, out []Activation) []Activation {
 	switch a.Node.Kind {
-	case KindProduction:
-		inst(p.BuildInst(a))
 	case KindDummy:
-		p.emitTo(a.Node, a.Token, a.Tag, emit)
+		return p.emitTo(a.Node, a.Token, a.Tag, out)
 	case KindJoin:
-		p.processJoin(a, bucket, emit)
+		return p.processJoin(a, bucket, out)
 	case KindNegative:
-		p.processNegative(a, bucket, emit)
+		return p.processNegative(a, bucket, out)
 	case KindBounded:
-		p.processBounded(a, bucket, emit)
+		return p.processBounded(a, bucket, out)
 	}
+	panic("rete: ProcessAt on a " + a.Node.Kind.String() + " node")
 }
 
 // BucketContents is the extracted state of one hash-bucket pair,
@@ -196,13 +198,14 @@ func (p *Processor) InjectBucket(bc *BucketContents) {
 }
 
 // emitTo fans a token out to every successor of n as left activations.
-func (p *Processor) emitTo(n *Node, t *Token, tag Tag, emit func(Activation)) {
+func (p *Processor) emitTo(n *Node, t *Token, tag Tag, out []Activation) []Activation {
 	for _, s := range n.Succs {
-		emit(Activation{Node: s, Side: Left, Tag: tag, Token: t})
+		out = append(out, Activation{Node: s, Side: Left, Tag: tag, Token: t})
 	}
+	return out
 }
 
-func (p *Processor) processJoin(a Activation, b int, emit func(Activation)) {
+func (p *Processor) processJoin(a Activation, b int, out []Activation) []Activation {
 	n := a.Node
 	if a.Side == Left {
 		if a.Tag == Add {
@@ -211,77 +214,78 @@ func (p *Processor) processJoin(a Activation, b int, emit func(Activation)) {
 			// Duplicate delete: the token's join effects were already
 			// unwound when it was first removed. Scanning again would
 			// emit a second wave of successor deletes.
-			return
+			return out
 		}
-		p.right.scan(b, n, func(e *memEntry) {
-			if p.testsPass(n, a.Token, e.wme) {
-				p.emitTo(n, p.extend(a.Token, e.wme), a.Tag, emit)
+		for _, e := range p.right.entries(b) {
+			if e.node == n && p.testsPass(n, a.Token, e.wme) {
+				out = p.emitTo(n, p.extend(a.Token, e.wme), a.Tag, out)
 			}
-		})
-		return
+		}
+		return out
 	}
 	if a.Tag == Add {
 		p.right.addRight(b, n, a.WME)
 	} else if p.right.removeRight(b, n, a.WME.ID) == nil {
 		// Duplicate delete of a wme already out of right memory.
-		return
+		return out
 	}
-	p.left.scan(b, n, func(e *memEntry) {
-		if p.testsPass(n, e.token, a.WME) {
-			p.emitTo(n, p.extend(e.token, a.WME), a.Tag, emit)
+	for _, e := range p.left.entries(b) {
+		if e.node == n && p.testsPass(n, e.token, a.WME) {
+			out = p.emitTo(n, p.extend(e.token, a.WME), a.Tag, out)
 		}
-	})
+	}
+	return out
 }
 
-func (p *Processor) processNegative(a Activation, b int, emit func(Activation)) {
+func (p *Processor) processNegative(a Activation, b int, out []Activation) []Activation {
 	n := a.Node
 	if a.Side == Left {
 		if a.Tag == Add {
 			count := 0
-			p.right.scan(b, n, func(e *memEntry) {
-				if p.testsPass(n, a.Token, e.wme) {
+			for _, e := range p.right.entries(b) {
+				if e.node == n && p.testsPass(n, a.Token, e.wme) {
 					count++
 				}
-			})
-			entry := p.left.addLeft(b, n, a.Token)
-			entry.count = count
-			if count == 0 {
-				p.emitTo(n, a.Token, Add, emit)
 			}
-			return
+			p.left.addLeft(b, n, a.Token).count = count
+			if count == 0 {
+				out = p.emitTo(n, a.Token, Add, out)
+			}
+			return out
 		}
 		if e := p.left.removeLeft(b, n, a.Token); e != nil && e.count == 0 {
-			p.emitTo(n, a.Token, Delete, emit)
+			out = p.emitTo(n, a.Token, Delete, out)
 		}
-		return
+		return out
 	}
 	if a.Tag == Add {
 		p.right.addRight(b, n, a.WME)
-		p.left.scan(b, n, func(e *memEntry) {
-			if p.testsPass(n, e.token, a.WME) {
+		for _, e := range p.left.entries(b) {
+			if e.node == n && p.testsPass(n, e.token, a.WME) {
 				e.count++
 				if e.count == 1 {
-					p.emitTo(n, e.token, Delete, emit)
+					out = p.emitTo(n, e.token, Delete, out)
 				}
 			}
-		})
-		return
+		}
+		return out
 	}
 	if p.right.removeRight(b, n, a.WME.ID) == nil {
 		// Duplicate delete: the counts were already decremented when
 		// the wme was first removed; decrementing again would drive
 		// them negative and break the next add's 0 -> 1 transition,
 		// leaking a stale instantiation.
-		return
+		return out
 	}
-	p.left.scan(b, n, func(e *memEntry) {
-		if p.testsPass(n, e.token, a.WME) {
+	for _, e := range p.left.entries(b) {
+		if e.node == n && p.testsPass(n, e.token, a.WME) {
 			e.count--
 			if e.count == 0 {
-				p.emitTo(n, e.token, Add, emit)
+				out = p.emitTo(n, e.token, Add, out)
 			}
 		}
-	})
+	}
+	return out
 }
 
 func (p *Processor) testsPass(n *Node, t *Token, w *ops5.WME) bool {
@@ -293,23 +297,44 @@ func (p *Processor) testsPass(n *Node, t *Token, w *ops5.WME) bool {
 	return true
 }
 
-// BuildInst converts a production-node activation into a conflict-set
-// delta, mapping the compiled token back to original CE positions.
-func (p *Processor) BuildInst(a Activation) InstChange {
-	info := p.net.Prods[a.Node.Prod.Name]
-	wmes := make([]*ops5.WME, len(info.Prod.LHS))
-	var tags []int
-	for i, pos := range info.TokenPos {
-		if pos >= 0 {
-			wmes[i] = a.Token.WMEs[pos]
-			tags = append(tags, wmes[i].TimeTag)
+// BuildInsts converts production-node activations into conflict-set
+// deltas, appended to out in order, mapping each compiled token back to
+// original CE positions. ParentSeq and Cycle are left for the caller.
+//
+// The deltas' WMEs and TimeTags are carved, with capped capacity, from
+// two arrays allocated here at the exact total size, so the output of a
+// match phase costs a fixed number of allocations however many deltas
+// it holds. The arrays belong to the deltas: a delta that stays in the
+// conflict set keeps the arrays of its batch alive, as a stored token
+// keeps its arena chunk.
+func BuildInsts(acts []Activation, out []InstChange) []InstChange {
+	nw, nt := 0, 0
+	for i := range acts {
+		for _, pos := range acts[i].Node.Info.TokenPos {
+			nw++
+			if pos >= 0 {
+				nt++
+			}
 		}
 	}
-	sort.Ints(tags)
-	return InstChange{
-		Tag:      a.Tag,
-		Prod:     info.Prod,
-		WMEs:     wmes,
-		TimeTags: tags,
+	wmes := make([]*ops5.WME, nw)
+	tags := make([]int, nt)
+	for _, a := range acts {
+		info := a.Node.Info
+		w := wmes[:len(info.TokenPos):len(info.TokenPos)]
+		wmes = wmes[len(w):]
+		k := 0
+		for i, pos := range info.TokenPos {
+			if pos >= 0 {
+				w[i] = a.Token.WMEs[pos]
+				tags[k] = w[i].TimeTag
+				k++
+			}
+		}
+		t := tags[:k:k]
+		tags = tags[k:]
+		sort.Ints(t)
+		out = append(out, InstChange{Tag: a.Tag, Info: info, WMEs: w, TimeTags: t})
 	}
+	return out
 }

@@ -49,10 +49,8 @@ func (t *Token) IDKey() string {
 // String renders the token's wme IDs for diagnostics.
 func (t *Token) String() string { return "[" + t.IDKey() + "]" }
 
-// FNV-1a parameters; the inlined hash below must keep producing the
-// same keys as hash/fnv (pinned by TestHashKeyMatchesFNVReference), so
-// bucket assignments — and with them traces and partition statistics —
-// are stable across the optimization.
+// FNV-1a parameters of the inlined hash below (pinned against hash/fnv
+// over the same bytes by TestHashKeyMatchesFNVReference).
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -61,13 +59,22 @@ const (
 // HashKey computes the distributed-hash-table key for an activation of
 // node n: the node id plus the values bound to the variables tested for
 // equality at n (Section 3.1). A left token supplies the left-side
-// values, a right wme the right-side values; consistent pairs hash
-// identically by construction. Nodes with no equality tests hash on
-// the node id alone — the cross-product pathology observed in Tourney.
+// values, a right wme the right-side values. Nodes with no equality
+// tests hash on the node id alone — the cross-product pathology
+// observed in Tourney.
 //
-// The hash is FNV-1a, computed inline with no allocations (the
-// hash/fnv writer and the materialized value keys were the hottest
-// allocation sites of the parallel runtime's message plane).
+// The contract hashed memories rest on: a token and a wme that pass
+// n's equality tests get the same key. It holds because each tested
+// value is folded by ops5.Value.HashFNV, under which values that are
+// Equal fold alike (-0 and 0, 3 and 3.0) and numbers fold as mixed
+// bits, so the key's low bits — the bucket, and through it the owning
+// worker — spread over small integers. The key is a function of the
+// build: two processes that hash differently would mis-join silently,
+// which is why the wire handshake carries a protocol version.
+//
+// The hash is FNV-1a over the node id's eight little-endian bytes and,
+// per equality test, the value's bytes and a zero separator; it is
+// computed inline and never allocates.
 //
 // Nodes of a worst-case-bounded group (BoundedJoins) all hash on the
 // group's home node id and ignore equality tests: the lazy enumerator
@@ -86,7 +93,8 @@ func HashKey(n *Node, side Side, t *Token, w *ops5.WME) uint64 {
 	if n.group != nil {
 		return h
 	}
-	for _, jt := range n.EqTests {
+	for i := range n.EqTests {
+		jt := &n.EqTests[i]
 		var v ops5.Value
 		if side == Left {
 			v = t.WMEs[jt.LeftPos].Get(jt.LeftAttr)

@@ -354,7 +354,7 @@ func (d *dec) actList(net *rete.Network, buf []parallel.Message) []parallel.Mess
 
 func (e *enc) instChange(ic rete.InstChange) {
 	e.byte(byte(ic.Tag))
-	e.str(ic.Prod.Name)
+	e.str(ic.Info.Prod.Name)
 	e.count(len(ic.WMEs))
 	for _, w := range ic.WMEs {
 		e.optWME(w)
@@ -373,7 +373,7 @@ func (d *dec) instChange(net *rete.Network) rete.InstChange {
 		d.fail(fmt.Sprintf("unknown production %q", name))
 		return ic
 	}
-	ic.Prod = info.Prod
+	ic.Info = info
 	ic.WMEs = make([]*ops5.WME, d.count(1<<16))
 	for i := range ic.WMEs {
 		ic.WMEs[i] = d.optWME()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"strings"
 	"testing"
 
 	"mpcrete/internal/ops5"
@@ -108,6 +109,30 @@ func TestFrameFaults(t *testing.T) {
 		_, err := decodeHello([]byte{0x01, 0x00, 0xff})
 		if err == nil {
 			t.Fatal("decoded garbage hello")
+		}
+	})
+	t.Run("hello-version-2", func(t *testing.T) {
+		// A peer built before the HashKey change computes other buckets
+		// for the same activations: it must be turned away at the
+		// handshake, not mis-join later.
+		net, _ := mustCompile("blocks")
+		hb, err := encodeHello(nil, hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := decodeHello(hb); err != nil {
+			t.Fatalf("current hello refused: %v", err)
+		}
+		if hb[0] != protoVersion {
+			t.Fatalf("hello leads with %#x, want the version varint %d", hb[0], protoVersion)
+		}
+		hb[0] = 2
+		_, err = decodeHello(hb)
+		if !errors.Is(err, ErrBadPayload) {
+			t.Fatalf("version 2 hello: got %v, want ErrBadPayload", err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "version 2") || !strings.Contains(msg, "want 3") {
+			t.Fatalf("error %q does not name both versions", msg)
 		}
 	})
 	t.Run("trailing-bytes", func(t *testing.T) {

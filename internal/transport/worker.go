@@ -35,8 +35,11 @@ import (
 // protoVersion is the handshake protocol version; a mismatch aborts
 // the handshake rather than mis-decoding frames. Version 2 added the
 // migration protocol (ftRepart/ftBucketRelay/ftBucket), the trackLoads
-// hello flag, and the per-bucket load section of ftTurn.
-const protoVersion = 2
+// hello flag, and the per-bucket load section of ftTurn. Version 3
+// changed no frame: it marks the new number fold of rete.HashKey.
+// ftActs frames carry the sender's bucket, so a control and a worker
+// that hash differently would mis-join without any decode error.
+const protoVersion = 3
 
 // hello is the decoded handshake.
 type hello struct {

@@ -4,7 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/parallel"
@@ -13,28 +13,89 @@ import (
 )
 
 // Payload codec: varint-encoded values over the frame payloads, in the
-// style of rete's compiled-network codec. Unlike the in-process
-// transport, which moves pointers, the wire codec ships full content —
-// decoded wmes are fresh copies with the same ID/TimeTag/Class/Attrs,
-// which is safe because tokens compare by wme ID and joins read
-// values, never pointer identity. Attributes are encoded in sorted
-// order so the encoding of a message is canonical (byte-identical for
-// equal messages), which the fuzz round-trip target relies on.
+// style of rete's compiled-network codec. The in-process transport
+// moves pointers; the wire moves a wme's content once per directed
+// connection and names it afterwards. Every wme position on the wire
+// opens with a form byte: a definition (ID, TimeTag, class and
+// attributes by value, attributes in sorted order so the encoding is
+// canonical) or a reference (ID, TimeTag) that the receiver resolves in
+// its mirror of the sender's wmeCache. A token, an activation or a
+// conflict-set delta over wmes the connection has already carried is a
+// vector of references and decodes without allocating a wme.
+//
+// The identity contract: (ID, TimeTag) names one immutable content for
+// the life of a connection. The engine guarantees it — a fresh ID and a
+// fresh time tag per make, no Reset on a wire-backed matcher — tokens
+// already compare by ID alone (Token.Same), and joins read values,
+// never pointer identity, so every reference to a wme may resolve to
+// the one decoded copy. A sender that breaks the contract is answered
+// with the content it first defined, or, where the two ends have come
+// apart, with ErrBadPayload; never with a guess.
+//
+// The two ends of a cache stay in step because the byte stream is the
+// only thing that changes either: the encoder updates its table in the
+// order the bytes leave (under the connection's write mutex) and the
+// decoder in the order they arrive. There is no invalidation message
+// and no cycle boundary in it; an evicted wme costs a second
+// definition. A frame that a process forwards without decoding
+// (ftBucketRelay to ftBucket) therefore may not touch a cache — the
+// forwarder's tables would never see it — and bucketContents encodes
+// and decodes with the cache off: definitions only, none stored.
 //
 // Decoding resolves graph references against the receiver's compiled
-// network: node ids are bounds-checked into net.Nodes and production
-// names looked up in net.Prods, so a frame cross-wired from a
-// different program fails with ErrBadPayload instead of corrupting the
-// match state.
+// network: node ids are bounds-checked into net.Nodes, and a
+// production travels as its terminal node's id, which must name a
+// production node, so a frame cross-wired from a different program
+// fails with ErrBadPayload instead of corrupting the match state.
 
-// enc is an append-only payload encoder.
+// wmeCacheSlots sizes a connection's wme cache: direct-mapped on the
+// low bits of WME.ID, which the engine hands out densely and in
+// increasing order, so a slot is evicted only when ids a multiple of
+// the size apart are in use together. 8-queens (571 wmes at load,
+// 2,061 ids by the halt 2,033 firings later) fits without one eviction:
+// over the star, two workers, broadcast, 6,544 definitions against
+// 57,435 references (TestWireBytesPerFiring logs the split per
+// connection). A constant, not an option: eviction changes the byte
+// count, never the answer (TestEvictionParity).
+const wmeCacheSlots = 4096
+
+// wmeCache is one end of a directed connection's cache: slot ID mod
+// wmeCacheSlots holds the wme last defined there. The sending end
+// probes it to choose between a definition and a reference; the
+// receiving end resolves references in it. Each end is owned by
+// whoever orders the connection's bytes on that side: the holder of
+// the write mutex, or the one reader goroutine.
+type wmeCache struct {
+	slots [wmeCacheSlots]*ops5.WME
+	// defs and refs count the wmes that crossed in each form.
+	defs, refs int64
+}
+
+func (c *wmeCache) slot(id int) **ops5.WME { return &c.slots[uint64(id)%wmeCacheSlots] }
+
+// The forms a wme position takes on the wire.
+const (
+	wmeNil byte = iota // no wme: a conflict-set delta's negated CE
+	wmeDef             // content by value; stored when the stream is cached
+	wmeRef             // (ID, TimeTag) of a wme the stream defined earlier
+)
+
+// enc is an append-only frame encoder. One lives as long as its
+// connection: buf collects whole frames (begin, payload, end — see
+// frame.go) until flush writes them with a single Write, cache is the
+// connection's send cache (nil encodes every wme as an unstored
+// definition), and attrs is the definition's attribute-sort scratch.
 type enc struct {
-	buf []byte
+	buf   []byte
+	start int // offset of the open frame's header in buf
+	cache *wmeCache
+	attrs []string
 }
 
 func (e *enc) u64(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
 func (e *enc) i64(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
 func (e *enc) byte(b byte)   { e.buf = append(e.buf, b) }
+func (e *enc) raw(b []byte)  { e.buf = append(e.buf, b...) }
 func (e *enc) str(s string)  { e.u64(uint64(len(s))); e.buf = append(e.buf, s...) }
 func (e *enc) i32(v int32)   { e.i64(int64(v)) }
 func (e *enc) bool(b bool)   { e.byte(boolByte(b)) }
@@ -55,17 +116,29 @@ func boolByte(b bool) byte {
 // a zero value. Decoders therefore read straight through and their
 // callers check err (or done) once, before using anything decoded.
 //
+// One dec lives as long as its reader and is reset per payload.
 // nbuckets and workers are the topology's index bounds: every
 // wire-supplied bucket and worker index is held to them here (bucket,
 // worker), the one place such indices enter the process, so the worker
 // step and the cycle driver can index with them unchecked. The zero
-// bounds reject every index.
+// bounds reject every index. cache is the connection's receive cache;
+// without one every wme reference is refused.
 type dec struct {
 	b                 []byte
 	off               int // consumed bytes, for error context
 	nbuckets, workers int
 	err               error
+	cache             *wmeCache
+
+	// toks and refs are the unconsumed tails of the slabs decoded tokens
+	// are carved from (token), as rete's token arena carves the match's
+	// own.
+	toks []rete.Token
+	refs []*ops5.WME
 }
+
+// reset points the decoder at the next payload.
+func (d *dec) reset(payload []byte) { d.b, d.off, d.err = payload, 0, nil }
 
 func (d *dec) fail(what string) {
 	if d.err == nil {
@@ -201,15 +274,37 @@ func (d *dec) value() ops5.Value {
 	return ops5.Value{}
 }
 
+// wme encodes a wme position: a reference when the connection's cache
+// holds this (ID, TimeTag), otherwise a definition, which takes the
+// slot.
 func (e *enc) wme(w *ops5.WME) {
+	if c := e.cache; c != nil {
+		slot := c.slot(w.ID)
+		if s := *slot; s != nil && s.ID == w.ID && s.TimeTag == w.TimeTag {
+			c.refs++
+			e.byte(wmeRef)
+			e.int(w.ID)
+			e.int(w.TimeTag)
+			return
+		}
+		c.defs++
+		*slot = w
+	}
+	e.def(w)
+}
+
+// def encodes a definition, leaving the cache alone.
+func (e *enc) def(w *ops5.WME) {
+	e.byte(wmeDef)
 	e.int(w.ID)
 	e.int(w.TimeTag)
 	e.str(w.Class)
-	attrs := make([]string, 0, len(w.Attrs))
+	attrs := e.attrs[:0]
 	for a := range w.Attrs {
 		attrs = append(attrs, a)
 	}
-	sort.Strings(attrs)
+	slices.Sort(attrs)
+	e.attrs = attrs
 	e.count(len(attrs))
 	for _, a := range attrs {
 		e.str(a)
@@ -217,31 +312,63 @@ func (e *enc) wme(w *ops5.WME) {
 	}
 }
 
-func (d *dec) wme() *ops5.WME {
-	w := &ops5.WME{ID: d.int(), TimeTag: d.int(), Class: d.str()}
-	n := d.count(1 << 16)
-	w.Attrs = make(map[string]ops5.Value, n)
-	for i := 0; i < n; i++ {
-		a := d.str()
-		w.Attrs[a] = d.value()
-	}
-	return w
-}
-
 // optWME encodes a possibly-nil wme (InstChange entries for negated
 // CEs are nil).
 func (e *enc) optWME(w *ops5.WME) {
-	e.bool(w != nil)
-	if w != nil {
-		e.wme(w)
+	if w == nil {
+		e.byte(wmeNil)
+		return
 	}
+	e.wme(w)
 }
 
+// optWME decodes a wme position in any of its three forms (nil when
+// absent, and after a failure). A reference must name exactly what its
+// slot holds: an empty slot, another ID or another time tag means the
+// two ends of the cache have come apart, or the frame is forged.
 func (d *dec) optWME() *ops5.WME {
-	if !d.bool() {
-		return nil
+	switch form := d.byte(); form {
+	case wmeNil:
+	case wmeDef:
+		w := &ops5.WME{ID: d.int(), TimeTag: d.int(), Class: d.str()}
+		n := d.count(1 << 16)
+		w.Attrs = make(map[string]ops5.Value, n)
+		for i := 0; i < n; i++ {
+			a := d.str()
+			w.Attrs[a] = d.value()
+		}
+		if c := d.cache; c != nil && d.err == nil {
+			c.defs++
+			*c.slot(w.ID) = w
+		}
+		return w
+	case wmeRef:
+		id, tag := d.int(), d.int()
+		if d.err != nil {
+			return nil
+		}
+		if d.cache == nil {
+			d.fail("wme reference on a stream without a cache")
+			return nil
+		}
+		if w := *d.cache.slot(id); w != nil && w.ID == id && w.TimeTag == tag {
+			d.cache.refs++
+			return w
+		}
+		d.fail(fmt.Sprintf("wme reference (%d, %d) names nothing the stream defined", id, tag))
+	default:
+		d.fail(fmt.Sprintf("wme form %d", form))
 	}
-	return d.wme()
+	return nil
+}
+
+// wme decodes a wme position that must hold one.
+func (d *dec) wme() *ops5.WME {
+	w := d.optWME()
+	if w == nil {
+		d.fail("absent wme")
+	}
+	return w
 }
 
 // wmes encodes a counted list of wmes (a token's).
@@ -252,12 +379,31 @@ func (e *enc) wmes(ws []*ops5.WME) {
 	}
 }
 
-func (d *dec) wmes() []*ops5.WME {
-	ws := make([]*ops5.WME, d.count(1<<16))
-	for i := range ws {
-		ws[i] = d.wme()
+// Decoded tokens are carved from slabs of these sizes (rete's arena
+// chunk sizes): a token a worker stores keeps its slab alive, and a
+// slab costs one allocation per 256 tokens.
+const (
+	tokenSlab = 256
+	refSlab   = 1024
+)
+
+// token decodes a counted list of wmes into a token carved from the
+// decoder's slabs.
+func (d *dec) token() *rete.Token {
+	n := d.count(1 << 16)
+	if len(d.toks) == 0 {
+		d.toks = make([]rete.Token, tokenSlab)
 	}
-	return ws
+	if len(d.refs) < n {
+		d.refs = make([]*ops5.WME, max(n, refSlab))
+	}
+	t := &d.toks[0]
+	d.toks = d.toks[1:]
+	t.WMEs, d.refs = d.refs[:n:n], d.refs[n:]
+	for i := range t.WMEs {
+		t.WMEs[i] = d.wme()
+	}
+	return t
 }
 
 // --- changes, activations, instantiations ---
@@ -326,7 +472,7 @@ func (d *dec) activation(net *rete.Network) rete.Activation {
 	a.Side = rete.Side(side)
 	a.Tag = d.tag()
 	if d.bool() {
-		a.Token = &rete.Token{WMEs: d.wmes()}
+		a.Token = d.token()
 	}
 	a.WME = d.optWME()
 	return a
@@ -352,9 +498,11 @@ func (d *dec) actList(net *rete.Network, buf []parallel.Message) []parallel.Mess
 	return buf
 }
 
+// instChange encodes one conflict-set delta. The production travels as
+// its terminal node's compiled id.
 func (e *enc) instChange(ic rete.InstChange) {
 	e.byte(byte(ic.Tag))
-	e.str(ic.Info.Prod.Name)
+	e.int(ic.Info.Node.ID)
 	e.count(len(ic.WMEs))
 	for _, w := range ic.WMEs {
 		e.optWME(w)
@@ -365,24 +513,28 @@ func (e *enc) instChange(ic rete.InstChange) {
 	}
 }
 
-func (d *dec) instChange(net *rete.Network) rete.InstChange {
+// instChange decodes one delta of a turn frame, carving its arrays
+// from the frame's slabs.
+func (d *dec) instChange(net *rete.Network, tf *turnFrame) rete.InstChange {
 	ic := rete.InstChange{Tag: d.tag()}
-	name := d.str()
-	info, ok := net.Prods[name]
-	if !ok {
-		d.fail(fmt.Sprintf("unknown production %q", name))
+	n := d.node(net)
+	if n == nil {
 		return ic
 	}
-	ic.Info = info
-	ic.WMEs = make([]*ops5.WME, d.count(1<<16))
+	if n.Kind != rete.KindProduction || n.Info == nil {
+		d.fail(fmt.Sprintf("node %d is not a production's terminal", n.ID))
+		return ic
+	}
+	ic.Info = n.Info
+	nw := d.count(len(tf.wmes))
+	ic.WMEs, tf.wmes = tf.wmes[:nw:nw], tf.wmes[nw:]
 	for i := range ic.WMEs {
 		ic.WMEs[i] = d.optWME()
 	}
-	if n := d.count(1 << 16); n > 0 {
-		ic.TimeTags = make([]int, n)
-		for i := range ic.TimeTags {
-			ic.TimeTags[i] = d.int()
-		}
+	nt := d.count(len(tf.tags))
+	ic.TimeTags, tf.tags = tf.tags[:nt:nt], tf.tags[nt:]
+	for i := range ic.TimeTags {
+		ic.TimeTags[i] = d.int()
 	}
 	return ic
 }
@@ -429,10 +581,13 @@ func (d *dec) partition() sched.Partition {
 
 // bucketContents encodes one extracted hash-bucket pair. Node
 // references travel as compiled-network ids; tokens and wmes travel by
-// value. The decoded copy is safe to inject on the receiver because
-// memory removal matches by value (wme ID / Token.Same), never by
-// pointer identity.
+// value with the cache off, because the control process forwards the
+// frame without decoding it (see the header). The decoded copy is safe
+// to inject on the receiver because memory removal matches by value
+// (wme ID / Token.Same), never by pointer identity.
 func (e *enc) bucketContents(bc *rete.BucketContents) {
+	cache := e.cache
+	e.cache = nil
 	e.int(bc.Bucket)
 	e.count(len(bc.LeftTokens))
 	for i, tok := range bc.LeftTokens {
@@ -445,29 +600,33 @@ func (e *enc) bucketContents(bc *rete.BucketContents) {
 		e.int(bc.RightNodes[i].ID)
 		e.wme(w)
 	}
+	e.cache = cache
 }
 
 func (d *dec) bucketContents(net *rete.Network) *rete.BucketContents {
+	cache := d.cache
+	d.cache = nil
 	bc := &rete.BucketContents{Bucket: int(d.bucket())}
 	for i, n := 0, d.count(1<<24); i < n; i++ {
 		bc.LeftNodes = append(bc.LeftNodes, d.node(net))
 		bc.LeftCounts = append(bc.LeftCounts, d.int())
-		bc.LeftTokens = append(bc.LeftTokens, &rete.Token{WMEs: d.wmes()})
+		bc.LeftTokens = append(bc.LeftTokens, d.token())
 	}
 	for i, n := 0, d.count(1<<24); i < n; i++ {
 		bc.RightNodes = append(bc.RightNodes, d.node(net))
 		bc.RightWMEs = append(bc.RightWMEs, d.wme())
 	}
+	d.cache = cache
 	return bc
 }
 
 // --- message batches (the Loopback transport's ftBatch payload) ---
 
-// appendBatch encodes a pushed message batch with its causal stamp.
-// Migration messages ship by value: moves as (bucket, owner) pairs,
-// injected contents through the bucketContents codec.
-func appendBatch(buf []byte, ms []parallel.Message, batch, src int32) ([]byte, error) {
-	e := enc{buf: buf}
+// appendBatch encodes a pushed message batch with its causal stamp
+// against the endpoint's send cache. Migration messages ship by value:
+// moves as (bucket, owner) pairs, injected contents through the
+// bucketContents codec.
+func appendBatch(e *enc, ms []parallel.Message, batch, src int32) error {
 	e.i32(batch)
 	e.i32(src)
 	e.count(len(ms))
@@ -486,15 +645,15 @@ func appendBatch(buf []byte, ms []parallel.Message, batch, src int32) ([]byte, e
 		case parallel.MsgMigrateIn:
 			e.bucketContents(m.Inject)
 		default:
-			return nil, fmt.Errorf("transport: message kind %d cannot cross the wire", m.Kind)
+			return fmt.Errorf("transport: message kind %d cannot cross the wire", m.Kind)
 		}
 	}
-	return e.buf, nil
+	return nil
 }
 
-// decodeBatch decodes an ftBatch payload (d.b) into messages backed by
-// fresh wme copies.
-func decodeBatch(net *rete.Network, d dec, ms []parallel.Message) ([]parallel.Message, int32, int32, error) {
+// decodeBatch decodes an ftBatch payload (d.b) into messages whose
+// wmes are the endpoint's receive cache's.
+func decodeBatch(net *rete.Network, d *dec, ms []parallel.Message) ([]parallel.Message, int32, int32, error) {
 	batch, src := d.i32(), d.i32()
 	n := d.count(1 << 24)
 	ms = ms[:0]
@@ -524,12 +683,18 @@ func decodeBatch(net *rete.Network, d dec, ms []parallel.Message) ([]parallel.Me
 
 // turnFrame is a decoded ftTurn payload: how many protocol messages the
 // worker fully processed, the recv stamps it drained, how many times it
-// flushed, and what the step produced.
+// flushed, and what the step produced. wmes and tags are the
+// unconsumed tails of the frame's two slabs: the deltas' WMEs and
+// TimeTags arrays, which the engine retains, are allocated once per
+// frame at the totals the frame declares, as rete.BuildInsts allocates
+// them once per match phase.
 type turnFrame struct {
 	n       int
 	stamps  []parallel.RecvStamp
 	flushes int64
 	turn    parallel.Turn
+	wmes    []*ops5.WME
+	tags    []int
 }
 
 func (e *enc) turn(n int, stamps []parallel.RecvStamp, flushes int64, t *parallel.Turn) {
@@ -544,6 +709,13 @@ func (e *enc) turn(n int, stamps []parallel.RecvStamp, flushes int64, t *paralle
 	e.i64(flushes)
 	e.i32(t.MaxDepth)
 	e.count(len(t.Insts))
+	nw, nt := 0, 0
+	for i := range t.Insts {
+		nw += len(t.Insts[i].WMEs)
+		nt += len(t.Insts[i].TimeTags)
+	}
+	e.count(nw)
+	e.count(nt)
 	for i := range t.Insts {
 		e.instChange(t.Insts[i])
 	}
@@ -565,8 +737,16 @@ func (d *dec) turn(net *rete.Network, tf *turnFrame) error {
 	}
 	tf.turn.Handled, tf.flushes, tf.turn.MaxDepth = d.i64(), d.i64(), d.i32()
 	tf.turn.Insts = tf.turn.Insts[:0]
-	for i, n := 0, d.count(1<<24); i < n; i++ {
-		tf.turn.Insts = append(tf.turn.Insts, d.instChange(net))
+	n := d.count(1 << 24)
+	// Every wme position and every time tag costs a byte, so count holds
+	// both totals to the frame's size.
+	tf.wmes = make([]*ops5.WME, d.count(1<<24))
+	tf.tags = make([]int, d.count(1<<24))
+	for i := 0; i < n; i++ {
+		tf.turn.Insts = append(tf.turn.Insts, d.instChange(net, tf))
+	}
+	if len(tf.wmes)+len(tf.tags) != 0 {
+		d.fail("instantiations fall short of the frame's declared totals")
 	}
 	tf.turn.Loads = tf.turn.Loads[:0]
 	for i, n := 0, d.count(1<<24); i < n; i++ {

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mpcrete/internal/obs"
+	"mpcrete/internal/ops5"
 	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/sched"
@@ -69,33 +70,39 @@ type Control struct {
 	ln       net.Listener
 	conns    []*ctlConn
 	readers  sync.WaitGroup
-
-	// ebuf is the delivery encode buffer, reused across cycles; only the
-	// goroutine calling Cycle touches it.
-	ebuf []byte
 }
 
 // ctlConn is one worker's connection: the conn reader goroutine is the
-// single consumer of its frames and the single producer of its causal
-// track; writers (the cycle's delivery and other readers' relay
-// forwarding) serialize on mu.
+// single consumer of its frames (fr, dec and the receive cache behind
+// it) and the single producer of its causal track; writers (the cycle's
+// delivery and other readers' relay forwarding) serialize on mu.
 type ctlConn struct {
-	id int
-	c  net.Conn
-	br *bufio.Reader
+	id  int
+	c   net.Conn
+	fr  frameReader
+	dec dec
 
-	mu sync.Mutex
-	bw *bufio.Writer
+	// mu orders the connection's outgoing bytes, and with them the send
+	// cache behind enc: a frame is encoded and written under one hold, so
+	// the worker's mirror sees definitions in the order they were made.
+	mu  sync.Mutex
+	enc enc
 }
 
-// write frames and flushes one payload under the conn's write mutex.
-func (cc *ctlConn) write(ft frameType, payload []byte) error {
+// write encodes one frame with fill and writes it, under the conn's
+// write mutex.
+func (cc *ctlConn) write(ft frameType, fill func(*enc)) error {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
-	if err := writeFrame(cc.bw, ft, payload); err != nil {
+	e := &cc.enc
+	e.begin()
+	if fill != nil {
+		fill(e)
+	}
+	if err := e.end(ft); err != nil {
 		return err
 	}
-	return cc.bw.Flush()
+	return e.flush(cc.c)
 }
 
 // Listen starts a control plane for the given compiled network on
@@ -146,10 +153,11 @@ func (c *Control) WaitWorkers() error {
 			return fmt.Errorf("transport: accepting worker %d/%d: %w", id, c.opts.Workers, err)
 		}
 		cc := &ctlConn{
-			id: id,
-			c:  conn,
-			br: bufio.NewReaderSize(conn, 1<<16),
-			bw: bufio.NewWriterSize(conn, 1<<16),
+			id:  id,
+			c:   conn,
+			fr:  frameReader{r: bufio.NewReaderSize(conn, 1<<16)},
+			dec: dec{nbuckets: c.nbuckets, workers: c.opts.Workers, cache: new(wmeCache)},
+			enc: enc{cache: new(wmeCache)},
 		}
 		conn.SetReadDeadline(deadline)
 		if err := c.handshake(cc); err != nil {
@@ -169,21 +177,24 @@ func (c *Control) WaitWorkers() error {
 // handshake sends worker cc its hello — topology slice plus the compiled
 // network — and checks the ready reply echoes its id.
 func (c *Control) handshake(cc *ctlConn) error {
-	payload, err := encodeHello(nil, hello{
-		id:         cc.id,
-		workers:    c.opts.Workers,
-		nbuckets:   c.nbuckets,
-		routeRoots: c.opts.RouteRoots,
-		trackLoads: c.opts.Rebalance.Enabled(),
-		partition:  c.Partition(),
-	}, c.network)
+	var err error
+	werr := cc.write(ftHello, func(e *enc) {
+		err = encodeHello(e, hello{
+			id:         cc.id,
+			workers:    c.opts.Workers,
+			nbuckets:   c.nbuckets,
+			routeRoots: c.opts.RouteRoots,
+			trackLoads: c.opts.Rebalance.Enabled(),
+			partition:  c.Partition(),
+		}, c.network)
+	})
 	if err != nil {
 		return err
 	}
-	if err := cc.write(ftHello, payload); err != nil {
-		return fmt.Errorf("transport: hello to worker %d: %w", cc.id, err)
+	if werr != nil {
+		return fmt.Errorf("transport: hello to worker %d: %w", cc.id, werr)
 	}
-	ft, rp, err := readFrame(cc.br, nil)
+	ft, rp, err := cc.fr.next()
 	if err != nil {
 		return fmt.Errorf("transport: ready from worker %d: %w", cc.id, err)
 	}
@@ -197,11 +208,9 @@ func (c *Control) handshake(cc *ctlConn) error {
 	return nil
 }
 
-// send writes one driver delivery to a worker and keeps the encode
-// buffer for the next.
-func (c *Control) send(cc *ctlConn, ft frameType, e enc) error {
-	c.ebuf = e.buf[:0]
-	if err := cc.write(ft, e.buf); err != nil {
+// send writes one driver delivery to a worker.
+func (c *Control) send(cc *ctlConn, ft frameType, fill func(*enc)) error {
+	if err := cc.write(ft, fill); err != nil {
 		err = fmt.Errorf("transport: %s frame to worker %d: %w", ft, cc.id, err)
 		c.Fail(err) // the message was registered and is lost
 		return err
@@ -209,22 +218,22 @@ func (c *Control) send(cc *ctlConn, ft frameType, e enc) error {
 	return nil
 }
 
-// stamped starts a delivery payload with its causal stamp: the batch id
+// stamp opens a delivery payload with its causal stamp: the batch id
 // and the control track as source.
-func (c *Control) stamped(batch int32) enc {
-	e := enc{buf: c.ebuf[:0]}
+func (c *Control) stamp(e *enc, batch int32) {
 	e.i32(batch)
 	e.i32(int32(c.opts.Workers))
-	return e
 }
 
-// Broadcast implements parallel.Carrier: the cycle's changes, encoded
-// once, in an ftCycle frame to every worker (Fig 3-3).
+// Broadcast implements parallel.Carrier: the cycle's changes in an
+// ftCycle frame to every worker (Fig 3-3), encoded per worker because
+// each connection has defined its own set of wmes.
 func (c *Control) Broadcast(m parallel.Message, batch int32) error {
-	e := c.stamped(batch)
-	e.changes(m.Cycle.Changes)
 	for _, cc := range c.conns {
-		if err := c.send(cc, ftCycle, e); err != nil {
+		if err := c.send(cc, ftCycle, func(e *enc) {
+			c.stamp(e, batch)
+			e.changes(m.Cycle.Changes)
+		}); err != nil {
 			return err
 		}
 	}
@@ -234,9 +243,10 @@ func (c *Control) Broadcast(m parallel.Message, batch int32) error {
 // Deliver implements parallel.Carrier: one coalesced ftActs frame of
 // routed roots (Fig 3-2).
 func (c *Control) Deliver(dst int, ms []parallel.Message, batch int32) error {
-	e := c.stamped(batch)
-	e.actList(ms)
-	return c.send(c.conns[dst], ftActs, e)
+	return c.send(c.conns[dst], ftActs, func(e *enc) {
+		c.stamp(e, batch)
+		e.actList(ms)
+	})
 }
 
 // Migrate implements parallel.Carrier: an ftRepart order to every
@@ -247,10 +257,10 @@ func (c *Control) Deliver(dst int, ms []parallel.Message, batch int32) error {
 func (c *Control) Migrate(newPart sched.Partition, moves [][]parallel.BucketMove) error {
 	c.Sending(c.opts.Workers, len(c.conns))
 	for _, cc := range c.conns {
-		e := enc{buf: c.ebuf[:0]}
-		e.partition(newPart)
-		e.moves(moves[cc.id])
-		if err := c.send(cc, ftRepart, e); err != nil {
+		if err := c.send(cc, ftRepart, func(e *enc) {
+			e.partition(newPart)
+			e.moves(moves[cc.id])
+		}); err != nil {
 			return err
 		}
 	}
@@ -270,22 +280,29 @@ func (c *Control) readLoop(cc *ctlConn) {
 
 func (c *Control) read(cc *ctlConn) error {
 	track := c.opts.Causal.Track(cc.id)
-	var fbuf, ebuf []byte
+	d := &cc.dec
+	// A relay is re-encoded before the next frame is read and nothing of
+	// it is kept, so every relay's tokens are carved from the same slabs.
+	toks, refs := make([]rete.Token, tokenSlab), make([]*ops5.WME, refSlab)
 	var acts []parallel.Message
 	var tf turnFrame
 	for {
-		ft, payload, err := readFrame(cc.br, fbuf)
+		ft, payload, err := cc.fr.next()
 		if err != nil {
 			return fmt.Errorf("transport: worker %d connection: %w", cc.id, err)
 		}
-		fbuf = payload[:0]
-		d := dec{b: payload, nbuckets: c.nbuckets, workers: c.opts.Workers}
+		d.reset(payload)
 		switch ft {
 		case ftRelay:
-			dst, err := relayDst(&d, cc, ft)
+			dst, err := relayDst(d, cc, ft)
 			if err != nil {
 				return err
 			}
+			// The control only forwards: references resolve through this
+			// conn's receive cache and leave as references into the
+			// destination's send cache; a wme is materialised only where
+			// the sender defined one.
+			d.toks, d.refs = toks, refs
 			acts = d.actList(c.network, acts)
 			if err := d.done(); err != nil {
 				return err
@@ -299,19 +316,18 @@ func (c *Control) read(cc *ctlConn) error {
 			c.Sending(cc.id, len(acts))
 			batch := c.opts.Causal.NextBatch()
 			track.Send(c.Now(), c.CurrentCycle(), batch, dst, int32(len(acts)))
-			e := enc{buf: ebuf[:0]}
-			e.i32(batch)
-			e.i32(int32(cc.id))
-			e.actList(acts)
-			ebuf = e.buf[:0]
-			if err := c.conns[dst].write(ftActs, e.buf); err != nil {
+			if err := c.conns[dst].write(ftActs, func(e *enc) {
+				e.i32(batch)
+				e.i32(int32(cc.id))
+				e.actList(acts)
+			}); err != nil {
 				return fmt.Errorf("transport: forwarding to worker %d: %w", dst, err)
 			}
 		case ftBucketRelay:
 			// A migrated bucket in flight: registered like a relay, then
 			// forwarded verbatim — the control process never decodes the
-			// contents.
-			dst, err := relayDst(&d, cc, ft)
+			// contents, which is why they bypass both wme caches.
+			dst, err := relayDst(d, cc, ft)
 			if err != nil {
 				return err
 			}
@@ -320,7 +336,7 @@ func (c *Control) read(cc *ctlConn) error {
 				return d.err
 			}
 			c.Shipping(cc.id, entries)
-			if err := c.conns[dst].write(ftBucket, d.b); err != nil {
+			if err := c.conns[dst].write(ftBucket, func(e *enc) { e.raw(d.b) }); err != nil {
 				return fmt.Errorf("transport: forwarding bucket to worker %d: %w", dst, err)
 			}
 		case ftTurn:

@@ -2,11 +2,13 @@ package transport
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"net"
 	"testing"
 	"time"
 
+	"mpcrete/internal/ops5"
 	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
 )
@@ -137,8 +139,7 @@ func TestControlWorkerDisconnect(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		br := bufio.NewReader(conn)
-		ft, payload, err := readFrame(br, nil)
+		ft, payload, err := readFrame(bufio.NewReader(conn))
 		if err != nil || ft != ftHello {
 			t.Errorf("fake worker handshake: ft=%v err=%v", ft, err)
 			conn.Close()
@@ -182,5 +183,163 @@ func TestControlWorkerDisconnect(t *testing.T) {
 	// The failure is sticky: later cycles fail fast too.
 	if _, err := ctl.Cycle(changes); err == nil {
 		t.Fatal("Cycle after failure succeeded; want sticky error")
+	}
+}
+
+// forgingWorker dials the control, handshakes as a real worker would,
+// waits for the first delivery, and answers it with the frames forge
+// returns for its hello. It then reads until shutdown, or until the
+// control hangs up.
+func forgingWorker(t *testing.T, addr string, forge func(h hello) []wireFrame) {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	defer conn.Close()
+	fr := frameReader{r: bufio.NewReader(conn)}
+	ft, payload, err := fr.next()
+	if err != nil || ft != ftHello {
+		t.Errorf("forging worker handshake: ft=%v err=%v", ft, err)
+		return
+	}
+	h, err := decodeHello(payload)
+	if err != nil {
+		t.Error(err)
+		return
+	}
+	ready := wireFrame{ftReady, func(e *enc) { e.int(h.id) }}
+	if err := ready.writeTo(conn); err != nil {
+		t.Error(err)
+		return
+	}
+	if _, _, err := fr.next(); err != nil {
+		return // the test ended before the first cycle
+	}
+	for _, f := range forge(h) {
+		if err := f.writeTo(conn); err != nil {
+			return
+		}
+	}
+	for ft != ftShutdown && err == nil {
+		ft, _, err = fr.next()
+	}
+}
+
+// TestControlRejectsBadReferences is the control's side of the fault
+// table: worker 0 answers the first cycle with a relay or a turn frame
+// whose second wme position lies about the cache (wmeFaults), or whose
+// delta names a node that is no production's terminal, or overruns the
+// array totals the frame declared. Cycle must return an error wrapping
+// ErrBadPayload — not hang on the turn that never closes, and not hand
+// the engine an instantiation over stale content.
+func TestControlRejectsBadReferences(t *testing.T) {
+	network, changes := compileWorkload(t, "blocks")
+	w := faultWME()
+	var prod, join *rete.Node
+	for _, n := range network.Nodes {
+		if n.Kind == rete.KindProduction && prod == nil {
+			prod = n
+		}
+		if n.Kind != rete.KindProduction && join == nil {
+			join = n
+		}
+	}
+	// turn encodes a turn frame closing one message with one delta at
+	// node whose two wme positions are a definition of w and second,
+	// under declared totals of total wmes and no time tags.
+	turn := func(node *rete.Node, total int, second func(e *enc, w *ops5.WME)) wireFrame {
+		return wireFrame{ftTurn, func(e *enc) {
+			e.int(1)   // messages processed
+			e.count(0) // stamps
+			e.i64(0)   // handled
+			e.i64(0)   // flushes
+			e.i32(0)   // max depth
+			e.count(1) // deltas
+			e.count(total)
+			e.count(0)
+			e.byte(byte(rete.Add))
+			e.int(node.ID)
+			e.count(2)
+			e.def(w)
+			second(e, w)
+			e.count(0) // time tags
+			e.count(0) // loads
+		}}
+	}
+	relay := func(second func(e *enc, w *ops5.WME)) wireFrame {
+		return wireFrame{ftRelay, func(e *enc) {
+			e.i32(1) // destination: worker 0 is the forger
+			e.count(1)
+			e.i32(3) // bucket
+			e.i32(2) // depth
+			e.int(join.ID)
+			e.byte(byte(rete.Left))
+			e.byte(byte(rete.Add))
+			e.bool(true)
+			e.count(2)
+			e.def(w)
+			second(e, w)
+			e.byte(wmeNil)
+		}}
+	}
+	exact := func(e *enc, w *ops5.WME) { wireRef(e, w.ID, w.TimeTag) }
+	type forgery struct {
+		name  string
+		frame wireFrame
+		sound bool
+	}
+	rows := []forgery{
+		{name: "exact", frame: turn(prod, 2, exact), sound: true},
+		{name: "turn-node-not-production", frame: turn(join, 2, exact)},
+		{name: "turn-overruns-totals", frame: turn(prod, 1, exact)},
+		{name: "turn-short-of-totals", frame: turn(prod, 3, exact)},
+	}
+	for _, f := range wmeFaults {
+		rows = append(rows,
+			forgery{name: "turn-" + f.name, frame: turn(prod, 2, f.bad)},
+			forgery{name: "relay-" + f.name, frame: relay(f.bad)})
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			ctl, err := Listen(network, "127.0.0.1:0", ControlOptions{Workers: faultWorkers, NBuckets: faultBuckets})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ctl.Close()
+			for i := 0; i < faultWorkers; i++ {
+				go forgingWorker(t, ctl.Addr(), func(h hello) []wireFrame {
+					if h.id != 0 {
+						// Worker 1 closes its turn honestly, so only the
+						// forger's frames decide the cycle.
+						return []wireFrame{{ftTurn, func(e *enc) { e.turn(1, nil, 0, &parallel.Turn{}) }}}
+					}
+					return []wireFrame{row.frame}
+				})
+			}
+			if err := ctl.WaitWorkers(); err != nil {
+				t.Fatal(err)
+			}
+			type result struct {
+				insts []rete.InstChange
+				err   error
+			}
+			done := make(chan result, 1)
+			go func() {
+				insts, err := ctl.Cycle(changes)
+				done <- result{insts, err}
+			}()
+			select {
+			case r := <-done:
+				switch {
+				case row.sound && (r.err != nil || len(r.insts) != 1 || r.insts[0].WMEs[0] != r.insts[0].WMEs[1]):
+					t.Fatalf("sound turn: insts=%v err=%v, want one delta over the one cached wme", r.insts, r.err)
+				case !row.sound && !errors.Is(r.err, ErrBadPayload):
+					t.Fatalf("Cycle returned %v, want ErrBadPayload", r.err)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("Cycle hung on a forged frame")
+			}
+		})
 	}
 }

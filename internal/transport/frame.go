@@ -21,7 +21,13 @@
 // length, a 1-byte frame type, and a varint-encoded payload. The
 // length covers the type byte, so a frame occupies 4+length bytes on
 // the wire and a reader can skip unknown payloads without decoding
-// them.
+// them. A frame is built in place behind its reserved header and
+// leaves in one Write; a worker's whole turn — its relays and the
+// closing turn frame — leaves in one.
+//
+// Inside the payloads a wme crosses each directed connection once: the
+// first mention is a definition, every later one an (ID, TimeTag)
+// reference into a cache both ends keep (codec.go has the contract).
 package transport
 
 import (
@@ -35,6 +41,9 @@ import (
 // cycle's coalesced changes and a worker's relayed activation batches
 // stay far below this; anything larger is a corrupt or hostile stream.
 const MaxFrame = 16 << 20
+
+// frameHeader is the bytes ahead of a payload: length, then type.
+const frameHeader = 5
 
 // frameType tags a frame's payload.
 type frameType uint8
@@ -74,7 +83,8 @@ const (
 	// ftBucketRelay is a worker→control shipment of one extracted
 	// bucket pair: destination worker, entry count, then the encoded
 	// contents, which the control process forwards verbatim (without
-	// decoding) as ftBucket.
+	// decoding) as ftBucket — so the contents are self-contained: every
+	// wme a definition, none cached.
 	ftBucketRelay
 	// ftBucket is the control→worker delivery of one migrated bucket
 	// pair; the receiver injects it and closes the turn.
@@ -111,61 +121,79 @@ var (
 	ErrBadPayload = errors.New("transport: malformed payload")
 )
 
-// writeFrame writes one frame. The caller serializes concurrent writers
-// (per-connection write mutexes in loopback.go / control.go).
-func writeFrame(w io.Writer, ft frameType, payload []byte) error {
-	n := 1 + len(payload)
+// A frame is written in place: begin reserves the header at the end of
+// the encoder's buffer, the payload is appended behind it, end fills
+// the header in, and flush hands every closed frame to the connection
+// in one Write.
+
+// begin opens a frame at the end of the buffer, reserving its header.
+func (e *enc) begin() {
+	e.start = len(e.buf)
+	e.buf = append(e.buf, make([]byte, frameHeader)...)
+}
+
+// end closes the open frame by filling in its header.
+func (e *enc) end(ft frameType) error {
+	n := len(e.buf) - e.start - 4 // type byte + payload
 	if n > MaxFrame {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	var hdr [5]byte
-	binary.BigEndian.PutUint32(hdr[:4], uint32(n))
-	hdr[4] = byte(ft)
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if len(payload) == 0 {
-		return nil
-	}
-	_, err := w.Write(payload)
+	binary.BigEndian.PutUint32(e.buf[e.start:], uint32(n))
+	e.buf[e.start+4] = byte(ft)
+	return nil
+}
+
+// flush writes the closed frames with one Write and empties the
+// buffer. The caller serializes concurrent writers (per-connection
+// write mutexes in loopback.go / control.go).
+func (e *enc) flush(w io.Writer) error {
+	_, err := w.Write(e.buf)
+	e.buf = e.buf[:0]
 	return err
 }
 
-// readFrame reads one frame, reusing buf for the payload when it fits.
-// A clean EOF before any header byte returns io.EOF; an EOF anywhere
-// inside a frame returns ErrTruncated. An oversized length field or an
-// unknown type byte returns the matching typed error without consuming
-// the payload.
-func readFrame(r io.Reader, buf []byte) (frameType, []byte, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+// frameReader reads frames off one connection. It owns the header
+// scratch and the payload buffer, so a frame read allocates nothing
+// once the buffer has grown to the stream's largest payload.
+type frameReader struct {
+	r   io.Reader
+	hdr [frameHeader]byte
+	buf []byte
+}
+
+// next reads one frame. The payload aliases the reader's buffer and is
+// valid until the following call. A clean EOF before any header byte
+// returns io.EOF; an EOF anywhere inside a frame returns ErrTruncated.
+// An oversized length field or an unknown type byte returns the
+// matching typed error without consuming the payload.
+func (fr *frameReader) next() (frameType, []byte, error) {
+	if _, err := io.ReadFull(fr.r, fr.hdr[:4]); err != nil {
 		if err == io.EOF {
 			return 0, nil, io.EOF
 		}
 		return 0, nil, fmt.Errorf("%w: reading length: %v", ErrTruncated, err)
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(fr.hdr[:4])
 	if n < 1 {
 		return 0, nil, fmt.Errorf("%w: zero-length frame", ErrBadPayload)
 	}
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("%w: length field %d", ErrFrameTooLarge, n)
 	}
-	var tb [1]byte
-	if _, err := io.ReadFull(r, tb[:]); err != nil {
+	if _, err := io.ReadFull(fr.r, fr.hdr[4:]); err != nil {
 		return 0, nil, fmt.Errorf("%w: reading type: %v", ErrTruncated, err)
 	}
-	ft := frameType(tb[0])
+	ft := frameType(fr.hdr[4])
 	if ft < ftHello || ft > maxFrameType {
-		return 0, nil, fmt.Errorf("%w: %d", ErrUnknownFrameType, tb[0])
+		return 0, nil, fmt.Errorf("%w: %d", ErrUnknownFrameType, fr.hdr[4])
 	}
 	plen := int(n) - 1
-	if cap(buf) < plen {
-		buf = make([]byte, plen)
+	if cap(fr.buf) < plen {
+		fr.buf = make([]byte, plen)
 	}
-	buf = buf[:plen]
-	if _, err := io.ReadFull(r, buf); err != nil {
+	payload := fr.buf[:plen]
+	if _, err := io.ReadFull(fr.r, payload); err != nil {
 		return 0, nil, fmt.Errorf("%w: reading %s payload (%d bytes): %v", ErrTruncated, ft, plen, err)
 	}
-	return ft, buf, nil
+	return ft, payload, nil
 }

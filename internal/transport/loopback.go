@@ -32,6 +32,11 @@ import (
 // rebalancer work over it — the receiver injects fresh value copies,
 // which is safe because memory removal matches by value.
 //
+// Each endpoint's connection has the star's wme cache at both ends
+// (send under the write mutex, receive in the reader goroutine), so a
+// wme crosses into a worker's inbox by value once and by reference
+// afterwards, whichever worker sent it.
+//
 // The point of Loopback is validation, not deployment: it runs the
 // exact wire codec and framing of the multi-process runtime inside one
 // process, where the difftest oracle can hold it against the
@@ -85,11 +90,12 @@ func (l *Loopback) Open(workers int, opts parallel.EndpointOptions) ([]parallel.
 		}
 		ep := &loopEndpoint{
 			net:   l.net,
-			dims:  dec{nbuckets: opts.NBuckets, workers: workers},
+			dec:   dec{nbuckets: opts.NBuckets, workers: workers, cache: new(wmeCache)},
 			wconn: wc,
 			rconn: rc,
 			inner: parallel.NewEndpoint(opts),
 			opts:  opts,
+			enc:   enc{cache: new(wmeCache)},
 		}
 		go ep.readLoop()
 		l.mu.Lock()
@@ -120,16 +126,17 @@ func (l *Loopback) Close() error {
 // wconn; the reader goroutine decodes rconn into inner.
 type loopEndpoint struct {
 	net *rete.Network
-	// dims is the decoder template: the index bounds every received
-	// frame's bucket and worker indices are held to.
-	dims  dec
+	// dec is the reader goroutine's decoder: the index bounds every
+	// received frame's bucket and worker indices are held to, and the
+	// connection's receive cache.
+	dec   dec
 	inner parallel.Endpoint
 	opts  parallel.EndpointOptions
 	rconn net.Conn
 
-	mu     sync.Mutex // serializes writers; guards wbuf, closed
+	mu     sync.Mutex // serializes writers; guards enc (and its send cache), closed
 	wconn  net.Conn
-	wbuf   []byte
+	enc    enc
 	closed bool
 }
 
@@ -152,13 +159,18 @@ func (ep *loopEndpoint) push(ms []parallel.Message, batch, src int32, n int64) {
 		ep.opts.Dropped.Add(n)
 		return
 	}
-	buf, err := appendBatch(ep.wbuf[:0], ms, batch, src)
+	e := &ep.enc
+	e.begin()
+	err := appendBatch(e, ms, batch, src)
+	if err == nil {
+		err = e.end(ftBatch)
+	}
 	if err != nil {
+		e.buf = e.buf[:0]
 		ep.fail(err)
 		return
 	}
-	ep.wbuf = buf[:0] // keep the grown capacity
-	if err := writeFrame(ep.wconn, ftBatch, buf); err != nil {
+	if err := e.flush(ep.wconn); err != nil {
 		ep.fail(fmt.Errorf("transport: loopback send: %w", err))
 	}
 }
@@ -185,21 +197,19 @@ func (ep *loopEndpoint) readLoop() {
 }
 
 func (ep *loopEndpoint) read() error {
-	var fbuf []byte
+	fr := frameReader{r: ep.rconn}
 	var ms []parallel.Message
 	for {
-		ft, payload, err := readFrame(ep.rconn, fbuf)
+		ft, payload, err := fr.next()
 		if err != nil {
 			return err
 		}
-		fbuf = payload[:0]
 		if ft != ftBatch {
 			return fmt.Errorf("%w: unexpected %s frame on loopback", ErrBadPayload, ft)
 		}
-		d := ep.dims
-		d.b = payload
+		ep.dec.reset(payload)
 		var batch, src int32
-		if ms, batch, src, err = decodeBatch(ep.net, d, ms); err != nil {
+		if ms, batch, src, err = decodeBatch(ep.net, &ep.dec, ms); err != nil {
 			return err
 		}
 		ep.inner.PushBatch(ms, batch, src)

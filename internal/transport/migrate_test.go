@@ -67,8 +67,14 @@ var migrationProds = []string{
 // churnScript is a fixed pseudo-random run of single-wme cycles over
 // migrationProds' classes: two adds for every delete of a live wme.
 func churnScript(steps int) [][]rete.Change {
+	return churnScriptIDs(steps, func(k int) int { return k + 1 })
+}
+
+// churnScriptIDs is churnScript with the k-th wme made given id
+// idOf(k); its time tag is k+1.
+func churnScriptIDs(steps int, idOf func(k int) int) [][]rete.Change {
 	var script [][]rete.Change
-	id := 1
+	made := 0
 	var live []*ops5.WME
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < steps; i++ {
@@ -80,8 +86,8 @@ func churnScript(steps int) [][]rete.Change {
 		}
 		class := []string{"a", "b", "c", "d"}[rng.Intn(4)]
 		w := ops5.NewWME(class, "x", rng.Intn(3))
-		w.ID, w.TimeTag = id, id
-		id++
+		w.ID, w.TimeTag = idOf(made), made+1
+		made++
 		script = append(script, []rete.Change{{Tag: rete.Add, WME: w}})
 		live = append(live, w)
 	}

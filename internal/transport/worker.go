@@ -39,7 +39,11 @@ import (
 // changed no frame: it marks the new number fold of rete.HashKey.
 // ftActs frames carry the sender's bucket, so a control and a worker
 // that hash differently would mis-join without any decode error.
-const protoVersion = 3
+// Version 4 is the cached wme codec: every wme position is a
+// definition or an (ID, TimeTag) reference, a conflict-set delta names
+// its production by terminal node id, and ftTurn declares its array
+// totals.
+const protoVersion = 4
 
 // hello is the decoded handshake.
 type hello struct {
@@ -55,8 +59,7 @@ type hello struct {
 	net        *rete.Network
 }
 
-func encodeHello(buf []byte, h hello, network *rete.Network) ([]byte, error) {
-	e := enc{buf: buf}
+func encodeHello(e *enc, h hello, network *rete.Network) error {
 	e.u64(protoVersion)
 	e.int(h.id)
 	e.int(h.workers)
@@ -66,11 +69,11 @@ func encodeHello(buf []byte, h hello, network *rete.Network) ([]byte, error) {
 	e.partition(h.partition)
 	var nb bytes.Buffer
 	if err := rete.EncodeNetwork(&nb, network); err != nil {
-		return nil, fmt.Errorf("transport: encoding network for handshake: %w", err)
+		return fmt.Errorf("transport: encoding network for handshake: %w", err)
 	}
 	e.count(nb.Len())
-	e.buf = append(e.buf, nb.Bytes()...)
-	return e.buf, nil
+	e.raw(nb.Bytes())
+	return nil
 }
 
 func decodeHello(payload []byte) (hello, error) {
@@ -120,10 +123,9 @@ func Serve(addr string, dialTimeout time.Duration) error {
 // connection. It returns nil on a clean shutdown frame.
 func ServeConn(conn net.Conn) error {
 	defer conn.Close()
-	br := bufio.NewReaderSize(conn, 1<<16)
-	bw := bufio.NewWriterSize(conn, 1<<16)
+	fr := frameReader{r: bufio.NewReaderSize(conn, 1<<16)}
 
-	ft, payload, err := readFrame(br, nil)
+	ft, payload, err := fr.next()
 	if err != nil {
 		return fmt.Errorf("transport: worker handshake: %w", err)
 	}
@@ -137,55 +139,61 @@ func ServeConn(conn net.Conn) error {
 	w := &starWorker{
 		hello: h,
 		step:  parallel.NewStep(h.net, h.id, h.workers, h.partition, h.trackLoads, nil),
-		out:   bw,
+		conn:  conn,
+		dec:   dec{nbuckets: h.nbuckets, workers: h.workers, cache: new(wmeCache)},
+		enc:   enc{cache: new(wmeCache)},
 	}
 
-	var ready enc
-	ready.int(h.id)
-	if err := writeFrame(bw, ftReady, ready.buf); err != nil {
-		return fmt.Errorf("transport: worker ready: %w", err)
-	}
-	if err := bw.Flush(); err != nil {
+	w.enc.begin()
+	w.enc.int(h.id)
+	if err := w.send(ftReady); err != nil {
 		return fmt.Errorf("transport: worker ready: %w", err)
 	}
 
-	var fbuf []byte
 	for {
-		ft, payload, err := readFrame(br, fbuf)
+		ft, payload, err := fr.next()
 		if err != nil {
 			return fmt.Errorf("transport: worker %d read: %w", h.id, err)
 		}
-		fbuf = payload[:0]
 		if ft == ftShutdown {
 			return nil
 		}
 		if err := w.turn(ft, payload); err != nil {
 			return fmt.Errorf("transport: worker %d %s turn: %w", h.id, ft, err)
 		}
-		if err := bw.Flush(); err != nil {
-			return fmt.Errorf("transport: worker %d write: %w", h.id, err)
-		}
 	}
 }
 
-// starWorker is one worker process's carrier state: the step, and the
-// decode and encode buffers reused across turns.
+// starWorker is one worker process's carrier state: the step, the
+// decoder and encoder with their ends of the connection's two wme
+// caches, and the message buffers reused across turns.
 type starWorker struct {
 	hello
 	step *parallel.Step
-	out  *bufio.Writer
+	conn net.Conn
+	dec  dec
+	enc  enc
 
 	pkt   parallel.CyclePacket
 	msgs  []parallel.Message
 	stamp [1]parallel.RecvStamp
-	ebuf  []byte
+}
+
+// send closes the open frame and writes everything encoded since the
+// last send — a turn's relays and its turn frame — with one Write.
+func (w *starWorker) send(ft frameType) error {
+	if err := w.enc.end(ft); err != nil {
+		return err
+	}
+	return w.enc.flush(w.conn)
 }
 
 // turn handles one incoming protocol frame end to end: decode it into
 // messages, run them through the step as one turn, and write the relay,
 // bucket-relay and turn frames.
 func (w *starWorker) turn(ft frameType, payload []byte) error {
-	d := dec{b: payload, nbuckets: w.nbuckets, workers: w.workers}
+	d := &w.dec
+	d.reset(payload)
 	n := 1 // protocol messages this turn deregisters
 	var stamps []parallel.RecvStamp
 	var newPart sched.Partition
@@ -225,6 +233,7 @@ func (w *starWorker) turn(ft frameType, payload []byte) error {
 	// One coalesced relay frame per destination and one bucket relay per
 	// extracted bucket, then the turn frame — in that order, on this one
 	// stream (see the comment on termination accounting above).
+	e := &w.enc
 	var flushes int64
 	if s.Pending > 0 {
 		flushes = 1
@@ -232,11 +241,10 @@ func (w *starWorker) turn(ft frameType, payload []byte) error {
 			if len(buf) == 0 {
 				continue
 			}
-			e := enc{buf: w.ebuf[:0]}
+			e.begin()
 			e.i32(int32(dst))
 			e.actList(buf)
-			w.ebuf = e.buf[:0]
-			if err := writeFrame(w.out, ftRelay, e.buf); err != nil {
+			if err := e.end(ftRelay); err != nil {
 				return err
 			}
 			s.Out[dst] = buf[:0]
@@ -244,19 +252,17 @@ func (w *starWorker) turn(ft frameType, payload []byte) error {
 		s.Pending = 0
 	}
 	for _, mv := range s.Moved {
-		e := enc{buf: w.ebuf[:0]}
+		e.begin()
 		e.i32(mv.Dst)
 		e.int(mv.Contents.Entries())
 		e.bucketContents(mv.Contents)
-		w.ebuf = e.buf[:0]
-		if err := writeFrame(w.out, ftBucketRelay, e.buf); err != nil {
+		if err := e.end(ftBucketRelay); err != nil {
 			return err
 		}
 	}
 	s.Moved = s.Moved[:0]
 
-	e := enc{buf: w.ebuf[:0]}
+	e.begin()
 	e.turn(n, stamps, flushes, s.EndTurn())
-	w.ebuf = e.buf[:0]
-	return writeFrame(w.out, ftTurn, e.buf)
+	return w.send(ftTurn)
 }

@@ -1,8 +1,8 @@
 package transport
 
 import (
-	"bufio"
 	"errors"
+	"io"
 	"net"
 	"testing"
 	"time"
@@ -13,98 +13,190 @@ import (
 	"mpcrete/internal/sched"
 )
 
+// The topology the fault tests handshake: small enough that an index
+// of 1<<20 is far outside it.
+const (
+	faultBuckets = 8
+	faultWorkers = 2
+)
+
+// serveFault handshakes a worker over a pipe as the control process of
+// a faultBuckets x faultWorkers topology would, sends it the frames,
+// and returns what ServeConn returned. The worker's own frames are
+// discarded.
+func serveFault(t *testing.T, network *rete.Network, frames ...wireFrame) error {
+	t.Helper()
+	ctl, wrk := net.Pipe()
+	defer ctl.Close()
+	served := make(chan error, 1)
+	go func() { served <- ServeConn(wrk) }()
+
+	part := sched.RoundRobin(faultBuckets, faultWorkers)
+	hb := helloBytes(t, hello{workers: faultWorkers, nbuckets: faultBuckets, partition: part}, network)
+	if err := writeFrame(ctl, ftHello, hb); err != nil {
+		t.Fatal(err)
+	}
+	if ft, _, err := readFrame(ctl); err != nil || ft != ftReady {
+		t.Fatalf("handshake: ft=%v err=%v", ft, err)
+	}
+	go io.Copy(io.Discard, ctl)
+	for _, f := range frames {
+		if err := f.writeTo(ctl); err != nil {
+			break // the worker has already hung up on an earlier frame
+		}
+	}
+	select {
+	case err := <-served:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker accepted the frames")
+		return nil
+	}
+}
+
 // TestWorkerRejectsBadIndices sends a worker one frame of each type
 // that carries a bucket or worker index, with the index out of range
 // for the handshaken topology (8 buckets, 2 workers). The worker must
 // return ErrBadPayload — not index its memories or its per-destination
 // buffers with the wire's number and panic.
 func TestWorkerRejectsBadIndices(t *testing.T) {
-	const (
-		nbuckets  = 8
-		workers   = 2
-		badBucket = 1 << 20
-	)
+	const badBucket = 1 << 20
 	network, _ := compileWorkload(t, "blocks")
 	act := rightAct(network)
-	part := sched.RoundRobin(nbuckets, workers)
+	part := sched.RoundRobin(faultBuckets, faultWorkers)
 
 	rows := []struct {
-		name    string
-		ft      frameType
-		payload func(e *enc)
+		name  string
+		frame wireFrame
 	}{
-		{"acts-bucket", ftActs, func(e *enc) {
+		{"acts-bucket", wireFrame{ftActs, func(e *enc) {
 			e.i32(1) // batch
-			e.i32(workers)
+			e.i32(faultWorkers)
 			e.actList([]parallel.Message{{Bucket: badBucket, Depth: 1, Act: act}})
-		}},
-		{"repart-bucket", ftRepart, func(e *enc) {
+		}}},
+		{"repart-bucket", wireFrame{ftRepart, func(e *enc) {
 			e.partition(part)
 			e.moves([]parallel.BucketMove{{Bucket: badBucket, NewOwner: 1}})
-		}},
-		{"repart-destination", ftRepart, func(e *enc) {
+		}}},
+		{"repart-destination", wireFrame{ftRepart, func(e *enc) {
 			e.partition(part)
-			e.moves([]parallel.BucketMove{{Bucket: 3, NewOwner: workers + 5}})
-		}},
-		{"repart-partition-owner", ftRepart, func(e *enc) {
+			e.moves([]parallel.BucketMove{{Bucket: 3, NewOwner: faultWorkers + 5}})
+		}}},
+		{"repart-partition-owner", wireFrame{ftRepart, func(e *enc) {
 			bad := append(sched.Partition(nil), part...)
-			bad[2] = workers
+			bad[2] = faultWorkers
 			e.partition(bad)
 			e.moves(nil)
-		}},
-		{"bucket", ftBucket, func(e *enc) {
+		}}},
+		{"bucket", wireFrame{ftBucket, func(e *enc) {
 			e.bucketContents(&rete.BucketContents{
 				Bucket:     badBucket,
 				RightNodes: []*rete.Node{act.Node},
 				RightWMEs:  []*ops5.WME{act.WME},
 			})
-		}},
+		}}},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			ctl, wrk := net.Pipe()
-			defer ctl.Close()
-			served := make(chan error, 1)
-			go func() { served <- ServeConn(wrk) }()
-
-			hb, err := encodeHello(nil, hello{workers: workers, nbuckets: nbuckets, partition: part}, network)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := writeFrame(ctl, ftHello, hb); err != nil {
-				t.Fatal(err)
-			}
-			br := bufio.NewReader(ctl)
-			if ft, _, err := readFrame(br, nil); err != nil || ft != ftReady {
-				t.Fatalf("handshake: ft=%v err=%v", ft, err)
-			}
-			var e enc
-			row.payload(&e)
-			if err := writeFrame(ctl, row.ft, e.buf); err != nil {
-				t.Fatal(err)
-			}
-			select {
-			case err := <-served:
-				if !errors.Is(err, ErrBadPayload) {
-					t.Fatalf("worker returned %v, want ErrBadPayload", err)
-				}
-			case <-time.After(5 * time.Second):
-				t.Fatal("worker accepted the frame")
+			if err := serveFault(t, network, row.frame); !errors.Is(err, ErrBadPayload) {
+				t.Fatalf("worker returned %v, want ErrBadPayload", err)
 			}
 		})
 	}
 }
 
-// TestLoopbackRejectsBadIndices is the same fault on the Loopback
-// carrier's one frame type: an ftBatch whose activation names a bucket
-// outside the space the endpoints were opened for must reach the
-// runtime as an ErrBadPayload transport failure, not as a message.
-func TestLoopbackRejectsBadIndices(t *testing.T) {
+// wmeFaults are the ways a wme position can lie about the cache. Each
+// encodes one position on a stream that has already defined w; none
+// may decode to a wme.
+var wmeFaults = []struct {
+	name string
+	bad  func(e *enc, w *ops5.WME)
+}{
+	{"ref-empty-slot", func(e *enc, w *ops5.WME) { wireRef(e, w.ID+1, w.TimeTag) }},
+	{"ref-wrong-timetag", func(e *enc, w *ops5.WME) { wireRef(e, w.ID, w.TimeTag+1) }},
+	{"ref-aliased-id", func(e *enc, w *ops5.WME) { wireRef(e, w.ID+wmeCacheSlots, w.TimeTag) }},
+	{"unknown-form", func(e *enc, w *ops5.WME) { e.byte(wmeRef + 1) }},
+}
+
+func wireRef(e *enc, id, tag int) {
+	e.byte(wmeRef)
+	e.int(id)
+	e.int(tag)
+}
+
+// faultWME is the wme the fault frames define before they lie about
+// it.
+func faultWME() *ops5.WME {
+	w := ops5.NewWME("block", "name", "b1")
+	w.ID, w.TimeTag = 5, 9
+	return w
+}
+
+// faultChanges encodes a two-change list: w added by definition, then
+// deleted through the position under test.
+func faultChanges(e *enc, w *ops5.WME, second func(e *enc, w *ops5.WME)) {
+	e.count(2)
+	e.byte(byte(rete.Add))
+	e.def(w)
+	e.byte(byte(rete.Delete))
+	second(e, w)
+}
+
+// bucketWithRef encodes bucket contents whose one right wme is an
+// exact reference to w.
+func bucketWithRef(e *enc, node *rete.Node, w *ops5.WME) {
+	e.int(3) // bucket
+	e.count(0)
+	e.count(1)
+	e.int(node.ID)
+	wireRef(e, w.ID, w.TimeTag)
+}
+
+// TestWorkerRejectsBadReferences: a forged or desynchronised wme
+// reference reaching a worker — to a slot nothing was defined in, to
+// the right id under another time tag, to an id that only shares the
+// slot, an unknown form byte, or an exact reference inside the one
+// frame that must stay self-contained — ends ServeConn with
+// ErrBadPayload. The control sequence first proves the stream is live:
+// the same frame with an exact reference is accepted.
+func TestWorkerRejectsBadReferences(t *testing.T) {
 	network, _ := compileWorkload(t, "blocks")
+	w := faultWME()
+	cycle := func(second func(e *enc, w *ops5.WME)) wireFrame {
+		return wireFrame{ftCycle, func(e *enc) {
+			e.i32(1) // batch
+			e.i32(faultWorkers)
+			faultChanges(e, w, second)
+		}}
+	}
+	exact := cycle(func(e *enc, w *ops5.WME) { wireRef(e, w.ID, w.TimeTag) })
+	shutdown := wireFrame{ftShutdown, func(*enc) {}}
+	if err := serveFault(t, network, exact, exact, shutdown); err != nil {
+		t.Fatalf("exact references refused: %v", err)
+	}
+	for _, row := range wmeFaults {
+		t.Run(row.name, func(t *testing.T) {
+			if err := serveFault(t, network, cycle(row.bad), shutdown); !errors.Is(err, ErrBadPayload) {
+				t.Fatalf("worker returned %v, want ErrBadPayload", err)
+			}
+		})
+	}
+	t.Run("ref-in-bucket", func(t *testing.T) {
+		bucket := wireFrame{ftBucket, func(e *enc) { bucketWithRef(e, rightAct(network).Node, w) }}
+		if err := serveFault(t, network, exact, bucket, shutdown); !errors.Is(err, ErrBadPayload) {
+			t.Fatalf("worker returned %v, want ErrBadPayload", err)
+		}
+	})
+}
+
+// openFaultLoopback opens a Loopback for the fault topology and
+// returns worker 0's endpoint and the channel its OnError reports to.
+func openFaultLoopback(t *testing.T, network *rete.Network) (*loopEndpoint, chan error) {
+	t.Helper()
 	failed := make(chan error, 1)
 	lb := NewLoopback(network)
-	eps, err := lb.Open(2, parallel.EndpointOptions{
-		NBuckets: 8,
+	eps, err := lb.Open(faultWorkers, parallel.EndpointOptions{
+		NBuckets: faultBuckets,
 		OnError: func(err error) {
 			select {
 			case failed <- err:
@@ -115,14 +207,74 @@ func TestLoopbackRejectsBadIndices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lb.Close()
-	eps[0].Push(parallel.Message{Kind: parallel.MsgAct, Bucket: 1 << 20, Depth: 1, Act: rightAct(network)}, 1, 1)
+	t.Cleanup(func() { lb.Close() })
+	return eps[0].(*loopEndpoint), failed
+}
+
+func wantLoopbackFailure(t *testing.T, failed chan error, ep *loopEndpoint) {
+	t.Helper()
 	select {
 	case err := <-failed:
 		if !errors.Is(err, ErrBadPayload) {
 			t.Fatalf("transport failed with %v, want ErrBadPayload", err)
 		}
 	case <-time.After(5 * time.Second):
-		t.Fatal("loopback delivered an activation for bucket 1<<20 of 8")
+		t.Fatal("loopback delivered the frame")
+	}
+	if ms, _, _ := ep.TryDrain(nil, nil); len(ms) != 0 {
+		t.Fatalf("the refused frame delivered %d messages", len(ms))
+	}
+}
+
+// TestLoopbackRejectsBadIndices is the same fault on the Loopback
+// carrier's one frame type: an ftBatch whose activation names a bucket
+// outside the space the endpoints were opened for must reach the
+// runtime as an ErrBadPayload transport failure, not as a message.
+func TestLoopbackRejectsBadIndices(t *testing.T) {
+	network, _ := compileWorkload(t, "blocks")
+	ep, failed := openFaultLoopback(t, network)
+	ep.Push(parallel.Message{Kind: parallel.MsgAct, Bucket: 1 << 20, Depth: 1, Act: rightAct(network)}, 1, 1)
+	wantLoopbackFailure(t, failed, ep)
+}
+
+// TestLoopbackRejectsBadReferences puts the wmeFaults rows, and the
+// reference inside bucket contents, on a Loopback connection behind
+// the endpoint's own encoder: the reader goroutine must report
+// ErrBadPayload through OnError and deliver nothing from the frame.
+func TestLoopbackRejectsBadReferences(t *testing.T) {
+	network, _ := compileWorkload(t, "blocks")
+	w := faultWME()
+	batch := func(kind parallel.MsgKind, body func(e *enc)) wireFrame {
+		return wireFrame{ftBatch, func(e *enc) {
+			e.i32(1) // batch
+			e.i32(1) // src
+			e.count(1)
+			e.byte(byte(kind))
+			body(e)
+		}}
+	}
+	rows := map[string][]wireFrame{"ref-in-bucket": {
+		batch(parallel.MsgCycle, func(e *enc) { e.count(1); e.byte(byte(rete.Add)); e.def(w) }),
+		batch(parallel.MsgMigrateIn, func(e *enc) { bucketWithRef(e, rightAct(network).Node, w) }),
+	}}
+	for _, f := range wmeFaults {
+		rows[f.name] = []wireFrame{batch(parallel.MsgCycle, func(e *enc) { faultChanges(e, w, f.bad) })}
+	}
+	for name, frames := range rows {
+		t.Run(name, func(t *testing.T) {
+			ep, failed := openFaultLoopback(t, network)
+			for i, f := range frames {
+				if err := f.writeTo(ep.wconn); err != nil {
+					t.Fatal(err)
+				}
+				if i < len(frames)-1 {
+					// The frames before the last are sound and must arrive.
+					if ms, _, ok := ep.Drain(nil, nil); !ok || len(ms) != 1 {
+						t.Fatalf("sound frame %d: drained %d messages, ok=%v", i, len(ms), ok)
+					}
+				}
+			}
+			wantLoopbackFailure(t, failed, ep)
+		})
 	}
 }

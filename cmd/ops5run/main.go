@@ -245,6 +245,9 @@ func main() {
 				fmt.Fprintf(os.Stderr, "ops5run: worker %d: %d activations, %d messages sent\n",
 					w, n, st.MsgsSent[w])
 			}
+			if *transportName == "inproc" {
+				fmt.Fprintf(os.Stderr, "ops5run: %d cycles in place, %d handed off\n", st.InPlace, st.HandedOff)
+			}
 			if *rebalance > 0 || *migrateEvery > 0 {
 				migs, buckets, entries := drv.RebalanceStats()
 				fmt.Fprintf(os.Stderr, "ops5run: %d migrations moved %d buckets (%d memory entries)\n",

@@ -14,14 +14,18 @@ package parallel
 //     a later turn, so end-of-turn bookkeeping (conflict-set delivery,
 //     counter publication, termination-detection deregistration) fires
 //     at adversarial points;
-//   - coalesced flushes are randomly deferred within a turn, delaying
-//     when outgoing activations become visible to their owners;
+//   - each cycle's in-place budget (see inPlaceActs) is drawn at
+//     random: 0 one time in four — the whole cycle on the message
+//     plane — otherwise uniform in [1, inPlaceActs], so cycles hand
+//     their frontier to the workers at adversarial points;
 //   - workers and the control goroutine's four-counter poll inject
 //     yields and microsecond sleeps to stretch race windows.
 //
 // Everything here is driven by a per-goroutine rand.Rand seeded from
 // ChaosSeed and the worker id, so a given (seed, workers) pair replays
-// the same perturbation schedule. The invariant the whole layer must
+// the same perturbation schedule; the budgets have a stream of their
+// own, so cycle k draws the same budget however often the four-counter
+// poll yielded before it. The invariant the whole layer must
 // uphold — and the differential harness asserts — is that the netted
 // per-cycle conflict sets and final working memory are identical to an
 // unperturbed run.
@@ -90,10 +94,15 @@ func (c *chaos) nextBatch(w *worker) ([]Message, []RecvStamp, bool) {
 
 	c.perturb(batch)
 
+	// A hand-off's share is one delivery (see worker.loop), and perturb
+	// has just spread it over the batch: this turn stays whole.
+	whole := w.step.handOffShare > 0
+	w.step.handOffShare = 0
+
 	// Randomly split the turn, carrying a strict suffix into a later
 	// turn. The suffix must be copied: the batch's backing array is
 	// donated back to the mailbox on the next drain.
-	if len(batch) > 1 && c.rng.Intn(3) == 0 {
+	if !whole && len(batch) > 1 && c.rng.Intn(3) == 0 {
 		cut := 1 + c.rng.Intn(len(batch)-1)
 		c.carry = append(c.carry[:0], batch[cut:]...)
 		batch = batch[:cut]
@@ -157,10 +166,12 @@ func (c *chaos) shuffleRun(run []Message) {
 	}
 }
 
-// deferFlush decides whether a non-forced coalescing flush is held
-// back to coalesce into a later flush of the same turn.
-func (c *chaos) deferFlush() bool {
-	return c.rng.Intn(2) == 0
+// budget draws one cycle's in-place budget.
+func (c *chaos) budget() int {
+	if c.rng.Intn(4) == 0 {
+		return 0
+	}
+	return 1 + c.rng.Intn(inPlaceActs)
 }
 
 // jitter stretches race windows between turns.

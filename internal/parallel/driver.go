@@ -1,16 +1,19 @@
 package parallel
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mpcrete/internal/obs"
+	"mpcrete/internal/ops5"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/sched"
 	"mpcrete/internal/termdet"
@@ -60,11 +63,23 @@ type Driver struct {
 	// cyclePkt is the broadcast packet, reused across cycles and shared
 	// read-only by every worker. The root-routing state (RouteRoots
 	// mode) is the control side's constant-test processor plus reusable
-	// per-destination buffers.
+	// per-destination buffers; a hand-off's frontier travels in the same
+	// buffers.
 	cyclePkt    *CyclePacket
 	rootProc    *rete.Processor
 	rootBufs    [][]Message
 	rootScratch []rete.Activation
+
+	// steps and boxes are the workers' steps and mailboxes when they
+	// live in the driver's memory (shareMemory); nil otherwise, and then
+	// every cycle runs on the message plane. budget is how many
+	// activations of a cycle the driver performs in place before it
+	// hands the rest to the workers: inPlaceActs, except that in-package
+	// tests set it and budgets, when non-nil, draws it per cycle.
+	steps   []*Step
+	boxes   []*mailbox
+	budget  int
+	budgets *chaos
 
 	// insts is the conflict-set intake; TurnDone appends each turn's
 	// deltas in bulk. netting holds the netting scratch reused across
@@ -91,6 +106,10 @@ type Driver struct {
 	processed []atomic.Int64
 	msgsSent  []atomic.Int64
 	instCount atomic.Int64
+	// cyclesInPlace and cyclesHandedOff count the cycles whose in-place
+	// head drained them, and those it handed to the workers.
+	cyclesInPlace   atomic.Int64
+	cyclesHandedOff atomic.Int64
 
 	rec   *obs.Recorder
 	epoch time.Time
@@ -171,6 +190,7 @@ func NewDriver(net *rete.Network, opts Options, c Carrier) (*Driver, error) {
 	}
 	if opts.ChaosSeed != 0 {
 		d.yield = newChaos(opts.ChaosSeed, opts.Workers).yield
+		d.budgets = newChaos(opts.ChaosSeed, opts.Workers+1)
 	}
 	if opts.Rebalance.Enabled() {
 		d.balancer = sched.NewBalancer(opts.Rebalance, opts.Partition, opts.Workers)
@@ -231,6 +251,14 @@ func (d *Driver) Shipping(src, entries int) {
 // messages are deregistered, so quiescence implies the control side
 // sees all of them.
 func (d *Driver) TurnDone(src, n int, t *Turn) {
+	d.publish(src, t)
+	d.counts[src].AddRecv(n)
+	d.counter.Add(-n)
+}
+
+// publish books what one of worker src's turns produced: its deltas,
+// its activation count and its bucket loads.
+func (d *Driver) publish(src int, t *Turn) {
 	if len(t.Insts) > 0 {
 		d.instMu.Lock()
 		d.insts = append(d.insts, t.Insts...)
@@ -247,8 +275,6 @@ func (d *Driver) TurnDone(src, n int, t *Turn) {
 		}
 		d.loadMu.Unlock()
 	}
-	d.counts[src].AddRecv(n)
-	d.counter.Add(-n)
 }
 
 // Fail records a fatal error — accepted messages were lost, so
@@ -277,10 +303,11 @@ func (d *Driver) Apply(changes []rete.Change) []rete.InstChange {
 }
 
 // Cycle runs one parallel match phase and returns the conflict-set
-// deltas, netted per instantiation and deterministically ordered
-// (delivery order across workers is not deterministic; the netted set
-// is). A lost message — a broken connection, a malformed frame — is an
-// error, never a hang.
+// deltas, netted per instantiation and deterministically ordered: by
+// production name, then by the matched wmes' IDs compared as numbers,
+// condition element by condition element (delivery order across workers
+// is not deterministic; the netted set is). A lost message — a broken
+// connection, a malformed frame — is an error, never a hang.
 func (d *Driver) Cycle(changes []rete.Change) ([]rete.InstChange, error) {
 	if d.Closed() {
 		return nil, errors.New("parallel: Cycle after Close")
@@ -294,13 +321,24 @@ func (d *Driver) Cycle(changes []rete.Change) ([]rete.InstChange, error) {
 	if d.causal != nil {
 		d.causal.BeginCycle(cycle, d.Now())
 	}
+	budget := 0
+	if d.steps != nil {
+		budget = d.budget
+		if d.budgets != nil {
+			budget = d.budgets.budget()
+		}
+	}
 	var err error
-	if d.opts.RouteRoots {
+	onPlane := true
+	switch {
+	case budget > 0:
+		onPlane = d.inPlaceHead(changes, budget)
+	case d.opts.RouteRoots:
 		err = d.routeRoots(changes)
-	} else {
+	default:
 		err = d.broadcast(changes)
 	}
-	if err == nil {
+	if onPlane && err == nil {
 		err = d.quiesce()
 	}
 	d.cyclePkt.Changes = nil // release the caller's slice
@@ -318,6 +356,212 @@ func (d *Driver) Cycle(changes []rete.Change) ([]rete.InstChange, error) {
 		}
 	}
 	return d.netting.net(d.insts), nil
+}
+
+// inPlaceActs is how many activations of a cycle the driver performs in
+// place, on the caller's goroutine, before it hands the cycle's frontier
+// to the workers. Waking a parked worker and waiting for quiescence
+// costs a cycle 5–20 µs here; an activation costs ~0.3 µs. Sweep
+// (8-queens at 2 workers on 2 shared vCPUs, 2,033 cycles per run):
+//
+//	budget                      1     16    64    256      1,024   ∞
+//	firings/s                   68k   76k   87k   110–128k 116k    128k
+//	cycles of 2,033 handed off  2,033 324   205   1        0       0
+//
+// 256 activations is ~75 µs of match, 3–4× what dispatching costs a
+// mid-size cycle. It is not a measured crossover: on that machine the
+// best value is ∞, because no workload in the repository has a grain at
+// which two goroutine workers beat one sequential matcher. It is a
+// bound on serialisation — the control never performs more than ~75 µs
+// of a cycle before the workers have it — so that the paper's
+// cross-product cycle (Tourney: one change, thousands of tokens) still
+// goes wide on a machine where wide wins.
+const inPlaceActs = 256
+
+// shareMemory tells the driver that its carrier's workers live in its
+// own memory — steps[w] is worker w's step, boxes[w] its mailbox — and
+// so turns the in-place head on.
+func (d *Driver) shareMemory(steps []*Step, boxes []*mailbox) {
+	d.steps, d.boxes, d.budget = steps, boxes, inPlaceActs
+	if d.rootBufs == nil {
+		d.rootBufs = make([][]Message, len(steps))
+	}
+}
+
+// inPlaceHead performs the first budget activations of a cycle on the
+// caller's goroutine, against the workers' own steps: between cycles
+// the workers are parked and their steps quiescent, and the counter and
+// mailbox mutexes order this goroutine's writes against theirs in both
+// directions. The cycle's roots are queued on their owners, the steps
+// are drained round-robin, and what a step leaves in Out moves to its
+// owner's queue by append. A cycle that drains inside the budget
+// has sent nothing, woken nobody and waits for nothing; one that
+// outgrows it is handed off, and inPlaceHead reports true: the caller
+// waits for quiescence as after any delivery.
+//
+// What is counted does not depend on who carried it: a step-to-step
+// move in place is one of the mapping's messages, so Stats, bucket
+// loads and the flight recorder's send, recv, flush and handle events
+// are written exactly as the workers write them, on the owning worker's
+// track. Only the termination detector is skipped, because nothing is
+// in flight.
+func (d *Driver) inPlaceHead(changes []rete.Change, budget int) (handedOff bool) {
+	watched := d.rec != nil || d.causal != nil
+	var t0 int64
+	if watched {
+		t0 = d.Now()
+	}
+	cycle := d.curCycle.Load()
+	ctl := int32(d.controlTrack())
+	for _, s := range d.steps {
+		s.BeginTurn(t0, cycle)
+	}
+	// The constant tests run once, whichever root mode: under Fig 3-3
+	// every step would run them all and keep what it owns, which in
+	// place is one goroutine doing the same work once per worker (six
+	// alternated par-queens pairs: +5% to +12% work_per_s, all won).
+	// Fig 3-3 has no control-side processor, so a parked step lends its
+	// own. What the mode still decides is what the delivery counts as:
+	// one broadcast every step receives, or a routed run per owner.
+	proc := d.rootProc
+	if proc == nil {
+		proc = d.steps[0].proc
+	}
+	d.rootsByOwner(proc, changes)
+	var bcast int32
+	if !d.opts.RouteRoots {
+		bcast = d.causal.NextBatch()
+		d.ctlTrack.Send(t0, cycle, bcast, obs.BroadcastDst, int32(len(d.steps)))
+	}
+	for dst, buf := range d.rootBufs {
+		s := d.steps[dst]
+		if !d.opts.RouteRoots {
+			s.ctrack.Recv(t0, cycle, bcast, ctl, 1)
+		} else if len(buf) > 0 {
+			batch := d.causal.NextBatch()
+			d.ctlTrack.Send(t0, cycle, batch, int32(dst), int32(len(buf)))
+			s.ctrack.Recv(t0, cycle, batch, ctl, int32(len(buf)))
+		}
+		s.queue(buf)
+		d.rootBufs[dst] = buf[:0]
+	}
+
+	acts := 0
+	for busy := true; busy && acts < budget; {
+		busy = false
+		for w, s := range d.steps {
+			if len(s.localQ) == 0 {
+				continue
+			}
+			busy = true
+			ts := t0
+			if watched {
+				ts = d.Now()
+				s.turnTS = ts
+			}
+			n := s.Drain(budget - acts)
+			acts += n
+			d.carryOut(w, s, ts)
+			if d.rec != nil {
+				d.rec.Span(w, "in-place", ts, d.Now(), obs.Label{Key: "acts", Value: strconv.Itoa(n)})
+			}
+			if acts >= budget {
+				break
+			}
+		}
+	}
+
+	frontier := 0
+	for w, s := range d.steps {
+		frontier += len(s.localQ)
+		d.publish(w, s.EndTurn())
+	}
+	if frontier == 0 {
+		d.cyclesInPlace.Add(1)
+	} else {
+		d.cyclesHandedOff.Add(1)
+		d.handOff(cycle)
+	}
+	if d.rec != nil {
+		d.rec.Span(d.controlTrack(), "in-place", t0, d.Now(),
+			obs.Label{Key: "acts", Value: strconv.Itoa(acts)},
+			obs.Label{Key: "handed-off", Value: strconv.FormatBool(frontier > 0)})
+	}
+	return frontier > 0
+}
+
+// carryOut moves what step w's drain left in Out to the owners' queues:
+// worker.flush without the mailboxes.
+func (d *Driver) carryOut(w int, s *Step, ts int64) {
+	if s.Pending == 0 {
+		return
+	}
+	d.msgsSent[w].Add(int64(s.Pending))
+	for dst, buf := range s.Out {
+		if len(buf) == 0 {
+			continue
+		}
+		batch := d.causal.NextBatch()
+		s.ctrack.Send(ts, s.turnCycle, batch, int32(dst), int32(len(buf)))
+		d.steps[dst].ctrack.Recv(ts, s.turnCycle, batch, int32(w), int32(len(buf)))
+		d.steps[dst].queue(buf)
+		s.Out[dst] = buf[:0]
+	}
+	s.ctrack.Flush(ts, s.turnCycle, int32(s.Pending))
+	s.Pending = 0
+}
+
+// handOff gives a cycle that outgrew its in-place budget to the
+// workers: the steps' queues are a breadth-first frontier, and each
+// step's share goes to its own worker as a run of MsgAct from the
+// control (a queued activation and a MsgAct carry the same activation,
+// bucket and depth). Three orderings keep the conflict set; the first
+// two were found by breaking them.
+func (d *Driver) handOff(cycle int32) {
+	// Empty every step before the first delivery is visible: a woken
+	// worker sends to its peers, and a peer's turn appends to the queue
+	// this loop would still be reading.
+	total := 0
+	for w, s := range d.steps {
+		buf := d.rootBufs[w][:0]
+		for _, qa := range s.localQ {
+			buf = append(buf, Message{Kind: MsgAct, Bucket: qa.bucket, Depth: qa.depth, Act: qa.act})
+		}
+		d.rootBufs[w] = buf
+		s.localQ = s.localQ[:0]
+		// A turn queues its whole delivery before expanding any of it:
+		// the frontier can hold del(P) ahead of add(T) where del(T) will
+		// derive from del(P). worker.loop hands Handle a whole drained
+		// batch; the chaos layer has to be told.
+		s.handOffShare = len(buf)
+		total += len(buf)
+	}
+	d.Sending(d.controlTrack(), total)
+	var ts int64
+	if d.ctlTrack != nil {
+		ts = d.Now()
+	}
+	// The control's delivery to B is in B's mailbox before any worker
+	// can send to B: add(T) may travel control→B and del(T) A→B, and
+	// per-sender FIFO orders nothing between two senders, so A must not
+	// wake until B's share is queued. Hold every mailbox's lock across
+	// all the pushes. Workers only ever hold one mailbox lock at a time,
+	// so there is no order to deadlock on.
+	for _, m := range d.boxes {
+		m.mu.Lock()
+	}
+	for dst, buf := range d.rootBufs {
+		if len(buf) == 0 {
+			continue
+		}
+		batch := d.causal.NextBatch()
+		d.ctlTrack.Send(ts, cycle, batch, int32(dst), int32(len(buf)))
+		d.boxes[dst].enqueueLocked(buf, batch, int32(d.controlTrack()))
+		d.rootBufs[dst] = buf[:0]
+	}
+	for _, m := range d.boxes {
+		m.mu.Unlock()
+	}
 }
 
 // quiesce waits for global quiescence and cross-checks the two
@@ -359,14 +603,27 @@ func (d *Driver) quiesce() error {
 	return nil
 }
 
+// announce marks the cycle's delivery on the control track of the
+// timeline, under the name of the root mode.
+func (d *Driver) announce(changes, roots int) {
+	if d.rec == nil {
+		return
+	}
+	if !d.opts.RouteRoots {
+		d.rec.Instant(d.controlTrack(), "cycle-broadcast", d.Now(),
+			obs.Label{Key: "changes", Value: strconv.Itoa(changes)})
+		return
+	}
+	d.rec.Instant(d.controlTrack(), "cycle-route", d.Now(),
+		obs.Label{Key: "changes", Value: strconv.Itoa(changes)},
+		obs.Label{Key: "roots", Value: strconv.Itoa(roots)})
+}
+
 // broadcast ships the cycle packet to every worker (Fig 3-3): one
 // pooled packet shared read-only, one outstanding-work registration
 // and one sent-counter update for the whole wave.
 func (d *Driver) broadcast(changes []rete.Change) error {
-	if d.rec != nil {
-		d.rec.Instant(d.controlTrack(), "cycle-broadcast", d.Now(),
-			obs.Label{Key: "changes", Value: strconv.Itoa(len(changes))})
-	}
+	d.announce(len(changes), 0)
 	d.cyclePkt.Changes = changes
 	d.Sending(d.controlTrack(), d.opts.Workers)
 	// One broadcast send event covers the whole wave; every worker
@@ -379,25 +636,28 @@ func (d *Driver) broadcast(changes []rete.Change) error {
 	return d.carrier.Broadcast(Message{Kind: MsgCycle, Cycle: d.cyclePkt}, batch)
 }
 
-// routeRoots runs the constant tests once on the control side and
-// hash-routes each root activation to its owner (Fig 3-2), coalescing
-// per destination so each worker gets at most one delivery.
-func (d *Driver) routeRoots(changes []rete.Change) error {
-	sent := 0
+// rootsByOwner runs the constant tests once, on proc, and sorts each
+// root activation into its owner's buffer (Fig 3-2), coalescing per
+// destination so each worker gets at most one delivery. It reports how
+// many roots there are.
+func (d *Driver) rootsByOwner(proc *rete.Processor, changes []rete.Change) int {
+	roots := 0
 	for _, ch := range changes {
-		d.rootScratch = d.rootProc.RootActivationsInto(ch, d.rootScratch[:0])
+		d.rootScratch = proc.RootActivationsInto(ch, d.rootScratch[:0])
 		for _, act := range d.rootScratch {
-			b := d.rootProc.Bucket(act)
+			b := proc.Bucket(act)
 			owner := d.opts.Partition[b]
 			d.rootBufs[owner] = append(d.rootBufs[owner], Message{Kind: MsgAct, Bucket: int32(b), Depth: 1, Act: act})
-			sent++
+			roots++
 		}
 	}
-	if d.rec != nil {
-		d.rec.Instant(d.controlTrack(), "cycle-route", d.Now(),
-			obs.Label{Key: "changes", Value: strconv.Itoa(len(changes))},
-			obs.Label{Key: "roots", Value: strconv.Itoa(sent)})
-	}
+	d.announce(len(changes), roots)
+	return roots
+}
+
+// routeRoots hash-routes the cycle's root activations to their owners.
+func (d *Driver) routeRoots(changes []rete.Change) error {
+	sent := d.rootsByOwner(d.rootProc, changes)
 	if sent == 0 {
 		return nil
 	}
@@ -430,6 +690,12 @@ type Stats struct {
 	// Insts counts instantiation deltas delivered to the control side
 	// over all cycles (before netting).
 	Insts int64
+	// InPlace counts the cycles the driver performed whole on the
+	// caller's goroutine; HandedOff those it began there and handed to
+	// the workers when they outgrew the in-place budget. Both stay zero
+	// for a carrier whose workers live elsewhere.
+	InPlace   int64
+	HandedOff int64
 }
 
 // Stats snapshots per-worker counters.
@@ -438,6 +704,8 @@ func (d *Driver) Stats() Stats {
 		Processed: make([]int64, len(d.processed)),
 		MsgsSent:  make([]int64, len(d.msgsSent)),
 		Insts:     d.instCount.Load(),
+		InPlace:   d.cyclesInPlace.Load(),
+		HandedOff: d.cyclesHandedOff.Load(),
 	}
 	for i := range d.processed {
 		s.Processed[i] = d.processed[i].Load()
@@ -454,77 +722,132 @@ func (d *Driver) FlightDump() *obs.FlightDump {
 	return d.causal.Dump()
 }
 
-// netter nets raw deltas per instantiation key: within one match
-// phase an instantiation may be added and deleted several times (e.g.
-// through negative-node transients whose interleaving is
-// order-dependent); only the net effect is meaningful, and netting
-// makes the result independent of worker scheduling. The index map,
-// accumulators and key buffer are scratch reused across cycles — a key
-// becomes a string only the first time the phase sees it; the returned
-// slice is freshly allocated (callers may retain it).
+// netter nets raw deltas per instantiation: within one match phase an
+// instantiation may be added and deleted several times (e.g. through
+// negative-node transients whose interleaving is order-dependent); only
+// the net effect is meaningful, and netting makes the result
+// independent of worker scheduling. An instantiation is its production
+// and its wmes' IDs by condition-element position (nil positions
+// included) — what InstChange.Key prints, compared without printing it.
+// The accumulators, the open-addressing index over them and the sort
+// permutation are scratch reused across cycles; the returned slice is
+// freshly allocated (callers may retain it).
 type netter struct {
-	idx  map[string]int
-	accs []netAcc
-	keys []string
-	kbuf []byte
+	accs  []netAcc
+	index []int32 // open addressing: 1 + position in accs, 0 for empty
+	order []int32 // the standing accumulators, in output order
 }
 
+// netAcc is one instantiation's running net: adds minus deletes, and
+// the position in the raw deltas of the last one seen.
 type netAcc struct {
-	net  int
-	last rete.InstChange
+	net  int32
+	last int32
 }
 
 func (n *netter) net(raw []rete.InstChange) []rete.InstChange {
 	if len(raw) == 0 {
 		return nil
 	}
-	if n.idx == nil {
-		n.idx = make(map[string]int)
-	} else {
-		clear(n.idx)
+	// At most half full, and cleared only as far as this phase reaches.
+	size := 4
+	for size < 2*len(raw) {
+		size *= 2
 	}
+	if len(n.index) < size {
+		n.index = make([]int32, size)
+	}
+	index := n.index[:size]
+	clear(index)
 	n.accs = n.accs[:0]
-	n.keys = n.keys[:0]
-	for _, ic := range raw {
-		n.kbuf = ic.AppendKey(n.kbuf[:0])
-		i, ok := n.idx[string(n.kbuf)]
-		if !ok {
-			k := string(n.kbuf)
-			i = len(n.accs)
-			n.idx[k] = i
-			n.accs = append(n.accs, netAcc{})
-			n.keys = append(n.keys, k)
+	for i := range raw {
+		ic := &raw[i]
+		slot := instHash(ic) & uint32(size-1)
+		for index[slot] != 0 && !sameInst(ic, &raw[n.accs[index[slot]-1].last]) {
+			slot = (slot + 1) & uint32(size-1)
 		}
-		a := &n.accs[i]
+		if index[slot] == 0 {
+			n.accs = append(n.accs, netAcc{})
+			index[slot] = int32(len(n.accs))
+		}
+		a := &n.accs[index[slot]-1]
 		if ic.Tag == rete.Add {
 			a.net++
 		} else {
 			a.net--
 		}
-		a.last = ic
+		a.last = int32(i)
 	}
-	standing := 0
+	n.order = n.order[:0]
 	for i := range n.accs {
 		if n.accs[i].net != 0 {
-			standing++
+			n.order = append(n.order, int32(i))
 		}
 	}
-	if standing == 0 {
+	if len(n.order) == 0 {
 		return nil
 	}
-	sort.Strings(n.keys)
-	out := make([]rete.InstChange, 0, standing)
-	for _, k := range n.keys {
-		a := &n.accs[n.idx[k]]
-		if a.net == 0 {
-			continue
-		}
-		ic := a.last
-		ic.Tag = rete.Add
+	// Sort the permutation, not the 88-byte deltas.
+	if len(n.order) > 1 {
+		slices.SortFunc(n.order, func(a, b int32) int {
+			return compareInsts(&raw[n.accs[a].last], &raw[n.accs[b].last])
+		})
+	}
+	out := make([]rete.InstChange, len(n.order))
+	for i, ai := range n.order {
+		a := &n.accs[ai]
+		out[i] = raw[a.last]
+		out[i].Tag = rete.Add
 		if a.net < 0 {
-			ic.Tag = rete.Delete
+			out[i].Tag = rete.Delete
 		}
-		out = append(out, ic)
 	}
 	return out
+}
+
+// wmeID is the identity of one matched-wme position; a negated
+// condition element's nil reads as 0, below every real ID.
+func wmeID(w *ops5.WME) int {
+	if w == nil {
+		return 0
+	}
+	return w.ID
+}
+
+// instHash hashes an instantiation's wme IDs (FNV-1a over the ints).
+// The production is left to sameInst: two productions rarely match the
+// same wmes in the same positions.
+func instHash(ic *rete.InstChange) uint32 {
+	h := uint32(2166136261)
+	for _, w := range ic.WMEs {
+		h = (h ^ uint32(wmeID(w))) * 16777619
+	}
+	return h
+}
+
+func sameInst(a, b *rete.InstChange) bool {
+	if a.Info != b.Info || len(a.WMEs) != len(b.WMEs) {
+		return false
+	}
+	for i, w := range a.WMEs {
+		if wmeID(w) != wmeID(b.WMEs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// compareInsts is the order Cycle documents.
+func compareInsts(a, b *rete.InstChange) int {
+	if a.Info != b.Info {
+		if c := strings.Compare(a.Info.Prod.Name, b.Info.Prod.Name); c != 0 {
+			return c
+		}
+	}
+	for i := 0; i < len(a.WMEs) && i < len(b.WMEs); i++ {
+		if c := cmp.Compare(wmeID(a.WMEs[i]), wmeID(b.WMEs[i])); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(a.WMEs), len(b.WMEs))
 }

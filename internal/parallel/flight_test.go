@@ -9,8 +9,9 @@ import (
 )
 
 // flightRun drives a small join workload through an instrumented
-// runtime and returns the dump plus the number of Apply calls.
-func flightRun(t *testing.T, workers int, routed bool, chaosSeed int64) (*obs.FlightDump, Stats, int) {
+// runtime at the given in-place budget (under chaos the driver draws
+// its own) and returns the dump plus the number of Apply calls.
+func flightRun(t *testing.T, workers int, routed bool, chaosSeed int64, budget int) (*obs.FlightDump, Stats, int) {
 	t.Helper()
 	srcs := []string{
 		`(p join (a ^x <v>) (b ^x <v>) (c ^x <v>) --> (halt))`,
@@ -26,6 +27,7 @@ func flightRun(t *testing.T, workers int, routed bool, chaosSeed int64) (*obs.Fl
 		t.Fatal(err)
 	}
 	defer rt.Close()
+	rt.budget = budget
 
 	cycles := 0
 	id := 1
@@ -42,18 +44,31 @@ func flightRun(t *testing.T, workers int, routed bool, chaosSeed int64) (*obs.Fl
 	return rt.FlightDump(), stats, cycles
 }
 
+// TestFlightRecorderEndToEnd reconciles a dump with the runtime's own
+// counters at every in-place budget: whether the control carried an
+// activation in place, handed it off, or never touched it, every handle
+// is counted on its owner's track and every recv joins a send.
 func TestFlightRecorderEndToEnd(t *testing.T) {
-	for _, tc := range []struct {
+	type flightCase struct {
 		name   string
 		routed bool
 		chaos  int64
-	}{
-		{"broadcast", false, 0},
-		{"routed", true, 0},
-		{"chaos", false, 7},
-	} {
+		budget int
+	}
+	cases := []flightCase{
+		{"broadcast", false, 0, inPlaceActs},
+		{"routed", true, 0, inPlaceActs},
+		{"chaos", false, 7, inPlaceActs},
+		{"chaos-routed", true, 11, inPlaceActs},
+	}
+	for _, b := range handOffBudgets {
+		cases = append(cases,
+			flightCase{"broadcast-b" + budgetName(b), false, 0, b},
+			flightCase{"routed-b" + budgetName(b), true, 0, b})
+	}
+	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			dump, stats, cycles := flightRun(t, 4, tc.routed, tc.chaos)
+			dump, stats, cycles := flightRun(t, 4, tc.routed, tc.chaos, tc.budget)
 			if dump == nil {
 				t.Fatal("nil dump from instrumented runtime")
 			}
@@ -212,7 +227,7 @@ func TestFlightRecorderRetention(t *testing.T) {
 }
 
 func TestFlightRecorderChromeExport(t *testing.T) {
-	dump, _, _ := flightRun(t, 2, false, 0)
+	dump, _, _ := flightRun(t, 2, false, 0, inPlaceActs)
 	var n int
 	for _, tr := range dump.Tracks {
 		n += len(tr.Events)

@@ -74,8 +74,15 @@ func (m *mailbox) PushBatch(msgs []Message, batch, src int32) {
 		return
 	}
 	m.mu.Lock()
+	m.enqueueLocked(msgs, batch, src)
+	m.mu.Unlock()
+}
+
+// enqueueLocked is PushBatch with m.mu already held: the cycle driver's
+// hand-off holds every mailbox's lock across all of its pushes
+// (Driver.handOff).
+func (m *mailbox) enqueueLocked(msgs []Message, batch, src int32) {
 	if m.closed {
-		m.mu.Unlock()
 		m.dropped.Add(int64(len(msgs)))
 		return
 	}
@@ -84,7 +91,6 @@ func (m *mailbox) PushBatch(msgs []Message, batch, src int32) {
 		m.stamps = append(m.stamps, RecvStamp{Batch: batch, Src: src, Count: int32(len(msgs))})
 	}
 	m.cond.Signal()
-	m.mu.Unlock()
 }
 
 // Drain blocks until at least one message is pending (or the mailbox

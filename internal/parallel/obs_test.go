@@ -10,138 +10,192 @@ import (
 	"mpcrete/internal/rete"
 )
 
-// TestRuntimeTimeline runs a match phase under a recorder and checks
-// the wall-clock timeline: one span per drained mailbox batch on each
-// worker (with per-kind message counts, so observability costs one
-// span per turn rather than one per message), a quiescence span on the
-// control track, and a valid Chrome export.
-func TestRuntimeTimeline(t *testing.T) {
+// timelineShapes runs two match phases on one runtime under a recorder
+// and checks the wall-clock timeline of each. The first stays under the
+// in-place budget: one "in-place" span on the control track, each
+// step's drains on its worker's track, and neither a batch nor a
+// quiescence wait anywhere. The second outgrows the budget: the control
+// span says so, the frontier arrives as batch spans (one per drained
+// mailbox batch, with per-kind message counts, so observability costs
+// one span per turn rather than one per message), and the control
+// waits for quiescence. announce is the instant the root mode records
+// once per cycle.
+func timelineShapes(t *testing.T, opts Options, announce string) {
 	net, _ := compileProds(t,
-		`(p pair (team ^name <t>) (slot ^id <s>) --> (make pairing ^team <t> ^slot <s>))`)
+		`(p pair (team ^name <t> ^div <d>) (slot ^id <s> ^div <d>) --> (make pairing ^team <t> ^slot <s>))`)
 	rec := obs.NewRecorder()
-	rt, err := New(net, Options{
-		Workers:  2,
-		Detector: FourCounterDetector,
-		Recorder: rec,
-	})
+	opts.Workers, opts.Recorder = 2, rec
+	rt, err := New(net, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
 
-	var changes []rete.Change
 	id := 1
-	add := func(w *ops5.WME) {
-		w.ID, w.TimeTag = id, id
-		id++
-		changes = append(changes, rete.Change{Tag: rete.Add, WME: w})
+	burst := func(n int) []rete.Change {
+		var changes []rete.Change
+		for i := 0; i < n; i++ {
+			for _, w := range []*ops5.WME{
+				ops5.NewWME("team", "name", i, "div", i%8),
+				ops5.NewWME("slot", "id", i, "div", i%8),
+			} {
+				w.ID, w.TimeTag = id, id
+				id++
+				changes = append(changes, rete.Change{Tag: rete.Add, WME: w})
+			}
+		}
+		return changes
 	}
-	for i := 0; i < 4; i++ {
-		add(ops5.NewWME("team", "name", i))
-		add(ops5.NewWME("slot", "id", i))
+	label := func(labels []obs.Label, key string) string {
+		for _, l := range labels {
+			if l.Key == key {
+				return l.Value
+			}
+		}
+		return ""
 	}
-	if got := rt.Apply(changes); len(got) != 16 {
-		t.Fatalf("conflict set = %d, want 16", len(got))
+	count := func(labels []obs.Label, key string) int {
+		v := label(labels, key)
+		if v == "" {
+			return 0
+		}
+		n, err := strconv.Atoi(v)
+		if err != nil {
+			t.Errorf("label %s=%q is not a count", key, v)
+		}
+		return n
 	}
 
-	// Each worker reports batched spans: the sum of per-worker "msgs"
-	// counts must cover one cycle message per worker plus every
-	// routed activation, with one span per drained batch.
-	batchSpans := map[int]int{}
-	batchMsgs := map[int]int{}
-	cycleMsgs := 0
-	quiesce := 0
-	for _, sp := range rec.Spans() {
-		if sp.T1 < sp.T0 {
-			t.Errorf("span %v ends before it starts", sp)
-		}
-		switch {
-		case sp.Kind == "batch":
-			batchSpans[sp.Proc]++
-			for _, l := range sp.Labels {
-				n, err := strconv.Atoi(l.Value)
-				if err != nil {
-					t.Errorf("batch label %s=%q is not a count", l.Key, l.Value)
-				}
-				switch l.Key {
-				case "msgs":
-					batchMsgs[sp.Proc] += n
-				case "cycles":
-					cycleMsgs += n
+	// shape reads the spans and instants recorded since the last call.
+	type shape struct {
+		head            []obs.Label // the control track's in-place span
+		heads           int
+		stepActs        int // acts over the worker tracks' in-place spans
+		batches         int
+		batchMsgs       int
+		batchActs       int
+		batchCycles     int
+		quiesce         int
+		announced       int
+		announcedLabels []obs.Label
+	}
+	spansSeen, instantsSeen := 0, 0
+	read := func() shape {
+		var sh shape
+		spans := rec.Spans()
+		for _, sp := range spans[spansSeen:] {
+			if sp.T1 < sp.T0 {
+				t.Errorf("span %v ends before it starts", sp)
+			}
+			switch {
+			case sp.Kind == "in-place" && sp.Proc == rt.controlTrack():
+				sh.heads++
+				sh.head = sp.Labels
+			case sp.Kind == "in-place":
+				sh.stepActs += count(sp.Labels, "acts")
+			case sp.Kind == "batch":
+				sh.batches++
+				sh.batchMsgs += count(sp.Labels, "msgs")
+				sh.batchActs += count(sp.Labels, "acts")
+				sh.batchCycles += count(sp.Labels, "cycles")
+			case sp.Kind == "quiesce" && sp.Proc == rt.controlTrack():
+				sh.quiesce++
+				if len(sp.Labels) != 1 || sp.Labels[0].Key != "waves" {
+					t.Errorf("quiesce span labels = %v", sp.Labels)
 				}
 			}
-		case sp.Kind == "quiesce" && sp.Proc == rt.controlTrack():
-			quiesce++
-			if len(sp.Labels) != 1 || sp.Labels[0].Key != "waves" {
-				t.Errorf("quiesce span labels = %v", sp.Labels)
+		}
+		spansSeen = len(spans)
+		instants := rec.Instants()
+		for _, in := range instants[instantsSeen:] {
+			if in.Name == announce {
+				sh.announced++
+				sh.announcedLabels = in.Labels
 			}
 		}
+		instantsSeen = len(instants)
+		return sh
 	}
-	for w := 0; w < 2; w++ {
-		if batchSpans[w] < 1 {
-			t.Errorf("worker %d: no batch spans", w)
+
+	// Under the budget: 16 changes, one pairing per division.
+	if got := rt.Apply(burst(8)); len(got) != 8 {
+		t.Fatalf("conflict set = %d, want 8", len(got))
+	}
+	sh := read()
+	if sh.heads != 1 {
+		t.Fatalf("in-place spans on the control track = %d, want 1", sh.heads)
+	}
+	if got := label(sh.head, "handed-off"); got != "false" {
+		t.Errorf("small cycle: handed-off = %q, want false", got)
+	}
+	if acts := count(sh.head, "acts"); acts == 0 || acts != sh.stepActs {
+		t.Errorf("small cycle: control span says %d acts, the steps' spans %d", acts, sh.stepActs)
+	}
+	if sh.batches != 0 || sh.quiesce != 0 {
+		t.Errorf("small cycle reached the message plane: %d batch spans, %d quiesce spans", sh.batches, sh.quiesce)
+	}
+	if sh.announced != 1 || label(sh.announcedLabels, "changes") != "16" {
+		t.Errorf("small cycle: %d %s instants, labels %v", sh.announced, announce, sh.announcedLabels)
+	}
+	if st := rt.Stats(); st.InPlace != 1 || st.HandedOff != 0 {
+		t.Errorf("after the small cycle: InPlace = %d, HandedOff = %d", st.InPlace, st.HandedOff)
+	}
+
+	// Over it: 200 more of each class, 25 to a division — 400 root
+	// activations alone.
+	rt.Apply(burst(200))
+	sh = read()
+	if sh.heads != 1 {
+		t.Fatalf("in-place spans on the control track = %d, want 1", sh.heads)
+	}
+	if got := label(sh.head, "handed-off"); got != "true" {
+		t.Errorf("large cycle: handed-off = %q, want true", got)
+	}
+	if acts := count(sh.head, "acts"); acts != inPlaceActs || acts != sh.stepActs {
+		t.Errorf("large cycle: control span says %d acts, the steps' spans %d, budget %d", acts, sh.stepActs, inPlaceActs)
+	}
+	if sh.batches < 1 || sh.batchMsgs < 1 {
+		t.Errorf("large cycle: %d batch spans covering %d messages", sh.batches, sh.batchMsgs)
+	}
+	// The frontier is activations: no worker sees a cycle packet.
+	if sh.batchCycles != 0 || sh.batchActs != sh.batchMsgs {
+		t.Errorf("large cycle: batch spans count %d cycle packets and %d acts in %d messages",
+			sh.batchCycles, sh.batchActs, sh.batchMsgs)
+	}
+	if sh.quiesce != 1 {
+		t.Errorf("large cycle: quiesce spans = %d, want 1", sh.quiesce)
+	}
+	if sh.announced != 1 || label(sh.announcedLabels, "changes") != "400" {
+		t.Errorf("large cycle: %d %s instants, labels %v", sh.announced, announce, sh.announcedLabels)
+	}
+	if st := rt.Stats(); st.InPlace != 1 || st.HandedOff != 1 {
+		t.Errorf("after the large cycle: InPlace = %d, HandedOff = %d", st.InPlace, st.HandedOff)
+	}
+	if announce == "cycle-route" {
+		if roots := label(sh.announcedLabels, "roots"); roots == "" || roots == "0" {
+			t.Errorf("cycle-route roots label = %q, want > 0", roots)
 		}
-		if batchMsgs[w] < 1 {
-			t.Errorf("worker %d: batch spans cover %d messages", w, batchMsgs[w])
-		}
-	}
-	if cycleMsgs != 2 {
-		t.Errorf("cycle messages across batch spans = %d, want one per worker", cycleMsgs)
-	}
-	if quiesce != 1 {
-		t.Errorf("quiesce spans = %d, want 1", quiesce)
 	}
 
 	var buf bytes.Buffer
 	if err := rec.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"worker 0"`, `"worker 1"`, `"control"`, `"cycle-broadcast"`, `"batch"`} {
+	for _, want := range []string{`"worker 0"`, `"worker 1"`, `"control"`, `"` + announce + `"`, `"in-place"`, `"batch"`, `"quiesce"`} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("chrome trace missing %s", want)
 		}
 	}
 }
 
-// TestRuntimeTimelineRouted checks the routed-mode control-track
-// instant: one "cycle-route" event carrying the change and root
-// counts.
+// TestRuntimeTimeline checks both shapes of a cycle's timeline under
+// the broadcast root mode (Fig 3-3) and the four-counter detector.
+func TestRuntimeTimeline(t *testing.T) {
+	timelineShapes(t, Options{Detector: FourCounterDetector}, "cycle-broadcast")
+}
+
+// TestRuntimeTimelineRouted checks them under routed roots (Fig 3-2),
+// whose control-track instant also carries the root count.
 func TestRuntimeTimelineRouted(t *testing.T) {
-	net, _ := compileProds(t,
-		`(p pair (team ^name <t>) (slot ^id <s>) --> (make pairing ^team <t> ^slot <s>))`)
-	rec := obs.NewRecorder()
-	rt, err := New(net, Options{Workers: 2, RouteRoots: true, Recorder: rec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-
-	var changes []rete.Change
-	for i := 0; i < 4; i++ {
-		w := ops5.NewWME("team", "name", i)
-		w.ID, w.TimeTag = i+1, i+1
-		changes = append(changes, rete.Change{Tag: rete.Add, WME: w})
-	}
-	rt.Apply(changes)
-
-	routed := 0
-	for _, in := range rec.Instants() {
-		if in.Name != "cycle-route" {
-			continue
-		}
-		routed++
-		got := map[string]string{}
-		for _, l := range in.Labels {
-			got[l.Key] = l.Value
-		}
-		if got["changes"] != "4" {
-			t.Errorf("cycle-route changes label = %q, want 4", got["changes"])
-		}
-		if got["roots"] == "" || got["roots"] == "0" {
-			t.Errorf("cycle-route roots label = %q, want > 0", got["roots"])
-		}
-	}
-	if routed != 1 {
-		t.Errorf("cycle-route instants = %d, want 1", routed)
-	}
+	timelineShapes(t, Options{RouteRoots: true}, "cycle-route")
 }

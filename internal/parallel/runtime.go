@@ -20,11 +20,17 @@
 // that per-message overhead is what makes or breaks MPC speedups:
 // workers drain their whole mailbox under one lock per turn, coalesce
 // outgoing activations into per-destination buffers flushed once per
-// handled message, deliver conflict-set deltas in bulk, and account
+// turn, deliver conflict-set deltas in bulk, and account
 // termination-detection counters per batch. Steady-state cycles reuse
-// the same buffers, the shared cycle packet, and arena-carved tokens,
-// so the per-message cost the paper prices at 0–32 µs stays far below
-// a node activation's work here.
+// the same buffers, the shared cycle packet, and arena-carved tokens.
+//
+// Even so, waking a parked goroutine and waiting for quiescence costs
+// 5–20 µs here against ~0.3 µs per activation — far past the right edge
+// of the paper's Fig 5-2 — so over the in-process mailboxes the driver
+// performs the head of every cycle in place, on the caller's goroutine
+// against the parked workers' steps (running the constant tests once,
+// whichever root mode), and only a cycle that outgrows that head
+// reaches the message plane (Driver.inPlaceHead, inPlaceActs).
 //
 // This is the "real implementation" the paper planned as future work
 // (on Nectar), transplanted to a shared-nothing goroutine machine. It
@@ -99,15 +105,18 @@ type Options struct {
 	// run: one span per drained mailbox batch on each worker (labelled
 	// with per-kind message counts, so -timeline no longer pays one
 	// span per message) and a quiescence-wait span (with the
-	// termination-detection wave count) on the control track.
-	// Timestamps are nanoseconds since New.
+	// termination-detection wave count) on the control track. A cycle's
+	// in-place head is one "in-place" span on the control track
+	// (labelled acts and handed-off) and one per step drain on that
+	// step's worker track. Timestamps are nanoseconds since New.
 	Recorder *obs.Recorder
 	// ChaosSeed, when non-zero, enables the chaos scheduling layer
 	// (see chaos.go): workers randomly reorder drained activation runs
 	// (preserving per-bucket FIFO order, the only ordering the match
-	// relies on), defer coalesced flushes, split turns, and jitter
-	// timing so -race stress explores interleavings a quiet machine
-	// never produces. The netted conflict-set output must be unchanged
+	// relies on), split turns, and jitter timing, and the driver draws
+	// each cycle's in-place budget at random, so -race stress explores
+	// interleavings and hand-off points a quiet machine never produces.
+	// The netted conflict-set output must be unchanged
 	// — the differential harness asserts exactly that. Zero (the
 	// default) compiles to the unperturbed fast path.
 	ChaosSeed int64
@@ -261,8 +270,18 @@ func New(net *rete.Network, opts Options) (*Runtime, error) {
 		return nil, err
 	}
 	if len(eps) != opts.Workers {
+		for _, ep := range eps {
+			ep.Close()
+		}
+		rt.transport.Close()
 		return nil, fmt.Errorf("parallel: transport opened %d endpoints, want %d", len(eps), opts.Workers)
 	}
+	// In place needs the steps in this memory and the mailboxes' locks
+	// (Driver.handOff); a transport with endpoints of its own — Loopback,
+	// whose point is that every message crosses the codec — keeps every
+	// cycle on the message plane.
+	var steps []*Step
+	var boxes []*mailbox
 	for i := 0; i < opts.Workers; i++ {
 		w := &worker{
 			id:     i,
@@ -275,6 +294,15 @@ func New(net *rete.Network, opts Options) (*Runtime, error) {
 			w.chaos = newChaos(opts.ChaosSeed, i)
 		}
 		rt.workers = append(rt.workers, w)
+		steps = append(steps, w.step)
+		if m, ok := eps[i].(*mailbox); ok {
+			boxes = append(boxes, m)
+		}
+	}
+	if len(boxes) == opts.Workers {
+		d.shareMemory(steps, boxes)
+	}
+	for _, w := range rt.workers {
 		w.done.Add(1)
 		go w.loop()
 	}
@@ -337,9 +365,13 @@ func (rt *Runtime) Close() {
 
 // loop is the worker goroutine: one match processor of the mapping. It
 // consumes its endpoint one drained batch at a time — one lock
-// acquisition per turn, however many messages arrived — hands each
-// message to the step, and flushes the step's coalesced outgoing
-// activations at the end of each handled message.
+// acquisition per turn, however many messages arrived — hands the batch
+// to the step as one delivery, and flushes the step's coalesced
+// outgoing activations once, at the end of the turn. One Handle per
+// turn is a correctness condition, not an economy: a hand-off's share
+// (Driver.handOff) is a breadth-first frontier, and expanding one of
+// its activations before the rest are queued lets a derived delete
+// overtake the add it cancels.
 func (w *worker) loop() {
 	defer w.done.Done()
 	rt := w.rt
@@ -366,17 +398,14 @@ func (w *worker) loop() {
 		}
 		w.stampBuf = stamps // donate the stamp buffer back next drain
 		w.step.BeginTurn(t0, w.turnCycle)
-		var kinds [numMsgKinds]int
-		for i := range w.batch {
-			kinds[w.batch[i].Kind]++
-			w.step.Handle(w.batch[i : i+1])
-			w.flush(false)
-		}
-		// Force out anything a chaotic flush deferral held back; a
-		// no-op on the plain path (per-message flushes left nothing).
-		w.flush(true)
+		w.step.Handle(w.batch)
+		w.flush()
 		n := len(w.batch)
 		if rt.rec != nil {
+			var kinds [numMsgKinds]int
+			for i := range w.batch {
+				kinds[w.batch[i].Kind]++
+			}
 			rt.rec.Span(w.id, "batch", t0, rt.Now(), batchLabels(n, &kinds)...)
 		}
 		rt.TurnDone(w.id, n, w.step.EndTurn())
@@ -397,17 +426,12 @@ func batchLabels(n int, kinds *[numMsgKinds]int) []obs.Label {
 	return labels
 }
 
-// flush ships what the step left behind: the whole flush is registered
+// flush ships what the turn left behind: the whole flush is registered
 // with the driver before any message becomes visible, then each
-// destination endpoint is locked once. Under chaos a non-forced flush
-// of activations may be randomly deferred — the pending messages simply
-// coalesce into a later flush of the same turn, which the end-of-turn
-// forced call guarantees. Deferral is safe because the turn's batch
-// stays registered with the termination detector until after the forced
-// flush.
-func (w *worker) flush(force bool) {
+// destination endpoint is locked once.
+func (w *worker) flush() {
 	rt, s := w.rt, w.step
-	if s.Pending > 0 && (force || w.chaos == nil || !w.chaos.deferFlush()) {
+	if s.Pending > 0 {
 		rt.Sending(w.id, s.Pending)
 		total := s.Pending
 		s.Pending = 0

@@ -308,6 +308,50 @@ func TestParallelOptionsValidation(t *testing.T) {
 	}
 }
 
+// shortTransport opens one endpoint too few and records what New closes.
+type shortTransport struct {
+	eps            []*mailbox
+	closed         bool
+	endpointsFirst bool
+}
+
+func (s *shortTransport) Open(workers int, opts EndpointOptions) ([]Endpoint, error) {
+	var eps []Endpoint
+	for i := 0; i < workers-1; i++ {
+		m := newMailbox(opts.Dropped, opts.Stamped)
+		s.eps = append(s.eps, m)
+		eps = append(eps, m)
+	}
+	return eps, nil
+}
+
+func (s *shortTransport) Close() error {
+	s.closed = true
+	s.endpointsFirst = true
+	for _, m := range s.eps {
+		m.mu.Lock()
+		s.endpointsFirst = s.endpointsFirst && m.closed
+		m.mu.Unlock()
+	}
+	return nil
+}
+
+// TestNewClosesTransportOnEndpointMismatch: a transport that opens the
+// wrong number of endpoints has still opened them (listeners and
+// sockets, for a wire transport); New must give them back — endpoints
+// first, as Close does — before it reports the mismatch.
+func TestNewClosesTransportOnEndpointMismatch(t *testing.T) {
+	net, _ := compileProds(t, `(p j (a ^x 1) --> (halt))`)
+	tr := &shortTransport{}
+	if _, err := New(net, Options{Workers: 3, Transport: tr}); err == nil {
+		t.Fatal("New accepted 2 endpoints for 3 workers")
+	}
+	if len(tr.eps) != 2 || !tr.closed || !tr.endpointsFirst {
+		t.Errorf("after the refused New: %d endpoints opened, transport closed = %v, endpoints closed before it = %v",
+			len(tr.eps), tr.closed, tr.endpointsFirst)
+	}
+}
+
 func TestParallelCloseIdempotent(t *testing.T) {
 	net, _ := compileProds(t, `(p j (a ^x 1) --> (halt))`)
 	rt, err := New(net, Options{Workers: 2})
@@ -361,12 +405,14 @@ func TestAddBeforeDeleteSameCycle(t *testing.T) {
 	}
 }
 
-// TestSteadyStateAllocs pins the tentpole's O(1)-allocations claim: a
-// steady-state cycle whose activations flow through the batched
-// message plane (join work, cross-worker token sends, no conflict-set
+// TestSteadyStateAllocs pins the batched message plane's
+// O(1)-allocations claim: a steady-state cycle whose activations flow
+// through it (join work, cross-worker token sends, no conflict-set
 // deltas) must not allocate per message or per token. The arena carves
 // tokens in chunks and the mailbox/coalescing buffers are reused, so
-// the amortized allocation count per cycle stays a small constant.
+// the amortized allocation count per cycle stays a small constant. The
+// budget is 0 so that these cycles reach the plane at all;
+// TestInPlaceCycleAllocs pins the in-place head.
 func TestSteadyStateAllocs(t *testing.T) {
 	net, _ := compileProds(t, `(p j (a ^x <v>) (b ^x <v>) (c ^x <v>) --> (halt))`)
 	rt, err := New(net, Options{Workers: 4, NBuckets: 64})
@@ -374,6 +420,7 @@ func TestSteadyStateAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer rt.Close()
+	rt.budget = 0
 
 	// Resident 'a' wmes; the measured cycles add and delete matching
 	// 'b' wmes, which join against them but never complete (no 'c'), so
@@ -474,8 +521,11 @@ func TestNetInsts(t *testing.T) {
 	}
 	w := ops5.NewWME("a", "v", 1)
 	w.ID = 7
+	// One ProdInfo for the production, as a network has: it is the
+	// production's half of an instantiation's identity.
+	info := &rete.ProdInfo{Prod: p}
 	mk := func(tag rete.Tag) rete.InstChange {
-		return rete.InstChange{Tag: tag, Info: &rete.ProdInfo{Prod: p}, WMEs: []*ops5.WME{w}}
+		return rete.InstChange{Tag: tag, Info: info, WMEs: []*ops5.WME{w}}
 	}
 	// One netter across all three calls, as the driver reuses its scratch
 	// across cycles.

@@ -1,6 +1,8 @@
 package parallel
 
 import (
+	"math"
+
 	"mpcrete/internal/obs"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/sched"
@@ -13,14 +15,16 @@ import (
 // buffers a turn fills. A carrier — the goroutine worker in runtime.go,
 // or transport.ServeConn behind a socket — decodes or drains messages,
 // hands them to Handle, ships what Handle left in Out and Moved, and
-// reports EndTurn's result to the cycle driver.
+// reports EndTurn's result to the cycle driver. The cycle driver itself
+// is a third carrier when the steps live in its memory: it performs the
+// head of every cycle on them in place (Driver.inPlaceHead).
 type Step struct {
 	id   int
 	proc *rete.Processor
 	part sched.Partition
 
 	// localQ is the FIFO of locally-owned activations, drained
-	// breadth-first (see drainLocal); rootScratch is the constant-test
+	// breadth-first (see Drain); rootScratch is the constant-test
 	// scratch and succScratch one activation's successors. instActs
 	// holds the turn's production-node activations, in production order,
 	// until EndTurn builds their deltas in one pass.
@@ -53,6 +57,13 @@ type Step struct {
 	ctrack    *obs.TrackRecorder
 	turnTS    int64
 	turnCycle int32
+
+	// handOffShare is the length of the step's share of a hand-off
+	// (Driver.handOff): the leading messages of its worker's next drained
+	// batch, which one Handle must receive whole. The plain worker loop
+	// does that by construction; the chaos layer reads and clears it
+	// before it would split that turn.
+	handOffShare int
 }
 
 // queuedAct is one queued unit of locally-owned match work: an
@@ -141,9 +152,16 @@ func (s *Step) EndTurn() *Turn {
 // Handle performs the messages of one delivery. Every activation of
 // the delivery — the locally-owned roots of a MsgCycle, or a run of
 // MsgAct — is queued before any is expanded, so storage precedes
-// discovery (see drainLocal). Successors owned elsewhere are left in
-// Out, extracted buckets in Moved.
+// discovery (see Drain). Successors owned elsewhere are left in Out,
+// extracted buckets in Moved.
 func (s *Step) Handle(ms []Message) {
+	s.queue(ms)
+	s.Drain(math.MaxInt)
+}
+
+// queue takes a delivery in without expanding it: activations join
+// localQ, migration orders are carried out.
+func (s *Step) queue(ms []Message) {
 	for i := range ms {
 		m := &ms[i]
 		switch m.Kind {
@@ -174,24 +192,27 @@ func (s *Step) Handle(ms []Message) {
 			s.proc.InjectBucket(m.Inject)
 		}
 	}
-	s.drainLocal()
 }
 
-// drainLocal performs queued activations in FIFO order, appending
-// locally-owned successors to the same queue — the zero-message fast
-// path of the fine granularity. Breadth-first order matches the
-// sequential matcher's queue discipline, which keeps the measured depth
-// attribution of join discovery comparable to the recorded trace: a
-// depth-first expansion could walk a chain into a join node before the
-// sibling roots feeding the join's other side have been stored, so the
-// join would later fire from the shallow side and the measured
-// activation forest would flatten.
-func (s *Step) drainLocal() {
-	for qi := 0; qi < len(s.localQ); qi++ {
-		la := s.localQ[qi]
+// Drain performs up to budget queued activations in FIFO order,
+// appending locally-owned successors to the same queue — the
+// zero-message fast path of the fine granularity — and reports how many
+// it performed; what it did not reach stays queued, in order.
+// Breadth-first order matches the sequential matcher's queue
+// discipline, which keeps the measured depth attribution of join
+// discovery comparable to the recorded trace: a depth-first expansion
+// could walk a chain into a join node before the sibling roots feeding
+// the join's other side have been stored, so the join would later fire
+// from the shallow side and the measured activation forest would
+// flatten.
+func (s *Step) Drain(budget int) int {
+	n := 0
+	for ; n < len(s.localQ) && n < budget; n++ {
+		la := s.localQ[n]
 		s.processOne(la.act, int(la.bucket), la.depth)
 	}
-	s.localQ = s.localQ[:0]
+	s.localQ = s.localQ[:copy(s.localQ, s.localQ[n:])]
+	return n
 }
 
 // processOne performs a single activation, queueing locally-owned

@@ -73,6 +73,58 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSnapshotTextRoundTrip: a wme's text is its content. Every wme a
+// generated case starts with, and every wme its run leaves in working
+// memory, re-parses from String to a wme Equal to it — including what
+// the right-hand sides make from variables bound to absent attributes,
+// which half the initial store is given by knocking an attribute out.
+// (A nil-valued attribute used to print as "^f1 nil" and come back as
+// the symbol nil.)
+func TestSnapshotTextRoundTrip(t *testing.T) {
+	checked := 0
+	for seed := int64(0); seed < 20; seed++ {
+		c := Gen(seed, GenConfig{EqDensity: 0.2})
+		prog, err := ops5.ParseProgram(c.ProgSrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wmes, err := ops5.ParseWMEs(c.WMESrc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, w := range wmes {
+			if i%2 == 0 {
+				w.Set("f1", ops5.Value{}) // symbolic, so no compute trips on it
+			}
+		}
+		e, err := engine.New(prog, engine.Options{Output: &bytes.Buffer{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.InsertWMEs(wmes...)
+		for cycle := 0; cycle < 25; cycle++ {
+			if in, err := e.Step(); err != nil {
+				t.Fatalf("seed %d: %v", seed, err)
+			} else if in == nil {
+				break
+			}
+		}
+		for _, w := range append(wmes, e.WMEs()...) {
+			back, err := ops5.ParseWMEs(w.String())
+			if err != nil || len(back) != 1 || !back[0].Equal(w) || !w.Equal(back[0]) || back[0].String() != w.String() {
+				t.Fatalf("seed %d: %s re-parses to %v (%v)", seed, w, back, err)
+			}
+			if strings.Contains(w.String(), " nil") {
+				t.Fatalf("seed %d: %s prints a nil value", seed, w)
+			}
+			checked++
+		}
+	}
+	if checked < 200 {
+		t.Fatalf("only %d wmes checked", checked)
+	}
+}
+
 // TestCorpus replays every committed corpus case through the full
 // configuration matrix, and the engine-level ones through the
 // trace-level simulator differential too.

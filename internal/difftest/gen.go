@@ -376,7 +376,7 @@ func (g *generator) expr(numeric bool, bound []boundVar) ops5.Expr {
 func (g *generator) wme() *ops5.WME {
 	w := ops5.NewWME(g.class(g.rng.Intn(g.cfg.Classes)))
 	for a := 0; a < g.cfg.Attrs; a++ {
-		w.Attrs[g.attr(a)] = g.constant(g.attrNumeric(a))
+		w.Set(g.attr(a), g.constant(g.attrNumeric(a)))
 	}
 	return w
 }

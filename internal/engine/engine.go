@@ -13,10 +13,12 @@
 package engine
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
@@ -183,7 +185,7 @@ func (e *Session) WMEs() []*ops5.WME {
 	for _, w := range e.wm {
 		out = append(out, w.Clone())
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
+	slices.SortFunc(out, func(a, b *ops5.WME) int { return cmp.Compare(a.ID, b.ID) })
 	return out
 }
 
@@ -197,14 +199,16 @@ func (e *Session) Halted() bool { return e.halted }
 // effect at the next match phase. The returned wme carries its
 // assigned ID and time tag.
 func (e *Session) MakeWME(class string, pairs ...any) *ops5.WME {
-	w := ops5.NewWME(class, pairs...)
-	return e.addWME(w)
+	return e.addWME(e.c.net.Conform(ops5.NewWME(class, pairs...)))
 }
 
 // InsertWMEs schedules pre-built wmes (e.g. parsed by ops5.ParseWMEs).
+// The session keeps its own copy of each, laid out by the network's
+// layout of its class so the match reads it by slot; the caller's wmes
+// are not touched and may be handed to any number of sessions.
 func (e *Session) InsertWMEs(wmes ...*ops5.WME) {
 	for _, w := range wmes {
-		e.addWME(w.Clone())
+		e.addWME(e.c.net.Conform(w))
 	}
 }
 
@@ -215,7 +219,7 @@ func (e *Session) InsertWMEs(wmes ...*ops5.WME) {
 func (e *Session) Assert(wmes ...*ops5.WME) []*ops5.WME {
 	out := make([]*ops5.WME, len(wmes))
 	for i, w := range wmes {
-		out[i] = e.addWME(w.Clone())
+		out[i] = e.addWME(e.c.net.Conform(w))
 	}
 	return out
 }
@@ -470,78 +474,98 @@ func compareRecency(a, b []int) int {
 	return 0
 }
 
-// act executes the RHS of the fired instantiation.
+// rhs is the evaluation context of one firing's right-hand side: the
+// instantiation its variables read from and the values bind actions
+// have given so far (the latest binding of a name wins).
+type rhs struct {
+	in    *Instantiation
+	binds []ops5.Attr
+}
+
+func (r *rhs) lookup(v string) (ops5.Value, error) {
+	for i := len(r.binds) - 1; i >= 0; i-- {
+		if r.binds[i].Name == v {
+			return r.binds[i].Value, nil
+		}
+	}
+	if def, ok := r.in.info.VarDefs[v]; ok {
+		w := r.in.WMEs[def.OrigCE]
+		if w == nil {
+			return ops5.Value{}, fmt.Errorf("engine: %s: variable <%s> bound in negated CE", r.in.Prod.Name, v)
+		}
+		return def.Of(w), nil
+	}
+	return ops5.Value{}, fmt.Errorf("engine: %s: unbound variable <%s>", r.in.Prod.Name, v)
+}
+
+func (r *rhs) eval(ex *ops5.Expr) (ops5.Value, error) {
+	switch {
+	case ex.Const != nil:
+		return *ex.Const, nil
+	case ex.Var != "":
+		return r.lookup(ex.Var)
+	}
+	name := r.in.Prod.Name
+	acc, err := r.eval(&ex.Operands[0])
+	if err != nil {
+		return ops5.Value{}, err
+	}
+	for i, op := range ex.Ops {
+		rhs, err := r.eval(&ex.Operands[i+1])
+		if err != nil {
+			return ops5.Value{}, err
+		}
+		if acc.Kind != ops5.KindNum || rhs.Kind != ops5.KindNum {
+			return ops5.Value{}, fmt.Errorf("engine: %s: compute on non-numeric values %v, %v", name, acc, rhs)
+		}
+		switch op {
+		case ops5.ExprAdd:
+			acc = ops5.N(acc.Num + rhs.Num)
+		case ops5.ExprSub:
+			acc = ops5.N(acc.Num - rhs.Num)
+		case ops5.ExprMul:
+			acc = ops5.N(acc.Num * rhs.Num)
+		case ops5.ExprDiv:
+			if rhs.Num == 0 {
+				return ops5.Value{}, fmt.Errorf("engine: %s: division by zero", name)
+			}
+			acc = ops5.N(acc.Num / rhs.Num)
+		case ops5.ExprMod:
+			if rhs.Num == 0 {
+				return ops5.Value{}, fmt.Errorf("engine: %s: mod by zero", name)
+			}
+			acc = ops5.N(math.Mod(acc.Num, rhs.Num))
+		}
+	}
+	return acc, nil
+}
+
+// store evaluates a make or modify action's assignments into w, each
+// into the slot the network resolved for it when the production was
+// compiled.
+func (r *rhs) store(w *ops5.WME, a *ops5.Action, st *rete.Stores) error {
+	for i := range a.Assigns {
+		v, err := r.eval(&a.Assigns[i].Expr)
+		if err != nil {
+			return err
+		}
+		w.SetAt(st.Layout, st.Slots[i], a.Assigns[i].Attr, v)
+	}
+	return nil
+}
+
+// act executes the RHS of the fired instantiation. A make builds its
+// wme in place, in the class's layout: one allocation.
 func (e *Session) act(in *Instantiation) error {
-	info := in.info
-	local := map[string]ops5.Value{}
-
-	lookup := func(v string) (ops5.Value, error) {
-		if val, ok := local[v]; ok {
-			return val, nil
-		}
-		if def, ok := info.VarDefs[v]; ok {
-			w := in.WMEs[def.OrigCE]
-			if w == nil {
-				return ops5.Value{}, fmt.Errorf("engine: %s: variable <%s> bound in negated CE", in.Prod.Name, v)
-			}
-			return w.Get(def.Attr), nil
-		}
-		return ops5.Value{}, fmt.Errorf("engine: %s: unbound variable <%s>", in.Prod.Name, v)
-	}
-
-	var eval func(ex ops5.Expr) (ops5.Value, error)
-	eval = func(ex ops5.Expr) (ops5.Value, error) {
-		switch {
-		case ex.Const != nil:
-			return *ex.Const, nil
-		case ex.Var != "":
-			return lookup(ex.Var)
-		default:
-			acc, err := eval(ex.Operands[0])
-			if err != nil {
-				return ops5.Value{}, err
-			}
-			for i, op := range ex.Ops {
-				rhs, err := eval(ex.Operands[i+1])
-				if err != nil {
-					return ops5.Value{}, err
-				}
-				if acc.Kind != ops5.KindNum || rhs.Kind != ops5.KindNum {
-					return ops5.Value{}, fmt.Errorf("engine: %s: compute on non-numeric values %v, %v", in.Prod.Name, acc, rhs)
-				}
-				switch op {
-				case ops5.ExprAdd:
-					acc = ops5.N(acc.Num + rhs.Num)
-				case ops5.ExprSub:
-					acc = ops5.N(acc.Num - rhs.Num)
-				case ops5.ExprMul:
-					acc = ops5.N(acc.Num * rhs.Num)
-				case ops5.ExprDiv:
-					if rhs.Num == 0 {
-						return ops5.Value{}, fmt.Errorf("engine: %s: division by zero", in.Prod.Name)
-					}
-					acc = ops5.N(acc.Num / rhs.Num)
-				case ops5.ExprMod:
-					if rhs.Num == 0 {
-						return ops5.Value{}, fmt.Errorf("engine: %s: mod by zero", in.Prod.Name)
-					}
-					acc = ops5.N(math.Mod(acc.Num, rhs.Num))
-				}
-			}
-			return acc, nil
-		}
-	}
-
-	for _, a := range in.Prod.RHS {
+	r := rhs{in: in}
+	for i := range in.Prod.RHS {
+		a := &in.Prod.RHS[i]
 		switch a.Kind {
 		case ops5.ActMake:
-			w := &ops5.WME{Class: a.Class, Attrs: make(map[string]ops5.Value, len(a.Assigns))}
-			for _, as := range a.Assigns {
-				v, err := eval(as.Expr)
-				if err != nil {
-					return err
-				}
-				w.Attrs[as.Attr] = v
+			st := &in.info.Stores[i]
+			w := st.Layout.New()
+			if err := r.store(w, a, st); err != nil {
+				return err
 			}
 			e.addWME(w)
 		case ops5.ActRemove:
@@ -556,18 +580,14 @@ func (e *Session) act(in *Instantiation) error {
 			e.removeWME(old)
 			w := old.Clone()
 			w.ID = 0
-			for _, as := range a.Assigns {
-				v, err := eval(as.Expr)
-				if err != nil {
-					return err
-				}
-				w.Attrs[as.Attr] = v
+			if err := r.store(w, a, &in.info.Stores[i]); err != nil {
+				return err
 			}
 			e.addWME(w)
 		case ops5.ActWrite:
 			var parts []string
-			for _, ex := range a.Args {
-				v, err := eval(ex)
+			for j := range a.Args {
+				v, err := r.eval(&a.Args[j])
 				if err != nil {
 					return err
 				}
@@ -581,11 +601,11 @@ func (e *Session) act(in *Instantiation) error {
 				return err
 			}
 		case ops5.ActBind:
-			v, err := eval(a.BindExpr)
+			v, err := r.eval(&a.BindExpr)
 			if err != nil {
 				return err
 			}
-			local[a.Var] = v
+			r.binds = append(r.binds, ops5.Attr{Name: a.Var, Value: v})
 		case ops5.ActExcise:
 			if err := e.ExciseProduction(a.Class); err != nil {
 				return fmt.Errorf("engine: %s: %w", in.Prod.Name, err)

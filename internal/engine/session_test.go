@@ -241,7 +241,7 @@ func TestSnapshotDefensiveCopies(t *testing.T) {
 
 	// Mutate the snapshot's copies: the session must not notice.
 	for _, w := range snap.WMEs {
-		w.Attrs["state"] = ops5.S("vandalized")
+		w.Set("state", ops5.S("vandalized"))
 	}
 	for _, w := range s.WMEs() {
 		if w.Get("state").Equal(ops5.S("vandalized")) {
@@ -259,7 +259,7 @@ func TestSnapshotDefensiveCopies(t *testing.T) {
 	}
 	// Un-vandalize for the comparison.
 	for _, w := range snap.WMEs {
-		w.Attrs["state"] = ops5.S("raw")
+		w.Set("state", ops5.S("raw"))
 	}
 	_ = before // the snapshot's identity check is structural, above
 }

@@ -455,7 +455,7 @@ func ParseWMEs(src string) ([]*WME, error) {
 		if err != nil {
 			return nil, err
 		}
-		w := &WME{Class: class.text, Attrs: map[string]Value{}}
+		w := &WME{Class: class.text}
 		for p.tok.kind == tokAttr {
 			attr := p.tok.text
 			if err := p.advance(); err != nil {
@@ -463,9 +463,9 @@ func ParseWMEs(src string) ([]*WME, error) {
 			}
 			switch p.tok.kind {
 			case tokSym:
-				w.Attrs[attr] = S(p.tok.text)
+				w.Set(attr, S(p.tok.text))
 			case tokNum:
-				w.Attrs[attr] = N(p.tok.num)
+				w.Set(attr, N(p.tok.num))
 			default:
 				return nil, p.errf("wme attribute ^%s requires a constant, found %s", attr, p.tok)
 			}

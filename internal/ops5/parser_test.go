@@ -218,7 +218,7 @@ func TestWMEStringDeterministic(t *testing.T) {
 		t.Error("clone not equal")
 	}
 	c := w.Clone()
-	c.Attrs["color"] = S("red")
+	c.Set("color", S("red"))
 	if w.Equal(c) || w.Get("color").Equal(S("red")) {
 		t.Error("clone aliases original")
 	}

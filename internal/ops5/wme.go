@@ -2,22 +2,186 @@ package ops5
 
 import (
 	"fmt"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 )
+
+// Attr is one named attribute value: the form in which a wme holds
+// what its layout has no slot for.
+type Attr struct {
+	Name  string
+	Value Value
+}
+
+// Layout is one class's attribute → slot table, the run-time residue of
+// OPS5's literalize: a compiled network assigns every attribute its
+// productions mention a slot, and a wme of the class keeps those
+// attributes in an array indexed by slot, so a compiled test reads an
+// attribute with an indexed load instead of a lookup by name.
+//
+// A layout belongs to one compiled network (rete.Network owns the
+// table and a layout's ID is its index there). It is written only while
+// that network is compiled, or a production is added to a private one,
+// and is read-only otherwise, so any number of sessions may share it.
+// It only ever grows: a slot, once assigned, keeps its attribute.
+type Layout struct {
+	id    int
+	class string
+	names []string       // slot → attribute
+	index map[string]int // attribute → slot
+	// order lists the slots by ascending attribute name, so printing and
+	// comparing walk a wme in attribute order without sorting.
+	order []int
+}
+
+// NewLayout returns a layout for class with the given attributes in
+// slot order. id is the layout's index in its owner's table.
+func NewLayout(id int, class string, attrs ...string) *Layout {
+	l := &Layout{id: id, class: class, index: make(map[string]int, len(attrs))}
+	for _, a := range attrs {
+		l.Add(a)
+	}
+	return l
+}
+
+// ID returns the layout's index in its network's table.
+func (l *Layout) ID() int { return l.id }
+
+// Class returns the class the layout describes.
+func (l *Layout) Class() string { return l.class }
+
+// Len returns the number of slots.
+func (l *Layout) Len() int {
+	if l == nil {
+		return 0
+	}
+	return len(l.names)
+}
+
+// Names returns the attributes in slot order. The slice is the
+// layout's own: read it, do not write it.
+func (l *Layout) Names() []string { return l.names }
+
+// Slot returns the slot holding attr.
+func (l *Layout) Slot(attr string) (slot int, ok bool) {
+	if l == nil {
+		return 0, false
+	}
+	slot, ok = l.index[attr]
+	return slot, ok
+}
+
+// Add returns the slot holding attr, assigning the next free one on
+// first mention.
+func (l *Layout) Add(attr string) int {
+	if slot, ok := l.index[attr]; ok {
+		return slot
+	}
+	slot := len(l.names)
+	l.names = append(l.names, attr)
+	l.index[attr] = slot
+	at, _ := slices.BinarySearchFunc(l.order, attr, func(s int, name string) int {
+		return strings.Compare(l.names[s], name)
+	})
+	l.order = slices.Insert(l.order, at, slot)
+	return slot
+}
+
+// New returns a wme of the layout's class with every attribute absent.
+// Up to eight slots, the wme and its slots are one allocation.
+func (l *Layout) New() *WME {
+	w := newSlotted(len(l.names))
+	w.Class, w.layout = l.class, l
+	return w
+}
+
+// Conform returns a copy of w, a wme of the layout's class, laid out by
+// l: the attributes l has slots for in their slots, the rest as extras.
+// ID and time tag are kept. w itself is not touched.
+//
+// The nil layout has no slots, Slot finds nothing in it, and conforming
+// to it gives the loose form.
+func (l *Layout) Conform(w *WME) *WME {
+	if w.layout == l && len(w.slots) == l.Len() {
+		return w.Clone()
+	}
+	var c *WME
+	if l != nil {
+		c = l.New()
+	} else {
+		c = &WME{Class: w.Class}
+	}
+	c.ID, c.TimeTag = w.ID, w.TimeTag
+	for cur := (cursor{w: w}); ; {
+		name, v, ok := cur.next()
+		if !ok {
+			return c
+		}
+		c.Set(name, v)
+	}
+}
 
 // WME is a working-memory element: a class name plus a set of
 // attribute-value pairs. Each wme carries a unique ID (assigned by the
 // working memory that owns it) and a time tag (the cycle on which it
 // was created), which conflict resolution uses for recency ordering.
+//
+// A wme is a row. A laid-out wme (Layout.New, Layout.Conform) keeps the
+// attributes its layout names in slots, where the nil Value is an
+// absent attribute, and whatever else it carries in extra, sorted by
+// name. A loose wme (NewWME, ParseWMEs, the zero WME with a Class) has
+// no layout and keeps everything in extra. The two forms of the same
+// content are Equal, print alike and match alike; the laid-out one is
+// just faster to read. Absent and nil are one thing: a nil value is
+// never stored, printed or counted.
+//
+// The invariant the accessors keep: an attribute lives in slots exactly
+// when the layout gives it a slot below len(slots), and in extra
+// otherwise. len(slots) falls short of the layout only when the layout
+// grew after the wme was made (a production added to a live engine).
 type WME struct {
 	ID      int
 	TimeTag int
 	Class   string
-	Attrs   map[string]Value
+
+	layout *Layout
+	slots  []Value
+	extra  []Attr
 }
 
-// NewWME builds a wme from alternating attribute/value arguments.
+// The two embedded-array sizes that make a wme and its slots one
+// allocation. OPS5 classes are narrow (the bundled workloads' widest
+// has four attributes); wider ones pay a second allocation.
+type (
+	wme4 struct {
+		WME
+		a [4]Value
+	}
+	wme8 struct {
+		WME
+		a [8]Value
+	}
+)
+
+// newSlotted allocates a wme with n absent slots.
+func newSlotted(n int) *WME {
+	switch {
+	case n == 0:
+		return new(WME)
+	case n <= 4:
+		x := new(wme4)
+		x.slots = x.a[:n:n]
+		return &x.WME
+	case n <= 8:
+		x := new(wme8)
+		x.slots = x.a[:n:n]
+		return &x.WME
+	}
+	return &WME{slots: make([]Value, n)}
+}
+
+// NewWME builds a loose wme from alternating attribute/value arguments.
 // It is a convenience for tests and examples:
 //
 //	NewWME("block", "name", S("b1"), "color", S("blue"))
@@ -25,7 +189,7 @@ func NewWME(class string, pairs ...any) *WME {
 	if len(pairs)%2 != 0 {
 		panic("ops5.NewWME: odd number of attribute/value arguments")
 	}
-	w := &WME{Class: class, Attrs: make(map[string]Value, len(pairs)/2)}
+	w := &WME{Class: class}
 	for i := 0; i < len(pairs); i += 2 {
 		attr, ok := pairs[i].(string)
 		if !ok {
@@ -33,13 +197,13 @@ func NewWME(class string, pairs ...any) *WME {
 		}
 		switch v := pairs[i+1].(type) {
 		case Value:
-			w.Attrs[attr] = v
+			w.Set(attr, v)
 		case string:
-			w.Attrs[attr] = S(v)
+			w.Set(attr, S(v))
 		case int:
-			w.Attrs[attr] = N(float64(v))
+			w.Set(attr, N(float64(v)))
 		case float64:
-			w.Attrs[attr] = N(v)
+			w.Set(attr, N(v))
 		default:
 			panic(fmt.Sprintf("ops5.NewWME: value for ^%s is %T", attr, pairs[i+1]))
 		}
@@ -47,47 +211,187 @@ func NewWME(class string, pairs ...any) *WME {
 	return w
 }
 
-// Get returns the value of an attribute, or the nil Value if absent.
-func (w *WME) Get(attr string) Value { return w.Attrs[attr] }
+// Layout returns the layout the wme's slots follow, nil for a loose
+// wme.
+func (w *WME) Layout() *Layout { return w.layout }
 
-// Clone returns a deep copy of the wme (same class and attributes,
-// same ID and time tag). Modify actions clone before rewriting.
-func (w *WME) Clone() *WME {
-	c := &WME{ID: w.ID, TimeTag: w.TimeTag, Class: w.Class, Attrs: make(map[string]Value, len(w.Attrs))}
-	for k, v := range w.Attrs {
-		c.Attrs[k] = v
+// Slots returns the wme's slot array, indexed as its layout's Names
+// (the nil Value is an absent attribute). It is the wme's own storage:
+// the wire codec reads it, and fills it on a wme it has just made.
+func (w *WME) Slots() []Value { return w.slots }
+
+// Extra returns, sorted by name, the attributes held outside the slots.
+// Read-only.
+func (w *WME) Extra() []Attr { return w.extra }
+
+// Get returns the value of an attribute, or the nil Value if absent.
+func (w *WME) Get(attr string) Value {
+	if w.layout != nil {
+		if slot, ok := w.layout.index[attr]; ok && slot < len(w.slots) {
+			return w.slots[slot]
+		}
 	}
+	for i := range w.extra {
+		if w.extra[i].Name == attr {
+			return w.extra[i].Value
+		}
+	}
+	return Value{}
+}
+
+// At returns the value of the attribute name, which layout l keeps in
+// slot: the slot itself when the wme is laid out by l and has that
+// slot, and Get(name) otherwise. A compiled test, hash key or variable
+// read carries (l, slot, name) and calls At, so the common case is an
+// indexed load and the one fallback covers everything else without a
+// re-layout pass and without ever reading the wrong slot: a loose wme,
+// a wme laid out by another network, and a wme laid out before a
+// production added to a live engine grew l.
+func (w *WME) At(l *Layout, slot int, name string) Value {
+	if w.layout == l && uint(slot) < uint(len(w.slots)) {
+		return w.slots[slot]
+	}
+	return w.Get(name)
+}
+
+// Set gives an attribute a value; the nil Value removes it.
+func (w *WME) Set(attr string, v Value) {
+	if w.layout != nil {
+		if slot, ok := w.layout.index[attr]; ok && slot < len(w.slots) {
+			w.slots[slot] = v
+			return
+		}
+	}
+	// Search from the end: building in ascending order appends.
+	i := len(w.extra)
+	for i > 0 && w.extra[i-1].Name > attr {
+		i--
+	}
+	switch found := i > 0 && w.extra[i-1].Name == attr; {
+	case found && v.Nil():
+		w.extra = slices.Delete(w.extra, i-1, i)
+	case found:
+		w.extra[i-1].Value = v
+	case !v.Nil():
+		if w.extra == nil {
+			// Room for a typical loose wme, so building one attribute at
+			// a time does not reallocate at one, two and three.
+			w.extra = make([]Attr, 0, 4)
+		}
+		w.extra = slices.Insert(w.extra, i, Attr{Name: attr, Value: v})
+	}
+}
+
+// SetAt is Set for a caller that resolved the attribute ahead of time,
+// as At is Get: the slot store when the wme is laid out by l and has
+// the slot, Set(name, v) otherwise.
+func (w *WME) SetAt(l *Layout, slot int, name string, v Value) {
+	if w.layout == l && uint(slot) < uint(len(w.slots)) {
+		w.slots[slot] = v
+		return
+	}
+	w.Set(name, v)
+}
+
+// Len returns the number of attributes the wme has.
+func (w *WME) Len() int {
+	n := len(w.extra)
+	for i := range w.slots {
+		if !w.slots[i].Nil() {
+			n++
+		}
+	}
+	return n
+}
+
+// Clone returns a deep copy of the wme (same class, attributes and
+// layout, same ID and time tag): one allocation for a wme of up to
+// eight slots and no extras. Modify actions clone before rewriting.
+func (w *WME) Clone() *WME {
+	c := newSlotted(len(w.slots))
+	c.ID, c.TimeTag, c.Class, c.layout = w.ID, w.TimeTag, w.Class, w.layout
+	copy(c.slots, w.slots)
+	c.extra = slices.Clone(w.extra)
 	return c
 }
 
 // Equal reports whether two wmes have the same class and attributes
-// (IDs and time tags are ignored; used to locate duplicates).
+// (IDs and time tags are ignored; used to locate duplicates). How each
+// is laid out does not matter.
 func (w *WME) Equal(o *WME) bool {
-	if w.Class != o.Class || len(w.Attrs) != len(o.Attrs) {
+	if w.Class != o.Class {
 		return false
 	}
-	for k, v := range w.Attrs {
-		if !v.Equal(o.Attrs[k]) {
+	a, b := cursor{w: w}, cursor{w: o}
+	for {
+		an, av, aok := a.next()
+		bn, bv, bok := b.next()
+		if !aok || !bok {
+			return aok == bok
+		}
+		if an != bn || !av.Equal(bv) {
 			return false
 		}
 	}
-	return true
 }
 
 // String renders the wme in OPS5 source syntax with attributes sorted
 // for determinism: (block ^color blue ^name b1).
 func (w *WME) String() string {
 	var b strings.Builder
+	b.Grow(2 + len(w.Class) + 12*(len(w.slots)+len(w.extra)))
 	b.WriteByte('(')
 	b.WriteString(w.Class)
-	attrs := make([]string, 0, len(w.Attrs))
-	for a := range w.Attrs {
-		attrs = append(attrs, a)
-	}
-	sort.Strings(attrs)
-	for _, a := range attrs {
-		fmt.Fprintf(&b, " ^%s %s", a, w.Attrs[a])
+	var num [32]byte
+	for cur := (cursor{w: w}); ; {
+		name, v, ok := cur.next()
+		if !ok {
+			break
+		}
+		b.WriteString(" ^")
+		b.WriteString(name)
+		b.WriteByte(' ')
+		if v.Kind == KindNum {
+			b.Write(strconv.AppendFloat(num[:0], v.Num, 'g', -1, 64))
+		} else {
+			b.WriteString(v.Sym)
+		}
 	}
 	b.WriteByte(')')
 	return b.String()
+}
+
+// cursor walks a wme's attributes in ascending name order, absent ones
+// skipped: a merge of the layout's precomputed slot order with the
+// sorted extras.
+type cursor struct {
+	w    *WME
+	i, j int // next position in w.layout.order and in w.extra
+}
+
+func (c *cursor) next() (name string, v Value, ok bool) {
+	w := c.w
+	var order []int
+	if w.layout != nil {
+		order = w.layout.order
+	}
+	for c.i < len(order) {
+		if s := order[c.i]; s < len(w.slots) && !w.slots[s].Nil() {
+			break
+		}
+		c.i++
+	}
+	if c.i < len(order) {
+		s := order[c.i]
+		if name = w.layout.names[s]; c.j == len(w.extra) || name < w.extra[c.j].Name {
+			c.i++
+			return name, w.slots[s], true
+		}
+	}
+	if c.j < len(w.extra) {
+		a := &w.extra[c.j]
+		c.j++
+		return a.Name, a.Value, true
+	}
+	return "", Value{}, false
 }

@@ -182,7 +182,7 @@ func handOffRounds(t *testing.T) map[string]struct {
 			var down []rete.Change
 			for _, it := range items {
 				for _, v := range vetoes {
-					if v.Attrs["k"] == it.Attrs["k"] {
+					if v.Get("k") == it.Get("k") {
 						down = append(down, del(v)...)
 					}
 				}

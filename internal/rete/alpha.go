@@ -63,6 +63,11 @@ func (t Tag) String() string {
 //   - Disj: wme.Get(Attr) equals one of Disj
 //   - OtherAttr: wme.Get(Attr) Op wme.Get(OtherAttr)  (intra-CE
 //     variable consistency, e.g. (cell ^row <r> ^col <r>))
+//
+// The attributes are read through ops5.WME.At: layout is the layout of
+// the pattern's class and slot, otherSlot where it keeps Attr and
+// OtherAttr, resolved when the pattern enters a network (a test built
+// by hand has no layout and reads by name).
 type ConstTest struct {
 	Attr      string
 	Op        ops5.PredOp
@@ -70,11 +75,14 @@ type ConstTest struct {
 	Disj      []ops5.Value
 	OtherAttr string
 	isOther   bool
+
+	layout          *ops5.Layout
+	slot, otherSlot int
 }
 
 // Eval applies the test to a wme.
 func (ct *ConstTest) Eval(w *ops5.WME) bool {
-	v := w.Get(ct.Attr)
+	v := w.At(ct.layout, ct.slot, ct.Attr)
 	if len(ct.Disj) > 0 {
 		for _, d := range ct.Disj {
 			if v.Equal(d) {
@@ -84,9 +92,17 @@ func (ct *ConstTest) Eval(w *ops5.WME) bool {
 		return false
 	}
 	if ct.isOther {
-		return ct.Op.Apply(v, w.Get(ct.OtherAttr))
+		return ct.Op.Apply(v, w.At(ct.layout, ct.otherSlot, ct.OtherAttr))
 	}
 	return ct.Op.Apply(v, ct.Value)
+}
+
+// resolve points the test at l, the layout of its pattern's class.
+func (ct *ConstTest) resolve(l *ops5.Layout) {
+	ct.layout, ct.slot = l, l.Add(ct.Attr)
+	if ct.isOther {
+		ct.otherSlot = l.Add(ct.OtherAttr)
+	}
 }
 
 // key returns a canonical encoding used for alpha-pattern sharing.

@@ -154,7 +154,7 @@ func (net *Network) addProductionBounded(p *ops5.Production) (*ProdInfo, error) 
 		if !ce.Negated {
 			for v, attr := range firstAttr {
 				varPos[v] = binding{ce: orig, attr: attr}
-				info.VarDefs[v] = VarDef{OrigCE: orig, Attr: attr}
+				info.VarDefs[v] = VarDef{OrigCE: orig, Attr: attr, ref: net.ref(ce.Class, attr)}
 			}
 		}
 	}
@@ -258,12 +258,13 @@ func (net *Network) addProductionBounded(p *ops5.Production) (*ProdInfo, error) 
 		hp, bp := joinPos[rt.hostCE], joinPos[rt.bindCE]
 		var host *Node
 		var jt JoinTest
+		hostClass, bindClass := p.LHS[rt.hostCE].Class, p.LHS[rt.bindCE].Class
 		if hp > bp {
 			host = g.members[hp]
-			jt = JoinTest{Op: rt.op, RightAttr: rt.hostAttr, LeftPos: bp, LeftAttr: rt.bindAttr}
+			jt = net.joinTest(rt.op, hostClass, rt.hostAttr, bp, bindClass, rt.bindAttr)
 		} else {
 			host = g.members[bp]
-			jt = JoinTest{Op: converseOp(rt.op), RightAttr: rt.bindAttr, LeftPos: hp, LeftAttr: rt.hostAttr}
+			jt = net.joinTest(converseOp(rt.op), bindClass, rt.bindAttr, hp, hostClass, rt.hostAttr)
 		}
 		host.Tests = append(host.Tests, jt)
 		if jt.Op == ops5.OpEq {
@@ -425,8 +426,8 @@ func (p *Processor) boundedEnumNeg(g *boundedGroup, negm *Node, pos int, a Activ
 // given the stack built so far; every test hosted at m references only
 // earlier join positions by construction.
 func (p *Processor) boundedTests(m *Node, w *ops5.WME) bool {
-	for _, jt := range m.Tests {
-		if !jt.Op.Apply(w.Get(jt.RightAttr), p.bstack[jt.LeftPos].Get(jt.LeftAttr)) {
+	for i := range m.Tests {
+		if jt := &m.Tests[i]; !jt.Op.Apply(jt.rightOf(w), jt.leftOf(p.bstack[jt.LeftPos])) {
 			return false
 		}
 	}
@@ -438,8 +439,8 @@ func (p *Processor) boundedTests(m *Node, w *ops5.WME) bool {
 // the DFS prunes with the activated wme's bindings long before the
 // pin's own position is reached.
 func (p *Processor) boundedPinTests(pin *Node, pos int, pinW, w *ops5.WME) bool {
-	for _, jt := range pin.Tests {
-		if jt.LeftPos == pos && !jt.Op.Apply(pinW.Get(jt.RightAttr), w.Get(jt.LeftAttr)) {
+	for i := range pin.Tests {
+		if jt := &pin.Tests[i]; jt.LeftPos == pos && !jt.Op.Apply(jt.rightOf(pinW), jt.leftOf(w)) {
 			return false
 		}
 	}

@@ -22,8 +22,12 @@ import (
 
 // Format 2 added the compile-option flags word, the per-node bounded
 // fields (bPos/bNeg), and the per-production bounded collector-group
-// member list.
-const netMagic = "RETENET2"
+// member list. Format 3 ships the layout table — every class's
+// attributes in slot order, ahead of the alpha patterns — and the two
+// class names of each join test, so the decoding end numbers slots as
+// the encoding end does and a wme definition on the wire can be a
+// layout id and a run of values.
+const netMagic = "RETENET3"
 
 // Compile-option flag bits in the header flags word.
 const (
@@ -144,6 +148,16 @@ func EncodeNetwork(w io.Writer, net *Network) error {
 		nw.str(net.Prods[name].Prod.String())
 	}
 
+	// The layout table, in id order.
+	nw.u64(uint64(len(net.layouts)))
+	for _, l := range net.layouts {
+		nw.str(l.Class())
+		nw.u64(uint64(l.Len()))
+		for _, name := range l.Names() {
+			nw.str(name)
+		}
+	}
+
 	// Alpha patterns.
 	nw.u64(uint64(len(net.Alphas)))
 	for _, a := range net.Alphas {
@@ -202,10 +216,13 @@ func EncodeNetwork(w io.Writer, net *Network) error {
 			nw.u64(uint64(s.ID))
 		}
 		nw.u64(uint64(len(n.Tests)))
-		for _, t := range n.Tests {
+		for i := range n.Tests {
+			t := &n.Tests[i]
 			nw.u64(uint64(t.Op))
+			nw.str(t.right.class())
 			nw.str(t.RightAttr)
 			nw.u64(uint64(t.LeftPos))
+			nw.str(t.left.class())
 			nw.str(t.LeftAttr)
 		}
 		if n.Kind == KindProduction {
@@ -297,6 +314,39 @@ func DecodeNetwork(r io.Reader) (*Network, error) {
 		prods[i] = p
 	}
 
+	// The layout table comes first and is complete: everything decoded
+	// after it resolves against it, and at the end it must not have
+	// grown.
+	nlayouts, err := nr.intn(1 << 20)
+	if err != nil {
+		return nil, err
+	}
+	declared := 0 // slots, over every layout
+	for i := 0; i < nlayouts; i++ {
+		class, err := nr.str()
+		if err != nil {
+			return nil, err
+		}
+		if net.layoutOf[class] != nil {
+			return nil, fmt.Errorf("rete: layout table names class %q twice", class)
+		}
+		l := net.layoutFor(class)
+		nnames, err := nr.intn(1 << 16)
+		if err != nil {
+			return nil, err
+		}
+		declared += nnames
+		for j := 0; j < nnames; j++ {
+			name, err := nr.str()
+			if err != nil {
+				return nil, err
+			}
+			if l.Add(name) != j {
+				return nil, fmt.Errorf("rete: layout of class %q names attribute %q twice", class, name)
+			}
+		}
+	}
+
 	nalphas, err := nr.intn(1 << 20)
 	if err != nil {
 		return nil, err
@@ -351,6 +401,7 @@ func DecodeNetwork(r io.Reader) (*Network, error) {
 					return nil, err
 				}
 			}
+			ct.resolve(net.layoutFor(a.Class))
 			a.Tests = append(a.Tests, ct)
 		}
 		nroutes, err := nr.intn(1 << 20)
@@ -446,23 +497,31 @@ func DecodeNetwork(r io.Reader) (*Network, error) {
 			return nil, err
 		}
 		for j := 0; j < ntests; j++ {
-			var jt JoinTest
 			op, err := nr.u64()
 			if err != nil {
 				return nil, err
 			}
-			jt.Op = ops5.PredOp(op)
-			if jt.RightAttr, err = nr.str(); err != nil {
+			rightClass, err := nr.str()
+			if err != nil {
+				return nil, err
+			}
+			rightAttr, err := nr.str()
+			if err != nil {
 				return nil, err
 			}
 			lp, err := nr.u64()
 			if err != nil {
 				return nil, err
 			}
-			jt.LeftPos = int(lp)
-			if jt.LeftAttr, err = nr.str(); err != nil {
+			leftClass, err := nr.str()
+			if err != nil {
 				return nil, err
 			}
+			leftAttr, err := nr.str()
+			if err != nil {
+				return nil, err
+			}
+			jt := net.joinTest(ops5.PredOp(op), rightClass, rightAttr, int(lp), leftClass, leftAttr)
 			n.Tests = append(n.Tests, jt)
 			if jt.Op == ops5.OpEq {
 				n.EqTests = append(n.EqTests, jt)
@@ -539,7 +598,10 @@ func DecodeNetwork(r io.Reader) (*Network, error) {
 			if err != nil {
 				return nil, err
 			}
-			info.VarDefs[v] = VarDef{OrigCE: int(ce), Attr: attr}
+			if ce >= uint64(len(p.LHS)) {
+				return nil, fmt.Errorf("rete: production %q binds <%s> in condition element %d of %d", p.Name, v, ce, len(p.LHS))
+			}
+			info.VarDefs[v] = VarDef{OrigCE: int(ce), Attr: attr, ref: net.ref(p.LHS[ce].Class, attr)}
 		}
 		npos, err := nr.intn(1 << 16)
 		if err != nil {
@@ -584,6 +646,13 @@ func DecodeNetwork(r io.Reader) (*Network, error) {
 		if n.Kind == KindProduction && n.Info == nil {
 			return nil, fmt.Errorf("rete: production node references unknown production %q", prodNames[i])
 		}
+	}
+	slots := 0
+	for _, l := range net.layouts {
+		slots += l.Len()
+	}
+	if len(net.layouts) != nlayouts || slots != declared {
+		return nil, fmt.Errorf("rete: network mentions a class or an attribute its layout table lacks")
 	}
 	return net, nil
 }

@@ -3,6 +3,7 @@ package rete
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -46,10 +47,26 @@ func TestNetworkCodecRoundTripStructure(t *testing.T) {
 		if len(gi.VarDefs) != len(info.VarDefs) {
 			t.Errorf("%s: vardefs %v vs %v", name, gi.VarDefs, info.VarDefs)
 		}
+		// A decoded definition points into the decoded network's own
+		// table: same class, same slot, another *Layout.
 		for v, d := range info.VarDefs {
-			if gi.VarDefs[v] != d {
-				t.Errorf("%s: vardef %s = %+v, want %+v", name, v, gi.VarDefs[v], d)
+			g := gi.VarDefs[v]
+			if g.OrigCE != d.OrigCE || g.Attr != d.Attr || g.ref.class() != d.ref.class() || g.ref.slot != d.ref.slot {
+				t.Errorf("%s: vardef %s = %+v, want %+v", name, v, g, d)
 			}
+			if g.ref.layout != got.Layout(d.ref.class()) {
+				t.Errorf("%s: vardef %s resolved outside the decoded table", name, v)
+			}
+		}
+	}
+	// Both ends number classes and slots alike.
+	if len(got.Layouts()) != len(net.Layouts()) {
+		t.Fatalf("layout table: %d layouts, want %d", len(got.Layouts()), len(net.Layouts()))
+	}
+	for i, l := range net.Layouts() {
+		g := got.Layouts()[i]
+		if g.ID() != i || g.Class() != l.Class() || !slices.Equal(g.Names(), l.Names()) {
+			t.Errorf("layout %d = %s %v, want %s %v", i, g.Class(), g.Names(), l.Class(), l.Names())
 		}
 	}
 }
@@ -168,6 +185,46 @@ func TestNetworkCodecErrors(t *testing.T) {
 	for _, cut := range []int{len(netMagic) + 1, len(full) / 2, len(full) - 1} {
 		if _, err := DecodeNetwork(bytes.NewReader(full[:cut])); err == nil {
 			t.Errorf("truncation at %d accepted", cut)
+		}
+	}
+}
+
+// TestNetworkCodecLayoutTable: the layout table is what lets a wme
+// cross the wire as a layout id and a run of values, so a blob whose
+// table both ends could not number alike is refused whole — an older
+// format that ships no table, a class or an attribute listed twice, or
+// a table that lacks something the network mentions.
+func TestNetworkCodecLayoutTable(t *testing.T) {
+	net := compileT(t, []string{`(p p1 (aa ^xx 1 ^yy 2) (bb ^xx <v>) --> (make aa ^yy <v>))`})
+	var buf bytes.Buffer
+	if err := EncodeNetwork(&buf, net); err != nil {
+		t.Fatal(err)
+	}
+	sound := buf.Bytes()
+	if _, err := DecodeNetwork(bytes.NewReader(sound)); err != nil {
+		t.Fatal(err)
+	}
+	// The table as encoded: two layouts, aa = [xx yy] and bb = [xx],
+	// every string behind its length.
+	const table = "\x02" + "\x02aa\x02\x02xx\x02yy" + "\x02bb\x01\x02xx"
+	if bytes.Count(sound, []byte(table)) != 1 {
+		t.Fatalf("layout table not found in the encoding: %q", sound)
+	}
+	rows := []struct{ name, forged, want string }{
+		{"older-format", "", "bad network magic \"RETENET2\""},
+		{"class-twice", "\x02" + "\x02aa\x02\x02xx\x02yy" + "\x02aa\x01\x02xx", `names class "aa" twice`},
+		{"attribute-twice", "\x02" + "\x02aa\x02\x02xx\x02xx" + "\x02bb\x01\x02xx", `names attribute "xx" twice`},
+		{"attribute-missing", "\x02" + "\x02aa\x02\x02xx\x02zz" + "\x02bb\x01\x02xx", "its layout table lacks"},
+		{"class-missing", "\x02" + "\x02aa\x02\x02xx\x02yy" + "\x02cc\x01\x02xx", "its layout table lacks"},
+		{"layout-missing", "\x01" + "\x02aa\x02\x02xx\x02yy", "its layout table lacks"},
+	}
+	for _, row := range rows {
+		blob := bytes.Replace(sound, []byte(table), []byte(row.forged), 1)
+		if row.forged == "" {
+			blob = append([]byte("RETENET2"), sound[len(netMagic):]...)
+		}
+		if _, err := DecodeNetwork(bytes.NewReader(blob)); err == nil || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("%s: DecodeNetwork returned %v, want an error saying %q", row.name, err, row.want)
 		}
 	}
 }

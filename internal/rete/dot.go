@@ -76,8 +76,8 @@ func testsLabel(n *Node) string {
 		return "(no tests)"
 	}
 	parts := make([]string, len(n.Tests))
-	for i, t := range n.Tests {
-		parts[i] = t.key()
+	for i := range n.Tests {
+		parts[i] = n.Tests[i].key()
 	}
 	return strings.Join(parts, "\\n")
 }

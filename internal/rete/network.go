@@ -43,20 +43,52 @@ func (k NodeKind) String() string { return kindNames[k] }
 // JoinTest is a variable-consistency test at a two-input node: the
 // right wme's RightAttr value is compared (via Op) with the value at
 // (LeftPos, LeftAttr) inside the left token.
+//
+// Both values are read through ops5.WME.At. right is where the class of
+// the node's right input keeps RightAttr and left where the class bound
+// at LeftPos keeps LeftAttr; Network.joinTest resolves them (a test
+// built by hand has neither and reads by name).
 type JoinTest struct {
 	Op        ops5.PredOp
 	RightAttr string
 	LeftPos   int // index into the left token's wme list
 	LeftAttr  string
+
+	right, left slotRef
 }
 
-func (jt JoinTest) key() string {
+// slotRef is a resolved attribute: the layout of its class and its slot
+// there.
+type slotRef struct {
+	layout *ops5.Layout
+	slot   int
+}
+
+// class names the resolved class, "" for a reference never resolved.
+func (r slotRef) class() string {
+	if r.layout == nil {
+		return ""
+	}
+	return r.layout.Class()
+}
+
+func (jt *JoinTest) key() string {
 	return fmt.Sprintf("%s:%d.%s%s", jt.RightAttr, jt.LeftPos, jt.LeftAttr, jt.Op)
 }
 
 // Eval applies the test given the left token and the right wme.
-func (jt JoinTest) Eval(t *Token, w *ops5.WME) bool {
-	return jt.Op.Apply(w.Get(jt.RightAttr), t.WMEs[jt.LeftPos].Get(jt.LeftAttr))
+func (jt *JoinTest) Eval(t *Token, w *ops5.WME) bool {
+	return jt.Op.Apply(jt.rightOf(w), jt.leftOf(t.WMEs[jt.LeftPos]))
+}
+
+// rightOf reads the tested attribute of a right wme, leftOf of the left
+// wme at LeftPos.
+func (jt *JoinTest) rightOf(w *ops5.WME) ops5.Value {
+	return w.At(jt.right.layout, jt.right.slot, jt.RightAttr)
+}
+
+func (jt *JoinTest) leftOf(w *ops5.WME) ops5.Value {
+	return w.At(jt.left.layout, jt.left.slot, jt.LeftAttr)
 }
 
 // Node is a beta-level node of the Rete network. Join and negative
@@ -119,10 +151,23 @@ func (n *Node) AcceptsRight(w *ops5.WME) bool {
 
 // VarDef records the defining occurrence of an LHS variable: the
 // original condition-element index and attribute whose value the
-// variable is bound to.
+// variable is bound to, and where that CE's class keeps the attribute.
 type VarDef struct {
 	OrigCE int
 	Attr   string
+
+	ref slotRef
+}
+
+// Of reads the variable's value from w, the wme matching CE OrigCE.
+func (d *VarDef) Of(w *ops5.WME) ops5.Value { return w.At(d.ref.layout, d.ref.slot, d.Attr) }
+
+// Stores records where the assignments of one make or modify action
+// land: the layout of the class made, or of the modified condition
+// element's class, and one slot per assignment.
+type Stores struct {
+	Layout *ops5.Layout
+	Slots  []int
 }
 
 // ProdInfo is the per-production compilation record the engine needs to
@@ -139,6 +184,9 @@ type ProdInfo struct {
 	// Specificity is the number of LHS tests — one per class filter plus
 	// one per term — the last criterion of conflict resolution.
 	Specificity int
+	// Stores parallels Prod.RHS: the resolved stores of each make and
+	// modify action, zero for the other kinds.
+	Stores []Stores
 }
 
 // register enters a compiled production, terminal node attached, into
@@ -150,9 +198,88 @@ func (net *Network) register(info *ProdInfo) {
 			info.Specificity += len(at.Terms)
 		}
 	}
+	// The right-hand side mentions attributes too: without their slots
+	// every made wme would carry what it was made with as extras.
+	info.Stores = make([]Stores, len(info.Prod.RHS))
+	for i, a := range info.Prod.RHS {
+		var class string
+		switch a.Kind {
+		case ops5.ActMake:
+			class = a.Class
+		case ops5.ActModify:
+			class = info.Prod.LHS[a.CEIndexes[0]-1].Class
+		default:
+			continue
+		}
+		st := Stores{Layout: net.layoutFor(class), Slots: make([]int, len(a.Assigns))}
+		for j, as := range a.Assigns {
+			st.Slots[j] = st.Layout.Add(as.Attr)
+		}
+		info.Stores[i] = st
+	}
 	info.Node.Info = info
 	net.Prods[info.Prod.Name] = info
 	net.ProdOrder = append(net.ProdOrder, info.Prod.Name)
+}
+
+// mention gives every attribute p's condition elements name a slot in
+// its class's layout, in textual order, so slot numbering does not
+// depend on the order the compiler visits tests in.
+func (net *Network) mention(p *ops5.Production) {
+	for i := range p.LHS {
+		l := net.layoutFor(p.LHS[i].Class)
+		for _, at := range p.LHS[i].Tests {
+			l.Add(at.Attr)
+		}
+	}
+}
+
+// layoutFor returns class's layout, entering an empty one in the table
+// on the class's first mention.
+func (net *Network) layoutFor(class string) *ops5.Layout {
+	l := net.layoutOf[class]
+	if l == nil {
+		l = ops5.NewLayout(len(net.layouts), class)
+		net.layouts = append(net.layouts, l)
+		net.layoutOf[class] = l
+	}
+	return l
+}
+
+// ref resolves an attribute of a class.
+func (net *Network) ref(class, attr string) slotRef {
+	l := net.layoutFor(class)
+	return slotRef{layout: l, slot: l.Add(attr)}
+}
+
+// joinTest builds a resolved join test: rightClass is the class on the
+// node's right input, leftClass the class bound at leftPos.
+func (net *Network) joinTest(op ops5.PredOp, rightClass, rightAttr string, leftPos int, leftClass, leftAttr string) JoinTest {
+	return JoinTest{
+		Op: op, RightAttr: rightAttr, LeftPos: leftPos, LeftAttr: leftAttr,
+		right: net.ref(rightClass, rightAttr), left: net.ref(leftClass, leftAttr),
+	}
+}
+
+// Layout returns the layout of a class: the slots its wmes keep the
+// attributes some production mentions in. It is nil for a class no
+// production names.
+func (net *Network) Layout(class string) *ops5.Layout { return net.layoutOf[class] }
+
+// Layouts returns the layout table in id order: a layout's ID is its
+// index here, on every process that holds the network (the codec ships
+// the table). Read-only.
+func (net *Network) Layouts() []*ops5.Layout { return net.layouts }
+
+// Conform returns a copy of w laid out for this network: by its
+// class's layout, so compiled tests read it by slot, or a plain copy
+// when no production names the class. The engine conforms every wme it
+// is handed on the way in; w itself is never touched.
+func (net *Network) Conform(w *ops5.WME) *ops5.WME {
+	if l := net.layoutOf[w.Class]; l != nil {
+		return l.Conform(w)
+	}
+	return w.Clone()
 }
 
 // Network is a compiled Rete network.
@@ -163,6 +290,12 @@ type Network struct {
 	Prods   map[string]*ProdInfo
 	// ProdOrder lists production names in definition order.
 	ProdOrder []string
+	// layouts is the class table: one layout per class a production
+	// names, slots assigned on first mention in production order.
+	// Written only by AddProduction (and DecodeNetwork), which a shared
+	// network never sees again once sessions run over it.
+	layouts  []*ops5.Layout
+	layoutOf map[string]*ops5.Layout
 
 	opts CompileOptions
 }
@@ -184,9 +317,10 @@ type CompileOptions struct {
 // NewNetwork returns an empty network ready for AddProduction.
 func NewNetwork(opts CompileOptions) *Network {
 	return &Network{
-		byClass: map[string][]*AlphaPattern{},
-		Prods:   map[string]*ProdInfo{},
-		opts:    opts,
+		byClass:  map[string][]*AlphaPattern{},
+		Prods:    map[string]*ProdInfo{},
+		layoutOf: map[string]*ops5.Layout{},
+		opts:     opts,
 	}
 }
 
@@ -228,6 +362,10 @@ func (net *Network) newNode(kind NodeKind) *Node {
 // internAlpha returns a shared alpha pattern for the given class and
 // tests, creating it if necessary.
 func (net *Network) internAlpha(class string, tests []ConstTest) *AlphaPattern {
+	l := net.layoutFor(class)
+	for i := range tests {
+		tests[i].resolve(l)
+	}
 	cand := &AlphaPattern{Class: class, Tests: tests}
 	k := cand.key()
 	if !net.opts.DisableSharing {
@@ -281,6 +419,7 @@ func (net *Network) addProduction(p *ops5.Production, shareJoins bool) (*ProdInf
 	if _, dup := net.Prods[p.Name]; dup {
 		return nil, fmt.Errorf("rete: duplicate production %q", p.Name)
 	}
+	net.mention(p)
 	if net.opts.BoundedJoins {
 		return net.addProductionBounded(p)
 	}
@@ -315,10 +454,11 @@ func (net *Network) addProduction(p *ops5.Production, shareJoins bool) (*ProdInf
 		info.TokenPos[i] = -1
 	}
 
-	// varPos maps a bound variable to (token position, attribute).
+	// varPos maps a bound variable to (token position, attribute) and
+	// the class of the condition element at that position.
 	type binding struct {
-		pos  int
-		attr string
+		pos         int
+		attr, class string
 	}
 	varPos := map[string]binding{}
 
@@ -345,8 +485,8 @@ func (net *Network) addProduction(p *ops5.Production, shareJoins bool) (*ProdInf
 			// of the first two-input node.
 			leftAlpha = alpha
 			for v, attr := range firstAttr {
-				varPos[v] = binding{pos: 0, attr: attr}
-				info.VarDefs[v] = VarDef{OrigCE: orig, Attr: attr}
+				varPos[v] = binding{pos: 0, attr: attr, class: ce.Class}
+				info.VarDefs[v] = VarDef{OrigCE: orig, Attr: attr, ref: net.ref(ce.Class, attr)}
 			}
 			info.TokenPos[orig] = 0
 			tokenLen = 1
@@ -364,7 +504,7 @@ func (net *Network) addProduction(p *ops5.Production, shareJoins bool) (*ProdInf
 				if !ok {
 					continue // defined inside this CE (alpha-level)
 				}
-				tests = append(tests, JoinTest{Op: term.Op, RightAttr: at.Attr, LeftPos: b.pos, LeftAttr: b.attr})
+				tests = append(tests, net.joinTest(term.Op, ce.Class, at.Attr, b.pos, b.class, b.attr))
 			}
 		}
 
@@ -380,9 +520,9 @@ func (net *Network) addProduction(p *ops5.Production, shareJoins bool) (*ProdInf
 		if node == nil {
 			node = net.newNode(kind)
 			node.Tests = tests
-			for _, t := range tests {
-				if t.Op == ops5.OpEq {
-					node.EqTests = append(node.EqTests, t)
+			for i := range tests {
+				if tests[i].Op == ops5.OpEq {
+					node.EqTests = append(node.EqTests, tests[i])
 				}
 			}
 			node.Parent = cur
@@ -399,8 +539,8 @@ func (net *Network) addProduction(p *ops5.Production, shareJoins bool) (*ProdInf
 
 		if !ce.Negated {
 			for v, attr := range firstAttr {
-				varPos[v] = binding{pos: tokenLen, attr: attr}
-				info.VarDefs[v] = VarDef{OrigCE: orig, Attr: attr}
+				varPos[v] = binding{pos: tokenLen, attr: attr, class: ce.Class}
+				info.VarDefs[v] = VarDef{OrigCE: orig, Attr: attr, ref: net.ref(ce.Class, attr)}
 			}
 			info.TokenPos[orig] = tokenLen
 			tokenLen++
@@ -431,8 +571,8 @@ func shareKeyFor(parent *Node, leftAlpha, alpha *AlphaPattern, kind NodeKind, te
 	}
 	fmt.Fprintf(&b, "r%d|k%d|", alpha.ID, kind)
 	keys := make([]string, len(tests))
-	for i, t := range tests {
-		keys[i] = t.key()
+	for i := range tests {
+		keys[i] = tests[i].key()
 	}
 	sort.Strings(keys)
 	b.WriteString(strings.Join(keys, ","))

@@ -75,10 +75,12 @@ func TestCompileVarDefs(t *testing.T) {
 		t.Fatal(err)
 	}
 	info := net.Prods["p1"]
+	// Slots are assigned on first mention: x then y in both classes.
+	a, b := net.Layout("a"), net.Layout("b")
 	want := map[string]VarDef{
-		"v": {OrigCE: 0, Attr: "x"},
-		"w": {OrigCE: 0, Attr: "y"},
-		"z": {OrigCE: 1, Attr: "y"},
+		"v": {OrigCE: 0, Attr: "x", ref: slotRef{a, 0}},
+		"w": {OrigCE: 0, Attr: "y", ref: slotRef{a, 1}},
+		"z": {OrigCE: 1, Attr: "y", ref: slotRef{b, 1}},
 	}
 	for v, d := range want {
 		if info.VarDefs[v] != d {

@@ -289,8 +289,8 @@ func (p *Processor) processNegative(a Activation, b int, out []Activation) []Act
 }
 
 func (p *Processor) testsPass(n *Node, t *Token, w *ops5.WME) bool {
-	for _, jt := range n.Tests {
-		if !jt.Eval(t, w) {
+	for i := range n.Tests {
+		if !n.Tests[i].Eval(t, w) {
 			return false
 		}
 	}

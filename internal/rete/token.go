@@ -97,9 +97,9 @@ func HashKey(n *Node, side Side, t *Token, w *ops5.WME) uint64 {
 		jt := &n.EqTests[i]
 		var v ops5.Value
 		if side == Left {
-			v = t.WMEs[jt.LeftPos].Get(jt.LeftAttr)
+			v = jt.leftOf(t.WMEs[jt.LeftPos])
 		} else {
-			v = w.Get(jt.RightAttr)
+			v = jt.rightOf(w)
 		}
 		h = v.HashFNV(h)
 		h *= fnvPrime64 // separator byte 0: (h ^ 0) * prime

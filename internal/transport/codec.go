@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"slices"
 
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/parallel"
@@ -16,12 +15,30 @@ import (
 // style of rete's compiled-network codec. The in-process transport
 // moves pointers; the wire moves a wme's content once per directed
 // connection and names it afterwards. Every wme position on the wire
-// opens with a form byte: a definition (ID, TimeTag, class and
-// attributes by value, attributes in sorted order so the encoding is
-// canonical) or a reference (ID, TimeTag) that the receiver resolves in
-// its mirror of the sender's wmeCache. A token, an activation or a
-// conflict-set delta over wmes the connection has already carried is a
-// vector of references and decodes without allocating a wme.
+// opens with a form byte: a definition or a reference (ID, TimeTag)
+// that the receiver resolves in its mirror of the sender's wmeCache. A
+// token, an activation or a conflict-set delta over wmes the connection
+// has already carried is a vector of references and decodes without
+// allocating a wme.
+//
+// A definition is a row of the class's layout, which both ends hold
+// because the handshake ships the network and the network's codec ships
+// its layout table (rete.Network.Layouts; a layout's id is its index on
+// both sides):
+//
+//	ID, TimeTag
+//	class reference: layout id + 1, or 0 and the class name for a class
+//	    the network has no layout for
+//	count and values of the leading slots, trailing absent ones trimmed
+//	    (a nil value is an absent attribute)
+//	count and (name, value) pairs of the attributes outside the layout,
+//	    in ascending name order
+//
+// There is one way to say each wme, so the encoding is canonical. The
+// decoder refuses, with ErrBadPayload, a layout id outside the table, a
+// named class the table does have a layout for, more slots than the
+// layout has attributes, and extras that are out of order, nil, or name
+// an attribute the layout gives a slot.
 //
 // The identity contract: (ID, TimeTag) names one immutable content for
 // the life of a connection. The engine guarantees it — a fresh ID and a
@@ -84,12 +101,13 @@ const (
 // connection: buf collects whole frames (begin, payload, end — see
 // frame.go) until flush writes them with a single Write, cache is the
 // connection's send cache (nil encodes every wme as an unstored
-// definition), and attrs is the definition's attribute-sort scratch.
+// definition), and layouts is the network's layout table, which
+// definitions are rows of.
 type enc struct {
-	buf   []byte
-	start int // offset of the open frame's header in buf
-	cache *wmeCache
-	attrs []string
+	buf     []byte
+	start   int // offset of the open frame's header in buf
+	cache   *wmeCache
+	layouts []*ops5.Layout
 }
 
 func (e *enc) u64(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
@@ -122,13 +140,15 @@ func boolByte(b bool) byte {
 // worker), the one place such indices enter the process, so the worker
 // step and the cycle driver can index with them unchecked. The zero
 // bounds reject every index. cache is the connection's receive cache;
-// without one every wme reference is refused.
+// without one every wme reference is refused. layouts is the network's
+// layout table; without one every definition by layout id is.
 type dec struct {
 	b                 []byte
 	off               int // consumed bytes, for error context
 	nbuckets, workers int
 	err               error
 	cache             *wmeCache
+	layouts           []*ops5.Layout
 
 	// toks and refs are the unconsumed tails of the slabs decoded tokens
 	// are carved from (token), as rete's token arena carves the match's
@@ -293,22 +313,51 @@ func (e *enc) wme(w *ops5.WME) {
 	e.def(w)
 }
 
-// def encodes a definition, leaving the cache alone.
+// layoutOf finds a class's layout in a table by name — the slow path of
+// both ends: a wme the table did not lay out, a class it does not hold.
+func layoutOf(table []*ops5.Layout, class string) *ops5.Layout {
+	for _, l := range table {
+		if l.Class() == class {
+			return l
+		}
+	}
+	return nil
+}
+
+// def encodes a definition, leaving the cache alone. A wme the
+// network's own layout did not lay out in full — a loose one a test or
+// a script handed the matcher, one laid out by another network — is
+// conformed first, so the row on the wire is always the table's.
 func (e *enc) def(w *ops5.WME) {
 	e.byte(wmeDef)
 	e.int(w.ID)
 	e.int(w.TimeTag)
-	e.str(w.Class)
-	attrs := e.attrs[:0]
-	for a := range w.Attrs {
-		attrs = append(attrs, a)
+	l := w.Layout()
+	if l == nil || l.ID() >= len(e.layouts) || e.layouts[l.ID()] != l || len(w.Slots()) != l.Len() {
+		tl := layoutOf(e.layouts, w.Class)
+		if tl != nil || l != nil {
+			w = tl.Conform(w) // the nil layout's row is the loose form
+		}
+		l = tl
 	}
-	slices.Sort(attrs)
-	e.attrs = attrs
-	e.count(len(attrs))
-	for _, a := range attrs {
-		e.str(a)
-		e.value(w.Attrs[a])
+	if l == nil {
+		e.u64(0)
+		e.str(w.Class)
+	} else {
+		e.u64(uint64(l.ID()) + 1)
+	}
+	slots := w.Slots()
+	for len(slots) > 0 && slots[len(slots)-1].Nil() {
+		slots = slots[:len(slots)-1]
+	}
+	e.count(len(slots))
+	for _, v := range slots {
+		e.value(v)
+	}
+	e.count(len(w.Extra()))
+	for _, a := range w.Extra() {
+		e.str(a.Name)
+		e.value(a.Value)
 	}
 }
 
@@ -330,13 +379,7 @@ func (d *dec) optWME() *ops5.WME {
 	switch form := d.byte(); form {
 	case wmeNil:
 	case wmeDef:
-		w := &ops5.WME{ID: d.int(), TimeTag: d.int(), Class: d.str()}
-		n := d.count(1 << 16)
-		w.Attrs = make(map[string]ops5.Value, n)
-		for i := 0; i < n; i++ {
-			a := d.str()
-			w.Attrs[a] = d.value()
-		}
+		w := d.def()
 		if c := d.cache; c != nil && d.err == nil {
 			c.defs++
 			*c.slot(w.ID) = w
@@ -360,6 +403,60 @@ func (d *dec) optWME() *ops5.WME {
 		d.fail(fmt.Sprintf("wme form %d", form))
 	}
 	return nil
+}
+
+// def decodes a definition's body into a wme laid out by the table's
+// layout of its class (a loose one for a class the table lacks). After
+// a failure the result is not to be used.
+func (d *dec) def() *ops5.WME {
+	id, tag := d.int(), d.int()
+	var l *ops5.Layout
+	var w *ops5.WME
+	if ref := d.u64(); ref == 0 {
+		w = &ops5.WME{Class: d.str()}
+		if tl := layoutOf(d.layouts, w.Class); tl != nil {
+			d.fail(fmt.Sprintf("class %q defined by name, but layout %d is its", w.Class, tl.ID()))
+			return nil
+		}
+	} else if ref > uint64(len(d.layouts)) {
+		d.fail(fmt.Sprintf("layout id %d outside the table of %d", ref-1, len(d.layouts)))
+		return nil
+	} else {
+		l = d.layouts[ref-1]
+		w = l.New()
+	}
+	w.ID, w.TimeTag = id, tag
+	slots := w.Slots()
+	n := d.count(1 << 16)
+	if n > len(slots) {
+		d.fail(fmt.Sprintf("%d slots in a definition of class %q, whose layout has %d", n, w.Class, len(slots)))
+		return nil
+	}
+	for i := 0; i < n; i++ {
+		slots[i] = d.value()
+	}
+	prev := ""
+	for i, n := 0, d.count(1<<16); i < n; i++ {
+		name, v := d.str(), d.value()
+		if d.err != nil {
+			return nil
+		}
+		var fault string
+		if _, slotted := l.Slot(name); slotted {
+			fault = "has a slot in the layout"
+		} else if v.Nil() {
+			fault = "is nil"
+		} else if i > 0 && name <= prev {
+			fault = "is out of order after " + prev
+		}
+		if fault != "" {
+			d.fail(fmt.Sprintf("extra attribute %q of class %q %s", name, w.Class, fault))
+			return nil
+		}
+		w.Set(name, v)
+		prev = name
+	}
+	return w
 }
 
 // wme decodes a wme position that must hold one.

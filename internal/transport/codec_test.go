@@ -1,0 +1,156 @@
+package transport
+
+import (
+	"bytes"
+	"errors"
+	"strings"
+	"testing"
+
+	"mpcrete/internal/ops5"
+	"mpcrete/internal/rete"
+)
+
+// decodedCopy is the network as the other end of a connection holds it:
+// through its codec, so the two tables share ids and no pointers.
+func decodedCopy(t *testing.T, network *rete.Network) *rete.Network {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := rete.EncodeNetwork(&buf, network); err != nil {
+		t.Fatal(err)
+	}
+	got, err := rete.DecodeNetwork(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestDefinitionCodec holds the one definition form to its description:
+// a wme crosses as a row of the receiver's own layout of its class —
+// leading slots with the trailing absent ones trimmed, then the named
+// extras in order; by class name when no layout exists — however the
+// sender happened to hold it, and the row is canonical: decoding and
+// encoding again gives the same bytes.
+func TestDefinitionCodec(t *testing.T) {
+	network, _ := compileWorkload(t, "blocks")
+	far := decodedCopy(t, network)
+	block := network.Layout("block") // name, clear, on
+	wider, _ := widerNetwork(t)
+
+	// A wme laid out before its layout grew keeps the later attributes
+	// beside its one slot. The layout is a stand-in for block's, in
+	// block's place in the sender's table, so the network's own is not
+	// touched.
+	grown := ops5.NewLayout(block.ID(), "block", "name")
+	early := grown.Conform(ops5.NewWME("block", "name", "b1", "on", "table"))
+	grown.Add("clear")
+	grown.Add("on")
+	grownTable := append([]*ops5.Layout(nil), network.Layouts()...)
+	grownTable[block.ID()] = grown
+	if len(early.Slots()) != 1 || len(early.Extra()) != 1 {
+		t.Fatalf("set-up: %d slots and %d extras, want the stale 1 and 1", len(early.Slots()), len(early.Extra()))
+	}
+
+	rows := []struct {
+		name string
+		w    *ops5.WME
+		// what the definition must be, field by field
+		classRef uint64
+		class    string
+		slots    []ops5.Value
+		extras   []ops5.Attr
+	}{
+		{name: "full", w: network.Conform(ops5.NewWME("block", "name", "b1", "clear", "yes", "on", "table")),
+			classRef: 2, slots: []ops5.Value{ops5.S("b1"), ops5.S("yes"), ops5.S("table")}},
+		{name: "trailing-absent-trimmed", w: network.Conform(ops5.NewWME("block", "name", "b1")),
+			classRef: 2, slots: []ops5.Value{ops5.S("b1")}},
+		{name: "leading-absent-kept", w: network.Conform(ops5.NewWME("block", "on", 3)),
+			classRef: 2, slots: []ops5.Value{{}, {}, ops5.N(3)}},
+		{name: "empty", w: network.Conform(ops5.NewWME("block")), classRef: 2},
+		{name: "extras", w: network.Conform(ops5.NewWME("block", "zeta", 1, "name", "b1", "alpha", "a")),
+			classRef: 2, slots: []ops5.Value{ops5.S("b1")},
+			extras: []ops5.Attr{{Name: "alpha", Value: ops5.S("a")}, {Name: "zeta", Value: ops5.N(1)}}},
+		{name: "class-without-layout", w: network.Conform(ops5.NewWME("probe", "v", 1)),
+			class: "probe", extras: []ops5.Attr{{Name: "v", Value: ops5.N(1)}}},
+		// Held otherwise by the sender, the same rows.
+		{name: "loose", w: ops5.NewWME("block", "on", "table", "name", "b1", "note", "n"),
+			classRef: 2, slots: []ops5.Value{ops5.S("b1"), {}, ops5.S("table")}, extras: []ops5.Attr{{Name: "note", Value: ops5.S("n")}}},
+		{name: "another-networks-layout", w: wider.Conform(ops5.NewWME("block", "on", "table", "name", "b1")),
+			classRef: 2, slots: []ops5.Value{ops5.S("b1"), {}, ops5.S("table")}},
+		{name: "laid-out-before-the-layout-grew", w: early,
+			classRef: 2, slots: []ops5.Value{ops5.S("b1"), {}, ops5.S("table")}},
+	}
+
+	for i, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			row.w.ID, row.w.TimeTag = 40+i, 90+i
+			e := enc{layouts: network.Layouts()}
+			if row.w == early {
+				e.layouts = grownTable
+			}
+			e.def(row.w)
+			var want enc
+			forgeDef(&want, row.w, row.classRef, row.class, row.slots, row.extras...)
+			if !bytes.Equal(e.buf, want.buf) {
+				t.Fatalf("definition of %s\n  is   %x\n  want %x", row.w, e.buf, want.buf)
+			}
+
+			d := dec{b: e.buf, layouts: far.Layouts()}
+			got := d.wme()
+			if err := d.done(); err != nil {
+				t.Fatal(err)
+			}
+			if !got.Equal(row.w) || got.ID != row.w.ID || got.TimeTag != row.w.TimeTag || got.String() != row.w.String() {
+				t.Errorf("decoded %d/%d %s, want %d/%d %s", got.ID, got.TimeTag, got, row.w.ID, row.w.TimeTag, row.w)
+			}
+			if got.Layout() != far.Layout(row.w.Class) {
+				t.Errorf("decoded wme's layout is %p, want the receiving network's %p", got.Layout(), far.Layout(row.w.Class))
+			}
+			again := enc{layouts: far.Layouts()}
+			again.def(got)
+			if !bytes.Equal(again.buf, e.buf) {
+				t.Errorf("re-encoded\n  as   %x\n  from %x", again.buf, e.buf)
+			}
+		})
+	}
+}
+
+// TestDefinitionFaults decodes every wmeFaults row at the codec, where
+// the reason is still attached: each must fail with ErrBadPayload for
+// the reason its row gives — not pass by tripping over something else —
+// and none may panic. The carriers' tests then put the same rows on all
+// three surfaces.
+func TestDefinitionFaults(t *testing.T) {
+	network, _ := compileWorkload(t, "blocks")
+	w := faultWME()
+	for _, row := range wmeFaults {
+		t.Run(row.name, func(t *testing.T) {
+			e := enc{layouts: network.Layouts()}
+			faultChanges(&e, w, row.bad)
+			d := dec{b: e.buf, cache: new(wmeCache), layouts: network.Layouts()}
+			d.changes(nil)
+			err := d.done()
+			if !errors.Is(err, ErrBadPayload) || !strings.Contains(err.Error(), row.why) {
+				t.Fatalf("decoder said %v, want ErrBadPayload: ... %s", err, row.why)
+			}
+		})
+	}
+
+	// A definition by layout id means nothing to a decoder that holds a
+	// smaller table, or none; bucket contents are no exception.
+	wider, crate := widerNetwork(t)
+	node := rightAct(network).Node
+	var e enc
+	bucketWithDef(&e, wider.Layouts(), node, crate)
+	for name, table := range map[string][]*ops5.Layout{"smaller-table": network.Layouts(), "no-table": nil} {
+		d := dec{b: e.buf, nbuckets: faultBuckets, workers: faultWorkers, layouts: table}
+		d.bucketContents(network)
+		if err := d.done(); !errors.Is(err, ErrBadPayload) || !strings.Contains(err.Error(), "outside the table") {
+			t.Errorf("%s: bucket contents decoded with %v, want ErrBadPayload: layout id outside the table", name, err)
+		}
+	}
+	d := dec{b: e.buf, nbuckets: faultBuckets, workers: faultWorkers, layouts: wider.Layouts()}
+	if bc := d.bucketContents(wider); d.done() != nil || len(bc.RightWMEs) != 1 || !bc.RightWMEs[0].Equal(crate) {
+		t.Errorf("the same bytes under the wider table: %v", d.err)
+	}
+}

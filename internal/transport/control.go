@@ -156,8 +156,8 @@ func (c *Control) WaitWorkers() error {
 			id:  id,
 			c:   conn,
 			fr:  frameReader{r: bufio.NewReaderSize(conn, 1<<16)},
-			dec: dec{nbuckets: c.nbuckets, workers: c.opts.Workers, cache: new(wmeCache)},
-			enc: enc{cache: new(wmeCache)},
+			dec: dec{nbuckets: c.nbuckets, workers: c.opts.Workers, cache: new(wmeCache), layouts: c.network.Layouts()},
+			enc: enc{cache: new(wmeCache), layouts: c.network.Layouts()},
 		}
 		conn.SetReadDeadline(deadline)
 		if err := c.handshake(cc); err != nil {

@@ -209,7 +209,7 @@ func forgingWorker(t *testing.T, addr string, forge func(h hello) []wireFrame) {
 		return
 	}
 	ready := wireFrame{ftReady, func(e *enc) { e.int(h.id) }}
-	if err := ready.writeTo(conn); err != nil {
+	if err := ready.writeTo(conn, nil); err != nil {
 		t.Error(err)
 		return
 	}
@@ -217,7 +217,7 @@ func forgingWorker(t *testing.T, addr string, forge func(h hello) []wireFrame) {
 		return // the test ended before the first cycle
 	}
 	for _, f := range forge(h) {
-		if err := f.writeTo(conn); err != nil {
+		if err := f.writeTo(conn, h.net.Layouts()); err != nil {
 			return
 		}
 	}

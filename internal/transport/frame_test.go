@@ -2,10 +2,14 @@ package transport
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -44,14 +48,17 @@ func mustCompile(name string) (*rete.Network, []rete.Change) {
 
 // wireFrame is one frame a test puts on the wire, its payload written
 // field by field through a fresh encoder with no cache: every form
-// byte in it is chosen by the test.
+// byte in it is chosen by the test. The encoder holds the layout table
+// of the network the connection was opened over (nil where the payload
+// defines no wme), so a definition the test does not forge is the row
+// a real connection would send.
 type wireFrame struct {
 	ft   frameType
 	fill func(e *enc)
 }
 
-func (f wireFrame) writeTo(w io.Writer) error {
-	var e enc
+func (f wireFrame) writeTo(w io.Writer, layouts []*ops5.Layout) error {
+	e := enc{layouts: layouts}
 	e.begin()
 	f.fill(&e)
 	if err := e.end(f.ft); err != nil {
@@ -62,7 +69,7 @@ func (f wireFrame) writeTo(w io.Writer) error {
 
 // writeFrame writes one frame with the given payload.
 func writeFrame(w io.Writer, ft frameType, payload []byte) error {
-	return wireFrame{ft, func(e *enc) { e.raw(payload) }}.writeTo(w)
+	return wireFrame{ft, func(e *enc) { e.raw(payload) }}.writeTo(w, nil)
 }
 
 // readFrame reads one frame through a fresh reader.
@@ -157,30 +164,45 @@ func TestFrameFaults(t *testing.T) {
 			t.Fatal("decoded garbage hello")
 		}
 	})
-	for _, old := range []byte{2, 3} {
+	for _, old := range []byte{2, 3, 4} {
 		t.Run(fmt.Sprintf("hello-version-%d", old), func(t *testing.T) {
 			// A version-2 peer hashes numbers into other buckets; a
-			// version-3 peer spells every wme out and knows no references.
-			// Either must be turned away at the handshake, not mis-join
-			// or mis-decode later.
+			// version-3 peer spells every wme out and knows no references;
+			// a version-4 peer defines a wme attribute by attribute, by
+			// name. Each must be turned away at the handshake, not
+			// mis-join or mis-decode later.
 			net, _ := mustCompile("blocks")
 			hb := helloBytes(t, hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, net)
 			if _, err := decodeHello(hb); err != nil {
 				t.Fatalf("current hello refused: %v", err)
 			}
-			if protoVersion != 4 || hb[0] != protoVersion {
-				t.Fatalf("hello leads with %#x, want the version varint 4 (protoVersion %d)", hb[0], protoVersion)
+			if protoVersion != 5 || hb[0] != protoVersion {
+				t.Fatalf("hello leads with %#x, want the version varint 5 (protoVersion %d)", hb[0], protoVersion)
 			}
 			hb[0] = old
 			_, err := decodeHello(hb)
 			if !errors.Is(err, ErrBadPayload) {
 				t.Fatalf("version %d hello: got %v, want ErrBadPayload", old, err)
 			}
-			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", old)) || !strings.Contains(msg, "want 4") {
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", old)) || !strings.Contains(msg, "want 5") {
 				t.Fatalf("error %q does not name both versions", msg)
 			}
 		})
 	}
+	t.Run("hello-older-network-format", func(t *testing.T) {
+		// A current hello around a RETENET2 blob, which ships no layout
+		// table: the worker could not number a slot, and says so before
+		// the first frame.
+		net, _ := mustCompile("blocks")
+		hb := helloBytes(t, hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, net)
+		if bytes.Count(hb, []byte("RETENET3")) != 1 {
+			t.Fatal("the hello does not carry a RETENET3 network")
+		}
+		_, err := decodeHello(bytes.Replace(hb, []byte("RETENET3"), []byte("RETENET2"), 1))
+		if !errors.Is(err, ErrBadPayload) || !strings.Contains(err.Error(), `bad network magic "RETENET2"`) {
+			t.Fatalf("got %v, want ErrBadPayload naming the magic", err)
+		}
+	})
 	t.Run("trailing-bytes", func(t *testing.T) {
 		net, changes := mustCompile("blocks")
 		ms := []parallel.Message{{Kind: parallel.MsgCycle, Cycle: &parallel.CyclePacket{Changes: changes}}}
@@ -252,14 +274,15 @@ func TestBatchRoundTrip(t *testing.T) {
 			{Tag: rete.Delete, WME: changes[0].WME}, {Tag: rete.Delete, WME: changes[2].WME},
 		}}},
 	}
-	e := enc{cache: new(wmeCache)}
+	table := net.Layouts()
+	e := enc{cache: new(wmeCache), layouts: table}
 	if err := appendBatch(&e, ms, 7, 3); err != nil {
 		t.Fatal(err)
 	}
 	if e.cache.defs != int64(len(changes)) || e.cache.refs != 2 {
 		t.Fatalf("encoded %d definitions and %d references, want %d and 2", e.cache.defs, e.cache.refs, len(changes))
 	}
-	got, batch, src, err := decodeBatch(net, &dec{b: e.buf, cache: new(wmeCache)}, nil)
+	got, batch, src, err := decodeBatch(net, &dec{b: e.buf, cache: new(wmeCache), layouts: table}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +292,10 @@ func TestBatchRoundTrip(t *testing.T) {
 	if del, def := got[1].Cycle.Changes[1].WME, got[0].Cycle.Changes[2].WME; del != def {
 		t.Fatalf("reference decoded to %p, its definition to %p: want the one cached copy", del, def)
 	}
-	e2 := enc{cache: new(wmeCache)}
+	if w := got[0].Cycle.Changes[0].WME; w.Layout() != net.Layout(w.Class) || w.Layout() == nil {
+		t.Fatalf("%s decoded into layout %p, want its class's", w, w.Layout())
+	}
+	e2 := enc{cache: new(wmeCache), layouts: table}
 	if err := appendBatch(&e2, got, 7, 3); err != nil {
 		t.Fatal(err)
 	}
@@ -278,26 +304,24 @@ func TestBatchRoundTrip(t *testing.T) {
 	}
 	// Without a cache the same batch is all definitions, and a decoder
 	// without one refuses the cached encoding's references.
-	var plain enc
+	plain := enc{layouts: table}
 	if err := appendBatch(&plain, ms, 7, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := decodeBatch(net, &dec{b: plain.buf}, nil); err != nil {
+	if _, _, _, err := decodeBatch(net, &dec{b: plain.buf, layouts: table}, nil); err != nil {
 		t.Fatalf("uncached batch: %v", err)
 	}
-	if _, _, _, err := decodeBatch(net, &dec{b: e.buf}, nil); !errors.Is(err, ErrBadPayload) {
+	if _, _, _, err := decodeBatch(net, &dec{b: e.buf, layouts: table}, nil); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("references decoded without a cache: err=%v", err)
 	}
 }
 
-// fuzzBatchFrames is the committed seed's shape: two ftBatch frames
-// from one encoder, the second referring to wmes the first defined.
-func fuzzBatchFrames(changes []rete.Change) []byte {
-	e := enc{cache: new(wmeCache)}
-	for _, chs := range [][]rete.Change{
-		changes,
-		{{Tag: rete.Delete, WME: changes[1].WME}, {Tag: rete.Delete, WME: changes[0].WME}},
-	} {
+// fuzzBatchFrames is the committed seeds' shape: one ftBatch frame per
+// change list, all from one encoder holding the network's layout table,
+// so the later lists refer to wmes the earlier ones defined.
+func fuzzBatchFrames(table []*ops5.Layout, lists ...[]rete.Change) []byte {
+	e := enc{cache: new(wmeCache), layouts: table}
+	for _, chs := range lists {
 		e.begin()
 		if err := appendBatch(&e, []parallel.Message{{Kind: parallel.MsgCycle, Cycle: &parallel.CyclePacket{Changes: chs}}}, 1, 0); err != nil {
 			panic(err)
@@ -309,6 +333,71 @@ func fuzzBatchFrames(changes []rete.Change) []byte {
 	return e.buf
 }
 
+// fuzzSlotFormSeeds are streams in the slot form of a definition: the
+// blocks workload's own wmes (full rows), and the rows a workload does
+// not happen to have — absent slots ahead of a present one, named
+// extras around the slots, a class with no layout, the empty wme — each
+// defined, then deleted by reference.
+func fuzzSlotFormSeeds(net *rete.Network, changes []rete.Change) [][]byte {
+	var edge, gone []rete.Change
+	for i, w := range []*ops5.WME{
+		ops5.NewWME("block", "on", "table"),
+		ops5.NewWME("block", "name", "b9", "aaa", 1, "note", "fragile"),
+		ops5.NewWME("hand", "zzz", -0.5),
+		ops5.NewWME("ghost", "x", 1, "y", "boo"),
+		ops5.NewWME("goal"),
+	} {
+		w = net.Conform(w)
+		w.ID, w.TimeTag = 100+i, 200+i
+		edge = append(edge, rete.Change{Tag: rete.Add, WME: w})
+		gone = append(gone, rete.Change{Tag: rete.Delete, WME: w})
+	}
+	return [][]byte{
+		fuzzBatchFrames(net.Layouts(), changes, []rete.Change{{Tag: rete.Delete, WME: changes[1].WME}, {Tag: rete.Delete, WME: changes[0].WME}}),
+		fuzzBatchFrames(net.Layouts(), edge, gone),
+	}
+}
+
+// TestSlotFormSeeds keeps the fuzz corpus honest: the fuzz body returns
+// quietly on a stream that does not decode, so a seed left behind by a
+// format change would fuzz nothing. Each slot-form seed must decode in
+// full, its second frame all references to the first frame's
+// definitions, and must be committed under testdata as generated (a
+// stale file fails here; regenerate it from fuzzSlotFormSeeds).
+func TestSlotFormSeeds(t *testing.T) {
+	net, changes := mustCompile("blocks")
+	for i, data := range fuzzSlotFormSeeds(net, changes) {
+		d := dec{nbuckets: rete.DefaultNBuckets, workers: 2, cache: new(wmeCache), layouts: net.Layouts()}
+		fr := frameReader{r: bytes.NewReader(data)}
+		var lists [][]rete.Change
+		for {
+			ft, payload, err := fr.next()
+			if err != nil {
+				break
+			}
+			d.reset(payload)
+			ms, _, _, err := decodeBatch(net, &d, nil)
+			if err != nil || ft != ftBatch || len(ms) != 1 {
+				t.Fatalf("seed %d: frame %d: ft=%v messages=%d err=%v", i, len(lists), ft, len(ms), err)
+			}
+			lists = append(lists, ms[0].Cycle.Changes)
+		}
+		if len(lists) != 2 || d.cache.defs != int64(len(lists[0])) || d.cache.refs != int64(len(lists[1])) {
+			t.Fatalf("seed %d: %d frames, %d definitions, %d references", i, len(lists), d.cache.defs, d.cache.refs)
+		}
+		for _, ch := range lists[0] {
+			if ch.WME.Layout() != net.Layout(ch.WME.Class) {
+				t.Errorf("seed %d: %s decoded outside its class's layout", i, ch.WME)
+			}
+		}
+		content := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
+		name := fmt.Sprintf("%x", sha256.Sum256([]byte(content)))[:16]
+		if got, err := os.ReadFile(filepath.Join("testdata", "fuzz", "FuzzTransportFrame", name)); err != nil || string(got) != content {
+			t.Errorf("seed %d is not committed as testdata/fuzz/FuzzTransportFrame/%s (%v)", i, name, err)
+		}
+	}
+}
+
 // FuzzTransportFrame fuzzes the frame reader and the payload codecs
 // over a stream of frames decoded through one connection's state, so a
 // reference in a later frame meets the definitions of the earlier
@@ -316,17 +405,21 @@ func fuzzBatchFrames(changes []rete.Change) []byte {
 // decodes must re-encode canonically (decode∘encode is a fixed point).
 func FuzzTransportFrame(f *testing.F) {
 	net, changes := mustCompile("blocks")
-	f.Add(fuzzBatchFrames(changes))
+	table := net.Layouts()
+	slotForm := fuzzSlotFormSeeds(net, changes)
+	f.Add(slotForm[0])
 	{
 		var b bytes.Buffer
 		writeFrame(&b, ftHello, helloBytes(f, hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, net))
 		f.Add(b.Bytes())
 	}
 	f.Add([]byte{0, 0, 0, 1, byte(ftShutdown)})
+	f.Add(slotForm[1])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The topology bounds decoded bucket and worker indices are held
-		// to, and the stream's receive cache.
-		d := dec{nbuckets: rete.DefaultNBuckets, workers: 2, cache: new(wmeCache)}
+		// to, the stream's receive cache, and the layout table its
+		// definitions are rows of.
+		d := dec{nbuckets: rete.DefaultNBuckets, workers: 2, cache: new(wmeCache), layouts: table}
 		var batches [][]parallel.Message
 		var stamps [][2]int32
 		fr := frameReader{r: bytes.NewReader(data)}
@@ -366,8 +459,8 @@ func FuzzTransportFrame(f *testing.F) {
 		// ENCODER output is a fixed point: decode, re-encode, decode,
 		// re-encode — the two encoder outputs must match exactly, frame
 		// by frame, with one cache per end per pass.
-		e1, e2 := enc{cache: new(wmeCache)}, enc{cache: new(wmeCache)}
-		d2 := dec{nbuckets: d.nbuckets, workers: d.workers, cache: new(wmeCache)}
+		e1, e2 := enc{cache: new(wmeCache), layouts: table}, enc{cache: new(wmeCache), layouts: table}
+		d2 := dec{nbuckets: d.nbuckets, workers: d.workers, cache: new(wmeCache), layouts: table}
 		for i, ms := range batches {
 			batch, src := stamps[i][0], stamps[i][1]
 			buf := payloadOf(&e1, func(e *enc) {

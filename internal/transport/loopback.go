@@ -90,12 +90,12 @@ func (l *Loopback) Open(workers int, opts parallel.EndpointOptions) ([]parallel.
 		}
 		ep := &loopEndpoint{
 			net:   l.net,
-			dec:   dec{nbuckets: opts.NBuckets, workers: workers, cache: new(wmeCache)},
+			dec:   dec{nbuckets: opts.NBuckets, workers: workers, cache: new(wmeCache), layouts: l.net.Layouts()},
 			wconn: wc,
 			rconn: rc,
 			inner: parallel.NewEndpoint(opts),
 			opts:  opts,
-			enc:   enc{cache: new(wmeCache)},
+			enc:   enc{cache: new(wmeCache), layouts: l.net.Layouts()},
 		}
 		go ep.readLoop()
 		l.mu.Lock()

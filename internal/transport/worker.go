@@ -42,8 +42,10 @@ import (
 // Version 4 is the cached wme codec: every wme position is a
 // definition or an (ID, TimeTag) reference, a conflict-set delta names
 // its production by terminal node id, and ftTurn declares its array
-// totals.
-const protoVersion = 4
+// totals. Version 5 is the slot form of a definition — a layout id and
+// a run of values (codec.go) — over a RETENET3 network, whose layout
+// table both ends index alike.
+const protoVersion = 5
 
 // hello is the decoded handshake.
 type hello struct {
@@ -140,8 +142,8 @@ func ServeConn(conn net.Conn) error {
 		hello: h,
 		step:  parallel.NewStep(h.net, h.id, h.workers, h.partition, h.trackLoads, nil),
 		conn:  conn,
-		dec:   dec{nbuckets: h.nbuckets, workers: h.workers, cache: new(wmeCache)},
-		enc:   enc{cache: new(wmeCache)},
+		dec:   dec{nbuckets: h.nbuckets, workers: h.workers, cache: new(wmeCache), layouts: h.net.Layouts()},
+		enc:   enc{cache: new(wmeCache), layouts: h.net.Layouts()},
 	}
 
 	w.enc.begin()

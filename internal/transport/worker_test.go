@@ -11,6 +11,7 @@ import (
 	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/sched"
+	"mpcrete/internal/workloads"
 )
 
 // The topology the fault tests handshake: small enough that an index
@@ -41,7 +42,7 @@ func serveFault(t *testing.T, network *rete.Network, frames ...wireFrame) error 
 	}
 	go io.Copy(io.Discard, ctl)
 	for _, f := range frames {
-		if err := f.writeTo(ctl); err != nil {
+		if err := f.writeTo(ctl, network.Layouts()); err != nil {
 			break // the worker has already hung up on an earlier frame
 		}
 	}
@@ -111,11 +112,94 @@ func TestWorkerRejectsBadIndices(t *testing.T) {
 var wmeFaults = []struct {
 	name string
 	bad  func(e *enc, w *ops5.WME)
+	why  string // what the decoder must say (TestDefinitionFaults holds it to it)
 }{
-	{"ref-empty-slot", func(e *enc, w *ops5.WME) { wireRef(e, w.ID+1, w.TimeTag) }},
-	{"ref-wrong-timetag", func(e *enc, w *ops5.WME) { wireRef(e, w.ID, w.TimeTag+1) }},
-	{"ref-aliased-id", func(e *enc, w *ops5.WME) { wireRef(e, w.ID+wmeCacheSlots, w.TimeTag) }},
-	{"unknown-form", func(e *enc, w *ops5.WME) { e.byte(wmeRef + 1) }},
+	{"ref-empty-slot", func(e *enc, w *ops5.WME) { wireRef(e, w.ID+1, w.TimeTag) }, "names nothing the stream defined"},
+	{"ref-wrong-timetag", func(e *enc, w *ops5.WME) { wireRef(e, w.ID, w.TimeTag+1) }, "names nothing the stream defined"},
+	{"ref-aliased-id", func(e *enc, w *ops5.WME) { wireRef(e, w.ID+wmeCacheSlots, w.TimeTag) }, "names nothing the stream defined"},
+	{"unknown-form", func(e *enc, w *ops5.WME) { e.byte(wmeRef + 1) }, "wme form 3"},
+
+	// The ways a definition can lie about the layout table. w is a
+	// block, whose layout keeps name, clear and on.
+	{"def-layout-outside-table", func(e *enc, w *ops5.WME) {
+		forgeDef(e, w, uint64(len(e.layouts))+1, "", nil)
+	}, `layout id 3 outside the table of 3`},
+	{"def-more-slots-than-layout", func(e *enc, w *ops5.WME) {
+		forgeDef(e, w, blockRef(e), "", []ops5.Value{ops5.S("b1"), {}, {}, ops5.S("overflow")})
+	}, `4 slots in a definition of class "block", whose layout has 3`},
+	{"def-extras-out-of-order", func(e *enc, w *ops5.WME) {
+		forgeDef(e, w, blockRef(e), "", []ops5.Value{ops5.S("b1")}, ops5.Attr{Name: "zz", Value: ops5.N(1)}, ops5.Attr{Name: "aa", Value: ops5.N(2)})
+	}, `"aa" of class "block" is out of order after zz`},
+	{"def-extra-twice", func(e *enc, w *ops5.WME) {
+		forgeDef(e, w, blockRef(e), "", []ops5.Value{ops5.S("b1")}, ops5.Attr{Name: "aa", Value: ops5.N(1)}, ops5.Attr{Name: "aa", Value: ops5.N(2)})
+	}, `"aa" of class "block" is out of order after aa`},
+	{"def-extra-names-slotted-attribute", func(e *enc, w *ops5.WME) {
+		forgeDef(e, w, blockRef(e), "", nil, ops5.Attr{Name: "name", Value: ops5.S("b1")})
+	}, `"name" of class "block" has a slot in the layout`},
+	{"def-extra-nil", func(e *enc, w *ops5.WME) {
+		forgeDef(e, w, blockRef(e), "", []ops5.Value{ops5.S("b1")}, ops5.Attr{Name: "note"})
+	}, `"note" of class "block" is nil`},
+	{"def-by-name-of-laid-out-class", func(e *enc, w *ops5.WME) {
+		forgeDef(e, w, 0, "block", nil, ops5.Attr{Name: "name", Value: ops5.S("b1")})
+	}, `class "block" defined by name, but layout 1 is its`},
+}
+
+// forgeDef writes a definition field by field, as enc.def lays it out:
+// identity, class reference (0 and a name, or layout id + 1), the
+// leading slots, the extras.
+func forgeDef(e *enc, w *ops5.WME, classRef uint64, className string, slots []ops5.Value, extras ...ops5.Attr) {
+	e.byte(wmeDef)
+	e.int(w.ID)
+	e.int(w.TimeTag)
+	e.u64(classRef)
+	if classRef == 0 {
+		e.str(className)
+	}
+	e.count(len(slots))
+	for _, v := range slots {
+		e.value(v)
+	}
+	e.count(len(extras))
+	for _, a := range extras {
+		e.str(a.Name)
+		e.value(a.Value)
+	}
+}
+
+// blockRef is the class reference of block in the encoder's table.
+func blockRef(e *enc) uint64 { return uint64(layoutOf(e.layouts, "block").ID()) + 1 }
+
+// widerNetwork compiles the blocks workload with one more production,
+// which names a class the plain network has no layout for, and returns
+// it with a wme of that class: a definition of it by layout id is sound
+// between two processes that hold the wider network and names nothing
+// in the table of one that holds the plain one.
+func widerNetwork(t *testing.T) (*rete.Network, *ops5.WME) {
+	t.Helper()
+	wl, err := workloads.Named("blocks")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ops5.ParseProgram(wl.Program + "\n(p wider (crate ^id <i>) --> (halt))\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	wider, err := rete.Compile(prog.Productions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := wider.Conform(ops5.NewWME("crate", "id", 1))
+	w.ID, w.TimeTag = 6, 10
+	return wider, w
+}
+
+// bucketWithDef encodes bucket contents whose one right wme is w,
+// defined as an encoder holding table would.
+func bucketWithDef(e *enc, table []*ops5.Layout, node *rete.Node, w *ops5.WME) {
+	own := e.layouts
+	e.layouts = table
+	e.bucketContents(&rete.BucketContents{Bucket: 3, RightNodes: []*rete.Node{node}, RightWMEs: []*ops5.WME{w}})
+	e.layouts = own
 }
 
 func wireRef(e *enc, id, tag int) {
@@ -187,6 +271,22 @@ func TestWorkerRejectsBadReferences(t *testing.T) {
 			t.Fatalf("worker returned %v, want ErrBadPayload", err)
 		}
 	})
+	// A migrated bucket from a process that holds another network: the
+	// same frame is accepted with a wme this network can lay out, and
+	// refused when its definition names a layout this network lacks.
+	wider, crate := widerNetwork(t)
+	node := rightAct(network).Node
+	bucketOf := func(table []*ops5.Layout, w *ops5.WME) wireFrame {
+		return wireFrame{ftBucket, func(e *enc) { bucketWithDef(e, table, node, w) }}
+	}
+	if err := serveFault(t, network, bucketOf(network.Layouts(), w), shutdown); err != nil {
+		t.Fatalf("sound bucket refused: %v", err)
+	}
+	t.Run("def-in-bucket-of-another-network", func(t *testing.T) {
+		if err := serveFault(t, network, bucketOf(wider.Layouts(), crate), shutdown); !errors.Is(err, ErrBadPayload) {
+			t.Fatalf("worker returned %v, want ErrBadPayload", err)
+		}
+	})
 }
 
 // openFaultLoopback opens a Loopback for the fault topology and
@@ -253,10 +353,20 @@ func TestLoopbackRejectsBadReferences(t *testing.T) {
 			body(e)
 		}}
 	}
-	rows := map[string][]wireFrame{"ref-in-bucket": {
-		batch(parallel.MsgCycle, func(e *enc) { e.count(1); e.byte(byte(rete.Add)); e.def(w) }),
-		batch(parallel.MsgMigrateIn, func(e *enc) { bucketWithRef(e, rightAct(network).Node, w) }),
-	}}
+	wider, crate := widerNetwork(t)
+	node := rightAct(network).Node
+	rows := map[string][]wireFrame{
+		"ref-in-bucket": {
+			batch(parallel.MsgCycle, func(e *enc) { e.count(1); e.byte(byte(rete.Add)); e.def(w) }),
+			batch(parallel.MsgMigrateIn, func(e *enc) { bucketWithRef(e, node, w) }),
+		},
+		// The first bucket is sound and must arrive; the second defines a
+		// wme by a layout id only the wider network has.
+		"def-in-bucket-of-another-network": {
+			batch(parallel.MsgMigrateIn, func(e *enc) { bucketWithDef(e, network.Layouts(), node, w) }),
+			batch(parallel.MsgMigrateIn, func(e *enc) { bucketWithDef(e, wider.Layouts(), node, crate) }),
+		},
+	}
 	for _, f := range wmeFaults {
 		rows[f.name] = []wireFrame{batch(parallel.MsgCycle, func(e *enc) { faultChanges(e, w, f.bad) })}
 	}
@@ -264,7 +374,7 @@ func TestLoopbackRejectsBadReferences(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			ep, failed := openFaultLoopback(t, network)
 			for i, f := range frames {
-				if err := f.writeTo(ep.wconn); err != nil {
+				if err := f.writeTo(ep.wconn, network.Layouts()); err != nil {
 					t.Fatal(err)
 				}
 				if i < len(frames)-1 {

@@ -126,7 +126,7 @@ func (c *Compiled) NewSession(opts SessionOptions) *Session {
 		opts:     opts,
 		shared:   true,
 		wm:       map[int]*ops5.WME{},
-		conflict: map[string]*Instantiation{},
+		conflict: newConflictSet(),
 		nextID:   1,
 		timetag:  1,
 	}

@@ -1,0 +1,209 @@
+package engine
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"mpcrete/internal/ops5"
+	"mpcrete/internal/rete"
+)
+
+// csHarness drives a conflictSet and, beside it, the structure it
+// replaced: a map keyed by InstChange.Key.
+type csHarness struct {
+	cs    conflictSet
+	ref   map[string]rete.InstChange
+	infos []*rete.ProdInfo
+	wmes  []*ops5.WME
+}
+
+func newCSHarness(t testing.TB, mask uint64) *csHarness {
+	h := &csHarness{cs: newConflictSet(), ref: map[string]rete.InstChange{}}
+	h.cs.mask = mask
+	for i, name := range []string{"p", "q", "pq"} {
+		p, err := ops5.ParseProduction(fmt.Sprintf(`(p %s (x ^v 1) -(y ^v 1) (z ^v 1) --> (halt))`, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.infos = append(h.infos, &rete.ProdInfo{Prod: p, Node: &rete.Node{ID: 100 + i, Kind: rete.KindProduction}})
+	}
+	for id := 1; id <= 5; id++ {
+		w := ops5.NewWME("x", "v", 1)
+		w.ID, w.TimeTag = id, id
+		h.wmes = append(h.wmes, w)
+	}
+	return h
+}
+
+// delta builds the delta that bytes a and b name: one of three
+// productions over one of 25 wme pairs (the negated middle position is
+// nil), so a few dozen steps are dense with duplicate adds and with
+// deletes of what is not there. The arrays are fresh every time, as a
+// matcher's are.
+func (h *csHarness) delta(tag rete.Tag, a, b byte) rete.InstChange {
+	w1, w2 := h.wmes[int(a)%5], h.wmes[int(b)%5]
+	return rete.InstChange{
+		Tag:      tag,
+		Info:     h.infos[int(a/5)%3],
+		WMEs:     []*ops5.WME{w1, nil, w2},
+		TimeTags: []int{min(w1.TimeTag, w2.TimeTag), max(w1.TimeTag, w2.TimeTag)},
+	}
+}
+
+// step performs one operation chosen by op: an add (possibly of an
+// identity already present), a delete (possibly of one absent), a
+// refraction of some member, an excise, or — rarely — a reset.
+func (h *csHarness) step(op, a, b byte) {
+	switch op % 8 {
+	case 0, 1, 2:
+		ic := h.delta(rete.Add, a, b)
+		h.cs.add(&ic)
+		h.ref[ic.Key()] = ic
+	case 3, 4:
+		ic := h.delta(rete.Delete, a, b)
+		h.cs.delete(&ic)
+		delete(h.ref, ic.Key())
+	case 5, 6:
+		if n := len(h.cs.list); n > 0 {
+			in := h.cs.list[int(a)%n]
+			h.cs.remove(in)
+			delete(h.ref, in.Key())
+		}
+	case 7:
+		if a%8 == 0 {
+			h.cs.reset()
+			clear(h.ref)
+			return
+		}
+		name := h.infos[int(a)%3].Prod.Name
+		h.cs.removeProduction(name)
+		for k, ic := range h.ref {
+			if ic.Info.Prod.Name == name {
+				delete(h.ref, k)
+			}
+		}
+	}
+}
+
+// check holds the set to the reference and to its own invariants.
+func (h *csHarness) check(t testing.TB, when string) {
+	t.Helper()
+	cs := &h.cs
+	if len(cs.list) != len(h.ref) {
+		t.Fatalf("%s: %d members, reference has %d", when, len(cs.list), len(h.ref))
+	}
+	for i, in := range cs.list {
+		want, ok := h.ref[in.Key()]
+		switch {
+		case !ok:
+			t.Fatalf("%s: member %s is not in the reference", when, in.Key())
+		case in.pos != i:
+			t.Fatalf("%s: %s at position %d records position %d", when, in.Key(), i, in.pos)
+		case &in.WMEs[0] != &want.WMEs[0] || &in.TimeTags[0] != &want.TimeTags[0] || in.Prod != want.Info.Prod:
+			t.Fatalf("%s: %s does not hold the arrays of the last add of that identity", when, in.Key())
+		}
+		if got := cs.find(&want, want.Hash()&cs.mask); got != in {
+			t.Fatalf("%s: looking up %s finds %v", when, in.Key(), got)
+		}
+	}
+	chained := 0
+	for hash, in := range cs.index {
+		if in == nil {
+			t.Fatalf("%s: hash %#x maps to an empty chain", when, hash)
+		}
+		for ; in != nil; in = in.next {
+			chained++
+			if in.hash != hash || in.pos >= len(cs.list) || cs.list[in.pos] != in {
+				t.Fatalf("%s: chain %#x holds %s, which is not a member under that hash", when, hash, in.Key())
+			}
+		}
+	}
+	if chained != len(cs.list) {
+		t.Fatalf("%s: %d instantiations are chained, %d are members", when, chained, len(cs.list))
+	}
+}
+
+// TestConflictSetMatchesKeyedReference holds the conflict set —
+// identity by production and wme IDs, hashed and compared without
+// building a key — to the map keyed by InstChange.Key it replaced, on
+// random sequences of adds, duplicate adds, deletes, deletes of the
+// absent, refractions, excises and resets, checked after every step.
+// It runs once with the full hash and once with the hash cut to two
+// bits, so that every chain operation (insert at the head, unlink from
+// the head, the middle and the tail) runs under collisions.
+func TestConflictSetMatchesKeyedReference(t *testing.T) {
+	for _, mask := range []uint64{^uint64(0), 3} {
+		rng := rand.New(rand.NewSource(23))
+		h := newCSHarness(t, mask)
+		longest := 0
+		for step := 0; step < 5000; step++ {
+			h.step(byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+			h.check(t, fmt.Sprintf("mask %#x step %d", mask, step))
+			for _, in := range h.cs.index {
+				n := 0
+				for ; in != nil; in = in.next {
+					n++
+				}
+				longest = max(longest, n)
+			}
+		}
+		if mask == 3 && longest < 4 {
+			t.Errorf("two hash bits: the longest chain was %d, want collisions", longest)
+		}
+	}
+}
+
+// FuzzConflictSet is the same check on sequences the fuzzer writes:
+// three bytes a step, under the two-bit mask.
+func FuzzConflictSet(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 3, 0, 0, 3, 0, 0})           // duplicate add, delete, delete of the absent
+	f.Add([]byte{0, 1, 2, 1, 6, 2, 2, 11, 2, 5, 1, 0, 7, 1, 0}) // three productions, one pair; refract; excise
+	f.Add([]byte{0, 1, 2, 0, 2, 1, 0, 3, 4, 7, 8, 0, 0, 1, 2})  // reset, then use again
+	f.Fuzz(func(t *testing.T, script []byte) {
+		h := newCSHarness(t, 3)
+		for i := 0; i+2 < len(script) && i < 3*400; i += 3 {
+			h.step(script[i], script[i+1], script[i+2])
+			h.check(t, fmt.Sprintf("step %d", i/3))
+		}
+	})
+}
+
+// TestSymmetricTieFiresInKeyOrder pins the last tie-break of conflict
+// resolution to the order of the key strings. The two instantiations of
+// a self-join over wmes 9 and 10 tie on recency, specificity and name;
+// their keys are pair[9 10] and pair[10 9], and as text the second
+// sorts first ('1' < '9'), so it fires first. Numeric order would fire
+// the other one — and change every transcript with a symmetric join.
+func TestSymmetricTieFiresInKeyOrder(t *testing.T) {
+	e, err := New(mustProgram(t, `(p pair (item ^v <x>) (item ^v <x>) --> (halt))`), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		e.MakeWME("filler", "n", i)
+	}
+	e.MakeWME("item", "v", 1) // id 9
+	e.MakeWME("item", "v", 1) // id 10
+	e.match()
+	var got []string
+	for _, in := range e.ConflictSet() {
+		got = append(got, in.Key())
+	}
+	if want := "[pair[10 10] pair[10 9] pair[9 10] pair[9 9]]"; fmt.Sprint(got) != want {
+		t.Errorf("conflict set %v, want %s", got, want)
+	}
+	// With the self-pairs out of the way the tie itself decides.
+	e, err = New(mustProgram(t, `(p pair (item ^v <x>) (item ^v <> <x>) --> (halt))`), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		e.MakeWME("filler", "n", i)
+	}
+	e.MakeWME("item", "v", 1)
+	e.MakeWME("item", "v", 2)
+	if in, err := e.Step(); err != nil || in == nil || in.Key() != "pair[10 9]" {
+		t.Fatalf("the symmetric tie fired %v (%v), want pair[10 9]", in, err)
+	}
+}

@@ -36,11 +36,7 @@ func (e *Session) ExciseProduction(name string) error {
 	if err := e.c.net.Excise(name); err != nil {
 		return err
 	}
-	for key, in := range e.conflict {
-		if in.Prod.Name == name {
-			delete(e.conflict, key)
-		}
-	}
+	e.conflict.removeProduction(name)
 	prog := e.c.prog
 	for i, p := range prog.Productions {
 		if p.Name == name {

@@ -13,13 +13,14 @@
 package engine
 
 import (
+	"bytes"
 	"cmp"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"slices"
-	"sort"
+	"strconv"
 	"strings"
 
 	"mpcrete/internal/ops5"
@@ -100,12 +101,26 @@ type Instantiation struct {
 	WMEs []*ops5.WME
 	// TimeTags are sorted ascending.
 	TimeTags []int
-	key      string
 	info     *rete.ProdInfo // Prod's compilation record
+	// The conflict set's bookkeeping: the masked identity hash, the
+	// position in the dense list, and the next member with that hash.
+	hash uint64
+	pos  int
+	next *Instantiation
 }
 
-// Key identifies the instantiation (production name + wme IDs).
-func (in *Instantiation) Key() string { return in.key }
+// delta names the instantiation as the matcher does, which is where its
+// identity (Hash, Same) and its key are defined.
+func (in *Instantiation) delta() rete.InstChange {
+	return rete.InstChange{Info: in.info, WMEs: in.WMEs}
+}
+
+// Key identifies the instantiation (production name + wme IDs). The
+// string is built when asked for; the engine itself never needs it.
+func (in *Instantiation) Key() string {
+	d := in.delta()
+	return d.Key()
+}
 
 // Session is one OPS5 interpreter instance: the mutable half of the
 // Compiled/Session split. It owns the working memory, the matcher (and
@@ -123,10 +138,11 @@ type Session struct {
 	// be rewritten (see dynamic.go).
 	shared   bool
 	wm       map[int]*ops5.WME
-	conflict map[string]*Instantiation
+	conflict conflictSet
 	// pending collects the wme changes of the next match phase; spare is
 	// the previous phase's buffer, swapped back in by match. keyBuf is
-	// the scratch each conflict-set delta's key is built in.
+	// the scratch conflict resolution's last tie-break prints two keys
+	// in.
 	pending []rete.Change
 	spare   []rete.Change
 	keyBuf  []byte
@@ -227,19 +243,7 @@ func (e *Session) Assert(wmes ...*ops5.WME) []*ops5.WME {
 // Retract schedules deletion of the live wme with the given ID,
 // reporting whether such a wme existed (live, or still pending from an
 // earlier assert this cycle).
-func (e *Session) Retract(id int) bool {
-	if w, ok := e.wm[id]; ok {
-		e.removeWME(w)
-		return true
-	}
-	for _, ch := range e.pending {
-		if ch.Tag == rete.Add && ch.WME.ID == id {
-			e.removeWME(ch.WME)
-			return true
-		}
-	}
-	return false
-}
+func (e *Session) Retract(id int) bool { return e.removeWME(id) }
 
 func (e *Session) addWME(w *ops5.WME) *ops5.WME {
 	w.ID = e.nextID
@@ -253,40 +257,36 @@ func (e *Session) addWME(w *ops5.WME) *ops5.WME {
 	return w
 }
 
-// removeWME schedules a deletion if the wme is still live.
-func (e *Session) removeWME(w *ops5.WME) {
-	if w == nil {
-		return
-	}
-	if _, live := e.wm[w.ID]; !live {
-		// Also tolerate deletion of a wme added earlier in this same
-		// act phase (still pending).
-		found := false
-		for _, ch := range e.pending {
-			if ch.Tag == rete.Add && ch.WME.ID == w.ID {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return
-		}
-	}
-	// A wme can be targeted twice in one act phase — e.g. a remove and a
-	// modify of the same CE, or two modifies whose CEs matched the same
-	// wme. Only the first deletion is real; a duplicate delete reaching
-	// the matcher would unwind join and negative-node effects twice
-	// (driving negative counts below zero and leaking stale
-	// instantiations).
+// removeWME schedules the deletion of the wme with the given ID and
+// reports whether there is such a wme: one that is live, or was added
+// earlier in this same act phase and is still pending. One walk of
+// pending settles that and whether the deletion is already scheduled.
+//
+// A wme can be targeted twice in one act phase — e.g. a remove and a
+// modify of the same CE, or two modifies whose CEs matched the same
+// wme. Only the first deletion is real; a duplicate delete reaching
+// the matcher would unwind join and negative-node effects twice
+// (driving negative counts below zero and leaking stale
+// instantiations).
+func (e *Session) removeWME(id int) bool {
+	w, found := e.wm[id]
 	for _, ch := range e.pending {
-		if ch.Tag == rete.Delete && ch.WME.ID == w.ID {
-			return
+		if ch.WME.ID != id {
+			continue
 		}
+		if ch.Tag == rete.Delete {
+			return true
+		}
+		w, found = ch.WME, true
+	}
+	if !found {
+		return false
 	}
 	e.pending = append(e.pending, rete.Change{Tag: rete.Delete, WME: w})
 	if e.opts.Watch >= 2 {
 		fmt.Fprintf(e.opts.Output, "<=wm: %d: %s\n", w.TimeTag, w)
 	}
+	return true
 }
 
 // match runs one match phase over the pending changes, updating
@@ -308,24 +308,13 @@ func (e *Session) match() {
 	e.spare = changes
 }
 
-// absorb applies a match phase's deltas to the conflict set. Each
-// delta's key is built once, in keyBuf; a delete looks it up as bytes
-// and only an add, which must store it, makes the string.
+// absorb applies a match phase's deltas to the conflict set.
 func (e *Session) absorb(deltas []rete.InstChange) {
 	for i := range deltas {
-		ic := &deltas[i]
-		e.keyBuf = ic.AppendKey(e.keyBuf[:0])
-		if ic.Tag == rete.Add {
-			key := string(e.keyBuf)
-			e.conflict[key] = &Instantiation{
-				Prod:     ic.Info.Prod,
-				WMEs:     ic.WMEs,
-				TimeTags: ic.TimeTags,
-				key:      key,
-				info:     ic.Info,
-			}
-		} else if in, ok := e.conflict[string(e.keyBuf)]; ok {
-			delete(e.conflict, in.key) // the stored key: string(keyBuf) here would allocate
+		if ic := &deltas[i]; ic.Tag == rete.Add {
+			e.conflict.add(ic)
+		} else {
+			e.conflict.delete(ic)
 		}
 	}
 }
@@ -333,17 +322,17 @@ func (e *Session) absorb(deltas []rete.InstChange) {
 // ConflictSet returns the current instantiations sorted best-first
 // under the configured strategy.
 func (e *Session) ConflictSet() []*Instantiation {
-	out := make([]*Instantiation, 0, len(e.conflict))
-	for _, in := range e.conflict {
-		out = append(out, in)
-	}
-	sort.Slice(out, func(i, j int) bool { return e.better(out[i], out[j]) })
+	out := slices.Clone(e.conflict.list)
+	slices.SortFunc(out, e.compare)
 	return out
 }
 
 // Step runs one MRA cycle: match pending changes, resolve, fire.
 // It returns the fired instantiation, or nil when the conflict set is
-// empty or the engine has halted.
+// empty or the engine has halted. The instantiation is the caller's to
+// keep; instantiations are carved from chunks of up to 32 that are
+// never reused, so keeping one pins at most its chunk (and the match
+// phase's chunks its WMEs and TimeTags point into).
 func (e *Session) Step() (*Instantiation, error) {
 	if e.halted {
 		return nil, nil
@@ -353,7 +342,7 @@ func (e *Session) Step() (*Instantiation, error) {
 	if best == nil {
 		return nil, nil
 	}
-	delete(e.conflict, best.key) // refraction
+	e.conflict.remove(best) // refraction
 	if e.opts.Watch >= 1 {
 		fmt.Fprintf(e.opts.Output, "%d. %s %s\n", e.fired+1, best.Prod.Name, tagList(best.TimeTags))
 	}
@@ -386,7 +375,7 @@ func (e *Session) Run(maxCycles int) (fired int, err error) {
 		return fired, nil
 	}
 	e.match()
-	if len(e.conflict) == 0 {
+	if len(e.conflict.list) == 0 {
 		return fired, nil
 	}
 	return fired, ErrCycleLimit
@@ -398,46 +387,55 @@ func (e *Session) RunCycles(maxCycles int) (int, error) { return e.Run(maxCycles
 // resolve picks the best instantiation under the strategy.
 func (e *Session) resolve() *Instantiation {
 	var best *Instantiation
-	for _, in := range e.conflict {
-		if best == nil || e.better(in, best) {
+	for _, in := range e.conflict.list {
+		if best == nil || e.compare(in, best) < 0 {
 			best = in
 		}
 	}
 	return best
 }
 
-// better reports whether a should fire in preference to b.
-func (e *Session) better(a, b *Instantiation) bool {
+// compare orders the conflict set: negative when a should fire in
+// preference to b. The order is total.
+func (e *Session) compare(a, b *Instantiation) int {
 	if e.opts.Strategy == MEA {
-		at, bt := firstCETag(a), firstCETag(b)
-		if at != bt {
-			return at > bt
+		if c := cmp.Compare(firstCETag(b), firstCETag(a)); c != 0 {
+			return c
 		}
 	}
 	// LEX recency: compare time tags sorted descending.
-	if c := compareRecency(a.TimeTags, b.TimeTags); c != 0 {
-		return c > 0
+	if c := compareRecency(b.TimeTags, a.TimeTags); c != 0 {
+		return c
 	}
-	if a.info.Specificity != b.info.Specificity {
-		return a.info.Specificity > b.info.Specificity
+	if c := cmp.Compare(b.info.Specificity, a.info.Specificity); c != 0 {
+		return c
 	}
-	// Deterministic final tie-break.
-	if a.Prod.Name != b.Prod.Name {
-		return a.Prod.Name < b.Prod.Name
+	// Deterministic final tie-break: the production's name, then the
+	// keys as text. That compares wme IDs lexically — pair[10 9] sorts
+	// before pair[9 10] — and it is what decides which of two symmetric
+	// self-join instantiations fires first, so every committed
+	// transcript is made of it. It runs only on a full tie.
+	if c := strings.Compare(a.Prod.Name, b.Prod.Name); c != 0 {
+		return c
 	}
-	return a.key < b.key
+	da, db := a.delta(), b.delta()
+	e.keyBuf = da.AppendKey(e.keyBuf[:0])
+	n := len(e.keyBuf)
+	e.keyBuf = db.AppendKey(e.keyBuf)
+	return bytes.Compare(e.keyBuf[:n], e.keyBuf[n:])
 }
 
 // tagList renders time tags in the OPS5 watch format ("3 5 7").
 func tagList(tags []int) string {
-	var b strings.Builder
+	var a [64]byte
+	buf := a[:0]
 	for i, tg := range tags {
 		if i > 0 {
-			b.WriteByte(' ')
+			buf = append(buf, ' ')
 		}
-		fmt.Fprintf(&b, "%d", tg)
+		buf = strconv.AppendInt(buf, int64(tg), 10)
 	}
-	return b.String()
+	return string(buf)
 }
 
 // firstCETag returns the time tag of the wme matching the first
@@ -450,9 +448,10 @@ func firstCETag(in *Instantiation) int {
 }
 
 // compareRecency compares two ascending time-tag lists by the OPS5 LEX
-// rule: largest tags first; a longer list wins a tie on the shared
-// prefix... more precisely, compare descending order elementwise; if
-// one list is exhausted, the longer list is MORE recent.
+// rule and returns 1 when a is the more recent, -1 when b is, 0 on a
+// tie. The lists are compared from their largest tags down; the first
+// difference decides, and when one list runs out first the longer list
+// is the more recent.
 func compareRecency(a, b []int) int {
 	i, j := len(a)-1, len(b)-1
 	for i >= 0 && j >= 0 {
@@ -570,14 +569,16 @@ func (e *Session) act(in *Instantiation) error {
 			e.addWME(w)
 		case ops5.ActRemove:
 			for _, idx := range a.CEIndexes {
-				e.removeWME(in.WMEs[idx-1])
+				if w := in.WMEs[idx-1]; w != nil {
+					e.removeWME(w.ID)
+				}
 			}
 		case ops5.ActModify:
 			old := in.WMEs[a.CEIndexes[0]-1]
 			if old == nil {
 				return fmt.Errorf("engine: %s: modify of negated CE", in.Prod.Name)
 			}
-			e.removeWME(old)
+			e.removeWME(old.ID)
 			w := old.Clone()
 			w.ID = 0
 			if err := r.store(w, a, &in.info.Stores[i]); err != nil {

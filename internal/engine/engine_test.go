@@ -368,7 +368,7 @@ func TestConflictSetSorted(t *testing.T) {
 		t.Fatalf("cs = %d", len(cs))
 	}
 	for i := 1; i < len(cs); i++ {
-		if !e.better(cs[i-1], cs[i]) {
+		if e.compare(cs[i-1], cs[i]) >= 0 {
 			t.Errorf("conflict set not sorted best-first at %d", i)
 		}
 	}

@@ -124,7 +124,7 @@ func (e *Session) Reset() bool {
 	}
 	r.Reset()
 	clear(e.wm)
-	clear(e.conflict)
+	e.conflict.reset()
 	e.pending = nil
 	e.nextID = 1
 	e.timetag = 1

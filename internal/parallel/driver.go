@@ -1,19 +1,16 @@
 package parallel
 
 import (
-	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
 	"slices"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"mpcrete/internal/obs"
-	"mpcrete/internal/ops5"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/sched"
 	"mpcrete/internal/termdet"
@@ -413,7 +410,16 @@ func (d *Driver) inPlaceHead(changes []rete.Change, budget int) (handedOff bool)
 	}
 	cycle := d.curCycle.Load()
 	ctl := int32(d.controlTrack())
+	// The previous cycle quiesced, so every delete token it made has
+	// been performed and its deltas built: the arenas they came from
+	// start over. Only here: a goroutine worker cannot tell where a cycle
+	// begins, and rewinding per turn would recycle tokens that are still
+	// queued or in flight.
+	if d.rootProc != nil {
+		d.rootProc.BeginPhase()
+	}
 	for _, s := range d.steps {
+		s.BeginPhase()
 		s.BeginTurn(t0, cycle)
 	}
 	// The constant tests run once, whichever root mode: under Fig 3-3
@@ -728,14 +734,15 @@ func (d *Driver) FlightDump() *obs.FlightDump {
 // the net effect is meaningful, and netting makes the result
 // independent of worker scheduling. An instantiation is its production
 // and its wmes' IDs by condition-element position (nil positions
-// included) — what InstChange.Key prints, compared without printing it.
-// The accumulators, the open-addressing index over them and the sort
-// permutation are scratch reused across cycles; the returned slice is
-// freshly allocated (callers may retain it).
+// included): rete.InstChange's Hash and Same. The accumulators, the
+// open-addressing index over them and the sort permutation are scratch
+// reused across cycles; the returned slice is carved from result and
+// never reused (callers may retain it).
 type netter struct {
-	accs  []netAcc
-	index []int32 // open addressing: 1 + position in accs, 0 for empty
-	order []int32 // the standing accumulators, in output order
+	accs   []netAcc
+	index  []int32 // open addressing: 1 + position in accs, 0 for empty
+	order  []int32 // the standing accumulators, in output order
+	result rete.InstBuilder
 }
 
 // netAcc is one instantiation's running net: adds minus deletes, and
@@ -762,9 +769,9 @@ func (n *netter) net(raw []rete.InstChange) []rete.InstChange {
 	n.accs = n.accs[:0]
 	for i := range raw {
 		ic := &raw[i]
-		slot := instHash(ic) & uint32(size-1)
-		for index[slot] != 0 && !sameInst(ic, &raw[n.accs[index[slot]-1].last]) {
-			slot = (slot + 1) & uint32(size-1)
+		slot := ic.Hash() & uint64(size-1)
+		for index[slot] != 0 && !ic.Same(&raw[n.accs[index[slot]-1].last]) {
+			slot = (slot + 1) & uint64(size-1)
 		}
 		if index[slot] == 0 {
 			n.accs = append(n.accs, netAcc{})
@@ -790,64 +797,18 @@ func (n *netter) net(raw []rete.InstChange) []rete.InstChange {
 	// Sort the permutation, not the 88-byte deltas.
 	if len(n.order) > 1 {
 		slices.SortFunc(n.order, func(a, b int32) int {
-			return compareInsts(&raw[n.accs[a].last], &raw[n.accs[b].last])
+			return raw[n.accs[a].last].Compare(&raw[n.accs[b].last])
 		})
 	}
-	out := make([]rete.InstChange, len(n.order))
-	for i, ai := range n.order {
+	out := n.result.Result(len(n.order))
+	for _, ai := range n.order {
 		a := &n.accs[ai]
-		out[i] = raw[a.last]
-		out[i].Tag = rete.Add
+		ic := raw[a.last]
+		ic.Tag = rete.Add
 		if a.net < 0 {
-			out[i].Tag = rete.Delete
+			ic.Tag = rete.Delete
 		}
+		out = append(out, ic)
 	}
 	return out
-}
-
-// wmeID is the identity of one matched-wme position; a negated
-// condition element's nil reads as 0, below every real ID.
-func wmeID(w *ops5.WME) int {
-	if w == nil {
-		return 0
-	}
-	return w.ID
-}
-
-// instHash hashes an instantiation's wme IDs (FNV-1a over the ints).
-// The production is left to sameInst: two productions rarely match the
-// same wmes in the same positions.
-func instHash(ic *rete.InstChange) uint32 {
-	h := uint32(2166136261)
-	for _, w := range ic.WMEs {
-		h = (h ^ uint32(wmeID(w))) * 16777619
-	}
-	return h
-}
-
-func sameInst(a, b *rete.InstChange) bool {
-	if a.Info != b.Info || len(a.WMEs) != len(b.WMEs) {
-		return false
-	}
-	for i, w := range a.WMEs {
-		if wmeID(w) != wmeID(b.WMEs[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// compareInsts is the order Cycle documents.
-func compareInsts(a, b *rete.InstChange) int {
-	if a.Info != b.Info {
-		if c := strings.Compare(a.Info.Prod.Name, b.Info.Prod.Name); c != 0 {
-			return c
-		}
-	}
-	for i := 0; i < len(a.WMEs) && i < len(b.WMEs); i++ {
-		if c := cmp.Compare(wmeID(a.WMEs[i]), wmeID(b.WMEs[i])); c != 0 {
-			return c
-		}
-	}
-	return cmp.Compare(len(a.WMEs), len(b.WMEs))
 }

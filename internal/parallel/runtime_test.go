@@ -522,8 +522,9 @@ func TestNetInsts(t *testing.T) {
 	w := ops5.NewWME("a", "v", 1)
 	w.ID = 7
 	// One ProdInfo for the production, as a network has: it is the
-	// production's half of an instantiation's identity.
-	info := &rete.ProdInfo{Prod: p}
+	// production's half of an instantiation's identity, hashed by its
+	// production node's id.
+	info := &rete.ProdInfo{Prod: p, Node: &rete.Node{Kind: rete.KindProduction}}
 	mk := func(tag rete.Tag) rete.InstChange {
 		return rete.InstChange{Tag: tag, Info: info, WMEs: []*ops5.WME{w}}
 	}

@@ -27,11 +27,12 @@ type Step struct {
 	// breadth-first (see Drain); rootScratch is the constant-test
 	// scratch and succScratch one activation's successors. instActs
 	// holds the turn's production-node activations, in production order,
-	// until EndTurn builds their deltas in one pass.
+	// until EndTurn has insts build their deltas in one pass.
 	localQ      []queuedAct
 	rootScratch []rete.Activation
 	succScratch []rete.Activation
 	instActs    []rete.Activation
+	insts       rete.InstBuilder
 
 	// Out[dst] holds the successor activations bound for worker dst and
 	// Pending their total; Moved holds the nonempty buckets a
@@ -126,6 +127,15 @@ func NewStep(net *rete.Network, id, workers int, part sched.Partition, trackLoad
 // orders it against every activation routed under the old assignment.
 func (s *Step) SetPartition(part sched.Partition) { s.part = part }
 
+// BeginPhase declares every delete token the step's processor has made
+// so far dead, so that their arena is rewound and carved again
+// (rete.Processor.BeginPhase). It is the carrier's call, made only where
+// the carrier can show it: the cycle driver at the top of a cycle it
+// heads in place, the socket worker at the top of every turn, whose
+// predecessor encoded everything it made before it returned. The
+// goroutine worker never calls it.
+func (s *Step) BeginPhase() { s.proc.BeginPhase() }
+
 // BeginTurn opens a turn: it clears the previous turn's result and
 // caches the timestamp and cycle number for the turn's handle events.
 func (s *Step) BeginTurn(ts int64, cycle int32) {
@@ -137,9 +147,10 @@ func (s *Step) BeginTurn(ts int64, cycle int32) {
 
 // EndTurn closes the turn and returns what it produced: the deltas of
 // the turn's production-node activations are built here, in one batch.
-// The result is valid until the next BeginTurn.
+// The result is valid until the next BeginTurn; the arrays its deltas
+// point at are carved for good and go wherever the deltas are copied.
 func (s *Step) EndTurn() *Turn {
-	s.turn.Insts = rete.BuildInsts(s.instActs, s.turn.Insts)
+	s.turn.Insts = s.insts.Build(s.instActs, s.turn.Insts)
 	s.instActs = s.instActs[:0]
 	for _, b := range s.dirty {
 		s.turn.Loads = append(s.turn.Loads, BucketLoad{Bucket: b, N: s.bucketLoad[b]})

@@ -308,7 +308,7 @@ func (p *Processor) processBounded(a Activation, b int, out []Activation) []Acti
 	n := a.Node
 	if a.Tag == Add {
 		p.right.addRight(b, n, a.WME)
-	} else if p.right.removeRight(b, n, a.WME.ID) == nil {
+	} else if !p.right.removeRight(b, n, a.WME.ID) {
 		// Duplicate delete: the first removal already unwound every
 		// instantiation this wme participated in.
 		return out
@@ -330,8 +330,9 @@ func (p *Processor) processBounded(a Activation, b int, out []Activation) []Acti
 	for i := range p.bmem {
 		p.bmem[i] = p.bmem[i][:0]
 	}
-	for _, e := range p.right.entries(b) {
-		if e.node.group == g {
+	es := p.right.entries(b)
+	for i := range es {
+		if e := &es[i]; e.node.group == g {
 			p.bmem[e.node.bPos] = append(p.bmem[e.node.bPos], e.wme)
 		}
 	}
@@ -463,7 +464,7 @@ func (p *Processor) boundedNegCount(m *Node, exclude *ops5.WME) int {
 // boundedEmit materializes the completed stack as an arena-carved token
 // and emits it to the group's production node.
 func (p *Processor) boundedEmit(g *boundedGroup, tag Tag, out []Activation) []Activation {
-	t := p.arena.newToken(g.nPos)
+	t := p.newToken(g.nPos, tag)
 	copy(t.WMEs, p.bstack)
 	return append(out, Activation{Node: g.terminal, Side: Left, Tag: tag, Token: t})
 }

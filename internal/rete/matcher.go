@@ -1,7 +1,9 @@
 package rete
 
 import (
+	"cmp"
 	"strconv"
+	"strings"
 
 	"mpcrete/internal/ops5"
 )
@@ -45,15 +47,71 @@ type InstChange struct {
 	Cycle     int
 }
 
+// wmeID is the identity of one matched-wme position; a negated
+// condition element's nil reads as 0, below every real ID.
+func wmeID(w *ops5.WME) int {
+	if w == nil {
+		return 0
+	}
+	return w.ID
+}
+
+// Hash hashes the instantiation's identity — its production and its
+// wmes' IDs by condition-element position, negated positions included;
+// an add and its corresponding delete name the same one. Hash and Same
+// say so without printing anything and are what conflict-set
+// bookkeeping runs on (the engine's conflict set, the parallel driver's
+// netting); Key prints it, for whoever wants text.
+//
+// The hash is FNV-1a over the production node's id and the wme IDs, a
+// word at a time, with the high half folded down so that a table
+// indexed by the low bits sees all of it.
+func (ic *InstChange) Hash() uint64 {
+	h := (uint64(fnvOffset64) ^ uint64(ic.Info.Node.ID)) * fnvPrime64
+	for _, w := range ic.WMEs {
+		h = (h ^ uint64(wmeID(w))) * fnvPrime64
+	}
+	return h ^ h>>32
+}
+
+// Same reports whether ic and o name the same instantiation.
+func (ic *InstChange) Same(o *InstChange) bool {
+	if ic.Info != o.Info || len(ic.WMEs) != len(o.WMEs) {
+		return false
+	}
+	for i, w := range ic.WMEs {
+		if wmeID(w) != wmeID(o.WMEs[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// Compare orders instantiations by production name, then by the
+// matched wmes' IDs compared as numbers, condition element by condition
+// element — the order the parallel driver returns a cycle's netted
+// deltas in. It is not the order of the Key strings, which compare IDs
+// as text.
+func (ic *InstChange) Compare(o *InstChange) int {
+	if ic.Info != o.Info {
+		if c := strings.Compare(ic.Info.Prod.Name, o.Info.Prod.Name); c != 0 {
+			return c
+		}
+	}
+	for i := 0; i < len(ic.WMEs) && i < len(o.WMEs); i++ {
+		if c := cmp.Compare(wmeID(ic.WMEs[i]), wmeID(o.WMEs[i])); c != 0 {
+			return c
+		}
+	}
+	return cmp.Compare(len(ic.WMEs), len(o.WMEs))
+}
+
 // Key identifies the instantiation by production name and matched wme
 // IDs; an add and its corresponding delete share a key. The encoding
 // is exactly fmt.Sprintf("%s%v", name, ids) — e.g. `pair[3 17]`.
 func (ic *InstChange) Key() string { return string(ic.AppendKey(nil)) }
 
-// AppendKey appends Key's encoding to buf. Conflict-set bookkeeping
-// builds each delta's key once into a reused buffer and looks it up as
-// m[string(buf)], which does not allocate; only an insertion needs the
-// string.
+// AppendKey appends Key's encoding to buf.
 func (ic *InstChange) AppendKey(buf []byte) []byte {
 	buf = append(buf, ic.Info.Prod.Name...)
 	buf = append(buf, '[')
@@ -124,9 +182,11 @@ type Matcher struct {
 	succBuf []Activation
 	// instActs holds the phase's production-node activations, set aside
 	// in generation order until the queue has drained and the deltas can
-	// be built in one pass; instParents is each one's ParentSeq.
+	// be built in one pass; instParents is each one's ParentSeq. insts
+	// builds them.
 	instActs    []Activation
 	instParents []int
+	insts       InstBuilder
 }
 
 // NewMatcher creates a matcher over a compiled network.
@@ -152,16 +212,32 @@ func (m *Matcher) Cycle() int { return m.cycle }
 // counters rewound, queue emptied. It is the session-pool reuse hook —
 // a Reset matcher behaves exactly like NewMatcher's result without
 // reallocating its hash tables.
+//
+// A reset matcher holds nothing of its last user's: the scratch slices
+// are cleared to their capacity, not just truncated, because their
+// backing arrays keep every activation of the largest phase so far,
+// each pointing at a token and a wme, and a shelved session would
+// otherwise keep the previous client's working memory reachable.
 func (m *Matcher) Reset() {
 	m.proc.Reset()
 	m.cycle = 0
 	m.seq = 0
+	clear(m.queue[:cap(m.queue)])
 	m.queue = m.queue[:0]
+	clear(m.rootBuf[:cap(m.rootBuf)])
+	clear(m.succBuf[:cap(m.succBuf)])
+	clear(m.instActs[:cap(m.instActs)])
 }
 
 // Apply runs one match phase over the given wme changes and returns
-// the conflict-set deltas in deterministic generation order. The result
-// is freshly allocated and belongs to the caller.
+// the conflict-set deltas in deterministic generation order.
+//
+// The result belongs to the caller: the slice, and the WMEs and
+// TimeTags its deltas point at, are carved from slabs that never hand a
+// region out twice (see InstBuilder), so the caller may keep any of it
+// across any number of later calls, and a steady-state phase allocates
+// none of it. What a kept result pins is the slab chunks it was carved
+// from, a few kilobytes.
 func (m *Matcher) Apply(changes []Change) []InstChange {
 	return m.ApplyFiltered(changes, nil)
 }
@@ -172,6 +248,10 @@ func (m *Matcher) Apply(changes []Change) []InstChange {
 // with allow restricted to the production's private new nodes
 // populates exactly their memories and nothing else.
 func (m *Matcher) ApplyFiltered(changes []Change, allow func(*Node) bool) []InstChange {
+	// The previous phase's delete tokens are dead: its queue drained and
+	// its deltas were built before it returned, and a Listener is shown
+	// Events, not tokens.
+	m.proc.BeginPhase()
 	m.cycle++
 	m.seq = 0
 	if m.listener != nil {
@@ -197,12 +277,9 @@ func (m *Matcher) ApplyFiltered(changes []Change, allow func(*Node) bool) []Inst
 	}
 	m.queue = m.queue[:0]
 
-	// One exact-size allocation for the result (BuildInsts makes two
-	// more for what the deltas point at), so a phase's allocation count
-	// does not grow with its output.
 	var out []InstChange
 	if n := len(m.instActs); n > 0 {
-		out = BuildInsts(m.instActs, make([]InstChange, 0, n))
+		out = m.insts.Build(m.instActs, m.insts.Result(n))
 		for i := range out {
 			out[i].ParentSeq = m.instParents[i]
 			out[i].Cycle = m.cycle

@@ -16,33 +16,22 @@ type memEntry struct {
 	count int       // negative-node left entries: matching right wmes
 }
 
-// memEntryChunkLen is the arena chunk size for memEntry allocation.
-const memEntryChunkLen = 256
-
 // Memory is one of the two global hash tables (left or right). Buckets
 // hold entries for many nodes; an activation scans only its own bucket,
 // filtering by node identity — exactly the paper's data structure.
 //
-// Entries are carved from chunks (chunk holds the current tail) so
-// steady-state add/remove churn allocates O(1/memEntryChunkLen) per
-// stored token instead of one heap object each. Removed entries are
-// never reused, so a chunk becomes garbage only when every entry carved
-// from it is unreachable.
+// A bucket holds its entries by value, contiguously: a scan reads the
+// node, token and wme of each entry without chasing a pointer to it,
+// and there is no per-entry object for the collector to trace. An add
+// appends; a remove closes the gap in place and zeroes the slot it
+// vacates, so the next add to that bucket reuses the slot and a warmed
+// bucket adds and removes without allocating. Every slot between a
+// bucket's length and its capacity is zero: no removed entry keeps its
+// token or wme reachable.
 type Memory struct {
 	side    Side
-	buckets [][]*memEntry
+	buckets [][]memEntry
 	size    int
-	chunk   []memEntry
-}
-
-// newEntry carves a zeroed entry from the current chunk.
-func (m *Memory) newEntry() *memEntry {
-	if len(m.chunk) == 0 {
-		m.chunk = make([]memEntry, memEntryChunkLen)
-	}
-	e := &m.chunk[0]
-	m.chunk = m.chunk[1:]
-	return e
 }
 
 // NewMemory creates a memory with the given power-of-two bucket count.
@@ -50,7 +39,7 @@ func NewMemory(side Side, nbuckets int) *Memory {
 	if nbuckets <= 0 || nbuckets&(nbuckets-1) != 0 {
 		panic(fmt.Sprintf("rete: bucket count %d is not a positive power of two", nbuckets))
 	}
-	return &Memory{side: side, buckets: make([][]*memEntry, nbuckets)}
+	return &Memory{side: side, buckets: make([][]memEntry, nbuckets)}
 }
 
 // NBuckets returns the bucket count.
@@ -62,68 +51,74 @@ func (m *Memory) Len() int { return m.size }
 // Bucket reduces a 64-bit hash key to a bucket index.
 func (m *Memory) Bucket(key uint64) int { return int(key & uint64(len(m.buckets)-1)) }
 
-// addLeft stores a left token for node n in bucket b and returns the
-// entry (so negative nodes can maintain counts).
-func (m *Memory) addLeft(b int, n *Node, t *Token) *memEntry {
-	e := m.newEntry()
-	e.node, e.token = n, t
-	m.buckets[b] = append(m.buckets[b], e)
+// addLeft stores a left token for node n in bucket b; count is the
+// number of right wmes matching it when n is a negative node.
+func (m *Memory) addLeft(b int, n *Node, t *Token, count int) {
+	m.buckets[b] = append(m.buckets[b], memEntry{node: n, token: t, count: count})
 	m.size++
-	return e
 }
 
 // addRight stores a right wme for node n in bucket b.
-func (m *Memory) addRight(b int, n *Node, w *ops5.WME) *memEntry {
-	e := m.newEntry()
-	e.node, e.wme = n, w
-	m.buckets[b] = append(m.buckets[b], e)
+func (m *Memory) addRight(b int, n *Node, w *ops5.WME) {
+	m.buckets[b] = append(m.buckets[b], memEntry{node: n, wme: w})
 	m.size++
-	return e
 }
 
 // removeLeft deletes the left entry for node n whose token covers the
-// same wmes as t; it returns the removed entry or nil if absent.
-func (m *Memory) removeLeft(b int, n *Node, t *Token) *memEntry {
+// same wmes as t and returns its count; ok is false if it is absent.
+func (m *Memory) removeLeft(b int, n *Node, t *Token) (count int, ok bool) {
 	bucket := m.buckets[b]
-	for i, e := range bucket {
-		if e.node == n && e.token != nil && e.token.Same(t) {
-			m.buckets[b] = append(bucket[:i], bucket[i+1:]...)
-			m.size--
-			return e
+	for i := range bucket {
+		if e := &bucket[i]; e.node == n && e.token != nil && e.token.Same(t) {
+			count = e.count
+			m.removeAt(b, i)
+			return count, true
 		}
 	}
-	return nil
+	return 0, false
 }
 
-// removeRight deletes the right entry for node n holding wme id; it
-// returns the removed entry or nil if absent.
-func (m *Memory) removeRight(b int, n *Node, id int) *memEntry {
+// removeRight deletes the right entry for node n holding wme id and
+// reports whether there was one.
+func (m *Memory) removeRight(b int, n *Node, id int) bool {
 	bucket := m.buckets[b]
-	for i, e := range bucket {
-		if e.node == n && e.wme != nil && e.wme.ID == id {
-			m.buckets[b] = append(bucket[:i], bucket[i+1:]...)
-			m.size--
-			return e
+	for i := range bucket {
+		if e := &bucket[i]; e.node == n && e.wme != nil && e.wme.ID == id {
+			m.removeAt(b, i)
+			return true
 		}
 	}
-	return nil
+	return false
 }
 
-// entries returns bucket b's entry slice; an activation scans it for
-// the entries of its own node. Read-only: the slice aliases live
-// storage.
-func (m *Memory) entries(b int) []*memEntry { return m.buckets[b] }
+// removeAt deletes entry i of bucket b. The entries behind it move down
+// one slot: bucket order is scan order, scan order is the order
+// successors are emitted in, and every recorded trace is made of that
+// order, so the last entry is not swapped into the gap.
+func (m *Memory) removeAt(b, i int) {
+	bucket := m.buckets[b]
+	last := len(bucket) - 1
+	copy(bucket[i:], bucket[i+1:])
+	bucket[last] = memEntry{}
+	m.buckets[b] = bucket[:last]
+	m.size--
+}
+
+// entries returns bucket b's entry slice; an activation scans it by
+// index for the entries of its own node, and a negative node updates
+// the counts of the entries it matches through &es[i]. The slice
+// aliases live storage, which is safe because no activation adds to or
+// removes from the memory it is scanning: a left activation changes the
+// left memory and scans the right, a right activation the reverse.
+func (m *Memory) entries(b int) []memEntry { return m.buckets[b] }
 
 // Reset empties every bucket while keeping the bucket slices' backing
-// arrays for reuse — the session-pool hook. Stored entry pointers are
-// nilled out so the entries (and the tokens and wmes they reference)
-// become collectible; the unconsumed tail of the current chunk stays
-// usable. Only legal at quiescence (no scan in progress).
+// arrays for reuse — the session-pool hook. The stored entries are
+// zeroed, so the tokens and wmes they referenced become collectible.
+// Only legal at quiescence (no scan in progress).
 func (m *Memory) Reset() {
 	for i, b := range m.buckets {
-		for j := range b {
-			b[j] = nil
-		}
+		clear(b)
 		m.buckets[i] = b[:0]
 	}
 	m.size = 0
@@ -141,7 +136,7 @@ func (m *Memory) BucketSizes() []int {
 
 // extract removes and returns all entries of bucket b (bucket
 // migration support).
-func (m *Memory) extract(b int) []*memEntry {
+func (m *Memory) extract(b int) []memEntry {
 	entries := m.buckets[b]
 	m.buckets[b] = nil
 	m.size -= len(entries)
@@ -149,7 +144,7 @@ func (m *Memory) extract(b int) []*memEntry {
 }
 
 // inject appends entries to bucket b (bucket migration support).
-func (m *Memory) inject(b int, entries []*memEntry) {
+func (m *Memory) inject(b int, entries []memEntry) {
 	m.buckets[b] = append(m.buckets[b], entries...)
 	m.size += len(entries)
 }

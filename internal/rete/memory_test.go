@@ -1,6 +1,7 @@
 package rete
 
 import (
+	"fmt"
 	"testing"
 
 	"mpcrete/internal/ops5"
@@ -36,18 +37,18 @@ func TestMemoryAddRemoveScan(t *testing.T) {
 		t.Errorf("n1's entries in bucket 3 = %v", seen)
 	}
 	// Remove is node- and id-specific.
-	if e := m.removeRight(3, n1, 2); e != nil {
+	if m.removeRight(3, n1, 2) {
 		t.Error("removed wrong entry")
 	}
-	if e := m.removeRight(3, n1, 1); e == nil {
+	if !m.removeRight(3, n1, 1) {
 		t.Error("failed to remove present entry")
 	}
 	if m.Len() != 2 {
 		t.Errorf("len = %d", m.Len())
 	}
-	// Double remove is nil.
-	if e := m.removeRight(3, n1, 1); e != nil {
-		t.Error("double remove returned entry")
+	// A second remove finds nothing.
+	if m.removeRight(3, n1, 1) {
+		t.Error("double remove found an entry")
 	}
 }
 
@@ -57,22 +58,66 @@ func TestMemoryLeftTokens(t *testing.T) {
 	t1 := &Token{WMEs: []*ops5.WME{mkWME(1, "a"), mkWME(2, "b")}}
 	t2 := &Token{WMEs: []*ops5.WME{mkWME(1, "a"), mkWME(3, "b")}}
 
-	e1 := m.addLeft(2, n, t1)
-	e1.count = 5
-	m.addLeft(2, n, t2)
+	m.addLeft(2, n, t1, 5)
+	m.addLeft(2, n, t2, 0)
 
 	// Removal matches by wme-id sequence.
 	probe := &Token{WMEs: []*ops5.WME{mkWME(1, "a"), mkWME(2, "b")}}
-	got := m.removeLeft(2, n, probe)
-	if got == nil || got.count != 5 {
-		t.Fatalf("removeLeft = %+v", got)
+	if count, ok := m.removeLeft(2, n, probe); !ok || count != 5 {
+		t.Fatalf("removeLeft = %d, %v, want 5, true", count, ok)
 	}
 	if m.Len() != 1 {
 		t.Errorf("len = %d", m.Len())
 	}
 	// Token with different coverage does not match.
-	if e := m.removeLeft(2, n, probe); e != nil {
+	if _, ok := m.removeLeft(2, n, probe); ok {
 		t.Error("removed absent token")
+	}
+}
+
+// TestMemoryBucketKeepsOrderAndReusesSlots: entries live in their
+// bucket by value. Removal closes the gap without reordering what is
+// left (scan order is emission order), zeroes the slot it vacates, and
+// the next add takes that slot: a warmed bucket's add/remove pair does
+// not allocate.
+func TestMemoryBucketKeepsOrderAndReusesSlots(t *testing.T) {
+	right, left := NewMemory(Right, 4), NewMemory(Left, 4)
+	n := &Node{ID: 1, Kind: KindJoin}
+	var ws []*ops5.WME
+	var ts []*Token
+	for id := 1; id <= 5; id++ {
+		ws = append(ws, mkWME(id, "a"))
+		ts = append(ts, &Token{WMEs: []*ops5.WME{ws[id-1]}})
+		right.addRight(1, n, ws[id-1])
+		left.addLeft(1, n, ts[id-1], id)
+	}
+	right.removeRight(1, n, 2)
+	left.removeLeft(1, n, ts[3])
+	var gotR, gotL []int
+	for _, e := range right.entries(1) {
+		gotR = append(gotR, e.wme.ID)
+	}
+	for _, e := range left.entries(1) {
+		gotL = append(gotL, e.count)
+	}
+	if fmt.Sprint(gotR) != "[1 3 4 5]" || fmt.Sprint(gotL) != "[1 2 3 5]" {
+		t.Errorf("after removing wme 2 and token 4: right %v, left %v", gotR, gotL)
+	}
+	for _, m := range []*Memory{right, left} {
+		b := m.entries(1)
+		for i, e := range b[len(b):cap(b)] {
+			if e != (memEntry{}) {
+				t.Errorf("%v bucket: vacated slot %d still holds %+v", m.side, len(b)+i, e)
+			}
+		}
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		right.addRight(1, n, ws[1])
+		left.addLeft(1, n, ts[3], 4)
+		right.removeRight(1, n, 2)
+		left.removeLeft(1, n, ts[3])
+	}); avg != 0 {
+		t.Errorf("a warmed bucket's add/remove pairs allocate %.1f times, want 0", avg)
 	}
 }
 

@@ -100,7 +100,8 @@ func TestExtractInjectBucketDirect(t *testing.T) {
 	// Negative-node counts survive: deleting the b-wme at dst must
 	// re-propagate the left token (count 1 -> 0).
 	reborn := 0
-	for _, ic := range BuildInsts(drainT(dst, dst.RootActivations(Change{Tag: Delete, WME: wb})), nil) {
+	var insts InstBuilder
+	for _, ic := range insts.Build(drainT(dst, dst.RootActivations(Change{Tag: Delete, WME: wb})), nil) {
 		if ic.Tag == Add {
 			reborn++
 		}

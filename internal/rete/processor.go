@@ -31,7 +31,10 @@ type Processor struct {
 	net   *Network
 	left  *Memory
 	right *Memory
-	arena tokenArena
+	// arena holds the tokens made under Add activations, delArena those
+	// made under Delete activations (see tokenArena).
+	arena    tokenArena
+	delArena tokenArena
 	// bstack is the bounded enumerator's reusable DFS stack of candidate
 	// wmes, one slot per positive collector of the group being
 	// enumerated (see bounded.go).
@@ -68,15 +71,41 @@ func (p *Processor) Memories() (left, right *Memory) { return p.left, p.right }
 // Bucket maps an activation to its hash-bucket index.
 func (p *Processor) Bucket(a Activation) int { return p.left.Bucket(a.HashKey()) }
 
-// Reset empties both memories (keeping their bucket storage) and drops
-// the arena's references to consumed chunks, returning the processor
-// to its freshly-constructed state over the same network — the
-// session-pool reuse hook. Only legal at quiescence.
+// Reset empties both memories (keeping their bucket storage), rewinds
+// both arenas and clears the bounded enumerator's scratch, returning the
+// processor to its freshly-constructed state over the same network —
+// the session-pool reuse hook. Nothing reachable from a reset processor
+// points at a wme of its last user. Only legal at quiescence, and only
+// while no token this processor made is in use anywhere else: the
+// memories that stored them are empty after it, and the arenas' current
+// chunks are cleared and carved again.
 func (p *Processor) Reset() {
 	p.left.Reset()
 	p.right.Reset()
-	p.arena.reset()
+	p.arena.rewind()
+	p.delArena.rewind()
+	clear(p.bstack[:cap(p.bstack)])
+	for _, l := range p.bmem[:cap(p.bmem)] {
+		clear(l[:cap(l)])
+	}
 }
+
+// BeginPhase tells the processor that every token it made under a
+// Delete activation so far is dead: the activations that carried them
+// have been performed and the conflict-set deltas built from them
+// (InstBuilder.Build copies the wmes out). It rewinds the arena those
+// tokens came from, so the phase about to start carves its delete
+// tokens from the same chunk again.
+//
+// Calling it is optional and never calling it is always safe: delete
+// tokens are then carved chunk by chunk and left to the collector, as
+// add tokens are. An owner calls it only at a point where it can show
+// the claim above — the sequential Matcher at the top of every Apply,
+// the parallel cycle driver before the first turn of a cycle it runs on
+// its own quiescent steps, the socket worker at the top of every turn
+// (its predecessor encoded all it made before it returned). A goroutine
+// worker, which cannot tell where a cycle begins, leaves it uncalled.
+func (p *Processor) BeginPhase() { p.delArena.rewind() }
 
 // RootActivations runs the constant tests for one wme change and
 // returns the resulting activations (the paper's "tokens generated
@@ -91,7 +120,7 @@ func (p *Processor) RootActivations(ch Change) []Activation {
 // per-cycle constant-test pass, and the control processor when it
 // hash-routes root activations to their owners instead of
 // broadcasting). Left root tokens are carved from the processor's
-// arena.
+// arena for the change's tag.
 func (p *Processor) RootActivationsInto(ch Change, out []Activation) []Activation {
 	for _, a := range p.net.AlphasForClass(ch.WME.Class) {
 		if !a.Matches(ch.WME) {
@@ -103,7 +132,7 @@ func (p *Processor) RootActivationsInto(ch Change, out []Activation) []Activatio
 			}
 			act := Activation{Node: r.Node, Side: r.Side, Tag: ch.Tag, WME: ch.WME}
 			if r.Side == Left {
-				t := p.arena.newToken(1)
+				t := p.newToken(1, ch.Tag)
 				t.WMEs[0] = ch.WME
 				act.Token = t
 				act.WME = nil
@@ -130,7 +159,7 @@ func (p *Processor) Process(a Activation, out []Activation) []Activation {
 //
 // Production-node activations are not match work. A successor aimed at
 // a production node is a conflict-set delta: callers set those aside
-// and convert them with BuildInsts.
+// and convert them with InstBuilder.Build.
 func (p *Processor) ProcessAt(a Activation, bucket int, out []Activation) []Activation {
 	switch a.Node.Kind {
 	case KindDummy:
@@ -186,12 +215,13 @@ func (p *Processor) ExtractBucket(b int) *BucketContents {
 // processor's memories. Bucket indices are global, so the receiving
 // processor stores them at the same index.
 func (p *Processor) InjectBucket(bc *BucketContents) {
-	var lefts, rights []*memEntry
-	for i := range bc.LeftTokens {
-		lefts = append(lefts, &memEntry{node: bc.LeftNodes[i], token: bc.LeftTokens[i], count: bc.LeftCounts[i]})
+	lefts := make([]memEntry, len(bc.LeftTokens))
+	for i := range lefts {
+		lefts[i] = memEntry{node: bc.LeftNodes[i], token: bc.LeftTokens[i], count: bc.LeftCounts[i]}
 	}
-	for i := range bc.RightWMEs {
-		rights = append(rights, &memEntry{node: bc.RightNodes[i], wme: bc.RightWMEs[i]})
+	rights := make([]memEntry, len(bc.RightWMEs))
+	for i := range rights {
+		rights[i] = memEntry{node: bc.RightNodes[i], wme: bc.RightWMEs[i]}
 	}
 	p.left.inject(bc.Bucket, lefts)
 	p.right.inject(bc.Bucket, rights)
@@ -209,29 +239,31 @@ func (p *Processor) processJoin(a Activation, b int, out []Activation) []Activat
 	n := a.Node
 	if a.Side == Left {
 		if a.Tag == Add {
-			p.left.addLeft(b, n, a.Token)
-		} else if p.left.removeLeft(b, n, a.Token) == nil {
+			p.left.addLeft(b, n, a.Token, 0)
+		} else if _, ok := p.left.removeLeft(b, n, a.Token); !ok {
 			// Duplicate delete: the token's join effects were already
 			// unwound when it was first removed. Scanning again would
 			// emit a second wave of successor deletes.
 			return out
 		}
-		for _, e := range p.right.entries(b) {
-			if e.node == n && p.testsPass(n, a.Token, e.wme) {
-				out = p.emitTo(n, p.extend(a.Token, e.wme), a.Tag, out)
+		es := p.right.entries(b)
+		for i := range es {
+			if e := &es[i]; e.node == n && p.testsPass(n, a.Token, e.wme) {
+				out = p.emitTo(n, p.extend(a.Token, e.wme, a.Tag), a.Tag, out)
 			}
 		}
 		return out
 	}
 	if a.Tag == Add {
 		p.right.addRight(b, n, a.WME)
-	} else if p.right.removeRight(b, n, a.WME.ID) == nil {
+	} else if !p.right.removeRight(b, n, a.WME.ID) {
 		// Duplicate delete of a wme already out of right memory.
 		return out
 	}
-	for _, e := range p.left.entries(b) {
-		if e.node == n && p.testsPass(n, e.token, a.WME) {
-			out = p.emitTo(n, p.extend(e.token, a.WME), a.Tag, out)
+	es := p.left.entries(b)
+	for i := range es {
+		if e := &es[i]; e.node == n && p.testsPass(n, e.token, a.WME) {
+			out = p.emitTo(n, p.extend(e.token, a.WME, a.Tag), a.Tag, out)
 		}
 	}
 	return out
@@ -242,26 +274,28 @@ func (p *Processor) processNegative(a Activation, b int, out []Activation) []Act
 	if a.Side == Left {
 		if a.Tag == Add {
 			count := 0
-			for _, e := range p.right.entries(b) {
-				if e.node == n && p.testsPass(n, a.Token, e.wme) {
+			es := p.right.entries(b)
+			for i := range es {
+				if e := &es[i]; e.node == n && p.testsPass(n, a.Token, e.wme) {
 					count++
 				}
 			}
-			p.left.addLeft(b, n, a.Token).count = count
+			p.left.addLeft(b, n, a.Token, count)
 			if count == 0 {
 				out = p.emitTo(n, a.Token, Add, out)
 			}
 			return out
 		}
-		if e := p.left.removeLeft(b, n, a.Token); e != nil && e.count == 0 {
+		if count, ok := p.left.removeLeft(b, n, a.Token); ok && count == 0 {
 			out = p.emitTo(n, a.Token, Delete, out)
 		}
 		return out
 	}
+	es := p.left.entries(b)
 	if a.Tag == Add {
 		p.right.addRight(b, n, a.WME)
-		for _, e := range p.left.entries(b) {
-			if e.node == n && p.testsPass(n, e.token, a.WME) {
+		for i := range es {
+			if e := &es[i]; e.node == n && p.testsPass(n, e.token, a.WME) {
 				e.count++
 				if e.count == 1 {
 					out = p.emitTo(n, e.token, Delete, out)
@@ -270,15 +304,15 @@ func (p *Processor) processNegative(a Activation, b int, out []Activation) []Act
 		}
 		return out
 	}
-	if p.right.removeRight(b, n, a.WME.ID) == nil {
+	if !p.right.removeRight(b, n, a.WME.ID) {
 		// Duplicate delete: the counts were already decremented when
 		// the wme was first removed; decrementing again would drive
 		// them negative and break the next add's 0 -> 1 transition,
 		// leaking a stale instantiation.
 		return out
 	}
-	for _, e := range p.left.entries(b) {
-		if e.node == n && p.testsPass(n, e.token, a.WME) {
+	for i := range es {
+		if e := &es[i]; e.node == n && p.testsPass(n, e.token, a.WME) {
 			e.count--
 			if e.count == 0 {
 				out = p.emitTo(n, e.token, Add, out)
@@ -297,17 +331,51 @@ func (p *Processor) testsPass(n *Node, t *Token, w *ops5.WME) bool {
 	return true
 }
 
-// BuildInsts converts production-node activations into conflict-set
-// deltas, appended to out in order, mapping each compiled token back to
+// Slab chunk maxima of an InstBuilder, sized in bytes: a conflict-set
+// delta is 80 bytes, a wme reference or a time tag 8. An owner opened
+// for one short run (a served session fires ~20 times) never grows past
+// the first chunks; one that runs 8-queens wastes at most the last
+// chunk of each, ~14 KB over 2,033 firings.
+const (
+	instChangeSlabMax = 128 // 10 KB
+	wmeRefSlabMax     = 256 // 2 KB
+	timeTagSlabMax    = 256 // 2 KB
+)
+
+// InstBuilder turns production-node activations into conflict-set
+// deltas. It owns the slabs the deltas, their WMEs and their TimeTags
+// are carved from, so a steady-state match phase builds its result
+// without allocating; the sequential Matcher and each parallel worker
+// step own one apiece, and the parallel cycle driver one for its netted
+// result.
+//
+// Everything it hands out is never reused and belongs to the caller: a
+// result may be held across any number of later phases, and a delta
+// that stays in the conflict set keeps the chunks its arrays were
+// carved from alive, as a stored token keeps its arena chunk. The zero
+// value is ready to use.
+type InstBuilder struct {
+	wmes slab[*ops5.WME]
+	tags slab[int]
+	out  slab[InstChange]
+}
+
+// Result returns an empty result slice with room for n deltas.
+func (b *InstBuilder) Result(n int) []InstChange {
+	return b.out.carve(n, instChangeSlabMax)[:0]
+}
+
+// Build converts production-node activations into conflict-set deltas,
+// appended to out in order, mapping each compiled token back to
 // original CE positions. ParentSeq and Cycle are left for the caller.
 //
-// The deltas' WMEs and TimeTags are carved, with capped capacity, from
-// two arrays allocated here at the exact total size, so the output of a
-// match phase costs a fixed number of allocations however many deltas
-// it holds. The arrays belong to the deltas: a delta that stays in the
-// conflict set keeps the arrays of its batch alive, as a stored token
-// keeps its arena chunk.
-func BuildInsts(acts []Activation, out []InstChange) []InstChange {
+// The batch's wme references and its time tags are each carved as one
+// region and divided among the deltas with capped capacity, so a batch
+// too large for a slab chunk still costs one allocation per array
+// however many deltas it holds. The wmes are copied out of the
+// activations' tokens: once Build returns, the deltas do not depend on
+// the tokens.
+func (b *InstBuilder) Build(acts []Activation, out []InstChange) []InstChange {
 	nw, nt := 0, 0
 	for i := range acts {
 		for _, pos := range acts[i].Node.Info.TokenPos {
@@ -317,8 +385,8 @@ func BuildInsts(acts []Activation, out []InstChange) []InstChange {
 			}
 		}
 	}
-	wmes := make([]*ops5.WME, nw)
-	tags := make([]int, nt)
+	wmes := b.wmes.carve(nw, wmeRefSlabMax)
+	tags := b.tags.carve(nt, timeTagSlabMax)
 	for _, a := range acts {
 		info := a.Node.Info
 		w := wmes[:len(info.TokenPos):len(info.TokenPos)]

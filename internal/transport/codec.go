@@ -783,7 +783,7 @@ func decodeBatch(net *rete.Network, d *dec, ms []parallel.Message) ([]parallel.M
 // flushed, and what the step produced. wmes and tags are the
 // unconsumed tails of the frame's two slabs: the deltas' WMEs and
 // TimeTags arrays, which the engine retains, are allocated once per
-// frame at the totals the frame declares, as rete.BuildInsts allocates
+// frame at the totals the frame declares, as rete.InstBuilder carves
 // them once per match phase.
 type turnFrame struct {
 	n       int

@@ -13,6 +13,12 @@
 //
 // SIGTERM/SIGINT drain gracefully: admission stops (503), in-flight
 // requests finish, sessions close, then the listener shuts down.
+//
+// The listener never waits for ever: a request head must arrive within
+// 5 s, a whole request within 30 s, a reply must be written within 60 s
+// of the head, and an idle kept-alive connection is closed after 2
+// minutes (see newHTTPServer). Request bodies are capped at 1 MiB by
+// internal/server.
 package main
 
 import (
@@ -58,6 +64,46 @@ func main() {
 	if err := run(*addr, *debugAddr, *programPath, *workload, *variant, *maxSessions, *maxInflight, *queueDepth, *maxCycles, *par, *rebalance, *rebalanceIv); err != nil {
 		fmt.Fprintln(os.Stderr, "ops5d:", err)
 		os.Exit(1)
+	}
+}
+
+// The listener's four timeouts. They are constants, not flags: they
+// bound how long a connection may hold a goroutine and a descriptor
+// while nothing useful happens, and no deployment of this server needs
+// that to be longer.
+const (
+	// readHeaderTimeout bounds a connection that has sent part of a
+	// request head, or nothing at all after connecting.
+	readHeaderTimeout = 5 * time.Second
+	// readTimeout bounds a whole request, body included: internal/server
+	// caps a body at 1 MiB, which a 56 kB/s link delivers in 19 s.
+	readTimeout = 30 * time.Second
+	// writeTimeout runs from the end of the request head to the end of
+	// the reply, so it holds the wait for an admission slot, the handler
+	// and the write. It has to clear a run of -max-cycles on the slowest
+	// bundled workload: measured through the handler on the 2-vCPU
+	// development box, the default budget of 1000 cycles is at most
+	// 3.3 ms (queens, 441 firings to its halt; 4.5 ms with -parallel 2;
+	// every other workload under 1.2 ms), and the 8-queens board the
+	// benchmark runs fires 1000 times in 3.4 ms. A minute clears that
+	// four orders of magnitude over. It does not stop a run that
+	// outlives it: the reply is lost and the cycles still execute, which
+	// is the per-request deadline the ROADMAP still lists.
+	writeTimeout = 60 * time.Second
+	// idleTimeout closes a kept-alive connection no request arrives on.
+	idleTimeout = 2 * time.Minute
+)
+
+// newHTTPServer is the API listener: the handler behind the four
+// timeouts.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 
@@ -148,7 +194,7 @@ func run(addr, debugAddr, programPath, workload, variant string, maxSessions, ma
 		log.Printf("ops5d: debug server on http://%s/debug/pprof/", dbg)
 	}
 
-	hs := &http.Server{Addr: addr, Handler: srv.Handler()}
+	hs := newHTTPServer(addr, srv.Handler())
 	ctx, cancel := signal.NotifyContext(context.Background(), syscall.SIGTERM, syscall.SIGINT)
 	defer cancel()
 

@@ -122,6 +122,12 @@ func (in *Instantiation) Key() string {
 	return d.Key()
 }
 
+// AppendKey appends Key's text to buf.
+func (in *Instantiation) AppendKey(buf []byte) []byte {
+	d := in.delta()
+	return d.AppendKey(buf)
+}
+
 // Session is one OPS5 interpreter instance: the mutable half of the
 // Compiled/Session split. It owns the working memory, the matcher (and
 // through it the token memories), the conflict set, and the firing
@@ -146,6 +152,9 @@ type Session struct {
 	pending []rete.Change
 	spare   []rete.Change
 	keyBuf  []byte
+	// order is LiveWMEs' scratch: working memory sorted by ID, held only
+	// for the length of one walk.
+	order   []*ops5.WME
 	nextID  int
 	timetag int
 	fired   int
@@ -205,11 +214,37 @@ func (e *Session) WMEs() []*ops5.WME {
 	return out
 }
 
+// LiveWMEs walks the live working-memory elements in ascending ID order
+// without copying them: for w := range e.LiveWMEs. What it yields is
+// the session's own storage, so the walk is valid only while the caller
+// holds whatever serialises the session (the server's session lock),
+// and a yielded wme must be neither kept past the walk nor changed.
+// Callers that need either take WMEs or Snapshot. Walks do not nest.
+func (e *Session) LiveWMEs(yield func(*ops5.WME) bool) {
+	order := slices.Grow(e.order[:0], len(e.wm))
+	for _, w := range e.wm {
+		order = append(order, w)
+	}
+	slices.SortFunc(order, func(a, b *ops5.WME) int { return cmp.Compare(a.ID, b.ID) })
+	for _, w := range order {
+		if !yield(w) {
+			break
+		}
+	}
+	// Cleared, so a session shelved in a pool does not pin its last
+	// tenant's working memory through the scratch.
+	clear(order)
+	e.order = order[:0]
+}
+
 // Fired returns the number of instantiations fired so far.
 func (e *Session) Fired() int { return e.fired }
 
 // Halted reports whether a halt action has executed.
 func (e *Session) Halted() bool { return e.halted }
+
+// NextTimeTag returns the time tag the next asserted wme will receive.
+func (e *Session) NextTimeTag() int { return e.timetag }
 
 // MakeWME schedules a wme addition (an OPS5 top-level make); it takes
 // effect at the next match phase. The returned wme carries its

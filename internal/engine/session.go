@@ -125,7 +125,10 @@ func (e *Session) Reset() bool {
 	r.Reset()
 	clear(e.wm)
 	e.conflict.reset()
-	e.pending = nil
+	// The change buffer keeps its capacity for the next tenant, and none
+	// of this one's wmes.
+	clear(e.pending)
+	e.pending = e.pending[:0]
 	e.nextID = 1
 	e.timetag = 1
 	e.fired = 0

@@ -358,3 +358,63 @@ func TestSessionCloseIdempotent(t *testing.T) {
 		t.Errorf("Reset on a closed session reported success")
 	}
 }
+
+// TestLiveWMEsWalk: the non-copying walk yields the session's own wmes
+// — the same elements WMEs copies, in the same ascending-ID order — a
+// break stops it, a warm walk allocates nothing, and the scratch it
+// sorts in is empty again afterwards, so a shelved session pins none of
+// its last tenant's working memory.
+func TestLiveWMEsWalk(t *testing.T) {
+	prog, err := ops5.ParseProgram(sessionTestProg)
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	c, err := Compile(prog, CompileOptions{})
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	s := c.NewSession(SessionOptions{})
+	defer s.Close()
+	runSession(t, s, sessionTestWMEs(6), 100) // modifies and makes: IDs well out of insertion order
+
+	copies := s.WMEs()
+	i := 0
+	for w := range s.LiveWMEs {
+		if i >= len(copies) || w.ID != copies[i].ID || !w.Equal(copies[i]) {
+			t.Fatalf("walk position %d yields %d: %s, WMEs has %v", i, w.ID, w, copies)
+		}
+		if w == copies[i] || w != s.wm[w.ID] {
+			t.Fatalf("walk position %d yields a copy, want the session's own wme", i)
+		}
+		i++
+	}
+	if i != len(copies) || i != s.WMCount() {
+		t.Fatalf("walk yielded %d wmes, want %d", i, s.WMCount())
+	}
+
+	seen := 0
+	for range s.LiveWMEs {
+		if seen++; seen == 2 {
+			break
+		}
+	}
+	if seen != 2 {
+		t.Errorf("a break after 2 wmes let the walk yield %d", seen)
+	}
+
+	if n := testing.AllocsPerRun(20, func() {
+		for w := range s.LiveWMEs {
+			seen += w.ID
+		}
+	}); n != 0 {
+		t.Errorf("a warm walk allocates %v times, want 0", n)
+	}
+	if len(s.order) != 0 {
+		t.Errorf("scratch has length %d after a walk, want 0", len(s.order))
+	}
+	for i, w := range s.order[:cap(s.order)] {
+		if w != nil {
+			t.Fatalf("scratch slot %d still holds wme %d after the walk", i, w.ID)
+		}
+	}
+}

@@ -335,30 +335,36 @@ func (w *WME) Equal(o *WME) bool {
 	}
 }
 
-// String renders the wme in OPS5 source syntax with attributes sorted
-// for determinism: (block ^color blue ^name b1).
-func (w *WME) String() string {
-	var b strings.Builder
-	b.Grow(2 + len(w.Class) + 12*(len(w.slots)+len(w.extra)))
-	b.WriteByte('(')
-	b.WriteString(w.Class)
-	var num [32]byte
+// AppendText appends the wme in OPS5 source syntax, attributes sorted
+// for determinism — (block ^color blue ^name b1) — and returns the
+// extended buffer. It is the one renderer: String calls it, and a
+// caller with a buffer of its own (a snapshot reply) prints without an
+// intermediate string.
+func (w *WME) AppendText(buf []byte) []byte {
+	buf = append(buf, '(')
+	buf = append(buf, w.Class...)
 	for cur := (cursor{w: w}); ; {
 		name, v, ok := cur.next()
 		if !ok {
-			break
+			return append(buf, ')')
 		}
-		b.WriteString(" ^")
-		b.WriteString(name)
-		b.WriteByte(' ')
+		buf = append(buf, " ^"...)
+		buf = append(buf, name...)
+		buf = append(buf, ' ')
 		if v.Kind == KindNum {
-			b.Write(strconv.AppendFloat(num[:0], v.Num, 'g', -1, 64))
+			buf = strconv.AppendFloat(buf, v.Num, 'g', -1, 64)
 		} else {
-			b.WriteString(v.Sym)
+			buf = append(buf, v.Sym...)
 		}
 	}
-	b.WriteByte(')')
-	return b.String()
+}
+
+// String is AppendText as a string. The text is built in a stack array
+// that holds any wme of the bundled workloads, so the string is the one
+// allocation.
+func (w *WME) String() string {
+	var a [128]byte
+	return string(w.AppendText(a[:0]))
 }
 
 // cursor walks a wme's attributes in ascending name order, absent ones

@@ -157,3 +157,23 @@ func TestStringWalksInOrder(t *testing.T) {
 		t.Errorf("String allocates %v times, want at most the builder's buffer and the result", n)
 	}
 }
+
+// TestAppendText: the renderer appends after what the buffer holds,
+// allocates nothing when the buffer has room, and String — the same
+// text through a stack array — is the string and nothing else.
+func TestAppendText(t *testing.T) {
+	l := NewLayout(0, "block", "on", "color")
+	w := l.Conform(NewWME("block", "name", "b1", "color", "blue", "on", "table", "weight", 2.5))
+	const want = "(block ^color blue ^name b1 ^on table ^weight 2.5)"
+	buf := make([]byte, 0, 256)
+	if got := string(w.AppendText(append(buf, "x "...))); got != "x "+want {
+		t.Errorf("AppendText = %q, want %q", got, "x "+want)
+	}
+	if n := testing.AllocsPerRun(100, func() { buf = w.AppendText(buf[:0]) }); n != 0 {
+		t.Errorf("AppendText into a buffer with room allocates %v times, want 0", n)
+	}
+	var s string
+	if n := testing.AllocsPerRun(100, func() { s = w.String() }); n != 1 || s != want {
+		t.Errorf("String = %q in %v allocations, want %q in 1", s, n, want)
+	}
+}

@@ -38,24 +38,25 @@ const (
 type netWriter struct {
 	w   *bufio.Writer
 	err error
+	// num is the varint scratch. It lives here because a local array
+	// passed to Write escapes: one heap allocation per integer written.
+	num [binary.MaxVarintLen64]byte
 }
 
 func (nw *netWriter) u64(v uint64) {
 	if nw.err != nil {
 		return
 	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	_, nw.err = nw.w.Write(buf[:n])
+	n := binary.PutUvarint(nw.num[:], v)
+	_, nw.err = nw.w.Write(nw.num[:n])
 }
 
 func (nw *netWriter) i64(v int64) {
 	if nw.err != nil {
 		return
 	}
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutVarint(buf[:], v)
-	_, nw.err = nw.w.Write(buf[:n])
+	n := binary.PutVarint(nw.num[:], v)
+	_, nw.err = nw.w.Write(nw.num[:n])
 }
 
 func (nw *netWriter) str(s string) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 
 	"mpcrete/internal/engine"
 )
@@ -13,54 +14,86 @@ import (
 // Client is a typed HTTP client for the ops5d wire protocol, used by
 // cmd/ops5load, the server benchmarks, and the smoke tests.
 type Client struct {
-	base string
+	base *url.URL
+	err  error // what parsing base returned; every call reports it
 	hc   *http.Client
 }
 
 // NewClient targets a server at base (e.g. "http://127.0.0.1:8080").
-// hc may be nil for http.DefaultClient.
+// hc may be nil for http.DefaultClient. base is parsed here, once; if
+// it does not parse, every call returns the error.
 func NewClient(base string, hc *http.Client) *Client {
 	if hc == nil {
 		hc = http.DefaultClient
 	}
-	return &Client{base: base, hc: hc}
+	u, err := url.Parse(base)
+	return &Client{base: u, err: err, hc: hc}
+}
+
+// The two header maps every request is sent under, shared and never
+// written: net/http's contract is that a RoundTripper does not modify
+// the request it is given, and Client.Do copies the request before it
+// adds anything of its own (cookies, basic auth).
+var (
+	noBodyHeader   = http.Header{}
+	jsonBodyHeader = http.Header{"Content-Type": jsonContentType}
+)
+
+// call is what one request is made of, allocated as one: the request,
+// its URL, and the reader over its body.
+type call struct {
+	req  http.Request
+	url  url.URL
+	body bytes.Reader
 }
 
 // do issues one JSON request; out may be nil to discard the body.
 func (c *Client) do(method, path string, in, out any) error {
-	var body io.Reader
+	if c.err != nil {
+		return c.err
+	}
+	x := &call{url: *c.base}
+	x.url.Path += path
+	x.req = http.Request{
+		Method: method, URL: &x.url, Host: x.url.Host, Header: noBodyHeader,
+		Proto: "HTTP/1.1", ProtoMajor: 1, ProtoMinor: 1,
+	}
 	if in != nil {
+		// The marshalled bytes are the request's own, not pooled: the
+		// transport may still be writing them after Do has returned.
 		data, err := json.Marshal(in)
 		if err != nil {
 			return err
 		}
-		body = bytes.NewReader(data)
+		// The body is a bytes.Reader behind io.NopCloser and nothing of
+		// our own: that is the shape the transport knows to be in memory,
+		// and writes out in the same segment as the request head.
+		x.body.Reset(data)
+		x.req.Body, x.req.ContentLength, x.req.Header = io.NopCloser(&x.body), int64(len(data)), jsonBodyHeader
+		// GetBody lets the transport resend a request whose kept-alive
+		// connection the server had already closed.
+		x.req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(data)), nil }
 	}
-	req, err := http.NewRequest(method, c.base+path, body)
-	if err != nil {
-		return err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.hc.Do(&x.req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
+	buf := getBuf()
+	defer putBuf(buf)
+	readErr := buf.readFrom(resp.Body)
 	if resp.StatusCode >= 300 {
 		var e errorResponse
 		msg := ""
-		if json.NewDecoder(resp.Body).Decode(&e) == nil {
+		if json.Unmarshal(buf.b, &e) == nil {
 			msg = ": " + e.Error
 		}
 		return &StatusError{Code: resp.StatusCode, Msg: fmt.Sprintf("%s %s: %s%s", method, path, resp.Status, msg)}
 	}
-	if out == nil {
-		io.Copy(io.Discard, resp.Body)
-		return nil
+	if readErr != nil || out == nil {
+		return readErr
 	}
-	return json.NewDecoder(resp.Body).Decode(out)
+	return json.Unmarshal(buf.b, out)
 }
 
 // StatusError is a non-2xx server response.

@@ -25,15 +25,34 @@
 // overflow is rejected with 429 so a burst degrades crisply instead of
 // stacking goroutines. Drain() (SIGTERM in ops5d) stops admission with
 // 503 and waits for in-flight requests to finish.
+//
+// Bodies. A request body is at most 1 MiB (maxBodyBytes); a longer one
+// is answered 413 and is never buffered past the cap. A body is empty
+// (or JSON whitespace), which leaves the request at its defaults, or
+// exactly one JSON value: bytes after the value are a 400, where the
+// streaming decoder this package used before let them by. Every error
+// is the JSON document {"error": "..."}.
+//
+// A request allocates what its reply carries (wire.go). Each body, in
+// and out and at both ends — Client included — passes through one
+// pooled buffer: read whole, decoded from its bytes; replies rendered
+// into it and written with one Write. Replies of fixed shape are
+// appended by hand, byte for byte what encoding/json prints for the
+// structs the Client decodes them into. The workload's seed is parsed
+// and laid out once, in New, and a seeded open asserts that slice. A
+// snapshot is rendered under the session lock straight from the rows
+// the session matches on (engine.Session.LiveWMEs): serialisation to
+// memory happens under the lock, nothing is copied first, and the lock
+// is released before the network write.
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
-	"strings"
+	"slices"
+	"strconv"
 
 	"mpcrete/internal/engine"
 	"mpcrete/internal/obs"
@@ -77,6 +96,13 @@ type Server struct {
 	mux      *http.ServeMux
 	sessions *sessionTable
 	adm      *admission
+	// seed is Config.Workload.WMEs parsed once and laid out by the
+	// compiled network's layouts; a seeded open asserts it as it is
+	// (Session.Assert copies what it is given, one allocation per wme
+	// already in its layout). It stays valid because the server's
+	// sessions are shared ones, under which the network — and so every
+	// layout — is never rewritten. Read-only.
+	seed []*ops5.WME
 
 	reqs      *obs.Counter
 	rejected  *obs.Counter
@@ -109,11 +135,19 @@ func New(cfg Config) (*Server, error) {
 		// registry always exists even when the caller wants none.
 		cfg.Metrics = obs.NewRegistry()
 	}
+	seed, err := ops5.ParseWMEs(cfg.Workload.WMEs)
+	if err != nil {
+		return nil, fmt.Errorf("server: workload %q: seed wmes: %w", cfg.Workload.Name, err)
+	}
+	for i, w := range seed {
+		seed[i] = cfg.Compiled.Network().Conform(w)
+	}
 	s := &Server{
 		cfg:      cfg,
 		mux:      http.NewServeMux(),
 		sessions: newSessionTable(cfg.Compiled, cfg.MaxSessions, cfg.NewMatcher),
 		adm:      newAdmission(cfg.MaxInflight, cfg.QueueDepth),
+		seed:     seed,
 
 		reqs:      cfg.Metrics.Counter("server.requests"),
 		rejected:  cfg.Metrics.Counter("server.rejected"),
@@ -189,21 +223,22 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	src := ""
-	if req.Seed {
-		src = s.cfg.Workload.WMEs
-	}
-	if req.WMEs != "" {
-		src += "\n" + req.WMEs
-	}
 	var wmes []*ops5.WME
-	if strings.TrimSpace(src) != "" {
+	if req.WMEs != "" {
+		// Parsed on its own, so an error's line and column point into
+		// the text the client sent.
 		var err error
-		wmes, err = ops5.ParseWMEs(src)
-		if err != nil {
+		if wmes, err = ops5.ParseWMEs(req.WMEs); err != nil {
 			httpError(w, http.StatusBadRequest, "parse wmes: %v", err)
 			return
 		}
+	}
+	if req.Seed {
+		// The seed first, then the request's own: the ids and time tags a
+		// client sees are those of the two texts parsed as one. Clipped,
+		// the seed is copied when there is something to append and is
+		// used as it is when there is not.
+		wmes = append(slices.Clip(s.seed), wmes...)
 	}
 	sess, err := s.sessions.open()
 	if err != nil {
@@ -213,17 +248,23 @@ func (s *Server) handleOpen(w http.ResponseWriter, r *http.Request) {
 	}
 	s.opened.Inc()
 	s.liveGauge.Set(float64(s.sessions.live()))
-	resp := openResponse{SessionID: sess.id}
+	buf := getBuf()
+	defer putBuf(buf)
+	buf.b = appendJSONString(append(buf.b, `{"session_id":`...), sess.id)
 	if len(wmes) > 0 {
-		sess.do(func(eng *engine.Session) {
-			for _, a := range eng.Assert(wmes...) {
-				resp.Asserted = append(resp.Asserted, a.ID)
-			}
-		})
-		s.asserts.Add(int64(len(resp.Asserted)))
+		buf.b = append(buf.b, `,"asserted":`...)
+		if !sess.do(func(eng *engine.Session) { buf.b = appendIDs(buf.b, eng.Assert(wmes...)) }) {
+			httpError(w, http.StatusNotFound, "session closed")
+			return
+		}
+		s.asserts.Add(int64(len(wmes)))
 	}
-	writeJSON(w, http.StatusCreated, resp)
+	buf.b = append(buf.b, "}\n"...)
+	writeBody(w, http.StatusCreated, buf.b)
 }
+
+// closedReply is the whole reply to a close.
+var closedReply = []byte("{\"closed\":true}\n")
 
 func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	if !s.sessions.close(r.PathValue("id")) {
@@ -232,7 +273,7 @@ func (s *Server) handleClose(w http.ResponseWriter, r *http.Request) {
 	}
 	s.closed.Inc()
 	s.liveGauge.Set(float64(s.sessions.live()))
-	writeJSON(w, http.StatusOK, map[string]bool{"closed": true})
+	writeBody(w, http.StatusOK, closedReply)
 }
 
 type assertRequest struct {
@@ -257,17 +298,16 @@ func (s *Server) handleAssert(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "parse wmes: %v", err)
 		return
 	}
-	var resp assertResponse
-	if !sess.do(func(eng *engine.Session) {
-		for _, a := range eng.Assert(wmes...) {
-			resp.IDs = append(resp.IDs, a.ID)
-		}
-	}) {
+	buf := getBuf()
+	defer putBuf(buf)
+	buf.b = append(buf.b, `{"ids":`...)
+	if !sess.do(func(eng *engine.Session) { buf.b = appendIDs(buf.b, eng.Assert(wmes...)) }) {
 		httpError(w, http.StatusNotFound, "session closed")
 		return
 	}
-	s.asserts.Add(int64(len(resp.IDs)))
-	writeJSON(w, http.StatusOK, resp)
+	s.asserts.Add(int64(len(wmes)))
+	buf.b = append(buf.b, "}\n"...)
+	writeBody(w, http.StatusOK, buf.b)
 }
 
 type retractRequest struct {
@@ -288,7 +328,12 @@ func (s *Server) handleRetract(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusNotFound, "session closed")
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]bool{"removed": removed})
+	buf := getBuf()
+	defer putBuf(buf)
+	buf.b = append(buf.b, `{"removed":`...)
+	buf.b = strconv.AppendBool(buf.b, removed)
+	buf.b = append(buf.b, "}\n"...)
+	writeBody(w, http.StatusOK, buf.b)
 }
 
 type runRequest struct {
@@ -326,7 +371,10 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "run: %v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, res)
+	buf := getBuf()
+	defer putBuf(buf)
+	buf.b = append(appendRunResult(buf.b, res), '\n')
+	writeBody(w, http.StatusOK, buf.b)
 }
 
 // run runs MRA cycles on an engine the caller has locked via sess.do.
@@ -432,27 +480,17 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Snapshot aliases nothing mutable, so the lock is released before
-	// serialization.
-	var snap *engine.Snapshot
-	if !sess.do(func(eng *engine.Session) { snap = eng.Snapshot() }) {
+	// The reply is rendered to memory under the session lock, straight
+	// from the rows the session matches on, so nothing is copied first;
+	// the lock is released before the network write.
+	buf := getBuf()
+	defer putBuf(buf)
+	if !sess.do(func(eng *engine.Session) { buf.b = appendSnapshot(buf.b, eng) }) {
 		httpError(w, http.StatusNotFound, "session closed")
 		return
 	}
-	resp := SnapshotResponse{
-		WMEs:        make([]SnapshotWME, 0, len(snap.WMEs)),
-		ConflictSet: snap.ConflictSet,
-		Fired:       snap.Fired,
-		Halted:      snap.Halted,
-		NextTimeTag: snap.NextTimeTag,
-	}
-	if resp.ConflictSet == nil {
-		resp.ConflictSet = []engine.SnapshotInst{}
-	}
-	for _, wme := range snap.WMEs {
-		resp.WMEs = append(resp.WMEs, SnapshotWME{ID: wme.ID, TimeTag: wme.TimeTag, Text: wme.String()})
-	}
-	writeJSON(w, http.StatusOK, resp)
+	buf.b = append(buf.b, '\n')
+	writeBody(w, http.StatusOK, buf.b)
 }
 
 // Stats is the /v1/stats document.
@@ -489,7 +527,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header()["Content-Type"] = jsonContentType
 	if err := s.cfg.Metrics.WriteJSON(w); err != nil {
 		httpError(w, http.StatusInternalServerError, "metrics: %v", err)
 	}
@@ -510,30 +548,4 @@ func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (*session, bool)
 		return nil, false
 	}
 	return sess, true
-}
-
-// decodeBody parses a JSON request body into v; an empty body leaves v
-// zero. It writes a 400 and returns false on malformed JSON.
-func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	if err := dec.Decode(v); err != nil && err.Error() != "EOF" {
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
-		return false
-	}
-	return true
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.Encode(v)
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-func httpError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorResponse{Error: fmt.Sprintf(format, args...)})
 }

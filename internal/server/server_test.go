@@ -49,14 +49,7 @@ func testWMEs(n int) string {
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server, *Client) {
 	t.Helper()
 	if cfg.Compiled == nil {
-		prog, err := ops5.ParseProgram(testProg)
-		if err != nil {
-			t.Fatalf("parse: %v", err)
-		}
-		cfg.Compiled, err = engine.Compile(prog, engine.CompileOptions{})
-		if err != nil {
-			t.Fatalf("compile: %v", err)
-		}
+		cfg.Compiled = compileT(t, testProg)
 	}
 	srv, err := New(cfg)
 	if err != nil {
@@ -421,15 +414,35 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 func TestBadRequests(t *testing.T) {
-	_, _, client := newTestServer(t, Config{})
+	_, _, client := newTestServer(t, Config{
+		Workload: workloads.NamedProgram{Name: "test", WMEs: testWMEs(3)},
+	})
 	if _, err := client.Open(false, "(not valid"); err == nil {
 		t.Errorf("open with bad wme source succeeded")
+	}
+	// A seeded open's parse error points into the text the client sent,
+	// not into the seed's four lines followed by it.
+	_, err := client.Open(true, "(oops")
+	if se, ok := err.(*StatusError); !ok || se.Code != http.StatusBadRequest || !strings.Contains(se.Msg, "ops5: 1:6: expected ')'") {
+		t.Errorf("seeded open with bad wme source: %v, want a 400 naming line 1, column 6", err)
+	}
+	// A seed that does not parse is refused when the server is built,
+	// not on every seeded open after it.
+	if _, err := New(Config{
+		Compiled: compileT(t, testProg),
+		Workload: workloads.NamedProgram{Name: "broken", WMEs: "(phase ^name run)\n(oops"},
+	}); err == nil || !strings.Contains(err.Error(), `"broken"`) || !strings.Contains(err.Error(), "2:6") {
+		t.Errorf("New with an unparsable seed: %v, want an error naming the workload and 2:6", err)
 	}
 	if _, err := client.Snapshot("nope"); err == nil {
 		t.Errorf("snapshot of unknown session succeeded")
 	}
 	if _, err := client.Assert("nope", "(item ^name x)"); err == nil {
 		t.Errorf("assert to unknown session succeeded")
+	}
+	// A base URL that does not parse is reported by every call.
+	if _, err := NewClient("http://bad host/", nil).Stats(); err == nil || !strings.Contains(err.Error(), "bad host") {
+		t.Errorf("call on a client with an unparsable base URL: %v, want the parse error", err)
 	}
 }
 

@@ -309,7 +309,7 @@ func BenchmarkAblationSharing(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				e, err := engine.New(prog, engine.Options{Variant: bench.name})
+				e, err := engine.New(prog, engine.CompileOptions{Variant: bench.name}, engine.SessionOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -473,17 +473,14 @@ func BenchmarkNetworkCodec(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	var buf bytes.Buffer
+	var buf []byte
 	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := rete.EncodeNetwork(&buf, net); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := rete.DecodeNetwork(bytes.NewReader(buf.Bytes())); err != nil {
+		buf = rete.AppendNetwork(buf[:0], net)
+		if _, err := rete.DecodeNetwork(buf); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(float64(buf.Len()), "bytes")
+	b.ReportMetric(float64(len(buf)), "bytes")
 }
 
 // BenchmarkAnalysis measures the Section 5.2 analyzer over the heavy

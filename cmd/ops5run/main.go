@@ -91,7 +91,10 @@ func main() {
 	prog, err := ops5.ParseProgram(src)
 	fatal("parse program", err)
 
-	opts := engine.Options{Output: os.Stdout, NBuckets: *nbuckets, Watch: *watch, Variant: *variant}
+	if *nbuckets != 0 && !rete.ValidNBuckets(*nbuckets) {
+		fatal("buckets", fmt.Errorf("-buckets %d is not a power of two", *nbuckets))
+	}
+	opts := engine.SessionOptions{Output: os.Stdout, NBuckets: *nbuckets, Watch: *watch}
 	switch strings.ToLower(*strategy) {
 	case "lex":
 		opts.Strategy = engine.LEX
@@ -211,7 +214,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ops5run: debug server on http://%s/debug/pprof/ and /debug/vars\n", addr)
 	}
 
-	e, err := engine.New(prog, opts)
+	e, err := engine.New(prog, engine.CompileOptions{Variant: *variant}, opts)
 	fatal("compile", err)
 
 	if *dotPath != "" {

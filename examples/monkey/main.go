@@ -21,7 +21,7 @@ func main() {
 	}
 	// Watch level 1 echoes each firing with its time tags, as OPS5's
 	// (watch 1) did.
-	e, err := engine.New(prog, engine.Options{Output: os.Stdout, Watch: 1})
+	e, err := engine.New(prog, engine.CompileOptions{}, engine.SessionOptions{Output: os.Stdout, Watch: 1})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -40,7 +40,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	e, err := engine.New(prog, engine.Options{Output: os.Stdout})
+	e, err := engine.New(prog, engine.CompileOptions{}, engine.SessionOptions{Output: os.Stdout})
 	if err != nil {
 		log.Fatal(err)
 	}

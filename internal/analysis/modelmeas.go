@@ -193,7 +193,7 @@ func CompareModelMeasured(name, progSrc, wmeSrc string, opts MMOptions) (*MMRepo
 		return nil, err
 	}
 	defer rt.Close()
-	parEng, err := engine.NewWithNetwork(prog, net, engine.Options{Matcher: rt})
+	parEng, err := engine.NewWithNetwork(prog, net, engine.SessionOptions{Matcher: rt})
 	if err != nil {
 		return nil, fmt.Errorf("analysis: engine for %s: %w", name, err)
 	}

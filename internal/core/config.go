@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 
-	"mpcrete/internal/obs"
 	"mpcrete/internal/sched"
 	"mpcrete/internal/simnet"
 	"mpcrete/internal/trace"
@@ -28,9 +27,6 @@ func NewConfig(procs int, opts ...Option) Config {
 	}
 	return cfg
 }
-
-// WithCosts overrides the node-activation cost model.
-func WithCosts(c CostModel) Option { return func(cfg *Config) { cfg.Costs = c } }
 
 // WithOverhead selects a message-processing overhead setting
 // (Table 5-1).
@@ -71,12 +67,6 @@ func WithPairs() Option { return func(cfg *Config) { cfg.Pairs = true } }
 
 // WithReplicated selects the Section 6 fully-replicated extreme.
 func WithReplicated() Option { return func(cfg *Config) { cfg.Replicated = true } }
-
-// WithRecorder attaches a timeline recorder to the run.
-func WithRecorder(r *obs.Recorder) Option { return func(cfg *Config) { cfg.Recorder = r } }
-
-// WithMetrics attaches a metrics registry to the run.
-func WithMetrics(m *obs.Registry) Option { return func(cfg *Config) { cfg.Metrics = m } }
 
 // Typed validation errors. Validate returns one of these so callers
 // (the sweep engine, the CLIs) can distinguish bad-spec classes

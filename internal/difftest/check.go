@@ -495,7 +495,7 @@ func runConfig(c Case, cfg config, opts CheckOptions) *Outcome {
 func runEngine(c Case, prog *ops5.Program, net *rete.Network, matcher engine.MatchApplier, opts CheckOptions) *Outcome {
 	o := &Outcome{}
 	var buf bytes.Buffer
-	e, err := engine.NewWithNetwork(prog, net, engine.Options{Matcher: matcher, Output: &buf})
+	e, err := engine.NewWithNetwork(prog, net, engine.SessionOptions{Matcher: matcher, Output: &buf})
 	if err != nil {
 		o.Err = "engine: " + err.Error()
 		return o

@@ -97,7 +97,7 @@ func TestSnapshotTextRoundTrip(t *testing.T) {
 				w.Set("f1", ops5.Value{}) // symbolic, so no compute trips on it
 			}
 		}
-		e, err := engine.New(prog, engine.Options{Output: &bytes.Buffer{}})
+		e, err := engine.New(prog, engine.CompileOptions{}, engine.SessionOptions{Output: &bytes.Buffer{}})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -149,7 +149,7 @@ func runPrivateEngine(c Case, opts CheckOptions) *Outcome {
 		return &Outcome{Err: "parse: " + err.Error()}
 	}
 	var buf bytes.Buffer
-	e, err := engine.New(prog, engine.Options{Output: &buf, NBuckets: checkNBuckets})
+	e, err := engine.New(prog, engine.CompileOptions{}, engine.SessionOptions{Output: &buf, NBuckets: checkNBuckets})
 	if err != nil {
 		return &Outcome{Err: "engine: " + err.Error()}
 	}

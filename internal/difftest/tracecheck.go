@@ -34,7 +34,7 @@ func CheckTrace(c Case, maxCycles int, procs []int) error {
 		return fmt.Errorf("difftest: case %s: %w", c.Name, err)
 	}
 	rec := trace.NewRecorder(c.Name, checkNBuckets)
-	e, err := engine.New(prog, engine.Options{NBuckets: checkNBuckets, Listener: rec})
+	e, err := engine.New(prog, engine.CompileOptions{}, engine.SessionOptions{NBuckets: checkNBuckets, Listener: rec})
 	if err != nil {
 		return fmt.Errorf("difftest: case %s: %w", c.Name, err)
 	}

@@ -15,9 +15,8 @@ import (
 // compiled — the Rete network and production metadata — and any
 // number of Sessions share it read-only,
 // each owning only its mutable half (working memory, token memories,
-// conflict set, counters). engine.New remains a thin wrapper that
-// compiles a private Compiled and opens its single session, so
-// existing callers are unaffected.
+// conflict set, counters). engine.New compiles a private Compiled and
+// opens its single session.
 
 // CompileOptions control program compilation into a Compiled.
 type CompileOptions struct {
@@ -97,8 +96,9 @@ type SessionOptions struct {
 	// does not implement Reset() are closed on SessionPool.Put rather
 	// than shelved, so per-session worker goroutines never leak.
 	NewMatcher func() MatchApplier
-	// Watch sets the OPS5 watch level written to Output (as in
-	// Options.Watch).
+	// Watch sets the OPS5 watch level written to Output: 1 prints
+	// production firings with their time tags; 2 also prints every
+	// working-memory change.
 	Watch int
 }
 

@@ -176,7 +176,7 @@ func FuzzConflictSet(f *testing.F) {
 // sorts first ('1' < '9'), so it fires first. Numeric order would fire
 // the other one — and change every transcript with a symmetric join.
 func TestSymmetricTieFiresInKeyOrder(t *testing.T) {
-	e, err := New(mustProgram(t, `(p pair (item ^v <x>) (item ^v <x>) --> (halt))`), Options{})
+	e, err := New(mustProgram(t, `(p pair (item ^v <x>) (item ^v <x>) --> (halt))`), CompileOptions{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +194,7 @@ func TestSymmetricTieFiresInKeyOrder(t *testing.T) {
 		t.Errorf("conflict set %v, want %s", got, want)
 	}
 	// With the self-pairs out of the way the tie itself decides.
-	e, err = New(mustProgram(t, `(p pair (item ^v <x>) (item ^v <> <x>) --> (halt))`), Options{})
+	e, err = New(mustProgram(t, `(p pair (item ^v <x>) (item ^v <> <x>) --> (halt))`), CompileOptions{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,7 @@ func TestExciseStopsFiring(t *testing.T) {
 (p chatty (item ^v <x>) --> (write saw <x>))
 `)
 	var out bytes.Buffer
-	e, err := New(prog, Options{Output: &out})
+	e, err := New(prog, CompileOptions{}, SessionOptions{Output: &out})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestExciseRemovesConflictSetEntries(t *testing.T) {
 (p a1 (sig ^v <x>) --> (write a1))
 (p a2 (sig ^v <x>) --> (write a2))
 `)
-	e, err := New(prog, Options{})
+	e, err := New(prog, CompileOptions{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +71,7 @@ func TestExciseRHSAction(t *testing.T) {
 (p a-killer (sig) --> (excise z-victim) (make done))
 (p z-victim (sig) --> (make never))
 `)
-	e, err := New(prog, Options{})
+	e, err := New(prog, CompileOptions{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestAddProductionLiveMatchesExistingWM(t *testing.T) {
 (p seed (never) --> (halt))
 `)
 	var out bytes.Buffer
-	e, err := New(prog, Options{Output: &out})
+	e, err := New(prog, CompileOptions{}, SessionOptions{Output: &out})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestAddProductionLiveSharedPrefixUnaffected(t *testing.T) {
 (p orig (a ^x <v>) (b ^x <v>) --> (write orig <v>) (remove 1))
 `)
 	var out bytes.Buffer
-	e, err := New(prog, Options{Output: &out})
+	e, err := New(prog, CompileOptions{}, SessionOptions{Output: &out})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +165,7 @@ func TestAddProductionLiveSharedPrefixUnaffected(t *testing.T) {
 
 func TestAddProductionLiveDuplicateName(t *testing.T) {
 	prog := mustProgram(t, `(p one (a) --> (halt))`)
-	e, err := New(prog, Options{})
+	e, err := New(prog, CompileOptions{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestAddProductionLiveDuplicateName(t *testing.T) {
 func TestAddThenExciseRoundTrip(t *testing.T) {
 	prog := mustProgram(t, `(p keeper (k) --> (write keeper) (remove 1))`)
 	var out bytes.Buffer
-	e, err := New(prog, Options{Output: &out})
+	e, err := New(prog, CompileOptions{}, SessionOptions{Output: &out})
 	if err != nil {
 		t.Fatal(err)
 	}

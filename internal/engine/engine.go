@@ -55,44 +55,6 @@ type MatchApplier interface {
 	Apply(changes []rete.Change) []rete.InstChange
 }
 
-// Options configure a single-tenant Session made by New/NewWithNetwork.
-// Multi-session callers use CompileOptions + SessionOptions instead;
-// Options is the union of the two, kept for compatibility.
-type Options struct {
-	// Strategy is the conflict-resolution strategy (default LEX).
-	Strategy Strategy
-	// NBuckets sizes the matcher's global hash tables (default
-	// rete.DefaultNBuckets; 1 gives linear memories).
-	NBuckets int
-	// Listener observes match activity (e.g. a trace recorder).
-	Listener rete.Listener
-	// Output receives the text of write actions (default: discarded).
-	Output io.Writer
-	// Variant names the network variant to compile (see
-	// rete.Variants(); empty means "shared").
-	Variant string
-	// Matcher, when non-nil, supplies the match implementation (e.g. a
-	// parallel.Runtime over the same network); NBuckets and Listener
-	// are then ignored — configure them on the supplied matcher.
-	Matcher MatchApplier
-	// Watch sets the OPS5 watch level written to Output: 1 prints
-	// production firings with their time tags; 2 also prints every
-	// working-memory change.
-	Watch int
-}
-
-// sessionOptions extracts the per-session half of Options.
-func (o Options) sessionOptions() SessionOptions {
-	return SessionOptions{
-		Strategy: o.Strategy,
-		NBuckets: o.NBuckets,
-		Listener: o.Listener,
-		Output:   o.Output,
-		Matcher:  o.Matcher,
-		Watch:    o.Watch,
-	}
-}
-
 // Instantiation is a conflict-set member.
 type Instantiation struct {
 	Prod *ops5.Production
@@ -165,24 +127,24 @@ type Session struct {
 // New compiles a program and returns a ready single-tenant engine. The
 // compiled network is private to this engine, so dynamic production
 // management (excise, live addition) is permitted.
-func New(prog *ops5.Program, opts Options) (*Session, error) {
-	c, err := Compile(prog, CompileOptions{Variant: opts.Variant})
+func New(prog *ops5.Program, copts CompileOptions, opts SessionOptions) (*Session, error) {
+	c, err := Compile(prog, copts)
 	if err != nil {
 		return nil, err
 	}
-	e := c.NewSession(opts.sessionOptions())
+	e := c.NewSession(opts)
 	e.shared = false
 	return e, nil
 }
 
 // NewWithNetwork builds a single-tenant engine over a pre-compiled
 // (possibly transformed) network for the same program.
-func NewWithNetwork(prog *ops5.Program, net *rete.Network, opts Options) (*Session, error) {
+func NewWithNetwork(prog *ops5.Program, net *rete.Network, opts SessionOptions) (*Session, error) {
 	c, err := NewCompiled(prog, net)
 	if err != nil {
 		return nil, err
 	}
-	e := c.NewSession(opts.sessionOptions())
+	e := c.NewSession(opts)
 	e.shared = false
 	return e, nil
 }

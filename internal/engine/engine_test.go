@@ -27,7 +27,7 @@ func TestEngineCountUp(t *testing.T) {
     (modify 1 ^value (compute <v> + 1)))
 `)
 	var out bytes.Buffer
-	e, err := New(prog, Options{Output: &out})
+	e, err := New(prog, CompileOptions{}, SessionOptions{Output: &out})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestEngineHalt(t *testing.T) {
 (p z-never (go) --> (make extra))
 `)
 	var out bytes.Buffer
-	e, err := New(prog, Options{Output: &out})
+	e, err := New(prog, CompileOptions{}, SessionOptions{Output: &out})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestEngineRefraction(t *testing.T) {
 (p noop (thing ^v <x>) --> (write saw <x>))
 `)
 	var out bytes.Buffer
-	e, err := New(prog, Options{Output: &out})
+	e, err := New(prog, CompileOptions{}, SessionOptions{Output: &out})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestEngineLEXRecency(t *testing.T) {
 (p pick (item ^name <n>) --> (write <n>) (remove 1))
 `)
 	var out bytes.Buffer
-	e, err := New(prog, Options{Output: &out, Strategy: LEX})
+	e, err := New(prog, CompileOptions{}, SessionOptions{Output: &out, Strategy: LEX})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,7 +125,7 @@ func TestEngineMEAOrdersByFirstCE(t *testing.T) {
 `)
 	run := func(strategy Strategy) string {
 		var out bytes.Buffer
-		e, err := New(prog, Options{Output: &out, Strategy: strategy})
+		e, err := New(prog, CompileOptions{}, SessionOptions{Output: &out, Strategy: strategy})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -156,7 +156,7 @@ func TestEngineSpecificityTieBreak(t *testing.T) {
 (p tight (sig ^v <x> ^v > 0) --> (write tight) (remove 1))
 `)
 	var out bytes.Buffer
-	e, err := New(prog, Options{Output: &out})
+	e, err := New(prog, CompileOptions{}, SessionOptions{Output: &out})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestEngineNegationLoop(t *testing.T) {
     -->
     (make stop))
 `)
-	e, err := New(prog, Options{})
+	e, err := New(prog, CompileOptions{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestEngineModifyAssignsNewTimeTag(t *testing.T) {
 	prog := mustProgram(t, `
 (p bump (c ^v 0) --> (modify 1 ^v 1))
 `)
-	e, err := New(prog, Options{})
+	e, err := New(prog, CompileOptions{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,7 +235,7 @@ func TestEngineCycleLimit(t *testing.T) {
 	prog := mustProgram(t, `
 (p forever (tick ^n <n>) --> (modify 1 ^n (compute <n> + 1)))
 `)
-	e, err := New(prog, Options{})
+	e, err := New(prog, CompileOptions{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestEngineRemoveTwiceIsNoop(t *testing.T) {
 	prog := mustProgram(t, `
 (p dup (a ^v <x>) (b) --> (remove 1 1))
 `)
-	e, err := New(prog, Options{})
+	e, err := New(prog, CompileOptions{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestEngineWriteCrlfAndCompute(t *testing.T) {
     (remove 1))
 `)
 	var out bytes.Buffer
-	e, err := New(prog, Options{Output: &out})
+	e, err := New(prog, CompileOptions{}, SessionOptions{Output: &out})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +303,7 @@ func TestEngineComputeErrors(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			prog := mustProgram(t, c.src)
-			e, err := New(prog, Options{})
+			e, err := New(prog, CompileOptions{}, SessionOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -328,9 +328,9 @@ func TestEngineLinearAndUnsharedAgree(t *testing.T) {
     -->
     (modify 1 ^i (compute <i> + 1) ^a <b> ^b (compute <a> + <b>)))
 `
-	run := func(opts Options) int {
+	run := func(variant string, nbuckets int) int {
 		prog := mustProgram(t, src)
-		e, err := New(prog, opts)
+		e, err := New(prog, CompileOptions{Variant: variant}, SessionOptions{NBuckets: nbuckets})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -341,11 +341,11 @@ func TestEngineLinearAndUnsharedAgree(t *testing.T) {
 		}
 		return fired
 	}
-	base := run(Options{})
-	if linear := run(Options{NBuckets: 1}); linear != base {
+	base := run("", 0)
+	if linear := run("", 1); linear != base {
 		t.Errorf("linear memories fired %d, hashed %d", linear, base)
 	}
-	if unshared := run(Options{Variant: "unshared"}); unshared != base {
+	if unshared := run("unshared", 0); unshared != base {
 		t.Errorf("unshared fired %d, shared %d", unshared, base)
 	}
 }
@@ -354,7 +354,7 @@ func TestConflictSetSorted(t *testing.T) {
 	prog := mustProgram(t, `
 (p p1 (x ^v <a>) --> (halt))
 `)
-	e, err := New(prog, Options{})
+	e, err := New(prog, CompileOptions{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -399,7 +399,7 @@ func TestEngineWithTransformedNetwork(t *testing.T) {
 	if _, err := net.Unshare(shared); err != nil {
 		t.Fatal(err)
 	}
-	e, err := NewWithNetwork(prog, net, Options{})
+	e, err := NewWithNetwork(prog, net, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -422,7 +422,7 @@ func TestEngineWatchLevels(t *testing.T) {
 	run := func(watch int) string {
 		prog := mustProgram(t, src)
 		var out bytes.Buffer
-		e, err := New(prog, Options{Output: &out, Watch: watch})
+		e, err := New(prog, CompileOptions{}, SessionOptions{Output: &out, Watch: watch})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -452,7 +452,7 @@ func TestEngineWatchLevels(t *testing.T) {
 
 func TestEngineAccessorsAndInsertWMEs(t *testing.T) {
 	prog := mustProgram(t, `(p p1 (a ^x <v>) --> (remove 1))`)
-	e, err := New(prog, Options{})
+	e, err := New(prog, CompileOptions{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -488,7 +488,7 @@ func TestEngineModifyThenRemoveSameCE(t *testing.T) {
     (modify 1 ^v (compute <x> + 1))
     (remove 1))
 `)
-	e, err := New(prog, Options{})
+	e, err := New(prog, CompileOptions{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -510,7 +510,7 @@ func TestStrategyAndKeyStrings(t *testing.T) {
 		t.Error("strategy strings")
 	}
 	prog := mustProgram(t, `(p p1 (a ^x 1) --> (halt))`)
-	e, err := New(prog, Options{})
+	e, err := New(prog, CompileOptions{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

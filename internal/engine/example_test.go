@@ -22,7 +22,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	e, err := engine.New(prog, engine.Options{Output: os.Stdout})
+	e, err := engine.New(prog, engine.CompileOptions{}, engine.SessionOptions{Output: os.Stdout})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func ExampleSession_Step() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	e, err := engine.New(prog, engine.Options{})
+	e, err := engine.New(prog, engine.CompileOptions{}, engine.SessionOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

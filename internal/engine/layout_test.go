@@ -12,7 +12,7 @@ import (
 // a re-parse of the printed text turns into the symbol nil.
 func TestNilBoundMake(t *testing.T) {
 	prog := mustProgram(t, `(p r (a ^x <v>) --> (make b ^y <v> ^z 1))`)
-	e, err := New(prog, Options{})
+	e, err := New(prog, CompileOptions{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestSessionLaysOutItsOwnCopies(t *testing.T) {
 // same, as they match wmes made afterwards.
 func TestLiveAdditionOverOlderLayout(t *testing.T) {
 	prog := mustProgram(t, `(p seed (item ^id <i>) --> (make seen ^id <i>))`)
-	e, err := New(prog, Options{})
+	e, err := New(prog, CompileOptions{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +148,7 @@ func TestLiveAdditionOverOlderLayout(t *testing.T) {
 // no map, no second pass.
 func TestMakeAllocatesOnce(t *testing.T) {
 	prog := mustProgram(t, `(p r (a ^x <v> ^y <w>) --> (make b ^p <v> ^q (compute <w> + 1) ^r done))`)
-	e, err := New(prog, Options{})
+	e, err := New(prog, CompileOptions{}, SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

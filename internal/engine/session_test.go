@@ -81,7 +81,7 @@ func referenceRun(t *testing.T, progSrc, wmeSrc string, maxCycles int) string {
 		t.Fatalf("parse: %v", err)
 	}
 	var out bytes.Buffer
-	e, err := New(prog, Options{Output: &out})
+	e, err := New(prog, CompileOptions{}, SessionOptions{Output: &out})
 	if err != nil {
 		t.Fatalf("new: %v", err)
 	}
@@ -326,7 +326,7 @@ func TestSharedSessionRefusesDynamicManagement(t *testing.T) {
 	}
 
 	// The private single-tenant engine still allows both.
-	e, err := New(prog, Options{})
+	e, err := New(prog, CompileOptions{}, SessionOptions{})
 	if err != nil {
 		t.Fatalf("new: %v", err)
 	}

@@ -142,6 +142,9 @@ func NewDriver(net *rete.Network, opts Options, c Carrier) (*Driver, error) {
 	if opts.NBuckets == 0 {
 		opts.NBuckets = rete.DefaultNBuckets
 	}
+	if !rete.ValidNBuckets(opts.NBuckets) {
+		return nil, fmt.Errorf("parallel: NBuckets = %d, want a power of two", opts.NBuckets)
+	}
 	if opts.Partition == nil {
 		opts.Partition = sched.RoundRobin(opts.NBuckets, opts.Workers)
 	}

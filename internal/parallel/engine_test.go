@@ -43,7 +43,7 @@ func TestEngineOnParallelRuntime(t *testing.T) {
 					t.Fatal(err)
 				}
 				var out bytes.Buffer
-				opts := engine.Options{Output: &out}
+				opts := engine.SessionOptions{Output: &out}
 				if par {
 					rt, err := New(net, Options{Workers: workers, RouteRoots: routed})
 					if err != nil {

@@ -214,46 +214,6 @@ func TestRebalanceIdleAllocs(t *testing.T) {
 	}
 }
 
-// opaqueTransport wraps the in-process endpoints but does not implement
-// MigrationTransport — a stand-in for a wire transport whose codec
-// cannot carry bucket contents.
-type opaqueTransport struct{ inner Transport }
-
-func (o opaqueTransport) Open(workers int, opts EndpointOptions) ([]Endpoint, error) {
-	return o.inner.Open(workers, opts)
-}
-func (o opaqueTransport) Close() error { return o.inner.Close() }
-
-// TestRebalanceRequiresMigratableTransport pins the constructor-time
-// refusal: rebalancing (and the forced-migration hook) demand a
-// transport that can carry the migration protocol.
-func TestRebalanceRequiresMigratableTransport(t *testing.T) {
-	net, _ := compileProds(t, `(p j (a ^x 1) --> (halt))`)
-	if _, err := New(net, Options{
-		Workers:   2,
-		Transport: opaqueTransport{InProc()},
-		Rebalance: sched.DefaultRebalance(),
-	}); err == nil {
-		t.Error("Rebalance accepted on a transport that cannot migrate")
-	}
-	if _, err := New(net, Options{
-		Workers:      2,
-		Transport:    opaqueTransport{InProc()},
-		ForceMigrate: func(int) sched.Partition { return nil },
-	}); err == nil {
-		t.Error("ForceMigrate accepted on a transport that cannot migrate")
-	}
-	// Repartition on such a runtime must refuse too.
-	rt, err := New(net, Options{Workers: 2, NBuckets: 16, Transport: opaqueTransport{InProc()}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Close()
-	if _, err := rt.Repartition(rotatedPartition(16, 2, 1)); err == nil {
-		t.Error("Repartition accepted on a transport that cannot migrate")
-	}
-}
-
 // BenchmarkMigration prices the migration protocol. repartition is one
 // full-rotation migration on a runtime holding resident join state —
 // the per-boundary price the adaptive policy pays, isolated from match

@@ -40,7 +40,6 @@
 package parallel
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"strconv"
@@ -79,8 +78,6 @@ type Options struct {
 	// new owners at the cycle boundary through the Repartition
 	// machinery. The netted conflict-set output is byte-identical to
 	// the static run — migration moves state, never match semantics.
-	// Requires a transport that can carry the migration protocol
-	// (MigrationTransport).
 	Rebalance sched.Rebalance
 	// ForceMigrate, when non-nil, is consulted at every cycle boundary
 	// (after the cycle's quiescence) with the 1-based number of the
@@ -165,8 +162,8 @@ type CyclePacket struct {
 // Message is the worker-mailbox protocol. All fields are the
 // wire-visible protocol a Transport must carry; the migration fields
 // (Moves, Inject) reference live Rete state in-process, so a wire
-// transport must serialize them at Push time (see MigrationTransport)
-// — the synchronous-capture rule already requires that.
+// transport must serialize them at Push time — the synchronous-capture
+// rule already requires that.
 type Message struct {
 	Kind   MsgKind
 	Bucket int32           // MsgAct: the activation's hash bucket, computed by the sender for routing
@@ -210,10 +207,8 @@ type Runtime struct {
 
 	workers []*worker
 
-	// transport owns the message plane; canMigrate records whether it
-	// can carry the migration protocol (see MigrationTransport).
-	transport  Transport
-	canMigrate bool
+	// transport owns the message plane.
+	transport Transport
 }
 
 // worker is one match goroutine: the carrier loop around a Step.
@@ -246,10 +241,6 @@ func New(net *rete.Network, opts Options) (*Runtime, error) {
 	rt := &Runtime{transport: opts.Transport}
 	if rt.transport == nil {
 		rt.transport = InProc()
-	}
-	_, rt.canMigrate = rt.transport.(MigrationTransport)
-	if (opts.Rebalance.Enabled() || opts.ForceMigrate != nil) && !rt.canMigrate {
-		return nil, errNoMigration
 	}
 	d, err := NewDriver(net, opts, rt)
 	if err != nil {
@@ -309,10 +300,6 @@ func New(net *rete.Network, opts Options) (*Runtime, error) {
 	return rt, nil
 }
 
-// errNoMigration rejects migration over a transport that cannot deliver
-// MsgMigrateIn's bucket contents.
-var errNoMigration = errors.New("parallel: Repartition, Rebalance and ForceMigrate require a transport that carries the migration protocol (MigrationTransport)")
-
 // Broadcast implements Carrier: every worker's endpoint gets the shared
 // packet under the same batch stamp.
 func (rt *Runtime) Broadcast(m Message, batch int32) error {
@@ -332,9 +319,6 @@ func (rt *Runtime) Deliver(dst int, ms []Message, batch int32) error {
 // quiescence barrier, so their steps' partitions can be switched from
 // here; only the losers need a message.
 func (rt *Runtime) Migrate(newPart sched.Partition, moves [][]BucketMove) error {
-	if !rt.canMigrate {
-		return errNoMigration
-	}
 	for i, w := range rt.workers {
 		w.step.SetPartition(newPart)
 		if moves[i] == nil {

@@ -78,16 +78,6 @@ type Endpoint interface {
 	Close()
 }
 
-// MigrationTransport marks transports that can carry the migration
-// protocol (MsgMigrateOut/MsgMigrateIn): in one address space the live
-// bucket contents travel by pointer; a wire transport's codec must
-// serialize Message.Moves and Message.Inject. Over a transport without
-// the marker, Repartition (and therefore Options.Rebalance /
-// Options.ForceMigrate) is refused.
-type MigrationTransport interface {
-	CarriesMigration()
-}
-
 // NewEndpoint returns one in-process double-buffer mailbox endpoint —
 // the unit the reference transport is built from. Wire transports use
 // it as their receive-side buffer: an unbounded local queue between
@@ -115,5 +105,3 @@ func (inProcTransport) Open(workers int, opts EndpointOptions) ([]Endpoint, erro
 }
 
 func (inProcTransport) Close() error { return nil }
-
-func (inProcTransport) CarriesMigration() {}

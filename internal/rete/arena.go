@@ -102,8 +102,7 @@ func (p *Processor) newToken(n int, tag Tag) *Token {
 }
 
 // extend returns a token covering t's wmes plus w, carved from the
-// processor's arena for tag — the hot-path replacement for
-// Token.Extend.
+// processor's arena for tag.
 func (p *Processor) extend(t *Token, w *ops5.WME, tag Tag) *Token {
 	nt := p.newToken(len(t.WMEs)+1, tag)
 	copy(nt.WMEs, t.WMEs)

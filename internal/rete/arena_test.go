@@ -100,7 +100,7 @@ func TestDeleteArenaIsRewoundOnlyWhenAsked(t *testing.T) {
 	seen := map[*Token]bool{}
 	for i := 0; i < 100; i++ {
 		for _, ch := range append(append([]Change{}, adds...), dels...) {
-			for _, a := range drainT(p, p.RootActivations(ch)) {
+			for _, a := range drainT(p, p.RootActivationsInto(ch, nil)) {
 				if a.Tag != Delete {
 					continue
 				}

@@ -1,7 +1,6 @@
 package rete
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -303,11 +302,7 @@ func TestBoundedCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := EncodeNetwork(&buf, net); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := DecodeNetwork(&buf)
+	dec, err := DecodeNetwork(AppendNetwork(nil, net))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,13 +1,12 @@
 package rete
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
+	"slices"
 
 	"mpcrete/internal/ops5"
+	"mpcrete/internal/wire"
 )
 
 // This file implements a compact binary encoding of compiled networks,
@@ -15,10 +14,12 @@ import (
 // in-line-expanded Rete code runs to megabytes, while a message-
 // passing node may have 10-20 Kbytes of local memory, so the paper
 // proposes encoding two-input nodes as small fixed records indexed by
-// node id. EncodeNetwork/DecodeNetwork serialize the full compiled
+// node id. AppendNetwork/DecodeNetwork serialize the full compiled
 // graph — including transformation products (unshared copies, dummy
 // nodes, copy-and-constraint copies), which mere recompilation of the
-// source productions would lose.
+// source productions would lose. The bytes are wire's primitives, the
+// codec every frame of the transport is written in: a worker's
+// handshake carries a network, so it is read as outside input.
 
 // Format 2 added the compile-option flags word, the per-node bounded
 // fields (bPos/bNeg), and the per-production bounded collector-group
@@ -35,102 +36,10 @@ const (
 	netFlagBoundedJoins
 )
 
-type netWriter struct {
-	w   *bufio.Writer
-	err error
-	// num is the varint scratch. It lives here because a local array
-	// passed to Write escapes: one heap allocation per integer written.
-	num [binary.MaxVarintLen64]byte
-}
-
-func (nw *netWriter) u64(v uint64) {
-	if nw.err != nil {
-		return
-	}
-	n := binary.PutUvarint(nw.num[:], v)
-	_, nw.err = nw.w.Write(nw.num[:n])
-}
-
-func (nw *netWriter) i64(v int64) {
-	if nw.err != nil {
-		return
-	}
-	n := binary.PutVarint(nw.num[:], v)
-	_, nw.err = nw.w.Write(nw.num[:n])
-}
-
-func (nw *netWriter) str(s string) {
-	nw.u64(uint64(len(s)))
-	if nw.err == nil {
-		_, nw.err = nw.w.WriteString(s)
-	}
-}
-
-func (nw *netWriter) value(v ops5.Value) {
-	nw.u64(uint64(v.Kind))
-	switch v.Kind {
-	case ops5.KindSym:
-		nw.str(v.Sym)
-	case ops5.KindNum:
-		nw.u64(math.Float64bits(v.Num))
-	}
-}
-
-type netReader struct {
-	r *bufio.Reader
-}
-
-func (nr *netReader) u64() (uint64, error) { return binary.ReadUvarint(nr.r) }
-func (nr *netReader) i64() (int64, error)  { return binary.ReadVarint(nr.r) }
-
-func (nr *netReader) intn(max int) (int, error) {
-	v, err := nr.u64()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(max) {
-		return 0, fmt.Errorf("rete: decoded count %d exceeds limit %d", v, max)
-	}
-	return int(v), nil
-}
-
-func (nr *netReader) str() (string, error) {
-	n, err := nr.intn(1 << 20)
-	if err != nil {
-		return "", err
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(nr.r, buf); err != nil {
-		return "", err
-	}
-	return string(buf), nil
-}
-
-func (nr *netReader) value() (ops5.Value, error) {
-	kind, err := nr.u64()
-	if err != nil {
-		return ops5.Value{}, err
-	}
-	switch ops5.Kind(kind) {
-	case ops5.KindNil:
-		return ops5.Value{}, nil
-	case ops5.KindSym:
-		s, err := nr.str()
-		return ops5.S(s), err
-	case ops5.KindNum:
-		b, err := nr.u64()
-		return ops5.N(math.Float64frombits(b)), err
-	}
-	return ops5.Value{}, fmt.Errorf("rete: bad value kind %d", kind)
-}
-
-// EncodeNetwork writes the compiled network in the compact binary
-// format.
-func EncodeNetwork(w io.Writer, net *Network) error {
-	nw := &netWriter{w: bufio.NewWriter(w)}
-	if _, err := nw.w.WriteString(netMagic); err != nil {
-		return err
-	}
+// AppendNetwork appends the compiled network in the compact binary
+// format to buf.
+func AppendNetwork(buf []byte, net *Network) []byte {
+	e := wire.Enc{Buf: append(buf, netMagic...)}
 
 	// Compile-option flags, so dynamic production adds on a decoded
 	// network compile the same variant the original did.
@@ -141,128 +50,115 @@ func EncodeNetwork(w io.Writer, net *Network) error {
 	if net.opts.BoundedJoins {
 		flags |= netFlagBoundedJoins
 	}
-	nw.u64(flags)
+	e.U64(flags)
 
 	// Productions as source text (Production.String round-trips).
-	nw.u64(uint64(len(net.ProdOrder)))
+	e.Count(len(net.ProdOrder))
 	for _, name := range net.ProdOrder {
-		nw.str(net.Prods[name].Prod.String())
+		e.Str(net.Prods[name].Prod.String())
 	}
 
 	// The layout table, in id order.
-	nw.u64(uint64(len(net.layouts)))
+	e.Count(len(net.layouts))
 	for _, l := range net.layouts {
-		nw.str(l.Class())
-		nw.u64(uint64(l.Len()))
+		e.Str(l.Class())
+		e.Count(l.Len())
 		for _, name := range l.Names() {
-			nw.str(name)
+			e.Str(name)
 		}
 	}
 
 	// Alpha patterns.
-	nw.u64(uint64(len(net.Alphas)))
+	e.Count(len(net.Alphas))
 	for _, a := range net.Alphas {
-		nw.str(a.Class)
-		nw.u64(uint64(len(a.Tests)))
+		e.Str(a.Class)
+		e.Count(len(a.Tests))
 		for i := range a.Tests {
 			ct := &a.Tests[i]
-			nw.str(ct.Attr)
-			nw.u64(uint64(ct.Op))
-			nw.u64(uint64(len(ct.Disj)))
+			e.Str(ct.Attr)
+			e.Byte(byte(ct.Op))
+			e.Count(len(ct.Disj))
 			for _, d := range ct.Disj {
-				nw.value(d)
+				e.Value(d)
 			}
+			e.Bool(ct.isOther)
 			if ct.isOther {
-				nw.u64(1)
-				nw.str(ct.OtherAttr)
+				e.Str(ct.OtherAttr)
 			} else {
-				nw.u64(0)
-				nw.value(ct.Value)
+				e.Value(ct.Value)
 			}
 		}
-		nw.u64(uint64(len(a.Routes)))
+		e.Count(len(a.Routes))
 		for _, r := range a.Routes {
-			nw.u64(uint64(r.Node.ID))
-			nw.u64(uint64(r.Side))
+			e.Count(r.Node.ID)
+			e.Byte(byte(r.Side))
 		}
 	}
 
 	// Nodes: the paper's compact per-node records.
-	nw.u64(uint64(len(net.Nodes)))
+	e.Count(len(net.Nodes))
 	for _, n := range net.Nodes {
-		nw.u64(uint64(n.Kind))
-		nw.i64(int64(n.OrigCE))
-		nw.u64(uint64(n.TokenLen))
-		nw.u64(uint64(n.LeftLen))
-		nw.u64(uint64(n.copyIndex))
-		nw.u64(uint64(n.copyCount))
-		if n.detached {
-			nw.u64(1)
-		} else {
-			nw.u64(0)
-		}
-		nw.u64(uint64(n.bPos))
-		if n.bNeg {
-			nw.u64(1)
-		} else {
-			nw.u64(0)
-		}
+		e.Byte(byte(n.Kind))
+		e.Int(n.OrigCE)
+		e.Count(n.TokenLen)
+		e.Count(n.LeftLen)
+		e.Count(n.copyIndex)
+		e.Count(n.copyCount)
+		e.Bool(n.detached)
+		e.Count(n.bPos)
+		e.Bool(n.bNeg)
 		if n.Parent != nil {
-			nw.i64(int64(n.Parent.ID))
+			e.Int(n.Parent.ID)
 		} else {
-			nw.i64(-1)
+			e.Int(-1)
 		}
-		nw.u64(uint64(len(n.Succs)))
+		e.Count(len(n.Succs))
 		for _, s := range n.Succs {
-			nw.u64(uint64(s.ID))
+			e.Count(s.ID)
 		}
-		nw.u64(uint64(len(n.Tests)))
+		e.Count(len(n.Tests))
 		for i := range n.Tests {
 			t := &n.Tests[i]
-			nw.u64(uint64(t.Op))
-			nw.str(t.right.class())
-			nw.str(t.RightAttr)
-			nw.u64(uint64(t.LeftPos))
-			nw.str(t.left.class())
-			nw.str(t.LeftAttr)
+			e.Byte(byte(t.Op))
+			e.Str(t.right.class())
+			e.Str(t.RightAttr)
+			e.Count(t.LeftPos)
+			e.Str(t.left.class())
+			e.Str(t.LeftAttr)
 		}
 		if n.Kind == KindProduction {
-			nw.str(n.Info.Prod.Name)
+			e.Str(n.Info.Prod.Name)
 		}
-		nw.str(n.shareKey)
+		e.Str(n.shareKey)
 	}
 
 	// Per-production info.
 	for _, name := range net.ProdOrder {
 		info := net.Prods[name]
-		nw.u64(uint64(info.Node.ID))
-		nw.u64(uint64(len(info.VarDefs)))
+		e.Count(info.Node.ID)
+		e.Count(len(info.VarDefs))
 		for _, v := range sortedVarNames(info.VarDefs) {
 			d := info.VarDefs[v]
-			nw.str(v)
-			nw.u64(uint64(d.OrigCE))
-			nw.str(d.Attr)
+			e.Str(v)
+			e.Count(d.OrigCE)
+			e.Str(d.Attr)
 		}
-		nw.u64(uint64(len(info.TokenPos)))
+		e.Count(len(info.TokenPos))
 		for _, p := range info.TokenPos {
-			nw.i64(int64(p))
+			e.Int(p)
 		}
 		// Bounded collector group: member node ids in join order (empty
 		// for the other variants).
+		var members []*Node
 		if g := info.Node.group; g != nil {
-			nw.u64(uint64(len(g.members)))
-			for _, m := range g.members {
-				nw.u64(uint64(m.ID))
-			}
-		} else {
-			nw.u64(0)
+			members = g.members
+		}
+		e.Count(len(members))
+		for _, m := range members {
+			e.Count(m.ID)
 		}
 	}
-
-	if nw.err != nil {
-		return nw.err
-	}
-	return nw.w.Flush()
+	return e.Buf
 }
 
 func sortedVarNames(m map[string]VarDef) []string {
@@ -270,368 +166,205 @@ func sortedVarNames(m map[string]VarDef) []string {
 	for v := range m {
 		names = append(names, v)
 	}
-	for i := 1; i < len(names); i++ {
-		for j := i; j > 0 && names[j] < names[j-1]; j-- {
-			names[j], names[j-1] = names[j-1], names[j]
-		}
-	}
+	slices.Sort(names)
 	return names
 }
 
-// DecodeNetwork reads a network written by EncodeNetwork.
-func DecodeNetwork(r io.Reader) (*Network, error) {
-	nr := &netReader{r: bufio.NewReader(r)}
-	magic := make([]byte, len(netMagic))
-	if _, err := io.ReadFull(nr.r, magic); err != nil {
-		return nil, fmt.Errorf("rete: reading network header: %w", err)
-	}
-	if string(magic) != netMagic {
-		return nil, fmt.Errorf("rete: bad network magic %q", magic)
-	}
-	flags, err := nr.u64()
-	if err != nil {
-		return nil, err
-	}
+// netDec reads a network blob: wire's sticky, payload-bounded decoder,
+// plus the network being built, whose node table bounds every node id.
+type netDec struct {
+	wire.Dec
+	net *Network
+}
 
+// enum decodes a one-byte enumeration whose largest member is max.
+func (d *netDec) enum(max byte, what string) byte {
+	b := d.Byte()
+	if b > max {
+		d.Fail(fmt.Sprintf("%s %d", what, b))
+		return 0
+	}
+	return b
+}
+
+func (d *netDec) op() ops5.PredOp { return ops5.PredOp(d.enum(byte(ops5.OpSameType), "predicate")) }
+
+// size decodes a non-negative int: an id, a length, a position.
+func (d *netDec) size() int {
+	v := d.U64()
+	if v > math.MaxInt32 {
+		d.Fail(fmt.Sprintf("integer %d out of range", v))
+		return 0
+	}
+	return int(v)
+}
+
+// nodeAt resolves a node id against the nodes decoded so far (nil on
+// failure).
+func (d *netDec) nodeAt(id int) *Node {
+	if id < 0 || id >= len(d.net.Nodes) {
+		d.Fail(fmt.Sprintf("node id %d out of range", id))
+		return nil
+	}
+	return d.net.Nodes[id]
+}
+
+// DecodeNetwork reads a network written by AppendNetwork. It reads
+// straight through the blob on the decoder's sticky error and reports
+// it once, at the end: every failure wraps wire.ErrBadPayload, and
+// every count is held to the bytes that remain before anything is
+// sized by it, so a forged blob costs what its length can buy. The
+// loops that build per element stop at the first failure.
+func DecodeNetwork(blob []byte) (*Network, error) {
+	d := netDec{Dec: wire.Dec{B: blob}}
+	if magic := d.Bytes(len(netMagic), "network header"); d.Err == nil && string(magic) != netMagic {
+		d.Fail(fmt.Sprintf("bad network magic %q", magic))
+	}
+	flags := d.U64()
 	net := NewNetwork(CompileOptions{
 		DisableSharing: flags&netFlagDisableSharing != 0,
 		BoundedJoins:   flags&netFlagBoundedJoins != 0,
 	})
+	d.net = net
 
-	nprods, err := nr.intn(1 << 20)
-	if err != nil {
-		return nil, err
-	}
-	prods := make([]*ops5.Production, nprods)
-	for i := range prods {
-		src, err := nr.str()
+	var prods []*ops5.Production
+	for i, n := 0, d.Count(1<<20); i < n && d.Err == nil; i++ {
+		p, err := ops5.ParseProduction(d.Str())
 		if err != nil {
-			return nil, err
+			d.Fail(fmt.Sprintf("reparsing production %d: %v", i, err))
+			break
 		}
-		p, err := ops5.ParseProduction(src)
-		if err != nil {
-			return nil, fmt.Errorf("rete: reparsing production %d: %w", i, err)
-		}
-		prods[i] = p
+		prods = append(prods, p)
 	}
 
 	// The layout table comes first and is complete: everything decoded
 	// after it resolves against it, and at the end it must not have
 	// grown.
-	nlayouts, err := nr.intn(1 << 20)
-	if err != nil {
-		return nil, err
-	}
-	declared := 0 // slots, over every layout
-	for i := 0; i < nlayouts; i++ {
-		class, err := nr.str()
-		if err != nil {
-			return nil, err
-		}
+	nlayouts, declared := d.Count(1<<20), 0 // declared: slots, over every layout
+	for i := 0; i < nlayouts && d.Err == nil; i++ {
+		class := d.Str()
 		if net.layoutOf[class] != nil {
-			return nil, fmt.Errorf("rete: layout table names class %q twice", class)
+			d.Fail(fmt.Sprintf("layout table names class %q twice", class))
 		}
 		l := net.layoutFor(class)
-		nnames, err := nr.intn(1 << 16)
-		if err != nil {
-			return nil, err
-		}
+		nnames := d.Count(1 << 16)
 		declared += nnames
 		for j := 0; j < nnames; j++ {
-			name, err := nr.str()
-			if err != nil {
-				return nil, err
-			}
-			if l.Add(name) != j {
-				return nil, fmt.Errorf("rete: layout of class %q names attribute %q twice", class, name)
+			if name := d.Str(); l.Add(name) != j {
+				d.Fail(fmt.Sprintf("layout of class %q names attribute %q twice", class, name))
 			}
 		}
 	}
 
-	nalphas, err := nr.intn(1 << 20)
-	if err != nil {
-		return nil, err
-	}
+	// Routes, parents and successors name nodes ahead of their records;
+	// they are kept as ids and resolved once every node exists.
 	type routeRef struct {
 		alpha *AlphaPattern
 		node  int
 		side  Side
 	}
 	var routes []routeRef
-	for i := 0; i < nalphas; i++ {
-		a := &AlphaPattern{ID: i}
-		if a.Class, err = nr.str(); err != nil {
-			return nil, err
-		}
-		ntests, err := nr.intn(1 << 16)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < ntests; j++ {
-			var ct ConstTest
-			if ct.Attr, err = nr.str(); err != nil {
-				return nil, err
+	for i, n := 0, d.Count(1<<20); i < n && d.Err == nil; i++ {
+		a := &AlphaPattern{ID: i, Class: d.Str()}
+		l := net.layoutFor(a.Class)
+		for j, nt := 0, d.Count(1<<16); j < nt; j++ {
+			ct := ConstTest{Attr: d.Str(), Op: d.op()}
+			for k, nd := 0, d.Count(1<<16); k < nd; k++ {
+				ct.Disj = append(ct.Disj, d.Value())
 			}
-			op, err := nr.u64()
-			if err != nil {
-				return nil, err
-			}
-			ct.Op = ops5.PredOp(op)
-			ndisj, err := nr.intn(1 << 16)
-			if err != nil {
-				return nil, err
-			}
-			for d := 0; d < ndisj; d++ {
-				v, err := nr.value()
-				if err != nil {
-					return nil, err
-				}
-				ct.Disj = append(ct.Disj, v)
-			}
-			other, err := nr.u64()
-			if err != nil {
-				return nil, err
-			}
-			if other == 1 {
-				ct.isOther = true
-				if ct.OtherAttr, err = nr.str(); err != nil {
-					return nil, err
-				}
+			if ct.isOther = d.Bool(); ct.isOther {
+				ct.OtherAttr = d.Str()
 			} else {
-				if ct.Value, err = nr.value(); err != nil {
-					return nil, err
-				}
+				ct.Value = d.Value()
 			}
-			ct.resolve(net.layoutFor(a.Class))
+			ct.resolve(l)
 			a.Tests = append(a.Tests, ct)
 		}
-		nroutes, err := nr.intn(1 << 20)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < nroutes; j++ {
-			nid, err := nr.u64()
-			if err != nil {
-				return nil, err
-			}
-			side, err := nr.u64()
-			if err != nil {
-				return nil, err
-			}
-			routes = append(routes, routeRef{alpha: a, node: int(nid), side: Side(side)})
+		for j, nr := 0, d.Count(1<<20); j < nr; j++ {
+			routes = append(routes, routeRef{alpha: a, node: d.size(), side: Side(d.enum(byte(Right), "side"))})
 		}
 		net.Alphas = append(net.Alphas, a)
 		net.byClass[a.Class] = append(net.byClass[a.Class], a)
 	}
 
-	nnodes, err := nr.intn(1 << 22)
-	if err != nil {
-		return nil, err
+	type nodeRef struct {
+		parent int
+		succs  []int
+		prod   string // a production node's production
 	}
-	parents := make([]int, nnodes)
-	succs := make([][]int, nnodes)
-	prodNames := make([]string, nnodes)
-	for i := 0; i < nnodes; i++ {
-		kind, err := nr.u64()
-		if err != nil {
-			return nil, err
+	refs := make([]nodeRef, d.Count(1<<22))
+	for i := 0; i < len(refs) && d.Err == nil; i++ {
+		n, r := net.newNode(NodeKind(d.enum(byte(KindBounded), "node kind"))), &refs[i]
+		n.OrigCE = d.Int()
+		n.TokenLen, n.LeftLen, n.copyIndex, n.copyCount = d.size(), d.size(), d.size(), d.size()
+		n.detached = d.Bool()
+		n.bPos = d.size()
+		n.bNeg = d.Bool()
+		r.parent = d.Int()
+		for j, ns := 0, d.Count(1<<20); j < ns; j++ {
+			r.succs = append(r.succs, d.size())
 		}
-		n := net.newNode(NodeKind(kind))
-		origCE, err := nr.i64()
-		if err != nil {
-			return nil, err
-		}
-		n.OrigCE = int(origCE)
-		if tl, err := nr.u64(); err == nil {
-			n.TokenLen = int(tl)
-		} else {
-			return nil, err
-		}
-		if ll, err := nr.u64(); err == nil {
-			n.LeftLen = int(ll)
-		} else {
-			return nil, err
-		}
-		if ci, err := nr.u64(); err == nil {
-			n.copyIndex = int(ci)
-		} else {
-			return nil, err
-		}
-		if cc, err := nr.u64(); err == nil {
-			n.copyCount = int(cc)
-		} else {
-			return nil, err
-		}
-		if det, err := nr.u64(); err == nil {
-			n.detached = det == 1
-		} else {
-			return nil, err
-		}
-		if bp, err := nr.u64(); err == nil {
-			n.bPos = int(bp)
-		} else {
-			return nil, err
-		}
-		if bn, err := nr.u64(); err == nil {
-			n.bNeg = bn == 1
-		} else {
-			return nil, err
-		}
-		parent, err := nr.i64()
-		if err != nil {
-			return nil, err
-		}
-		parents[i] = int(parent)
-		nsuccs, err := nr.intn(1 << 20)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < nsuccs; j++ {
-			sid, err := nr.u64()
-			if err != nil {
-				return nil, err
-			}
-			succs[i] = append(succs[i], int(sid))
-		}
-		ntests, err := nr.intn(1 << 16)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < ntests; j++ {
-			op, err := nr.u64()
-			if err != nil {
-				return nil, err
-			}
-			rightClass, err := nr.str()
-			if err != nil {
-				return nil, err
-			}
-			rightAttr, err := nr.str()
-			if err != nil {
-				return nil, err
-			}
-			lp, err := nr.u64()
-			if err != nil {
-				return nil, err
-			}
-			leftClass, err := nr.str()
-			if err != nil {
-				return nil, err
-			}
-			leftAttr, err := nr.str()
-			if err != nil {
-				return nil, err
-			}
-			jt := net.joinTest(ops5.PredOp(op), rightClass, rightAttr, int(lp), leftClass, leftAttr)
+		for j, nt := 0, d.Count(1<<16); j < nt; j++ {
+			jt := net.joinTest(d.op(), d.Str(), d.Str(), d.size(), d.Str(), d.Str())
 			n.Tests = append(n.Tests, jt)
 			if jt.Op == ops5.OpEq {
 				n.EqTests = append(n.EqTests, jt)
 			}
 		}
 		if n.Kind == KindProduction {
-			if prodNames[i], err = nr.str(); err != nil {
-				return nil, err
-			}
+			r.prod = d.Str()
 		}
-		if n.shareKey, err = nr.str(); err != nil {
-			return nil, err
-		}
+		n.shareKey = d.Str()
 	}
 
-	// Resolve graph references.
-	nodeAt := func(id int) (*Node, error) {
-		if id < 0 || id >= len(net.Nodes) {
-			return nil, fmt.Errorf("rete: node id %d out of range", id)
-		}
-		return net.Nodes[id], nil
-	}
 	for i, n := range net.Nodes {
-		if parents[i] >= 0 {
-			p, err := nodeAt(parents[i])
-			if err != nil {
-				return nil, err
-			}
-			n.Parent = p
+		if refs[i].parent >= 0 {
+			n.Parent = d.nodeAt(refs[i].parent)
 		}
-		for _, sid := range succs[i] {
-			s, err := nodeAt(sid)
-			if err != nil {
-				return nil, err
-			}
-			n.Succs = append(n.Succs, s)
+		for _, sid := range refs[i].succs {
+			n.Succs = append(n.Succs, d.nodeAt(sid))
 		}
 	}
 	for _, rr := range routes {
-		n, err := nodeAt(rr.node)
-		if err != nil {
-			return nil, err
-		}
-		rr.alpha.Routes = append(rr.alpha.Routes, AlphaRoute{Node: n, Side: rr.side})
+		rr.alpha.Routes = append(rr.alpha.Routes, AlphaRoute{Node: d.nodeAt(rr.node), Side: rr.side})
 	}
 
 	// Per-production info.
 	for _, p := range prods {
-		info := &ProdInfo{Prod: p, VarDefs: map[string]VarDef{}}
-		nid, err := nr.u64()
-		if err != nil {
-			return nil, err
+		nid := d.size()
+		info := &ProdInfo{Prod: p, VarDefs: map[string]VarDef{}, Node: d.nodeAt(nid)}
+		if d.Err != nil {
+			break
 		}
-		if info.Node, err = nodeAt(int(nid)); err != nil {
-			return nil, err
+		if info.Node.Kind != KindProduction || refs[nid].prod != p.Name {
+			d.Fail(fmt.Sprintf("production %q names node %d, which is not its terminal", p.Name, nid))
+			break
 		}
-		if info.Node.Kind != KindProduction || prodNames[nid] != p.Name {
-			return nil, fmt.Errorf("rete: production %q names node %d, which is not its terminal", p.Name, nid)
+		if net.Prods[p.Name] != nil {
+			d.Fail(fmt.Sprintf("duplicate production %q", p.Name))
+			break
 		}
-		nvars, err := nr.intn(1 << 16)
-		if err != nil {
-			return nil, err
-		}
-		for j := 0; j < nvars; j++ {
-			v, err := nr.str()
-			if err != nil {
-				return nil, err
+		for j, nv := 0, d.Count(1<<16); j < nv; j++ {
+			v, ce, attr := d.Str(), d.size(), d.Str()
+			if ce >= len(p.LHS) {
+				d.Fail(fmt.Sprintf("production %q binds <%s> in condition element %d of %d", p.Name, v, ce, len(p.LHS)))
+				break
 			}
-			ce, err := nr.u64()
-			if err != nil {
-				return nil, err
-			}
-			attr, err := nr.str()
-			if err != nil {
-				return nil, err
-			}
-			if ce >= uint64(len(p.LHS)) {
-				return nil, fmt.Errorf("rete: production %q binds <%s> in condition element %d of %d", p.Name, v, ce, len(p.LHS))
-			}
-			info.VarDefs[v] = VarDef{OrigCE: int(ce), Attr: attr, ref: net.ref(p.LHS[ce].Class, attr)}
+			info.VarDefs[v] = VarDef{OrigCE: ce, Attr: attr, ref: net.ref(p.LHS[ce].Class, attr)}
 		}
-		npos, err := nr.intn(1 << 16)
-		if err != nil {
-			return nil, err
+		for j, np := 0, d.Count(1<<16); j < np; j++ {
+			info.TokenPos = append(info.TokenPos, d.Int())
 		}
-		for j := 0; j < npos; j++ {
-			pos, err := nr.i64()
-			if err != nil {
-				return nil, err
-			}
-			info.TokenPos = append(info.TokenPos, int(pos))
-		}
-		nmembers, err := nr.intn(1 << 16)
-		if err != nil {
-			return nil, err
-		}
-		if nmembers > 0 {
+		if nm := d.Count(1 << 16); nm > 0 {
 			g := &boundedGroup{terminal: info.Node}
-			for j := 0; j < nmembers; j++ {
-				mid, err := nr.u64()
-				if err != nil {
-					return nil, err
-				}
-				m, err := nodeAt(int(mid))
-				if err != nil {
-					return nil, err
+			for j := 0; j < nm; j++ {
+				m := d.nodeAt(d.size())
+				if m == nil {
+					break
 				}
 				if m.Kind != KindBounded {
-					return nil, fmt.Errorf("rete: bounded group member %d is a %s node", m.ID, m.Kind)
+					d.Fail(fmt.Sprintf("bounded group member %d is a %s node", m.ID, m.Kind))
+					break
 				}
 				g.members = append(g.members, m)
 				m.group = g
@@ -645,7 +378,7 @@ func DecodeNetwork(r io.Reader) (*Network, error) {
 	}
 	for i, n := range net.Nodes {
 		if n.Kind == KindProduction && n.Info == nil {
-			return nil, fmt.Errorf("rete: production node references unknown production %q", prodNames[i])
+			d.Fail(fmt.Sprintf("production node references unknown production %q", refs[i].prod))
 		}
 	}
 	slots := 0
@@ -653,7 +386,10 @@ func DecodeNetwork(r io.Reader) (*Network, error) {
 		slots += l.Len()
 	}
 	if len(net.layouts) != nlayouts || slots != declared {
-		return nil, fmt.Errorf("rete: network mentions a class or an attribute its layout table lacks")
+		d.Fail("network mentions a class or an attribute its layout table lacks")
+	}
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
 	return net, nil
 }

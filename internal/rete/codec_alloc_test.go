@@ -1,7 +1,6 @@
 package rete_test
 
 import (
-	"bytes"
 	"testing"
 
 	"mpcrete/internal/ops5"
@@ -10,11 +9,10 @@ import (
 	"mpcrete/internal/workloads"
 )
 
-// TestEncodeNetworkAllocs pins what encoding a network allocates beside
-// the production source it ships: the bufio.Writer, its buffer, the
-// netWriter, and one sorted variable-name list per production — not one
-// scratch array per varint, which is what every wire worker's handshake
-// used to pay (743 integers for queens).
+// TestEncodeNetworkAllocs pins what appending a network to a reused
+// buffer allocates beside the production source it ships: one sorted
+// variable-name list per production — nothing per integer written (743
+// for queens), and no writer or buffer of the codec's own.
 func TestEncodeNetworkAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("escape analysis decides differently under the race detector")
@@ -27,10 +25,7 @@ func TestEncodeNetworkAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := rete.EncodeNetwork(&buf, net); err != nil { // warms buf
-		t.Fatal(err)
-	}
+	buf := rete.AppendNetwork(nil, net) // warms buf
 	var sink int
 	source := testing.AllocsPerRun(20, func() {
 		for _, name := range net.ProdOrder {
@@ -38,12 +33,9 @@ func TestEncodeNetworkAllocs(t *testing.T) {
 		}
 	})
 	total := testing.AllocsPerRun(20, func() {
-		buf.Reset()
-		if err := rete.EncodeNetwork(&buf, net); err != nil {
-			t.Fatal(err)
-		}
+		buf = rete.AppendNetwork(buf[:0], net)
 	})
-	if own, want := total-source, float64(3+len(net.ProdOrder)); own > want {
-		t.Errorf("EncodeNetwork allocates %v beside the %v of Production.String, want at most %v", own, source, want)
+	if own, want := total-source, float64(len(net.ProdOrder)); own > want {
+		t.Errorf("AppendNetwork allocates %v beside the %v of Production.String, want at most %v", own, source, want)
 	}
 }

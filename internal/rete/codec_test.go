@@ -2,22 +2,21 @@ package rete
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
 
 	"mpcrete/internal/ops5"
+	"mpcrete/internal/wire"
 )
 
 // roundTripNetwork encodes and decodes a network.
 func roundTripNetwork(t *testing.T, net *Network) *Network {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := EncodeNetwork(&buf, net); err != nil {
-		t.Fatal(err)
-	}
-	got, err := DecodeNetwork(&buf)
+	got, err := DecodeNetwork(AppendNetwork(nil, net))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,22 +168,102 @@ func TestNetworkCodecRandomizedEquivalence(t *testing.T) {
 }
 
 func TestNetworkCodecErrors(t *testing.T) {
-	if _, err := DecodeNetwork(strings.NewReader("")); err == nil {
-		t.Error("empty input accepted")
+	if _, err := DecodeNetwork(nil); !errors.Is(err, wire.ErrBadPayload) {
+		t.Errorf("empty input: %v", err)
 	}
-	if _, err := DecodeNetwork(strings.NewReader("NOTMAGIC")); err == nil {
-		t.Error("bad magic accepted")
+	if _, err := DecodeNetwork([]byte("NOTMAGIC")); !errors.Is(err, wire.ErrBadPayload) {
+		t.Errorf("bad magic: %v", err)
 	}
 	// Truncated stream.
-	net := compileT(t, sharedFanoutProds)
-	var buf bytes.Buffer
-	if err := EncodeNetwork(&buf, net); err != nil {
+	full := AppendNetwork(nil, compileT(t, sharedFanoutProds))
+	for _, cut := range []int{len(netMagic) + 1, len(full) / 2, len(full) - 1} {
+		if _, err := DecodeNetwork(full[:cut]); !errors.Is(err, wire.ErrBadPayload) {
+			t.Errorf("truncation at %d: %v", cut, err)
+		}
+	}
+}
+
+// forgeNetwork writes a blob field by field behind the magic: an int is
+// a uvarint (a count, an id, a size), an int64 a signed varint, a byte
+// itself, a string its length and bytes.
+func forgeNetwork(fields ...any) []byte {
+	e := wire.Enc{Buf: []byte(netMagic)}
+	for _, f := range fields {
+		switch f := f.(type) {
+		case int:
+			e.Count(f)
+		case int64:
+			e.I64(f)
+		case byte:
+			e.Byte(f)
+		case string:
+			e.Str(f)
+		}
+	}
+	return e.Buf
+}
+
+// TestNetworkCodecForged: a worker's handshake hands DecodeNetwork
+// bytes from a socket, so what a blob declares may cost no more than
+// what the blob is. Every row is refused with wire.ErrBadPayload after
+// allocating under 1 MiB: a count larger than the payload at each
+// counted collection of the format (each as large as the collection's
+// fixed limit allows, so a decoder that bounds by constants only is
+// found out; the offset is the blob's length, so the count named is the
+// one refused), and the other ways a blob can lie about its own shape.
+// "nodes" is the 16-byte blob that once bought 192 MiB.
+func TestNetworkCodecForged(t *testing.T) {
+	const prod = `(p x (a ^v 1) --> (halt))`
+	sound := AppendNetwork(nil, compileT(t, []string{prod}))
+	if _, err := DecodeNetwork(sound); err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-	for _, cut := range []int{len(netMagic) + 1, len(full) / 2, len(full) - 1} {
-		if _, err := DecodeNetwork(bytes.NewReader(full[:cut])); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
+	nodes16 := forgeNetwork(0, 0, 0, 0, 1<<22)
+	if len(nodes16) != 16 {
+		t.Fatalf("the nodes row is %d bytes, want the 16-byte blob", len(nodes16))
+	}
+	with := func(head []any, tail ...any) []byte { return forgeNetwork(append(slices.Clip(head), tail...)...) }
+	// A join node's record up to its successor count, after a header of
+	// no flags, productions, layouts or alphas and a node count of one.
+	node := []any{0, 0, 0, 0, 1, byte(KindJoin), int64(-1), 0, 0, 0, 0, byte(0), 0, byte(0), int64(-1)}
+	// One production, no layouts or alphas, its terminal node whole, and
+	// the production's info up to its variable count.
+	info := []any{0, 1, prod, 0, 0, 1, byte(KindProduction), int64(-1), 1, 1, 0, 0, byte(0), 0, byte(0), int64(-1), 0, 0, "x", "", 0}
+
+	rows := []struct {
+		name string
+		blob []byte
+		want string
+	}{
+		{"productions", forgeNetwork(0, 1<<20), "count 1048576 exceeds limit at offset 12"},
+		{"layouts", forgeNetwork(0, 0, 1<<20), "count 1048576 exceeds limit at offset 13"},
+		{"layout-names", forgeNetwork(0, 0, 1, "a", 1<<16), "count 65536 exceeds limit at offset 16"},
+		{"alphas", forgeNetwork(0, 0, 0, 1<<20), "count 1048576 exceeds limit at offset 14"},
+		{"const-tests", forgeNetwork(0, 0, 0, 1, "a", 1<<16), "count 65536 exceeds limit at offset 17"},
+		{"disjuncts", forgeNetwork(0, 0, 0, 1, "a", 1, "v", byte(ops5.OpEq), 1<<16), "count 65536 exceeds limit at offset 21"},
+		{"routes", forgeNetwork(0, 0, 0, 1, "a", 0, 1<<20), "count 1048576 exceeds limit at offset 18"},
+		{"nodes", nodes16, "count 4194304 exceeds limit at offset 16"},
+		{"successors", with(node, 1<<20), "count 1048576 exceeds limit at offset 26"},
+		{"join-tests", with(node, 0, 1<<16), "count 65536 exceeds limit at offset 27"},
+		{"variables", with(info, 1<<16), "count 65536 exceeds limit at offset 58"},
+		{"token-positions", with(info, 0, 1<<16), "count 65536 exceeds limit at offset 59"},
+		{"group-members", with(info, 0, 0, 1<<16), "count 65536 exceeds limit at offset 60"},
+		{"truncated-string", forgeNetwork(0, 1, 100, byte('('), byte('p')), "count 100 exceeds limit at offset 11"},
+		{"bool-of-2", with(node[:11], byte(2)), "bool at offset 20"},
+		{"node-kind", with(node[:5], byte(KindBounded+1)), "node kind 5"},
+		{"trailing-bytes", append(slices.Clip(sound), 0), "1 trailing bytes"},
+		{"older-format", append([]byte("RETENET2"), sound[len(netMagic):]...), `bad network magic "RETENET2"`},
+	}
+	for _, row := range rows {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := DecodeNetwork(row.blob)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, wire.ErrBadPayload) || !strings.Contains(err.Error(), row.want) {
+			t.Errorf("%s: DecodeNetwork returned %v, want ErrBadPayload saying %q", row.name, err, row.want)
+		}
+		if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+			t.Errorf("%s: refusing %d bytes allocated %d", row.name, len(row.blob), got)
 		}
 	}
 }
@@ -196,12 +275,8 @@ func TestNetworkCodecErrors(t *testing.T) {
 // a table that lacks something the network mentions.
 func TestNetworkCodecLayoutTable(t *testing.T) {
 	net := compileT(t, []string{`(p p1 (aa ^xx 1 ^yy 2) (bb ^xx <v>) --> (make aa ^yy <v>))`})
-	var buf bytes.Buffer
-	if err := EncodeNetwork(&buf, net); err != nil {
-		t.Fatal(err)
-	}
-	sound := buf.Bytes()
-	if _, err := DecodeNetwork(bytes.NewReader(sound)); err != nil {
+	sound := AppendNetwork(nil, net)
+	if _, err := DecodeNetwork(sound); err != nil {
 		t.Fatal(err)
 	}
 	// The table as encoded: two layouts, aa = [xx yy] and bb = [xx],
@@ -223,7 +298,7 @@ func TestNetworkCodecLayoutTable(t *testing.T) {
 		if row.forged == "" {
 			blob = append([]byte("RETENET2"), sound[len(netMagic):]...)
 		}
-		if _, err := DecodeNetwork(bytes.NewReader(blob)); err == nil || !strings.Contains(err.Error(), row.want) {
+		if _, err := DecodeNetwork(blob); !errors.Is(err, wire.ErrBadPayload) || !strings.Contains(err.Error(), row.want) {
 			t.Errorf("%s: DecodeNetwork returned %v, want an error saying %q", row.name, err, row.want)
 		}
 	}
@@ -234,13 +309,8 @@ func TestNetworkCodecCompactness(t *testing.T) {
 	// sharedFanoutProds network has 3 joins + 3 production nodes; the
 	// whole serialized network (including production source) must stay
 	// well under a message-passing node's 10-20KB local memory.
-	net := compileT(t, sharedFanoutProds)
-	var buf bytes.Buffer
-	if err := EncodeNetwork(&buf, net); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() > 4096 {
-		t.Errorf("encoded network = %d bytes, want < 4096", buf.Len())
+	if n := len(AppendNetwork(nil, compileT(t, sharedFanoutProds))); n > 4096 {
+		t.Errorf("encoded network = %d bytes, want < 4096", n)
 	}
 }
 

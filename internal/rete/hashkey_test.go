@@ -73,7 +73,7 @@ func TestHashKeyMatchesFNVReference(t *testing.T) {
 	checked := 0
 	for i, w := range wmes {
 		w.ID, w.TimeTag = i+1, i+1
-		for _, act := range proc.RootActivations(Change{Tag: Add, WME: w}) {
+		for _, act := range proc.RootActivationsInto(Change{Tag: Add, WME: w}, nil) {
 			if got, want := act.HashKey(), refHashKey(act.Node, act.Side, act.Token, act.WME); got != want {
 				t.Errorf("HashKey(%v %v) = %#x, reference %#x", act.Node.ID, act.Side, got, want)
 			}

@@ -34,9 +34,14 @@ type Memory struct {
 	size    int
 }
 
+// ValidNBuckets reports whether n can size a memory: a positive power
+// of two, because a hash key picks its bucket by mask. Whatever takes a
+// bucket count from outside — an option, a flag, a hello — asks here.
+func ValidNBuckets(n int) bool { return n > 0 && n&(n-1) == 0 }
+
 // NewMemory creates a memory with the given power-of-two bucket count.
 func NewMemory(side Side, nbuckets int) *Memory {
-	if nbuckets <= 0 || nbuckets&(nbuckets-1) != 0 {
+	if !ValidNBuckets(nbuckets) {
 		panic(fmt.Sprintf("rete: bucket count %d is not a positive power of two", nbuckets))
 	}
 	return &Memory{side: side, buckets: make([][]memEntry, nbuckets)}

@@ -155,7 +155,7 @@ func TestBucketSizes(t *testing.T) {
 func TestTokenOps(t *testing.T) {
 	w1, w2 := mkWME(1, "a"), mkWME(2, "b")
 	t1 := &Token{WMEs: []*ops5.WME{w1}}
-	t2 := t1.Extend(w2)
+	t2 := NewProcessor(NewNetwork(CompileOptions{}), 4).extend(t1, w2, Add)
 	if len(t1.WMEs) != 1 || len(t2.WMEs) != 2 {
 		t.Fatal("extend must not mutate the source token")
 	}
@@ -181,22 +181,22 @@ func TestProcessorRootActivations(t *testing.T) {
 	proc := NewProcessor(net, 16)
 
 	// a^x=1 matches p1's first CE only (left activation).
-	acts := proc.RootActivations(Change{Tag: Add, WME: mkWME(1, "a", "x", 1)})
+	acts := proc.RootActivationsInto(Change{Tag: Add, WME: mkWME(1, "a", "x", 1)}, nil)
 	if len(acts) != 1 || acts[0].Side != Left || acts[0].Token == nil {
 		t.Fatalf("acts = %+v", acts)
 	}
 	// a^x=2 matches p2 (a production-node left activation).
-	acts = proc.RootActivations(Change{Tag: Add, WME: mkWME(2, "a", "x", 2)})
+	acts = proc.RootActivationsInto(Change{Tag: Add, WME: mkWME(2, "a", "x", 2)}, nil)
 	if len(acts) != 1 || acts[0].Node.Kind != KindProduction {
 		t.Fatalf("acts = %+v", acts)
 	}
 	// b matches p1's join right input.
-	acts = proc.RootActivations(Change{Tag: Add, WME: mkWME(3, "b", "x", 9)})
+	acts = proc.RootActivationsInto(Change{Tag: Add, WME: mkWME(3, "b", "x", 9)}, nil)
 	if len(acts) != 1 || acts[0].Side != Right || acts[0].WME == nil {
 		t.Fatalf("acts = %+v", acts)
 	}
 	// Unknown class matches nothing.
-	if acts := proc.RootActivations(Change{Tag: Add, WME: mkWME(4, "zzz")}); len(acts) != 0 {
+	if acts := proc.RootActivationsInto(Change{Tag: Add, WME: mkWME(4, "zzz")}, nil); len(acts) != 0 {
 		t.Fatalf("acts = %+v", acts)
 	}
 }
@@ -208,16 +208,16 @@ func TestProcessorProcessEmitsOnlyToCallback(t *testing.T) {
 	var emitted []Activation
 
 	// Right wme first: stored, no matches.
-	for _, a := range proc.RootActivations(Change{Tag: Add, WME: mkWME(1, "b", "x", 5)}) {
-		emitted = proc.Process(a, emitted)
+	for _, a := range proc.RootActivationsInto(Change{Tag: Add, WME: mkWME(1, "b", "x", 5)}, nil) {
+		emitted = proc.ProcessAt(a, proc.Bucket(a), emitted)
 	}
 	if len(emitted) != 0 {
 		t.Fatalf("emitted = %v", emitted)
 	}
 	// Matching left token: emits the joined token to the production
 	// node.
-	for _, a := range proc.RootActivations(Change{Tag: Add, WME: mkWME(2, "a", "x", 5)}) {
-		emitted = proc.Process(a, emitted)
+	for _, a := range proc.RootActivationsInto(Change{Tag: Add, WME: mkWME(2, "a", "x", 5)}, nil) {
+		emitted = proc.ProcessAt(a, proc.Bucket(a), emitted)
 	}
 	if len(emitted) != 1 || emitted[0].Node.Kind != KindProduction {
 		t.Fatalf("emitted = %+v", emitted)

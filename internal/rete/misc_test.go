@@ -56,7 +56,7 @@ func drainT(p *Processor, queue []Activation) (prods []Activation) {
 		if a := queue[i]; a.Node.Kind == KindProduction {
 			prods = append(prods, a)
 		} else {
-			queue = p.Process(a, queue)
+			queue = p.ProcessAt(a, p.Bucket(a), queue)
 		}
 	}
 	return prods
@@ -72,7 +72,7 @@ func TestExtractInjectBucketDirect(t *testing.T) {
 	wa := mkWME(1, "a", "x", 5)
 	wb := mkWME(2, "b", "x", 5)
 	for _, ch := range []Change{{Tag: Add, WME: wa}, {Tag: Add, WME: wb}} {
-		drainT(src, src.RootActivations(ch))
+		drainT(src, src.RootActivationsInto(ch, nil))
 	}
 	left, right := src.Memories()
 	if left.Len() == 0 || right.Len() == 0 {
@@ -101,7 +101,7 @@ func TestExtractInjectBucketDirect(t *testing.T) {
 	// re-propagate the left token (count 1 -> 0).
 	reborn := 0
 	var insts InstBuilder
-	for _, ic := range insts.Build(drainT(dst, dst.RootActivations(Change{Tag: Delete, WME: wb})), nil) {
+	for _, ic := range insts.Build(drainT(dst, dst.RootActivationsInto(Change{Tag: Delete, WME: wb}, nil)), nil) {
 		if ic.Tag == Add {
 			reborn++
 		}

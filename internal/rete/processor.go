@@ -107,20 +107,14 @@ func (p *Processor) Reset() {
 // worker, which cannot tell where a cycle begins, leaves it uncalled.
 func (p *Processor) BeginPhase() { p.delArena.rewind() }
 
-// RootActivations runs the constant tests for one wme change and
-// returns the resulting activations (the paper's "tokens generated
-// directly by wmes"). Copy-and-constraint node copies filter right
-// tokens here.
-func (p *Processor) RootActivations(ch Change) []Activation {
-	return p.RootActivationsInto(ch, nil)
-}
-
-// RootActivationsInto is RootActivations appending into a reusable
-// buffer — the entry point for hot-path callers (the parallel runtime's
-// per-cycle constant-test pass, and the control processor when it
-// hash-routes root activations to their owners instead of
-// broadcasting). Left root tokens are carved from the processor's
-// arena for the change's tag.
+// RootActivationsInto runs the constant tests for one wme change and
+// appends the resulting activations (the paper's "tokens generated
+// directly by wmes") to out, a buffer the caller reuses: the sequential
+// matcher, the parallel runtime's per-cycle constant-test pass, and the
+// control processor when it hash-routes root activations to their
+// owners instead of broadcasting. Copy-and-constraint node copies
+// filter right tokens here. Left root tokens are carved from the
+// processor's arena for the change's tag.
 func (p *Processor) RootActivationsInto(ch Change, out []Activation) []Activation {
 	for _, a := range p.net.AlphasForClass(ch.WME.Class) {
 		if !a.Matches(ch.WME) {
@@ -143,19 +137,14 @@ func (p *Processor) RootActivationsInto(ch Change, out []Activation) []Activatio
 	return out
 }
 
-// Process performs one activation of a dummy, join, negative or
+// ProcessAt performs one activation of a dummy, join, negative or
 // bounded node against this processor's memories and returns out with
 // the successor (left) activations appended. The caller must route
 // every activation for a given bucket to the same Processor, or memory
-// state will be inconsistent.
-func (p *Processor) Process(a Activation, out []Activation) []Activation {
-	return p.ProcessAt(a, p.Bucket(a), out)
-}
-
-// ProcessAt is Process with the activation's hash bucket supplied by
-// the caller, who has already hashed the activation to route it (for
-// the trace event, or for worker ownership): each activation is hashed
-// once. bucket is ignored for dummy nodes, which touch no memory.
+// state will be inconsistent. bucket is the activation's hash bucket
+// (Bucket), which the caller has already computed to route it (for the
+// trace event, or for worker ownership), so each activation is hashed
+// once; it is ignored for dummy nodes, which touch no memory.
 //
 // Production-node activations are not match work. A successor aimed at
 // a production node is a conflict-set delta: callers set those aside

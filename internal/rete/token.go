@@ -13,14 +13,6 @@ type Token struct {
 	WMEs []*ops5.WME
 }
 
-// Extend returns a new token with w appended.
-func (t *Token) Extend(w *ops5.WME) *Token {
-	wmes := make([]*ops5.WME, len(t.WMEs)+1)
-	copy(wmes, t.WMEs)
-	wmes[len(t.WMEs)] = w
-	return &Token{WMEs: wmes}
-}
-
 // Same reports whether two tokens cover exactly the same wmes (by ID).
 func (t *Token) Same(o *Token) bool {
 	if len(t.WMEs) != len(o.WMEs) {

@@ -69,7 +69,7 @@ func referenceState(t *testing.T, n, runCycles int) string {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	e, err := engine.New(prog, engine.Options{})
+	e, err := engine.New(prog, engine.CompileOptions{}, engine.SessionOptions{})
 	if err != nil {
 		t.Fatalf("new: %v", err)
 	}

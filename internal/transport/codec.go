@@ -1,18 +1,18 @@
 package transport
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/sched"
+	"mpcrete/internal/wire"
 )
 
-// Payload codec: varint-encoded values over the frame payloads, in the
-// style of rete's compiled-network codec. The in-process transport
+// Payload codec: varint-encoded values over the frame payloads, on the
+// primitives of internal/wire (which rete's compiled-network codec, the
+// blob a hello carries, is written in too). The in-process transport
 // moves pointers; the wire moves a wme's content once per directed
 // connection and names it afterwards. Every wme position on the wire
 // opens with a form byte: a definition or a reference (ID, TimeTag)
@@ -97,44 +97,21 @@ const (
 	wmeRef             // (ID, TimeTag) of a wme the stream defined earlier
 )
 
-// enc is an append-only frame encoder. One lives as long as its
-// connection: buf collects whole frames (begin, payload, end — see
-// frame.go) until flush writes them with a single Write, cache is the
-// connection's send cache (nil encodes every wme as an unstored
+// enc is an append-only frame encoder over wire's primitives. One lives
+// as long as its connection: Buf collects whole frames (begin, payload,
+// end — see frame.go) until flush writes them with a single Write, cache
+// is the connection's send cache (nil encodes every wme as an unstored
 // definition), and layouts is the network's layout table, which
 // definitions are rows of.
 type enc struct {
-	buf     []byte
-	start   int // offset of the open frame's header in buf
+	wire.Enc
+	start   int // offset of the open frame's header in Buf
 	cache   *wmeCache
 	layouts []*ops5.Layout
 }
 
-func (e *enc) u64(v uint64)  { e.buf = binary.AppendUvarint(e.buf, v) }
-func (e *enc) i64(v int64)   { e.buf = binary.AppendVarint(e.buf, v) }
-func (e *enc) byte(b byte)   { e.buf = append(e.buf, b) }
-func (e *enc) raw(b []byte)  { e.buf = append(e.buf, b...) }
-func (e *enc) str(s string)  { e.u64(uint64(len(s))); e.buf = append(e.buf, s...) }
-func (e *enc) i32(v int32)   { e.i64(int64(v)) }
-func (e *enc) bool(b bool)   { e.byte(boolByte(b)) }
-func (e *enc) int(v int)     { e.i64(int64(v)) }
-func (e *enc) count(n int)   { e.u64(uint64(n)) }
-func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
-
-func boolByte(b bool) byte {
-	if b {
-		return 1
-	}
-	return 0
-}
-
-// dec is a bounds-checked payload decoder with a sticky error: the
-// first failure is recorded in err (always wrapping ErrBadPayload) and
-// empties the input, so every later read fails the same way and yields
-// a zero value. Decoders therefore read straight through and their
-// callers check err (or done) once, before using anything decoded.
-//
-// One dec lives as long as its reader and is reset per payload.
+// dec is a payload decoder over wire's sticky, bounds-checked
+// primitives. One lives as long as its reader and is Reset per payload.
 // nbuckets and workers are the topology's index bounds: every
 // wire-supplied bucket and worker index is held to them here (bucket,
 // worker), the one place such indices enter the process, so the worker
@@ -143,10 +120,8 @@ func boolByte(b bool) byte {
 // without one every wme reference is refused. layouts is the network's
 // layout table; without one every definition by layout id is.
 type dec struct {
-	b                 []byte
-	off               int // consumed bytes, for error context
+	wire.Dec
 	nbuckets, workers int
-	err               error
 	cache             *wmeCache
 	layouts           []*ops5.Layout
 
@@ -157,73 +132,11 @@ type dec struct {
 	refs []*ops5.WME
 }
 
-// reset points the decoder at the next payload.
-func (d *dec) reset(payload []byte) { d.b, d.off, d.err = payload, 0, nil }
-
-func (d *dec) fail(what string) {
-	if d.err == nil {
-		d.err = fmt.Errorf("%w: %s at offset %d", ErrBadPayload, what, d.off)
-	}
-	d.b = nil
-}
-
-func (d *dec) advance(n int) {
-	d.b = d.b[n:]
-	d.off += n
-}
-
-func (d *dec) u64() uint64 {
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail("uvarint")
-		return 0
-	}
-	d.advance(n)
-	return v
-}
-
-func (d *dec) i64() int64 {
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail("varint")
-		return 0
-	}
-	d.advance(n)
-	return v
-}
-
-func (d *dec) byte() byte {
-	if len(d.b) == 0 {
-		d.fail("byte")
-		return 0
-	}
-	b := d.b[0]
-	d.advance(1)
-	return b
-}
-
-func (d *dec) bool() bool {
-	b := d.byte()
-	if b > 1 {
-		d.fail("bool")
-	}
-	return b == 1
-}
-
-func (d *dec) i32() int32 {
-	v := d.i64()
-	if v < math.MinInt32 || v > math.MaxInt32 {
-		d.fail("int32 range")
-		return 0
-	}
-	return int32(v)
-}
-
 // index decodes an index into a space of the given size.
 func (d *dec) index(size int, what string) int32 {
-	v := d.i64()
-	if d.err != nil || v < 0 || v >= int64(size) {
-		d.fail(fmt.Sprintf("%s %d out of range [0,%d)", what, v, size))
+	v := d.I64()
+	if d.Err != nil || v < 0 || v >= int64(size) {
+		d.Fail(fmt.Sprintf("%s %d out of range [0,%d)", what, v, size))
 		return 0
 	}
 	return int32(v)
@@ -231,68 +144,8 @@ func (d *dec) index(size int, what string) int32 {
 
 func (d *dec) bucket() int32 { return d.index(d.nbuckets, "bucket") }
 func (d *dec) worker() int32 { return d.index(d.workers, "worker") }
-func (d *dec) int() int      { return int(d.i64()) }
-func (d *dec) f64() float64  { return math.Float64frombits(d.u64()) }
 
-// count decodes a collection length, bounded both by an explicit limit
-// and by the bytes remaining (each element costs at least one byte), so
-// a hostile length cannot trigger a huge allocation. After a failure it
-// is zero, so element loops do not run.
-func (d *dec) count(limit int) int {
-	v := d.u64()
-	if v > uint64(limit) || v > uint64(len(d.b)) {
-		d.fail(fmt.Sprintf("count %d exceeds limit", v))
-		return 0
-	}
-	return int(v)
-}
-
-// bytes consumes the next n bytes (aliasing the input).
-func (d *dec) bytes(n int, what string) []byte {
-	if len(d.b) < n {
-		d.fail(what)
-		return nil
-	}
-	b := d.b[:n]
-	d.advance(n)
-	return b
-}
-
-func (d *dec) str() string { return string(d.bytes(d.count(1<<20), "string bytes")) }
-
-// done reports the decode's outcome: the sticky error, or trailing
-// bytes.
-func (d *dec) done() error {
-	if len(d.b) != 0 {
-		d.fail(fmt.Sprintf("%d trailing bytes", len(d.b)))
-	}
-	return d.err
-}
-
-// --- values and wmes ---
-
-func (e *enc) value(v ops5.Value) {
-	e.byte(byte(v.Kind))
-	switch v.Kind {
-	case ops5.KindSym:
-		e.str(v.Sym)
-	case ops5.KindNum:
-		e.f64(v.Num)
-	}
-}
-
-func (d *dec) value() ops5.Value {
-	switch kind := d.byte(); ops5.Kind(kind) {
-	case ops5.KindNil:
-	case ops5.KindSym:
-		return ops5.S(d.str())
-	case ops5.KindNum:
-		return ops5.N(d.f64())
-	default:
-		d.fail(fmt.Sprintf("value kind %d", kind))
-	}
-	return ops5.Value{}
-}
+// --- wmes ---
 
 // wme encodes a wme position: a reference when the connection's cache
 // holds this (ID, TimeTag), otherwise a definition, which takes the
@@ -302,9 +155,9 @@ func (e *enc) wme(w *ops5.WME) {
 		slot := c.slot(w.ID)
 		if s := *slot; s != nil && s.ID == w.ID && s.TimeTag == w.TimeTag {
 			c.refs++
-			e.byte(wmeRef)
-			e.int(w.ID)
-			e.int(w.TimeTag)
+			e.Byte(wmeRef)
+			e.Int(w.ID)
+			e.Int(w.TimeTag)
 			return
 		}
 		c.defs++
@@ -329,9 +182,9 @@ func layoutOf(table []*ops5.Layout, class string) *ops5.Layout {
 // a script handed the matcher, one laid out by another network — is
 // conformed first, so the row on the wire is always the table's.
 func (e *enc) def(w *ops5.WME) {
-	e.byte(wmeDef)
-	e.int(w.ID)
-	e.int(w.TimeTag)
+	e.Byte(wmeDef)
+	e.Int(w.ID)
+	e.Int(w.TimeTag)
 	l := w.Layout()
 	if l == nil || l.ID() >= len(e.layouts) || e.layouts[l.ID()] != l || len(w.Slots()) != l.Len() {
 		tl := layoutOf(e.layouts, w.Class)
@@ -341,23 +194,23 @@ func (e *enc) def(w *ops5.WME) {
 		l = tl
 	}
 	if l == nil {
-		e.u64(0)
-		e.str(w.Class)
+		e.U64(0)
+		e.Str(w.Class)
 	} else {
-		e.u64(uint64(l.ID()) + 1)
+		e.U64(uint64(l.ID()) + 1)
 	}
 	slots := w.Slots()
 	for len(slots) > 0 && slots[len(slots)-1].Nil() {
 		slots = slots[:len(slots)-1]
 	}
-	e.count(len(slots))
+	e.Count(len(slots))
 	for _, v := range slots {
-		e.value(v)
+		e.Value(v)
 	}
-	e.count(len(w.Extra()))
+	e.Count(len(w.Extra()))
 	for _, a := range w.Extra() {
-		e.str(a.Name)
-		e.value(a.Value)
+		e.Str(a.Name)
+		e.Value(a.Value)
 	}
 }
 
@@ -365,7 +218,7 @@ func (e *enc) def(w *ops5.WME) {
 // CEs are nil).
 func (e *enc) optWME(w *ops5.WME) {
 	if w == nil {
-		e.byte(wmeNil)
+		e.Byte(wmeNil)
 		return
 	}
 	e.wme(w)
@@ -376,31 +229,31 @@ func (e *enc) optWME(w *ops5.WME) {
 // slot holds: an empty slot, another ID or another time tag means the
 // two ends of the cache have come apart, or the frame is forged.
 func (d *dec) optWME() *ops5.WME {
-	switch form := d.byte(); form {
+	switch form := d.Byte(); form {
 	case wmeNil:
 	case wmeDef:
 		w := d.def()
-		if c := d.cache; c != nil && d.err == nil {
+		if c := d.cache; c != nil && d.Err == nil {
 			c.defs++
 			*c.slot(w.ID) = w
 		}
 		return w
 	case wmeRef:
-		id, tag := d.int(), d.int()
-		if d.err != nil {
+		id, tag := d.Int(), d.Int()
+		if d.Err != nil {
 			return nil
 		}
 		if d.cache == nil {
-			d.fail("wme reference on a stream without a cache")
+			d.Fail("wme reference on a stream without a cache")
 			return nil
 		}
 		if w := *d.cache.slot(id); w != nil && w.ID == id && w.TimeTag == tag {
 			d.cache.refs++
 			return w
 		}
-		d.fail(fmt.Sprintf("wme reference (%d, %d) names nothing the stream defined", id, tag))
+		d.Fail(fmt.Sprintf("wme reference (%d, %d) names nothing the stream defined", id, tag))
 	default:
-		d.fail(fmt.Sprintf("wme form %d", form))
+		d.Fail(fmt.Sprintf("wme form %d", form))
 	}
 	return nil
 }
@@ -409,17 +262,17 @@ func (d *dec) optWME() *ops5.WME {
 // layout of its class (a loose one for a class the table lacks). After
 // a failure the result is not to be used.
 func (d *dec) def() *ops5.WME {
-	id, tag := d.int(), d.int()
+	id, tag := d.Int(), d.Int()
 	var l *ops5.Layout
 	var w *ops5.WME
-	if ref := d.u64(); ref == 0 {
-		w = &ops5.WME{Class: d.str()}
+	if ref := d.U64(); ref == 0 {
+		w = &ops5.WME{Class: d.Str()}
 		if tl := layoutOf(d.layouts, w.Class); tl != nil {
-			d.fail(fmt.Sprintf("class %q defined by name, but layout %d is its", w.Class, tl.ID()))
+			d.Fail(fmt.Sprintf("class %q defined by name, but layout %d is its", w.Class, tl.ID()))
 			return nil
 		}
 	} else if ref > uint64(len(d.layouts)) {
-		d.fail(fmt.Sprintf("layout id %d outside the table of %d", ref-1, len(d.layouts)))
+		d.Fail(fmt.Sprintf("layout id %d outside the table of %d", ref-1, len(d.layouts)))
 		return nil
 	} else {
 		l = d.layouts[ref-1]
@@ -427,18 +280,18 @@ func (d *dec) def() *ops5.WME {
 	}
 	w.ID, w.TimeTag = id, tag
 	slots := w.Slots()
-	n := d.count(1 << 16)
+	n := d.Count(1 << 16)
 	if n > len(slots) {
-		d.fail(fmt.Sprintf("%d slots in a definition of class %q, whose layout has %d", n, w.Class, len(slots)))
+		d.Fail(fmt.Sprintf("%d slots in a definition of class %q, whose layout has %d", n, w.Class, len(slots)))
 		return nil
 	}
 	for i := 0; i < n; i++ {
-		slots[i] = d.value()
+		slots[i] = d.Value()
 	}
 	prev := ""
-	for i, n := 0, d.count(1<<16); i < n; i++ {
-		name, v := d.str(), d.value()
-		if d.err != nil {
+	for i, n := 0, d.Count(1<<16); i < n; i++ {
+		name, v := d.Str(), d.Value()
+		if d.Err != nil {
 			return nil
 		}
 		var fault string
@@ -450,7 +303,7 @@ func (d *dec) def() *ops5.WME {
 			fault = "is out of order after " + prev
 		}
 		if fault != "" {
-			d.fail(fmt.Sprintf("extra attribute %q of class %q %s", name, w.Class, fault))
+			d.Fail(fmt.Sprintf("extra attribute %q of class %q %s", name, w.Class, fault))
 			return nil
 		}
 		w.Set(name, v)
@@ -463,14 +316,14 @@ func (d *dec) def() *ops5.WME {
 func (d *dec) wme() *ops5.WME {
 	w := d.optWME()
 	if w == nil {
-		d.fail("absent wme")
+		d.Fail("absent wme")
 	}
 	return w
 }
 
 // wmes encodes a counted list of wmes (a token's).
 func (e *enc) wmes(ws []*ops5.WME) {
-	e.count(len(ws))
+	e.Count(len(ws))
 	for _, w := range ws {
 		e.wme(w)
 	}
@@ -487,7 +340,7 @@ const (
 // token decodes a counted list of wmes into a token carved from the
 // decoder's slabs.
 func (d *dec) token() *rete.Token {
-	n := d.count(1 << 16)
+	n := d.Count(1 << 16)
 	if len(d.toks) == 0 {
 		d.toks = make([]rete.Token, tokenSlab)
 	}
@@ -506,12 +359,12 @@ func (d *dec) token() *rete.Token {
 // --- changes, activations, instantiations ---
 
 func (e *enc) change(ch rete.Change) {
-	e.byte(byte(ch.Tag))
+	e.Byte(byte(ch.Tag))
 	e.wme(ch.WME)
 }
 
 func (e *enc) changes(chs []rete.Change) {
-	e.count(len(chs))
+	e.Count(len(chs))
 	for _, ch := range chs {
 		e.change(ch)
 	}
@@ -519,7 +372,7 @@ func (e *enc) changes(chs []rete.Change) {
 
 // changes decodes a cycle's wme changes into buf.
 func (d *dec) changes(buf []rete.Change) []rete.Change {
-	n := d.count(1 << 24)
+	n := d.Count(1 << 24)
 	if cap(buf) < n {
 		buf = make([]rete.Change, 0, n)
 	}
@@ -531,19 +384,19 @@ func (d *dec) changes(buf []rete.Change) []rete.Change {
 }
 
 func (d *dec) tag() rete.Tag {
-	b := d.byte()
+	b := d.Byte()
 	if t := rete.Tag(b); t == rete.Add || t == rete.Delete {
 		return t
 	}
-	d.fail(fmt.Sprintf("tag %d", b))
+	d.Fail(fmt.Sprintf("tag %d", b))
 	return 0
 }
 
 func (e *enc) activation(a rete.Activation) {
-	e.int(a.Node.ID)
-	e.byte(byte(a.Side))
-	e.byte(byte(a.Tag))
-	e.bool(a.Token != nil)
+	e.Int(a.Node.ID)
+	e.Byte(byte(a.Side))
+	e.Byte(byte(a.Tag))
+	e.Bool(a.Token != nil)
 	if a.Token != nil {
 		e.wmes(a.Token.WMEs)
 	}
@@ -552,9 +405,9 @@ func (e *enc) activation(a rete.Activation) {
 
 // node decodes a compiled-network node reference (nil on failure).
 func (d *dec) node(net *rete.Network) *rete.Node {
-	id := d.int()
-	if d.err != nil || id < 0 || id >= len(net.Nodes) {
-		d.fail(fmt.Sprintf("node id %d out of range [0,%d)", id, len(net.Nodes)))
+	id := d.Int()
+	if d.Err != nil || id < 0 || id >= len(net.Nodes) {
+		d.Fail(fmt.Sprintf("node id %d out of range [0,%d)", id, len(net.Nodes)))
 		return nil
 	}
 	return net.Nodes[id]
@@ -562,13 +415,13 @@ func (d *dec) node(net *rete.Network) *rete.Node {
 
 func (d *dec) activation(net *rete.Network) rete.Activation {
 	a := rete.Activation{Node: d.node(net)}
-	side := d.byte()
+	side := d.Byte()
 	if side != byte(rete.Left) && side != byte(rete.Right) {
-		d.fail(fmt.Sprintf("side %d", side))
+		d.Fail(fmt.Sprintf("side %d", side))
 	}
 	a.Side = rete.Side(side)
 	a.Tag = d.tag()
-	if d.bool() {
+	if d.Bool() {
 		a.Token = d.token()
 	}
 	a.WME = d.optWME()
@@ -578,19 +431,19 @@ func (d *dec) activation(net *rete.Network) rete.Activation {
 // actList encodes a run of MsgAct messages with their routing
 // metadata — the body of the ftActs and ftRelay frames.
 func (e *enc) actList(ms []parallel.Message) {
-	e.count(len(ms))
+	e.Count(len(ms))
 	for i := range ms {
-		e.i32(ms[i].Bucket)
-		e.i32(ms[i].Depth)
+		e.I32(ms[i].Bucket)
+		e.I32(ms[i].Depth)
 		e.activation(ms[i].Act)
 	}
 }
 
 func (d *dec) actList(net *rete.Network, buf []parallel.Message) []parallel.Message {
-	n := d.count(1 << 24)
+	n := d.Count(1 << 24)
 	buf = buf[:0]
 	for i := 0; i < n; i++ {
-		buf = append(buf, parallel.Message{Kind: parallel.MsgAct, Bucket: d.bucket(), Depth: d.i32(), Act: d.activation(net)})
+		buf = append(buf, parallel.Message{Kind: parallel.MsgAct, Bucket: d.bucket(), Depth: d.I32(), Act: d.activation(net)})
 	}
 	return buf
 }
@@ -598,15 +451,15 @@ func (d *dec) actList(net *rete.Network, buf []parallel.Message) []parallel.Mess
 // instChange encodes one conflict-set delta. The production travels as
 // its terminal node's compiled id.
 func (e *enc) instChange(ic rete.InstChange) {
-	e.byte(byte(ic.Tag))
-	e.int(ic.Info.Node.ID)
-	e.count(len(ic.WMEs))
+	e.Byte(byte(ic.Tag))
+	e.Int(ic.Info.Node.ID)
+	e.Count(len(ic.WMEs))
 	for _, w := range ic.WMEs {
 		e.optWME(w)
 	}
-	e.count(len(ic.TimeTags))
+	e.Count(len(ic.TimeTags))
 	for _, t := range ic.TimeTags {
-		e.int(t)
+		e.Int(t)
 	}
 }
 
@@ -619,19 +472,19 @@ func (d *dec) instChange(net *rete.Network, tf *turnFrame) rete.InstChange {
 		return ic
 	}
 	if n.Kind != rete.KindProduction || n.Info == nil {
-		d.fail(fmt.Sprintf("node %d is not a production's terminal", n.ID))
+		d.Fail(fmt.Sprintf("node %d is not a production's terminal", n.ID))
 		return ic
 	}
 	ic.Info = n.Info
-	nw := d.count(len(tf.wmes))
+	nw := d.Count(len(tf.wmes))
 	ic.WMEs, tf.wmes = tf.wmes[:nw:nw], tf.wmes[nw:]
 	for i := range ic.WMEs {
 		ic.WMEs[i] = d.optWME()
 	}
-	nt := d.count(len(tf.tags))
+	nt := d.Count(len(tf.tags))
 	ic.TimeTags, tf.tags = tf.tags[:nt:nt], tf.tags[nt:]
 	for i := range ic.TimeTags {
-		ic.TimeTags[i] = d.int()
+		ic.TimeTags[i] = d.Int()
 	}
 	return ic
 }
@@ -639,15 +492,15 @@ func (d *dec) instChange(net *rete.Network, tf *turnFrame) rete.InstChange {
 // --- migration payloads: move lists, partitions, bucket contents ---
 
 func (e *enc) moves(mvs []parallel.BucketMove) {
-	e.count(len(mvs))
+	e.Count(len(mvs))
 	for _, mv := range mvs {
-		e.i32(mv.Bucket)
-		e.i32(mv.NewOwner)
+		e.I32(mv.Bucket)
+		e.I32(mv.NewOwner)
 	}
 }
 
 func (d *dec) moves() []parallel.BucketMove {
-	mvs := make([]parallel.BucketMove, d.count(1<<24))
+	mvs := make([]parallel.BucketMove, d.Count(1<<24))
 	for i := range mvs {
 		mvs[i] = parallel.BucketMove{Bucket: d.bucket(), NewOwner: d.worker()}
 	}
@@ -655,18 +508,18 @@ func (d *dec) moves() []parallel.BucketMove {
 }
 
 func (e *enc) partition(p sched.Partition) {
-	e.count(len(p))
+	e.Count(len(p))
 	for _, owner := range p {
-		e.int(owner)
+		e.Int(owner)
 	}
 }
 
 // partition decodes a bucket-to-worker assignment covering exactly the
 // decoder's bucket space.
 func (d *dec) partition() sched.Partition {
-	n := d.count(1 << 24)
+	n := d.Count(1 << 24)
 	if n != d.nbuckets {
-		d.fail(fmt.Sprintf("partition covers %d buckets, want %d", n, d.nbuckets))
+		d.Fail(fmt.Sprintf("partition covers %d buckets, want %d", n, d.nbuckets))
 		return nil
 	}
 	p := make(sched.Partition, n)
@@ -685,16 +538,16 @@ func (d *dec) partition() sched.Partition {
 func (e *enc) bucketContents(bc *rete.BucketContents) {
 	cache := e.cache
 	e.cache = nil
-	e.int(bc.Bucket)
-	e.count(len(bc.LeftTokens))
+	e.Int(bc.Bucket)
+	e.Count(len(bc.LeftTokens))
 	for i, tok := range bc.LeftTokens {
-		e.int(bc.LeftNodes[i].ID)
-		e.int(bc.LeftCounts[i])
+		e.Int(bc.LeftNodes[i].ID)
+		e.Int(bc.LeftCounts[i])
 		e.wmes(tok.WMEs)
 	}
-	e.count(len(bc.RightWMEs))
+	e.Count(len(bc.RightWMEs))
 	for i, w := range bc.RightWMEs {
-		e.int(bc.RightNodes[i].ID)
+		e.Int(bc.RightNodes[i].ID)
 		e.wme(w)
 	}
 	e.cache = cache
@@ -704,12 +557,12 @@ func (d *dec) bucketContents(net *rete.Network) *rete.BucketContents {
 	cache := d.cache
 	d.cache = nil
 	bc := &rete.BucketContents{Bucket: int(d.bucket())}
-	for i, n := 0, d.count(1<<24); i < n; i++ {
+	for i, n := 0, d.Count(1<<24); i < n; i++ {
 		bc.LeftNodes = append(bc.LeftNodes, d.node(net))
-		bc.LeftCounts = append(bc.LeftCounts, d.int())
+		bc.LeftCounts = append(bc.LeftCounts, d.Int())
 		bc.LeftTokens = append(bc.LeftTokens, d.token())
 	}
-	for i, n := 0, d.count(1<<24); i < n; i++ {
+	for i, n := 0, d.Count(1<<24); i < n; i++ {
 		bc.RightNodes = append(bc.RightNodes, d.node(net))
 		bc.RightWMEs = append(bc.RightWMEs, d.wme())
 	}
@@ -724,18 +577,18 @@ func (d *dec) bucketContents(net *rete.Network) *rete.BucketContents {
 // moves as (bucket, owner) pairs, injected contents through the
 // bucketContents codec.
 func appendBatch(e *enc, ms []parallel.Message, batch, src int32) error {
-	e.i32(batch)
-	e.i32(src)
-	e.count(len(ms))
+	e.I32(batch)
+	e.I32(src)
+	e.Count(len(ms))
 	for i := range ms {
 		m := &ms[i]
-		e.byte(byte(m.Kind))
+		e.Byte(byte(m.Kind))
 		switch m.Kind {
 		case parallel.MsgCycle:
 			e.changes(m.Cycle.Changes)
 		case parallel.MsgAct:
-			e.i32(m.Bucket)
-			e.i32(m.Depth)
+			e.I32(m.Bucket)
+			e.I32(m.Depth)
 			e.activation(m.Act)
 		case parallel.MsgMigrateOut:
 			e.moves(m.Moves)
@@ -748,29 +601,29 @@ func appendBatch(e *enc, ms []parallel.Message, batch, src int32) error {
 	return nil
 }
 
-// decodeBatch decodes an ftBatch payload (d.b) into messages whose
+// decodeBatch decodes an ftBatch payload (d.B) into messages whose
 // wmes are the endpoint's receive cache's.
 func decodeBatch(net *rete.Network, d *dec, ms []parallel.Message) ([]parallel.Message, int32, int32, error) {
-	batch, src := d.i32(), d.i32()
-	n := d.count(1 << 24)
+	batch, src := d.I32(), d.I32()
+	n := d.Count(1 << 24)
 	ms = ms[:0]
 	for i := 0; i < n; i++ {
-		m := parallel.Message{Kind: parallel.MsgKind(d.byte())}
+		m := parallel.Message{Kind: parallel.MsgKind(d.Byte())}
 		switch m.Kind {
 		case parallel.MsgCycle:
 			m.Cycle = &parallel.CyclePacket{Changes: d.changes(nil)}
 		case parallel.MsgAct:
-			m.Bucket, m.Depth, m.Act = d.bucket(), d.i32(), d.activation(net)
+			m.Bucket, m.Depth, m.Act = d.bucket(), d.I32(), d.activation(net)
 		case parallel.MsgMigrateOut:
 			m.Moves = d.moves()
 		case parallel.MsgMigrateIn:
 			m.Inject = d.bucketContents(net)
 		default:
-			d.fail(fmt.Sprintf("message kind %d", m.Kind))
+			d.Fail(fmt.Sprintf("message kind %d", m.Kind))
 		}
 		ms = append(ms, m)
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return nil, 0, 0, err
 	}
 	return ms, batch, src, nil
@@ -795,59 +648,59 @@ type turnFrame struct {
 }
 
 func (e *enc) turn(n int, stamps []parallel.RecvStamp, flushes int64, t *parallel.Turn) {
-	e.int(n)
-	e.count(len(stamps))
+	e.Int(n)
+	e.Count(len(stamps))
 	for _, s := range stamps {
-		e.i32(s.Batch)
-		e.i32(s.Src)
-		e.i32(s.Count)
+		e.I32(s.Batch)
+		e.I32(s.Src)
+		e.I32(s.Count)
 	}
-	e.i64(t.Handled)
-	e.i64(flushes)
-	e.i32(t.MaxDepth)
-	e.count(len(t.Insts))
+	e.I64(t.Handled)
+	e.I64(flushes)
+	e.I32(t.MaxDepth)
+	e.Count(len(t.Insts))
 	nw, nt := 0, 0
 	for i := range t.Insts {
 		nw += len(t.Insts[i].WMEs)
 		nt += len(t.Insts[i].TimeTags)
 	}
-	e.count(nw)
-	e.count(nt)
+	e.Count(nw)
+	e.Count(nt)
 	for i := range t.Insts {
 		e.instChange(t.Insts[i])
 	}
-	e.count(len(t.Loads))
+	e.Count(len(t.Loads))
 	for _, l := range t.Loads {
-		e.i32(l.Bucket)
-		e.i64(l.N)
+		e.I32(l.Bucket)
+		e.I64(l.N)
 	}
 }
 
 // turn decodes an ftTurn payload into tf, reusing its slices.
 func (d *dec) turn(net *rete.Network, tf *turnFrame) error {
-	if tf.n = d.int(); tf.n < 0 {
-		d.fail("negative turn count")
+	if tf.n = d.Int(); tf.n < 0 {
+		d.Fail("negative turn count")
 	}
 	tf.stamps = tf.stamps[:0]
-	for i, n := 0, d.count(1<<16); i < n; i++ {
-		tf.stamps = append(tf.stamps, parallel.RecvStamp{Batch: d.i32(), Src: d.i32(), Count: d.i32()})
+	for i, n := 0, d.Count(1<<16); i < n; i++ {
+		tf.stamps = append(tf.stamps, parallel.RecvStamp{Batch: d.I32(), Src: d.I32(), Count: d.I32()})
 	}
-	tf.turn.Handled, tf.flushes, tf.turn.MaxDepth = d.i64(), d.i64(), d.i32()
+	tf.turn.Handled, tf.flushes, tf.turn.MaxDepth = d.I64(), d.I64(), d.I32()
 	tf.turn.Insts = tf.turn.Insts[:0]
-	n := d.count(1 << 24)
+	n := d.Count(1 << 24)
 	// Every wme position and every time tag costs a byte, so count holds
 	// both totals to the frame's size.
-	tf.wmes = make([]*ops5.WME, d.count(1<<24))
-	tf.tags = make([]int, d.count(1<<24))
+	tf.wmes = make([]*ops5.WME, d.Count(1<<24))
+	tf.tags = make([]int, d.Count(1<<24))
 	for i := 0; i < n; i++ {
 		tf.turn.Insts = append(tf.turn.Insts, d.instChange(net, tf))
 	}
 	if len(tf.wmes)+len(tf.tags) != 0 {
-		d.fail("instantiations fall short of the frame's declared totals")
+		d.Fail("instantiations fall short of the frame's declared totals")
 	}
 	tf.turn.Loads = tf.turn.Loads[:0]
-	for i, n := 0, d.count(1<<24); i < n; i++ {
-		tf.turn.Loads = append(tf.turn.Loads, parallel.BucketLoad{Bucket: d.bucket(), N: d.i64()})
+	for i, n := 0, d.Count(1<<24); i < n; i++ {
+		tf.turn.Loads = append(tf.turn.Loads, parallel.BucketLoad{Bucket: d.bucket(), N: d.I64()})
 	}
-	return d.done()
+	return d.Done()
 }

@@ -8,17 +8,14 @@ import (
 
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/rete"
+	"mpcrete/internal/wire"
 )
 
 // decodedCopy is the network as the other end of a connection holds it:
 // through its codec, so the two tables share ids and no pointers.
 func decodedCopy(t *testing.T, network *rete.Network) *rete.Network {
 	t.Helper()
-	var buf bytes.Buffer
-	if err := rete.EncodeNetwork(&buf, network); err != nil {
-		t.Fatal(err)
-	}
-	got, err := rete.DecodeNetwork(&buf)
+	got, err := rete.DecodeNetwork(rete.AppendNetwork(nil, network))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,13 +88,13 @@ func TestDefinitionCodec(t *testing.T) {
 			e.def(row.w)
 			var want enc
 			forgeDef(&want, row.w, row.classRef, row.class, row.slots, row.extras...)
-			if !bytes.Equal(e.buf, want.buf) {
-				t.Fatalf("definition of %s\n  is   %x\n  want %x", row.w, e.buf, want.buf)
+			if !bytes.Equal(e.Buf, want.Buf) {
+				t.Fatalf("definition of %s\n  is   %x\n  want %x", row.w, e.Buf, want.Buf)
 			}
 
-			d := dec{b: e.buf, layouts: far.Layouts()}
+			d := dec{Dec: wire.Dec{B: e.Buf}, layouts: far.Layouts()}
 			got := d.wme()
-			if err := d.done(); err != nil {
+			if err := d.Done(); err != nil {
 				t.Fatal(err)
 			}
 			if !got.Equal(row.w) || got.ID != row.w.ID || got.TimeTag != row.w.TimeTag || got.String() != row.w.String() {
@@ -108,8 +105,8 @@ func TestDefinitionCodec(t *testing.T) {
 			}
 			again := enc{layouts: far.Layouts()}
 			again.def(got)
-			if !bytes.Equal(again.buf, e.buf) {
-				t.Errorf("re-encoded\n  as   %x\n  from %x", again.buf, e.buf)
+			if !bytes.Equal(again.Buf, e.Buf) {
+				t.Errorf("re-encoded\n  as   %x\n  from %x", again.Buf, e.Buf)
 			}
 		})
 	}
@@ -127,9 +124,9 @@ func TestDefinitionFaults(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			e := enc{layouts: network.Layouts()}
 			faultChanges(&e, w, row.bad)
-			d := dec{b: e.buf, cache: new(wmeCache), layouts: network.Layouts()}
+			d := dec{Dec: wire.Dec{B: e.Buf}, cache: new(wmeCache), layouts: network.Layouts()}
 			d.changes(nil)
-			err := d.done()
+			err := d.Done()
 			if !errors.Is(err, ErrBadPayload) || !strings.Contains(err.Error(), row.why) {
 				t.Fatalf("decoder said %v, want ErrBadPayload: ... %s", err, row.why)
 			}
@@ -143,14 +140,14 @@ func TestDefinitionFaults(t *testing.T) {
 	var e enc
 	bucketWithDef(&e, wider.Layouts(), node, crate)
 	for name, table := range map[string][]*ops5.Layout{"smaller-table": network.Layouts(), "no-table": nil} {
-		d := dec{b: e.buf, nbuckets: faultBuckets, workers: faultWorkers, layouts: table}
+		d := dec{Dec: wire.Dec{B: e.Buf}, nbuckets: faultBuckets, workers: faultWorkers, layouts: table}
 		d.bucketContents(network)
-		if err := d.done(); !errors.Is(err, ErrBadPayload) || !strings.Contains(err.Error(), "outside the table") {
+		if err := d.Done(); !errors.Is(err, ErrBadPayload) || !strings.Contains(err.Error(), "outside the table") {
 			t.Errorf("%s: bucket contents decoded with %v, want ErrBadPayload: layout id outside the table", name, err)
 		}
 	}
-	d := dec{b: e.buf, nbuckets: faultBuckets, workers: faultWorkers, layouts: wider.Layouts()}
-	if bc := d.bucketContents(wider); d.done() != nil || len(bc.RightWMEs) != 1 || !bc.RightWMEs[0].Equal(crate) {
-		t.Errorf("the same bytes under the wider table: %v", d.err)
+	d := dec{Dec: wire.Dec{B: e.Buf}, nbuckets: faultBuckets, workers: faultWorkers, layouts: wider.Layouts()}
+	if bc := d.bucketContents(wider); d.Done() != nil || len(bc.RightWMEs) != 1 || !bc.RightWMEs[0].Equal(crate) {
+		t.Errorf("the same bytes under the wider table: %v", d.Err)
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/sched"
+	"mpcrete/internal/wire"
 )
 
 // ControlOptions configure a multi-process control plane.
@@ -65,7 +66,8 @@ type ControlOptions struct {
 type Control struct {
 	*parallel.Driver
 	network  *rete.Network
-	nbuckets int // len(Partition()): NBuckets with its default applied
+	netBlob  []byte // network as every hello carries it, encoded once
+	nbuckets int    // len(Partition()): NBuckets with its default applied
 	opts     ControlOptions
 	ln       net.Listener
 	conns    []*ctlConn
@@ -115,7 +117,7 @@ func Listen(network *rete.Network, addr string, opts ControlOptions) (*Control, 
 	if opts.HandshakeTimeout == 0 {
 		opts.HandshakeTimeout = 30 * time.Second
 	}
-	c := &Control{network: network, opts: opts}
+	c := &Control{network: network, netBlob: rete.AppendNetwork(nil, network), opts: opts}
 	d, err := parallel.NewDriver(network, parallel.Options{
 		Workers:      opts.Workers,
 		NBuckets:     opts.NBuckets,
@@ -177,22 +179,17 @@ func (c *Control) WaitWorkers() error {
 // handshake sends worker cc its hello — topology slice plus the compiled
 // network — and checks the ready reply echoes its id.
 func (c *Control) handshake(cc *ctlConn) error {
-	var err error
-	werr := cc.write(ftHello, func(e *enc) {
-		err = encodeHello(e, hello{
+	if err := cc.write(ftHello, func(e *enc) {
+		encodeHello(e, hello{
 			id:         cc.id,
 			workers:    c.opts.Workers,
 			nbuckets:   c.nbuckets,
 			routeRoots: c.opts.RouteRoots,
 			trackLoads: c.opts.Rebalance.Enabled(),
 			partition:  c.Partition(),
-		}, c.network)
-	})
-	if err != nil {
-		return err
-	}
-	if werr != nil {
-		return fmt.Errorf("transport: hello to worker %d: %w", cc.id, werr)
+		}, c.netBlob)
+	}); err != nil {
+		return fmt.Errorf("transport: hello to worker %d: %w", cc.id, err)
 	}
 	ft, rp, err := cc.fr.next()
 	if err != nil {
@@ -201,8 +198,8 @@ func (c *Control) handshake(cc *ctlConn) error {
 	if ft != ftReady {
 		return fmt.Errorf("%w: expected ready from worker %d, got %s", ErrBadPayload, cc.id, ft)
 	}
-	d := dec{b: rp}
-	if gotID := d.int(); d.done() != nil || gotID != cc.id {
+	d := wire.Dec{B: rp}
+	if gotID := d.Int(); d.Done() != nil || gotID != cc.id {
 		return fmt.Errorf("%w: worker %d echoed id %d", ErrBadPayload, cc.id, gotID)
 	}
 	return nil
@@ -221,8 +218,8 @@ func (c *Control) send(cc *ctlConn, ft frameType, fill func(*enc)) error {
 // stamp opens a delivery payload with its causal stamp: the batch id
 // and the control track as source.
 func (c *Control) stamp(e *enc, batch int32) {
-	e.i32(batch)
-	e.i32(int32(c.opts.Workers))
+	e.I32(batch)
+	e.I32(int32(c.opts.Workers))
 }
 
 // Broadcast implements parallel.Carrier: the cycle's changes in an
@@ -291,7 +288,7 @@ func (c *Control) read(cc *ctlConn) error {
 		if err != nil {
 			return fmt.Errorf("transport: worker %d connection: %w", cc.id, err)
 		}
-		d.reset(payload)
+		d.Reset(payload)
 		switch ft {
 		case ftRelay:
 			dst, err := relayDst(d, cc, ft)
@@ -304,7 +301,7 @@ func (c *Control) read(cc *ctlConn) error {
 			// the sender defined one.
 			d.toks, d.refs = toks, refs
 			acts = d.actList(c.network, acts)
-			if err := d.done(); err != nil {
+			if err := d.Done(); err != nil {
 				return err
 			}
 			if len(acts) == 0 {
@@ -317,8 +314,8 @@ func (c *Control) read(cc *ctlConn) error {
 			batch := c.opts.Causal.NextBatch()
 			track.Send(c.Now(), c.CurrentCycle(), batch, dst, int32(len(acts)))
 			if err := c.conns[dst].write(ftActs, func(e *enc) {
-				e.i32(batch)
-				e.i32(int32(cc.id))
+				e.I32(batch)
+				e.I32(int32(cc.id))
 				e.actList(acts)
 			}); err != nil {
 				return fmt.Errorf("transport: forwarding to worker %d: %w", dst, err)
@@ -331,12 +328,12 @@ func (c *Control) read(cc *ctlConn) error {
 			if err != nil {
 				return err
 			}
-			entries := d.int()
-			if d.err != nil {
-				return d.err
+			entries := d.Int()
+			if d.Err != nil {
+				return d.Err
 			}
 			c.Shipping(cc.id, entries)
-			if err := c.conns[dst].write(ftBucket, func(e *enc) { e.raw(d.b) }); err != nil {
+			if err := c.conns[dst].write(ftBucket, func(e *enc) { e.Raw(d.B) }); err != nil {
 				return fmt.Errorf("transport: forwarding bucket to worker %d: %w", dst, err)
 			}
 		case ftTurn:
@@ -361,10 +358,10 @@ func (c *Control) read(cc *ctlConn) error {
 // another worker of the topology.
 func relayDst(d *dec, from *ctlConn, ft frameType) (int32, error) {
 	dst := d.worker()
-	if d.err == nil && int(dst) == from.id {
-		d.fail(fmt.Sprintf("worker %d sent a %s frame to itself", from.id, ft))
+	if d.Err == nil && int(dst) == from.id {
+		d.Fail(fmt.Sprintf("worker %d sent a %s frame to itself", from.id, ft))
 	}
-	return dst, d.err
+	return dst, d.Err
 }
 
 // Close shuts the topology down: a shutdown frame to every worker,

@@ -152,8 +152,8 @@ func TestControlWorkerDisconnect(t *testing.T) {
 			return
 		}
 		var ready enc
-		ready.int(h.id)
-		if err := writeFrame(conn, ftReady, ready.buf); err != nil {
+		ready.Int(h.id)
+		if err := writeFrame(conn, ftReady, ready.Buf); err != nil {
 			t.Error(err)
 			conn.Close()
 			return
@@ -208,7 +208,7 @@ func forgingWorker(t *testing.T, addr string, forge func(h hello) []wireFrame) {
 		t.Error(err)
 		return
 	}
-	ready := wireFrame{ftReady, func(e *enc) { e.int(h.id) }}
+	ready := wireFrame{ftReady, func(e *enc) { e.Int(h.id) }}
 	if err := ready.writeTo(conn, nil); err != nil {
 		t.Error(err)
 		return
@@ -250,37 +250,37 @@ func TestControlRejectsBadReferences(t *testing.T) {
 	// under declared totals of total wmes and no time tags.
 	turn := func(node *rete.Node, total int, second func(e *enc, w *ops5.WME)) wireFrame {
 		return wireFrame{ftTurn, func(e *enc) {
-			e.int(1)   // messages processed
-			e.count(0) // stamps
-			e.i64(0)   // handled
-			e.i64(0)   // flushes
-			e.i32(0)   // max depth
-			e.count(1) // deltas
-			e.count(total)
-			e.count(0)
-			e.byte(byte(rete.Add))
-			e.int(node.ID)
-			e.count(2)
+			e.Int(1)   // messages processed
+			e.Count(0) // stamps
+			e.I64(0)   // handled
+			e.I64(0)   // flushes
+			e.I32(0)   // max depth
+			e.Count(1) // deltas
+			e.Count(total)
+			e.Count(0)
+			e.Byte(byte(rete.Add))
+			e.Int(node.ID)
+			e.Count(2)
 			e.def(w)
 			second(e, w)
-			e.count(0) // time tags
-			e.count(0) // loads
+			e.Count(0) // time tags
+			e.Count(0) // loads
 		}}
 	}
 	relay := func(second func(e *enc, w *ops5.WME)) wireFrame {
 		return wireFrame{ftRelay, func(e *enc) {
-			e.i32(1) // destination: worker 0 is the forger
-			e.count(1)
-			e.i32(3) // bucket
-			e.i32(2) // depth
-			e.int(join.ID)
-			e.byte(byte(rete.Left))
-			e.byte(byte(rete.Add))
-			e.bool(true)
-			e.count(2)
+			e.I32(1) // destination: worker 0 is the forger
+			e.Count(1)
+			e.I32(3) // bucket
+			e.I32(2) // depth
+			e.Int(join.ID)
+			e.Byte(byte(rete.Left))
+			e.Byte(byte(rete.Add))
+			e.Bool(true)
+			e.Count(2)
 			e.def(w)
 			second(e, w)
-			e.byte(wmeNil)
+			e.Byte(wmeNil)
 		}}
 	}
 	exact := func(e *enc, w *ops5.WME) { wireRef(e, w.ID, w.TimeTag) }

@@ -35,6 +35,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+
+	"mpcrete/internal/wire"
 )
 
 // MaxFrame bounds a frame's length field (type byte + payload). A
@@ -51,7 +53,7 @@ type frameType uint8
 const (
 	// ftHello is the control→worker handshake: protocol version,
 	// topology (worker id, worker count, nbuckets, partition, flags),
-	// and the compiled network (rete.EncodeNetwork bytes).
+	// and the compiled network (rete.AppendNetwork bytes).
 	ftHello frameType = iota + 1
 	// ftReady is the worker→control handshake reply.
 	ftReady
@@ -117,8 +119,10 @@ var (
 	ErrTruncated = errors.New("transport: truncated frame")
 	// ErrUnknownFrameType reports an unrecognized frame type byte.
 	ErrUnknownFrameType = errors.New("transport: unknown frame type")
-	// ErrBadPayload reports a payload that fails to decode.
-	ErrBadPayload = errors.New("transport: malformed payload")
+	// ErrBadPayload reports a payload that fails to decode: the codec's
+	// one sentinel, which a malformed compiled network in a hello wraps
+	// as any other payload does.
+	ErrBadPayload = wire.ErrBadPayload
 )
 
 // A frame is written in place: begin reserves the header at the end of
@@ -128,18 +132,18 @@ var (
 
 // begin opens a frame at the end of the buffer, reserving its header.
 func (e *enc) begin() {
-	e.start = len(e.buf)
-	e.buf = append(e.buf, make([]byte, frameHeader)...)
+	e.start = len(e.Buf)
+	e.Buf = append(e.Buf, make([]byte, frameHeader)...)
 }
 
 // end closes the open frame by filling in its header.
 func (e *enc) end(ft frameType) error {
-	n := len(e.buf) - e.start - 4 // type byte + payload
+	n := len(e.Buf) - e.start - 4 // type byte + payload
 	if n > MaxFrame {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)
 	}
-	binary.BigEndian.PutUint32(e.buf[e.start:], uint32(n))
-	e.buf[e.start+4] = byte(ft)
+	binary.BigEndian.PutUint32(e.Buf[e.start:], uint32(n))
+	e.Buf[e.start+4] = byte(ft)
 	return nil
 }
 
@@ -147,8 +151,8 @@ func (e *enc) end(ft frameType) error {
 // buffer. The caller serializes concurrent writers (per-connection
 // write mutexes in loopback.go / control.go).
 func (e *enc) flush(w io.Writer) error {
-	_, err := w.Write(e.buf)
-	e.buf = e.buf[:0]
+	_, err := w.Write(e.Buf)
+	e.Buf = e.Buf[:0]
 	return err
 }
 

@@ -16,6 +16,7 @@ import (
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
+	"mpcrete/internal/wire"
 	"mpcrete/internal/workloads"
 )
 
@@ -69,7 +70,7 @@ func (f wireFrame) writeTo(w io.Writer, layouts []*ops5.Layout) error {
 
 // writeFrame writes one frame with the given payload.
 func writeFrame(w io.Writer, ft frameType, payload []byte) error {
-	return wireFrame{ft, func(e *enc) { e.raw(payload) }}.writeTo(w, nil)
+	return wireFrame{ft, func(e *enc) { e.Raw(payload) }}.writeTo(w, nil)
 }
 
 // readFrame reads one frame through a fresh reader.
@@ -79,18 +80,17 @@ func readFrame(r io.Reader) (frameType, []byte, error) {
 
 // payloadOf runs fill against e and returns the bytes it appended.
 func payloadOf(e *enc, fill func(*enc)) []byte {
-	e.buf = e.buf[:0]
+	e.Buf = e.Buf[:0]
 	fill(e)
-	return append([]byte(nil), e.buf...)
+	return append([]byte(nil), e.Buf...)
 }
 
-func helloBytes(t testing.TB, h hello, net *rete.Network) []byte {
-	t.Helper()
+// helloBytes is a hello payload around netBlob, a network as
+// rete.AppendNetwork wrote it — or as a forger did.
+func helloBytes(h hello, netBlob []byte) []byte {
 	var e enc
-	if err := encodeHello(&e, h, net); err != nil {
-		t.Fatal(err)
-	}
-	return e.buf
+	encodeHello(&e, h, netBlob)
+	return e.Buf
 }
 
 func frameBytes(t *testing.T, ft frameType, payload []byte) []byte {
@@ -153,7 +153,7 @@ func TestFrameFaults(t *testing.T) {
 	})
 	t.Run("garbage-batch-payload", func(t *testing.T) {
 		net, _ := mustCompile("blocks")
-		_, _, _, err := decodeBatch(net, &dec{b: []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}}, nil)
+		_, _, _, err := decodeBatch(net, &dec{Dec: wire.Dec{B: []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}}}, nil)
 		if !errors.Is(err, ErrBadPayload) {
 			t.Fatalf("got %v, want ErrBadPayload", err)
 		}
@@ -172,7 +172,7 @@ func TestFrameFaults(t *testing.T) {
 			// name. Each must be turned away at the handshake, not
 			// mis-join or mis-decode later.
 			net, _ := mustCompile("blocks")
-			hb := helloBytes(t, hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, net)
+			hb := helloBytes(hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, rete.AppendNetwork(nil, net))
 			if _, err := decodeHello(hb); err != nil {
 				t.Fatalf("current hello refused: %v", err)
 			}
@@ -194,7 +194,7 @@ func TestFrameFaults(t *testing.T) {
 		// table: the worker could not number a slot, and says so before
 		// the first frame.
 		net, _ := mustCompile("blocks")
-		hb := helloBytes(t, hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, net)
+		hb := helloBytes(hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, rete.AppendNetwork(nil, net))
 		if bytes.Count(hb, []byte("RETENET3")) != 1 {
 			t.Fatal("the hello does not carry a RETENET3 network")
 		}
@@ -210,7 +210,7 @@ func TestFrameFaults(t *testing.T) {
 		if err := appendBatch(&e, ms, 1, 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := decodeBatch(net, &dec{b: append(e.buf, 0xab)}, nil); !errors.Is(err, ErrBadPayload) {
+		if _, _, _, err := decodeBatch(net, &dec{Dec: wire.Dec{B: append(e.Buf, 0xab)}}, nil); !errors.Is(err, ErrBadPayload) {
 			t.Fatalf("got %v, want ErrBadPayload for trailing bytes", err)
 		}
 	})
@@ -226,7 +226,7 @@ func TestFrameAllocs(t *testing.T) {
 	var sink countWriter
 	if n := testing.AllocsPerRun(100, func() {
 		e.begin()
-		e.raw(payload)
+		e.Raw(payload)
 		if err := e.end(ftBatch); err != nil {
 			t.Fatal(err)
 		}
@@ -282,7 +282,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	if e.cache.defs != int64(len(changes)) || e.cache.refs != 2 {
 		t.Fatalf("encoded %d definitions and %d references, want %d and 2", e.cache.defs, e.cache.refs, len(changes))
 	}
-	got, batch, src, err := decodeBatch(net, &dec{b: e.buf, cache: new(wmeCache), layouts: table}, nil)
+	got, batch, src, err := decodeBatch(net, &dec{Dec: wire.Dec{B: e.Buf}, cache: new(wmeCache), layouts: table}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,7 +299,7 @@ func TestBatchRoundTrip(t *testing.T) {
 	if err := appendBatch(&e2, got, 7, 3); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(e.buf, e2.buf) {
+	if !bytes.Equal(e.Buf, e2.Buf) {
 		t.Fatal("re-encoded batch differs: codec is not canonical")
 	}
 	// Without a cache the same batch is all definitions, and a decoder
@@ -308,10 +308,10 @@ func TestBatchRoundTrip(t *testing.T) {
 	if err := appendBatch(&plain, ms, 7, 3); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, _, err := decodeBatch(net, &dec{b: plain.buf, layouts: table}, nil); err != nil {
+	if _, _, _, err := decodeBatch(net, &dec{Dec: wire.Dec{B: plain.Buf}, layouts: table}, nil); err != nil {
 		t.Fatalf("uncached batch: %v", err)
 	}
-	if _, _, _, err := decodeBatch(net, &dec{b: e.buf, layouts: table}, nil); !errors.Is(err, ErrBadPayload) {
+	if _, _, _, err := decodeBatch(net, &dec{Dec: wire.Dec{B: e.Buf}, layouts: table}, nil); !errors.Is(err, ErrBadPayload) {
 		t.Fatalf("references decoded without a cache: err=%v", err)
 	}
 }
@@ -330,7 +330,7 @@ func fuzzBatchFrames(table []*ops5.Layout, lists ...[]rete.Change) []byte {
 			panic(err)
 		}
 	}
-	return e.buf
+	return e.Buf
 }
 
 // fuzzSlotFormSeeds are streams in the slot form of a definition: the
@@ -375,7 +375,7 @@ func TestSlotFormSeeds(t *testing.T) {
 			if err != nil {
 				break
 			}
-			d.reset(payload)
+			d.Reset(payload)
 			ms, _, _, err := decodeBatch(net, &d, nil)
 			if err != nil || ft != ftBatch || len(ms) != 1 {
 				t.Fatalf("seed %d: frame %d: ft=%v messages=%d err=%v", i, len(lists), ft, len(ms), err)
@@ -410,7 +410,7 @@ func FuzzTransportFrame(f *testing.F) {
 	f.Add(slotForm[0])
 	{
 		var b bytes.Buffer
-		writeFrame(&b, ftHello, helloBytes(f, hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, net))
+		writeFrame(&b, ftHello, helloBytes(hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, rete.AppendNetwork(nil, net)))
 		f.Add(b.Bytes())
 	}
 	f.Add([]byte{0, 0, 0, 1, byte(ftShutdown)})
@@ -428,7 +428,7 @@ func FuzzTransportFrame(f *testing.F) {
 			if err != nil {
 				break
 			}
-			d.reset(payload)
+			d.Reset(payload)
 			switch ft {
 			case ftBatch:
 				ms, batch, src, err := decodeBatch(net, &d, nil)
@@ -443,8 +443,8 @@ func FuzzTransportFrame(f *testing.F) {
 				if ft == ftRelay {
 					d.worker() // destination
 				} else {
-					d.i32() // batch
-					d.i32() // src
+					d.I32() // batch
+					d.I32() // src
 				}
 				d.actList(net, nil)
 			case ftBucket:
@@ -468,7 +468,7 @@ func FuzzTransportFrame(f *testing.F) {
 					t.Fatalf("decoded batch failed to re-encode: %v", err)
 				}
 			})
-			d2.reset(buf)
+			d2.Reset(buf)
 			ms2, b2, s2, err := decodeBatch(net, &d2, nil)
 			if err != nil {
 				t.Fatalf("re-encoded batch failed to decode: %v", err)

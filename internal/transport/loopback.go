@@ -26,11 +26,10 @@ import (
 // deadlock two workers exchanging cross-product bursts: the reader
 // goroutine always drains the socket.
 //
-// Loopback implements parallel.MigrationTransport: the batch codec
-// serializes migration messages (bucket moves and extracted bucket
-// contents) like any other kind, so Repartition and the online
-// rebalancer work over it — the receiver injects fresh value copies,
-// which is safe because memory removal matches by value.
+// The batch codec serializes migration messages (bucket moves and
+// extracted bucket contents) like any other kind, so Repartition and
+// the online rebalancer work over Loopback — the receiver injects fresh
+// value copies, which is safe because memory removal matches by value.
 //
 // Each endpoint's connection has the star's wme cache at both ends
 // (send under the write mutex, receive in the reader goroutine), so a
@@ -55,10 +54,6 @@ type Loopback struct {
 func NewLoopback(network *rete.Network) *Loopback {
 	return &Loopback{net: network}
 }
-
-// CarriesMigration implements parallel.MigrationTransport: the wire
-// codec serializes the migration protocol by value.
-func (*Loopback) CarriesMigration() {}
 
 // Open implements parallel.Transport.
 func (l *Loopback) Open(workers int, opts parallel.EndpointOptions) ([]parallel.Endpoint, error) {
@@ -166,7 +161,7 @@ func (ep *loopEndpoint) push(ms []parallel.Message, batch, src int32, n int64) {
 		err = e.end(ftBatch)
 	}
 	if err != nil {
-		e.buf = e.buf[:0]
+		e.Buf = e.Buf[:0]
 		ep.fail(err)
 		return
 	}
@@ -207,7 +202,7 @@ func (ep *loopEndpoint) read() error {
 		if ft != ftBatch {
 			return fmt.Errorf("%w: unexpected %s frame on loopback", ErrBadPayload, ft)
 		}
-		ep.dec.reset(payload)
+		ep.dec.Reset(payload)
 		var batch, src int32
 		if ms, batch, src, err = decodeBatch(ep.net, &ep.dec, ms); err != nil {
 			return err

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"bufio"
-	"bytes"
 	"fmt"
 	"net"
 	"time"
@@ -10,6 +9,7 @@ import (
 	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/sched"
+	"mpcrete/internal/wire"
 )
 
 // The worker half of the star carrier: parallel.Step behind a socket.
@@ -61,44 +61,39 @@ type hello struct {
 	net        *rete.Network
 }
 
-func encodeHello(e *enc, h hello, network *rete.Network) error {
-	e.u64(protoVersion)
-	e.int(h.id)
-	e.int(h.workers)
-	e.int(h.nbuckets)
-	e.bool(h.routeRoots)
-	e.bool(h.trackLoads)
+// encodeHello appends a hello: the worker's slice of the topology, then
+// netBlob, the network as rete.AppendNetwork wrote it (Control encodes
+// it once for all its workers).
+func encodeHello(e *enc, h hello, netBlob []byte) {
+	e.U64(protoVersion)
+	e.Int(h.id)
+	e.Int(h.workers)
+	e.Int(h.nbuckets)
+	e.Bool(h.routeRoots)
+	e.Bool(h.trackLoads)
 	e.partition(h.partition)
-	var nb bytes.Buffer
-	if err := rete.EncodeNetwork(&nb, network); err != nil {
-		return fmt.Errorf("transport: encoding network for handshake: %w", err)
-	}
-	e.count(nb.Len())
-	e.raw(nb.Bytes())
-	return nil
+	e.Count(len(netBlob))
+	e.Raw(netBlob)
 }
 
 func decodeHello(payload []byte) (hello, error) {
-	d := dec{b: payload}
-	if ver := d.u64(); d.err == nil && ver != protoVersion {
+	d := dec{Dec: wire.Dec{B: payload}}
+	if ver := d.U64(); d.Err == nil && ver != protoVersion {
 		return hello{}, fmt.Errorf("%w: protocol version %d, want %d", ErrBadPayload, ver, protoVersion)
 	}
-	h := hello{id: d.int(), workers: d.int(), nbuckets: d.int(), routeRoots: d.bool(), trackLoads: d.bool()}
-	if d.err == nil && (h.id < 0 || h.workers < 1 || h.id >= h.workers || h.nbuckets < 1) {
+	h := hello{id: d.Int(), workers: d.Int(), nbuckets: d.Int(), routeRoots: d.Bool(), trackLoads: d.Bool()}
+	if d.Err == nil && (h.id < 0 || h.workers < 1 || h.id >= h.workers || !rete.ValidNBuckets(h.nbuckets)) {
 		return h, fmt.Errorf("%w: topology id=%d workers=%d nbuckets=%d", ErrBadPayload, h.id, h.workers, h.nbuckets)
 	}
 	d.nbuckets, d.workers = h.nbuckets, h.workers
 	h.partition = d.partition()
-	nb := d.bytes(d.count(1<<26), "network bytes")
-	if d.err != nil {
-		return h, d.err
+	nb := d.Bytes(d.Count(1<<26), "network bytes")
+	if err := d.Done(); err != nil {
+		return h, err
 	}
-	network, err := rete.DecodeNetwork(bytes.NewReader(nb))
-	if err != nil {
-		return h, fmt.Errorf("%w: decoding network: %v", ErrBadPayload, err)
-	}
-	h.net = network
-	return h, nil
+	var err error
+	h.net, err = rete.DecodeNetwork(nb)
+	return h, err
 }
 
 // Serve dials the control address, retrying until the timeout (worker
@@ -147,7 +142,7 @@ func ServeConn(conn net.Conn) error {
 	}
 
 	w.enc.begin()
-	w.enc.int(h.id)
+	w.enc.Int(h.id)
 	if err := w.send(ftReady); err != nil {
 		return fmt.Errorf("transport: worker ready: %w", err)
 	}
@@ -195,14 +190,14 @@ func (w *starWorker) send(ft frameType) error {
 // bucket-relay and turn frames.
 func (w *starWorker) turn(ft frameType, payload []byte) error {
 	d := &w.dec
-	d.reset(payload)
+	d.Reset(payload)
 	n := 1 // protocol messages this turn deregisters
 	var stamps []parallel.RecvStamp
 	var newPart sched.Partition
 	switch ft {
 	case ftCycle, ftActs:
 		// Both open with the causal stamp the turn frame echoes.
-		stamps = append(w.stamp[:0], parallel.RecvStamp{Batch: d.i32(), Src: d.i32()})
+		stamps = append(w.stamp[:0], parallel.RecvStamp{Batch: d.I32(), Src: d.I32()})
 		if ft == ftCycle {
 			w.pkt.Changes = d.changes(w.pkt.Changes)
 			w.msgs = append(w.msgs[:0], parallel.Message{Kind: parallel.MsgCycle, Cycle: &w.pkt})
@@ -221,7 +216,7 @@ func (w *starWorker) turn(ft frameType, payload []byte) error {
 	default:
 		return fmt.Errorf("%w: worker got unexpected %s frame", ErrBadPayload, ft)
 	}
-	if err := d.done(); err != nil {
+	if err := d.Done(); err != nil {
 		return err
 	}
 
@@ -247,7 +242,7 @@ func (w *starWorker) turn(ft frameType, payload []byte) error {
 				continue
 			}
 			e.begin()
-			e.i32(int32(dst))
+			e.I32(int32(dst))
 			e.actList(buf)
 			if err := e.end(ftRelay); err != nil {
 				return err
@@ -258,8 +253,8 @@ func (w *starWorker) turn(ft frameType, payload []byte) error {
 	}
 	for _, mv := range s.Moved {
 		e.begin()
-		e.i32(mv.Dst)
-		e.int(mv.Contents.Entries())
+		e.I32(mv.Dst)
+		e.Int(mv.Contents.Entries())
 		e.bucketContents(mv.Contents)
 		if err := e.end(ftBucketRelay); err != nil {
 			return err

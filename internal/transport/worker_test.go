@@ -1,9 +1,13 @@
 package transport
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
+	"os/exec"
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -11,6 +15,7 @@ import (
 	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/sched"
+	"mpcrete/internal/wire"
 	"mpcrete/internal/workloads"
 )
 
@@ -33,7 +38,7 @@ func serveFault(t *testing.T, network *rete.Network, frames ...wireFrame) error 
 	go func() { served <- ServeConn(wrk) }()
 
 	part := sched.RoundRobin(faultBuckets, faultWorkers)
-	hb := helloBytes(t, hello{workers: faultWorkers, nbuckets: faultBuckets, partition: part}, network)
+	hb := helloBytes(hello{workers: faultWorkers, nbuckets: faultBuckets, partition: part}, rete.AppendNetwork(nil, network))
 	if err := writeFrame(ctl, ftHello, hb); err != nil {
 		t.Fatal(err)
 	}
@@ -55,6 +60,95 @@ func serveFault(t *testing.T, network *rete.Network, frames ...wireFrame) error 
 	}
 }
 
+// serveHello hands a worker the hello payload over a pipe and returns
+// what ServeConn returned: a worker that takes the hello answers ready
+// and waits for frames, which fails the test.
+func serveHello(t *testing.T, payload []byte) error {
+	t.Helper()
+	ctl, wrk := net.Pipe()
+	defer ctl.Close()
+	served := make(chan error, 1)
+	go func() { served <- ServeConn(wrk) }()
+	go io.Copy(io.Discard, ctl)
+	if err := writeFrame(ctl, ftHello, payload); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-served:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatal("worker accepted the hello")
+		return nil
+	}
+}
+
+// TestBucketCountNotPowerOfTwo: a hash key picks its bucket by mask, so
+// rete.NewMemory panics on three buckets — a programming error there,
+// and an ordinary one at each door a bucket count comes in by: the
+// runtime's options, a hello off the wire, the command line.
+func TestBucketCountNotPowerOfTwo(t *testing.T) {
+	network, _ := compileWorkload(t, "blocks")
+	rows := []struct {
+		name string
+		door func(t *testing.T) error
+		want error // nil: any error
+	}{
+		{"parallel.New", func(*testing.T) error {
+			rt, err := parallel.New(network, parallel.Options{Workers: 2, NBuckets: 3})
+			if err == nil {
+				rt.Close()
+			}
+			return err
+		}, nil},
+		{"hello", func(t *testing.T) error {
+			return serveHello(t, helloBytes(hello{workers: 2, nbuckets: 3, partition: []int{0, 1, 0}}, rete.AppendNetwork(nil, network)))
+		}, ErrBadPayload},
+		{"ops5run -buckets", func(t *testing.T) error {
+			if testing.Short() {
+				t.Skip("spawns a subprocess")
+			}
+			out, err := exec.Command("go", "run", "mpcrete/cmd/ops5run", "-workload", "queens", "-buckets", "3").CombinedOutput()
+			if bytes.Contains(out, []byte("panic")) || !bytes.Contains(out, []byte("not a power of two")) {
+				t.Errorf("ops5run does not say why it stopped:\n%s", out)
+			}
+			return err
+		}, nil},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			if err := row.door(t); err == nil || (row.want != nil && !errors.Is(err, row.want)) {
+				t.Fatalf("three buckets: got %v, want an error (%v)", err, row.want)
+			}
+		})
+	}
+}
+
+// TestWorkerRefusesForgedNetwork: the compiled network in a hello is
+// read by the same bounded decoder as the rest of the payload. Sixteen
+// bytes declaring four million nodes are refused as ErrBadPayload for
+// what sixteen bytes cost (the handshake's own buffers included), not
+// for the 192 MiB the declaration asks for.
+func TestWorkerRefusesForgedNetwork(t *testing.T) {
+	var blob wire.Enc
+	blob.Raw([]byte("RETENET3"))
+	for range 4 { // flags, productions, layouts, alphas
+		blob.Count(0)
+	}
+	blob.Count(1 << 22) // nodes
+	hb := helloBytes(hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, blob.Buf)
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := serveHello(t, hb)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, ErrBadPayload) || !strings.Contains(err.Error(), "count 4194304") {
+		t.Fatalf("worker returned %v, want ErrBadPayload naming the node count", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Fatalf("refusing a %d-byte network allocated %d bytes", len(blob.Buf), got)
+	}
+}
+
 // TestWorkerRejectsBadIndices sends a worker one frame of each type
 // that carries a bucket or worker index, with the index out of range
 // for the handshaken topology (8 buckets, 2 workers). The worker must
@@ -71,8 +165,8 @@ func TestWorkerRejectsBadIndices(t *testing.T) {
 		frame wireFrame
 	}{
 		{"acts-bucket", wireFrame{ftActs, func(e *enc) {
-			e.i32(1) // batch
-			e.i32(faultWorkers)
+			e.I32(1) // batch
+			e.I32(faultWorkers)
 			e.actList([]parallel.Message{{Bucket: badBucket, Depth: 1, Act: act}})
 		}}},
 		{"repart-bucket", wireFrame{ftRepart, func(e *enc) {
@@ -117,7 +211,7 @@ var wmeFaults = []struct {
 	{"ref-empty-slot", func(e *enc, w *ops5.WME) { wireRef(e, w.ID+1, w.TimeTag) }, "names nothing the stream defined"},
 	{"ref-wrong-timetag", func(e *enc, w *ops5.WME) { wireRef(e, w.ID, w.TimeTag+1) }, "names nothing the stream defined"},
 	{"ref-aliased-id", func(e *enc, w *ops5.WME) { wireRef(e, w.ID+wmeCacheSlots, w.TimeTag) }, "names nothing the stream defined"},
-	{"unknown-form", func(e *enc, w *ops5.WME) { e.byte(wmeRef + 1) }, "wme form 3"},
+	{"unknown-form", func(e *enc, w *ops5.WME) { e.Byte(wmeRef + 1) }, "wme form 3"},
 
 	// The ways a definition can lie about the layout table. w is a
 	// block, whose layout keeps name, clear and on.
@@ -148,21 +242,21 @@ var wmeFaults = []struct {
 // identity, class reference (0 and a name, or layout id + 1), the
 // leading slots, the extras.
 func forgeDef(e *enc, w *ops5.WME, classRef uint64, className string, slots []ops5.Value, extras ...ops5.Attr) {
-	e.byte(wmeDef)
-	e.int(w.ID)
-	e.int(w.TimeTag)
-	e.u64(classRef)
+	e.Byte(wmeDef)
+	e.Int(w.ID)
+	e.Int(w.TimeTag)
+	e.U64(classRef)
 	if classRef == 0 {
-		e.str(className)
+		e.Str(className)
 	}
-	e.count(len(slots))
+	e.Count(len(slots))
 	for _, v := range slots {
-		e.value(v)
+		e.Value(v)
 	}
-	e.count(len(extras))
+	e.Count(len(extras))
 	for _, a := range extras {
-		e.str(a.Name)
-		e.value(a.Value)
+		e.Str(a.Name)
+		e.Value(a.Value)
 	}
 }
 
@@ -203,9 +297,9 @@ func bucketWithDef(e *enc, table []*ops5.Layout, node *rete.Node, w *ops5.WME) {
 }
 
 func wireRef(e *enc, id, tag int) {
-	e.byte(wmeRef)
-	e.int(id)
-	e.int(tag)
+	e.Byte(wmeRef)
+	e.Int(id)
+	e.Int(tag)
 }
 
 // faultWME is the wme the fault frames define before they lie about
@@ -219,20 +313,20 @@ func faultWME() *ops5.WME {
 // faultChanges encodes a two-change list: w added by definition, then
 // deleted through the position under test.
 func faultChanges(e *enc, w *ops5.WME, second func(e *enc, w *ops5.WME)) {
-	e.count(2)
-	e.byte(byte(rete.Add))
+	e.Count(2)
+	e.Byte(byte(rete.Add))
 	e.def(w)
-	e.byte(byte(rete.Delete))
+	e.Byte(byte(rete.Delete))
 	second(e, w)
 }
 
 // bucketWithRef encodes bucket contents whose one right wme is an
 // exact reference to w.
 func bucketWithRef(e *enc, node *rete.Node, w *ops5.WME) {
-	e.int(3) // bucket
-	e.count(0)
-	e.count(1)
-	e.int(node.ID)
+	e.Int(3) // bucket
+	e.Count(0)
+	e.Count(1)
+	e.Int(node.ID)
 	wireRef(e, w.ID, w.TimeTag)
 }
 
@@ -248,8 +342,8 @@ func TestWorkerRejectsBadReferences(t *testing.T) {
 	w := faultWME()
 	cycle := func(second func(e *enc, w *ops5.WME)) wireFrame {
 		return wireFrame{ftCycle, func(e *enc) {
-			e.i32(1) // batch
-			e.i32(faultWorkers)
+			e.I32(1) // batch
+			e.I32(faultWorkers)
 			faultChanges(e, w, second)
 		}}
 	}
@@ -346,10 +440,10 @@ func TestLoopbackRejectsBadReferences(t *testing.T) {
 	w := faultWME()
 	batch := func(kind parallel.MsgKind, body func(e *enc)) wireFrame {
 		return wireFrame{ftBatch, func(e *enc) {
-			e.i32(1) // batch
-			e.i32(1) // src
-			e.count(1)
-			e.byte(byte(kind))
+			e.I32(1) // batch
+			e.I32(1) // src
+			e.Count(1)
+			e.Byte(byte(kind))
 			body(e)
 		}}
 	}
@@ -357,7 +451,7 @@ func TestLoopbackRejectsBadReferences(t *testing.T) {
 	node := rightAct(network).Node
 	rows := map[string][]wireFrame{
 		"ref-in-bucket": {
-			batch(parallel.MsgCycle, func(e *enc) { e.count(1); e.byte(byte(rete.Add)); e.def(w) }),
+			batch(parallel.MsgCycle, func(e *enc) { e.Count(1); e.Byte(byte(rete.Add)); e.def(w) }),
 			batch(parallel.MsgMigrateIn, func(e *enc) { bucketWithRef(e, node, w) }),
 		},
 		// The first bucket is sound and must arrive; the second defines a

@@ -18,7 +18,7 @@ func runConfigurator(t *testing.T, orders ...ConfiguratorOrder) (*engine.Session
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	e, err := engine.New(prog, engine.Options{Output: &out})
+	e, err := engine.New(prog, engine.CompileOptions{}, engine.SessionOptions{Output: &out})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func TestConfiguratorControllerChannels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := engine.New(prog, engine.Options{})
+	e, err := engine.New(prog, engine.CompileOptions{}, engine.SessionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,7 +20,7 @@ func RecordRun(name, programSrc, wmeSrc string, maxCycles int) (*trace.Trace, *e
 		return nil, nil, fmt.Errorf("workloads: parse %s: %w", name, err)
 	}
 	rec := trace.NewRecorder(name, 0)
-	e, err := engine.New(prog, engine.Options{Listener: rec})
+	e, err := engine.New(prog, engine.CompileOptions{}, engine.SessionOptions{Listener: rec})
 	if err != nil {
 		return nil, nil, fmt.Errorf("workloads: compile %s: %w", name, err)
 	}

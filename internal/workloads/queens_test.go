@@ -17,7 +17,7 @@ func solveQueens(t *testing.T, n, maxCycles int) (*engine.Session, map[int]int) 
 		t.Fatal(err)
 	}
 	rec := newQueenInspector()
-	e, err := engine.New(prog, engine.Options{Listener: rec})
+	e, err := engine.New(prog, engine.CompileOptions{}, engine.SessionOptions{Listener: rec})
 	if err != nil {
 		t.Fatal(err)
 	}

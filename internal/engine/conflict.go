@@ -1,6 +1,10 @@
 package engine
 
-import "mpcrete/internal/rete"
+import (
+	"slices"
+
+	"mpcrete/internal/rete"
+)
 
 // conflictSet holds a session's instantiations. Conflict resolution
 // ranges over all of them once per cycle, so they sit in a dense list;
@@ -23,6 +27,11 @@ type conflictSet struct {
 	// fires twenty times allocates three.
 	chunk    []Instantiation
 	chunkLen int
+	// tags is the unconsumed tail of the slab the members' TimeTags are
+	// carved from, never reused either: chunks run 32, 64, 128, 256, 256,
+	// ... tags (2 KB).
+	tags    []int
+	tagsLen int
 }
 
 func newConflictSet() conflictSet {
@@ -40,8 +49,36 @@ func (cs *conflictSet) find(ic *rete.InstChange, h uint64) *Instantiation {
 	return nil
 }
 
+// recency returns the time tags of ic's matched wmes, ascending: what
+// LEX and MEA compare. This is the one place they are computed — a delta
+// does not carry them, so no matcher, worker or wire can disagree with
+// the wmes about them — and only for a delta that enters the set.
+func (cs *conflictSet) recency(ic *rete.InstChange) []int {
+	n := 0
+	for _, w := range ic.WMEs {
+		if w != nil {
+			n++
+		}
+	}
+	if n > len(cs.tags) {
+		cs.tagsLen = min(max(2*cs.tagsLen, 32), 256)
+		cs.tags = make([]int, max(cs.tagsLen, n))
+	}
+	tags := cs.tags[:0:n]
+	cs.tags = cs.tags[n:]
+	for _, w := range ic.WMEs {
+		if w != nil {
+			tags = append(tags, w.TimeTag)
+		}
+	}
+	slices.Sort(tags)
+	return tags
+}
+
 // add puts the instantiation ic names into the set. One already there
 // under the same identity is replaced, as assigning to a map key would.
+// The set keeps ic.WMEs, which must be an Add delta's: the member's for
+// good.
 func (cs *conflictSet) add(ic *rete.InstChange) {
 	h := ic.Hash() & cs.mask
 	if old := cs.find(ic, h); old != nil {
@@ -56,7 +93,7 @@ func (cs *conflictSet) add(ic *rete.InstChange) {
 	*in = Instantiation{
 		Prod:     ic.Info.Prod,
 		WMEs:     ic.WMEs,
-		TimeTags: ic.TimeTags,
+		TimeTags: cs.recency(ic),
 		info:     ic.Info,
 		hash:     h,
 		pos:      len(cs.list),

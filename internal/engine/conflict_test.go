@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mpcrete/internal/ops5"
@@ -43,12 +44,7 @@ func newCSHarness(t testing.TB, mask uint64) *csHarness {
 // matcher's are.
 func (h *csHarness) delta(tag rete.Tag, a, b byte) rete.InstChange {
 	w1, w2 := h.wmes[int(a)%5], h.wmes[int(b)%5]
-	return rete.InstChange{
-		Tag:      tag,
-		Info:     h.infos[int(a/5)%3],
-		WMEs:     []*ops5.WME{w1, nil, w2},
-		TimeTags: []int{min(w1.TimeTag, w2.TimeTag), max(w1.TimeTag, w2.TimeTag)},
-	}
+	return rete.InstChange{Tag: tag, Info: h.infos[int(a/5)%3], WMEs: []*ops5.WME{w1, nil, w2}}
 }
 
 // step performs one operation chosen by op: an add (possibly of an
@@ -100,8 +96,20 @@ func (h *csHarness) check(t testing.TB, when string) {
 			t.Fatalf("%s: member %s is not in the reference", when, in.Key())
 		case in.pos != i:
 			t.Fatalf("%s: %s at position %d records position %d", when, in.Key(), i, in.pos)
-		case &in.WMEs[0] != &want.WMEs[0] || &in.TimeTags[0] != &want.TimeTags[0] || in.Prod != want.Info.Prod:
-			t.Fatalf("%s: %s does not hold the arrays of the last add of that identity", when, in.Key())
+		case &in.WMEs[0] != &want.WMEs[0] || in.Prod != want.Info.Prod:
+			t.Fatalf("%s: %s does not hold the array of the last add of that identity", when, in.Key())
+		}
+		// Recency is the set's own work: the sorted tags of the wmes that
+		// are there, in an array no other member shares.
+		var tags []int
+		for _, w := range in.WMEs {
+			if w != nil {
+				tags = append(tags, w.TimeTag)
+			}
+		}
+		slices.Sort(tags)
+		if !slices.Equal(in.TimeTags, tags) || cap(in.TimeTags) != len(tags) {
+			t.Fatalf("%s: %s has time tags %v (cap %d), its wmes say %v", when, in.Key(), in.TimeTags, cap(in.TimeTags), tags)
 		}
 		if got := cs.find(&want, want.Hash()&cs.mask); got != in {
 			t.Fatalf("%s: looking up %s finds %v", when, in.Key(), got)
@@ -205,5 +213,58 @@ func TestSymmetricTieFiresInKeyOrder(t *testing.T) {
 	e.MakeWME("item", "v", 2)
 	if in, err := e.Step(); err != nil || in == nil || in.Key() != "pair[10 9]" {
 		t.Fatalf("the symmetric tie fired %v (%v), want pair[10 9]", in, err)
+	}
+}
+
+// TestResetLetsGoOfTheLastTenant: a reset session is what the pool
+// shelves between clients. Its conflict set keeps the storage of its
+// list and index and the unconsumed tails of its two slabs, and nothing
+// in any of them still points at, or says anything about, the last
+// client's instantiations: every list slot up to capacity is nil, the
+// index is empty, and the tails — members and time tags not yet handed
+// out — are zero.
+func TestResetLetsGoOfTheLastTenant(t *testing.T) {
+	prog, err := ops5.ParseProgram(sessionTestProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(prog, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := c.NewSession(SessionOptions{})
+	wmes, err := ops5.ParseWMEs(sessionTestWMEs(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Assert(wmes...)
+	s.match()
+	cs := &s.conflict
+	if len(cs.list) == 0 || cap(cs.chunk) == 0 || cap(cs.tags) == 0 {
+		t.Fatalf("the workload left the conflict set nothing to let go of: %d members", len(cs.list))
+	}
+	if !s.Reset() {
+		t.Fatal("Reset refused")
+	}
+	for i, in := range cs.list[:cap(cs.list)] {
+		if in != nil {
+			t.Fatalf("list slot %d of %d still holds %s", i, cap(cs.list), in.Key())
+		}
+	}
+	if len(cs.index) != 0 {
+		t.Fatalf("the index still holds %d chains", len(cs.index))
+	}
+	for i := range cs.chunk {
+		if in := &cs.chunk[i]; in.Prod != nil || in.WMEs != nil || in.TimeTags != nil || in.info != nil || in.next != nil {
+			t.Fatalf("instantiation %d of the slab's tail is not zero: %+v", i, *in)
+		}
+	}
+	for i, tag := range cs.tags {
+		if tag != 0 {
+			t.Fatalf("time tag %d of the slab's tail is %d", i, tag)
+		}
+	}
+	if len(cs.tags) > 256 {
+		t.Fatalf("the time-tag slab's tail is %d long: an oversized chunk outlived its one member", len(cs.tags))
 	}
 }

@@ -61,7 +61,8 @@ type Instantiation struct {
 	// WMEs are the matched wmes by original CE index (nil for negated
 	// CEs).
 	WMEs []*ops5.WME
-	// TimeTags are sorted ascending.
+	// TimeTags are the time tags of the non-nil WMEs, sorted ascending;
+	// the conflict set computes them when the instantiation enters it.
 	TimeTags []int
 	info     *rete.ProdInfo // Prod's compilation record
 	// The conflict set's bookkeeping: the masked identity hash, the
@@ -305,7 +306,9 @@ func (e *Session) match() {
 	e.spare = changes
 }
 
-// absorb applies a match phase's deltas to the conflict set.
+// absorb applies a match phase's deltas to the conflict set. It is the
+// last reader of a Delete delta's WMEs array, which the matcher only
+// lends (rete.InstBuilder.Build); an Add's stays with the set.
 func (e *Session) absorb(deltas []rete.InstChange) {
 	for i := range deltas {
 		if ic := &deltas[i]; ic.Tag == rete.Add {
@@ -328,8 +331,9 @@ func (e *Session) ConflictSet() []*Instantiation {
 // It returns the fired instantiation, or nil when the conflict set is
 // empty or the engine has halted. The instantiation is the caller's to
 // keep; instantiations are carved from chunks of up to 32 that are
-// never reused, so keeping one pins at most its chunk (and the match
-// phase's chunks its WMEs and TimeTags point into).
+// never reused, so keeping one pins at most its chunk (and the chunks
+// its WMEs, the match phase's, and its TimeTags, the conflict set's,
+// point into).
 func (e *Session) Step() (*Instantiation, error) {
 	if e.halted {
 		return nil, nil

@@ -306,8 +306,10 @@ func (d *Driver) Apply(changes []rete.Change) []rete.InstChange {
 // deltas, netted per instantiation and deterministically ordered: by
 // production name, then by the matched wmes' IDs compared as numbers,
 // condition element by condition element (delivery order across workers
-// is not deterministic; the netted set is). A lost message — a broken
-// connection, a malformed frame — is an error, never a hang.
+// is not deterministic; the netted set is). The records are the caller's
+// for good and so is a netted Add's WMEs array; a netted Delete's is the
+// caller's to read until the next Cycle (see netter). A lost message — a
+// broken connection, a malformed frame — is an error, never a hang.
 func (d *Driver) Cycle(changes []rete.Change) ([]rete.InstChange, error) {
 	if d.Closed() {
 		return nil, errors.New("parallel: Cycle after Close")
@@ -748,11 +750,13 @@ type netter struct {
 	result rete.InstBuilder
 }
 
-// netAcc is one instantiation's running net: adds minus deletes, and
-// the position in the raw deltas of the last one seen.
+// netAcc is one instantiation's running net: adds minus deletes, the
+// position in the raw deltas of the last one seen, and of the last Add
+// (meaningful once net has been positive).
 type netAcc struct {
-	net  int32
-	last int32
+	net     int32
+	last    int32
+	lastAdd int32
 }
 
 func (n *netter) net(raw []rete.InstChange) []rete.InstChange {
@@ -783,6 +787,7 @@ func (n *netter) net(raw []rete.InstChange) []rete.InstChange {
 		a := &n.accs[index[slot]-1]
 		if ic.Tag == rete.Add {
 			a.net++
+			a.lastAdd = int32(i)
 		} else {
 			a.net--
 		}
@@ -797,7 +802,7 @@ func (n *netter) net(raw []rete.InstChange) []rete.InstChange {
 	if len(n.order) == 0 {
 		return nil
 	}
-	// Sort the permutation, not the 88-byte deltas.
+	// Sort the permutation, not the deltas.
 	if len(n.order) > 1 {
 		slices.SortFunc(n.order, func(a, b int32) int {
 			return raw[n.accs[a].last].Compare(&raw[n.accs[b].last])
@@ -807,8 +812,11 @@ func (n *netter) net(raw []rete.InstChange) []rete.InstChange {
 	for _, ai := range n.order {
 		a := &n.accs[ai]
 		ic := raw[a.last]
-		ic.Tag = rete.Add
-		if a.net < 0 {
+		if a.net > 0 {
+			// add, add, delete nets to an Add whose last delta is the
+			// delete: its array is not the engine's to keep.
+			ic = raw[a.lastAdd]
+		} else {
 			ic.Tag = rete.Delete
 		}
 		out = append(out, ic)

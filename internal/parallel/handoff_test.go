@@ -281,10 +281,10 @@ func TestHandOffKeepsConflictSet(t *testing.T) {
 
 // TestInPlaceCycleAllocs pins what a warmed one-change cycle of 8-queens
 // allocates when it drains in place: nothing of its own. The netted
-// result and the arrays its deltas own are carved from slabs
-// (rete.InstBuilder: the driver's for the result, each step's for wmes
-// and time tags), the delete tokens from an arena the head rewinds, and
-// memory entries live in their buckets; what is left is a new slab or
+// result and the arrays its Add deltas own are carved from slabs
+// (rete.InstBuilder: the driver's for the result, each step's for
+// wmes), the delete tokens and the Delete deltas' arrays from an arena
+// the head rewinds, and memory entries live in their buckets; what is left is a new slab or
 // arena chunk every hundred-odd cycles. A key string or a map bucket
 // per delta — what netting cost before it compared IDs — would show
 // here, and so would anything the in-place path allocated per message.
@@ -405,5 +405,93 @@ func TestNetMatchesKeyedReference(t *testing.T) {
 	}
 	if a.Compare(&rete.InstChange{Info: infos[2], WMEs: a.WMEs}) >= 0 {
 		t.Error(`production "a" should precede "ab"`)
+	}
+}
+
+// TestNetHandsOnAnAddsArray: a netted Add is kept by the engine's
+// conflict set, array and all, so the array it carries must be one an
+// Add delta was built with — carved for good — and never the array of
+// the delete that happened to come last, which is lent from a worker's
+// delete arena and recycled at the top of the next cycle. Two steps
+// deliver the deltas of one instantiation, as two workers' turns do;
+// after the net, both processors begin their next phase with the poison
+// on. The netted Add still names its wmes, and the array a netter that
+// took raw[last] would have handed on reads as the sentinel throughout.
+func TestNetHandsOnAnAddsArray(t *testing.T) {
+	t.Cleanup(rete.PoisonRewinds())
+	prog, err := ops5.ParseProgram(`(p pair (a ^v 1) -(veto ^v 1) (b ^v 1) --> (halt))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := rete.Compile(prog.Productions)
+	if err != nil {
+		t.Fatal(err)
+	}
+	term := net.Prods["pair"].Node
+	wa, wb := ops5.NewWME("a", "v", 1), ops5.NewWME("b", "v", 1)
+	wa.ID, wa.TimeTag, wb.ID, wb.TimeTag = 3, 3, 17, 17
+
+	const A, D = rete.Add, rete.Delete
+	for _, row := range []struct {
+		name  string
+		steps [2][]rete.Tag // the deltas each step delivers, in order
+		want  rete.Tag      // the net's tag
+		from  int           // the raw delta whose array an Add must carry; -1 when the deltas cancel
+	}{
+		{"add, add | delete", [2][]rete.Tag{{A, A}, {D}}, A, 1},
+		{"add | delete, add, add, delete", [2][]rete.Tag{{A}, {D, A, A, D}}, A, 3},
+		{"delete, add | add", [2][]rete.Tag{{D, A}, {A}}, A, 2},
+		{"add, delete | add", [2][]rete.Tag{{A, D}, {A}}, A, 2},
+		{"delete | add", [2][]rete.Tag{{D}, {A}}, D, -1},
+		{"delete, delete | add", [2][]rete.Tag{{D, D}, {A}}, D, 0},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			var raw []rete.InstChange
+			var procs [2]*rete.Processor
+			var builders [2]rete.InstBuilder
+			for i, tags := range row.steps {
+				procs[i] = rete.NewProcessor(net, 16)
+				procs[i].BeginPhase() // an owner that rewinds: the in-place head, a socket worker
+				var acts []rete.Activation
+				for _, tag := range tags {
+					acts = append(acts, rete.Activation{Node: term, Side: rete.Left, Tag: tag, Token: &rete.Token{WMEs: []*ops5.WME{wa, wb}}})
+				}
+				raw = append(raw, builders[i].Build(procs[i], acts, nil)...)
+			}
+			var n netter
+			out := n.net(raw)
+			var lastDelete []*ops5.WME
+			for i := range raw {
+				if raw[i].Tag == D {
+					lastDelete = raw[i].WMEs
+				}
+			}
+			for _, p := range procs {
+				p.BeginPhase()
+			}
+			for _, w := range lastDelete {
+				if w == nil || w.ID != -1 {
+					t.Fatalf("a delete's array reads %v after the next phase began: it was not lent from the rewound arena", lastDelete)
+				}
+			}
+			if row.from < 0 {
+				if len(out) != 0 {
+					t.Fatalf("net = %v, want nothing", out)
+				}
+				return
+			}
+			if len(out) != 1 || out[0].Tag != row.want {
+				t.Fatalf("net = %v, want one %v", out, row.want)
+			}
+			if row.want == D {
+				return // a netted Delete's array is its receiver's until the next cycle only
+			}
+			if &out[0].WMEs[0] != &raw[row.from].WMEs[0] || raw[row.from].Tag != A {
+				t.Fatalf("the netted add does not carry the array of raw delta %d, the last add", row.from)
+			}
+			if got := out[0].WMEs; len(got) != 3 || got[0] != wa || got[1] != nil || got[2] != wb {
+				t.Fatalf("the netted add reads %v after the next phase began, want [%v <nil> %v]", got, wa, wb)
+			}
+		})
 	}
 }

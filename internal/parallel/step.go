@@ -128,11 +128,13 @@ func NewStep(net *rete.Network, id, workers int, part sched.Partition, trackLoad
 func (s *Step) SetPartition(part sched.Partition) { s.part = part }
 
 // BeginPhase declares every delete token the step's processor has made
-// so far dead, so that their arena is rewound and carved again
+// so far dead, and every array it lent a Delete delta read for the last
+// time, so that their arena is rewound and carved again
 // (rete.Processor.BeginPhase). It is the carrier's call, made only where
 // the carrier can show it: the cycle driver at the top of a cycle it
-// heads in place, the socket worker at the top of every turn, whose
-// predecessor encoded everything it made before it returned. The
+// heads in place (the last cycle's result was netted and handed to a
+// caller who absorbed it), the socket worker at the top of every turn,
+// whose predecessor encoded everything it made before it returned. The
 // goroutine worker never calls it.
 func (s *Step) BeginPhase() { s.proc.BeginPhase() }
 
@@ -147,10 +149,14 @@ func (s *Step) BeginTurn(ts int64, cycle int32) {
 
 // EndTurn closes the turn and returns what it produced: the deltas of
 // the turn's production-node activations are built here, in one batch.
-// The result is valid until the next BeginTurn; the arrays its deltas
-// point at are carved for good and go wherever the deltas are copied.
+// The result is valid until the next BeginTurn. An Add delta's array is
+// carved for good and goes wherever the delta is copied; a Delete
+// delta's is lent from the step's processor until the carrier's next
+// BeginPhase (rete.InstBuilder.Build) — for good under a carrier that
+// never calls it, whose turns of one cycle outlive each other in the
+// driver's intake.
 func (s *Step) EndTurn() *Turn {
-	s.turn.Insts = s.insts.Build(s.instActs, s.turn.Insts)
+	s.turn.Insts = s.insts.Build(s.proc, s.instActs, s.turn.Insts)
 	s.instActs = s.instActs[:0]
 	for _, b := range s.dirty {
 		s.turn.Loads = append(s.turn.Loads, BucketLoad{Bucket: b, N: s.bucketLoad[b]})

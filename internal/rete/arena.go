@@ -1,6 +1,10 @@
 package rete
 
-import "mpcrete/internal/ops5"
+import (
+	"slices"
+
+	"mpcrete/internal/ops5"
+)
 
 // Arena chunk sizes. Tokens are small (one slice header), so a chunk
 // amortizes the per-token allocation to ~1/256; wme-pointer backing is
@@ -23,10 +27,17 @@ const (
 // their arena is rewound only by Processor.Reset, with the memories.
 // Tokens made under a Delete activation are never stored — they exist
 // to find the entries they remove and to carry the delete downstream —
-// so every one of them is dead once the phase's conflict-set deltas
-// have been built, and an owner that can show that much calls
-// Processor.BeginPhase to rewind their arena: the same chunk serves
-// every phase and steady-state deletes allocate nothing.
+// and a Delete delta's WMEs array (InstBuilder.Build lends it from the
+// same arena) is read by whoever absorbs the phase's result and by
+// nobody after. So everything the delete arena hands out is dead once
+// the phase's result has been absorbed, and an owner that can show that
+// much calls Processor.BeginPhase to rewind it.
+//
+// An arena that has been rewound keeps the chunks it fills instead of
+// dropping them, and the next rewind puts them back up for carving: it
+// holds the storage of its largest phase and steady-state deletes
+// allocate nothing, however wide. An arena that is never rewound keeps
+// nothing but its current chunks.
 //
 // The arenas are single-owner, like the Processor that embeds them: the
 // sequential Matcher and each parallel worker own a pair apiece.
@@ -35,14 +46,22 @@ type tokenArena struct {
 	wmes   []*ops5.WME // the current backing chunk; wmes[:nWme] are handed out
 	nTok   int
 	nWme   int
+
+	// keeps is set by the first rewind. From then on a chunk that fills
+	// goes on the full lists, and rewind moves those to the spare lists,
+	// which grow draws on before it allocates.
+	keeps               bool
+	fullTok, spareTok   [][]Token
+	fullWMEs, spareWMEs [][]*ops5.WME
 }
 
 // poisonRewind makes rewind overwrite the wme references of every
 // token it recycles with poisonWME instead of clearing them, so that a
 // token used after its arena was rewound shows up as a wrong
 // conflict-set delta or a sentinel in a stored entry rather than as a
-// coincidence that happens to pass. Tests set it (PoisonRewinds);
-// nothing else does.
+// coincidence that happens to pass. A lent delta array is made of the
+// same references and reads as poisonWME throughout. Tests set it
+// (PoisonRewinds); nothing else does.
 var poisonRewind bool
 
 // poisonWME is what a rewound token reads as under poisonRewind. No
@@ -50,45 +69,136 @@ var poisonRewind bool
 var poisonWME = &ops5.WME{ID: -1, TimeTag: -1, Class: "rewound-token"}
 
 // PoisonRewinds is the test hook behind poisonRewind for the packages
-// whose tests drive processors they cannot reach into (parallel,
-// transport, difftest): it turns the poison on and returns the function
-// that turns it off again. Call both while no matcher is running.
+// whose tests drive processors they cannot reach into (engine,
+// parallel, transport, difftest): it turns the poison on and returns
+// the function that turns it off again. Call both while no matcher is
+// running.
 func PoisonRewinds() (restore func()) {
 	poisonRewind = true
 	return func() { poisonRewind = false }
 }
 
-// rewind takes back everything carved from the current chunks: the used
-// part is cleared, so that recycled tokens pin no wme, and carving
-// starts again from the chunks' heads. Chunks exhausted earlier were
-// let go when they filled and are not touched. The caller vouches that
-// no token of this arena is still in use.
-func (ar *tokenArena) rewind() {
+// scrub clears (or poisons) what was handed out of one chunk pair, so
+// that recycled storage pins no wme.
+func scrub(tokens []Token, wmes []*ops5.WME) {
 	if poisonRewind {
-		for i := range ar.wmes[:ar.nWme] {
-			ar.wmes[i] = poisonWME
+		for i := range wmes {
+			wmes[i] = poisonWME
 		}
-	} else {
-		clear(ar.tokens[:ar.nTok])
-		clear(ar.wmes[:ar.nWme])
+		return
 	}
+	clear(tokens)
+	clear(wmes)
+}
+
+// rewind takes back everything carved since the last rewind: it is
+// cleared, so that recycled tokens pin no wme, and carved again. A
+// phase that stayed inside its chunks starts over at their heads; one
+// that filled chunks gets them back as spares. The caller vouches that
+// nothing this arena handed out is still in use.
+func (ar *tokenArena) rewind() {
+	ar.keeps = true
+	scrub(ar.tokens[:ar.nTok], ar.wmes[:ar.nWme])
 	ar.nTok, ar.nWme = 0, 0
+	for i, c := range ar.fullTok {
+		scrub(c, nil)
+		ar.spareTok = append(ar.spareTok, c)
+		ar.fullTok[i] = nil
+	}
+	ar.fullTok = ar.fullTok[:0]
+	if len(ar.fullWMEs) == 0 && len(ar.wmes) <= wmeRefChunkLen {
+		return
+	}
+	// The phase filled backing chunks, or ended on the oversized one a
+	// lent delta array asked for: they all go back, the current one
+	// included, so that the next phase's tokens fill ordinary chunks and
+	// its oversized request finds that chunk whole.
+	for i, c := range ar.fullWMEs {
+		scrub(nil, c)
+		ar.spareWMEs = append(ar.spareWMEs, c)
+		ar.fullWMEs[i] = nil
+	}
+	ar.fullWMEs = ar.fullWMEs[:0]
+	ar.spareWMEs = append(ar.spareWMEs, ar.wmes)
+	ar.wmes = nil
+}
+
+// reset is rewind for an arena whose owner starts over
+// (Processor.Reset): at most one ordinary chunk of each kind survives,
+// so a pooled session inherits neither a wide phase's storage nor the
+// habit of keeping it.
+func (ar *tokenArena) reset() {
+	ar.rewind()
+	*ar = tokenArena{tokens: ar.tokens, wmes: ar.wmes}
+}
+
+// growTokens makes a spare token chunk current, or a fresh one.
+func (ar *tokenArena) growTokens() {
+	if ar.keeps && ar.tokens != nil {
+		ar.fullTok = append(ar.fullTok, ar.tokens)
+	}
+	if last := len(ar.spareTok) - 1; last >= 0 {
+		ar.tokens, ar.spareTok[last] = ar.spareTok[last], nil
+		ar.spareTok = ar.spareTok[:last]
+	} else {
+		ar.tokens = make([]Token, tokenChunkLen)
+	}
+	ar.nTok = 0
+}
+
+// growWMEs makes current a backing chunk that holds n references. A
+// request of up to wmeRefChunkLen takes an ordinary chunk, spare or
+// fresh, and never an oversized one; a request above that (a wide
+// phase's lent delta arrays) takes the smallest oversized spare that
+// holds it, or a fresh chunk of exactly n, which replaces the oversized
+// spares that proved too small. The unused tail of the chunk that was
+// current is wasted.
+func (ar *tokenArena) growWMEs(n int) {
+	if ar.keeps && ar.wmes != nil {
+		ar.fullWMEs = append(ar.fullWMEs, ar.wmes)
+	}
+	ordinary := n <= wmeRefChunkLen
+	best := -1
+	for i, c := range ar.spareWMEs {
+		if len(c) >= n && (len(c) == wmeRefChunkLen) == ordinary && (best < 0 || len(c) < len(ar.spareWMEs[best])) {
+			best = i
+		}
+	}
+	switch {
+	case best >= 0:
+		last := len(ar.spareWMEs) - 1
+		ar.wmes = ar.spareWMEs[best]
+		ar.spareWMEs[best], ar.spareWMEs[last] = ar.spareWMEs[last], nil
+		ar.spareWMEs = ar.spareWMEs[:last]
+	case ordinary:
+		ar.wmes = make([]*ops5.WME, wmeRefChunkLen)
+	default:
+		ar.spareWMEs = slices.DeleteFunc(ar.spareWMEs, func(c []*ops5.WME) bool { return len(c) > wmeRefChunkLen })
+		ar.wmes = make([]*ops5.WME, n)
+	}
+	ar.nWme = 0
+}
+
+// refs carves n wme references. The slice is full-capacity-capped so an
+// append can never bleed into a neighbour's.
+func (ar *tokenArena) refs(n int) []*ops5.WME {
+	if n > len(ar.wmes)-ar.nWme {
+		ar.growWMEs(n)
+	}
+	r := ar.wmes[ar.nWme : ar.nWme+n : ar.nWme+n]
+	ar.nWme += n
+	return r
 }
 
 // newToken returns a fresh token with an n-wide WMEs slice, both carved
-// from the arena. The slice is full-capacity-capped so an append can
-// never bleed into a neighbouring token's backing.
+// from the arena.
 func (ar *tokenArena) newToken(n int) *Token {
 	if ar.nTok == len(ar.tokens) {
-		ar.tokens, ar.nTok = make([]Token, tokenChunkLen), 0
+		ar.growTokens()
 	}
 	t := &ar.tokens[ar.nTok]
 	ar.nTok++
-	if n > len(ar.wmes)-ar.nWme {
-		ar.wmes, ar.nWme = make([]*ops5.WME, max(wmeRefChunkLen, n)), 0
-	}
-	t.WMEs = ar.wmes[ar.nWme : ar.nWme+n : ar.nWme+n]
-	ar.nWme += n
+	t.WMEs = ar.refs(n)
 	return t
 }
 

@@ -2,6 +2,7 @@ package rete
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mpcrete/internal/ops5"
@@ -13,12 +14,36 @@ func poison(t *testing.T) {
 	t.Cleanup(PoisonRewinds())
 }
 
-// inChunk reports whether tok was carved from the arena's current
-// chunk.
+// tokChunks and refChunks list every chunk the arena holds: the current
+// one and the ones it keeps.
+func (ar *tokenArena) tokChunks() [][]Token {
+	return append(append([][]Token{ar.tokens}, ar.fullTok...), ar.spareTok...)
+}
+
+func (ar *tokenArena) refChunks() [][]*ops5.WME {
+	return append(append([][]*ops5.WME{ar.wmes}, ar.fullWMEs...), ar.spareWMEs...)
+}
+
+// inChunk reports whether tok was carved from one of the arena's chunks.
 func (ar *tokenArena) inChunk(tok *Token) bool {
-	for i := range ar.tokens {
-		if &ar.tokens[i] == tok {
-			return true
+	for _, c := range ar.tokChunks() {
+		for i := range c {
+			if &c[i] == tok {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// holds reports whether ref is a slot of one of the arena's backing
+// chunks.
+func (ar *tokenArena) holds(ref **ops5.WME) bool {
+	for _, c := range ar.refChunks() {
+		for i := range c {
+			if &c[i] == ref {
+				return true
+			}
 		}
 	}
 	return false
@@ -42,7 +67,9 @@ func TestPoisonedRewinds(t *testing.T) {
 // memory entry ever holds a token carved from the delete arena. It
 // checks the pointer, and — with the poison on — that no stored token
 // reads as the sentinel, which is what a delete token stored in an
-// earlier phase would have become.
+// earlier phase would have become. The same holds one level up, where
+// a Delete delta's array is lent from that arena: no instantiation
+// standing in a conflict set holds one.
 func TestDeleteTokensAreNeverStored(t *testing.T) {
 	poison(t)
 	rng := rand.New(rand.NewSource(11))
@@ -67,6 +94,16 @@ func TestDeleteTokensAreNeverStored(t *testing.T) {
 						if w == poisonWME {
 							t.Fatalf("trial %d step %d: left bucket %d stores a rewound token at node %d", trial, step, b, e.node.ID)
 						}
+					}
+				}
+			}
+			for key, wmes := range h.held {
+				if p.delArena.holds(&wmes[0]) {
+					t.Fatalf("trial %d step %d: instantiation %s holds an array lent from the delete arena", trial, step, key)
+				}
+				for _, w := range wmes {
+					if w == poisonWME {
+						t.Fatalf("trial %d step %d: instantiation %s reads as a rewound array", trial, step, key)
 					}
 				}
 			}
@@ -113,5 +150,80 @@ func TestDeleteArenaIsRewoundOnlyWhenAsked(t *testing.T) {
 	}
 	if len(seen) < 2*tokenChunkLen {
 		t.Fatalf("only %d delete tokens reached the production node: not past a chunk boundary", len(seen))
+	}
+}
+
+// chunkSet names every chunk the arena holds by its first element.
+func (ar *tokenArena) chunkSet() (toks map[*Token]bool, refs map[**ops5.WME]int) {
+	toks, refs = map[*Token]bool{}, map[**ops5.WME]int{}
+	for _, c := range ar.tokChunks() {
+		if len(c) > 0 {
+			toks[&c[0]] = true
+		}
+	}
+	for _, c := range ar.refChunks() {
+		if len(c) > 0 {
+			refs[&c[0]] = len(c)
+		}
+	}
+	return toks, refs
+}
+
+// TestDeleteArenaKeepsItsLargestPhase: a delete phase that outgrows the
+// arena's chunks leaves them to it, and the same phase again is carved
+// from the same storage — the same chunks, none added, whatever number
+// of rounds — with one oversized chunk for the lent delta arrays. A
+// wider phase grows the set once, and the oversized chunk that proved
+// too small is let go rather than kept beside its replacement.
+func TestDeleteArenaKeepsItsLargestPhase(t *testing.T) {
+	oversized := func(refs map[**ops5.WME]int) (n int) {
+		for _, l := range refs {
+			if l > wmeRefChunkLen {
+				n++
+			}
+		}
+		return n
+	}
+	// One matcher and one 60x20 burst; the narrow phase is the burst
+	// with half its teams (the changes run phase, teams, slots).
+	m, wideAdds, wideDels := pairingBurst(t, 60, 20)
+	half := func(chs []Change) []Change { return append(slices.Clone(chs[:31]), chs[61:]...) }
+	adds, dels := half(wideAdds), half(wideDels)
+	round := func(adds, dels []Change, want int) {
+		t.Helper()
+		m.Apply(adds)
+		if got := len(m.Apply(dels)); got != want {
+			t.Fatalf("the delete burst made %d deltas, want %d", got, want)
+		}
+	}
+	round(adds, dels, 600)
+	round(adds, dels, 600)
+	toks, refs := m.proc.delArena.chunkSet()
+	if len(toks) < 2 || oversized(refs) != 1 {
+		t.Fatalf("a 30x20 delete burst holds %d token chunks and %d oversized backing chunks, want several and one", len(toks), oversized(refs))
+	}
+	for i := 0; i < 10; i++ {
+		round(adds, dels, 600)
+	}
+	toks2, refs2 := m.proc.delArena.chunkSet()
+	if len(toks2) != len(toks) || len(refs2) != len(refs) {
+		t.Fatalf("ten more rounds: %d token chunks and %d backing chunks, were %d and %d", len(toks2), len(refs2), len(toks), len(refs))
+	}
+	for c := range toks2 {
+		if !toks[c] {
+			t.Fatal("ten more rounds carved delete tokens from a chunk the arena did not hold")
+		}
+	}
+	for c := range refs2 {
+		if refs[c] == 0 {
+			t.Fatal("ten more rounds carved references from a chunk the arena did not hold")
+		}
+	}
+
+	round(wideAdds, wideDels, 1200)
+	round(wideAdds, wideDels, 1200)
+	toks3, refs3 := m.proc.delArena.chunkSet()
+	if len(toks3) <= len(toks) || oversized(refs3) != 1 {
+		t.Fatalf("a 60x20 delete burst holds %d token chunks (30x20: %d) and %d oversized backing chunks, want more and one", len(toks3), len(toks), oversized(refs3))
 	}
 }

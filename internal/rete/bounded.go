@@ -64,6 +64,16 @@ type boundedGroup struct {
 // home returns the node whose id keys every bucket of the group.
 func (g *boundedGroup) home() *Node { return g.members[0] }
 
+// bind makes the members and the terminal nodes of the group, once the
+// member list is complete: each hashes on the home id from then on.
+func (g *boundedGroup) bind() {
+	seed := hashSeedOf(g.home().ID)
+	for _, n := range g.members {
+		n.group, n.hashSeed = g, seed
+	}
+	g.terminal.group, g.terminal.hashSeed = g, seed
+}
+
 // bRawTest is a cross-CE variable test before it is assigned to a
 // collector. CE indexes are original (textual) LHS positions: hostCE is
 // the CE whose attribute is compared, bindCE the CE that textually
@@ -235,7 +245,6 @@ func (net *Network) addProductionBounded(p *ops5.Production) (*ProdInfo, error) 
 		n := net.newNode(KindBounded)
 		n.OrigCE = orig
 		n.TokenLen = nPos
-		n.group = g
 		n.bPos = jp
 		n.bNeg = ce.Negated
 		if prev != nil {
@@ -276,9 +285,9 @@ func (net *Network) addProductionBounded(p *ops5.Production) (*ProdInfo, error) 
 	pn.Parent = prev
 	pn.LeftLen = nPos
 	pn.TokenLen = nPos
-	pn.group = g
 	prev.Succs = append(prev.Succs, pn)
 	g.terminal = pn
+	g.bind()
 	info.Node = pn
 	net.register(info)
 	return info, nil

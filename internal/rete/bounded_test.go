@@ -82,6 +82,7 @@ func newBoundedHarness(t *testing.T, nbuckets int, srcs ...string) *harness {
 		matcher: NewMatcher(net, MatcherOptions{NBuckets: nbuckets}),
 		wm:      map[int]*ops5.WME{},
 		cs:      map[string]bool{},
+		held:    map[string][]*ops5.WME{},
 		nextID:  1,
 	}
 }

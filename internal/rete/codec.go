@@ -367,12 +367,14 @@ func DecodeNetwork(blob []byte) (*Network, error) {
 					break
 				}
 				g.members = append(g.members, m)
-				m.group = g
 				if !m.bNeg {
 					g.nPos++
 				}
 			}
-			info.Node.group = g
+			if d.Err != nil {
+				break
+			}
+			g.bind()
 		}
 		net.register(info)
 	}

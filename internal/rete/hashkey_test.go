@@ -246,3 +246,73 @@ func TestNegZeroJoins(t *testing.T) {
 		}
 	}
 }
+
+// TestHashSeedIsTheFoldedID: HashKey starts from a state folded when
+// the node was made, so every way a node comes to be — compiled in each
+// variant, cloned by a transformation, decoded from the wire — must
+// leave it the fold of its own id, or of its bounded group's home id. A
+// node missed here would hash to other buckets than its peers' copies
+// of it, and mis-join silently.
+func TestHashSeedIsTheFoldedID(t *testing.T) {
+	prods := mustParse(t, append(append([]string{}, sharedFanoutProds...), blocksProd)...)
+	for _, variant := range Variants() {
+		net, err := CompileVariant(prods, variant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, n := range map[string]*Network{"compiled": net, "decoded": roundTripNetwork(t, net)} {
+			grouped := 0
+			for _, nd := range n.Nodes {
+				id := nd.ID
+				if nd.group != nil {
+					id = nd.group.home().ID
+					grouped++
+				}
+				if nd.hashSeed != hashSeedOf(id) {
+					t.Errorf("%s/%s: %s node %d starts from %#x, the fold of id %d is %#x", variant, name, nd.Kind, nd.ID, nd.hashSeed, id, hashSeedOf(id))
+				}
+			}
+			if (variant == "bounded") != (grouped > 0) {
+				t.Errorf("%s/%s: %d nodes in bounded groups", variant, name, grouped)
+			}
+		}
+	}
+}
+
+// TestNodeTakes: the shapes a decoder holds a wire activation to. A
+// left token is exactly as wide as the node's left input, and wide
+// enough for every position the node indexes; a bounded collector takes
+// no left input; only a node with a right memory takes a right one.
+func TestNodeTakes(t *testing.T) {
+	net := compileT(t, []string{`(p three (a ^x <v>) (b ^x <v> ^y <u>) -(c ^y <u>) --> (halt))`, `(p one (d ^x 1) --> (halt))`})
+	for _, n := range net.Nodes {
+		for width := 0; width <= 4; width++ {
+			want := width == n.LeftLen
+			if got := n.TakesLeft(width); got != want {
+				t.Errorf("%s node %d (left input %d wide) takes a %d-wide token: %v", n.Kind, n.ID, n.LeftLen, width, got)
+			}
+		}
+		if got, want := n.TakesRight(), n.Kind != KindProduction; got != want {
+			t.Errorf("%s node %d takes a right activation: %v", n.Kind, n.ID, got)
+		}
+	}
+	// A network whose LeftLen understates what a test indexes (only a
+	// forged one does) is still not indexed past the token.
+	join := net.Prods["three"].Node.Parent
+	join.LeftLen = 1
+	if join.TakesLeft(1) {
+		t.Errorf("negative node %d tests position %d and takes a 1-wide token", join.ID, join.Tests[0].LeftPos)
+	}
+	bounded, err := CompileWith(mustParse(t, `(p three (a ^x <v>) (b ^x <v>) --> (halt))`), CompileOptions{BoundedJoins: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, n := range bounded.Nodes {
+		if n.Kind == KindBounded && (n.TakesLeft(n.LeftLen) || !n.TakesRight()) {
+			t.Errorf("bounded collector %d: takes left %v, right %v", n.ID, n.TakesLeft(n.LeftLen), n.TakesRight())
+		}
+		if n.Kind == KindProduction && (!n.TakesLeft(2) || n.TakesRight()) {
+			t.Errorf("bounded terminal %d: takes a 2-wide left token %v, a right activation %v", n.ID, n.TakesLeft(2), n.TakesRight())
+		}
+	}
+}

@@ -32,19 +32,21 @@ type Event struct {
 	Bucket    int
 }
 
-// InstChange is a conflict-set delta produced by a production node.
+// InstChange is a conflict-set delta produced by a production node: the
+// one thing a match processor tells the control processor, so it
+// carries what the receiver cannot recompute and nothing else (40
+// bytes). Recency — the sorted time tags conflict resolution compares —
+// is a function of WMEs and is computed where an instantiation enters a
+// conflict set.
 type InstChange struct {
 	Tag Tag
 	// Info is the compilation record of the production instantiated.
 	Info *ProdInfo
 	// WMEs holds the matched wmes indexed by original condition-element
-	// position; entries for negated CEs are nil.
+	// position; entries for negated CEs are nil. An Add delta's array is
+	// its holder's for good; a Delete delta's is lent until the match
+	// processor that made it starts its next phase (InstBuilder.Build).
 	WMEs []*ops5.WME
-	// TimeTags are the sorted time tags of the matched wmes (used by
-	// conflict resolution).
-	TimeTags  []int
-	ParentSeq int
-	Cycle     int
 }
 
 // wmeID is the identity of one matched-wme position; a negated
@@ -138,9 +140,9 @@ type Listener interface {
 	Activation(ev Event)
 	// Instantiation is called for every conflict-set delta, after the
 	// cycle's last Activation (the deltas are built once the match
-	// phase has drained); ParentSeq names the activation that produced
-	// each.
-	Instantiation(ch InstChange)
+	// phase has drained); parentSeq names the activation that produced
+	// it, -1 for a root of a single-CE production.
+	Instantiation(ch InstChange, parentSeq int)
 	// EndCycle is called when the match phase reaches fixpoint.
 	EndCycle(cycle int)
 }
@@ -182,8 +184,8 @@ type Matcher struct {
 	succBuf []Activation
 	// instActs holds the phase's production-node activations, set aside
 	// in generation order until the queue has drained and the deltas can
-	// be built in one pass; instParents is each one's ParentSeq. insts
-	// builds them.
+	// be built in one pass; instParents is the Seq of the activation that
+	// generated each. insts builds them.
 	instActs    []Activation
 	instParents []int
 	insts       InstBuilder
@@ -232,12 +234,13 @@ func (m *Matcher) Reset() {
 // Apply runs one match phase over the given wme changes and returns
 // the conflict-set deltas in deterministic generation order.
 //
-// The result belongs to the caller: the slice, and the WMEs and
-// TimeTags its deltas point at, are carved from slabs that never hand a
-// region out twice (see InstBuilder), so the caller may keep any of it
+// The records of the result belong to the caller, and so does the WMEs
+// array of every Add delta: they are carved from slabs that never hand
+// a region out twice (see InstBuilder), so the caller may keep them
 // across any number of later calls, and a steady-state phase allocates
 // none of it. What a kept result pins is the slab chunks it was carved
-// from, a few kilobytes.
+// from, a few kilobytes. The WMEs array of a Delete delta is lent: it
+// is the caller's to read until the next Apply, which recycles it.
 func (m *Matcher) Apply(changes []Change) []InstChange {
 	return m.ApplyFiltered(changes, nil)
 }
@@ -250,7 +253,8 @@ func (m *Matcher) Apply(changes []Change) []InstChange {
 func (m *Matcher) ApplyFiltered(changes []Change, allow func(*Node) bool) []InstChange {
 	// The previous phase's delete tokens are dead: its queue drained and
 	// its deltas were built before it returned, and a Listener is shown
-	// Events, not tokens.
+	// Events, not tokens. So are the arrays it lent its Delete deltas:
+	// that is Apply's contract.
 	m.proc.BeginPhase()
 	m.cycle++
 	m.seq = 0
@@ -279,12 +283,10 @@ func (m *Matcher) ApplyFiltered(changes []Change, allow func(*Node) bool) []Inst
 
 	var out []InstChange
 	if n := len(m.instActs); n > 0 {
-		out = m.insts.Build(m.instActs, m.insts.Result(n))
-		for i := range out {
-			out[i].ParentSeq = m.instParents[i]
-			out[i].Cycle = m.cycle
-			if m.listener != nil {
-				m.listener.Instantiation(out[i])
+		out = m.insts.Build(m.proc, m.instActs, m.insts.Result(n))
+		if m.listener != nil {
+			for i := range out {
+				m.listener.Instantiation(out[i], m.instParents[i])
 			}
 		}
 		m.instActs = m.instActs[:0]
@@ -302,7 +304,9 @@ func (m *Matcher) ApplyFiltered(changes []Change, allow func(*Node) bool) []Inst
 func (m *Matcher) enqueue(act Activation, parentSeq int) {
 	if act.Node.Kind == KindProduction {
 		m.instActs = append(m.instActs, act)
-		m.instParents = append(m.instParents, parentSeq)
+		if m.listener != nil {
+			m.instParents = append(m.instParents, parentSeq)
+		}
 		return
 	}
 	m.queue = append(m.queue, queued{act: act, parentSeq: parentSeq})

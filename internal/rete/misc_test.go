@@ -101,7 +101,7 @@ func TestExtractInjectBucketDirect(t *testing.T) {
 	// re-propagate the left token (count 1 -> 0).
 	reborn := 0
 	var insts InstBuilder
-	for _, ic := range insts.Build(drainT(dst, dst.RootActivationsInto(Change{Tag: Delete, WME: wb}, nil)), nil) {
+	for _, ic := range insts.Build(dst, drainT(dst, dst.RootActivationsInto(Change{Tag: Delete, WME: wb}, nil)), nil) {
 		if ic.Tag == Add {
 			reborn++
 		}

@@ -133,6 +133,10 @@ type Node struct {
 	bPos  int
 	bNeg  bool
 
+	// hashSeed is where HashKey starts: the FNV state after this node's
+	// id, or after the home id of its bounded group (hashSeedOf).
+	hashSeed uint64
+
 	shareKey string
 }
 
@@ -148,6 +152,35 @@ func (n *Node) AcceptsRight(w *ops5.WME) bool {
 	}
 	return w.ID%n.copyCount == n.copyIndex
 }
+
+// TakesLeft reports whether a left token of the given width is one this
+// node can be activated with: the node has a left input (a bounded
+// collector has none), the width is its LeftLen, and every position the
+// node itself indexes — its tests' LeftPos, a terminal's TokenPos — is
+// inside the token. TakesRight reports whether the node has a right
+// input. They are what a decoder holds an activation that crossed a
+// wire to; activations made by a Processor satisfy them by
+// construction.
+func (n *Node) TakesLeft(width int) bool {
+	if n.Kind == KindBounded || width != n.LeftLen {
+		return false
+	}
+	for i := range n.Tests {
+		if n.Tests[i].LeftPos >= width {
+			return false
+		}
+	}
+	if n.Info != nil {
+		for _, pos := range n.Info.TokenPos {
+			if pos >= width {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+func (n *Node) TakesRight() bool { return n.IsTwoInput() || n.Kind == KindBounded }
 
 // VarDef records the defining occurrence of an LHS variable: the
 // original condition-element index and attribute whose value the
@@ -355,6 +388,7 @@ func (net *Network) TwoInputCount() int {
 
 func (net *Network) newNode(kind NodeKind) *Node {
 	n := &Node{ID: len(net.Nodes), Kind: kind, OrigCE: -1}
+	n.hashSeed = hashSeedOf(n.ID)
 	net.Nodes = append(net.Nodes, n)
 	return n
 }

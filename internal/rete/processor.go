@@ -1,10 +1,6 @@
 package rete
 
-import (
-	"sort"
-
-	"mpcrete/internal/ops5"
-)
+import "mpcrete/internal/ops5"
 
 // Activation is one unit of match work: a token arriving at a node's
 // left or right input. It is the currency both of the sequential
@@ -72,39 +68,43 @@ func (p *Processor) Memories() (left, right *Memory) { return p.left, p.right }
 func (p *Processor) Bucket(a Activation) int { return p.left.Bucket(a.HashKey()) }
 
 // Reset empties both memories (keeping their bucket storage), rewinds
-// both arenas and clears the bounded enumerator's scratch, returning the
-// processor to its freshly-constructed state over the same network —
-// the session-pool reuse hook. Nothing reachable from a reset processor
-// points at a wme of its last user. Only legal at quiescence, and only
-// while no token this processor made is in use anywhere else: the
-// memories that stored them are empty after it, and the arenas' current
-// chunks are cleared and carved again.
+// both arenas to one chunk each and clears the bounded enumerator's
+// scratch, returning the processor to its freshly-constructed state
+// over the same network — the session-pool reuse hook. Nothing
+// reachable from a reset processor points at a wme of its last user,
+// and the chunks a wide delete phase left the delete arena are let go.
+// Only legal at quiescence, and only while no token this processor made
+// is in use anywhere else: the memories that stored them are empty
+// after it, and the arenas' current chunks are cleared and carved again.
 func (p *Processor) Reset() {
 	p.left.Reset()
 	p.right.Reset()
-	p.arena.rewind()
-	p.delArena.rewind()
+	p.arena.reset()
+	p.delArena.reset()
 	clear(p.bstack[:cap(p.bstack)])
 	for _, l := range p.bmem[:cap(p.bmem)] {
 		clear(l[:cap(l)])
 	}
 }
 
-// BeginPhase tells the processor that every token it made under a
-// Delete activation so far is dead: the activations that carried them
-// have been performed and the conflict-set deltas built from them
-// (InstBuilder.Build copies the wmes out). It rewinds the arena those
-// tokens came from, so the phase about to start carves its delete
-// tokens from the same chunk again.
+// BeginPhase tells the processor that everything its delete arena has
+// handed out so far is dead: the activations that carried its delete
+// tokens have been performed, and the Delete deltas whose WMEs arrays
+// InstBuilder.Build lent from it have been absorbed, netted or encoded
+// by whoever received them. It rewinds that arena, so the phase about
+// to start carves its delete tokens and lent arrays from the same
+// storage again.
 //
 // Calling it is optional and never calling it is always safe: delete
-// tokens are then carved chunk by chunk and left to the collector, as
-// add tokens are. An owner calls it only at a point where it can show
-// the claim above — the sequential Matcher at the top of every Apply,
-// the parallel cycle driver before the first turn of a cycle it runs on
-// its own quiescent steps, the socket worker at the top of every turn
-// (its predecessor encoded all it made before it returned). A goroutine
-// worker, which cannot tell where a cycle begins, leaves it uncalled.
+// tokens and lent arrays are then carved chunk by chunk and left to the
+// collector, as add tokens are. An owner calls it only at a point where
+// it can show the claim above — the sequential Matcher at the top of
+// every Apply (its caller absorbed the last result, or kept no Delete
+// array of it), the parallel cycle driver before the first turn of a
+// cycle it runs on its own quiescent steps, the socket worker at the
+// top of every turn (its predecessor encoded all it made before it
+// returned). A goroutine worker, which cannot tell where a cycle
+// begins, leaves it uncalled.
 func (p *Processor) BeginPhase() { p.delArena.rewind() }
 
 // RootActivationsInto runs the constant tests for one wme change and
@@ -321,31 +321,29 @@ func (p *Processor) testsPass(n *Node, t *Token, w *ops5.WME) bool {
 }
 
 // Slab chunk maxima of an InstBuilder, sized in bytes: a conflict-set
-// delta is 80 bytes, a wme reference or a time tag 8. An owner opened
-// for one short run (a served session fires ~20 times) never grows past
-// the first chunks; one that runs 8-queens wastes at most the last
-// chunk of each, ~14 KB over 2,033 firings.
+// delta is 40 bytes, a wme reference 8. An owner opened for one short
+// run (a served session fires ~20 times) never grows past the first
+// chunks; one that runs 8-queens wastes at most the last chunk of each,
+// ~7 KB over 2,033 firings.
 const (
-	instChangeSlabMax = 128 // 10 KB
+	instChangeSlabMax = 128 // 5 KB
 	wmeRefSlabMax     = 256 // 2 KB
-	timeTagSlabMax    = 256 // 2 KB
 )
 
 // InstBuilder turns production-node activations into conflict-set
-// deltas. It owns the slabs the deltas, their WMEs and their TimeTags
-// are carved from, so a steady-state match phase builds its result
-// without allocating; the sequential Matcher and each parallel worker
-// step own one apiece, and the parallel cycle driver one for its netted
-// result.
+// deltas. It owns the slabs the delta records and the Add deltas' WMEs
+// arrays are carved from, so a steady-state match phase builds its
+// result without allocating; the sequential Matcher and each parallel
+// worker step own one apiece, and the parallel cycle driver one for its
+// netted result.
 //
-// Everything it hands out is never reused and belongs to the caller: a
-// result may be held across any number of later phases, and a delta
-// that stays in the conflict set keeps the chunks its arrays were
-// carved from alive, as a stored token keeps its arena chunk. The zero
-// value is ready to use.
+// The records, and an Add delta's array, are never reused and belong to
+// the caller: they may be held across any number of later phases, and a
+// delta that stays in the conflict set keeps the chunk its array was
+// carved from alive, as a stored token keeps its arena chunk. A Delete
+// delta's array is lent (see Build). The zero value is ready to use.
 type InstBuilder struct {
 	wmes slab[*ops5.WME]
-	tags slab[int]
 	out  slab[InstChange]
 }
 
@@ -354,44 +352,53 @@ func (b *InstBuilder) Result(n int) []InstChange {
 	return b.out.carve(n, instChangeSlabMax)[:0]
 }
 
-// Build converts production-node activations into conflict-set deltas,
-// appended to out in order, mapping each compiled token back to
-// original CE positions. ParentSeq and Cycle are left for the caller.
+// Build converts production-node activations, made by p, into
+// conflict-set deltas, appended to out in order, mapping each compiled
+// token back to original CE positions. A delta carries what its
+// receiver cannot recompute and nothing else: recency is derived from
+// WMEs where an instantiation enters a conflict set.
 //
-// The batch's wme references and its time tags are each carved as one
-// region and divided among the deltas with capped capacity, so a batch
-// too large for a slab chunk still costs one allocation per array
-// however many deltas it holds. The wmes are copied out of the
-// activations' tokens: once Build returns, the deltas do not depend on
-// the tokens.
-func (b *InstBuilder) Build(acts []Activation, out []InstChange) []InstChange {
-	nw, nt := 0, 0
+// An Add delta's array is carved from the builder's slab for good: the
+// conflict set keeps it. A Delete delta names an instantiation to
+// remove and its array is read once, so it is lent from p's delete
+// arena and lives exactly as long as a delete token does: until the
+// owner of p next calls BeginPhase, and for good under an owner that
+// never does. Whoever holds a Delete delta past that point (nobody in
+// this repository does) may read its Tag and Info, not its WMEs.
+//
+// Each kind's references are carved as one region and divided among
+// the deltas with capped capacity, so a batch too large for a chunk
+// still costs one allocation per array however many deltas it holds.
+// The wmes are copied out of the activations' tokens: once Build
+// returns, the deltas do not depend on the tokens.
+func (b *InstBuilder) Build(p *Processor, acts []Activation, out []InstChange) []InstChange {
+	nAdd, nDel := 0, 0
 	for i := range acts {
-		for _, pos := range acts[i].Node.Info.TokenPos {
-			nw++
-			if pos >= 0 {
-				nt++
-			}
+		if n := len(acts[i].Node.Info.TokenPos); acts[i].Tag == Add {
+			nAdd += n
+		} else {
+			nDel += n
 		}
 	}
-	wmes := b.wmes.carve(nw, wmeRefSlabMax)
-	tags := b.tags.carve(nt, timeTagSlabMax)
+	adds := b.wmes.carve(nAdd, wmeRefSlabMax)
+	dels := p.delArena.refs(nDel)
 	for _, a := range acts {
 		info := a.Node.Info
-		w := wmes[:len(info.TokenPos):len(info.TokenPos)]
-		wmes = wmes[len(w):]
-		k := 0
+		n := len(info.TokenPos)
+		var w []*ops5.WME
+		if a.Tag == Add {
+			w, adds = adds[:n:n], adds[n:]
+		} else {
+			w, dels = dels[:n:n], dels[n:]
+		}
 		for i, pos := range info.TokenPos {
+			// A lent region is whatever the last rewind left there.
+			w[i] = nil
 			if pos >= 0 {
 				w[i] = a.Token.WMEs[pos]
-				tags[k] = w[i].TimeTag
-				k++
 			}
 		}
-		t := tags[:k:k]
-		tags = tags[k:]
-		sort.Ints(t)
-		out = append(out, InstChange{Tag: a.Tag, Info: info, WMEs: w, TimeTags: t})
+		out = append(out, InstChange{Tag: a.Tag, Info: info, WMEs: w})
 	}
 	return out
 }

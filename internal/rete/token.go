@@ -48,6 +48,17 @@ const (
 	fnvPrime64  = 1099511628211
 )
 
+// hashSeedOf is the FNV-1a state after a node id's eight little-endian
+// bytes: where every HashKey of a node with that id (or of a bounded
+// group with that home id) starts.
+func hashSeedOf(id int) uint64 {
+	h := uint64(fnvOffset64)
+	for i := 0; i < 8; i++ {
+		h = (h ^ uint64(byte(uint64(id)>>(8*i)))) * fnvPrime64
+	}
+	return h
+}
+
 // HashKey computes the distributed-hash-table key for an activation of
 // node n: the node id plus the values bound to the variables tested for
 // equality at n (Section 3.1). A left token supplies the left-side
@@ -66,7 +77,9 @@ const (
 //
 // The hash is FNV-1a over the node id's eight little-endian bytes and,
 // per equality test, the value's bytes and a zero separator; it is
-// computed inline and never allocates.
+// computed inline and never allocates. The state after the id is the
+// same for every activation of a node, so it is folded once, when the
+// node is made (Node.hashSeed), and an activation starts from there.
 //
 // Nodes of a worst-case-bounded group (BoundedJoins) all hash on the
 // group's home node id and ignore equality tests: the lazy enumerator
@@ -74,14 +87,7 @@ const (
 // whole group is deliberately clustered on one owner (the bounded
 // analogue of the paper's cluster-on-one-processor remedy).
 func HashKey(n *Node, side Side, t *Token, w *ops5.WME) uint64 {
-	h := uint64(fnvOffset64)
-	id := uint64(n.ID)
-	if n.group != nil {
-		id = uint64(n.group.members[0].ID)
-	}
-	for i := 0; i < 8; i++ {
-		h = (h ^ uint64(byte(id>>(8*i)))) * fnvPrime64
-	}
+	h := n.hashSeed
 	if n.group != nil {
 		return h
 	}

@@ -494,9 +494,11 @@ func TestHandlerAllocs(t *testing.T) {
 	// and the list Assert returns them in; nothing is parsed. The close
 	// shelves the session and allocates nothing of its own.
 	open := newReplayed("POST", "/v1/sessions", `{"seed":true}`)
-	closes := make([]*replayed, runs+2)
+	closes := make([]*replayed, 2*(runs+1)+1)
+	toHalt := make([]*replayed, len(closes))
 	for i := range closes {
 		closes[i] = newReplayed("DELETE", fmt.Sprintf("/v1/sessions/s%d", i+1), "")
+		toHalt[i] = newReplayed("POST", fmt.Sprintf("/v1/sessions/s%d/run", i+1), `{}`)
 	}
 	next := 0
 	pin("a seeded open and its close", testing.AllocsPerRun(runs, func() {
@@ -504,6 +506,23 @@ func TestHandlerAllocs(t *testing.T) {
 		closes[next].serve(t, h, w, 200)
 		next++
 	}), body+2+seed+1+route)
+
+	// The same with a run to the halt between them, on a pooled session:
+	// 21 firings whose modifies make 48 wmes, one allocation each.
+	// Everything else a firing touches — the deltas and their arrays, the
+	// conflict set's members and their time tags, the tokens — is carved
+	// from chunks, of which a run this size starts at most two. It reads
+	// 81 (82 while a delta carried its own time tags).
+	const made, chunks = 48, 2
+	pin("a seeded open, its run to the halt and its close", testing.AllocsPerRun(runs, func() {
+		open.serve(t, h, w, 201)
+		toHalt[next].serve(t, h, w, 200)
+		closes[next].serve(t, h, w, 200)
+		next++
+	}), (body+2+seed+1+route)+(route+body+made+chunks))
+	if got := srv.fired.Value(); got != 21*(runs+1) {
+		t.Fatalf("%d runs of the 8-block tower fired %d times, want 21 each", runs+1, got)
+	}
 
 	// One long-lived session for the rest.
 	open.serve(t, h, w, 201)

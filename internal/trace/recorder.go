@@ -53,12 +53,12 @@ func (r *Recorder) Activation(ev rete.Event) {
 
 // Instantiation records a conflict-set delta against its generating
 // activation.
-func (r *Recorder) Instantiation(ch rete.InstChange) {
-	if ch.ParentSeq < 0 {
+func (r *Recorder) Instantiation(_ rete.InstChange, parentSeq int) {
+	if parentSeq < 0 {
 		r.current.RootInsts++
 		return
 	}
-	r.bySeq[ch.ParentSeq].Insts++
+	r.bySeq[parentSeq].Insts++
 }
 
 // EndCycle commits the cycle. Cycles with no activity are still

@@ -413,6 +413,10 @@ func (d *dec) node(net *rete.Network) *rete.Node {
 	return net.Nodes[id]
 }
 
+// activation decodes one activation and holds it to the shape its node
+// takes, so that a step can perform whatever decodes: a left activation
+// brings a token as wide as the node's left input and no wme, a right
+// one a wme and no token, at a node that has that input.
 func (d *dec) activation(net *rete.Network) rete.Activation {
 	a := rete.Activation{Node: d.node(net)}
 	side := d.Byte()
@@ -425,6 +429,15 @@ func (d *dec) activation(net *rete.Network) rete.Activation {
 		a.Token = d.token()
 	}
 	a.WME = d.optWME()
+	if d.Err != nil {
+		return a
+	}
+	switch {
+	case a.Side == rete.Left && (a.Token == nil || a.WME != nil || !a.Node.TakesLeft(len(a.Token.WMEs))):
+		d.Fail(fmt.Sprintf("left activation of %s node %d needs a %d-wme token and no wme", a.Node.Kind, a.Node.ID, a.Node.LeftLen))
+	case a.Side == rete.Right && (a.WME == nil || a.Token != nil || !a.Node.TakesRight()):
+		d.Fail(fmt.Sprintf("right activation of %s node %d needs a wme and no token", a.Node.Kind, a.Node.ID))
+	}
 	return a
 }
 
@@ -448,8 +461,10 @@ func (d *dec) actList(net *rete.Network, buf []parallel.Message) []parallel.Mess
 	return buf
 }
 
-// instChange encodes one conflict-set delta. The production travels as
-// its terminal node's compiled id.
+// instChange encodes one conflict-set delta: its tag, its production as
+// the terminal node's compiled id, and one wme position per condition
+// element. Recency does not travel: the control derives it from the
+// wmes it resolves the positions to.
 func (e *enc) instChange(ic rete.InstChange) {
 	e.Byte(byte(ic.Tag))
 	e.Int(ic.Info.Node.ID)
@@ -457,14 +472,12 @@ func (e *enc) instChange(ic rete.InstChange) {
 	for _, w := range ic.WMEs {
 		e.optWME(w)
 	}
-	e.Count(len(ic.TimeTags))
-	for _, t := range ic.TimeTags {
-		e.Int(t)
-	}
 }
 
-// instChange decodes one delta of a turn frame, carving its arrays
-// from the frame's slabs.
+// instChange decodes one delta of a turn frame, carving its array from
+// the frame's slab, and holds it to its production's shape — a position
+// per condition element, empty exactly at the negated ones — which the
+// engine indexes by.
 func (d *dec) instChange(net *rete.Network, tf *turnFrame) rete.InstChange {
 	ic := rete.InstChange{Tag: d.tag()}
 	n := d.node(net)
@@ -477,14 +490,16 @@ func (d *dec) instChange(net *rete.Network, tf *turnFrame) rete.InstChange {
 	}
 	ic.Info = n.Info
 	nw := d.Count(len(tf.wmes))
+	if d.Err == nil && nw != len(n.Info.TokenPos) {
+		d.Fail(fmt.Sprintf("delta of %q carries %d wme positions, the production has %d condition elements", n.Info.Prod.Name, nw, len(n.Info.TokenPos)))
+		return ic
+	}
 	ic.WMEs, tf.wmes = tf.wmes[:nw:nw], tf.wmes[nw:]
 	for i := range ic.WMEs {
 		ic.WMEs[i] = d.optWME()
-	}
-	nt := d.Count(len(tf.tags))
-	ic.TimeTags, tf.tags = tf.tags[:nt:nt], tf.tags[nt:]
-	for i := range ic.TimeTags {
-		ic.TimeTags[i] = d.Int()
+		if d.Err == nil && (ic.WMEs[i] == nil) != (n.Info.TokenPos[i] < 0) {
+			d.Fail(fmt.Sprintf("delta of %q: position %d is empty, or filled at a negated condition element", n.Info.Prod.Name, i))
+		}
 	}
 	return ic
 }
@@ -633,18 +648,16 @@ func decodeBatch(net *rete.Network, d *dec, ms []parallel.Message) ([]parallel.M
 
 // turnFrame is a decoded ftTurn payload: how many protocol messages the
 // worker fully processed, the recv stamps it drained, how many times it
-// flushed, and what the step produced. wmes and tags are the
-// unconsumed tails of the frame's two slabs: the deltas' WMEs and
-// TimeTags arrays, which the engine retains, are allocated once per
-// frame at the totals the frame declares, as rete.InstBuilder carves
-// them once per match phase.
+// flushed, and what the step produced. wmes is the unconsumed tail of
+// the frame's slab: the deltas' WMEs arrays, which the engine retains,
+// are allocated once per frame at the total the frame declares, as
+// rete.InstBuilder carves them once per match phase.
 type turnFrame struct {
 	n       int
 	stamps  []parallel.RecvStamp
 	flushes int64
 	turn    parallel.Turn
 	wmes    []*ops5.WME
-	tags    []int
 }
 
 func (e *enc) turn(n int, stamps []parallel.RecvStamp, flushes int64, t *parallel.Turn) {
@@ -659,13 +672,11 @@ func (e *enc) turn(n int, stamps []parallel.RecvStamp, flushes int64, t *paralle
 	e.I64(flushes)
 	e.I32(t.MaxDepth)
 	e.Count(len(t.Insts))
-	nw, nt := 0, 0
+	nw := 0
 	for i := range t.Insts {
 		nw += len(t.Insts[i].WMEs)
-		nt += len(t.Insts[i].TimeTags)
 	}
 	e.Count(nw)
-	e.Count(nt)
 	for i := range t.Insts {
 		e.instChange(t.Insts[i])
 	}
@@ -688,14 +699,13 @@ func (d *dec) turn(net *rete.Network, tf *turnFrame) error {
 	tf.turn.Handled, tf.flushes, tf.turn.MaxDepth = d.I64(), d.I64(), d.I32()
 	tf.turn.Insts = tf.turn.Insts[:0]
 	n := d.Count(1 << 24)
-	// Every wme position and every time tag costs a byte, so count holds
-	// both totals to the frame's size.
+	// Every wme position costs a byte, so count holds the total to the
+	// frame's size.
 	tf.wmes = make([]*ops5.WME, d.Count(1<<24))
-	tf.tags = make([]int, d.Count(1<<24))
 	for i := 0; i < n; i++ {
 		tf.turn.Insts = append(tf.turn.Insts, d.instChange(net, tf))
 	}
-	if len(tf.wmes)+len(tf.tags) != 0 {
+	if len(tf.wmes) != 0 {
 		d.Fail("instantiations fall short of the frame's declared totals")
 	}
 	tf.turn.Loads = tf.turn.Loads[:0]

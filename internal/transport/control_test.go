@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -226,46 +227,104 @@ func forgingWorker(t *testing.T, addr string, forge func(h hello) []wireFrame) {
 	}
 }
 
+// cycleAgainstForger runs one cycle of a two-worker control whose
+// worker 0 answers it with the given frame and whose worker 1 closes
+// its turn honestly, so only the forger's frame decides the cycle. It
+// returns what Cycle returned; a Cycle that has not returned in ten
+// seconds fails the test, and so does a goroutine left behind once the
+// control is closed.
+func cycleAgainstForger(t *testing.T, network *rete.Network, changes []rete.Change, frame wireFrame) ([]rete.InstChange, error) {
+	t.Helper()
+	before := runtime.NumGoroutine()
+	defer goroutinesSettle(t, before)
+	ctl, err := Listen(network, "127.0.0.1:0", ControlOptions{Workers: faultWorkers, NBuckets: faultBuckets})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	for i := 0; i < faultWorkers; i++ {
+		go forgingWorker(t, ctl.Addr(), func(h hello) []wireFrame {
+			if h.id != 0 {
+				return []wireFrame{{ftTurn, func(e *enc) { e.turn(1, nil, 0, &parallel.Turn{}) }}}
+			}
+			return []wireFrame{frame}
+		})
+	}
+	if err := ctl.WaitWorkers(); err != nil {
+		t.Fatal(err)
+	}
+	type result struct {
+		insts []rete.InstChange
+		err   error
+	}
+	done := make(chan result, 1)
+	go func() {
+		insts, err := ctl.Cycle(changes)
+		done <- result{insts, err}
+	}()
+	select {
+	case r := <-done:
+		return r.insts, r.err
+	case <-time.After(10 * time.Second):
+		t.Fatal("Cycle hung on a forged frame")
+		return nil, nil
+	}
+}
+
+// goroutinesSettle fails the test unless the goroutine count comes back
+// to what it was before: a refused frame must not strand a reader, a
+// worker or a waiter.
+func goroutinesSettle(t *testing.T, before int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines live, %d before the forgery", runtime.NumGoroutine(), before)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// turnOf encodes a turn frame closing one message with one Add delta at
+// node, its wme positions written by positions, under a declared total
+// of total wme positions.
+func turnOf(node *rete.Node, total int, positions func(e *enc)) wireFrame {
+	return wireFrame{ftTurn, func(e *enc) {
+		e.Int(1)   // messages processed
+		e.Count(0) // stamps
+		e.I64(0)   // handled
+		e.I64(0)   // flushes
+		e.I32(0)   // max depth
+		e.Count(1) // deltas
+		e.Count(total)
+		e.Byte(byte(rete.Add))
+		e.Int(node.ID)
+		positions(e)
+		e.Count(0) // loads
+	}}
+}
+
 // TestControlRejectsBadReferences is the control's side of the fault
 // table: worker 0 answers the first cycle with a relay or a turn frame
 // whose second wme position lies about the cache (wmeFaults), or whose
 // delta names a node that is no production's terminal, or overruns the
-// array totals the frame declared. Cycle must return an error wrapping
+// array total the frame declared. Cycle must return an error wrapping
 // ErrBadPayload — not hang on the turn that never closes, and not hand
 // the engine an instantiation over stale content.
 func TestControlRejectsBadReferences(t *testing.T) {
 	network, changes := compileWorkload(t, "blocks")
 	w := faultWME()
-	var prod, join *rete.Node
-	for _, n := range network.Nodes {
-		if n.Kind == rete.KindProduction && prod == nil {
-			prod = n
-		}
-		if n.Kind != rete.KindProduction && join == nil {
-			join = n
-		}
-	}
-	// turn encodes a turn frame closing one message with one delta at
-	// node whose two wme positions are a definition of w and second,
-	// under declared totals of total wmes and no time tags.
+	sn := shapeNodesOf(t, network)
+	// turn is a delta of pick-up, three positive condition elements: a
+	// definition of w, second, and an exact reference.
+	exact := func(e *enc, w *ops5.WME) { wireRef(e, w.ID, w.TimeTag) }
 	turn := func(node *rete.Node, total int, second func(e *enc, w *ops5.WME)) wireFrame {
-		return wireFrame{ftTurn, func(e *enc) {
-			e.Int(1)   // messages processed
-			e.Count(0) // stamps
-			e.I64(0)   // handled
-			e.I64(0)   // flushes
-			e.I32(0)   // max depth
-			e.Count(1) // deltas
-			e.Count(total)
-			e.Count(0)
-			e.Byte(byte(rete.Add))
-			e.Int(node.ID)
-			e.Count(2)
+		return turnOf(node, total, func(e *enc) {
+			e.Count(3)
 			e.def(w)
 			second(e, w)
-			e.Count(0) // time tags
-			e.Count(0) // loads
-		}}
+			exact(e, w)
+		})
 	}
 	relay := func(second func(e *enc, w *ops5.WME)) wireFrame {
 		return wireFrame{ftRelay, func(e *enc) {
@@ -273,7 +332,7 @@ func TestControlRejectsBadReferences(t *testing.T) {
 			e.Count(1)
 			e.I32(3) // bucket
 			e.I32(2) // depth
-			e.Int(join.ID)
+			e.Int(sn.join2.ID)
 			e.Byte(byte(rete.Left))
 			e.Byte(byte(rete.Add))
 			e.Bool(true)
@@ -283,62 +342,30 @@ func TestControlRejectsBadReferences(t *testing.T) {
 			e.Byte(wmeNil)
 		}}
 	}
-	exact := func(e *enc, w *ops5.WME) { wireRef(e, w.ID, w.TimeTag) }
 	type forgery struct {
 		name  string
 		frame wireFrame
 		sound bool
 	}
 	rows := []forgery{
-		{name: "exact", frame: turn(prod, 2, exact), sound: true},
-		{name: "turn-node-not-production", frame: turn(join, 2, exact)},
-		{name: "turn-overruns-totals", frame: turn(prod, 1, exact)},
-		{name: "turn-short-of-totals", frame: turn(prod, 3, exact)},
+		{name: "exact", frame: turn(sn.prod3, 3, exact), sound: true},
+		{name: "turn-node-not-production", frame: turn(sn.join2, 3, exact)},
+		{name: "turn-overruns-totals", frame: turn(sn.prod3, 2, exact)},
+		{name: "turn-short-of-totals", frame: turn(sn.prod3, 4, exact)},
 	}
 	for _, f := range wmeFaults {
 		rows = append(rows,
-			forgery{name: "turn-" + f.name, frame: turn(prod, 2, f.bad)},
+			forgery{name: "turn-" + f.name, frame: turn(sn.prod3, 3, f.bad)},
 			forgery{name: "relay-" + f.name, frame: relay(f.bad)})
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
-			ctl, err := Listen(network, "127.0.0.1:0", ControlOptions{Workers: faultWorkers, NBuckets: faultBuckets})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ctl.Close()
-			for i := 0; i < faultWorkers; i++ {
-				go forgingWorker(t, ctl.Addr(), func(h hello) []wireFrame {
-					if h.id != 0 {
-						// Worker 1 closes its turn honestly, so only the
-						// forger's frames decide the cycle.
-						return []wireFrame{{ftTurn, func(e *enc) { e.turn(1, nil, 0, &parallel.Turn{}) }}}
-					}
-					return []wireFrame{row.frame}
-				})
-			}
-			if err := ctl.WaitWorkers(); err != nil {
-				t.Fatal(err)
-			}
-			type result struct {
-				insts []rete.InstChange
-				err   error
-			}
-			done := make(chan result, 1)
-			go func() {
-				insts, err := ctl.Cycle(changes)
-				done <- result{insts, err}
-			}()
-			select {
-			case r := <-done:
-				switch {
-				case row.sound && (r.err != nil || len(r.insts) != 1 || r.insts[0].WMEs[0] != r.insts[0].WMEs[1]):
-					t.Fatalf("sound turn: insts=%v err=%v, want one delta over the one cached wme", r.insts, r.err)
-				case !row.sound && !errors.Is(r.err, ErrBadPayload):
-					t.Fatalf("Cycle returned %v, want ErrBadPayload", r.err)
-				}
-			case <-time.After(10 * time.Second):
-				t.Fatal("Cycle hung on a forged frame")
+			insts, err := cycleAgainstForger(t, network, changes, row.frame)
+			switch {
+			case row.sound && (err != nil || len(insts) != 1 || insts[0].WMEs[0] != insts[0].WMEs[1] || insts[0].WMEs[1] != insts[0].WMEs[2]):
+				t.Fatalf("sound turn: insts=%v err=%v, want one delta over the one cached wme", insts, err)
+			case !row.sound && !errors.Is(err, ErrBadPayload):
+				t.Fatalf("Cycle returned %v, want ErrBadPayload", err)
 			}
 		})
 	}

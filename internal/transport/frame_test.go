@@ -164,27 +164,28 @@ func TestFrameFaults(t *testing.T) {
 			t.Fatal("decoded garbage hello")
 		}
 	})
-	for _, old := range []byte{2, 3, 4} {
+	for _, old := range []byte{2, 3, 4, 5} {
 		t.Run(fmt.Sprintf("hello-version-%d", old), func(t *testing.T) {
 			// A version-2 peer hashes numbers into other buckets; a
 			// version-3 peer spells every wme out and knows no references;
 			// a version-4 peer defines a wme attribute by attribute, by
-			// name. Each must be turned away at the handshake, not
-			// mis-join or mis-decode later.
+			// name; a version-5 peer ships time tags in its turn frames
+			// and expects them. Each must be turned away at the
+			// handshake, not mis-join or mis-decode later.
 			net, _ := mustCompile("blocks")
 			hb := helloBytes(hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, rete.AppendNetwork(nil, net))
 			if _, err := decodeHello(hb); err != nil {
 				t.Fatalf("current hello refused: %v", err)
 			}
-			if protoVersion != 5 || hb[0] != protoVersion {
-				t.Fatalf("hello leads with %#x, want the version varint 5 (protoVersion %d)", hb[0], protoVersion)
+			if protoVersion != 6 || hb[0] != protoVersion {
+				t.Fatalf("hello leads with %#x, want the version varint 6 (protoVersion %d)", hb[0], protoVersion)
 			}
 			hb[0] = old
 			_, err := decodeHello(hb)
 			if !errors.Is(err, ErrBadPayload) {
 				t.Fatalf("version %d hello: got %v, want ErrBadPayload", old, err)
 			}
-			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", old)) || !strings.Contains(msg, "want 5") {
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", old)) || !strings.Contains(msg, "want 6") {
 				t.Fatalf("error %q does not name both versions", msg)
 			}
 		})

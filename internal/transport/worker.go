@@ -44,8 +44,10 @@ import (
 // its production by terminal node id, and ftTurn declares its array
 // totals. Version 5 is the slot form of a definition — a layout id and
 // a run of values (codec.go) — over a RETENET3 network, whose layout
-// table both ends index alike.
-const protoVersion = 5
+// table both ends index alike. Version 6 takes the time tags, and their
+// total, out of ftTurn: a delta is a tag, a production and its wme
+// positions, and the control computes recency from the wmes.
+const protoVersion = 6
 
 // hello is the decoded handshake.
 type hello struct {
@@ -224,8 +226,9 @@ func (w *starWorker) turn(ft frameType, payload []byte) error {
 	if newPart != nil {
 		s.SetPartition(newPart)
 	}
-	// The previous turn's delete tokens are dead: its queue drained, and
-	// its relays and deltas were encoded before it returned.
+	// The previous turn's delete tokens and lent delta arrays are dead:
+	// its queue drained, and its relays and deltas were encoded before it
+	// returned.
 	s.BeginPhase()
 	s.BeginTurn(0, 0)
 	s.Handle(w.msgs)

@@ -51,9 +51,9 @@ func (q *queenInspector) BeginCycle(cycle int, changes []rete.Change) {
 		}
 	}
 }
-func (q *queenInspector) Activation(rete.Event)         {}
-func (q *queenInspector) Instantiation(rete.InstChange) {}
-func (q *queenInspector) EndCycle(int)                  {}
+func (q *queenInspector) Activation(rete.Event)              {}
+func (q *queenInspector) Instantiation(rete.InstChange, int) {}
+func (q *queenInspector) EndCycle(int)                       {}
 
 func (q *queenInspector) queens() map[int]int {
 	out := map[int]int{}

@@ -8,20 +8,39 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"mpcrete/internal/workloads"
 )
 
-// runTool invokes `go run ./cmd/<tool> args...` and returns combined
-// output.
+// goRun invokes `go run ./cmd/<tool> args...` and returns combined
+// output and the run's error.
+func goRun(tool string, args ...string) (string, error) {
+	out, err := exec.Command("go", append([]string{"run", "./cmd/" + tool}, args...)...).CombinedOutput()
+	return string(out), err
+}
+
+// runTool runs a tool that must succeed and returns combined output.
 func runTool(t *testing.T, tool string, args ...string) string {
 	t.Helper()
-	cmd := exec.Command("go", append([]string{"run", "./cmd/" + tool}, args...)...)
-	out, err := cmd.CombinedOutput()
+	out, err := goRun(tool, args...)
 	if err != nil {
 		t.Fatalf("%s %v failed: %v\n%s", tool, args, err, out)
 	}
-	return string(out)
+	return out
+}
+
+// failTool runs a command line that must be refused: it fails the test
+// unless the tool exits non-zero, and returns combined output.
+func failTool(t *testing.T, tool string, args ...string) string {
+	t.Helper()
+	out, err := goRun(tool, args...)
+	if _, refused := err.(*exec.ExitError); !refused {
+		t.Fatalf("%s %v: err = %v, want a non-zero exit\n%s", tool, args, err, out)
+	}
+	return out
 }
 
 func TestCLIPipeline(t *testing.T) {
@@ -102,5 +121,68 @@ func TestCLIExperiments(t *testing.T) {
 	out = runTool(t, "experiments", "-exp", "probmodel")
 	if !strings.Contains(out, "P(even)") {
 		t.Errorf("probmodel output:\n%s", out)
+	}
+}
+
+// TestCLIAdaptivePartition: mpcsim -partition adaptive arms the online
+// rebalancer instead of running the round-robin assignment it starts
+// from, so the two print different makespans on the tourney section.
+func TestCLIAdaptivePartition(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	tourney := filepath.Join(t.TempDir(), "tourney.trace")
+	runTool(t, "tracegen", "-section", "tourney", "-o", tourney)
+	makespan := regexp.MustCompile(`makespan: \S+ µs`)
+	got := map[string]string{}
+	for _, name := range []string{"round-robin", "adaptive"} {
+		out := runTool(t, "mpcsim", "-trace", tourney, "-procs", "16", "-partition", name)
+		if got[name] = makespan.FindString(out); got[name] == "" {
+			t.Fatalf("mpcsim -partition %s printed no makespan:\n%s", name, out)
+		}
+	}
+	if got["adaptive"] == got["round-robin"] {
+		t.Errorf("-partition adaptive and round-robin both print %q", got["adaptive"])
+	}
+}
+
+// TestCLIParallelOnlyFlags: an ops5run flag that acts on the parallel
+// runtime is refused without -parallel, not ignored.
+func TestCLIParallelOnlyFlags(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	for _, row := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-rebalance", "1.3"}, "add -parallel N"},
+		{[]string{"-rebalance-interval", "2"}, "add -parallel N"},
+		{[]string{"-migrate-every", "2"}, "add -parallel N"},
+		{[]string{"-route-roots"}, "add -parallel N"},
+		{[]string{"-parallel", "2", "-rebalance-interval", "2"}, "add -rebalance"},
+	} {
+		out := failTool(t, "ops5run", append([]string{"-workload", "counter"}, row.args...)...)
+		if !strings.Contains(out, row.want) {
+			t.Errorf("ops5run %v: output does not say %q:\n%s", row.args, row.want, out)
+		}
+	}
+}
+
+// TestCLIWorkloadRegistry: tracegen -demo and obsreport -workload take
+// exactly the names of internal/workloads' registry, and refuse any
+// other with the registry's own error.
+func TestCLIWorkloadRegistry(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	_, unknown := workloads.Named("rubik")
+	for _, tool := range [][]string{{"tracegen", "-o", os.DevNull, "-demo"}, {"obsreport", "-workers", "2", "-workload"}} {
+		for _, name := range workloads.NamedNames() {
+			runTool(t, tool[0], append(tool[1:], name)...)
+		}
+		if out := failTool(t, tool[0], append(tool[1:], "rubik")...); !strings.Contains(out, unknown.Error()) {
+			t.Errorf("%s: output does not carry %q:\n%s", tool[0], unknown, out)
+		}
 	}
 }

@@ -23,11 +23,43 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
+	"mpcrete/internal/core"
 	"mpcrete/internal/experiments"
 )
+
+// experiment is one row of the suite: what -all walks, what -fig,
+// -table and -exp select from, and what -json collects.
+type experiment struct {
+	key      string  // the result's key in the -json document
+	selector *string // the flag that selects the row: -fig, -table or -exp
+	value    string  // the value of that flag which selects it
+	// data computes the structured result; nil marks a row that has
+	// none and is text only.
+	data   func() (any, error)
+	render func(w io.Writer, data any) error
+}
+
+// row builds an experiment from a typed data function and the renderer
+// of its result.
+func row[T any](key string, selector *string, value string, data func() (T, error), render func(io.Writer, T)) experiment {
+	return experiment{key, selector, value,
+		func() (any, error) { return data() },
+		func(w io.Writer, d any) error { render(w, d.(T)); return nil }}
+}
+
+// noErr adapts a data function that cannot fail.
+func noErr[T any](f func() T) func() (T, error) {
+	return func() (T, error) { return f(), nil }
+}
+
+// series renders a speedup-series figure under its title.
+func series(title string) func(io.Writer, []experiments.SpeedupSeries) {
+	return func(w io.Writer, s []experiments.SpeedupSeries) { experiments.RenderSeries(w, title, s) }
+}
 
 func main() {
 	fig := flag.String("fig", "", "figure to regenerate (5-1, 5-2, 5-3, 5-4, 5-5, 5-6)")
@@ -44,194 +76,104 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	run := func(name string, f func() error) {
-		if err := f(); err != nil {
+	fatal := func(name string, err error) {
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %s: %v\n", name, err)
 			os.Exit(1)
 		}
 	}
 	w := os.Stdout
-	// suite collects the structured results in -json mode;
-	// encoding/json sorts the keys, so the document is deterministic.
-	suite := map[string]any{}
-	emit := func(key string, data any, render func()) {
-		if *jsonOut {
-			suite[key] = data
-		} else {
-			render()
-		}
-	}
 
 	if *metrics != "" {
-		run("metrics", func() error {
-			reg, res, err := experiments.SectionRunMetrics(*section, *procs)
-			if err != nil {
-				return err
-			}
-			f, err := os.Create(*metrics)
-			if err != nil {
-				return err
-			}
-			if strings.HasSuffix(*metrics, ".json") {
-				err = reg.WriteJSON(f)
-			} else {
-				err = reg.WriteCSV(f)
-			}
-			if err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(w, "%s at %d procs: makespan %.1f µs over %d cycles; metrics written to %s\n",
-				*section, *procs, res.Makespan.Microseconds(), len(res.CycleTimes), *metrics)
-			return nil
-		})
+		fatal("metrics", writeMetrics(w, *metrics, *section, *procs))
 	}
 
-	if *all || *table == "5-1" {
-		emit("table5-1", experiments.Table51(), func() { experiments.RenderTable51(w) })
+	// The suite, in the order -all prints it.
+	suite := []experiment{
+		row("table5-1", table, "5-1", noErr(experiments.Table51),
+			func(w io.Writer, _ []core.OverheadSetting) { experiments.RenderTable51(w) }),
+		row("table5-2", table, "5-2", noErr(experiments.Table52),
+			func(w io.Writer, _ []experiments.Table52Row) { experiments.RenderTable52(w) }),
+		row("fig5-1", fig, "5-1", experiments.Fig51, series("Fig 5-1: speedups with zero message-passing overheads")),
+		row("fig5-2", fig, "5-2", experiments.Fig52, experiments.RenderFig52),
+		{key: "fig5-3", selector: fig, value: "5-3", // a network-rendering demonstration
+			render: func(w io.Writer, _ any) error { return experiments.RenderFig53(w) }},
+		row("fig5-4", fig, "5-4", experiments.Fig54, series("Fig 5-4: Weaver speedups with unsharing (run2 overheads)")),
+		row("fig5-5", fig, "5-5", experiments.Fig55, experiments.RenderFig55),
+		row("fig5-6", fig, "5-6", experiments.Fig56, series("Fig 5-6: Tourney speedups with copy-and-constraint (run2 overheads)")),
+		row("greedy", exp, "greedy",
+			func() ([]experiments.GreedyResult, error) { return experiments.GreedyExperiment(*procs) },
+			experiments.RenderGreedy),
+		row("probmodel", exp, "probmodel", noErr(experiments.ProbModel), experiments.RenderProbModel),
+		row("dips", exp, "dips",
+			func() ([]experiments.Dip, error) { return experiments.Dips("rubik", 40) },
+			func(w io.Writer, dips []experiments.Dip) { experiments.RenderDips(w, "rubik", dips, 40) }),
+		row("continuum", exp, "continuum",
+			func() (*experiments.ContinuumResult, error) { return experiments.Continuum("rubik") },
+			experiments.RenderContinuum),
+		row("generations", exp, "generations", experiments.Generations, experiments.RenderGenerations),
+		row("ablations", exp, "ablations",
+			func() ([]experiments.AblationRow, error) { return experiments.Ablations(*procs) },
+			func(w io.Writer, rs []experiments.AblationRow) { experiments.RenderAblations(w, rs, *procs) }),
+		row("adaptive", exp, "adaptive",
+			func() ([]experiments.AdaptiveResult, error) { return experiments.AdaptiveExperiment(*procs) },
+			experiments.RenderAdaptive),
 	}
-	if *all || *table == "5-2" {
-		emit("table5-2", experiments.Table52(), func() { experiments.RenderTable52(w) })
-	}
-	if *all || *fig == "5-1" {
-		run("fig 5-1", func() error {
-			series, err := experiments.Fig51()
-			if err != nil {
-				return err
-			}
-			emit("fig5-1", series, func() {
-				experiments.RenderSeries(w, "Fig 5-1: speedups with zero message-passing overheads", series)
-			})
-			return nil
-		})
-	}
-	if *all || *fig == "5-2" {
-		run("fig 5-2", func() error {
-			data, err := experiments.Fig52()
-			if err != nil {
-				return err
-			}
-			emit("fig5-2", data, func() { experiments.RenderFig52(w, data) })
-			return nil
-		})
-	}
-	if *all || *fig == "5-3" {
-		if *jsonOut {
-			fmt.Fprintln(os.Stderr, "experiments: fig 5-3 is a network-rendering demo (text only); skipped in -json mode")
-		} else {
-			run("fig 5-3", func() error {
-				return experiments.RenderFig53(w)
-			})
+
+	// doc collects the structured results in -json mode; encoding/json
+	// sorts the keys, so the document is deterministic.
+	doc := map[string]any{}
+	for _, e := range suite {
+		if !*all && *e.selector != e.value {
+			continue
 		}
-	}
-	if *all || *fig == "5-4" {
-		run("fig 5-4", func() error {
-			series, err := experiments.Fig54()
-			if err != nil {
-				return err
-			}
-			emit("fig5-4", series, func() {
-				experiments.RenderSeries(w, "Fig 5-4: Weaver speedups with unsharing (run2 overheads)", series)
-			})
-			return nil
-		})
-	}
-	if *all || *fig == "5-5" {
-		run("fig 5-5", func() error {
-			d, err := experiments.Fig55()
-			if err != nil {
-				return err
-			}
-			emit("fig5-5", d, func() { experiments.RenderFig55(w, d) })
-			return nil
-		})
-	}
-	if *all || *fig == "5-6" {
-		run("fig 5-6", func() error {
-			series, err := experiments.Fig56()
-			if err != nil {
-				return err
-			}
-			emit("fig5-6", series, func() {
-				experiments.RenderSeries(w, "Fig 5-6: Tourney speedups with copy-and-constraint (run2 overheads)", series)
-			})
-			return nil
-		})
-	}
-	if *all || *exp == "greedy" {
-		run("greedy", func() error {
-			rs, err := experiments.GreedyExperiment(*procs)
-			if err != nil {
-				return err
-			}
-			emit("greedy", rs, func() { experiments.RenderGreedy(w, rs) })
-			return nil
-		})
-	}
-	if *all || *exp == "probmodel" {
-		rs := experiments.ProbModel()
-		emit("probmodel", rs, func() { experiments.RenderProbModel(w, rs) })
-	}
-	if *all || *exp == "dips" {
-		run("dips", func() error {
-			dips, err := experiments.Dips("rubik", 40)
-			if err != nil {
-				return err
-			}
-			emit("dips", dips, func() { experiments.RenderDips(w, "rubik", dips, 40) })
-			return nil
-		})
-	}
-	if *all || *exp == "continuum" {
-		run("continuum", func() error {
-			r, err := experiments.Continuum("rubik")
-			if err != nil {
-				return err
-			}
-			emit("continuum", r, func() { experiments.RenderContinuum(w, r) })
-			return nil
-		})
-	}
-	if *all || *exp == "generations" {
-		run("generations", func() error {
-			rs, err := experiments.Generations()
-			if err != nil {
-				return err
-			}
-			emit("generations", rs, func() { experiments.RenderGenerations(w, rs) })
-			return nil
-		})
-	}
-	if *all || *exp == "ablations" {
-		run("ablations", func() error {
-			rs, err := experiments.Ablations(*procs)
-			if err != nil {
-				return err
-			}
-			emit("ablations", rs, func() { experiments.RenderAblations(w, rs, *procs) })
-			return nil
-		})
-	}
-	if *all || *exp == "adaptive" {
-		run("adaptive", func() error {
-			rs, err := experiments.AdaptiveExperiment(*procs)
-			if err != nil {
-				return err
-			}
-			emit("adaptive", rs, func() { experiments.RenderAdaptive(w, rs) })
-			return nil
-		})
+		var data any
+		if e.data != nil {
+			var err error
+			data, err = e.data()
+			fatal(e.key, err)
+		}
+		switch {
+		case !*jsonOut:
+			fatal(e.key, e.render(w, data))
+		case e.data == nil:
+			fmt.Fprintf(os.Stderr, "experiments: %s has no tabular data (text only); skipped in -json mode\n", e.key)
+		default:
+			doc[e.key] = data
+		}
 	}
 
 	if *jsonOut {
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		if err := enc.Encode(suite); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: json: %v\n", err)
-			os.Exit(1)
-		}
+		fatal("json", enc.Encode(doc))
 	}
+}
+
+// writeMetrics runs one section at the given processor count and
+// writes the run's metrics registry to path.
+func writeMetrics(w io.Writer, path, section string, procs int) error {
+	reg, res, err := experiments.SectionRunMetrics(section, procs)
+	if err != nil {
+		return err
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if strings.HasSuffix(path, ".json") {
+		err = reg.WriteJSON(f)
+	} else {
+		err = reg.WriteCSV(f)
+	}
+	if err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "%s at %d procs: makespan %.1f µs over %d cycles; metrics written to %s\n",
+		section, procs, res.Makespan.Microseconds(), len(res.CycleTimes), path)
+	return nil
 }

@@ -6,7 +6,7 @@
 //
 //	mpcsim -trace rubik.trace -procs 16
 //	mpcsim -trace rubik.trace -procs 32 -overhead run3
-//	mpcsim -trace rubik.trace -procs 16 -partition greedy -dist
+//	mpcsim -trace rubik.trace -procs 16 -partition greedy-per-cycle -dist
 //	mpcsim -trace rubik.trace -procs 8 -pairs
 //	mpcsim -trace rubik.trace -procs 16 -timeline out.json -metrics out.csv -v
 package main
@@ -112,14 +112,7 @@ func main() {
 
 	strat, err := sched.StrategyByName(*partition, *seed)
 	fatal(err)
-	if _, isDefault := strat.(sched.RoundRobinStrategy); !isDefault {
-		load := tr.BucketLoad(false)
-		if pc, ok := strat.(sched.PerCycleStrategy); ok {
-			cfg.PerCycle = pc.AssignPerCycle(load, tr.NBuckets, *procs)
-		} else {
-			cfg.Partition = strat.Assign(load, tr.NBuckets, *procs)
-		}
-	}
+	cfg.Distribute(strat, tr.BucketLoad(false), tr.NBuckets)
 
 	var rec *obs.Recorder
 	if *timeline != "" {

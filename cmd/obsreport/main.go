@@ -8,11 +8,11 @@
 //
 // Usage:
 //
-//	obsreport -workload rubik
-//	obsreport -workload tourney -workers 8 -routed
-//	obsreport -workload rubik -transport tcp
+//	obsreport -workload rubik-like
+//	obsreport -workload tourney-like -workers 8 -routed
+//	obsreport -workload rubik-like -transport tcp
 //	obsreport -workload blocks -json report.json -csv report.csv
-//	obsreport -workload rubik -trace rubik.trace.json -dump rubik.flight.json
+//	obsreport -workload rubik-like -trace rubik.trace.json -dump rubik.flight.json
 //	obsreport -prog my.ops5 -wmes my.wmes -workers 4
 package main
 
@@ -29,19 +29,9 @@ import (
 	"mpcrete/internal/workloads"
 )
 
-// namedWorkloads are the built-in program/workload pairs.
-var namedWorkloads = map[string]struct {
-	prog, wmes string
-}{
-	"rubik":   {workloads.RubikLike, workloads.RubikLikeWMEs(3, 4)},
-	"tourney": {workloads.TourneyLike, workloads.TourneyLikeWMEs(4, 3)},
-	"blocks":  {workloads.BlocksWorld, workloads.BlocksWorldWMEs(5)},
-	"monkey":  {workloads.MonkeyBananas, workloads.MonkeyBananasWMEs},
-}
-
 func main() {
 	var (
-		workload = flag.String("workload", "", "built-in workload: rubik, tourney, blocks, monkey")
+		workload = flag.String("workload", "", fmt.Sprintf("built-in workload %v", workloads.NamedNames()))
 		progPath = flag.String("prog", "", "OPS5 program file (alternative to -workload; requires -wmes)")
 		wmesPath = flag.String("wmes", "", "initial working-memory file for -prog")
 		workers  = flag.Int("workers", 4, "parallel workers (also the model's processor count)")
@@ -101,11 +91,8 @@ func resolveWorkload(workload, progPath, wmesPath string) (name, prog, wmes stri
 	case workload != "" && progPath != "":
 		return "", "", "", fmt.Errorf("-workload and -prog are mutually exclusive")
 	case workload != "":
-		wl, ok := namedWorkloads[workload]
-		if !ok {
-			return "", "", "", fmt.Errorf("unknown workload %q", workload)
-		}
-		return workload, wl.prog, wl.wmes, nil
+		wl, err := workloads.Named(workload)
+		return wl.Name, wl.Program, wl.WMEs, err
 	case progPath != "":
 		if wmesPath == "" {
 			return "", "", "", fmt.Errorf("-prog requires -wmes")

@@ -7,20 +7,27 @@ import (
 	"testing"
 
 	"mpcrete/internal/analysis"
+	"mpcrete/internal/workloads"
 )
 
+// TestResolveWorkload: -workload is internal/workloads' registry, whole
+// and nothing else; an unknown name is refused with the registry's own
+// error, which lists the names.
 func TestResolveWorkload(t *testing.T) {
-	for name := range namedWorkloads {
+	for _, name := range workloads.NamedNames() {
 		got, prog, wmes, err := resolveWorkload(name, "", "")
 		if err != nil || got != name || prog == "" || wmes == "" {
 			t.Errorf("resolveWorkload(%q) = %q, %d, %d, %v", name, got, len(prog), len(wmes), err)
 		}
 	}
+	_, wantErr := workloads.Named("rubik")
+	if _, _, _, err := resolveWorkload("rubik", "", ""); err == nil || err.Error() != wantErr.Error() {
+		t.Errorf("resolveWorkload(rubik) = %v, want the registry's %v", err, wantErr)
+	}
 	for _, bad := range [][3]string{
-		{"", "", ""},            // nothing selected
-		{"nope", "", ""},        // unknown name
-		{"rubik", "x.ops5", ""}, // both
-		{"", "x.ops5", ""},      // file without wmes
+		{"", "", ""},                 // nothing selected
+		{"rubik-like", "x.ops5", ""}, // both
+		{"", "x.ops5", ""},           // file without wmes
 	} {
 		if _, _, _, err := resolveWorkload(bad[0], bad[1], bad[2]); err == nil {
 			t.Errorf("resolveWorkload(%v) accepted", bad)
@@ -43,8 +50,7 @@ func TestResolveWorkloadFiles(t *testing.T) {
 // TestExportsEndToEnd drives the same pipeline main wires up and pins
 // that every export lands as valid JSON/CSV.
 func TestExportsEndToEnd(t *testing.T) {
-	wl := namedWorkloads["rubik"]
-	rep, err := analysis.CompareModelMeasured("rubik", wl.prog, wl.wmes, analysis.MMOptions{Workers: 2})
+	rep, err := analysis.CompareModelMeasured("rubik", workloads.RubikLike, workloads.RubikLikeWMEs(3, 4), analysis.MMOptions{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,7 @@ import (
 	"mpcrete/internal/engine"
 	"mpcrete/internal/obs"
 	"mpcrete/internal/ops5"
-	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
-	"mpcrete/internal/sched"
 	"mpcrete/internal/server"
 	"mpcrete/internal/workloads"
 )
@@ -55,13 +53,10 @@ func main() {
 		queueDepth  = flag.Int("queue", 256, "waiting requests beyond inflight before 429")
 		maxCycles   = flag.Int("max-cycles", 1000, "default per-run cycle budget")
 		variant     = flag.String("variant", "shared", "network variant: "+strings.Join(rete.Variants(), ", "))
-		par         = flag.Int("parallel", 0, "give each session a parallel match runtime with this many workers (0 = sequential)")
-		rebalance   = flag.Float64("rebalance", 0, "arm each parallel session's online adaptive repartitioner at this max/mean imbalance threshold, e.g. 1.3 (0 = off; requires -parallel)")
-		rebalanceIv = flag.Int("rebalance-interval", 0, "minimum cycles between adaptive migrations (0 = default)")
 	)
 	flag.Parse()
 
-	if err := run(*addr, *debugAddr, *programPath, *workload, *variant, *maxSessions, *maxInflight, *queueDepth, *maxCycles, *par, *rebalance, *rebalanceIv); err != nil {
+	if err := run(*addr, *debugAddr, *programPath, *workload, *variant, *maxSessions, *maxInflight, *queueDepth, *maxCycles); err != nil {
 		fmt.Fprintln(os.Stderr, "ops5d:", err)
 		os.Exit(1)
 	}
@@ -83,9 +78,9 @@ const (
 	// and the write. It has to clear a run of -max-cycles on the slowest
 	// bundled workload: measured through the handler on the 2-vCPU
 	// development box, the default budget of 1000 cycles is at most
-	// 3.3 ms (queens, 441 firings to its halt; 4.5 ms with -parallel 2;
-	// every other workload under 1.2 ms), and the 8-queens board the
-	// benchmark runs fires 1000 times in 3.4 ms. A minute clears that
+	// 3.3 ms (queens, 441 firings to its halt; every other workload
+	// under 1.2 ms), and the 8-queens board the benchmark runs fires
+	// 1000 times in 3.4 ms. A minute clears that
 	// four orders of magnitude over. It does not stop a run that
 	// outlives it: the reply is lost and the cycles still execute, which
 	// is the per-request deadline the ROADMAP still lists.
@@ -107,7 +102,7 @@ func newHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-func run(addr, debugAddr, programPath, workload, variant string, maxSessions, maxInflight, queueDepth, maxCycles, par int, rebalance float64, rebalanceIv int) error {
+func run(addr, debugAddr, programPath, workload, variant string, maxSessions, maxInflight, queueDepth, maxCycles int) error {
 	var named workloads.NamedProgram
 	switch {
 	case programPath != "" && workload != "":
@@ -138,37 +133,6 @@ func run(addr, debugAddr, programPath, workload, variant string, maxSessions, ma
 	}
 
 	metrics := obs.NewRegistry()
-	var newMatcher func() engine.MatchApplier
-	if par > 0 {
-		if rebalance < 0 {
-			return fmt.Errorf("-rebalance %v: threshold must be >= 0", rebalance)
-		}
-		var reb sched.Rebalance
-		if rebalance > 0 {
-			reb = sched.DefaultRebalance()
-			reb.Threshold = rebalance
-			if rebalanceIv > 0 {
-				reb.MinInterval = rebalanceIv
-			}
-		}
-		popts := parallel.Options{Workers: par, Rebalance: reb}
-		// Validate the options once at startup so the per-session
-		// factory cannot fail later.
-		probe, err := parallel.New(compiled.Network(), popts)
-		if err != nil {
-			return fmt.Errorf("parallel session runtime: %w", err)
-		}
-		probe.Close()
-		newMatcher = func() engine.MatchApplier {
-			rt, err := parallel.New(compiled.Network(), popts)
-			if err != nil {
-				panic(fmt.Sprintf("ops5d: session runtime: %v", err))
-			}
-			return rt
-		}
-	} else if rebalance > 0 {
-		return errors.New("-rebalance requires -parallel")
-	}
 	srv, err := server.New(server.Config{
 		Compiled:         compiled,
 		Workload:         named,
@@ -177,7 +141,6 @@ func run(addr, debugAddr, programPath, workload, variant string, maxSessions, ma
 		QueueDepth:       queueDepth,
 		DefaultMaxCycles: maxCycles,
 		Metrics:          metrics,
-		NewMatcher:       newMatcher,
 	})
 	if err != nil {
 		return err

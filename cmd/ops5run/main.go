@@ -110,17 +110,29 @@ func main() {
 		opts.Listener = rec
 	}
 
-	if *timelinePath != "" && *par <= 0 {
-		fatal("timeline", fmt.Errorf("-timeline records the parallel matcher; add -parallel N"))
+	if *par <= 0 {
+		// Each of these acts on the parallel match runtime only; without
+		// -parallel it would be silently ignored.
+		for _, f := range []struct {
+			name string
+			set  bool
+			does string
+		}{
+			{"timeline", *timelinePath != "", "records the parallel matcher"},
+			{"route-roots", *routeRoots, "selects the parallel runtime's root delivery"},
+			{"flight-dump", *flightPath != "", "records the parallel matcher"},
+			{"transport", *transportName == "tcp", "tcp runs the match phase in worker processes"},
+			{"rebalance", *rebalance != 0, "arms the parallel runtime's repartitioner"},
+			{"rebalance-interval", *rebalanceInterval != 0, "paces the parallel runtime's repartitioner"},
+			{"migrate-every", *migrateEvery != 0, "rotates the parallel runtime's partition"},
+		} {
+			if f.set {
+				fatal(f.name, fmt.Errorf("-%s %s; add -parallel N", f.name, f.does))
+			}
+		}
 	}
-	if *routeRoots && *par <= 0 {
-		fatal("route-roots", fmt.Errorf("-route-roots selects the parallel runtime's root delivery; add -parallel N"))
-	}
-	if *flightPath != "" && *par <= 0 {
-		fatal("flight-dump", fmt.Errorf("-flight-dump records the parallel matcher; add -parallel N"))
-	}
-	if *transportName == "tcp" && *par <= 0 {
-		fatal("transport", fmt.Errorf("-transport tcp needs -parallel N (the worker process count)"))
+	if *rebalanceInterval != 0 && *rebalance <= 0 {
+		fatal("rebalance-interval", fmt.Errorf("-rebalance-interval paces -rebalance; add -rebalance THRESHOLD"))
 	}
 	var timeline *obs.Recorder
 	// drv is the parallel match phase's cycle driver, whichever carrier

@@ -1,6 +1,6 @@
 // Command tracegen emits hash-table activity traces: either one of
 // the calibrated characteristic sections (rubik, tourney, weaver) or
-// a trace recorded from a bundled demo program.
+// a trace recorded from a bundled program (internal/workloads' registry).
 //
 // Usage:
 //
@@ -20,7 +20,7 @@ import (
 
 func main() {
 	section := flag.String("section", "", "calibrated section: rubik, tourney, or weaver")
-	demo := flag.String("demo", "", "record a demo program run: blocks, tourney-like, or counter")
+	demo := flag.String("demo", "", fmt.Sprintf("record a run of a bundled program %v", workloads.NamedNames()))
 	out := flag.String("o", "", "output file (default stdout)")
 	split := flag.Int("split", 0, "apply the unsharing transformation with this many copies")
 	scatter := flag.Int("scatter", 0, "apply copy-and-constraint with this many copies (tourney)")
@@ -40,27 +40,9 @@ func main() {
 			fatal(fmt.Errorf("unknown section %q", *section))
 		}
 	case *demo != "":
-		var err error
-		switch *demo {
-		case "blocks":
-			tr, _, err = workloads.RecordRun("blocks", workloads.BlocksWorld, workloads.BlocksWorldWMEs(6), 200)
-		case "tourney-like":
-			tr, _, err = workloads.RecordRun("tourney-like", workloads.TourneyLike, workloads.TourneyLikeWMEs(8, 6), 200)
-		case "counter":
-			tr, _, err = workloads.RecordRun("counter", workloads.CounterChain, "(counter ^value 0 ^limit 20)", 100)
-		case "queens":
-			tr, _, err = workloads.RecordRun("queens", workloads.Queens, workloads.QueensWMEs(6), 50000)
-		case "monkey":
-			tr, _, err = workloads.RecordRun("monkey", workloads.MonkeyBananas, workloads.MonkeyBananasWMEs, 50)
-		case "configurator":
-			tr, _, err = workloads.RecordRun("configurator", workloads.Configurator,
-				workloads.ConfiguratorWMEs(
-					workloads.ConfiguratorOrder{ID: "ord-1", CPUs: 2, Disks: 6, PowerMax: 300},
-					workloads.ConfiguratorOrder{ID: "ord-2", CPUs: 4, Disks: 9, PowerMax: 200},
-				), 2000)
-		default:
-			err = fmt.Errorf("unknown demo %q", *demo)
-		}
+		wl, err := workloads.Named(*demo)
+		fatal(err)
+		tr, _, err = workloads.RecordRun(wl.Name, wl.Program, wl.WMEs, wl.MaxCycles)
 		fatal(err)
 	default:
 		flag.Usage()

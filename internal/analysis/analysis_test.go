@@ -2,13 +2,10 @@ package analysis
 
 import (
 	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
 	"mpcrete/internal/core"
-	"mpcrete/internal/ops5"
-	"mpcrete/internal/rete"
 	"mpcrete/internal/trace"
 	"mpcrete/internal/workloads"
 )
@@ -166,62 +163,5 @@ func TestRenderReport(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
 		}
-	}
-}
-
-func TestAnalyzeNetworkStaticIssues(t *testing.T) {
-	srcs := []string{
-		`(p cross (a ^x <u>) (b ^y <w>) --> (halt))`, // no eq test
-		`(p ok (a ^x <u>) (c ^x <u>) --> (halt))`,    // discriminated
-	}
-	var prods []*ops5.Production
-	for _, src := range srcs {
-		p, err := ops5.ParseProduction(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		prods = append(prods, p)
-	}
-	net, err := rete.Compile(prods)
-	if err != nil {
-		t.Fatal(err)
-	}
-	issues := AnalyzeNetwork(net, 4)
-	ccFound := false
-	for _, is := range issues {
-		if is.Kind == SuggestCopyAndConstrain {
-			ccFound = true
-		}
-	}
-	if !ccFound {
-		t.Errorf("static analysis missed the cross-product join: %v", issues)
-	}
-	// The discriminated join must not be flagged.
-	if len(issues) != 1 {
-		t.Errorf("issues = %v, want exactly the cross-product", issues)
-	}
-
-	// Shared high-fan-out node gets an unshare warning.
-	var fanProds []*ops5.Production
-	for i := 0; i < 6; i++ {
-		p, err := ops5.ParseProduction(fmt.Sprintf(
-			`(p f%d (a ^x <v>) (b ^x <v>) (c ^k %d) --> (halt))`, i, i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		fanProds = append(fanProds, p)
-	}
-	fnet, err := rete.Compile(fanProds)
-	if err != nil {
-		t.Fatal(err)
-	}
-	unshare := false
-	for _, is := range AnalyzeNetwork(fnet, 4) {
-		if is.Kind == SuggestUnshare {
-			unshare = true
-		}
-	}
-	if !unshare {
-		t.Error("static analysis missed the shared fan-out node")
 	}
 }

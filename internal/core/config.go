@@ -35,26 +35,8 @@ func WithOverhead(o OverheadSetting) Option { return func(cfg *Config) { cfg.Ove
 // WithLatency overrides the interconnection-network latency.
 func WithLatency(l simnet.Time) Option { return func(cfg *Config) { cfg.Latency = l } }
 
-// WithTopology selects a distance-sensitive network model with the
-// given added transit time per hop.
-func WithTopology(t simnet.Topology, perHop simnet.Time) Option {
-	return func(cfg *Config) { cfg.Topology = t; cfg.PerHop = perHop }
-}
-
-// WithContention models finite link bandwidth (requires a routed
-// topology; see Config.Contention).
-func WithContention() Option { return func(cfg *Config) { cfg.Contention = true } }
-
 // WithPartition fixes the bucket-to-processor map.
 func WithPartition(p sched.Partition) Option { return func(cfg *Config) { cfg.Partition = p } }
-
-// WithPerCycle overrides the partition cycle by cycle (the off-line
-// greedy redistribution experiment).
-func WithPerCycle(ps []sched.Partition) Option { return func(cfg *Config) { cfg.PerCycle = ps } }
-
-// WithRebalance turns on the online adaptive repartitioner with the
-// given detector knobs.
-func WithRebalance(r sched.Rebalance) Option { return func(cfg *Config) { cfg.Rebalance = r } }
 
 // WithSoftwareBroadcast serializes the cycle-start broadcast.
 func WithSoftwareBroadcast() Option { return func(cfg *Config) { cfg.SoftwareBroadcast = true } }
@@ -65,8 +47,23 @@ func WithCentralRoots() Option { return func(cfg *Config) { cfg.CentralRoots = t
 // WithPairs selects the Fig 3-2 processor-pair mapping.
 func WithPairs() Option { return func(cfg *Config) { cfg.Pairs = true } }
 
-// WithReplicated selects the Section 6 fully-replicated extreme.
-func WithReplicated() Option { return func(cfg *Config) { cfg.Replicated = true } }
+// Distribute sets the fields through which strategy st spreads a
+// trace's buckets over cfg.MatchProcs processors: PerCycle for the
+// off-line per-cycle oracle; Partition plus the live Rebalance knobs
+// for an online policy (the knobs enter Fingerprint, so an adaptive
+// point never collides with the static point it starts from);
+// Partition alone otherwise. load is trace.BucketLoad output.
+func (cfg *Config) Distribute(st sched.Strategy, load []map[int]int, nbuckets int) {
+	switch v := st.(type) {
+	case sched.PerCycleStrategy:
+		cfg.PerCycle = v.AssignPerCycle(load, nbuckets, cfg.MatchProcs)
+	case sched.RebalanceStrategy:
+		cfg.Partition = st.Assign(load, nbuckets, cfg.MatchProcs)
+		cfg.Rebalance = v.RebalanceConfig()
+	default:
+		cfg.Partition = st.Assign(load, nbuckets, cfg.MatchProcs)
+	}
+}
 
 // Typed validation errors. Validate returns one of these so callers
 // (the sweep engine, the CLIs) can distinguish bad-spec classes

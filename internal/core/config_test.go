@@ -62,22 +62,22 @@ func TestValidateTypedErrors(t *testing.T) {
 	if !errors.As(err, &pse) || pse.Got != 3 || pse.Want != 4 || pse.Cycle != -1 {
 		t.Errorf("short partition: got %v, want PartitionSizeError{-1,3,4}", err)
 	}
-	err = NewConfig(2, WithPerCycle([]sched.Partition{make(sched.Partition, 2)})).Validate(tr)
+	err = NewConfig(2, func(c *Config) { c.PerCycle = []sched.Partition{make(sched.Partition, 2)} }).Validate(tr)
 	if !errors.As(err, &pse) || pse.Cycle != 0 {
 		t.Errorf("short per-cycle partition: got %v, want PartitionSizeError{cycle 0}", err)
 	}
 
 	var pcc *PerCycleCountError
-	err = NewConfig(2, WithPerCycle(make([]sched.Partition, 3))).Validate(tr)
+	err = NewConfig(2, func(c *Config) { c.PerCycle = make([]sched.Partition, 3) }).Validate(tr)
 	if !errors.As(err, &pcc) || pcc.Got != 3 || pcc.Want != 1 {
 		t.Errorf("per-cycle count: got %v, want PerCycleCountError{3,1}", err)
 	}
 
 	var te *TopologyError
-	if err := NewConfig(2, WithContention()).Validate(tr); !errors.As(err, &te) {
+	if err := NewConfig(2, func(c *Config) { c.Contention = true }).Validate(tr); !errors.As(err, &te) {
 		t.Errorf("contention w/o topology: got %v, want TopologyError", err)
 	}
-	ok := NewConfig(2, WithTopology(simnet.Crossbar{}, 0), WithContention())
+	ok := NewConfig(2, func(c *Config) { c.Topology, c.Contention = simnet.Crossbar{}, true })
 	if err := ok.Validate(tr); err != nil {
 		t.Errorf("contention with crossbar: %v", err)
 	}
@@ -86,7 +86,7 @@ func TestValidateTypedErrors(t *testing.T) {
 	if err := NewConfig(2, WithCentralRoots(), WithPairs()).Validate(tr); !errors.As(err, &ioe) {
 		t.Errorf("central+pairs: got %v, want IncompatibleOptionsError", err)
 	}
-	if err := NewConfig(2, WithReplicated(), WithPairs()).Validate(tr); !errors.As(err, &ioe) {
+	if err := NewConfig(2, func(c *Config) { c.Replicated = true }, WithPairs()).Validate(tr); !errors.As(err, &ioe) {
 		t.Errorf("replicated+pairs: got %v, want IncompatibleOptionsError", err)
 	}
 
@@ -140,11 +140,11 @@ func TestFingerprint(t *testing.T) {
 		"procs":      NewConfig(4),
 		"overhead":   NewConfig(2, WithOverhead(OverheadRuns()[1])),
 		"latency":    NewConfig(2, WithLatency(simnet.US(9))),
-		"topology":   NewConfig(2, WithTopology(simnet.Mesh2D{W: 2, H: 2}, simnet.US(1))),
+		"topology":   NewConfig(2, func(c *Config) { c.Topology, c.PerHop = simnet.Mesh2D{W: 2, H: 2}, simnet.US(1) }),
 		"partition":  NewConfig(2, WithPartition(sched.Partition{1, 0, 1, 0})),
 		"pairs":      NewConfig(2, WithPairs()),
 		"central":    NewConfig(2, WithCentralRoots()),
-		"replicated": NewConfig(2, WithReplicated()),
+		"replicated": NewConfig(2, func(c *Config) { c.Replicated = true }),
 		"swbcast":    NewConfig(2, WithSoftwareBroadcast()),
 	} {
 		if a.Fingerprint(tr) == other.Fingerprint(tr) {

@@ -39,7 +39,7 @@ func skewedTrace(t testing.TB, cycles int) *trace.Trace {
 
 func TestSimulateRebalanceMigrates(t *testing.T) {
 	tr := skewedTrace(t, 40)
-	cfg := NewConfig(4, WithRebalance(sched.Rebalance{Threshold: 1.2, MinInterval: 2}))
+	cfg := NewConfig(4, func(c *Config) { c.Rebalance = sched.Rebalance{Threshold: 1.2, MinInterval: 2} })
 	res, err := Simulate(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +68,7 @@ func TestSimulateRebalanceImprovesSkewedMakespan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adaptive, err := Simulate(tr, NewConfig(8, WithRebalance(sched.DefaultRebalance())))
+	adaptive, err := Simulate(tr, NewConfig(8, func(c *Config) { c.Rebalance = sched.DefaultRebalance() }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestSimulateRebalanceImprovesSkewedMakespan(t *testing.T) {
 
 func TestSimulateRebalanceDeterministic(t *testing.T) {
 	tr := skewedTrace(t, 30)
-	cfg := NewConfig(4, WithRebalance(sched.DefaultRebalance()))
+	cfg := NewConfig(4, func(c *Config) { c.Rebalance = sched.DefaultRebalance() })
 	a, err := Simulate(tr, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -102,16 +102,16 @@ func TestValidateRebalanceIncompatibilities(t *testing.T) {
 		pc[i] = sched.RoundRobin(16, 2)
 	}
 	cases := []Config{
-		NewConfig(2, WithRebalance(reb), WithPerCycle(pc)),
-		NewConfig(2, WithRebalance(reb), WithPairs()),
-		NewConfig(2, WithRebalance(reb), WithReplicated()),
+		NewConfig(2, func(c *Config) { c.Rebalance, c.PerCycle = reb, pc }),
+		NewConfig(2, func(c *Config) { c.Rebalance = reb }, WithPairs()),
+		NewConfig(2, func(c *Config) { c.Rebalance, c.Replicated = reb, true }),
 	}
 	for i, cfg := range cases {
 		if _, ok := cfg.Validate(tr).(*IncompatibleOptionsError); !ok {
 			t.Errorf("case %d: want IncompatibleOptionsError, got %v", i, cfg.Validate(tr))
 		}
 	}
-	if err := NewConfig(2, WithRebalance(reb)).Validate(tr); err != nil {
+	if err := NewConfig(2, func(c *Config) { c.Rebalance = reb }).Validate(tr); err != nil {
 		t.Errorf("rebalance alone rejected: %v", err)
 	}
 }
@@ -123,15 +123,15 @@ func TestValidateRebalanceIncompatibilities(t *testing.T) {
 func TestFingerprintIncludesRebalance(t *testing.T) {
 	tr := skewedTrace(t, 5)
 	static := NewConfig(4)
-	adaptive := NewConfig(4, WithRebalance(sched.Rebalance{Threshold: 1.3, MinInterval: 2}))
+	adaptive := NewConfig(4, func(c *Config) { c.Rebalance = sched.Rebalance{Threshold: 1.3, MinInterval: 2} })
 	if static.Fingerprint(tr) == adaptive.Fingerprint(tr) {
 		t.Error("adaptive config fingerprint collides with its static starting point")
 	}
-	other := NewConfig(4, WithRebalance(sched.Rebalance{Threshold: 1.6, MinInterval: 2}))
+	other := NewConfig(4, func(c *Config) { c.Rebalance = sched.Rebalance{Threshold: 1.6, MinInterval: 2} })
 	if adaptive.Fingerprint(tr) == other.Fingerprint(tr) {
 		t.Error("different rebalance thresholds share a fingerprint")
 	}
-	same := NewConfig(4, WithRebalance(sched.Rebalance{Threshold: 1.3, MinInterval: 2}))
+	same := NewConfig(4, func(c *Config) { c.Rebalance = sched.Rebalance{Threshold: 1.3, MinInterval: 2} })
 	if adaptive.Fingerprint(tr) != same.Fingerprint(tr) {
 		t.Error("identical rebalance configs fingerprint differently")
 	}

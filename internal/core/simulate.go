@@ -450,9 +450,6 @@ func (s *simulator) otherMatchProcs(self int) []int {
 	return out
 }
 
-// matchProcIDs returns the cached match-processor id list.
-func (s *simulator) matchProcIDs() []int { return s.matchIDs }
-
 func (s *simulator) computeMatchProcIDs() []int {
 	n := s.cfg.MatchProcs
 	if s.cfg.Pairs {

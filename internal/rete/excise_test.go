@@ -36,7 +36,7 @@ func TestExciseSingleUserChainFullyCollected(t *testing.T) {
 	net := compileT(t, []string{
 		`(p solo (a ^x <v>) (b ^x <v>) (c ^k 9) --> (halt))`,
 	})
-	joins := net.TwoInputCount()
+	joins := net.Stats().JoinNodes
 	if joins != 2 {
 		t.Fatalf("joins = %d", joins)
 	}

@@ -129,16 +129,6 @@ func (m *Memory) Reset() {
 	m.size = 0
 }
 
-// BucketSizes returns the entry count per bucket (for distribution
-// diagnostics).
-func (m *Memory) BucketSizes() []int {
-	sizes := make([]int, len(m.buckets))
-	for i, b := range m.buckets {
-		sizes[i] = len(b)
-	}
-	return sizes
-}
-
 // extract removes and returns all entries of bucket b (bucket
 // migration support).
 func (m *Memory) extract(b int) []memEntry {

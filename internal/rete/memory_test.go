@@ -137,21 +137,6 @@ func TestMemoryRejectsBadBucketCount(t *testing.T) {
 	NewMemory(Left, 4096)
 }
 
-func TestBucketSizes(t *testing.T) {
-	m := NewMemory(Right, 4)
-	n := &Node{ID: 1}
-	m.addRight(0, n, mkWME(1, "a"))
-	m.addRight(0, n, mkWME(2, "a"))
-	m.addRight(3, n, mkWME(3, "a"))
-	sizes := m.BucketSizes()
-	want := []int{2, 0, 0, 1}
-	for i := range want {
-		if sizes[i] != want[i] {
-			t.Fatalf("sizes = %v, want %v", sizes, want)
-		}
-	}
-}
-
 func TestTokenOps(t *testing.T) {
 	w1, w2 := mkWME(1, "a"), mkWME(2, "b")
 	t1 := &Token{WMEs: []*ops5.WME{w1}}

@@ -374,18 +374,6 @@ func CompileWith(prods []*ops5.Production, opts CompileOptions) (*Network, error
 	return net, nil
 }
 
-// TwoInputCount returns the number of two-input (join + negative)
-// nodes in the network.
-func (net *Network) TwoInputCount() int {
-	n := 0
-	for _, nd := range net.Nodes {
-		if nd.IsTwoInput() {
-			n++
-		}
-	}
-	return n
-}
-
 func (net *Network) newNode(kind NodeKind) *Node {
 	n := &Node{ID: len(net.Nodes), Kind: kind, OrigCE: -1}
 	n.hashSeed = hashSeedOf(n.ID)

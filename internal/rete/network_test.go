@@ -171,7 +171,7 @@ func TestNetworkTwoInputCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := net.TwoInputCount(); got != 2 {
-		t.Errorf("TwoInputCount = %d, want 2", got)
+	if s := net.Stats(); s.JoinNodes != 1 || s.NegativeNodes != 1 {
+		t.Errorf("%d join and %d negative nodes, want 1 and 1", s.JoinNodes, s.NegativeNodes)
 	}
 }

@@ -1,9 +1,6 @@
 package rete
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // This file implements the three network transformations Section 5.2
 // of the paper uses to attack the multiple-successor bottleneck and
@@ -50,27 +47,6 @@ func (net *Network) Unshare(n *Node) ([]*Node, error) {
 		result = append(result, c)
 	}
 	return result, nil
-}
-
-// UnshareFanoutAbove splits every two-input node whose successor count
-// exceeds maxFanout, returning the number of nodes split. It is the
-// whole-network form used for the Weaver experiment (Fig 5-4).
-func (net *Network) UnshareFanoutAbove(maxFanout int) (split int, err error) {
-	if maxFanout < 1 {
-		return 0, fmt.Errorf("rete: maxFanout must be >= 1, got %d", maxFanout)
-	}
-	// Snapshot: cloning appends to net.Nodes.
-	nodes := make([]*Node, len(net.Nodes))
-	copy(nodes, net.Nodes)
-	for _, n := range nodes {
-		if n.IsTwoInput() && len(n.Succs) > maxFanout {
-			if _, err := net.Unshare(n); err != nil {
-				return split, err
-			}
-			split++
-		}
-	}
-	return split, nil
 }
 
 // InsertDummies interposes `parts` dummy pass-through nodes between n
@@ -163,18 +139,4 @@ func (net *Network) cloneNode(n *Node) *Node {
 		a.Routes = append(a.Routes, add...)
 	}
 	return c
-}
-
-// FanoutProfile returns, for every two-input node, the successor count,
-// sorted descending — the diagnostic used to pick unsharing and dummy
-// targets.
-func (net *Network) FanoutProfile() []int {
-	var prof []int
-	for _, n := range net.Nodes {
-		if n.IsTwoInput() {
-			prof = append(prof, len(n.Succs))
-		}
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(prof)))
-	return prof
 }

@@ -113,25 +113,6 @@ func TestUnsharePreservesMatches(t *testing.T) {
 	}
 }
 
-func TestUnshareFanoutAbove(t *testing.T) {
-	net := compileT(t, sharedFanoutProds)
-	split, err := net.UnshareFanoutAbove(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if split != 1 {
-		t.Errorf("split = %d, want 1", split)
-	}
-	for _, n := range net.Nodes {
-		if n.IsTwoInput() && len(n.Succs) > 2 {
-			t.Errorf("node %d still has fan-out %d", n.ID, len(n.Succs))
-		}
-	}
-	if _, err := net.UnshareFanoutAbove(0); err == nil {
-		t.Error("want error for maxFanout 0")
-	}
-}
-
 func TestInsertDummiesPreservesMatches(t *testing.T) {
 	wmes := fanoutWMEs()
 	base := runConflictSet(t, compileT(t, sharedFanoutProds), wmes)
@@ -292,8 +273,12 @@ func TestTransformsRandomizedEquivalence(t *testing.T) {
 		base := run(compileT(t, srcs))
 
 		unshared := compileT(t, srcs)
-		if _, err := unshared.UnshareFanoutAbove(1); err != nil {
-			t.Fatal(err)
+		for _, n := range append([]*Node(nil), unshared.Nodes...) { // Unshare appends its copies
+			if n.IsTwoInput() {
+				if _, err := unshared.Unshare(n); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		if got := run(unshared); !conflictSetsEqual(base, got) {
 			t.Fatalf("trial %d: unsharing diverged: %v vs %v", trial, base, got)
@@ -323,19 +308,6 @@ func TestTransformsRandomizedEquivalence(t *testing.T) {
 		}
 		if got := run(fullyUnshared); !conflictSetsEqual(base, got) {
 			t.Fatalf("trial %d: DisableSharing diverged: %v vs %v", trial, base, got)
-		}
-	}
-}
-
-func TestFanoutProfile(t *testing.T) {
-	net := compileT(t, sharedFanoutProds)
-	prof := net.FanoutProfile()
-	if len(prof) == 0 || prof[0] != 3 {
-		t.Errorf("profile = %v, want leading 3", prof)
-	}
-	for i := 1; i < len(prof); i++ {
-		if prof[i] > prof[i-1] {
-			t.Errorf("profile not sorted descending: %v", prof)
 		}
 	}
 }

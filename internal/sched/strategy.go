@@ -93,17 +93,16 @@ func StrategyNames() []string {
 }
 
 // StrategyByName resolves a distribution strategy from a CLI flag or
-// sweep spec. seed only affects the random strategy. Historical
-// aliases ("roundrobin", "greedy") are accepted.
+// sweep spec. seed only affects the random strategy.
 func StrategyByName(name string, seed int64) (Strategy, error) {
 	switch name {
-	case "round-robin", "roundrobin":
+	case "round-robin":
 		return RoundRobinStrategy{}, nil
 	case "random":
 		return RandomStrategy{Seed: seed}, nil
-	case "greedy-aggregate", "aggregate":
+	case "greedy-aggregate":
 		return GreedyAggregateStrategy{}, nil
-	case "greedy-per-cycle", "greedy":
+	case "greedy-per-cycle":
 		return GreedyPerCycleStrategy{}, nil
 	case "adaptive":
 		return AdaptiveStrategy{}, nil

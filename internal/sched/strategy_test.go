@@ -35,11 +35,8 @@ func TestStrategiesMatchFreeFunctions(t *testing.T) {
 func TestStrategyByName(t *testing.T) {
 	for name, wantType := range map[string]Strategy{
 		"round-robin":      RoundRobinStrategy{},
-		"roundrobin":       RoundRobinStrategy{},
 		"random":           RandomStrategy{Seed: 7},
 		"greedy-aggregate": GreedyAggregateStrategy{},
-		"aggregate":        GreedyAggregateStrategy{},
-		"greedy":           GreedyPerCycleStrategy{},
 		"greedy-per-cycle": GreedyPerCycleStrategy{},
 	} {
 		got, err := StrategyByName(name, 7)
@@ -51,14 +48,16 @@ func TestStrategyByName(t *testing.T) {
 			t.Errorf("%s resolved to %T, want %T", name, got, wantType)
 		}
 	}
-	if _, err := StrategyByName("bogus", 0); err == nil {
-		t.Error("bogus strategy did not error")
+	for _, name := range []string{"bogus", "roundrobin", "aggregate", "greedy"} {
+		if _, err := StrategyByName(name, 0); err == nil {
+			t.Errorf("%s resolved; only the names StrategyNames lists may", name)
+		}
 	}
 	// The per-cycle oracle must be selectable through the optional
 	// interface; the static strategies must not claim it.
-	g, _ := StrategyByName("greedy", 0)
+	g, _ := StrategyByName("greedy-per-cycle", 0)
 	if _, ok := g.(PerCycleStrategy); !ok {
-		t.Error("greedy does not implement PerCycleStrategy")
+		t.Error("greedy-per-cycle does not implement PerCycleStrategy")
 	}
 	rr, _ := StrategyByName("round-robin", 0)
 	if _, ok := rr.(PerCycleStrategy); ok {

@@ -247,7 +247,3 @@ var std = New()
 
 // Run executes the spec on the shared process-wide engine.
 func Run(spec Spec) (*Results, error) { return std.Run(spec) }
-
-// Std returns the shared engine (for attaching progress metrics or
-// inspecting its simulation count).
-func Std() *Engine { return std }

@@ -122,17 +122,6 @@ func (r *Results) Err() error {
 	return nil
 }
 
-// Select returns the cells whose key satisfies pred, in order.
-func (r *Results) Select(pred func(Key) bool) []Cell {
-	var out []Cell
-	for _, c := range r.Cells {
-		if pred(c.Key) {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
 // Groups splits the ordered cells into runs sharing everything but
 // the processor count — one slice per speedup curve.
 func (r *Results) Groups() [][]Cell {
@@ -188,20 +177,7 @@ func (s Spec) Expand() ([]Point, error) {
 							if load == nil {
 								load = tr.BucketLoad(false)
 							}
-							switch v := st.(type) {
-							case sched.PerCycleStrategy:
-								cfg.PerCycle = v.AssignPerCycle(load, tr.NBuckets, p)
-							case sched.RebalanceStrategy:
-								// Online policy: static starting assignment
-								// plus live rebalance knobs. The knobs enter
-								// Config.Fingerprint, so adaptive points
-								// never collide with the static point they
-								// start from in the memoization cache.
-								cfg.Partition = st.Assign(load, tr.NBuckets, p)
-								cfg.Rebalance = v.RebalanceConfig()
-							default:
-								cfg.Partition = st.Assign(load, tr.NBuckets, p)
-							}
+							cfg.Distribute(st, load, tr.NBuckets)
 							key.Strategy = st.Name()
 						}
 						pts = append(pts, Point{Key: key, Trace: tr, Config: cfg})

@@ -488,7 +488,7 @@ func BenchmarkNetworkCodec(b *testing.B) {
 func BenchmarkAnalysis(b *testing.B) {
 	tr := workloads.Tourney()
 	for i := 0; i < b.N; i++ {
-		if r := analysis.Analyze(tr, analysis.Options{}); len(r.HotNodes) == 0 {
+		if r := analysis.Analyze(tr); len(r.HotNodes) == 0 {
 			b.Fatal("analysis lost the hot node")
 		}
 	}

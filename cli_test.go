@@ -5,6 +5,7 @@ package mpcrete
 // the full pipeline (program -> trace -> simulation -> analysis).
 
 import (
+	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -12,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"mpcrete/internal/obs"
 	"mpcrete/internal/workloads"
 )
 
@@ -166,6 +168,95 @@ func TestCLIParallelOnlyFlags(t *testing.T) {
 		if !strings.Contains(out, row.want) {
 			t.Errorf("ops5run %v: output does not say %q:\n%s", row.args, row.want, out)
 		}
+	}
+}
+
+// TestCLITimelineAndFlightDump: ops5run -timeline and -flight-dump are two
+// formats of one recording. The workload is queens because its load cycle
+// is the one cycle among the bundled workloads that outgrows the in-place
+// head, and only a handed-off cycle has worker turns to draw.
+func TestCLITimelineAndFlightDump(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	dir := t.TempDir()
+	timeline, flight := filepath.Join(dir, "timeline.json"), filepath.Join(dir, "flight.json")
+	runTool(t, "ops5run", "-workload", "queens", "-parallel", "2", "-timeline", timeline, "-flight-dump", flight)
+
+	var trace struct {
+		TraceEvents []struct {
+			Name string  `json:"name"`
+			Ph   string  `json:"ph"`
+			Tid  int     `json:"tid"`
+			Dur  float64 `json:"dur"`
+			ID   int     `json:"id"`
+			Args struct {
+				Name string `json:"name"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	var dump obs.FlightDump
+	for path, into := range map[string]any{timeline: &trace, flight: &dump} {
+		b, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal(b, into); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+	}
+
+	tracks := map[int]string{}
+	flows := map[int]string{} // batch id -> the phases seen
+	slices, intervals, workerTurns, waits := 0, 0, 0, 0
+	for _, e := range trace.TraceEvents {
+		switch e.Ph {
+		case "M":
+			if e.Name == "thread_name" {
+				tracks[e.Tid] = e.Args.Name
+			}
+		case "s", "f":
+			flows[e.ID] += e.Ph
+		case "X":
+			slices++
+			switch e.Name {
+			case "turn":
+				if e.Dur > 0 && strings.HasPrefix(tracks[e.Tid], "worker ") {
+					workerTurns++
+				}
+				intervals++
+			case "wait":
+				if e.Dur > 0 && tracks[e.Tid] == "control" {
+					waits++
+				}
+				intervals++
+			case "cycle":
+				intervals++
+			}
+		}
+	}
+	if len(tracks) != 3 || tracks[0] != "worker 0" || tracks[1] != "worker 1" || tracks[2] != "control" {
+		t.Errorf("timeline tracks = %v", tracks)
+	}
+	if workerTurns < 1 || waits != 1 {
+		t.Errorf("timeline draws %d worker turns and %d control waits with a duration, want >= 1 and 1", workerTurns, waits)
+	}
+	paired := 0
+	for _, phases := range flows {
+		if strings.Contains(phases, "s") && strings.Contains(phases, "f") {
+			paired++
+		}
+	}
+	if paired < 1 {
+		t.Errorf("timeline has no send joined to its receive by a flow: %d flow ids", len(flows))
+	}
+	// The same events: a slice per event, but one per interval's two.
+	events := 0
+	for _, tr := range dump.Tracks {
+		events += len(tr.Events)
+	}
+	if events != slices+intervals {
+		t.Errorf("flight dump holds %d events, the timeline %d slices of which %d intervals", events, slices, intervals)
 	}
 }
 

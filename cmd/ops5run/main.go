@@ -1,8 +1,9 @@
 // Command ops5run executes an OPS5 program under the match-resolve-act
 // interpreter — sequentially, or with the match phase on the real
-// parallel goroutine runtime (-parallel) — optionally recording a
-// hash-table activity trace for the MPC simulator and a wall-clock
-// timeline of the parallel matcher.
+// parallel runtime (-parallel) — optionally recording a hash-table
+// activity trace for the MPC simulator, or the parallel matcher's flight
+// recording as a wall-clock Chrome trace (-timeline) and as JSON
+// (-flight-dump): two formats of one recording.
 //
 // Usage:
 //
@@ -52,7 +53,7 @@ func main() {
 	dotPath := flag.String("dot", "", "write the compiled Rete network as Graphviz DOT here")
 	par := flag.Int("parallel", 0, "run the match phase on the parallel runtime with this many workers")
 	routeRoots := flag.Bool("route-roots", false, "hash-route root activations from the control goroutine (Fig 3-2) instead of broadcasting changes (requires -parallel)")
-	timelinePath := flag.String("timeline", "", "write the parallel matcher's wall-clock Chrome trace timeline here (requires -parallel)")
+	timelinePath := flag.String("timeline", "", "write the parallel run's flight recording as a wall-clock Chrome trace here (requires -parallel)")
 	debugAddr := flag.String("debug-addr", "", "serve net/http/pprof and expvar (live runtime stats) on this address")
 	workloadName := flag.String("workload", "", "built-in workload name (alternative to -program/-wmes; see internal/workloads)")
 	variant := flag.String("variant", "shared", "network variant: "+strings.Join(rete.Variants(), ", "))
@@ -134,7 +135,6 @@ func main() {
 	if *rebalanceInterval != 0 && *rebalance <= 0 {
 		fatal("rebalance-interval", fmt.Errorf("-rebalance-interval paces -rebalance; add -rebalance THRESHOLD"))
 	}
-	var timeline *obs.Recorder
 	// drv is the parallel match phase's cycle driver, whichever carrier
 	// (goroutines or worker processes) runs under it; nil when sequential.
 	var drv *parallel.Driver
@@ -149,7 +149,7 @@ func main() {
 			nb = rete.DefaultNBuckets
 		}
 		var causal *obs.CausalRecorder
-		if *flightPath != "" {
+		if *flightPath != "" || *timelinePath != "" {
 			causal = parallel.NewFlightRecorder(*par, 0, 0, nb)
 		}
 		var reb sched.Rebalance
@@ -176,14 +176,10 @@ func main() {
 		}
 		switch *transportName {
 		case "inproc":
-			if *timelinePath != "" {
-				timeline = obs.NewRecorder()
-			}
 			rt, err := parallel.New(net, parallel.Options{
 				Workers:      *par,
 				NBuckets:     *nbuckets,
 				RouteRoots:   *routeRoots,
-				Recorder:     timeline,
 				Causal:       causal,
 				Rebalance:    reb,
 				ForceMigrate: forceMigrate,
@@ -192,9 +188,6 @@ func main() {
 			defer rt.Close()
 			drv = rt.Driver
 		case "tcp":
-			if *timelinePath != "" {
-				fatal("timeline", fmt.Errorf("-timeline hooks the in-process runtime; use -flight-dump with -transport tcp"))
-			}
 			ctl, err := transport.Listen(net, *listenAddr, transport.ControlOptions{
 				Workers:      *par,
 				NBuckets:     *nbuckets,
@@ -282,7 +275,7 @@ func main() {
 	if *timelinePath != "" {
 		f, err := os.Create(*timelinePath)
 		fatal("create timeline", err)
-		fatal("write timeline", timeline.WriteChromeTrace(f))
+		fatal("write timeline", drv.FlightDump().WriteChromeTrace(f))
 		fatal("close timeline", f.Close())
 		if *verbose {
 			fmt.Fprintf(os.Stderr, "ops5run: timeline written to %s (open at https://ui.perfetto.dev)\n", *timelinePath)

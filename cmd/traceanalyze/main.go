@@ -38,7 +38,7 @@ func main() {
 	fatal(err)
 	fatal(f.Close())
 
-	tuned, report := analysis.AutoTune(tr, analysis.Options{})
+	tuned, report := analysis.AutoTune(tr)
 	report.Render(os.Stdout)
 
 	if *verbose {

@@ -18,41 +18,23 @@ import (
 	"mpcrete/internal/trace"
 )
 
-// Options tune the detectors' thresholds.
-type Options struct {
-	// HotBucketShare flags a node when one bucket carries at least
-	// this fraction of the node's activations (and more than
-	// HotBucketMin of them). Default 0.8 / 64.
-	HotBucketShare float64
-	HotBucketMin   int
-	// FanoutThreshold flags activations generating more successors
-	// than this. Default 16.
-	FanoutThreshold int
-	// SmallCycleMax is the paper's bound on "small" cycles (100 or
-	// fewer tokens). Default 100.
-	SmallCycleMax int
-	// ImbalanceCV flags cycles whose per-bucket load has a coefficient
-	// of variation above this. Default 2.
-	ImbalanceCV float64
-}
-
-func (o *Options) defaults() {
-	if o.HotBucketShare == 0 {
-		o.HotBucketShare = 0.8
-	}
-	if o.HotBucketMin == 0 {
-		o.HotBucketMin = 64
-	}
-	if o.FanoutThreshold == 0 {
-		o.FanoutThreshold = 16
-	}
-	if o.SmallCycleMax == 0 {
-		o.SmallCycleMax = 100
-	}
-	if o.ImbalanceCV == 0 {
-		o.ImbalanceCV = 2
-	}
-}
+// The detectors' thresholds.
+const (
+	// hotBucketShare flags a node when one bucket carries at least this
+	// fraction of the node's activations (and at least hotBucketMin of
+	// them).
+	hotBucketShare = 0.8
+	hotBucketMin   = 64
+	// fanoutThreshold flags activations generating more successors than
+	// this.
+	fanoutThreshold = 16
+	// smallCycleMax is the paper's bound on "small" cycles (100 or fewer
+	// tokens).
+	smallCycleMax = 100
+	// imbalanceCV flags cycles whose per-bucket load has a coefficient
+	// of variation above this.
+	imbalanceCV = 2
+)
 
 // CycleReport summarizes one cycle.
 type CycleReport struct {
@@ -145,8 +127,7 @@ type Report struct {
 }
 
 // Analyze runs all detectors over a trace.
-func Analyze(tr *trace.Trace, opts Options) *Report {
-	opts.defaults()
+func Analyze(tr *trace.Trace) *Report {
 	r := &Report{Trace: tr.Name}
 
 	type nodeBucket struct{ node, bucket int }
@@ -175,7 +156,7 @@ func Analyze(tr *trace.Trace, opts Options) *Report {
 			} else {
 				siteDels[nb]++
 			}
-			if n := a.Successors(); n > opts.FanoutThreshold {
+			if n := a.Successors(); n > fanoutThreshold {
 				fs := fanouts[a.Node]
 				if fs == nil {
 					fs = &FanoutSite{Node: a.Node}
@@ -194,7 +175,7 @@ func Analyze(tr *trace.Trace, opts Options) *Report {
 		}
 		cr.MaxBucketLoad = stats.Max(loads)
 		cr.BucketCV = stats.CV(loads)
-		cr.Small = cr.Activations > 0 && cr.Activations <= opts.SmallCycleMax
+		cr.Small = cr.Activations > 0 && cr.Activations <= smallCycleMax
 		r.Cycles = append(r.Cycles, cr)
 	}
 
@@ -202,7 +183,7 @@ func Analyze(tr *trace.Trace, opts Options) *Report {
 	for nb, count := range siteCount {
 		total := nodeTotal[nb.node]
 		share := float64(count) / float64(total)
-		if count >= opts.HotBucketMin && share >= opts.HotBucketShare && total >= opts.HotBucketMin {
+		if count >= hotBucketMin && share >= hotBucketShare && total >= hotBucketMin {
 			r.HotNodes = append(r.HotNodes, HotNode{
 				Node: nb.node, Bucket: nb.bucket, Activations: count, Share: share,
 			})
@@ -221,7 +202,7 @@ func Analyze(tr *trace.Trace, opts Options) *Report {
 	}
 	sort.Slice(r.Fanouts, func(i, j int) bool { return r.Fanouts[i].MaxFanout > r.Fanouts[j].MaxFanout })
 
-	r.suggest(opts)
+	r.suggest()
 	return r
 }
 
@@ -233,7 +214,7 @@ func ratioNear(a, b int, target float64) bool {
 }
 
 // suggest derives countermeasures from the detections.
-func (r *Report) suggest(opts Options) {
+func (r *Report) suggest() {
 	for _, hn := range r.HotNodes {
 		k := 8
 		r.Suggestions = append(r.Suggestions, Suggestion{
@@ -267,7 +248,7 @@ func (r *Report) suggest(opts Options) {
 				Reason: fmt.Sprintf("cycle %d is small (%d tokens, %d left): communication overheads dominate",
 					cr.Index, cr.Activations, cr.Lefts),
 			})
-		} else if cr.BucketCV > opts.ImbalanceCV && cr.MaxBucketLoad < cr.Activations/2 {
+		} else if cr.BucketCV > imbalanceCV && cr.MaxBucketLoad < cr.Activations/2 {
 			r.Suggestions = append(r.Suggestions, Suggestion{
 				Kind:  SuggestRedistribute,
 				Cycle: cr.Index,
@@ -282,16 +263,15 @@ func (r *Report) suggest(opts Options) {
 // for (copy-and-constraint on hot nodes, fan-out splitting) and
 // returns the transformed trace. Cluster and redistribute suggestions
 // are scheduling-level and reported only.
-func AutoTune(tr *trace.Trace, opts Options) (*trace.Trace, *Report) {
-	opts.defaults()
-	r := Analyze(tr, opts)
+func AutoTune(tr *trace.Trace) (*trace.Trace, *Report) {
+	r := Analyze(tr)
 	out := tr
 	for _, s := range r.Suggestions {
 		switch s.Kind {
 		case SuggestCopyAndConstrain:
 			out = trace.ScatterNode(out, s.Node, s.K)
 		case SuggestUnshare:
-			out = trace.SplitFanout(out, opts.FanoutThreshold, s.K)
+			out = trace.SplitFanout(out, fanoutThreshold, s.K)
 		}
 	}
 	if out != tr {

@@ -11,7 +11,7 @@ import (
 )
 
 func TestAnalyzeTourneyFindsCrossProduct(t *testing.T) {
-	r := Analyze(workloads.Tourney(), Options{})
+	r := Analyze(workloads.Tourney())
 	if len(r.HotNodes) == 0 {
 		t.Fatal("no hot nodes detected")
 	}
@@ -50,7 +50,7 @@ func TestAnalyzeTourneyFindsCrossProduct(t *testing.T) {
 }
 
 func TestAnalyzeWeaverFindsFanoutAndSmallCycles(t *testing.T) {
-	r := Analyze(workloads.Weaver(), Options{})
+	r := Analyze(workloads.Weaver())
 	if len(r.Fanouts) == 0 {
 		t.Fatal("fan-out bottleneck not detected")
 	}
@@ -86,7 +86,7 @@ func TestAnalyzeWeaverFindsFanoutAndSmallCycles(t *testing.T) {
 }
 
 func TestAnalyzeRubikFindsImbalanceNotCrossProduct(t *testing.T) {
-	r := Analyze(workloads.Rubik(), Options{})
+	r := Analyze(workloads.Rubik())
 	if len(r.HotNodes) != 0 {
 		t.Errorf("rubik should have no cross-product nodes, got %v", r.HotNodes)
 	}
@@ -108,7 +108,7 @@ func TestAnalyzeRubikFindsImbalanceNotCrossProduct(t *testing.T) {
 func TestAutoTuneImprovesSimulatedSpeedup(t *testing.T) {
 	for _, gen := range []func() *trace.Trace{workloads.Tourney, workloads.Weaver} {
 		tr := gen()
-		tuned, report := AutoTune(tr, Options{})
+		tuned, report := AutoTune(tr)
 		if tuned == tr {
 			t.Fatalf("%s: autotune did not transform", tr.Name)
 		}
@@ -148,7 +148,7 @@ func TestAutoTuneLeavesCleanTraceAlone(t *testing.T) {
 			},
 		}},
 	}
-	tuned, _ := AutoTune(tr, Options{})
+	tuned, _ := AutoTune(tr)
 	if tuned != tr {
 		t.Error("clean trace was transformed")
 	}
@@ -156,7 +156,7 @@ func TestAutoTuneLeavesCleanTraceAlone(t *testing.T) {
 
 func TestRenderReport(t *testing.T) {
 	var buf bytes.Buffer
-	_, r := AutoTune(workloads.Tourney(), Options{})
+	_, r := AutoTune(workloads.Tourney())
 	r.Render(&buf)
 	out := buf.String()
 	for _, want := range []string{"analysis of tourney", "cross-product", "multiple-modify", "suggestions", "copy-and-constraint"} {

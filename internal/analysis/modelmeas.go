@@ -26,8 +26,8 @@ import (
 // This report is the missing right column: the QCDSP-style check that
 // the cost model's per-cycle predictions line up with what a real
 // message-passing runtime does on the same workload, and the
-// calibration substrate the multi-node transport (ROADMAP item 3)
-// validates against.
+// calibration substrate the multi-process transport validates
+// against.
 //
 // The two columns measure different clocks — the model charges the
 // paper's mid-1980s per-activation microsecond costs while the runtime
@@ -51,14 +51,6 @@ type MMOptions struct {
 	// RouteRoots selects the Fig 3-2 message plane for the measured
 	// run.
 	RouteRoots bool
-	// Overhead is the model's message-overhead setting (default
-	// core.OverheadRuns()[1], the 5/3 µs Nectar-class point).
-	Overhead *core.OverheadSetting
-	// RingCap / RetainCycles size the flight recorder (defaults:
-	// obs.DefaultRingCap, and retention covering every recorded
-	// cycle so the report is complete).
-	RingCap      int
-	RetainCycles int
 	// ChaosSeed perturbs the measured run's scheduling (0 = off).
 	ChaosSeed int64
 	// Transport, when non-nil, is called with the compiled network to
@@ -142,10 +134,8 @@ func CompareModelMeasured(name, progSrc, wmeSrc string, opts MMOptions) (*MMRepo
 	if opts.MaxCycles <= 0 {
 		opts.MaxCycles = 200
 	}
+	// The model's message overhead is the 5/3 µs Nectar-class point.
 	overhead := core.OverheadRuns()[1]
-	if opts.Overhead != nil {
-		overhead = *opts.Overhead
-	}
 
 	// 1. Sequential instrumented run -> trace.
 	tr, seqEng, err := workloads.RecordRun(name, progSrc, wmeSrc, opts.MaxCycles)
@@ -165,10 +155,6 @@ func CompareModelMeasured(name, progSrc, wmeSrc string, opts MMOptions) (*MMRepo
 
 	// 3. Measured: same workload through the instrumented parallel
 	// runtime, driven by an identical engine loop.
-	retain := opts.RetainCycles
-	if retain <= 0 {
-		retain = len(tr.Cycles) + 1
-	}
 	prog, err := ops5.ParseProgram(progSrc)
 	if err != nil {
 		return nil, fmt.Errorf("analysis: parse %s: %w", name, err)
@@ -177,7 +163,8 @@ func CompareModelMeasured(name, progSrc, wmeSrc string, opts MMOptions) (*MMRepo
 	if err != nil {
 		return nil, fmt.Errorf("analysis: compile %s: %w", name, err)
 	}
-	cr := parallel.NewFlightRecorder(opts.Workers, opts.RingCap, retain, tr.NBuckets)
+	// Retention covers every recorded cycle, so the report is complete.
+	cr := parallel.NewFlightRecorder(opts.Workers, 0, len(tr.Cycles)+1, tr.NBuckets)
 	popts := parallel.Options{
 		Workers:    opts.Workers,
 		NBuckets:   tr.NBuckets,
@@ -214,7 +201,7 @@ func CompareModelMeasured(name, progSrc, wmeSrc string, opts MMOptions) (*MMRepo
 			name, seqEng.Fired(), parEng.Fired())
 	}
 	if len(dump.Cycles) != len(tr.Cycles) {
-		return nil, fmt.Errorf("analysis: %s trace has %d cycles, flight recorder retained %d — raise RetainCycles",
+		return nil, fmt.Errorf("analysis: %s trace has %d cycles, flight recorder retained %d",
 			name, len(tr.Cycles), len(dump.Cycles))
 	}
 

@@ -195,8 +195,8 @@ func (c Config) Fingerprint(tr *trace.Trace) string {
 	// static point they start from (or with each other across knob
 	// settings). Disabled configs hash as before.
 	if c.Rebalance.Enabled() {
-		fmt.Fprintf(h, "reb=%g,%g,%d,%d|",
-			c.Rebalance.Threshold, c.Rebalance.Hysteresis, c.Rebalance.MinInterval, c.Rebalance.MaxMoves)
+		fmt.Fprintf(h, "reb=%g,%g,%d|",
+			c.Rebalance.Threshold, c.Rebalance.Hysteresis, c.Rebalance.MinInterval)
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -91,8 +91,8 @@ type SessionOptions struct {
 	Matcher MatchApplier
 	// NewMatcher, when non-nil (and Matcher nil), constructs a fresh
 	// match implementation per session — the pooling-compatible form of
-	// Matcher, e.g. a parallel.Runtime with the online rebalancer armed
-	// over the shared network (ops5d -parallel). Sessions whose matcher
+	// Matcher, e.g. a parallel.Runtime over the shared network
+	// (server.Config.NewMatcher hands it through). Sessions whose matcher
 	// does not implement Reset() are closed on SessionPool.Put rather
 	// than shelved, so per-session worker goroutines never leak.
 	NewMatcher func() MatchApplier

@@ -4,12 +4,12 @@ import (
 	"mpcrete/internal/ops5"
 )
 
-// API is the session-level interface both engine variants satisfy: a
-// Session matching on its own sequential rete.Matcher and a Session
-// whose match phase runs on a parallel.Runtime (SessionOptions.Matcher)
-// expose exactly this surface. The multi-tenant server drives tenants
-// through it, and the differential harness fuzzes session-level parity
-// across both implementations with it (difftest.CheckSessions).
+// API is the session-level interface of a Session, whichever matcher
+// runs its match phase: its own sequential rete.Matcher, or a
+// parallel.Runtime (SessionOptions.Matcher). The multi-tenant server
+// drives tenants through it, and the differential harness fuzzes
+// session-level parity across the two matchers with it
+// (difftest.CheckSessions).
 type API interface {
 	// Assert schedules wme additions; the returned copies carry their
 	// assigned IDs and time tags.

@@ -1,23 +1,22 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
+	"strings"
 	"sync/atomic"
 )
 
 // Causal observability: per-worker lock-free bounded event rings, the
-// substrate for reconstructing per-message causality from a real
-// parallel run. Where the Recorder above captures a wall-clock
-// *timeline* (spans on tracks), the CausalRecorder captures the
-// *dependency structure*: sequence-stamped send/recv/handle/flush
-// events carrying bucket, cycle, and batch ids, from which
-// internal/analysis stitches a happens-before DAG and extracts the
-// measured critical path — the measured counterpart of the simulated
-// cost model in internal/simnet.
+// one recorder of a live parallel run. Where the Recorder above is a
+// labelled, unbounded timeline for deterministic simulated runs, the
+// CausalRecorder is a fixed-size ring for wall-clock ones (a type
+// serving both would branch on its caller): sequence-stamped
+// send/recv/handle/flush events carrying bucket, cycle, and batch ids,
+// and the begin and end of each worker turn, quiescence wait and
+// migration. internal/analysis sets its per-cycle aggregates beside the
+// simulated cost model's predictions (CompareModelMeasured).
 //
 // Design constraints, in order:
 //
@@ -59,12 +58,32 @@ const (
 	// number of messages shipped across all destinations.
 	EvFlush
 	// EvCycleBegin / EvCycleEnd bracket one match phase on the control
-	// track.
+	// track. From here on the kinds come in begin/end pairs (Mark), which
+	// the Chrome export joins into one slice per interval; only the end
+	// carries counts.
 	EvCycleBegin
 	EvCycleEnd
+	// EvTurnBegin / EvTurnEnd bracket one worker turn on the message
+	// plane — a drained batch handled and flushed — on the worker's
+	// track. The end's Count is the messages the turn consumed, its Depth
+	// the activations it performed. A cycle the driver performs in place
+	// has no turns.
+	EvTurnBegin
+	EvTurnEnd
+	// EvWaitBegin / EvWaitEnd bracket the control's wait for quiescence;
+	// the end's Count is the detector waves it took (0 for the counting
+	// detector).
+	EvWaitBegin
+	EvWaitEnd
+	// EvMigrateBegin / EvMigrateEnd bracket one migration on the control
+	// track; the end's Count is the buckets moved, its Depth the memory
+	// entries shipped.
+	EvMigrateBegin
+	EvMigrateEnd
 )
 
-var eventKindNames = [...]string{"send", "recv", "handle", "flush", "cycle-begin", "cycle-end"}
+var eventKindNames = [...]string{"send", "recv", "handle", "flush", "cycle-begin", "cycle-end",
+	"turn-begin", "turn-end", "wait-begin", "wait-end", "migrate-begin", "migrate-end"}
 
 // String names the kind.
 func (k EventKind) String() string {
@@ -72,6 +91,26 @@ func (k EventKind) String() string {
 		return eventKindNames[k]
 	}
 	return fmt.Sprintf("kind(%d)", uint8(k))
+}
+
+// MarshalText writes the kind by name, so a dump's events keep their
+// meaning when a kind is added.
+func (k EventKind) MarshalText() ([]byte, error) {
+	if int(k) >= len(eventKindNames) {
+		return nil, fmt.Errorf("obs: unknown event kind %d", uint8(k))
+	}
+	return []byte(eventKindNames[k]), nil
+}
+
+// UnmarshalText reads a kind by name; an unknown name is an error.
+func (k *EventKind) UnmarshalText(b []byte) error {
+	for i, name := range eventKindNames {
+		if name == string(b) {
+			*k = EventKind(i)
+			return nil
+		}
+	}
+	return fmt.Errorf("obs: unknown event kind %q", b)
 }
 
 // BroadcastDst is the EvSend Dst value of a cycle broadcast (one send
@@ -86,28 +125,30 @@ type CausalEvent struct {
 	// Seq is the per-track sequence number (0-based, monotonically
 	// increasing over the track's whole history, including events the
 	// bounded ring has since evicted).
-	Seq uint64
+	Seq uint64 `json:"seq"`
 	// TS is nanoseconds since the owning runtime's epoch. Handle
 	// events reuse their turn's drain timestamp (per-activation clock
 	// reads would dominate the cost of small activations).
-	TS int64
+	TS int64 `json:"ts"`
 	// Cycle is the 1-based match-phase number.
-	Cycle int32
+	Cycle int32 `json:"cycle"`
 	// Batch is the send/recv stamp joining the two ends of a message
 	// batch (0 = unstamped).
-	Batch int32
+	Batch int32 `json:"batch"`
 	// Src / Dst are track ids (NoValue when not applicable;
 	// BroadcastDst for broadcast sends).
-	Src, Dst int32
+	Src int32 `json:"src"`
+	Dst int32 `json:"dst"`
 	// Bucket is the activation's hash bucket (EvHandle; NoValue
 	// otherwise).
-	Bucket int32
+	Bucket int32 `json:"bucket"`
 	// Depth is the activation's dependency depth within its cycle
-	// (EvHandle; roots are 1).
-	Depth int32
-	// Count is the batch size (send/recv/flush) or fan-out (handle).
-	Count int32
-	Kind  EventKind
+	// (EvHandle; roots are 1); on an interval's end, see its kind.
+	Depth int32 `json:"depth"`
+	// Count is the batch size (send/recv/flush) or fan-out (handle); on
+	// an interval's end, see its kind.
+	Count int32     `json:"count"`
+	Kind  EventKind `json:"kind"`
 }
 
 // CycleAgg aggregates one track's activity during one cycle. Unlike
@@ -241,6 +282,16 @@ func (t *TrackRecorder) Flush(ts int64, cycle, count int32) {
 	t.record(CausalEvent{Kind: EvFlush, TS: ts, Cycle: cycle, Src: NoValue, Dst: NoValue, Bucket: NoValue, Count: count})
 }
 
+// Mark records one end of an interval: kind is a begin or end kind,
+// count and depth what its end carries. The cycle aggregate is left
+// alone — an interval says when, not how much.
+func (t *TrackRecorder) Mark(kind EventKind, ts int64, cycle, count, depth int32) {
+	if t == nil {
+		return
+	}
+	t.record(CausalEvent{Kind: kind, TS: ts, Cycle: cycle, Src: NoValue, Dst: NoValue, Bucket: NoValue, Depth: depth, Count: count})
+}
+
 // events returns the retained events, oldest first. Caller must hold
 // quiescence.
 func (t *TrackRecorder) events() []CausalEvent {
@@ -265,10 +316,9 @@ type CausalRecorder struct {
 
 	// cycles is a bounded ring of committed CycleRecords (the last
 	// retainCycles cycles).
-	cycles    []CycleRecord
-	cycleSeq  int // records ever committed
-	openCycle int32
-	openTS    int64
+	cycles   []CycleRecord
+	cycleSeq int // records ever committed
+	openTS   int64
 
 	batchSeq atomic.Int32
 }
@@ -357,9 +407,8 @@ func (c *CausalRecorder) BeginCycle(cycle int32, ts int64) {
 	if c == nil {
 		return
 	}
-	c.openCycle, c.openTS = cycle, ts
-	ctl := &c.tracks[len(c.tracks)-1]
-	ctl.record(CausalEvent{Kind: EvCycleBegin, TS: ts, Cycle: cycle, Src: NoValue, Dst: NoValue, Bucket: NoValue})
+	c.openTS = ts
+	c.tracks[len(c.tracks)-1].Mark(EvCycleBegin, ts, cycle, 0, 0)
 }
 
 // EndCycle closes the open cycle: it records EvCycleEnd, collects every
@@ -371,8 +420,7 @@ func (c *CausalRecorder) EndCycle(cycle int32, ts int64) {
 	if c == nil {
 		return
 	}
-	ctl := &c.tracks[len(c.tracks)-1]
-	ctl.record(CausalEvent{Kind: EvCycleEnd, TS: ts, Cycle: cycle, Src: NoValue, Dst: NoValue, Bucket: NoValue})
+	c.tracks[len(c.tracks)-1].Mark(EvCycleEnd, ts, cycle, 0, 0)
 	rec := CycleRecord{Cycle: cycle, WallNS: ts - c.openTS, PerTrack: make([]CycleAgg, len(c.tracks))}
 	for i := range c.tracks {
 		rec.PerTrack[i] = c.tracks[i].agg
@@ -418,8 +466,8 @@ type TrackDump struct {
 	Dropped uint64        `json:"dropped"`
 	Events  []CausalEvent `json:"events"`
 	// BucketLoads are the cumulative non-zero per-bucket activation
-	// counts, ascending by bucket — the hot-bucket series the adaptive
-	// repartitioner consumes.
+	// counts, ascending by bucket. (The balancer reads its loads from
+	// parallel.Turn, recorder or no recorder.)
 	BucketLoads []BucketLoad `json:"bucket_loads,omitempty"`
 }
 
@@ -464,91 +512,67 @@ func (d *FlightDump) WriteJSON(w io.Writer) error {
 	return writeJSON(w, d)
 }
 
-// WriteChromeTrace exports the dump as Chrome trace-event JSON with
-// flow arrows: every retained event becomes a slice on its track, and
-// each send/recv pair sharing a batch stamp is connected by a flow
-// ("s"/"f" events keyed by the stamp), so Perfetto renders the causal
-// DAG's cross-worker edges as arrows. Deterministic for a given dump.
+// WriteChromeTrace exports the dump as Chrome trace-event JSON. An
+// interval whose two ends both survive in the ring — a cycle, a worker
+// turn, the control's wait, a migration — is one slice of its real
+// duration, named for the interval and carrying its end's counts; every
+// other retained event is a zero-length slice on its track. Each
+// send/recv pair sharing a batch stamp is connected by a flow ("s"/"f"
+// events keyed by the stamp), so Perfetto renders the cross-worker
+// edges as arrows. Deterministic for a given dump.
 func (d *FlightDump) WriteChromeTrace(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"traceEvents":[` + "\n"); err != nil {
-		return err
-	}
-	var lines []string
-	lines = append(lines, `{"name":"process_name","ph":"M","pid":0,"args":{"name":"mpcrete-causal"}}`)
-	for tid, t := range d.Tracks {
-		lines = append(lines, fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":%s}}`,
-			tid, strconv.Quote(t.Name)))
-	}
-
-	type ev struct {
-		ts   int64
-		tid  int
-		seq  uint64
-		line string
-	}
-	var evs []ev
+	threads := make([]traceThread, len(d.Tracks))
 	// Only draw a flow when both ends of the stamp survive in the
 	// retained windows; a dangling arrow renders as clutter.
 	sendRetained := map[int32]bool{}
 	recvRetained := map[int32]bool{}
-	for _, t := range d.Tracks {
+	for tid, t := range d.Tracks {
+		threads[tid] = traceThread{tid, t.Name}
 		for _, e := range t.Events {
 			switch e.Kind {
 			case EvSend:
-				if e.Batch != 0 {
-					sendRetained[e.Batch] = true
-				}
+				sendRetained[e.Batch] = true
 			case EvRecv:
-				if e.Batch != 0 {
-					recvRetained[e.Batch] = true
-				}
+				recvRetained[e.Batch] = true
 			}
 		}
 	}
+	var evs []traceLine
 	for tid, t := range d.Tracks {
-		for _, e := range t.Events {
-			args := fmt.Sprintf(`,"args":{"seq":%d,"cycle":%d,"batch":%d,"bucket":%d,"depth":%d,"count":%d}`,
-				e.Seq, e.Cycle, e.Batch, e.Bucket, e.Depth, e.Count)
-			line := fmt.Sprintf(`{"name":%s,"cat":"causal","ph":"X","ts":%s,"dur":0,"pid":0,"tid":%d%s}`,
-				strconv.Quote(e.Kind.String()), usec(e.TS), tid, args)
-			evs = append(evs, ev{ts: e.TS, tid: tid, seq: e.Seq, line: line})
+		slice := func(name string, at, end CausalEvent) {
+			evs = append(evs, traceLine{ts: at.TS, tid: tid, seq: at.Seq, line: fmt.Sprintf(
+				`{"name":%s,"cat":"causal","ph":"X","ts":%s,"dur":%s,"pid":0,"tid":%d,"args":{"seq":%d,"cycle":%d,"batch":%d,"bucket":%d,"depth":%d,"count":%d}}`,
+				strconv.Quote(name), usec(at.TS), usec(end.TS-at.TS), tid, end.Seq, end.Cycle, end.Batch, end.Bucket, end.Depth, end.Count)})
+		}
+		flow := func(ph string, e CausalEvent) {
 			if e.Batch != 0 && sendRetained[e.Batch] && recvRetained[e.Batch] {
-				switch e.Kind {
-				case EvSend:
-					evs = append(evs, ev{ts: e.TS, tid: tid, seq: e.Seq, line: fmt.Sprintf(
-						`{"name":"batch","cat":"flow","ph":"s","id":%d,"ts":%s,"pid":0,"tid":%d}`, e.Batch, usec(e.TS), tid)})
-				case EvRecv:
-					evs = append(evs, ev{ts: e.TS, tid: tid, seq: e.Seq, line: fmt.Sprintf(
-						`{"name":"batch","cat":"flow","ph":"f","bp":"e","id":%d,"ts":%s,"pid":0,"tid":%d}`, e.Batch, usec(e.TS), tid)})
-				}
+				evs = append(evs, traceLine{ts: e.TS, rank: 1, tid: tid, seq: e.Seq, line: fmt.Sprintf(
+					`{"name":"batch","cat":"flow","ph":%s,"id":%d,"ts":%s,"pid":0,"tid":%d}`, ph, e.Batch, usec(e.TS), tid)})
 			}
 		}
-	}
-	sort.SliceStable(evs, func(i, j int) bool {
-		a, b := evs[i], evs[j]
-		if a.ts != b.ts {
-			return a.ts < b.ts
+		// open[k] is the begin of kind k still waiting for its end; the
+		// ring evicts oldest first, so an end can lose its begin but a
+		// begin is unpaired only at the tail, in a failed run's dump.
+		open := map[EventKind]CausalEvent{}
+		for _, e := range t.Events {
+			if e.Kind >= EvCycleBegin && (e.Kind-EvCycleBegin)%2 == 0 {
+				open[e.Kind] = e
+			} else if begin, ok := open[e.Kind-1]; ok {
+				delete(open, e.Kind-1)
+				slice(strings.TrimSuffix(begin.Kind.String(), "-begin"), begin, e)
+			} else {
+				slice(e.Kind.String(), e, e)
+			}
+			switch e.Kind {
+			case EvSend:
+				flow(`"s"`, e)
+			case EvRecv:
+				flow(`"f","bp":"e"`, e)
+			}
 		}
-		if a.tid != b.tid {
-			return a.tid < b.tid
-		}
-		return a.seq < b.seq
-	})
-	for _, e := range evs {
-		lines = append(lines, e.line)
-	}
-	for i, l := range lines {
-		sep := ","
-		if i == len(lines)-1 {
-			sep = ""
-		}
-		if _, err := bw.WriteString(l + sep + "\n"); err != nil {
-			return err
+		for _, e := range open {
+			slice(e.Kind.String(), e, e)
 		}
 	}
-	if _, err := bw.WriteString(`],"displayTimeUnit":"ms"}` + "\n"); err != nil {
-		return err
-	}
-	return bw.Flush()
+	return writeTraceEvents(w, "mpcrete-causal", threads, evs)
 }

@@ -32,6 +32,7 @@ func TestCausalRecorderNilSafe(t *testing.T) {
 	tr.Recv(0, 1, 1, 0, 5)
 	tr.Handle(0, 1, 7, 2, 3)
 	tr.Flush(0, 1, 4)
+	tr.Mark(EvTurnEnd, 0, 1, 4, 2)
 }
 
 // TestDisabledPathZeroAlloc pins the acceptance criterion: the
@@ -44,6 +45,7 @@ func TestDisabledPathZeroAlloc(t *testing.T) {
 		tr.Recv(2, 1, 1, 0, 3)
 		tr.Handle(3, 1, 17, 2, 1)
 		tr.Flush(4, 1, 2)
+		tr.Mark(EvTurnEnd, 5, 1, 3, 1)
 		_ = c.NextBatch()
 	})
 	if allocs != 0 {
@@ -59,10 +61,12 @@ func TestEnabledPathZeroAlloc(t *testing.T) {
 	tr := c.Track(0)
 	allocs := testing.AllocsPerRun(1000, func() {
 		b := c.NextBatch()
+		tr.Mark(EvTurnBegin, 1, 1, 0, 0)
 		tr.Send(1, 1, b, 1, 3)
 		tr.Recv(2, 1, b, 1, 3)
 		tr.Handle(3, 1, 17, 2, 1)
 		tr.Flush(4, 1, 2)
+		tr.Mark(EvTurnEnd, 5, 1, 3, 1)
 	})
 	if allocs != 0 {
 		t.Fatalf("enabled path allocates: %v allocs/run", allocs)
@@ -122,6 +126,7 @@ func TestCycleAggregatesAndRetention(t *testing.T) {
 		w.Handle(int64(cyc)*100+3, cyc, 6, 2, 0)
 		w.Send(int64(cyc)*100+4, cyc, c.NextBatch(), 1, 3)
 		w.Flush(int64(cyc)*100+5, cyc, 3)
+		w.Mark(EvTurnEnd, int64(cyc)*100+6, cyc, 2, 2) // an interval leaves the aggregate alone
 		c.EndCycle(cyc, int64(cyc)*100+50)
 	}
 	recs := c.CycleRecords()
@@ -211,6 +216,35 @@ func TestFlightDumpJSONDeterministic(t *testing.T) {
 	if parsed.Tracks[1].Name != "control" {
 		t.Fatalf("track name = %q", parsed.Tracks[1].Name)
 	}
+	// Events are snake_case like the document around them, a kind travels
+	// by name, and every kind survives the round trip.
+	want := CausalEvent{TS: 2, Cycle: 1, Batch: 1, Src: 1, Dst: NoValue, Bucket: NoValue, Count: 4, Kind: EvRecv}
+	if got := parsed.Tracks[0].Events[0]; got != want {
+		t.Errorf("round-tripped event = %+v, want %+v", got, want)
+	}
+	if !strings.Contains(buf1.String(), `"kind": "recv"`) || strings.Contains(buf1.String(), `"Seq"`) {
+		t.Errorf("events are not self-describing:\n%s", buf1.String())
+	}
+	for k := range eventKindNames {
+		b, err := json.Marshal(CausalEvent{Kind: EventKind(k)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var ev CausalEvent
+		if err := json.Unmarshal(b, &ev); err != nil || ev.Kind != EventKind(k) {
+			t.Errorf("kind %v round-trips to %v (%v): %s", EventKind(k), ev.Kind, err, b)
+		}
+	}
+	if _, err := json.Marshal(CausalEvent{Kind: EventKind(len(eventKindNames))}); err == nil {
+		t.Error("an unknown kind marshals")
+	}
+	var ev CausalEvent
+	if err := json.Unmarshal([]byte(`{"kind":"teleport"}`), &ev); err == nil {
+		t.Error("an unknown kind name unmarshals")
+	}
+	if err := json.Unmarshal([]byte(`{"kind":2}`), &ev); err == nil {
+		t.Error("a bare kind number unmarshals")
+	}
 }
 
 func TestChromeTraceFlowArrows(t *testing.T) {
@@ -224,7 +258,16 @@ func TestChromeTraceFlowArrows(t *testing.T) {
 	c.Track(0).Handle(3000, 1, 9, 1, 1)
 	// A send whose recv fell off the ring must NOT draw an arrow.
 	c.Track(1).Send(4000, 1, c.NextBatch(), 0, 1)
+	// Intervals whose two ends survive are one slice of their duration
+	// under the interval's name; an end that lost its begin, or a begin
+	// its end, is drawn where it is under its own.
+	c.Track(0).Mark(EvTurnEnd, 1500, 1, 1, 1)
+	c.Track(0).Mark(EvTurnBegin, 2000, 1, 0, 0)
+	c.Track(0).Mark(EvTurnEnd, 3500, 1, 2, 1)
+	c.Track(1).Mark(EvWaitBegin, 4100, 1, 0, 0)
+	c.Track(1).Mark(EvWaitEnd, 4900, 1, 3, 0)
 	c.EndCycle(1, 5000)
+	c.Track(1).Mark(EvMigrateBegin, 6000, 1, 0, 0)
 
 	var buf bytes.Buffer
 	if err := c.Dump().WriteChromeTrace(&buf); err != nil {
@@ -244,18 +287,32 @@ func TestChromeTraceFlowArrows(t *testing.T) {
 	if !strings.Contains(out, `"name":"worker 0"`) || !strings.Contains(out, `"name":"control"`) {
 		t.Fatalf("missing thread names:\n%s", out)
 	}
-	for _, kind := range []string{"send", "recv", "handle", "cycle-begin", "cycle-end"} {
-		if !strings.Contains(out, `"name":"`+kind+`"`) {
-			t.Fatalf("missing %s event:\n%s", kind, out)
+	for _, slice := range []string{
+		`"name":"send","cat":"causal","ph":"X","ts":1.000,"dur":0.000,`,
+		`"name":"recv",`, `"name":"handle",`,
+		`"name":"cycle","cat":"causal","ph":"X","ts":0.000,"dur":5.000,"pid":0,"tid":1,`,
+		`"name":"turn-end","cat":"causal","ph":"X","ts":1.500,"dur":0.000,"pid":0,"tid":0,`,
+		`"name":"turn","cat":"causal","ph":"X","ts":2.000,"dur":1.500,"pid":0,"tid":0,"args":{"seq":4,"cycle":1,"batch":0,"bucket":-3,"depth":1,"count":2}}`,
+		`"name":"wait","cat":"causal","ph":"X","ts":4.100,"dur":0.800,"pid":0,"tid":1,"args":{"seq":4,"cycle":1,"batch":0,"bucket":-3,"depth":0,"count":3}}`,
+		`"name":"migrate-begin","cat":"causal","ph":"X","ts":6.000,"dur":0.000,`,
+	} {
+		if !strings.Contains(out, slice) {
+			t.Fatalf("missing %s:\n%s", slice, out)
 		}
+	}
+	// The turn slice opens before what happened inside it.
+	if strings.Index(out, `"name":"turn",`) > strings.Index(out, `"name":"handle"`) {
+		t.Fatalf("turn slice after its handle:\n%s", out)
 	}
 }
 
 func TestEventKindString(t *testing.T) {
-	kinds := []EventKind{EvSend, EvRecv, EvHandle, EvFlush, EvCycleBegin, EvCycleEnd}
+	if EventKind(len(eventKindNames)-1) != EvMigrateEnd {
+		t.Fatalf("%d kind names, last kind %d", len(eventKindNames), EvMigrateEnd)
+	}
 	seen := map[string]bool{}
-	for _, k := range kinds {
-		s := k.String()
+	for k := range eventKindNames {
+		s := EventKind(k).String()
 		if seen[s] {
 			t.Fatalf("duplicate kind name %q", s)
 		}

@@ -20,8 +20,7 @@ import (
 // events (ph "i"), and samples become counter events (ph "C").
 func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	if r == nil {
-		_, err := io.WriteString(w, `{"traceEvents":[],"displayTimeUnit":"ms"}`+"\n")
-		return err
+		return writeTraceEvents(w, "mpcrete", nil, nil)
 	}
 	r.mu.Lock()
 	spans := make([]Span, len(r.spans))
@@ -66,19 +65,13 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		return proc
 	}
 
-	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString(`{"traceEvents":[` + "\n"); err != nil {
-		return err
-	}
-
-	var lines []string
-	// Metadata: process name, then one thread_name per known track.
-	lines = append(lines, `{"name":"process_name","ph":"M","pid":0,"args":{"name":"mpcrete"}}`)
+	// One thread per known track, in track order.
 	var trackIDs []int
 	for p := range seen {
 		trackIDs = append(trackIDs, p)
 	}
 	sort.Ints(trackIDs)
+	threads := make([]traceThread, 0, len(trackIDs))
 	for _, p := range trackIDs {
 		name, ok := tracks[p]
 		if !ok {
@@ -88,26 +81,18 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 				name = fmt.Sprintf("proc %d", p)
 			}
 		}
-		lines = append(lines, fmt.Sprintf(`{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":%s}}`,
-			tid(p), strconv.Quote(name)))
+		threads = append(threads, traceThread{tid(p), name})
 	}
 
-	// Timeline events, fully ordered for monotonic, reproducible output.
-	type ev struct {
-		ts    int64
-		order int // 0 span, 1 instant, 2 sample — ties at equal ts
-		tid   int
-		name  string
-		line  string
-	}
-	var evs []ev
+	// rank orders ties at equal ts: 0 span, 1 instant, 2 sample.
+	var evs []traceLine
 	for _, s := range spans {
-		evs = append(evs, ev{ts: s.T0, order: 0, tid: tid(s.Proc), name: s.Kind,
+		evs = append(evs, traceLine{ts: s.T0, rank: 0, tid: tid(s.Proc), name: s.Kind,
 			line: fmt.Sprintf(`{"name":%s,"cat":"span","ph":"X","ts":%s,"dur":%s,"pid":0,"tid":%d%s}`,
 				strconv.Quote(s.Kind), usec(s.T0), usec(s.T1-s.T0), tid(s.Proc), argsJSON(s.Labels))})
 	}
 	for _, i := range instants {
-		evs = append(evs, ev{ts: i.T, order: 1, tid: tid(i.Proc), name: i.Name,
+		evs = append(evs, traceLine{ts: i.T, rank: 1, tid: tid(i.Proc), name: i.Name,
 			line: fmt.Sprintf(`{"name":%s,"cat":"instant","ph":"i","ts":%s,"pid":0,"tid":%d,"s":"t"%s}`,
 				strconv.Quote(i.Name), usec(i.T), tid(i.Proc), argsJSON(i.Labels))})
 	}
@@ -115,42 +100,62 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 		// Counter tracks are keyed by (pid, name) in the viewer, so the
 		// track id is folded into the counter name.
 		name := fmt.Sprintf("%s/p%d", s.Name, s.Proc)
-		evs = append(evs, ev{ts: s.T, order: 2, tid: tid(s.Proc), name: name,
+		evs = append(evs, traceLine{ts: s.T, rank: 2, tid: tid(s.Proc), name: name,
 			line: fmt.Sprintf(`{"name":%s,"cat":"counter","ph":"C","ts":%s,"pid":0,"tid":%d,"args":{"value":%s}}`,
 				strconv.Quote(name), usec(s.T), tid(s.Proc), formatFloat(s.Value))})
 	}
+	return writeTraceEvents(w, "mpcrete", threads, evs)
+}
+
+// traceThread names one Chrome thread (a track).
+type traceThread struct {
+	tid  int
+	name string
+}
+
+// traceLine is one rendered trace event under its sort key.
+type traceLine struct {
+	ts   int64
+	rank int // ties at equal ts
+	tid  int
+	seq  uint64
+	name string
+	line string
+}
+
+// writeTraceEvents writes a Chrome trace-event file, the one place that
+// knows what one is: the "JSON Array Format" wrapped in a traceEvents
+// object, one event per line — the process name, the thread names in the
+// order given, then evs fully ordered by (ts, rank, tid, seq, name, line)
+// for monotonic, reproducible output.
+func writeTraceEvents(w io.Writer, process string, threads []traceThread, evs []traceLine) error {
+	bw := bufio.NewWriter(w)
+	bw.WriteString(`{"traceEvents":[` + "\n")
+	fmt.Fprintf(bw, `{"name":"process_name","ph":"M","pid":0,"args":{"name":%s}}`, strconv.Quote(process))
+	for _, t := range threads {
+		fmt.Fprintf(bw, ",\n"+`{"name":"thread_name","ph":"M","pid":0,"tid":%d,"args":{"name":%s}}`, t.tid, strconv.Quote(t.name))
+	}
 	sort.SliceStable(evs, func(i, j int) bool {
 		a, b := evs[i], evs[j]
-		if a.ts != b.ts {
+		switch {
+		case a.ts != b.ts:
 			return a.ts < b.ts
-		}
-		if a.order != b.order {
-			return a.order < b.order
-		}
-		if a.tid != b.tid {
+		case a.rank != b.rank:
+			return a.rank < b.rank
+		case a.tid != b.tid:
 			return a.tid < b.tid
-		}
-		if a.name != b.name {
+		case a.seq != b.seq:
+			return a.seq < b.seq
+		case a.name != b.name:
 			return a.name < b.name
 		}
 		return a.line < b.line
 	})
 	for _, e := range evs {
-		lines = append(lines, e.line)
+		bw.WriteString(",\n" + e.line)
 	}
-
-	for i, l := range lines {
-		sep := ","
-		if i == len(lines)-1 {
-			sep = ""
-		}
-		if _, err := bw.WriteString(l + sep + "\n"); err != nil {
-			return err
-		}
-	}
-	if _, err := bw.WriteString(`],"displayTimeUnit":"ms"}` + "\n"); err != nil {
-		return err
-	}
+	// A bufio.Writer's first error is sticky and Flush reports it.
+	bw.WriteString("\n" + `],"displayTimeUnit":"ms"}` + "\n")
 	return bw.Flush()
 }
 

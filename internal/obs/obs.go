@@ -1,22 +1,24 @@
 // Package obs is the observability layer shared by the discrete-event
 // simulator (internal/simnet, simulated nanoseconds) and the real
-// goroutine runtime (internal/parallel, wall-clock nanoseconds). It
-// has two halves:
+// parallel runtime (internal/parallel and internal/transport, wall-clock
+// nanoseconds). It has one recorder per clock and a registry:
 //
-//   - Recorder: a low-overhead timeline of spans (busy intervals,
+//   - Recorder: the simulated-time timeline of spans (busy intervals,
 //     message flights), instant events (broadcasts, cycle markers),
-//     and counter samples (task-queue depth), exportable to Chrome
-//     trace-event JSON so any run opens directly in Perfetto or
-//     chrome://tracing — the visual form of the paper's Fig 5-5
-//     busy/idle alternation analysis.
+//     and counter samples (task-queue depth) — the visual form of the
+//     paper's Fig 5-5 busy/idle alternation analysis.
+//   - CausalRecorder (causal.go): the flight recorder, the one thing a
+//     live run writes to.
 //   - Registry: a metrics registry of counters, gauges, fixed-bucket
 //     histograms, and per-cycle series, with deterministic CSV and
 //     JSON export (internal/experiments and the cmd/ tools consume
 //     these).
 //
-// Every Recorder and Registry method is safe on a nil receiver and
-// does nothing, so instrumented code paths need no conditionals and
-// the default (un-observed) configuration pays only a nil check.
+// Both recorders export Chrome trace-event JSON through one writer, so
+// any run opens directly in Perfetto or chrome://tracing. Every method
+// is safe on a nil receiver and does nothing, so instrumented code paths
+// need no conditionals and the default (un-observed) configuration pays
+// only a nil check.
 package obs
 
 import (
@@ -34,7 +36,7 @@ type Label struct {
 }
 
 // Span is a closed interval of activity on one track. Times are
-// nanoseconds (simulated or wall-clock; a Recorder holds one kind).
+// simulated nanoseconds.
 type Span struct {
 	Proc   int
 	Kind   string

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"runtime"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -108,10 +107,10 @@ type Driver struct {
 	cyclesInPlace   atomic.Int64
 	cyclesHandedOff atomic.Int64
 
-	rec   *obs.Recorder
 	epoch time.Time
 
-	// causal is the flight recorder (nil unless Options.Causal);
+	// causal is the flight recorder (nil unless Options.Causal), the one
+	// recorder a live run writes to;
 	// ctlTrack caches its control track, and curCycle publishes the
 	// 1-based cycle number workers stamp on their events (workers are
 	// quiescent between cycles, so a relaxed load per turn suffices).
@@ -129,9 +128,8 @@ type Driver struct {
 }
 
 // NewDriver validates opts, applies their defaults, and builds a cycle
-// driver that delivers through c. The Transport, Recorder, Metrics and
-// ChaosSeed fields may be left zero by carriers that have no use for
-// them.
+// driver that delivers through c. The Transport, Metrics and ChaosSeed
+// fields may be left zero by carriers that have no use for them.
 func NewDriver(net *rete.Network, opts Options, c Carrier) (*Driver, error) {
 	if opts.Workers == 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)
@@ -162,7 +160,6 @@ func NewDriver(net *rete.Network, opts Options, c Carrier) (*Driver, error) {
 		counter:   termdet.NewCounter(),
 		processed: make([]atomic.Int64, opts.Workers),
 		msgsSent:  make([]atomic.Int64, opts.Workers),
-		rec:       opts.Recorder,
 		epoch:     time.Now(),
 		yield:     runtime.Gosched,
 	}
@@ -172,17 +169,10 @@ func NewDriver(net *rete.Network, opts Options, c Carrier) (*Driver, error) {
 		}
 		d.causal = opts.Causal
 		d.ctlTrack = opts.Causal.Track(opts.Workers)
-	}
-	if d.causal != nil || d.rec != nil {
-		// Both recorders use the same tracks: workers first, control last.
-		for i := 0; i <= opts.Workers; i++ {
-			name := "control"
-			if i < opts.Workers {
-				name = fmt.Sprintf("worker %d", i)
-			}
-			d.causal.SetTrackName(i, name)
-			d.rec.SetTrack(i, name)
+		for i := 0; i < opts.Workers; i++ {
+			d.causal.SetTrackName(i, fmt.Sprintf("worker %d", i))
 		}
+		d.causal.SetTrackName(opts.Workers, "control")
 	}
 	if opts.RouteRoots {
 		d.rootProc = rete.NewProcessor(net, opts.NBuckets)
@@ -208,9 +198,18 @@ func NewDriver(net *rete.Network, opts Options, c Carrier) (*Driver, error) {
 // Now is the recorder clock: wall-clock nanoseconds since NewDriver.
 func (d *Driver) Now() int64 { return time.Since(d.epoch).Nanoseconds() }
 
-// controlTrack is the track of the control side in both recorders (the
-// workers occupy tracks 0..Workers-1); it is also the control's source
-// id in batch stamps and in Sending.
+// clock is Now under a flight recorder and 0 without one: an un-observed
+// run never reads the clock.
+func (d *Driver) clock() int64 {
+	if d.causal == nil {
+		return 0
+	}
+	return d.Now()
+}
+
+// controlTrack is the track of the control side in the flight recorder
+// (the workers occupy tracks 0..Workers-1); it is also the control's
+// source id in batch stamps and in Sending.
 func (d *Driver) controlTrack() int { return d.opts.Workers }
 
 // CurrentCycle is the 1-based number of the cycle in progress (or last
@@ -320,9 +319,7 @@ func (d *Driver) Cycle(changes []rete.Change) ([]rete.InstChange, error) {
 	d.insts = d.insts[:0] // quiescent: nobody holds instMu
 
 	cycle := d.curCycle.Add(1)
-	if d.causal != nil {
-		d.causal.BeginCycle(cycle, d.Now())
-	}
+	d.causal.BeginCycle(cycle, d.clock())
 	budget := 0
 	if d.steps != nil {
 		budget = d.budget
@@ -347,11 +344,9 @@ func (d *Driver) Cycle(changes []rete.Change) ([]rete.InstChange, error) {
 	if err != nil {
 		return nil, err
 	}
-	if d.causal != nil {
-		// Quiescent again: every worker's events for this cycle are
-		// recorded, so the aggregate commit observes them all.
-		d.causal.EndCycle(cycle, d.Now())
-	}
+	// Quiescent again: every worker's events for this cycle are recorded,
+	// so the aggregate commit observes them all.
+	d.causal.EndCycle(cycle, d.clock())
 	if d.balancer != nil || d.opts.ForceMigrate != nil {
 		if err := d.maybeRebalance(cycle); err != nil {
 			return nil, err
@@ -408,11 +403,7 @@ func (d *Driver) shareMemory(steps []*Step, boxes []*mailbox) {
 // track. Only the termination detector is skipped, because nothing is
 // in flight.
 func (d *Driver) inPlaceHead(changes []rete.Change, budget int) (handedOff bool) {
-	watched := d.rec != nil || d.causal != nil
-	var t0 int64
-	if watched {
-		t0 = d.Now()
-	}
+	t0 := d.clock()
 	cycle := d.curCycle.Load()
 	ctl := int32(d.controlTrack())
 	// The previous cycle quiesced, so every delete token it made has
@@ -465,17 +456,10 @@ func (d *Driver) inPlaceHead(changes []rete.Change, budget int) (handedOff bool)
 				continue
 			}
 			busy = true
-			ts := t0
-			if watched {
-				ts = d.Now()
-				s.turnTS = ts
-			}
-			n := s.Drain(budget - acts)
-			acts += n
+			ts := d.clock()
+			s.turnTS = ts
+			acts += s.Drain(budget - acts)
 			d.carryOut(w, s, ts)
-			if d.rec != nil {
-				d.rec.Span(w, "in-place", ts, d.Now(), obs.Label{Key: "acts", Value: strconv.Itoa(n)})
-			}
 			if acts >= budget {
 				break
 			}
@@ -492,11 +476,6 @@ func (d *Driver) inPlaceHead(changes []rete.Change, budget int) (handedOff bool)
 	} else {
 		d.cyclesHandedOff.Add(1)
 		d.handOff(cycle)
-	}
-	if d.rec != nil {
-		d.rec.Span(d.controlTrack(), "in-place", t0, d.Now(),
-			obs.Label{Key: "acts", Value: strconv.Itoa(acts)},
-			obs.Label{Key: "handed-off", Value: strconv.FormatBool(frontier > 0)})
 	}
 	return frontier > 0
 }
@@ -548,10 +527,7 @@ func (d *Driver) handOff(cycle int32) {
 		total += len(buf)
 	}
 	d.Sending(d.controlTrack(), total)
-	var ts int64
-	if d.ctlTrack != nil {
-		ts = d.Now()
-	}
+	ts := d.clock()
 	// The control's delivery to B is in B's mailbox before any worker
 	// can send to B: add(T) may travel control→B and del(T) A→B, and
 	// per-sender FIFO orders nothing between two senders, so A must not
@@ -578,11 +554,8 @@ func (d *Driver) handOff(cycle int32) {
 // quiesce waits for global quiescence and cross-checks the two
 // detectors against each other.
 func (d *Driver) quiesce() error {
-	var waitStart int64
-	if d.rec != nil {
-		waitStart = d.Now()
-	}
-	waves := 0
+	d.ctlTrack.Mark(obs.EvWaitBegin, d.clock(), d.curCycle.Load(), 0, 0)
+	waves := int32(0)
 	if d.opts.Detector == FourCounterDetector {
 		// Once messages are lost the four-counter totals can never
 		// balance, so a failed driver ends the poll.
@@ -607,43 +580,21 @@ func (d *Driver) quiesce() error {
 	if sent, recv := d.four.Poll(); sent != recv {
 		return fmt.Errorf("parallel: channel counts diverged at quiescence: sent=%d recv=%d", sent, recv)
 	}
-	if d.rec != nil {
-		d.rec.Span(d.controlTrack(), "quiesce", waitStart, d.Now(),
-			obs.Label{Key: "waves", Value: strconv.Itoa(waves)})
-	}
+	d.ctlTrack.Mark(obs.EvWaitEnd, d.clock(), d.curCycle.Load(), waves, 0)
 	return nil
-}
-
-// announce marks the cycle's delivery on the control track of the
-// timeline, under the name of the root mode.
-func (d *Driver) announce(changes, roots int) {
-	if d.rec == nil {
-		return
-	}
-	if !d.opts.RouteRoots {
-		d.rec.Instant(d.controlTrack(), "cycle-broadcast", d.Now(),
-			obs.Label{Key: "changes", Value: strconv.Itoa(changes)})
-		return
-	}
-	d.rec.Instant(d.controlTrack(), "cycle-route", d.Now(),
-		obs.Label{Key: "changes", Value: strconv.Itoa(changes)},
-		obs.Label{Key: "roots", Value: strconv.Itoa(roots)})
 }
 
 // broadcast ships the cycle packet to every worker (Fig 3-3): one
 // pooled packet shared read-only, one outstanding-work registration
 // and one sent-counter update for the whole wave.
 func (d *Driver) broadcast(changes []rete.Change) error {
-	d.announce(len(changes), 0)
 	d.cyclePkt.Changes = changes
 	d.Sending(d.controlTrack(), d.opts.Workers)
 	// One broadcast send event covers the whole wave; every worker
 	// receives the same batch stamp, so each recv joins back to this
 	// send.
 	batch := d.causal.NextBatch()
-	if d.ctlTrack != nil {
-		d.ctlTrack.Send(d.Now(), d.curCycle.Load(), batch, obs.BroadcastDst, int32(d.opts.Workers))
-	}
+	d.ctlTrack.Send(d.clock(), d.curCycle.Load(), batch, obs.BroadcastDst, int32(d.opts.Workers))
 	return d.carrier.Broadcast(Message{Kind: MsgCycle, Cycle: d.cyclePkt}, batch)
 }
 
@@ -662,7 +613,6 @@ func (d *Driver) rootsByOwner(proc *rete.Processor, changes []rete.Change) int {
 			roots++
 		}
 	}
-	d.announce(len(changes), roots)
 	return roots
 }
 
@@ -673,10 +623,7 @@ func (d *Driver) routeRoots(changes []rete.Change) error {
 		return nil
 	}
 	d.Sending(d.controlTrack(), sent)
-	var ts int64
-	if d.ctlTrack != nil {
-		ts = d.Now()
-	}
+	ts := d.clock()
 	for dst, buf := range d.rootBufs {
 		if len(buf) == 0 {
 			continue

@@ -2,200 +2,265 @@ package parallel
 
 import (
 	"bytes"
-	"strconv"
 	"testing"
 
 	"mpcrete/internal/obs"
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/rete"
+	"mpcrete/internal/sched"
 )
 
-// timelineShapes runs two match phases on one runtime under a recorder
-// and checks the wall-clock timeline of each. The first stays under the
-// in-place budget: one "in-place" span on the control track, each
-// step's drains on its worker's track, and neither a batch nor a
-// quiescence wait anywhere. The second outgrows the budget: the control
-// span says so, the frontier arrives as batch spans (one per drained
-// mailbox batch, with per-kind message counts, so observability costs
-// one span per turn rather than one per message), and the control
-// waits for quiescence. announce is the instant the root mode records
-// once per cycle.
-func timelineShapes(t *testing.T, opts Options, announce string) {
-	net, _ := compileProds(t,
-		`(p pair (team ^name <t> ^div <d>) (slot ^id <s> ^div <d>) --> (make pairing ^team <t> ^slot <s>))`)
-	rec := obs.NewRecorder()
-	opts.Workers, opts.Recorder = 2, rec
+// interval is a begin event and the end that closed it.
+type interval struct{ begin, end obs.CausalEvent }
+
+// intervals pairs, among one track's events of one cycle, every event of
+// kind begin with the end (the next kind) that follows it. A begin left
+// open or an end before its begin fails the test.
+func intervals(t *testing.T, evs []obs.CausalEvent, begin obs.EventKind, cycle int32) []interval {
+	t.Helper()
+	var out []interval
+	var open *obs.CausalEvent
+	for i := range evs {
+		ev := &evs[i]
+		switch {
+		case ev.Cycle != cycle:
+		case ev.Kind == begin:
+			if open != nil {
+				t.Errorf("%v at seq %d while the one at seq %d is open", begin, ev.Seq, open.Seq)
+			}
+			open = ev
+		case ev.Kind == begin+1:
+			if open == nil {
+				t.Errorf("%v at seq %d closes nothing", ev.Kind, ev.Seq)
+				continue
+			}
+			if ev.TS < open.TS {
+				t.Errorf("%v at seq %d ends %d ns before it begins", ev.Kind, ev.Seq, open.TS-ev.TS)
+			}
+			out = append(out, interval{*open, *ev})
+			open = nil
+		}
+	}
+	if open != nil {
+		t.Errorf("%v at seq %d never ends", begin, open.Seq)
+	}
+	return out
+}
+
+// pairBurst is n (team, slot) pairs over 8 divisions as Add changes,
+// numbering wmes from *id.
+func pairBurst(n int, id *int) []rete.Change {
+	var changes []rete.Change
+	for i := 0; i < n; i++ {
+		for _, w := range []*ops5.WME{
+			ops5.NewWME("team", "name", i, "div", i%8),
+			ops5.NewWME("slot", "id", i, "div", i%8),
+		} {
+			w.ID, w.TimeTag = *id, *id
+			*id++
+			changes = append(changes, rete.Change{Tag: rete.Add, WME: w})
+		}
+	}
+	return changes
+}
+
+const pairProd = `(p pair (team ^name <t> ^div <d>) (slot ^id <s> ^div <d>) --> (make pairing ^team <t> ^slot <s>))`
+
+// timelineShapes runs two match phases on one runtime under the flight
+// recorder and checks what each leaves in the dump. The first stays
+// under the in-place budget: handles on the owning workers' tracks, the
+// root delivery on the control's, and no turn, no wait and no worker
+// send anywhere. The second outgrows the budget: the frontier arrives as
+// turn intervals (one per drained mailbox batch, so observability costs
+// two events per turn rather than one per message) whose message counts
+// add up to it, and the control waits for quiescence exactly once, the
+// wait carrying its detector's wave count. Every production of the
+// program hangs off one join, so a message is an activation and each is
+// one handle.
+func timelineShapes(t *testing.T, opts Options) {
+	net, _ := compileProds(t, pairProd)
+	opts.Workers = 2
+	opts.Causal = NewFlightRecorder(2, 0, 0, 0)
 	rt, err := New(net, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer rt.Close()
+	ctl := rt.controlTrack()
 
-	id := 1
-	burst := func(n int) []rete.Change {
-		var changes []rete.Change
-		for i := 0; i < n; i++ {
-			for _, w := range []*ops5.WME{
-				ops5.NewWME("team", "name", i, "div", i%8),
-				ops5.NewWME("slot", "id", i, "div", i%8),
-			} {
-				w.ID, w.TimeTag = id, id
-				id++
-				changes = append(changes, rete.Change{Tag: rete.Add, WME: w})
-			}
-		}
-		return changes
-	}
-	label := func(labels []obs.Label, key string) string {
-		for _, l := range labels {
-			if l.Key == key {
-				return l.Value
-			}
-		}
-		return ""
-	}
-	count := func(labels []obs.Label, key string) int {
-		v := label(labels, key)
-		if v == "" {
-			return 0
-		}
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			t.Errorf("label %s=%q is not a count", key, v)
-		}
-		return n
-	}
-
-	// shape reads the spans and instants recorded since the last call.
+	// shape reads one cycle out of the dump.
 	type shape struct {
-		head            []obs.Label // the control track's in-place span
-		heads           int
-		stepActs        int // acts over the worker tracks' in-place spans
-		batches         int
-		batchMsgs       int
-		batchActs       int
-		batchCycles     int
-		quiesce         int
-		announced       int
-		announcedLabels []obs.Label
+		handles     int // on worker tracks
+		workerSends int
+		turns       []interval
+		waits       []interval
+		cycles      int
+		rootSends   int // the control's sends
+		rootMsgs    int32
+		broadcast   bool
 	}
-	spansSeen, instantsSeen := 0, 0
-	read := func() shape {
+	read := func(cycle int32) shape {
 		var sh shape
-		spans := rec.Spans()
-		for _, sp := range spans[spansSeen:] {
-			if sp.T1 < sp.T0 {
-				t.Errorf("span %v ends before it starts", sp)
+		for ti, tr := range rt.FlightDump().Tracks {
+			if tr.Dropped > 0 {
+				t.Fatalf("track %d dropped %d events", ti, tr.Dropped)
 			}
-			switch {
-			case sp.Kind == "in-place" && sp.Proc == rt.controlTrack():
-				sh.heads++
-				sh.head = sp.Labels
-			case sp.Kind == "in-place":
-				sh.stepActs += count(sp.Labels, "acts")
-			case sp.Kind == "batch":
-				sh.batches++
-				sh.batchMsgs += count(sp.Labels, "msgs")
-				sh.batchActs += count(sp.Labels, "acts")
-				sh.batchCycles += count(sp.Labels, "cycles")
-			case sp.Kind == "quiesce" && sp.Proc == rt.controlTrack():
-				sh.quiesce++
-				if len(sp.Labels) != 1 || sp.Labels[0].Key != "waves" {
-					t.Errorf("quiesce span labels = %v", sp.Labels)
+			if ti == ctl {
+				sh.waits = intervals(t, tr.Events, obs.EvWaitBegin, cycle)
+				sh.cycles = len(intervals(t, tr.Events, obs.EvCycleBegin, cycle))
+			} else {
+				sh.turns = append(sh.turns, intervals(t, tr.Events, obs.EvTurnBegin, cycle)...)
+			}
+			for _, ev := range tr.Events {
+				switch {
+				case ev.Cycle != cycle:
+				case ev.Kind == obs.EvHandle && ti != ctl:
+					sh.handles++
+				case ev.Kind == obs.EvSend && ti != ctl:
+					sh.workerSends++
+				case ev.Kind == obs.EvSend:
+					sh.rootSends++
+					sh.rootMsgs += ev.Count
+					sh.broadcast = sh.broadcast || ev.Dst == obs.BroadcastDst
 				}
 			}
 		}
-		spansSeen = len(spans)
-		instants := rec.Instants()
-		for _, in := range instants[instantsSeen:] {
-			if in.Name == announce {
-				sh.announced++
-				sh.announcedLabels = in.Labels
-			}
-		}
-		instantsSeen = len(instants)
 		return sh
 	}
 
 	// Under the budget: 16 changes, one pairing per division.
-	if got := rt.Apply(burst(8)); len(got) != 8 {
+	id := 1
+	if got := rt.Apply(pairBurst(8, &id)); len(got) != 8 {
 		t.Fatalf("conflict set = %d, want 8", len(got))
 	}
-	sh := read()
-	if sh.heads != 1 {
-		t.Fatalf("in-place spans on the control track = %d, want 1", sh.heads)
+	sh := read(1)
+	if sh.cycles != 1 {
+		t.Fatalf("small cycle: %d cycle intervals on the control track, want 1", sh.cycles)
 	}
-	if got := label(sh.head, "handed-off"); got != "false" {
-		t.Errorf("small cycle: handed-off = %q, want false", got)
+	if sh.handles != 16 {
+		t.Errorf("small cycle: %d handles on the worker tracks, want 16", sh.handles)
 	}
-	if acts := count(sh.head, "acts"); acts == 0 || acts != sh.stepActs {
-		t.Errorf("small cycle: control span says %d acts, the steps' spans %d", acts, sh.stepActs)
+	if len(sh.turns) != 0 || len(sh.waits) != 0 || sh.workerSends != 0 {
+		t.Errorf("small cycle reached the message plane: %d turns, %d waits, %d worker sends",
+			len(sh.turns), len(sh.waits), sh.workerSends)
 	}
-	if sh.batches != 0 || sh.quiesce != 0 {
-		t.Errorf("small cycle reached the message plane: %d batch spans, %d quiesce spans", sh.batches, sh.quiesce)
-	}
-	if sh.announced != 1 || label(sh.announcedLabels, "changes") != "16" {
-		t.Errorf("small cycle: %d %s instants, labels %v", sh.announced, announce, sh.announcedLabels)
+	// The root delivery is one broadcast every worker receives (Fig 3-3)
+	// or a run per owner that adds up to the roots (Fig 3-2).
+	if opts.RouteRoots {
+		if sh.broadcast || sh.rootMsgs != 16 {
+			t.Errorf("small cycle, routed: %d sends of %d roots (broadcast %v), want 16 roots", sh.rootSends, sh.rootMsgs, sh.broadcast)
+		}
+	} else if !sh.broadcast || sh.rootSends != 1 || sh.rootMsgs != 2 {
+		t.Errorf("small cycle: %d control sends of %d messages (broadcast %v), want one broadcast to 2 workers", sh.rootSends, sh.rootMsgs, sh.broadcast)
 	}
 	if st := rt.Stats(); st.InPlace != 1 || st.HandedOff != 0 {
 		t.Errorf("after the small cycle: InPlace = %d, HandedOff = %d", st.InPlace, st.HandedOff)
 	}
 
 	// Over it: 200 more of each class, 25 to a division — 400 root
-	// activations alone.
-	rt.Apply(burst(200))
-	sh = read()
-	if sh.heads != 1 {
-		t.Fatalf("in-place spans on the control track = %d, want 1", sh.heads)
+	// activations alone, of which the head performs inPlaceActs.
+	rt.Apply(pairBurst(200, &id))
+	sh = read(2)
+	if sh.cycles != 1 {
+		t.Fatalf("large cycle: %d cycle intervals on the control track, want 1", sh.cycles)
 	}
-	if got := label(sh.head, "handed-off"); got != "true" {
-		t.Errorf("large cycle: handed-off = %q, want true", got)
+	if sh.handles != 400 {
+		t.Errorf("large cycle: %d handles on the worker tracks, want 400", sh.handles)
 	}
-	if acts := count(sh.head, "acts"); acts != inPlaceActs || acts != sh.stepActs {
-		t.Errorf("large cycle: control span says %d acts, the steps' spans %d, budget %d", acts, sh.stepActs, inPlaceActs)
+	var turnMsgs, turnActs int32
+	for _, turn := range sh.turns {
+		turnMsgs += turn.end.Count
+		turnActs += turn.end.Depth
 	}
-	if sh.batches < 1 || sh.batchMsgs < 1 {
-		t.Errorf("large cycle: %d batch spans covering %d messages", sh.batches, sh.batchMsgs)
+	// The frontier is activations: no worker sees a cycle packet, and
+	// none sends.
+	if frontier := int32(400 - inPlaceActs); len(sh.turns) < 1 || turnMsgs != frontier || turnActs != frontier {
+		t.Errorf("large cycle: %d turns of %d messages and %d activations, want a frontier of %d",
+			len(sh.turns), turnMsgs, turnActs, frontier)
 	}
-	// The frontier is activations: no worker sees a cycle packet.
-	if sh.batchCycles != 0 || sh.batchActs != sh.batchMsgs {
-		t.Errorf("large cycle: batch spans count %d cycle packets and %d acts in %d messages",
-			sh.batchCycles, sh.batchActs, sh.batchMsgs)
+	if sh.workerSends != 0 {
+		t.Errorf("large cycle: %d worker sends", sh.workerSends)
 	}
-	if sh.quiesce != 1 {
-		t.Errorf("large cycle: quiesce spans = %d, want 1", sh.quiesce)
+	if len(sh.waits) != 1 {
+		t.Fatalf("large cycle: %d waits on the control track, want 1", len(sh.waits))
 	}
-	if sh.announced != 1 || label(sh.announcedLabels, "changes") != "400" {
-		t.Errorf("large cycle: %d %s instants, labels %v", sh.announced, announce, sh.announcedLabels)
+	if waves := sh.waits[0].end.Count; (waves > 0) != (opts.Detector == FourCounterDetector) {
+		t.Errorf("large cycle: wait took %d waves under detector %d", waves, opts.Detector)
 	}
 	if st := rt.Stats(); st.InPlace != 1 || st.HandedOff != 1 {
 		t.Errorf("after the large cycle: InPlace = %d, HandedOff = %d", st.InPlace, st.HandedOff)
 	}
-	if announce == "cycle-route" {
-		if roots := label(sh.announcedLabels, "roots"); roots == "" || roots == "0" {
-			t.Errorf("cycle-route roots label = %q, want > 0", roots)
-		}
-	}
 
 	var buf bytes.Buffer
-	if err := rec.WriteChromeTrace(&buf); err != nil {
+	if err := rt.FlightDump().WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"worker 0"`, `"worker 1"`, `"control"`, `"` + announce + `"`, `"in-place"`, `"batch"`, `"quiesce"`} {
+	for _, want := range []string{`"worker 0"`, `"worker 1"`, `"control"`, `"name":"cycle"`, `"name":"turn"`, `"name":"wait"`, `"name":"handle"`, `"ph":"s"`, `"ph":"f"`} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Errorf("chrome trace missing %s", want)
 		}
 	}
 }
 
-// TestRuntimeTimeline checks both shapes of a cycle's timeline under
+// TestRuntimeTimeline checks both shapes of a cycle's recording under
 // the broadcast root mode (Fig 3-3) and the four-counter detector.
 func TestRuntimeTimeline(t *testing.T) {
-	timelineShapes(t, Options{Detector: FourCounterDetector}, "cycle-broadcast")
+	timelineShapes(t, Options{Detector: FourCounterDetector})
 }
 
 // TestRuntimeTimelineRouted checks them under routed roots (Fig 3-2),
-// whose control-track instant also carries the root count.
+// whose control track carries one send per owner.
 func TestRuntimeTimelineRouted(t *testing.T) {
-	timelineShapes(t, Options{RouteRoots: true}, "cycle-route")
+	timelineShapes(t, Options{RouteRoots: true})
+}
+
+// TestMigrationInterval forces one migration and finds it on the control
+// track: one interval, after the cycle it follows, carrying the buckets
+// and the memory entries it moved.
+func TestMigrationInterval(t *testing.T) {
+	net, _ := compileProds(t, pairProd)
+	rt, err := New(net, Options{
+		Workers: 2, NBuckets: 64,
+		Causal: NewFlightRecorder(2, 0, 0, 64),
+		ForceMigrate: func(cycle int) sched.Partition {
+			if cycle != 1 {
+				return nil
+			}
+			p := make(sched.Partition, 64)
+			for b := range p {
+				p[b] = (b + 1) % 2
+			}
+			return p
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	id := 1
+	rt.Apply(pairBurst(8, &id))
+	rt.Apply(pairBurst(8, &id))
+
+	_, buckets, entries := rt.RebalanceStats()
+	if buckets != 64 || entries == 0 {
+		t.Fatalf("forced rotation moved %d buckets and %d entries", buckets, entries)
+	}
+	dump := rt.FlightDump()
+	evs := dump.Tracks[rt.controlTrack()].Events
+	migs := intervals(t, evs, obs.EvMigrateBegin, 1)
+	if len(migs) != 1 || len(intervals(t, evs, obs.EvMigrateBegin, 2)) != 0 {
+		t.Fatalf("migration intervals after cycle 1 = %d, want 1 (and none after cycle 2)", len(migs))
+	}
+	if end := migs[0].end; int64(end.Count) != buckets || int64(end.Depth) != entries {
+		t.Errorf("migration interval says %d buckets, %d entries; the driver moved %d, %d", end.Count, end.Depth, buckets, entries)
+	}
+	// The workers' extraction turns fall inside it.
+	for w := 0; w < 2; w++ {
+		for _, turn := range intervals(t, dump.Tracks[w].Events, obs.EvTurnBegin, 1) {
+			if turn.begin.TS < migs[0].begin.TS || turn.end.TS > migs[0].end.TS {
+				t.Errorf("worker %d turn [%d, %d] outside the migration [%d, %d]",
+					w, turn.begin.TS, turn.end.TS, migs[0].begin.TS, migs[0].end.TS)
+			}
+		}
+	}
 }

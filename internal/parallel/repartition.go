@@ -3,7 +3,6 @@ package parallel
 import (
 	"errors"
 	"fmt"
-	"strconv"
 
 	"mpcrete/internal/obs"
 	"mpcrete/internal/sched"
@@ -65,10 +64,6 @@ func (d *Driver) maybeRebalance(cycle int32) error {
 	if newPart == nil {
 		return nil
 	}
-	var t0 int64
-	if d.rec != nil {
-		t0 = d.Now()
-	}
 	stats, err := d.migrate(newPart)
 	if err != nil {
 		// The carrier was vetted at construction and the partition shape
@@ -83,11 +78,6 @@ func (d *Driver) maybeRebalance(cycle int32) error {
 	}
 	d.rebSeries.Append(float64(cycle), imbalance,
 		float64(stats.BucketsMoved), float64(stats.EntriesMoved), float64(stats.Messages))
-	if d.rec != nil {
-		d.rec.Span(d.controlTrack(), "migrate", t0, d.Now(),
-			obs.Label{Key: "buckets", Value: strconv.Itoa(stats.BucketsMoved)},
-			obs.Label{Key: "entries", Value: strconv.Itoa(stats.EntriesMoved)})
-	}
 	return nil
 }
 
@@ -118,6 +108,7 @@ func (d *Driver) migrate(newPart sched.Partition) (MigrationStats, error) {
 	}
 
 	entries0, msgs0 := d.entriesMoved.Load(), d.migMsgs.Load()
+	d.ctlTrack.Mark(obs.EvMigrateBegin, d.clock(), d.curCycle.Load(), 0, 0)
 	if err := d.carrier.Migrate(newPart, perWorker); err != nil {
 		return MigrationStats{}, err
 	}
@@ -127,6 +118,7 @@ func (d *Driver) migrate(newPart sched.Partition) (MigrationStats, error) {
 	}
 	stats.EntriesMoved = int(d.entriesMoved.Load() - entries0)
 	stats.Messages = int(d.migMsgs.Load() - msgs0)
+	d.ctlTrack.Mark(obs.EvMigrateEnd, d.clock(), d.curCycle.Load(), int32(stats.BucketsMoved), int32(stats.EntriesMoved))
 	d.opts.Partition = newPart
 	d.migrations.Add(1)
 	d.bucketsMoved.Add(int64(stats.BucketsMoved))

@@ -42,7 +42,6 @@ package parallel
 import (
 	"fmt"
 	"runtime"
-	"strconv"
 	"sync"
 
 	"mpcrete/internal/obs"
@@ -98,15 +97,6 @@ type Options struct {
 	// the control goroutine; the netted instantiation output is
 	// identical either way.
 	RouteRoots bool
-	// Recorder, when non-nil, receives a wall-clock timeline of the
-	// run: one span per drained mailbox batch on each worker (labelled
-	// with per-kind message counts, so -timeline no longer pays one
-	// span per message) and a quiescence-wait span (with the
-	// termination-detection wave count) on the control track. A cycle's
-	// in-place head is one "in-place" span on the control track
-	// (labelled acts and handed-off) and one per step drain on that
-	// step's worker track. Timestamps are nanoseconds since New.
-	Recorder *obs.Recorder
 	// ChaosSeed, when non-zero, enables the chaos scheduling layer
 	// (see chaos.go): workers randomly reorder drained activation runs
 	// (preserving per-bucket FIFO order, the only ordering the match
@@ -128,11 +118,13 @@ type Options struct {
 	// implementation used to validate wire framing against this
 	// reference in-process.
 	Transport Transport
-	// Causal, when non-nil, attaches the flight recorder: every worker
-	// records sequence-stamped send/recv/handle/flush events (with
-	// bucket, cycle, batch id, and dependency depth) into its own
-	// lock-free bounded ring, and the control track brackets cycles and
-	// commits per-cycle aggregates. The recorder must have exactly
+	// Causal, when non-nil, attaches the flight recorder, the one
+	// recorder of a live run: every worker records sequence-stamped
+	// send/recv/handle/flush events (with bucket, cycle, batch id, and
+	// dependency depth) and the begin and end of each turn into its own
+	// lock-free bounded ring, and the control track brackets cycles,
+	// quiescence waits and migrations and commits per-cycle aggregates.
+	// Timestamps are nanoseconds since New. The recorder must have exactly
 	// Workers+1 tracks (workers first, control last) — build it with
 	// NewFlightRecorder. Nil (the default) keeps the hot path at one
 	// nil check per event and zero allocations.
@@ -194,7 +186,6 @@ const (
 	MsgAct
 	MsgMigrateOut
 	MsgMigrateIn
-	numMsgKinds
 )
 
 // Runtime is the goroutine carrier of the mapping: a cycle driver
@@ -223,12 +214,6 @@ type worker struct {
 	// across turns (donated back to the endpoint on the next drain).
 	batch    []Message
 	stampBuf []RecvStamp
-
-	// ctrack is the worker's causal event ring (nil when the flight
-	// recorder is off); turnCycle is the cycle number stamped on the
-	// turn's send and flush events.
-	ctrack    *obs.TrackRecorder
-	turnCycle int32
 
 	// chaos is the worker's scheduling perturbator (nil unless
 	// Options.ChaosSeed is set).
@@ -275,11 +260,10 @@ func New(net *rete.Network, opts Options) (*Runtime, error) {
 	var boxes []*mailbox
 	for i := 0; i < opts.Workers; i++ {
 		w := &worker{
-			id:     i,
-			rt:     rt,
-			step:   NewStep(net, i, opts.Workers, opts.Partition, d.balancer != nil, d.causal.Track(i)),
-			inbox:  eps[i],
-			ctrack: d.causal.Track(i),
+			id:    i,
+			rt:    rt,
+			step:  NewStep(net, i, opts.Workers, opts.Partition, d.balancer != nil, d.causal.Track(i)),
+			inbox: eps[i],
 		}
 		if opts.ChaosSeed != 0 {
 			w.chaos = newChaos(opts.ChaosSeed, i)
@@ -370,44 +354,24 @@ func (w *worker) loop() {
 		if !ok {
 			return
 		}
+		track := w.step.ctrack
 		var t0 int64
-		if rt.rec != nil || w.ctrack != nil {
-			t0 = rt.Now()
-		}
-		if w.ctrack != nil {
-			w.turnCycle = rt.curCycle.Load()
+		var cycle int32
+		if track != nil {
+			t0, cycle = rt.Now(), rt.curCycle.Load()
+			track.Mark(obs.EvTurnBegin, t0, cycle, 0, 0)
 			for _, s := range stamps {
-				w.ctrack.Recv(t0, w.turnCycle, s.Batch, s.Src, s.Count)
+				track.Recv(t0, cycle, s.Batch, s.Src, s.Count)
 			}
 		}
 		w.stampBuf = stamps // donate the stamp buffer back next drain
-		w.step.BeginTurn(t0, w.turnCycle)
+		w.step.BeginTurn(t0, cycle)
 		w.step.Handle(w.batch)
 		w.flush()
-		n := len(w.batch)
-		if rt.rec != nil {
-			var kinds [numMsgKinds]int
-			for i := range w.batch {
-				kinds[w.batch[i].Kind]++
-			}
-			rt.rec.Span(w.id, "batch", t0, rt.Now(), batchLabels(n, &kinds)...)
-		}
-		rt.TurnDone(w.id, n, w.step.EndTurn())
+		n, turn := len(w.batch), w.step.EndTurn()
+		track.Mark(obs.EvTurnEnd, rt.clock(), cycle, int32(n), int32(turn.Handled))
+		rt.TurnDone(w.id, n, turn)
 	}
-}
-
-// batchLabels annotates a drained-batch span with its total and
-// per-kind message counts.
-func batchLabels(n int, kinds *[numMsgKinds]int) []obs.Label {
-	labels := make([]obs.Label, 0, 1+int(numMsgKinds))
-	labels = append(labels, obs.Label{Key: "msgs", Value: strconv.Itoa(n)})
-	names := [numMsgKinds]string{"cycles", "acts", "migrates-out", "migrates-in"}
-	for k, c := range kinds {
-		if c > 0 {
-			labels = append(labels, obs.Label{Key: names[k], Value: strconv.Itoa(c)})
-		}
-	}
-	return labels
 }
 
 // flush ships what the turn left behind: the whole flush is registered
@@ -419,20 +383,17 @@ func (w *worker) flush() {
 		rt.Sending(w.id, s.Pending)
 		total := s.Pending
 		s.Pending = 0
-		var ts int64
-		if w.ctrack != nil {
-			ts = rt.Now()
-		}
+		ts := rt.clock()
 		for dst, buf := range s.Out {
 			if len(buf) == 0 {
 				continue
 			}
 			batch := rt.causal.NextBatch()
-			w.ctrack.Send(ts, w.turnCycle, batch, int32(dst), int32(len(buf)))
+			s.ctrack.Send(ts, s.turnCycle, batch, int32(dst), int32(len(buf)))
 			rt.workers[dst].inbox.PushBatch(buf, batch, int32(w.id))
 			s.Out[dst] = buf[:0]
 		}
-		w.ctrack.Flush(ts, w.turnCycle, int32(total))
+		s.ctrack.Flush(ts, s.turnCycle, int32(total))
 	}
 	for _, mv := range s.Moved {
 		rt.Shipping(w.id, mv.Contents.Entries())

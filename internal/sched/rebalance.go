@@ -26,9 +26,6 @@ type Rebalance struct {
 	// Values < 1 are treated as 1 (a migration every cycle boundary is
 	// allowed).
 	MinInterval int
-	// MaxMoves caps how many buckets one rebalance may migrate,
-	// hottest first. 0 means unlimited.
-	MaxMoves int
 }
 
 // Enabled reports whether the configuration turns rebalancing on.
@@ -167,9 +164,6 @@ func (bl *Balancer) replan() bool {
 		return false
 	}
 	cand := bl.plan()
-	if bl.reb.MaxMoves > 0 {
-		bl.trim(cand)
-	}
 	if cur-bl.imbalanceOf(cand) <= bl.reb.Hysteresis {
 		return false
 	}
@@ -215,24 +209,6 @@ func (bl *Balancer) plan() Partition {
 		per[best] += h.l
 	}
 	return cand
-}
-
-// trim reverts all but the MaxMoves hottest moves in cand back to
-// their current owner (in place).
-func (bl *Balancer) trim(cand Partition) {
-	moved := PartitionMoves(bl.part, cand)
-	if len(moved) <= bl.reb.MaxMoves {
-		return
-	}
-	sort.Slice(moved, func(i, j int) bool {
-		if bl.load[moved[i]] != bl.load[moved[j]] {
-			return bl.load[moved[i]] > bl.load[moved[j]]
-		}
-		return moved[i] < moved[j]
-	})
-	for _, b := range moved[bl.reb.MaxMoves:] {
-		cand[b] = bl.part[b]
-	}
 }
 
 // AdaptiveStrategy is the online rebalancing policy as a sweep-able

@@ -68,21 +68,6 @@ func TestBalancerRespectsMinInterval(t *testing.T) {
 	}
 }
 
-func TestBalancerMaxMoves(t *testing.T) {
-	init := make(Partition, 8) // everything on worker 0
-	bl := NewBalancer(Rebalance{Threshold: 1.01, MinInterval: 1, MaxMoves: 1}, init, 4)
-	for b := 0; b < 8; b++ {
-		bl.Observe(b, int64(10+b))
-	}
-	part, ok := bl.EndCycle()
-	if !ok {
-		t.Fatal("no migration despite maximal skew")
-	}
-	if moves := PartitionMoves(init, part); len(moves) != 1 {
-		t.Errorf("MaxMoves=1 migrated %d buckets: %v", len(moves), moves)
-	}
-}
-
 func TestBalancerIdleNeverMigrates(t *testing.T) {
 	bl := NewBalancer(Rebalance{Threshold: 1.1, MinInterval: 1}, RoundRobin(16, 4), 4)
 	for cycle := 0; cycle < 10; cycle++ {

@@ -53,11 +53,8 @@ type Spec struct {
 	// Config.Rebalance (the online adaptive policy), any other
 	// strategy through Config.Partition.
 	Strategies []sched.Strategy
-	// Variants are ablation toggles applied after Configure.
+	// Variants are ablation toggles.
 	Variants []Variant
-	// Configure, when non-nil, mutates every point's base config
-	// before the variant's mutation.
-	Configure func(*core.Config)
 	// Baseline also runs each point's one-processor zero-overhead
 	// baseline (core.Baseline) and reports the speedup ratio; the
 	// baseline runs are memoized like any other point, so the shared
@@ -166,9 +163,6 @@ func (s Spec) Expand() ([]Point, error) {
 				for _, st := range strategies {
 					for _, p := range s.Procs {
 						cfg := core.NewConfig(p, core.WithOverhead(ov))
-						if s.Configure != nil {
-							s.Configure(&cfg)
-						}
 						if v.Mutate != nil {
 							v.Mutate(&cfg)
 						}

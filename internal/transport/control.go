@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mpcrete/internal/obs"
@@ -43,9 +44,12 @@ type ControlOptions struct {
 	ForceMigrate func(cycle int) sched.Partition
 	// Causal, when non-nil, attaches a flight recorder with Workers+1
 	// tracks (workers first, control last; build it with
-	// parallel.NewFlightRecorder). Worker-process handle aggregates are
-	// merged into their tracks per turn; send/recv events are recorded
-	// control-side from the relay traffic and echoed stamps.
+	// parallel.NewFlightRecorder). It holds what the control can see:
+	// worker-process handle aggregates are merged into their tracks per
+	// turn; send/recv events are recorded control-side from the relay
+	// traffic and echoed stamps; a worker's turn runs from the oldest
+	// delivery written to it and not yet answered to its turn frame's
+	// arrival.
 	Causal *obs.CausalRecorder
 	// HandshakeTimeout bounds WaitWorkers (default 30s).
 	HandshakeTimeout time.Duration
@@ -89,6 +93,10 @@ type ctlConn struct {
 	// the worker's mirror sees definitions in the order they were made.
 	mu  sync.Mutex
 	enc enc
+
+	// busySince is when the oldest delivery no turn frame has answered
+	// yet was written, on the driver's clock (0: none, or no recorder).
+	busySince atomic.Int64
 }
 
 // write encodes one frame with fill and writes it, under the conn's
@@ -205,8 +213,12 @@ func (c *Control) handshake(cc *ctlConn) error {
 	return nil
 }
 
-// send writes one driver delivery to a worker.
+// send writes a worker one frame that a turn frame will answer: a
+// delivery of the driver's, or another worker's relay forwarded.
 func (c *Control) send(cc *ctlConn, ft frameType, fill func(*enc)) error {
+	if c.opts.Causal != nil {
+		cc.busySince.CompareAndSwap(0, c.Now())
+	}
 	if err := cc.write(ft, fill); err != nil {
 		err = fmt.Errorf("transport: %s frame to worker %d: %w", ft, cc.id, err)
 		c.Fail(err) // the message was registered and is lost
@@ -277,6 +289,7 @@ func (c *Control) readLoop(cc *ctlConn) {
 
 func (c *Control) read(cc *ctlConn) error {
 	track := c.opts.Causal.Track(cc.id)
+	var lastEnd int64 // the previous turn frame's arrival
 	d := &cc.dec
 	// A relay is re-encoded before the next frame is read and nothing of
 	// it is kept, so every relay's tokens are carved from the same slabs.
@@ -313,12 +326,12 @@ func (c *Control) read(cc *ctlConn) error {
 			c.Sending(cc.id, len(acts))
 			batch := c.opts.Causal.NextBatch()
 			track.Send(c.Now(), c.CurrentCycle(), batch, dst, int32(len(acts)))
-			if err := c.conns[dst].write(ftActs, func(e *enc) {
+			if err := c.send(c.conns[dst], ftActs, func(e *enc) {
 				e.I32(batch)
 				e.I32(int32(cc.id))
 				e.actList(acts)
 			}); err != nil {
-				return fmt.Errorf("transport: forwarding to worker %d: %w", dst, err)
+				return err
 			}
 		case ftBucketRelay:
 			// A migrated bucket in flight: registered like a relay, then
@@ -333,18 +346,23 @@ func (c *Control) read(cc *ctlConn) error {
 				return d.Err
 			}
 			c.Shipping(cc.id, entries)
-			if err := c.conns[dst].write(ftBucket, func(e *enc) { e.Raw(d.B) }); err != nil {
-				return fmt.Errorf("transport: forwarding bucket to worker %d: %w", dst, err)
+			if err := c.send(c.conns[dst], ftBucket, func(e *enc) { e.Raw(d.B) }); err != nil {
+				return err
 			}
 		case ftTurn:
 			if err := d.turn(c.network, &tf); err != nil {
 				return err
 			}
 			ts, cycle := c.Now(), c.CurrentCycle()
+			// A delivery written while the last turn ran found the worker
+			// busy already: its turn begins where that one ended.
+			track.Mark(obs.EvTurnBegin, max(cc.busySince.Swap(0), lastEnd), cycle, 0, 0)
+			lastEnd = ts
 			for _, s := range tf.stamps {
 				track.Recv(ts, cycle, s.Batch, s.Src, s.Count)
 			}
 			track.MergeRemote(tf.turn.Handled, tf.flushes, tf.turn.MaxDepth)
+			track.Mark(obs.EvTurnEnd, ts, cycle, int32(tf.n), int32(tf.turn.Handled))
 			// Everything the turn sent arrived earlier on this stream and
 			// is registered; now its own messages can be deregistered.
 			c.TurnDone(cc.id, tf.n, &tf.turn)

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mpcrete/internal/obs"
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
@@ -104,6 +105,36 @@ func TestControlParity(t *testing.T) {
 				}
 				if processed == 0 {
 					t.Fatal("no worker-side activations reported through turn aggregates")
+				}
+
+				// A worker's turn as the control sees it: from a delivery
+				// written to the turn frame that answers it, back to back,
+				// the activations adding up to the workers' own count.
+				var turnActs int64
+				for w, tr := range dump.Tracks[:workers] {
+					var begin *obs.CausalEvent
+					var lastEnd int64
+					for i, ev := range tr.Events {
+						switch ev.Kind {
+						case obs.EvTurnBegin:
+							if begin != nil || ev.TS < lastEnd || ev.TS <= 0 {
+								t.Fatalf("worker %d: turn begins at %d; last turn ended at %d, open turn %v", w, ev.TS, lastEnd, begin)
+							}
+							begin = &tr.Events[i]
+						case obs.EvTurnEnd:
+							if begin == nil || ev.TS < begin.TS || ev.Count < 1 {
+								t.Fatalf("worker %d: turn end %+v after begin %v", w, ev, begin)
+							}
+							begin, lastEnd = nil, ev.TS
+							turnActs += int64(ev.Depth)
+						}
+					}
+					if begin != nil || lastEnd == 0 {
+						t.Fatalf("worker %d: turn left open (%v) or no turn at all", w, begin)
+					}
+				}
+				if turnActs != processed {
+					t.Fatalf("turn intervals carry %d activations, Stats %d", turnActs, processed)
 				}
 
 				if err := ctl.Close(); err != nil {

@@ -41,6 +41,32 @@ var allowedUncalled = map[string]string{
 
 	// The paper's own method, carried by a pinned format.
 	"InsertDummies": "rete: §5.2.1 method 2; RETENET3 encodes the node kind it creates",
+
+	// Called by the standard library through an interface.
+	"MarshalText":   "obs: encoding/json calls it on every event of a flight dump, so a kind travels by name",
+	"UnmarshalText": "obs: encoding/json calls it when a flight dump is read back",
+}
+
+// eachSourceFile parses every non-test Go file under internal/, cmd/,
+// examples/ and benchmark/ and hands it to visit with the root it is under.
+func eachSourceFile(t *testing.T, visit func(root, path string, fset *token.FileSet, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd", "examples", "benchmark"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err == nil {
+				visit(root, path, fset, f)
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // TestExportedNamesHaveCallers is ROADMAP's "no caller, no code" as a
@@ -52,39 +78,25 @@ var allowedUncalled = map[string]string{
 func TestExportedNamesHaveCallers(t *testing.T) {
 	declared := map[string][]string{} // name -> declaring positions
 	named := map[string]bool{}
-	fset := token.NewFileSet()
-	for _, root := range []string{"internal", "cmd", "examples", "benchmark"} {
-		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
-			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-				return err
+	eachSourceFile(t, func(root, path string, fset *token.FileSet, f *ast.File) {
+		own := map[*ast.Ident]bool{}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok {
+				continue
 			}
-			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-			if err != nil {
-				return err
+			own[fn.Name] = true
+			if root == "internal" && fn.Name.IsExported() {
+				declared[fn.Name.Name] = append(declared[fn.Name.Name], fset.Position(fn.Pos()).String())
 			}
-			own := map[*ast.Ident]bool{}
-			for _, decl := range f.Decls {
-				fn, ok := decl.(*ast.FuncDecl)
-				if !ok {
-					continue
-				}
-				own[fn.Name] = true
-				if root == "internal" && fn.Name.IsExported() {
-					declared[fn.Name.Name] = append(declared[fn.Name.Name], fset.Position(fn.Pos()).String())
-				}
-			}
-			ast.Inspect(f, func(n ast.Node) bool {
-				if id, ok := n.(*ast.Ident); ok && !own[id] {
-					named[id.Name] = true
-				}
-				return true
-			})
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
-	}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && !own[id] {
+				named[id.Name] = true
+			}
+			return true
+		})
+	})
 
 	var dead []string
 	for name, at := range declared {
@@ -107,5 +119,110 @@ func TestExportedNamesHaveCallers(t *testing.T) {
 	}
 	if len(allowedUncalled) > 20 {
 		t.Errorf("allowedUncalled has %d entries; the limit is 20", len(allowedUncalled))
+	}
+}
+
+// allowedUnset lists the exported option fields no non-test file outside
+// their declaring file sets, each with the reason it stays.
+// TestOptionFieldsHaveSetters fails when a field here gains a setter.
+var allowedUnset = map[string]string{
+	"core.Config.Contention":       "core: link contention; only TestNetworkNotBottleneckUnderContention, the §5.1 bandwidth check, turns it on",
+	"difftest.CheckOptions.Budget": "difftest: the conflict-set cap that ends a runaway generated program; tests tighten the default to stay fast",
+
+	// difftest.GenConfig: cmd/difftest sets the three shape flags; the
+	// rest are driven by the fuzzer's bytes through ConfigFromBytes, in
+	// the declaring file.
+	"difftest.GenConfig.MaxCEs":       "difftest: fuzzer byte 1",
+	"difftest.GenConfig.Classes":      "difftest: fuzzer byte 2",
+	"difftest.GenConfig.Attrs":        "difftest: fuzzer byte 3",
+	"difftest.GenConfig.Values":       "difftest: fuzzer byte 4",
+	"difftest.GenConfig.PredProb":     "difftest: fuzzer byte 7",
+	"difftest.GenConfig.MakeWeight":   "difftest: fuzzer byte 8",
+	"difftest.GenConfig.RemoveWeight": "difftest: fuzzer byte 9",
+	"difftest.GenConfig.ModifyWeight": "difftest: fuzzer byte 10",
+	"difftest.GenConfig.MaxActions":   "difftest: fuzzer byte 11",
+	"difftest.GenConfig.HaltProb":     "difftest: always its default, 0.05; no fuzzer byte drives it",
+	"difftest.GenConfig.InitialWMEs":  "difftest: fuzzer byte 12",
+}
+
+// TestOptionFieldsHaveSetters is "no setter, no knob": every exported
+// field of an exported struct under internal/ whose name ends in Options,
+// Config or Spec must be set — a composite-literal key, or the selector
+// on the left of an assignment — by some non-test file under internal/,
+// cmd/, examples/ or benchmark/ other than the one that declares it, or
+// be on allowedUnset. By name, like TestExportedNamesHaveCallers.
+func TestOptionFieldsHaveSetters(t *testing.T) {
+	type field struct{ name, file, at string } // name is package.Struct.Field
+	var fields []field
+	setIn := map[string]map[string]bool{} // field name -> files that set it
+	set := func(e ast.Expr, file string) {
+		var id *ast.Ident
+		switch e := e.(type) {
+		case *ast.Ident:
+			id = e
+		case *ast.SelectorExpr:
+			id = e.Sel
+		default:
+			return
+		}
+		if setIn[id.Name] == nil {
+			setIn[id.Name] = map[string]bool{}
+		}
+		setIn[id.Name][file] = true
+	}
+	eachSourceFile(t, func(root, path string, fset *token.FileSet, f *ast.File) {
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				name := n.Name.Name
+				if !ok || root != "internal" || !n.Name.IsExported() ||
+					!(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Spec")) {
+					break
+				}
+				for _, fl := range st.Fields.List {
+					for _, id := range fl.Names {
+						if id.IsExported() {
+							fields = append(fields, field{f.Name.Name + "." + name + "." + id.Name, path, fset.Position(id.Pos()).String()})
+						}
+					}
+				}
+			case *ast.CompositeLit:
+				for _, el := range n.Elts {
+					if kv, ok := el.(*ast.KeyValueExpr); ok {
+						set(kv.Key, path)
+					}
+				}
+			case *ast.AssignStmt:
+				for _, lhs := range n.Lhs {
+					if _, ok := lhs.(*ast.SelectorExpr); ok {
+						set(lhs, path)
+					}
+				}
+			}
+			return true
+		})
+	})
+
+	declared := map[string]bool{}
+	for _, f := range fields {
+		declared[f.name] = true
+		setters := setIn[f.name[strings.LastIndexByte(f.name, '.')+1:]]
+		hasSetter := len(setters) > 1 || len(setters) == 1 && !setters[f.file]
+		_, allowed := allowedUnset[f.name]
+		switch {
+		case !hasSetter && !allowed:
+			t.Errorf("exported option field set by no command, example, benchmark or other file: %s (%s)", f.name, f.at)
+		case hasSetter && allowed:
+			t.Errorf("%s has a setter now: take it off allowedUnset", f.name)
+		}
+	}
+	for name := range allowedUnset {
+		if !declared[name] {
+			t.Errorf("%s is on allowedUnset and declared nowhere under internal/", name)
+		}
+	}
+	if len(allowedUnset) > 13 {
+		t.Errorf("allowedUnset has %d entries; the limit is 13", len(allowedUnset))
 	}
 }

@@ -42,12 +42,12 @@ type GenConfig struct {
 	MakeWeight, RemoveWeight, ModifyWeight int
 	// MaxActions bounds RHS actions per production (default 2).
 	MaxActions int
-	// HaltProb is the probability a production ends with halt
-	// (default 0.05).
-	HaltProb float64
 	// InitialWMEs is the size of the random initial store (default 10).
 	InitialWMEs int
 }
+
+// haltProb is the probability a production ends with halt.
+const haltProb = 0.05
 
 func (cfg GenConfig) withDefaults() GenConfig {
 	def := func(v *int, d int) {
@@ -73,9 +73,6 @@ func (cfg GenConfig) withDefaults() GenConfig {
 	}
 	if cfg.PredProb == 0 {
 		cfg.PredProb = 0.15
-	}
-	if cfg.HaltProb == 0 {
-		cfg.HaltProb = 0.05
 	}
 	return cfg
 }
@@ -326,7 +323,7 @@ func (g *generator) rhs(p *ops5.Production, bound []boundVar) {
 			p.RHS = append(p.RHS, a)
 		}
 	}
-	if g.rng.Float64() < g.cfg.HaltProb {
+	if g.rng.Float64() < haltProb {
 		p.RHS = append(p.RHS, ops5.Action{Kind: ops5.ActHalt})
 	}
 }

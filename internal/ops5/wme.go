@@ -150,10 +150,25 @@ type WME struct {
 	extra  []Attr
 }
 
-// The two embedded-array sizes that make a wme and its slots one
-// allocation. OPS5 classes are narrow (the bundled workloads' widest
-// has four attributes); wider ones pay a second allocation.
+// The embedded-array sizes that make a wme and its slots one
+// allocation, one per row width a class has: OPS5 classes are narrow
+// (the bundled workloads' widest has four attributes), and a row as
+// wide as its class takes the 128-, 160-, 192- or 224-byte size class
+// instead of always the last. Wider than eight slots, the slots are a
+// second allocation.
 type (
+	wme1 struct {
+		WME
+		a [1]Value
+	}
+	wme2 struct {
+		WME
+		a [2]Value
+	}
+	wme3 struct {
+		WME
+		a [3]Value
+	}
 	wme4 struct {
 		WME
 		a [4]Value
@@ -169,9 +184,21 @@ func newSlotted(n int) *WME {
 	switch {
 	case n == 0:
 		return new(WME)
-	case n <= 4:
+	case n == 1:
+		x := new(wme1)
+		x.slots = x.a[:]
+		return &x.WME
+	case n == 2:
+		x := new(wme2)
+		x.slots = x.a[:]
+		return &x.WME
+	case n == 3:
+		x := new(wme3)
+		x.slots = x.a[:]
+		return &x.WME
+	case n == 4:
 		x := new(wme4)
-		x.slots = x.a[:n:n]
+		x.slots = x.a[:]
 		return &x.WME
 	case n <= 8:
 		x := new(wme8)

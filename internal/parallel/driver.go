@@ -406,9 +406,9 @@ func (d *Driver) inPlaceHead(changes []rete.Change, budget int) (handedOff bool)
 	t0 := d.clock()
 	cycle := d.curCycle.Load()
 	ctl := int32(d.controlTrack())
-	// The previous cycle quiesced, so every delete token it made has
-	// been performed and its deltas built: the arenas they came from
-	// start over. Only here: a goroutine worker cannot tell where a cycle
+	// The previous cycle quiesced, so every phase token it made has
+	// been performed or built into a delta, and its deltas absorbed: the
+	// arenas they came from start over. Only here: a goroutine worker cannot tell where a cycle
 	// begins, and rewinding per turn would recycle tokens that are still
 	// queued or in flight.
 	if d.rootProc != nil {

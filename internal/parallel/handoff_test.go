@@ -454,7 +454,7 @@ func TestNetHandsOnAnAddsArray(t *testing.T) {
 				procs[i].BeginPhase() // an owner that rewinds: the in-place head, a socket worker
 				var acts []rete.Activation
 				for _, tag := range tags {
-					acts = append(acts, rete.Activation{Node: term, Side: rete.Left, Tag: tag, Token: &rete.Token{WMEs: []*ops5.WME{wa, wb}}})
+					acts = append(acts, rete.Activation{Node: term, Side: rete.Left, Tag: tag, Token: rete.Token{WMEs: []*ops5.WME{wa, wb}}})
 				}
 				raw = append(raw, builders[i].Build(procs[i], acts, nil)...)
 			}

@@ -456,9 +456,10 @@ func TestSteadyStateAllocs(t *testing.T) {
 	})
 	// 16 token-bearing activations cross the message plane per
 	// iteration; per-message or per-token allocation would show up as
-	// avg >= 16. The arenas amortize token chunks to fractions (these
-	// workers never rewind their delete arenas: 16 tokens of a 256-token
-	// chunk a pair), and AllocsPerRun rounds down: it reads 0.
+	// avg >= 16. The arenas amortize their reference chunks to fractions
+	// (these workers never rewind their phase arenas: a few dozen of a
+	// chunk's 1,024 references a pair), and AllocsPerRun rounds down: it
+	// reads 0.
 	if avg > 1 {
 		t.Errorf("steady-state cycle pair allocates %.1f times, want <= 1", avg)
 	}

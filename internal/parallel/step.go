@@ -127,8 +127,9 @@ func NewStep(net *rete.Network, id, workers int, part sched.Partition, trackLoad
 // orders it against every activation routed under the old assignment.
 func (s *Step) SetPartition(part sched.Partition) { s.part = part }
 
-// BeginPhase declares every delete token the step's processor has made
-// so far dead, and every array it lent a Delete delta read for the last
+// BeginPhase declares every phase token the step's processor has made
+// so far dead — its delete tokens and the tokens only production nodes
+// received — and every array it lent a Delete delta read for the last
 // time, so that their arena is rewound and carved again
 // (rete.Processor.BeginPhase). It is the carrier's call, made only where
 // the carrier can show it: the cycle driver at the top of a cycle it

@@ -6,52 +6,46 @@ import (
 	"mpcrete/internal/ops5"
 )
 
-// Arena chunk sizes. Tokens are small (one slice header), so a chunk
-// amortizes the per-token allocation to ~1/256; wme-pointer backing is
-// carved from larger blocks because token widths vary.
-const (
-	tokenChunkLen  = 256
-	wmeRefChunkLen = 1024
-)
+// wmeRefChunkLen is the length of an arena's ordinary chunk: a token's
+// run of wme references is carved from one, and a token is nothing
+// else, so a chunk amortizes the allocation of ~300 tokens.
+const wmeRefChunkLen = 1024
 
-// tokenArena amortizes Token and wme-slice allocation for a single
-// Processor: it hands out pointers into chunk-allocated blocks, and
-// when a block is exhausted it takes a fresh one and drops its own
+// tokenArena amortizes token allocation for a single Processor: it
+// hands out runs of wme references carved from chunk-allocated blocks,
+// and when a block is exhausted it takes a fresh one and drops its own
 // reference to the old, whose lifetime is from then on the lifetime of
 // the tokens carved from it. A match cycle therefore costs
-// O(tokens/chunk) allocations instead of two per token (the Token and
-// its WMEs backing array).
+// O(references/chunk) allocations instead of one per token.
 //
-// A Processor owns two. Tokens made under an Add activation may be
-// stored in a left memory and live as long as the wmes they cover;
-// their arena is rewound only by Processor.Reset, with the memories.
-// Tokens made under a Delete activation are never stored — they exist
-// to find the entries they remove and to carry the delete downstream —
-// and a Delete delta's WMEs array (InstBuilder.Build lends it from the
-// same arena) is read by whoever absorbs the phase's result and by
-// nobody after. So everything the delete arena hands out is dead once
-// the phase's result has been absorbed, and an owner that can show that
-// much calls Processor.BeginPhase to rewind it.
+// A Processor owns two. Tokens that a memory may store live as long as
+// the wmes they cover; their arena is rewound only by Processor.Reset,
+// with the memories. The other, the phase arena, holds what is read
+// within the phase that made it and never stored: tokens made under a
+// Delete activation — they exist to find the entries they remove and to
+// carry the delete downstream — tokens that only production nodes
+// receive, which InstBuilder.Build reads once and copies out of, and a
+// Delete delta's WMEs array, which Build lends and whoever absorbs the
+// phase's result reads and nobody after. So everything the phase arena
+// hands out is dead once the phase's result has been absorbed, and an
+// owner that can show that much calls Processor.BeginPhase to rewind it.
 //
 // An arena that has been rewound keeps the chunks it fills instead of
 // dropping them, and the next rewind puts them back up for carving: it
-// holds the storage of its largest phase and steady-state deletes
+// holds the storage of its largest phase and steady-state phases
 // allocate nothing, however wide. An arena that is never rewound keeps
-// nothing but its current chunks.
+// nothing but its current chunk.
 //
 // The arenas are single-owner, like the Processor that embeds them: the
 // sequential Matcher and each parallel worker own a pair apiece.
 type tokenArena struct {
-	tokens []Token     // the current token chunk; tokens[:nTok] are handed out
-	wmes   []*ops5.WME // the current backing chunk; wmes[:nWme] are handed out
-	nTok   int
-	nWme   int
+	wmes []*ops5.WME // the current chunk; wmes[:nWme] are handed out
+	nWme int
 
 	// keeps is set by the first rewind. From then on a chunk that fills
-	// goes on the full lists, and rewind moves those to the spare lists,
+	// goes on the full list, and rewind moves those to the spare list,
 	// which grow draws on before it allocates.
 	keeps               bool
-	fullTok, spareTok   [][]Token
 	fullWMEs, spareWMEs [][]*ops5.WME
 }
 
@@ -78,43 +72,36 @@ func PoisonRewinds() (restore func()) {
 	return func() { poisonRewind = false }
 }
 
-// scrub clears (or poisons) what was handed out of one chunk pair, so
-// that recycled storage pins no wme.
-func scrub(tokens []Token, wmes []*ops5.WME) {
+// scrub clears (or poisons) what was handed out of one chunk, so that
+// recycled storage pins no wme.
+func scrub(wmes []*ops5.WME) {
 	if poisonRewind {
 		for i := range wmes {
 			wmes[i] = poisonWME
 		}
 		return
 	}
-	clear(tokens)
 	clear(wmes)
 }
 
 // rewind takes back everything carved since the last rewind: it is
 // cleared, so that recycled tokens pin no wme, and carved again. A
-// phase that stayed inside its chunks starts over at their heads; one
-// that filled chunks gets them back as spares. The caller vouches that
+// phase that stayed inside its chunk starts over at its head; one that
+// filled chunks gets them back as spares. The caller vouches that
 // nothing this arena handed out is still in use.
 func (ar *tokenArena) rewind() {
 	ar.keeps = true
-	scrub(ar.tokens[:ar.nTok], ar.wmes[:ar.nWme])
-	ar.nTok, ar.nWme = 0, 0
-	for i, c := range ar.fullTok {
-		scrub(c, nil)
-		ar.spareTok = append(ar.spareTok, c)
-		ar.fullTok[i] = nil
-	}
-	ar.fullTok = ar.fullTok[:0]
+	scrub(ar.wmes[:ar.nWme])
+	ar.nWme = 0
 	if len(ar.fullWMEs) == 0 && len(ar.wmes) <= wmeRefChunkLen {
 		return
 	}
-	// The phase filled backing chunks, or ended on the oversized one a
-	// lent delta array asked for: they all go back, the current one
-	// included, so that the next phase's tokens fill ordinary chunks and
-	// its oversized request finds that chunk whole.
+	// The phase filled chunks, or ended on the oversized one a lent delta
+	// array asked for: they all go back, the current one included, so
+	// that the next phase's tokens fill ordinary chunks and its oversized
+	// request finds that chunk whole.
 	for i, c := range ar.fullWMEs {
-		scrub(nil, c)
+		scrub(c)
 		ar.spareWMEs = append(ar.spareWMEs, c)
 		ar.fullWMEs[i] = nil
 	}
@@ -124,26 +111,12 @@ func (ar *tokenArena) rewind() {
 }
 
 // reset is rewind for an arena whose owner starts over
-// (Processor.Reset): at most one ordinary chunk of each kind survives,
-// so a pooled session inherits neither a wide phase's storage nor the
-// habit of keeping it.
+// (Processor.Reset): at most one ordinary chunk survives, so a pooled
+// session inherits neither a wide phase's storage nor the habit of
+// keeping it.
 func (ar *tokenArena) reset() {
 	ar.rewind()
-	*ar = tokenArena{tokens: ar.tokens, wmes: ar.wmes}
-}
-
-// growTokens makes a spare token chunk current, or a fresh one.
-func (ar *tokenArena) growTokens() {
-	if ar.keeps && ar.tokens != nil {
-		ar.fullTok = append(ar.fullTok, ar.tokens)
-	}
-	if last := len(ar.spareTok) - 1; last >= 0 {
-		ar.tokens, ar.spareTok[last] = ar.spareTok[last], nil
-		ar.spareTok = ar.spareTok[:last]
-	} else {
-		ar.tokens = make([]Token, tokenChunkLen)
-	}
-	ar.nTok = 0
+	*ar = tokenArena{wmes: ar.wmes}
 }
 
 // growWMEs makes current a backing chunk that holds n references. A
@@ -190,31 +163,33 @@ func (ar *tokenArena) refs(n int) []*ops5.WME {
 	return r
 }
 
-// newToken returns a fresh token with an n-wide WMEs slice, both carved
-// from the arena.
-func (ar *tokenArena) newToken(n int) *Token {
-	if ar.nTok == len(ar.tokens) {
-		ar.growTokens()
+// newToken carves an n-wide token for nodes to, activated under tag,
+// from the arena its lifetime calls for: the phase arena when no node
+// of to stores it — a delete token, or one that only production nodes
+// receive — and the other otherwise. It is decided per token, not
+// compiled in, because adding a production to a live network appends
+// successors to existing nodes.
+func (p *Processor) newToken(n int, tag Tag, to []*Node) Token {
+	if tag == Delete || onlyProductions(to) {
+		return Token{WMEs: p.delArena.refs(n)}
 	}
-	t := &ar.tokens[ar.nTok]
-	ar.nTok++
-	t.WMEs = ar.refs(n)
-	return t
+	return Token{WMEs: p.arena.refs(n)}
 }
 
-// newToken carves an n-wide token for an activation tagged tag from the
-// arena that tag's tokens live in.
-func (p *Processor) newToken(n int, tag Tag) *Token {
-	if tag == Delete {
-		return p.delArena.newToken(n)
+// onlyProductions reports whether every node of to is a production
+// node.
+func onlyProductions(to []*Node) bool {
+	for _, s := range to {
+		if s.Kind != KindProduction {
+			return false
+		}
 	}
-	return p.arena.newToken(n)
+	return true
 }
 
-// extend returns a token covering t's wmes plus w, carved from the
-// processor's arena for tag.
-func (p *Processor) extend(t *Token, w *ops5.WME, tag Tag) *Token {
-	nt := p.newToken(len(t.WMEs)+1, tag)
+// extend returns a token covering t's wmes plus w, for nodes to.
+func (p *Processor) extend(t Token, w *ops5.WME, tag Tag, to []*Node) Token {
+	nt := p.newToken(len(t.WMEs)+1, tag, to)
 	copy(nt.WMEs, t.WMEs)
 	nt.WMEs[len(t.WMEs)] = w
 	return nt

@@ -14,30 +14,13 @@ func poison(t *testing.T) {
 	t.Cleanup(PoisonRewinds())
 }
 
-// tokChunks and refChunks list every chunk the arena holds: the current
-// one and the ones it keeps.
-func (ar *tokenArena) tokChunks() [][]Token {
-	return append(append([][]Token{ar.tokens}, ar.fullTok...), ar.spareTok...)
-}
-
+// refChunks lists every chunk the arena holds: the current one and the
+// ones it keeps.
 func (ar *tokenArena) refChunks() [][]*ops5.WME {
 	return append(append([][]*ops5.WME{ar.wmes}, ar.fullWMEs...), ar.spareWMEs...)
 }
 
-// inChunk reports whether tok was carved from one of the arena's chunks.
-func (ar *tokenArena) inChunk(tok *Token) bool {
-	for _, c := range ar.tokChunks() {
-		for i := range c {
-			if &c[i] == tok {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// holds reports whether ref is a slot of one of the arena's backing
-// chunks.
+// holds reports whether ref is a slot of one of the arena's chunks.
 func (ar *tokenArena) holds(ref **ops5.WME) bool {
 	for _, c := range ar.refChunks() {
 		for i := range c {
@@ -62,11 +45,12 @@ func TestPoisonedRewinds(t *testing.T) {
 	t.Run("ResultBelongsToCaller", TestApplyResultBelongsToCaller)
 }
 
-// TestDeleteTokensAreNeverStored is the assertion the second arena
-// rests on: whatever the program and the sequence of changes, no left
-// memory entry ever holds a token carved from the delete arena. It
-// checks the pointer, and — with the poison on — that no stored token
-// reads as the sentinel, which is what a delete token stored in an
+// TestDeleteTokensAreNeverStored is the assertion the phase arena rests
+// on: whatever the program and the sequence of changes, no left memory
+// entry ever holds a token carved from it — neither a delete token nor
+// one made for production nodes only. It checks where the token's
+// references live, and — with the poison on — that no stored token
+// reads as the sentinel, which is what a phase token stored in an
 // earlier phase would have become. The same holds one level up, where
 // a Delete delta's array is lent from that arena: no instantiation
 // standing in a conflict set holds one.
@@ -87,8 +71,8 @@ func TestDeleteTokensAreNeverStored(t *testing.T) {
 			}
 			for b, bucket := range p.left.buckets {
 				for _, e := range bucket {
-					if p.delArena.inChunk(e.token) {
-						t.Fatalf("trial %d step %d: left bucket %d stores token %v of node %d from the delete arena", trial, step, b, e.token, e.node.ID)
+					if p.delArena.holds(&e.token.WMEs[0]) {
+						t.Fatalf("trial %d step %d: left bucket %d stores token %v of node %d from the phase arena", trial, step, b, e.token, e.node.ID)
 					}
 					for _, w := range e.token.WMEs {
 						if w == poisonWME {
@@ -120,53 +104,51 @@ func TestDeleteArenaIsRewoundOnlyWhenAsked(t *testing.T) {
 	m, adds, dels := pairingBurst(t, 3, 3)
 	m.Apply(adds)
 	m.Apply(dels)
-	chunk := &m.proc.delArena.tokens[0]
-	perPhase := m.proc.delArena.nTok
+	chunk := &m.proc.delArena.wmes[0]
+	perPhase := m.proc.delArena.nWme
 	for i := 0; i < 100; i++ {
 		m.Apply(adds)
 		m.Apply(dels)
 	}
-	if perPhase == 0 || perPhase*100 < tokenChunkLen {
-		t.Fatalf("%d delete tokens a phase: 100 phases would not outgrow a chunk anyway", perPhase)
+	if perPhase == 0 || perPhase*100 < wmeRefChunkLen {
+		t.Fatalf("%d references a delete phase: 100 phases would not outgrow a chunk anyway", perPhase)
 	}
-	if &m.proc.delArena.tokens[0] != chunk || m.proc.delArena.nTok != perPhase {
-		t.Errorf("after 100 delete phases the delete arena is %d tokens into another chunk, want %d into the first", m.proc.delArena.nTok, perPhase)
+	if &m.proc.delArena.wmes[0] != chunk || m.proc.delArena.nWme != perPhase {
+		t.Errorf("after 100 delete phases the delete arena is %d references into another chunk, want %d into the first", m.proc.delArena.nWme, perPhase)
 	}
 
 	p := NewProcessor(m.Network(), 16)
-	seen := map[*Token]bool{}
+	seen := map[**ops5.WME]bool{}
+	refs := 0
 	for i := 0; i < 100; i++ {
 		for _, ch := range append(append([]Change{}, adds...), dels...) {
 			for _, a := range drainT(p, p.RootActivationsInto(ch, nil)) {
 				if a.Tag != Delete {
 					continue
 				}
-				if seen[a.Token] {
+				if seen[&a.Token.WMEs[0]] {
 					t.Fatalf("round %d: a delete token was handed out twice with BeginPhase never called", i)
 				}
-				seen[a.Token] = true
+				seen[&a.Token.WMEs[0]] = true
+				refs += len(a.Token.WMEs)
 			}
 		}
 	}
-	if len(seen) < 2*tokenChunkLen {
-		t.Fatalf("only %d delete tokens reached the production node: not past a chunk boundary", len(seen))
+	if refs < 2*wmeRefChunkLen {
+		t.Fatalf("only %d references of delete tokens reached the production node: not past a chunk boundary", refs)
 	}
 }
 
-// chunkSet names every chunk the arena holds by its first element.
-func (ar *tokenArena) chunkSet() (toks map[*Token]bool, refs map[**ops5.WME]int) {
-	toks, refs = map[*Token]bool{}, map[**ops5.WME]int{}
-	for _, c := range ar.tokChunks() {
-		if len(c) > 0 {
-			toks[&c[0]] = true
-		}
-	}
+// chunkSet names every chunk the arena holds by its first element, with
+// its length.
+func (ar *tokenArena) chunkSet() map[**ops5.WME]int {
+	refs := map[**ops5.WME]int{}
 	for _, c := range ar.refChunks() {
 		if len(c) > 0 {
 			refs[&c[0]] = len(c)
 		}
 	}
-	return toks, refs
+	return refs
 }
 
 // TestDeleteArenaKeepsItsLargestPhase: a delete phase that outgrows the
@@ -184,6 +166,7 @@ func TestDeleteArenaKeepsItsLargestPhase(t *testing.T) {
 		}
 		return n
 	}
+	ordinary := func(refs map[**ops5.WME]int) int { return len(refs) - oversized(refs) }
 	// One matcher and one 60x20 burst; the narrow phase is the burst
 	// with half its teams (the changes run phase, teams, slots).
 	m, wideAdds, wideDels := pairingBurst(t, 60, 20)
@@ -198,21 +181,16 @@ func TestDeleteArenaKeepsItsLargestPhase(t *testing.T) {
 	}
 	round(adds, dels, 600)
 	round(adds, dels, 600)
-	toks, refs := m.proc.delArena.chunkSet()
-	if len(toks) < 2 || oversized(refs) != 1 {
-		t.Fatalf("a 30x20 delete burst holds %d token chunks and %d oversized backing chunks, want several and one", len(toks), oversized(refs))
+	refs := m.proc.delArena.chunkSet()
+	if ordinary(refs) < 2 || oversized(refs) != 1 {
+		t.Fatalf("a 30x20 delete burst holds %d ordinary chunks and %d oversized ones, want several and one", ordinary(refs), oversized(refs))
 	}
 	for i := 0; i < 10; i++ {
 		round(adds, dels, 600)
 	}
-	toks2, refs2 := m.proc.delArena.chunkSet()
-	if len(toks2) != len(toks) || len(refs2) != len(refs) {
-		t.Fatalf("ten more rounds: %d token chunks and %d backing chunks, were %d and %d", len(toks2), len(refs2), len(toks), len(refs))
-	}
-	for c := range toks2 {
-		if !toks[c] {
-			t.Fatal("ten more rounds carved delete tokens from a chunk the arena did not hold")
-		}
+	refs2 := m.proc.delArena.chunkSet()
+	if len(refs2) != len(refs) {
+		t.Fatalf("ten more rounds: %d chunks, were %d", len(refs2), len(refs))
 	}
 	for c := range refs2 {
 		if refs[c] == 0 {
@@ -222,8 +200,56 @@ func TestDeleteArenaKeepsItsLargestPhase(t *testing.T) {
 
 	round(wideAdds, wideDels, 1200)
 	round(wideAdds, wideDels, 1200)
-	toks3, refs3 := m.proc.delArena.chunkSet()
-	if len(toks3) <= len(toks) || oversized(refs3) != 1 {
-		t.Fatalf("a 60x20 delete burst holds %d token chunks (30x20: %d) and %d oversized backing chunks, want more and one", len(toks3), len(toks), oversized(refs3))
+	refs3 := m.proc.delArena.chunkSet()
+	if ordinary(refs3) <= ordinary(refs) || oversized(refs3) != 1 {
+		t.Fatalf("a 60x20 delete burst holds %d ordinary chunks (30x20: %d) and %d oversized ones, want more and one", ordinary(refs3), ordinary(refs), oversized(refs3))
+	}
+}
+
+// TestProductionOnlyTokensComeFromThePhaseArena: a token that a join
+// emits only to production nodes is read once, by InstBuilder.Build,
+// which copies its wmes out, so it is carved from the phase arena even
+// under an Add, and the Add delta built from it reads the same after
+// the next BeginPhase has recycled the token (with the poison on, the
+// token itself reads as the sentinel). Adding a production that shares
+// the join gives the join a memory successor, and from then on its add
+// tokens come from the arena that is never rewound: the choice is made
+// per token, not compiled in.
+func TestProductionOnlyTokensComeFromThePhaseArena(t *testing.T) {
+	poison(t)
+	net := compileT(t, []string{`(p pair (a ^x <v>) (b ^x <v>) --> (halt))`})
+	p := NewProcessor(net, 16)
+	run := func(chs ...Change) []Activation {
+		var acts []Activation
+		for _, ch := range chs {
+			acts = append(acts, drainT(p, p.RootActivationsInto(ch, nil))...)
+		}
+		return acts
+	}
+	acts := run(Change{Tag: Add, WME: mkWME(1, "a", "x", 5)}, Change{Tag: Add, WME: mkWME(2, "b", "x", 5)})
+	if len(acts) != 1 || !p.delArena.holds(&acts[0].Token.WMEs[0]) {
+		t.Fatalf("a join feeding one production node emitted %v, want one token from the phase arena", acts)
+	}
+	var b InstBuilder
+	held := b.Build(p, acts, nil)
+	p.BeginPhase()
+	if acts[0].Token.WMEs[0] != poisonWME {
+		t.Fatal("BeginPhase did not recycle the production-only token")
+	}
+	if got := held[0].Key(); held[0].Tag != Add || got != "pair[1 2]" {
+		t.Fatalf("the Add delta built from a production-only token reads %v %s after the next BeginPhase, want + pair[1 2]", held[0].Tag, got)
+	}
+
+	if err := net.AddProduction(mustParse(t, `(p triple (a ^x <v>) (b ^x <v>) (c ^x <v>) --> (halt))`)[0]); err != nil {
+		t.Fatal(err)
+	}
+	wa := mkWME(3, "a", "x", 5)
+	acts = run(Change{Tag: Add, WME: wa})
+	if len(acts) != 1 || p.delArena.holds(&acts[0].Token.WMEs[0]) || !p.arena.holds(&acts[0].Token.WMEs[0]) {
+		t.Fatalf("a join with a memory successor emitted %v, want one token from the add arena", acts)
+	}
+	acts = run(Change{Tag: Delete, WME: wa})
+	if len(acts) != 1 || acts[0].Tag != Delete || !p.delArena.holds(&acts[0].Token.WMEs[0]) {
+		t.Fatalf("the same join's delete emitted %v, want one token from the phase arena", acts)
 	}
 }

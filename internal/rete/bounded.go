@@ -316,8 +316,8 @@ func boundedKeyGreater(a, b [4]int) bool {
 func (p *Processor) processBounded(a Activation, b int, out []Activation) []Activation {
 	n := a.Node
 	if a.Tag == Add {
-		p.right.addRight(b, n, a.WME)
-	} else if !p.right.removeRight(b, n, a.WME.ID) {
+		p.right.add(b, rightEntry{node: n, wme: a.WME})
+	} else if !removeRight(p.right, b, n, a.WME.ID) {
 		// Duplicate delete: the first removal already unwound every
 		// instantiation this wme participated in.
 		return out
@@ -471,9 +471,10 @@ func (p *Processor) boundedNegCount(m *Node, exclude *ops5.WME) int {
 }
 
 // boundedEmit materializes the completed stack as an arena-carved token
-// and emits it to the group's production node.
+// and emits it to the group's production node; only that node receives
+// it, so it comes from the phase arena.
 func (p *Processor) boundedEmit(g *boundedGroup, tag Tag, out []Activation) []Activation {
-	t := p.newToken(g.nPos, tag)
+	t := p.newToken(g.nPos, tag, []*Node{g.terminal})
 	copy(t.WMEs, p.bstack)
 	return append(out, Activation{Node: g.terminal, Side: Left, Tag: tag, Token: t})
 }

@@ -15,7 +15,7 @@ import (
 // the inlined hash to hash/fnv and the byte layout to its
 // documentation: node id, then per equality test a kind prefix, the
 // value's bytes and a zero separator.
-func refHashKey(n *Node, side Side, t *Token, w *ops5.WME) uint64 {
+func refHashKey(n *Node, side Side, t Token, w *ops5.WME) uint64 {
 	le64 := func(x uint64) []byte {
 		var buf [8]byte
 		for i := range buf {
@@ -104,7 +104,7 @@ func TestHashKeyConsistentAcrossSides(t *testing.T) {
 	net := compileT(t, []string{`(p x (a ^k <v> ^j <u>) (b ^k <v> ^j <u>) --> (halt))`})
 	join, proc := joinNodeT(t, net), NewProcessor(net, 1)
 	keys := func(l, r *ops5.WME) (uint64, uint64) {
-		return HashKey(join, Left, &Token{WMEs: []*ops5.WME{l}}, nil), HashKey(join, Right, nil, r)
+		return HashKey(join, Left, Token{WMEs: []*ops5.WME{l}}, nil), HashKey(join, Right, Token{}, r)
 	}
 
 	// Random values of every kind: whenever the pair passes the tests,
@@ -132,7 +132,7 @@ func TestHashKeyConsistentAcrossSides(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		l := ops5.NewWME("a", "k", pick(), "j", pick())
 		r := ops5.NewWME("b", "k", twin(l.Get("k")), "j", twin(l.Get("j")))
-		if !proc.testsPass(join, &Token{WMEs: []*ops5.WME{l}}, r) {
+		if !proc.testsPass(join, Token{WMEs: []*ops5.WME{l}}, r) {
 			continue
 		}
 		passed++
@@ -172,9 +172,9 @@ func TestHashKeyConsistentAcrossSides(t *testing.T) {
 // bucket's low bit — one worker of two does all the work.
 func TestHashKeySpread(t *testing.T) {
 	join := joinNodeT(t, compileT(t, []string{`(p x (a ^k <v>) (b ^k <v>) --> (halt))`}))
-	mem := NewMemory(Right, 1024)
+	mem := newMemory[rightEntry](1024)
 	bucket := func(i int) int {
-		return mem.Bucket(HashKey(join, Right, nil, ops5.NewWME("b", "k", i)))
+		return mem.Bucket(HashKey(join, Right, Token{}, ops5.NewWME("b", "k", i)))
 	}
 
 	odd := 0
@@ -201,11 +201,11 @@ func TestHashKeySpread(t *testing.T) {
 
 func TestHashKeyDoesNotAllocate(t *testing.T) {
 	join := joinNodeT(t, compileT(t, []string{`(p x (a ^k <v> ^j <u>) (b ^k <v> ^j <u>) --> (halt))`}))
-	tok := &Token{WMEs: []*ops5.WME{ops5.NewWME("a", "k", 12345.678, "j", "a-symbol-longer-than-a-word")}}
+	tok := Token{WMEs: []*ops5.WME{ops5.NewWME("a", "k", 12345.678, "j", "a-symbol-longer-than-a-word")}}
 	w := ops5.NewWME("b", "k", -3, "j", "blue")
 	var sink uint64
 	if n := testing.AllocsPerRun(100, func() {
-		sink += HashKey(join, Left, tok, nil) + HashKey(join, Right, nil, w)
+		sink += HashKey(join, Left, tok, nil) + HashKey(join, Right, Token{}, w)
 	}); n != 0 {
 		t.Errorf("HashKey allocates %v times per left+right pair, want 0", n)
 	}
@@ -232,8 +232,8 @@ func TestNegZeroJoins(t *testing.T) {
 		if !math.Signbit(v.Num) || v.Num != 0 {
 			t.Fatalf("fixture %s: want -0, have %v", name, v)
 		}
-		lk := HashKey(join, Left, &Token{WMEs: []*ops5.WME{ops5.NewWME("a", "x", 0)}}, nil)
-		if rk := HashKey(join, Right, nil, ops5.NewWME("b", "x", v)); lk != rk {
+		lk := HashKey(join, Left, Token{WMEs: []*ops5.WME{ops5.NewWME("a", "x", 0)}}, nil)
+		if rk := HashKey(join, Right, Token{}, ops5.NewWME("b", "x", v)); lk != rk {
 			t.Errorf("%s: left key of 0 is %#x, right key of -0 is %#x", name, lk, rk)
 		}
 		for _, nbuckets := range []int{1, 64, 1024} {

@@ -163,6 +163,11 @@ type MatcherOptions struct {
 	Listener Listener
 }
 
+// queueCompactMin is the drain head below which ApplyFiltered never
+// compacts its queue: a short phase's drained prefix is cheaper to keep
+// than to copy.
+const queueCompactMin = 64
+
 // DefaultNBuckets is the paper-scale hash-table size used when
 // MatcherOptions.NBuckets is zero.
 const DefaultNBuckets = 1024
@@ -204,7 +209,9 @@ func (m *Matcher) Network() *Network { return m.proc.Network() }
 
 // Memories exposes the left and right global hash tables (for
 // diagnostics and tests).
-func (m *Matcher) Memories() (left, right *Memory) { return m.proc.Memories() }
+func (m *Matcher) Memories() (left *Memory[leftEntry], right *Memory[rightEntry]) {
+	return m.proc.Memories()
+}
 
 // Cycle returns the number of completed match phases.
 func (m *Matcher) Cycle() int { return m.cycle }
@@ -272,12 +279,18 @@ func (m *Matcher) ApplyFiltered(changes []Change, allow func(*Node) bool) []Inst
 		}
 	}
 
-	// Drain by index rather than popping the slice front: reslicing
-	// m.queue[1:] would walk the append cursor down the backing array
-	// and force a fresh allocation every few cycles even at steady
-	// state.
-	for head := 0; head < len(m.queue); head++ {
+	// Drain from a head index, not by reslicing m.queue[1:], which would
+	// walk the append cursor down the backing array and reallocate every
+	// few cycles even at steady state. Once the head has passed half the
+	// capacity the drained prefix is dropped by copying the frontier
+	// down, so the queue is as long as the frontier, not as the phase's
+	// activation count; the order does not change.
+	for head := 0; head < len(m.queue); {
+		if head >= queueCompactMin && 2*head >= cap(m.queue) {
+			m.queue, head = m.queue[:copy(m.queue, m.queue[head:])], 0
+		}
 		m.step(m.queue[head])
+		head++
 	}
 	m.queue = m.queue[:0]
 

@@ -370,29 +370,117 @@ func TestApplyAllocsDoNotGrowWithOutput(t *testing.T) {
 	if deltas != 6000 {
 		t.Fatalf("60x50 add and delete bursts made %d deltas, want 6000", deltas)
 	}
-	// What the add burst keeps — its stored tokens' chunks (256 tokens,
-	// 1024 wme references) and the Add deltas' array — plus the two
-	// result record arrays, each too large for a slab chunk: 24 (46
-	// before the delete arena kept the chunks a phase outgrew and lent
-	// the Delete deltas their arrays; 60 before memory entries moved into
+	// What the add burst keeps — its stored tokens' reference chunks
+	// (1,024 references) and the Add deltas' array — plus the two result
+	// record arrays, each too large for a slab chunk: 12 (24 while every
+	// token also had a header carved from token chunks of its own; 46
+	// before the delete arena kept the chunks a phase outgrew and lent the
+	// Delete deltas their arrays; 60 before memory entries moved into
 	// their buckets). The delete burst allocates its records and nothing
 	// else: its 3,000 tokens and its 12,000 lent references are carved
 	// from what the first delete burst left the arena, which is what a
-	// matcher that once saw the burst holds until it is Reset — 12 token
-	// chunks and 21,216 references, about 240 KB.
-	if allocs > 28 {
-		t.Errorf("60x50 burst pair: %.0f allocations for %d deltas, want <= 28", allocs, deltas)
+	// matcher that once saw the burst holds until it is Reset — 10 chunks
+	// and 21,216 references, about 170 KB.
+	if allocs > 14 {
+		t.Errorf("60x50 burst pair: %.0f allocations for %d deltas, want <= 14", allocs, deltas)
 	}
 	allocs2, deltas2 := measure(120, 50)
 	if deltas2 != 12000 {
 		t.Fatalf("120x50 add and delete bursts made %d deltas, want 12000", deltas2)
 	}
 	// Twice the output needs twice the add arena's chunks and the same
-	// three result arrays: one more allocation per 286 deltas (21 for
+	// three result arrays: one more allocation per 750 deltas (8 for
 	// 6,000).
-	if extra := allocs2 - allocs; extra > float64(deltas2-deltas)/200 {
+	if extra := allocs2 - allocs; extra > float64(deltas2-deltas)/500 {
 		t.Errorf("doubling the burst added %.0f allocations for %d more deltas: allocations grow per delta", extra, deltas2-deltas)
 	}
+}
+
+// frontierPeak is a Listener that computes, for each phase, the most
+// activations that were ever queued and not yet performed: the roots,
+// plus the successors of every activation performed so far, minus those
+// performed.
+type frontierPeak struct {
+	kids  []int // successors queued by each activation, by Seq
+	roots int
+	peak  int
+}
+
+func (f *frontierPeak) BeginCycle(int, []Change) { f.kids, f.roots = f.kids[:0], 0 }
+
+func (f *frontierPeak) Activation(ev Event) {
+	f.kids = append(f.kids, 0)
+	if ev.ParentSeq < 0 {
+		f.roots++
+	} else {
+		f.kids[ev.ParentSeq]++
+	}
+}
+
+func (f *frontierPeak) Instantiation(InstChange, int) {}
+
+func (f *frontierPeak) EndCycle(int) {
+	out := f.roots
+	for _, k := range f.kids {
+		f.peak = max(f.peak, out)
+		out += k - 1
+	}
+}
+
+// TestQueueBoundedByFrontier: the match queue is as long as its
+// frontier, not as the phase's activation count — ApplyFiltered drops
+// the drained prefix once the head passes half the capacity — so its
+// capacity stays within twice its peak outstanding activations plus the
+// compaction threshold. The 60x50 burst is wide (its frontier peaks at
+// 3,060 of 3,232 activations), so a queue that grows to the activation
+// count passes there too; the chain is deep — 40 roots, each walking a
+// 19-join chain — and a queue as long as its phase (1,024 slots) fails
+// it.
+func TestQueueBoundedByFrontier(t *testing.T) {
+	check := func(t *testing.T, m *Matcher, fp *frontierPeak) {
+		t.Helper()
+		if bound := 2 * (fp.peak + queueCompactMin); cap(m.queue) > bound {
+			t.Errorf("queue capacity %d, peak outstanding %d: want <= %d", cap(m.queue), fp.peak, bound)
+		}
+	}
+	t.Run("burst-60x50", func(t *testing.T) {
+		m, adds, dels := pairingBurst(t, 60, 50)
+		fp := &frontierPeak{}
+		m.listener = fp
+		for i := 0; i < 2; i++ {
+			m.Apply(adds)
+			m.Apply(dels)
+		}
+		check(t, m, fp)
+	})
+	t.Run("chain", func(t *testing.T) {
+		const ces, roots = 20, 40
+		src := "(p chain"
+		for c := 0; c < ces; c++ {
+			src += fmt.Sprintf(" (c%d ^v <x>)", c)
+		}
+		fp := &frontierPeak{}
+		m := NewMatcher(compileT(t, []string{src + " --> (halt))"}), MatcherOptions{Listener: fp})
+		// The chains' right inputs go in one value at a time, then every
+		// chain's head at once.
+		var lefts []Change
+		for x := 1; x <= roots; x++ {
+			var rights []Change
+			for c := 0; c < ces; c++ {
+				ch := Change{Tag: Add, WME: mkWME(x*ces+c, fmt.Sprintf("c%d", c), "v", x)}
+				if c == 0 {
+					lefts = append(lefts, ch)
+				} else {
+					rights = append(rights, ch)
+				}
+			}
+			m.Apply(rights)
+		}
+		if got := len(m.Apply(lefts)); got != roots {
+			t.Fatalf("the chain made %d instantiations, want %d", got, roots)
+		}
+		check(t, m, fp)
+	})
 }
 
 // TestApplyResultBelongsToCaller states what of a result is the
@@ -491,23 +579,28 @@ func TestApplyResultBelongsToCaller(t *testing.T) {
 func holdsNothing(t *testing.T, m *Matcher) {
 	t.Helper()
 	for i, q := range m.queue[:cap(m.queue)] {
-		if q.act.Token != nil || q.act.WME != nil {
+		if q.act.Token.WMEs != nil || q.act.WME != nil {
 			t.Fatalf("queue slot %d of %d still holds an activation", i, cap(m.queue))
 		}
 	}
 	for name, acts := range map[string][]Activation{"rootBuf": m.rootBuf, "succBuf": m.succBuf, "instActs": m.instActs} {
 		for i, a := range acts[:cap(acts)] {
-			if a.Token != nil || a.WME != nil {
+			if a.Token.WMEs != nil || a.WME != nil {
 				t.Fatalf("%s slot %d of %d still holds an activation", name, i, cap(acts))
 			}
 		}
 	}
-	for _, mem := range []*Memory{m.proc.left, m.proc.right} {
-		for b, bucket := range mem.buckets {
-			for i, e := range bucket[:cap(bucket)] {
-				if e != (memEntry{}) {
-					t.Fatalf("%v bucket %d slot %d of %d still holds an entry", mem.side, b, i, cap(bucket))
-				}
+	for b, bucket := range m.proc.left.buckets {
+		for i, e := range bucket[:cap(bucket)] {
+			if e.node != nil || e.token.WMEs != nil || e.count != 0 {
+				t.Fatalf("left bucket %d slot %d of %d still holds an entry", b, i, cap(bucket))
+			}
+		}
+	}
+	for b, bucket := range m.proc.right.buckets {
+		for i, e := range bucket[:cap(bucket)] {
+			if e != (rightEntry{}) {
+				t.Fatalf("right bucket %d slot %d of %d still holds an entry", b, i, cap(bucket))
 			}
 		}
 	}
@@ -523,14 +616,9 @@ func holdsNothing(t *testing.T, m *Matcher) {
 			}
 		}
 	}
-	for name, ar := range map[string]*tokenArena{"add": &m.proc.arena, "delete": &m.proc.delArena} {
-		if n := len(ar.fullTok) + len(ar.spareTok) + len(ar.fullWMEs) + len(ar.spareWMEs); n != 0 || ar.keeps || len(ar.tokens) > tokenChunkLen || len(ar.wmes) > wmeRefChunkLen {
-			t.Fatalf("%s arena: %d chunks kept besides the current pair of %d tokens and %d references (keeps=%v)", name, n, len(ar.tokens), len(ar.wmes), ar.keeps)
-		}
-		for i := range ar.tokens {
-			if ar.tokens[i].WMEs != nil {
-				t.Fatalf("%s arena: token %d of the current chunk still has its wmes", name, i)
-			}
+	for name, ar := range map[string]*tokenArena{"add": &m.proc.arena, "phase": &m.proc.delArena} {
+		if n := len(ar.fullWMEs) + len(ar.spareWMEs); n != 0 || ar.keeps || len(ar.wmes) > wmeRefChunkLen {
+			t.Fatalf("%s arena: %d chunks kept besides the current one of %d references (keeps=%v)", name, n, len(ar.wmes), ar.keeps)
 		}
 		for i, w := range ar.wmes {
 			if w != nil {
@@ -550,9 +638,9 @@ func TestResetLetsGoOfTheLastTenant(t *testing.T) {
 	m, adds, dels := pairingBurst(t, 12, 10)
 	m.Apply(adds)
 	m.Apply(dels[len(dels)-5:]) // a smaller phase: the big one's tail stays in the arrays
-	if cap(m.queue) == 0 || cap(m.instActs) == 0 || m.proc.left.Len() == 0 || m.proc.delArena.nTok == 0 {
-		t.Fatalf("the bursts left nothing behind to let go of: queue %d, instActs %d, left %d, delete tokens %d",
-			cap(m.queue), cap(m.instActs), m.proc.left.Len(), m.proc.delArena.nTok)
+	if cap(m.queue) == 0 || cap(m.instActs) == 0 || m.proc.left.Len() == 0 || m.proc.delArena.nWme == 0 {
+		t.Fatalf("the bursts left nothing behind to let go of: queue %d, instActs %d, left %d, phase references %d",
+			cap(m.queue), cap(m.instActs), m.proc.left.Len(), m.proc.delArena.nWme)
 	}
 	m.Reset()
 	holdsNothing(t, m)
@@ -564,8 +652,8 @@ func TestResetLetsGoOfTheLastTenant(t *testing.T) {
 	wide.Apply(wadds)
 	wide.Apply(wdels)
 	wide.Apply(wadds)
-	if ar := &wide.proc.delArena; len(ar.spareTok) == 0 || len(ar.spareWMEs) == 0 {
-		t.Fatalf("a 30x20 delete burst left the delete arena %d spare token chunks and %d spare backing chunks, want some of each", len(ar.spareTok), len(ar.spareWMEs))
+	if ar := &wide.proc.delArena; len(ar.spareWMEs) < 2 {
+		t.Fatalf("a 30x20 delete burst left the phase arena %d spare chunks, want an ordinary one and the oversized one", len(ar.spareWMEs))
 	}
 	wide.Reset()
 	holdsNothing(t, wide)

@@ -77,7 +77,7 @@ func (jt *JoinTest) key() string {
 }
 
 // Eval applies the test given the left token and the right wme.
-func (jt *JoinTest) Eval(t *Token, w *ops5.WME) bool {
+func (jt *JoinTest) Eval(t Token, w *ops5.WME) bool {
 	return jt.Op.Apply(jt.rightOf(w), jt.leftOf(t.WMEs[jt.LeftPos]))
 }
 

@@ -5,13 +5,14 @@ import "mpcrete/internal/ops5"
 // Activation is one unit of match work: a token arriving at a node's
 // left or right input. It is the currency both of the sequential
 // Matcher and of the distributed runtime, whose workers exchange
-// Activations as messages.
+// Activations as messages. A left activation carries a token and no
+// wme, a right one a wme and no token: Side says which (48 bytes).
 type Activation struct {
 	Node  *Node
 	Side  Side
 	Tag   Tag
-	Token *Token    // set for left activations
-	WME   *ops5.WME // set for right activations
+	Token Token     // left activations
+	WME   *ops5.WME // right activations
 }
 
 // HashKey returns the distributed-hash-table key of the activation.
@@ -25,10 +26,11 @@ func (a Activation) HashKey() uint64 { return HashKey(a.Node, a.Side, a.Token, a
 // of their hash bucket).
 type Processor struct {
 	net   *Network
-	left  *Memory
-	right *Memory
-	// arena holds the tokens made under Add activations, delArena those
-	// made under Delete activations (see tokenArena).
+	left  *Memory[leftEntry]
+	right *Memory[rightEntry]
+	// arena holds the tokens a memory may store, delArena — the phase
+	// arena — the tokens and lent arrays read only within the phase that
+	// made them (see tokenArena).
 	arena    tokenArena
 	delArena tokenArena
 	// bstack is the bounded enumerator's reusable DFS stack of candidate
@@ -50,8 +52,8 @@ func NewProcessor(net *Network, nbuckets int) *Processor {
 	}
 	return &Processor{
 		net:   net,
-		left:  NewMemory(Left, nbuckets),
-		right: NewMemory(Right, nbuckets),
+		left:  newMemory[leftEntry](nbuckets),
+		right: newMemory[rightEntry](nbuckets),
 	}
 }
 
@@ -62,17 +64,20 @@ func (p *Processor) Network() *Network { return p.net }
 func (p *Processor) NBuckets() int { return p.left.NBuckets() }
 
 // Memories exposes the left and right hash tables.
-func (p *Processor) Memories() (left, right *Memory) { return p.left, p.right }
+func (p *Processor) Memories() (left *Memory[leftEntry], right *Memory[rightEntry]) {
+	return p.left, p.right
+}
 
 // Bucket maps an activation to its hash-bucket index.
 func (p *Processor) Bucket(a Activation) int { return p.left.Bucket(a.HashKey()) }
 
 // Reset empties both memories (keeping their bucket storage), rewinds
-// both arenas to one chunk each and clears the bounded enumerator's
-// scratch, returning the processor to its freshly-constructed state
-// over the same network — the session-pool reuse hook. Nothing
-// reachable from a reset processor points at a wme of its last user,
-// and the chunks a wide delete phase left the delete arena are let go.
+// each arena to at most one ordinary chunk and clears the bounded
+// enumerator's scratch, returning the processor to its
+// freshly-constructed state over the same network — the session-pool
+// reuse hook. Nothing reachable from a reset processor points at a wme
+// of its last user, and the chunks a wide phase left the phase arena
+// are let go.
 // Only legal at quiescence, and only while no token this processor made
 // is in use anywhere else: the memories that stored them are empty
 // after it, and the arenas' current chunks are cleared and carved again.
@@ -87,18 +92,19 @@ func (p *Processor) Reset() {
 	}
 }
 
-// BeginPhase tells the processor that everything its delete arena has
+// BeginPhase tells the processor that everything its phase arena has
 // handed out so far is dead: the activations that carried its delete
-// tokens have been performed, and the Delete deltas whose WMEs arrays
+// tokens have been performed, its production-only tokens have been
+// built into deltas, and the Delete deltas whose WMEs arrays
 // InstBuilder.Build lent from it have been absorbed, netted or encoded
 // by whoever received them. It rewinds that arena, so the phase about
-// to start carves its delete tokens and lent arrays from the same
-// storage again.
+// to start carves its tokens and lent arrays from the same storage
+// again.
 //
-// Calling it is optional and never calling it is always safe: delete
+// Calling it is optional and never calling it is always safe: phase
 // tokens and lent arrays are then carved chunk by chunk and left to the
-// collector, as add tokens are. An owner calls it only at a point where
-// it can show the claim above — the sequential Matcher at the top of
+// collector, as stored tokens are. An owner calls it only at a point
+// where it can show the claim above — the sequential Matcher at the top of
 // every Apply (its caller absorbed the last result, or kept no Delete
 // array of it), the parallel cycle driver before the first turn of a
 // cycle it runs on its own quiescent steps, the socket worker at the
@@ -114,7 +120,7 @@ func (p *Processor) BeginPhase() { p.delArena.rewind() }
 // control processor when it hash-routes root activations to their
 // owners instead of broadcasting. Copy-and-constraint node copies
 // filter right tokens here. Left root tokens are carved from the
-// processor's arena for the change's tag.
+// processor's arena for their lifetime (newToken).
 func (p *Processor) RootActivationsInto(ch Change, out []Activation) []Activation {
 	for _, a := range p.net.AlphasForClass(ch.WME.Class) {
 		if !a.Matches(ch.WME) {
@@ -126,9 +132,8 @@ func (p *Processor) RootActivationsInto(ch Change, out []Activation) []Activatio
 			}
 			act := Activation{Node: r.Node, Side: r.Side, Tag: ch.Tag, WME: ch.WME}
 			if r.Side == Left {
-				t := p.newToken(1, ch.Tag)
-				t.WMEs[0] = ch.WME
-				act.Token = t
+				act.Token = p.newToken(1, ch.Tag, []*Node{r.Node})
+				act.Token.WMEs[0] = ch.WME
 				act.WME = nil
 			}
 			out = append(out, act)
@@ -173,7 +178,7 @@ type BucketContents struct {
 	// LeftNodes/LeftTokens/LeftCounts are parallel slices describing
 	// the left-memory entries (counts matter for negative nodes).
 	LeftNodes  []*Node
-	LeftTokens []*Token
+	LeftTokens []Token
 	LeftCounts []int
 	// RightNodes/RightWMEs describe the right-memory entries.
 	RightNodes []*Node
@@ -204,20 +209,20 @@ func (p *Processor) ExtractBucket(b int) *BucketContents {
 // processor's memories. Bucket indices are global, so the receiving
 // processor stores them at the same index.
 func (p *Processor) InjectBucket(bc *BucketContents) {
-	lefts := make([]memEntry, len(bc.LeftTokens))
+	lefts := make([]leftEntry, len(bc.LeftTokens))
 	for i := range lefts {
-		lefts[i] = memEntry{node: bc.LeftNodes[i], token: bc.LeftTokens[i], count: bc.LeftCounts[i]}
+		lefts[i] = leftEntry{node: bc.LeftNodes[i], token: bc.LeftTokens[i], count: bc.LeftCounts[i]}
 	}
-	rights := make([]memEntry, len(bc.RightWMEs))
+	rights := make([]rightEntry, len(bc.RightWMEs))
 	for i := range rights {
-		rights[i] = memEntry{node: bc.RightNodes[i], wme: bc.RightWMEs[i]}
+		rights[i] = rightEntry{node: bc.RightNodes[i], wme: bc.RightWMEs[i]}
 	}
 	p.left.inject(bc.Bucket, lefts)
 	p.right.inject(bc.Bucket, rights)
 }
 
 // emitTo fans a token out to every successor of n as left activations.
-func (p *Processor) emitTo(n *Node, t *Token, tag Tag, out []Activation) []Activation {
+func (p *Processor) emitTo(n *Node, t Token, tag Tag, out []Activation) []Activation {
 	for _, s := range n.Succs {
 		out = append(out, Activation{Node: s, Side: Left, Tag: tag, Token: t})
 	}
@@ -228,8 +233,8 @@ func (p *Processor) processJoin(a Activation, b int, out []Activation) []Activat
 	n := a.Node
 	if a.Side == Left {
 		if a.Tag == Add {
-			p.left.addLeft(b, n, a.Token, 0)
-		} else if _, ok := p.left.removeLeft(b, n, a.Token); !ok {
+			p.left.add(b, leftEntry{node: n, token: a.Token})
+		} else if _, ok := removeLeft(p.left, b, n, a.Token); !ok {
 			// Duplicate delete: the token's join effects were already
 			// unwound when it was first removed. Scanning again would
 			// emit a second wave of successor deletes.
@@ -238,21 +243,21 @@ func (p *Processor) processJoin(a Activation, b int, out []Activation) []Activat
 		es := p.right.entries(b)
 		for i := range es {
 			if e := &es[i]; e.node == n && p.testsPass(n, a.Token, e.wme) {
-				out = p.emitTo(n, p.extend(a.Token, e.wme, a.Tag), a.Tag, out)
+				out = p.emitTo(n, p.extend(a.Token, e.wme, a.Tag, n.Succs), a.Tag, out)
 			}
 		}
 		return out
 	}
 	if a.Tag == Add {
-		p.right.addRight(b, n, a.WME)
-	} else if !p.right.removeRight(b, n, a.WME.ID) {
+		p.right.add(b, rightEntry{node: n, wme: a.WME})
+	} else if !removeRight(p.right, b, n, a.WME.ID) {
 		// Duplicate delete of a wme already out of right memory.
 		return out
 	}
 	es := p.left.entries(b)
 	for i := range es {
 		if e := &es[i]; e.node == n && p.testsPass(n, e.token, a.WME) {
-			out = p.emitTo(n, p.extend(e.token, a.WME, a.Tag), a.Tag, out)
+			out = p.emitTo(n, p.extend(e.token, a.WME, a.Tag, n.Succs), a.Tag, out)
 		}
 	}
 	return out
@@ -269,20 +274,20 @@ func (p *Processor) processNegative(a Activation, b int, out []Activation) []Act
 					count++
 				}
 			}
-			p.left.addLeft(b, n, a.Token, count)
+			p.left.add(b, leftEntry{node: n, token: a.Token, count: count})
 			if count == 0 {
 				out = p.emitTo(n, a.Token, Add, out)
 			}
 			return out
 		}
-		if count, ok := p.left.removeLeft(b, n, a.Token); ok && count == 0 {
+		if count, ok := removeLeft(p.left, b, n, a.Token); ok && count == 0 {
 			out = p.emitTo(n, a.Token, Delete, out)
 		}
 		return out
 	}
 	es := p.left.entries(b)
 	if a.Tag == Add {
-		p.right.addRight(b, n, a.WME)
+		p.right.add(b, rightEntry{node: n, wme: a.WME})
 		for i := range es {
 			if e := &es[i]; e.node == n && p.testsPass(n, e.token, a.WME) {
 				e.count++
@@ -293,7 +298,7 @@ func (p *Processor) processNegative(a Activation, b int, out []Activation) []Act
 		}
 		return out
 	}
-	if !p.right.removeRight(b, n, a.WME.ID) {
+	if !removeRight(p.right, b, n, a.WME.ID) {
 		// Duplicate delete: the counts were already decremented when
 		// the wme was first removed; decrementing again would drive
 		// them negative and break the next add's 0 -> 1 transition,
@@ -311,7 +316,7 @@ func (p *Processor) processNegative(a Activation, b int, out []Activation) []Act
 	return out
 }
 
-func (p *Processor) testsPass(n *Node, t *Token, w *ops5.WME) bool {
+func (p *Processor) testsPass(n *Node, t Token, w *ops5.WME) bool {
 	for i := range n.Tests {
 		if !n.Tests[i].Eval(t, w) {
 			return false
@@ -340,8 +345,9 @@ const (
 // The records, and an Add delta's array, are never reused and belong to
 // the caller: they may be held across any number of later phases, and a
 // delta that stays in the conflict set keeps the chunk its array was
-// carved from alive, as a stored token keeps its arena chunk. A Delete
-// delta's array is lent (see Build). The zero value is ready to use.
+// carved from alive, as a stored token keeps the arena chunk its wme
+// references were carved from. A Delete delta's array is lent (see
+// Build). The zero value is ready to use.
 type InstBuilder struct {
 	wmes slab[*ops5.WME]
 	out  slab[InstChange]
@@ -360,7 +366,7 @@ func (b *InstBuilder) Result(n int) []InstChange {
 //
 // An Add delta's array is carved from the builder's slab for good: the
 // conflict set keeps it. A Delete delta names an instantiation to
-// remove and its array is read once, so it is lent from p's delete
+// remove and its array is read once, so it is lent from p's phase
 // arena and lives exactly as long as a delete token does: until the
 // owner of p next calls BeginPhase, and for good under an owner that
 // never does. Whoever holds a Delete delta past that point (nobody in
@@ -370,7 +376,8 @@ func (b *InstBuilder) Result(n int) []InstChange {
 // the deltas with capped capacity, so a batch too large for a chunk
 // still costs one allocation per array however many deltas it holds.
 // The wmes are copied out of the activations' tokens: once Build
-// returns, the deltas do not depend on the tokens.
+// returns, the deltas do not depend on the tokens, which is what lets a
+// token that only production nodes receive come from the phase arena.
 func (b *InstBuilder) Build(p *Processor, acts []Activation, out []InstChange) []InstChange {
 	nAdd, nDel := 0, 0
 	for i := range acts {

@@ -8,13 +8,16 @@ import (
 )
 
 // Token is a partial instantiation: the wmes matching the positive
-// condition elements compiled so far, in compiled order.
+// condition elements compiled so far, in compiled order. It is held by
+// value — in an activation, in a left memory entry — so a token costs
+// nothing but its run of wme references, carved from a processor's
+// arena (tokenArena).
 type Token struct {
 	WMEs []*ops5.WME
 }
 
 // Same reports whether two tokens cover exactly the same wmes (by ID).
-func (t *Token) Same(o *Token) bool {
+func (t Token) Same(o Token) bool {
 	if len(t.WMEs) != len(o.WMEs) {
 		return false
 	}
@@ -27,7 +30,7 @@ func (t *Token) Same(o *Token) bool {
 }
 
 // IDKey returns a canonical encoding of the token's wme ID list.
-func (t *Token) IDKey() string {
+func (t Token) IDKey() string {
 	var b strings.Builder
 	for i, w := range t.WMEs {
 		if i > 0 {
@@ -39,7 +42,7 @@ func (t *Token) IDKey() string {
 }
 
 // String renders the token's wme IDs for diagnostics.
-func (t *Token) String() string { return "[" + t.IDKey() + "]" }
+func (t Token) String() string { return "[" + t.IDKey() + "]" }
 
 // FNV-1a parameters of the inlined hash below (pinned against hash/fnv
 // over the same bytes by TestHashKeyMatchesFNVReference).
@@ -73,7 +76,11 @@ func hashSeedOf(id int) uint64 {
 // bits, so the key's low bits — the bucket, and through it the owning
 // worker — spread over small integers. The key is a function of the
 // build: two processes that hash differently would mis-join silently,
-// which is why the wire handshake carries a protocol version.
+// which is why the wire handshake carries a protocol version. Under
+// FNV-1a the key's low bit is the XOR of the low bits of every folded
+// byte, and under round-robin that bit is the owner at W=2, so a new
+// fold re-deals ownership and is judged on wire-queens, not seq-queens
+// (EXPERIMENTS.md, "What a key costs").
 //
 // The hash is FNV-1a over the node id's eight little-endian bytes and,
 // per equality test, the value's bytes and a zero separator; it is
@@ -86,7 +93,7 @@ func hashSeedOf(id int) uint64 {
 // needs every collector memory of a production in one bucket, so the
 // whole group is deliberately clustered on one owner (the bounded
 // analogue of the paper's cluster-on-one-processor remedy).
-func HashKey(n *Node, side Side, t *Token, w *ops5.WME) uint64 {
+func HashKey(n *Node, side Side, t Token, w *ops5.WME) uint64 {
 	h := n.hashSeed
 	if n.group != nil {
 		return h

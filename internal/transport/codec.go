@@ -125,10 +125,8 @@ type dec struct {
 	cache             *wmeCache
 	layouts           []*ops5.Layout
 
-	// toks and refs are the unconsumed tails of the slabs decoded tokens
-	// are carved from (token), as rete's token arena carves the match's
-	// own.
-	toks []rete.Token
+	// refs is the unconsumed tail of the slab decoded tokens are carved
+	// from (token), as rete's token arena carves the match's own.
 	refs []*ops5.WME
 }
 
@@ -329,27 +327,20 @@ func (e *enc) wmes(ws []*ops5.WME) {
 	}
 }
 
-// Decoded tokens are carved from slabs of these sizes (rete's arena
-// chunk sizes): a token a worker stores keeps its slab alive, and a
-// slab costs one allocation per 256 tokens.
-const (
-	tokenSlab = 256
-	refSlab   = 1024
-)
+// Decoded tokens are carved from slabs of this many references
+// (rete's arena chunk size): a token a worker stores keeps its slab
+// alive, and a slab costs one allocation per ~300 tokens.
+const refSlab = 1024
 
 // token decodes a counted list of wmes into a token carved from the
-// decoder's slabs.
-func (d *dec) token() *rete.Token {
+// decoder's slab.
+func (d *dec) token() rete.Token {
 	n := d.Count(1 << 16)
-	if len(d.toks) == 0 {
-		d.toks = make([]rete.Token, tokenSlab)
-	}
 	if len(d.refs) < n {
 		d.refs = make([]*ops5.WME, max(n, refSlab))
 	}
-	t := &d.toks[0]
-	d.toks = d.toks[1:]
-	t.WMEs, d.refs = d.refs[:n:n], d.refs[n:]
+	t := rete.Token{WMEs: d.refs[:n:n]}
+	d.refs = d.refs[n:]
 	for i := range t.WMEs {
 		t.WMEs[i] = d.wme()
 	}
@@ -396,8 +387,10 @@ func (e *enc) activation(a rete.Activation) {
 	e.Int(a.Node.ID)
 	e.Byte(byte(a.Side))
 	e.Byte(byte(a.Tag))
-	e.Bool(a.Token != nil)
-	if a.Token != nil {
+	// The token flag is the side: a left activation carries a token, a
+	// right one does not.
+	e.Bool(a.Side == rete.Left)
+	if a.Side == rete.Left {
 		e.wmes(a.Token.WMEs)
 	}
 	e.optWME(a.WME)
@@ -425,7 +418,8 @@ func (d *dec) activation(net *rete.Network) rete.Activation {
 	}
 	a.Side = rete.Side(side)
 	a.Tag = d.tag()
-	if d.Bool() {
+	hasToken := d.Bool()
+	if hasToken {
 		a.Token = d.token()
 	}
 	a.WME = d.optWME()
@@ -433,9 +427,9 @@ func (d *dec) activation(net *rete.Network) rete.Activation {
 		return a
 	}
 	switch {
-	case a.Side == rete.Left && (a.Token == nil || a.WME != nil || !a.Node.TakesLeft(len(a.Token.WMEs))):
+	case a.Side == rete.Left && (!hasToken || a.WME != nil || !a.Node.TakesLeft(len(a.Token.WMEs))):
 		d.Fail(fmt.Sprintf("left activation of %s node %d needs a %d-wme token and no wme", a.Node.Kind, a.Node.ID, a.Node.LeftLen))
-	case a.Side == rete.Right && (a.WME == nil || a.Token != nil || !a.Node.TakesRight()):
+	case a.Side == rete.Right && (a.WME == nil || hasToken || !a.Node.TakesRight()):
 		d.Fail(fmt.Sprintf("right activation of %s node %d needs a wme and no token", a.Node.Kind, a.Node.ID))
 	}
 	return a

@@ -292,8 +292,8 @@ func (c *Control) read(cc *ctlConn) error {
 	var lastEnd int64 // the previous turn frame's arrival
 	d := &cc.dec
 	// A relay is re-encoded before the next frame is read and nothing of
-	// it is kept, so every relay's tokens are carved from the same slabs.
-	toks, refs := make([]rete.Token, tokenSlab), make([]*ops5.WME, refSlab)
+	// it is kept, so every relay's tokens are carved from the same slab.
+	refs := make([]*ops5.WME, refSlab)
 	var acts []parallel.Message
 	var tf turnFrame
 	for {
@@ -312,7 +312,7 @@ func (c *Control) read(cc *ctlConn) error {
 			// conn's receive cache and leave as references into the
 			// destination's send cache; a wme is materialised only where
 			// the sender defined one.
-			d.toks, d.refs = toks, refs
+			d.refs = refs
 			acts = d.actList(c.network, acts)
 			if err := d.Done(); err != nil {
 				return err

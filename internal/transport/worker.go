@@ -226,9 +226,9 @@ func (w *starWorker) turn(ft frameType, payload []byte) error {
 	if newPart != nil {
 		s.SetPartition(newPart)
 	}
-	// The previous turn's delete tokens and lent delta arrays are dead:
-	// its queue drained, and its relays and deltas were encoded before it
-	// returned.
+	// The previous turn's phase tokens and lent delta arrays are dead:
+	// its queue drained, and its relays and deltas were built and encoded
+	// before it returned.
 	s.BeginPhase()
 	s.BeginTurn(0, 0)
 	s.Handle(w.msgs)

@@ -48,7 +48,7 @@ func main() {
 		force    = flag.String("force-divergence", "", "perturb configs whose name contains this substring (drills the divergence path)")
 		variant  = flag.String("variant", "", "focus the matrix on one network variant (shared, unshared, candc, bounded); empty = full matrix")
 		rebal    = flag.Bool("rebalance", false, "add the migration configurations (adaptive rebalancer + forced full rotations) to the matrix")
-		tcp      = flag.Bool("tcp", false, "add the wire-transport configurations (loopback codec and multi-process control plane) to the matrix")
+		tcp      = flag.Bool("tcp", false, "add the star carrier (control and socket workers, run in this process) to the matrix")
 	)
 	flag.Parse()
 

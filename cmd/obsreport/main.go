@@ -37,7 +37,7 @@ func main() {
 		workers  = flag.Int("workers", 4, "parallel workers (also the model's processor count)")
 		cycles   = flag.Int("cycles", 200, "max recognize-act cycles")
 		routed   = flag.Bool("routed", false, "route root activations to their owners (Fig 3-2) instead of broadcasting")
-		tname    = flag.String("transport", "inproc", "measured run's message plane: inproc (goroutine mailboxes) or tcp (loopback TCP with the full wire codec)")
+		tname    = flag.String("transport", "inproc", "measured run's message plane: inproc (goroutine mailboxes) or tcp (the star carrier — control and socket workers — in this process)")
 		chaos    = flag.Int64("chaos", 0, "chaos-scheduling seed for the measured run (0 = off)")
 		jsonOut  = flag.String("json", "", "write the report as JSON here")
 		csvOut   = flag.String("csv", "", "write the per-cycle rows as CSV here")
@@ -53,20 +53,15 @@ func main() {
 		os.Exit(2)
 	}
 
-	mm := analysis.MMOptions{
+	plane, err := messagePlane(*tname)
+	fatal(err)
+	rep, err := analysis.CompareModelMeasured(name, prog, wmes, analysis.MMOptions{
 		Workers:    *workers,
 		MaxCycles:  *cycles,
 		RouteRoots: *routed,
 		ChaosSeed:  *chaos,
-	}
-	switch *tname {
-	case "inproc":
-	case "tcp":
-		mm.Transport = func(n *rete.Network) parallel.Transport { return transport.NewLoopback(n) }
-	default:
-		fatal(fmt.Errorf("unknown transport %q (inproc or tcp)", *tname))
-	}
-	rep, err := analysis.CompareModelMeasured(name, prog, wmes, mm)
+		Transport:  plane,
+	})
 	fatal(err)
 
 	fatal(rep.Render(os.Stdout))
@@ -82,6 +77,18 @@ func main() {
 	if *dumpOut != "" {
 		fatal(writeTo(*dumpOut, rep.Dump.WriteJSON))
 	}
+}
+
+// messagePlane maps -transport to MMOptions.Transport: nil for the
+// goroutine mailboxes, a transport.Loopback for the star.
+func messagePlane(name string) (func(*rete.Network) parallel.Transport, error) {
+	switch name {
+	case "inproc":
+		return nil, nil
+	case "tcp":
+		return func(n *rete.Network) parallel.Transport { return transport.NewLoopback(n) }, nil
+	}
+	return nil, fmt.Errorf("unknown transport %q (inproc or tcp)", name)
 }
 
 // resolveWorkload picks the program and initial working memory from

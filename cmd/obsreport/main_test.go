@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"mpcrete/internal/analysis"
@@ -78,5 +80,56 @@ func TestExportsEndToEnd(t *testing.T) {
 	}
 	if data, _ := os.ReadFile(csvPath); len(data) == 0 {
 		t.Fatal("empty CSV export")
+	}
+}
+
+// TestTransportTCP: -transport tcp measures the star carrier. On
+// rubik-like and tourney-like at two workers, in both root modes, the
+// star fires what the goroutine runtime fires, the flight dump holds one
+// cycle record per trace cycle (CompareModelMeasured refuses anything
+// else, and numbers the rows from it), and the measured critical path
+// never falls below the trace bound. -chaos does not compose with it:
+// the chaos layer perturbs mailboxes a star does not have.
+func TestTransportTCP(t *testing.T) {
+	tcp, err := messagePlane("tcp")
+	if err != nil || tcp == nil {
+		t.Fatalf("messagePlane(tcp): nil = %v, err = %v", tcp == nil, err)
+	}
+	for _, name := range []string{"rubik-like", "tourney-like"} {
+		wl, err := workloads.Named(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, routed := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/routed=%v", name, routed), func(t *testing.T) {
+				opts := analysis.MMOptions{Workers: 2, RouteRoots: routed}
+				ref, err := analysis.CompareModelMeasured(wl.Name, wl.Program, wl.WMEs, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Transport = tcp
+				rep, err := analysis.CompareModelMeasured(wl.Name, wl.Program, wl.WMEs, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Fired == 0 || rep.Fired != ref.Fired {
+					t.Errorf("the star fired %d, the goroutine runtime %d", rep.Fired, ref.Fired)
+				}
+				if len(rep.Rows) == 0 || len(rep.Rows) != len(ref.Rows) || len(rep.Dump.Cycles) != len(rep.Rows) {
+					t.Errorf("%d rows over %d cycle records, the goroutine runtime %d rows", len(rep.Rows), len(rep.Dump.Cycles), len(ref.Rows))
+				}
+				if err := rep.CheckCritPathBound(); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	}
+	_, err = analysis.CompareModelMeasured("rubik", workloads.RubikLike, workloads.RubikLikeWMEs(3, 4),
+		analysis.MMOptions{Workers: 2, ChaosSeed: 1, Transport: tcp})
+	if err == nil || !strings.Contains(err.Error(), "ChaosSeed") || !strings.Contains(err.Error(), "Transport") {
+		t.Errorf("-chaos 1 -transport tcp: err = %v, want a refusal naming both", err)
+	}
+	if _, err := messagePlane("udp"); err == nil {
+		t.Error("-transport udp accepted")
 	}
 }

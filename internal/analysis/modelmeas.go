@@ -54,10 +54,11 @@ type MMOptions struct {
 	// ChaosSeed perturbs the measured run's scheduling (0 = off).
 	ChaosSeed int64
 	// Transport, when non-nil, is called with the compiled network to
-	// supply the measured run's message plane (e.g. the loopback TCP
-	// transport in internal/transport, so measured per-message costs
-	// include real serialization and socket hops). Nil uses the
-	// in-process reference endpoints.
+	// supply the measured run's message plane (internal/transport's
+	// Loopback: the star carrier the multi-process runtime runs, so
+	// measured per-message costs include its frames and socket hops).
+	// Nil uses the goroutine runtime's mailboxes. It does not compose
+	// with ChaosSeed.
 	Transport func(*rete.Network) parallel.Transport
 }
 

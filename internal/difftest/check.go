@@ -2,11 +2,9 @@ package difftest
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"mpcrete/internal/engine"
 	"mpcrete/internal/obs"
@@ -52,13 +50,12 @@ type CheckOptions struct {
 	// It exists to drill the divergence-reporting path end to end
 	// (shrink, repro file, flight dump) without needing a real bug.
 	ForceDivergence string
-	// TCP, when true, adds the wire-transport configurations to the
-	// matrix: the in-process runtime over the loopback TCP transport
-	// (tcp-*, every message through the full frame codec and a real
-	// socket) and the multi-process control plane with worker protocol
-	// loops on local connections (tcpproc-*). Off by default — each
-	// configuration opens real sockets per case, which is too slow for
-	// the fuzzing inner loop.
+	// TCP, when true, adds the star carrier to the matrix (tcp-*): a
+	// transport.Control and worker protocol loops on local TCP
+	// connections, run in this process by transport.Loopback — every
+	// message through the frame codec and a real socket. Off by default
+	// — each configuration opens real sockets per case, which is too
+	// slow for the fuzzing inner loop.
 	TCP bool
 	// Variant, when non-empty, focuses the matrix on one network
 	// variant: the sequential shared reference, the variant
@@ -72,11 +69,9 @@ type CheckOptions struct {
 	// pathological all-on-worker-0 assignment (adapt-*), and with a
 	// forced full-rotation schedule that moves every bucket at every
 	// cycle boundary (migrate-*). With TCP also set, the same two
-	// schedules run over the loopback wire codec (tcpadapt-*,
-	// tcpmigrate-*) and the multi-process control plane
-	// (tcpprocadapt-*, tcpprocmigrate-*). ChaosSeed composes: chaos
-	// scheduling applies to the in-process migration configurations
-	// like any other parallel run.
+	// schedules run over the star (tcpadapt-*, tcpmigrate-*). ChaosSeed
+	// composes: chaos scheduling applies to the in-process migration
+	// configurations like any other parallel run.
 	Rebalance bool
 }
 
@@ -171,9 +166,10 @@ func (m *Mismatch) Error() string {
 
 // built is one configuration's instantiated match machinery. close is
 // non-nil for parallel configurations and reports what shutting the
-// machinery down found (a star row's worker loops return their errors
-// there); dump snapshots the run's flight recorder (legal once the run
-// is quiescent; nil result when CheckOptions.FlightCycles is 0).
+// machinery down found (a star row's worker loop errors reach the
+// runtime's Err there); dump snapshots the run's flight recorder (legal
+// once the run is quiescent; nil result when CheckOptions.FlightCycles
+// is 0).
 type built struct {
 	net     *rete.Network
 	matcher engine.MatchApplier
@@ -233,15 +229,10 @@ type carrier int
 const (
 	// inProc is the goroutine runtime over its in-process mailboxes.
 	inProc carrier = iota
-	// loopback is the goroutine runtime with the mailboxes replaced by
-	// the loopback TCP transport: identical scheduling, but every message
-	// (and every migrated bucket) crosses the full wire codec and a real
-	// localhost socket.
-	loopback
-	// star is the multi-process control plane: a transport.Control hub
-	// with worker protocol loops served over local TCP connections — the
-	// same code path ops5run -transport tcp and ops5worker run as
-	// separate OS processes.
+	// star is the multi-process control plane run in this process by
+	// transport.Loopback: a transport.Control hub with worker protocol
+	// loops served over local TCP connections — the same frames ops5run
+	// -transport tcp and ops5worker exchange as separate OS processes.
 	star
 )
 
@@ -284,10 +275,9 @@ func (sch schedule) apply(o *parallel.Options) {
 // runtimeConfig is a parallel configuration: what carries the messages,
 // the migration schedule, worker count, message-plane mode, and network
 // variant. Chaos scheduling exists only in the goroutine workers' own
-// mailbox loop, so only inProc rows take the seed; Metrics reach every
-// goroutine runtime.
+// mailbox loop, so only inProc rows take the seed.
 func runtimeConfig(c carrier, sch schedule, workers int, routed bool, variant string) config {
-	kind := [...]string{inProc: "", loopback: "tcp", star: "tcpproc"}[c] +
+	kind := [...]string{inProc: "", star: "tcp"}[c] +
 		[...]string{static: "", adapt: "adapt", migrate: "migrate"}[sch]
 	if kind == "" {
 		kind = "par"
@@ -305,7 +295,7 @@ func runtimeConfig(c carrier, sch schedule, workers int, routed bool, variant st
 		if err != nil {
 			return built{}, err
 		}
-		popts := parallel.Options{Workers: workers, NBuckets: checkNBuckets, RouteRoots: routed}
+		popts := parallel.Options{Workers: workers, NBuckets: checkNBuckets, RouteRoots: routed, Metrics: opts.Metrics}
 		sch.apply(&popts)
 		if opts.FlightCycles > 0 {
 			// A small ring suffices: generated cases are tiny and the
@@ -313,51 +303,19 @@ func runtimeConfig(c carrier, sch schedule, workers int, routed bool, variant st
 			// divergence.
 			popts.Causal = parallel.NewFlightRecorder(workers, 2048, opts.FlightCycles, checkNBuckets)
 		}
-		b := built{net: net}
 		if c == star {
-			ctl, err := transport.Listen(net, "127.0.0.1:0", transport.ControlOptions{
-				Workers:      workers,
-				NBuckets:     checkNBuckets,
-				Partition:    popts.Partition,
-				RouteRoots:   routed,
-				Rebalance:    popts.Rebalance,
-				ForceMigrate: popts.ForceMigrate,
-				Causal:       popts.Causal,
-			})
-			if err != nil {
-				return built{}, err
-			}
-			served := make(chan error, workers)
-			for i := 0; i < workers; i++ {
-				go func() { served <- transport.Serve(ctl.Addr(), 10*time.Second) }()
-			}
-			if err := ctl.WaitWorkers(); err != nil {
-				ctl.Close()
-				return built{}, err
-			}
-			b.matcher, b.dump = ctl, ctl.FlightDump
-			b.close = func() error {
-				errs := []error{ctl.Close()}
-				for i := 0; i < workers; i++ {
-					errs = append(errs, <-served)
-				}
-				return errors.Join(errs...)
-			}
+			popts.Transport = transport.NewLoopback(net)
 		} else {
-			popts.Metrics = opts.Metrics
-			if c == loopback {
-				popts.Transport = transport.NewLoopback(net)
-			} else {
-				popts.ChaosSeed = opts.ChaosSeed
-			}
-			rt, err := parallel.New(net, popts)
-			if err != nil {
-				return built{}, err
-			}
-			b.matcher, b.dump = rt, rt.FlightDump
-			b.close = func() error { rt.Close(); return nil }
+			popts.ChaosSeed = opts.ChaosSeed
 		}
-		return b, nil
+		rt, err := parallel.New(net, popts)
+		if err != nil {
+			return built{}, err
+		}
+		return built{net: net, matcher: rt, dump: rt.FlightDump, close: func() error {
+			rt.Close()
+			return rt.Err()
+		}}, nil
 	}}
 }
 
@@ -404,10 +362,7 @@ func configMatrix(opts CheckOptions) []config {
 		runtimeConfig(inProc, static, cross, true, "bounded"),
 	)
 	if opts.TCP {
-		configs = append(configs,
-			runtimeConfig(loopback, static, 2, false, "shared"), runtimeConfig(loopback, static, 2, true, "shared"),
-			runtimeConfig(star, static, 2, false, "shared"), runtimeConfig(star, static, 2, true, "shared"),
-		)
+		configs = append(configs, runtimeConfig(star, static, 2, false, "shared"), runtimeConfig(star, static, 2, true, "shared"))
 	}
 	if opts.Rebalance {
 		for _, w := range opts.Workers {
@@ -421,10 +376,8 @@ func configMatrix(opts CheckOptions) []config {
 		}
 		if opts.TCP {
 			configs = append(configs,
-				runtimeConfig(loopback, adapt, 2, true, "shared"),
-				runtimeConfig(loopback, migrate, 2, false, "shared"),
-				runtimeConfig(star, adapt, 2, false, "shared"),
-				runtimeConfig(star, migrate, 2, true, "shared"),
+				runtimeConfig(star, adapt, 2, false, "shared"), runtimeConfig(star, adapt, 2, true, "shared"),
+				runtimeConfig(star, migrate, 2, false, "shared"), runtimeConfig(star, migrate, 2, true, "shared"),
 			)
 		}
 	}

@@ -151,11 +151,10 @@ func TestCorpus(t *testing.T) {
 }
 
 // TestTCPTransportParity replays the committed corpus and a slice of
-// generated cases through the wire-transport configurations — the
-// loopback TCP endpoints under the in-process runtime (tcp-*) and the
-// multi-process control plane with worker protocol loops on local
-// connections (tcpproc-*) — proving conflict-set parity across the
-// frame codec and real sockets.
+// generated cases through the star carrier's configurations (tcp-*): a
+// control and worker protocol loops on local connections, run in one
+// process — proving conflict-set parity across the frame codec and
+// real sockets.
 func TestTCPTransportParity(t *testing.T) {
 	opts := CheckOptions{MaxCycles: 20, Workers: []int{2}, Budget: 10000, TCP: true}
 	cases, err := LoadCorpus("testdata/corpus")

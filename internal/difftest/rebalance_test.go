@@ -1,6 +1,7 @@
 package difftest
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -40,11 +41,9 @@ func TestRebalanceMatrixParity(t *testing.T) {
 	}
 }
 
-// TestRebalanceTCPParity adds the wire layers to the migration matrix:
-// the loopback codec (tcpadapt-*, tcpmigrate-*) and the multi-process
-// control plane (tcpprocadapt-*, tcpprocmigrate-*), where every
-// migrated bucket's tokens serialize across real TCP connections
-// mid-run. The two promoted corpus cases are the focus — both force
+// TestRebalanceTCPParity adds the star carrier to the migration matrix
+// (tcpadapt-*, tcpmigrate-*, both root modes), where every migrated
+// bucket's tokens serialize across real TCP connections mid-run. The two promoted corpus cases are the focus — both force
 // retractions against state that has physically changed owners.
 func TestRebalanceTCPParity(t *testing.T) {
 	opts := CheckOptions{MaxCycles: 20, Workers: []int{2}, Budget: 10000, Rebalance: true, TCP: true}
@@ -66,6 +65,25 @@ func TestRebalanceTCPParity(t *testing.T) {
 	}
 	if ran < 2 {
 		t.Fatal("promoted migration corpus cases missing")
+	}
+}
+
+// TestWireRows pins the star's rows of the -tcp -rebalance matrix: each
+// schedule in both root modes, once.
+func TestWireRows(t *testing.T) {
+	var got []string
+	for _, c := range configMatrix(CheckOptions{Workers: []int{2, 4}, TCP: true, Rebalance: true}) {
+		if strings.HasPrefix(c.name, "tcp") {
+			got = append(got, c.name)
+		}
+	}
+	want := []string{
+		"tcp-w2-bcast", "tcp-w2-routed",
+		"tcpadapt-w2-bcast", "tcpadapt-w2-routed",
+		"tcpmigrate-w2-bcast", "tcpmigrate-w2-routed",
+	}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("wire rows %v, want %v", got, want)
 	}
 }
 

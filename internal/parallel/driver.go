@@ -16,10 +16,25 @@ import (
 )
 
 // Carrier is what the cycle driver needs from a message plane: a way to
-// put messages in front of workers. The driver has registered every
-// message with the termination detector before it calls Broadcast or
-// Deliver. An error ends the cycle; a carrier that lost a registered
-// message also calls Fail, since no later cycle can reach quiescence.
+// put messages in front of workers. The driver's correctness arguments
+// rest on what every carrier keeps:
+//
+//   - Per-sender FIFO: messages from one sender to one worker arrive in
+//     send order (add-before-delete ordering of same-token activations
+//     relies on it).
+//   - Synchronous capture: a call captures the messages and everything
+//     they reference before it returns; the driver reuses the cycle
+//     packet and its buffers, and the caller the changes slice, as soon
+//     as Apply returns.
+//   - Add-before-visible: every message is registered with the
+//     termination detector (Sending, Shipping) before its receiver can
+//     see it, and deregistered (TurnDone) only after the turn that
+//     handled it has published what it produced. The driver registers
+//     what it hands to Broadcast and Deliver itself.
+//
+// A message is delivered exactly once or the run fails: an error ends
+// the cycle, and a carrier that lost a registered message also calls
+// Fail, since no later cycle can reach quiescence.
 type Carrier interface {
 	// Broadcast delivers one MsgCycle message to every worker under one
 	// causal batch stamp (Fig 3-3).
@@ -42,7 +57,7 @@ type Carrier interface {
 // conflict-set intake and netting, the rebalance detector and the
 // migration protocol, the causal control track, cycle numbering, and
 // the run's statistics. A carrier embeds it: Runtime adds goroutine
-// workers over a Transport, transport.Control adds worker connections.
+// workers over mailboxes, transport.Control adds worker connections.
 //
 // Cycle is the match phase of the MRA cycle; resolve and act remain the
 // caller's job. Carriers report message traffic through Sending,
@@ -128,8 +143,8 @@ type Driver struct {
 }
 
 // NewDriver validates opts, applies their defaults, and builds a cycle
-// driver that delivers through c. The Transport, Metrics and ChaosSeed
-// fields may be left zero by carriers that have no use for them.
+// driver that delivers through c. It ignores Transport; Metrics and
+// ChaosSeed may be left zero by carriers that have no use for them.
 func NewDriver(net *rete.Network, opts Options, c Carrier) (*Driver, error) {
 	if opts.Workers == 0 {
 		opts.Workers = runtime.GOMAXPROCS(0)

@@ -24,7 +24,11 @@ type RecvStamp struct {
 // one bucket owner. Per-sender FIFO order is preserved — pushBatch
 // appends a sender's coalesced messages in order, and drain hands the
 // queue back in arrival order — which the runtime relies on for
-// add-before-delete ordering of same-token activations.
+// add-before-delete ordering of same-token activations. A push copies
+// the messages before it returns (the Carrier's synchronous capture),
+// and they are visible to the draining worker the moment the lock is
+// released, so a sender registers them with the driver (Driver.Sending,
+// Shipping) before it pushes: Add-before-visible.
 //
 // The consumer side is batched: drain swaps the whole pending queue
 // for an empty buffer donated by the caller, so the owning worker

@@ -12,9 +12,10 @@
 // (driver.go) is the control processor's cycle, Step (step.go) a match
 // processor's turn. A carrier only moves Message batches between them.
 // Runtime, in this file, is the goroutine carrier: workers are
-// goroutines and messages are Transport endpoint pushes (in-process
-// mailboxes by default). internal/transport carries the same two types
-// between OS processes.
+// goroutines and messages are in-process mailbox pushes.
+// internal/transport carries the same two types between OS processes,
+// and its Loopback runs that star inside one process behind
+// Options.Transport.
 //
 // The message plane is batched, because the paper's central finding is
 // that per-message overhead is what makes or breaks MPC speedups:
@@ -40,7 +41,7 @@
 package parallel
 
 import (
-	"fmt"
+	"errors"
 	"runtime"
 	"sync"
 
@@ -112,11 +113,11 @@ type Options struct {
 	// post-close mailbox sends (normal operation keeps it zero; soak
 	// runs assert that).
 	Metrics *obs.Registry
-	// Transport supplies the message plane (nil: the in-process
-	// double-buffer mailboxes, InProc). See the Transport contract in
-	// transport.go; internal/transport provides a TCP loopback
-	// implementation used to validate wire framing against this
-	// reference in-process.
+	// Transport, when non-nil, carries the run instead of goroutine
+	// workers over mailboxes: internal/transport's Loopback runs the
+	// star carrier — a transport.Control and socket workers — inside
+	// this process. It does not compose with ChaosSeed, which perturbs
+	// mailboxes a star does not have.
 	Transport Transport
 	// Causal, when non-nil, attaches the flight recorder, the one
 	// recorder of a live run: every worker records sequence-stamped
@@ -129,6 +130,15 @@ type Options struct {
 	// NewFlightRecorder. Nil (the default) keeps the hot path at one
 	// nil check per event and zero allocations.
 	Causal *obs.CausalRecorder
+}
+
+// Transport builds the driver of a carrier whose workers are not this
+// package's goroutines (internal/transport's Loopback; parallel cannot
+// import it). Open returns the driver running over the carrier, and the
+// function that stops the carrier and records what its workers reported
+// in the driver's sticky Err.
+type Transport interface {
+	Open(opts Options) (*Driver, func(), error)
 }
 
 // NewFlightRecorder builds a causal recorder sized for a runtime with
@@ -151,11 +161,8 @@ type CyclePacket struct {
 	Changes []rete.Change
 }
 
-// Message is the worker-mailbox protocol. All fields are the
-// wire-visible protocol a Transport must carry; the migration fields
-// (Moves, Inject) reference live Rete state in-process, so a wire
-// transport must serialize them at Push time — the synchronous-capture
-// rule already requires that.
+// Message is the worker protocol. A mailbox carries it by value; the
+// star carrier (internal/transport) gives each kind a frame of its own.
 type Message struct {
 	Kind   MsgKind
 	Bucket int32           // MsgAct: the activation's hash bucket, computed by the sender for routing
@@ -191,15 +198,16 @@ const (
 // Runtime is the goroutine carrier of the mapping: a cycle driver
 // (embedded — Apply, Cycle, Stats, Repartition and the rest are its)
 // plus one goroutine per match processor, each running a worker step
-// fed from its Transport endpoint. Close must be called to stop the
-// goroutines.
+// fed from its mailbox. Over Options.Transport it is only the driver
+// the transport opened and the function that stops it. Close must be
+// called to stop the workers.
 type Runtime struct {
 	*Driver
 
 	workers []*worker
 
-	// transport owns the message plane.
-	transport Transport
+	// stop ends a Transport's run (nil on the goroutine carrier).
+	stop func()
 }
 
 // worker is one match goroutine: the carrier loop around a Step.
@@ -207,11 +215,11 @@ type worker struct {
 	id    int
 	rt    *Runtime
 	step  *Step
-	inbox Endpoint
+	inbox *mailbox
 	done  sync.WaitGroup
 
 	// batch and stampBuf are the drained turn and its recv stamps, reused
-	// across turns (donated back to the endpoint on the next drain).
+	// across turns (donated back to the mailbox on the next drain).
 	batch    []Message
 	stampBuf []RecvStamp
 
@@ -223,10 +231,17 @@ type worker struct {
 // New creates and starts a runtime. Close must be called to stop the
 // worker goroutines.
 func New(net *rete.Network, opts Options) (*Runtime, error) {
-	rt := &Runtime{transport: opts.Transport}
-	if rt.transport == nil {
-		rt.transport = InProc()
+	if opts.Transport != nil {
+		if opts.ChaosSeed != 0 {
+			return nil, errors.New("parallel: ChaosSeed and Transport do not compose: chaos perturbs goroutine mailboxes, which a Transport does not have")
+		}
+		d, stop, err := opts.Transport.Open(opts)
+		if err != nil {
+			return nil, err
+		}
+		return &Runtime{Driver: d, stop: stop}, nil
 	}
+	rt := &Runtime{}
 	d, err := NewDriver(net, opts, rt)
 	if err != nil {
 		return nil, err
@@ -234,49 +249,25 @@ func New(net *rete.Network, opts Options) (*Runtime, error) {
 	rt.Driver = d
 	opts = d.opts
 
-	eps, err := rt.transport.Open(opts.Workers, EndpointOptions{
-		NBuckets: opts.NBuckets,
-		Dropped:  opts.Metrics.Counter("parallel.dropped_post_close"),
-		Stamped:  d.causal != nil,
-		OnError: func(err error) {
-			d.Fail(fmt.Errorf("parallel: transport failed: %w", err))
-		},
-	})
-	if err != nil {
-		return nil, err
-	}
-	if len(eps) != opts.Workers {
-		for _, ep := range eps {
-			ep.Close()
-		}
-		rt.transport.Close()
-		return nil, fmt.Errorf("parallel: transport opened %d endpoints, want %d", len(eps), opts.Workers)
-	}
-	// In place needs the steps in this memory and the mailboxes' locks
-	// (Driver.handOff); a transport with endpoints of its own — Loopback,
-	// whose point is that every message crosses the codec — keeps every
-	// cycle on the message plane.
-	var steps []*Step
-	var boxes []*mailbox
-	for i := 0; i < opts.Workers; i++ {
+	// The steps and mailboxes live in the driver's memory, which turns
+	// its in-place head on (Driver.shareMemory).
+	dropped := opts.Metrics.Counter("parallel.dropped_post_close")
+	steps := make([]*Step, opts.Workers)
+	boxes := make([]*mailbox, opts.Workers)
+	for i := range steps {
 		w := &worker{
 			id:    i,
 			rt:    rt,
 			step:  NewStep(net, i, opts.Workers, opts.Partition, d.balancer != nil, d.causal.Track(i)),
-			inbox: eps[i],
+			inbox: newMailbox(dropped, d.causal != nil),
 		}
 		if opts.ChaosSeed != 0 {
 			w.chaos = newChaos(opts.ChaosSeed, i)
 		}
 		rt.workers = append(rt.workers, w)
-		steps = append(steps, w.step)
-		if m, ok := eps[i].(*mailbox); ok {
-			boxes = append(boxes, m)
-		}
+		steps[i], boxes[i] = w.step, w.inbox
 	}
-	if len(boxes) == opts.Workers {
-		d.shareMemory(steps, boxes)
-	}
+	d.shareMemory(steps, boxes)
 	for _, w := range rt.workers {
 		w.done.Add(1)
 		go w.loop()
@@ -284,7 +275,7 @@ func New(net *rete.Network, opts Options) (*Runtime, error) {
 	return rt, nil
 }
 
-// Broadcast implements Carrier: every worker's endpoint gets the shared
+// Broadcast implements Carrier: every worker's mailbox gets the shared
 // packet under the same batch stamp.
 func (rt *Runtime) Broadcast(m Message, batch int32) error {
 	for _, w := range rt.workers {
@@ -319,6 +310,12 @@ func (rt *Runtime) Migrate(newPart sched.Partition, moves [][]BucketMove) error 
 // only legal on a quiescent runtime, so no dropped message carries
 // live work).
 func (rt *Runtime) Close() {
+	if rt.stop != nil {
+		// The transport's carrier takes Shutdown in its own Close, which
+		// would return early, leaking its connections, were it taken here.
+		rt.stop()
+		return
+	}
 	if !rt.Shutdown() {
 		return
 	}
@@ -328,11 +325,10 @@ func (rt *Runtime) Close() {
 	for _, w := range rt.workers {
 		w.done.Wait()
 	}
-	rt.transport.Close()
 }
 
 // loop is the worker goroutine: one match processor of the mapping. It
-// consumes its endpoint one drained batch at a time — one lock
+// consumes its mailbox one drained batch at a time — one lock
 // acquisition per turn, however many messages arrived — hands the batch
 // to the step as one delivery, and flushes the step's coalesced
 // outgoing activations once, at the end of the turn. One Handle per
@@ -376,7 +372,7 @@ func (w *worker) loop() {
 
 // flush ships what the turn left behind: the whole flush is registered
 // with the driver before any message becomes visible, then each
-// destination endpoint is locked once.
+// destination mailbox is locked once.
 func (w *worker) flush() {
 	rt, s := w.rt, w.step
 	if s.Pending > 0 {

@@ -1,8 +1,10 @@
 package parallel
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mpcrete/internal/ops5"
@@ -306,50 +308,21 @@ func TestParallelOptionsValidation(t *testing.T) {
 	if _, err := New(net, Options{Workers: 2, NBuckets: 16, Partition: make([]int, 4)}); err == nil {
 		t.Error("short partition accepted")
 	}
+	// Chaos perturbs goroutine mailboxes; a Transport has none, so the
+	// pair is refused before the transport opens anything.
+	tr := &openCounter{}
+	_, err := New(net, Options{Workers: 2, ChaosSeed: 1, Transport: tr})
+	if err == nil || !strings.Contains(err.Error(), "ChaosSeed") || !strings.Contains(err.Error(), "Transport") || tr.opened != 0 {
+		t.Errorf("ChaosSeed with a Transport: err = %v after %d opens, want an error naming both and none", err, tr.opened)
+	}
 }
 
-// shortTransport opens one endpoint too few and records what New closes.
-type shortTransport struct {
-	eps            []*mailbox
-	closed         bool
-	endpointsFirst bool
-}
+// openCounter is a Transport that counts its opens and opens nothing.
+type openCounter struct{ opened int }
 
-func (s *shortTransport) Open(workers int, opts EndpointOptions) ([]Endpoint, error) {
-	var eps []Endpoint
-	for i := 0; i < workers-1; i++ {
-		m := newMailbox(opts.Dropped, opts.Stamped)
-		s.eps = append(s.eps, m)
-		eps = append(eps, m)
-	}
-	return eps, nil
-}
-
-func (s *shortTransport) Close() error {
-	s.closed = true
-	s.endpointsFirst = true
-	for _, m := range s.eps {
-		m.mu.Lock()
-		s.endpointsFirst = s.endpointsFirst && m.closed
-		m.mu.Unlock()
-	}
-	return nil
-}
-
-// TestNewClosesTransportOnEndpointMismatch: a transport that opens the
-// wrong number of endpoints has still opened them (listeners and
-// sockets, for a wire transport); New must give them back — endpoints
-// first, as Close does — before it reports the mismatch.
-func TestNewClosesTransportOnEndpointMismatch(t *testing.T) {
-	net, _ := compileProds(t, `(p j (a ^x 1) --> (halt))`)
-	tr := &shortTransport{}
-	if _, err := New(net, Options{Workers: 3, Transport: tr}); err == nil {
-		t.Fatal("New accepted 2 endpoints for 3 workers")
-	}
-	if len(tr.eps) != 2 || !tr.closed || !tr.endpointsFirst {
-		t.Errorf("after the refused New: %d endpoints opened, transport closed = %v, endpoints closed before it = %v",
-			len(tr.eps), tr.closed, tr.endpointsFirst)
-	}
+func (o *openCounter) Open(Options) (*Driver, func(), error) {
+	o.opened++
+	return nil, nil, errors.New("openCounter opens nothing")
 }
 
 func TestParallelCloseIdempotent(t *testing.T) {

@@ -7,7 +7,6 @@ import (
 
 	"mpcrete/internal/engine"
 	"mpcrete/internal/ops5"
-	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/workloads"
 )
@@ -15,8 +14,8 @@ import (
 // TestEvictionParity runs a script whose live wmes alias cache slots —
 // the k-th wme made has id 1 + k%4 + (k/4)*wmeCacheSlots, so dozens of
 // live wmes share four slots and nearly every mention of a wme finds
-// its slot taken by another — over the star in both root modes and over
-// Loopback. Eviction must cost re-definitions and nothing else: every
+// its slot taken by another — over the star in both root modes.
+// Eviction must cost re-definitions and nothing else: every
 // cycle's conflict set equals the sequential matcher's. The same script
 // under dense ids is the control: it sends the same messages, so the
 // aliased run shows eviction by defining more wmes than the dense one.
@@ -60,26 +59,6 @@ func TestEvictionParity(t *testing.T) {
 			}}
 		}
 	}
-	loop := func(routed bool) func(t *testing.T) carrier {
-		return func(t *testing.T) carrier {
-			lb := NewLoopback(compileProdsT(t, migrationProds...))
-			rt, err := parallel.New(lb.net, parallel.Options{Workers: workers, NBuckets: nbuckets, RouteRoots: routed, Transport: lb})
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { rt.Close() })
-			return carrier{rt.Cycle, func() (defs, refs int64) {
-				lb.mu.Lock()
-				defer lb.mu.Unlock()
-				for _, ep := range lb.eps {
-					ep.mu.Lock()
-					defs, refs = defs+ep.enc.cache.defs, refs+ep.enc.cache.refs
-					ep.mu.Unlock()
-				}
-				return defs, refs
-			}}
-		}
-	}
 	// run drives the script through a carrier and holds every cycle
 	// against the sequential matcher.
 	run := func(t *testing.T, c carrier, script [][]rete.Change) (defs, refs int64) {
@@ -108,7 +87,6 @@ func TestEvictionParity(t *testing.T) {
 		open func(t *testing.T) carrier
 	}{
 		{"star/bcast", star(false)}, {"star/routed", star(true)},
-		{"loopback/bcast", loop(false)}, {"loopback/routed", loop(true)},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			denseDefs, denseRefs := run(t, row.open(t), dense)

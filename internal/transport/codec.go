@@ -579,65 +579,6 @@ func (d *dec) bucketContents(net *rete.Network) *rete.BucketContents {
 	return bc
 }
 
-// --- message batches (the Loopback transport's ftBatch payload) ---
-
-// appendBatch encodes a pushed message batch with its causal stamp
-// against the endpoint's send cache. Migration messages ship by value:
-// moves as (bucket, owner) pairs, injected contents through the
-// bucketContents codec.
-func appendBatch(e *enc, ms []parallel.Message, batch, src int32) error {
-	e.I32(batch)
-	e.I32(src)
-	e.Count(len(ms))
-	for i := range ms {
-		m := &ms[i]
-		e.Byte(byte(m.Kind))
-		switch m.Kind {
-		case parallel.MsgCycle:
-			e.changes(m.Cycle.Changes)
-		case parallel.MsgAct:
-			e.I32(m.Bucket)
-			e.I32(m.Depth)
-			e.activation(m.Act)
-		case parallel.MsgMigrateOut:
-			e.moves(m.Moves)
-		case parallel.MsgMigrateIn:
-			e.bucketContents(m.Inject)
-		default:
-			return fmt.Errorf("transport: message kind %d cannot cross the wire", m.Kind)
-		}
-	}
-	return nil
-}
-
-// decodeBatch decodes an ftBatch payload (d.B) into messages whose
-// wmes are the endpoint's receive cache's.
-func decodeBatch(net *rete.Network, d *dec, ms []parallel.Message) ([]parallel.Message, int32, int32, error) {
-	batch, src := d.I32(), d.I32()
-	n := d.Count(1 << 24)
-	ms = ms[:0]
-	for i := 0; i < n; i++ {
-		m := parallel.Message{Kind: parallel.MsgKind(d.Byte())}
-		switch m.Kind {
-		case parallel.MsgCycle:
-			m.Cycle = &parallel.CyclePacket{Changes: d.changes(nil)}
-		case parallel.MsgAct:
-			m.Bucket, m.Depth, m.Act = d.bucket(), d.I32(), d.activation(net)
-		case parallel.MsgMigrateOut:
-			m.Moves = d.moves()
-		case parallel.MsgMigrateIn:
-			m.Inject = d.bucketContents(net)
-		default:
-			d.Fail(fmt.Sprintf("message kind %d", m.Kind))
-		}
-		ms = append(ms, m)
-	}
-	if err := d.Done(); err != nil {
-		return nil, 0, 0, err
-	}
-	return ms, batch, src, nil
-}
-
 // --- turn frames (the star carrier's ftTurn payload) ---
 
 // turnFrame is a decoded ftTurn payload: how many protocol messages the

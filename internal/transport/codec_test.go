@@ -115,8 +115,8 @@ func TestDefinitionCodec(t *testing.T) {
 // TestDefinitionFaults decodes every wmeFaults row at the codec, where
 // the reason is still attached: each must fail with ErrBadPayload for
 // the reason its row gives — not pass by tripping over something else —
-// and none may panic. The carriers' tests then put the same rows on all
-// three surfaces.
+// and none may panic. The worker's and the control's tests then put the
+// same rows on both surfaces.
 func TestDefinitionFaults(t *testing.T) {
 	network, _ := compileWorkload(t, "blocks")
 	w := faultWME()

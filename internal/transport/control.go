@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -70,9 +71,10 @@ type ControlOptions struct {
 type Control struct {
 	*parallel.Driver
 	network  *rete.Network
-	netBlob  []byte // network as every hello carries it, encoded once
-	nbuckets int    // len(Partition()): NBuckets with its default applied
-	opts     ControlOptions
+	netBlob  []byte           // network as every hello carries it, encoded once
+	nbuckets int              // len(Partition()): NBuckets with its default applied
+	opts     parallel.Options // Workers with its default applied
+	timeout  time.Duration    // bounds WaitWorkers
 	ln       net.Listener
 	conns    []*ctlConn
 	readers  sync.WaitGroup
@@ -122,11 +124,7 @@ func Listen(network *rete.Network, addr string, opts ControlOptions) (*Control, 
 	if opts.Workers < 1 {
 		return nil, fmt.Errorf("transport: Workers = %d", opts.Workers)
 	}
-	if opts.HandshakeTimeout == 0 {
-		opts.HandshakeTimeout = 30 * time.Second
-	}
-	c := &Control{network: network, netBlob: rete.AppendNetwork(nil, network), opts: opts}
-	d, err := parallel.NewDriver(network, parallel.Options{
+	return listen(network, addr, parallel.Options{
 		Workers:      opts.Workers,
 		NBuckets:     opts.NBuckets,
 		Partition:    opts.Partition,
@@ -134,7 +132,21 @@ func Listen(network *rete.Network, addr string, opts ControlOptions) (*Control, 
 		Rebalance:    opts.Rebalance,
 		ForceMigrate: opts.ForceMigrate,
 		Causal:       opts.Causal,
-	}, c)
+	}, opts.HandshakeTimeout)
+}
+
+// listen builds a Control whose driver runs with opts — Listen's, or
+// the goroutine runtime's when a Loopback opens one — and starts
+// listening.
+func listen(network *rete.Network, addr string, opts parallel.Options, timeout time.Duration) (*Control, error) {
+	if opts.Workers == 0 {
+		opts.Workers = runtime.GOMAXPROCS(0) // parallel.Options' default
+	}
+	if timeout == 0 {
+		timeout = 30 * time.Second
+	}
+	c := &Control{network: network, netBlob: rete.AppendNetwork(nil, network), opts: opts, timeout: timeout}
+	d, err := parallel.NewDriver(network, opts, c)
 	if err != nil {
 		return nil, err
 	}
@@ -153,7 +165,7 @@ func (c *Control) Addr() string { return c.ln.Addr().String() }
 // ids are assigned in accept order) and starts the conn readers. It
 // must complete before the first Cycle.
 func (c *Control) WaitWorkers() error {
-	deadline := time.Now().Add(c.opts.HandshakeTimeout)
+	deadline := time.Now().Add(c.timeout)
 	if tl, ok := c.ln.(*net.TCPListener); ok {
 		tl.SetDeadline(deadline)
 	}

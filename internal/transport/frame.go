@@ -4,18 +4,15 @@
 // itself — the cycle, routing, termination accounting, netting,
 // migration, and what a worker turn computes — is parallel.Driver and
 // parallel.Step; nothing here decides bucket ownership, nets
-// instantiations or plans moves. This package provides two carriers:
-//
-//   - Loopback: a parallel.Transport that ships every mailbox message
-//     through a real localhost TCP connection pair per worker, used to
-//     validate the wire codec and framing against the in-process
-//     reference (difftest plugs it into the differential oracle).
-//   - Control / ServeConn: a star of worker connections — the driver in
-//     one process (control.go), one step per worker process
-//     (worker.go) — with a compiled-network handshake, per-batch
-//     framing, and relay forwarding of worker-to-worker activations;
-//     every relay and turn frame is reported to the driver's accounting
-//     calls, so termination detection stays exact across the wire.
+// instantiations or plans moves. There is one carrier, a star of worker
+// connections: the driver in the control process (Control, control.go),
+// one step per worker (ServeConn, worker.go), a compiled-network
+// handshake, per-batch framing, and relay forwarding of worker-to-worker
+// activations; every relay and turn frame is reported to the driver's
+// accounting calls, so termination detection stays exact across the
+// wire. ops5run -transport tcp and ops5worker run it across OS
+// processes; Loopback (loopback.go) runs it inside one, behind
+// parallel.Options.Transport.
 //
 // The frame format is the QCDSP-style minimum: a 4-byte big-endian
 // length, a 1-byte frame type, and a varint-encoded payload. The
@@ -57,9 +54,10 @@ const (
 	ftHello frameType = iota + 1
 	// ftReady is the worker→control handshake reply.
 	ftReady
-	// ftBatch is the Loopback transport's unit: one pushed message
-	// batch with its causal stamp (batch, src).
-	ftBatch
+	// 3 is reserved: it was ftBatch, the frame of a retired in-process
+	// carrier, and every later frame keeps its byte. frameReader refuses
+	// it as an unknown type.
+	_
 	// ftCycle is the control→worker broadcast of one match phase's wme
 	// changes (Fig 3-3).
 	ftCycle
@@ -91,26 +89,28 @@ const (
 	// ftBucket is the control→worker delivery of one migrated bucket
 	// pair; the receiver injects it and closes the turn.
 	ftBucket
-
-	maxFrameType = ftBucket
 )
 
 var frameTypeNames = [...]string{
-	ftHello: "hello", ftReady: "ready", ftBatch: "batch", ftCycle: "cycle",
+	ftHello: "hello", ftReady: "ready", ftCycle: "cycle",
 	ftActs: "acts", ftRelay: "relay", ftTurn: "turn", ftShutdown: "shutdown",
 	ftRepart: "repart", ftBucketRelay: "bucket-relay", ftBucket: "bucket",
 }
 
+// known reports whether t is a frame type the protocol has: a name in
+// frameTypeNames (0 and the reserved 3 have none).
+func (t frameType) known() bool { return int(t) < len(frameTypeNames) && frameTypeNames[t] != "" }
+
 func (t frameType) String() string {
-	if int(t) < len(frameTypeNames) && frameTypeNames[t] != "" {
+	if t.known() {
 		return frameTypeNames[t]
 	}
 	return fmt.Sprintf("frame(%d)", uint8(t))
 }
 
-// Typed frame errors. Fault tests assert on these with errors.Is; the
-// runtime surfaces them through EndpointOptions.OnError or
-// Control.Cycle rather than hanging.
+// Typed frame errors. Fault tests assert on these with errors.Is; a
+// worker returns them from ServeConn, the control from Cycle, rather
+// than hanging.
 var (
 	// ErrFrameTooLarge reports a length field exceeding MaxFrame (or a
 	// payload too large to encode).
@@ -148,8 +148,8 @@ func (e *enc) end(ft frameType) error {
 }
 
 // flush writes the closed frames with one Write and empties the
-// buffer. The caller serializes concurrent writers (per-connection
-// write mutexes in loopback.go / control.go).
+// buffer. The caller serializes concurrent writers (the per-connection
+// write mutex in control.go).
 func (e *enc) flush(w io.Writer) error {
 	_, err := w.Write(e.Buf)
 	e.Buf = e.Buf[:0]
@@ -188,7 +188,7 @@ func (fr *frameReader) next() (frameType, []byte, error) {
 		return 0, nil, fmt.Errorf("%w: reading type: %v", ErrTruncated, err)
 	}
 	ft := frameType(fr.hdr[4])
-	if ft < ftHello || ft > maxFrameType {
+	if !ft.known() {
 		return 0, nil, fmt.Errorf("%w: %d", ErrUnknownFrameType, fr.hdr[4])
 	}
 	plen := int(n) - 1

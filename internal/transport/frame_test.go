@@ -107,11 +107,11 @@ func frameBytes(t *testing.T, ft frameType, payload []byte) []byte {
 // a clean shutdown from wire corruption.
 func TestFrameFaults(t *testing.T) {
 	payload := []byte{1, 2, 3, 4}
-	good := frameBytes(t, ftBatch, payload)
+	good := frameBytes(t, ftCycle, payload)
 
 	t.Run("roundtrip", func(t *testing.T) {
 		ft, got, err := readFrame(bytes.NewReader(good))
-		if err != nil || ft != ftBatch || !bytes.Equal(got, payload) {
+		if err != nil || ft != ftCycle || !bytes.Equal(got, payload) {
 			t.Fatalf("round trip: ft=%v payload=%v err=%v", ft, got, err)
 		}
 	})
@@ -130,7 +130,7 @@ func TestFrameFaults(t *testing.T) {
 	t.Run("oversized", func(t *testing.T) {
 		hdr := make([]byte, 5)
 		binary.BigEndian.PutUint32(hdr, MaxFrame+1)
-		hdr[4] = byte(ftBatch)
+		hdr[4] = byte(ftCycle)
 		_, _, err := readFrame(bytes.NewReader(hdr))
 		if !errors.Is(err, ErrFrameTooLarge) {
 			t.Fatalf("got %v, want ErrFrameTooLarge", err)
@@ -151,9 +151,19 @@ func TestFrameFaults(t *testing.T) {
 			t.Fatalf("got %v, want ErrUnknownFrameType", err)
 		}
 	})
+	t.Run("reserved-type-3", func(t *testing.T) {
+		// The byte of a retired frame stays reserved: no frame of the
+		// star may be read as one, nor one as a frame of the star.
+		bad := append([]byte(nil), good...)
+		bad[4] = 3
+		_, _, err := readFrame(bytes.NewReader(bad))
+		if !errors.Is(err, ErrUnknownFrameType) || frameType(3).known() {
+			t.Fatalf("got %v, want ErrUnknownFrameType", err)
+		}
+	})
 	t.Run("garbage-batch-payload", func(t *testing.T) {
 		net, _ := mustCompile("blocks")
-		_, _, _, err := decodeBatch(net, &dec{Dec: wire.Dec{B: []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}}}, nil)
+		_, err := decodeDelivery(net, &dec{Dec: wire.Dec{B: []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}}}, ftCycle)
 		if !errors.Is(err, ErrBadPayload) {
 			t.Fatalf("got %v, want ErrBadPayload", err)
 		}
@@ -206,12 +216,9 @@ func TestFrameFaults(t *testing.T) {
 	})
 	t.Run("trailing-bytes", func(t *testing.T) {
 		net, changes := mustCompile("blocks")
-		ms := []parallel.Message{{Kind: parallel.MsgCycle, Cycle: &parallel.CyclePacket{Changes: changes}}}
 		var e enc
-		if err := appendBatch(&e, ms, 1, 0); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, _, err := decodeBatch(net, &dec{Dec: wire.Dec{B: append(e.Buf, 0xab)}}, nil); !errors.Is(err, ErrBadPayload) {
+		delivery{ft: ftCycle, batch: 1, changes: changes}.encode(&e)
+		if _, err := decodeDelivery(net, &dec{Dec: wire.Dec{B: append(e.Buf, 0xab)}}, ftCycle); !errors.Is(err, ErrBadPayload) {
 			t.Fatalf("got %v, want ErrBadPayload for trailing bytes", err)
 		}
 	})
@@ -228,7 +235,7 @@ func TestFrameAllocs(t *testing.T) {
 	if n := testing.AllocsPerRun(100, func() {
 		e.begin()
 		e.Raw(payload)
-		if err := e.end(ftBatch); err != nil {
+		if err := e.end(ftCycle); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.flush(&sink); err != nil {
@@ -241,10 +248,10 @@ func TestFrameAllocs(t *testing.T) {
 		t.Errorf("%d bytes in %d writes: want one Write of %d bytes per frame", sink.n, sink.writes, frameHeader+len(payload))
 	}
 
-	stream := bytes.Repeat(frameBytes(t, ftBatch, payload), 102)
+	stream := bytes.Repeat(frameBytes(t, ftCycle, payload), 102)
 	fr := frameReader{r: bytes.NewReader(stream)}
 	if n := testing.AllocsPerRun(100, func() {
-		if ft, got, err := fr.next(); err != nil || ft != ftBatch || len(got) != len(payload) {
+		if ft, got, err := fr.next(); err != nil || ft != ftCycle || len(got) != len(payload) {
 			t.Fatalf("ft=%v len=%d err=%v", ft, len(got), err)
 		}
 	}); n != 0 {
@@ -261,84 +268,139 @@ func (w *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// TestBatchRoundTrip re-encodes a decoded batch and requires
-// byte-identical output: the codec is canonical, which is what lets
-// the CI smoke test assert conflict-set byte parity across processes.
-// With a fresh cache at each end the property covers both forms: the
-// second message deletes wmes the first defined, so it is encoded, and
-// re-encoded, as references.
-func TestBatchRoundTrip(t *testing.T) {
-	net, changes := mustCompile("blocks")
-	ms := []parallel.Message{
-		{Kind: parallel.MsgCycle, Cycle: &parallel.CyclePacket{Changes: changes}},
-		{Kind: parallel.MsgCycle, Cycle: &parallel.CyclePacket{Changes: []rete.Change{
-			{Tag: rete.Delete, WME: changes[0].WME}, {Tag: rete.Delete, WME: changes[2].WME},
-		}}},
-	}
-	table := net.Layouts()
-	e := enc{cache: new(wmeCache), layouts: table}
-	if err := appendBatch(&e, ms, 7, 3); err != nil {
-		t.Fatal(err)
-	}
-	if e.cache.defs != int64(len(changes)) || e.cache.refs != 2 {
-		t.Fatalf("encoded %d definitions and %d references, want %d and 2", e.cache.defs, e.cache.refs, len(changes))
-	}
-	got, batch, src, err := decodeBatch(net, &dec{Dec: wire.Dec{B: e.Buf}, cache: new(wmeCache), layouts: table}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch != 7 || src != 3 || len(got) != len(ms) {
-		t.Fatalf("batch=%d src=%d len=%d", batch, src, len(got))
-	}
-	if del, def := got[1].Cycle.Changes[1].WME, got[0].Cycle.Changes[2].WME; del != def {
-		t.Fatalf("reference decoded to %p, its definition to %p: want the one cached copy", del, def)
-	}
-	if w := got[0].Cycle.Changes[0].WME; w.Layout() != net.Layout(w.Class) || w.Layout() == nil {
-		t.Fatalf("%s decoded into layout %p, want its class's", w, w.Layout())
-	}
-	e2 := enc{cache: new(wmeCache), layouts: table}
-	if err := appendBatch(&e2, got, 7, 3); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(e.Buf, e2.Buf) {
-		t.Fatal("re-encoded batch differs: codec is not canonical")
-	}
-	// Without a cache the same batch is all definitions, and a decoder
-	// without one refuses the cached encoding's references.
-	plain := enc{layouts: table}
-	if err := appendBatch(&plain, ms, 7, 3); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, _, err := decodeBatch(net, &dec{Dec: wire.Dec{B: plain.Buf}, layouts: table}, nil); err != nil {
-		t.Fatalf("uncached batch: %v", err)
-	}
-	if _, _, _, err := decodeBatch(net, &dec{Dec: wire.Dec{B: e.Buf}, layouts: table}, nil); !errors.Is(err, ErrBadPayload) {
-		t.Fatalf("references decoded without a cache: err=%v", err)
+// delivery is a decoded control→worker delivery: an ftCycle's changes or
+// an ftActs' activations, under the causal stamp both open with.
+type delivery struct {
+	ft         frameType
+	batch, src int32
+	changes    []rete.Change
+	acts       []parallel.Message
+}
+
+// encode writes the payload as the control does (Control.Broadcast,
+// Control.Deliver and relay forwarding).
+func (f delivery) encode(e *enc) {
+	e.I32(f.batch)
+	e.I32(f.src)
+	if f.ft == ftCycle {
+		e.changes(f.changes)
+	} else {
+		e.actList(f.acts)
 	}
 }
 
-// fuzzBatchFrames is the committed seeds' shape: one ftBatch frame per
-// change list, all from one encoder holding the network's layout table,
-// so the later lists refer to wmes the earlier ones defined.
-func fuzzBatchFrames(table []*ops5.Layout, lists ...[]rete.Change) []byte {
-	e := enc{cache: new(wmeCache), layouts: table}
-	for _, chs := range lists {
+// decodeDelivery decodes an ftCycle or ftActs payload (d.B) as a worker
+// does.
+func decodeDelivery(net *rete.Network, d *dec, ft frameType) (delivery, error) {
+	f := delivery{ft: ft, batch: d.I32(), src: d.I32()}
+	if ft == ftCycle {
+		f.changes = d.changes(nil)
+	} else {
+		f.acts = d.actList(net, nil)
+	}
+	return f, d.Done()
+}
+
+// deliveryFrames frames deliveries through e as one connection's
+// stream: with a send cache, later frames refer to wmes the earlier
+// ones defined.
+func deliveryFrames(e enc, fs ...delivery) []byte {
+	for _, f := range fs {
 		e.begin()
-		if err := appendBatch(&e, []parallel.Message{{Kind: parallel.MsgCycle, Cycle: &parallel.CyclePacket{Changes: chs}}}, 1, 0); err != nil {
-			panic(err)
-		}
-		if err := e.end(ftBatch); err != nil {
+		f.encode(&e)
+		if err := e.end(f.ft); err != nil {
 			panic(err)
 		}
 	}
 	return e.Buf
 }
 
+// readDeliveries decodes a stream of deliveries through one decoder.
+func readDeliveries(net *rete.Network, d *dec, data []byte) ([]delivery, error) {
+	var fs []delivery
+	fr := frameReader{r: bytes.NewReader(data)}
+	for {
+		ft, payload, err := fr.next()
+		if err == io.EOF {
+			return fs, nil
+		}
+		if err != nil {
+			return fs, err
+		}
+		if ft != ftCycle && ft != ftActs {
+			return fs, fmt.Errorf("%s frame in a stream of deliveries", ft)
+		}
+		d.Reset(payload)
+		f, err := decodeDelivery(net, d, ft)
+		if err != nil {
+			return fs, err
+		}
+		fs = append(fs, f)
+	}
+}
+
+// TestBatchRoundTrip re-encodes decoded deliveries and requires
+// byte-identical output: the codec is canonical, which is what lets
+// the CI smoke test assert conflict-set byte parity across processes.
+// With a fresh cache at each end the property covers both forms: the
+// second cycle deletes wmes the first defined, and the routed
+// activations carry them, so both are encoded, and re-encoded, as
+// references.
+func TestBatchRoundTrip(t *testing.T) {
+	net, changes := mustCompile("blocks")
+	sn := shapeNodesOf(t, net)
+	a, b, c := changes[0].WME, changes[1].WME, changes[2].WME
+	fs := []delivery{
+		{ft: ftCycle, batch: 7, src: 2, changes: changes},
+		{ft: ftCycle, batch: 8, src: 2, changes: []rete.Change{{Tag: rete.Delete, WME: a}, {Tag: rete.Delete, WME: c}}},
+		{ft: ftActs, batch: 9, src: 1, acts: []parallel.Message{
+			{Kind: parallel.MsgAct, Bucket: 3, Depth: 1, Act: rete.Activation{Node: sn.join2, Side: rete.Right, Tag: rete.Add, WME: b}},
+			{Kind: parallel.MsgAct, Bucket: 5, Depth: 2, Act: rete.Activation{Node: sn.join2, Side: rete.Left, Tag: rete.Delete, Token: rete.Token{WMEs: []*ops5.WME{a, c}}}},
+		}},
+	}
+	table := net.Layouts()
+	stream := deliveryFrames(enc{cache: new(wmeCache), layouts: table}, fs...)
+	newDec := func(cache *wmeCache) *dec {
+		return &dec{nbuckets: rete.DefaultNBuckets, workers: 2, cache: cache, layouts: table}
+	}
+	d := newDec(new(wmeCache))
+	got, err := readDeliveries(net, d, stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.cache.defs != int64(len(changes)) || d.cache.refs != 5 {
+		t.Fatalf("decoded %d definitions and %d references, want %d and 5", d.cache.defs, d.cache.refs, len(changes))
+	}
+	if len(got) != len(fs) || got[2].batch != 9 || got[2].src != 1 {
+		t.Fatalf("decoded %d deliveries, the last stamped (%d, %d)", len(got), got[len(got)-1].batch, got[len(got)-1].src)
+	}
+	if del, def := got[1].changes[1].WME, got[0].changes[2].WME; del != def {
+		t.Fatalf("reference decoded to %p, its definition to %p: want the one cached copy", del, def)
+	}
+	if tok, def := got[2].acts[1].Act.Token.WMEs[0], got[0].changes[0].WME; tok != def {
+		t.Fatalf("token reference decoded to %p, its definition to %p: want the one cached copy", tok, def)
+	}
+	if w := got[0].changes[0].WME; w.Layout() != net.Layout(w.Class) || w.Layout() == nil {
+		t.Fatalf("%s decoded into layout %p, want its class's", w, w.Layout())
+	}
+	if again := deliveryFrames(enc{cache: new(wmeCache), layouts: table}, got...); !bytes.Equal(again, stream) {
+		t.Fatal("re-encoded deliveries differ: codec is not canonical")
+	}
+	// Without a cache the same deliveries are all definitions, and a
+	// decoder without one refuses the cached encoding's references.
+	if _, err := readDeliveries(net, newDec(nil), deliveryFrames(enc{layouts: table}, fs...)); err != nil {
+		t.Fatalf("uncached deliveries: %v", err)
+	}
+	if _, err := readDeliveries(net, newDec(nil), stream); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("references decoded without a cache: err=%v", err)
+	}
+}
+
 // fuzzSlotFormSeeds are streams in the slot form of a definition: the
 // blocks workload's own wmes (full rows), and the rows a workload does
 // not happen to have — absent slots ahead of a present one, named
 // extras around the slots, a class with no layout, the empty wme — each
-// defined, then deleted by reference.
+// defined in one ftCycle frame, then deleted by reference in a second.
 func fuzzSlotFormSeeds(net *rete.Network, changes []rete.Change) [][]byte {
 	var edge, gone []rete.Change
 	for i, w := range []*ops5.WME{
@@ -353,9 +415,14 @@ func fuzzSlotFormSeeds(net *rete.Network, changes []rete.Change) [][]byte {
 		edge = append(edge, rete.Change{Tag: rete.Add, WME: w})
 		gone = append(gone, rete.Change{Tag: rete.Delete, WME: w})
 	}
+	cycles := func(first, second []rete.Change) []byte {
+		return deliveryFrames(enc{cache: new(wmeCache), layouts: net.Layouts()},
+			delivery{ft: ftCycle, batch: 1, src: 2, changes: first},
+			delivery{ft: ftCycle, batch: 2, src: 2, changes: second})
+	}
 	return [][]byte{
-		fuzzBatchFrames(net.Layouts(), changes, []rete.Change{{Tag: rete.Delete, WME: changes[1].WME}, {Tag: rete.Delete, WME: changes[0].WME}}),
-		fuzzBatchFrames(net.Layouts(), edge, gone),
+		cycles(changes, []rete.Change{{Tag: rete.Delete, WME: changes[1].WME}, {Tag: rete.Delete, WME: changes[0].WME}}),
+		cycles(edge, gone),
 	}
 }
 
@@ -369,24 +436,11 @@ func TestSlotFormSeeds(t *testing.T) {
 	net, changes := mustCompile("blocks")
 	for i, data := range fuzzSlotFormSeeds(net, changes) {
 		d := dec{nbuckets: rete.DefaultNBuckets, workers: 2, cache: new(wmeCache), layouts: net.Layouts()}
-		fr := frameReader{r: bytes.NewReader(data)}
-		var lists [][]rete.Change
-		for {
-			ft, payload, err := fr.next()
-			if err != nil {
-				break
-			}
-			d.Reset(payload)
-			ms, _, _, err := decodeBatch(net, &d, nil)
-			if err != nil || ft != ftBatch || len(ms) != 1 {
-				t.Fatalf("seed %d: frame %d: ft=%v messages=%d err=%v", i, len(lists), ft, len(ms), err)
-			}
-			lists = append(lists, ms[0].Cycle.Changes)
+		fs, err := readDeliveries(net, &d, data)
+		if err != nil || len(fs) != 2 || d.cache.defs != int64(len(fs[0].changes)) || d.cache.refs != int64(len(fs[1].changes)) {
+			t.Fatalf("seed %d: %d frames, %d definitions, %d references, err=%v", i, len(fs), d.cache.defs, d.cache.refs, err)
 		}
-		if len(lists) != 2 || d.cache.defs != int64(len(lists[0])) || d.cache.refs != int64(len(lists[1])) {
-			t.Fatalf("seed %d: %d frames, %d definitions, %d references", i, len(lists), d.cache.defs, d.cache.refs)
-		}
-		for _, ch := range lists[0] {
+		for _, ch := range fs[0].changes {
 			if ch.WME.Layout() != net.Layout(ch.WME.Class) {
 				t.Errorf("seed %d: %s decoded outside its class's layout", i, ch.WME)
 			}
@@ -402,8 +456,9 @@ func TestSlotFormSeeds(t *testing.T) {
 // FuzzTransportFrame fuzzes the frame reader and the payload codecs
 // over a stream of frames decoded through one connection's state, so a
 // reference in a later frame meets the definitions of the earlier
-// ones: no input may panic or over-read, and any run of batches that
-// decodes must re-encode canonically (decode∘encode is a fixed point).
+// ones: no input may panic or over-read, and any run of control→worker
+// deliveries (ftCycle, ftActs) that decodes must re-encode canonically
+// (decode∘encode is a fixed point).
 func FuzzTransportFrame(f *testing.F) {
 	net, changes := mustCompile("blocks")
 	table := net.Layouts()
@@ -421,8 +476,7 @@ func FuzzTransportFrame(f *testing.F) {
 		// to, the stream's receive cache, and the layout table its
 		// definitions are rows of.
 		d := dec{nbuckets: rete.DefaultNBuckets, workers: 2, cache: new(wmeCache), layouts: table}
-		var batches [][]parallel.Message
-		var stamps [][2]int32
+		var fs []delivery
 		fr := frameReader{r: bytes.NewReader(data)}
 		for {
 			ft, payload, err := fr.next()
@@ -431,22 +485,16 @@ func FuzzTransportFrame(f *testing.F) {
 			}
 			d.Reset(payload)
 			switch ft {
-			case ftBatch:
-				ms, batch, src, err := decodeBatch(net, &d, nil)
+			case ftCycle, ftActs:
+				f, err := decodeDelivery(net, &d, ft)
 				if err != nil {
 					return
 				}
-				batches = append(batches, ms)
-				stamps = append(stamps, [2]int32{batch, src})
+				fs = append(fs, f)
 			case ftHello:
 				decodeHello(payload)
-			case ftActs, ftRelay:
-				if ft == ftRelay {
-					d.worker() // destination
-				} else {
-					d.I32() // batch
-					d.I32() // src
-				}
+			case ftRelay:
+				d.worker() // destination
 				d.actList(net, nil)
 			case ftBucket:
 				d.bucketContents(net)
@@ -462,25 +510,15 @@ func FuzzTransportFrame(f *testing.F) {
 		// by frame, with one cache per end per pass.
 		e1, e2 := enc{cache: new(wmeCache), layouts: table}, enc{cache: new(wmeCache), layouts: table}
 		d2 := dec{nbuckets: d.nbuckets, workers: d.workers, cache: new(wmeCache), layouts: table}
-		for i, ms := range batches {
-			batch, src := stamps[i][0], stamps[i][1]
-			buf := payloadOf(&e1, func(e *enc) {
-				if err := appendBatch(e, ms, batch, src); err != nil {
-					t.Fatalf("decoded batch failed to re-encode: %v", err)
-				}
-			})
+		for i, f := range fs {
+			buf := payloadOf(&e1, f.encode)
 			d2.Reset(buf)
-			ms2, b2, s2, err := decodeBatch(net, &d2, nil)
+			f2, err := decodeDelivery(net, &d2, f.ft)
 			if err != nil {
-				t.Fatalf("re-encoded batch failed to decode: %v", err)
+				t.Fatalf("re-encoded %s payload failed to decode: %v", f.ft, err)
 			}
-			buf2 := payloadOf(&e2, func(e *enc) {
-				if err := appendBatch(e, ms2, b2, s2); err != nil {
-					t.Fatalf("second re-encode failed: %v", err)
-				}
-			})
-			if b2 != batch || s2 != src || !bytes.Equal(buf, buf2) {
-				t.Fatalf("encoder output is not a fixed point at frame %d:\n 1: %x\n 2: %x", i, buf, buf2)
+			if buf2 := payloadOf(&e2, f2.encode); f2.batch != f.batch || f2.src != f.src || !bytes.Equal(buf, buf2) {
+				t.Fatalf("encoder output is not a fixed point at delivery %d:\n 1: %x\n 2: %x", i, buf, buf2)
 			}
 		}
 	})

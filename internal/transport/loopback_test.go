@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"errors"
 	"fmt"
+	"net"
+	"strings"
 	"testing"
 
 	"mpcrete/internal/obs"
@@ -47,9 +50,11 @@ func instKeys(insts []rete.InstChange) []string {
 	return keys
 }
 
-// TestLoopbackParity holds the loopback TCP transport against the
-// in-process reference: same network, same changes, identical netted
-// conflict sets, in both broadcast and routed-roots modes.
+// TestLoopbackParity is the parallel.New + Options.Transport wiring:
+// the star run in one process against the in-process mailboxes — same
+// network, same changes, identical netted conflict sets, in both
+// broadcast and routed-roots modes — with the work done by the socket
+// workers counted in the runtime's Stats.
 func TestLoopbackParity(t *testing.T) {
 	for _, wl := range []string{"blocks", "rubik-like"} {
 		for _, routed := range []bool{false, true} {
@@ -84,6 +89,11 @@ func TestLoopbackParity(t *testing.T) {
 				if fmt.Sprint(got) != fmt.Sprint(want) {
 					t.Fatalf("deletion cycle diverges\n tcp: %v\n ref: %v", got, want)
 				}
+				for w, n := range tcp.Stats().Processed {
+					if n == 0 {
+						t.Errorf("worker %d performed no activation", w)
+					}
+				}
 			})
 		}
 	}
@@ -91,7 +101,8 @@ func TestLoopbackParity(t *testing.T) {
 
 // TestLoopbackStamps verifies causal batch stamps survive the wire:
 // with a flight recorder attached, the per-cycle aggregates of a
-// loopback run account every sent message as received.
+// loopback run account every sent message as received, and every
+// worker track brackets its turns.
 func TestLoopbackStamps(t *testing.T) {
 	net, changes := compileWorkload(t, "blocks")
 	causal := parallel.NewFlightRecorder(2, 0, 0, rete.DefaultNBuckets)
@@ -134,36 +145,60 @@ func TestLoopbackStamps(t *testing.T) {
 	if recvs == 0 {
 		t.Fatal("no recv events recorded")
 	}
+	// Every worker's turns are intervals: a begin, then an end no earlier.
+	for w, tr := range dump.Tracks[:2] {
+		var begin, turns int64 = -1, 0
+		for _, ev := range tr.Events {
+			switch ev.Kind {
+			case obs.EvTurnBegin:
+				begin = ev.TS
+			case obs.EvTurnEnd:
+				if begin < 0 || ev.TS < begin {
+					t.Fatalf("worker %d: turn end at %d without a begin before it (%d)", w, ev.TS, begin)
+				}
+				begin = -1
+				turns++
+			}
+		}
+		if turns == 0 {
+			t.Errorf("worker %d recorded no turn", w)
+		}
+	}
 }
 
-// TestLoopbackPostCloseDrop mirrors the mailbox dropped_post_close
-// semantics: sends after Close are dropped and counted, not delivered
-// and not fatal.
-func TestLoopbackPostCloseDrop(t *testing.T) {
-	net, _ := compileWorkload(t, "blocks")
-	reg := obs.NewRegistry()
-	dropped := reg.Counter("parallel.dropped_post_close")
-	lb := NewLoopback(net)
-	eps, err := lb.Open(1, parallel.EndpointOptions{Dropped: dropped})
+// garbleShutdown rewrites the one frame a Control writes at Close, the
+// shutdown, into a frame of the reserved type 3.
+type garbleShutdown struct{ net.Conn }
+
+func (c garbleShutdown) Write(p []byte) (int, error) {
+	if len(p) == frameHeader && frameType(p[4]) == ftShutdown {
+		p = append([]byte(nil), p...)
+		p[4] = 3
+	}
+	return c.Conn.Write(p)
+}
+
+// TestLoopbackWorkerErrorAfterClose: a worker loop that ends in an
+// error rather than at the shutdown frame is not lost with it. Worker
+// 0 reads a frame of the reserved type where the shutdown should be;
+// after Close the driver's sticky Err says so.
+func TestLoopbackWorkerErrorAfterClose(t *testing.T) {
+	net, changes := compileWorkload(t, "blocks")
+	ctl, stop, err := NewLoopback(net).open(parallel.Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer lb.Close()
-	ep := eps[0]
-	ep.Push(parallel.Message{Kind: parallel.MsgAct, Act: rightAct(net)}, 0, 0)
-	ep.Close()
-	ep.Push(parallel.Message{Kind: parallel.MsgAct, Act: rightAct(net)}, 0, 0)
-	ep.PushBatch([]parallel.Message{{Kind: parallel.MsgAct, Act: rightAct(net)}, {Kind: parallel.MsgAct, Act: rightAct(net)}}, 0, 0)
-	if got := dropped.Value(); got != 3 {
-		t.Fatalf("dropped counter = %d, want 3", got)
+	defer stop()
+	if _, err := ctl.Cycle(changes); err != nil {
+		t.Fatal(err)
 	}
-	// The pre-close message is still delivered before closure.
-	batch, _, ok := ep.Drain(nil, nil)
-	if !ok || len(batch) != 1 {
-		t.Fatalf("drain after close: ok=%v len=%d, want the one pre-close message", ok, len(batch))
-	}
-	if _, _, ok := ep.Drain(nil, nil); ok {
-		t.Fatal("second drain should report closed")
+	cc := ctl.conns[0]
+	cc.mu.Lock()
+	cc.c = garbleShutdown{cc.c}
+	cc.mu.Unlock()
+	stop()
+	if err := ctl.Err(); !errors.Is(err, ErrUnknownFrameType) || !strings.Contains(err.Error(), "worker 0") {
+		t.Fatalf("Err after Close = %v, want worker 0's ErrUnknownFrameType", err)
 	}
 }
 

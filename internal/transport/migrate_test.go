@@ -95,12 +95,11 @@ func churnScriptIDs(steps int, idOf func(k int) int) [][]rete.Change {
 }
 
 // TestCrossCarrierMigrationAccounting runs one forced-rotation schedule
-// on all three carriers of the cycle driver — in-process mailboxes, the
-// loopback wire codec, and the star of worker connections. What a bucket
-// holds at a quiescent cycle boundary does not depend on how messages
-// were scheduled, so beyond each carrier matching the sequential
-// matcher cycle by cycle, all three must report the same migrations,
-// buckets moved and entries moved.
+// on both carriers of the cycle driver — in-process mailboxes and the
+// star of worker connections. What a bucket holds at a quiescent cycle
+// boundary does not depend on how messages were scheduled, so beyond
+// each carrier matching the sequential matcher cycle by cycle, both
+// must report the same migrations, buckets moved and entries moved.
 func TestCrossCarrierMigrationAccounting(t *testing.T) {
 	const (
 		workers  = 3
@@ -119,13 +118,6 @@ func TestCrossCarrierMigrationAccounting(t *testing.T) {
 	}{
 		{"inproc", func(t *testing.T, net *rete.Network) (*parallel.Driver, func() error) {
 			rt, err := parallel.New(net, parallel.Options{Workers: workers, NBuckets: nbuckets, ForceMigrate: rotate})
-			if err != nil {
-				t.Fatal(err)
-			}
-			return rt.Driver, func() error { rt.Close(); return nil }
-		}},
-		{"loopback", func(t *testing.T, net *rete.Network) (*parallel.Driver, func() error) {
-			rt, err := parallel.New(net, parallel.Options{Workers: workers, NBuckets: nbuckets, ForceMigrate: rotate, Transport: NewLoopback(net)})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"mpcrete/internal/ops5"
-	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/wire"
 )
@@ -115,8 +114,8 @@ var deltaFaults = []struct {
 // TestShapeFaultsAtTheCodec decodes every actFaults and deltaFaults row
 // where the reason is still attached: each forgery fails with
 // ErrBadPayload for the reason its row gives, each sound row decodes,
-// and none panics. The carriers' tests put the same rows on all three
-// surfaces.
+// and none panics. The worker's and the control's tests put the same
+// rows on both surfaces.
 func TestShapeFaultsAtTheCodec(t *testing.T) {
 	network, _ := compileWorkload(t, "blocks")
 	sn, w := shapeNodesOf(t, network), faultWME()
@@ -218,39 +217,6 @@ func TestControlRejectsBadShapes(t *testing.T) {
 			}}
 			if _, err := cycleAgainstForger(t, network, changes, frame); !errors.Is(err, ErrBadPayload) {
 				t.Fatalf("Cycle returned %v, want ErrBadPayload", err)
-			}
-		})
-	}
-}
-
-// TestLoopbackRejectsBadShapes puts the actFaults rows on a Loopback
-// connection as the one activation of an ftBatch: the reader goroutine
-// reports a forgery through OnError as ErrBadPayload and delivers
-// nothing of the frame, and delivers a sound row.
-func TestLoopbackRejectsBadShapes(t *testing.T) {
-	network, _ := compileWorkload(t, "blocks")
-	sn, w := shapeNodesOf(t, network), faultWME()
-	for _, row := range actFaults {
-		t.Run(row.name, func(t *testing.T) {
-			ep, failed := openFaultLoopback(t, network)
-			frame := wireFrame{ftBatch, func(e *enc) {
-				e.I32(1) // batch
-				e.I32(1) // src
-				e.Count(1)
-				e.Byte(byte(parallel.MsgAct))
-				e.I32(3) // bucket
-				e.I32(1) // depth
-				row.act(e, sn, w)
-			}}
-			if err := frame.writeTo(ep.wconn, network.Layouts()); err != nil {
-				t.Fatal(err)
-			}
-			if row.why != "" {
-				wantLoopbackFailure(t, failed, ep)
-				return
-			}
-			if ms, _, ok := ep.Drain(nil, nil); !ok || len(ms) != 1 || ms[0].Act.Node != sn.join2 {
-				t.Fatalf("sound activation: drained %v, ok=%v", ms, ok)
 			}
 		})
 	}

@@ -382,103 +382,3 @@ func TestWorkerRejectsBadReferences(t *testing.T) {
 		}
 	})
 }
-
-// openFaultLoopback opens a Loopback for the fault topology and
-// returns worker 0's endpoint and the channel its OnError reports to.
-func openFaultLoopback(t *testing.T, network *rete.Network) (*loopEndpoint, chan error) {
-	t.Helper()
-	failed := make(chan error, 1)
-	lb := NewLoopback(network)
-	eps, err := lb.Open(faultWorkers, parallel.EndpointOptions{
-		NBuckets: faultBuckets,
-		OnError: func(err error) {
-			select {
-			case failed <- err:
-			default:
-			}
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { lb.Close() })
-	return eps[0].(*loopEndpoint), failed
-}
-
-func wantLoopbackFailure(t *testing.T, failed chan error, ep *loopEndpoint) {
-	t.Helper()
-	select {
-	case err := <-failed:
-		if !errors.Is(err, ErrBadPayload) {
-			t.Fatalf("transport failed with %v, want ErrBadPayload", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("loopback delivered the frame")
-	}
-	if ms, _, _ := ep.TryDrain(nil, nil); len(ms) != 0 {
-		t.Fatalf("the refused frame delivered %d messages", len(ms))
-	}
-}
-
-// TestLoopbackRejectsBadIndices is the same fault on the Loopback
-// carrier's one frame type: an ftBatch whose activation names a bucket
-// outside the space the endpoints were opened for must reach the
-// runtime as an ErrBadPayload transport failure, not as a message.
-func TestLoopbackRejectsBadIndices(t *testing.T) {
-	network, _ := compileWorkload(t, "blocks")
-	ep, failed := openFaultLoopback(t, network)
-	ep.Push(parallel.Message{Kind: parallel.MsgAct, Bucket: 1 << 20, Depth: 1, Act: rightAct(network)}, 1, 1)
-	wantLoopbackFailure(t, failed, ep)
-}
-
-// TestLoopbackRejectsBadReferences puts the wmeFaults rows, and the
-// reference inside bucket contents, on a Loopback connection behind
-// the endpoint's own encoder: the reader goroutine must report
-// ErrBadPayload through OnError and deliver nothing from the frame.
-func TestLoopbackRejectsBadReferences(t *testing.T) {
-	network, _ := compileWorkload(t, "blocks")
-	w := faultWME()
-	batch := func(kind parallel.MsgKind, body func(e *enc)) wireFrame {
-		return wireFrame{ftBatch, func(e *enc) {
-			e.I32(1) // batch
-			e.I32(1) // src
-			e.Count(1)
-			e.Byte(byte(kind))
-			body(e)
-		}}
-	}
-	wider, crate := widerNetwork(t)
-	node := rightAct(network).Node
-	rows := map[string][]wireFrame{
-		"ref-in-bucket": {
-			batch(parallel.MsgCycle, func(e *enc) { e.Count(1); e.Byte(byte(rete.Add)); e.def(w) }),
-			batch(parallel.MsgMigrateIn, func(e *enc) { bucketWithRef(e, node, w) }),
-		},
-		// The first bucket is sound and must arrive; the second defines a
-		// wme by a layout id only the wider network has.
-		"def-in-bucket-of-another-network": {
-			batch(parallel.MsgMigrateIn, func(e *enc) { bucketWithDef(e, network.Layouts(), node, w) }),
-			batch(parallel.MsgMigrateIn, func(e *enc) { bucketWithDef(e, wider.Layouts(), node, crate) }),
-		},
-	}
-	for _, f := range wmeFaults {
-		rows[f.name] = []wireFrame{batch(parallel.MsgCycle, func(e *enc) { faultChanges(e, w, f.bad) })}
-	}
-	for name, frames := range rows {
-		t.Run(name, func(t *testing.T) {
-			ep, failed := openFaultLoopback(t, network)
-			for i, f := range frames {
-				if err := f.writeTo(ep.wconn, network.Layouts()); err != nil {
-					t.Fatal(err)
-				}
-				if i < len(frames)-1 {
-					// The frames before the last are sound and must arrive.
-					if ms, _, ok := ep.Drain(nil, nil); !ok || len(ms) != 1 {
-						t.Fatalf("sound frame %d: drained %d messages, ok=%v", i, len(ms), ok)
-					}
-				}
-			}
-			wantLoopbackFailure(t, failed, ep)
-		})
-	}
-}

@@ -462,27 +462,6 @@ func BenchmarkTraceCodec(b *testing.B) {
 	b.ReportMetric(float64(buf.Len()), "bytes")
 }
 
-// BenchmarkNetworkCodec measures compiled-network serialization on the
-// configurator program.
-func BenchmarkNetworkCodec(b *testing.B) {
-	prog, err := ops5.ParseProgram(workloads.Configurator)
-	if err != nil {
-		b.Fatal(err)
-	}
-	net, err := rete.Compile(prog.Productions)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var buf []byte
-	for i := 0; i < b.N; i++ {
-		buf = rete.AppendNetwork(buf[:0], net)
-		if _, err := rete.DecodeNetwork(buf); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(buf)), "bytes")
-}
-
 // BenchmarkAnalysis measures the Section 5.2 analyzer over the heavy
 // Tourney trace.
 func BenchmarkAnalysis(b *testing.B) {

@@ -171,6 +171,58 @@ func TestCLIParallelOnlyFlags(t *testing.T) {
 	}
 }
 
+// TestCLIParallelExcise: an excise reaches the network the parallel
+// runtime matches over, so the excised production stops firing there as
+// it does in the sequential run. Across processes no excise could reach
+// the workers' own networks, so -transport tcp refuses such a program
+// before it listens.
+func TestCLIParallelExcise(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	dir := t.TempDir()
+	prog, wmes := filepath.Join(dir, "excise.ops5"), filepath.Join(dir, "excise.wmes")
+	if err := os.WriteFile(prog, []byte(`
+(p start (go ^n {<n> < 4}) --> (write start <n>) (modify 1 ^n (compute <n> + 1)))
+(p stop (go ^n 2) (flag) --> (write stop) (excise start) (remove 2) (modify 1 ^n 0))
+`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(wmes, []byte("(go ^n 0) (flag)\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-program", prog, "-wmes", wmes, "-watch", "1"}
+	seq := runTool(t, "ops5run", args...)
+	if !strings.HasSuffix(seq, "3. stop 2 4\nstop\n") {
+		t.Fatalf("sequential run does not end with the excise:\n%s", seq)
+	}
+	if par := runTool(t, "ops5run", append(args, "-parallel", "2")...); par != seq {
+		t.Errorf("-parallel 2 transcript differs from the sequential one:\n%s\nwant:\n%s", par, seq)
+	}
+	out := failTool(t, "ops5run", append(args, "-parallel", "2", "-transport", "tcp")...)
+	if !strings.Contains(out, "-transport tcp") || !strings.Contains(out, "excises start") {
+		t.Errorf("-transport tcp refusal does not name the flag and the excise:\n%s", out)
+	}
+}
+
+// TestExamples runs each example program and checks one line of what it
+// prints.
+func TestExamples(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	for name, want := range map[string]string{
+		"quickstart":  "fired 4 productions, 10 wmes in working memory, halted=true",
+		"monkey":      "after excising the observer: 0 instantiations",
+		"distributed": "conflict sets identical",
+	} {
+		out, err := exec.Command("go", "run", "./examples/"+name).CombinedOutput()
+		if err != nil || !strings.Contains(string(out), want) {
+			t.Errorf("examples/%s: err = %v, output lacks %q:\n%s", name, err, want, out)
+		}
+	}
+}
+
 // TestCLITimelineAndFlightDump: ops5run -timeline and -flight-dump are two
 // formats of one recording. The workload is queens because its load cycle
 // is the one cycle among the bundled workloads that outgrows the in-place

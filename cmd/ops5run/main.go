@@ -135,6 +135,10 @@ func main() {
 	if *rebalanceInterval != 0 && *rebalance <= 0 {
 		fatal("rebalance-interval", fmt.Errorf("-rebalance-interval paces -rebalance; add -rebalance THRESHOLD"))
 	}
+	// One network: the session conforms wmes to it and excises from it,
+	// and any parallel runtime matches over it.
+	net, err := rete.CompileVariant(prog.Productions, *variant)
+	fatal("compile", err)
 	// drv is the parallel match phase's cycle driver, whichever carrier
 	// (goroutines or worker processes) runs under it; nil when sequential.
 	var drv *parallel.Driver
@@ -142,8 +146,6 @@ func main() {
 		if *tracePath != "" {
 			fatal("parallel", fmt.Errorf("-trace requires the sequential matcher (the recorder hooks rete.Matcher)"))
 		}
-		net, err := rete.CompileVariant(prog.Productions, *variant)
-		fatal("compile", err)
 		nb := *nbuckets
 		if nb == 0 {
 			nb = rete.DefaultNBuckets
@@ -188,6 +190,13 @@ func main() {
 			defer rt.Close()
 			drv = rt.Driver
 		case "tcp":
+			for _, p := range prog.Productions {
+				for _, a := range p.RHS {
+					if a.Kind == ops5.ActExcise {
+						fatal("transport", fmt.Errorf("-transport tcp: production %s excises %s, but each ops5worker compiles its own network, which no excise reaches; use -transport inproc", p.Name, a.Class))
+					}
+				}
+			}
 			ctl, err := transport.Listen(net, *listenAddr, transport.ControlOptions{
 				Workers:      *par,
 				NBuckets:     *nbuckets,
@@ -219,7 +228,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ops5run: debug server on http://%s/debug/pprof/ and /debug/vars\n", addr)
 	}
 
-	e, err := engine.New(prog, engine.CompileOptions{Variant: *variant}, opts)
+	e, err := engine.NewWithNetwork(prog, net, opts)
 	fatal("compile", err)
 
 	if *dotPath != "" {

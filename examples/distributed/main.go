@@ -20,19 +20,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Two independent networks: one for the sequential reference, one
-	// for the parallel runtime (each owns its own token memories).
-	seqNet, err := rete.Compile(prog.Productions)
-	if err != nil {
-		log.Fatal(err)
-	}
-	parNet, err := rete.Compile(prog.Productions)
+	// One network for both matchers: it is read-only while matching, and
+	// token memories live in each matcher, not in the network.
+	net, err := rete.Compile(prog.Productions)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	seq := rete.NewMatcher(seqNet, rete.MatcherOptions{})
-	rt, err := parallel.New(parNet, parallel.Options{
+	seq := rete.NewMatcher(net, rete.MatcherOptions{})
+	rt, err := parallel.New(net, parallel.Options{
 		Workers:  4,
 		Detector: parallel.FourCounterDetector, // Mattern's method
 	})

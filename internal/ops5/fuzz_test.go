@@ -8,11 +8,11 @@ import (
 )
 
 // FuzzParseProgram covers the text a process takes from outside: a
-// -program file (ops5run, ops5d) and the production source inside a
-// compiled-network blob, which a worker's handshake reparses one
-// production at a time. No text makes the parser panic; what it accepts
-// prints to text it accepts again, and that text is a fixed point —
-// which is what lets a network ship its productions as source.
+// -program file (ops5run, ops5d) and the production source a worker's
+// hello carries, which the worker parses one production at a time. No
+// text makes the parser panic; what it accepts prints to text it
+// accepts again, and that text is a fixed point — which is what lets a
+// control ship its productions as source.
 func FuzzParseProgram(f *testing.F) {
 	for _, name := range workloads.NamedNames() {
 		np, err := workloads.Named(name)

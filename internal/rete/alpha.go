@@ -6,8 +6,9 @@
 //
 // The package provides the network compiler (with node sharing), a
 // sequential matcher that doubles as the trace producer for the MPC
-// simulator, and the source/network-level transformations analysed in
-// the paper: unsharing, dummy nodes, and copy-and-constraint.
+// simulator, and the network-level transformations analysed in the
+// paper: unsharing and copy-and-constraint (dummy nodes are a trace
+// transformation, trace.SplitFanout).
 package rete
 
 import (
@@ -135,6 +136,8 @@ type AlphaPattern struct {
 	Class  string
 	Tests  []ConstTest
 	Routes []AlphaRoute
+
+	shareKey string // key(), computed once where sharing compares it
 }
 
 // Matches reports whether the wme passes the pattern's class filter and

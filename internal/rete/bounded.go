@@ -226,7 +226,7 @@ func (net *Network) addProductionBounded(p *ops5.Production) (*ProdInfo, error) 
 	// Build the collector chain in join order (negated CEs last, textual
 	// order). The Parent/Succs chain carries no activations — the
 	// enumerator emits straight to the terminal — but it gives excise,
-	// DOT export, and the codec the same structural spine as every other
+	// DOT export, and Digest the same structural spine as every other
 	// variant.
 	ordered := make([]int, 0, len(p.LHS))
 	for _, c := range joinOrder {

@@ -291,10 +291,11 @@ func TestBoundedStats(t *testing.T) {
 	}
 }
 
-// TestBoundedCodecRoundTrip proves a bounded network survives the
-// binary codec: the decoded network matches identically to the
-// original (the TCP runtime ships networks this way).
-func TestBoundedCodecRoundTrip(t *testing.T) {
+// TestBoundedDigestRoundTrip proves a bounded network survives the
+// handshake: compiled again from its printed productions under its
+// recorded variant, as a worker process does, it has the original's
+// digest and matches identically.
+func TestBoundedDigestRoundTrip(t *testing.T) {
 	prog, err := ops5.ParseProgram(tourneySrc)
 	if err != nil {
 		t.Fatal(err)
@@ -303,9 +304,9 @@ func TestBoundedCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := DecodeNetwork(AppendNetwork(nil, net))
-	if err != nil {
-		t.Fatal(err)
+	dec := recompile(t, net)
+	if net.Variant() != "bounded" || dec.Digest() != net.Digest() {
+		t.Fatalf("recompiled %q network has digest %#x, the original (%q) %#x", dec.Variant(), dec.Digest(), net.Variant(), net.Digest())
 	}
 
 	wmes, err := ops5.ParseWMEs(tourneyWMEs(5, 4))
@@ -331,7 +332,7 @@ func TestBoundedCodecRoundTrip(t *testing.T) {
 		t.Fatal("no instantiations produced; workload too small to prove anything")
 	}
 	if fmt.Sprint(a) != fmt.Sprint(b) {
-		t.Fatalf("decoded network diverges:\n original: %v\n decoded:  %v", a, b)
+		t.Fatalf("recompiled network diverges:\n original:   %v\n recompiled: %v", a, b)
 	}
 }
 

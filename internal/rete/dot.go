@@ -8,8 +8,8 @@ import (
 
 // WriteDOT renders the network in Graphviz DOT form: alpha patterns as
 // boxes feeding the two-input nodes (solid = left input, dashed =
-// right input), join/negative/dummy nodes as ellipses, production
-// nodes as double octagons. Useful for documentation and for
+// right input), join/negative nodes as ellipses, bounded collectors as
+// hexagons, production nodes as double octagons. Useful for documentation and for
 // eyeballing the effect of transformations (Fig 2-2 / Fig 5-3 style
 // pictures).
 func WriteDOT(w io.Writer, net *Network) error {
@@ -33,8 +33,6 @@ func WriteDOT(w io.Writer, net *Network) error {
 			fmt.Fprintf(&b, "  n%d [shape=doubleoctagon, label=\"%s\"];\n", n.ID, n.Info.Prod.Name)
 		case KindNegative:
 			fmt.Fprintf(&b, "  n%d [shape=ellipse, label=\"not n%d\\n%s\"];\n", n.ID, n.ID, testsLabel(n))
-		case KindDummy:
-			fmt.Fprintf(&b, "  n%d [shape=circle, label=\"d%d\"];\n", n.ID, n.ID)
 		case KindBounded:
 			neg := ""
 			if n.bNeg {

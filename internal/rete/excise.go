@@ -3,8 +3,8 @@ package rete
 import "fmt"
 
 // Excise removes a production from the network (the OPS5 excise
-// action): its terminal node is detached, and two-input or dummy nodes
-// left without successors are garbage-collected recursively (shared
+// action): its terminal node is detached, and two-input nodes left
+// without successors are garbage-collected recursively (shared
 // prefixes survive as long as any other production uses them).
 //
 // Token memories live in matchers, not the network; entries belonging
@@ -49,7 +49,7 @@ func (net *Network) detach(n *Node) {
 		}
 	}
 	n.detached = true
-	// A two-input or dummy node with no remaining successors produces
+	// A two-input node with no remaining successors produces
 	// nothing; collect it (unless another production's terminal hangs
 	// off it, which "no successors" already excludes).
 	if parent != nil && len(parent.Succs) == 0 && parent.Kind != KindProduction {

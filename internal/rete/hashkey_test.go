@@ -249,7 +249,7 @@ func TestNegZeroJoins(t *testing.T) {
 
 // TestHashSeedIsTheFoldedID: HashKey starts from a state folded when
 // the node was made, so every way a node comes to be — compiled in each
-// variant, cloned by a transformation, decoded from the wire — must
+// variant, cloned by a transformation, compiled again by a worker — must
 // leave it the fold of its own id, or of its bounded group's home id. A
 // node missed here would hash to other buckets than its peers' copies
 // of it, and mis-join silently.
@@ -260,7 +260,7 @@ func TestHashSeedIsTheFoldedID(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for name, n := range map[string]*Network{"compiled": net, "decoded": roundTripNetwork(t, net)} {
+		for name, n := range map[string]*Network{"compiled": net, "recompiled": recompile(t, net)} {
 			grouped := 0
 			for _, nd := range n.Nodes {
 				id := nd.ID

@@ -119,15 +119,15 @@ func checkLayoutAgreement(t *testing.T, data []byte) {
 	if l, o := net.Layout("c0"), other.Layout("c0"); l.Len() != 6 || o.Len() != 6 || l.Names()[0] == o.Names()[0] {
 		t.Fatalf("layouts %v and %v: want the six attributes in two orders", l.Names(), o.Names())
 	}
-	decoded := roundTripNetwork(t, net)
+	recompiled := recompile(t, net)
 
 	forms := map[string]*ops5.WME{
-		"loose":           loose,
-		"conformed":       net.Conform(loose),
-		"before-growth":   early,
-		"other-network":   other.Conform(loose),
-		"decoded-network": decoded.Conform(loose),
-		"re-conformed":    net.Conform(other.Conform(early)),
+		"loose":              loose,
+		"conformed":          net.Conform(loose),
+		"before-growth":      early,
+		"other-network":      other.Conform(loose),
+		"recompiled-network": recompiled.Conform(loose),
+		"re-conformed":       net.Conform(other.Conform(early)),
 	}
 	for name, w := range forms {
 		forms[name+"-clone"] = w.Clone()

@@ -16,7 +16,7 @@ type Change struct {
 	WME *ops5.WME
 }
 
-// Event describes one two-input (or dummy) node activation, the unit
+// Event describes one two-input (or bounded) node activation, the unit
 // of work the MPC simulator schedules. Seq numbers are assigned in
 // processing order; ParentSeq is -1 for activations generated directly
 // from wme changes by the constant tests (the paper's coarse-grained
@@ -136,7 +136,7 @@ type Listener interface {
 	// BeginCycle is called once per Apply with the cycle number and the
 	// wme changes driving it.
 	BeginCycle(cycle int, changes []Change)
-	// Activation is called for every two-input / dummy node activation.
+	// Activation is called for every two-input / bounded node activation.
 	Activation(ev Event)
 	// Instantiation is called for every conflict-set delta, after the
 	// cycle's last Activation (the deltas are built once the match

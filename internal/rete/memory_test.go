@@ -165,7 +165,7 @@ func TestMemoryRejectsBadBucketCount(t *testing.T) {
 func TestTokenOps(t *testing.T) {
 	w1, w2 := mkWME(1, "a"), mkWME(2, "b")
 	t1 := Token{WMEs: []*ops5.WME{w1}}
-	t2 := NewProcessor(NewNetwork(CompileOptions{}), 4).extend(t1, w2, Add, nil)
+	t2 := NewProcessor(compileT(t, nil), 4).extend(t1, w2, Add, nil)
 	if len(t1.WMEs) != 1 || len(t2.WMEs) != 2 {
 		t.Fatal("extend must not mutate the source token")
 	}

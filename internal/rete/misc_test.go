@@ -1,6 +1,7 @@
 package rete
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 )
@@ -13,7 +14,7 @@ func TestSideTagKindStrings(t *testing.T) {
 		t.Error("tag strings")
 	}
 	for k, want := range map[NodeKind]string{
-		KindJoin: "join", KindNegative: "negative", KindDummy: "dummy", KindProduction: "production",
+		KindJoin: "join", KindNegative: "negative", KindProduction: "production", KindBounded: "bounded",
 	} {
 		if k.String() != want {
 			t.Errorf("kind %d = %q, want %q", k, k, want)
@@ -127,5 +128,34 @@ func TestConstTestString(t *testing.T) {
 		if !strings.Contains(joined, want) {
 			t.Errorf("alpha keys %q missing %q", joined, want)
 		}
+	}
+}
+
+func TestWriteDOT(t *testing.T) {
+	net := compileT(t, sharedFanoutProds)
+	var buf bytes.Buffer
+	if err := WriteDOT(&buf, net); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	for _, want := range []string{"digraph rete", "shape=box", "doubleoctagon", "o1", "o2", "o3", "style=dashed"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("DOT output missing %q", want)
+		}
+	}
+	// Detached nodes disappear from the picture.
+	if err := net.Excise("o2"); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	if err := WriteDOT(&buf, net); err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(buf.String(), "\"o2\"") {
+		t.Error("excised production still rendered")
+	}
+	// Balanced braces make it at least superficially valid DOT.
+	if strings.Count(buf.String(), "{") != strings.Count(buf.String(), "}") {
+		t.Error("unbalanced braces")
 	}
 }

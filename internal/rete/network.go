@@ -3,7 +3,7 @@ package rete
 import (
 	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"mpcrete/internal/ops5"
 )
@@ -20,10 +20,6 @@ const (
 	// element; it propagates left tokens with no matching right token,
 	// using counted left-memory entries.
 	KindNegative
-	// KindDummy is a pass-through node introduced by the dummy-node
-	// transformation (Section 5.2.1, method 2): it forwards left
-	// activations unchanged to a subset of a split node's successors.
-	KindDummy
 	// KindProduction is a terminal node; left activations become
 	// conflict-set insertions and deletions.
 	KindProduction
@@ -35,7 +31,7 @@ const (
 	KindBounded
 )
 
-var kindNames = [...]string{"join", "negative", "dummy", "production", "bounded"}
+var kindNames = [...]string{"join", "negative", "production", "bounded"}
 
 // String names the node kind.
 func (k NodeKind) String() string { return kindNames[k] }
@@ -72,8 +68,13 @@ func (r slotRef) class() string {
 	return r.layout.Class()
 }
 
-func (jt *JoinTest) key() string {
-	return fmt.Sprintf("%s:%d.%s%s", jt.RightAttr, jt.LeftPos, jt.LeftAttr, jt.Op)
+func (jt *JoinTest) key() string { return string(jt.appendKey(nil)) }
+
+// appendKey appends the test's key, "RightAttr:LeftPos.LeftAttr" and the
+// predicate.
+func (jt *JoinTest) appendKey(b []byte) []byte {
+	b = strconv.AppendInt(append(append(b, jt.RightAttr...), ':'), int64(jt.LeftPos), 10)
+	return append(append(append(b, '.'), jt.LeftAttr...), jt.Op.String()...)
 }
 
 // Eval applies the test given the left token and the right wme.
@@ -93,7 +94,7 @@ func (jt *JoinTest) leftOf(w *ops5.WME) ops5.Value {
 
 // Node is a beta-level node of the Rete network. Join and negative
 // nodes are the two-input nodes of the paper; production nodes are
-// terminals; dummy nodes exist only as a transformation product.
+// terminals; bounded nodes are the collectors of BoundedJoins.
 type Node struct {
 	ID   int
 	Kind NodeKind
@@ -111,7 +112,7 @@ type Node struct {
 	Info *ProdInfo
 	// OrigCE is the production-LHS index (0-based, original order) of
 	// the condition element on this node's right input; -1 for
-	// production and dummy nodes.
+	// production nodes.
 	OrigCE int
 	// TokenLen is the number of wmes in this node's output tokens.
 	TokenLen int
@@ -300,9 +301,75 @@ func (net *Network) joinTest(op ops5.PredOp, rightClass, rightAttr string, leftP
 func (net *Network) Layout(class string) *ops5.Layout { return net.layoutOf[class] }
 
 // Layouts returns the layout table in id order: a layout's ID is its
-// index here, on every process that holds the network (the codec ships
-// the table). Read-only.
+// index here, on every process that compiled the network from the same
+// productions (Digest proves it). Read-only.
 func (net *Network) Layouts() []*ops5.Layout { return net.layouts }
+
+// Variant names the variant the network was compiled as, one of
+// Variants(): with its productions' source text, what CompileVariant
+// needs to compile the network again.
+func (net *Network) Variant() string { return net.variant }
+
+// Digest is a structural hash of everything a frame between two
+// processes names by number: each node's id, kind, parent, successors,
+// condition element, token widths, tests' token positions, copy index
+// and count and bounded position; the alpha routes; each production's
+// terminal and token positions; and the layout table, each class with
+// its attributes in slot order. Two processes that compiled the same
+// productions as the same variant with the same compiler agree on it,
+// and a network transformed after compilation (Unshare, a
+// CopyAndConstrain of its own, Excise, AddProductionPrivate) has
+// another, so a worker that compiled its own copy proves it numbers
+// alike or is refused. One FNV-1a walk; it allocates nothing.
+func (net *Network) Digest() uint64 {
+	h := uint64(fnvOffset64)
+	add := func(vs ...int) {
+		for _, v := range vs {
+			h = fold(h, v)
+		}
+	}
+	add(len(net.Nodes))
+	for _, n := range net.Nodes {
+		parent, neg := -1, 0
+		if n.Parent != nil {
+			parent = n.Parent.ID
+		}
+		if n.bNeg {
+			neg = 1
+		}
+		add(n.ID, int(n.Kind), parent, len(n.Succs))
+		for _, s := range n.Succs {
+			add(s.ID)
+		}
+		add(n.OrigCE, n.TokenLen, n.LeftLen, len(n.Tests))
+		for i := range n.Tests {
+			add(n.Tests[i].LeftPos, int(n.Tests[i].Op))
+		}
+		add(n.copyIndex, n.copyCount, n.bPos, neg)
+	}
+	add(len(net.Alphas))
+	for _, a := range net.Alphas {
+		add(len(a.Routes))
+		for _, r := range a.Routes {
+			add(r.Node.ID, int(r.Side))
+		}
+	}
+	add(len(net.ProdOrder))
+	for _, name := range net.ProdOrder {
+		info := net.Prods[name]
+		add(info.Node.ID, len(info.TokenPos))
+		add(info.TokenPos...)
+	}
+	add(len(net.layouts))
+	for _, l := range net.layouts {
+		h = foldString(h, l.Class())
+		add(l.Len())
+		for _, name := range l.Names() {
+			h = foldString(h, name)
+		}
+	}
+	return h
+}
 
 // Conform returns a copy of w laid out for this network: by its
 // class's layout, so compiled tests read it by slot, or a plain copy
@@ -325,12 +392,13 @@ type Network struct {
 	ProdOrder []string
 	// layouts is the class table: one layout per class a production
 	// names, slots assigned on first mention in production order.
-	// Written only by AddProduction (and DecodeNetwork), which a shared
-	// network never sees again once sessions run over it.
+	// Written only by AddProduction, which a shared network never sees
+	// again once sessions run over it.
 	layouts  []*ops5.Layout
 	layoutOf map[string]*ops5.Layout
 
-	opts CompileOptions
+	opts    CompileOptions
+	variant string // the name CompileVariant compiles this network by
 }
 
 // CompileOptions control network construction.
@@ -347,25 +415,29 @@ type CompileOptions struct {
 	BoundedJoins bool
 }
 
-// NewNetwork returns an empty network ready for AddProduction.
-func NewNetwork(opts CompileOptions) *Network {
-	return &Network{
-		byClass:  map[string][]*AlphaPattern{},
-		Prods:    map[string]*ProdInfo{},
-		layoutOf: map[string]*ops5.Layout{},
-		opts:     opts,
-	}
-}
-
 // Compile builds a network from a set of productions with default
 // options (sharing enabled).
 func Compile(prods []*ops5.Production) (*Network, error) {
 	return CompileWith(prods, CompileOptions{})
 }
 
-// CompileWith builds a network from a set of productions.
+// CompileWith builds a network from a set of productions. The network
+// records the variant its options compile (BoundedJoins wins over
+// DisableSharing, which no variant combines with it).
 func CompileWith(prods []*ops5.Production, opts CompileOptions) (*Network, error) {
-	net := NewNetwork(opts)
+	net := &Network{
+		byClass:  map[string][]*AlphaPattern{},
+		Prods:    map[string]*ProdInfo{},
+		layoutOf: map[string]*ops5.Layout{},
+		opts:     opts,
+		variant:  "shared",
+	}
+	switch {
+	case opts.BoundedJoins:
+		net.variant = "bounded"
+	case opts.DisableSharing:
+		net.variant = "unshared"
+	}
 	for _, p := range prods {
 		if err := net.AddProduction(p); err != nil {
 			return nil, err
@@ -389,10 +461,10 @@ func (net *Network) internAlpha(class string, tests []ConstTest) *AlphaPattern {
 		tests[i].resolve(l)
 	}
 	cand := &AlphaPattern{Class: class, Tests: tests}
-	k := cand.key()
 	if !net.opts.DisableSharing {
+		cand.shareKey = cand.key()
 		for _, a := range net.byClass[class] {
-			if a.key() == k {
+			if a.shareKey == cand.shareKey {
 				return a
 			}
 		}
@@ -585,20 +657,30 @@ func (net *Network) addProduction(p *ops5.Production, shareJoins bool) (*ProdInf
 // sharing: same left source, same right alpha pattern, same kind, same
 // tests.
 func shareKeyFor(parent *Node, leftAlpha, alpha *AlphaPattern, kind NodeKind, tests []JoinTest) string {
-	var b strings.Builder
+	b := make([]byte, 0, 64)
 	if parent != nil {
-		fmt.Fprintf(&b, "n%d|", parent.ID)
+		b = strconv.AppendInt(append(b, 'n'), int64(parent.ID), 10)
 	} else {
-		fmt.Fprintf(&b, "a%d|", leftAlpha.ID)
+		b = strconv.AppendInt(append(b, 'a'), int64(leftAlpha.ID), 10)
 	}
-	fmt.Fprintf(&b, "r%d|k%d|", alpha.ID, kind)
+	b = strconv.AppendInt(append(b, "|r"...), int64(alpha.ID), 10)
+	b = strconv.AppendInt(append(b, "|k"...), int64(kind), 10)
+	b = append(b, '|')
+	if len(tests) == 1 {
+		return string(tests[0].appendKey(b))
+	}
 	keys := make([]string, len(tests))
 	for i := range tests {
 		keys[i] = tests[i].key()
 	}
 	sort.Strings(keys)
-	b.WriteString(strings.Join(keys, ","))
-	return b.String()
+	for i, k := range keys {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, k...)
+	}
+	return string(b)
 }
 
 // findShared looks for an existing node with the given share key among
@@ -630,7 +712,6 @@ type Stats struct {
 	AlphaPatterns   int
 	JoinNodes       int
 	NegativeNodes   int
-	DummyNodes      int
 	ProductionNodes int
 	BoundedNodes    int
 }
@@ -645,8 +726,6 @@ func (net *Network) Stats() Stats {
 			s.JoinNodes++
 		case KindNegative:
 			s.NegativeNodes++
-		case KindDummy:
-			s.DummyNodes++
 		case KindProduction:
 			s.ProductionNodes++
 		case KindBounded:

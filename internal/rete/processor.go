@@ -142,22 +142,20 @@ func (p *Processor) RootActivationsInto(ch Change, out []Activation) []Activatio
 	return out
 }
 
-// ProcessAt performs one activation of a dummy, join, negative or
-// bounded node against this processor's memories and returns out with
-// the successor (left) activations appended. The caller must route
-// every activation for a given bucket to the same Processor, or memory
-// state will be inconsistent. bucket is the activation's hash bucket
+// ProcessAt performs one activation of a join, negative or bounded
+// node against this processor's memories and returns out with the
+// successor (left) activations appended. The caller must route every
+// activation for a given bucket to the same Processor, or memory state
+// will be inconsistent. bucket is the activation's hash bucket
 // (Bucket), which the caller has already computed to route it (for the
 // trace event, or for worker ownership), so each activation is hashed
-// once; it is ignored for dummy nodes, which touch no memory.
+// once.
 //
 // Production-node activations are not match work. A successor aimed at
 // a production node is a conflict-set delta: callers set those aside
 // and convert them with InstBuilder.Build.
 func (p *Processor) ProcessAt(a Activation, bucket int, out []Activation) []Activation {
 	switch a.Node.Kind {
-	case KindDummy:
-		return p.emitTo(a.Node, a.Token, a.Tag, out)
 	case KindJoin:
 		return p.processJoin(a, bucket, out)
 	case KindNegative:

@@ -54,10 +54,21 @@ const (
 // hashSeedOf is the FNV-1a state after a node id's eight little-endian
 // bytes: where every HashKey of a node with that id (or of a bounded
 // group with that home id) starts.
-func hashSeedOf(id int) uint64 {
-	h := uint64(fnvOffset64)
+func hashSeedOf(id int) uint64 { return fold(fnvOffset64, id) }
+
+// fold advances FNV-1a state h over v's eight little-endian bytes.
+func fold(h uint64, v int) uint64 {
 	for i := 0; i < 8; i++ {
-		h = (h ^ uint64(byte(uint64(id)>>(8*i)))) * fnvPrime64
+		h = (h ^ uint64(byte(uint64(v)>>(8*i)))) * fnvPrime64
+	}
+	return h
+}
+
+// foldString advances h over s's length, then its bytes.
+func foldString(h uint64, s string) uint64 {
+	h = fold(h, len(s))
+	for i := 0; i < len(s); i++ {
+		h = (h ^ uint64(s[i])) * fnvPrime64
 	}
 	return h
 }

@@ -2,7 +2,7 @@ package rete
 
 import "fmt"
 
-// This file implements the three network transformations Section 5.2
+// This file implements two of the network transformations Section 5.2
 // of the paper uses to attack the multiple-successor bottleneck and
 // the non-discriminating-hash (cross-product) problem:
 //
@@ -10,16 +10,20 @@ import "fmt"
 //     per-successor copies so successor generation proceeds on
 //     different processors. Globally, compiling with
 //     CompileOptions.DisableSharing unshares every prefix.
-//  2. Dummy nodes ([Gupta 86], ch. 4): interpose pass-through nodes
-//     that divide a node's successors into 2-4 groups.
-//  3. Copy-and-constraint (Stolfo's DADO technique): make k copies of
+//  2. Copy-and-constraint (Stolfo's DADO technique): make k copies of
 //     a join node, each matching a disjoint part of the right memory,
 //     so a cross-product's successor generation is spread over k
 //     hash sites.
 //
+// The third, dummy nodes that divide a node's successors into 2-4
+// groups ([Gupta 86], ch. 4), is applied where Fig 5-4 measures it: to
+// a trace, by trace.SplitFanout.
+//
 // All transformations must be applied to a freshly compiled network,
 // before any wme has been matched: they restructure node identity and
-// therefore the hash-table layout.
+// therefore the hash-table layout. A transformed network is not what
+// its productions compile to, so no worker process can be handed one
+// (Network.Digest); CompileVariant's "candc" is the exception.
 
 // Unshare applies the Fig 5-3 transformation to the given two-input
 // node: if the node has more than one successor, it is split into one
@@ -47,39 +51,6 @@ func (net *Network) Unshare(n *Node) ([]*Node, error) {
 		result = append(result, c)
 	}
 	return result, nil
-}
-
-// InsertDummies interposes `parts` dummy pass-through nodes between n
-// and its successors, dividing the successor set into near-equal
-// groups (Section 5.2.1, method 2). The dummy activations are real
-// work items and hash to their own buckets, so the fan-out is spread
-// over `parts` sites at the cost of one extra network level.
-func (net *Network) InsertDummies(n *Node, parts int) ([]*Node, error) {
-	if !n.IsTwoInput() {
-		return nil, fmt.Errorf("rete: cannot insert dummies below %s node %d", n.Kind, n.ID)
-	}
-	if parts < 2 || parts > len(n.Succs) {
-		return nil, fmt.Errorf("rete: dummy parts %d out of range 2..%d", parts, len(n.Succs))
-	}
-	succs := n.Succs
-	n.Succs = nil
-	dummies := make([]*Node, parts)
-	for i := range dummies {
-		d := net.newNode(KindDummy)
-		d.Parent = n
-		d.LeftLen = n.TokenLen
-		d.TokenLen = n.TokenLen
-		dummies[i] = d
-		n.Succs = append(n.Succs, d)
-	}
-	for i, s := range succs {
-		d := dummies[i%parts]
-		d.Succs = append(d.Succs, s)
-		if s.Parent == n {
-			s.Parent = d
-		}
-	}
-	return dummies, nil
 }
 
 // CopyAndConstrain makes k copies of join node n (the original becomes

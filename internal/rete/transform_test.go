@@ -113,42 +113,6 @@ func TestUnsharePreservesMatches(t *testing.T) {
 	}
 }
 
-func TestInsertDummiesPreservesMatches(t *testing.T) {
-	wmes := fanoutWMEs()
-	base := runConflictSet(t, compileT(t, sharedFanoutProds), wmes)
-
-	net := compileT(t, sharedFanoutProds)
-	n := sharedJoin(t, net)
-	dummies, err := net.InsertDummies(n, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dummies) != 2 {
-		t.Fatalf("dummies = %d", len(dummies))
-	}
-	if len(n.Succs) != 2 {
-		t.Errorf("split node fan-out = %d, want 2 dummies", len(n.Succs))
-	}
-	if got := net.Stats().DummyNodes; got != 2 {
-		t.Errorf("dummy node count = %d", got)
-	}
-	after := runConflictSet(t, net, wmes)
-	if !conflictSetsEqual(base, after) {
-		t.Errorf("dummy insertion changed matches: %v vs %v", base, after)
-	}
-}
-
-func TestInsertDummiesValidation(t *testing.T) {
-	net := compileT(t, sharedFanoutProds)
-	n := sharedJoin(t, net)
-	if _, err := net.InsertDummies(n, 1); err == nil {
-		t.Error("want error for parts=1")
-	}
-	if _, err := net.InsertDummies(n, 99); err == nil {
-		t.Error("want error for parts > fan-out")
-	}
-}
-
 func TestCopyAndConstrainPreservesMatches(t *testing.T) {
 	// A pure cross-product join: no equality tests.
 	srcs := []string{`(p cross (a ^x <u>) (b ^y <w>) --> (halt))`}
@@ -284,14 +248,6 @@ func TestTransformsRandomizedEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: unsharing diverged: %v vs %v", trial, base, got)
 		}
 
-		dummied := compileT(t, srcs)
-		if _, err := dummied.InsertDummies(sharedJoin(t, dummied), 3); err != nil {
-			t.Fatal(err)
-		}
-		if got := run(dummied); !conflictSetsEqual(base, got) {
-			t.Fatalf("trial %d: dummies diverged: %v vs %v", trial, base, got)
-		}
-
 		cc := compileT(t, srcs)
 		if _, err := cc.CopyAndConstrain(sharedJoin(t, cc), 2); err != nil {
 			t.Fatal(err)
@@ -300,8 +256,6 @@ func TestTransformsRandomizedEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: copy-and-constraint diverged: %v vs %v", trial, base, got)
 		}
 
-		globalUnshare := compileT(t, srcs)
-		_ = globalUnshare
 		fullyUnshared, err := CompileWith(mustParse(t, srcs...), CompileOptions{DisableSharing: true})
 		if err != nil {
 			t.Fatal(err)

@@ -22,7 +22,8 @@ func Variants() []string { return []string{"shared", "unshared", "candc", "bound
 //	            enumerator (see bounded.go)
 //
 // The empty string means "shared". This is the single spelling of
-// variant selection shared by every CLI and the difftest oracle.
+// variant selection shared by every CLI, the difftest oracle and the
+// hello a worker process compiles its network from (Network.Variant).
 func CompileVariant(prods []*ops5.Production, variant string) (*Network, error) {
 	switch variant {
 	case "", "shared":
@@ -64,6 +65,7 @@ func CompileVariant(prods []*ops5.Production, variant string) (*Network, error) 
 				return nil, err
 			}
 		}
+		net.variant = "candc"
 		return net, nil
 	default:
 		return nil, fmt.Errorf("rete: unknown network variant %q (want one of %v)", variant, Variants())

@@ -11,8 +11,7 @@ import (
 )
 
 // Payload codec: varint-encoded values over the frame payloads, on the
-// primitives of internal/wire (which rete's compiled-network codec, the
-// blob a hello carries, is written in too). The in-process transport
+// primitives of internal/wire. The in-process transport
 // moves pointers; the wire moves a wme's content once per directed
 // connection and names it afterwards. Every wme position on the wire
 // opens with a form byte: a definition or a reference (ID, TimeTag)
@@ -22,9 +21,9 @@ import (
 // allocating a wme.
 //
 // A definition is a row of the class's layout, which both ends hold
-// because the handshake ships the network and the network's codec ships
-// its layout table (rete.Network.Layouts; a layout's id is its index on
-// both sides):
+// because both compiled the same productions, and the handshake's
+// digest proves they numbered the layout table alike
+// (rete.Network.Layouts; a layout's id is its index on both sides):
 //
 //	ID, TimeTag
 //	class reference: layout id + 1, or 0 and the class name for a class

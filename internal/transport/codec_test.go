@@ -11,15 +11,15 @@ import (
 	"mpcrete/internal/wire"
 )
 
-// decodedCopy is the network as the other end of a connection holds it:
-// through its codec, so the two tables share ids and no pointers.
-func decodedCopy(t *testing.T, network *rete.Network) *rete.Network {
+// compiledCopy is the network as the other end of a connection holds it:
+// compiled from a hello, so the two tables share ids and no pointers.
+func compiledCopy(t *testing.T, network *rete.Network) *rete.Network {
 	t.Helper()
-	got, err := rete.DecodeNetwork(rete.AppendNetwork(nil, network))
+	h, err := decodeHello(helloBytes(hello{workers: 1, nbuckets: 1, partition: []int{0}}, appendProgram(nil, network)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got
+	return h.net
 }
 
 // TestDefinitionCodec holds the one definition form to its description:
@@ -30,7 +30,7 @@ func decodedCopy(t *testing.T, network *rete.Network) *rete.Network {
 // encoding again gives the same bytes.
 func TestDefinitionCodec(t *testing.T) {
 	network, _ := compileWorkload(t, "blocks")
-	far := decodedCopy(t, network)
+	far := compiledCopy(t, network)
 	block := network.Layout("block") // name, clear, on
 	wider, _ := widerNetwork(t)
 

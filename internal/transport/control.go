@@ -71,7 +71,8 @@ type ControlOptions struct {
 type Control struct {
 	*parallel.Driver
 	network  *rete.Network
-	netBlob  []byte           // network as every hello carries it, encoded once
+	program  []byte           // what every hello ships of the network (appendProgram)
+	digest   uint64           // network.Digest(), which every ready frame must echo
 	nbuckets int              // len(Partition()): NBuckets with its default applied
 	opts     parallel.Options // Workers with its default applied
 	timeout  time.Duration    // bounds WaitWorkers
@@ -145,7 +146,7 @@ func listen(network *rete.Network, addr string, opts parallel.Options, timeout t
 	if timeout == 0 {
 		timeout = 30 * time.Second
 	}
-	c := &Control{network: network, netBlob: rete.AppendNetwork(nil, network), opts: opts, timeout: timeout}
+	c := &Control{network: network, program: appendProgram(nil, network), digest: network.Digest(), opts: opts, timeout: timeout}
 	d, err := parallel.NewDriver(network, opts, c)
 	if err != nil {
 		return nil, err
@@ -196,8 +197,11 @@ func (c *Control) WaitWorkers() error {
 	return nil
 }
 
-// handshake sends worker cc its hello — topology slice plus the compiled
-// network — and checks the ready reply echoes its id.
+// handshake sends worker cc its hello — topology slice plus the program
+// — and checks the ready reply echoes its id and the digest of the
+// network this control holds: a worker that compiled another graph
+// (the control's network was transformed after compiling, or the two
+// compilers number nodes differently) would mis-join, so it is refused.
 func (c *Control) handshake(cc *ctlConn) error {
 	if err := cc.write(ftHello, func(e *enc) {
 		encodeHello(e, hello{
@@ -207,7 +211,7 @@ func (c *Control) handshake(cc *ctlConn) error {
 			routeRoots: c.opts.RouteRoots,
 			trackLoads: c.opts.Rebalance.Enabled(),
 			partition:  c.Partition(),
-		}, c.netBlob)
+		}, c.program)
 	}); err != nil {
 		return fmt.Errorf("transport: hello to worker %d: %w", cc.id, err)
 	}
@@ -219,8 +223,12 @@ func (c *Control) handshake(cc *ctlConn) error {
 		return fmt.Errorf("%w: expected ready from worker %d, got %s", ErrBadPayload, cc.id, ft)
 	}
 	d := wire.Dec{B: rp}
-	if gotID := d.Int(); d.Done() != nil || gotID != cc.id {
+	gotID, digest := d.Int(), d.U64()
+	if d.Done() != nil || gotID != cc.id {
 		return fmt.Errorf("%w: worker %d echoed id %d", ErrBadPayload, cc.id, gotID)
+	}
+	if digest != c.digest {
+		return fmt.Errorf("%w: worker %d compiled the hello's program to digest %#x, not to this control's network (%#x): a network changed after compiling cannot be shipped", ErrBadPayload, cc.id, digest, c.digest)
 	}
 	return nil
 }

@@ -185,6 +185,7 @@ func TestControlWorkerDisconnect(t *testing.T) {
 		}
 		var ready enc
 		ready.Int(h.id)
+		ready.U64(h.net.Digest())
 		if err := writeFrame(conn, ftReady, ready.Buf); err != nil {
 			t.Error(err)
 			conn.Close()
@@ -240,7 +241,10 @@ func forgingWorker(t *testing.T, addr string, forge func(h hello) []wireFrame) {
 		t.Error(err)
 		return
 	}
-	ready := wireFrame{ftReady, func(e *enc) { e.Int(h.id) }}
+	ready := wireFrame{ftReady, func(e *enc) {
+		e.Int(h.id)
+		e.U64(h.net.Digest())
+	}}
 	if err := ready.writeTo(conn, nil); err != nil {
 		t.Error(err)
 		return

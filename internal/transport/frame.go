@@ -6,8 +6,8 @@
 // parallel.Step; nothing here decides bucket ownership, nets
 // instantiations or plans moves. There is one carrier, a star of worker
 // connections: the driver in the control process (Control, control.go),
-// one step per worker (ServeConn, worker.go), a compiled-network
-// handshake, per-batch framing, and relay forwarding of worker-to-worker
+// one step per worker (ServeConn, worker.go), a handshake that ships
+// the program for each worker to compile, per-batch framing, and relay forwarding of worker-to-worker
 // activations; every relay and turn frame is reported to the driver's
 // accounting calls, so termination detection stays exact across the
 // wire. ops5run -transport tcp and ops5worker run it across OS
@@ -50,9 +50,11 @@ type frameType uint8
 const (
 	// ftHello is the control→worker handshake: protocol version,
 	// topology (worker id, worker count, nbuckets, partition, flags),
-	// and the compiled network (rete.AppendNetwork bytes).
+	// and the program: the network's variant and each production's
+	// source text.
 	ftHello frameType = iota + 1
-	// ftReady is the worker→control handshake reply.
+	// ftReady is the worker→control handshake reply: the worker's id and
+	// the digest of the network it compiled.
 	ftReady
 	// 3 is reserved: it was ftBatch, the frame of a retired in-process
 	// carrier, and every later frame keeps its byte. frameReader refuses
@@ -120,8 +122,9 @@ var (
 	// ErrUnknownFrameType reports an unrecognized frame type byte.
 	ErrUnknownFrameType = errors.New("transport: unknown frame type")
 	// ErrBadPayload reports a payload that fails to decode: the codec's
-	// one sentinel, which a malformed compiled network in a hello wraps
-	// as any other payload does.
+	// one sentinel, which a hello whose program does not compile, and a
+	// ready frame whose digest is not the control's, wrap as any other
+	// payload does.
 	ErrBadPayload = wire.ErrBadPayload
 )
 

@@ -85,11 +85,11 @@ func payloadOf(e *enc, fill func(*enc)) []byte {
 	return append([]byte(nil), e.Buf...)
 }
 
-// helloBytes is a hello payload around netBlob, a network as
-// rete.AppendNetwork wrote it — or as a forger did.
-func helloBytes(h hello, netBlob []byte) []byte {
+// helloBytes is a hello payload around program, a network's program as
+// appendProgram wrote it — or as a forger did.
+func helloBytes(h hello, program []byte) []byte {
 	var e enc
-	encodeHello(&e, h, netBlob)
+	encodeHello(&e, h, program)
 	return e.Buf
 }
 
@@ -174,44 +174,45 @@ func TestFrameFaults(t *testing.T) {
 			t.Fatal("decoded garbage hello")
 		}
 	})
-	for _, old := range []byte{2, 3, 4, 5} {
+	for _, old := range []byte{2, 3, 4, 5, 6} {
 		t.Run(fmt.Sprintf("hello-version-%d", old), func(t *testing.T) {
 			// A version-2 peer hashes numbers into other buckets; a
 			// version-3 peer spells every wme out and knows no references;
 			// a version-4 peer defines a wme attribute by attribute, by
 			// name; a version-5 peer ships time tags in its turn frames
-			// and expects them. Each must be turned away at the
-			// handshake, not mis-join or mis-decode later.
+			// and expects them; a version-6 peer ships a compiled network
+			// and expects one. Each must be turned away at the handshake,
+			// not mis-join or mis-decode later.
 			net, _ := mustCompile("blocks")
-			hb := helloBytes(hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, rete.AppendNetwork(nil, net))
+			hb := helloBytes(hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, appendProgram(nil, net))
 			if _, err := decodeHello(hb); err != nil {
 				t.Fatalf("current hello refused: %v", err)
 			}
-			if protoVersion != 6 || hb[0] != protoVersion {
-				t.Fatalf("hello leads with %#x, want the version varint 6 (protoVersion %d)", hb[0], protoVersion)
+			if protoVersion != 7 || hb[0] != protoVersion {
+				t.Fatalf("hello leads with %#x, want the version varint 7 (protoVersion %d)", hb[0], protoVersion)
 			}
 			hb[0] = old
 			_, err := decodeHello(hb)
 			if !errors.Is(err, ErrBadPayload) {
 				t.Fatalf("version %d hello: got %v, want ErrBadPayload", old, err)
 			}
-			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", old)) || !strings.Contains(msg, "want 6") {
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", old)) || !strings.Contains(msg, "want 7") {
 				t.Fatalf("error %q does not name both versions", msg)
 			}
 		})
 	}
-	t.Run("hello-older-network-format", func(t *testing.T) {
-		// A current hello around a RETENET2 blob, which ships no layout
-		// table: the worker could not number a slot, and says so before
-		// the first frame.
+	t.Run("hello-unknown-variant", func(t *testing.T) {
+		// A current hello naming a variant this worker's compiler does not
+		// know: the worker could not build the control's network, and
+		// says so before the first frame.
 		net, _ := mustCompile("blocks")
-		hb := helloBytes(hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, rete.AppendNetwork(nil, net))
-		if bytes.Count(hb, []byte("RETENET3")) != 1 {
-			t.Fatal("the hello does not carry a RETENET3 network")
+		hb := helloBytes(hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, appendProgram(nil, net))
+		if bytes.Count(hb, []byte("\x06shared")) != 1 {
+			t.Fatal("the hello does not name the shared variant")
 		}
-		_, err := decodeHello(bytes.Replace(hb, []byte("RETENET3"), []byte("RETENET2"), 1))
-		if !errors.Is(err, ErrBadPayload) || !strings.Contains(err.Error(), `bad network magic "RETENET2"`) {
-			t.Fatalf("got %v, want ErrBadPayload naming the magic", err)
+		_, err := decodeHello(bytes.Replace(hb, []byte("\x06shared"), []byte("\x06shaped"), 1))
+		if !errors.Is(err, ErrBadPayload) || !strings.Contains(err.Error(), `unknown network variant "shaped"`) {
+			t.Fatalf("got %v, want ErrBadPayload naming the variant", err)
 		}
 	})
 	t.Run("trailing-bytes", func(t *testing.T) {
@@ -466,7 +467,7 @@ func FuzzTransportFrame(f *testing.F) {
 	f.Add(slotForm[0])
 	{
 		var b bytes.Buffer
-		writeFrame(&b, ftHello, helloBytes(hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, rete.AppendNetwork(nil, net)))
+		writeFrame(&b, ftHello, helloBytes(hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, appendProgram(nil, net)))
 		f.Add(b.Bytes())
 	}
 	f.Add([]byte{0, 0, 0, 1, byte(ftShutdown)})

@@ -21,7 +21,7 @@ type Loopback struct {
 }
 
 // NewLoopback returns a Loopback for the given compiled network; its
-// workers receive it in their hello, as worker processes do.
+// workers compile it from their hello, as worker processes do.
 func NewLoopback(network *rete.Network) *Loopback {
 	return &Loopback{net: network}
 }

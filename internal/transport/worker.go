@@ -6,6 +6,7 @@ import (
 	"net"
 	"time"
 
+	"mpcrete/internal/ops5"
 	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/sched"
@@ -13,17 +14,17 @@ import (
 )
 
 // The worker half of the star carrier: parallel.Step behind a socket.
-// A worker process dials the control process, receives the compiled
-// network and its slice of the topology in the hello handshake, and
-// then turns frames into step calls: each incoming ftCycle, ftActs,
-// ftRepart or ftBucket frame is decoded into parallel.Messages, handed
-// to Step.Handle as one turn, and answered with what the step left
-// behind — one coalesced ftRelay frame per remote destination, one
-// ftBucketRelay per extracted bucket, and a closing ftTurn frame
-// carrying the processed count, the echoed recv stamp, and the
-// parallel.Turn (measurement aggregate, conflict-set deltas, bucket
-// loads). What a turn computes is the step's business; this file only
-// decodes, encodes and orders frames.
+// A worker process dials the control process, receives the program and
+// its slice of the topology in the hello handshake, compiles the
+// network it matches over, and then turns frames into step calls: each
+// incoming ftCycle, ftActs, ftRepart or ftBucket frame is decoded into
+// parallel.Messages, handed to Step.Handle as one turn, and answered
+// with what the step left behind — one coalesced ftRelay frame per
+// remote destination, one ftBucketRelay per extracted bucket, and a
+// closing ftTurn frame carrying the processed count, the echoed recv
+// stamp, and the parallel.Turn (measurement aggregate, conflict-set
+// deltas, bucket loads). What a turn computes is the step's business;
+// this file only decodes, encodes and orders frames.
 //
 // Frame order is the termination-detection argument: relays precede
 // the turn frame on the same TCP stream, so the control process
@@ -43,11 +44,14 @@ import (
 // definition or an (ID, TimeTag) reference, a conflict-set delta names
 // its production by terminal node id, and ftTurn declares its array
 // totals. Version 5 is the slot form of a definition — a layout id and
-// a run of values (codec.go) — over a RETENET3 network, whose layout
-// table both ends index alike. Version 6 takes the time tags, and their
-// total, out of ftTurn: a delta is a tag, a production and its wme
-// positions, and the control computes recency from the wmes.
-const protoVersion = 6
+// a run of values (codec.go) — over a network whose layout table both
+// ends index alike. Version 6 takes the time tags, and their total, out
+// of ftTurn: a delta is a tag, a production and its wme positions, and
+// the control computes recency from the wmes. Version 7 ships the
+// program, not the compiled network: the hello carries the variant and
+// each production's source text, the worker compiles them, and its
+// ready frame answers with the compiled network's rete.Network.Digest.
+const protoVersion = 7
 
 // hello is the decoded handshake.
 type hello struct {
@@ -60,13 +64,26 @@ type hello struct {
 	// rebalance detector feeds on them).
 	trackLoads bool
 	partition  sched.Partition
-	net        *rete.Network
+	net        *rete.Network // compiled from the hello's program
+}
+
+// appendProgram appends what a hello ships of a network: its variant,
+// then each production's source text in definition order — everything
+// rete.CompileVariant needs to compile it again.
+func appendProgram(buf []byte, net *rete.Network) []byte {
+	e := wire.Enc{Buf: buf}
+	e.Str(net.Variant())
+	e.Count(len(net.ProdOrder))
+	for _, name := range net.ProdOrder {
+		e.Str(net.Prods[name].Prod.String())
+	}
+	return e.Buf
 }
 
 // encodeHello appends a hello: the worker's slice of the topology, then
-// netBlob, the network as rete.AppendNetwork wrote it (Control encodes
-// it once for all its workers).
-func encodeHello(e *enc, h hello, netBlob []byte) {
+// program, as appendProgram wrote it (Control prints it once for all its
+// workers).
+func encodeHello(e *enc, h hello, program []byte) {
 	e.U64(protoVersion)
 	e.Int(h.id)
 	e.Int(h.workers)
@@ -74,10 +91,13 @@ func encodeHello(e *enc, h hello, netBlob []byte) {
 	e.Bool(h.routeRoots)
 	e.Bool(h.trackLoads)
 	e.partition(h.partition)
-	e.Count(len(netBlob))
-	e.Raw(netBlob)
+	e.Raw(program)
 }
 
+// decodeHello reads a hello and compiles its program. Every count is
+// held to the bytes that remain, so a forged hello costs what its
+// length can buy; source that does not parse, or a variant the
+// compiler does not know, is ErrBadPayload like any other payload.
 func decodeHello(payload []byte) (hello, error) {
 	d := dec{Dec: wire.Dec{B: payload}}
 	if ver := d.U64(); d.Err == nil && ver != protoVersion {
@@ -89,13 +109,22 @@ func decodeHello(payload []byte) (hello, error) {
 	}
 	d.nbuckets, d.workers = h.nbuckets, h.workers
 	h.partition = d.partition()
-	nb := d.Bytes(d.Count(1<<26), "network bytes")
+	variant := d.Str()
+	prods := make([]*ops5.Production, d.Count(1<<20))
+	for i := 0; i < len(prods) && d.Err == nil; i++ {
+		var err error
+		if prods[i], err = ops5.ParseProduction(d.Str()); err != nil {
+			d.Fail(fmt.Sprintf("production %d: %v", i, err))
+		}
+	}
 	if err := d.Done(); err != nil {
 		return h, err
 	}
 	var err error
-	h.net, err = rete.DecodeNetwork(nb)
-	return h, err
+	if h.net, err = rete.CompileVariant(prods, variant); err != nil {
+		return h, fmt.Errorf("%w: %v", ErrBadPayload, err)
+	}
+	return h, nil
 }
 
 // Serve dials the control address, retrying until the timeout (worker
@@ -145,6 +174,7 @@ func ServeConn(conn net.Conn) error {
 
 	w.enc.begin()
 	w.enc.Int(h.id)
+	w.enc.U64(h.net.Digest())
 	if err := w.send(ftReady); err != nil {
 		return fmt.Errorf("transport: worker ready: %w", err)
 	}

@@ -38,7 +38,7 @@ func serveFault(t *testing.T, network *rete.Network, frames ...wireFrame) error 
 	go func() { served <- ServeConn(wrk) }()
 
 	part := sched.RoundRobin(faultBuckets, faultWorkers)
-	hb := helloBytes(hello{workers: faultWorkers, nbuckets: faultBuckets, partition: part}, rete.AppendNetwork(nil, network))
+	hb := helloBytes(hello{workers: faultWorkers, nbuckets: faultBuckets, partition: part}, appendProgram(nil, network))
 	if err := writeFrame(ctl, ftHello, hb); err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestBucketCountNotPowerOfTwo(t *testing.T) {
 			return err
 		}, nil},
 		{"hello", func(t *testing.T) error {
-			return serveHello(t, helloBytes(hello{workers: 2, nbuckets: 3, partition: []int{0, 1, 0}}, rete.AppendNetwork(nil, network)))
+			return serveHello(t, helloBytes(hello{workers: 2, nbuckets: 3, partition: []int{0, 1, 0}}, appendProgram(nil, network)))
 		}, ErrBadPayload},
 		{"ops5run -buckets", func(t *testing.T) error {
 			if testing.Short() {
@@ -123,29 +123,26 @@ func TestBucketCountNotPowerOfTwo(t *testing.T) {
 	}
 }
 
-// TestWorkerRefusesForgedNetwork: the compiled network in a hello is
-// read by the same bounded decoder as the rest of the payload. Sixteen
-// bytes declaring four million nodes are refused as ErrBadPayload for
-// what sixteen bytes cost (the handshake's own buffers included), not
-// for the 192 MiB the declaration asks for.
+// TestWorkerRefusesForgedNetwork: the program in a hello is read by the
+// same bounded decoder as the rest of the payload (TestHelloForged holds
+// it to each count). A few bytes declaring four million productions are
+// refused as ErrBadPayload for what those bytes cost (the handshake's
+// own buffers included), not for what the declaration asks for.
 func TestWorkerRefusesForgedNetwork(t *testing.T) {
-	var blob wire.Enc
-	blob.Raw([]byte("RETENET3"))
-	for range 4 { // flags, productions, layouts, alphas
-		blob.Count(0)
-	}
-	blob.Count(1 << 22) // nodes
-	hb := helloBytes(hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, blob.Buf)
+	var program wire.Enc
+	program.Str("shared")
+	program.Count(1 << 22) // productions
+	hb := helloBytes(hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, program.Buf)
 
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	err := serveHello(t, hb)
 	runtime.ReadMemStats(&after)
 	if !errors.Is(err, ErrBadPayload) || !strings.Contains(err.Error(), "count 4194304") {
-		t.Fatalf("worker returned %v, want ErrBadPayload naming the node count", err)
+		t.Fatalf("worker returned %v, want ErrBadPayload naming the production count", err)
 	}
 	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
-		t.Fatalf("refusing a %d-byte network allocated %d bytes", len(blob.Buf), got)
+		t.Fatalf("refusing a %d-byte program allocated %d bytes", len(program.Buf), got)
 	}
 }
 

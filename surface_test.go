@@ -39,9 +39,6 @@ var allowedUncalled = map[string]string{
 	"LoadPerProc": "sched: partition tests and the package example sum load per processor",
 	"IncRecv":     "termdet: the per-message twin of AddRecv; the detector tests count one message at a time",
 
-	// The paper's own method, carried by a pinned format.
-	"InsertDummies": "rete: §5.2.1 method 2; RETENET3 encodes the node kind it creates",
-
 	// Called by the standard library through an interface.
 	"MarshalText":   "obs: encoding/json calls it on every event of a flight dump, so a kind travels by name",
 	"UnmarshalText": "obs: encoding/json calls it when a flight dump is read back",

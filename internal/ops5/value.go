@@ -13,6 +13,7 @@ package ops5
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"strconv"
 	"strings"
 )
@@ -107,7 +108,7 @@ func (v Value) String() string {
 
 // Key returns a canonical text encoding of the value, distinct across
 // kinds. It keys compile-time structures (alpha-pattern sharing); the
-// match-time bucket hash is HashFNV, which folds different bytes.
+// match-time bucket hash is FoldWords, which folds words, not text.
 func (v Value) Key() string {
 	switch v.Kind {
 	case KindSym:
@@ -119,46 +120,64 @@ func (v Value) Key() string {
 	}
 }
 
-const fnvPrime64 = 1099511628211
+// foldPrime is the 64-bit FNV prime, the multiplier of every FoldWords
+// round.
+const foldPrime = 1099511628211
 
-// HashFNV folds the value into a running FNV-1a hash, byte by byte and
-// without allocating. The contract is the one hashed memories rest on:
-// values that are Equal fold alike, and values of different kinds fold
-// different bytes (the symbol "3" and the number 3 carry different
-// prefixes).
+// FoldWords folds the value into a running hash a word at a time, one
+// (h ^ w) * foldPrime round per 64-bit word, without allocating. The
+// contract is the one hashed memories rest on: values that are Equal
+// fold alike, and values of different kinds fold different words.
 //
-// A symbol folds as 's' ':' and its bytes. A number folds as 'n' ':'
-// and the eight little-endian bytes of its IEEE-754 bit pattern, after
-// two adjustments. -0 is folded as +0, because Equal says they are the
-// same number. And the bits are passed through the splitmix64
-// finaliser first: FNV-1a's low k output bits depend only on the low k
-// bits of each input byte, a small integer as a float64 has six zero
-// low bytes and an even seventh, and a bucket is the key's low bits —
-// unmixed, nearly every numeric key of a node would land in the same
-// few buckets, and on the same worker of a round-robin partition.
-func (v Value) HashFNV(h uint64) uint64 {
+// A number folds as one word: the eight bytes of its IEEE-754 bit
+// pattern, -0 taken as +0 because Equal says they are the same number,
+// through the splitmix64 finaliser, so that small integers — whose
+// float64 patterns differ only in their top bytes — differ in every
+// bit. A symbol folds as a tag word holding its length, then its bytes
+// in little-endian 8-byte chunks, the last one zero-padded. Nil folds
+// as the constant '_'.
+//
+// The multiply leaves bit 0 alone, so bit 0 of the result is bit 0 of
+// h XOR that of every folded word, and each word's bit 0 is set to what
+// byte-wise FNV-1a over the old spelling contributed there: for a
+// number or a chunk, the parity of its bytes' low bits; for a symbol's
+// tag and for nil, 1 (the odd 's' of "s:" and '_'). Under round-robin
+// at two workers that bit is a key's owner, and it is kept because the
+// deal it makes is a good one (EXPERIMENTS.md, "What a key costs,
+// settled").
+func (v Value) FoldWords(h uint64) uint64 {
 	switch v.Kind {
 	case KindSym:
-		h = (h ^ 's') * fnvPrime64
-		h = (h ^ ':') * fnvPrime64
-		for i := 0; i < len(v.Sym); i++ {
-			h = (h ^ uint64(v.Sym[i])) * fnvPrime64
+		s := v.Sym
+		h = (h ^ (uint64(len(s))<<8 | 's')) * foldPrime
+		for ; len(s) >= 8; s = s[8:] {
+			c := uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+				uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+			h = (h ^ lowParity(c)) * foldPrime
+		}
+		if len(s) > 0 {
+			var c uint64
+			for i := len(s) - 1; i >= 0; i-- {
+				c = c<<8 | uint64(s[i])
+			}
+			h = (h ^ lowParity(c)) * foldPrime
 		}
 	case KindNum:
-		h = (h ^ 'n') * fnvPrime64
-		h = (h ^ ':') * fnvPrime64
-		x := numHashBits(v.Num)
-		for i := 0; i < 8; i++ {
-			h = (h ^ uint64(byte(x>>(8*i)))) * fnvPrime64
-		}
+		h = (h ^ lowParity(numHashBits(v.Num))) * foldPrime
 	default:
-		h = (h ^ '_') * fnvPrime64
+		h = (h ^ '_') * foldPrime
 	}
 	return h
 }
 
-// numHashBits is the bit pattern HashFNV folds for a number: -0
-// normalised to +0, then the splitmix64 finaliser.
+// lowParity returns w with bit 0 replaced by the parity of its eight
+// bytes' low bits.
+func lowParity(w uint64) uint64 {
+	return w&^1 | uint64(bits.OnesCount64(w&0x0101010101010101)&1)
+}
+
+// numHashBits is the word FoldWords folds for a number, before its
+// bit 0 is set: -0 normalised to +0, then the splitmix64 finaliser.
 func numHashBits(f float64) uint64 {
 	if f == 0 {
 		f = 0 // -0 == 0 is true; the assignment drops the sign

@@ -1,89 +1,14 @@
 package rete
 
 import (
-	"hash/fnv"
 	"math"
 	"math/bits"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"mpcrete/internal/ops5"
 )
-
-// refHashKey is HashKey written the slow way: the canonical bytes of
-// the activation, spelled out, through the library's FNV-1a. It pins
-// the inlined hash to hash/fnv and the byte layout to its
-// documentation: node id, then per equality test a kind prefix, the
-// value's bytes and a zero separator.
-func refHashKey(n *Node, side Side, t Token, w *ops5.WME) uint64 {
-	le64 := func(x uint64) []byte {
-		var buf [8]byte
-		for i := range buf {
-			buf[i] = byte(x >> (8 * i))
-		}
-		return buf[:]
-	}
-	h := fnv.New64a()
-	h.Write(le64(uint64(n.ID)))
-	for _, jt := range n.EqTests {
-		var v ops5.Value
-		if side == Left {
-			v = t.WMEs[jt.LeftPos].Get(jt.LeftAttr)
-		} else {
-			v = w.Get(jt.RightAttr)
-		}
-		switch v.Kind {
-		case ops5.KindSym:
-			h.Write([]byte("s:" + v.Sym))
-		case ops5.KindNum:
-			x := math.Float64bits(v.Num)
-			if v.Num == 0 {
-				x = 0 // -0 folds as +0
-			}
-			// splitmix64 finaliser
-			x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
-			x = (x ^ x>>27) * 0x94d049bb133111eb
-			x ^= x >> 31
-			h.Write([]byte("n:"))
-			h.Write(le64(x))
-		default:
-			h.Write([]byte("_"))
-		}
-		h.Write([]byte{0})
-	}
-	return h.Sum64()
-}
-
-func TestHashKeyMatchesFNVReference(t *testing.T) {
-	net := compileT(t, []string{
-		`(p join (a ^x <v> ^y <u>) (b ^x <v> ^z <u>) --> (halt))`,
-		`(p nums (c ^n <m>) (d ^n <m>) --> (halt))`,
-		`(p cross (a ^x <v>) (d ^q <r>) --> (halt))`,
-	})
-	proc := NewProcessor(net, 64)
-	wmes := []*ops5.WME{
-		ops5.NewWME("a", "x", "red", "y", 3),
-		ops5.NewWME("a", "x", 2.5, "y", "blue"),
-		ops5.NewWME("a", "x", math.Copysign(0, -1)), // ^y absent: the nil value
-		ops5.NewWME("b", "x", "red", "z", 3),
-		ops5.NewWME("c", "n", -17),
-		ops5.NewWME("d", "n", -17, "q", "deep"),
-		ops5.NewWME("d", "n", 1e300),
-	}
-	checked := 0
-	for i, w := range wmes {
-		w.ID, w.TimeTag = i+1, i+1
-		for _, act := range proc.RootActivationsInto(Change{Tag: Add, WME: w}, nil) {
-			if got, want := act.HashKey(), refHashKey(act.Node, act.Side, act.Token, act.WME); got != want {
-				t.Errorf("HashKey(%v %v) = %#x, reference %#x", act.Node.ID, act.Side, got, want)
-			}
-			checked++
-		}
-	}
-	if checked == 0 {
-		t.Fatal("no root activations generated")
-	}
-}
 
 // joinNodeT returns the network's first join node.
 func joinNodeT(t *testing.T, net *Network) *Node {
@@ -164,17 +89,20 @@ func TestHashKeyConsistentAcrossSides(t *testing.T) {
 	}
 }
 
-// TestHashKeySpread pins why numbers are mixed before they are folded.
-// A bucket is the key's low bits and the default owner is bucket mod
-// workers; FNV-1a's low bits see only the low bits of each input byte,
-// and small integers as float64 differ only in their top two bytes. An
-// unmixed fold leaves 15 of the 16 board coordinates on one side of the
-// bucket's low bit — one worker of two does all the work.
+// TestHashKeySpread pins why values are mixed before and after they
+// are folded. A bucket is the key's low bits and the default owner is
+// bucket mod workers; a multiply-and-XOR fold's low bits see only the
+// low bits of each folded word. Small integers as float64 differ only in
+// their top two bytes: unmixed, 15 of the 16 board coordinates would sit
+// on one side of the bucket's low bit, one worker of two doing all the
+// work, so numbers are mixed first. Symbols that share a prefix differ
+// only in a chunk's upper bytes: unfinalised, 256 of them cover 6 to 24
+// of 1,024 buckets, so the key is finalised last.
 func TestHashKeySpread(t *testing.T) {
 	join := joinNodeT(t, compileT(t, []string{`(p x (a ^k <v>) (b ^k <v>) --> (halt))`}))
 	mem := newMemory[rightEntry](1024)
-	bucket := func(i int) int {
-		return mem.Bucket(HashKey(join, Right, Token{}, ops5.NewWME("b", "k", i)))
+	bucket := func(v any) int {
+		return mem.Bucket(HashKey(join, Right, Token{}, ops5.NewWME("b", "k", v)))
 	}
 
 	odd := 0
@@ -185,17 +113,23 @@ func TestHashKeySpread(t *testing.T) {
 		t.Errorf("integers 1..16: %d odd buckets, %d even; want at most 12 on either side", odd, 16-odd)
 	}
 
-	var seen [1024 / 64]uint64
-	for i := 0; i < 256; i++ {
-		b := bucket(i)
-		seen[b/64] |= 1 << (b % 64)
+	cover := func(name string, v func(i int) any) {
+		var seen [1024 / 64]uint64
+		for i := 0; i < 256; i++ {
+			b := bucket(v(i))
+			seen[b/64] |= 1 << (b % 64)
+		}
+		distinct := 0
+		for _, w := range seen {
+			distinct += bits.OnesCount64(w)
+		}
+		if distinct < 200 {
+			t.Errorf("%s cover %d of 1024 buckets, want >= 200", name, distinct)
+		}
 	}
-	distinct := 0
-	for _, w := range seen {
-		distinct += bits.OnesCount64(w)
-	}
-	if distinct < 200 {
-		t.Errorf("integers 0..255 cover %d of 1024 buckets, want >= 200", distinct)
+	cover("integers 0..255", func(i int) any { return i })
+	for _, prefix := range []string{"b", "block", "a-long-prefix-"} {
+		cover("symbols "+prefix+"0.."+prefix+"255", func(i int) any { return prefix + strconv.Itoa(i) })
 	}
 }
 

@@ -147,12 +147,6 @@ type Listener interface {
 	EndCycle(cycle int)
 }
 
-// queued is an activation awaiting processing, with trace parentage.
-type queued struct {
-	act       Activation
-	parentSeq int
-}
-
 // MatcherOptions configure the sequential matcher.
 type MatcherOptions struct {
 	// NBuckets is the size (power of two) of each global hash table.
@@ -182,11 +176,12 @@ type Matcher struct {
 	listener Listener
 	cycle    int
 	seq      int
-	queue    []queued
-	// rootBuf and succBuf are scratch for one change's root activations
-	// and one activation's successors, reused across calls.
-	rootBuf []Activation
-	succBuf []Activation
+	// queue is the phase's match work in FIFO order: roots and
+	// successors are appended to it where they are made, and file sorts
+	// each new tail. parents is the Seq of the activation that generated
+	// each queued one (-1 for a root), kept only for a Listener.
+	queue   []Activation
+	parents []int
 	// instActs holds the phase's production-node activations, set aside
 	// in generation order until the queue has drained and the deltas can
 	// be built in one pass; instParents is the Seq of the activation that
@@ -233,8 +228,6 @@ func (m *Matcher) Reset() {
 	m.seq = 0
 	clear(m.queue[:cap(m.queue)])
 	m.queue = m.queue[:0]
-	clear(m.rootBuf[:cap(m.rootBuf)])
-	clear(m.succBuf[:cap(m.succBuf)])
 	clear(m.instActs[:cap(m.instActs)])
 }
 
@@ -270,13 +263,9 @@ func (m *Matcher) ApplyFiltered(changes []Change, allow func(*Node) bool) []Inst
 	}
 
 	for _, ch := range changes {
-		m.rootBuf = m.proc.RootActivationsInto(ch, m.rootBuf[:0])
-		for _, act := range m.rootBuf {
-			if allow != nil && !allow(act.Node) {
-				continue
-			}
-			m.enqueue(act, -1)
-		}
+		n := len(m.queue)
+		m.queue = m.proc.RootActivationsInto(ch, m.queue)
+		m.file(n, -1, allow)
 	}
 
 	// Drain from a head index, not by reslicing m.queue[1:], which would
@@ -285,14 +274,18 @@ func (m *Matcher) ApplyFiltered(changes []Change, allow func(*Node) bool) []Inst
 	// capacity the drained prefix is dropped by copying the frontier
 	// down, so the queue is as long as the frontier, not as the phase's
 	// activation count; the order does not change.
-	for head := 0; head < len(m.queue); {
+	for head := 0; head < len(m.queue); head++ {
 		if head >= queueCompactMin && 2*head >= cap(m.queue) {
-			m.queue, head = m.queue[:copy(m.queue, m.queue[head:])], 0
+			m.queue = m.queue[:copy(m.queue, m.queue[head:])]
+			if m.listener != nil {
+				m.parents = m.parents[:copy(m.parents, m.parents[head:])]
+			}
+			head = 0
 		}
-		m.step(m.queue[head])
-		head++
+		m.step(head)
 	}
 	m.queue = m.queue[:0]
+	m.parents = m.parents[:0]
 
 	var out []InstChange
 	if n := len(m.instActs); n > 0 {
@@ -312,38 +305,57 @@ func (m *Matcher) ApplyFiltered(changes []Change, allow func(*Node) bool) []Inst
 	return out
 }
 
-// enqueue files an activation generated by parentSeq: match work joins
-// the queue, a production-node activation is a conflict-set delta.
-func (m *Matcher) enqueue(act Activation, parentSeq int) {
-	if act.Node.Kind == KindProduction {
-		m.instActs = append(m.instActs, act)
-		if m.listener != nil {
-			m.instParents = append(m.instParents, parentSeq)
+// file sorts the activations appended to the queue from index n on,
+// all generated by the activation numbered parent: match work stays,
+// closed up in order, a production-node activation is a conflict-set
+// delta and moves to instActs, and a root allow rejects is dropped.
+func (m *Matcher) file(n, parent int, allow func(*Node) bool) {
+	k := n
+	for i := n; i < len(m.queue); i++ {
+		act := &m.queue[i]
+		switch {
+		case allow != nil && !allow(act.Node):
+		case act.Node.Kind == KindProduction:
+			m.instActs = append(m.instActs, *act)
+			if m.listener != nil {
+				m.instParents = append(m.instParents, parent)
+			}
+		default:
+			if k != i {
+				m.queue[k] = *act
+			}
+			k++
 		}
-		return
 	}
-	m.queue = append(m.queue, queued{act: act, parentSeq: parentSeq})
+	m.queue = m.queue[:k]
+	if m.listener != nil {
+		for len(m.parents) < k {
+			m.parents = append(m.parents, parent)
+		}
+	}
 }
 
-func (m *Matcher) step(q queued) {
-	key := q.act.HashKey()
-	ev := Event{
-		Seq:       m.seq,
-		ParentSeq: q.parentSeq,
-		Cycle:     m.cycle,
-		Node:      q.act.Node,
-		Side:      q.act.Side,
-		Tag:       q.act.Tag,
-		Key:       key,
-		Bucket:    m.proc.left.Bucket(key),
-	}
+// step performs the queued activation at head and files its successors
+// behind the queue's tail.
+func (m *Matcher) step(head int) {
+	act := m.queue[head]
+	key := act.HashKey()
+	bucket := m.proc.left.Bucket(key)
+	seq := m.seq
 	m.seq++
 	if m.listener != nil {
-		m.listener.Activation(ev)
+		m.listener.Activation(Event{
+			Seq:       seq,
+			ParentSeq: m.parents[head],
+			Cycle:     m.cycle,
+			Node:      act.Node,
+			Side:      act.Side,
+			Tag:       act.Tag,
+			Key:       key,
+			Bucket:    bucket,
+		})
 	}
-
-	m.succBuf = m.proc.ProcessAt(q.act, ev.Bucket, m.succBuf[:0])
-	for _, child := range m.succBuf {
-		m.enqueue(child, ev.Seq)
-	}
+	n := len(m.queue)
+	m.queue = m.proc.ProcessAt(act, bucket, m.queue)
+	m.file(n, seq, nil)
 }

@@ -431,7 +431,8 @@ func (f *frontierPeak) EndCycle(int) {
 // frontier, not as the phase's activation count — ApplyFiltered drops
 // the drained prefix once the head passes half the capacity — so its
 // capacity stays within twice its peak outstanding activations plus the
-// compaction threshold. The 60x50 burst is wide (its frontier peaks at
+// compaction threshold, and so does the parentage kept beside it for the
+// Listener. The 60x50 burst is wide (its frontier peaks at
 // 3,060 of 3,232 activations), so a queue that grows to the activation
 // count passes there too; the chain is deep — 40 roots, each walking a
 // 19-join chain — and a queue as long as its phase (1,024 slots) fails
@@ -439,8 +440,9 @@ func (f *frontierPeak) EndCycle(int) {
 func TestQueueBoundedByFrontier(t *testing.T) {
 	check := func(t *testing.T, m *Matcher, fp *frontierPeak) {
 		t.Helper()
-		if bound := 2 * (fp.peak + queueCompactMin); cap(m.queue) > bound {
-			t.Errorf("queue capacity %d, peak outstanding %d: want <= %d", cap(m.queue), fp.peak, bound)
+		bound := 2 * (fp.peak + queueCompactMin)
+		if cap(m.queue) > bound || cap(m.parents) > bound {
+			t.Errorf("queue capacity %d, its parentage %d, peak outstanding %d: want <= %d", cap(m.queue), cap(m.parents), fp.peak, bound)
 		}
 	}
 	t.Run("burst-60x50", func(t *testing.T) {
@@ -578,12 +580,7 @@ func TestApplyResultBelongsToCaller(t *testing.T) {
 // or a wme.
 func holdsNothing(t *testing.T, m *Matcher) {
 	t.Helper()
-	for i, q := range m.queue[:cap(m.queue)] {
-		if q.act.Token.WMEs != nil || q.act.WME != nil {
-			t.Fatalf("queue slot %d of %d still holds an activation", i, cap(m.queue))
-		}
-	}
-	for name, acts := range map[string][]Activation{"rootBuf": m.rootBuf, "succBuf": m.succBuf, "instActs": m.instActs} {
+	for name, acts := range map[string][]Activation{"queue": m.queue, "instActs": m.instActs} {
 		for i, a := range acts[:cap(acts)] {
 			if a.Token.WMEs != nil || a.WME != nil {
 				t.Fatalf("%s slot %d of %d still holds an activation", name, i, cap(acts))

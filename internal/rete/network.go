@@ -134,8 +134,9 @@ type Node struct {
 	bPos  int
 	bNeg  bool
 
-	// hashSeed is where HashKey starts: the FNV state after this node's
-	// id, or after the home id of its bounded group (hashSeedOf).
+	// hashSeed is where HashKey's word fold starts: the FNV-1a state
+	// after this node's id, or after the home id of its bounded group
+	// (hashSeedOf).
 	hashSeed uint64
 
 	shareKey string

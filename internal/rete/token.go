@@ -44,8 +44,8 @@ func (t Token) IDKey() string {
 // String renders the token's wme IDs for diagnostics.
 func (t Token) String() string { return "[" + t.IDKey() + "]" }
 
-// FNV-1a parameters of the inlined hash below (pinned against hash/fnv
-// over the same bytes by TestHashKeyMatchesFNVReference).
+// FNV-1a parameters of the byte-wise folds below (a node id's seed, the
+// network digest) and of InstChange.Hash's word fold.
 const (
 	fnvOffset64 = 14695981039346656037
 	fnvPrime64  = 1099511628211
@@ -82,22 +82,27 @@ func foldString(h uint64, s string) uint64 {
 //
 // The contract hashed memories rest on: a token and a wme that pass
 // n's equality tests get the same key. It holds because each tested
-// value is folded by ops5.Value.HashFNV, under which values that are
-// Equal fold alike (-0 and 0, 3 and 3.0) and numbers fold as mixed
-// bits, so the key's low bits — the bucket, and through it the owning
-// worker — spread over small integers. The key is a function of the
+// value is folded by ops5.Value.FoldWords, under which values that are
+// Equal fold alike (-0 and 0, 3 and 3.0). The key is a function of the
 // build: two processes that hash differently would mis-join silently,
-// which is why the wire handshake carries a protocol version. Under
-// FNV-1a the key's low bit is the XOR of the low bits of every folded
-// byte, and under round-robin that bit is the owner at W=2, so a new
-// fold re-deals ownership and is judged on wire-queens, not seq-queens
-// (EXPERIMENTS.md, "What a key costs").
+// which is why the wire handshake carries a protocol version.
 //
-// The hash is FNV-1a over the node id's eight little-endian bytes and,
-// per equality test, the value's bytes and a zero separator; it is
-// computed inline and never allocates. The state after the id is the
-// same for every activation of a node, so it is folded once, when the
-// node is made (Node.hashSeed), and an activation starts from there.
+// The hash starts from the FNV-1a state after the node id's eight
+// little-endian bytes, which is the same for every activation of a node
+// and so is folded once, when the node is made (Node.hashSeed). Each
+// equality-tested value is then folded a word at a time, and the murmur3
+// finaliser mixes the result into bits 1–63, so that the bucket — the
+// key's low bits — sees every bit of every word. It is computed inline
+// and never allocates.
+//
+// Bit 0 is left as the fold made it: the XOR of the seed's bit 0 and of
+// every folded word's, which FoldWords makes equal to what byte-wise
+// FNV-1a over the values made it. Under round-robin that bit is the
+// owner at W=2, and the deal it makes sits below every one of 32
+// re-dealt alternatives on wire-queens' bytes per firing, so it is kept
+// bit for bit (EXPERIMENTS.md, "What a key costs, settled"). A fold
+// that changes it re-deals ownership and is judged on wire-queens, not
+// seq-queens.
 //
 // Nodes of a worst-case-bounded group (BoundedJoins) all hash on the
 // group's home node id and ignore equality tests: the lazy enumerator
@@ -107,7 +112,7 @@ func foldString(h uint64, s string) uint64 {
 func HashKey(n *Node, side Side, t Token, w *ops5.WME) uint64 {
 	h := n.hashSeed
 	if n.group != nil {
-		return h
+		return finalise(h)
 	}
 	for i := range n.EqTests {
 		jt := &n.EqTests[i]
@@ -117,8 +122,17 @@ func HashKey(n *Node, side Side, t Token, w *ops5.WME) uint64 {
 		} else {
 			v = jt.rightOf(w)
 		}
-		h = v.HashFNV(h)
-		h *= fnvPrime64 // separator byte 0: (h ^ 0) * prime
+		h = v.FoldWords(h)
 	}
-	return h
+	return finalise(h)
+}
+
+// finalise is murmur3's fmix64 over bits 1–63 of a key; bit 0 is h's.
+func finalise(h uint64) uint64 {
+	x := h ^ h>>33
+	x *= 0xff51afd7ed558ccd
+	x ^= x >> 33
+	x *= 0xc4ceb9fe1a85ec53
+	x ^= x >> 33
+	return x&^1 | h&1
 }

@@ -128,8 +128,11 @@ func (c *countConn) Write(p []byte) (int, error) {
 // of a turn frame shipped its sorted time tags beside the wmes they are
 // read from, and 394.7 while each hello carried the compiled network (a
 // 3,128-byte blob; the whole hello, program text included, is 1,389
-// bytes now); it reads 393.0. The log line is the definition/reference split the
-// wmeCacheSlots comment quotes.
+// bytes now), and 393.0 while keys were folded byte by byte; it reads
+// 392.9 under the word fold, which keeps that fold's bit 0 and so its
+// W=2 deal (the activations' bucket numbers, varints, changed). The log
+// line is the definition/reference split the wmeCacheSlots comment
+// quotes.
 func TestWireBytesPerFiring(t *testing.T) {
 	const workers = 2
 	prog, err := ops5.ParseProgram(workloads.Queens)
@@ -194,7 +197,8 @@ func TestWireBytesPerFiring(t *testing.T) {
 	if fired != 2033 {
 		t.Errorf("8-queens fired %d times, want 2033", fired)
 	}
-	if perFiring > 400 {
-		t.Errorf("%.1f wire bytes per firing, want at most 400", perFiring)
+	if perFiring > 397 {
+		t.Errorf("%.1f wire bytes per firing, want at most 397 (393.0 + 1%%): a change to HashKey's bit 0 re-deals W=2 ownership; "+
+			"see the 32-salt tables in EXPERIMENTS.md, \"What a key costs, settled\"", perFiring)
 	}
 }

@@ -174,29 +174,31 @@ func TestFrameFaults(t *testing.T) {
 			t.Fatal("decoded garbage hello")
 		}
 	})
-	for _, old := range []byte{2, 3, 4, 5, 6} {
+	for _, old := range []byte{2, 3, 4, 5, 6, 7} {
 		t.Run(fmt.Sprintf("hello-version-%d", old), func(t *testing.T) {
 			// A version-2 peer hashes numbers into other buckets; a
 			// version-3 peer spells every wme out and knows no references;
 			// a version-4 peer defines a wme attribute by attribute, by
 			// name; a version-5 peer ships time tags in its turn frames
 			// and expects them; a version-6 peer ships a compiled network
-			// and expects one. Each must be turned away at the handshake,
-			// not mis-join or mis-decode later.
+			// and expects one; a version-7 peer folds keys byte by byte,
+			// so at two workers it agrees on every key's owner but not on
+			// its bucket. Each must be turned away at the handshake, not
+			// mis-join or mis-decode later.
 			net, _ := mustCompile("blocks")
 			hb := helloBytes(hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, appendProgram(nil, net))
 			if _, err := decodeHello(hb); err != nil {
 				t.Fatalf("current hello refused: %v", err)
 			}
-			if protoVersion != 7 || hb[0] != protoVersion {
-				t.Fatalf("hello leads with %#x, want the version varint 7 (protoVersion %d)", hb[0], protoVersion)
+			if protoVersion != 8 || hb[0] != protoVersion {
+				t.Fatalf("hello leads with %#x, want the version varint 8 (protoVersion %d)", hb[0], protoVersion)
 			}
 			hb[0] = old
 			_, err := decodeHello(hb)
 			if !errors.Is(err, ErrBadPayload) {
 				t.Fatalf("version %d hello: got %v, want ErrBadPayload", old, err)
 			}
-			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", old)) || !strings.Contains(msg, "want 7") {
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", old)) || !strings.Contains(msg, "want 8") {
 				t.Fatalf("error %q does not name both versions", msg)
 			}
 		})

@@ -51,7 +51,9 @@ import (
 // program, not the compiled network: the hello carries the variant and
 // each production's source text, the worker compiles them, and its
 // ready frame answers with the compiled network's rete.Network.Digest.
-const protoVersion = 7
+// Version 8 changed no frame: it marks rete.HashKey's word fold, which
+// keeps each key's bit 0 and re-deals bits 1–63, the bucket's others.
+const protoVersion = 8
 
 // hello is the decoded handshake.
 type hello struct {

@@ -1,6 +1,8 @@
 package workloads
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"testing"
 
 	"mpcrete/internal/trace"
@@ -246,6 +248,57 @@ func TestTourneyLikePipelineIsCrossProduct(t *testing.T) {
 	_ = pairings
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestActivationForestPinned pins the sequential matcher's activation
+// forest — every activation's (Seq, ParentSeq, node id, side, tag) and
+// the instantiations each generated — as one digest per run, for
+// 6-queens and tourney-like. The matcher performs activations in FIFO
+// order, so a cycle's breadth-first walk numbers them as their Seq did.
+// Key and Bucket are left out on purpose: a new hash fold changes them
+// and must change nothing here. The digests were recorded while
+// successors still went through a buffer of their own on the way to the
+// queue and keys were folded byte by byte.
+func TestActivationForestPinned(t *testing.T) {
+	for name, want := range map[string]uint64{
+		"queens":       0x21f97c80c208e761,
+		"tourney-like": 0x174e7dc7df30ece3,
+	} {
+		np, err := Named(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, _, err := RecordRun(name, np.Program, np.WMEs, np.MaxCycles)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var buf []byte
+		for _, c := range tr.Cycles {
+			buf = binary.AppendVarint(buf[:0], int64(c.RootInsts))
+			type queued struct {
+				a      *trace.Activation
+				parent int
+			}
+			var queue []queued
+			for _, a := range c.Roots {
+				queue = append(queue, queued{a, -1})
+			}
+			for seq := 0; seq < len(queue); seq++ {
+				a := queue[seq].a
+				for _, x := range []int{seq, queue[seq].parent, a.Node, int(a.Side), int(a.Tag), a.Insts} {
+					buf = binary.AppendVarint(buf, int64(x))
+				}
+				for _, ch := range a.Children {
+					queue = append(queue, queued{ch, seq})
+				}
+			}
+			h.Write(buf)
+		}
+		if got := h.Sum64(); got != want {
+			t.Errorf("%s: %d cycles, activation forest digest %#x, want %#x", name, len(tr.Cycles), got, want)
+		}
 	}
 }
 

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"mpcrete/internal/obs"
 	"mpcrete/internal/sched"
@@ -108,12 +110,12 @@ type Result struct {
 // payloads
 //
 // The hot payloads (actTask, pairCompare — one per node activation)
-// travel as pointers drawn from per-run free lists: passing them by
-// value would box one heap object per simnet event, which made the
-// allocator the dominant cost of a sweep. A payload is recycled by the
-// handler as soon as it has been processed, except when the same
-// object was fanned out to several processors (Replicated broadcast),
-// which the shared flag marks.
+// travel as pointers drawn from free lists kept with the pooled
+// scratch: passing them by value would box one heap object per simnet
+// event, which made the allocator the dominant cost of a sweep. A
+// payload is recycled by the handler as soon as it has been processed,
+// except when the same object was fanned out to several processors
+// (Replicated broadcast), which the shared flag marks.
 
 type bcastStart struct{ cycle int } // injected on the control processor
 type cyclePacket struct{ cycle int }
@@ -148,18 +150,33 @@ func (*pairCompare) TraceKind() string { return "pair-compare" }
 func (instMsg) TraceKind() string      { return "inst" }
 func (*migMove) TraceKind() string     { return "migrate" }
 
-// simulator carries the run state shared by the handler closures.
+// simulator carries the run state shared by the handler closures. It
+// is pooled scratch: Simulate takes one from scratchPool, runs on it
+// and returns it holding only storage — the simnet.Sim, the payload
+// free lists, the owner index, the id lists and the round-robin
+// partition — and nothing of the run: no trace, payload, recorder or
+// Result.
 type simulator struct {
 	tr  *trace.Trace
 	cfg Config
 	sim *simnet.Sim
 	res *Result
 
+	// handler is s.handle, bound once: a method value made per run
+	// would be an allocation per run.
+	handler simnet.Handler
+
 	// matchIDs caches the match-processor id list (it is broadcast to
 	// every cycle); others caches, per processor, the list of all other
 	// match processors (Replicated fan-out).
 	matchIDs []int
 	others   [][]int
+
+	// roundRobin is the default partition, filled in place for a run
+	// whose Config has none.
+	roundRobin sched.Partition
+	// owners deals each cycle's roots by owner slot (handlePacket).
+	owners ownerIndex
 
 	// bcast and packet are the per-cycle control payloads, reused
 	// across cycles: each cycle drains completely before the next is
@@ -216,7 +233,19 @@ func (s *simulator) putPair(t *pairCompare) {
 	s.pairFree = t
 }
 
-// Simulate replays a hash-table activity trace against the mapping.
+// scratchPool holds simulators between runs. A pool rather than one
+// package-level scratch, because the sweep engine's workers call
+// Simulate concurrently.
+var scratchPool = sync.Pool{New: func() any {
+	s := new(simulator)
+	s.handler = s.handle
+	s.sim = simnet.New(simnet.Config{Procs: 1}, s.handler)
+	return s
+}}
+
+// Simulate replays a hash-table activity trace against the mapping. It
+// is safe for concurrent use, and once the pool is warm a run allocates
+// only what its Result holds.
 func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
@@ -224,11 +253,30 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 	if err := cfg.Validate(tr); err != nil {
 		return nil, err
 	}
+	s := scratchPool.Get().(*simulator)
+	res := s.run(tr, cfg)
+	s.release()
+	scratchPool.Put(s)
+	return res, nil
+}
+
+// release drops every reference the run left in the scratch.
+func (s *simulator) release() {
+	s.sim.SetRecorder(nil)
+	s.tr, s.cfg, s.res = nil, Config{}, nil
+	s.parts, s.migs = nil, nil
+}
+
+func (s *simulator) run(tr *trace.Trace, cfg Config) *Result {
 	if cfg.Partition == nil {
-		cfg.Partition = sched.RoundRobin(tr.NBuckets, cfg.MatchProcs)
+		s.roundRobin = slices.Grow(s.roundRobin[:0], tr.NBuckets)[:tr.NBuckets]
+		for b := range s.roundRobin {
+			s.roundRobin[b] = b % cfg.MatchProcs
+		}
+		cfg.Partition = s.roundRobin
 	}
 
-	s := &simulator{tr: tr, cfg: cfg, res: &Result{}}
+	s.tr, s.cfg, s.res = tr, cfg, &Result{}
 	if cfg.Rebalance.Enabled() {
 		s.planRebalance()
 	}
@@ -236,7 +284,7 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 	if cfg.Pairs {
 		nprocs = 1 + 2*cfg.MatchProcs
 	}
-	s.sim = simnet.New(simnet.Config{
+	s.sim.Reset(simnet.Config{
 		Procs:             nprocs,
 		SendOverhead:      cfg.Overhead.Send,
 		RecvOverhead:      cfg.Overhead.Recv,
@@ -247,8 +295,8 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 		SoftwareBroadcast: cfg.SoftwareBroadcast,
 		TrackNetwork:      true,
 		PendingHint:       pendingHint(tr, nprocs),
-	}, s.handle)
-	s.matchIDs = s.computeMatchProcIDs()
+	}, s.handler)
+	s.setMatchProcIDs(nprocs - 1)
 
 	// One backing array per distribution matrix instead of one slice
 	// per cycle.
@@ -274,6 +322,12 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 		if cfg.Recorder != nil {
 			cfg.Recorder.Instant(0, fmt.Sprintf("cycle %d", ci+1), int64(start))
 		}
+		if !cfg.CentralRoots {
+			s.owners.deal(tr.Cycles[ci].Roots, s.partition(ci), cfg.MatchProcs)
+			if cfg.Replicated {
+				s.owners.sumAddDel(tr.Cycles[ci].Roots, cfg.Costs)
+			}
+		}
 		s.bcast.cycle = ci
 		s.sim.Inject(0, &s.bcast, start)
 		end := s.sim.Run()
@@ -286,8 +340,52 @@ func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 	if cfg.Metrics != nil {
 		s.publishMetrics(cfg.Metrics)
 	}
-	return s.res, nil
+	return s.res
 }
+
+// ownerIndex deals one cycle's roots by owner slot, once per cycle
+// before the broadcast, so each match processor walks only its own
+// roots instead of every root of the cycle. The layout is CSR: the run
+// of slot s is idx[off[s]:off[s+1]], root indices in root order. Its
+// slices keep their capacity across runs of any machine size.
+type ownerIndex struct {
+	off []int32
+	idx []int32
+	// addDel[i] sums the add/delete cost of roots [0, i); filled only
+	// for Replicated tables, whose copies store every root.
+	addDel []simnet.Time
+}
+
+func (x *ownerIndex) deal(roots []*trace.Activation, part sched.Partition, slots int) {
+	x.off = slices.Grow(x.off[:0], slots+1)[:slots+1]
+	clear(x.off)
+	for _, r := range roots {
+		x.off[part[r.Bucket]+1]++
+	}
+	// off[s+1] becomes the start of slot s's run, and filling the run
+	// advances it to the run's end, which is where slot s+1 starts.
+	var start int32
+	for s := 1; s <= slots; s++ {
+		start, x.off[s] = start+x.off[s], start
+	}
+	x.idx = slices.Grow(x.idx[:0], len(roots))[:len(roots)]
+	for i, r := range roots {
+		next := &x.off[part[r.Bucket]+1]
+		x.idx[*next] = int32(i)
+		*next++
+	}
+}
+
+func (x *ownerIndex) sumAddDel(roots []*trace.Activation, costs CostModel) {
+	x.addDel = slices.Grow(x.addDel[:0], len(roots)+1)[:len(roots)+1]
+	x.addDel[0] = 0
+	for i, r := range roots {
+		x.addDel[i+1] = x.addDel[i] + costs.AddDel(r.Side == trace.LeftSide)
+	}
+}
+
+// run returns the root indices slot owns, in root order.
+func (x *ownerIndex) run(slot int) []int32 { return x.idx[x.off[slot]:x.off[slot+1]] }
 
 // nameTracks labels the recorder's tracks after the processor layout.
 func (s *simulator) nameTracks(rec *obs.Recorder) {
@@ -434,13 +532,10 @@ func (s *simulator) isRightMember(proc int) bool {
 // memoized per processor (the Replicated fan-out asks for the same
 // list once per successor).
 func (s *simulator) otherMatchProcs(self int) []int {
-	if s.others == nil {
-		s.others = make([][]int, len(s.matchIDs)+1)
-	}
-	if out := s.others[self]; out != nil {
+	if out := s.others[self]; len(out) > 0 {
 		return out
 	}
-	out := make([]int, 0, len(s.matchIDs)-1)
+	out := s.others[self][:0]
 	for _, id := range s.matchIDs {
 		if id != self {
 			out = append(out, id)
@@ -450,16 +545,17 @@ func (s *simulator) otherMatchProcs(self int) []int {
 	return out
 }
 
-func (s *simulator) computeMatchProcIDs() []int {
-	n := s.cfg.MatchProcs
-	if s.cfg.Pairs {
-		n *= 2
+// setMatchProcIDs lists processors 1..n as the match processors and
+// empties the otherMatchProcs memo, keeping the storage of both.
+func (s *simulator) setMatchProcIDs(n int) {
+	s.matchIDs = s.matchIDs[:0]
+	for id := 1; id <= n; id++ {
+		s.matchIDs = append(s.matchIDs, id)
 	}
-	ids := make([]int, n)
-	for i := range ids {
-		ids[i] = 1 + i
+	s.others = slices.Grow(s.others[:0], n+1)[:n+1]
+	for i := range s.others {
+		s.others[i] = s.others[i][:0]
 	}
-	return ids
 }
 
 // pendingHint sizes each processor's pending-task ring from the
@@ -539,21 +635,24 @@ func (s *simulator) handleCycleStart(ctx *simnet.Ctx, cycle int) {
 
 // handlePacket runs on every match processor at cycle start: evaluate
 // all constant tests, then process owned roots as one grouped unit.
+// The roots come from the owner index, dealt before the broadcast; both
+// members of a pair walk their slot's run.
 func (s *simulator) handlePacket(ctx *simnet.Ctx, cycle int) {
 	cy := s.tr.Cycles[cycle]
 	ctx.Busy(s.cfg.Costs.ConstTests)
-	part := s.partition(cycle)
 	me := s.slotOfProc(ctx.Proc())
 	rightMember := s.isRightMember(ctx.Proc())
-	for _, root := range cy.Roots {
-		if part[root.Bucket] != me {
-			// Replicated tables: every copy stores every token, even
-			// those whose home (generating) processor is elsewhere.
-			if s.cfg.Replicated {
-				ctx.Busy(s.cfg.Costs.AddDel(root.Side == trace.LeftSide))
-			}
-			continue
+	// Replicated tables: every copy stores every token, even those
+	// whose home (generating) processor is elsewhere. The copies stored
+	// between two owned roots are charged at once; the busy total at
+	// every send is the same as charging them one by one.
+	charged := 0 // roots [0, charged) are paid for
+	for _, i := range s.owners.run(me) {
+		if s.cfg.Replicated {
+			ctx.Busy(s.owners.addDel[i] - s.owners.addDel[charged])
+			charged = int(i) + 1
 		}
+		root := cy.Roots[i]
 		if !s.cfg.Pairs {
 			s.handleActivation(ctx, cycle, root, true)
 			continue
@@ -576,6 +675,9 @@ func (s *simulator) handlePacket(ctx *simnet.Ctx, cycle int) {
 		default: // right token, left member
 			s.compareAndGenerate(ctx, cycle, root)
 		}
+	}
+	if s.cfg.Replicated {
+		ctx.Busy(s.owners.addDel[len(cy.Roots)] - s.owners.addDel[charged])
 	}
 	// Root instantiations are deduplicated onto slot 0 (left member in
 	// pair mode), which forwards them to the control processor.

@@ -3,28 +3,35 @@ package simnet
 import "testing"
 
 // TestEventLoopAllocationFree pins the tentpole property of the event
-// loop rewrite: once the event heap and pending rings are warm, an
+// loop: once the event queue and pending rings are warm, an
 // uninstrumented simulation (no recorder, no network tracking)
-// performs zero heap allocations — events are heap values, tasks live
-// in rings, and the Ctx is reused.
+// performs zero heap allocations — events are keys and slab bodies,
+// tasks live in rings, and the Ctx is reused — and so does the Reset
+// that starts the next one.
 func TestEventLoopAllocationFree(t *testing.T) {
 	type ping struct{ n int }
-	s := New(Config{Procs: 2, SendOverhead: US(2), RecvOverhead: US(1), Latency: US(0.5)},
-		func(ctx *Ctx, p Payload) {
-			pg := p.(*ping)
-			ctx.Busy(US(3))
-			if pg.n > 0 {
-				pg.n--
-				ctx.Send(1-ctx.Proc(), pg)
-			}
-		})
-	msg := &ping{}
-	run := func() {
-		msg.n = 200
-		s.Inject(0, msg, s.Now())
-		s.Run()
+	cfg := Config{Procs: 2, SendOverhead: US(2), RecvOverhead: US(1), Latency: US(0.5)}
+	handler := func(ctx *Ctx, p Payload) {
+		pg := p.(*ping)
+		ctx.Busy(US(3))
+		if pg.n > 0 {
+			pg.n--
+			ctx.Send(1-ctx.Proc(), pg)
+		}
 	}
-	run() // warm the heap and the rings
+	s := New(cfg, handler)
+	msg := &ping{}
+	var want Time
+	run := func() {
+		s.Reset(cfg, handler)
+		msg.n = 200
+		s.Inject(0, msg, 0)
+		if end := s.Run(); want != 0 && end != want {
+			t.Fatalf("run after Reset ends at %d, first run at %d", end, want)
+		}
+	}
+	run() // warm the queue and the rings
+	want = s.Now()
 	if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
 		t.Errorf("event loop allocates %.1f objects per 200-message run, want 0", allocs)
 	}

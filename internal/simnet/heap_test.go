@@ -2,18 +2,28 @@ package simnet
 
 import (
 	"container/heap"
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+	"unsafe"
 )
 
-// refHeap is the container/heap reference the 4-ary heap is checked
-// against: same ordering (at, then seq), textbook implementation.
-type refHeap []event
+// refEvent is one entry of the container/heap reference the key heap
+// is checked against: ordered by (at, seq), textbook implementation.
+type refEvent struct {
+	at  Time
+	seq int
+}
 
-func (h refHeap) Len() int           { return len(h) }
-func (h refHeap) Less(i, j int) bool { return h[i].less(h[j]) }
-func (h refHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *refHeap) Push(x any)        { *h = append(*h, x.(event)) }
+type refHeap []refEvent
+
+func (h refHeap) Len() int { return len(h) }
+func (h refHeap) Less(i, j int) bool {
+	return h[i].at < h[j].at || h[i].at == h[j].at && h[i].seq < h[j].seq
+}
+func (h refHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *refHeap) Push(x any)   { *h = append(*h, x.(refEvent)) }
 func (h *refHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -22,61 +32,117 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
-// TestHeap4MatchesReference drives both heaps through identical
-// randomized push/pop interleavings and requires identical pop
-// sequences. Sequence numbers are unique, so the order is total and
-// any divergence is a heap bug, not a tie-break artifact.
+// TestHeap4MatchesReference drives the event queue and the reference
+// through identical randomized push/pop interleavings over a narrow
+// time range (so most times are shared by several pending events) and
+// requires identical pop sequences. A body carries its post sequence
+// in from, so a pop that returns the wrong body of the right time
+// fails too. Sequences are unique, so the order is total and any
+// divergence is a queue bug, not a tie-break artifact.
 func TestHeap4MatchesReference(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		rnd := rand.New(rand.NewSource(int64(trial)))
-		var h heap4[event]
+		var q eventQueue
 		var ref refHeap
-		seq := int64(0)
+		seq := 0
 		push := func() {
-			e := event{at: Time(rnd.Intn(50)), seq: seq, proc: int32(rnd.Intn(8))}
+			at := Time(rnd.Intn(8 + trial))
+			q.push(at, body{from: int32(seq), proc: int32(rnd.Intn(8)), payload: &seq})
+			heap.Push(&ref, refEvent{at: at, seq: seq})
 			seq++
-			h.push(e)
-			heap.Push(&ref, e)
+		}
+		check := func(where string) {
+			at, b := q.pop()
+			want := heap.Pop(&ref).(refEvent)
+			if at != want.at || int(b.from) != want.seq {
+				t.Fatalf("trial %d %s: pop = (%d, seq %d), reference = (%d, seq %d)", trial, where, at, b.from, want.at, want.seq)
+			}
 		}
 		for op := 0; op < 2000; op++ {
-			if h.len() == 0 || rnd.Intn(3) != 0 {
+			if q.len() == 0 || rnd.Intn(3) != 0 {
 				push()
 				continue
 			}
-			got := h.pop()
-			want := heap.Pop(&ref).(event)
-			if got != want {
-				t.Fatalf("trial %d op %d: pop = %+v, reference = %+v", trial, op, got, want)
-			}
+			check(fmt.Sprintf("op %d", op))
 		}
-		for h.len() > 0 {
-			got, want := h.pop(), heap.Pop(&ref).(event)
-			if got != want {
-				t.Fatalf("trial %d drain: pop = %+v, reference = %+v", trial, got, want)
-			}
+		for q.len() > 0 {
+			check("drain")
 		}
 		if ref.Len() != 0 {
 			t.Fatalf("trial %d: reference has %d leftovers", trial, ref.Len())
+		}
+		// Every slot is back on the free list and holds no payload.
+		if len(q.free) != len(q.bodies) {
+			t.Fatalf("trial %d: %d of %d slots free after draining", trial, len(q.free), len(q.bodies))
+		}
+		for i, b := range q.bodies {
+			if b != (body{}) {
+				t.Fatalf("trial %d: released slot %d still holds %+v", trial, i, b)
+			}
 		}
 	}
 }
 
 // TestHeap4PopOrderSorted checks the basic min-heap invariant on a
-// pathological input: strictly descending times.
+// pathological input: strictly descending times, pushed twice so every
+// time has two events, which must pop in posting order.
 func TestHeap4PopOrderSorted(t *testing.T) {
-	var h heap4[event]
+	var q eventQueue
 	const n = 257 // crosses several 4-ary levels, not a power of 4
-	for i := 0; i < n; i++ {
-		h.push(event{at: Time(n - i), seq: int64(i)})
+	for i := 0; i < 2*n; i++ {
+		q.push(Time(n-i%n), body{from: int32(i)})
 	}
-	prev := h.pop()
-	for h.len() > 0 {
-		e := h.pop()
-		if e.less(prev) {
-			t.Fatalf("out of order: %+v after %+v", e, prev)
+	prevAt, prev := q.pop()
+	for q.len() > 0 {
+		at, b := q.pop()
+		if at < prevAt || at == prevAt && b.from < prev.from {
+			t.Fatalf("out of order: (%d, %d) after (%d, %d)", at, b.from, prevAt, prev.from)
 		}
-		prev = e
+		prevAt, prev = at, b
 	}
+	// Reset keeps the storage and starts the sequence over.
+	q.push(1, body{})
+	q.reset()
+	if q.len() != 0 || q.seq != 0 || len(q.bodies) != 0 || cap(q.keys) < 2*n {
+		t.Fatalf("after reset: %d keys, seq %d, %d bodies, key capacity %d", q.len(), q.seq, len(q.bodies), cap(q.keys))
+	}
+}
+
+// TestEventQueueBudgetsPanic overflows each half of the key: the
+// sequence (posts since the last reset) and the slot (events pending at
+// once). Each panic must name its limit.
+func TestEventQueueBudgetsPanic(t *testing.T) {
+	expectPanic := func(name, limit string, f func()) {
+		t.Helper()
+		defer func() {
+			r := recover()
+			if r == nil {
+				t.Fatalf("%s: no panic", name)
+			}
+			if msg := fmt.Sprint(r); !strings.Contains(msg, limit) {
+				t.Fatalf("%s: panic %q does not name the limit %s", name, msg, limit)
+			}
+		}()
+		f()
+	}
+
+	var q eventQueue
+	q.seq = maxSeq - 1
+	q.push(0, body{}) // the last sequence fits
+	if _, b := q.pop(); b != (body{}) {
+		t.Fatalf("last sequence popped %+v", b)
+	}
+	expectPanic("sequence", fmt.Sprint(uint64(maxSeq)), func() { q.push(0, body{}) })
+
+	// A real slot overflow needs 2^24 pending events (768 MiB of keys
+	// and bodies), so the slab's length is set to the budget without a
+	// backing array. push must panic before it touches an element.
+	var full eventQueue
+	(*struct {
+		data     unsafe.Pointer
+		len, cap int
+	})(unsafe.Pointer(&full.bodies)).len = maxSlots
+	expectPanic("slot", fmt.Sprint(maxSlots), func() { full.push(0, body{}) })
 }
 
 func TestTaskRingFIFO(t *testing.T) {

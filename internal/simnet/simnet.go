@@ -13,10 +13,12 @@
 //
 // The event loop is built for replaying fine-grained traces (~100
 // simulated instructions per task over hundreds of thousands of
-// events): events are plain values in a 4-ary min-heap, pending tasks
-// live in per-processor ring buffers, and all optional accounting
-// (network occupancy, timeline recording) is gated off the hot path,
-// so a warmed-up uninstrumented run performs no allocations at all.
+// events): an event is a 16-byte key in a 4-ary min-heap beside a slab
+// of bodies, pending tasks live in per-processor ring buffers, and all
+// optional accounting (network occupancy, timeline recording) is gated
+// off the hot path, so a warmed-up uninstrumented run performs no
+// allocations at all. Reset re-initialises a Sim and keeps that
+// storage, so a client that runs many simulations warms it once.
 package simnet
 
 import (
@@ -104,29 +106,6 @@ const (
 	evDepart                  // message enters the network (contention)
 )
 
-// event is one schedule entry. Events are stored by value in the
-// 4-ary heap — there is no boxed task object; the task is just the
-// (payload, recv) pair carried in the event and, once ready, in the
-// processor's pending ring.
-type event struct {
-	at      Time
-	seq     int64
-	payload Payload
-	kind    eventKind
-	recv    bool  // message delivery: pay RecvOverhead before running
-	proc    int32 // destination processor
-	from    int32 // source processor (evDepart)
-}
-
-// less orders events by time, then by posting sequence — a total
-// order, so the pop sequence is independent of heap internals.
-func (e event) less(o event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	return e.seq < o.seq
-}
-
 // pendTask is one entry of a processor's FIFO.
 type pendTask struct {
 	payload Payload
@@ -144,6 +123,15 @@ type taskRing struct {
 }
 
 func (r *taskRing) len() int { return r.n }
+
+// reset empties the ring and keeps its buffer; a pop has already
+// cleared every entry it released.
+func (r *taskRing) reset() {
+	if r.n > 0 {
+		clear(r.buf)
+	}
+	r.head, r.n = 0, 0
+}
 
 func (r *taskRing) push(t pendTask) {
 	if r.n == len(r.buf) {
@@ -283,15 +271,14 @@ func (s *Stats) AvgUtilization() float64 {
 type Sim struct {
 	cfg       Config
 	handler   Handler
-	events    heap4[event]
+	events    eventQueue
 	procs     []proc
 	clock     Time
-	seq       int64
 	msgs      int
 	processed int64
 	net       netAcct
-	ctx       Ctx // reused across tasks; valid only during a handler call
-	cont      *contention
+	ctx       Ctx        // reused across tasks; valid only during a handler call
+	cont      contention // link reservations; used only with cfg.Contention
 	rec       *obs.Recorder
 }
 
@@ -299,6 +286,16 @@ type flight struct{ dep, arr Time }
 
 // New creates a simulator.
 func New(cfg Config, handler Handler) *Sim {
+	s := new(Sim)
+	s.Reset(cfg, handler)
+	return s
+}
+
+// Reset re-initialises the simulator for a new machine and handler, as
+// New would, and detaches any recorder. It keeps the storage the
+// simulator has grown — the event queue, the pending rings and the
+// flight buffer — so a warmed Sim runs again without allocating.
+func (s *Sim) Reset(cfg Config, handler Handler) {
 	if cfg.Procs <= 0 {
 		panic(fmt.Sprintf("simnet: Procs = %d", cfg.Procs))
 	}
@@ -308,19 +305,34 @@ func New(cfg Config, handler Handler) *Sim {
 	if err := validateContention(cfg); err != nil {
 		panic(err.Error())
 	}
-	s := &Sim{cfg: cfg, handler: handler}
-	if cfg.Contention {
-		s.cont = &contention{free: map[Link]Time{}}
+	s.events.reset()
+	if cfg.Contention && s.cont.free == nil {
+		s.cont.free = map[Link]Time{}
 	}
-	s.procs = make([]proc, cfg.Procs)
+	clear(s.cont.free)
+	*s = Sim{
+		cfg:     cfg,
+		handler: handler,
+		events:  s.events,
+		procs:   s.procs,
+		net:     netAcct{open: s.net.open[:0]},
+		cont:    contention{free: s.cont.free},
+	}
+	// Processors beyond the old length keep their rings in the backing
+	// array, so a machine that shrinks and grows back regains them.
+	if n := cfg.Procs - cap(s.procs); n > 0 {
+		s.procs = append(s.procs[:cap(s.procs)], make([]proc, n)...)
+	}
+	s.procs = s.procs[:cfg.Procs]
 	for i := range s.procs {
-		s.procs[i].id = i
-		if cfg.PendingHint > 0 {
-			s.procs[i].pending.grow(cfg.PendingHint)
+		p := &s.procs[i]
+		ring := p.pending
+		ring.reset()
+		if cfg.PendingHint > len(ring.buf) {
+			ring.grow(cfg.PendingHint)
 		}
+		*p = proc{id: i, pending: ring}
 	}
-	s.events.grow(64)
-	return s
 }
 
 // Config returns the machine description.
@@ -348,28 +360,22 @@ func (s *Sim) Inject(p int, payload Payload, at Time) {
 	if at < s.clock {
 		panic(fmt.Sprintf("simnet: inject at %d before clock %d", at, s.clock))
 	}
-	s.post(event{at: at, kind: evReady, proc: int32(p), payload: payload})
-}
-
-func (s *Sim) post(e event) {
-	e.seq = s.seq
-	s.seq++
-	s.events.push(e)
+	s.events.push(at, body{kind: evReady, proc: int32(p), payload: payload})
 }
 
 // Run processes events until the machine quiesces, returning the
 // clock. Call Stats for accounting.
 func (s *Sim) Run() Time {
 	for s.events.len() > 0 {
-		e := s.events.pop()
+		at, e := s.events.pop()
 		s.processed++
-		s.clock = e.at
+		s.clock = at
 		p := &s.procs[e.proc]
 		switch e.kind {
 		case evDepart:
-			arr := s.cont.traverse(&s.cfg, int(e.from), int(e.proc), e.at)
-			s.trackFlight(int(e.from), int(e.proc), e.at, arr)
-			s.post(event{at: arr, kind: evReady, proc: e.proc, payload: e.payload, recv: e.recv})
+			arr := s.cont.traverse(&s.cfg, int(e.from), int(e.proc), at)
+			s.trackFlight(int(e.from), int(e.proc), at, arr)
+			s.events.push(arr, body{kind: evReady, proc: e.proc, payload: e.payload, recv: e.recv})
 			continue
 		case evReady:
 			p.pending.push(pendTask{payload: e.payload, recv: e.recv})
@@ -377,7 +383,7 @@ func (s *Sim) Run() Time {
 				p.maxQueue = n
 			}
 			if s.rec != nil {
-				s.rec.Sample(p.id, "queue", int64(e.at), float64(p.pending.len()))
+				s.rec.Sample(p.id, "queue", int64(at), float64(p.pending.len()))
 			}
 		case evFree:
 			p.running = false
@@ -433,7 +439,7 @@ func (s *Sim) tryStart(p *proc) {
 	if s.rec != nil {
 		s.rec.Sample(p.id, "queue", int64(s.clock), float64(p.pending.len()))
 	}
-	s.post(event{at: end, kind: evFree, proc: int32(p.id)})
+	s.events.push(end, body{kind: evFree, proc: int32(p.id)})
 }
 
 // trackFlight feeds a message transit into the opt-in occupancy
@@ -469,9 +475,7 @@ func (s *Sim) Stats() Stats {
 		})
 	}
 	st.NetworkBusy = s.net.total(s.clock)
-	if s.cont != nil {
-		st.ContentionDelay = s.cont.delay
-	}
+	st.ContentionDelay = s.cont.delay
 	return st
 }
 
@@ -605,7 +609,7 @@ func (c *Ctx) Busy(d Time) {
 // Local enqueues a follow-on task on this processor, ready at the
 // task-local clock, with no communication cost.
 func (c *Ctx) Local(payload Payload) {
-	c.sim.post(event{at: c.Now(), kind: evReady, proc: int32(c.proc.id), payload: payload})
+	c.sim.events.push(c.Now(), body{kind: evReady, proc: int32(c.proc.id), payload: payload})
 }
 
 // Send transmits a message to processor `to`. The sender pays
@@ -619,13 +623,13 @@ func (c *Ctx) Send(to int, payload Payload) {
 	c.proc.msgsOut++
 	dep := c.Now()
 	s.msgs++
-	if s.cont != nil {
-		s.post(event{at: dep, kind: evDepart, proc: int32(to), from: int32(c.proc.id), payload: payload, recv: true})
+	if s.cfg.Contention {
+		s.events.push(dep, body{kind: evDepart, proc: int32(to), from: int32(c.proc.id), payload: payload, recv: true})
 		return
 	}
 	arr := dep + s.transit(c.proc.id, to)
 	s.trackFlight(c.proc.id, to, dep, arr)
-	s.post(event{at: arr, kind: evReady, proc: int32(to), payload: payload, recv: true})
+	s.events.push(arr, body{kind: evReady, proc: int32(to), payload: payload, recv: true})
 }
 
 // Broadcast transmits a message to every processor in dests. With
@@ -650,12 +654,12 @@ func (c *Ctx) Broadcast(dests []int, payload Payload) {
 	}
 	for _, to := range dests {
 		s.msgs++
-		if s.cont != nil {
-			s.post(event{at: dep, kind: evDepart, proc: int32(to), from: int32(c.proc.id), payload: payload, recv: true})
+		if s.cfg.Contention {
+			s.events.push(dep, body{kind: evDepart, proc: int32(to), from: int32(c.proc.id), payload: payload, recv: true})
 			continue
 		}
 		arr := dep + s.transit(c.proc.id, to)
 		s.trackFlight(c.proc.id, to, dep, arr)
-		s.post(event{at: arr, kind: evReady, proc: int32(to), payload: payload, recv: true})
+		s.events.push(arr, body{kind: evReady, proc: int32(to), payload: payload, recv: true})
 	}
 }

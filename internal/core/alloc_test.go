@@ -1,10 +1,9 @@
 package core
 
 import (
-	"runtime/debug"
+	"runtime"
 	"testing"
 
-	"mpcrete/internal/raceflag"
 	"mpcrete/internal/trace"
 )
 
@@ -37,30 +36,28 @@ func allocTrace(cycles int) *trace.Trace {
 //	CycleTimes and MsgsPerCycle,
 //	Net.Procs (simnet.Stats).
 //
-// The event queue, the pending rings, the flight buffer, the payload
-// free lists, the owner index and the default partition are pooled
-// scratch and cost nothing once warm.
+// The event queue and its lanes, the pending rings, the flight
+// buffers, the payload free lists, the owner index and the default
+// partition are pooled scratch and cost nothing once warm.
 const resultObjects = 8
 
 // TestSimulateSteadyStateAllocs pins that a run allocates only what
 // its Result holds: the same object count at 8 cycles and at 72 of the
 // same per-cycle workload (24 activations and about 20 messages each).
-// The collector is off while measuring, so that it cannot empty the
-// pool between the warm-up run and the measured ones.
+// A collection runs between the warm-up run and the measured ones: the
+// scratch free list keeps its simulators through it.
 func TestSimulateSteadyStateAllocs(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("sync.Pool drops what it is given at random under the race detector")
-	}
-	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	cfg := NewConfig(8)
 	for _, cycles := range []int{8, 72} {
 		tr := allocTrace(cycles)
-		allocs := testing.AllocsPerRun(10, func() {
+		run := func() {
 			if _, err := Simulate(tr, cfg); err != nil {
 				t.Fatal(err)
 			}
-		})
-		if allocs != resultObjects {
+		}
+		run()
+		runtime.GC()
+		if allocs := testing.AllocsPerRun(10, run); allocs != resultObjects {
 			t.Errorf("%d cycles: a warmed Simulate allocates %.1f objects, want the Result's %d", cycles, allocs, resultObjects)
 		}
 	}

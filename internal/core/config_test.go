@@ -114,6 +114,30 @@ func TestSimulateValidatesUpFront(t *testing.T) {
 	}
 }
 
+// TestSpeedupOnBadTrace pins that Speedup returns exactly the trace's
+// Validate error and runs neither simulation: a run takes a simulator
+// from the scratch free list and puts it back, so the list, emptied
+// first, stays empty. The fault, a negative node id, is one the
+// simulation itself would not trip over.
+func TestSpeedupOnBadTrace(t *testing.T) {
+	tr := configTestTrace()
+	tr.Cycles[0].Roots[0].Node = -1
+	want := tr.Validate()
+	if want == nil {
+		t.Fatal("the trace validates")
+	}
+	scratch.mu.Lock()
+	scratch.free = nil
+	scratch.mu.Unlock()
+	speedup, res, base, err := Speedup(tr, NewConfig(2))
+	if err == nil || err.Error() != want.Error() || speedup != 0 || res != nil || base != nil {
+		t.Errorf("Speedup = %v, %v, %v, %v; want Validate's %q and nothing else", speedup, res, base, err, want)
+	}
+	if n := len(scratch.free); n != 0 {
+		t.Errorf("%d simulators on the free list: a simulation ran", n)
+	}
+}
+
 func TestFingerprint(t *testing.T) {
 	tr := configTestTrace()
 	a := NewConfig(2)

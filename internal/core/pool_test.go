@@ -146,3 +146,25 @@ func TestPooledScratchAcrossShapes(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestScratchShedsTheLongestIdle pins the free list's bound: it keeps
+// at most GOMAXPROCS simulators, and a full list sheds the one idle the
+// longest rather than the one just returned, whose storage fits the
+// work at hand. testing.AllocsPerRun runs at GOMAXPROCS 1, so without
+// this a measured run could draw a simulator warmed on another shape.
+func TestScratchShedsTheLongestIdle(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	scratch.mu.Lock()
+	scratch.free = nil
+	scratch.mu.Unlock()
+	a, b, c := getScratch(), getScratch(), getScratch()
+	putScratch(a)
+	putScratch(b)
+	putScratch(c)
+	if len(scratch.free) != 2 || scratch.free[0] != b || scratch.free[1] != c {
+		t.Fatalf("free list %v after returning %p, %p, %p at GOMAXPROCS 2; want the last two", scratch.free, a, b, c)
+	}
+	if s := getScratch(); s != c {
+		t.Errorf("getScratch returned %p, want the last returned %p", s, c)
+	}
+}

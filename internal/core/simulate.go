@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -151,9 +152,9 @@ func (instMsg) TraceKind() string      { return "inst" }
 func (*migMove) TraceKind() string     { return "migrate" }
 
 // simulator carries the run state shared by the handler closures. It
-// is pooled scratch: Simulate takes one from scratchPool, runs on it
-// and returns it holding only storage — the simnet.Sim, the payload
-// free lists, the owner index, the id lists and the round-robin
+// is pooled scratch: Simulate takes one from the scratch free list,
+// runs on it and returns it holding only storage — the simnet.Sim, the
+// payload free lists, the owner index, the id lists and the round-robin
 // partition — and nothing of the run: no trace, payload, recorder or
 // Result.
 type simulator struct {
@@ -233,38 +234,71 @@ func (s *simulator) putPair(t *pairCompare) {
 	s.pairFree = t
 }
 
-// scratchPool holds simulators between runs. A pool rather than one
-// package-level scratch, because the sweep engine's workers call
-// Simulate concurrently.
-var scratchPool = sync.Pool{New: func() any {
+// scratch holds simulators between runs. It is a list, not one
+// simulator, because the sweep engine's workers call Simulate
+// concurrently, and a mutex-guarded list, not a sync.Pool, because a
+// collection may empty a pool and the next runs would then grow their
+// storage again. It keeps at most GOMAXPROCS simulators, as many as can
+// run at once, and sheds the longest idle first: the one just returned
+// is sized for the work at hand.
+var scratch struct {
+	mu   sync.Mutex
+	free []*simulator
+}
+
+// getScratch takes a simulator from the free list, or makes one.
+func getScratch() *simulator {
+	scratch.mu.Lock()
+	if n := len(scratch.free); n > 0 {
+		s := scratch.free[n-1]
+		scratch.free[n-1] = nil
+		scratch.free = scratch.free[:n-1]
+		scratch.mu.Unlock()
+		return s
+	}
+	scratch.mu.Unlock()
 	s := new(simulator)
 	s.handler = s.handle
 	s.sim = simnet.New(simnet.Config{Procs: 1}, s.handler)
 	return s
-}}
+}
+
+// putScratch drops every reference the last run left in s and puts it
+// back on the free list.
+func putScratch(s *simulator) {
+	s.sim.SetRecorder(nil)
+	s.tr, s.cfg, s.res = nil, Config{}, nil
+	s.parts, s.migs = nil, nil
+	scratch.mu.Lock()
+	free := append(scratch.free, s)
+	if n := len(free) - runtime.GOMAXPROCS(0); n > 0 {
+		m := copy(free, free[n:])
+		clear(free[m:])
+		free = free[:m]
+	}
+	scratch.free = free
+	scratch.mu.Unlock()
+}
 
 // Simulate replays a hash-table activity trace against the mapping. It
-// is safe for concurrent use, and once the pool is warm a run allocates
-// only what its Result holds.
+// is safe for concurrent use, and once the scratch is warm a run
+// allocates only what its Result holds.
 func Simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
+	return simulate(tr, cfg)
+}
+
+// simulate is Simulate on a trace that has passed Validate.
+func simulate(tr *trace.Trace, cfg Config) (*Result, error) {
 	if err := cfg.Validate(tr); err != nil {
 		return nil, err
 	}
-	s := scratchPool.Get().(*simulator)
+	s := getScratch()
 	res := s.run(tr, cfg)
-	s.release()
-	scratchPool.Put(s)
+	putScratch(s)
 	return res, nil
-}
-
-// release drops every reference the run left in the scratch.
-func (s *simulator) release() {
-	s.sim.SetRecorder(nil)
-	s.tr, s.cfg, s.res = nil, Config{}, nil
-	s.parts, s.migs = nil, nil
 }
 
 func (s *simulator) run(tr *trace.Trace, cfg Config) *Result {
@@ -792,13 +826,17 @@ func Baseline(cfg Config) Config {
 }
 
 // Speedup simulates the trace under cfg and under the baseline and
-// returns base-makespan / cfg-makespan along with both results.
+// returns base-makespan / cfg-makespan along with both results. It
+// validates the trace once for both runs.
 func Speedup(tr *trace.Trace, cfg Config) (float64, *Result, *Result, error) {
-	res, err := Simulate(tr, cfg)
+	if err := tr.Validate(); err != nil {
+		return 0, nil, nil, err
+	}
+	res, err := simulate(tr, cfg)
 	if err != nil {
 		return 0, nil, nil, err
 	}
-	base, err := Simulate(tr, Baseline(cfg))
+	base, err := simulate(tr, Baseline(cfg))
 	if err != nil {
 		return 0, nil, nil, err
 	}

@@ -2,19 +2,31 @@ package simnet
 
 import "fmt"
 
-// The event queue is a 4-ary min-heap of 16-byte keys beside a slab of
-// event bodies. A key is (at, n): n holds the event's post sequence in
-// its high seqBits bits and the slab slot of its body in its low
-// slotBits bits. Sequences are unique, so ordering keys by (at, n) is
-// ordering events by (at, seq) — a total order that never consults the
-// slot, and the pop sequence is independent of heap and slab internals.
+// The event queue merges FIFO lanes with a 4-ary min-heap, all of
+// 16-byte keys beside one slab of event bodies. A key is (at, n): n
+// holds the event's post sequence in its high seqBits bits and the slab
+// slot of its body in its low slotBits bits. Sequences are unique, so
+// ordering keys by (at, n) is ordering events by (at, seq) — a total
+// order that never consults the slot, and the pop sequence is
+// independent of lane, heap and slab internals.
 //
-// The heap is a concrete type over a pointer-free key, so its compare
-// is an ordinary method the compiler inlines into the sift loops, a
-// sift moves 16 bytes per level, and the garbage collector never scans
-// the heap's backing array. The arity is 4: a shallower tree than a
-// binary heap (fewer cache lines touched per pop) for three extra
-// comparisons per level, which two integer compares make cheap.
+// Nearly every event is pushed in time order within a stream the
+// simulator knows: a processor's own follow-on tasks and frees, and the
+// messages it sends. Each such stream is a lane, a power-of-two ring of
+// keys. A lane is sorted by (at, seq) because a push joins it only at
+// or after its tail's time (and with a later sequence); a push that
+// would break that order goes to the heap instead, so correctness never
+// rests on a stream being in order. The heads of the non-empty lanes
+// sit in a small binary min-heap, and a pop takes the smaller of its
+// top and the 4-ary heap's top: the merge of sorted lanes and the heap
+// is the (at, seq) order of all pending events.
+//
+// Both heaps are concrete types over pointer-free entries, so their
+// compare is an ordinary method the compiler inlines into the sift
+// loops and the garbage collector never scans their backing arrays.
+// The out-of-order heap has arity 4: a shallower tree than a binary
+// heap for three extra comparisons per level, which two integer
+// compares make cheap.
 
 const (
 	slotBits = 24
@@ -44,19 +56,41 @@ type body struct {
 	from    int32 // source processor (evDepart)
 }
 
-// eventQueue is the simulator's schedule. The zero value is empty and
-// ready for use; reset empties it and keeps its storage.
-type eventQueue struct {
-	keys   []key
-	bodies []body   // slab: a slot is live from its push to its pop
-	free   []uint32 // slots released by pops, reused first
-	seq    uint64   // sequence of the next push
+// lane is a FIFO of keys in (at, seq) order.
+type lane struct {
+	buf  []key // ring; len(buf) is a power of two (or zero)
+	head int
+	n    int
+	tail Time // time of the last key pushed; meaningful while n > 0
 }
 
-func (q *eventQueue) len() int { return len(q.keys) }
+// laneHead is a non-empty lane's first key, as the lane heap orders it.
+type laneHead struct {
+	k    key
+	lane int
+}
 
-// push schedules b at time at.
-func (q *eventQueue) push(at Time, b body) {
+// eventQueue is the simulator's schedule. The zero value has no lanes
+// and is ready for heap pushes; reset sets the lane count, empties the
+// queue and keeps its storage.
+type eventQueue struct {
+	keys   []key      // 4-ary heap: pushes outside any lane
+	lanes  []lane     // two per processor (selfLane, outLane)
+	heads  []laneHead // binary heap of the non-empty lanes' heads
+	bodies []body     // slab: a slot is live from its push to its pop
+	free   []uint32   // slots released by pops, reused first
+	seq    uint64     // sequence of the next push
+
+	// heapPushes counts pushes to the 4-ary heap, and fallbacks those
+	// of them that pushLane diverted from an out-of-order lane.
+	heapPushes, fallbacks int
+}
+
+// empty reports whether no event is pending.
+func (q *eventQueue) empty() bool { return len(q.keys) == 0 && len(q.heads) == 0 }
+
+// store files b in the slab and returns its key at time at.
+func (q *eventQueue) store(at Time, b body) key {
 	if q.seq == maxSeq {
 		panic(fmt.Sprintf("simnet: more than %d events posted in one run (the key's %d sequence bits)", uint64(maxSeq), seqBits))
 	}
@@ -72,19 +106,47 @@ func (q *eventQueue) push(at Time, b body) {
 		slot = uint32(len(q.bodies))
 		q.bodies = append(q.bodies, b)
 	}
-	q.keys = append(q.keys, key{at: at, n: q.seq<<slotBits | uint64(slot)})
+	k := key{at: at, n: q.seq<<slotBits | uint64(slot)}
 	q.seq++
+	return k
+}
+
+// push schedules b at time at on the heap.
+func (q *eventQueue) push(at Time, b body) {
+	q.heapPushes++
+	q.keys = append(q.keys, q.store(at, b))
 	q.up(len(q.keys) - 1)
+}
+
+// pushLane schedules b at time at on lane i, or on the heap if at is
+// earlier than the lane's tail.
+func (q *eventQueue) pushLane(i int, at Time, b body) {
+	ln := &q.lanes[i]
+	if ln.n > 0 && at < ln.tail {
+		q.fallbacks++
+		q.push(at, b)
+		return
+	}
+	k := q.store(at, b)
+	if ln.n == len(ln.buf) {
+		ln.grow()
+	}
+	ln.buf[(ln.head+ln.n)&(len(ln.buf)-1)] = k
+	ln.n++
+	ln.tail = at
+	if ln.n == 1 {
+		q.heads = append(q.heads, laneHead{k: k, lane: i})
+		q.headUp(len(q.heads) - 1)
+	}
 }
 
 // pop removes the earliest event and releases its slot.
 func (q *eventQueue) pop() (Time, body) {
-	k := q.keys[0]
-	n := len(q.keys) - 1
-	q.keys[0] = q.keys[n]
-	q.keys = q.keys[:n]
-	if n > 1 {
-		q.down(0)
+	var k key
+	if len(q.heads) > 0 && (len(q.keys) == 0 || q.heads[0].k.less(q.keys[0])) {
+		k = q.popLane()
+	} else {
+		k = q.popHeap()
 	}
 	slot := uint32(k.n & (maxSlots - 1))
 	b := q.bodies[slot]
@@ -93,13 +155,65 @@ func (q *eventQueue) pop() (Time, body) {
 	return k.at, b
 }
 
+// popLane removes the head of the lane heap's top lane.
+func (q *eventQueue) popLane() key {
+	h := &q.heads[0]
+	k := h.k
+	ln := &q.lanes[h.lane]
+	ln.head = (ln.head + 1) & (len(ln.buf) - 1)
+	ln.n--
+	if ln.n > 0 {
+		h.k = ln.buf[ln.head]
+	} else {
+		n := len(q.heads) - 1
+		q.heads[0] = q.heads[n]
+		q.heads = q.heads[:n]
+	}
+	if len(q.heads) > 1 {
+		q.headDown()
+	}
+	return k
+}
+
+// popHeap removes the 4-ary heap's top.
+func (q *eventQueue) popHeap() key {
+	k := q.keys[0]
+	n := len(q.keys) - 1
+	q.keys[0] = q.keys[n]
+	q.keys = q.keys[:n]
+	if n > 1 {
+		q.down(0)
+	}
+	return k
+}
+
 // reset empties the queue, dropping any payloads still pending (a pop
-// has already cleared every slot it released).
-func (q *eventQueue) reset() {
-	if len(q.keys) > 0 {
+// has already cleared every slot it released), and leaves it with
+// lanes lanes. Lanes beyond the old count keep their rings in the
+// backing array, so a queue that shrinks and grows back regains them.
+func (q *eventQueue) reset(lanes int) {
+	if !q.empty() {
 		clear(q.bodies)
 	}
-	q.keys, q.bodies, q.free, q.seq = q.keys[:0], q.bodies[:0], q.free[:0], 0
+	if n := lanes - cap(q.lanes); n > 0 {
+		q.lanes = append(q.lanes[:cap(q.lanes)], make([]lane, n)...)
+	}
+	q.lanes = q.lanes[:lanes]
+	for i := range q.lanes {
+		q.lanes[i].head, q.lanes[i].n = 0, 0
+	}
+	q.keys, q.heads, q.bodies, q.free, q.seq = q.keys[:0], q.heads[:0], q.bodies[:0], q.free[:0], 0
+	q.heapPushes, q.fallbacks = 0, 0
+}
+
+// grow doubles the lane's ring (to 16 keys at first), unwrapping the
+// live region.
+func (ln *lane) grow() {
+	buf := make([]key, max(16, 2*len(ln.buf)))
+	for i := 0; i < ln.n; i++ {
+		buf[i] = ln.buf[(ln.head+i)&(len(ln.buf)-1)]
+	}
+	ln.buf, ln.head = buf, 0
 }
 
 // up sifts the key at i toward the root, moving the hole rather than
@@ -140,6 +254,44 @@ func (q *eventQueue) down(i int) {
 		}
 		s[i] = s[m]
 		i = m
+	}
+	s[i] = v
+}
+
+// headUp sifts the lane head at i toward the root.
+func (q *eventQueue) headUp(i int) {
+	s := q.heads
+	v := s[i]
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !v.k.less(s[parent].k) {
+			break
+		}
+		s[i] = s[parent]
+		i = parent
+	}
+	s[i] = v
+}
+
+// headDown sifts the lane heap's root toward the leaves.
+func (q *eventQueue) headDown() {
+	s := q.heads
+	n := len(s)
+	i := 0
+	v := s[0]
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && s[c+1].k.less(s[c].k) {
+			c++
+		}
+		if !s[c].k.less(v.k) {
+			break
+		}
+		s[i] = s[c]
+		i = c
 	}
 	s[i] = v
 }

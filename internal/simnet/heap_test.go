@@ -32,22 +32,45 @@ func (h *refHeap) Pop() any {
 	return e
 }
 
-// TestHeap4MatchesReference drives the event queue and the reference
-// through identical randomized push/pop interleavings over a narrow
-// time range (so most times are shared by several pending events) and
-// requires identical pop sequences. A body carries its post sequence
-// in from, so a pop that returns the wrong body of the right time
-// fails too. Sequences are unique, so the order is total and any
+// TestEventQueueMatchesReference drives the event queue and the
+// reference through identical randomized push/pop interleavings and
+// requires identical pop sequences. Pushes go to random lanes, mostly
+// at or after the lane's tail, sometimes before it (those must fall
+// back to the heap), and some straight to the heap; times stay in a
+// narrow window above the last pop, so most times are shared by
+// several pending events in several lanes. A body carries its post
+// sequence in from, so a pop that returns the wrong body of the right
+// time fails too. Sequences are unique, so the order is total and any
 // divergence is a queue bug, not a tie-break artifact.
-func TestHeap4MatchesReference(t *testing.T) {
+func TestEventQueueMatchesReference(t *testing.T) {
+	fallbacks := 0
 	for trial := 0; trial < 20; trial++ {
 		rnd := rand.New(rand.NewSource(int64(trial)))
 		var q eventQueue
+		lanes := 1 + rnd.Intn(8)
+		q.reset(lanes)
 		var ref refHeap
-		seq := 0
+		seq, direct := 0, 0
+		var now Time
 		push := func() {
-			at := Time(rnd.Intn(8 + trial))
-			q.push(at, body{from: int32(seq), proc: int32(rnd.Intn(8)), payload: &seq})
+			b := body{from: int32(seq), proc: int32(rnd.Intn(8)), payload: &seq}
+			at := now + Time(rnd.Intn(4+trial%4))
+			switch l := rnd.Intn(lanes + 1); {
+			case l == lanes || rnd.Intn(8) == 0:
+				q.push(at, b)
+				direct++
+			default:
+				ln := q.lanes[l]
+				if rnd.Intn(6) != 0 && ln.n > 0 {
+					at = max(at, ln.tail) // in order, as the simulator's streams mostly are
+				}
+				before := q.fallbacks
+				q.pushLane(l, at, b)
+				if want := ln.n > 0 && at < ln.tail; (q.fallbacks > before) != want {
+					t.Fatalf("trial %d: push at %d on lane %d (tail %d, %d queued): fell back %v, want %v",
+						trial, at, l, ln.tail, ln.n, q.fallbacks > before, want)
+				}
+			}
 			heap.Push(&ref, refEvent{at: at, seq: seq})
 			seq++
 		}
@@ -57,21 +80,32 @@ func TestHeap4MatchesReference(t *testing.T) {
 			if at != want.at || int(b.from) != want.seq {
 				t.Fatalf("trial %d %s: pop = (%d, seq %d), reference = (%d, seq %d)", trial, where, at, b.from, want.at, want.seq)
 			}
+			now = at
 		}
-		for op := 0; op < 2000; op++ {
-			if q.len() == 0 || rnd.Intn(3) != 0 {
+		for op := 0; op < 4000; op++ {
+			if q.empty() || rnd.Intn(3) != 0 {
 				push()
 				continue
 			}
 			check(fmt.Sprintf("op %d", op))
 		}
-		for q.len() > 0 {
+		for !q.empty() {
 			check("drain")
 		}
 		if ref.Len() != 0 {
 			t.Fatalf("trial %d: reference has %d leftovers", trial, ref.Len())
 		}
-		// Every slot is back on the free list and holds no payload.
+		if q.heapPushes != direct+q.fallbacks {
+			t.Fatalf("trial %d: %d heap pushes, want %d direct + %d fallbacks", trial, q.heapPushes, direct, q.fallbacks)
+		}
+		fallbacks += q.fallbacks
+		// Every lane is empty, and every slot is back on the free list
+		// and holds no payload.
+		for i, ln := range q.lanes {
+			if ln.n != 0 {
+				t.Fatalf("trial %d: lane %d holds %d keys after draining", trial, i, ln.n)
+			}
+		}
 		if len(q.free) != len(q.bodies) {
 			t.Fatalf("trial %d: %d of %d slots free after draining", trial, len(q.free), len(q.bodies))
 		}
@@ -80,6 +114,9 @@ func TestHeap4MatchesReference(t *testing.T) {
 				t.Fatalf("trial %d: released slot %d still holds %+v", trial, i, b)
 			}
 		}
+	}
+	if fallbacks == 0 {
+		t.Fatal("no push fell back to the heap")
 	}
 }
 
@@ -93,18 +130,23 @@ func TestHeap4PopOrderSorted(t *testing.T) {
 		q.push(Time(n-i%n), body{from: int32(i)})
 	}
 	prevAt, prev := q.pop()
-	for q.len() > 0 {
+	for !q.empty() {
 		at, b := q.pop()
 		if at < prevAt || at == prevAt && b.from < prev.from {
 			t.Fatalf("out of order: (%d, %d) after (%d, %d)", at, b.from, prevAt, prev.from)
 		}
 		prevAt, prev = at, b
 	}
-	// Reset keeps the storage and starts the sequence over.
+	// Reset keeps the storage, lane rings included, and starts the
+	// sequence over.
+	q.reset(3)
 	q.push(1, body{})
-	q.reset()
-	if q.len() != 0 || q.seq != 0 || len(q.bodies) != 0 || cap(q.keys) < 2*n {
-		t.Fatalf("after reset: %d keys, seq %d, %d bodies, key capacity %d", q.len(), q.seq, len(q.bodies), cap(q.keys))
+	q.pushLane(2, 1, body{})
+	q.reset(1)
+	q.reset(3)
+	if !q.empty() || q.seq != 0 || len(q.bodies) != 0 || cap(q.keys) < 2*n || q.lanes[2].n != 0 || len(q.lanes[2].buf) == 0 {
+		t.Fatalf("after reset: %d keys, seq %d, %d bodies, key capacity %d, lane 2 %d keys in a ring of %d",
+			len(q.keys), q.seq, len(q.bodies), cap(q.keys), q.lanes[2].n, len(q.lanes[2].buf))
 	}
 }
 

@@ -13,12 +13,16 @@
 //
 // The event loop is built for replaying fine-grained traces (~100
 // simulated instructions per task over hundreds of thousands of
-// events): an event is a 16-byte key in a 4-ary min-heap beside a slab
-// of bodies, pending tasks live in per-processor ring buffers, and all
-// optional accounting (network occupancy, timeline recording) is gated
-// off the hot path, so a warmed-up uninstrumented run performs no
-// allocations at all. Reset re-initialises a Sim and keeps that
-// storage, so a client that runs many simulations warms it once.
+// events): an event is a 16-byte key beside a slab of bodies, waiting
+// in one of two FIFO lanes per processor — nearly every event is
+// pushed in time order within its sender's stream — or, when it comes
+// out of order, in a 4-ary min-heap; a pop merges the two. Pending
+// tasks live in per-processor ring buffers, and all optional
+// accounting (network occupancy, a radix-sorted union of flights;
+// timeline recording) is gated off the hot path, so a warmed-up
+// uninstrumented run performs no allocations at all. Reset
+// re-initialises a Sim and keeps that storage, so a client that runs
+// many simulations warms it once.
 package simnet
 
 import (
@@ -105,6 +109,16 @@ const (
 	evFree                    // processor finishes its current task
 	evDepart                  // message enters the network (contention)
 )
+
+// Each processor owns two lanes of the event queue (heap.go). Its self
+// lane holds its follow-on tasks (Ctx.Local) and its frees: a task's
+// follow-ons are at its task-local clock, its free is at its end, and
+// the next task on the processor starts no earlier. Its out lane holds
+// the messages it sends — the arrivals, or under Contention the
+// departures — which follow the same clock and, with a constant
+// transit, keep its order.
+func selfLane(p int) int { return 2 * p }
+func outLane(p int) int  { return 2*p + 1 }
 
 // pendTask is one entry of a processor's FIFO.
 type pendTask struct {
@@ -293,8 +307,9 @@ func New(cfg Config, handler Handler) *Sim {
 
 // Reset re-initialises the simulator for a new machine and handler, as
 // New would, and detaches any recorder. It keeps the storage the
-// simulator has grown — the event queue, the pending rings and the
-// flight buffer — so a warmed Sim runs again without allocating.
+// simulator has grown — the event queue and its lanes, the pending
+// rings and the flight buffers — so a warmed Sim runs again without
+// allocating.
 func (s *Sim) Reset(cfg Config, handler Handler) {
 	if cfg.Procs <= 0 {
 		panic(fmt.Sprintf("simnet: Procs = %d", cfg.Procs))
@@ -305,7 +320,7 @@ func (s *Sim) Reset(cfg Config, handler Handler) {
 	if err := validateContention(cfg); err != nil {
 		panic(err.Error())
 	}
-	s.events.reset()
+	s.events.reset(2 * cfg.Procs)
 	if cfg.Contention && s.cont.free == nil {
 		s.cont.free = map[Link]Time{}
 	}
@@ -315,7 +330,7 @@ func (s *Sim) Reset(cfg Config, handler Handler) {
 		handler: handler,
 		events:  s.events,
 		procs:   s.procs,
-		net:     netAcct{open: s.net.open[:0]},
+		net:     netAcct{open: s.net.open[:0], spare: s.net.spare},
 		cont:    contention{free: s.cont.free},
 	}
 	// Processors beyond the old length keep their rings in the backing
@@ -366,7 +381,7 @@ func (s *Sim) Inject(p int, payload Payload, at Time) {
 // Run processes events until the machine quiesces, returning the
 // clock. Call Stats for accounting.
 func (s *Sim) Run() Time {
-	for s.events.len() > 0 {
+	for !s.events.empty() {
 		at, e := s.events.pop()
 		s.processed++
 		s.clock = at
@@ -439,7 +454,7 @@ func (s *Sim) tryStart(p *proc) {
 	if s.rec != nil {
 		s.rec.Sample(p.id, "queue", int64(s.clock), float64(p.pending.len()))
 	}
-	s.events.push(end, body{kind: evFree, proc: int32(p.id)})
+	s.events.pushLane(selfLane(p.id), end, body{kind: evFree, proc: int32(p.id)})
 }
 
 // trackFlight feeds a message transit into the opt-in occupancy
@@ -492,25 +507,13 @@ func (s *Sim) Stats() Stats {
 // sweeps.
 type netAcct struct {
 	open   []flight
+	spare  []flight // the radix sort's second buffer
 	closed Time
 }
 
 // netCompactAt bounds the open-flight buffer: 4096 entries is 64 KiB
-// and amortizes the sort to ~log(4096) comparisons per message.
+// per buffer.
 const netCompactAt = 4096
-
-// flightByDep orders flights by departure; non-capturing, so sorting
-// with it does not allocate.
-func flightByDep(a, b flight) int {
-	switch {
-	case a.dep < b.dep:
-		return -1
-	case a.dep > b.dep:
-		return 1
-	default:
-		return 0
-	}
-}
 
 func (n *netAcct) add(f flight, now Time) {
 	n.open = append(n.open, f)
@@ -526,7 +529,7 @@ func (n *netAcct) compact(now Time) {
 	if len(n.open) == 0 {
 		return
 	}
-	slices.SortFunc(n.open, flightByDep)
+	n.sortByDep()
 	out := n.open[:0]
 	cur := n.open[0]
 	fold := func(f flight) {
@@ -548,6 +551,41 @@ func (n *netAcct) compact(now Time) {
 	n.open = out
 }
 
+// sortByDep orders the open buffer by departure with a least-
+// significant-digit radix sort over dep − min(dep), a byte per pass and
+// as many passes as the span of departures needs (three up to 16.7 ms,
+// eight at most). Each pass moves the
+// flights between open and spare, which trade places when it is done.
+// The order among equal departures does not matter to the merge.
+func (n *netAcct) sortByDep() {
+	src := n.open
+	lo, hi := src[0].dep, src[0].dep
+	for _, f := range src[1:] {
+		lo, hi = min(lo, f.dep), max(hi, f.dep)
+	}
+	span := uint64(hi - lo)
+	dst := slices.Grow(n.spare[:0], len(src))[:len(src)]
+	var count [256]int
+	for shift := uint(0); shift < 64 && span>>shift != 0; shift += 8 {
+		clear(count[:])
+		for _, f := range src {
+			count[uint8(uint64(f.dep-lo)>>shift)]++
+		}
+		pos := 0
+		for d, c := range count {
+			count[d] = pos
+			pos += c
+		}
+		for _, f := range src {
+			d := uint8(uint64(f.dep-lo) >> shift)
+			dst[count[d]] = f
+			count[d]++
+		}
+		src, dst = dst, src
+	}
+	n.open, n.spare = src, dst[:0]
+}
+
 // total returns the union length of all recorded flights.
 func (n *netAcct) total(now Time) Time {
 	n.compact(now)
@@ -556,30 +594,6 @@ func (n *netAcct) total(now Time) Time {
 		t += f.arr - f.dep
 	}
 	return t
-}
-
-// mergeFlights computes the union length of in-flight intervals in one
-// shot — the reference implementation netAcct is property-tested
-// against.
-func mergeFlights(fs []flight) Time {
-	if len(fs) == 0 {
-		return 0
-	}
-	sorted := make([]flight, len(fs))
-	copy(sorted, fs)
-	slices.SortFunc(sorted, flightByDep)
-	var total Time
-	curStart, curEnd := sorted[0].dep, sorted[0].arr
-	for _, f := range sorted[1:] {
-		if f.dep > curEnd {
-			total += curEnd - curStart
-			curStart, curEnd = f.dep, f.arr
-		} else if f.arr > curEnd {
-			curEnd = f.arr
-		}
-	}
-	total += curEnd - curStart
-	return total
 }
 
 // Ctx is the execution context of a running task. It is owned by the
@@ -609,7 +623,7 @@ func (c *Ctx) Busy(d Time) {
 // Local enqueues a follow-on task on this processor, ready at the
 // task-local clock, with no communication cost.
 func (c *Ctx) Local(payload Payload) {
-	c.sim.events.push(c.Now(), body{kind: evReady, proc: int32(c.proc.id), payload: payload})
+	c.sim.events.pushLane(selfLane(c.proc.id), c.Now(), body{kind: evReady, proc: int32(c.proc.id), payload: payload})
 }
 
 // Send transmits a message to processor `to`. The sender pays
@@ -624,12 +638,12 @@ func (c *Ctx) Send(to int, payload Payload) {
 	dep := c.Now()
 	s.msgs++
 	if s.cfg.Contention {
-		s.events.push(dep, body{kind: evDepart, proc: int32(to), from: int32(c.proc.id), payload: payload, recv: true})
+		s.events.pushLane(outLane(c.proc.id), dep, body{kind: evDepart, proc: int32(to), from: int32(c.proc.id), payload: payload, recv: true})
 		return
 	}
 	arr := dep + s.transit(c.proc.id, to)
 	s.trackFlight(c.proc.id, to, dep, arr)
-	s.events.push(arr, body{kind: evReady, proc: int32(to), payload: payload, recv: true})
+	s.events.pushLane(outLane(c.proc.id), arr, body{kind: evReady, proc: int32(to), payload: payload, recv: true})
 }
 
 // Broadcast transmits a message to every processor in dests. With
@@ -655,11 +669,11 @@ func (c *Ctx) Broadcast(dests []int, payload Payload) {
 	for _, to := range dests {
 		s.msgs++
 		if s.cfg.Contention {
-			s.events.push(dep, body{kind: evDepart, proc: int32(to), from: int32(c.proc.id), payload: payload, recv: true})
+			s.events.pushLane(outLane(c.proc.id), dep, body{kind: evDepart, proc: int32(to), from: int32(c.proc.id), payload: payload, recv: true})
 			continue
 		}
 		arr := dep + s.transit(c.proc.id, to)
 		s.trackFlight(c.proc.id, to, dep, arr)
-		s.events.push(arr, body{kind: evReady, proc: int32(to), payload: payload, recv: true})
+		s.events.pushLane(outLane(c.proc.id), arr, body{kind: evReady, proc: int32(to), payload: payload, recv: true})
 	}
 }

@@ -103,7 +103,9 @@ type Trace struct {
 }
 
 // Validate checks structural invariants: bucket indices within range
-// and non-negative counts.
+// and non-negative counts. It reports the first faulty activation in
+// depth-first preorder; of an activation with two faults it reports
+// the negative node id or inst count.
 func (t *Trace) Validate() error {
 	if t.NBuckets <= 0 {
 		return fmt.Errorf("trace %s: NBuckets = %d", t.Name, t.NBuckets)
@@ -112,19 +114,25 @@ func (t *Trace) Validate() error {
 		if c.Changes < 0 || c.RootInsts < 0 {
 			return fmt.Errorf("trace %s: cycle %d has negative counts", t.Name, ci)
 		}
-		var err error
-		c.Walk(func(a *Activation) {
-			if err != nil {
-				return
+		for _, r := range c.Roots {
+			if err := t.validate(ci, r); err != nil {
+				return err
 			}
-			if a.Bucket < 0 || a.Bucket >= t.NBuckets {
-				err = fmt.Errorf("trace %s: cycle %d: bucket %d out of range [0,%d)", t.Name, ci, a.Bucket, t.NBuckets)
-			}
-			if a.Insts < 0 || a.Node < 0 {
-				err = fmt.Errorf("trace %s: cycle %d: negative node id or inst count", t.Name, ci)
-			}
-		})
-		if err != nil {
+		}
+	}
+	return nil
+}
+
+// validate checks a and its descendants, in preorder, for Validate.
+func (t *Trace) validate(ci int, a *Activation) error {
+	if a.Insts < 0 || a.Node < 0 {
+		return fmt.Errorf("trace %s: cycle %d: negative node id or inst count", t.Name, ci)
+	}
+	if a.Bucket < 0 || a.Bucket >= t.NBuckets {
+		return fmt.Errorf("trace %s: cycle %d: bucket %d out of range [0,%d)", t.Name, ci, a.Bucket, t.NBuckets)
+	}
+	for _, ch := range a.Children {
+		if err := t.validate(ci, ch); err != nil {
 			return err
 		}
 	}

@@ -60,6 +60,35 @@ func TestTraceValidate(t *testing.T) {
 	}
 }
 
+// TestValidateReportsFirstFault pins which error Validate returns when
+// a trace has several faults: the first faulty activation in depth-
+// first preorder, and, of an activation both out of range and with a
+// negative count, the negative count.
+func TestValidateReportsFirstFault(t *testing.T) {
+	leaf := &Activation{Bucket: 9, Insts: -1}
+	tr := &Trace{Name: "faults", NBuckets: 4, Cycles: []*Cycle{
+		{Roots: []*Activation{{Bucket: 1}}},
+		{Roots: []*Activation{
+			{Bucket: 2, Children: []*Activation{{Bucket: 3}, leaf}},
+			{Bucket: 7},
+		}},
+	}}
+	const twoFaults = "trace faults: cycle 1: negative node id or inst count"
+	if err := tr.Validate(); err == nil || err.Error() != twoFaults {
+		t.Errorf("Validate = %v, want %q", err, twoFaults)
+	}
+	leaf.Insts = 0
+	const outOfRange = "trace faults: cycle 1: bucket 9 out of range [0,4)"
+	if err := tr.Validate(); err == nil || err.Error() != outOfRange {
+		t.Errorf("Validate = %v, want %q", err, outOfRange)
+	}
+	leaf.Bucket = 0
+	const sibling = "trace faults: cycle 1: bucket 7 out of range [0,4)"
+	if err := tr.Validate(); err == nil || err.Error() != sibling {
+		t.Errorf("Validate = %v, want %q", err, sibling)
+	}
+}
+
 func TestCodecRoundTripSample(t *testing.T) {
 	tr := buildSample()
 	var buf bytes.Buffer

@@ -1,9 +1,12 @@
 // Command difftest is the differential-correctness soak runner: it
 // generates random OPS5 programs and workloads (internal/difftest) and
-// runs each through the full cross-engine configuration matrix —
-// sequential Rete, the parallel runtime across worker counts and both
-// message-plane modes, and the shared / unshared / copy-and-constraint
-// network variants — until the iteration or time budget is exhausted.
+// runs each through difftest.Check's configuration matrix — sequential
+// Rete on every network variant, the parallel runtime across worker
+// counts and both message-plane modes, and, for engine-level cases,
+// concurrent and pool-recycled sessions over one compiled network
+// (sessions) and a recorded trace replayed through the simulator with
+// its conservation check (seq-traced) — until the iteration or time
+// budget is exhausted.
 //
 // Every divergence is shrunk to a minimal case and written to -out as
 // a .ops5 repro file in the corpus format, ready to drop into
@@ -46,7 +49,6 @@ func main() {
 		out      = flag.String("out", "difftest-repros", "directory for shrunk .ops5 repro files")
 		flight   = flag.Int("flight", 64, "cycles of causal flight trace retained per parallel run (0 = off)")
 		force    = flag.String("force-divergence", "", "perturb configs whose name contains this substring (drills the divergence path)")
-		variant  = flag.String("variant", "", "focus the matrix on one network variant (shared, unshared, candc, bounded); empty = full matrix")
 		rebal    = flag.Bool("rebalance", false, "add the migration configurations (adaptive rebalancer + forced full rotations) to the matrix")
 		tcp      = flag.Bool("tcp", false, "add the star carrier (control and socket workers, run in this process) to the matrix")
 	)
@@ -64,7 +66,6 @@ func main() {
 		Metrics:         metrics,
 		FlightCycles:    *flight,
 		ForceDivergence: *force,
-		Variant:         *variant,
 		Rebalance:       *rebal,
 		TCP:             *tcp,
 	}

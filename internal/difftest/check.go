@@ -57,12 +57,6 @@ type CheckOptions struct {
 	// — each configuration opens real sockets per case, which is too
 	// slow for the fuzzing inner loop.
 	TCP bool
-	// Variant, when non-empty, focuses the matrix on one network
-	// variant: the sequential shared reference, the variant
-	// sequentially, and the variant on the parallel runtime in both
-	// message-plane modes across every worker count — the cmd/difftest
-	// -variant knob. Empty runs the full default matrix.
-	Variant string
 	// Rebalance, when true, adds the migration configurations to the
 	// matrix: every multi-worker count in both message-plane modes with
 	// the online adaptive rebalancer armed hair-trigger from a
@@ -164,41 +158,37 @@ func (m *Mismatch) Error() string {
 	return fmt.Sprintf("difftest: case %s: %s diverges from sequential reference: %s", m.Case.Name, m.Config, m.Detail)
 }
 
-// built is one configuration's instantiated match machinery. close is
-// non-nil for parallel configurations and reports what shutting the
-// machinery down found (a star row's worker loop errors reach the
-// runtime's Err there); dump snapshots the run's flight recorder (legal
-// once the run is quiescent; nil result when CheckOptions.FlightCycles
-// is 0).
+// built is one configuration's instantiated match machinery. finish,
+// when non-nil, checks what the run left behind once it is over — a
+// parallel row's shutdown (a star row's worker loop errors reach the
+// runtime's Err there), the traced row's replay through the simulator
+// — and its error becomes the outcome's. dump snapshots the run's
+// flight recorder (legal once the run is quiescent; nil result when
+// CheckOptions.FlightCycles is 0).
 type built struct {
 	net     *rete.Network
 	matcher engine.MatchApplier
-	close   func() error
+	finish  func() error
 	dump    func() *obs.FlightDump
 }
 
-// config builds the match implementation for one configuration over a
-// freshly compiled network.
+// config is one row of the matrix. A matcher row builds its match
+// implementation over a freshly compiled network (build); the sessions
+// row drives whole sessions itself (run). An engineOnly row is skipped
+// for script cases.
 type config struct {
-	name  string
-	build func(prods []*ops5.Production, opts CheckOptions) (built, error)
+	name       string
+	build      func(prods []*ops5.Production, opts CheckOptions) (built, error)
+	run        func(prog *ops5.Program, c Case, opts CheckOptions) *Outcome
+	engineOnly bool
 }
 
-// compileVariant compiles prods with the named network variant:
-// "shared" (default compilation), "unshared" (no node sharing), "candc"
-// (copy-and-constrain k=2 applied to every eligible join of a shared
-// network), or "bounded" (worst-case-bounded collector groups). The
-// spelling — and the compilation — is rete.CompileVariant's, shared
-// with the ops5run/ops5d -variant flag.
-func compileVariant(prods []*ops5.Production, variant string) (*rete.Network, error) {
-	return rete.CompileVariant(prods, variant)
-}
-
-// seqBuild builds the sequential matcher over a network variant with
-// the given memory size.
+// seqBuild builds the sequential matcher over a network variant — one
+// of rete.Variants(), the spelling of the ops5run/ops5d -variant flag —
+// with the given memory size.
 func seqBuild(variant string, nbuckets int) func([]*ops5.Production, CheckOptions) (built, error) {
 	return func(prods []*ops5.Production, _ CheckOptions) (built, error) {
-		net, err := compileVariant(prods, variant)
+		net, err := rete.CompileVariant(prods, variant)
 		if err != nil {
 			return built{}, err
 		}
@@ -291,7 +281,7 @@ func runtimeConfig(c carrier, sch schedule, workers int, routed bool, variant st
 		name += "-" + variant
 	}
 	return config{name: name, build: func(prods []*ops5.Production, opts CheckOptions) (built, error) {
-		net, err := compileVariant(prods, variant)
+		net, err := rete.CompileVariant(prods, variant)
 		if err != nil {
 			return built{}, err
 		}
@@ -312,49 +302,39 @@ func runtimeConfig(c carrier, sch schedule, workers int, routed bool, variant st
 		if err != nil {
 			return built{}, err
 		}
-		return built{net: net, matcher: rt, dump: rt.FlightDump, close: func() error {
+		return built{net: net, matcher: rt, dump: rt.FlightDump, finish: func() error {
 			rt.Close()
-			return rt.Err()
+			if err := rt.Err(); err != nil {
+				return fmt.Errorf("close: %w", err)
+			}
+			return nil
 		}}, nil
 	}}
 }
 
 // configMatrix is the full run matrix: the sequential reference comes
-// first, then the same network on linear memories and the sequential
-// network variants, the parallel sweep over
-// worker counts and both message-plane modes, and cross-variant
-// parallel runs (a routed copy-and-constraint runtime is the paper's
-// Fig 3-2 machine executing a Section 5.2.2 network). With opts.TCP
-// the wire-transport configurations join the matrix in both modes.
+// first, then the same network recorded and replayed through the
+// simulator, on linear memories, the sequential network variants and
+// the serving shapes; then the parallel sweep over worker counts and
+// both message-plane modes, and cross-variant parallel runs (a routed
+// copy-and-constraint runtime is the paper's Fig 3-2 machine executing
+// a Section 5.2.2 network). With opts.TCP the wire-transport
+// configurations join the matrix in both modes, and with
+// opts.Rebalance the migration schedules.
 func configMatrix(opts CheckOptions) []config {
-	if opts.Variant != "" {
-		configs := []config{seqConfig("shared")}
-		if opts.Variant != "shared" {
-			configs = append(configs, seqConfig(opts.Variant))
-		}
-		for _, w := range opts.Workers {
-			configs = append(configs, runtimeConfig(inProc, static, w, false, opts.Variant), runtimeConfig(inProc, static, w, true, opts.Variant))
-		}
-		return configs
-	}
 	configs := []config{
 		seqConfig("shared"),
+		seqTraced,
 		seqLinear,
 		seqConfig("unshared"),
 		seqConfig("candc"),
 		seqConfig("bounded"),
+		sessions,
 	}
 	for _, w := range opts.Workers {
 		configs = append(configs, runtimeConfig(inProc, static, w, false, "shared"), runtimeConfig(inProc, static, w, true, "shared"))
 	}
-	cross := 4
-	if len(opts.Workers) > 0 {
-		cross = opts.Workers[len(opts.Workers)-1]
-	}
-	first := 1
-	if len(opts.Workers) > 0 {
-		first = opts.Workers[0]
-	}
+	first, cross := opts.Workers[0], opts.Workers[len(opts.Workers)-1]
 	configs = append(configs,
 		runtimeConfig(inProc, static, cross, false, "unshared"),
 		runtimeConfig(inProc, static, cross, true, "candc"),
@@ -384,15 +364,24 @@ func configMatrix(opts CheckOptions) []config {
 	return configs
 }
 
-// Check runs the case through every configuration and returns the
-// first divergence from the sequential shared reference, or nil when
-// all agree. Each configuration re-parses the case from source, so the
+// Check runs the case through every configuration — for a script
+// case, every one that is not engineOnly — and returns the first
+// divergence from the sequential shared reference, or nil when all
+// agree. Each configuration re-parses the case from source, so the
 // printer→parser round trip is itself under test on every call.
 func Check(c Case, opts CheckOptions) *Mismatch {
 	opts = opts.withDefaults()
-	configs := configMatrix(opts)
+	return checkConfigs(c, configMatrix(opts), opts)
+}
+
+// checkConfigs is Check over the given rows; the first row that runs
+// is the reference.
+func checkConfigs(c Case, configs []config, opts CheckOptions) *Mismatch {
 	var ref *Outcome
 	for _, cfg := range configs {
+		if cfg.engineOnly && c.IsScript() {
+			continue
+		}
 		out := runConfig(c, cfg, opts)
 		if opts.ForceDivergence != "" && strings.Contains(cfg.name, opts.ForceDivergence) {
 			out.Cycles = append(out.Cycles, "forced divergence ("+cfg.name+")")
@@ -416,6 +405,9 @@ func runConfig(c Case, cfg config, opts CheckOptions) *Outcome {
 	if err != nil {
 		return &Outcome{Err: "parse: " + err.Error()}
 	}
+	if cfg.run != nil {
+		return cfg.run(prog, c, opts)
+	}
 	b, err := cfg.build(prog.Productions, opts)
 	if err != nil {
 		return &Outcome{Err: "build: " + err.Error()}
@@ -424,51 +416,53 @@ func runConfig(c Case, cfg config, opts CheckOptions) *Outcome {
 	if c.IsScript() {
 		out = runScript(c, b.matcher, opts)
 	} else {
-		out = runEngine(c, prog, b.net, b.matcher, opts)
+		var buf bytes.Buffer
+		e, err := engine.NewWithNetwork(prog, b.net, engine.SessionOptions{Matcher: b.matcher, Output: &buf})
+		if err != nil {
+			out = &Outcome{Err: "engine: " + err.Error()}
+		} else {
+			out = drive(e, &buf, c, opts)
+		}
 	}
 	if b.dump != nil {
 		// The run is quiescent here (between Apply calls), so the
-		// snapshot is race-free; taken before the close so a closed
+		// snapshot is race-free; taken before finish so a closed
 		// runtime never surprises the recorder.
 		out.Dump = b.dump()
 	}
-	if b.close != nil {
-		// A shutdown error (a worker loop that died on a bad frame, say)
-		// is an outcome the sequential reference never has: a divergence.
-		if err := b.close(); err != nil && out.Err == "" {
-			out.Err = "close: " + err.Error()
+	if b.finish != nil {
+		// What finish finds (a worker loop that died on a bad frame, a
+		// simulator that lost work) is an outcome the sequential
+		// reference never has: a divergence.
+		if err := b.finish(); err != nil && out.Err == "" {
+			out.Err = err.Error()
 		}
 	}
 	return out
 }
 
-// runEngine drives the full match-resolve-act loop, fingerprinting
-// each cycle's fired instantiation and post-refraction conflict set,
-// and capturing the final working memory and write output.
-func runEngine(c Case, prog *ops5.Program, net *rete.Network, matcher engine.MatchApplier, opts CheckOptions) *Outcome {
+// drive runs the case's wmes through a session and the full
+// match-resolve-act loop, fingerprinting each cycle's fired
+// instantiation and post-refraction conflict set, and capturing the
+// final working memory and the write output the session sends to buf.
+func drive(s engine.API, buf *bytes.Buffer, c Case, opts CheckOptions) *Outcome {
 	o := &Outcome{}
-	var buf bytes.Buffer
-	e, err := engine.NewWithNetwork(prog, net, engine.SessionOptions{Matcher: matcher, Output: &buf})
-	if err != nil {
-		o.Err = "engine: " + err.Error()
-		return o
-	}
 	if strings.TrimSpace(c.WMESrc) != "" {
 		wmes, err := ops5.ParseWMEs(c.WMESrc)
 		if err != nil {
 			o.Err = "wmes: " + err.Error()
 			return o
 		}
-		e.InsertWMEs(wmes...)
+		s.Assert(wmes...)
 	}
 	budget := opts.Budget
 	for cycle := 0; cycle < opts.MaxCycles; cycle++ {
-		fired, err := e.Step()
+		fired, err := s.Step()
 		if err != nil {
 			o.Err = err.Error()
 			break
 		}
-		cs := e.ConflictSet()
+		cs := s.ConflictSet()
 		keys := make([]string, len(cs))
 		for i, in := range cs {
 			keys[i] = in.Key()
@@ -488,10 +482,10 @@ func runEngine(c Case, prog *ops5.Program, net *rete.Network, matcher engine.Mat
 			break
 		}
 	}
-	o.Fired = e.Fired()
-	o.Halted = e.Halted()
+	o.Fired = s.Fired()
+	o.Halted = s.Halted()
 	o.Output = buf.String()
-	for _, w := range e.WMEs() {
+	for _, w := range s.Snapshot().WMEs {
 		o.FinalWM = append(o.FinalWM, fmt.Sprintf("%d:%d:%s", w.ID, w.TimeTag, w))
 	}
 	return o

@@ -126,8 +126,9 @@ func TestSnapshotTextRoundTrip(t *testing.T) {
 }
 
 // TestCorpus replays every committed corpus case through the full
-// configuration matrix, and the engine-level ones through the
-// trace-level simulator differential too.
+// configuration matrix: the engine-level ones through the serving
+// shapes and the simulator's conservation check too (sessions,
+// seq-traced).
 func TestCorpus(t *testing.T) {
 	cases, err := LoadCorpus("testdata/corpus")
 	if err != nil {
@@ -141,12 +142,40 @@ func TestCorpus(t *testing.T) {
 			if mis := Check(c, CheckOptions{}); mis != nil {
 				t.Fatal(mis)
 			}
-			if !c.IsScript() {
-				if err := CheckTrace(c, 50, []int{1, 4}); err != nil {
-					t.Fatal(err)
-				}
-			}
 		})
+	}
+}
+
+// TestMatrixRows pins every row name of the matrix at the default
+// options and with the wire and migration rows added, so that a change
+// to the matrix shows as a diff here. The default set is 19 rows.
+func TestMatrixRows(t *testing.T) {
+	const seqRows = "seq seq-traced seq-linear seq-unshared seq-candc seq-bounded sessions "
+	for _, tc := range []struct {
+		opts CheckOptions
+		want string
+	}{
+		{CheckOptions{}, seqRows +
+			"par-w1-bcast par-w1-routed par-w2-bcast par-w2-routed par-w4-bcast par-w4-routed par-w8-bcast par-w8-routed " +
+			"par-w8-bcast-unshared par-w8-routed-candc par-w1-bcast-bounded par-w8-routed-bounded"},
+		{CheckOptions{Workers: []int{2}, TCP: true}, seqRows +
+			"par-w2-bcast par-w2-routed par-w2-bcast-unshared par-w2-routed-candc par-w2-bcast-bounded par-w2-routed-bounded " +
+			"tcp-w2-bcast tcp-w2-routed"},
+		{CheckOptions{Workers: []int{2, 4}, TCP: true, Rebalance: true}, seqRows +
+			"par-w2-bcast par-w2-routed par-w4-bcast par-w4-routed " +
+			"par-w4-bcast-unshared par-w4-routed-candc par-w2-bcast-bounded par-w4-routed-bounded " +
+			"tcp-w2-bcast tcp-w2-routed " +
+			"adapt-w2-bcast adapt-w2-routed migrate-w2-bcast migrate-w2-routed " +
+			"adapt-w4-bcast adapt-w4-routed migrate-w4-bcast migrate-w4-routed " +
+			"tcpadapt-w2-bcast tcpadapt-w2-routed tcpmigrate-w2-bcast tcpmigrate-w2-routed"},
+	} {
+		var got []string
+		for _, c := range configMatrix(tc.opts.withDefaults()) {
+			got = append(got, c.name)
+		}
+		if strings.Join(got, " ") != tc.want {
+			t.Errorf("%+v: rows\n  %s\nwant\n  %s", tc.opts, strings.Join(got, " "), tc.want)
+		}
 	}
 }
 
@@ -203,13 +232,14 @@ func TestGeneratedCasesCheckClean(t *testing.T) {
 	}
 }
 
-// TestGeneratedTraceDifferential runs the trace-level differential
-// over generated programs.
+// TestGeneratedTraceDifferential runs the trace-level differential —
+// the seq-traced row's replay through the simulator — over generated
+// programs.
 func TestGeneratedTraceDifferential(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		c := Gen(seed, GenConfig{})
-		if err := CheckTrace(c, 30, []int{1, 2, 4}); err != nil {
-			t.Fatalf("%v\nrepro:\n%s", err, c.Encode())
+		if mis := checkRow(c, seqTraced, CheckOptions{MaxCycles: 30}); mis != nil {
+			t.Fatalf("%v\nrepro:\n%s", mis, c.Encode())
 		}
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // TestPoisonedRewinds re-runs the differential matrix — the corpus, the
-// generated cases, the TCP rows, the rebalance rows and the session
-// API — with every rewound delete token overwritten by rete's sentinel
+// generated cases, the TCP rows, the rebalance rows and the sessions
+// row — with every rewound delete token overwritten by rete's sentinel
 // wme, so that a token used after its arena was rewound is a
 // divergence from the sequential oracle and not a coincidence.
 func TestPoisonedRewinds(t *testing.T) {

@@ -1,7 +1,6 @@
 package difftest
 
 import (
-	"strings"
 	"testing"
 )
 
@@ -65,25 +64,6 @@ func TestRebalanceTCPParity(t *testing.T) {
 	}
 	if ran < 2 {
 		t.Fatal("promoted migration corpus cases missing")
-	}
-}
-
-// TestWireRows pins the star's rows of the -tcp -rebalance matrix: each
-// schedule in both root modes, once.
-func TestWireRows(t *testing.T) {
-	var got []string
-	for _, c := range configMatrix(CheckOptions{Workers: []int{2, 4}, TCP: true, Rebalance: true}) {
-		if strings.HasPrefix(c.name, "tcp") {
-			got = append(got, c.name)
-		}
-	}
-	want := []string{
-		"tcp-w2-bcast", "tcp-w2-routed",
-		"tcpadapt-w2-bcast", "tcpadapt-w2-routed",
-		"tcpmigrate-w2-bcast", "tcpmigrate-w2-routed",
-	}
-	if strings.Join(got, " ") != strings.Join(want, " ") {
-		t.Errorf("wire rows %v, want %v", got, want)
 	}
 }
 

@@ -1,18 +1,21 @@
 package difftest
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 // sessionOpts mirrors fuzzOpts: cheap per-case cost, shallow parallel
 // sweep.
 var sessionOpts = CheckOptions{MaxCycles: 20, Workers: []int{1, 2}, Budget: 10000}
 
+// checkRow is Check over two rows only: the sequential shared
+// reference and the given row.
+func checkRow(c Case, row config, opts CheckOptions) *Mismatch {
+	return checkConfigs(c, []config{seqConfig("shared"), row}, opts.withDefaults())
+}
+
 func TestCheckSessionsGeneratedCases(t *testing.T) {
 	for seed := int64(1); seed <= 25; seed++ {
 		c := Gen(seed, ConfigFromBytes(nil))
-		if mis := CheckSessions(c, sessionOpts); mis != nil {
+		if mis := checkRow(c, sessions, sessionOpts); mis != nil {
 			t.Fatalf("%v\nrepro:\n%s", mis, c.Encode())
 		}
 	}
@@ -28,7 +31,7 @@ func TestCheckSessionsCorpus(t *testing.T) {
 		if c.IsScript() {
 			continue
 		}
-		if mis := CheckSessions(c, sessionOpts); mis != nil {
+		if mis := checkRow(c, sessions, sessionOpts); mis != nil {
 			t.Errorf("%v", mis)
 		}
 		checked++
@@ -38,33 +41,35 @@ func TestCheckSessionsCorpus(t *testing.T) {
 	}
 }
 
+// TestCheckSessionsSkipsScripts: a script case never runs the sessions
+// row, so even a forced divergence of it goes unseen.
 func TestCheckSessionsSkipsScripts(t *testing.T) {
-	c := GenScript(1, ConfigFromBytes(nil))
-	if mis := CheckSessions(c, sessionOpts); mis != nil {
-		t.Fatalf("script case not skipped: %v", mis)
+	opts := sessionOpts
+	opts.ForceDivergence = "sessions"
+	if mis := Check(GenScript(1, ConfigFromBytes(nil)), opts); mis != nil {
+		t.Fatalf("script case ran the sessions row: %v", mis)
 	}
 }
 
 // TestCheckSessionsForcedDivergence drills the divergence-reporting
-// path: a synthetic perturbation of one configuration must surface as
-// a mismatch naming that configuration.
+// path: a synthetic perturbation of the sessions row must surface from
+// the full matrix as a mismatch naming that row.
 func TestCheckSessionsForcedDivergence(t *testing.T) {
-	c := Gen(1, ConfigFromBytes(nil))
 	opts := sessionOpts
-	opts.ForceDivergence = "pooled"
-	mis := CheckSessions(c, opts)
+	opts.ForceDivergence = "sessions"
+	mis := Check(Gen(1, ConfigFromBytes(nil)), opts)
 	if mis == nil {
 		t.Fatal("forced divergence not detected")
 	}
-	if !strings.Contains(mis.Config, "pooled") {
-		t.Errorf("divergence blamed %q, want the pooled configuration", mis.Config)
+	if mis.Config != "sessions" {
+		t.Errorf("divergence blamed %q, want the sessions row", mis.Config)
 	}
 }
 
 // FuzzSessionDifferential is the session-level generative fuzz target:
 // every generated engine-level case must behave identically through
-// the private engine, shared sessions, pool-recycled sessions,
-// parallel-matcher sessions, and concurrent sessions.
+// the sequential reference and the sessions row (concurrent and
+// pool-recycled sessions over one compiled network).
 func FuzzSessionDifferential(f *testing.F) {
 	f.Add(int64(1), []byte{})
 	f.Add(int64(2), []byte{5, 3, 3, 3, 3, 90, 40, 20})
@@ -72,7 +77,7 @@ func FuzzSessionDifferential(f *testing.F) {
 	f.Add(int64(4), []byte{4, 3, 2, 2, 2, 99, 49, 0})
 	f.Fuzz(func(t *testing.T, seed int64, knobs []byte) {
 		c := Gen(seed, ConfigFromBytes(knobs))
-		if mis := CheckSessions(c, sessionOpts); mis != nil {
+		if mis := checkRow(c, sessions, sessionOpts); mis != nil {
 			t.Fatalf("%v\nrepro (save under testdata/corpus/):\n%s", mis, c.Encode())
 		}
 	})

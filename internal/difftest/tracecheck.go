@@ -4,70 +4,50 @@ import (
 	"fmt"
 
 	"mpcrete/internal/core"
-	"mpcrete/internal/engine"
 	"mpcrete/internal/ops5"
+	"mpcrete/internal/rete"
 	"mpcrete/internal/trace"
 )
 
-// CheckTrace is the trace-level differential: it records the
-// sequential engine's match activity for a case as a trace, replays
-// that trace through the discrete-event MPC simulator at several
-// processor counts, and asserts the conservation invariants that tie
-// the two execution models together — every recorded activation is
-// simulated exactly once per cycle regardless of partitioning, and the
-// simulator delivers exactly the recorded number of instantiations.
-// A violation means the simulator is dropping or duplicating work for
-// this workload shape, which would silently corrupt every Fig 5-x
-// result built on it.
-func CheckTrace(c Case, maxCycles int, procs []int) error {
-	if c.IsScript() {
-		return fmt.Errorf("difftest: CheckTrace needs an engine-level case, got script case %s", c.Name)
-	}
-	if maxCycles <= 0 {
-		maxCycles = 50
-	}
-	if len(procs) == 0 {
-		procs = []int{1, 4}
-	}
-	prog, err := ops5.ParseProgram(c.ProgSrc)
+// seqTraced is the shared network on a sequential matcher whose
+// Listener records the run as a trace — the role the instrumented
+// uniprocessor OPS5 played for the paper's simulator. Its conflict sets
+// are compared like any row's, and when the case ends the row replays
+// the trace through the simulator (conserved). Engine-level cases only.
+var seqTraced = config{name: "seq-traced", engineOnly: true, build: func(prods []*ops5.Production, _ CheckOptions) (built, error) {
+	net, err := rete.CompileVariant(prods, "shared")
 	if err != nil {
-		return fmt.Errorf("difftest: case %s: %w", c.Name, err)
+		return built{}, err
 	}
-	rec := trace.NewRecorder(c.Name, checkNBuckets)
-	e, err := engine.New(prog, engine.CompileOptions{}, engine.SessionOptions{NBuckets: checkNBuckets, Listener: rec})
-	if err != nil {
-		return fmt.Errorf("difftest: case %s: %w", c.Name, err)
-	}
-	if wmes, err := ops5.ParseWMEs(c.WMESrc); err == nil {
-		e.InsertWMEs(wmes...)
-	}
-	if _, err := e.Run(maxCycles); err != nil && err != engine.ErrCycleLimit {
-		return fmt.Errorf("difftest: case %s: run: %w", c.Name, err)
-	}
-	tr := rec.Trace()
-	if err := tr.Validate(); err != nil {
-		return fmt.Errorf("difftest: case %s: recorded trace invalid: %w", c.Name, err)
-	}
-	wantInsts := tr.Stats().Instantiations
+	rec := trace.NewRecorder("difftest", checkNBuckets)
+	m := rete.NewMatcher(net, rete.MatcherOptions{NBuckets: checkNBuckets, Listener: rec})
+	return built{net: net, matcher: m, finish: func() error { return conserved(rec.Trace()) }}, nil
+}}
 
-	for _, p := range procs {
+// conserved replays tr through the discrete-event MPC simulator at 1
+// and 4 match processors and checks the invariants that tie the two
+// execution models together: every recorded activation is simulated
+// exactly once per cycle whatever the partitioning, and the simulator
+// delivers exactly the recorded number of instantiations. A violation means the simulator
+// drops or duplicates work for this workload shape, which would
+// silently corrupt every Fig 5-x result built on it.
+func conserved(tr *trace.Trace) error {
+	wantInsts := tr.Stats().Instantiations
+	for _, p := range []int{1, 4} {
 		res, err := core.Simulate(tr, core.NewConfig(p))
 		if err != nil {
-			return fmt.Errorf("difftest: case %s: simulate p=%d: %w", c.Name, p, err)
+			return fmt.Errorf("simulate p=%d: %w", p, err)
 		}
 		if res.Insts != wantInsts {
-			return fmt.Errorf("difftest: case %s: p=%d delivered %d instantiations, trace has %d",
-				c.Name, p, res.Insts, wantInsts)
+			return fmt.Errorf("simulate p=%d delivered %d instantiations, trace has %d", p, res.Insts, wantInsts)
 		}
 		for ci, cyc := range tr.Cycles {
-			want := cyc.Activations()
 			got := 0
 			for _, n := range res.ActsPerSlot[ci] {
 				got += n
 			}
-			if got != want {
-				return fmt.Errorf("difftest: case %s: p=%d cycle %d simulated %d activations, trace has %d",
-					c.Name, p, ci, got, want)
+			if want := cyc.Activations(); got != want {
+				return fmt.Errorf("simulate p=%d cycle %d simulated %d activations, trace has %d", p, ci, got, want)
 			}
 		}
 	}

@@ -23,7 +23,7 @@ type CompileOptions struct {
 	// Variant names the network variant to compile — one of
 	// rete.Variants(): "shared" (or empty, the default), "unshared",
 	// "candc", or "bounded". The single spelling shared with the
-	// ops5run/ops5d -variant flag and the difftest oracle.
+	// ops5run/ops5d -variant flag and the difftest matrix's row names.
 	Variant string
 }
 

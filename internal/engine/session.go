@@ -7,9 +7,9 @@ import (
 // API is the session-level interface of a Session, whichever matcher
 // runs its match phase: its own sequential rete.Matcher, or a
 // parallel.Runtime (SessionOptions.Matcher). The multi-tenant server
-// drives tenants through it, and the differential harness fuzzes
-// session-level parity across the two matchers with it
-// (difftest.CheckSessions).
+// drives tenants through it, and difftest.Check drives every
+// engine-level row of its matrix through it — the matcher rows and the
+// sessions row's concurrent, pool-recycled sessions alike.
 type API interface {
 	// Assert schedules wme additions; the returned copies carry their
 	// assigned IDs and time tags.

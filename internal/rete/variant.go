@@ -7,9 +7,10 @@ import (
 )
 
 // Variants lists the compile-time network variant names accepted by
-// CompileVariant, in canonical order. The same spellings are used by
-// the difftest oracle matrix, ops5run/ops5d -variant, and the bench
-// join family.
+// CompileVariant, in canonical order. The same spellings are taken by
+// ops5run/ops5d -variant and engine.CompileOptions.Variant, and name
+// the difftest matrix's rows (seq-unshared, par-w8-routed-candc, ...),
+// which run every variant on every check.
 func Variants() []string { return []string{"shared", "unshared", "candc", "bounded"} }
 
 // CompileVariant compiles prods as the named network variant:

@@ -6,6 +6,7 @@ package stats
 import (
 	"fmt"
 	"io"
+	"math"
 	"strings"
 )
 
@@ -53,20 +54,7 @@ func CV(xs []int) float64 {
 	if m == 0 {
 		return 0
 	}
-	v := Variance(xs)
-	return sqrt(v) / m
-}
-
-func sqrt(v float64) float64 {
-	if v <= 0 {
-		return 0
-	}
-	// Newton's method; plenty for reporting.
-	x := v
-	for i := 0; i < 40; i++ {
-		x = 0.5 * (x + v/x)
-	}
-	return x
+	return math.Sqrt(Variance(xs)) / m
 }
 
 // Bars renders an ASCII bar chart of per-index values, one row per

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestMeanMaxVariance(t *testing.T) {
@@ -34,21 +33,6 @@ func TestCV(t *testing.T) {
 	// CV of {0, 10} = stddev 5 / mean 5 = 1.
 	if cv := CV([]int{0, 10}); math.Abs(cv-1) > 1e-9 {
 		t.Errorf("CV = %v, want 1", cv)
-	}
-}
-
-func TestSqrtAgainstMath(t *testing.T) {
-	f := func(x float64) bool {
-		v := math.Abs(x)
-		if v > 1e100 {
-			return true
-		}
-		got := sqrt(v)
-		want := math.Sqrt(v)
-		return math.Abs(got-want) <= 1e-9*(1+want)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -21,8 +21,6 @@ var allowedUncalled = map[string]string{
 	"WithSimulate":  "sweep: tests substitute a counting or failing simulate function",
 
 	// References and oracles the tests compare against.
-	"CheckSessions":          "difftest: the session-level differential oracle, run by its tests and fuzz target",
-	"CheckTrace":             "difftest: engine trace against simulator conservation check, run over the corpus",
 	"LoadCorpus":             "difftest: reads testdata/corpus for the differential tests of three packages",
 	"ConfigFromBytes":        "difftest: maps fuzz input to a generator config",
 	"RunSequential":          "sweep: the uncached in-order reference the concurrent engine is compared against",

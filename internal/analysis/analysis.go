@@ -10,9 +10,10 @@
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"mpcrete/internal/stats"
 	"mpcrete/internal/trace"
@@ -173,6 +174,8 @@ func Analyze(tr *trace.Trace) *Report {
 		for _, l := range bucketLoad {
 			loads = append(loads, l)
 		}
+		// Map order is random: sorted, the CV's float sum has one order.
+		slices.Sort(loads)
 		cr.MaxBucketLoad = stats.Max(loads)
 		cr.BucketCV = stats.CV(loads)
 		cr.Small = cr.Activations > 0 && cr.Activations <= smallCycleMax
@@ -194,13 +197,22 @@ func Analyze(tr *trace.Trace) *Report {
 			}
 		}
 	}
-	sort.Slice(r.HotNodes, func(i, j int) bool { return r.HotNodes[i].Activations > r.HotNodes[j].Activations })
-	sort.Slice(r.ModifyEffects, func(i, j int) bool { return r.ModifyEffects[i].Adds > r.ModifyEffects[j].Adds })
+	// The sites come out of maps in random order, so ties on the key
+	// are broken by node, then by bucket: the report is a function of
+	// the trace.
+	slices.SortFunc(r.HotNodes, func(a, b HotNode) int {
+		return cmp.Or(cmp.Compare(b.Activations, a.Activations), cmp.Compare(a.Node, b.Node), cmp.Compare(a.Bucket, b.Bucket))
+	})
+	slices.SortFunc(r.ModifyEffects, func(a, b ModifyEffect) int {
+		return cmp.Or(cmp.Compare(b.Adds, a.Adds), cmp.Compare(a.Node, b.Node), cmp.Compare(a.Bucket, b.Bucket))
+	})
 
 	for _, fs := range fanouts {
 		r.Fanouts = append(r.Fanouts, *fs)
 	}
-	sort.Slice(r.Fanouts, func(i, j int) bool { return r.Fanouts[i].MaxFanout > r.Fanouts[j].MaxFanout })
+	slices.SortFunc(r.Fanouts, func(a, b FanoutSite) int {
+		return cmp.Or(cmp.Compare(b.MaxFanout, a.MaxFanout), cmp.Compare(a.Node, b.Node))
+	})
 
 	r.suggest()
 	return r

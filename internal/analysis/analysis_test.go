@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -162,6 +163,26 @@ func TestRenderReport(t *testing.T) {
 	for _, want := range []string{"analysis of tourney", "cross-product", "multiple-modify", "suggestions", "copy-and-constraint"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q", want)
+		}
+	}
+}
+
+// TestAnalyzeIsDeterministic: what traceanalyze prints is a function of
+// the trace. The detectors gather their sites in maps, so twenty
+// analyses of the tourney trace — rendered, and every field of every
+// cycle, the bucket-load CVs' last bits included — must read the same.
+func TestAnalyzeIsDeterministic(t *testing.T) {
+	tr := workloads.Tourney()
+	var first string
+	for i := 0; i < 20; i++ {
+		_, r := AutoTune(tr)
+		var buf bytes.Buffer
+		r.Render(&buf)
+		got := fmt.Sprintf("%s%+v", buf.String(), *r)
+		if i == 0 {
+			first = got
+		} else if got != first {
+			t.Fatalf("analysis %d of the tourney trace differs from the first", i+1)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 
@@ -172,21 +173,31 @@ func (c Config) Validate(tr *trace.Trace) error {
 // sweep engine. Two configs that would produce identical simulation
 // results hash identically: observability attachments (Recorder,
 // Metrics) and display names (Overhead.Name) are excluded, and a nil
-// Partition is canonicalized to the round-robin default Simulate
-// would substitute.
+// Partition hashes as the round-robin default Simulate would
+// substitute.
 func (c Config) Fingerprint(tr *trace.Trace) string {
 	h := sha256.New()
-	part := c.Partition
-	if part == nil {
-		part = sched.RoundRobin(tr.NBuckets, c.MatchProcs)
-	}
 	fmt.Fprintf(h, "procs=%d|costs=%d,%d,%d,%d|ov=%d,%d|lat=%d|topo=%T%+v|perhop=%d|cont=%t|swb=%t|central=%t|pairs=%t|repl=%t|",
 		c.MatchProcs,
 		c.Costs.ConstTests, c.Costs.LeftAddDel, c.Costs.RightAddDel, c.Costs.PerSuccessor,
 		c.Overhead.Send, c.Overhead.Recv,
 		c.Latency, c.Topology, c.Topology, c.PerHop,
 		c.Contention, c.SoftwareBroadcast, c.CentralRoots, c.Pairs, c.Replicated)
-	fmt.Fprintf(h, "part=%v|", part)
+	// The partition goes in as binary, its length and then each
+	// bucket's owner, without a per-bucket allocation.
+	n := len(c.Partition)
+	if c.Partition == nil {
+		n = tr.NBuckets
+	}
+	b := binary.LittleEndian.AppendUint64(make([]byte, 0, 8+4*n), uint64(n))
+	for i := 0; i < n; i++ {
+		owner := i % c.MatchProcs // sched.RoundRobin's
+		if c.Partition != nil {
+			owner = c.Partition[i]
+		}
+		b = binary.LittleEndian.AppendUint32(b, uint32(owner))
+	}
+	h.Write(b)
 	if c.PerCycle != nil {
 		fmt.Fprintf(h, "percycle=%v|", c.PerCycle)
 	}

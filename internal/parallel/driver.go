@@ -71,6 +71,12 @@ type Driver struct {
 	counts  []*termdet.ChannelCounts // one per worker + control last
 	four    *termdet.FourCounter
 
+	// tab is the run's wme table, shared by rootProc and the steps in
+	// the driver's memory, mirrored by wire workers; handles are the
+	// cycle's changes' handles in it.
+	tab     *rete.Table
+	handles []int32
+
 	// cyclePkt is the broadcast packet, reused across cycles and shared
 	// read-only by every worker. The root-routing state (RouteRoots
 	// mode) is the control side's constant-test processor plus reusable
@@ -171,6 +177,7 @@ func NewDriver(net *rete.Network, opts Options, c Carrier) (*Driver, error) {
 	d := &Driver{
 		opts:      opts,
 		carrier:   c,
+		tab:       rete.NewTable(),
 		cyclePkt:  &CyclePacket{},
 		counter:   termdet.NewCounter(),
 		processed: make([]atomic.Int64, opts.Workers),
@@ -190,7 +197,7 @@ func NewDriver(net *rete.Network, opts Options, c Carrier) (*Driver, error) {
 		d.causal.SetTrackName(opts.Workers, "control")
 	}
 	if opts.RouteRoots {
-		d.rootProc = rete.NewProcessor(net, opts.NBuckets)
+		d.rootProc = rete.NewProcessor(net, opts.NBuckets, d.tab)
 		d.rootBufs = make([][]Message, opts.Workers)
 	}
 	if opts.ChaosSeed != 0 {
@@ -230,6 +237,10 @@ func (d *Driver) controlTrack() int { return d.opts.Workers }
 // CurrentCycle is the 1-based number of the cycle in progress (or last
 // completed), as stamped on causal events.
 func (d *Driver) CurrentCycle() int32 { return d.curCycle.Load() }
+
+// Table returns the run's wme table, which Cycle writes before it
+// delivers anything and carriers only read.
+func (d *Driver) Table() *rete.Table { return d.tab }
 
 // Partition returns the current bucket-to-worker assignment. The slice
 // is shared; callers must not mutate it.
@@ -332,6 +343,12 @@ func (d *Driver) Cycle(changes []rete.Change) ([]rete.InstChange, error) {
 		return nil, err
 	}
 	d.insts = d.insts[:0] // quiescent: nobody holds instMu
+	// The last cycle's tokens are dead, so its deleted wmes' handles are
+	// free; the delivery below orders the workers' reads after these
+	// writes.
+	d.tab.BeginPhase()
+	d.handles = d.tab.Handles(changes, d.handles[:0])
+	d.cyclePkt.Handles = d.handles
 
 	cycle := d.curCycle.Add(1)
 	d.causal.BeginCycle(cycle, d.clock())
@@ -484,7 +501,7 @@ func (d *Driver) inPlaceHead(changes []rete.Change, budget int) (handedOff bool)
 	frontier := 0
 	for w, s := range d.steps {
 		frontier += len(s.localQ)
-		d.publish(w, s.EndTurn())
+		d.publish(w, s.EndTurn(true))
 	}
 	if frontier == 0 {
 		d.cyclesInPlace.Add(1)
@@ -619,8 +636,8 @@ func (d *Driver) broadcast(changes []rete.Change) error {
 // many roots there are.
 func (d *Driver) rootsByOwner(proc *rete.Processor, changes []rete.Change) int {
 	roots := 0
-	for _, ch := range changes {
-		d.rootScratch = proc.RootActivationsInto(ch, d.rootScratch[:0])
+	for i, ch := range changes {
+		d.rootScratch = proc.RootActivationsInto(ch, d.handles[i], d.rootScratch[:0])
 		for _, act := range d.rootScratch {
 			b := proc.Bucket(act)
 			owner := d.opts.Partition[b]

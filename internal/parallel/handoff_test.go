@@ -430,6 +430,8 @@ func TestNetHandsOnAnAddsArray(t *testing.T) {
 	term := net.Prods["pair"].Node
 	wa, wb := ops5.NewWME("a", "v", 1), ops5.NewWME("b", "v", 1)
 	wa.ID, wa.TimeTag, wb.ID, wb.TimeTag = 3, 3, 17, 17
+	tab := rete.NewTable()
+	tok := rete.Token{H: tab.Handles([]rete.Change{{Tag: rete.Add, WME: wa}, {Tag: rete.Add, WME: wb}}, nil)}
 
 	const A, D = rete.Add, rete.Delete
 	for _, row := range []struct {
@@ -450,11 +452,11 @@ func TestNetHandsOnAnAddsArray(t *testing.T) {
 			var procs [2]*rete.Processor
 			var builders [2]rete.InstBuilder
 			for i, tags := range row.steps {
-				procs[i] = rete.NewProcessor(net, 16)
+				procs[i] = rete.NewProcessor(net, 16, tab)
 				procs[i].BeginPhase() // an owner that rewinds: the in-place head, a socket worker
 				var acts []rete.Activation
 				for _, tag := range tags {
-					acts = append(acts, rete.Activation{Node: term, Side: rete.Left, Tag: tag, Token: rete.Token{WMEs: []*ops5.WME{wa, wb}}})
+					acts = append(acts, rete.Activation{Node: term, Side: rete.Left, Tag: tag, Token: tok})
 				}
 				raw = append(raw, builders[i].Build(procs[i], acts, nil)...)
 			}

@@ -159,6 +159,8 @@ func NewFlightRecorder(workers, ringCap, retainCycles, nbuckets int) *obs.Causal
 // changes slice per cycle rather than per-worker copies.
 type CyclePacket struct {
 	Changes []rete.Change
+	// Handles are the changes' wmes' handles in the run's table.
+	Handles []int32
 }
 
 // Message is the worker protocol. A mailbox carries it by value; the
@@ -173,9 +175,10 @@ type Message struct {
 	// new owners, sorted by bucket (MsgMigrateOut).
 	Moves []BucketMove
 	// Inject carries one extracted bucket pair to its new owner
-	// (MsgMigrateIn). In-process the pointer is the live contents; a
-	// wire transport decodes a fresh copy, which is safe because memory
-	// removal matches by value (wme ID / Token.Same), not identity.
+	// (MsgMigrateIn). In-process the pointer is the live contents, whose
+	// handles index the driver's table; a wire worker decodes a copy and
+	// fills its mirror from the contents' definitions, at the same
+	// handles.
 	Inject *rete.BucketContents
 }
 
@@ -258,7 +261,7 @@ func New(net *rete.Network, opts Options) (*Runtime, error) {
 		w := &worker{
 			id:    i,
 			rt:    rt,
-			step:  NewStep(net, i, opts.Workers, opts.Partition, d.balancer != nil, d.causal.Track(i)),
+			step:  NewStep(net, d.tab, i, opts.Workers, opts.Partition, d.balancer != nil, d.causal.Track(i)),
 			inbox: newMailbox(dropped, d.causal != nil),
 		}
 		if opts.ChaosSeed != 0 {
@@ -364,7 +367,7 @@ func (w *worker) loop() {
 		w.step.BeginTurn(t0, cycle)
 		w.step.Handle(w.batch)
 		w.flush()
-		n, turn := len(w.batch), w.step.EndTurn()
+		n, turn := len(w.batch), w.step.EndTurn(true)
 		track.Mark(obs.EvTurnEnd, rt.clock(), cycle, int32(n), int32(turn.Handled))
 		rt.TurnDone(w.id, n, turn)
 	}

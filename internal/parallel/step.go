@@ -99,19 +99,23 @@ type Turn struct {
 	MaxDepth int32
 	// Insts are the conflict-set deltas produced, in production order.
 	Insts []rete.InstChange
+	// Acts are the production-node activations the deltas are built
+	// from, in the same order: what the star's worker ships instead.
+	Acts []rete.Activation
 	// Loads lists the buckets that saw activations, when load tracking
 	// is on.
 	Loads []BucketLoad
 }
 
-// NewStep builds worker id's step over net. part is the initial
-// assignment (its length is the bucket-space size); trackLoads turns on
+// NewStep builds worker id's step over net and tab, the driver's table
+// or a wire worker's mirror of it. part is the initial assignment (its
+// length is the bucket-space size); trackLoads turns on
 // per-bucket activation counting; ctrack, when non-nil, receives one
 // handle event per activation.
-func NewStep(net *rete.Network, id, workers int, part sched.Partition, trackLoads bool, ctrack *obs.TrackRecorder) *Step {
+func NewStep(net *rete.Network, tab *rete.Table, id, workers int, part sched.Partition, trackLoads bool, ctrack *obs.TrackRecorder) *Step {
 	s := &Step{
 		id:     id,
-		proc:   rete.NewProcessor(net, len(part)),
+		proc:   rete.NewProcessor(net, len(part), tab),
 		part:   part,
 		Out:    make([][]Message, workers),
 		ctrack: ctrack,
@@ -146,19 +150,22 @@ func (s *Step) BeginTurn(ts int64, cycle int32) {
 	s.turn.Handled, s.turn.MaxDepth = 0, 0
 	s.turn.Insts = s.turn.Insts[:0]
 	s.turn.Loads = s.turn.Loads[:0]
+	s.instActs = s.instActs[:0]
 }
 
-// EndTurn closes the turn and returns what it produced: the deltas of
-// the turn's production-node activations are built here, in one batch.
-// The result is valid until the next BeginTurn. An Add delta's array is
-// carved for good and goes wherever the delta is copied; a Delete
-// delta's is lent from the step's processor until the carrier's next
-// BeginPhase (rete.InstBuilder.Build) — for good under a carrier that
-// never calls it, whose turns of one cycle outlive each other in the
-// driver's intake.
-func (s *Step) EndTurn() *Turn {
-	s.turn.Insts = s.insts.Build(s.proc, s.instActs, s.turn.Insts)
-	s.instActs = s.instActs[:0]
+// EndTurn closes the turn and returns what it produced, valid until
+// the next BeginTurn: Acts, and with build their deltas, built here in
+// one batch (the star's worker ships Acts unbuilt). An Add delta's
+// array is carved for good and goes wherever the delta is copied; a
+// Delete delta's is lent from the step's processor until the carrier's
+// next BeginPhase (rete.InstBuilder.Build) — for good under a carrier
+// that never calls it, whose turns of one cycle outlive each other in
+// the driver's intake.
+func (s *Step) EndTurn(build bool) *Turn {
+	s.turn.Acts = s.instActs
+	if build {
+		s.turn.Insts = s.insts.Build(s.proc, s.instActs, s.turn.Insts)
+	}
 	for _, b := range s.dirty {
 		s.turn.Loads = append(s.turn.Loads, BucketLoad{Bucket: b, N: s.bucketLoad[b]})
 		s.bucketLoad[b] = 0
@@ -187,8 +194,8 @@ func (s *Step) queue(ms []Message) {
 			// Constant tests run on every worker (duplicated work, the
 			// coarse granularity of Section 3.2); only locally-owned
 			// roots are kept.
-			for _, ch := range m.Cycle.Changes {
-				s.rootScratch = s.proc.RootActivationsInto(ch, s.rootScratch[:0])
+			for i, ch := range m.Cycle.Changes {
+				s.rootScratch = s.proc.RootActivationsInto(ch, m.Cycle.Handles[i], s.rootScratch[:0])
 				for _, act := range s.rootScratch {
 					b := s.proc.Bucket(act)
 					if s.part[b] == s.id {

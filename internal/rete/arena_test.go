@@ -14,26 +14,20 @@ func poison(t *testing.T) {
 	t.Cleanup(PoisonRewinds())
 }
 
-// refChunks lists every chunk the arena holds: the current one and the
-// ones it keeps.
-func (ar *tokenArena) refChunks() [][]*ops5.WME {
-	return append(append([][]*ops5.WME{ar.wmes}, ar.fullWMEs...), ar.spareWMEs...)
-}
-
-// holds reports whether ref is a slot of one of the arena's chunks.
-func (ar *tokenArena) holds(ref **ops5.WME) bool {
-	for _, c := range ar.refChunks() {
-		for i := range c {
-			if &c[i] == ref {
-				return true
-			}
+// holds reports whether run r was carved from the arena's current
+// region.
+func (ar *arena[T]) holds(r []T) bool {
+	region := ar.buf[:cap(ar.buf)]
+	for i := range region {
+		if len(r) > 0 && &region[i] == &r[0] {
+			return true
 		}
 	}
 	return false
 }
 
 // TestPoisonedRewinds re-runs, with every rewound token overwritten by
-// the sentinel wme, the tests that would see a delete token used after
+// the sentinel handle and every freed handle quarantined, the tests that would see a delete token used after
 // the phase that made it: the randomized differentials against the
 // naive matcher (every variant, hashed and linear memories), and the
 // held-result test, whose deltas must have copied their wmes out of
@@ -49,11 +43,11 @@ func TestPoisonedRewinds(t *testing.T) {
 // on: whatever the program and the sequence of changes, no left memory
 // entry ever holds a token carved from it — neither a delete token nor
 // one made for production nodes only. It checks where the token's
-// references live, and — with the poison on — that no stored token
-// reads as the sentinel, which is what a phase token stored in an
-// earlier phase would have become. The same holds one level up, where
-// a Delete delta's array is lent from that arena: no instantiation
-// standing in a conflict set holds one.
+// handles live, and — with the poison on — that no stored token reads
+// as the sentinel, which is what a phase token stored in an earlier
+// phase, or a token naming a deleted wme, would have become. The same
+// holds one level up, where a Delete delta's array is lent: no
+// instantiation standing in a conflict set holds one.
 func TestDeleteTokensAreNeverStored(t *testing.T) {
 	poison(t)
 	rng := rand.New(rand.NewSource(11))
@@ -71,19 +65,19 @@ func TestDeleteTokensAreNeverStored(t *testing.T) {
 			}
 			for b, bucket := range p.left.buckets {
 				for _, e := range bucket {
-					if p.delArena.holds(&e.token.WMEs[0]) {
+					if p.delArena.holds(e.token.H) {
 						t.Fatalf("trial %d step %d: left bucket %d stores token %v of node %d from the phase arena", trial, step, b, e.token, e.node.ID)
 					}
-					for _, w := range e.token.WMEs {
-						if w == poisonWME {
+					for _, h := range e.token.H {
+						if p.tab.rows[h] == poisonWME {
 							t.Fatalf("trial %d step %d: left bucket %d stores a rewound token at node %d", trial, step, b, e.node.ID)
 						}
 					}
 				}
 			}
 			for key, wmes := range h.held {
-				if p.delArena.holds(&wmes[0]) {
-					t.Fatalf("trial %d step %d: instantiation %s holds an array lent from the delete arena", trial, step, key)
+				if p.lent.holds(wmes) {
+					t.Fatalf("trial %d step %d: instantiation %s holds an array lent from the lent arena", trial, step, key)
 				}
 				for _, w := range wmes {
 					if w == poisonWME {
@@ -97,76 +91,52 @@ func TestDeleteTokensAreNeverStored(t *testing.T) {
 }
 
 // TestDeleteArenaIsRewoundOnlyWhenAsked: under a Matcher, which calls
-// BeginPhase, any number of small delete phases carve from one chunk;
+// BeginPhase, any number of small delete phases carve from one region;
 // under an owner that never calls it, no delete token is ever handed
-// out twice — chunk-amortised allocation, nothing reused.
+// out twice — region-amortised allocation, nothing reused.
 func TestDeleteArenaIsRewoundOnlyWhenAsked(t *testing.T) {
 	m, adds, dels := pairingBurst(t, 3, 3)
 	m.Apply(adds)
 	m.Apply(dels)
-	chunk := &m.proc.delArena.wmes[0]
-	perPhase := m.proc.delArena.nWme
+	region := &m.proc.delArena.buf[:1][0]
+	perPhase := m.proc.delArena.used
 	for i := 0; i < 100; i++ {
 		m.Apply(adds)
 		m.Apply(dels)
 	}
-	if perPhase == 0 || perPhase*100 < wmeRefChunkLen {
-		t.Fatalf("%d references a delete phase: 100 phases would not outgrow a chunk anyway", perPhase)
+	if perPhase == 0 || perPhase*100 < arenaChunkLen {
+		t.Fatalf("%d handles a delete phase: 100 phases would not outgrow a region anyway", perPhase)
 	}
-	if &m.proc.delArena.wmes[0] != chunk || m.proc.delArena.nWme != perPhase {
-		t.Errorf("after 100 delete phases the delete arena is %d references into another chunk, want %d into the first", m.proc.delArena.nWme, perPhase)
+	if &m.proc.delArena.buf[:1][0] != region || m.proc.delArena.used != perPhase {
+		t.Errorf("after 100 delete phases the delete arena is %d handles into another region, want %d into the first", m.proc.delArena.used, perPhase)
 	}
 
-	p := NewProcessor(m.Network(), 16)
-	seen := map[**ops5.WME]bool{}
-	refs := 0
+	p := NewProcessor(m.Network(), 16, NewTable())
+	seen := map[*int32]bool{}
+	handles := 0
 	for i := 0; i < 100; i++ {
-		for _, ch := range append(append([]Change{}, adds...), dels...) {
-			for _, a := range drainT(p, p.RootActivationsInto(ch, nil)) {
-				if a.Tag != Delete {
-					continue
-				}
-				if seen[&a.Token.WMEs[0]] {
-					t.Fatalf("round %d: a delete token was handed out twice with BeginPhase never called", i)
-				}
-				seen[&a.Token.WMEs[0]] = true
-				refs += len(a.Token.WMEs)
+		for _, a := range rootsT(p, append(append([]Change{}, adds...), dels...)...) {
+			if a.Tag != Delete {
+				continue
 			}
+			if seen[&a.Token.H[0]] {
+				t.Fatalf("round %d: a delete token was handed out twice with BeginPhase never called", i)
+			}
+			seen[&a.Token.H[0]] = true
+			handles += len(a.Token.H)
 		}
 	}
-	if refs < 2*wmeRefChunkLen {
-		t.Fatalf("only %d references of delete tokens reached the production node: not past a chunk boundary", refs)
+	if handles < 2*arenaChunkLen {
+		t.Fatalf("only %d handles of delete tokens reached the production node: not past a region boundary", handles)
 	}
-}
-
-// chunkSet names every chunk the arena holds by its first element, with
-// its length.
-func (ar *tokenArena) chunkSet() map[**ops5.WME]int {
-	refs := map[**ops5.WME]int{}
-	for _, c := range ar.refChunks() {
-		if len(c) > 0 {
-			refs[&c[0]] = len(c)
-		}
-	}
-	return refs
 }
 
 // TestDeleteArenaKeepsItsLargestPhase: a delete phase that outgrows the
-// arena's chunks leaves them to it, and the same phase again is carved
-// from the same storage — the same chunks, none added, whatever number
-// of rounds — with one oversized chunk for the lent delta arrays. A
-// wider phase grows the set once, and the oversized chunk that proved
-// too small is let go rather than kept beside its replacement.
+// phase arena's region, or the lent arena's, leaves each a region that
+// holds the whole phase, and the same phase again is carved from the
+// same storage, whatever number of rounds. A wider phase grows each
+// once more.
 func TestDeleteArenaKeepsItsLargestPhase(t *testing.T) {
-	oversized := func(refs map[**ops5.WME]int) (n int) {
-		for _, l := range refs {
-			if l > wmeRefChunkLen {
-				n++
-			}
-		}
-		return n
-	}
-	ordinary := func(refs map[**ops5.WME]int) int { return len(refs) - oversized(refs) }
 	// One matcher and one 60x20 burst; the narrow phase is the burst
 	// with half its teams (the changes run phase, teams, slots).
 	m, wideAdds, wideDels := pairingBurst(t, 60, 20)
@@ -179,36 +149,43 @@ func TestDeleteArenaKeepsItsLargestPhase(t *testing.T) {
 			t.Fatalf("the delete burst made %d deltas, want %d", got, want)
 		}
 	}
+	type regions struct {
+		phase *int32
+		lent  **ops5.WME
+		sizes [2]int
+	}
+	held := func() regions {
+		ar, la := &m.proc.delArena, &m.proc.lent
+		return regions{&ar.buf[:1][0], &la.buf[:1][0], [2]int{cap(ar.buf), cap(la.buf)}}
+	}
 	round(adds, dels, 600)
 	round(adds, dels, 600)
-	refs := m.proc.delArena.chunkSet()
-	if ordinary(refs) < 2 || oversized(refs) != 1 {
-		t.Fatalf("a 30x20 delete burst holds %d ordinary chunks and %d oversized ones, want several and one", ordinary(refs), oversized(refs))
+	r := held()
+	if r.sizes[0] <= arenaChunkLen || r.sizes[1] < 600*4 {
+		t.Fatalf("a 30x20 delete burst left regions of %v, want a phase region past a chunk and a lent one of its 2,400 wmes", r.sizes)
 	}
 	for i := 0; i < 10; i++ {
 		round(adds, dels, 600)
 	}
-	refs2 := m.proc.delArena.chunkSet()
-	if len(refs2) != len(refs) {
-		t.Fatalf("ten more rounds: %d chunks, were %d", len(refs2), len(refs))
-	}
-	for c := range refs2 {
-		if refs[c] == 0 {
-			t.Fatal("ten more rounds carved references from a chunk the arena did not hold")
-		}
+	if r2 := held(); r2 != r {
+		t.Fatalf("ten more rounds moved the regions: %v, were %v", r2.sizes, r.sizes)
 	}
 
 	round(wideAdds, wideDels, 1200)
 	round(wideAdds, wideDels, 1200)
-	refs3 := m.proc.delArena.chunkSet()
-	if ordinary(refs3) <= ordinary(refs) || oversized(refs3) != 1 {
-		t.Fatalf("a 60x20 delete burst holds %d ordinary chunks (30x20: %d) and %d oversized ones, want more and one", ordinary(refs3), ordinary(refs), oversized(refs3))
+	r3 := held()
+	if r3.sizes[0] <= r.sizes[0] || r3.sizes[1] <= r.sizes[1] {
+		t.Fatalf("a 60x20 delete burst left regions of %v (30x20: %v), want both larger", r3.sizes, r.sizes)
+	}
+	round(wideAdds, wideDels, 1200)
+	if r4 := held(); r4 != r3 {
+		t.Fatalf("the same wide burst again moved the regions: %v, were %v", r4.sizes, r3.sizes)
 	}
 }
 
 // TestProductionOnlyTokensComeFromThePhaseArena: a token that a join
 // emits only to production nodes is read once, by InstBuilder.Build,
-// which copies its wmes out, so it is carved from the phase arena even
+// which resolves its wmes out, so it is carved from the phase arena even
 // under an Add, and the Add delta built from it reads the same after
 // the next BeginPhase has recycled the token (with the poison on, the
 // token itself reads as the sentinel). Adding a production that shares
@@ -218,22 +195,16 @@ func TestDeleteArenaKeepsItsLargestPhase(t *testing.T) {
 func TestProductionOnlyTokensComeFromThePhaseArena(t *testing.T) {
 	poison(t)
 	net := compileT(t, []string{`(p pair (a ^x <v>) (b ^x <v>) --> (halt))`})
-	p := NewProcessor(net, 16)
-	run := func(chs ...Change) []Activation {
-		var acts []Activation
-		for _, ch := range chs {
-			acts = append(acts, drainT(p, p.RootActivationsInto(ch, nil))...)
-		}
-		return acts
-	}
+	p := NewProcessor(net, 16, NewTable())
+	run := func(chs ...Change) []Activation { return rootsT(p, chs...) }
 	acts := run(Change{Tag: Add, WME: mkWME(1, "a", "x", 5)}, Change{Tag: Add, WME: mkWME(2, "b", "x", 5)})
-	if len(acts) != 1 || !p.delArena.holds(&acts[0].Token.WMEs[0]) {
+	if len(acts) != 1 || !p.delArena.holds(acts[0].Token.H) {
 		t.Fatalf("a join feeding one production node emitted %v, want one token from the phase arena", acts)
 	}
 	var b InstBuilder
 	held := b.Build(p, acts, nil)
 	p.BeginPhase()
-	if acts[0].Token.WMEs[0] != poisonWME {
+	if p.tab.rows[acts[0].Token.H[0]] != poisonWME {
 		t.Fatal("BeginPhase did not recycle the production-only token")
 	}
 	if got := held[0].Key(); held[0].Tag != Add || got != "pair[1 2]" {
@@ -245,11 +216,11 @@ func TestProductionOnlyTokensComeFromThePhaseArena(t *testing.T) {
 	}
 	wa := mkWME(3, "a", "x", 5)
 	acts = run(Change{Tag: Add, WME: wa})
-	if len(acts) != 1 || p.delArena.holds(&acts[0].Token.WMEs[0]) || !p.arena.holds(&acts[0].Token.WMEs[0]) {
+	if len(acts) != 1 || p.delArena.holds(acts[0].Token.H) || !p.arena.holds(acts[0].Token.H) {
 		t.Fatalf("a join with a memory successor emitted %v, want one token from the add arena", acts)
 	}
 	acts = run(Change{Tag: Delete, WME: wa})
-	if len(acts) != 1 || acts[0].Tag != Delete || !p.delArena.holds(&acts[0].Token.WMEs[0]) {
+	if len(acts) != 1 || acts[0].Tag != Delete || !p.delArena.holds(acts[0].Token.H) {
 		t.Fatalf("the same join's delete emitted %v, want one token from the phase arena", acts)
 	}
 }

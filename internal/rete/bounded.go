@@ -316,15 +316,15 @@ func boundedKeyGreater(a, b [4]int) bool {
 func (p *Processor) processBounded(a Activation, b int, out []Activation) []Activation {
 	n := a.Node
 	if a.Tag == Add {
-		p.right.add(b, rightEntry{node: n, wme: a.WME})
-	} else if !removeRight(p.right, b, n, a.WME.ID) {
+		p.right.add(b, rightEntry{node: n, h: a.WME})
+	} else if !removeRight(p.right, b, n, a.WME) {
 		// Duplicate delete: the first removal already unwound every
 		// instantiation this wme participated in.
 		return out
 	}
 	g := n.group
 	if cap(p.bstack) < g.nPos {
-		p.bstack = make([]*ops5.WME, g.nPos)
+		p.bstack = make([]int32, g.nPos)
 	}
 	p.bstack = p.bstack[:g.nPos]
 
@@ -333,7 +333,7 @@ func (p *Processor) processBounded(a Activation, b int, out []Activation) []Acti
 	// only its own collector's wmes. Other nodes sharing the bucket by
 	// hash collision are skipped here instead of at every level.
 	if cap(p.bmem) < len(g.members) {
-		p.bmem = make([][]*ops5.WME, len(g.members))
+		p.bmem = make([][]int32, len(g.members))
 	}
 	p.bmem = p.bmem[:len(g.members)]
 	for i := range p.bmem {
@@ -342,7 +342,7 @@ func (p *Processor) processBounded(a Activation, b int, out []Activation) []Acti
 	es := p.right.entries(b)
 	for i := range es {
 		if e := &es[i]; e.node.group == g {
-			p.bmem[e.node.bPos] = append(p.bmem[e.node.bPos], e.wme)
+			p.bmem[e.node.bPos] = append(p.bmem[e.node.bPos], e.h)
 		}
 	}
 
@@ -367,28 +367,30 @@ func (p *Processor) processBounded(a Activation, b int, out []Activation) []Acti
 func (p *Processor) boundedEnumPos(g *boundedGroup, pin *Node, pos int, a Activation, out []Activation) []Activation {
 	if pos == g.nPos {
 		for _, m := range g.members[g.nPos:] {
-			if p.boundedNegCount(m, nil) > 0 {
+			if p.boundedNegCount(m, 0) > 0 {
 				return out
 			}
 		}
 		return p.boundedEmit(g, a.Tag, out)
 	}
+	rows := p.tab.rows
 	m := g.members[pos]
 	if m == pin {
-		if p.boundedTests(m, a.WME) {
+		if p.boundedTests(m, rows[a.WME]) {
 			p.bstack[pos] = a.WME
 			out = p.boundedEnumPos(g, pin, pos+1, a, out)
 		}
 		return out
 	}
-	for _, w := range p.bmem[pos] {
+	for _, h := range p.bmem[pos] {
+		w := rows[h]
 		if !p.boundedTests(m, w) {
 			continue
 		}
-		if pos < pin.bPos && !p.boundedPinTests(pin, pos, a.WME, w) {
+		if pos < pin.bPos && !p.boundedPinTests(pin, pos, rows[a.WME], w) {
 			continue
 		}
-		p.bstack[pos] = w
+		p.bstack[pos] = h
 		out = p.boundedEnumPos(g, pin, pos+1, a, out)
 	}
 	return out
@@ -408,7 +410,7 @@ func (p *Processor) boundedEnumNeg(g *boundedGroup, negm *Node, pos int, a Activ
 			return out
 		}
 		for _, m := range g.members[g.nPos:] {
-			if m != negm && p.boundedNegCount(m, nil) > 0 {
+			if m != negm && p.boundedNegCount(m, 0) > 0 {
 				return out
 			}
 		}
@@ -418,15 +420,17 @@ func (p *Processor) boundedEnumNeg(g *boundedGroup, negm *Node, pos int, a Activ
 		}
 		return p.boundedEmit(g, tag, out)
 	}
+	rows := p.tab.rows
 	m := g.members[pos]
-	for _, w := range p.bmem[pos] {
+	for _, h := range p.bmem[pos] {
+		w := rows[h]
 		if !p.boundedTests(m, w) {
 			continue
 		}
-		if !p.boundedPinTests(negm, pos, a.WME, w) {
+		if !p.boundedPinTests(negm, pos, rows[a.WME], w) {
 			continue
 		}
-		p.bstack[pos] = w
+		p.bstack[pos] = h
 		out = p.boundedEnumNeg(g, negm, pos+1, a, out)
 	}
 	return out
@@ -437,7 +441,7 @@ func (p *Processor) boundedEnumNeg(g *boundedGroup, negm *Node, pos int, a Activ
 // earlier join positions by construction.
 func (p *Processor) boundedTests(m *Node, w *ops5.WME) bool {
 	for i := range m.Tests {
-		if jt := &m.Tests[i]; !jt.Op.Apply(jt.rightOf(w), jt.leftOf(p.bstack[jt.LeftPos])) {
+		if jt := &m.Tests[i]; !jt.Eval(p.tab.rows[p.bstack[jt.LeftPos]], w) {
 			return false
 		}
 	}
@@ -450,7 +454,7 @@ func (p *Processor) boundedTests(m *Node, w *ops5.WME) bool {
 // pin's own position is reached.
 func (p *Processor) boundedPinTests(pin *Node, pos int, pinW, w *ops5.WME) bool {
 	for i := range pin.Tests {
-		if jt := &pin.Tests[i]; jt.LeftPos == pos && !jt.Op.Apply(jt.rightOf(pinW), jt.leftOf(w)) {
+		if jt := &pin.Tests[i]; jt.LeftPos == pos && !jt.Eval(w, pinW) {
 			return false
 		}
 	}
@@ -458,12 +462,13 @@ func (p *Processor) boundedPinTests(pin *Node, pos int, pinW, w *ops5.WME) bool 
 }
 
 // boundedNegCount counts the wmes in negated collector m's memory that
-// match the full DFS stack, ignoring exclude (the activation's own wme
-// on the negated add path, which is already stored).
-func (p *Processor) boundedNegCount(m *Node, exclude *ops5.WME) int {
+// match the full DFS stack, ignoring the handle exclude (the
+// activation's own wme on the negated add path, which is already
+// stored; 0 excludes nothing).
+func (p *Processor) boundedNegCount(m *Node, exclude int32) int {
 	count := 0
-	for _, w := range p.bmem[m.bPos] {
-		if w != exclude && p.boundedTests(m, w) {
+	for _, h := range p.bmem[m.bPos] {
+		if h != exclude && p.boundedTests(m, p.tab.rows[h]) {
 			count++
 		}
 	}
@@ -475,6 +480,6 @@ func (p *Processor) boundedNegCount(m *Node, exclude *ops5.WME) int {
 // it, so it comes from the phase arena.
 func (p *Processor) boundedEmit(g *boundedGroup, tag Tag, out []Activation) []Activation {
 	t := p.newToken(g.nPos, tag, []*Node{g.terminal})
-	copy(t.WMEs, p.bstack)
+	copy(t.H, p.bstack)
 	return append(out, Activation{Node: g.terminal, Side: Left, Tag: tag, Token: t})
 }

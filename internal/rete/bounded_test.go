@@ -262,7 +262,7 @@ func TestBoundedHashKeyClustersGroup(t *testing.T) {
 		}
 		for j := 0; j < 3; j++ {
 			w := ops5.NewWME(fmt.Sprintf("link%d", j), "a", j, "b", j+1)
-			k := HashKey(n, Right, Token{}, w)
+			k := HashKey(nil, n, Right, Token{}, w)
 			if first {
 				home, first = k, false
 			}

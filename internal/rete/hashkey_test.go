@@ -27,9 +27,9 @@ func joinNodeT(t *testing.T, net *Network) *Node {
 // hash to the same key — whatever spelling the equal values arrived in.
 func TestHashKeyConsistentAcrossSides(t *testing.T) {
 	net := compileT(t, []string{`(p x (a ^k <v> ^j <u>) (b ^k <v> ^j <u>) --> (halt))`})
-	join, proc := joinNodeT(t, net), NewProcessor(net, 1)
+	join, tab := joinNodeT(t, net), NewTable()
 	keys := func(l, r *ops5.WME) (uint64, uint64) {
-		return HashKey(join, Left, Token{WMEs: []*ops5.WME{l}}, nil), HashKey(join, Right, Token{}, r)
+		return HashKey(tab, join, Left, tokenT(tab, l), nil), HashKey(nil, join, Right, Token{}, r)
 	}
 
 	// Random values of every kind: whenever the pair passes the tests,
@@ -57,7 +57,7 @@ func TestHashKeyConsistentAcrossSides(t *testing.T) {
 	for i := 0; i < 2000; i++ {
 		l := ops5.NewWME("a", "k", pick(), "j", pick())
 		r := ops5.NewWME("b", "k", twin(l.Get("k")), "j", twin(l.Get("j")))
-		if !proc.testsPass(join, Token{WMEs: []*ops5.WME{l}}, r) {
+		if tok := tokenT(tab, l); !testsPass(join, tab.rows, tok, r) {
 			continue
 		}
 		passed++
@@ -102,7 +102,7 @@ func TestHashKeySpread(t *testing.T) {
 	join := joinNodeT(t, compileT(t, []string{`(p x (a ^k <v>) (b ^k <v>) --> (halt))`}))
 	mem := newMemory[rightEntry](1024)
 	bucket := func(v any) int {
-		return mem.Bucket(HashKey(join, Right, Token{}, ops5.NewWME("b", "k", v)))
+		return mem.Bucket(HashKey(nil, join, Right, Token{}, ops5.NewWME("b", "k", v)))
 	}
 
 	odd := 0
@@ -135,11 +135,12 @@ func TestHashKeySpread(t *testing.T) {
 
 func TestHashKeyDoesNotAllocate(t *testing.T) {
 	join := joinNodeT(t, compileT(t, []string{`(p x (a ^k <v> ^j <u>) (b ^k <v> ^j <u>) --> (halt))`}))
-	tok := Token{WMEs: []*ops5.WME{ops5.NewWME("a", "k", 12345.678, "j", "a-symbol-longer-than-a-word")}}
+	tab := NewTable()
+	tok := tokenT(tab, ops5.NewWME("a", "k", 12345.678, "j", "a-symbol-longer-than-a-word"))
 	w := ops5.NewWME("b", "k", -3, "j", "blue")
 	var sink uint64
 	if n := testing.AllocsPerRun(100, func() {
-		sink += HashKey(join, Left, tok, nil) + HashKey(join, Right, Token{}, w)
+		sink += HashKey(tab, join, Left, tok, nil) + HashKey(tab, join, Right, Token{}, w)
 	}); n != 0 {
 		t.Errorf("HashKey allocates %v times per left+right pair, want 0", n)
 	}
@@ -166,8 +167,9 @@ func TestNegZeroJoins(t *testing.T) {
 		if !math.Signbit(v.Num) || v.Num != 0 {
 			t.Fatalf("fixture %s: want -0, have %v", name, v)
 		}
-		lk := HashKey(join, Left, Token{WMEs: []*ops5.WME{ops5.NewWME("a", "x", 0)}}, nil)
-		if rk := HashKey(join, Right, Token{}, ops5.NewWME("b", "x", v)); lk != rk {
+		tab := NewTable()
+		lk := HashKey(tab, join, Left, tokenT(tab, ops5.NewWME("a", "x", 0)), nil)
+		if rk := HashKey(nil, join, Right, Token{}, ops5.NewWME("b", "x", v)); lk != rk {
 			t.Errorf("%s: left key of 0 is %#x, right key of -0 is %#x", name, lk, rk)
 		}
 		for _, nbuckets := range []int{1, 64, 1024} {

@@ -144,7 +144,8 @@ func checkLayoutAgreement(t *testing.T, data []byte) {
 	probe := []string{"aa", "f0", "f1", "f2", "f3", "f4", "f5", "zz", "absent", ""}
 	l := net.Layout(c.class)
 	// Tokens long enough for any LeftPos, holding one form throughout.
-	tokenOf := func(w *ops5.WME) Token { return Token{WMEs: []*ops5.WME{w, w, w}} }
+	tab := NewTable()
+	tokenOf := func(w *ops5.WME) Token { return tokenT(tab, w, w, w) }
 	for name, w := range forms {
 		if w.ID != 7 || w.TimeTag != 9 || w.Class != c.class {
 			t.Errorf("%s: identity %d/%d/%s lost", name, w.ID, w.TimeTag, w.Class)
@@ -181,14 +182,14 @@ func checkLayoutAgreement(t *testing.T, data []byte) {
 			if !n.IsTwoInput() {
 				continue
 			}
-			if got, want := HashKey(n, Right, Token{}, w), HashKey(n, Right, Token{}, loose); got != want {
+			if got, want := HashKey(nil, n, Right, Token{}, w), HashKey(nil, n, Right, Token{}, loose); got != want {
 				t.Errorf("%s: right HashKey at node %d = %#x, loose %#x", name, n.ID, got, want)
 			}
-			if got, want := HashKey(n, Left, tokenOf(w), nil), HashKey(n, Left, tokenOf(loose), nil); got != want {
+			if got, want := HashKey(tab, n, Left, tokenOf(w), nil), HashKey(tab, n, Left, tokenOf(loose), nil); got != want {
 				t.Errorf("%s: left HashKey at node %d = %#x, loose %#x", name, n.ID, got, want)
 			}
 			for i := range n.Tests {
-				if got, want := n.Tests[i].Eval(tokenOf(w), w), n.Tests[i].Eval(tokenOf(loose), loose); got != want {
+				if got, want := n.Tests[i].Eval(w, w), n.Tests[i].Eval(loose, loose); got != want {
 					t.Errorf("%s: join test %s at node %d = %v, loose %v", name, n.Tests[i].key(), n.ID, got, want)
 				}
 			}
@@ -269,13 +270,14 @@ func TestMatchReadsDoNotAllocate(t *testing.T) {
 		if form == "laid-out" {
 			a, b = net.Conform(a), net.Conform(b)
 		}
-		tok := Token{WMEs: []*ops5.WME{a}}
+		tab := NewTable()
+		tok := tokenT(tab, a)
 		var h uint64
 		ok := true
 		if n := testing.AllocsPerRun(100, func() {
-			h ^= HashKey(join, Left, tok, nil) ^ HashKey(join, Right, Token{}, b)
+			h ^= HashKey(tab, join, Left, tok, nil) ^ HashKey(nil, join, Right, Token{}, b)
 			for i := range join.Tests {
-				ok = ok && join.Tests[i].Eval(tok, b)
+				ok = ok && join.Tests[i].Eval(a, b)
 			}
 			for _, ap := range net.Alphas {
 				ok = ok && (ap.Matches(a) || ap.Matches(b))

@@ -9,8 +9,8 @@ import (
 )
 
 // Change is one working-memory change presented to the matcher: an
-// added or deleted wme. A modify action is presented as a delete
-// followed by an add, as in OPS5.
+// added or deleted wme, whose ID no other live wme shares (Table). A
+// modify action is presented as a delete followed by an add, as in OPS5.
 type Change struct {
 	Tag Tag
 	WME *ops5.WME
@@ -173,9 +173,12 @@ const DefaultNBuckets = 1024
 // matcher adds the FIFO queue, cycle bookkeeping, and trace events.
 type Matcher struct {
 	proc     *Processor
+	tab      *Table
 	listener Listener
 	cycle    int
 	seq      int
+	// handles holds the phase's changes' handles in tab, in order.
+	handles []int32
 	// queue is the phase's match work in FIFO order: roots and
 	// successors are appended to it where they are made, and file sorts
 	// each new tail. parents is the Seq of the activation that generated
@@ -193,8 +196,10 @@ type Matcher struct {
 
 // NewMatcher creates a matcher over a compiled network.
 func NewMatcher(net *Network, opts MatcherOptions) *Matcher {
+	tab := NewTable()
 	return &Matcher{
-		proc:     NewProcessor(net, opts.NBuckets),
+		proc:     NewProcessor(net, opts.NBuckets, tab),
+		tab:      tab,
 		listener: opts.Listener,
 	}
 }
@@ -212,8 +217,8 @@ func (m *Matcher) Memories() (left *Memory[leftEntry], right *Memory[rightEntry]
 func (m *Matcher) Cycle() int { return m.cycle }
 
 // Reset returns the matcher to its freshly-constructed state over the
-// same network: empty memories (storage retained), cycle and sequence
-// counters rewound, queue emptied. It is the session-pool reuse hook —
+// same network: empty memories and table (storage retained), cycle and
+// sequence counters rewound, queue emptied. It is the session-pool reuse hook —
 // a Reset matcher behaves exactly like NewMatcher's result without
 // reallocating its hash tables.
 //
@@ -224,6 +229,7 @@ func (m *Matcher) Cycle() int { return m.cycle }
 // otherwise keep the previous client's working memory reachable.
 func (m *Matcher) Reset() {
 	m.proc.Reset()
+	m.tab.Reset()
 	m.cycle = 0
 	m.seq = 0
 	clear(m.queue[:cap(m.queue)])
@@ -254,17 +260,20 @@ func (m *Matcher) ApplyFiltered(changes []Change, allow func(*Node) bool) []Inst
 	// The previous phase's delete tokens are dead: its queue drained and
 	// its deltas were built before it returned, and a Listener is shown
 	// Events, not tokens. So are the arrays it lent its Delete deltas:
-	// that is Apply's contract.
+	// that is Apply's contract. So are the handles of the wmes it
+	// deleted.
+	m.tab.BeginPhase()
 	m.proc.BeginPhase()
+	m.handles = m.tab.Handles(changes, m.handles[:0])
 	m.cycle++
 	m.seq = 0
 	if m.listener != nil {
 		m.listener.BeginCycle(m.cycle, changes)
 	}
 
-	for _, ch := range changes {
+	for i, ch := range changes {
 		n := len(m.queue)
-		m.queue = m.proc.RootActivationsInto(ch, m.queue)
+		m.queue = m.proc.RootActivationsInto(ch, m.handles[i], m.queue)
 		m.file(n, -1, allow)
 	}
 
@@ -339,7 +348,7 @@ func (m *Matcher) file(n, parent int, allow func(*Node) bool) {
 // behind the queue's tail.
 func (m *Matcher) step(head int) {
 	act := m.queue[head]
-	key := act.HashKey()
+	key := act.HashKey(m.tab)
 	bucket := m.proc.left.Bucket(key)
 	seq := m.seq
 	m.seq++

@@ -524,8 +524,8 @@ func TestApplyResultBelongsToCaller(t *testing.T) {
 	}
 	for i := range heldDel {
 		// Until the next Apply a lent array is as good as any.
-		if heldDel[i].Key() == "" || !m.proc.delArena.holds(&heldDel[i].WMEs[0]) {
-			t.Fatalf("delete delta %d: array %v is not lent from the delete arena", i, heldDel[i].WMEs)
+		if heldDel[i].Key() == "" || !m.proc.lent.holds(heldDel[i].WMEs) {
+			t.Fatalf("delete delta %d: array %v is not lent from the lent arena", i, heldDel[i].WMEs)
 		}
 	}
 	m.Apply(adds)
@@ -560,8 +560,8 @@ func TestApplyResultBelongsToCaller(t *testing.T) {
 			t.Fatalf("delta %d of a held result changed under later Apply calls: %v, was %v", i, got, want[i])
 		}
 		for _, w := range held[i].WMEs {
-			if m.proc.delArena.holds(&held[i].WMEs[0]) || w == poisonWME {
-				t.Fatalf("add delta %d holds an array of the delete arena: %v", i, held[i].WMEs)
+			if m.proc.lent.holds(held[i].WMEs) || w == poisonWME {
+				t.Fatalf("add delta %d holds an array of the lent arena: %v", i, held[i].WMEs)
 			}
 		}
 	}
@@ -576,20 +576,20 @@ func TestApplyResultBelongsToCaller(t *testing.T) {
 }
 
 // holdsNothing fails if any slot, up to capacity, of the matcher's
-// scratch slices, hash buckets or arena chunks still points at a token
-// or a wme.
+// scratch slices, hash buckets, wme table or lent arena still points at
+// a token or a wme, or an arena keeps more than one ordinary region.
 func holdsNothing(t *testing.T, m *Matcher) {
 	t.Helper()
 	for name, acts := range map[string][]Activation{"queue": m.queue, "instActs": m.instActs} {
 		for i, a := range acts[:cap(acts)] {
-			if a.Token.WMEs != nil || a.WME != nil {
+			if a.Token.H != nil || a.WME != 0 {
 				t.Fatalf("%s slot %d of %d still holds an activation", name, i, cap(acts))
 			}
 		}
 	}
 	for b, bucket := range m.proc.left.buckets {
 		for i, e := range bucket[:cap(bucket)] {
-			if e.node != nil || e.token.WMEs != nil || e.count != 0 {
+			if e.node != nil || e.token.H != nil || e.count != 0 {
 				t.Fatalf("left bucket %d slot %d of %d still holds an entry", b, i, cap(bucket))
 			}
 		}
@@ -601,26 +601,22 @@ func holdsNothing(t *testing.T, m *Matcher) {
 			}
 		}
 	}
-	for i, w := range m.proc.bstack[:cap(m.proc.bstack)] {
+	if tab := m.tab; len(tab.rows) != 1 || len(tab.byID) != 0 || len(tab.free)+len(tab.retired) != 0 {
+		t.Fatalf("the table holds %d rows, %d ids, %d free and %d retired handles", len(tab.rows), len(tab.byID), len(tab.free), len(tab.retired))
+	}
+	for i, w := range m.tab.rows[1:cap(m.tab.rows)] {
 		if w != nil {
-			t.Fatalf("bounded stack slot %d still holds a wme", i)
+			t.Fatalf("table row %d still holds a wme", i+1)
 		}
 	}
-	for pos, l := range m.proc.bmem[:cap(m.proc.bmem)] {
-		for i, w := range l[:cap(l)] {
-			if w != nil {
-				t.Fatalf("bounded candidate list %d slot %d still holds a wme", pos, i)
-			}
+	for name, n := range map[string]int{"add": cap(m.proc.arena.buf), "phase": cap(m.proc.delArena.buf), "lent": cap(m.proc.lent.buf)} {
+		if n > arenaChunkLen {
+			t.Fatalf("%s arena keeps a region of %d", name, n)
 		}
 	}
-	for name, ar := range map[string]*tokenArena{"add": &m.proc.arena, "phase": &m.proc.delArena} {
-		if n := len(ar.fullWMEs) + len(ar.spareWMEs); n != 0 || ar.keeps || len(ar.wmes) > wmeRefChunkLen {
-			t.Fatalf("%s arena: %d chunks kept besides the current one of %d references (keeps=%v)", name, n, len(ar.wmes), ar.keeps)
-		}
-		for i, w := range ar.wmes {
-			if w != nil {
-				t.Fatalf("%s arena: wme reference %d of the current chunk is still set", name, i)
-			}
+	for i, w := range m.proc.lent.buf[:cap(m.proc.lent.buf)] {
+		if w != nil {
+			t.Fatalf("lent arena: slot %d of the region is still set", i)
 		}
 	}
 }
@@ -635,22 +631,21 @@ func TestResetLetsGoOfTheLastTenant(t *testing.T) {
 	m, adds, dels := pairingBurst(t, 12, 10)
 	m.Apply(adds)
 	m.Apply(dels[len(dels)-5:]) // a smaller phase: the big one's tail stays in the arrays
-	if cap(m.queue) == 0 || cap(m.instActs) == 0 || m.proc.left.Len() == 0 || m.proc.delArena.nWme == 0 {
-		t.Fatalf("the bursts left nothing behind to let go of: queue %d, instActs %d, left %d, phase references %d",
-			cap(m.queue), cap(m.instActs), m.proc.left.Len(), m.proc.delArena.nWme)
+	if cap(m.queue) == 0 || cap(m.instActs) == 0 || m.proc.left.Len() == 0 || m.proc.delArena.used == 0 || len(m.tab.rows) < 2 {
+		t.Fatalf("the bursts left nothing behind to let go of: queue %d, instActs %d, left %d, phase handles %d, table rows %d",
+			cap(m.queue), cap(m.instActs), m.proc.left.Len(), m.proc.delArena.used, len(m.tab.rows))
 	}
 	m.Reset()
 	holdsNothing(t, m)
 
-	// A delete phase wider than a chunk leaves the delete arena the
-	// chunks it filled and the oversized one its lent arrays took; a
-	// pooled session must inherit neither.
+	// A delete phase wider than a chunk leaves the phase and lent arenas
+	// regions that hold it whole; a pooled session must inherit neither.
 	wide, wadds, wdels := pairingBurst(t, 30, 20)
 	wide.Apply(wadds)
 	wide.Apply(wdels)
 	wide.Apply(wadds)
-	if ar := &wide.proc.delArena; len(ar.spareWMEs) < 2 {
-		t.Fatalf("a 30x20 delete burst left the phase arena %d spare chunks, want an ordinary one and the oversized one", len(ar.spareWMEs))
+	if ar, la := &wide.proc.delArena, &wide.proc.lent; cap(ar.buf) <= arenaChunkLen || cap(la.buf) <= arenaChunkLen {
+		t.Fatalf("a 30x20 delete burst left regions of %d and %d, want both past a chunk", cap(ar.buf), cap(la.buf))
 	}
 	wide.Reset()
 	holdsNothing(t, wide)

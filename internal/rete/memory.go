@@ -1,10 +1,6 @@
 package rete
 
-import (
-	"fmt"
-
-	"mpcrete/internal/ops5"
-)
+import "fmt"
 
 // leftEntry is one stored token of a left memory, qualified by its
 // owning two-input node; count is, at a negative node, the number of
@@ -15,11 +11,11 @@ type leftEntry struct {
 	count int
 }
 
-// rightEntry is one stored wme of a right memory, qualified by its
-// owning two-input node (16 bytes).
+// rightEntry is one stored wme of a right memory, by its handle,
+// qualified by its owning two-input node (16 bytes).
 type rightEntry struct {
 	node *Node
-	wme  *ops5.WME
+	h    int32
 }
 
 // Memory is one of the two global hash tables, of left entries or of
@@ -134,11 +130,11 @@ func removeLeft(m *Memory[leftEntry], b int, n *Node, t Token) (count int, ok bo
 }
 
 // removeRight deletes the entry of right memory m for node n holding
-// wme id and reports whether there was one.
-func removeRight(m *Memory[rightEntry], b int, n *Node, id int) bool {
+// the wme of handle h and reports whether there was one.
+func removeRight(m *Memory[rightEntry], b int, n *Node, h int32) bool {
 	bucket := m.buckets[b]
 	for i := range bucket {
-		if e := &bucket[i]; e.node == n && e.wme.ID == id {
+		if e := &bucket[i]; e.node == n && e.h == h {
 			m.removeAt(b, i)
 			return true
 		}

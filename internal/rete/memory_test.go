@@ -3,6 +3,9 @@ package rete
 import (
 	"fmt"
 	"reflect"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"mpcrete/internal/ops5"
@@ -14,15 +17,36 @@ func mkWME(id int, class string, pairs ...any) *ops5.WME {
 	return w
 }
 
+// tokenT gives each wme a handle of its own in tab, whatever its ID,
+// and returns the token of those handles.
+func tokenT(tab *Table, wmes ...*ops5.WME) Token {
+	t := Token{H: make([]int32, len(wmes))}
+	for i, w := range wmes {
+		t.H[i] = int32(len(tab.rows))
+		tab.Define(t.H[i], w)
+	}
+	return t
+}
+
+// idKeyT renders the ids of t's wmes, resolved in tab, comma-separated.
+func idKeyT(tab *Table, t Token) string {
+	ids := make([]string, len(t.H))
+	for i, h := range t.H {
+		ids[i] = strconv.Itoa(tab.WME(h).ID)
+	}
+	return strings.Join(ids, ",")
+}
+
 func TestMemoryAddRemoveScan(t *testing.T) {
 	m := newMemory[rightEntry](8)
 	n1 := &Node{ID: 1, Kind: KindJoin}
 	n2 := &Node{ID: 2, Kind: KindJoin}
 
-	w1, w2 := mkWME(1, "a"), mkWME(2, "a")
-	m.add(3, rightEntry{node: n1, wme: w1})
-	m.add(3, rightEntry{node: n2, wme: w2}) // same bucket, different node
-	m.add(5, rightEntry{node: n1, wme: w2})
+	tab := NewTable()
+	h := tokenT(tab, mkWME(1, "a"), mkWME(2, "a")).H
+	m.add(3, rightEntry{node: n1, h: h[0]})
+	m.add(3, rightEntry{node: n2, h: h[1]}) // same bucket, different node
+	m.add(5, rightEntry{node: n1, h: h[1]})
 
 	if m.Len() != 3 {
 		t.Fatalf("len = %d", m.Len())
@@ -31,24 +55,24 @@ func TestMemoryAddRemoveScan(t *testing.T) {
 	var seen []int
 	for _, e := range m.entries(3) {
 		if e.node == n1 {
-			seen = append(seen, e.wme.ID)
+			seen = append(seen, tab.rows[e.h].ID)
 		}
 	}
 	if len(seen) != 1 || seen[0] != 1 {
 		t.Errorf("n1's entries in bucket 3 = %v", seen)
 	}
-	// Remove is node- and id-specific.
-	if removeRight(m, 3, n1, 2) {
+	// Remove is node- and handle-specific.
+	if removeRight(m, 3, n1, h[1]) {
 		t.Error("removed wrong entry")
 	}
-	if !removeRight(m, 3, n1, 1) {
+	if !removeRight(m, 3, n1, h[0]) {
 		t.Error("failed to remove present entry")
 	}
 	if m.Len() != 2 {
 		t.Errorf("len = %d", m.Len())
 	}
 	// A second remove finds nothing.
-	if removeRight(m, 3, n1, 1) {
+	if removeRight(m, 3, n1, h[0]) {
 		t.Error("double remove found an entry")
 	}
 }
@@ -56,14 +80,15 @@ func TestMemoryAddRemoveScan(t *testing.T) {
 func TestMemoryLeftTokens(t *testing.T) {
 	m := newMemory[leftEntry](4)
 	n := &Node{ID: 7, Kind: KindNegative}
-	t1 := Token{WMEs: []*ops5.WME{mkWME(1, "a"), mkWME(2, "b")}}
-	t2 := Token{WMEs: []*ops5.WME{mkWME(1, "a"), mkWME(3, "b")}}
+	tab := NewTable()
+	t1 := tokenT(tab, mkWME(1, "a"), mkWME(2, "b"))
+	t2 := tokenT(tab, mkWME(1, "a"), mkWME(3, "b"))
 
 	m.add(2, leftEntry{node: n, token: t1, count: 5})
 	m.add(2, leftEntry{node: n, token: t2})
 
-	// Removal matches by wme-id sequence.
-	probe := Token{WMEs: []*ops5.WME{mkWME(1, "a"), mkWME(2, "b")}}
+	// Removal matches by handle sequence: a copy of t1's run.
+	probe := Token{H: slices.Clone(t1.H)}
 	if count, ok := removeLeft(m, 2, n, probe); !ok || count != 5 {
 		t.Fatalf("removeLeft = %d, %v, want 5, true", count, ok)
 	}
@@ -84,19 +109,18 @@ func TestMemoryLeftTokens(t *testing.T) {
 func TestMemoryBucketKeepsOrderAndReusesSlots(t *testing.T) {
 	right, left := newMemory[rightEntry](4), newMemory[leftEntry](4)
 	n := &Node{ID: 1, Kind: KindJoin}
-	var ws []*ops5.WME
+	tab := NewTable()
 	var ts []Token
 	for id := 1; id <= 5; id++ {
-		ws = append(ws, mkWME(id, "a"))
-		ts = append(ts, Token{WMEs: []*ops5.WME{ws[id-1]}})
-		right.add(1, rightEntry{node: n, wme: ws[id-1]})
+		ts = append(ts, tokenT(tab, mkWME(id, "a")))
+		right.add(1, rightEntry{node: n, h: ts[id-1].H[0]})
 		left.add(1, leftEntry{node: n, token: ts[id-1], count: id})
 	}
-	removeRight(right, 1, n, 2)
+	removeRight(right, 1, n, ts[1].H[0])
 	removeLeft(left, 1, n, ts[3])
 	var gotR, gotL []int
 	for _, e := range right.entries(1) {
-		gotR = append(gotR, e.wme.ID)
+		gotR = append(gotR, tab.rows[e.h].ID)
 	}
 	for _, e := range left.entries(1) {
 		gotL = append(gotL, e.count)
@@ -111,14 +135,14 @@ func TestMemoryBucketKeepsOrderAndReusesSlots(t *testing.T) {
 		}
 	}
 	for i, e := range lb[len(lb):cap(lb)] {
-		if e.node != nil || e.token.WMEs != nil || e.count != 0 {
+		if e.node != nil || e.token.H != nil || e.count != 0 {
 			t.Errorf("left bucket: vacated slot %d still holds %+v", len(lb)+i, e)
 		}
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		right.add(1, rightEntry{node: n, wme: ws[1]})
+		right.add(1, rightEntry{node: n, h: ts[1].H[0]})
 		left.add(1, leftEntry{node: n, token: ts[3], count: 4})
-		removeRight(right, 1, n, 2)
+		removeRight(right, 1, n, ts[1].H[0])
 		removeLeft(left, 1, n, ts[3])
 	}); avg != 0 {
 		t.Errorf("a warmed bucket's add/remove pairs allocate %.1f times, want 0", avg)
@@ -126,8 +150,9 @@ func TestMemoryBucketKeepsOrderAndReusesSlots(t *testing.T) {
 }
 
 // TestHotRecordSizes pins the records the match hands around by the
-// million: a right entry is its node and wme, a left entry its node,
-// token and count, an activation carries its token by value, and a
+// million: a right entry is its node and wme handle, a left entry its
+// node, token and count, an activation carries its token by value and
+// its wme as a handle in the padding after side and tag, and a
 // conflict-set delta is what PR 26 cut it to.
 func TestHotRecordSizes(t *testing.T) {
 	for _, c := range []struct {
@@ -137,7 +162,7 @@ func TestHotRecordSizes(t *testing.T) {
 	}{
 		{"rightEntry", reflect.TypeFor[rightEntry]().Size(), 16},
 		{"leftEntry", reflect.TypeFor[leftEntry]().Size(), 40},
-		{"Activation", reflect.TypeFor[Activation]().Size(), 48},
+		{"Activation", reflect.TypeFor[Activation]().Size(), 40},
 		{"InstChange", reflect.TypeFor[InstChange]().Size(), 40},
 	} {
 		if c.got != c.want {
@@ -163,23 +188,21 @@ func TestMemoryRejectsBadBucketCount(t *testing.T) {
 }
 
 func TestTokenOps(t *testing.T) {
+	tab := NewTable()
 	w1, w2 := mkWME(1, "a"), mkWME(2, "b")
-	t1 := Token{WMEs: []*ops5.WME{w1}}
-	t2 := NewProcessor(compileT(t, nil), 4).extend(t1, w2, Add, nil)
-	if len(t1.WMEs) != 1 || len(t2.WMEs) != 2 {
+	t1, h2 := tokenT(tab, w1), tokenT(tab, w2).H[0]
+	t2 := NewProcessor(compileT(t, nil), 4, tab).extend(t1, h2, Add, nil)
+	if len(t1.H) != 1 || len(t2.H) != 2 {
 		t.Fatal("extend must not mutate the source token")
 	}
-	if !t2.Same(Token{WMEs: []*ops5.WME{w1, w2}}) {
+	if !t2.Same(Token{H: []int32{t1.H[0], h2}}) {
 		t.Error("Same failed on identical coverage")
 	}
 	if t2.Same(t1) {
 		t.Error("Same true for different lengths")
 	}
-	if t2.IDKey() != "1,2" {
-		t.Errorf("IDKey = %q", t2.IDKey())
-	}
-	if t2.String() != "[1,2]" {
-		t.Errorf("String = %q", t2.String())
+	if got := idKeyT(tab, t2); got != "1,2" {
+		t.Errorf("token ids = %q", got)
 	}
 }
 
@@ -188,37 +211,37 @@ func TestProcessorRootActivations(t *testing.T) {
 		`(p p1 (a ^x 1) (b ^x <v>) --> (halt))`,
 		`(p p2 (a ^x 2) --> (halt))`,
 	})
-	proc := NewProcessor(net, 16)
+	proc := NewProcessor(net, 16, NewTable())
 
 	// a^x=1 matches p1's first CE only (left activation).
-	acts := proc.RootActivationsInto(Change{Tag: Add, WME: mkWME(1, "a", "x", 1)}, nil)
-	if len(acts) != 1 || acts[0].Side != Left || len(acts[0].Token.WMEs) != 1 || acts[0].WME != nil {
+	acts := rootActsT(proc, Change{Tag: Add, WME: mkWME(1, "a", "x", 1)})
+	if len(acts) != 1 || acts[0].Side != Left || len(acts[0].Token.H) != 1 || acts[0].WME != 0 {
 		t.Fatalf("acts = %+v", acts)
 	}
 	// a^x=2 matches p2 (a production-node left activation).
-	acts = proc.RootActivationsInto(Change{Tag: Add, WME: mkWME(2, "a", "x", 2)}, nil)
+	acts = rootActsT(proc, Change{Tag: Add, WME: mkWME(2, "a", "x", 2)})
 	if len(acts) != 1 || acts[0].Node.Kind != KindProduction {
 		t.Fatalf("acts = %+v", acts)
 	}
 	// b matches p1's join right input.
-	acts = proc.RootActivationsInto(Change{Tag: Add, WME: mkWME(3, "b", "x", 9)}, nil)
-	if len(acts) != 1 || acts[0].Side != Right || acts[0].WME == nil || acts[0].Token.WMEs != nil {
+	acts = rootActsT(proc, Change{Tag: Add, WME: mkWME(3, "b", "x", 9)})
+	if len(acts) != 1 || acts[0].Side != Right || acts[0].WME == 0 || acts[0].Token.H != nil {
 		t.Fatalf("acts = %+v", acts)
 	}
 	// Unknown class matches nothing.
-	if acts := proc.RootActivationsInto(Change{Tag: Add, WME: mkWME(4, "zzz")}, nil); len(acts) != 0 {
+	if acts := rootActsT(proc, Change{Tag: Add, WME: mkWME(4, "zzz")}); len(acts) != 0 {
 		t.Fatalf("acts = %+v", acts)
 	}
 }
 
 func TestProcessorProcessEmitsOnlyToCallback(t *testing.T) {
 	net := compileT(t, []string{`(p p1 (a ^x <v>) (b ^x <v>) --> (halt))`})
-	proc := NewProcessor(net, 16)
+	proc := NewProcessor(net, 16, NewTable())
 
 	var emitted []Activation
 
 	// Right wme first: stored, no matches.
-	for _, a := range proc.RootActivationsInto(Change{Tag: Add, WME: mkWME(1, "b", "x", 5)}, nil) {
+	for _, a := range rootActsT(proc, Change{Tag: Add, WME: mkWME(1, "b", "x", 5)}) {
 		emitted = proc.ProcessAt(a, proc.Bucket(a), emitted)
 	}
 	if len(emitted) != 0 {
@@ -226,13 +249,13 @@ func TestProcessorProcessEmitsOnlyToCallback(t *testing.T) {
 	}
 	// Matching left token: emits the joined token to the production
 	// node.
-	for _, a := range proc.RootActivationsInto(Change{Tag: Add, WME: mkWME(2, "a", "x", 5)}, nil) {
+	for _, a := range rootActsT(proc, Change{Tag: Add, WME: mkWME(2, "a", "x", 5)}) {
 		emitted = proc.ProcessAt(a, proc.Bucket(a), emitted)
 	}
 	if len(emitted) != 1 || emitted[0].Node.Kind != KindProduction {
 		t.Fatalf("emitted = %+v", emitted)
 	}
-	if got := emitted[0].Token.IDKey(); got != "2,1" {
+	if got := idKeyT(proc.tab, emitted[0].Token); got != "2,1" {
 		t.Errorf("joined token = %q, want \"2,1\" (compiled CE order)", got)
 	}
 }

@@ -37,7 +37,7 @@ func TestMatcherCycleCounter(t *testing.T) {
 
 func TestProcessorAccessors(t *testing.T) {
 	net := compileT(t, []string{`(p p1 (a ^x 1) --> (halt))`})
-	p := NewProcessor(net, 0) // default bucket count
+	p := NewProcessor(net, 0, NewTable()) // default bucket count
 	if p.NBuckets() != DefaultNBuckets {
 		t.Errorf("NBuckets = %d", p.NBuckets())
 	}
@@ -48,6 +48,22 @@ func TestProcessorAccessors(t *testing.T) {
 	if left.NBuckets() != DefaultNBuckets || right.NBuckets() != DefaultNBuckets {
 		t.Error("memory bucket counts")
 	}
+}
+
+// rootActsT registers ch in p's table and returns its root activations.
+func rootActsT(p *Processor, ch Change) []Activation {
+	return p.RootActivationsInto(ch, p.tab.Handles([]Change{ch}, nil)[0], nil)
+}
+
+// rootsT registers each change in p's table and drains its root
+// activations (drainT), returning the production-node activations
+// reached.
+func rootsT(p *Processor, chs ...Change) (prods []Activation) {
+	for _, ch := range chs {
+		h := p.tab.Handles([]Change{ch}, nil)[0]
+		prods = append(prods, drainT(p, p.RootActivationsInto(ch, h, nil))...)
+	}
+	return prods
 }
 
 // drainT performs queue and every successor it generates on p, in FIFO
@@ -65,16 +81,15 @@ func drainT(p *Processor, queue []Activation) (prods []Activation) {
 
 func TestExtractInjectBucketDirect(t *testing.T) {
 	net := compileT(t, []string{`(p p1 (a ^x <v>) -(b ^x <v>) --> (halt))`})
-	src := NewProcessor(net, 16)
-	dst := NewProcessor(net, 16)
+	tab := NewTable()
+	src := NewProcessor(net, 16, tab)
+	dst := NewProcessor(net, 16, tab)
 
 	// Populate: one left token (with a negative-node count) and one
 	// right wme in some buckets.
 	wa := mkWME(1, "a", "x", 5)
 	wb := mkWME(2, "b", "x", 5)
-	for _, ch := range []Change{{Tag: Add, WME: wa}, {Tag: Add, WME: wb}} {
-		drainT(src, src.RootActivationsInto(ch, nil))
-	}
+	rootsT(src, Change{Tag: Add, WME: wa}, Change{Tag: Add, WME: wb})
 	left, right := src.Memories()
 	if left.Len() == 0 || right.Len() == 0 {
 		t.Fatalf("populate failed: %d/%d", left.Len(), right.Len())
@@ -102,7 +117,7 @@ func TestExtractInjectBucketDirect(t *testing.T) {
 	// re-propagate the left token (count 1 -> 0).
 	reborn := 0
 	var insts InstBuilder
-	for _, ic := range insts.Build(dst, drainT(dst, dst.RootActivationsInto(Change{Tag: Delete, WME: wb}, nil)), nil) {
+	for _, ic := range insts.Build(dst, rootsT(dst, Change{Tag: Delete, WME: wb}), nil) {
 		if ic.Tag == Add {
 			reborn++
 		}

@@ -77,9 +77,10 @@ func (jt *JoinTest) appendKey(b []byte) []byte {
 	return append(append(append(b, '.'), jt.LeftAttr...), jt.Op.String()...)
 }
 
-// Eval applies the test given the left token and the right wme.
-func (jt *JoinTest) Eval(t Token, w *ops5.WME) bool {
-	return jt.Op.Apply(jt.rightOf(w), jt.leftOf(t.WMEs[jt.LeftPos]))
+// Eval applies the test given the left wme — the left token's wme at
+// LeftPos — and the right wme.
+func (jt *JoinTest) Eval(l, r *ops5.WME) bool {
+	return jt.Op.Apply(jt.rightOf(r), jt.leftOf(l))
 }
 
 // rightOf reads the tested attribute of a right wme, leftOf of the left

@@ -17,7 +17,7 @@ import (
 // value's bytes and a zero separator. Only its bit 0 is a contract of
 // HashKey's: under round-robin at two workers it is the owner, and the
 // word fold keeps it bit for bit.
-func refHashKey(n *rete.Node, side rete.Side, t rete.Token, w *ops5.WME) uint64 {
+func refHashKey(tab *rete.Table, n *rete.Node, side rete.Side, t rete.Token, w *ops5.WME) uint64 {
 	le64 := func(x uint64) []byte {
 		var buf [8]byte
 		for i := range buf {
@@ -30,7 +30,7 @@ func refHashKey(n *rete.Node, side rete.Side, t rete.Token, w *ops5.WME) uint64 
 	for _, jt := range n.EqTests {
 		var v ops5.Value
 		if side == rete.Left {
-			v = t.WMEs[jt.LeftPos].Get(jt.LeftAttr)
+			v = tab.WME(t.H[jt.LeftPos]).Get(jt.LeftAttr)
 		} else {
 			v = w.Get(jt.RightAttr)
 		}
@@ -57,9 +57,9 @@ func refHashKey(n *rete.Node, side rete.Side, t rete.Token, w *ops5.WME) uint64 
 }
 
 // checkOwnerBit fails unless act's key has the byte-wise fold's bit 0.
-func checkOwnerBit(t *testing.T, act rete.Activation) {
+func checkOwnerBit(t *testing.T, tab *rete.Table, act rete.Activation) {
 	t.Helper()
-	if got, want := act.HashKey()&1, refHashKey(act.Node, act.Side, act.Token, act.WME)&1; got != want {
+	if got, want := act.HashKey(tab)&1, refHashKey(tab, act.Node, act.Side, act.Token, tab.WME(act.WME))&1; got != want {
 		t.Fatalf("HashKey(%s node %d, %v) has owner bit %d, the byte-wise fold %d", act.Node.Kind, act.Node.ID, act.Side, got, want)
 	}
 }
@@ -85,7 +85,8 @@ func TestHashKeyOwnerBitMatchesFNV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc := rete.NewProcessor(net, 64)
+	tab := rete.NewTable()
+	proc := rete.NewProcessor(net, 64, tab)
 	wmes := []*ops5.WME{
 		ops5.NewWME("a", "x", "red", "y", 3),
 		ops5.NewWME("a", "x", 2.5, "y", "blue"),
@@ -100,8 +101,9 @@ func TestHashKeyOwnerBitMatchesFNV(t *testing.T) {
 	checked := 0
 	for i, w := range wmes {
 		w.ID, w.TimeTag = i+1, i+1
-		for _, act := range proc.RootActivationsInto(rete.Change{Tag: rete.Add, WME: w}, nil) {
-			checkOwnerBit(t, act)
+		ch := []rete.Change{{Tag: rete.Add, WME: w}}
+		for _, act := range proc.RootActivationsInto(ch[0], tab.Handles(ch, nil)[0], nil) {
+			checkOwnerBit(t, tab, act)
 			checked++
 		}
 	}
@@ -121,7 +123,8 @@ func TestHashKeyOwnerBitMatchesFNV(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := &ownerBitMatcher{t: t, proc: rete.NewProcessor(c.Network(), 0)}
+	o := &ownerBitMatcher{t: t, tab: rete.NewTable()}
+	o.proc = rete.NewProcessor(c.Network(), 0, o.tab)
 	s := c.NewSession(engine.SessionOptions{Matcher: o})
 	s.InsertWMEs(board...)
 	fired, err := s.Run(100_000)
@@ -137,16 +140,18 @@ func TestHashKeyOwnerBitMatchesFNV(t *testing.T) {
 // checks the owner bit of every activation it performs.
 type ownerBitMatcher struct {
 	t     *testing.T
+	tab   *rete.Table
 	proc  *rete.Processor
 	insts rete.InstBuilder
 	acts  int
 }
 
 func (o *ownerBitMatcher) Apply(changes []rete.Change) []rete.InstChange {
+	o.tab.BeginPhase()
 	o.proc.BeginPhase()
 	var queue, prods []rete.Activation
-	for _, ch := range changes {
-		queue = o.proc.RootActivationsInto(ch, queue)
+	for i, h := range o.tab.Handles(changes, nil) {
+		queue = o.proc.RootActivationsInto(changes[i], h, queue)
 	}
 	for len(queue) > 0 {
 		act := queue[0]
@@ -155,7 +160,7 @@ func (o *ownerBitMatcher) Apply(changes []rete.Change) []rete.InstChange {
 			prods = append(prods, act)
 			continue
 		}
-		checkOwnerBit(o.t, act)
+		checkOwnerBit(o.t, o.tab, act)
 		o.acts++
 		queue = o.proc.ProcessAt(act, o.proc.Bucket(act), queue)
 	}

@@ -6,17 +6,25 @@ import "mpcrete/internal/ops5"
 // left or right input. It is the currency both of the sequential
 // Matcher and of the distributed runtime, whose workers exchange
 // Activations as messages. A left activation carries a token and no
-// wme, a right one a wme and no token: Side says which (48 bytes).
+// wme, a right one a wme handle and no token: Side says which (40
+// bytes).
 type Activation struct {
 	Node  *Node
 	Side  Side
 	Tag   Tag
-	Token Token     // left activations
-	WME   *ops5.WME // right activations
+	WME   int32 // right activations: the wme's handle; 0 on the left
+	Token Token // left activations
 }
 
-// HashKey returns the distributed-hash-table key of the activation.
-func (a Activation) HashKey() uint64 { return HashKey(a.Node, a.Side, a.Token, a.WME) }
+// HashKey returns the distributed-hash-table key of the activation,
+// resolving its handles in tab.
+func (a Activation) HashKey(tab *Table) uint64 {
+	var w *ops5.WME
+	if a.Side == Right {
+		w = tab.rows[a.WME]
+	}
+	return HashKey(tab, a.Node, a.Side, a.Token, w)
+}
 
 // Processor owns a pair of hashed token memories and knows how to
 // perform single node activations against them. It has no queue and no
@@ -26,32 +34,36 @@ func (a Activation) HashKey() uint64 { return HashKey(a.Node, a.Side, a.Token, a
 // of their hash bucket).
 type Processor struct {
 	net   *Network
+	tab   *Table
 	left  *Memory[leftEntry]
 	right *Memory[rightEntry]
 	// arena holds the tokens a memory may store, delArena — the phase
-	// arena — the tokens and lent arrays read only within the phase that
-	// made them (see tokenArena).
-	arena    tokenArena
-	delArena tokenArena
+	// arena — the tokens read only within the phase that made them, and
+	// lent the arrays Build lends Delete deltas (see arena).
+	arena    arena[int32]
+	delArena arena[int32]
+	lent     arena[*ops5.WME]
 	// bstack is the bounded enumerator's reusable DFS stack of candidate
-	// wmes, one slot per positive collector of the group being
+	// wme handles, one slot per positive collector of the group being
 	// enumerated (see bounded.go).
-	bstack []*ops5.WME
+	bstack []int32
 	// bmem is the enumerator's per-activation partition of the group's
-	// bucket: one wme list per collector, rebuilt in a single bucket
+	// bucket: one handle list per collector, rebuilt in a single bucket
 	// pass so the DFS scans only its own position's candidates instead
 	// of re-filtering the whole shared bucket at every level.
-	bmem [][]*ops5.WME
+	bmem [][]int32
 }
 
 // NewProcessor creates a processor with the given bucket count
-// (DefaultNBuckets when 0; 1 degenerates to linear memories).
-func NewProcessor(net *Network, nbuckets int) *Processor {
+// (DefaultNBuckets when 0; 1 degenerates to linear memories) whose
+// tokens and entries name wmes by their handles in tab.
+func NewProcessor(net *Network, nbuckets int, tab *Table) *Processor {
 	if nbuckets == 0 {
 		nbuckets = DefaultNBuckets
 	}
 	return &Processor{
 		net:   net,
+		tab:   tab,
 		left:  newMemory[leftEntry](nbuckets),
 		right: newMemory[rightEntry](nbuckets),
 	}
@@ -69,27 +81,24 @@ func (p *Processor) Memories() (left *Memory[leftEntry], right *Memory[rightEntr
 }
 
 // Bucket maps an activation to its hash-bucket index.
-func (p *Processor) Bucket(a Activation) int { return p.left.Bucket(a.HashKey()) }
+func (p *Processor) Bucket(a Activation) int { return p.left.Bucket(a.HashKey(p.tab)) }
 
-// Reset empties both memories (keeping their bucket storage), rewinds
-// each arena to at most one ordinary chunk and clears the bounded
-// enumerator's scratch, returning the processor to its
-// freshly-constructed state over the same network — the session-pool
-// reuse hook. Nothing reachable from a reset processor points at a wme
-// of its last user, and the chunks a wide phase left the phase arena
-// are let go.
+// Reset empties both memories (keeping their bucket storage) and
+// rewinds each arena to at most one ordinary region, returning the
+// processor to its freshly-constructed state over the same network —
+// the session-pool reuse hook. Nothing reachable from a reset processor
+// points at a wme of its last user (the bounded enumerator's scratch
+// holds handles), and the region a wide phase left an arena is let go.
+// Its table is its owner's to reset.
 // Only legal at quiescence, and only while no token this processor made
 // is in use anywhere else: the memories that stored them are empty
-// after it, and the arenas' current chunks are cleared and carved again.
+// after it, and the arenas' current regions are carved again.
 func (p *Processor) Reset() {
 	p.left.Reset()
 	p.right.Reset()
 	p.arena.reset()
 	p.delArena.reset()
-	clear(p.bstack[:cap(p.bstack)])
-	for _, l := range p.bmem[:cap(p.bmem)] {
-		clear(l[:cap(l)])
-	}
+	p.lent.reset()
 }
 
 // BeginPhase tells the processor that everything its phase arena has
@@ -99,10 +108,10 @@ func (p *Processor) Reset() {
 // InstBuilder.Build lent from it have been absorbed, netted or encoded
 // by whoever received them. It rewinds that arena, so the phase about
 // to start carves its tokens and lent arrays from the same storage
-// again.
+// again. It frees no handle: that is the table owner's BeginPhase.
 //
 // Calling it is optional and never calling it is always safe: phase
-// tokens and lent arrays are then carved chunk by chunk and left to the
+// tokens and lent arrays are then carved region by region and left to the
 // collector, as stored tokens are. An owner calls it only at a point
 // where it can show the claim above — the sequential Matcher at the top of
 // every Apply (its caller absorbed the last result, or kept no Delete
@@ -111,17 +120,20 @@ func (p *Processor) Reset() {
 // top of every turn (its predecessor encoded all it made before it
 // returned). A goroutine worker, which cannot tell where a cycle
 // begins, leaves it uncalled.
-func (p *Processor) BeginPhase() { p.delArena.rewind() }
+func (p *Processor) BeginPhase() {
+	p.delArena.rewind()
+	p.lent.rewind()
+}
 
-// RootActivationsInto runs the constant tests for one wme change and
-// appends the resulting activations (the paper's "tokens generated
-// directly by wmes") to out, a buffer the caller reuses: the sequential
-// matcher, the parallel runtime's per-cycle constant-test pass, and the
-// control processor when it hash-routes root activations to their
-// owners instead of broadcasting. Copy-and-constraint node copies
-// filter right tokens here. Left root tokens are carved from the
+// RootActivationsInto runs the constant tests for one wme change, at
+// handle h, and appends the resulting activations (the paper's "tokens
+// generated directly by wmes") to out, a buffer the caller reuses: the
+// sequential matcher, the parallel runtime's per-cycle constant-test
+// pass, and the control processor when it hash-routes root activations
+// to their owners instead of broadcasting. Copy-and-constraint node
+// copies filter right tokens here. Left root tokens are carved from the
 // processor's arena for their lifetime (newToken).
-func (p *Processor) RootActivationsInto(ch Change, out []Activation) []Activation {
+func (p *Processor) RootActivationsInto(ch Change, h int32, out []Activation) []Activation {
 	for _, a := range p.net.AlphasForClass(ch.WME.Class) {
 		if !a.Matches(ch.WME) {
 			continue
@@ -130,11 +142,11 @@ func (p *Processor) RootActivationsInto(ch Change, out []Activation) []Activatio
 			if r.Side == Right && !r.Node.AcceptsRight(ch.WME) {
 				continue
 			}
-			act := Activation{Node: r.Node, Side: r.Side, Tag: ch.Tag, WME: ch.WME}
+			act := Activation{Node: r.Node, Side: r.Side, Tag: ch.Tag, WME: h}
 			if r.Side == Left {
 				act.Token = p.newToken(1, ch.Tag, []*Node{r.Node})
-				act.Token.WMEs[0] = ch.WME
-				act.WME = nil
+				act.Token.H[0] = h
+				act.WME = 0
 			}
 			out = append(out, act)
 		}
@@ -178,9 +190,10 @@ type BucketContents struct {
 	LeftNodes  []*Node
 	LeftTokens []Token
 	LeftCounts []int
-	// RightNodes/RightWMEs describe the right-memory entries.
+	// RightNodes/RightWMEs describe the right-memory entries, each wme
+	// by its handle.
 	RightNodes []*Node
-	RightWMEs  []*ops5.WME
+	RightWMEs  []int32
 }
 
 // Entries returns the number of stored tokens in the pair.
@@ -198,7 +211,7 @@ func (p *Processor) ExtractBucket(b int) *BucketContents {
 	}
 	for _, e := range p.right.extract(b) {
 		bc.RightNodes = append(bc.RightNodes, e.node)
-		bc.RightWMEs = append(bc.RightWMEs, e.wme)
+		bc.RightWMEs = append(bc.RightWMEs, e.h)
 	}
 	return bc
 }
@@ -213,7 +226,7 @@ func (p *Processor) InjectBucket(bc *BucketContents) {
 	}
 	rights := make([]rightEntry, len(bc.RightWMEs))
 	for i := range rights {
-		rights[i] = rightEntry{node: bc.RightNodes[i], wme: bc.RightWMEs[i]}
+		rights[i] = rightEntry{node: bc.RightNodes[i], h: bc.RightWMEs[i]}
 	}
 	p.left.inject(bc.Bucket, lefts)
 	p.right.inject(bc.Bucket, rights)
@@ -229,6 +242,7 @@ func (p *Processor) emitTo(n *Node, t Token, tag Tag, out []Activation) []Activa
 
 func (p *Processor) processJoin(a Activation, b int, out []Activation) []Activation {
 	n := a.Node
+	rows := p.tab.rows
 	if a.Side == Left {
 		if a.Tag == Add {
 			p.left.add(b, leftEntry{node: n, token: a.Token})
@@ -240,21 +254,22 @@ func (p *Processor) processJoin(a Activation, b int, out []Activation) []Activat
 		}
 		es := p.right.entries(b)
 		for i := range es {
-			if e := &es[i]; e.node == n && p.testsPass(n, a.Token, e.wme) {
-				out = p.emitTo(n, p.extend(a.Token, e.wme, a.Tag, n.Succs), a.Tag, out)
+			if e := &es[i]; e.node == n && testsPass(n, rows, a.Token, rows[e.h]) {
+				out = p.emitTo(n, p.extend(a.Token, e.h, a.Tag, n.Succs), a.Tag, out)
 			}
 		}
 		return out
 	}
+	w := rows[a.WME]
 	if a.Tag == Add {
-		p.right.add(b, rightEntry{node: n, wme: a.WME})
-	} else if !removeRight(p.right, b, n, a.WME.ID) {
+		p.right.add(b, rightEntry{node: n, h: a.WME})
+	} else if !removeRight(p.right, b, n, a.WME) {
 		// Duplicate delete of a wme already out of right memory.
 		return out
 	}
 	es := p.left.entries(b)
 	for i := range es {
-		if e := &es[i]; e.node == n && p.testsPass(n, e.token, a.WME) {
+		if e := &es[i]; e.node == n && testsPass(n, rows, e.token, w) {
 			out = p.emitTo(n, p.extend(e.token, a.WME, a.Tag, n.Succs), a.Tag, out)
 		}
 	}
@@ -263,12 +278,13 @@ func (p *Processor) processJoin(a Activation, b int, out []Activation) []Activat
 
 func (p *Processor) processNegative(a Activation, b int, out []Activation) []Activation {
 	n := a.Node
+	rows := p.tab.rows
 	if a.Side == Left {
 		if a.Tag == Add {
 			count := 0
 			es := p.right.entries(b)
 			for i := range es {
-				if e := &es[i]; e.node == n && p.testsPass(n, a.Token, e.wme) {
+				if e := &es[i]; e.node == n && testsPass(n, rows, a.Token, rows[e.h]) {
 					count++
 				}
 			}
@@ -283,11 +299,12 @@ func (p *Processor) processNegative(a Activation, b int, out []Activation) []Act
 		}
 		return out
 	}
+	w := rows[a.WME]
 	es := p.left.entries(b)
 	if a.Tag == Add {
-		p.right.add(b, rightEntry{node: n, wme: a.WME})
+		p.right.add(b, rightEntry{node: n, h: a.WME})
 		for i := range es {
-			if e := &es[i]; e.node == n && p.testsPass(n, e.token, a.WME) {
+			if e := &es[i]; e.node == n && testsPass(n, rows, e.token, w) {
 				e.count++
 				if e.count == 1 {
 					out = p.emitTo(n, e.token, Delete, out)
@@ -296,7 +313,7 @@ func (p *Processor) processNegative(a Activation, b int, out []Activation) []Act
 		}
 		return out
 	}
-	if !removeRight(p.right, b, n, a.WME.ID) {
+	if !removeRight(p.right, b, n, a.WME) {
 		// Duplicate delete: the counts were already decremented when
 		// the wme was first removed; decrementing again would drive
 		// them negative and break the next add's 0 -> 1 transition,
@@ -304,7 +321,7 @@ func (p *Processor) processNegative(a Activation, b int, out []Activation) []Act
 		return out
 	}
 	for i := range es {
-		if e := &es[i]; e.node == n && p.testsPass(n, e.token, a.WME) {
+		if e := &es[i]; e.node == n && testsPass(n, rows, e.token, w) {
 			e.count--
 			if e.count == 0 {
 				out = p.emitTo(n, e.token, Add, out)
@@ -314,9 +331,11 @@ func (p *Processor) processNegative(a Activation, b int, out []Activation) []Act
 	return out
 }
 
-func (p *Processor) testsPass(n *Node, t Token, w *ops5.WME) bool {
+// testsPass applies n's join tests to the left token t, resolved in
+// rows, and the right wme w.
+func testsPass(n *Node, rows []*ops5.WME, t Token, w *ops5.WME) bool {
 	for i := range n.Tests {
-		if !n.Tests[i].Eval(t, w) {
+		if jt := &n.Tests[i]; !jt.Eval(rows[t.H[jt.LeftPos]], w) {
 			return false
 		}
 	}
@@ -343,9 +362,9 @@ const (
 // The records, and an Add delta's array, are never reused and belong to
 // the caller: they may be held across any number of later phases, and a
 // delta that stays in the conflict set keeps the chunk its array was
-// carved from alive, as a stored token keeps the arena chunk its wme
-// references were carved from. A Delete delta's array is lent (see
-// Build). The zero value is ready to use.
+// carved from alive, as a stored token keeps the arena region its
+// handles were carved from. A Delete delta's array is lent (see Build).
+// The zero value is ready to use.
 type InstBuilder struct {
 	wmes slab[*ops5.WME]
 	out  slab[InstChange]
@@ -364,7 +383,7 @@ func (b *InstBuilder) Result(n int) []InstChange {
 //
 // An Add delta's array is carved from the builder's slab for good: the
 // conflict set keeps it. A Delete delta names an instantiation to
-// remove and its array is read once, so it is lent from p's phase
+// remove and its array is read once, so it is lent from p's lent
 // arena and lives exactly as long as a delete token does: until the
 // owner of p next calls BeginPhase, and for good under an owner that
 // never does. Whoever holds a Delete delta past that point (nobody in
@@ -373,9 +392,10 @@ func (b *InstBuilder) Result(n int) []InstChange {
 // Each kind's references are carved as one region and divided among
 // the deltas with capped capacity, so a batch too large for a chunk
 // still costs one allocation per array however many deltas it holds.
-// The wmes are copied out of the activations' tokens: once Build
-// returns, the deltas do not depend on the tokens, which is what lets a
-// token that only production nodes receive come from the phase arena.
+// The wmes are resolved out of the activations' tokens through p's
+// table: once Build returns, the deltas do not depend on the tokens,
+// which is what lets a token that only production nodes receive come
+// from the phase arena.
 func (b *InstBuilder) Build(p *Processor, acts []Activation, out []InstChange) []InstChange {
 	nAdd, nDel := 0, 0
 	for i := range acts {
@@ -386,7 +406,8 @@ func (b *InstBuilder) Build(p *Processor, acts []Activation, out []InstChange) [
 		}
 	}
 	adds := b.wmes.carve(nAdd, wmeRefSlabMax)
-	dels := p.delArena.refs(nDel)
+	dels := p.lent.carve(nDel)
+	rows := p.tab.rows
 	for _, a := range acts {
 		info := a.Node.Info
 		n := len(info.TokenPos)
@@ -400,7 +421,7 @@ func (b *InstBuilder) Build(p *Processor, acts []Activation, out []InstChange) [
 			// A lent region is whatever the last rewind left there.
 			w[i] = nil
 			if pos >= 0 {
-				w[i] = a.Token.WMEs[pos]
+				w[i] = rows[a.Token.H[pos]]
 			}
 		}
 		out = append(out, InstChange{Tag: a.Tag, Info: info, WMEs: w})

@@ -1,48 +1,23 @@
 package rete
 
 import (
-	"strconv"
-	"strings"
+	"slices"
 
 	"mpcrete/internal/ops5"
 )
 
 // Token is a partial instantiation: the wmes matching the positive
-// condition elements compiled so far, in compiled order. It is held by
-// value — in an activation, in a left memory entry — so a token costs
-// nothing but its run of wme references, carved from a processor's
-// arena (tokenArena).
+// condition elements compiled so far, in compiled order, as handles into
+// its runtime's Table. It is held by value — in an activation, in a left
+// memory entry — so a token costs nothing but its run of handles,
+// carved from a processor's arena, which the collector never scans.
 type Token struct {
-	WMEs []*ops5.WME
+	H []int32
 }
 
-// Same reports whether two tokens cover exactly the same wmes (by ID).
-func (t Token) Same(o Token) bool {
-	if len(t.WMEs) != len(o.WMEs) {
-		return false
-	}
-	for i := range t.WMEs {
-		if t.WMEs[i].ID != o.WMEs[i].ID {
-			return false
-		}
-	}
-	return true
-}
-
-// IDKey returns a canonical encoding of the token's wme ID list.
-func (t Token) IDKey() string {
-	var b strings.Builder
-	for i, w := range t.WMEs {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(w.ID))
-	}
-	return b.String()
-}
-
-// String renders the token's wme IDs for diagnostics.
-func (t Token) String() string { return "[" + t.IDKey() + "]" }
+// Same reports whether two tokens of one runtime cover exactly the same
+// wmes: the same handles, since a live wme has exactly one (Table).
+func (t Token) Same(o Token) bool { return slices.Equal(t.H, o.H) }
 
 // FNV-1a parameters of the byte-wise folds below (a node id's seed, the
 // network digest) and of InstChange.Hash's word fold.
@@ -76,7 +51,8 @@ func foldString(h uint64, s string) uint64 {
 // HashKey computes the distributed-hash-table key for an activation of
 // node n: the node id plus the values bound to the variables tested for
 // equality at n (Section 3.1). A left token supplies the left-side
-// values, a right wme the right-side values. Nodes with no equality
+// values, resolved in tab, a right wme the right-side values (tab may
+// be nil for a right key). Nodes with no equality
 // tests hash on the node id alone — the cross-product pathology
 // observed in Tourney.
 //
@@ -109,7 +85,7 @@ func foldString(h uint64, s string) uint64 {
 // needs every collector memory of a production in one bucket, so the
 // whole group is deliberately clustered on one owner (the bounded
 // analogue of the paper's cluster-on-one-processor remedy).
-func HashKey(n *Node, side Side, t Token, w *ops5.WME) uint64 {
+func HashKey(tab *Table, n *Node, side Side, t Token, w *ops5.WME) uint64 {
 	h := n.hashSeed
 	if n.group != nil {
 		return finalise(h)
@@ -118,7 +94,7 @@ func HashKey(n *Node, side Side, t Token, w *ops5.WME) uint64 {
 		jt := &n.EqTests[i]
 		var v ops5.Value
 		if side == Left {
-			v = jt.leftOf(t.WMEs[jt.LeftPos])
+			v = jt.leftOf(tab.rows[t.H[jt.LeftPos]])
 		} else {
 			v = jt.rightOf(w)
 		}

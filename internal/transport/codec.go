@@ -2,6 +2,7 @@ package transport
 
 import (
 	"fmt"
+	"math"
 
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/parallel"
@@ -11,21 +12,24 @@ import (
 )
 
 // Payload codec: varint-encoded values over the frame payloads, on the
-// primitives of internal/wire. The in-process transport
-// moves pointers; the wire moves a wme's content once per directed
-// connection and names it afterwards. Every wme position on the wire
-// opens with a form byte: a definition or a reference (ID, TimeTag)
-// that the receiver resolves in its mirror of the sender's wmeCache. A
-// token, an activation or a conflict-set delta over wmes the connection
-// has already carried is a vector of references and decodes without
+// primitives of internal/wire. A wme is named by the control's handle
+// (rete.Table), and every wme position opens with a form byte: a
+// definition, carrying the handle and the content, or a reference
+// (handle, TimeTag). A worker's table mirrors the control's: the
+// control defines a wme to a worker the first time the worker needs it
+// at its handle, and references it after. Workers never define: every
+// position a worker sends is a reference the control resolves in its
+// own table, except inside migrated bucket contents, which travel
+// self-contained (see bucketContents). A token, an activation or a
+// conflict-set delta over wmes the receiver holds decodes without
 // allocating a wme.
 //
-// A definition is a row of the class's layout, which both ends hold
-// because both compiled the same productions, and the handshake's
-// digest proves they numbered the layout table alike
+// A definition is the handle, then a row of the class's layout, which
+// both ends hold because both compiled the same productions, and the
+// handshake's digest proves they numbered the layout table alike
 // (rete.Network.Layouts; a layout's id is its index on both sides):
 //
-//	ID, TimeTag
+//	handle, ID, TimeTag
 //	class reference: layout id + 1, or 0 and the class name for a class
 //	    the network has no layout for
 //	count and values of the leading slots, trailing absent ones trimmed
@@ -39,24 +43,15 @@ import (
 // layout has attributes, and extras that are out of order, nil, or name
 // an attribute the layout gives a slot.
 //
-// The identity contract: (ID, TimeTag) names one immutable content for
-// the life of a connection. The engine guarantees it — a fresh ID and a
-// fresh time tag per make, no Reset on a wire-backed matcher — tokens
-// already compare by ID alone (Token.Same), and joins read values,
-// never pointer identity, so every reference to a wme may resolve to
-// the one decoded copy. A sender that breaks the contract is answered
-// with the content it first defined, or, where the two ends have come
-// apart, with ErrBadPayload; never with a guess.
-//
-// The two ends of a cache stay in step because the byte stream is the
-// only thing that changes either: the encoder updates its table in the
-// order the bytes leave (under the connection's write mutex) and the
-// decoder in the order they arrive. There is no invalidation message
-// and no cycle boundary in it; an evicted wme costs a second
-// definition. A frame that a process forwards without decoding
-// (ftBucketRelay to ftBucket) therefore may not touch a cache — the
-// forwarder's tables would never see it — and bucketContents encodes
-// and decodes with the cache off: definitions only, none stored.
+// The identity contract: (handle, TimeTag) names one immutable content
+// for the life of a connection. The control's table gives a handle to
+// one wme at a time and frees it only at the next cycle, and the engine
+// gives every make a fresh time tag, so a recycled handle is defined
+// again. A control connection's send state (enc.sent) changes in the
+// order its bytes leave, under the write mutex, and the worker's mirror
+// in the order they arrive. A reference to an empty row, another time
+// tag, or a handle past mirrorMax is ErrBadPayload, and so is a
+// definition anywhere the control reads one.
 //
 // Decoding resolves graph references against the receiver's compiled
 // network: node ids are bounds-checked into net.Nodes, and a
@@ -64,50 +59,42 @@ import (
 // production node, so a frame cross-wired from a different program
 // fails with ErrBadPayload instead of corrupting the match state.
 
-// wmeCacheSlots sizes a connection's wme cache: direct-mapped on the
-// low bits of WME.ID, which the engine hands out densely and in
-// increasing order, so a slot is evicted only when ids a multiple of
-// the size apart are in use together. 8-queens (571 wmes at load,
-// 2,061 ids by the halt 2,033 firings later) fits without one eviction:
-// over the star, two workers, broadcast, 6,544 definitions against
-// 57,435 references (TestWireBytesPerFiring logs the split per
-// connection). A constant, not an option: eviction changes the byte
-// count, never the answer (TestEvictionParity).
-const wmeCacheSlots = 4096
-
-// wmeCache is one end of a directed connection's cache: slot ID mod
-// wmeCacheSlots holds the wme last defined there. The sending end
-// probes it to choose between a definition and a reference; the
-// receiving end resolves references in it. Each end is owned by
-// whoever orders the connection's bytes on that side: the holder of
-// the write mutex, or the one reader goroutine.
-type wmeCache struct {
-	slots [wmeCacheSlots]*ops5.WME
-	// defs and refs count the wmes that crossed in each form.
-	defs, refs int64
-}
-
-func (c *wmeCache) slot(id int) **ops5.WME { return &c.slots[uint64(id)%wmeCacheSlots] }
+// mirrorMax bounds the handles on the wire, and with them a worker's
+// mirror: 2^20 rows, 8 MiB of references. A run whose control table
+// outgrows it cannot be served over the star; nothing in the repository
+// comes near (8-queens peaks at 571 live wmes).
+const mirrorMax = 1 << 20
 
 // The forms a wme position takes on the wire.
 const (
 	wmeNil byte = iota // no wme: a conflict-set delta's negated CE
-	wmeDef             // content by value; stored when the stream is cached
-	wmeRef             // (ID, TimeTag) of a wme the stream defined earlier
+	wmeDef             // handle and content by value
+	wmeRef             // (handle, TimeTag) of a wme the receiver holds
 )
 
 // enc is an append-only frame encoder over wire's primitives. One lives
 // as long as its connection: Buf collects whole frames (begin, payload,
-// end — see frame.go) until flush writes them with a single Write, cache
-// is the connection's send cache (nil encodes every wme as an unstored
-// definition), and layouts is the network's layout table, which
-// definitions are rows of.
+// end — see frame.go) until flush writes them with a single Write. tab
+// is the control's table or a worker's mirror; definitions are rows of
+// layouts.
 type enc struct {
 	wire.Enc
 	start   int // offset of the open frame's header in Buf
-	cache   *wmeCache
+	tab     *rete.Table
 	layouts []*ops5.Layout
+	// sent is a control connection's send state: the time tag last
+	// defined at each handle (noTag where none was). A worker's encoder
+	// has refsOnly set instead and never defines, except inside bucket
+	// contents, which set selfContained and define every wme.
+	sent          []int
+	refsOnly      bool
+	selfContained bool
+	// defs and refs count the wmes that crossed in each form.
+	defs, refs int64
 }
+
+// noTag marks a handle a connection has not defined.
+const noTag = math.MinInt
 
 // dec is a payload decoder over wire's sticky, bounds-checked
 // primitives. One lives as long as its reader and is Reset per payload.
@@ -115,18 +102,24 @@ type enc struct {
 // wire-supplied bucket and worker index is held to them here (bucket,
 // worker), the one place such indices enter the process, so the worker
 // step and the cycle driver can index with them unchecked. The zero
-// bounds reject every index. cache is the connection's receive cache;
-// without one every wme reference is refused. layouts is the network's
-// layout table; without one every definition by layout id is.
+// bounds reject every index. tab resolves references: the control's
+// table, or — with mirror set — a worker's mirror, whose rows
+// definitions fill. layouts is the network's layout table; without one
+// every definition by layout id is refused.
 type dec struct {
 	wire.Dec
 	nbuckets, workers int
-	cache             *wmeCache
+	tab               *rete.Table
+	mirror            bool
 	layouts           []*ops5.Layout
+	defs, refs        int64
+	// selfContained is set while bucket contents decode: they name no
+	// wme by reference.
+	selfContained bool
 
-	// refs is the unconsumed tail of the slab decoded tokens are carved
-	// from (token), as rete's token arena carves the match's own.
-	refs []*ops5.WME
+	// handles is the unconsumed tail of the slab decoded tokens are
+	// carved from (token), as rete's arena carves the match's own.
+	handles []int32
 }
 
 // index decodes an index into a space of the given size.
@@ -142,25 +135,36 @@ func (d *dec) index(size int, what string) int32 {
 func (d *dec) bucket() int32 { return d.index(d.nbuckets, "bucket") }
 func (d *dec) worker() int32 { return d.index(d.workers, "worker") }
 
+// handle decodes a wme handle: never 0, and below mirrorMax.
+func (d *dec) handle() int32 {
+	h := d.index(mirrorMax, "wme handle")
+	if d.Err == nil && h == 0 {
+		d.Fail("wme handle 0")
+	}
+	return h
+}
+
 // --- wmes ---
 
-// wme encodes a wme position: a reference when the connection's cache
-// holds this (ID, TimeTag), otherwise a definition, which takes the
-// slot.
-func (e *enc) wme(w *ops5.WME) {
-	if c := e.cache; c != nil {
-		slot := c.slot(w.ID)
-		if s := *slot; s != nil && s.ID == w.ID && s.TimeTag == w.TimeTag {
-			c.refs++
+// wme encodes the wme at handle h: a reference when the receiver holds
+// it at this time tag, otherwise a definition.
+func (e *enc) wme(h int32) {
+	w := e.tab.WME(h)
+	if !e.selfContained {
+		if e.refsOnly || int(h) < len(e.sent) && e.sent[h] == w.TimeTag {
+			e.refs++
 			e.Byte(wmeRef)
-			e.Int(w.ID)
+			e.Int(int(h))
 			e.Int(w.TimeTag)
 			return
 		}
-		c.defs++
-		*slot = w
+		for int(h) >= len(e.sent) {
+			e.sent = append(e.sent, noTag)
+		}
+		e.sent[h] = w.TimeTag
+		e.defs++
 	}
-	e.def(w)
+	e.def(h, w)
 }
 
 // layoutOf finds a class's layout in a table by name — the slow path of
@@ -174,12 +178,14 @@ func layoutOf(table []*ops5.Layout, class string) *ops5.Layout {
 	return nil
 }
 
-// def encodes a definition, leaving the cache alone. A wme the
-// network's own layout did not lay out in full — a loose one a test or
-// a script handed the matcher, one laid out by another network — is
-// conformed first, so the row on the wire is always the table's.
-func (e *enc) def(w *ops5.WME) {
+// def encodes a definition of w at handle h, leaving the send state
+// alone. A wme the network's own layout did not lay out in full — a
+// loose one a test or a script handed the matcher, one laid out by
+// another network — is conformed first, so the row on the wire is
+// always the table's.
+func (e *enc) def(h int32, w *ops5.WME) {
 	e.Byte(wmeDef)
+	e.Int(int(h))
 	e.Int(w.ID)
 	e.Int(w.TimeTag)
 	l := w.Layout()
@@ -211,48 +217,53 @@ func (e *enc) def(w *ops5.WME) {
 	}
 }
 
-// optWME encodes a possibly-nil wme (InstChange entries for negated
-// CEs are nil).
-func (e *enc) optWME(w *ops5.WME) {
-	if w == nil {
+// optWME encodes a possibly-absent wme position: handle 0 (an
+// activation's absent wme) is wmeNil.
+func (e *enc) optWME(h int32) {
+	if h == 0 {
 		e.Byte(wmeNil)
 		return
 	}
-	e.wme(w)
+	e.wme(h)
 }
 
-// optWME decodes a wme position in any of its three forms (nil when
-// absent, and after a failure). A reference must name exactly what its
-// slot holds: an empty slot, another ID or another time tag means the
-// two ends of the cache have come apart, or the frame is forged.
-func (d *dec) optWME() *ops5.WME {
+// optWME decodes a wme position in any of its three forms to a handle
+// in d.tab (0 when absent, and after a failure). A definition fills the
+// mirror's row; a reference must name exactly what its row holds.
+func (d *dec) optWME() int32 {
 	switch form := d.Byte(); form {
 	case wmeNil:
 	case wmeDef:
+		if !d.mirror {
+			d.Fail("a wme definition from a worker, which only references")
+			return 0
+		}
+		h := d.handle()
 		w := d.def()
-		if c := d.cache; c != nil && d.Err == nil {
-			c.defs++
-			*c.slot(w.ID) = w
-		}
-		return w
-	case wmeRef:
-		id, tag := d.Int(), d.Int()
 		if d.Err != nil {
-			return nil
+			return 0
 		}
-		if d.cache == nil {
-			d.Fail("wme reference on a stream without a cache")
-			return nil
+		d.defs++
+		d.tab.Define(h, w)
+		return h
+	case wmeRef:
+		h, tag := d.handle(), d.Int()
+		if d.Err != nil {
+			return 0
 		}
-		if w := *d.cache.slot(id); w != nil && w.ID == id && w.TimeTag == tag {
-			d.cache.refs++
-			return w
+		if d.selfContained {
+			d.Fail("wme reference inside bucket contents, which travel self-contained")
+			return 0
 		}
-		d.Fail(fmt.Sprintf("wme reference (%d, %d) names nothing the stream defined", id, tag))
+		if w := d.tab.WME(h); w != nil && w.ID >= 0 && w.TimeTag == tag {
+			d.refs++
+			return h
+		}
+		d.Fail(fmt.Sprintf("wme reference (%d, %d) names nothing the stream defined", h, tag))
 	default:
 		d.Fail(fmt.Sprintf("wme form %d", form))
 	}
-	return nil
+	return 0
 }
 
 // def decodes a definition's body into a wme laid out by the table's
@@ -310,67 +321,62 @@ func (d *dec) def() *ops5.WME {
 }
 
 // wme decodes a wme position that must hold one.
-func (d *dec) wme() *ops5.WME {
-	w := d.optWME()
-	if w == nil {
+func (d *dec) wme() int32 {
+	h := d.optWME()
+	if h == 0 {
 		d.Fail("absent wme")
 	}
-	return w
+	return h
 }
 
-// wmes encodes a counted list of wmes (a token's).
-func (e *enc) wmes(ws []*ops5.WME) {
-	e.Count(len(ws))
-	for _, w := range ws {
-		e.wme(w)
+// token encodes a token: a counted list of its wmes.
+func (e *enc) token(t rete.Token) {
+	e.Count(len(t.H))
+	for _, h := range t.H {
+		e.wme(h)
 	}
 }
 
-// Decoded tokens are carved from slabs of this many references
-// (rete's arena chunk size): a token a worker stores keeps its slab
-// alive, and a slab costs one allocation per ~300 tokens.
-const refSlab = 1024
+// Decoded tokens are carved from slabs of this many handles: a token a
+// worker stores keeps its slab alive, and a slab costs one allocation
+// per ~300 tokens.
+const handleSlab = 1024
 
 // token decodes a counted list of wmes into a token carved from the
 // decoder's slab.
 func (d *dec) token() rete.Token {
 	n := d.Count(1 << 16)
-	if len(d.refs) < n {
-		d.refs = make([]*ops5.WME, max(n, refSlab))
+	if len(d.handles) < n {
+		d.handles = make([]int32, max(n, handleSlab))
 	}
-	t := rete.Token{WMEs: d.refs[:n:n]}
-	d.refs = d.refs[n:]
-	for i := range t.WMEs {
-		t.WMEs[i] = d.wme()
+	t := rete.Token{H: d.handles[:n:n]}
+	d.handles = d.handles[n:]
+	for i := range t.H {
+		t.H[i] = d.wme()
 	}
 	return t
 }
 
 // --- changes, activations, instantiations ---
 
-func (e *enc) change(ch rete.Change) {
-	e.Byte(byte(ch.Tag))
-	e.wme(ch.WME)
-}
-
-func (e *enc) changes(chs []rete.Change) {
+// changes encodes a cycle's wme changes, whose wmes have handles hs.
+func (e *enc) changes(chs []rete.Change, hs []int32) {
 	e.Count(len(chs))
-	for _, ch := range chs {
-		e.change(ch)
+	for i, ch := range chs {
+		e.Byte(byte(ch.Tag))
+		e.wme(hs[i])
 	}
 }
 
-// changes decodes a cycle's wme changes into buf.
-func (d *dec) changes(buf []rete.Change) []rete.Change {
+// changes decodes a cycle's wme changes into pkt, reusing its slices.
+func (d *dec) changes(pkt *parallel.CyclePacket) {
 	n := d.Count(1 << 24)
-	if cap(buf) < n {
-		buf = make([]rete.Change, 0, n)
-	}
-	buf = buf[:0]
+	pkt.Changes, pkt.Handles = pkt.Changes[:0], pkt.Handles[:0]
 	for i := 0; i < n; i++ {
-		buf = append(buf, rete.Change{Tag: d.tag(), WME: d.wme()})
+		tag, h := d.tag(), d.wme()
+		pkt.Changes = append(pkt.Changes, rete.Change{Tag: tag, WME: d.tab.WME(h)})
+		pkt.Handles = append(pkt.Handles, h)
 	}
-	return buf
 }
 
 func (d *dec) tag() rete.Tag {
@@ -390,7 +396,7 @@ func (e *enc) activation(a rete.Activation) {
 	// right one does not.
 	e.Bool(a.Side == rete.Left)
 	if a.Side == rete.Left {
-		e.wmes(a.Token.WMEs)
+		e.token(a.Token)
 	}
 	e.optWME(a.WME)
 }
@@ -426,9 +432,9 @@ func (d *dec) activation(net *rete.Network) rete.Activation {
 		return a
 	}
 	switch {
-	case a.Side == rete.Left && (!hasToken || a.WME != nil || !a.Node.TakesLeft(len(a.Token.WMEs))):
+	case a.Side == rete.Left && (!hasToken || a.WME != 0 || !a.Node.TakesLeft(len(a.Token.H))):
 		d.Fail(fmt.Sprintf("left activation of %s node %d needs a %d-wme token and no wme", a.Node.Kind, a.Node.ID, a.Node.LeftLen))
-	case a.Side == rete.Right && (a.WME == nil || hasToken || !a.Node.TakesRight()):
+	case a.Side == rete.Right && (a.WME == 0 || hasToken || !a.Node.TakesRight()):
 		d.Fail(fmt.Sprintf("right activation of %s node %d needs a wme and no token", a.Node.Kind, a.Node.ID))
 	}
 	return a
@@ -454,16 +460,23 @@ func (d *dec) actList(net *rete.Network, buf []parallel.Message) []parallel.Mess
 	return buf
 }
 
-// instChange encodes one conflict-set delta: its tag, its production as
-// the terminal node's compiled id, and one wme position per condition
-// element. Recency does not travel: the control derives it from the
-// wmes it resolves the positions to.
-func (e *enc) instChange(ic rete.InstChange) {
-	e.Byte(byte(ic.Tag))
-	e.Int(ic.Info.Node.ID)
-	e.Count(len(ic.WMEs))
-	for _, w := range ic.WMEs {
-		e.optWME(w)
+// instChange encodes the conflict-set delta of one production-node
+// activation: its tag, its production as the terminal node's compiled
+// id, and one wme position per condition element, a reference to the
+// token's wme at the CE's position or empty at a negated one. Recency
+// does not travel: the control derives it from the wmes it resolves
+// the positions to.
+func (e *enc) instChange(a rete.Activation) {
+	info := a.Node.Info
+	e.Byte(byte(a.Tag))
+	e.Int(info.Node.ID)
+	e.Count(len(info.TokenPos))
+	for _, pos := range info.TokenPos {
+		if pos < 0 {
+			e.Byte(wmeNil)
+			continue
+		}
+		e.wme(a.Token.H[pos])
 	}
 }
 
@@ -489,7 +502,7 @@ func (d *dec) instChange(net *rete.Network, tf *turnFrame) rete.InstChange {
 	}
 	ic.WMEs, tf.wmes = tf.wmes[:nw:nw], tf.wmes[nw:]
 	for i := range ic.WMEs {
-		ic.WMEs[i] = d.optWME()
+		ic.WMEs[i] = d.tab.WME(d.optWME())
 		if d.Err == nil && (ic.WMEs[i] == nil) != (n.Info.TokenPos[i] < 0) {
 			d.Fail(fmt.Sprintf("delta of %q: position %d is empty, or filled at a negated condition element", n.Info.Prod.Name, i))
 		}
@@ -538,32 +551,33 @@ func (d *dec) partition() sched.Partition {
 }
 
 // bucketContents encodes one extracted hash-bucket pair. Node
-// references travel as compiled-network ids; tokens and wmes travel by
-// value with the cache off, because the control process forwards the
-// frame without decoding it (see the header). The decoded copy is safe
-// to inject on the receiver because memory removal matches by value
-// (wme ID / Token.Same), never by pointer identity.
+// references travel as compiled-network ids; every wme travels as a
+// definition at its handle, because the control process forwards the
+// frame without decoding it (see the header), so no send state may
+// learn from it. The receiving worker's decoder fills its mirror from
+// the definitions, which name the wmes the control's table holds at
+// those handles: stored tokens name only live wmes, and the control
+// frees no handle before the next cycle.
 func (e *enc) bucketContents(bc *rete.BucketContents) {
-	cache := e.cache
-	e.cache = nil
+	e.selfContained = true
 	e.Int(bc.Bucket)
 	e.Count(len(bc.LeftTokens))
 	for i, tok := range bc.LeftTokens {
 		e.Int(bc.LeftNodes[i].ID)
 		e.Int(bc.LeftCounts[i])
-		e.wmes(tok.WMEs)
+		e.token(tok)
 	}
 	e.Count(len(bc.RightWMEs))
-	for i, w := range bc.RightWMEs {
+	for i, h := range bc.RightWMEs {
 		e.Int(bc.RightNodes[i].ID)
-		e.wme(w)
+		e.wme(h)
 	}
-	e.cache = cache
+	e.selfContained = false
 }
 
 func (d *dec) bucketContents(net *rete.Network) *rete.BucketContents {
-	cache := d.cache
-	d.cache = nil
+	d.selfContained = true
+	defer func() { d.selfContained = false }()
 	bc := &rete.BucketContents{Bucket: int(d.bucket())}
 	for i, n := 0, d.Count(1<<24); i < n; i++ {
 		bc.LeftNodes = append(bc.LeftNodes, d.node(net))
@@ -574,7 +588,6 @@ func (d *dec) bucketContents(net *rete.Network) *rete.BucketContents {
 		bc.RightNodes = append(bc.RightNodes, d.node(net))
 		bc.RightWMEs = append(bc.RightWMEs, d.wme())
 	}
-	d.cache = cache
 	return bc
 }
 
@@ -594,6 +607,8 @@ type turnFrame struct {
 	wmes    []*ops5.WME
 }
 
+// turn encodes a worker's turn, whose deltas travel as the
+// production-node activations they are built from (Turn.Acts).
 func (e *enc) turn(n int, stamps []parallel.RecvStamp, flushes int64, t *parallel.Turn) {
 	e.Int(n)
 	e.Count(len(stamps))
@@ -605,14 +620,14 @@ func (e *enc) turn(n int, stamps []parallel.RecvStamp, flushes int64, t *paralle
 	e.I64(t.Handled)
 	e.I64(flushes)
 	e.I32(t.MaxDepth)
-	e.Count(len(t.Insts))
+	e.Count(len(t.Acts))
 	nw := 0
-	for i := range t.Insts {
-		nw += len(t.Insts[i].WMEs)
+	for i := range t.Acts {
+		nw += len(t.Acts[i].Node.Info.TokenPos)
 	}
 	e.Count(nw)
-	for i := range t.Insts {
-		e.instChange(t.Insts[i])
+	for i := range t.Acts {
+		e.instChange(t.Acts[i])
 	}
 	e.Count(len(t.Loads))
 	for _, l := range t.Loads {

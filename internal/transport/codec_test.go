@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"mpcrete/internal/ops5"
+	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/wire"
 )
@@ -81,19 +82,23 @@ func TestDefinitionCodec(t *testing.T) {
 	for i, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
 			row.w.ID, row.w.TimeTag = 40+i, 90+i
+			h := int32(3 + i)
 			e := enc{layouts: network.Layouts()}
 			if row.w == early {
 				e.layouts = grownTable
 			}
-			e.def(row.w)
+			e.def(h, row.w)
 			var want enc
-			forgeDef(&want, row.w, row.classRef, row.class, row.slots, row.extras...)
+			forgeDef(&want, h, row.w, row.classRef, row.class, row.slots, row.extras...)
 			if !bytes.Equal(e.Buf, want.Buf) {
 				t.Fatalf("definition of %s\n  is   %x\n  want %x", row.w, e.Buf, want.Buf)
 			}
 
-			d := dec{Dec: wire.Dec{B: e.Buf}, layouts: far.Layouts()}
-			got := d.wme()
+			d := dec{Dec: wire.Dec{B: e.Buf}, tab: rete.NewTable(), mirror: true, layouts: far.Layouts()}
+			if got := d.wme(); got != h {
+				t.Fatalf("decoded at handle %d, want %d (%v)", got, h, d.Err)
+			}
+			got := d.tab.WME(h)
 			if err := d.Done(); err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +109,7 @@ func TestDefinitionCodec(t *testing.T) {
 				t.Errorf("decoded wme's layout is %p, want the receiving network's %p", got.Layout(), far.Layout(row.w.Class))
 			}
 			again := enc{layouts: far.Layouts()}
-			again.def(got)
+			again.def(h, got)
 			if !bytes.Equal(again.Buf, e.Buf) {
 				t.Errorf("re-encoded\n  as   %x\n  from %x", again.Buf, e.Buf)
 			}
@@ -124,8 +129,8 @@ func TestDefinitionFaults(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			e := enc{layouts: network.Layouts()}
 			faultChanges(&e, w, row.bad)
-			d := dec{Dec: wire.Dec{B: e.Buf}, cache: new(wmeCache), layouts: network.Layouts()}
-			d.changes(nil)
+			d := dec{Dec: wire.Dec{B: e.Buf}, tab: rete.NewTable(), mirror: true, layouts: network.Layouts()}
+			d.changes(new(parallel.CyclePacket))
 			err := d.Done()
 			if !errors.Is(err, ErrBadPayload) || !strings.Contains(err.Error(), row.why) {
 				t.Fatalf("decoder said %v, want ErrBadPayload: ... %s", err, row.why)
@@ -140,14 +145,14 @@ func TestDefinitionFaults(t *testing.T) {
 	var e enc
 	bucketWithDef(&e, wider.Layouts(), node, crate)
 	for name, table := range map[string][]*ops5.Layout{"smaller-table": network.Layouts(), "no-table": nil} {
-		d := dec{Dec: wire.Dec{B: e.Buf}, nbuckets: faultBuckets, workers: faultWorkers, layouts: table}
+		d := dec{Dec: wire.Dec{B: e.Buf}, nbuckets: faultBuckets, workers: faultWorkers, tab: rete.NewTable(), mirror: true, layouts: table}
 		d.bucketContents(network)
 		if err := d.Done(); !errors.Is(err, ErrBadPayload) || !strings.Contains(err.Error(), "outside the table") {
 			t.Errorf("%s: bucket contents decoded with %v, want ErrBadPayload: layout id outside the table", name, err)
 		}
 	}
-	d := dec{Dec: wire.Dec{B: e.Buf}, nbuckets: faultBuckets, workers: faultWorkers, layouts: wider.Layouts()}
-	if bc := d.bucketContents(wider); d.Done() != nil || len(bc.RightWMEs) != 1 || !bc.RightWMEs[0].Equal(crate) {
+	d := dec{Dec: wire.Dec{B: e.Buf}, nbuckets: faultBuckets, workers: faultWorkers, tab: rete.NewTable(), mirror: true, layouts: wider.Layouts()}
+	if bc := d.bucketContents(wider); d.Done() != nil || len(bc.RightWMEs) != 1 || !d.tab.WME(bc.RightWMEs[0]).Equal(crate) {
 		t.Errorf("the same bytes under the wider table: %v", d.Err)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"mpcrete/internal/obs"
-	"mpcrete/internal/ops5"
 	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/sched"
@@ -82,9 +81,9 @@ type Control struct {
 }
 
 // ctlConn is one worker's connection: the conn reader goroutine is the
-// single consumer of its frames (fr, dec and the receive cache behind
-// it) and the single producer of its causal track; writers (the cycle's
-// delivery and other readers' relay forwarding) serialize on mu.
+// single consumer of its frames (fr and dec) and the single producer of
+// its causal track; writers (the cycle's delivery and other readers'
+// relay forwarding) serialize on mu.
 type ctlConn struct {
 	id  int
 	c   net.Conn
@@ -92,7 +91,7 @@ type ctlConn struct {
 	dec dec
 
 	// mu orders the connection's outgoing bytes, and with them the send
-	// cache behind enc: a frame is encoded and written under one hold, so
+	// state behind enc: a frame is encoded and written under one hold, so
 	// the worker's mirror sees definitions in the order they were made.
 	mu  sync.Mutex
 	enc enc
@@ -179,8 +178,8 @@ func (c *Control) WaitWorkers() error {
 			id:  id,
 			c:   conn,
 			fr:  frameReader{r: bufio.NewReaderSize(conn, 1<<16)},
-			dec: dec{nbuckets: c.nbuckets, workers: c.opts.Workers, cache: new(wmeCache), layouts: c.network.Layouts()},
-			enc: enc{cache: new(wmeCache), layouts: c.network.Layouts()},
+			dec: dec{nbuckets: c.nbuckets, workers: c.opts.Workers, tab: c.Table(), layouts: c.network.Layouts()},
+			enc: enc{tab: c.Table(), layouts: c.network.Layouts()},
 		}
 		conn.SetReadDeadline(deadline)
 		if err := c.handshake(cc); err != nil {
@@ -261,7 +260,7 @@ func (c *Control) Broadcast(m parallel.Message, batch int32) error {
 	for _, cc := range c.conns {
 		if err := c.send(cc, ftCycle, func(e *enc) {
 			c.stamp(e, batch)
-			e.changes(m.Cycle.Changes)
+			e.changes(m.Cycle.Changes, m.Cycle.Handles)
 		}); err != nil {
 			return err
 		}
@@ -313,7 +312,7 @@ func (c *Control) read(cc *ctlConn) error {
 	d := &cc.dec
 	// A relay is re-encoded before the next frame is read and nothing of
 	// it is kept, so every relay's tokens are carved from the same slab.
-	refs := make([]*ops5.WME, refSlab)
+	handles := make([]int32, handleSlab)
 	var acts []parallel.Message
 	var tf turnFrame
 	for {
@@ -328,11 +327,10 @@ func (c *Control) read(cc *ctlConn) error {
 			if err != nil {
 				return err
 			}
-			// The control only forwards: references resolve through this
-			// conn's receive cache and leave as references into the
-			// destination's send cache; a wme is materialised only where
-			// the sender defined one.
-			d.refs = refs
+			// The control only forwards: references resolve in its own
+			// table and leave as references or, where the destination
+			// has not been sent the wme at this handle, definitions.
+			d.handles = handles
 			acts = d.actList(c.network, acts)
 			if err := d.Done(); err != nil {
 				return err
@@ -356,7 +354,7 @@ func (c *Control) read(cc *ctlConn) error {
 		case ftBucketRelay:
 			// A migrated bucket in flight: registered like a relay, then
 			// forwarded verbatim — the control process never decodes the
-			// contents, which is why they bypass both wme caches.
+			// contents, which is why they define every wme they name.
 			dst, err := relayDst(d, cc, ft)
 			if err != nil {
 				return err

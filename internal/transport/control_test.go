@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -341,27 +342,29 @@ func turnOf(node *rete.Node, total int, positions func(e *enc)) wireFrame {
 
 // TestControlRejectsBadReferences is the control's side of the fault
 // table: worker 0 answers the first cycle with a relay or a turn frame
-// whose second wme position lies about the cache (wmeFaults), or whose
-// delta names a node that is no production's terminal, or overruns the
-// array total the frame declared. Cycle must return an error wrapping
-// ErrBadPayload — not hang on the turn that never closes, and not hand
-// the engine an instantiation over stale content.
+// whose second wme position lies about the control's table (wmeFaults),
+// or is a definition, which no worker sends, or whose delta names a
+// node that is no production's terminal, or overruns the array total
+// the frame declared. Cycle must return an error wrapping ErrBadPayload
+// — not hang on the turn that never closes, and not hand the engine an
+// instantiation over stale content.
 func TestControlRejectsBadReferences(t *testing.T) {
 	network, changes := compileWorkload(t, "blocks")
-	w := faultWME()
+	// The control registered the cycle's first change at handle 1.
+	const h = 1
+	w := changes[0].WME
 	sn := shapeNodesOf(t, network)
-	// turn is a delta of pick-up, three positive condition elements: a
-	// definition of w, second, and an exact reference.
-	exact := func(e *enc, w *ops5.WME) { wireRef(e, w.ID, w.TimeTag) }
-	turn := func(node *rete.Node, total int, second func(e *enc, w *ops5.WME)) wireFrame {
+	// turn is a delta of pick-up, three positive condition elements: an
+	// exact reference, second, and an exact reference.
+	turn := func(node *rete.Node, total int, second func(e *enc, h int32, w *ops5.WME)) wireFrame {
 		return turnOf(node, total, func(e *enc) {
 			e.Count(3)
-			e.def(w)
-			second(e, w)
-			exact(e, w)
+			exactRef(e, h, w)
+			second(e, h, w)
+			exactRef(e, h, w)
 		})
 	}
-	relay := func(second func(e *enc, w *ops5.WME)) wireFrame {
+	relay := func(second func(e *enc, h int32, w *ops5.WME)) wireFrame {
 		return wireFrame{ftRelay, func(e *enc) {
 			e.I32(1) // destination: worker 0 is the forger
 			e.Count(1)
@@ -372,21 +375,27 @@ func TestControlRejectsBadReferences(t *testing.T) {
 			e.Byte(byte(rete.Add))
 			e.Bool(true)
 			e.Count(2)
-			e.def(w)
-			second(e, w)
+			exactRef(e, h, w)
+			second(e, h, w)
 			e.Byte(wmeNil)
 		}}
 	}
+	// A definition the worker's own mirror would take: the control takes
+	// none.
+	def := func(e *enc, h int32, w *ops5.WME) { e.def(h, w) }
 	type forgery struct {
 		name  string
 		frame wireFrame
 		sound bool
+		why   string // what the error must say, where a row pins it
 	}
 	rows := []forgery{
-		{name: "exact", frame: turn(sn.prod3, 3, exact), sound: true},
-		{name: "turn-node-not-production", frame: turn(sn.join2, 3, exact)},
-		{name: "turn-overruns-totals", frame: turn(sn.prod3, 2, exact)},
-		{name: "turn-short-of-totals", frame: turn(sn.prod3, 4, exact)},
+		{name: "exact", frame: turn(sn.prod3, 3, exactRef), sound: true},
+		{name: "turn-node-not-production", frame: turn(sn.join2, 3, exactRef)},
+		{name: "turn-overruns-totals", frame: turn(sn.prod3, 2, exactRef)},
+		{name: "turn-short-of-totals", frame: turn(sn.prod3, 4, exactRef)},
+		{name: "turn-definition", frame: turn(sn.prod3, 3, def), why: "definition from a worker"},
+		{name: "relay-definition", frame: relay(def), why: "definition from a worker"},
 	}
 	for _, f := range wmeFaults {
 		rows = append(rows,
@@ -398,9 +407,9 @@ func TestControlRejectsBadReferences(t *testing.T) {
 			insts, err := cycleAgainstForger(t, network, changes, row.frame)
 			switch {
 			case row.sound && (err != nil || len(insts) != 1 || insts[0].WMEs[0] != insts[0].WMEs[1] || insts[0].WMEs[1] != insts[0].WMEs[2]):
-				t.Fatalf("sound turn: insts=%v err=%v, want one delta over the one cached wme", insts, err)
-			case !row.sound && !errors.Is(err, ErrBadPayload):
-				t.Fatalf("Cycle returned %v, want ErrBadPayload", err)
+				t.Fatalf("sound turn: insts=%v err=%v, want one delta over the control's one wme", insts, err)
+			case !row.sound && (!errors.Is(err, ErrBadPayload) || !strings.Contains(err.Error(), row.why)):
+				t.Fatalf("Cycle returned %v, want ErrBadPayload: ... %s", err, row.why)
 			}
 		})
 	}

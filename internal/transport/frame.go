@@ -22,9 +22,11 @@
 // leaves in one Write; a worker's whole turn — its relays and the
 // closing turn frame — leaves in one.
 //
-// Inside the payloads a wme crosses each directed connection once: the
-// first mention is a definition, every later one an (ID, TimeTag)
-// reference into a cache both ends keep (codec.go has the contract).
+// Inside the payloads a wme is named by the control's handle: a worker's
+// table mirrors the control's, the control defines a wme to a worker
+// the first time the worker needs it, and every later mention, and
+// everything a worker sends, is a (handle, TimeTag) reference (codec.go
+// has the contract).
 package transport
 
 import (
@@ -86,7 +88,7 @@ const (
 	// bucket pair: destination worker, entry count, then the encoded
 	// contents, which the control process forwards verbatim (without
 	// decoding) as ftBucket — so the contents are self-contained: every
-	// wme a definition, none cached.
+	// wme a definition at its handle, none a reference.
 	ftBucketRelay
 	// ftBucket is the control→worker delivery of one migrated bucket
 	// pair; the receiver injects it and closes the turn.

@@ -48,8 +48,9 @@ func mustCompile(name string) (*rete.Network, []rete.Change) {
 }
 
 // wireFrame is one frame a test puts on the wire, its payload written
-// field by field through a fresh encoder with no cache: every form
-// byte in it is chosen by the test. The encoder holds the layout table
+// field by field through a fresh encoder over fixtureTable with no send
+// state: every form byte in it is chosen by the test, and a wme the
+// encoder names is defined at its first mention. The encoder holds the layout table
 // of the network the connection was opened over (nil where the payload
 // defines no wme), so a definition the test does not forge is the row
 // a real connection would send.
@@ -59,7 +60,7 @@ type wireFrame struct {
 }
 
 func (f wireFrame) writeTo(w io.Writer, layouts []*ops5.Layout) error {
-	e := enc{layouts: layouts}
+	e := enc{tab: fixtureTable(), layouts: layouts}
 	e.begin()
 	f.fill(&e)
 	if err := e.end(f.ft); err != nil {
@@ -174,7 +175,7 @@ func TestFrameFaults(t *testing.T) {
 			t.Fatal("decoded garbage hello")
 		}
 	})
-	for _, old := range []byte{2, 3, 4, 5, 6, 7} {
+	for _, old := range []byte{2, 3, 4, 5, 6, 7, 8} {
 		t.Run(fmt.Sprintf("hello-version-%d", old), func(t *testing.T) {
 			// A version-2 peer hashes numbers into other buckets; a
 			// version-3 peer spells every wme out and knows no references;
@@ -183,22 +184,24 @@ func TestFrameFaults(t *testing.T) {
 			// and expects them; a version-6 peer ships a compiled network
 			// and expects one; a version-7 peer folds keys byte by byte,
 			// so at two workers it agrees on every key's owner but not on
-			// its bucket. Each must be turned away at the handshake, not
-			// mis-join or mis-decode later.
+			// its bucket; a version-8 peer names a wme by (ID, TimeTag) in
+			// a cache of its own and defines back what it was sent. Each
+			// must be turned away at the handshake, not mis-join or
+			// mis-decode later.
 			net, _ := mustCompile("blocks")
 			hb := helloBytes(hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, appendProgram(nil, net))
 			if _, err := decodeHello(hb); err != nil {
 				t.Fatalf("current hello refused: %v", err)
 			}
-			if protoVersion != 8 || hb[0] != protoVersion {
-				t.Fatalf("hello leads with %#x, want the version varint 8 (protoVersion %d)", hb[0], protoVersion)
+			if protoVersion != 9 || hb[0] != protoVersion {
+				t.Fatalf("hello leads with %#x, want the version varint 9 (protoVersion %d)", hb[0], protoVersion)
 			}
 			hb[0] = old
 			_, err := decodeHello(hb)
 			if !errors.Is(err, ErrBadPayload) {
 				t.Fatalf("version %d hello: got %v, want ErrBadPayload", old, err)
 			}
-			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", old)) || !strings.Contains(msg, "want 8") {
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", old)) || !strings.Contains(msg, "want 9") {
 				t.Fatalf("error %q does not name both versions", msg)
 			}
 		})
@@ -219,9 +222,10 @@ func TestFrameFaults(t *testing.T) {
 	})
 	t.Run("trailing-bytes", func(t *testing.T) {
 		net, changes := mustCompile("blocks")
-		var e enc
-		delivery{ft: ftCycle, batch: 1, changes: changes}.encode(&e)
-		if _, err := decodeDelivery(net, &dec{Dec: wire.Dec{B: append(e.Buf, 0xab)}}, ftCycle); !errors.Is(err, ErrBadPayload) {
+		tab := rete.NewTable()
+		e := enc{tab: tab}
+		delivery{ft: ftCycle, batch: 1, changes: changes, handles: tab.Handles(changes, nil)}.encode(&e)
+		if _, err := decodeDelivery(net, &dec{Dec: wire.Dec{B: append(e.Buf, 0xab)}, tab: rete.NewTable(), mirror: true}, ftCycle); !errors.Is(err, ErrBadPayload) || !strings.Contains(err.Error(), "trailing") {
 			t.Fatalf("got %v, want ErrBadPayload for trailing bytes", err)
 		}
 	})
@@ -271,12 +275,14 @@ func (w *countWriter) Write(p []byte) (int, error) {
 	return len(p), nil
 }
 
-// delivery is a decoded control→worker delivery: an ftCycle's changes or
-// an ftActs' activations, under the causal stamp both open with.
+// delivery is a decoded control→worker delivery: an ftCycle's changes
+// and their handles, or an ftActs' activations, under the causal stamp
+// both open with.
 type delivery struct {
 	ft         frameType
 	batch, src int32
 	changes    []rete.Change
+	handles    []int32
 	acts       []parallel.Message
 }
 
@@ -286,7 +292,7 @@ func (f delivery) encode(e *enc) {
 	e.I32(f.batch)
 	e.I32(f.src)
 	if f.ft == ftCycle {
-		e.changes(f.changes)
+		e.changes(f.changes, f.handles)
 	} else {
 		e.actList(f.acts)
 	}
@@ -297,7 +303,9 @@ func (f delivery) encode(e *enc) {
 func decodeDelivery(net *rete.Network, d *dec, ft frameType) (delivery, error) {
 	f := delivery{ft: ft, batch: d.I32(), src: d.I32()}
 	if ft == ftCycle {
-		f.changes = d.changes(nil)
+		var pkt parallel.CyclePacket
+		d.changes(&pkt)
+		f.changes, f.handles = pkt.Changes, pkt.Handles
 	} else {
 		f.acts = d.actList(net, nil)
 	}
@@ -305,8 +313,7 @@ func decodeDelivery(net *rete.Network, d *dec, ft frameType) (delivery, error) {
 }
 
 // deliveryFrames frames deliveries through e as one connection's
-// stream: with a send cache, later frames refer to wmes the earlier
-// ones defined.
+// stream: later frames refer to wmes the earlier ones defined.
 func deliveryFrames(e enc, fs ...delivery) []byte {
 	for _, f := range fs {
 		e.begin()
@@ -345,57 +352,61 @@ func readDeliveries(net *rete.Network, d *dec, data []byte) ([]delivery, error) 
 // TestBatchRoundTrip re-encodes decoded deliveries and requires
 // byte-identical output: the codec is canonical, which is what lets
 // the CI smoke test assert conflict-set byte parity across processes.
-// With a fresh cache at each end the property covers both forms: the
-// second cycle deletes wmes the first defined, and the routed
-// activations carry them, so both are encoded, and re-encoded, as
-// references.
+// Over a fresh send state and a fresh mirror the property covers both
+// forms: the second cycle deletes wmes the first defined, and the
+// routed activations carry them, so both are encoded, and re-encoded,
+// as references.
 func TestBatchRoundTrip(t *testing.T) {
 	net, changes := mustCompile("blocks")
 	sn := shapeNodesOf(t, net)
-	a, b, c := changes[0].WME, changes[1].WME, changes[2].WME
+	ctl := rete.NewTable()
+	hs := ctl.Handles(changes, nil)
+	dels := []rete.Change{{Tag: rete.Delete, WME: changes[0].WME}, {Tag: rete.Delete, WME: changes[2].WME}}
+	a, b, c := hs[0], hs[1], hs[2]
 	fs := []delivery{
-		{ft: ftCycle, batch: 7, src: 2, changes: changes},
-		{ft: ftCycle, batch: 8, src: 2, changes: []rete.Change{{Tag: rete.Delete, WME: a}, {Tag: rete.Delete, WME: c}}},
+		{ft: ftCycle, batch: 7, src: 2, changes: changes, handles: hs},
+		{ft: ftCycle, batch: 8, src: 2, changes: dels, handles: ctl.Handles(dels, nil)},
 		{ft: ftActs, batch: 9, src: 1, acts: []parallel.Message{
 			{Kind: parallel.MsgAct, Bucket: 3, Depth: 1, Act: rete.Activation{Node: sn.join2, Side: rete.Right, Tag: rete.Add, WME: b}},
-			{Kind: parallel.MsgAct, Bucket: 5, Depth: 2, Act: rete.Activation{Node: sn.join2, Side: rete.Left, Tag: rete.Delete, Token: rete.Token{WMEs: []*ops5.WME{a, c}}}},
+			{Kind: parallel.MsgAct, Bucket: 5, Depth: 2, Act: rete.Activation{Node: sn.join2, Side: rete.Left, Tag: rete.Delete, Token: rete.Token{H: []int32{a, c}}}},
 		}},
 	}
 	table := net.Layouts()
-	stream := deliveryFrames(enc{cache: new(wmeCache), layouts: table}, fs...)
-	newDec := func(cache *wmeCache) *dec {
-		return &dec{nbuckets: rete.DefaultNBuckets, workers: 2, cache: cache, layouts: table}
+	stream := deliveryFrames(enc{tab: ctl, layouts: table}, fs...)
+	newDec := func(mirror bool, tab *rete.Table) *dec {
+		return &dec{nbuckets: rete.DefaultNBuckets, workers: 2, tab: tab, mirror: mirror, layouts: table}
 	}
-	d := newDec(new(wmeCache))
+	d := newDec(true, rete.NewTable())
 	got, err := readDeliveries(net, d, stream)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.cache.defs != int64(len(changes)) || d.cache.refs != 5 {
-		t.Fatalf("decoded %d definitions and %d references, want %d and 5", d.cache.defs, d.cache.refs, len(changes))
+	if d.defs != int64(len(changes)) || d.refs != 5 {
+		t.Fatalf("decoded %d definitions and %d references, want %d and 5", d.defs, d.refs, len(changes))
 	}
 	if len(got) != len(fs) || got[2].batch != 9 || got[2].src != 1 {
 		t.Fatalf("decoded %d deliveries, the last stamped (%d, %d)", len(got), got[len(got)-1].batch, got[len(got)-1].src)
 	}
-	if del, def := got[1].changes[1].WME, got[0].changes[2].WME; del != def {
-		t.Fatalf("reference decoded to %p, its definition to %p: want the one cached copy", del, def)
+	if del, def := got[1].changes[1].WME, got[0].changes[2].WME; del != def || got[1].handles[1] != c {
+		t.Fatalf("reference decoded to %p, its definition to %p: want the mirror's one row, at handle %d", del, def, c)
 	}
-	if tok, def := got[2].acts[1].Act.Token.WMEs[0], got[0].changes[0].WME; tok != def {
-		t.Fatalf("token reference decoded to %p, its definition to %p: want the one cached copy", tok, def)
+	if tok := got[2].acts[1].Act.Token.H[0]; tok != a || d.tab.WME(tok) != got[0].changes[0].WME {
+		t.Fatalf("token reference decoded to handle %d, want %d and the mirror's row", tok, a)
 	}
 	if w := got[0].changes[0].WME; w.Layout() != net.Layout(w.Class) || w.Layout() == nil {
 		t.Fatalf("%s decoded into layout %p, want its class's", w, w.Layout())
 	}
-	if again := deliveryFrames(enc{cache: new(wmeCache), layouts: table}, got...); !bytes.Equal(again, stream) {
+	if again := deliveryFrames(enc{tab: d.tab, layouts: table}, got...); !bytes.Equal(again, stream) {
 		t.Fatal("re-encoded deliveries differ: codec is not canonical")
 	}
-	// Without a cache the same deliveries are all definitions, and a
-	// decoder without one refuses the cached encoding's references.
-	if _, err := readDeliveries(net, newDec(nil), deliveryFrames(enc{layouts: table}, fs...)); err != nil {
-		t.Fatalf("uncached deliveries: %v", err)
+	// The control takes no definition, and a mirror that missed the
+	// first frame resolves none of the later ones' references.
+	if _, err := readDeliveries(net, newDec(false, ctl), stream); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("definitions decoded at the control: err=%v", err)
 	}
-	if _, err := readDeliveries(net, newDec(nil), stream); !errors.Is(err, ErrBadPayload) {
-		t.Fatalf("references decoded without a cache: err=%v", err)
+	later := deliveryFrames(enc{tab: ctl, sent: []int{noTag, 1, 2, 3}, layouts: table}, fs[1:]...)
+	if _, err := readDeliveries(net, newDec(true, rete.NewTable()), later); !errors.Is(err, ErrBadPayload) {
+		t.Fatalf("references decoded by an empty mirror: err=%v", err)
 	}
 }
 
@@ -419,9 +430,10 @@ func fuzzSlotFormSeeds(net *rete.Network, changes []rete.Change) [][]byte {
 		gone = append(gone, rete.Change{Tag: rete.Delete, WME: w})
 	}
 	cycles := func(first, second []rete.Change) []byte {
-		return deliveryFrames(enc{cache: new(wmeCache), layouts: net.Layouts()},
-			delivery{ft: ftCycle, batch: 1, src: 2, changes: first},
-			delivery{ft: ftCycle, batch: 2, src: 2, changes: second})
+		tab := rete.NewTable()
+		return deliveryFrames(enc{tab: tab, layouts: net.Layouts()},
+			delivery{ft: ftCycle, batch: 1, src: 2, changes: first, handles: tab.Handles(first, nil)},
+			delivery{ft: ftCycle, batch: 2, src: 2, changes: second, handles: tab.Handles(second, nil)})
 	}
 	return [][]byte{
 		cycles(changes, []rete.Change{{Tag: rete.Delete, WME: changes[1].WME}, {Tag: rete.Delete, WME: changes[0].WME}}),
@@ -438,10 +450,10 @@ func fuzzSlotFormSeeds(net *rete.Network, changes []rete.Change) [][]byte {
 func TestSlotFormSeeds(t *testing.T) {
 	net, changes := mustCompile("blocks")
 	for i, data := range fuzzSlotFormSeeds(net, changes) {
-		d := dec{nbuckets: rete.DefaultNBuckets, workers: 2, cache: new(wmeCache), layouts: net.Layouts()}
+		d := dec{nbuckets: rete.DefaultNBuckets, workers: 2, tab: rete.NewTable(), mirror: true, layouts: net.Layouts()}
 		fs, err := readDeliveries(net, &d, data)
-		if err != nil || len(fs) != 2 || d.cache.defs != int64(len(fs[0].changes)) || d.cache.refs != int64(len(fs[1].changes)) {
-			t.Fatalf("seed %d: %d frames, %d definitions, %d references, err=%v", i, len(fs), d.cache.defs, d.cache.refs, err)
+		if err != nil || len(fs) != 2 || d.defs != int64(len(fs[0].changes)) || d.refs != int64(len(fs[1].changes)) {
+			t.Fatalf("seed %d: %d frames, %d definitions, %d references, err=%v", i, len(fs), d.defs, d.refs, err)
 		}
 		for _, ch := range fs[0].changes {
 			if ch.WME.Layout() != net.Layout(ch.WME.Class) {
@@ -476,9 +488,9 @@ func FuzzTransportFrame(f *testing.F) {
 	f.Add(slotForm[1])
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The topology bounds decoded bucket and worker indices are held
-		// to, the stream's receive cache, and the layout table its
-		// definitions are rows of.
-		d := dec{nbuckets: rete.DefaultNBuckets, workers: 2, cache: new(wmeCache), layouts: table}
+		// to, the worker's mirror the stream fills, and the layout table
+		// its definitions are rows of.
+		d := dec{nbuckets: rete.DefaultNBuckets, workers: 2, tab: rete.NewTable(), mirror: true, layouts: table}
 		var fs []delivery
 		fr := frameReader{r: bytes.NewReader(data)}
 		for {
@@ -506,13 +518,14 @@ func FuzzTransportFrame(f *testing.F) {
 			}
 		}
 		// Adversarial payloads may use non-minimal varints, and may
-		// define one (ID, TimeTag) twice, so the raw input need not
-		// re-encode byte-identically. The canonical property is that
-		// ENCODER output is a fixed point: decode, re-encode, decode,
-		// re-encode — the two encoder outputs must match exactly, frame
-		// by frame, with one cache per end per pass.
-		e1, e2 := enc{cache: new(wmeCache), layouts: table}, enc{cache: new(wmeCache), layouts: table}
-		d2 := dec{nbuckets: d.nbuckets, workers: d.workers, cache: new(wmeCache), layouts: table}
+		// define one handle twice, so the raw input need not re-encode
+		// byte-identically. The canonical property is that ENCODER output
+		// is a fixed point: decode, re-encode, decode, re-encode — the two
+		// encoder outputs must match exactly, frame by frame, each pass
+		// encoding from the mirror its decoder filled, with a fresh send
+		// state.
+		d2 := dec{nbuckets: d.nbuckets, workers: d.workers, tab: rete.NewTable(), mirror: true, layouts: table}
+		e1, e2 := enc{tab: d.tab, layouts: table}, enc{tab: d2.tab, layouts: table}
 		for i, f := range fs {
 			buf := payloadOf(&e1, f.encode)
 			d2.Reset(buf)

@@ -218,6 +218,13 @@ func rightAct(net *rete.Network) rete.Activation {
 		Node: node,
 		Side: rete.Right,
 		Tag:  rete.Add,
-		WME:  ops5.NewWME("probe", "v", ops5.N(1)),
+		WME:  probeHandle,
 	}
+}
+
+// probeWME is rightAct's wme, at probeHandle in fixtureTable.
+func probeWME() *ops5.WME {
+	w := ops5.NewWME("probe", "v", ops5.N(1))
+	w.ID, w.TimeTag = 6, 10
+	return w
 }

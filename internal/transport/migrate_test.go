@@ -66,19 +66,17 @@ var migrationProds = []string{
 
 // churnScript is a fixed pseudo-random run of single-wme cycles over
 // migrationProds' classes: two adds for every delete of a live wme.
-func churnScript(steps int) [][]rete.Change {
-	return churnScriptIDs(steps, func(k int) int { return k + 1 })
-}
+func churnScript(steps int) [][]rete.Change { return churnScriptLive(steps, steps) }
 
-// churnScriptIDs is churnScript with the k-th wme made given id
-// idOf(k); its time tag is k+1.
-func churnScriptIDs(steps int, idOf func(k int) int) [][]rete.Change {
+// churnScriptLive is churnScript that deletes a live wme whenever
+// maxLive are live. The k-th wme made has id and time tag k+1.
+func churnScriptLive(steps, maxLive int) [][]rete.Change {
 	var script [][]rete.Change
 	made := 0
 	var live []*ops5.WME
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < steps; i++ {
-		if len(live) > 0 && rng.Intn(3) == 0 {
+		if len(live) >= maxLive || len(live) > 0 && rng.Intn(3) == 0 {
 			j := rng.Intn(len(live))
 			script = append(script, []rete.Change{{Tag: rete.Delete, WME: live[j]}})
 			live = append(live[:j], live[j+1:]...)
@@ -86,7 +84,7 @@ func churnScriptIDs(steps int, idOf func(k int) int) [][]rete.Change {
 		}
 		class := []string{"a", "b", "c", "d"}[rng.Intn(4)]
 		w := ops5.NewWME(class, "x", rng.Intn(3))
-		w.ID, w.TimeTag = idOf(made), made+1
+		w.ID, w.TimeTag = made+1, made+1
 		made++
 		script = append(script, []rete.Change{{Tag: rete.Add, WME: w}})
 		live = append(live, w)

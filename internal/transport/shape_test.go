@@ -36,9 +36,10 @@ func shapeNodesOf(t *testing.T, network *rete.Network) shapeNodes {
 
 // forgeAct writes one activation field by field, as enc.activation lays
 // it out: node, side, tag, whether a token follows, the token's wmes,
-// then the wme position. Every wme is a definition of w, the frames'
-// encoder having no cache. token < 0 writes no token.
-func forgeAct(e *enc, n *rete.Node, side rete.Side, token int, wme bool, w *ops5.WME) {
+// then the wme position. Every wme position is written by pos: a
+// definition toward a worker, a reference toward the control, which
+// takes no definition. token < 0 writes no token.
+func forgeAct(e *enc, n *rete.Node, side rete.Side, token int, wme bool, pos func(*enc)) {
 	e.Int(n.ID)
 	e.Byte(byte(side))
 	e.Byte(byte(rete.Add))
@@ -46,11 +47,11 @@ func forgeAct(e *enc, n *rete.Node, side rete.Side, token int, wme bool, w *ops5
 	if token >= 0 {
 		e.Count(token)
 		for i := 0; i < token; i++ {
-			e.def(w)
+			pos(e)
 		}
 	}
 	if wme {
-		e.def(w)
+		pos(e)
 	} else {
 		e.Byte(wmeNil)
 	}
@@ -58,33 +59,33 @@ func forgeAct(e *enc, n *rete.Node, side rete.Side, token int, wme bool, w *ops5
 
 // actFaults are the ways an activation can lie about its shape: each
 // encodes one activation that the codec used to decode and a step then
-// dereferenced or indexed — a nil token at Token.WMEs, a nil wme at
-// WME.ID, a one-wme token at Tests[i].LeftPos or Info.TokenPos. The two
-// sound rows are the same frames told truthfully.
+// dereferenced or indexed — a nil token at Token.H, an absent wme at
+// its handle, a one-wme token at Tests[i].LeftPos or Info.TokenPos. The
+// two sound rows are the same frames told truthfully.
 var actFaults = []struct {
 	name string
-	act  func(e *enc, sn shapeNodes, w *ops5.WME)
+	act  func(e *enc, sn shapeNodes, pos func(*enc))
 	why  string // "" for a sound row
 }{
-	{"sound-left", func(e *enc, sn shapeNodes, w *ops5.WME) { forgeAct(e, sn.join2, rete.Left, 2, false, w) }, ""},
-	{"sound-right", func(e *enc, sn shapeNodes, w *ops5.WME) { forgeAct(e, sn.join2, rete.Right, -1, true, w) }, ""},
-	{"left-without-token", func(e *enc, sn shapeNodes, w *ops5.WME) { forgeAct(e, sn.join2, rete.Left, -1, false, w) }, "left activation of join node"},
-	{"left-with-wme", func(e *enc, sn shapeNodes, w *ops5.WME) { forgeAct(e, sn.join2, rete.Left, 2, true, w) }, "left activation of join node"},
-	{"left-narrow-token", func(e *enc, sn shapeNodes, w *ops5.WME) { forgeAct(e, sn.join2, rete.Left, 1, false, w) }, "needs a 2-wme token"},
-	{"left-wide-token", func(e *enc, sn shapeNodes, w *ops5.WME) { forgeAct(e, sn.join2, rete.Left, 3, false, w) }, "needs a 2-wme token"},
-	{"left-narrow-token-at-terminal", func(e *enc, sn shapeNodes, w *ops5.WME) { forgeAct(e, sn.prod3, rete.Left, 1, false, w) }, "needs a 3-wme token"},
-	{"right-without-wme", func(e *enc, sn shapeNodes, w *ops5.WME) { forgeAct(e, sn.join2, rete.Right, -1, false, w) }, "right activation of join node"},
-	{"right-with-token", func(e *enc, sn shapeNodes, w *ops5.WME) { forgeAct(e, sn.join2, rete.Right, 2, true, w) }, "right activation of join node"},
-	{"right-at-terminal", func(e *enc, sn shapeNodes, w *ops5.WME) { forgeAct(e, sn.prod3, rete.Right, -1, true, w) }, "right activation of production node"},
+	{"sound-left", func(e *enc, sn shapeNodes, pos func(*enc)) { forgeAct(e, sn.join2, rete.Left, 2, false, pos) }, ""},
+	{"sound-right", func(e *enc, sn shapeNodes, pos func(*enc)) { forgeAct(e, sn.join2, rete.Right, -1, true, pos) }, ""},
+	{"left-without-token", func(e *enc, sn shapeNodes, pos func(*enc)) { forgeAct(e, sn.join2, rete.Left, -1, false, pos) }, "left activation of join node"},
+	{"left-with-wme", func(e *enc, sn shapeNodes, pos func(*enc)) { forgeAct(e, sn.join2, rete.Left, 2, true, pos) }, "left activation of join node"},
+	{"left-narrow-token", func(e *enc, sn shapeNodes, pos func(*enc)) { forgeAct(e, sn.join2, rete.Left, 1, false, pos) }, "needs a 2-wme token"},
+	{"left-wide-token", func(e *enc, sn shapeNodes, pos func(*enc)) { forgeAct(e, sn.join2, rete.Left, 3, false, pos) }, "needs a 2-wme token"},
+	{"left-narrow-token-at-terminal", func(e *enc, sn shapeNodes, pos func(*enc)) { forgeAct(e, sn.prod3, rete.Left, 1, false, pos) }, "needs a 3-wme token"},
+	{"right-without-wme", func(e *enc, sn shapeNodes, pos func(*enc)) { forgeAct(e, sn.join2, rete.Right, -1, false, pos) }, "right activation of join node"},
+	{"right-with-token", func(e *enc, sn shapeNodes, pos func(*enc)) { forgeAct(e, sn.join2, rete.Right, 2, true, pos) }, "right activation of join node"},
+	{"right-at-terminal", func(e *enc, sn shapeNodes, pos func(*enc)) { forgeAct(e, sn.prod3, rete.Right, -1, true, pos) }, "right activation of production node"},
 }
 
-// forgeDelta writes one delta's wme positions: a definition of w where
-// filled says so, nothing elsewhere.
-func forgeDelta(e *enc, w *ops5.WME, filled ...bool) {
+// forgeDelta writes one delta's wme positions: pos where filled says
+// so, nothing elsewhere.
+func forgeDelta(e *enc, pos func(*enc), filled ...bool) {
 	e.Count(len(filled))
 	for _, f := range filled {
 		if f {
-			e.def(w)
+			pos(e)
 		} else {
 			e.Byte(wmeNil)
 		}
@@ -119,6 +120,7 @@ var deltaFaults = []struct {
 func TestShapeFaultsAtTheCodec(t *testing.T) {
 	network, _ := compileWorkload(t, "blocks")
 	sn, w := shapeNodesOf(t, network), faultWME()
+	ref := func(e *enc) { exactRef(e, faultHandle, w) }
 	check := func(t *testing.T, err error, why string) {
 		t.Helper()
 		switch {
@@ -131,8 +133,8 @@ func TestShapeFaultsAtTheCodec(t *testing.T) {
 	for _, row := range actFaults {
 		t.Run("act-"+row.name, func(t *testing.T) {
 			e := enc{layouts: network.Layouts()}
-			row.act(&e, sn, w)
-			d := dec{Dec: wire.Dec{B: e.Buf}, cache: new(wmeCache), layouts: network.Layouts()}
+			row.act(&e, sn, ref)
+			d := dec{Dec: wire.Dec{B: e.Buf}, tab: fixtureTable(), layouts: network.Layouts()}
 			d.activation(network)
 			check(t, d.Done(), row.why)
 		})
@@ -142,8 +144,8 @@ func TestShapeFaultsAtTheCodec(t *testing.T) {
 			e := enc{layouts: network.Layouts()}
 			e.Byte(byte(rete.Add))
 			e.Int(row.node(sn).ID)
-			forgeDelta(&e, w, row.filled...)
-			d := dec{Dec: wire.Dec{B: e.Buf}, cache: new(wmeCache), layouts: network.Layouts()}
+			forgeDelta(&e, ref, row.filled...)
+			d := dec{Dec: wire.Dec{B: e.Buf}, tab: fixtureTable(), layouts: network.Layouts()}
 			d.instChange(network, &turnFrame{wmes: make([]*ops5.WME, 8)})
 			check(t, d.Done(), row.why)
 		})
@@ -157,6 +159,7 @@ func TestShapeFaultsAtTheCodec(t *testing.T) {
 func TestWorkerRejectsBadShapes(t *testing.T) {
 	network, _ := compileWorkload(t, "blocks")
 	sn, w := shapeNodesOf(t, network), faultWME()
+	def := func(e *enc) { e.def(faultHandle, w) }
 	shutdown := wireFrame{ftShutdown, func(*enc) {}}
 	for _, row := range actFaults {
 		t.Run(row.name, func(t *testing.T) {
@@ -168,7 +171,7 @@ func TestWorkerRejectsBadShapes(t *testing.T) {
 				e.Count(1)
 				e.I32(3) // bucket
 				e.I32(1) // depth
-				row.act(e, sn, w)
+				row.act(e, sn, def)
 			}}
 			err := serveFault(t, network, acts, shutdown)
 			switch {
@@ -190,10 +193,12 @@ func TestWorkerRejectsBadShapes(t *testing.T) {
 // come back as the one delta they are.
 func TestControlRejectsBadShapes(t *testing.T) {
 	network, changes := compileWorkload(t, "blocks")
-	sn, w := shapeNodesOf(t, network), faultWME()
+	sn := shapeNodesOf(t, network)
+	// The control registered the cycle's first change at handle 1.
+	ref := func(e *enc) { exactRef(e, 1, changes[0].WME) }
 	for _, row := range deltaFaults {
 		t.Run("turn-"+row.name, func(t *testing.T) {
-			frame := turnOf(row.node(sn), len(row.filled), func(e *enc) { forgeDelta(e, w, row.filled...) })
+			frame := turnOf(row.node(sn), len(row.filled), func(e *enc) { forgeDelta(e, ref, row.filled...) })
 			insts, err := cycleAgainstForger(t, network, changes, frame)
 			switch {
 			case row.why == "" && (err != nil || len(insts) != 1 || len(insts[0].WMEs) != len(row.filled)):
@@ -213,7 +218,7 @@ func TestControlRejectsBadShapes(t *testing.T) {
 				e.Count(1)
 				e.I32(3) // bucket
 				e.I32(2) // depth
-				row.act(e, sn, w)
+				row.act(e, sn, ref)
 			}}
 			if _, err := cycleAgainstForger(t, network, changes, frame); !errors.Is(err, ErrBadPayload) {
 				t.Fatalf("Cycle returned %v, want ErrBadPayload", err)

@@ -53,7 +53,11 @@ import (
 // ready frame answers with the compiled network's rete.Network.Digest.
 // Version 8 changed no frame: it marks rete.HashKey's word fold, which
 // keeps each key's bit 0 and re-deals bits 1–63, the bucket's others.
-const protoVersion = 8
+// Version 9 names a wme by the control's handle: a definition carries
+// the handle before the row, a reference is (handle, TimeTag), a
+// worker's table mirrors the control's, and workers never define
+// outside migrated bucket contents.
+const protoVersion = 9
 
 // hello is the decoded handshake.
 type hello struct {
@@ -166,12 +170,13 @@ func ServeConn(conn net.Conn) error {
 	if err != nil {
 		return fmt.Errorf("transport: worker handshake: %w", err)
 	}
+	mirror := rete.NewTable()
 	w := &starWorker{
 		hello: h,
-		step:  parallel.NewStep(h.net, h.id, h.workers, h.partition, h.trackLoads, nil),
+		step:  parallel.NewStep(h.net, mirror, h.id, h.workers, h.partition, h.trackLoads, nil),
 		conn:  conn,
-		dec:   dec{nbuckets: h.nbuckets, workers: h.workers, cache: new(wmeCache), layouts: h.net.Layouts()},
-		enc:   enc{cache: new(wmeCache), layouts: h.net.Layouts()},
+		dec:   dec{nbuckets: h.nbuckets, workers: h.workers, tab: mirror, mirror: true, layouts: h.net.Layouts()},
+		enc:   enc{tab: mirror, refsOnly: true, layouts: h.net.Layouts()},
 	}
 
 	w.enc.begin()
@@ -196,8 +201,9 @@ func ServeConn(conn net.Conn) error {
 }
 
 // starWorker is one worker process's carrier state: the step, the
-// decoder and encoder with their ends of the connection's two wme
-// caches, and the message buffers reused across turns.
+// decoder that fills the step's mirror of the control's wme table and
+// the encoder that references it, and the message buffers reused
+// across turns.
 type starWorker struct {
 	hello
 	step *parallel.Step
@@ -233,7 +239,7 @@ func (w *starWorker) turn(ft frameType, payload []byte) error {
 		// Both open with the causal stamp the turn frame echoes.
 		stamps = append(w.stamp[:0], parallel.RecvStamp{Batch: d.I32(), Src: d.I32()})
 		if ft == ftCycle {
-			w.pkt.Changes = d.changes(w.pkt.Changes)
+			d.changes(&w.pkt)
 			w.msgs = append(w.msgs[:0], parallel.Message{Kind: parallel.MsgCycle, Cycle: &w.pkt})
 		} else {
 			w.msgs = d.actList(w.net, w.msgs)
@@ -298,6 +304,6 @@ func (w *starWorker) turn(ft frameType, payload []byte) error {
 	s.Moved = s.Moved[:0]
 
 	e.begin()
-	e.turn(n, stamps, flushes, s.EndTurn())
+	e.turn(n, stamps, flushes, s.EndTurn(false))
 	return w.send(ftTurn)
 }

@@ -184,7 +184,7 @@ func TestWorkerRejectsBadIndices(t *testing.T) {
 			e.bucketContents(&rete.BucketContents{
 				Bucket:     badBucket,
 				RightNodes: []*rete.Node{act.Node},
-				RightWMEs:  []*ops5.WME{act.WME},
+				RightWMEs:  []int32{act.WME},
 			})
 		}}},
 	}
@@ -197,49 +197,57 @@ func TestWorkerRejectsBadIndices(t *testing.T) {
 	}
 }
 
-// wmeFaults are the ways a wme position can lie about the cache. Each
-// encodes one position on a stream that has already defined w; none
-// may decode to a wme.
+// wmeFaults are the ways a wme position can lie about the receiver's
+// table. Each encodes one position on a stream whose receiver holds w
+// at handle h; none may decode to a wme.
 var wmeFaults = []struct {
 	name string
-	bad  func(e *enc, w *ops5.WME)
-	why  string // what the decoder must say (TestDefinitionFaults holds it to it)
+	bad  func(e *enc, h int32, w *ops5.WME)
+	why  string // what a worker's decoder must say (TestDefinitionFaults holds it to it)
 }{
-	{"ref-empty-slot", func(e *enc, w *ops5.WME) { wireRef(e, w.ID+1, w.TimeTag) }, "names nothing the stream defined"},
-	{"ref-wrong-timetag", func(e *enc, w *ops5.WME) { wireRef(e, w.ID, w.TimeTag+1) }, "names nothing the stream defined"},
-	{"ref-aliased-id", func(e *enc, w *ops5.WME) { wireRef(e, w.ID+wmeCacheSlots, w.TimeTag) }, "names nothing the stream defined"},
-	{"unknown-form", func(e *enc, w *ops5.WME) { e.Byte(wmeRef + 1) }, "wme form 3"},
+	{"ref-empty-slot", func(e *enc, h int32, w *ops5.WME) { wireRef(e, h+1, w.TimeTag) }, "names nothing the stream defined"},
+	// A handle sharing w's low bits, as an id did a slot of the retired
+	// direct-mapped cache: never defined.
+	{"ref-aliased-id", func(e *enc, h int32, w *ops5.WME) { wireRef(e, h+4096, w.TimeTag) }, "names nothing the stream defined"},
+	{"ref-wrong-timetag", func(e *enc, h int32, w *ops5.WME) { wireRef(e, h, w.TimeTag+1) }, "names nothing the stream defined"},
+	{"ref-handle-zero", func(e *enc, h int32, w *ops5.WME) { wireRef(e, 0, w.TimeTag) }, "wme handle 0"},
+	{"ref-past-mirror-bound", func(e *enc, h int32, w *ops5.WME) { wireRef(e, mirrorMax, w.TimeTag) }, "wme handle 1048576 out of range"},
+	{"def-past-mirror-bound", func(e *enc, h int32, w *ops5.WME) {
+		forgeDef(e, mirrorMax, w, blockRef(e), "", []ops5.Value{ops5.S("b1")})
+	}, "wme handle 1048576 out of range"},
+	{"unknown-form", func(e *enc, h int32, w *ops5.WME) { e.Byte(wmeRef + 1) }, "wme form 3"},
 
 	// The ways a definition can lie about the layout table. w is a
 	// block, whose layout keeps name, clear and on.
-	{"def-layout-outside-table", func(e *enc, w *ops5.WME) {
-		forgeDef(e, w, uint64(len(e.layouts))+1, "", nil)
+	{"def-layout-outside-table", func(e *enc, h int32, w *ops5.WME) {
+		forgeDef(e, h, w, uint64(len(e.layouts))+1, "", nil)
 	}, `layout id 3 outside the table of 3`},
-	{"def-more-slots-than-layout", func(e *enc, w *ops5.WME) {
-		forgeDef(e, w, blockRef(e), "", []ops5.Value{ops5.S("b1"), {}, {}, ops5.S("overflow")})
+	{"def-more-slots-than-layout", func(e *enc, h int32, w *ops5.WME) {
+		forgeDef(e, h, w, blockRef(e), "", []ops5.Value{ops5.S("b1"), {}, {}, ops5.S("overflow")})
 	}, `4 slots in a definition of class "block", whose layout has 3`},
-	{"def-extras-out-of-order", func(e *enc, w *ops5.WME) {
-		forgeDef(e, w, blockRef(e), "", []ops5.Value{ops5.S("b1")}, ops5.Attr{Name: "zz", Value: ops5.N(1)}, ops5.Attr{Name: "aa", Value: ops5.N(2)})
+	{"def-extras-out-of-order", func(e *enc, h int32, w *ops5.WME) {
+		forgeDef(e, h, w, blockRef(e), "", []ops5.Value{ops5.S("b1")}, ops5.Attr{Name: "zz", Value: ops5.N(1)}, ops5.Attr{Name: "aa", Value: ops5.N(2)})
 	}, `"aa" of class "block" is out of order after zz`},
-	{"def-extra-twice", func(e *enc, w *ops5.WME) {
-		forgeDef(e, w, blockRef(e), "", []ops5.Value{ops5.S("b1")}, ops5.Attr{Name: "aa", Value: ops5.N(1)}, ops5.Attr{Name: "aa", Value: ops5.N(2)})
+	{"def-extra-twice", func(e *enc, h int32, w *ops5.WME) {
+		forgeDef(e, h, w, blockRef(e), "", []ops5.Value{ops5.S("b1")}, ops5.Attr{Name: "aa", Value: ops5.N(1)}, ops5.Attr{Name: "aa", Value: ops5.N(2)})
 	}, `"aa" of class "block" is out of order after aa`},
-	{"def-extra-names-slotted-attribute", func(e *enc, w *ops5.WME) {
-		forgeDef(e, w, blockRef(e), "", nil, ops5.Attr{Name: "name", Value: ops5.S("b1")})
+	{"def-extra-names-slotted-attribute", func(e *enc, h int32, w *ops5.WME) {
+		forgeDef(e, h, w, blockRef(e), "", nil, ops5.Attr{Name: "name", Value: ops5.S("b1")})
 	}, `"name" of class "block" has a slot in the layout`},
-	{"def-extra-nil", func(e *enc, w *ops5.WME) {
-		forgeDef(e, w, blockRef(e), "", []ops5.Value{ops5.S("b1")}, ops5.Attr{Name: "note"})
+	{"def-extra-nil", func(e *enc, h int32, w *ops5.WME) {
+		forgeDef(e, h, w, blockRef(e), "", []ops5.Value{ops5.S("b1")}, ops5.Attr{Name: "note"})
 	}, `"note" of class "block" is nil`},
-	{"def-by-name-of-laid-out-class", func(e *enc, w *ops5.WME) {
-		forgeDef(e, w, 0, "block", nil, ops5.Attr{Name: "name", Value: ops5.S("b1")})
+	{"def-by-name-of-laid-out-class", func(e *enc, h int32, w *ops5.WME) {
+		forgeDef(e, h, w, 0, "block", nil, ops5.Attr{Name: "name", Value: ops5.S("b1")})
 	}, `class "block" defined by name, but layout 1 is its`},
 }
 
 // forgeDef writes a definition field by field, as enc.def lays it out:
-// identity, class reference (0 and a name, or layout id + 1), the
-// leading slots, the extras.
-func forgeDef(e *enc, w *ops5.WME, classRef uint64, className string, slots []ops5.Value, extras ...ops5.Attr) {
+// handle, identity, class reference (0 and a name, or layout id + 1),
+// the leading slots, the extras.
+func forgeDef(e *enc, h int32, w *ops5.WME, classRef uint64, className string, slots []ops5.Value, extras ...ops5.Attr) {
 	e.Byte(wmeDef)
+	e.Int(int(h))
 	e.Int(w.ID)
 	e.Int(w.TimeTag)
 	e.U64(classRef)
@@ -284,20 +292,28 @@ func widerNetwork(t *testing.T) (*rete.Network, *ops5.WME) {
 	return wider, w
 }
 
-// bucketWithDef encodes bucket contents whose one right wme is w,
-// defined as an encoder holding table would.
+// bucketWithDef encodes bucket contents whose one right wme is w at
+// handle faultHandle, defined as an encoder holding table would.
 func bucketWithDef(e *enc, table []*ops5.Layout, node *rete.Node, w *ops5.WME) {
-	own := e.layouts
-	e.layouts = table
-	e.bucketContents(&rete.BucketContents{Bucket: 3, RightNodes: []*rete.Node{node}, RightWMEs: []*ops5.WME{w}})
-	e.layouts = own
+	own, tab := e.layouts, e.tab
+	e.layouts, e.tab = table, rete.NewTable()
+	e.tab.Define(faultHandle, w)
+	e.bucketContents(&rete.BucketContents{Bucket: 3, RightNodes: []*rete.Node{node}, RightWMEs: []int32{faultHandle}})
+	e.layouts, e.tab = own, tab
 }
 
-func wireRef(e *enc, id, tag int) {
+func wireRef(e *enc, h int32, tag int) {
 	e.Byte(wmeRef)
-	e.Int(id)
+	e.Int(int(h))
 	e.Int(tag)
 }
+
+// faultHandle is the handle the fault frames define faultWME at;
+// probeHandle is rightAct's wme's.
+const (
+	faultHandle int32 = 1
+	probeHandle int32 = 2
+)
 
 // faultWME is the wme the fault frames define before they lie about
 // it.
@@ -307,44 +323,56 @@ func faultWME() *ops5.WME {
 	return w
 }
 
-// faultChanges encodes a two-change list: w added by definition, then
-// deleted through the position under test.
-func faultChanges(e *enc, w *ops5.WME, second func(e *enc, w *ops5.WME)) {
+// fixtureTable is the table a forger's encoder names wmes by:
+// faultWME at faultHandle and rightAct's probe at probeHandle.
+func fixtureTable() *rete.Table {
+	tab := rete.NewTable()
+	tab.Define(faultHandle, faultWME())
+	tab.Define(probeHandle, probeWME())
+	return tab
+}
+
+// faultChanges encodes a two-change list: w added by definition at
+// faultHandle, then deleted through the position under test.
+func faultChanges(e *enc, w *ops5.WME, second func(e *enc, h int32, w *ops5.WME)) {
 	e.Count(2)
 	e.Byte(byte(rete.Add))
-	e.def(w)
+	e.def(faultHandle, w)
 	e.Byte(byte(rete.Delete))
-	second(e, w)
+	second(e, faultHandle, w)
 }
 
 // bucketWithRef encodes bucket contents whose one right wme is an
-// exact reference to w.
+// exact reference to w at faultHandle.
 func bucketWithRef(e *enc, node *rete.Node, w *ops5.WME) {
 	e.Int(3) // bucket
 	e.Count(0)
 	e.Count(1)
 	e.Int(node.ID)
-	wireRef(e, w.ID, w.TimeTag)
+	wireRef(e, faultHandle, w.TimeTag)
 }
 
+// exactRef is the reference to w at h that a sound stream sends.
+func exactRef(e *enc, h int32, w *ops5.WME) { wireRef(e, h, w.TimeTag) }
+
 // TestWorkerRejectsBadReferences: a forged or desynchronised wme
-// reference reaching a worker — to a slot nothing was defined in, to
-// the right id under another time tag, to an id that only shares the
-// slot, an unknown form byte, or an exact reference inside the one
-// frame that must stay self-contained — ends ServeConn with
+// reference reaching a worker — to a handle nothing was defined at, to
+// the right handle under another time tag, to handle 0 or one past the
+// mirror's bound, an unknown form byte, or an exact reference inside
+// the one frame that must stay self-contained — ends ServeConn with
 // ErrBadPayload. The control sequence first proves the stream is live:
 // the same frame with an exact reference is accepted.
 func TestWorkerRejectsBadReferences(t *testing.T) {
 	network, _ := compileWorkload(t, "blocks")
 	w := faultWME()
-	cycle := func(second func(e *enc, w *ops5.WME)) wireFrame {
+	cycle := func(second func(e *enc, h int32, w *ops5.WME)) wireFrame {
 		return wireFrame{ftCycle, func(e *enc) {
 			e.I32(1) // batch
 			e.I32(faultWorkers)
 			faultChanges(e, w, second)
 		}}
 	}
-	exact := cycle(func(e *enc, w *ops5.WME) { wireRef(e, w.ID, w.TimeTag) })
+	exact := cycle(exactRef)
 	shutdown := wireFrame{ftShutdown, func(*enc) {}}
 	if err := serveFault(t, network, exact, exact, shutdown); err != nil {
 		t.Fatalf("exact references refused: %v", err)

@@ -96,7 +96,7 @@ const (
 	// distribution for imbalanced cycles (Section 5.2.2 greedy).
 	SuggestRedistribute
 	// SuggestBoundedJoins recommends recompiling with the
-	// worst-case-bounded variant (rete.CompileOptions.BoundedJoins):
+	// worst-case-bounded variant (rete.CompileVariant(prods, "bounded")):
 	// cross-product nodes stop existing because no partial
 	// instantiations are materialized at all. Compile-level — AutoTune
 	// reports it but cannot apply it to a trace.

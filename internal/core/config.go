@@ -97,12 +97,12 @@ func (e *PerCycleCountError) Error() string {
 	return fmt.Sprintf("core: %d per-cycle partitions for %d cycles", e.Got, e.Want)
 }
 
-// TopologyError reports a Contention setting without a routed
-// topology to model the contended links on.
-type TopologyError struct{ Topology simnet.Topology }
+// TopologyError reports a Contention setting without a topology to
+// model the contended links on.
+type TopologyError struct{}
 
 func (e *TopologyError) Error() string {
-	return "core: Contention requires a routed topology"
+	return "core: Contention requires a topology"
 }
 
 // IncompatibleOptionsError reports two configuration switches that
@@ -160,10 +160,8 @@ func (c Config) Validate(tr *trace.Trace) error {
 			return &IncompatibleOptionsError{Reason: "Replicated tables have no buckets to migrate"}
 		}
 	}
-	if c.Contention {
-		if _, ok := c.Topology.(simnet.RoutedTopology); !ok {
-			return &TopologyError{Topology: c.Topology}
-		}
+	if c.Contention && c.Topology == nil {
+		return &TopologyError{}
 	}
 	return nil
 }

@@ -31,7 +31,7 @@ type Config struct {
 	// PerHop is the added transit time per hop under Topology.
 	PerHop simnet.Time
 	// Contention models finite link bandwidth (requires a
-	// RoutedTopology); the paper's simulator assumed infinite
+	// Topology); the paper's simulator assumed infinite
 	// bandwidth, which Section 5.1 justifies by the observed 97-98%
 	// network idleness — a claim this switch lets us verify.
 	Contention bool

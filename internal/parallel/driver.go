@@ -15,9 +15,11 @@ import (
 	"mpcrete/internal/termdet"
 )
 
-// Carrier is what the cycle driver needs from a message plane: a way to
-// put messages in front of workers. The driver's correctness arguments
-// rest on what every carrier keeps:
+// Carrier is what the cycle driver needs from a message plane: one
+// primitive, a message to a worker. The cycle's broadcast is that
+// message sent to every worker; routed roots, a hand-off's share and a
+// migration order are the same call. The driver's correctness
+// arguments rest on what every carrier keeps:
 //
 //   - Per-sender FIFO: messages from one sender to one worker arrive in
 //     send order (add-before-delete ordering of same-token activations
@@ -30,25 +32,15 @@ import (
 //     termination detector (Sending, Shipping) before its receiver can
 //     see it, and deregistered (TurnDone) only after the turn that
 //     handled it has published what it produced. The driver registers
-//     what it hands to Broadcast and Deliver itself.
+//     what it delivers itself.
 //
 // A message is delivered exactly once or the run fails: an error ends
 // the cycle, and a carrier that lost a registered message also calls
 // Fail, since no later cycle can reach quiescence.
 type Carrier interface {
-	// Broadcast delivers one MsgCycle message to every worker under one
-	// causal batch stamp (Fig 3-3).
-	Broadcast(m Message, batch int32) error
-	// Deliver ships a coalesced run of root activations to worker dst
-	// (Fig 3-2).
+	// Deliver puts ms, all of one kind, in front of worker dst under
+	// one causal batch stamp.
 	Deliver(dst int, ms []Message, batch int32) error
-	// Migrate delivers a migration order on the quiescent machine:
-	// newPart to every worker step (SetPartition), and moves[w] — sorted
-	// by bucket, nil when w loses nothing — to worker w as a
-	// MsgMigrateOut. The carrier registers the messages it sends with
-	// Sending; how many that is depends on whether its workers share
-	// the driver's memory.
-	Migrate(newPart sched.Partition, moves [][]BucketMove) error
 }
 
 // Driver is the cycle driver: the control processor of the paper's
@@ -78,11 +70,13 @@ type Driver struct {
 	handles []int32
 
 	// cyclePkt is the broadcast packet, reused across cycles and shared
-	// read-only by every worker. The root-routing state (RouteRoots
+	// read-only by every worker; cycleMsg is the one MsgCycle message
+	// that carries it to each. The root-routing state (RouteRoots
 	// mode) is the control side's constant-test processor plus reusable
 	// per-destination buffers; a hand-off's frontier travels in the same
 	// buffers.
 	cyclePkt    *CyclePacket
+	cycleMsg    [1]Message
 	rootProc    *rete.Processor
 	rootBufs    [][]Message
 	rootScratch []rete.Activation
@@ -185,6 +179,7 @@ func NewDriver(net *rete.Network, opts Options, c Carrier) (*Driver, error) {
 		epoch:     time.Now(),
 		yield:     runtime.Gosched,
 	}
+	d.cycleMsg[0] = Message{Kind: MsgCycle, Cycle: d.cyclePkt}
 	if opts.Causal != nil {
 		if got := opts.Causal.Tracks(); got != opts.Workers+1 {
 			return nil, fmt.Errorf("parallel: causal recorder has %d tracks, want Workers+1 = %d (use NewFlightRecorder)", got, opts.Workers+1)
@@ -246,7 +241,7 @@ func (d *Driver) Table() *rete.Table { return d.tab }
 // is shared; callers must not mutate it.
 func (d *Driver) Partition() sched.Partition { return d.opts.Partition }
 
-// Sending registers k activation messages from src (a worker id, or
+// Sending registers k messages from src (a worker id, or
 // Workers for the control side) that are about to become visible to
 // their destination — the Add-before-visible half of termination
 // accounting. A carrier calls it before the push or socket write that
@@ -616,9 +611,9 @@ func (d *Driver) quiesce() error {
 	return nil
 }
 
-// broadcast ships the cycle packet to every worker (Fig 3-3): one
-// pooled packet shared read-only, one outstanding-work registration
-// and one sent-counter update for the whole wave.
+// broadcast delivers the cycle packet to every worker (Fig 3-3): one
+// pooled packet shared read-only in one message, one outstanding-work
+// registration and one sent-counter update for the whole wave.
 func (d *Driver) broadcast(changes []rete.Change) error {
 	d.cyclePkt.Changes = changes
 	d.Sending(d.controlTrack(), d.opts.Workers)
@@ -627,7 +622,12 @@ func (d *Driver) broadcast(changes []rete.Change) error {
 	// send.
 	batch := d.causal.NextBatch()
 	d.ctlTrack.Send(d.clock(), d.curCycle.Load(), batch, obs.BroadcastDst, int32(d.opts.Workers))
-	return d.carrier.Broadcast(Message{Kind: MsgCycle, Cycle: d.cyclePkt}, batch)
+	for w := range d.opts.Workers {
+		if err := d.carrier.Deliver(w, d.cycleMsg[:], batch); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // rootsByOwner runs the constant tests once, on proc, and sorts each

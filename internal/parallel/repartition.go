@@ -81,9 +81,10 @@ func (d *Driver) maybeRebalance(cycle int32) error {
 	return nil
 }
 
-// migrate executes a bucket migration on the quiescent machine: the
-// carrier delivers the order, each losing worker step extracts the
-// moved buckets and its carrier ships their contents to the new owners
+// migrate executes a bucket migration on the quiescent machine: every
+// worker gets a MsgMigrateOut carrying the new partition and the
+// buckets it loses, each step adopts the partition and extracts its
+// moved buckets, its carrier ships their contents to the new owners
 // (Shipping), and the work counter provides the barrier. Control-side
 // routing switches when d.opts.Partition is replaced at the end.
 func (d *Driver) migrate(newPart sched.Partition) (MigrationStats, error) {
@@ -96,21 +97,29 @@ func (d *Driver) migrate(newPart sched.Partition) (MigrationStats, error) {
 
 	// Plan the moves per losing worker, sorted by bucket (the loop
 	// ascends buckets) for reproducible message counts.
-	perWorker := make([][]BucketMove, d.opts.Workers)
+	orders := make([]MigrateOrder, d.opts.Workers)
 	var stats MigrationStats
 	for b := range newPart {
 		oldOwner, newOwner := d.opts.Partition[b], newPart[b]
 		if oldOwner == newOwner {
 			continue
 		}
-		perWorker[oldOwner] = append(perWorker[oldOwner], BucketMove{Bucket: int32(b), NewOwner: int32(newOwner)})
+		orders[oldOwner].Moves = append(orders[oldOwner].Moves, BucketMove{Bucket: int32(b), NewOwner: int32(newOwner)})
 		stats.BucketsMoved++
 	}
 
 	entries0, msgs0 := d.entriesMoved.Load(), d.migMsgs.Load()
-	d.ctlTrack.Mark(obs.EvMigrateBegin, d.clock(), d.curCycle.Load(), 0, 0)
-	if err := d.carrier.Migrate(newPart, perWorker); err != nil {
-		return MigrationStats{}, err
+	ts, cycle := d.clock(), d.curCycle.Load()
+	d.ctlTrack.Mark(obs.EvMigrateBegin, ts, cycle, 0, 0)
+	d.Sending(d.controlTrack(), d.opts.Workers)
+	for w := range orders {
+		orders[w].Part = newPart
+		order := [1]Message{{Kind: MsgMigrateOut, Order: &orders[w]}}
+		batch := d.causal.NextBatch()
+		d.ctlTrack.Send(ts, cycle, batch, int32(w), 1)
+		if err := d.carrier.Deliver(w, order[:], batch); err != nil {
+			return MigrationStats{}, err
+		}
 	}
 	d.counter.Wait()
 	if err := d.Err(); err != nil {

@@ -171,19 +171,27 @@ type Message struct {
 	Depth  int32           // MsgAct: dependency depth within the cycle (roots are 1)
 	Cycle  *CyclePacket    // MsgCycle: shared, read-only
 	Act    rete.Activation // MsgAct
-	// Moves lists the buckets the receiving worker loses, with their
-	// new owners, sorted by bucket (MsgMigrateOut).
-	Moves []BucketMove
+	// Order is a migration order (MsgMigrateOut).
+	Order *MigrateOrder
 	// Inject carries one extracted bucket pair to its new owner
 	// (MsgMigrateIn). In-process the pointer is the live contents, whose
 	// handles index the driver's table; a wire worker decodes a copy and
-	// fills its mirror from the contents' definitions, at the same
-	// handles.
+	// fills its mirror from the definitions the control sent it, at the
+	// same handles.
 	Inject *rete.BucketContents
 }
 
-// BucketMove is one entry of a MsgMigrateOut: the receiving worker
-// must extract Bucket and ship its contents to NewOwner.
+// MigrateOrder is what every worker receives at a migration: the new
+// bucket-to-worker assignment, which its step adopts, and the buckets
+// it loses, with their new owners, sorted by bucket (empty when it
+// loses none).
+type MigrateOrder struct {
+	Part  sched.Partition
+	Moves []BucketMove
+}
+
+// BucketMove is one entry of a MigrateOrder: the receiving worker must
+// extract Bucket and ship its contents to NewOwner.
 type BucketMove struct {
 	Bucket   int32
 	NewOwner int32
@@ -278,33 +286,9 @@ func New(net *rete.Network, opts Options) (*Runtime, error) {
 	return rt, nil
 }
 
-// Broadcast implements Carrier: every worker's mailbox gets the shared
-// packet under the same batch stamp.
-func (rt *Runtime) Broadcast(m Message, batch int32) error {
-	for _, w := range rt.workers {
-		w.inbox.Push(m, batch, int32(rt.controlTrack()))
-	}
-	return nil
-}
-
 // Deliver implements Carrier.
 func (rt *Runtime) Deliver(dst int, ms []Message, batch int32) error {
 	rt.workers[dst].inbox.PushBatch(ms, batch, int32(rt.controlTrack()))
-	return nil
-}
-
-// Migrate implements Carrier. The workers are parked in Drain behind the
-// quiescence barrier, so their steps' partitions can be switched from
-// here; only the losers need a message.
-func (rt *Runtime) Migrate(newPart sched.Partition, moves [][]BucketMove) error {
-	for i, w := range rt.workers {
-		w.step.SetPartition(newPart)
-		if moves[i] == nil {
-			continue
-		}
-		rt.Sending(rt.controlTrack(), 1)
-		w.inbox.Push(Message{Kind: MsgMigrateOut, Moves: moves[i]}, rt.causal.NextBatch(), int32(rt.controlTrack()))
-	}
 	return nil
 }
 
@@ -396,7 +380,9 @@ func (w *worker) flush() {
 	}
 	for _, mv := range s.Moved {
 		rt.Shipping(w.id, mv.Contents.Entries())
-		rt.workers[mv.Dst].inbox.Push(Message{Kind: MsgMigrateIn, Inject: mv.Contents}, rt.causal.NextBatch(), int32(w.id))
+		batch := rt.causal.NextBatch()
+		s.ctrack.Send(rt.clock(), s.turnCycle, batch, mv.Dst, 1)
+		rt.workers[mv.Dst].inbox.Push(Message{Kind: MsgMigrateIn, Inject: mv.Contents}, batch, int32(w.id))
 	}
 	s.Moved = s.Moved[:0]
 }

@@ -126,11 +126,6 @@ func NewStep(net *rete.Network, tab *rete.Table, id, workers int, part sched.Par
 	return s
 }
 
-// SetPartition switches the step's routing to a new assignment. Only
-// legal between turns of a quiescent machine: the migration barrier
-// orders it against every activation routed under the old assignment.
-func (s *Step) SetPartition(part sched.Partition) { s.part = part }
-
 // BeginPhase declares every phase token the step's processor has made
 // so far dead — its delete tokens and the tokens only production nodes
 // received — and every array it lent a Delete delta read for the last
@@ -185,7 +180,8 @@ func (s *Step) Handle(ms []Message) {
 }
 
 // queue takes a delivery in without expanding it: activations join
-// localQ, migration orders are carried out.
+// localQ, migration orders are carried out (the step adopts the order's
+// partition and extracts the buckets it loses).
 func (s *Step) queue(ms []Message) {
 	for i := range ms {
 		m := &ms[i]
@@ -206,7 +202,11 @@ func (s *Step) queue(ms []Message) {
 		case MsgAct:
 			s.localQ = append(s.localQ, queuedAct{act: m.Act, bucket: m.Bucket, depth: m.Depth})
 		case MsgMigrateOut:
-			for _, mv := range m.Moves {
+			// Only on a quiescent machine: the migration barrier orders
+			// the switch against every activation routed under the old
+			// assignment.
+			s.part = m.Order.Part
+			for _, mv := range m.Order.Moves {
 				bc := s.proc.ExtractBucket(int(mv.Bucket))
 				if bc.Entries() == 0 {
 					continue // nothing stored; ownership transfer is free

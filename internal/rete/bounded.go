@@ -1,6 +1,6 @@
 package rete
 
-// Worst-case-bounded matching (CompileOptions.BoundedJoins), the
+// Worst-case-bounded matching (CompileVariant(prods, "bounded")), the
 // CORGI-style sibling of the shared / unshared / copy-and-constraint
 // variants.
 //

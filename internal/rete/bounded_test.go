@@ -72,7 +72,7 @@ func newBoundedHarness(t *testing.T, nbuckets int, srcs ...string) *harness {
 		}
 		prods = append(prods, p)
 	}
-	net, err := CompileWith(prods, CompileOptions{BoundedJoins: true})
+	net, err := CompileVariant(prods, "bounded")
 	if err != nil {
 		t.Fatalf("compile: %v", err)
 	}
@@ -217,7 +217,7 @@ func TestBoundedJoinOrderRecoversChain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := CompileWith(prog.Productions, CompileOptions{BoundedJoins: true})
+	net, err := CompileVariant(prog.Productions, "bounded")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestBoundedJoinOrderRecoversChain(t *testing.T) {
 		}
 	}
 	// Determinism: recompiling yields the identical order.
-	net2, err := CompileWith(prog.Productions, CompileOptions{BoundedJoins: true})
+	net2, err := CompileVariant(prog.Productions, "bounded")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestBoundedHashKeyClustersGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := CompileWith(prog.Productions, CompileOptions{BoundedJoins: true})
+	net, err := CompileVariant(prog.Productions, "bounded")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestBoundedStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := CompileWith(prog.Productions, CompileOptions{BoundedJoins: true})
+	net, err := CompileVariant(prog.Productions, "bounded")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +300,7 @@ func TestBoundedDigestRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := CompileWith(prog.Productions, CompileOptions{BoundedJoins: true})
+	net, err := CompileVariant(prog.Productions, "bounded")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +345,7 @@ func TestBoundedAllocsSteadyState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := CompileWith(prog.Productions, CompileOptions{BoundedJoins: true})
+	net, err := CompileVariant(prog.Productions, "bounded")
 	if err != nil {
 		t.Fatal(err)
 	}

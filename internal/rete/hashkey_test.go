@@ -239,7 +239,7 @@ func TestNodeTakes(t *testing.T) {
 	if join.TakesLeft(1) {
 		t.Errorf("negative node %d tests position %d and takes a 1-wide token", join.ID, join.Tests[0].LeftPos)
 	}
-	bounded, err := CompileWith(mustParse(t, `(p three (a ^x <v>) (b ^x <v>) --> (halt))`), CompileOptions{BoundedJoins: true})
+	bounded, err := CompileVariant(mustParse(t, `(p three (a ^x <v>) (b ^x <v>) --> (halt))`), "bounded")
 	if err != nil {
 		t.Fatal(err)
 	}

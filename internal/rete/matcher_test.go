@@ -659,7 +659,7 @@ func TestResetLetsGoOfTheLastTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net, err := CompileWith(prog.Productions, CompileOptions{BoundedJoins: true})
+	net, err := CompileVariant(prog.Productions, "bounded")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ const (
 	// conflict-set insertions and deletions.
 	KindProduction
 	// KindBounded is a collector node of the worst-case-bounded variant
-	// (CompileOptions.BoundedJoins): it stores only the wmes matching
+	// (the "bounded" variant): it stores only the wmes matching
 	// its own condition element and, on each activation, lazily
 	// enumerates complete instantiations across its group's collectors
 	// instead of materializing intermediate beta tokens (see bounded.go).
@@ -95,7 +95,7 @@ func (jt *JoinTest) leftOf(w *ops5.WME) ops5.Value {
 
 // Node is a beta-level node of the Rete network. Join and negative
 // nodes are the two-input nodes of the paper; production nodes are
-// terminals; bounded nodes are the collectors of BoundedJoins.
+// terminals; bounded nodes are the collectors of the bounded variant.
 type Node struct {
 	ID   int
 	Kind NodeKind
@@ -128,7 +128,7 @@ type Node struct {
 	detached bool
 
 	// group links the collector nodes and terminal of one
-	// worst-case-bounded production (BoundedJoins); nil elsewhere.
+	// worst-case-bounded production (the bounded variant); nil elsewhere.
 	// bPos is this collector's join-order position inside the group and
 	// bNeg marks collectors for negated condition elements.
 	group *boundedGroup
@@ -399,46 +399,30 @@ type Network struct {
 	layouts  []*ops5.Layout
 	layoutOf map[string]*ops5.Layout
 
-	opts    CompileOptions
-	variant string // the name CompileVariant compiles this network by
+	// variant is the name CompileVariant compiles this network by;
+	// "unshared" turns sharing off, "bounded" compiles collector groups.
+	variant string
 }
 
-// CompileOptions control network construction.
-type CompileOptions struct {
-	// DisableSharing compiles every production with private alpha
-	// patterns and two-input nodes (the paper's "unsharing",
-	// Section 5.2.1 method 1, applied globally).
-	DisableSharing bool
-	// BoundedJoins compiles every production into the worst-case-bounded
-	// variant: per-CE collector nodes with a selectivity-ordered lazy
-	// enumerator instead of chained two-input nodes with beta memories
-	// (see bounded.go). Join-node prefixes are never shared in this mode;
-	// alpha patterns still are unless DisableSharing is also set.
-	BoundedJoins bool
-}
-
-// Compile builds a network from a set of productions with default
-// options (sharing enabled).
+// Compile builds a network from a set of productions as the shared
+// variant (alpha patterns and join-node prefixes shared).
 func Compile(prods []*ops5.Production) (*Network, error) {
-	return CompileWith(prods, CompileOptions{})
+	return compile(prods, "shared")
 }
 
-// CompileWith builds a network from a set of productions. The network
-// records the variant its options compile (BoundedJoins wins over
-// DisableSharing, which no variant combines with it).
-func CompileWith(prods []*ops5.Production, opts CompileOptions) (*Network, error) {
+// compile builds a network from a set of productions as variant:
+// "shared", "unshared" (every production with private alpha patterns
+// and two-input nodes: the paper's "unsharing", Section 5.2.1 method 1,
+// applied globally) or "bounded" (per-CE collector nodes with a
+// selectivity-ordered lazy enumerator instead of chained two-input
+// nodes with beta memories, join-node prefixes never shared; see
+// bounded.go).
+func compile(prods []*ops5.Production, variant string) (*Network, error) {
 	net := &Network{
 		byClass:  map[string][]*AlphaPattern{},
 		Prods:    map[string]*ProdInfo{},
 		layoutOf: map[string]*ops5.Layout{},
-		opts:     opts,
-		variant:  "shared",
-	}
-	switch {
-	case opts.BoundedJoins:
-		net.variant = "bounded"
-	case opts.DisableSharing:
-		net.variant = "unshared"
+		variant:  variant,
 	}
 	for _, p := range prods {
 		if err := net.AddProduction(p); err != nil {
@@ -463,7 +447,7 @@ func (net *Network) internAlpha(class string, tests []ConstTest) *AlphaPattern {
 		tests[i].resolve(l)
 	}
 	cand := &AlphaPattern{Class: class, Tests: tests}
-	if !net.opts.DisableSharing {
+	if net.variant != "unshared" {
 		cand.shareKey = cand.key()
 		for _, a := range net.byClass[class] {
 			if a.shareKey == cand.shareKey {
@@ -490,7 +474,7 @@ func (net *Network) addRoute(a *AlphaPattern, n *Node, s Side) {
 // alpha patterns and join-node prefixes with previously added
 // productions where structurally identical.
 func (net *Network) AddProduction(p *ops5.Production) error {
-	_, err := net.addProduction(p, !net.opts.DisableSharing)
+	_, err := net.addProduction(p, net.variant != "unshared")
 	return err
 }
 
@@ -516,7 +500,7 @@ func (net *Network) addProduction(p *ops5.Production, shareJoins bool) (*ProdInf
 		return nil, fmt.Errorf("rete: duplicate production %q", p.Name)
 	}
 	net.mention(p)
-	if net.opts.BoundedJoins {
+	if net.variant == "bounded" {
 		return net.addProductionBounded(p)
 	}
 

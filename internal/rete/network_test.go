@@ -43,7 +43,7 @@ func TestCompileSharing(t *testing.T) {
 		t.Errorf("alpha patterns = %d, want 4", s.AlphaPatterns)
 	}
 
-	unshared, err := CompileWith(prods, CompileOptions{DisableSharing: true})
+	unshared, err := CompileVariant(prods, "unshared")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -80,7 +80,7 @@ func foldString(h uint64, s string) uint64 {
 // that changes it re-deals ownership and is judged on wire-queens, not
 // seq-queens.
 //
-// Nodes of a worst-case-bounded group (BoundedJoins) all hash on the
+// Nodes of a worst-case-bounded group (the bounded variant) all hash on the
 // group's home node id and ignore equality tests: the lazy enumerator
 // needs every collector memory of a production in one bucket, so the
 // whole group is deliberately clustered on one owner (the bounded

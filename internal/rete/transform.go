@@ -9,7 +9,7 @@ import "fmt"
 //  1. Unsharing (Fig 5-3): split a node with several successors into
 //     per-successor copies so successor generation proceeds on
 //     different processors. Globally, compiling with
-//     CompileOptions.DisableSharing unshares every prefix.
+//     the "unshared" variant (CompileVariant) unshares every prefix.
 //  2. Copy-and-constraint (Stolfo's DADO technique): make k copies of
 //     a join node, each matching a disjoint part of the right memory,
 //     so a cross-product's successor generation is spread over k

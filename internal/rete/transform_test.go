@@ -256,12 +256,12 @@ func TestTransformsRandomizedEquivalence(t *testing.T) {
 			t.Fatalf("trial %d: copy-and-constraint diverged: %v vs %v", trial, base, got)
 		}
 
-		fullyUnshared, err := CompileWith(mustParse(t, srcs...), CompileOptions{DisableSharing: true})
+		fullyUnshared, err := CompileVariant(mustParse(t, srcs...), "unshared")
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := run(fullyUnshared); !conflictSetsEqual(base, got) {
-			t.Fatalf("trial %d: DisableSharing diverged: %v vs %v", trial, base, got)
+			t.Fatalf("trial %d: the unshared variant diverged: %v vs %v", trial, base, got)
 		}
 	}
 }

@@ -29,10 +29,8 @@ func CompileVariant(prods []*ops5.Production, variant string) (*Network, error) 
 	switch variant {
 	case "", "shared":
 		return Compile(prods)
-	case "unshared":
-		return CompileWith(prods, CompileOptions{DisableSharing: true})
-	case "bounded":
-		return CompileWith(prods, CompileOptions{BoundedJoins: true})
+	case "unshared", "bounded":
+		return compile(prods, variant)
 	case "candc":
 		net, err := Compile(prods)
 		if err != nil {

@@ -37,6 +37,38 @@ func TestEventLoopAllocationFree(t *testing.T) {
 	}
 }
 
+// TestRoutedTransitAllocationFree: a message's hop count, and under
+// Contention the links it reserves, come from a route built into the
+// simulator's scratch, so a routed run allocates nothing per message
+// either.
+func TestRoutedTransitAllocationFree(t *testing.T) {
+	type ping struct{ n int }
+	for _, contended := range []bool{false, true} {
+		cfg := Config{Procs: 16, Latency: US(0.5), Topology: Mesh2D{W: 4, H: 4}, PerHop: US(1), Contention: contended}
+		handler := func(ctx *Ctx, p Payload) {
+			if pg := p.(*ping); pg.n > 0 {
+				pg.n--
+				ctx.Send(15-ctx.Proc(), pg)
+			}
+		}
+		s := New(cfg, handler)
+		msg := &ping{}
+		run := func() {
+			s.Reset(cfg, handler)
+			msg.n = 200
+			s.Inject(0, msg, 0)
+			s.Run()
+		}
+		run()
+		if want := 200 * (US(0.5) + 6*US(1)); s.Now() != want {
+			t.Fatalf("contention=%v: 200 six-hop messages end at %d, want %d", contended, s.Now(), want)
+		}
+		if allocs := testing.AllocsPerRun(10, run); allocs != 0 {
+			t.Errorf("contention=%v: routed event loop allocates %.1f objects per 200-message run, want 0", contended, allocs)
+		}
+	}
+}
+
 // TestEventLoopBoundedAllocsWithTracking checks the bounded accounting
 // path: with TrackNetwork set, steady-state allocations stay O(1) per
 // run (the compaction buffer is reused), not O(messages).

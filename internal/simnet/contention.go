@@ -2,98 +2,6 @@ package simnet
 
 import "fmt"
 
-// Link is one directed channel of the interconnection network.
-type Link struct {
-	From, To int
-}
-
-// RoutedTopology is a Topology that can also enumerate the links a
-// message traverses, enabling link-contention modeling. Routing is
-// deterministic (dimension-ordered / fixed-direction), as in the
-// wormhole routers the paper cites.
-type RoutedTopology interface {
-	Topology
-	// Route returns the directed links from one processor to another,
-	// in traversal order; empty for self-sends.
-	Route(from, to int) []Link
-}
-
-// Route implements RoutedTopology for the crossbar: contention occurs
-// only at the destination port.
-func (c Crossbar) Route(from, to int) []Link {
-	if from == to {
-		return nil
-	}
-	return []Link{{From: -1, To: to}}
-}
-
-// Route implements dimension-ordered (X then Y) routing on the mesh.
-func (m Mesh2D) Route(from, to int) []Link {
-	var links []Link
-	cur := from
-	step := func(next int) {
-		links = append(links, Link{From: cur, To: next})
-		cur = next
-	}
-	fx, fy := from%m.W, from/m.W
-	tx, ty := to%m.W, to/m.W
-	for x := fx; x != tx; {
-		if tx > x {
-			x++
-		} else {
-			x--
-		}
-		step(fy*m.W + x)
-	}
-	for y := fy; y != ty; {
-		if ty > y {
-			y++
-		} else {
-			y--
-		}
-		step(y*m.W + tx)
-	}
-	return links
-}
-
-// Route implements e-cube routing on the hypercube: correct the lowest
-// differing bit first.
-func (h Hypercube) Route(from, to int) []Link {
-	var links []Link
-	cur := from
-	for cur != to {
-		diff := cur ^ to
-		bit := diff & -diff
-		next := cur ^ bit
-		links = append(links, Link{From: cur, To: next})
-		cur = next
-	}
-	return links
-}
-
-// Route implements shortest-direction routing on the ring.
-func (r Ring) Route(from, to int) []Link {
-	if from == to {
-		return nil
-	}
-	d := to - from
-	if d < 0 {
-		d += r.N
-	}
-	dir := 1 // forward
-	if d > r.N-d {
-		dir = r.N - 1 // i.e. step -1 mod N
-	}
-	var links []Link
-	cur := from
-	for cur != to {
-		next := (cur + dir) % r.N
-		links = append(links, Link{From: cur, To: next})
-		cur = next
-	}
-	return links
-}
-
 // contention tracks per-link availability when Config.Contention is
 // set: each link carries one message at a time, for PerHop each
 // (virtual cut-through: a message holds successive links back to
@@ -103,16 +11,9 @@ type contention struct {
 	delay Time // accumulated waiting beyond uncontended transit
 }
 
-// traverse computes the arrival time of a message departing at dep and
-// updates link reservations.
-func (c *contention) traverse(cfg *Config, from, to int, dep Time) Time {
-	rt, ok := cfg.Topology.(RoutedTopology)
-	if !ok {
-		// Contention requested but the topology cannot route; fall
-		// back to distance-only transit.
-		return dep + cfg.Latency + cfg.PerHop*Time(cfg.Topology.Hops(from, to))
-	}
-	route := rt.Route(from, to)
+// traverse computes the arrival time of a message departing at dep
+// along route and updates link reservations.
+func (c *contention) traverse(cfg *Config, route []Link, dep Time) Time {
 	uncontended := dep + cfg.Latency + cfg.PerHop*Time(len(route))
 	at := dep
 	for _, link := range route {
@@ -138,9 +39,6 @@ func validateContention(cfg Config) error {
 	}
 	if cfg.Topology == nil {
 		return fmt.Errorf("simnet: Contention requires a Topology")
-	}
-	if _, ok := cfg.Topology.(RoutedTopology); !ok {
-		return fmt.Errorf("simnet: topology %s cannot route; contention unsupported", cfg.Topology.Name())
 	}
 	return nil
 }

@@ -6,7 +6,7 @@ import (
 
 func TestRouteEnumeration(t *testing.T) {
 	cases := []struct {
-		topo     RoutedTopology
+		topo     Topology
 		from, to int
 		want     []Link
 	}{
@@ -18,7 +18,7 @@ func TestRouteEnumeration(t *testing.T) {
 		{Ring{N: 5}, 0, 4, []Link{{0, 4}}},                         // shorter backward
 	}
 	for _, c := range cases {
-		got := c.topo.Route(c.from, c.to)
+		got := c.topo.Route(c.from, c.to, nil)
 		if len(got) != len(c.want) {
 			t.Errorf("%s.Route(%d,%d) = %v, want %v", c.topo.Name(), c.from, c.to, got, c.want)
 			continue
@@ -26,19 +26,6 @@ func TestRouteEnumeration(t *testing.T) {
 		for i := range got {
 			if got[i] != c.want[i] {
 				t.Errorf("%s.Route(%d,%d)[%d] = %v, want %v", c.topo.Name(), c.from, c.to, i, got[i], c.want[i])
-			}
-		}
-	}
-}
-
-func TestRouteLengthMatchesHops(t *testing.T) {
-	topos := []RoutedTopology{Crossbar{}, Mesh2D{W: 4, H: 4}, Hypercube{}, Ring{N: 16}}
-	for _, topo := range topos {
-		for a := 0; a < 16; a++ {
-			for b := 0; b < 16; b++ {
-				if got, want := len(topo.Route(a, b)), topo.Hops(a, b); got != want {
-					t.Errorf("%s: route length %d != hops %d for (%d,%d)", topo.Name(), got, want, a, b)
-				}
 			}
 		}
 	}

@@ -53,8 +53,8 @@ type Config struct {
 	RecvOverhead Time
 	// Latency is the base network transit time of a message.
 	Latency Time
-	// Topology, when non-nil, adds PerHop * Hops(src, dst) to each
-	// message's transit time. A nil topology is distance-insensitive
+	// Topology, when non-nil, adds PerHop per link of the route from
+	// src to dst to each message's transit time. A nil topology is distance-insensitive
 	// (wormhole-style), as the paper assumes for Nectar.
 	Topology Topology
 	// PerHop is the additional transit time per network hop; only
@@ -62,7 +62,7 @@ type Config struct {
 	PerHop Time
 	// Contention, when set, models each network link as carrying one
 	// message at a time (PerHop per link per message); requires a
-	// RoutedTopology. Without it the network has infinite bandwidth,
+	// Topology. Without it the network has infinite bandwidth,
 	// as in the paper's simulator.
 	Contention bool
 	// SoftwareBroadcast, when set, models Broadcast as one
@@ -293,6 +293,7 @@ type Sim struct {
 	net       netAcct
 	ctx       Ctx        // reused across tasks; valid only during a handler call
 	cont      contention // link reservations; used only with cfg.Contention
+	route     []Link     // routing scratch (transit, contention)
 	rec       *obs.Recorder
 }
 
@@ -332,6 +333,7 @@ func (s *Sim) Reset(cfg Config, handler Handler) {
 		procs:   s.procs,
 		net:     netAcct{open: s.net.open[:0], spare: s.net.spare},
 		cont:    contention{free: s.cont.free},
+		route:   s.route,
 	}
 	// Processors beyond the old length keep their rings in the backing
 	// array, so a machine that shrinks and grows back regains them.
@@ -388,7 +390,8 @@ func (s *Sim) Run() Time {
 		p := &s.procs[e.proc]
 		switch e.kind {
 		case evDepart:
-			arr := s.cont.traverse(&s.cfg, int(e.from), int(e.proc), at)
+			s.route = s.cfg.Topology.Route(int(e.from), int(e.proc), s.route)
+			arr := s.cont.traverse(&s.cfg, s.route, at)
 			s.trackFlight(int(e.from), int(e.proc), at, arr)
 			s.events.push(arr, body{kind: evReady, proc: e.proc, payload: e.payload, recv: e.recv})
 			continue

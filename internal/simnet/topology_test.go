@@ -2,6 +2,8 @@ package simnet
 
 import "testing"
 
+// TestTopologyHops reads each topology's network distance as the length
+// of its route.
 func TestTopologyHops(t *testing.T) {
 	cases := []struct {
 		topo     Topology
@@ -21,8 +23,8 @@ func TestTopologyHops(t *testing.T) {
 		{Ring{N: 8}, 1, 1, 0},          // self
 	}
 	for _, c := range cases {
-		if got := c.topo.Hops(c.from, c.to); got != c.want {
-			t.Errorf("%s.Hops(%d,%d) = %d, want %d", c.topo.Name(), c.from, c.to, got, c.want)
+		if got := len(c.topo.Route(c.from, c.to, nil)); got != c.want {
+			t.Errorf("%s route (%d,%d) has %d hops, want %d", c.topo.Name(), c.from, c.to, got, c.want)
 		}
 	}
 }
@@ -32,10 +34,11 @@ func TestTopologySymmetry(t *testing.T) {
 	for _, topo := range topos {
 		for a := 0; a < 15; a++ {
 			for b := 0; b < 15; b++ {
-				if topo.Hops(a, b) != topo.Hops(b, a) {
+				hops := len(topo.Route(a, b, nil))
+				if hops != len(topo.Route(b, a, nil)) {
 					t.Errorf("%s not symmetric at (%d,%d)", topo.Name(), a, b)
 				}
-				if a == b && topo.Hops(a, b) != 0 {
+				if a == b && hops != 0 {
 					t.Errorf("%s: self distance nonzero at %d", topo.Name(), a)
 				}
 			}

@@ -22,7 +22,7 @@ import (
 
 // Counter tracks outstanding units of work. Add must be called before
 // the work becomes visible to another goroutine (before the send), and
-// Done after it has been fully processed (after any work it spawned
+// Add(-1) after it has been fully processed (after any work it spawned
 // has itself been Added). Wait blocks until the count reaches zero.
 //
 // Unlike sync.WaitGroup, Counter is reusable across phases and allows
@@ -56,9 +56,6 @@ func (c *Counter) Add(delta int) {
 	c.mu.Unlock()
 }
 
-// Done deregisters one unit.
-func (c *Counter) Done() { c.Add(-1) }
-
 // Wait blocks until the outstanding count is zero or Fail has been
 // called (quiescence can never be reached once work is lost; check Err
 // after Wait when failure is possible).
@@ -88,14 +85,6 @@ func (c *Counter) Err() error {
 	return c.err
 }
 
-// Pending returns the current outstanding count (racy; diagnostics
-// only).
-func (c *Counter) Pending() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
 // ChannelCounts holds one worker's message counters for the
 // four-counter method. Workers increment Sent before each send and
 // Recv after fully processing each received message (including any
@@ -107,9 +96,6 @@ type ChannelCounts struct {
 
 // IncSent records one message sent. Call BEFORE the send.
 func (c *ChannelCounts) IncSent() { c.sent.Add(1) }
-
-// IncRecv records one message fully processed. Call AFTER processing.
-func (c *ChannelCounts) IncRecv() { c.recv.Add(1) }
 
 // AddSent records n messages sent. Call BEFORE the sends become
 // visible — a batching sender accounts a whole coalesced flush with one

@@ -20,15 +20,23 @@ func TestCounterBasic(t *testing.T) {
 		t.Fatal("Wait returned with pending work")
 	case <-time.After(10 * time.Millisecond):
 	}
-	c.Done()
-	c.Done()
+	c.Add(-1)
+	c.Add(-1)
 	select {
 	case <-done:
 	case <-time.After(time.Second):
 		t.Fatal("Wait did not return at zero")
 	}
-	if c.Pending() != 0 {
-		t.Errorf("pending = %d", c.Pending())
+	// The count stays at zero: a later Wait returns at once too.
+	again := make(chan struct{})
+	go func() {
+		c.Wait()
+		close(again)
+	}()
+	select {
+	case <-again:
+	case <-time.After(time.Second):
+		t.Fatal("count not zero after Wait returned")
 	}
 }
 
@@ -41,7 +49,7 @@ func TestCounterReusableAcrossPhases(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				c.Done()
+				c.Add(-1)
 			}()
 		}
 		c.Wait()
@@ -56,7 +64,7 @@ func TestCounterNegativePanics(t *testing.T) {
 			t.Error("expected panic on negative count")
 		}
 	}()
-	c.Done()
+	c.Add(-1)
 }
 
 func TestCounterConcurrentWorkExpansion(t *testing.T) {
@@ -66,7 +74,7 @@ func TestCounterConcurrentWorkExpansion(t *testing.T) {
 	var mu sync.Mutex
 	var spawn func(depth int)
 	spawn = func(depth int) {
-		defer c.Done()
+		defer c.Add(-1)
 		mu.Lock()
 		processed++
 		mu.Unlock()
@@ -103,7 +111,7 @@ func TestFourCounterDetectsTermination(t *testing.T) {
 				me.IncSent()
 				out <- v - 1
 			}
-			me.IncRecv()
+			me.AddRecv(1)
 		}
 	}
 	wg.Add(2)
@@ -132,7 +140,7 @@ func TestFourCounterCheckRequiresStability(t *testing.T) {
 	counts := []*ChannelCounts{{}}
 	det := NewFourCounter(counts)
 	counts[0].IncSent()
-	counts[0].IncRecv()
+	counts[0].AddRecv(1)
 	// First check: totals 1,1 but previous round was (-1,-1): not done.
 	s, r, done := det.Check(-1, -1)
 	if done {

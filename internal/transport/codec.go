@@ -18,11 +18,10 @@ import (
 // (handle, TimeTag). A worker's table mirrors the control's: the
 // control defines a wme to a worker the first time the worker needs it
 // at its handle, and references it after. Workers never define: every
-// position a worker sends is a reference the control resolves in its
-// own table, except inside migrated bucket contents, which travel
-// self-contained (see bucketContents). A token, an activation or a
-// conflict-set delta over wmes the receiver holds decodes without
-// allocating a wme.
+// position a worker sends, migrated bucket contents included, is a
+// reference the control resolves in its own table. A token, an
+// activation or a conflict-set delta over wmes the receiver holds
+// decodes without allocating a wme.
 //
 // A definition is the handle, then a row of the class's layout, which
 // both ends hold because both compiled the same productions, and the
@@ -84,11 +83,9 @@ type enc struct {
 	layouts []*ops5.Layout
 	// sent is a control connection's send state: the time tag last
 	// defined at each handle (noTag where none was). A worker's encoder
-	// has refsOnly set instead and never defines, except inside bucket
-	// contents, which set selfContained and define every wme.
-	sent          []int
-	refsOnly      bool
-	selfContained bool
+	// has refsOnly set instead and never defines.
+	sent     []int
+	refsOnly bool
 	// defs and refs count the wmes that crossed in each form.
 	defs, refs int64
 }
@@ -113,9 +110,6 @@ type dec struct {
 	mirror            bool
 	layouts           []*ops5.Layout
 	defs, refs        int64
-	// selfContained is set while bucket contents decode: they name no
-	// wme by reference.
-	selfContained bool
 
 	// handles is the unconsumed tail of the slab decoded tokens are
 	// carved from (token), as rete's arena carves the match's own.
@@ -150,20 +144,18 @@ func (d *dec) handle() int32 {
 // it at this time tag, otherwise a definition.
 func (e *enc) wme(h int32) {
 	w := e.tab.WME(h)
-	if !e.selfContained {
-		if e.refsOnly || int(h) < len(e.sent) && e.sent[h] == w.TimeTag {
-			e.refs++
-			e.Byte(wmeRef)
-			e.Int(int(h))
-			e.Int(w.TimeTag)
-			return
-		}
-		for int(h) >= len(e.sent) {
-			e.sent = append(e.sent, noTag)
-		}
-		e.sent[h] = w.TimeTag
-		e.defs++
+	if e.refsOnly || int(h) < len(e.sent) && e.sent[h] == w.TimeTag {
+		e.refs++
+		e.Byte(wmeRef)
+		e.Int(int(h))
+		e.Int(w.TimeTag)
+		return
 	}
+	for int(h) >= len(e.sent) {
+		e.sent = append(e.sent, noTag)
+	}
+	e.sent[h] = w.TimeTag
+	e.defs++
 	e.def(h, w)
 }
 
@@ -249,10 +241,6 @@ func (d *dec) optWME() int32 {
 	case wmeRef:
 		h, tag := d.handle(), d.Int()
 		if d.Err != nil {
-			return 0
-		}
-		if d.selfContained {
-			d.Fail("wme reference inside bucket contents, which travel self-contained")
 			return 0
 		}
 		if w := d.tab.WME(h); w != nil && w.ID >= 0 && w.TimeTag == tag {
@@ -551,15 +539,12 @@ func (d *dec) partition() sched.Partition {
 }
 
 // bucketContents encodes one extracted hash-bucket pair. Node
-// references travel as compiled-network ids; every wme travels as a
-// definition at its handle, because the control process forwards the
-// frame without decoding it (see the header), so no send state may
-// learn from it. The receiving worker's decoder fills its mirror from
-// the definitions, which name the wmes the control's table holds at
-// those handles: stored tokens name only live wmes, and the control
-// frees no handle before the next cycle.
+// references travel as compiled-network ids and wmes as every frame's
+// do: the losing worker references them, the control resolves the
+// references in its own table — stored tokens name only live wmes, and
+// the control frees no handle before the next cycle — and re-encodes
+// the contents for the new owner with that connection's send state.
 func (e *enc) bucketContents(bc *rete.BucketContents) {
-	e.selfContained = true
 	e.Int(bc.Bucket)
 	e.Count(len(bc.LeftTokens))
 	for i, tok := range bc.LeftTokens {
@@ -572,12 +557,9 @@ func (e *enc) bucketContents(bc *rete.BucketContents) {
 		e.Int(bc.RightNodes[i].ID)
 		e.wme(h)
 	}
-	e.selfContained = false
 }
 
 func (d *dec) bucketContents(net *rete.Network) *rete.BucketContents {
-	d.selfContained = true
-	defer func() { d.selfContained = false }()
 	bc := &rete.BucketContents{Bucket: int(d.bucket())}
 	for i, n := 0, d.Count(1<<24); i < n; i++ {
 		bc.LeftNodes = append(bc.LeftNodes, d.node(net))

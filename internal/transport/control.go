@@ -207,7 +207,6 @@ func (c *Control) handshake(cc *ctlConn) error {
 			id:         cc.id,
 			workers:    c.opts.Workers,
 			nbuckets:   c.nbuckets,
-			routeRoots: c.opts.RouteRoots,
 			trackLoads: c.opts.Rebalance.Enabled(),
 			partition:  c.Partition(),
 		}, c.program)
@@ -232,67 +231,51 @@ func (c *Control) handshake(cc *ctlConn) error {
 	return nil
 }
 
-// send writes a worker one frame that a turn frame will answer: a
-// delivery of the driver's, or another worker's relay forwarded.
-func (c *Control) send(cc *ctlConn, ft frameType, fill func(*enc)) error {
+// kindFrames is the frame each kind of message travels in.
+var kindFrames = [...]frameType{
+	parallel.MsgCycle:      ftCycle,
+	parallel.MsgAct:        ftActs,
+	parallel.MsgMigrateOut: ftRepart,
+	parallel.MsgMigrateIn:  ftBucket,
+}
+
+// Deliver implements parallel.Carrier: the driver's messages to worker
+// dst in the frame of their kind, from the control.
+func (c *Control) Deliver(dst int, ms []parallel.Message, batch int32) error {
+	return c.deliver(c.conns[dst], int32(c.opts.Workers), ms, batch)
+}
+
+// deliver writes worker cc one frame that a turn frame will answer:
+// messages from src — the driver's, or another worker's relay
+// forwarded — all of one kind, behind their causal stamp, the batch id
+// and the source. The payload is encoded with cc's send state, because
+// each connection has defined its own set of wmes. A cycle, an order
+// or a bucket is one message; a run of activations is coalesced.
+func (c *Control) deliver(cc *ctlConn, src int32, ms []parallel.Message, batch int32) error {
+	ft := kindFrames[ms[0].Kind]
 	if c.opts.Causal != nil {
 		cc.busySince.CompareAndSwap(0, c.Now())
 	}
-	if err := cc.write(ft, fill); err != nil {
+	err := cc.write(ft, func(e *enc) {
+		e.I32(batch)
+		e.I32(src)
+		switch m := &ms[0]; ft {
+		case ftCycle:
+			e.changes(m.Cycle.Changes, m.Cycle.Handles)
+		case ftActs:
+			e.actList(ms)
+		case ftRepart:
+			e.partition(m.Order.Part)
+			e.moves(m.Order.Moves)
+		case ftBucket:
+			e.bucketContents(m.Inject)
+		}
+	})
+	if err != nil {
 		err = fmt.Errorf("transport: %s frame to worker %d: %w", ft, cc.id, err)
 		c.Fail(err) // the message was registered and is lost
-		return err
 	}
-	return nil
-}
-
-// stamp opens a delivery payload with its causal stamp: the batch id
-// and the control track as source.
-func (c *Control) stamp(e *enc, batch int32) {
-	e.I32(batch)
-	e.I32(int32(c.opts.Workers))
-}
-
-// Broadcast implements parallel.Carrier: the cycle's changes in an
-// ftCycle frame to every worker (Fig 3-3), encoded per worker because
-// each connection has defined its own set of wmes.
-func (c *Control) Broadcast(m parallel.Message, batch int32) error {
-	for _, cc := range c.conns {
-		if err := c.send(cc, ftCycle, func(e *enc) {
-			c.stamp(e, batch)
-			e.changes(m.Cycle.Changes, m.Cycle.Handles)
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Deliver implements parallel.Carrier: one coalesced ftActs frame of
-// routed roots (Fig 3-2).
-func (c *Control) Deliver(dst int, ms []parallel.Message, batch int32) error {
-	return c.send(c.conns[dst], ftActs, func(e *enc) {
-		c.stamp(e, batch)
-		e.actList(ms)
-	})
-}
-
-// Migrate implements parallel.Carrier: an ftRepart order to every
-// worker, because each worker process keeps its own copy of the
-// assignment and all must switch routing; losers additionally extract
-// and ship. Every order is a registered message, answered by a turn
-// frame.
-func (c *Control) Migrate(newPart sched.Partition, moves [][]parallel.BucketMove) error {
-	c.Sending(c.opts.Workers, len(c.conns))
-	for _, cc := range c.conns {
-		if err := c.send(cc, ftRepart, func(e *enc) {
-			e.partition(newPart)
-			e.moves(moves[cc.id])
-		}); err != nil {
-			return err
-		}
-	}
-	return nil
+	return err
 }
 
 // readLoop consumes one worker's frames: relays are registered and
@@ -313,7 +296,7 @@ func (c *Control) read(cc *ctlConn) error {
 	// A relay is re-encoded before the next frame is read and nothing of
 	// it is kept, so every relay's tokens are carved from the same slab.
 	handles := make([]int32, handleSlab)
-	var acts []parallel.Message
+	var msgs []parallel.Message
 	var tf turnFrame
 	for {
 		ft, payload, err := cc.fr.next()
@@ -322,49 +305,39 @@ func (c *Control) read(cc *ctlConn) error {
 		}
 		d.Reset(payload)
 		switch ft {
-		case ftRelay:
-			dst, err := relayDst(d, cc, ft)
-			if err != nil {
-				return err
+		case ftRelay, ftBucketRelay:
+			// A relay is decoded into messages, registered and delivered
+			// with the sender as source, whatever it carries: references
+			// resolve in the control's table and leave as references or,
+			// where the destination has not been sent the wme at this
+			// handle, definitions.
+			dst := d.worker()
+			if d.Err == nil && int(dst) == cc.id {
+				d.Fail(fmt.Sprintf("worker %d sent a %s frame to itself", cc.id, ft))
 			}
-			// The control only forwards: references resolve in its own
-			// table and leave as references or, where the destination
-			// has not been sent the wme at this handle, definitions.
 			d.handles = handles
-			acts = d.actList(c.network, acts)
+			if ft == ftRelay {
+				msgs = d.actList(c.network, msgs)
+			} else {
+				msgs = append(msgs[:0], parallel.Message{Kind: parallel.MsgMigrateIn, Inject: d.bucketContents(c.network)})
+			}
 			if err := d.Done(); err != nil {
 				return err
 			}
-			if len(acts) == 0 {
+			if len(msgs) == 0 {
 				continue
 			}
 			// Register the forwarded work BEFORE it becomes visible to
 			// the destination — the wire form of Add-before-send — and
 			// before the sender's closing turn frame deregisters its own.
-			c.Sending(cc.id, len(acts))
+			if ft == ftRelay {
+				c.Sending(cc.id, len(msgs))
+			} else {
+				c.Shipping(cc.id, msgs[0].Inject.Entries())
+			}
 			batch := c.opts.Causal.NextBatch()
-			track.Send(c.Now(), c.CurrentCycle(), batch, dst, int32(len(acts)))
-			if err := c.send(c.conns[dst], ftActs, func(e *enc) {
-				e.I32(batch)
-				e.I32(int32(cc.id))
-				e.actList(acts)
-			}); err != nil {
-				return err
-			}
-		case ftBucketRelay:
-			// A migrated bucket in flight: registered like a relay, then
-			// forwarded verbatim — the control process never decodes the
-			// contents, which is why they define every wme they name.
-			dst, err := relayDst(d, cc, ft)
-			if err != nil {
-				return err
-			}
-			entries := d.Int()
-			if d.Err != nil {
-				return d.Err
-			}
-			c.Shipping(cc.id, entries)
-			if err := c.send(c.conns[dst], ftBucket, func(e *enc) { e.Raw(d.B) }); err != nil {
+			track.Send(c.Now(), c.CurrentCycle(), batch, dst, int32(len(msgs)))
+			if err := c.deliver(c.conns[dst], int32(cc.id), msgs, batch); err != nil {
 				return err
 			}
 		case ftTurn:
@@ -388,16 +361,6 @@ func (c *Control) read(cc *ctlConn) error {
 			return fmt.Errorf("%w: control got unexpected %s frame from worker %d", ErrBadPayload, ft, cc.id)
 		}
 	}
-}
-
-// relayDst decodes the destination a worker addressed a relay frame to:
-// another worker of the topology.
-func relayDst(d *dec, from *ctlConn, ft frameType) (int32, error) {
-	dst := d.worker()
-	if d.Err == nil && int(dst) == from.id {
-		d.Fail(fmt.Sprintf("worker %d sent a %s frame to itself", from.id, ft))
-	}
-	return dst, d.Err
 }
 
 // Close shuts the topology down: a shutdown frame to every worker,

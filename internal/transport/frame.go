@@ -7,10 +7,10 @@
 // instantiations or plans moves. There is one carrier, a star of worker
 // connections: the driver in the control process (Control, control.go),
 // one step per worker (ServeConn, worker.go), a handshake that ships
-// the program for each worker to compile, per-batch framing, and relay forwarding of worker-to-worker
-// activations; every relay and turn frame is reported to the driver's
-// accounting calls, so termination detection stays exact across the
-// wire. ops5run -transport tcp and ops5worker run it across OS
+// the program for each worker to compile, per-batch framing, and relay
+// forwarding of worker-to-worker messages; every relay and turn frame is
+// reported to the driver's accounting calls, so termination detection
+// stays exact across the wire. ops5run -transport tcp and ops5worker run it across OS
 // processes; Loopback (loopback.go) runs it inside one, behind
 // parallel.Options.Transport.
 //
@@ -62,12 +62,17 @@ const (
 	// carrier, and every later frame keeps its byte. frameReader refuses
 	// it as an unknown type.
 	_
-	// ftCycle is the control→worker broadcast of one match phase's wme
-	// changes (Fig 3-3).
+	// The four control→worker delivery frames carry one kind of
+	// parallel.Message each (Control.Deliver) behind the same causal
+	// stamp, the batch id and the source track, which the turn frame
+	// answering them echoes.
+	//
+	// ftCycle is the broadcast of one match phase's wme changes (Fig
+	// 3-3).
 	ftCycle
-	// ftActs is a control→worker batch of routed activations: Fig 3-2
-	// roots, or worker-to-worker sends relayed through the control
-	// process.
+	// ftActs is a batch of routed activations: Fig 3-2 roots, a
+	// hand-off's share, or worker-to-worker sends relayed through the
+	// control process.
 	ftActs
 	// ftRelay is a worker→control batch of activations destined for
 	// another worker; the control process forwards it as ftActs.
@@ -79,19 +84,17 @@ const (
 	ftTurn
 	// ftShutdown asks a worker to exit cleanly.
 	ftShutdown
-	// ftRepart is the control→worker migration order: the new
-	// partition plus the buckets this worker must extract and ship.
+	// ftRepart is the migration order: the new partition plus the
+	// buckets this worker must extract and ship (a delivery frame).
 	// Sent to every worker at a quiescent cycle boundary — routing
 	// switches everywhere before the next cycle's delivery.
 	ftRepart
 	// ftBucketRelay is a worker→control shipment of one extracted
-	// bucket pair: destination worker, entry count, then the encoded
-	// contents, which the control process forwards verbatim (without
-	// decoding) as ftBucket — so the contents are self-contained: every
-	// wme a definition at its handle, none a reference.
+	// bucket pair: destination worker, then the contents, which the
+	// control process decodes and forwards as ftBucket like any relay.
 	ftBucketRelay
-	// ftBucket is the control→worker delivery of one migrated bucket
-	// pair; the receiver injects it and closes the turn.
+	// ftBucket is the delivery of one migrated bucket pair; the receiver
+	// injects it and closes the turn.
 	ftBucket
 )
 

@@ -175,7 +175,7 @@ func TestFrameFaults(t *testing.T) {
 			t.Fatal("decoded garbage hello")
 		}
 	})
-	for _, old := range []byte{2, 3, 4, 5, 6, 7, 8} {
+	for _, old := range []byte{2, 3, 4, 5, 6, 7, 8, 9} {
 		t.Run(fmt.Sprintf("hello-version-%d", old), func(t *testing.T) {
 			// A version-2 peer hashes numbers into other buckets; a
 			// version-3 peer spells every wme out and knows no references;
@@ -185,23 +185,25 @@ func TestFrameFaults(t *testing.T) {
 			// and expects one; a version-7 peer folds keys byte by byte,
 			// so at two workers it agrees on every key's owner but not on
 			// its bucket; a version-8 peer names a wme by (ID, TimeTag) in
-			// a cache of its own and defines back what it was sent. Each
-			// must be turned away at the handshake, not mis-join or
+			// a cache of its own and defines back what it was sent; a
+			// version-9 peer ships bucket contents self-contained, to be
+			// forwarded verbatim, and takes orders and buckets unstamped.
+			// Each must be turned away at the handshake, not mis-join or
 			// mis-decode later.
 			net, _ := mustCompile("blocks")
 			hb := helloBytes(hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, appendProgram(nil, net))
 			if _, err := decodeHello(hb); err != nil {
 				t.Fatalf("current hello refused: %v", err)
 			}
-			if protoVersion != 9 || hb[0] != protoVersion {
-				t.Fatalf("hello leads with %#x, want the version varint 9 (protoVersion %d)", hb[0], protoVersion)
+			if protoVersion != 10 || hb[0] != protoVersion {
+				t.Fatalf("hello leads with %#x, want the version varint 10 (protoVersion %d)", hb[0], protoVersion)
 			}
 			hb[0] = old
 			_, err := decodeHello(hb)
 			if !errors.Is(err, ErrBadPayload) {
 				t.Fatalf("version %d hello: got %v, want ErrBadPayload", old, err)
 			}
-			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", old)) || !strings.Contains(msg, "want 9") {
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", old)) || !strings.Contains(msg, "want 10") {
 				t.Fatalf("error %q does not name both versions", msg)
 			}
 		})
@@ -286,8 +288,8 @@ type delivery struct {
 	acts       []parallel.Message
 }
 
-// encode writes the payload as the control does (Control.Broadcast,
-// Control.Deliver and relay forwarding).
+// encode writes the payload as the control does (Control.deliver, for
+// the driver's messages and for relays alike).
 func (f delivery) encode(e *enc) {
 	e.I32(f.batch)
 	e.I32(f.src)
@@ -512,6 +514,8 @@ func FuzzTransportFrame(f *testing.F) {
 				d.worker() // destination
 				d.actList(net, nil)
 			case ftBucket:
+				d.I32() // batch
+				d.I32() // source
 				d.bucketContents(net)
 			case ftTurn:
 				d.turn(net, new(turnFrame))

@@ -4,9 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"mpcrete/internal/obs"
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
@@ -139,6 +141,31 @@ func TestCrossCarrierMigrationAccounting(t *testing.T) {
 				return errors.Join(errs...)
 			}
 		}},
+		{"inproc-routed", func(t *testing.T, net *rete.Network) (*parallel.Driver, func() error) {
+			rt, err := parallel.New(net, parallel.Options{Workers: workers, NBuckets: nbuckets, ForceMigrate: rotate, RouteRoots: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return rt.Driver, func() error { rt.Close(); return nil }
+		}},
+		{"star-routed", func(t *testing.T, net *rete.Network) (*parallel.Driver, func() error) {
+			ctl, err := Listen(net, "127.0.0.1:0", ControlOptions{Workers: workers, NBuckets: nbuckets, ForceMigrate: rotate, RouteRoots: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			werrs := startWorkers(t, ctl.Addr(), workers)
+			if err := ctl.WaitWorkers(); err != nil {
+				ctl.Close()
+				t.Fatal(err)
+			}
+			return ctl.Driver, func() error {
+				errs := []error{ctl.Close()}
+				for i := 0; i < workers; i++ {
+					errs = append(errs, <-werrs)
+				}
+				return errors.Join(errs...)
+			}
+		}},
 	}
 	script := churnScript(30)
 	type accounting struct{ migrations, bucketsMoved, entriesMoved int64 }
@@ -175,6 +202,84 @@ func TestCrossCarrierMigrationAccounting(t *testing.T) {
 		if a != want {
 			t.Errorf("%s accounted %+v, in-process %+v", name, a, want)
 		}
+	}
+}
+
+// TestMigrationOrdersReachEveryWorker: a migration order carries the
+// new partition to every worker, whether or not it loses a bucket, and
+// the two carriers deliver it alike. The schedule swaps buckets between
+// workers 0 and 1 at every cycle boundary, so worker 2 never loses one;
+// in each migration interval on the control track, every worker must
+// still receive exactly one message from the control.
+func TestMigrationOrdersReachEveryWorker(t *testing.T) {
+	const (
+		workers  = 3
+		nbuckets = 64
+	)
+	base := sched.RoundRobin(nbuckets, workers)
+	swap := func(cycle int) sched.Partition {
+		p := append(sched.Partition(nil), base...)
+		for b, owner := range p {
+			if cycle%2 == 1 && owner < 2 {
+				p[b] = 1 - owner
+			}
+		}
+		return p
+	}
+	script := churnScript(8)
+	got := map[string][]int{}
+	for _, name := range []string{"inproc", "star"} {
+		net := compileProdsT(t, migrationProds...)
+		opts := parallel.Options{
+			Workers: workers, NBuckets: nbuckets, ForceMigrate: swap,
+			Causal: parallel.NewFlightRecorder(workers, 1<<12, 0, nbuckets),
+		}
+		if name == "star" {
+			opts.Transport = NewLoopback(net)
+		}
+		rt, err := parallel.New(net, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ch := range script {
+			if _, err := rt.Cycle(ch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dump := rt.FlightDump()
+		rt.Close()
+		var spans [][2]int64
+		for _, ev := range dump.Tracks[workers].Events {
+			switch ev.Kind {
+			case obs.EvMigrateBegin:
+				spans = append(spans, [2]int64{ev.TS, -1})
+			case obs.EvMigrateEnd:
+				spans[len(spans)-1][1] = ev.TS
+			}
+		}
+		if len(spans) != len(script) {
+			t.Fatalf("%s: %d migrations on the control track, want %d", name, len(spans), len(script))
+		}
+		orders := make([]int, workers)
+		for w := range orders {
+			for _, ev := range dump.Tracks[w].Events {
+				if ev.Kind != obs.EvRecv || ev.Src != workers {
+					continue
+				}
+				for _, sp := range spans {
+					if sp[0] <= ev.TS && ev.TS <= sp[1] {
+						orders[w] += int(ev.Count)
+					}
+				}
+			}
+			if orders[w] != len(spans) {
+				t.Errorf("%s: worker %d handled %d orders in %d migrations", name, w, orders[w], len(spans))
+			}
+		}
+		got[name] = orders
+	}
+	if !slices.Equal(got["inproc"], got["star"]) {
+		t.Errorf("orders per worker: in-process %v, star %v", got["inproc"], got["star"])
 	}
 }
 

@@ -56,15 +56,19 @@ import (
 // Version 9 names a wme by the control's handle: a definition carries
 // the handle before the row, a reference is (handle, TimeTag), a
 // worker's table mirrors the control's, and workers never define
-// outside migrated bucket contents.
-const protoVersion = 9
+// outside migrated bucket contents. Version 10 makes every delivery one
+// rule: ftRepart and ftBucket open with the causal stamp as ftCycle and
+// ftActs do, ftBucketRelay loses its entry count and its contents are
+// references the control decodes and re-encodes like any relay's (so
+// workers never define at all), and the hello loses its route-roots
+// flag, which no worker read.
+const protoVersion = 10
 
 // hello is the decoded handshake.
 type hello struct {
-	id         int
-	workers    int
-	nbuckets   int
-	routeRoots bool
+	id       int
+	workers  int
+	nbuckets int
 	// trackLoads asks the worker to count activations per bucket and
 	// report nonzero counts in each ftTurn frame (the control plane's
 	// rebalance detector feeds on them).
@@ -94,7 +98,6 @@ func encodeHello(e *enc, h hello, program []byte) {
 	e.Int(h.id)
 	e.Int(h.workers)
 	e.Int(h.nbuckets)
-	e.Bool(h.routeRoots)
 	e.Bool(h.trackLoads)
 	e.partition(h.partition)
 	e.Raw(program)
@@ -109,7 +112,7 @@ func decodeHello(payload []byte) (hello, error) {
 	if ver := d.U64(); d.Err == nil && ver != protoVersion {
 		return hello{}, fmt.Errorf("%w: protocol version %d, want %d", ErrBadPayload, ver, protoVersion)
 	}
-	h := hello{id: d.Int(), workers: d.Int(), nbuckets: d.Int(), routeRoots: d.Bool(), trackLoads: d.Bool()}
+	h := hello{id: d.Int(), workers: d.Int(), nbuckets: d.Int(), trackLoads: d.Bool()}
 	if d.Err == nil && (h.id < 0 || h.workers < 1 || h.id >= h.workers || !rete.ValidNBuckets(h.nbuckets)) {
 		return h, fmt.Errorf("%w: topology id=%d workers=%d nbuckets=%d", ErrBadPayload, h.id, h.workers, h.nbuckets)
 	}
@@ -212,8 +215,8 @@ type starWorker struct {
 	enc  enc
 
 	pkt   parallel.CyclePacket
+	order parallel.MigrateOrder
 	msgs  []parallel.Message
-	stamp [1]parallel.RecvStamp
 }
 
 // send closes the open frame and writes everything encoded since the
@@ -231,26 +234,18 @@ func (w *starWorker) send(ft frameType) error {
 func (w *starWorker) turn(ft frameType, payload []byte) error {
 	d := &w.dec
 	d.Reset(payload)
-	n := 1 // protocol messages this turn deregisters
-	var stamps []parallel.RecvStamp
-	var newPart sched.Partition
+	// Every delivery opens with the causal stamp the turn frame echoes.
+	stamp := parallel.RecvStamp{Batch: d.I32(), Src: d.I32(), Count: 1}
 	switch ft {
-	case ftCycle, ftActs:
-		// Both open with the causal stamp the turn frame echoes.
-		stamps = append(w.stamp[:0], parallel.RecvStamp{Batch: d.I32(), Src: d.I32()})
-		if ft == ftCycle {
-			d.changes(&w.pkt)
-			w.msgs = append(w.msgs[:0], parallel.Message{Kind: parallel.MsgCycle, Cycle: &w.pkt})
-		} else {
-			w.msgs = d.actList(w.net, w.msgs)
-			n = len(w.msgs)
-		}
-		stamps[0].Count = int32(n)
+	case ftCycle:
+		d.changes(&w.pkt)
+		w.msgs = append(w.msgs[:0], parallel.Message{Kind: parallel.MsgCycle, Cycle: &w.pkt})
+	case ftActs:
+		w.msgs = d.actList(w.net, w.msgs)
+		stamp.Count = int32(len(w.msgs))
 	case ftRepart:
-		// The order reaches every worker (all must switch routing); only
-		// losers have moves. Migration turns carry no causal stamp.
-		newPart = d.partition()
-		w.msgs = append(w.msgs[:0], parallel.Message{Kind: parallel.MsgMigrateOut, Moves: d.moves()})
+		w.order = parallel.MigrateOrder{Part: d.partition(), Moves: d.moves()}
+		w.msgs = append(w.msgs[:0], parallel.Message{Kind: parallel.MsgMigrateOut, Order: &w.order})
 	case ftBucket:
 		w.msgs = append(w.msgs[:0], parallel.Message{Kind: parallel.MsgMigrateIn, Inject: d.bucketContents(w.net)})
 	default:
@@ -261,9 +256,6 @@ func (w *starWorker) turn(ft frameType, payload []byte) error {
 	}
 
 	s := w.step
-	if newPart != nil {
-		s.SetPartition(newPart)
-	}
 	// The previous turn's phase tokens and lent delta arrays are dead:
 	// its queue drained, and its relays and deltas were built and encoded
 	// before it returned.
@@ -295,7 +287,6 @@ func (w *starWorker) turn(ft frameType, payload []byte) error {
 	for _, mv := range s.Moved {
 		e.begin()
 		e.I32(mv.Dst)
-		e.Int(mv.Contents.Entries())
 		e.bucketContents(mv.Contents)
 		if err := e.end(ftBucketRelay); err != nil {
 			return err
@@ -304,6 +295,6 @@ func (w *starWorker) turn(ft frameType, payload []byte) error {
 	s.Moved = s.Moved[:0]
 
 	e.begin()
-	e.turn(n, stamps, flushes, s.EndTurn(false))
+	e.turn(int(stamp.Count), []parallel.RecvStamp{stamp}, flushes, s.EndTurn(false))
 	return w.send(ftTurn)
 }

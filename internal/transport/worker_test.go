@@ -146,6 +146,16 @@ func TestWorkerRefusesForgedNetwork(t *testing.T) {
 	}
 }
 
+// stamped is a delivery frame: body behind the causal stamp every
+// control→worker delivery opens with (batch 1, from the control).
+func stamped(ft frameType, body func(e *enc)) wireFrame {
+	return wireFrame{ft, func(e *enc) {
+		e.I32(1) // batch
+		e.I32(faultWorkers)
+		body(e)
+	}}
+}
+
 // TestWorkerRejectsBadIndices sends a worker one frame of each type
 // that carries a bucket or worker index, with the index out of range
 // for the handshaken topology (8 buckets, 2 workers). The worker must
@@ -161,32 +171,30 @@ func TestWorkerRejectsBadIndices(t *testing.T) {
 		name  string
 		frame wireFrame
 	}{
-		{"acts-bucket", wireFrame{ftActs, func(e *enc) {
-			e.I32(1) // batch
-			e.I32(faultWorkers)
+		{"acts-bucket", stamped(ftActs, func(e *enc) {
 			e.actList([]parallel.Message{{Bucket: badBucket, Depth: 1, Act: act}})
-		}}},
-		{"repart-bucket", wireFrame{ftRepart, func(e *enc) {
+		})},
+		{"repart-bucket", stamped(ftRepart, func(e *enc) {
 			e.partition(part)
 			e.moves([]parallel.BucketMove{{Bucket: badBucket, NewOwner: 1}})
-		}}},
-		{"repart-destination", wireFrame{ftRepart, func(e *enc) {
+		})},
+		{"repart-destination", stamped(ftRepart, func(e *enc) {
 			e.partition(part)
 			e.moves([]parallel.BucketMove{{Bucket: 3, NewOwner: faultWorkers + 5}})
-		}}},
-		{"repart-partition-owner", wireFrame{ftRepart, func(e *enc) {
+		})},
+		{"repart-partition-owner", stamped(ftRepart, func(e *enc) {
 			bad := append(sched.Partition(nil), part...)
 			bad[2] = faultWorkers
 			e.partition(bad)
 			e.moves(nil)
-		}}},
-		{"bucket", wireFrame{ftBucket, func(e *enc) {
+		})},
+		{"bucket", stamped(ftBucket, func(e *enc) {
 			e.bucketContents(&rete.BucketContents{
 				Bucket:     badBucket,
 				RightNodes: []*rete.Node{act.Node},
 				RightWMEs:  []int32{act.WME},
 			})
-		}}},
+		})},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -342,14 +350,14 @@ func faultChanges(e *enc, w *ops5.WME, second func(e *enc, h int32, w *ops5.WME)
 	second(e, faultHandle, w)
 }
 
-// bucketWithRef encodes bucket contents whose one right wme is an
-// exact reference to w at faultHandle.
-func bucketWithRef(e *enc, node *rete.Node, w *ops5.WME) {
+// bucketWith encodes bucket contents whose one right wme is the
+// position pos writes for w at faultHandle.
+func bucketWith(e *enc, node *rete.Node, w *ops5.WME, pos func(e *enc, h int32, w *ops5.WME)) {
 	e.Int(3) // bucket
 	e.Count(0)
 	e.Count(1)
 	e.Int(node.ID)
-	wireRef(e, faultHandle, w.TimeTag)
+	pos(e, faultHandle, w)
 }
 
 // exactRef is the reference to w at h that a sound stream sends.
@@ -358,19 +366,14 @@ func exactRef(e *enc, h int32, w *ops5.WME) { wireRef(e, h, w.TimeTag) }
 // TestWorkerRejectsBadReferences: a forged or desynchronised wme
 // reference reaching a worker — to a handle nothing was defined at, to
 // the right handle under another time tag, to handle 0 or one past the
-// mirror's bound, an unknown form byte, or an exact reference inside
-// the one frame that must stay self-contained — ends ServeConn with
+// mirror's bound, or an unknown form byte — ends ServeConn with
 // ErrBadPayload. The control sequence first proves the stream is live:
 // the same frame with an exact reference is accepted.
 func TestWorkerRejectsBadReferences(t *testing.T) {
 	network, _ := compileWorkload(t, "blocks")
 	w := faultWME()
 	cycle := func(second func(e *enc, h int32, w *ops5.WME)) wireFrame {
-		return wireFrame{ftCycle, func(e *enc) {
-			e.I32(1) // batch
-			e.I32(faultWorkers)
-			faultChanges(e, w, second)
-		}}
+		return stamped(ftCycle, func(e *enc) { faultChanges(e, w, second) })
 	}
 	exact := cycle(exactRef)
 	shutdown := wireFrame{ftShutdown, func(*enc) {}}
@@ -384,19 +387,31 @@ func TestWorkerRejectsBadReferences(t *testing.T) {
 			}
 		})
 	}
+	// A bucket's references are held to the same rule as every frame's:
+	// after the cycle that defined w, an exact reference to it in a
+	// migrated bucket is accepted, and each lie is refused.
+	node := rightAct(network).Node
+	bucket := func(pos func(e *enc, h int32, w *ops5.WME)) wireFrame {
+		return stamped(ftBucket, func(e *enc) { bucketWith(e, node, w, pos) })
+	}
+	if err := serveFault(t, network, exact, bucket(exactRef), shutdown); err != nil {
+		t.Fatalf("exact reference in a bucket refused: %v", err)
+	}
 	t.Run("ref-in-bucket", func(t *testing.T) {
-		bucket := wireFrame{ftBucket, func(e *enc) { bucketWithRef(e, rightAct(network).Node, w) }}
-		if err := serveFault(t, network, exact, bucket, shutdown); !errors.Is(err, ErrBadPayload) {
-			t.Fatalf("worker returned %v, want ErrBadPayload", err)
+		for _, row := range wmeFaults {
+			t.Run(row.name, func(t *testing.T) {
+				if err := serveFault(t, network, exact, bucket(row.bad), shutdown); !errors.Is(err, ErrBadPayload) {
+					t.Fatalf("worker returned %v, want ErrBadPayload", err)
+				}
+			})
 		}
 	})
 	// A migrated bucket from a process that holds another network: the
 	// same frame is accepted with a wme this network can lay out, and
 	// refused when its definition names a layout this network lacks.
 	wider, crate := widerNetwork(t)
-	node := rightAct(network).Node
 	bucketOf := func(table []*ops5.Layout, w *ops5.WME) wireFrame {
-		return wireFrame{ftBucket, func(e *enc) { bucketWithDef(e, table, node, w) }}
+		return stamped(ftBucket, func(e *enc) { bucketWithDef(e, table, node, w) })
 	}
 	if err := serveFault(t, network, bucketOf(network.Layouts(), w), shutdown); err != nil {
 		t.Fatalf("sound bucket refused: %v", err)

@@ -1,7 +1,6 @@
 // Package wire is the repository's one varint codec: the primitives
 // under every payload a process accepts from a socket — transport's
-// frames and rete's compiled network, which a worker's handshake
-// carries. Enc appends; Dec reads a payload it holds whole, so every
+// frames, the handshake's program among them. Enc appends; Dec reads a payload it holds whole, so every
 // bound it enforces is a bound on bytes actually received. The package
 // decides no format: what the integers, strings and values mean is the
 // business of the codec built on it.

@@ -35,7 +35,6 @@ var allowedUncalled = map[string]string{
 	"Instants":    "obs: tests read the recorded instants back",
 	"SpanTotal":   "obs: recorder totals are checked against simnet's busy times",
 	"LoadPerProc": "sched: partition tests and the package example sum load per processor",
-	"IncRecv":     "termdet: the per-message twin of AddRecv; the detector tests count one message at a time",
 
 	// Called by the standard library through an interface.
 	"MarshalText":   "obs: encoding/json calls it on every event of a flight dump, so a kind travels by name",

@@ -5,6 +5,9 @@ import (
 	"strings"
 	"testing"
 
+	"mpcrete/internal/parallel"
+	"mpcrete/internal/rete"
+	"mpcrete/internal/transport"
 	"mpcrete/internal/workloads"
 )
 
@@ -20,22 +23,29 @@ var mmWorkloads = []struct {
 // TestModelMeasuredCritPathBound is the acceptance check: the measured
 // critical path is >= the trace CriticalPath lower bound on every
 // cycle, for both workloads, at one and several workers, on both
-// message planes.
+// message planes, and on the star carrier.
 func TestModelMeasuredCritPathBound(t *testing.T) {
 	for _, wl := range mmWorkloads {
 		for _, cfg := range []struct {
 			workers int
 			routed  bool
+			star    bool
 		}{
-			{1, false},
-			{4, false},
-			{4, true},
+			{1, false, false},
+			{4, false, false},
+			{4, true, false},
+			{4, false, true},
 		} {
 			name := wl.name + "/" + map[bool]string{false: "broadcast", true: "routed"}[cfg.routed]
+			opts := MMOptions{Workers: cfg.workers, RouteRoots: cfg.routed}
+			if cfg.star {
+				// The star carrier: worker turns recorded in the workers'
+				// own rings and handed over in their turn frames.
+				name += "/star"
+				opts.Transport = func(n *rete.Network) parallel.Transport { return transport.NewLoopback(n) }
+			}
 			t.Run(name, func(t *testing.T) {
-				rep, err := CompareModelMeasured(wl.name, wl.prog, wl.wmes, MMOptions{
-					Workers: cfg.workers, RouteRoots: cfg.routed,
-				})
+				rep, err := CompareModelMeasured(wl.name, wl.prog, wl.wmes, opts)
 				if err != nil {
 					t.Fatal(err)
 				}

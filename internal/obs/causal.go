@@ -65,9 +65,9 @@ const (
 	EvCycleEnd
 	// EvTurnBegin / EvTurnEnd bracket one worker turn on the message
 	// plane — a drained batch handled and flushed — on the worker's
-	// track. The end's Count is the messages the turn consumed, its Depth
-	// the activations it performed. A cycle the driver performs in place
-	// has no turns.
+	// track, on its own clock. The end's Count is the messages the turn
+	// consumed, its Depth the activations it performed. A cycle the
+	// driver performs in place has no turns.
 	EvTurnBegin
 	EvTurnEnd
 	// EvWaitBegin / EvWaitEnd bracket the control's wait for quiescence;
@@ -126,9 +126,9 @@ type CausalEvent struct {
 	// increasing over the track's whole history, including events the
 	// bounded ring has since evicted).
 	Seq uint64 `json:"seq"`
-	// TS is nanoseconds since the owning runtime's epoch. Handle
-	// events reuse their turn's drain timestamp (per-activation clock
-	// reads would dominate the cost of small activations).
+	// TS is nanoseconds since the owning runtime's epoch (see Absorb).
+	// Handle events reuse their turn's drain timestamp (per-activation
+	// clock reads would dominate the cost of small activations).
 	TS int64 `json:"ts"`
 	// Cycle is the 1-based match-phase number.
 	Cycle int32 `json:"cycle"`
@@ -209,8 +209,10 @@ type TrackRecorder struct {
 	mask uint64
 	seq  uint64 // events ever recorded; next event's Seq
 
-	agg     CycleAgg
-	buckets []int64 // cumulative handles per bucket
+	agg CycleAgg
+
+	handed   uint64 // seq at the last HandOver
+	absorbed int64  // TS of the last event Absorb appended
 
 	name string
 }
@@ -250,27 +252,42 @@ func (t *TrackRecorder) Handle(ts int64, cycle, bucket, depth, fanout int32) {
 	if depth > t.agg.MaxDepth {
 		t.agg.MaxDepth = depth
 	}
-	if int(bucket) < len(t.buckets) && bucket >= 0 {
-		t.buckets[bucket]++
-	}
 	t.record(CausalEvent{Kind: EvHandle, TS: ts, Cycle: cycle, Batch: 0, Src: NoValue, Dst: NoValue, Bucket: bucket, Depth: depth, Count: fanout})
 }
 
-// MergeRemote folds a remotely-measured per-turn aggregate into the
-// track's current cycle. A multi-process runtime measures handles,
-// flushes, and dependency depth on the worker process's side of the
-// wire and ships only the totals home — no ring events survive the
-// transport — so the control-side conn reader (the track's single
-// producer) merges them here and per-cycle aggregates stay exact.
-func (t *TrackRecorder) MergeRemote(handles, flushes int64, maxDepth int32) {
+// HandOver appends to buf the events since the last hand-over that the
+// ring still holds and returns them with the aggregate since, which it
+// resets: a wire worker's half of its track (Absorb is the control's).
+func (t *TrackRecorder) HandOver(buf []CausalEvent) ([]CausalEvent, CycleAgg) {
+	if t == nil {
+		return buf, CycleAgg{}
+	}
+	buf = t.since(t.handed, buf)
+	t.handed = t.seq
+	agg := t.agg
+	t.agg = CycleAgg{}
+	return buf, agg
+}
+
+// Absorb appends handed-over events, stamped with cycle and shifted so
+// the sender's clock at send lands on this one's at arrival (or later,
+// lest a turn begin before the last absorbed one ended), and folds agg
+// into the cycle's aggregate.
+func (t *TrackRecorder) Absorb(evs []CausalEvent, agg CycleAgg, sent, arrived int64, cycle int32) {
 	if t == nil {
 		return
 	}
-	t.agg.Handles += handles
-	t.agg.Flushes += flushes
-	if maxDepth > t.agg.MaxDepth {
-		t.agg.MaxDepth = maxDepth
+	t.agg.add(agg)
+	if len(evs) == 0 {
+		return
 	}
+	shift := max(arrived-sent, t.absorbed-evs[0].TS)
+	for _, ev := range evs {
+		ev.TS += shift
+		ev.Cycle = cycle
+		t.record(ev)
+	}
+	t.absorbed = evs[len(evs)-1].TS + shift
 }
 
 // Flush records a non-empty coalesced flush of count messages.
@@ -292,18 +309,13 @@ func (t *TrackRecorder) Mark(kind EventKind, ts int64, cycle, count, depth int32
 	t.record(CausalEvent{Kind: kind, TS: ts, Cycle: cycle, Src: NoValue, Dst: NoValue, Bucket: NoValue, Depth: depth, Count: count})
 }
 
-// events returns the retained events, oldest first. Caller must hold
-// quiescence.
-func (t *TrackRecorder) events() []CausalEvent {
-	n := t.seq
-	if n > uint64(len(t.buf)) {
-		n = uint64(len(t.buf))
+// since appends to buf the retained events from sequence number from
+// on, oldest first.
+func (t *TrackRecorder) since(from uint64, buf []CausalEvent) []CausalEvent {
+	for s := max(from, t.seq-min(t.seq, uint64(len(t.buf)))); s < t.seq; s++ {
+		buf = append(buf, t.buf[s&t.mask])
 	}
-	out := make([]CausalEvent, 0, n)
-	for s := t.seq - n; s < t.seq; s++ {
-		out = append(out, t.buf[s&t.mask])
-	}
-	return out
+	return buf
 }
 
 // CausalRecorder owns one TrackRecorder per runtime goroutine (workers
@@ -333,8 +345,8 @@ const (
 // NewCausalRecorder creates a recorder with `tracks` event rings of
 // ringCap entries each (rounded up to a power of two; 0 means
 // DefaultRingCap), retaining aggregates for the last retainCycles
-// cycles (0 means DefaultRetainCycles). nbuckets sizes the cumulative
-// per-bucket activation counters (0 disables them).
+// cycles (0 means DefaultRetainCycles). nbuckets is the run's bucket
+// space, which a dump records for the buckets its handle events name.
 func NewCausalRecorder(tracks, ringCap, retainCycles, nbuckets int) *CausalRecorder {
 	if tracks <= 0 {
 		panic(fmt.Sprintf("obs: NewCausalRecorder tracks = %d", tracks))
@@ -359,11 +371,16 @@ func NewCausalRecorder(tracks, ringCap, retainCycles, nbuckets int) *CausalRecor
 		t.buf = make([]CausalEvent, size)
 		t.mask = uint64(size - 1)
 		t.name = fmt.Sprintf("track %d", i)
-		if nbuckets > 0 {
-			t.buckets = make([]int64, nbuckets)
-		}
 	}
 	return c
+}
+
+// RingCap returns the capacity of each track's ring (0 on nil).
+func (c *CausalRecorder) RingCap() int {
+	if c == nil {
+		return 0
+	}
+	return len(c.tracks[0].buf)
 }
 
 // Tracks returns the number of tracks (0 on nil).
@@ -451,12 +468,6 @@ func (c *CausalRecorder) CycleRecords() []CycleRecord {
 	return out
 }
 
-// BucketLoad is one cumulative per-bucket activation count.
-type BucketLoad struct {
-	Bucket int   `json:"bucket"`
-	Count  int64 `json:"count"`
-}
-
 // TrackDump is one track's retained state.
 type TrackDump struct {
 	Name string `json:"name"`
@@ -465,10 +476,6 @@ type TrackDump struct {
 	Total   uint64        `json:"total"`
 	Dropped uint64        `json:"dropped"`
 	Events  []CausalEvent `json:"events"`
-	// BucketLoads are the cumulative non-zero per-bucket activation
-	// counts, ascending by bucket. (The balancer reads its loads from
-	// parallel.Turn, recorder or no recorder.)
-	BucketLoads []BucketLoad `json:"bucket_loads,omitempty"`
 }
 
 // FlightDump is a post-mortem snapshot of the recorder: the last-N
@@ -489,19 +496,13 @@ func (c *CausalRecorder) Dump() *FlightDump {
 	d := &FlightDump{NBuckets: c.nbuckets, Cycles: c.CycleRecords()}
 	for i := range c.tracks {
 		t := &c.tracks[i]
-		events := t.events()
-		td := TrackDump{
+		events := t.since(0, []CausalEvent{})
+		d.Tracks = append(d.Tracks, TrackDump{
 			Name:    t.name,
 			Total:   t.seq,
 			Dropped: t.seq - uint64(len(events)),
 			Events:  events,
-		}
-		for b, n := range t.buckets {
-			if n > 0 {
-				td.BucketLoads = append(td.BucketLoads, BucketLoad{Bucket: b, Count: n})
-			}
-		}
-		d.Tracks = append(d.Tracks, td)
+		})
 	}
 	return d
 }

@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -33,6 +34,10 @@ func TestCausalRecorderNilSafe(t *testing.T) {
 	tr.Handle(0, 1, 7, 2, 3)
 	tr.Flush(0, 1, 4)
 	tr.Mark(EvTurnEnd, 0, 1, 4, 2)
+	tr.Absorb([]CausalEvent{{Kind: EvTurnBegin}}, CycleAgg{Handles: 1}, 0, 1, 1)
+	if evs, agg := tr.HandOver(nil); evs != nil || agg != (CycleAgg{}) || c.RingCap() != 0 {
+		t.Fatalf("nil HandOver = %v, %+v", evs, agg)
+	}
 }
 
 // TestDisabledPathZeroAlloc pins the acceptance criterion: the
@@ -109,8 +114,60 @@ func TestRingCapRoundsToPowerOfTwo(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		tr.Flush(int64(i), 1, 1)
 	}
-	if got := len(c.Dump().Tracks[0].Events); got != 128 {
-		t.Fatalf("retained %d events, want 128 (rounded-up cap)", got)
+	if got := len(c.Dump().Tracks[0].Events); got != 128 || c.RingCap() != 128 {
+		t.Fatalf("retained %d events of a ring of %d, want 128 (rounded-up cap)", got, c.RingCap())
+	}
+}
+
+// TestHandOverAbsorb: a track kept in two processes. The recording side
+// hands over only what it recorded since its last hand-over, at most a
+// ring's worth, the newest kept, with the whole aggregate; the absorbing
+// side lands each hand-over's send on its arrival, never before the
+// last one it absorbed, and stamps the cycle.
+func TestHandOverAbsorb(t *testing.T) {
+	remote := NewCausalRecorder(1, 4, 1, 0).Track(0)
+	c := NewCausalRecorder(2, 16, 4, 0)
+	local := c.Track(0)
+
+	remote.Mark(EvTurnBegin, 10, 0, 0, 0)
+	for i := range 6 {
+		remote.Handle(10, 0, int32(i), int32(i+1), 0)
+	}
+	remote.Mark(EvTurnEnd, 20, 0, 1, 6)
+	evs, agg := remote.HandOver(nil)
+	if len(evs) != 4 || evs[0].Bucket != 3 || evs[3].Kind != EvTurnEnd {
+		t.Fatalf("handed over %+v, want the newest 4 events", evs)
+	}
+	if agg != (CycleAgg{Handles: 6, MaxDepth: 6}) {
+		t.Fatalf("handed over %+v, want the whole turn's aggregate", agg)
+	}
+	c.BeginCycle(7, 0)
+	local.Absorb(evs, agg, 25, 1000, 7) // sent at 25, arrived at 1000
+	if again, agg := remote.HandOver(evs[:0]); len(again) != 0 || agg != (CycleAgg{}) {
+		t.Fatalf("a second hand-over repeats %d events, %+v", len(again), agg)
+	}
+
+	// A turn whose frame came faster than the last one's would begin
+	// before that one ended: it is moved to begin where that one ended.
+	remote.Mark(EvTurnBegin, 30, 0, 0, 0)
+	remote.Mark(EvTurnEnd, 40, 0, 1, 0)
+	evs, agg = remote.HandOver(evs[:0])
+	local.Absorb(evs, agg, 40, 990, 7)
+	c.EndCycle(7, 2000)
+
+	d := c.Dump()
+	var ts []int64
+	for _, ev := range d.Tracks[0].Events {
+		if ev.Cycle != 7 {
+			t.Fatalf("absorbed %+v, want cycle 7", ev)
+		}
+		ts = append(ts, ev.TS)
+	}
+	if fmt.Sprint(ts) != "[985 985 985 995 995 1005]" {
+		t.Fatalf("absorbed at %v, want [985 985 985 995 995 1005]", ts)
+	}
+	if got := d.Cycles[0].PerTrack[0]; got != (CycleAgg{Handles: 6, MaxDepth: 6}) {
+		t.Fatalf("cycle aggregate %+v", got)
 	}
 }
 
@@ -147,26 +204,6 @@ func TestCycleAggregatesAndRetention(t *testing.T) {
 		}
 		if agg.MaxDepth != 2 {
 			t.Fatalf("record %d MaxDepth = %d, want 2", i, agg.MaxDepth)
-		}
-	}
-}
-
-func TestBucketLoads(t *testing.T) {
-	c := NewCausalRecorder(1, 16, 4, 8)
-	tr := c.Track(0)
-	tr.Handle(1, 1, 3, 1, 0)
-	tr.Handle(2, 1, 3, 1, 0)
-	tr.Handle(3, 1, 5, 1, 0)
-	tr.Handle(4, 1, 99, 1, 0) // out of range: counted as event, not load
-	d := c.Dump()
-	want := []BucketLoad{{Bucket: 3, Count: 2}, {Bucket: 5, Count: 1}}
-	got := d.Tracks[0].BucketLoads
-	if len(got) != len(want) {
-		t.Fatalf("BucketLoads = %+v, want %+v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("BucketLoads[%d] = %+v, want %+v", i, got[i], want[i])
 		}
 	}
 }

@@ -71,9 +71,9 @@ func newChaos(seed int64, id int) *chaos {
 // the flight recorder marks arrival (drain time), so a carried message
 // is recv'd on its drain turn even if handled on a later one — the
 // only causal imprecision the chaos layer introduces.
-func (c *chaos) nextBatch(w *worker) ([]Message, []RecvStamp, bool) {
+func (c *chaos) nextBatch(w *worker) ([]Message, []recvStamp, bool) {
 	var batch []Message
-	var stamps []RecvStamp
+	var stamps []recvStamp
 	if len(c.carry) == 0 {
 		b, s, ok := w.inbox.Drain(w.batch, w.stampBuf)
 		if !ok {

@@ -212,16 +212,14 @@ func NewDriver(net *rete.Network, opts Options, c Carrier) (*Driver, error) {
 	return d, nil
 }
 
-// Now is the recorder clock: wall-clock nanoseconds since NewDriver.
-func (d *Driver) Now() int64 { return time.Since(d.epoch).Nanoseconds() }
-
-// clock is Now under a flight recorder and 0 without one: an un-observed
-// run never reads the clock.
-func (d *Driver) clock() int64 {
+// Now is the recorder clock: wall-clock nanoseconds since NewDriver
+// under a flight recorder, and 0 without one — an un-observed run never
+// reads the clock.
+func (d *Driver) Now() int64 {
 	if d.causal == nil {
 		return 0
 	}
-	return d.Now()
+	return time.Since(d.epoch).Nanoseconds()
 }
 
 // controlTrack is the track of the control side in the flight recorder
@@ -346,7 +344,7 @@ func (d *Driver) Cycle(changes []rete.Change) ([]rete.InstChange, error) {
 	d.cyclePkt.Handles = d.handles
 
 	cycle := d.curCycle.Add(1)
-	d.causal.BeginCycle(cycle, d.clock())
+	d.causal.BeginCycle(cycle, d.Now())
 	budget := 0
 	if d.steps != nil {
 		budget = d.budget
@@ -373,7 +371,7 @@ func (d *Driver) Cycle(changes []rete.Change) ([]rete.InstChange, error) {
 	}
 	// Quiescent again: every worker's events for this cycle are recorded,
 	// so the aggregate commit observes them all.
-	d.causal.EndCycle(cycle, d.clock())
+	d.causal.EndCycle(cycle, d.Now())
 	if d.balancer != nil || d.opts.ForceMigrate != nil {
 		if err := d.maybeRebalance(cycle); err != nil {
 			return nil, err
@@ -430,7 +428,7 @@ func (d *Driver) shareMemory(steps []*Step, boxes []*mailbox) {
 // track. Only the termination detector is skipped, because nothing is
 // in flight.
 func (d *Driver) inPlaceHead(changes []rete.Change, budget int) (handedOff bool) {
-	t0 := d.clock()
+	t0 := d.Now()
 	cycle := d.curCycle.Load()
 	ctl := int32(d.controlTrack())
 	// The previous cycle quiesced, so every phase token it made has
@@ -483,7 +481,7 @@ func (d *Driver) inPlaceHead(changes []rete.Change, budget int) (handedOff bool)
 				continue
 			}
 			busy = true
-			ts := d.clock()
+			ts := d.Now()
 			s.turnTS = ts
 			acts += s.Drain(budget - acts)
 			d.carryOut(w, s, ts)
@@ -554,7 +552,7 @@ func (d *Driver) handOff(cycle int32) {
 		total += len(buf)
 	}
 	d.Sending(d.controlTrack(), total)
-	ts := d.clock()
+	ts := d.Now()
 	// The control's delivery to B is in B's mailbox before any worker
 	// can send to B: add(T) may travel control→B and del(T) A→B, and
 	// per-sender FIFO orders nothing between two senders, so A must not
@@ -581,7 +579,7 @@ func (d *Driver) handOff(cycle int32) {
 // quiesce waits for global quiescence and cross-checks the two
 // detectors against each other.
 func (d *Driver) quiesce() error {
-	d.ctlTrack.Mark(obs.EvWaitBegin, d.clock(), d.curCycle.Load(), 0, 0)
+	d.ctlTrack.Mark(obs.EvWaitBegin, d.Now(), d.curCycle.Load(), 0, 0)
 	waves := int32(0)
 	if d.opts.Detector == FourCounterDetector {
 		// Once messages are lost the four-counter totals can never
@@ -597,17 +595,24 @@ func (d *Driver) quiesce() error {
 			return err
 		}
 	}
+	if err := d.settle(); err != nil {
+		return err
+	}
+	d.ctlTrack.Mark(obs.EvWaitEnd, d.Now(), d.curCycle.Load(), waves, 0)
+	return nil
+}
+
+// settle is the barrier of a cycle and of a migration: the credit
+// counter drains, then the sticky error, then the channel counts must
+// agree (every message registered sent was registered received).
+func (d *Driver) settle() error {
 	d.counter.Wait()
 	if err := d.Err(); err != nil {
 		return err
 	}
-	// At quiescence every message registered as sent must have been
-	// registered received, or a carrier's accounting has diverged from
-	// the credit counter.
 	if sent, recv := d.four.Poll(); sent != recv {
 		return fmt.Errorf("parallel: channel counts diverged at quiescence: sent=%d recv=%d", sent, recv)
 	}
-	d.ctlTrack.Mark(obs.EvWaitEnd, d.clock(), d.curCycle.Load(), waves, 0)
 	return nil
 }
 
@@ -621,7 +626,7 @@ func (d *Driver) broadcast(changes []rete.Change) error {
 	// receives the same batch stamp, so each recv joins back to this
 	// send.
 	batch := d.causal.NextBatch()
-	d.ctlTrack.Send(d.clock(), d.curCycle.Load(), batch, obs.BroadcastDst, int32(d.opts.Workers))
+	d.ctlTrack.Send(d.Now(), d.curCycle.Load(), batch, obs.BroadcastDst, int32(d.opts.Workers))
 	for w := range d.opts.Workers {
 		if err := d.carrier.Deliver(w, d.cycleMsg[:], batch); err != nil {
 			return err
@@ -655,7 +660,7 @@ func (d *Driver) routeRoots(changes []rete.Change) error {
 		return nil
 	}
 	d.Sending(d.controlTrack(), sent)
-	ts := d.clock()
+	ts := d.Now()
 	for dst, buf := range d.rootBufs {
 		if len(buf) == 0 {
 			continue

@@ -150,16 +150,21 @@ func TestFlightRecorderEndToEnd(t *testing.T) {
 				}
 			}
 
-			// The cumulative bucket loads must also reconcile with the
-			// processed totals (every handle increments one bucket).
-			var loads int64
+			// Nothing was evicted, so the handle events are the whole
+			// count too, each naming a bucket of the run's space.
+			var handleEvents int64
 			for _, tr := range dump.Tracks {
-				for _, bl := range tr.BucketLoads {
-					loads += bl.Count
+				for _, ev := range tr.Events {
+					if ev.Kind == obs.EvHandle {
+						handleEvents++
+						if ev.Bucket < 0 || int(ev.Bucket) >= dump.NBuckets {
+							t.Fatalf("handle event %+v names a bucket outside [0,%d)", ev, dump.NBuckets)
+						}
+					}
 				}
 			}
-			if loads != processed {
-				t.Fatalf("bucket loads total = %d, processed = %d", loads, processed)
+			if handleEvents != processed {
+				t.Fatalf("%d handle events, processed = %d", handleEvents, processed)
 			}
 		})
 	}

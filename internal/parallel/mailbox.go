@@ -11,7 +11,7 @@ import (
 // many messages the run contained. Stamps exist only when the mailbox
 // was created stamped (a causal recorder is attached); they are the
 // receive half of the send->recv happens-before edge.
-type RecvStamp struct {
+type recvStamp struct {
 	Batch int32
 	Src   int32
 	Count int32
@@ -40,7 +40,7 @@ type mailbox struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
 	queue  []Message
-	stamps []RecvStamp
+	stamps []recvStamp
 	closed bool
 	// stamped enables recvStamp recording (set when the runtime has a
 	// causal recorder attached).
@@ -92,7 +92,7 @@ func (m *mailbox) enqueueLocked(msgs []Message, batch, src int32) {
 	}
 	m.queue = append(m.queue, msgs...)
 	if m.stamped {
-		m.stamps = append(m.stamps, RecvStamp{Batch: batch, Src: src, Count: int32(len(msgs))})
+		m.stamps = append(m.stamps, recvStamp{Batch: batch, Src: src, Count: int32(len(msgs))})
 	}
 	m.cond.Signal()
 }
@@ -104,7 +104,7 @@ func (m *mailbox) enqueueLocked(msgs []Message, batch, src int32) {
 // (truncated, capacity kept) as the mailbox's next backing arrays.
 // Pending messages are still delivered after close; ok == false means
 // closed *and* empty.
-func (m *mailbox) Drain(buf []Message, sbuf []RecvStamp) (batch []Message, stamps []RecvStamp, ok bool) {
+func (m *mailbox) Drain(buf []Message, sbuf []recvStamp) (batch []Message, stamps []recvStamp, ok bool) {
 	return m.drain(buf, sbuf, true)
 }
 
@@ -112,11 +112,11 @@ func (m *mailbox) Drain(buf []Message, sbuf []RecvStamp) (batch []Message, stamp
 // holds deferred messages: it takes whatever is pending (possibly
 // nothing) without waiting. ok == false means closed and empty, as for
 // Drain.
-func (m *mailbox) TryDrain(buf []Message, sbuf []RecvStamp) (batch []Message, stamps []RecvStamp, ok bool) {
+func (m *mailbox) TryDrain(buf []Message, sbuf []recvStamp) (batch []Message, stamps []recvStamp, ok bool) {
 	return m.drain(buf, sbuf, false)
 }
 
-func (m *mailbox) drain(buf []Message, sbuf []RecvStamp, wait bool) (batch []Message, stamps []RecvStamp, ok bool) {
+func (m *mailbox) drain(buf []Message, sbuf []recvStamp, wait bool) (batch []Message, stamps []recvStamp, ok bool) {
 	buf = buf[:0]
 	if sbuf != nil {
 		sbuf = sbuf[:0]

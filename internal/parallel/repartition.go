@@ -85,7 +85,7 @@ func (d *Driver) maybeRebalance(cycle int32) error {
 // worker gets a MsgMigrateOut carrying the new partition and the
 // buckets it loses, each step adopts the partition and extracts its
 // moved buckets, its carrier ships their contents to the new owners
-// (Shipping), and the work counter provides the barrier. Control-side
+// (Shipping), and the barrier is the cycle's (settle). Control-side
 // routing switches when d.opts.Partition is replaced at the end.
 func (d *Driver) migrate(newPart sched.Partition) (MigrationStats, error) {
 	if len(newPart) != d.opts.NBuckets {
@@ -109,7 +109,7 @@ func (d *Driver) migrate(newPart sched.Partition) (MigrationStats, error) {
 	}
 
 	entries0, msgs0 := d.entriesMoved.Load(), d.migMsgs.Load()
-	ts, cycle := d.clock(), d.curCycle.Load()
+	ts, cycle := d.Now(), d.curCycle.Load()
 	d.ctlTrack.Mark(obs.EvMigrateBegin, ts, cycle, 0, 0)
 	d.Sending(d.controlTrack(), d.opts.Workers)
 	for w := range orders {
@@ -121,13 +121,12 @@ func (d *Driver) migrate(newPart sched.Partition) (MigrationStats, error) {
 			return MigrationStats{}, err
 		}
 	}
-	d.counter.Wait()
-	if err := d.Err(); err != nil {
+	if err := d.settle(); err != nil {
 		return MigrationStats{}, err
 	}
 	stats.EntriesMoved = int(d.entriesMoved.Load() - entries0)
 	stats.Messages = int(d.migMsgs.Load() - msgs0)
-	d.ctlTrack.Mark(obs.EvMigrateEnd, d.clock(), d.curCycle.Load(), int32(stats.BucketsMoved), int32(stats.EntriesMoved))
+	d.ctlTrack.Mark(obs.EvMigrateEnd, d.Now(), d.curCycle.Load(), int32(stats.BucketsMoved), int32(stats.EntriesMoved))
 	d.opts.Partition = newPart
 	d.migrations.Add(1)
 	d.bucketsMoved.Add(int64(stats.BucketsMoved))

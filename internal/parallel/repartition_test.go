@@ -2,6 +2,7 @@ package parallel
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"mpcrete/internal/ops5"
@@ -149,5 +150,23 @@ func TestRepartitionValidation(t *testing.T) {
 	}
 	if stats.BucketsMoved != 0 || stats.EntriesMoved != 0 {
 		t.Errorf("no-op repartition moved %+v", stats)
+	}
+}
+
+// TestMigrationBarrierCrossChecks: a migration's barrier is a cycle's
+// (Driver.settle), so a carrier whose channel counts diverged from the
+// credit counter is reported there too, not only at the next cycle's
+// wait.
+func TestMigrationBarrierCrossChecks(t *testing.T) {
+	net, _ := compileProds(t, `(p j (a ^x <v>) (b ^x <v>) --> (halt))`)
+	rt, err := New(net, Options{Workers: 2, NBuckets: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Close()
+	rt.counts[0].AddSent(1) // a message counted sent that nobody registered
+	_, err = rt.Repartition(sched.Random(8, 2, 1))
+	if err == nil || !strings.Contains(err.Error(), "channel counts diverged") {
+		t.Fatalf("Repartition returned %v, want the channel-count divergence", err)
 	}
 }

@@ -144,8 +144,7 @@ type Transport interface {
 // NewFlightRecorder builds a causal recorder sized for a runtime with
 // the given worker count: Workers+1 tracks (control last). ringCap,
 // retainCycles, and nbuckets follow obs.NewCausalRecorder (0 means the
-// obs defaults; nbuckets should match Options.NBuckets to enable the
-// per-bucket activation-load series).
+// obs defaults; nbuckets should match Options.NBuckets).
 func NewFlightRecorder(workers, ringCap, retainCycles, nbuckets int) *obs.CausalRecorder {
 	if workers == 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -232,7 +231,7 @@ type worker struct {
 	// batch and stampBuf are the drained turn and its recv stamps, reused
 	// across turns (donated back to the mailbox on the next drain).
 	batch    []Message
-	stampBuf []RecvStamp
+	stampBuf []recvStamp
 
 	// chaos is the worker's scheduling perturbator (nil unless
 	// Options.ChaosSeed is set).
@@ -328,7 +327,7 @@ func (w *worker) loop() {
 	rt := w.rt
 	for {
 		var ok bool
-		var stamps []RecvStamp
+		var stamps []recvStamp
 		if w.chaos == nil {
 			w.batch, stamps, ok = w.inbox.Drain(w.batch, w.stampBuf)
 		} else {
@@ -352,7 +351,7 @@ func (w *worker) loop() {
 		w.step.Handle(w.batch)
 		w.flush()
 		n, turn := len(w.batch), w.step.EndTurn(true)
-		track.Mark(obs.EvTurnEnd, rt.clock(), cycle, int32(n), int32(turn.Handled))
+		track.Mark(obs.EvTurnEnd, rt.Now(), cycle, int32(n), int32(turn.Handled))
 		rt.TurnDone(w.id, n, turn)
 	}
 }
@@ -366,7 +365,7 @@ func (w *worker) flush() {
 		rt.Sending(w.id, s.Pending)
 		total := s.Pending
 		s.Pending = 0
-		ts := rt.clock()
+		ts := rt.Now()
 		for dst, buf := range s.Out {
 			if len(buf) == 0 {
 				continue
@@ -381,7 +380,7 @@ func (w *worker) flush() {
 	for _, mv := range s.Moved {
 		rt.Shipping(w.id, mv.Contents.Entries())
 		batch := rt.causal.NextBatch()
-		s.ctrack.Send(rt.clock(), s.turnCycle, batch, mv.Dst, 1)
+		s.ctrack.Send(rt.Now(), s.turnCycle, batch, mv.Dst, 1)
 		rt.workers[mv.Dst].inbox.Push(Message{Kind: MsgMigrateIn, Inject: mv.Contents}, batch, int32(w.id))
 	}
 	s.Moved = s.Moved[:0]

@@ -51,8 +51,8 @@ type Step struct {
 	dirty      []int32
 
 	// ctrack is the worker's causal event ring (nil when the flight
-	// recorder is off or lives in another process — every recording call
-	// is then one nil check). turnTS and turnCycle are stamped on the
+	// recorder is off — every recording call is then one nil check; a
+	// wire worker's is its own). turnTS and turnCycle are stamped on the
 	// turn's handle events, cached by BeginTurn so the hot loop never
 	// reads the clock per activation.
 	ctrack    *obs.TrackRecorder
@@ -93,10 +93,8 @@ type BucketLoad struct {
 // accounts it (Driver.TurnDone) and the star carrier's turn frame
 // ships it.
 type Turn struct {
-	// Handled counts the node activations performed; MaxDepth is the
-	// deepest dependency depth among them.
-	Handled  int64
-	MaxDepth int32
+	// Handled counts the node activations performed.
+	Handled int64
 	// Insts are the conflict-set deltas produced, in production order.
 	Insts []rete.InstChange
 	// Acts are the production-node activations the deltas are built
@@ -142,7 +140,7 @@ func (s *Step) BeginPhase() { s.proc.BeginPhase() }
 // caches the timestamp and cycle number for the turn's handle events.
 func (s *Step) BeginTurn(ts int64, cycle int32) {
 	s.turnTS, s.turnCycle = ts, cycle
-	s.turn.Handled, s.turn.MaxDepth = 0, 0
+	s.turn.Handled = 0
 	s.turn.Insts = s.turn.Insts[:0]
 	s.turn.Loads = s.turn.Loads[:0]
 	s.instActs = s.instActs[:0]
@@ -250,7 +248,7 @@ func (s *Step) Drain(budget int) int {
 // Production-node activations become instantiation deltas, not handle
 // events, and contribute neither depth nor fan-out — mirroring the
 // sequential matcher, whose trace listener records Instantiation, not
-// Activation, for them. The measured per-cycle MaxDepth therefore
+// Activation, for them. The recorder's per-cycle MaxDepth therefore
 // walks the same activation forest as analysis.CriticalPath.
 func (s *Step) processOne(act rete.Activation, bucket int, depth int32) {
 	if act.Node.Kind == rete.KindProduction {
@@ -259,9 +257,6 @@ func (s *Step) processOne(act rete.Activation, bucket int, depth int32) {
 		return
 	}
 	s.turn.Handled++
-	if depth > s.turn.MaxDepth {
-		s.turn.MaxDepth = depth
-	}
 	if s.bucketLoad != nil {
 		if s.bucketLoad[bucket] == 0 {
 			s.dirty = append(s.dirty, int32(bucket))

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"mpcrete/internal/obs"
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
@@ -102,10 +103,12 @@ const noTag = math.MinInt
 // bounds reject every index. tab resolves references: the control's
 // table, or — with mirror set — a worker's mirror, whose rows
 // definitions fill. layouts is the network's layout table; without one
-// every definition by layout id is refused.
+// every definition by layout id is refused. ring is the hello's ring
+// capacity, the most events a turnRecord holds (0: frames carry none).
 type dec struct {
 	wire.Dec
 	nbuckets, workers int
+	ring              int
 	tab               *rete.Table
 	mirror            bool
 	layouts           []*ops5.Layout
@@ -576,32 +579,35 @@ func (d *dec) bucketContents(net *rete.Network) *rete.BucketContents {
 // --- turn frames (the star carrier's ftTurn payload) ---
 
 // turnFrame is a decoded ftTurn payload: how many protocol messages the
-// worker fully processed, the recv stamps it drained, how many times it
-// flushed, and what the step produced. wmes is the unconsumed tail of
-// the frame's slab: the deltas' WMEs arrays, which the engine retains,
-// are allocated once per frame at the total the frame declares, as
-// rete.InstBuilder carves them once per match phase.
+// worker fully processed, what the step produced, and — under a flight
+// recorder — the turn as the worker recorded it. wmes is the unconsumed
+// tail of the frame's slab: the deltas' WMEs arrays, which the engine
+// retains, are allocated once per frame at the total the frame declares,
+// as rete.InstBuilder carves them once per match phase.
 type turnFrame struct {
-	n       int
-	stamps  []parallel.RecvStamp
-	flushes int64
-	turn    parallel.Turn
-	wmes    []*ops5.WME
+	n    int
+	turn parallel.Turn
+	rec  turnRecord
+	wmes []*ops5.WME
+}
+
+// turnRecord ends a turn frame when the hello's ring capacity is
+// nonzero: the worker's clock at send, its events since the last frame
+// (obs.TrackRecorder.HandOver), each as its kind, time since the one
+// before and fields (the receiving track gives seq and cycle), and the
+// turn's exact aggregate.
+type turnRecord struct {
+	sent   int64
+	events []obs.CausalEvent
+	agg    obs.CycleAgg
 }
 
 // turn encodes a worker's turn, whose deltas travel as the
-// production-node activations they are built from (Turn.Acts).
-func (e *enc) turn(n int, stamps []parallel.RecvStamp, flushes int64, t *parallel.Turn) {
+// production-node activations they are built from (Turn.Acts), then
+// rec, if any.
+func (e *enc) turn(n int, t *parallel.Turn, rec *turnRecord) {
 	e.Int(n)
-	e.Count(len(stamps))
-	for _, s := range stamps {
-		e.I32(s.Batch)
-		e.I32(s.Src)
-		e.I32(s.Count)
-	}
 	e.I64(t.Handled)
-	e.I64(flushes)
-	e.I32(t.MaxDepth)
 	e.Count(len(t.Acts))
 	nw := 0
 	for i := range t.Acts {
@@ -616,6 +622,23 @@ func (e *enc) turn(n int, stamps []parallel.RecvStamp, flushes int64, t *paralle
 		e.I32(l.Bucket)
 		e.I64(l.N)
 	}
+	if rec == nil {
+		return
+	}
+	e.I64(rec.sent)
+	e.Count(len(rec.events))
+	prev := int64(0)
+	for _, ev := range rec.events {
+		e.Byte(byte(ev.Kind))
+		e.I64(ev.TS - prev)
+		prev = ev.TS
+		for _, v := range [...]int32{ev.Batch, ev.Src, ev.Dst, ev.Bucket, ev.Depth, ev.Count} {
+			e.I32(v)
+		}
+	}
+	for _, v := range [...]int64{rec.agg.Handles, rec.agg.Sends, rec.agg.Recvs, rec.agg.Flushes, int64(rec.agg.MaxDepth)} {
+		e.I64(v)
+	}
 }
 
 // turn decodes an ftTurn payload into tf, reusing its slices.
@@ -623,11 +646,7 @@ func (d *dec) turn(net *rete.Network, tf *turnFrame) error {
 	if tf.n = d.Int(); tf.n < 0 {
 		d.Fail("negative turn count")
 	}
-	tf.stamps = tf.stamps[:0]
-	for i, n := 0, d.Count(1<<16); i < n; i++ {
-		tf.stamps = append(tf.stamps, parallel.RecvStamp{Batch: d.I32(), Src: d.I32(), Count: d.I32()})
-	}
-	tf.turn.Handled, tf.flushes, tf.turn.MaxDepth = d.I64(), d.I64(), d.I32()
+	tf.turn.Handled = d.I64()
 	tf.turn.Insts = tf.turn.Insts[:0]
 	n := d.Count(1 << 24)
 	// Every wme position costs a byte, so count holds the total to the
@@ -643,5 +662,29 @@ func (d *dec) turn(net *rete.Network, tf *turnFrame) error {
 	for i, n := 0, d.Count(1<<24); i < n; i++ {
 		tf.turn.Loads = append(tf.turn.Loads, parallel.BucketLoad{Bucket: d.bucket(), N: d.I64()})
 	}
+	if d.ring > 0 {
+		d.record(&tf.rec)
+	}
 	return d.Done()
+}
+
+// record decodes a turnRecord, holding each event to a kind obs knows
+// and to the topology's tracks (the control's is workers).
+func (d *dec) record(rec *turnRecord) {
+	rec.sent = d.I64()
+	rec.events = rec.events[:0]
+	track := func(v int32) bool { return v == obs.NoValue || v == obs.BroadcastDst || v >= 0 && int(v) <= d.workers }
+	ts := int64(0)
+	for i, n := 0, d.Count(d.ring); i < n && d.Err == nil; i++ {
+		ev := obs.CausalEvent{Kind: obs.EventKind(d.Byte())}
+		ts += d.I64()
+		ev.TS, ev.Batch, ev.Src, ev.Dst, ev.Bucket, ev.Depth, ev.Count = ts, d.I32(), d.I32(), d.I32(), d.I32(), d.I32(), d.I32()
+		if d.Err == nil && ev.Kind > obs.EvMigrateEnd {
+			d.Fail(fmt.Sprintf("event %d of unknown kind %d", i, ev.Kind))
+		} else if d.Err == nil && !(track(ev.Src) && track(ev.Dst)) {
+			d.Fail(fmt.Sprintf("event %d: track %d or %d out of range [0,%d]", i, ev.Src, ev.Dst, d.workers))
+		}
+		rec.events = append(rec.events, ev)
+	}
+	rec.agg = obs.CycleAgg{Handles: d.I64(), Sends: d.I64(), Recvs: d.I64(), Flushes: d.I64(), MaxDepth: d.I32()}
 }

@@ -6,7 +6,6 @@ import (
 	"net"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mpcrete/internal/obs"
@@ -44,12 +43,11 @@ type ControlOptions struct {
 	ForceMigrate func(cycle int) sched.Partition
 	// Causal, when non-nil, attaches a flight recorder with Workers+1
 	// tracks (workers first, control last; build it with
-	// parallel.NewFlightRecorder). It holds what the control can see:
-	// worker-process handle aggregates are merged into their tracks per
-	// turn; send/recv events are recorded control-side from the relay
-	// traffic and echoed stamps; a worker's turn runs from the oldest
-	// delivery written to it and not yet answered to its turn frame's
-	// arrival.
+	// parallel.NewFlightRecorder). A worker process records its own
+	// turns into a ring of the recorder's capacity and hands them over in
+	// its turn frames, which the control absorbs into the worker's track;
+	// the control records the sends of the relays it forwards, since it
+	// mints their batch ids.
 	Causal *obs.CausalRecorder
 	// HandshakeTimeout bounds WaitWorkers (default 30s).
 	HandshakeTimeout time.Duration
@@ -75,6 +73,7 @@ type Control struct {
 	nbuckets int              // len(Partition()): NBuckets with its default applied
 	opts     parallel.Options // Workers with its default applied
 	timeout  time.Duration    // bounds WaitWorkers
+	ring     int              // the ring capacity every hello carries (0: no recorder)
 	ln       net.Listener
 	conns    []*ctlConn
 	readers  sync.WaitGroup
@@ -95,10 +94,6 @@ type ctlConn struct {
 	// the worker's mirror sees definitions in the order they were made.
 	mu  sync.Mutex
 	enc enc
-
-	// busySince is when the oldest delivery no turn frame has answered
-	// yet was written, on the driver's clock (0: none, or no recorder).
-	busySince atomic.Int64
 }
 
 // write encodes one frame with fill and writes it, under the conn's
@@ -145,7 +140,8 @@ func listen(network *rete.Network, addr string, opts parallel.Options, timeout t
 	if timeout == 0 {
 		timeout = 30 * time.Second
 	}
-	c := &Control{network: network, program: appendProgram(nil, network), digest: network.Digest(), opts: opts, timeout: timeout}
+	c := &Control{network: network, program: appendProgram(nil, network), digest: network.Digest(), opts: opts, timeout: timeout,
+		ring: min(opts.Causal.RingCap(), maxRing)}
 	d, err := parallel.NewDriver(network, opts, c)
 	if err != nil {
 		return nil, err
@@ -178,7 +174,7 @@ func (c *Control) WaitWorkers() error {
 			id:  id,
 			c:   conn,
 			fr:  frameReader{r: bufio.NewReaderSize(conn, 1<<16)},
-			dec: dec{nbuckets: c.nbuckets, workers: c.opts.Workers, tab: c.Table(), layouts: c.network.Layouts()},
+			dec: dec{nbuckets: c.nbuckets, workers: c.opts.Workers, ring: c.ring, tab: c.Table(), layouts: c.network.Layouts()},
 			enc: enc{tab: c.Table(), layouts: c.network.Layouts()},
 		}
 		conn.SetReadDeadline(deadline)
@@ -208,6 +204,7 @@ func (c *Control) handshake(cc *ctlConn) error {
 			workers:    c.opts.Workers,
 			nbuckets:   c.nbuckets,
 			trackLoads: c.opts.Rebalance.Enabled(),
+			ring:       c.ring,
 			partition:  c.Partition(),
 		}, c.program)
 	}); err != nil {
@@ -253,9 +250,6 @@ func (c *Control) Deliver(dst int, ms []parallel.Message, batch int32) error {
 // or a bucket is one message; a run of activations is coalesced.
 func (c *Control) deliver(cc *ctlConn, src int32, ms []parallel.Message, batch int32) error {
 	ft := kindFrames[ms[0].Kind]
-	if c.opts.Causal != nil {
-		cc.busySince.CompareAndSwap(0, c.Now())
-	}
 	err := cc.write(ft, func(e *enc) {
 		e.I32(batch)
 		e.I32(src)
@@ -291,7 +285,6 @@ func (c *Control) readLoop(cc *ctlConn) {
 
 func (c *Control) read(cc *ctlConn) error {
 	track := c.opts.Causal.Track(cc.id)
-	var lastEnd int64 // the previous turn frame's arrival
 	d := &cc.dec
 	// A relay is re-encoded before the next frame is read and nothing of
 	// it is kept, so every relay's tokens are carved from the same slab.
@@ -344,16 +337,7 @@ func (c *Control) read(cc *ctlConn) error {
 			if err := d.turn(c.network, &tf); err != nil {
 				return err
 			}
-			ts, cycle := c.Now(), c.CurrentCycle()
-			// A delivery written while the last turn ran found the worker
-			// busy already: its turn begins where that one ended.
-			track.Mark(obs.EvTurnBegin, max(cc.busySince.Swap(0), lastEnd), cycle, 0, 0)
-			lastEnd = ts
-			for _, s := range tf.stamps {
-				track.Recv(ts, cycle, s.Batch, s.Src, s.Count)
-			}
-			track.MergeRemote(tf.turn.Handled, tf.flushes, tf.turn.MaxDepth)
-			track.Mark(obs.EvTurnEnd, ts, cycle, int32(tf.n), int32(tf.turn.Handled))
+			track.Absorb(tf.rec.events, tf.rec.agg, tf.rec.sent, c.Now(), c.CurrentCycle())
 			// Everything the turn sent arrived earlier on this stream and
 			// is registered; now its own messages can be deregistered.
 			c.TurnDone(cc.id, tf.n, &tf.turn)

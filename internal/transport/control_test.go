@@ -33,7 +33,8 @@ func startWorkers(t *testing.T, addr string, n int) chan error {
 // TestControlParity holds the multi-process star topology against the
 // in-process runtime: same network, same changes, identical netted
 // conflict sets across add and delete cycles, in both broadcast and
-// routed-roots modes, with stamp accounting verified at quiescence.
+// routed-roots modes, with stamp accounting verified at quiescence and
+// the workers' own records of their turns absorbed into the dump.
 func TestControlParity(t *testing.T) {
 	for _, wl := range []string{"blocks", "rubik-like"} {
 		for _, routed := range []bool{false, true} {
@@ -108,13 +109,25 @@ func TestControlParity(t *testing.T) {
 					t.Fatal("no worker-side activations reported through turn aggregates")
 				}
 
-				// A worker's turn as the control sees it: from a delivery
-				// written to the turn frame that answers it, back to back,
-				// the activations adding up to the workers' own count.
+				// A worker's turns as the worker recorded them: back to back,
+				// the activations adding up to the workers' own count, one
+				// handle event per activation on each worker's track, and
+				// every recv joined to a send with its batch id.
+				sends := map[int32]bool{}
+				for _, tr := range dump.Tracks {
+					for _, ev := range tr.Events {
+						if ev.Kind == obs.EvSend {
+							sends[ev.Batch] = true
+						}
+					}
+				}
 				var turnActs int64
 				for w, tr := range dump.Tracks[:workers] {
+					if tr.Dropped != 0 {
+						t.Fatalf("worker %d: the ring dropped %d events", w, tr.Dropped)
+					}
 					var begin *obs.CausalEvent
-					var lastEnd int64
+					var lastEnd, handles int64
 					for i, ev := range tr.Events {
 						switch ev.Kind {
 						case obs.EvTurnBegin:
@@ -128,10 +141,19 @@ func TestControlParity(t *testing.T) {
 							}
 							begin, lastEnd = nil, ev.TS
 							turnActs += int64(ev.Depth)
+						case obs.EvHandle:
+							handles++
+						case obs.EvRecv:
+							if !sends[ev.Batch] {
+								t.Fatalf("worker %d: recv %+v joins no send", w, ev)
+							}
 						}
 					}
 					if begin != nil || lastEnd == 0 {
 						t.Fatalf("worker %d: turn left open (%v) or no turn at all", w, begin)
+					}
+					if handles != stats.Processed[w] {
+						t.Fatalf("worker %d: %d handle events, Stats %d", w, handles, stats.Processed[w])
 					}
 				}
 				if turnActs != processed {
@@ -281,7 +303,7 @@ func cycleAgainstForger(t *testing.T, network *rete.Network, changes []rete.Chan
 	for i := 0; i < faultWorkers; i++ {
 		go forgingWorker(t, ctl.Addr(), func(h hello) []wireFrame {
 			if h.id != 0 {
-				return []wireFrame{{ftTurn, func(e *enc) { e.turn(1, nil, 0, &parallel.Turn{}) }}}
+				return []wireFrame{{ftTurn, func(e *enc) { e.turn(1, &parallel.Turn{}, nil) }}}
 			}
 			return []wireFrame{frame}
 		})
@@ -327,10 +349,7 @@ func goroutinesSettle(t *testing.T, before int) {
 func turnOf(node *rete.Node, total int, positions func(e *enc)) wireFrame {
 	return wireFrame{ftTurn, func(e *enc) {
 		e.Int(1)   // messages processed
-		e.Count(0) // stamps
 		e.I64(0)   // handled
-		e.I64(0)   // flushes
-		e.I32(0)   // max depth
 		e.Count(1) // deltas
 		e.Count(total)
 		e.Byte(byte(rete.Add))
@@ -412,5 +431,56 @@ func TestControlRejectsBadReferences(t *testing.T) {
 				t.Fatalf("Cycle returned %v, want ErrBadPayload: ... %s", err, row.why)
 			}
 		})
+	}
+}
+
+// TestRingOverflowKeepsAggregates: a worker records into a ring of the
+// control's capacity and hands over at most that many events a turn,
+// the newest — but always the turn's whole aggregate, so the per-cycle
+// aggregates of a run on a 64-entry ring, whose longest turn overflows
+// it, equal those of the same run on the default ring.
+func TestRingOverflowKeepsAggregates(t *testing.T) {
+	const workers, ring = 2, 64
+	network, changes := compileWorkload(t, "queens")
+	run := func(ringCap int) *obs.FlightDump {
+		rt, err := parallel.New(network, parallel.Options{
+			Workers:   workers,
+			Transport: NewLoopback(network),
+			Causal:    parallel.NewFlightRecorder(workers, ringCap, 0, 0),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rt.Close()
+		for _, cycle := range [][]rete.Change{changes, {{Tag: rete.Delete, WME: changes[0].WME}}} {
+			if _, err := rt.Cycle(cycle); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return rt.FlightDump()
+	}
+	full, small := run(0), run(ring)
+	longest := 0 // events, turn begin to turn end
+	for _, tr := range full.Tracks[:workers] {
+		begin := 0
+		for i, ev := range tr.Events {
+			switch ev.Kind {
+			case obs.EvTurnBegin:
+				begin = i
+			case obs.EvTurnEnd:
+				longest = max(longest, i-begin+1)
+			}
+		}
+	}
+	if longest <= ring {
+		t.Fatalf("the longest turn records %d events, which a %d-entry ring holds", longest, ring)
+	}
+	if len(full.Cycles) != 2 || len(small.Cycles) != 2 {
+		t.Fatalf("%d and %d cycle records, want 2", len(full.Cycles), len(small.Cycles))
+	}
+	for i := range full.Cycles {
+		if got, want := fmt.Sprint(small.Cycles[i].PerTrack), fmt.Sprint(full.Cycles[i].PerTrack); got != want {
+			t.Errorf("cycle %d aggregates on a %d-entry ring:\n %s\nwant, as on the default ring:\n %s", i+1, ring, got, want)
+		}
 	}
 }

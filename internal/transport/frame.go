@@ -20,13 +20,8 @@
 // the wire and a reader can skip unknown payloads without decoding
 // them. A frame is built in place behind its reserved header and
 // leaves in one Write; a worker's whole turn — its relays and the
-// closing turn frame — leaves in one.
-//
-// Inside the payloads a wme is named by the control's handle: a worker's
-// table mirrors the control's, the control defines a wme to a worker
-// the first time the worker needs it, and every later mention, and
-// everything a worker sends, is a (handle, TimeTag) reference (codec.go
-// has the contract).
+// closing turn frame — leaves in one. codec.go has the payloads' wme
+// contract.
 package transport
 
 import (
@@ -64,8 +59,7 @@ const (
 	_
 	// The four control→worker delivery frames carry one kind of
 	// parallel.Message each (Control.Deliver) behind the same causal
-	// stamp, the batch id and the source track, which the turn frame
-	// answering them echoes.
+	// stamp, the batch id and the source track.
 	//
 	// ftCycle is the broadcast of one match phase's wme changes (Fig
 	// 3-3).
@@ -78,9 +72,9 @@ const (
 	// another worker; the control process forwards it as ftActs.
 	ftRelay
 	// ftTurn ends a worker's turn: how many messages it fully
-	// processed, the recv stamps it drained, its per-turn measurement
-	// aggregate, the conflict-set deltas it produced, and (when load
-	// tracking is on) its per-bucket activation counts.
+	// processed, its activation count, the conflict-set deltas it
+	// produced, its per-bucket activation counts (when load tracking is
+	// on), and its own record of the turn (when the control records).
 	ftTurn
 	// ftShutdown asks a worker to exit cleanly.
 	ftShutdown

@@ -175,7 +175,7 @@ func TestFrameFaults(t *testing.T) {
 			t.Fatal("decoded garbage hello")
 		}
 	})
-	for _, old := range []byte{2, 3, 4, 5, 6, 7, 8, 9} {
+	for _, old := range []byte{2, 3, 4, 5, 6, 7, 8, 9, 10} {
 		t.Run(fmt.Sprintf("hello-version-%d", old), func(t *testing.T) {
 			// A version-2 peer hashes numbers into other buckets; a
 			// version-3 peer spells every wme out and knows no references;
@@ -187,7 +187,9 @@ func TestFrameFaults(t *testing.T) {
 			// its bucket; a version-8 peer names a wme by (ID, TimeTag) in
 			// a cache of its own and defines back what it was sent; a
 			// version-9 peer ships bucket contents self-contained, to be
-			// forwarded verbatim, and takes orders and buckets unstamped.
+			// forwarded verbatim, and takes orders and buckets unstamped; a
+			// version-10 peer echoes recv stamps, a flush count and a depth
+			// in every turn frame, and reads no ring capacity in the hello.
 			// Each must be turned away at the handshake, not mis-join or
 			// mis-decode later.
 			net, _ := mustCompile("blocks")
@@ -195,15 +197,15 @@ func TestFrameFaults(t *testing.T) {
 			if _, err := decodeHello(hb); err != nil {
 				t.Fatalf("current hello refused: %v", err)
 			}
-			if protoVersion != 10 || hb[0] != protoVersion {
-				t.Fatalf("hello leads with %#x, want the version varint 10 (protoVersion %d)", hb[0], protoVersion)
+			if protoVersion != 11 || hb[0] != protoVersion {
+				t.Fatalf("hello leads with %#x, want the version varint 11 (protoVersion %d)", hb[0], protoVersion)
 			}
 			hb[0] = old
 			_, err := decodeHello(hb)
 			if !errors.Is(err, ErrBadPayload) {
 				t.Fatalf("version %d hello: got %v, want ErrBadPayload", old, err)
 			}
-			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", old)) || !strings.Contains(msg, "want 10") {
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", old)) || !strings.Contains(msg, "want 11") {
 				t.Fatalf("error %q does not name both versions", msg)
 			}
 		})
@@ -488,11 +490,18 @@ func FuzzTransportFrame(f *testing.F) {
 	}
 	f.Add([]byte{0, 0, 0, 1, byte(ftShutdown)})
 	f.Add(slotForm[1])
+	{
+		// A turn frame under a recorder, as a worker sends it.
+		var b bytes.Buffer
+		writeFrame(&b, ftTurn, payloadOf(&enc{}, func(e *enc) { e.turn(2, &parallel.Turn{Handled: 1}, honestRecord()) }))
+		f.Add(b.Bytes())
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// The topology bounds decoded bucket and worker indices are held
-		// to, the worker's mirror the stream fills, and the layout table
-		// its definitions are rows of.
-		d := dec{nbuckets: rete.DefaultNBuckets, workers: 2, tab: rete.NewTable(), mirror: true, layouts: table}
+		// to, the ring capacity a turn frame's record is held to, the
+		// worker's mirror the stream fills, and the layout table its
+		// definitions are rows of.
+		d := dec{nbuckets: rete.DefaultNBuckets, workers: 2, ring: seedRing, tab: rete.NewTable(), mirror: true, layouts: table}
 		var fs []delivery
 		fr := frameReader{r: bytes.NewReader(data)}
 		for {

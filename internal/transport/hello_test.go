@@ -115,14 +115,18 @@ func TestHandshakeRefusesUnshippable(t *testing.T) {
 	}
 }
 
-// TestHelloErrors: a hello that is empty, cut short, or whose program
-// does not compile is refused as ErrBadPayload before the worker builds
+// TestHelloErrors: a hello that is empty, cut short, asks for a ring
+// capacity outside [0, maxRing], or whose program does not compile is
+// refused as ErrBadPayload before the worker builds
 // anything over it.
 func TestHelloErrors(t *testing.T) {
 	network, _ := compileWorkload(t, "blocks")
 	sound := twoWorkerHello(network)
 	if _, err := decodeHello(sound); err != nil {
 		t.Fatal(err)
+	}
+	if _, err := decodeHello(helloBytes(hello{workers: 2, nbuckets: 4, ring: maxRing, partition: []int{0, 1, 0, 1}}, appendProgram(nil, network))); err != nil {
+		t.Fatalf("a hello at the ring bound: %v", err)
 	}
 	src := network.Prods[network.ProdOrder[0]].Prod.String()
 	program := func(srcs ...string) []byte {
@@ -139,6 +143,8 @@ func TestHelloErrors(t *testing.T) {
 		"unparsable":           helloBytes(hello{workers: 1, nbuckets: 1, partition: []int{0}}, program("(p broken")),
 		"duplicate-production": helloBytes(hello{workers: 1, nbuckets: 1, partition: []int{0}}, program(src, src)),
 		"trailing-bytes":       append(bytes.Clone(sound), 0),
+		"ring-over-bound":      helloBytes(hello{workers: 2, nbuckets: 4, ring: maxRing + 1, partition: []int{0, 1, 0, 1}}, appendProgram(nil, network)),
+		"ring-negative":        helloBytes(hello{workers: 2, nbuckets: 4, ring: -1, partition: []int{0, 1, 0, 1}}, appendProgram(nil, network)),
 	}
 	for _, cut := range []int{1, len(sound) / 2, len(sound) - 1} {
 		rows[fmt.Sprintf("truncated-at-%d", cut)] = sound[:cut]

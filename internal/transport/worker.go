@@ -6,6 +6,7 @@ import (
 	"net"
 	"time"
 
+	"mpcrete/internal/obs"
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
@@ -21,10 +22,12 @@ import (
 // parallel.Messages, handed to Step.Handle as one turn, and answered
 // with what the step left behind — one coalesced ftRelay frame per
 // remote destination, one ftBucketRelay per extracted bucket, and a
-// closing ftTurn frame carrying the processed count, the echoed recv
-// stamp, and the parallel.Turn (measurement aggregate, conflict-set
-// deltas, bucket loads). What a turn computes is the step's business;
-// this file only decodes, encodes and orders frames.
+// closing ftTurn frame carrying the processed count and the
+// parallel.Turn (activation count, conflict-set deltas, bucket loads)
+// — and, when the hello's ring capacity is nonzero, the turn as the
+// worker recorded it on its own clock (turnRecord). What a turn
+// computes is the step's business; this file only decodes, encodes,
+// records and orders frames.
 //
 // Frame order is the termination-detection argument: relays precede
 // the turn frame on the same TCP stream, so the control process
@@ -34,35 +37,28 @@ import (
 // goroutine carrier keeps with function-call ordering.
 
 // protoVersion is the handshake protocol version; a mismatch aborts
-// the handshake rather than mis-decoding frames. Version 2 added the
-// migration protocol (ftRepart/ftBucketRelay/ftBucket), the trackLoads
-// hello flag, and the per-bucket load section of ftTurn. Version 3
-// changed no frame: it marks the new number fold of rete.HashKey.
-// ftActs frames carry the sender's bucket, so a control and a worker
-// that hash differently would mis-join without any decode error.
-// Version 4 is the cached wme codec: every wme position is a
-// definition or an (ID, TimeTag) reference, a conflict-set delta names
-// its production by terminal node id, and ftTurn declares its array
-// totals. Version 5 is the slot form of a definition — a layout id and
-// a run of values (codec.go) — over a network whose layout table both
-// ends index alike. Version 6 takes the time tags, and their total, out
-// of ftTurn: a delta is a tag, a production and its wme positions, and
-// the control computes recency from the wmes. Version 7 ships the
-// program, not the compiled network: the hello carries the variant and
-// each production's source text, the worker compiles them, and its
-// ready frame answers with the compiled network's rete.Network.Digest.
-// Version 8 changed no frame: it marks rete.HashKey's word fold, which
-// keeps each key's bit 0 and re-deals bits 1–63, the bucket's others.
-// Version 9 names a wme by the control's handle: a definition carries
-// the handle before the row, a reference is (handle, TimeTag), a
-// worker's table mirrors the control's, and workers never define
-// outside migrated bucket contents. Version 10 makes every delivery one
-// rule: ftRepart and ftBucket open with the causal stamp as ftCycle and
-// ftActs do, ftBucketRelay loses its entry count and its contents are
-// references the control decodes and re-encodes like any relay's (so
-// workers never define at all), and the hello loses its route-roots
-// flag, which no worker read.
-const protoVersion = 10
+// the handshake rather than mis-decoding frames. What each changed:
+//
+//	2   migration frames, the trackLoads flag, ftTurn's bucket loads
+//	3   rete.HashKey's number fold: no frame changes, but ftActs carries
+//	    the sender's bucket, so peers that hash apart would mis-join
+//	4   every wme position a definition or an (ID, TimeTag) reference; a
+//	    delta names its production by terminal node id
+//	5   a definition is a layout id and a row of values
+//	6   no time tags in ftTurn: the control computes recency
+//	7   the hello ships program text; ready answers with its digest
+//	8   rete.HashKey's word fold (no frame changes)
+//	9   a wme is named by the control's handle; a worker mirrors the
+//	    control's table
+//	10  every delivery opens with the causal stamp; workers never define
+//	11  the hello carries the control's ring capacity; ftTurn drops the
+//	    echoed recv stamps, flush count and depth, which only the
+//	    control's recorder read, and under a recorder ends with the
+//	    worker's own events and the turn's aggregate
+const protoVersion = 11
+
+// maxRing bounds the ring capacity a hello asks for: 64Ki events.
+const maxRing = 1 << 16
 
 // hello is the decoded handshake.
 type hello struct {
@@ -73,8 +69,10 @@ type hello struct {
 	// report nonzero counts in each ftTurn frame (the control plane's
 	// rebalance detector feeds on them).
 	trackLoads bool
-	partition  sched.Partition
-	net        *rete.Network // compiled from the hello's program
+	// ring is the control's flight-recorder ring capacity (0: none).
+	ring      int
+	partition sched.Partition
+	net       *rete.Network // compiled from the hello's program
 }
 
 // appendProgram appends what a hello ships of a network: its variant,
@@ -99,6 +97,7 @@ func encodeHello(e *enc, h hello, program []byte) {
 	e.Int(h.workers)
 	e.Int(h.nbuckets)
 	e.Bool(h.trackLoads)
+	e.Int(h.ring)
 	e.partition(h.partition)
 	e.Raw(program)
 }
@@ -112,9 +111,12 @@ func decodeHello(payload []byte) (hello, error) {
 	if ver := d.U64(); d.Err == nil && ver != protoVersion {
 		return hello{}, fmt.Errorf("%w: protocol version %d, want %d", ErrBadPayload, ver, protoVersion)
 	}
-	h := hello{id: d.Int(), workers: d.Int(), nbuckets: d.Int(), trackLoads: d.Bool()}
+	h := hello{id: d.Int(), workers: d.Int(), nbuckets: d.Int(), trackLoads: d.Bool(), ring: d.Int()}
 	if d.Err == nil && (h.id < 0 || h.workers < 1 || h.id >= h.workers || !rete.ValidNBuckets(h.nbuckets)) {
 		return h, fmt.Errorf("%w: topology id=%d workers=%d nbuckets=%d", ErrBadPayload, h.id, h.workers, h.nbuckets)
+	}
+	if d.Err == nil && (h.ring < 0 || h.ring > maxRing) {
+		return h, fmt.Errorf("%w: ring capacity %d out of range [0,%d]", ErrBadPayload, h.ring, maxRing)
 	}
 	d.nbuckets, d.workers = h.nbuckets, h.workers
 	h.partition = d.partition()
@@ -174,9 +176,15 @@ func ServeConn(conn net.Conn) error {
 		return fmt.Errorf("transport: worker handshake: %w", err)
 	}
 	mirror := rete.NewTable()
+	var track *obs.TrackRecorder
+	if h.ring > 0 {
+		track = obs.NewCausalRecorder(1, h.ring, 1, 0).Track(0)
+	}
 	w := &starWorker{
 		hello: h,
-		step:  parallel.NewStep(h.net, mirror, h.id, h.workers, h.partition, h.trackLoads, nil),
+		step:  parallel.NewStep(h.net, mirror, h.id, h.workers, h.partition, h.trackLoads, track),
+		track: track,
+		epoch: time.Now(),
 		conn:  conn,
 		dec:   dec{nbuckets: h.nbuckets, workers: h.workers, tab: mirror, mirror: true, layouts: h.net.Layouts()},
 		enc:   enc{tab: mirror, refsOnly: true, layouts: h.net.Layouts()},
@@ -206,17 +214,28 @@ func ServeConn(conn net.Conn) error {
 // starWorker is one worker process's carrier state: the step, the
 // decoder that fills the step's mirror of the control's wme table and
 // the encoder that references it, and the message buffers reused
-// across turns.
+// across turns; under a recorder, its own ring, timed from epoch.
 type starWorker struct {
 	hello
-	step *parallel.Step
-	conn net.Conn
-	dec  dec
-	enc  enc
+	step  *parallel.Step
+	track *obs.TrackRecorder
+	epoch time.Time
+	conn  net.Conn
+	dec   dec
+	enc   enc
 
 	pkt   parallel.CyclePacket
 	order parallel.MigrateOrder
 	msgs  []parallel.Message
+	rec   turnRecord
+}
+
+// clock is the recorder clock; a worker that records nothing reads none.
+func (w *starWorker) clock() int64 {
+	if w.track == nil {
+		return 0
+	}
+	return time.Since(w.epoch).Nanoseconds()
 }
 
 // send closes the open frame and writes everything encoded since the
@@ -234,15 +253,15 @@ func (w *starWorker) send(ft frameType) error {
 func (w *starWorker) turn(ft frameType, payload []byte) error {
 	d := &w.dec
 	d.Reset(payload)
-	// Every delivery opens with the causal stamp the turn frame echoes.
-	stamp := parallel.RecvStamp{Batch: d.I32(), Src: d.I32(), Count: 1}
+	// Every delivery opens with its causal stamp, which its recv names.
+	batch, src, n := d.I32(), d.I32(), int32(1)
 	switch ft {
 	case ftCycle:
 		d.changes(&w.pkt)
 		w.msgs = append(w.msgs[:0], parallel.Message{Kind: parallel.MsgCycle, Cycle: &w.pkt})
 	case ftActs:
 		w.msgs = d.actList(w.net, w.msgs)
-		stamp.Count = int32(len(w.msgs))
+		n = int32(len(w.msgs))
 	case ftRepart:
 		w.order = parallel.MigrateOrder{Part: d.partition(), Moves: d.moves()}
 		w.msgs = append(w.msgs[:0], parallel.Message{Kind: parallel.MsgMigrateOut, Order: &w.order})
@@ -260,16 +279,19 @@ func (w *starWorker) turn(ft frameType, payload []byte) error {
 	// its queue drained, and its relays and deltas were built and encoded
 	// before it returned.
 	s.BeginPhase()
-	s.BeginTurn(0, 0)
+	// The cycle is the control's to stamp (Absorb).
+	ts := w.clock()
+	w.track.Mark(obs.EvTurnBegin, ts, 0, 0, 0)
+	w.track.Recv(ts, 0, batch, src, n)
+	s.BeginTurn(ts, 0)
 	s.Handle(w.msgs)
 
 	// One coalesced relay frame per destination and one bucket relay per
 	// extracted bucket, then the turn frame — in that order, on this one
 	// stream (see the comment on termination accounting above).
 	e := &w.enc
-	var flushes int64
 	if s.Pending > 0 {
-		flushes = 1
+		w.track.Flush(w.clock(), 0, int32(s.Pending))
 		for dst, buf := range s.Out {
 			if len(buf) == 0 {
 				continue
@@ -294,7 +316,15 @@ func (w *starWorker) turn(ft frameType, payload []byte) error {
 	}
 	s.Moved = s.Moved[:0]
 
+	t := s.EndTurn(false)
+	var rec *turnRecord
+	if w.track != nil {
+		w.track.Mark(obs.EvTurnEnd, w.clock(), 0, n, int32(t.Handled))
+		w.rec.events, w.rec.agg = w.track.HandOver(w.rec.events[:0])
+		w.rec.sent = w.clock()
+		rec = &w.rec
+	}
 	e.begin()
-	e.turn(int(stamp.Count), []parallel.RecvStamp{stamp}, flushes, s.EndTurn(false))
+	e.turn(int(n), t, rec)
 	return w.send(ftTurn)
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -40,8 +41,8 @@ func newCSHarness(t testing.TB, mask uint64) *csHarness {
 // delta builds the delta that bytes a and b name: one of three
 // productions over one of 25 wme pairs (the negated middle position is
 // nil), so a few dozen steps are dense with duplicate adds and with
-// deletes of what is not there. The arrays are fresh every time, as a
-// matcher's are.
+// deletes of what is not there. The arrays are fresh every time, so the
+// reference may keep them; a matcher only lends its.
 func (h *csHarness) delta(tag rete.Tag, a, b byte) rete.InstChange {
 	w1, w2 := h.wmes[int(a)%5], h.wmes[int(b)%5]
 	return rete.InstChange{Tag: tag, Info: h.infos[int(a/5)%3], WMEs: []*ops5.WME{w1, nil, w2}}
@@ -96,8 +97,10 @@ func (h *csHarness) check(t testing.TB, when string) {
 			t.Fatalf("%s: member %s is not in the reference", when, in.Key())
 		case in.pos != i:
 			t.Fatalf("%s: %s at position %d records position %d", when, in.Key(), i, in.pos)
-		case &in.WMEs[0] != &want.WMEs[0] || in.Prod != want.Info.Prod:
-			t.Fatalf("%s: %s does not hold the array of the last add of that identity", when, in.Key())
+		case !slices.Equal(in.WMEs, want.WMEs) || in.Prod != want.Info.Prod:
+			t.Fatalf("%s: %s does not hold the wmes of the last add of that identity", when, in.Key())
+		case &in.WMEs[0] == &want.WMEs[0]:
+			t.Fatalf("%s: %s holds the array its delta lent", when, in.Key())
 		}
 		// Recency is the set's own work: the sorted tags of the wmes that
 		// are there, in an array no other member shares.
@@ -266,5 +269,73 @@ func TestResetLetsGoOfTheLastTenant(t *testing.T) {
 	}
 	if len(cs.tags) > 256 {
 		t.Fatalf("the time-tag slab's tail is %d long: an oversized chunk outlived its one member", len(cs.tags))
+	}
+}
+
+// TestResetScrubsTheFreeLists: what a session recycles — the rows of
+// deleted wmes and the instantiations the conflict set retired — stays
+// with it across a reset for the next tenant, and none of it reaches a
+// value of the last one. After a reset every free row is blank (no ID,
+// time tag or attribute value), every free instantiation holds no wme,
+// and the fired one is let go; the last tenant's live and pending wmes
+// are among the free rows. The next tenant then runs as on a fresh
+// session.
+func TestResetScrubsTheFreeLists(t *testing.T) {
+	want := referenceRun(t, sessionTestProg, sessionTestWMEs(5), 100)
+	prog, err := ops5.ParseProgram(sessionTestProg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Compile(prog, CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := c.NewSession(SessionOptions{})
+	wmes, err := ops5.ParseWMEs(sessionTestWMEs(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Assert(wmes...)
+	for i := 0; i < 3; i++ {
+		if in, err := s.Step(); err != nil || in == nil {
+			t.Fatalf("step %d: %v, %v", i, in, err)
+		}
+	}
+	s.MakeWME("item", "name", "pending", "state", "raw")
+	held := s.WMCount() + 1
+	if !s.Reset() {
+		t.Fatal("Reset refused")
+	}
+	rows := 0
+	for _, free := range s.free {
+		for _, w := range free {
+			rows++
+			if w.ID != 0 || w.TimeTag != 0 || w.Len() != 0 {
+				t.Fatalf("free row %d:%d %s is not blank", w.ID, w.TimeTag, w)
+			}
+		}
+	}
+	if rows < held {
+		t.Fatalf("%d free rows after a reset, want at least the %d the last tenant held", rows, held)
+	}
+	insts := 0
+	for _, in := range s.conflict.free {
+		for ; in != nil; in = in.next {
+			insts++
+			for _, w := range in.WMEs {
+				if w != nil {
+					t.Fatalf("a free %s instantiation still holds %s", in.Prod.Name, w)
+				}
+			}
+		}
+	}
+	if insts == 0 || s.conflict.fired != nil {
+		t.Fatalf("%d free instantiations and fired %v after a reset; want some, and none held", insts, s.conflict.fired)
+	}
+	var out bytes.Buffer
+	s.opts.Output = &out
+	runSession(t, s, sessionTestWMEs(5), 100)
+	if got := fingerprint(t, s, &out); got != want {
+		t.Fatalf("the next tenant ran differently:\n%s\nwant\n%s", got, want)
 	}
 }

@@ -55,7 +55,8 @@ type MatchApplier interface {
 	Apply(changes []rete.Change) []rete.InstChange
 }
 
-// Instantiation is a conflict-set member.
+// Instantiation is a conflict-set member. It belongs to its session,
+// which recycles it once it has left the set (Step, ConflictSet).
 type Instantiation struct {
 	Prod *ops5.Production
 	// WMEs are the matched wmes by original CE index (nil for negated
@@ -117,7 +118,10 @@ type Session struct {
 	keyBuf  []byte
 	// order is LiveWMEs' scratch: working memory sorted by ID, held only
 	// for the length of one walk.
-	order   []*ops5.WME
+	order []*ops5.WME
+	// free holds, by layout ID, the rows of deleted wmes that an act may
+	// refill (retire, row).
+	free    [][]*ops5.WME
 	nextID  int
 	timetag int
 	fired   int
@@ -211,9 +215,10 @@ func (e *Session) NextTimeTag() int { return e.timetag }
 
 // MakeWME schedules a wme addition (an OPS5 top-level make); it takes
 // effect at the next match phase. The returned wme carries its
-// assigned ID and time tag.
+// assigned ID and time tag, and is valid while it is live: once a match
+// phase has deleted it, its row may be refilled as another wme.
 func (e *Session) MakeWME(class string, pairs ...any) *ops5.WME {
-	return e.addWME(e.c.net.Conform(ops5.NewWME(class, pairs...)))
+	return e.addWME(e.conform(ops5.NewWME(class, pairs...)))
 }
 
 // InsertWMEs schedules pre-built wmes (e.g. parsed by ops5.ParseWMEs).
@@ -222,18 +227,20 @@ func (e *Session) MakeWME(class string, pairs ...any) *ops5.WME {
 // are not touched and may be handed to any number of sessions.
 func (e *Session) InsertWMEs(wmes ...*ops5.WME) {
 	for _, w := range wmes {
-		e.addWME(e.c.net.Conform(w))
+		e.addWME(e.conform(w))
 	}
 }
 
 // Assert schedules pre-built wmes and returns the session-owned copies
 // carrying their assigned IDs and time tags (the handle a Retract call
 // names). It is InsertWMEs with the assignment made visible — the
-// session-level API the multi-tenant server exposes.
+// session-level API the multi-tenant server exposes. A returned wme is
+// valid while it is live, as MakeWME's is: a caller reads the IDs at
+// once, or copies what it keeps.
 func (e *Session) Assert(wmes ...*ops5.WME) []*ops5.WME {
 	out := make([]*ops5.WME, len(wmes))
 	for i, w := range wmes {
-		out[i] = e.addWME(e.c.net.Conform(w))
+		out[i] = e.addWME(e.conform(w))
 	}
 	return out
 }
@@ -288,7 +295,10 @@ func (e *Session) removeWME(id int) bool {
 }
 
 // match runs one match phase over the pending changes, updating
-// working memory and the conflict set.
+// working memory and the conflict set. Once the phase is absorbed, a
+// wme it deleted is read by nothing in the session: its tokens are
+// gone, every member that held it got a Delete delta, and its table
+// handle is freed at the matcher's next phase. So its row is retired.
 func (e *Session) match() {
 	changes := e.pending
 	e.pending = e.spare[:0]
@@ -300,15 +310,62 @@ func (e *Session) match() {
 		}
 	}
 	e.absorb(e.matcher.Apply(changes))
+	for _, ch := range changes {
+		if ch.Tag == rete.Delete {
+			e.retire(ch.WME)
+		}
+	}
 	// No matcher keeps the slice past Apply, so the next phase but one
 	// fills it again; cleared, it does not hold deleted wmes meanwhile.
 	clear(changes)
 	e.spare = changes
 }
 
+// retire puts the row of a wme nothing reads any more on its layout's
+// free list. Under the poison (rete.Retire) it is scrubbed to read as
+// the sentinel instead, and never refilled.
+func (e *Session) retire(w *ops5.WME) {
+	l := w.Layout()
+	if !rete.Retire(w) || l == nil {
+		return
+	}
+	id := l.ID()
+	if id >= len(e.free) {
+		e.free = slices.Grow(e.free, id+1-len(e.free))[:id+1]
+	}
+	e.free[id] = append(e.free[id], w)
+}
+
+// row returns a wme of layout l, the layout of src's class, with src's
+// attributes (none for a nil src) and its ID and time tag still to be
+// assigned: a free row refilled (ops5.WME.Refill), or, without one, a
+// fresh wme, as l.New or l.Conform makes it. A free row that cannot be
+// refilled is dropped. Every wme a session holds comes from here, so it
+// never holds more rows than its largest working memory.
+func (e *Session) row(l *ops5.Layout, src *ops5.WME) *ops5.WME {
+	if l != nil && l.ID() < len(e.free) {
+		if free := e.free[l.ID()]; len(free) > 0 {
+			w := free[len(free)-1]
+			free[len(free)-1] = nil
+			e.free[l.ID()] = free[:len(free)-1]
+			if w.Refill(src) {
+				return w
+			}
+		}
+	}
+	if src == nil {
+		return l.New()
+	}
+	return l.Conform(src)
+}
+
+// conform returns the session's own copy of w, laid out by the
+// network's layout of its class.
+func (e *Session) conform(w *ops5.WME) *ops5.WME { return e.row(e.c.net.Layout(w.Class), w) }
+
 // absorb applies a match phase's deltas to the conflict set. It is the
-// last reader of a Delete delta's WMEs array, which the matcher only
-// lends (rete.InstBuilder.Build); an Add's stays with the set.
+// last reader of every delta's WMEs array, which the matcher only lends
+// (rete.InstBuilder.Build): the set copies what it keeps.
 func (e *Session) absorb(deltas []rete.InstChange) {
 	for i := range deltas {
 		if ic := &deltas[i]; ic.Tag == rete.Add {
@@ -320,7 +377,10 @@ func (e *Session) absorb(deltas []rete.InstChange) {
 }
 
 // ConflictSet returns the current instantiations sorted best-first
-// under the configured strategy.
+// under the configured strategy. The slice is the caller's; the members
+// are the session's, valid until the next Step, Run, Reset or excise,
+// which may recycle them. A caller copies what it keeps, as Snapshot
+// does.
 func (e *Session) ConflictSet() []*Instantiation {
 	out := slices.Clone(e.conflict.list)
 	slices.SortFunc(out, e.compare)
@@ -329,12 +389,12 @@ func (e *Session) ConflictSet() []*Instantiation {
 
 // Step runs one MRA cycle: match pending changes, resolve, fire.
 // It returns the fired instantiation, or nil when the conflict set is
-// empty or the engine has halted. The instantiation is the caller's to
-// keep; instantiations are carved from chunks of up to 32 that are
-// never reused, so keeping one pins at most its chunk (and the chunks
-// its WMEs, the match phase's, and its TimeTags, the conflict set's,
-// point into).
+// empty or the engine has halted. The instantiation and the wmes it
+// points at are valid until the next Step, Run or Reset: the conflict
+// set then recycles the instantiation, and a wme the firing deleted
+// has its row refilled. A caller copies what it keeps.
 func (e *Session) Step() (*Instantiation, error) {
+	e.conflict.hold(nil) // the last result is the caller's no longer
 	if e.halted {
 		return nil, nil
 	}
@@ -344,6 +404,7 @@ func (e *Session) Step() (*Instantiation, error) {
 		return nil, nil
 	}
 	e.conflict.remove(best) // refraction
+	e.conflict.hold(best)
 	if e.opts.Watch >= 1 {
 		fmt.Fprintf(e.opts.Output, "%d. %s %s\n", e.fired+1, best.Prod.Name, tagList(best.TimeTags))
 	}
@@ -555,7 +616,9 @@ func (r *rhs) store(w *ops5.WME, a *ops5.Action, st *rete.Stores) error {
 }
 
 // act executes the RHS of the fired instantiation. A make builds its
-// wme in place, in the class's layout: one allocation.
+// wme in place, in the class's layout, and a modify its new wme as a
+// copy of the old: each into a recycled row where one is free (row),
+// one allocation where none is.
 func (e *Session) act(in *Instantiation) error {
 	r := rhs{in: in}
 	for i := range in.Prod.RHS {
@@ -563,7 +626,7 @@ func (e *Session) act(in *Instantiation) error {
 		switch a.Kind {
 		case ops5.ActMake:
 			st := &in.info.Stores[i]
-			w := st.Layout.New()
+			w := e.row(st.Layout, nil)
 			if err := r.store(w, a, st); err != nil {
 				return err
 			}
@@ -580,8 +643,7 @@ func (e *Session) act(in *Instantiation) error {
 				return fmt.Errorf("engine: %s: modify of negated CE", in.Prod.Name)
 			}
 			e.removeWME(old.ID)
-			w := old.Clone()
-			w.ID = 0
+			w := e.row(old.Layout(), old)
 			if err := r.store(w, a, &in.info.Stores[i]); err != nil {
 				return err
 			}

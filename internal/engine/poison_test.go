@@ -33,20 +33,22 @@ func queensTranscript(t *testing.T, every int, check func(s *engine.Session)) st
 	return out.String()
 }
 
-// TestPoisonedRewinds is the engine's share of the proof that a Delete
-// delta's array is only ever lent. With every array the matcher's
-// delete arena recycles overwritten by rete's sentinel wme (id -1), a
-// conflict set that had kept one — an add absorbed with a delete's
-// array, a member built from a delta after the next Apply — would
-// resolve on time tag -1, print it, and act on wme -1: the transcript
-// of 8-queens, 2,033 firings over hundreds of removes, is the one
-// recorded without the poison; no member of any conflict set on the way
-// names the sentinel; and instantiations held across a thousand cycles
-// read as they did.
+// TestPoisonedRewinds is the engine's share of the proof that a delta's
+// array is only ever lent and that a retired row or instantiation is
+// never read again. With every array the matcher's lent arena recycles
+// overwritten by rete's sentinel wme (id -1), every row a match phase
+// deletes scrubbed to read as it, and every retired instantiation's
+// production nil — all quarantined, never reused — a conflict set that
+// had kept a lent array or a dead row would resolve on time tag -1,
+// print it, and act on wme -1: the transcript of 8-queens, 2,033 firings
+// over hundreds of removes, is the one recorded without the poison; no
+// member of any conflict set on the way names the sentinel; and the
+// instantiation Step returns reads as retired once the next Step has
+// run.
 func TestPoisonedRewinds(t *testing.T) {
 	clean := queensTranscript(t, 0, nil)
 	t.Cleanup(rete.PoisonRewinds())
-	t.Run("StepResultBelongsToCaller", TestStepResultBelongsToCaller)
+	t.Run("StepResultBelongsToCaller", func(t *testing.T) { checkStepResult(t, true) })
 	t.Run("ConflictSetKeepsNoLentArray", func(t *testing.T) {
 		checked := 0
 		got := queensTranscript(t, 25, func(s *engine.Session) {

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"mpcrete/internal/ops5"
+	"mpcrete/internal/rete"
 )
 
 // API is the session-level interface of a Session, whichever matcher
@@ -12,15 +13,17 @@ import (
 // sessions row's concurrent, pool-recycled sessions alike.
 type API interface {
 	// Assert schedules wme additions; the returned copies carry their
-	// assigned IDs and time tags.
+	// assigned IDs and time tags, and are valid while they are live.
 	Assert(wmes ...*ops5.WME) []*ops5.WME
 	// Retract schedules deletion of the live wme with the given ID.
 	Retract(id int) bool
-	// Step runs one MRA cycle; nil when quiescent or halted.
+	// Step runs one MRA cycle; nil when quiescent or halted. The
+	// instantiation is valid until the next Step, RunCycles or Close.
 	Step() (*Instantiation, error)
 	// RunCycles runs MRA cycles up to the limit.
 	RunCycles(maxCycles int) (int, error)
-	// ConflictSet returns the current instantiations, best-first.
+	// ConflictSet returns the current instantiations, best-first, valid
+	// until the next Step or RunCycles.
 	ConflictSet() []*Instantiation
 	// Snapshot returns a self-contained copy of the observable state.
 	Snapshot() *Snapshot
@@ -111,9 +114,10 @@ func (e *Session) Close() error {
 // Reset returns the session to its freshly-opened state — empty
 // working memory, empty conflict set, counters and ID/time-tag
 // assignment rewound — reusing the matcher's hash-table and arena
-// storage. It reports false (and resets nothing) when the matcher does
-// not support reuse; the SessionPool then drops the session instead of
-// shelving it dirty.
+// storage, and the last tenant's rows and instantiations, retired and
+// scrubbed of its values. It reports false (and resets nothing) when
+// the matcher does not support reuse; the SessionPool then drops the
+// session instead of shelving it dirty.
 func (e *Session) Reset() bool {
 	if e.closed {
 		return false
@@ -123,6 +127,27 @@ func (e *Session) Reset() bool {
 		return false
 	}
 	r.Reset()
+	// Every row is dead now, live or pending (a pending Delete names one
+	// of the others), and a free row keeps nothing of this tenant.
+	for _, w := range e.wm {
+		e.retire(w)
+	}
+	for _, ch := range e.pending {
+		if ch.Tag == rete.Add {
+			e.retire(ch.WME)
+		}
+	}
+	for id, free := range e.free {
+		k := 0
+		for _, w := range free {
+			if w.Refill(nil) {
+				free[k] = w
+				k++
+			}
+		}
+		clear(free[k:])
+		e.free[id] = free[:k]
+	}
 	clear(e.wm)
 	e.conflict.reset()
 	// The change buffer keeps its capacity for the next tenant, and none

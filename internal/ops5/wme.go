@@ -103,23 +103,16 @@ func (l *Layout) New() *WME {
 // The nil layout has no slots, Slot finds nothing in it, and conforming
 // to it gives the loose form.
 func (l *Layout) Conform(w *WME) *WME {
-	if w.layout == l && len(w.slots) == l.Len() {
-		return w.Clone()
-	}
 	var c *WME
 	if l != nil {
 		c = l.New()
+		c.Refill(w)
 	} else {
 		c = &WME{Class: w.Class}
+		c.setAll(w)
 	}
 	c.ID, c.TimeTag = w.ID, w.TimeTag
-	for cur := (cursor{w: w}); ; {
-		name, v, ok := cur.next()
-		if !ok {
-			return c
-		}
-		c.Set(name, v)
-	}
+	return c
 }
 
 // WME is a working-memory element: a class name plus a set of
@@ -340,6 +333,44 @@ func (w *WME) Clone() *WME {
 	copy(c.slots, w.slots)
 	c.extra = slices.Clone(w.extra)
 	return c
+}
+
+// Refill rewrites w, a row no reader holds any more, as a fresh wme of
+// its layout with src's attributes — what Conform would make of src,
+// blank for a nil src — with ID and time tag zero. src is of w's class.
+// A working memory that recycles its rows asserts, makes and modifies
+// into them with Refill, as Conform, Layout.New and Clone would into
+// fresh ones, without allocating (an extra may grow the row's extras).
+// It reports false, and leaves w as it was, when w cannot be refilled:
+// it is loose, or was laid out before its layout grew.
+func (w *WME) Refill(src *WME) bool {
+	l := w.layout
+	if l == nil || len(w.slots) != len(l.names) {
+		return false
+	}
+	clear(w.slots)
+	clear(w.extra)
+	w.ID, w.TimeTag, w.Class, w.extra = 0, 0, l.class, w.extra[:0]
+	switch {
+	case src == nil:
+	case src.layout == l && len(src.slots) == len(w.slots):
+		copy(w.slots, src.slots)
+		w.extra = append(w.extra, src.extra...)
+	default:
+		w.setAll(src)
+	}
+	return true
+}
+
+// setAll sets every attribute of src on w.
+func (w *WME) setAll(src *WME) {
+	for cur := (cursor{w: src}); ; {
+		name, v, ok := cur.next()
+		if !ok {
+			return
+		}
+		w.Set(name, v)
+	}
 }
 
 // Equal reports whether two wmes have the same class and attributes

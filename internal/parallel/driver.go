@@ -325,9 +325,9 @@ func (d *Driver) Apply(changes []rete.Change) []rete.InstChange {
 // production name, then by the matched wmes' IDs compared as numbers,
 // condition element by condition element (delivery order across workers
 // is not deterministic; the netted set is). The records are the caller's
-// for good and so is a netted Add's WMEs array; a netted Delete's is the
-// caller's to read until the next Cycle (see netter). A lost message — a
-// broken connection, a malformed frame — is an error, never a hang.
+// for good; every WMEs array is the caller's to read until the next
+// Cycle (see netter). A lost message — a broken connection, a malformed
+// frame — is an error, never a hang.
 func (d *Driver) Cycle(changes []rete.Change) ([]rete.InstChange, error) {
 	if d.Closed() {
 		return nil, errors.New("parallel: Cycle after Close")
@@ -726,7 +726,11 @@ func (d *Driver) FlightDump() *obs.FlightDump {
 // included): rete.InstChange's Hash and Same. The accumulators, the
 // open-addressing index over them and the sort permutation are scratch
 // reused across cycles; the returned slice is carved from result and
-// never reused (callers may retain it).
+// never reused (callers may retain it). A netted delta is the last raw
+// delta of its instantiation under the net's tag: every raw delta of
+// one instantiation names the same wmes, and every array is lent until
+// the next cycle (rete.InstBuilder.Build), so which one it carries
+// makes no difference to the engine, which copies what it keeps.
 type netter struct {
 	accs   []netAcc
 	index  []int32 // open addressing: 1 + position in accs, 0 for empty
@@ -734,13 +738,11 @@ type netter struct {
 	result rete.InstBuilder
 }
 
-// netAcc is one instantiation's running net: adds minus deletes, the
-// position in the raw deltas of the last one seen, and of the last Add
-// (meaningful once net has been positive).
+// netAcc is one instantiation's running net: adds minus deletes, and
+// the position in the raw deltas of the last one seen.
 type netAcc struct {
-	net     int32
-	last    int32
-	lastAdd int32
+	net  int32
+	last int32
 }
 
 func (n *netter) net(raw []rete.InstChange) []rete.InstChange {
@@ -771,7 +773,6 @@ func (n *netter) net(raw []rete.InstChange) []rete.InstChange {
 		a := &n.accs[index[slot]-1]
 		if ic.Tag == rete.Add {
 			a.net++
-			a.lastAdd = int32(i)
 		} else {
 			a.net--
 		}
@@ -796,11 +797,8 @@ func (n *netter) net(raw []rete.InstChange) []rete.InstChange {
 	for _, ai := range n.order {
 		a := &n.accs[ai]
 		ic := raw[a.last]
-		if a.net > 0 {
-			// add, add, delete nets to an Add whose last delta is the
-			// delete: its array is not the engine's to keep.
-			ic = raw[a.lastAdd]
-		} else {
+		ic.Tag = rete.Add
+		if a.net < 0 {
 			ic.Tag = rete.Delete
 		}
 		out = append(out, ic)

@@ -2,10 +2,12 @@ package parallel
 
 import (
 	"bytes"
+	"runtime"
 	"testing"
 
 	"mpcrete/internal/engine"
 	"mpcrete/internal/ops5"
+	"mpcrete/internal/raceflag"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/workloads"
 )
@@ -83,5 +85,53 @@ func TestEngineOnParallelRuntime(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestParQueensBytesPerFiring is TestQueensBytesPerFiring (engine) on
+// the goroutine runtime, in the unit the benchmark's par-queens row
+// reports: heap bytes per firing of an 8-queens session whose match
+// phase runs on parallel.New with two workers, from the runtime's
+// construction to its Close, run to the halt. It reads 530.5 (819.4
+// while every make and modify allocated its row and every instantiation
+// its record and arrays).
+func TestParQueensBytesPerFiring(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("escape analysis decides differently under the race detector")
+	}
+	prog, err := ops5.ParseProgram(workloads.Queens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := engine.Compile(prog, engine.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	board, err := ops5.ParseWMEs(workloads.QueensWMEs(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	rt, err := New(c.Network(), Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := c.NewSession(engine.SessionOptions{Matcher: rt})
+	s.InsertWMEs(board...)
+	fired, err := s.Run(100_000)
+	rt.Close()
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fired != 2033 {
+		t.Fatalf("8-queens fired %d times, want 2033", fired)
+	}
+	perFiring := float64(after.TotalAlloc-before.TotalAlloc) / float64(fired)
+	t.Logf("%d firings, %.1f heap bytes per firing", fired, perFiring)
+	const pinned = 530.5
+	if perFiring > pinned*1.03 {
+		t.Errorf("%.1f heap bytes per firing, want at most %.1f", perFiring, pinned*1.03)
 	}
 }

@@ -408,15 +408,16 @@ func TestNetMatchesKeyedReference(t *testing.T) {
 	}
 }
 
-// TestNetHandsOnAnAddsArray: a netted Add is kept by the engine's
-// conflict set, array and all, so the array it carries must be one an
-// Add delta was built with — carved for good — and never the array of
-// the delete that happened to come last, which is lent from a worker's
-// delete arena and recycled at the top of the next cycle. Two steps
-// deliver the deltas of one instantiation, as two workers' turns do;
-// after the net, both processors begin their next phase with the poison
-// on. The netted Add still names its wmes, and the array a netter that
-// took raw[last] would have handed on reads as the sentinel throughout.
+// TestNetHandsOnAnAddsArray: a netted delta hands on an array that
+// names its instantiation's wmes, whichever raw delta it came from, and
+// that array is lent like every other: the engine's conflict set copies
+// an Add's wmes into the member it fills, so an array need only read
+// right until the next cycle. Two steps deliver the deltas of one
+// instantiation, as two workers' turns do. Before the next phase the
+// netted delta has the net's tag and reads as its wmes; once both
+// processors begin their next phase with the poison on, every raw
+// array, an Add's as much as a Delete's, reads as the sentinel, so
+// nothing a netted delta carried was carved for good.
 func TestNetHandsOnAnAddsArray(t *testing.T) {
 	t.Cleanup(rete.PoisonRewinds())
 	prog, err := ops5.ParseProgram(`(p pair (a ^v 1) -(veto ^v 1) (b ^v 1) --> (halt))`)
@@ -435,17 +436,17 @@ func TestNetHandsOnAnAddsArray(t *testing.T) {
 
 	const A, D = rete.Add, rete.Delete
 	for _, row := range []struct {
-		name  string
-		steps [2][]rete.Tag // the deltas each step delivers, in order
-		want  rete.Tag      // the net's tag
-		from  int           // the raw delta whose array an Add must carry; -1 when the deltas cancel
+		name    string
+		steps   [2][]rete.Tag // the deltas each step delivers, in order
+		want    rete.Tag      // the net's tag
+		cancels bool          // the deltas net to nothing
 	}{
-		{"add, add | delete", [2][]rete.Tag{{A, A}, {D}}, A, 1},
-		{"add | delete, add, add, delete", [2][]rete.Tag{{A}, {D, A, A, D}}, A, 3},
-		{"delete, add | add", [2][]rete.Tag{{D, A}, {A}}, A, 2},
-		{"add, delete | add", [2][]rete.Tag{{A, D}, {A}}, A, 2},
-		{"delete | add", [2][]rete.Tag{{D}, {A}}, D, -1},
-		{"delete, delete | add", [2][]rete.Tag{{D, D}, {A}}, D, 0},
+		{"add, add | delete", [2][]rete.Tag{{A, A}, {D}}, A, false},
+		{"add | delete, add, add, delete", [2][]rete.Tag{{A}, {D, A, A, D}}, A, false},
+		{"delete, add | add", [2][]rete.Tag{{D, A}, {A}}, A, false},
+		{"add, delete | add", [2][]rete.Tag{{A, D}, {A}}, A, false},
+		{"delete | add", [2][]rete.Tag{{D}, {A}}, D, true},
+		{"delete, delete | add", [2][]rete.Tag{{D, D}, {A}}, D, false},
 	} {
 		t.Run(row.name, func(t *testing.T) {
 			var raw []rete.InstChange
@@ -462,37 +463,26 @@ func TestNetHandsOnAnAddsArray(t *testing.T) {
 			}
 			var n netter
 			out := n.net(raw)
-			var lastDelete []*ops5.WME
-			for i := range raw {
-				if raw[i].Tag == D {
-					lastDelete = raw[i].WMEs
+			switch {
+			case row.cancels && len(out) != 0:
+				t.Fatalf("net = %v, want nothing", out)
+			case !row.cancels && (len(out) != 1 || out[0].Tag != row.want):
+				t.Fatalf("net = %v, want one %v", out, row.want)
+			}
+			for _, ic := range out {
+				if got := ic.WMEs; len(got) != 3 || got[0] != wa || got[1] != nil || got[2] != wb {
+					t.Fatalf("the netted %v reads %v, want [%v <nil> %v]", ic.Tag, got, wa, wb)
 				}
 			}
 			for _, p := range procs {
 				p.BeginPhase()
 			}
-			for _, w := range lastDelete {
-				if w == nil || w.ID != -1 {
-					t.Fatalf("a delete's array reads %v after the next phase began: it was not lent from the rewound arena", lastDelete)
+			for i := range raw {
+				for _, w := range raw[i].WMEs {
+					if w == nil || w.ID != -1 {
+						t.Fatalf("raw %v %d reads %v after the next phase began: it was not lent from the rewound arena", raw[i].Tag, i, raw[i].WMEs)
+					}
 				}
-			}
-			if row.from < 0 {
-				if len(out) != 0 {
-					t.Fatalf("net = %v, want nothing", out)
-				}
-				return
-			}
-			if len(out) != 1 || out[0].Tag != row.want {
-				t.Fatalf("net = %v, want one %v", out, row.want)
-			}
-			if row.want == D {
-				return // a netted Delete's array is its receiver's until the next cycle only
-			}
-			if &out[0].WMEs[0] != &raw[row.from].WMEs[0] || raw[row.from].Tag != A {
-				t.Fatalf("the netted add does not carry the array of raw delta %d, the last add", row.from)
-			}
-			if got := out[0].WMEs; len(got) != 3 || got[0] != wa || got[1] != nil || got[2] != wb {
-				t.Fatalf("the netted add reads %v after the next phase began, want [%v <nil> %v]", got, wa, wb)
 			}
 		})
 	}

@@ -126,8 +126,8 @@ func NewStep(net *rete.Network, tab *rete.Table, id, workers int, part sched.Par
 
 // BeginPhase declares every phase token the step's processor has made
 // so far dead — its delete tokens and the tokens only production nodes
-// received — and every array it lent a Delete delta read for the last
-// time, so that their arena is rewound and carved again
+// received — and every array it lent a delta read for the last time,
+// so that their arenas are rewound and carved again
 // (rete.Processor.BeginPhase). It is the carrier's call, made only where
 // the carrier can show it: the cycle driver at the top of a cycle it
 // heads in place (the last cycle's result was netted and handed to a
@@ -148,12 +148,11 @@ func (s *Step) BeginTurn(ts int64, cycle int32) {
 
 // EndTurn closes the turn and returns what it produced, valid until
 // the next BeginTurn: Acts, and with build their deltas, built here in
-// one batch (the star's worker ships Acts unbuilt). An Add delta's
-// array is carved for good and goes wherever the delta is copied; a
-// Delete delta's is lent from the step's processor until the carrier's
-// next BeginPhase (rete.InstBuilder.Build) — for good under a carrier
-// that never calls it, whose turns of one cycle outlive each other in
-// the driver's intake.
+// one batch (the star's worker ships Acts unbuilt). Every delta's
+// array is lent from the step's processor until the carrier's next
+// BeginPhase (rete.InstBuilder.Build) — for good under a carrier that
+// never calls it, whose turns of one cycle outlive each other in the
+// driver's intake.
 func (s *Step) EndTurn(build bool) *Turn {
 	s.turn.Acts = s.instActs
 	if build {

@@ -14,19 +14,21 @@ const arenaChunkLen = 1024
 // the lifetime of the runs carved from it. A match cycle therefore
 // costs O(runs/region) allocations instead of one per run.
 //
-// A Processor owns three. Tokens — runs of wme handles, which the
-// collector never scans — come from two of them. Tokens that a memory
-// may store live as long as the wmes they cover; their arena is rewound
-// only by Processor.Reset, with the memories. The other, the phase
-// arena, holds what is read within the phase that made it and never
-// stored: tokens made under a Delete activation — they exist to find
-// the entries they remove and to carry the delete downstream — and
-// tokens that only production nodes receive, which InstBuilder.Build
-// reads once and resolves out of. The third lends Delete deltas their
-// WMEs arrays (Build), which whoever absorbs the phase's result reads
-// and nobody after. So everything a phase arena or the lent arena hands
-// out is dead once the phase's result has been absorbed, and an owner
-// that can show that much calls Processor.BeginPhase to rewind them.
+// A Processor owns three, and each lends to one kind of reader.
+// Tokens — runs of wme handles, which the collector never scans — come
+// from two of them. The token arena lends to the memories: tokens that
+// a memory may store live as long as the wmes they cover, and it is
+// rewound only by Processor.Reset, with the memories. The phase arena
+// lends to the phase itself: tokens made under a Delete activation —
+// they exist to find the entries they remove and to carry the delete
+// downstream — and tokens that only production nodes receive, which
+// InstBuilder.Build reads once and resolves out of. The lent arena
+// lends to whoever receives the phase's result: every delta's WMEs
+// array (Build), which the absorbing conflict set reads, copying what
+// it keeps, and nobody after. So everything the phase arena or the lent
+// arena hands out is dead once the phase's result has been absorbed,
+// and an owner that can show that much calls Processor.BeginPhase to
+// rewind them.
 //
 // A rewind takes everything back and carves from the front of the
 // region again; a phase that outgrew its region is given, at that
@@ -64,6 +66,23 @@ var poisonWME = &ops5.WME{ID: -1, TimeTag: -1, Class: "rewound-token"}
 func PoisonRewinds() (restore func()) {
 	poisonRewind = true
 	return func() { poisonRewind = false }
+}
+
+// Retire is the poison hook of an owner that recycles what its match
+// phases retire — the engine's working-memory rows and conflict-set
+// members — and reports whether the owner may reuse them. Without the
+// poison it may, and Retire does nothing. Under PoisonRewinds it may
+// not: each of rows is scrubbed to read as poisonWME, and the owner
+// quarantines rows and records alike, so that a reader that kept one
+// past its retirement reads a sentinel instead of a coincidence.
+func Retire(rows ...*ops5.WME) (reuse bool) {
+	if !poisonRewind {
+		return true
+	}
+	for _, w := range rows {
+		*w = *poisonWME
+	}
+	return false
 }
 
 // carve hands out n elements. The run is full-capacity-capped so an

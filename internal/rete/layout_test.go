@@ -99,9 +99,10 @@ func (c *layoutCase) refString() string {
 // checkLayoutAgreement is the property: however a wme is held — loose,
 // laid out by the network testing it, laid out before that network's
 // layout grew, laid out by another network that numbers the class's
-// slots in another order, or a clone of any of these — every reader
-// answers as the loose form does, and the loose form answers as the
-// reference map.
+// slots in another order, or a clone of any of these, or a recycled
+// row of the class refilled from any of them — every reader answers as
+// the loose form does, and the loose form answers as the reference map.
+// A row laid out before its layout grew refuses to be refilled.
 func checkLayoutAgreement(t *testing.T, data []byte) {
 	t.Helper()
 	c := genLayoutCase(&draws{b: data})
@@ -129,20 +130,38 @@ func checkLayoutAgreement(t *testing.T, data []byte) {
 		"recompiled-network": recompiled.Conform(loose),
 		"re-conformed":       net.Conform(other.Conform(early)),
 	}
+	// A recycled row: a row of the class's layout that held another wme,
+	// extras included, refilled from each form (ops5.WME.Refill), its
+	// identity then assigned as a working memory assigns it.
+	l := net.Layout(c.class)
 	for name, w := range forms {
 		forms[name+"-clone"] = w.Clone()
+		if l == nil {
+			continue
+		}
+		r := l.New()
+		for _, attr := range append(l.Names(), "stale", "zz") {
+			r.Set(attr, ops5.S("stale"))
+		}
+		if !r.Refill(w) {
+			t.Fatalf("a full-width row of %s refused to refill from %s", c.class, name)
+		}
+		r.ID, r.TimeTag = w.ID, w.TimeTag
+		forms[name+"-refilled"] = r
 	}
 	if c.class == "c0" {
 		if w := forms["before-growth"]; len(w.Slots()) != 4 || w.Layout() != net.Layout("c0") {
 			t.Fatalf("before-growth form has %d slots of layout %p, want 4 of the grown layout", len(w.Slots()), w.Layout())
+		}
+		if w := forms["before-growth"]; w.Refill(nil) {
+			t.Fatal("a row laid out before its layout grew was refilled")
 		}
 	}
 
 	if got, want := loose.String(), c.refString(); got != want {
 		t.Fatalf("loose wme prints %s, want %s", got, want)
 	}
-	probe := []string{"aa", "f0", "f1", "f2", "f3", "f4", "f5", "zz", "absent", ""}
-	l := net.Layout(c.class)
+	probe := []string{"aa", "f0", "f1", "f2", "f3", "f4", "f5", "zz", "absent", "stale", ""}
 	// Tokens long enough for any LeftPos, holding one form throughout.
 	tab := NewTable()
 	tokenOf := func(w *ops5.WME) Token { return tokenT(tab, w, w, w) }

@@ -43,9 +43,10 @@ type InstChange struct {
 	// Info is the compilation record of the production instantiated.
 	Info *ProdInfo
 	// WMEs holds the matched wmes indexed by original condition-element
-	// position; entries for negated CEs are nil. An Add delta's array is
-	// its holder's for good; a Delete delta's is lent until the match
-	// processor that made it starts its next phase (InstBuilder.Build).
+	// position; entries for negated CEs are nil. The array is lent: it
+	// is read until the match processor that made it starts its next
+	// phase (InstBuilder.Build), and a holder that keeps the
+	// instantiation copies it.
 	WMEs []*ops5.WME
 }
 
@@ -240,13 +241,13 @@ func (m *Matcher) Reset() {
 // Apply runs one match phase over the given wme changes and returns
 // the conflict-set deltas in deterministic generation order.
 //
-// The records of the result belong to the caller, and so does the WMEs
-// array of every Add delta: they are carved from slabs that never hand
-// a region out twice (see InstBuilder), so the caller may keep them
-// across any number of later calls, and a steady-state phase allocates
-// none of it. What a kept result pins is the slab chunks it was carved
-// from, a few kilobytes. The WMEs array of a Delete delta is lent: it
-// is the caller's to read until the next Apply, which recycles it.
+// The records of the result belong to the caller: they are carved from
+// a slab that never hands a region out twice (see InstBuilder), so the
+// caller may keep them across any number of later calls, and a
+// steady-state phase allocates none of them. What a kept result pins is
+// the slab chunks it was carved from, a few kilobytes. The WMEs array
+// of every delta is lent: it is the caller's to read until the next
+// Apply, which recycles it.
 func (m *Matcher) Apply(changes []Change) []InstChange {
 	return m.ApplyFiltered(changes, nil)
 }
@@ -259,8 +260,8 @@ func (m *Matcher) Apply(changes []Change) []InstChange {
 func (m *Matcher) ApplyFiltered(changes []Change, allow func(*Node) bool) []InstChange {
 	// The previous phase's delete tokens are dead: its queue drained and
 	// its deltas were built before it returned, and a Listener is shown
-	// Events, not tokens. So are the arrays it lent its Delete deltas:
-	// that is Apply's contract. So are the handles of the wmes it
+	// Events, not tokens. So are the arrays it lent its deltas: that is
+	// Apply's contract. So are the handles of the wmes it
 	// deleted.
 	m.tab.BeginPhase()
 	m.proc.BeginPhase()

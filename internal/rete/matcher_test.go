@@ -3,6 +3,7 @@ package rete
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mpcrete/internal/ops5"
@@ -16,8 +17,9 @@ type harness struct {
 	matcher *Matcher
 	wm      map[int]*ops5.WME
 	cs      map[string]bool
-	// held is the conflict set as an engine keeps it: the WMEs array of
-	// the Add delta that put each instantiation there.
+	// held is the conflict set as an engine keeps it: the wmes of the
+	// Add delta that put each instantiation there, copied out of the
+	// array the matcher lent it.
 	held   map[string][]*ops5.WME
 	nextID int
 }
@@ -63,7 +65,7 @@ func (h *harness) apply(changes ...Change) {
 				h.t.Fatalf("duplicate instantiation %s", key)
 			}
 			h.cs[key] = true
-			h.held[key] = ic.WMEs
+			h.held[key] = slices.Clone(ic.WMEs)
 		} else {
 			if !h.cs[key] {
 				h.t.Fatalf("deletion of absent instantiation %s", key)
@@ -371,16 +373,17 @@ func TestApplyAllocsDoNotGrowWithOutput(t *testing.T) {
 		t.Fatalf("60x50 add and delete bursts made %d deltas, want 6000", deltas)
 	}
 	// What the add burst keeps — its stored tokens' reference chunks
-	// (1,024 references) and the Add deltas' array — plus the two result
-	// record arrays, each too large for a slab chunk: 12 (24 while every
-	// token also had a header carved from token chunks of its own; 46
-	// before the delete arena kept the chunks a phase outgrew and lent the
-	// Delete deltas their arrays; 60 before memory entries moved into
-	// their buckets). The delete burst allocates its records and nothing
-	// else: its 3,000 tokens and its 12,000 lent references are carved
-	// from what the first delete burst left the arena, which is what a
-	// matcher that once saw the burst holds until it is Reset — 10 chunks
-	// and 21,216 references, about 170 KB.
+	// (1,024 references) — plus the two result record arrays, each too
+	// large for a slab chunk: 12 (the same while the Add deltas' array
+	// was allocated beside them; 24 while every token also had a header
+	// carved from token chunks of its own; 46 before the delete arena kept
+	// the chunks a phase outgrew and lent the Delete deltas their arrays;
+	// 60 before memory entries moved into their buckets). The delete
+	// burst allocates its records and nothing else: its 3,000 tokens are
+	// carved from what the first delete burst left the phase arena, and
+	// each burst's 12,000 lent references from what the lent arena kept,
+	// which is what a matcher that once saw the burst holds until it is
+	// Reset.
 	if allocs > 14 {
 		t.Errorf("60x50 burst pair: %.0f allocations for %d deltas, want <= 14", allocs, deltas)
 	}
@@ -487,57 +490,63 @@ func TestQueueBoundedByFrontier(t *testing.T) {
 
 // TestApplyResultBelongsToCaller states what of a result is the
 // caller's, and until when (the burst benchmark nets the add burst's
-// deltas after the delete burst has run; the engine keeps an Add's array
-// in its conflict set). The records — Tag and Info of every delta — and
-// the WMEs arrays of Add deltas are carved from slabs and never reused:
-// they are unchanged after a thousand one-delta phases that carve from
-// the same chunks and beyond them. A Delete delta's array is lent from
-// the delete arena until the next Apply: with the poison on it reads as
-// the sentinel right after it, and its record says Delete of the same
-// production for good.
+// deltas after the delete burst has run; the engine copies what it
+// keeps of a delta into its conflict set). The records — Tag and Info of
+// every delta — are carved from a slab and never reused: they are
+// unchanged after a thousand one-delta phases that carve from the same
+// chunks and beyond them. Every delta's WMEs array, an Add's as much as
+// a Delete's, is lent from the lent arena until the next Apply: until
+// then it names the delta's wmes, and with the poison on it reads as the
+// sentinel right after it.
 func TestApplyResultBelongsToCaller(t *testing.T) {
 	m, adds, dels := pairingBurst(t, 6, 5)
 	type delta struct {
 		tag  Tag
 		prod string
-		key  string
 	}
 	snapshot := func(ics []InstChange) []delta {
 		out := make([]delta, len(ics))
 		for i := range ics {
-			out[i] = delta{ics[i].Tag, ics[i].Info.Prod.Name, ""}
-			if ics[i].Tag == Add {
-				out[i].key = ics[i].Key()
-			}
+			out[i] = delta{ics[i].Tag, ics[i].Info.Prod.Name}
 		}
 		return out
 	}
+	// lentUntilNextApply holds a result's arrays to the contract across
+	// the next Apply, which it makes, of no changes: a phase that carves
+	// nothing over them.
+	lentUntilNextApply := func(what string, held []InstChange) {
+		t.Helper()
+		for i := range held {
+			// Until the next Apply a lent array is as good as any.
+			if !m.proc.lent.holds(held[i].WMEs) {
+				t.Fatalf("%s delta %d: array %v is not lent from the lent arena", what, i, held[i].WMEs)
+			}
+		}
+		m.Apply(nil)
+		if !poisonRewind {
+			return
+		}
+		for i := range held {
+			for _, w := range held[i].WMEs {
+				if w != poisonWME {
+					t.Fatalf("held %s delta %d reads %v after the next Apply: its array was not lent from the rewound arena", what, i, held[i].WMEs)
+				}
+			}
+		}
+	}
 	held := m.Apply(adds)
 	want := snapshot(held)
-	if len(want) != 30 || want[0].key == "" {
+	if len(held) != 30 || held[0].Tag != Add {
 		t.Fatalf("6x5 add burst made deltas %v, want 30 adds", want)
 	}
+	lentUntilNextApply("add", held)
 	heldDel := m.Apply(dels)
 	wantDel := snapshot(heldDel)
 	if len(heldDel) != 30 || heldDel[0].Tag != Delete {
 		t.Fatalf("6x5 delete burst made deltas %v, want 30 deletes", wantDel)
 	}
-	for i := range heldDel {
-		// Until the next Apply a lent array is as good as any.
-		if heldDel[i].Key() == "" || !m.proc.lent.holds(heldDel[i].WMEs) {
-			t.Fatalf("delete delta %d: array %v is not lent from the lent arena", i, heldDel[i].WMEs)
-		}
-	}
+	lentUntilNextApply("delete", heldDel)
 	m.Apply(adds)
-	if poisonRewind {
-		for i := range heldDel {
-			for _, w := range heldDel[i].WMEs {
-				if w != poisonWME {
-					t.Fatalf("held delete delta %d reads %v after the next Apply: its array was not lent from the rewound arena", i, heldDel[i].WMEs)
-				}
-			}
-		}
-	}
 	// A pairing vetoes one proposal; taking it back restores it.
 	veto := ops5.NewWME("pairing", "team", "t1", "round", 1)
 	veto.ID, veto.TimeTag = 1000, 1000
@@ -557,12 +566,7 @@ func TestApplyResultBelongsToCaller(t *testing.T) {
 	m.Apply(dels)
 	for i, got := range snapshot(held) {
 		if got != want[i] {
-			t.Fatalf("delta %d of a held result changed under later Apply calls: %v, was %v", i, got, want[i])
-		}
-		for _, w := range held[i].WMEs {
-			if m.proc.lent.holds(held[i].WMEs) || w == poisonWME {
-				t.Fatalf("add delta %d holds an array of the lent arena: %v", i, held[i].WMEs)
-			}
+			t.Fatalf("the record of held add delta %d changed under later Apply calls: %v, was %v", i, got, want[i])
 		}
 	}
 	if got := snapshot(back); got[0] != wantBack[0] {

@@ -39,7 +39,7 @@ type Processor struct {
 	right *Memory[rightEntry]
 	// arena holds the tokens a memory may store, delArena — the phase
 	// arena — the tokens read only within the phase that made them, and
-	// lent the arrays Build lends Delete deltas (see arena).
+	// lent the arrays Build lends every delta (see arena).
 	arena    arena[int32]
 	delArena arena[int32]
 	lent     arena[*ops5.WME]
@@ -104,7 +104,7 @@ func (p *Processor) Reset() {
 // BeginPhase tells the processor that everything its phase arena has
 // handed out so far is dead: the activations that carried its delete
 // tokens have been performed, its production-only tokens have been
-// built into deltas, and the Delete deltas whose WMEs arrays
+// built into deltas, and the deltas whose WMEs arrays
 // InstBuilder.Build lent from it have been absorbed, netted or encoded
 // by whoever received them. It rewinds that arena, so the phase about
 // to start carves its tokens and lent arrays from the same storage
@@ -114,7 +114,7 @@ func (p *Processor) Reset() {
 // tokens and lent arrays are then carved region by region and left to the
 // collector, as stored tokens are. An owner calls it only at a point
 // where it can show the claim above — the sequential Matcher at the top of
-// every Apply (its caller absorbed the last result, or kept no Delete
+// every Apply (its caller absorbed the last result, or kept no delta
 // array of it), the parallel cycle driver before the first turn of a
 // cycle it runs on its own quiescent steps, the socket worker at the
 // top of every turn (its predecessor encoded all it made before it
@@ -342,32 +342,25 @@ func testsPass(n *Node, rows []*ops5.WME, t Token, w *ops5.WME) bool {
 	return true
 }
 
-// Slab chunk maxima of an InstBuilder, sized in bytes: a conflict-set
-// delta is 40 bytes, a wme reference 8. An owner opened for one short
-// run (a served session fires ~20 times) never grows past the first
-// chunks; one that runs 8-queens wastes at most the last chunk of each,
-// ~7 KB over 2,033 firings.
-const (
-	instChangeSlabMax = 128 // 5 KB
-	wmeRefSlabMax     = 256 // 2 KB
-)
+// instChangeSlabMax is the chunk maximum of an InstBuilder's record
+// slab, sized in bytes: a conflict-set delta is 40 bytes. An owner
+// opened for one short run (a served session fires ~20 times) never
+// grows past the first chunks; one that runs 8-queens wastes at most
+// the last chunk, 5 KB over 2,033 firings.
+const instChangeSlabMax = 128 // 5 KB
 
 // InstBuilder turns production-node activations into conflict-set
-// deltas. It owns the slabs the delta records and the Add deltas' WMEs
-// arrays are carved from, so a steady-state match phase builds its
-// result without allocating; the sequential Matcher and each parallel
-// worker step own one apiece, and the parallel cycle driver one for its
-// netted result.
+// deltas. It owns the slab the delta records are carved from, so a
+// steady-state match phase builds its result without allocating; the
+// sequential Matcher and each parallel worker step own one apiece, and
+// the parallel cycle driver one for its netted result.
 //
-// The records, and an Add delta's array, are never reused and belong to
-// the caller: they may be held across any number of later phases, and a
-// delta that stays in the conflict set keeps the chunk its array was
-// carved from alive, as a stored token keeps the arena region its
-// handles were carved from. A Delete delta's array is lent (see Build).
+// The records are never reused and belong to the caller: they may be
+// held across any number of later phases. Every delta's WMEs array is
+// lent (see Build): a conflict set copies what it keeps.
 // The zero value is ready to use.
 type InstBuilder struct {
-	wmes slab[*ops5.WME]
-	out  slab[InstChange]
+	out slab[InstChange]
 }
 
 // Result returns an empty result slice with room for n deltas.
@@ -381,42 +374,30 @@ func (b *InstBuilder) Result(n int) []InstChange {
 // receiver cannot recompute and nothing else: recency is derived from
 // WMEs where an instantiation enters a conflict set.
 //
-// An Add delta's array is carved from the builder's slab for good: the
-// conflict set keeps it. A Delete delta names an instantiation to
-// remove and its array is read once, so it is lent from p's lent
-// arena and lives exactly as long as a delete token does: until the
-// owner of p next calls BeginPhase, and for good under an owner that
-// never does. Whoever holds a Delete delta past that point (nobody in
-// this repository does) may read its Tag and Info, not its WMEs.
+// Every delta's array, Add or Delete, is lent from p's lent arena and
+// lives exactly as long as a delete token does: until the owner of p
+// next calls BeginPhase, and for good under an owner that never does.
+// Whoever receives the deltas reads the arrays before that point — the
+// engine's conflict set copies an Add's into the member it fills — and
+// may keep the Tag and Info past it, not the WMEs.
 //
-// Each kind's references are carved as one region and divided among
-// the deltas with capped capacity, so a batch too large for a chunk
-// still costs one allocation per array however many deltas it holds.
-// The wmes are resolved out of the activations' tokens through p's
-// table: once Build returns, the deltas do not depend on the tokens,
-// which is what lets a token that only production nodes receive come
-// from the phase arena.
+// The references of one batch are carved as one region and divided
+// among the deltas with capped capacity. The wmes are resolved out of
+// the activations' tokens through p's table: once Build returns, the
+// deltas do not depend on the tokens, which is what lets a token that
+// only production nodes receive come from the phase arena.
 func (b *InstBuilder) Build(p *Processor, acts []Activation, out []InstChange) []InstChange {
-	nAdd, nDel := 0, 0
+	n := 0
 	for i := range acts {
-		if n := len(acts[i].Node.Info.TokenPos); acts[i].Tag == Add {
-			nAdd += n
-		} else {
-			nDel += n
-		}
+		n += len(acts[i].Node.Info.TokenPos)
 	}
-	adds := b.wmes.carve(nAdd, wmeRefSlabMax)
-	dels := p.lent.carve(nDel)
+	refs := p.lent.carve(n)
 	rows := p.tab.rows
 	for _, a := range acts {
 		info := a.Node.Info
 		n := len(info.TokenPos)
-		var w []*ops5.WME
-		if a.Tag == Add {
-			w, adds = adds[:n:n], adds[n:]
-		} else {
-			w, dels = dels[:n:n], dels[n:]
-		}
+		w := refs[:n:n]
+		refs = refs[n:]
 		for i, pos := range info.TokenPos {
 			// A lent region is whatever the last rewind left there.
 			w[i] = nil

@@ -490,8 +490,10 @@ func TestHandlerAllocs(t *testing.T) {
 	}
 
 	// A seeded open and the close of the session it opened. The open
-	// allocates the session and its id, one laid-out copy per seed wme
-	// and the list Assert returns them in; nothing is parsed. The close
+	// allocates the session and its id and the list Assert returns the
+	// seed in; nothing is parsed, and the seed's laid-out copies refill
+	// rows the pooled session's last tenant left (engine.Session.Reset):
+	// it reads 10 (26 while every copy was an allocation). The close
 	// shelves the session and allocates nothing of its own.
 	open := newReplayed("POST", "/v1/sessions", `{"seed":true}`)
 	closes := make([]*replayed, 2*(runs+1)+1)
@@ -505,21 +507,23 @@ func TestHandlerAllocs(t *testing.T) {
 		open.serve(t, h, w, 201)
 		closes[next].serve(t, h, w, 200)
 		next++
-	}), body+2+seed+1+route)
+	}), body+2+1+route)
 
 	// The same with a run to the halt between them, on a pooled session:
-	// 21 firings whose modifies make 48 wmes, one allocation each.
-	// Everything else a firing touches — the deltas and their arrays, the
-	// conflict set's members and their time tags, the tokens — is carved
-	// from chunks, of which a run this size starts at most two. It reads
-	// 81 (82 while a delta carried its own time tags).
-	const made, chunks = 48, 2
+	// 21 firings whose modifies make 48 wmes, each into a row a deleted
+	// wme or the last tenant left. Everything else a firing touches — the
+	// deltas and their arrays, the conflict set's members and their time
+	// tags, the tokens — is recycled or carved from storage the pooled
+	// session kept, so the run allocates its request and nothing more. It
+	// reads 15 (81 while each made wme was an allocation and the members
+	// came from chunks, of which a run started at most two; 82 while a
+	// delta carried its own time tags).
 	pin("a seeded open, its run to the halt and its close", testing.AllocsPerRun(runs, func() {
 		open.serve(t, h, w, 201)
 		toHalt[next].serve(t, h, w, 200)
 		closes[next].serve(t, h, w, 200)
 		next++
-	}), (body+2+seed+1+route)+(route+body+made+chunks))
+	}), (body+2+1+route)+(route+body))
 	if got := srv.fired.Value(); got != 21*(runs+1) {
 		t.Fatalf("%d runs of the 8-block tower fired %d times, want 21 each", runs+1, got)
 	}

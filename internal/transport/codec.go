@@ -580,15 +580,27 @@ func (d *dec) bucketContents(net *rete.Network) *rete.BucketContents {
 
 // turnFrame is a decoded ftTurn payload: how many protocol messages the
 // worker fully processed, what the step produced, and — under a flight
-// recorder — the turn as the worker recorded it. wmes is the unconsumed
-// tail of the frame's slab: the deltas' WMEs arrays, which the engine
-// retains, are allocated once per frame at the total the frame declares,
-// as rete.InstBuilder carves them once per match phase.
+// recorder — the turn as the worker recorded it, decoded into storage
+// the connection keeps. The deltas' WMEs arrays are lent, as
+// rete.InstBuilder lends a match phase's: each frame carves them, at the
+// total it declares, from buf, the connection's buffer, and wmes is the
+// frame's unconsumed share. They are read until the engine has absorbed
+// the cycle's result; the connection's first frame of the next cycle
+// takes them back (rewind). A frame that does not fit starts a buffer
+// twice as large, and leaves the old one to the deltas carved from it.
 type turnFrame struct {
 	n    int
 	turn parallel.Turn
 	rec  turnRecord
+	buf  []*ops5.WME
 	wmes []*ops5.WME
+}
+
+// rewind takes back every array the frames decoded so far carved: their
+// cycle's result has been absorbed. Cleared, the buffer pins no wme.
+func (tf *turnFrame) rewind() {
+	clear(tf.buf)
+	tf.buf = tf.buf[:0]
 }
 
 // turnRecord ends a turn frame when the hello's ring capacity is
@@ -651,7 +663,12 @@ func (d *dec) turn(net *rete.Network, tf *turnFrame) error {
 	n := d.Count(1 << 24)
 	// Every wme position costs a byte, so count holds the total to the
 	// frame's size.
-	tf.wmes = make([]*ops5.WME, d.Count(1<<24))
+	nw, k := d.Count(1<<24), len(tf.buf)
+	if cap(tf.buf)-k < nw {
+		tf.buf, k = make([]*ops5.WME, 0, max(nw, 2*cap(tf.buf))), 0
+	}
+	tf.buf = tf.buf[:k+nw]
+	tf.wmes = tf.buf[k : k+nw : k+nw]
 	for i := 0; i < n; i++ {
 		tf.turn.Insts = append(tf.turn.Insts, d.instChange(net, tf))
 	}

@@ -291,6 +291,7 @@ func (c *Control) read(cc *ctlConn) error {
 	handles := make([]int32, handleSlab)
 	var msgs []parallel.Message
 	var tf turnFrame
+	var tfCycle int32
 	for {
 		ft, payload, err := cc.fr.next()
 		if err != nil {
@@ -334,6 +335,13 @@ func (c *Control) read(cc *ctlConn) error {
 				return err
 			}
 		case ftTurn:
+			// The control's cycle advances only after the engine has
+			// absorbed the last one's result, so the arrays this
+			// connection lent its deltas are free again.
+			if cycle := c.CurrentCycle(); cycle != tfCycle {
+				tf.rewind()
+				tfCycle = cycle
+			}
 			if err := d.turn(c.network, &tf); err != nil {
 				return err
 			}

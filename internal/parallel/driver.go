@@ -63,26 +63,25 @@ type Driver struct {
 	counts  []*termdet.ChannelCounts // one per worker + control last
 	four    *termdet.FourCounter
 
-	// tab is the run's wme table, shared by rootProc and the steps in
-	// the driver's memory, mirrored by wire workers; handles are the
-	// cycle's changes' handles in it.
+	// tab is the run's wme table, shared by proc and the steps in the
+	// driver's memory, mirrored by wire workers; handles are the cycle's
+	// changes' handles in it.
 	tab     *rete.Table
 	handles []int32
 
 	// cyclePkt is the broadcast packet, reused across cycles and shared
 	// read-only by every worker; cycleMsg is the one MsgCycle message
-	// that carries it to each. The root-routing state (RouteRoots
-	// mode) is the control side's constant-test processor plus reusable
-	// per-destination buffers; a hand-off's frontier travels in the same
-	// buffers.
-	cyclePkt    *CyclePacket
-	cycleMsg    [1]Message
-	rootProc    *rete.Processor
-	rootBufs    [][]Message
-	rootScratch []rete.Activation
+	// that carries it to each. proc runs routed roots' constant tests,
+	// and in process owns the one memory pair every step shares and runs
+	// the in-place head. rootBufs are per-destination buffers for routed
+	// roots and a hand-off's frontier.
+	cyclePkt *CyclePacket
+	cycleMsg [1]Message
+	proc     *rete.Processor
+	rootBufs [][]Message
 
 	// steps and boxes are the workers' steps and mailboxes when they
-	// live in the driver's memory (shareMemory); nil otherwise, and then
+	// live in the driver's memory (Runtime); nil otherwise, and then
 	// every cycle runs on the message plane. budget is how many
 	// activations of a cycle the driver performs in place before it
 	// hands the rest to the workers: inPlaceActs, except that in-package
@@ -91,6 +90,19 @@ type Driver struct {
 	boxes   []*mailbox
 	budget  int
 	budgets *chaos
+
+	// The in-place head's state, reused across cycles: the cycle's match
+	// work in FIFO order, as rete.Matcher keeps it, with buckets[i]
+	// queue[i]'s bucket; the production-node activations, until their
+	// deltas are built; and since the last flush, handled[w] activations
+	// performed for owner w and moves[src*W+dst] successors of owner
+	// src's made for owner dst (row W is the control's: the roots).
+	queue    []rete.Activation
+	buckets  []int32
+	instActs []rete.Activation
+	build    rete.InstBuilder
+	handled  []int64
+	moves    []int32
 
 	// insts is the conflict-set intake; TurnDone appends each turn's
 	// deltas in bulk. netting holds the netting scratch reused across
@@ -172,6 +184,7 @@ func NewDriver(net *rete.Network, opts Options, c Carrier) (*Driver, error) {
 		opts:      opts,
 		carrier:   c,
 		tab:       rete.NewTable(),
+		rootBufs:  make([][]Message, opts.Workers),
 		cyclePkt:  &CyclePacket{},
 		counter:   termdet.NewCounter(),
 		processed: make([]atomic.Int64, opts.Workers),
@@ -192,8 +205,7 @@ func NewDriver(net *rete.Network, opts Options, c Carrier) (*Driver, error) {
 		d.causal.SetTrackName(opts.Workers, "control")
 	}
 	if opts.RouteRoots {
-		d.rootProc = rete.NewProcessor(net, opts.NBuckets, d.tab)
-		d.rootBufs = make([][]Message, opts.Workers)
+		d.proc = rete.NewProcessor(net, opts.NBuckets, d.tab)
 	}
 	if opts.ChaosSeed != 0 {
 		d.yield = newChaos(opts.ChaosSeed, opts.Workers).yield
@@ -269,14 +281,6 @@ func (d *Driver) Shipping(src, entries int) {
 // messages are deregistered, so quiescence implies the control side
 // sees all of them.
 func (d *Driver) TurnDone(src, n int, t *Turn) {
-	d.publish(src, t)
-	d.counts[src].AddRecv(n)
-	d.counter.Add(-n)
-}
-
-// publish books what one of worker src's turns produced: its deltas,
-// its activation count and its bucket loads.
-func (d *Driver) publish(src int, t *Turn) {
 	if len(t.Insts) > 0 {
 		d.instMu.Lock()
 		d.insts = append(d.insts, t.Insts...)
@@ -293,6 +297,8 @@ func (d *Driver) publish(src int, t *Turn) {
 		}
 		d.loadMu.Unlock()
 	}
+	d.counts[src].AddRecv(n)
+	d.counter.Add(-n)
 }
 
 // Fail records a fatal error — accepted messages were lost, so
@@ -345,12 +351,9 @@ func (d *Driver) Cycle(changes []rete.Change) ([]rete.InstChange, error) {
 
 	cycle := d.curCycle.Add(1)
 	d.causal.BeginCycle(cycle, d.Now())
-	budget := 0
-	if d.steps != nil {
-		budget = d.budget
-		if d.budgets != nil {
-			budget = d.budgets.budget()
-		}
+	budget := d.budget // 0 unless the steps live in the driver's memory
+	if d.budgets != nil && d.steps != nil {
+		budget = d.budgets.budget()
 	}
 	var err error
 	onPlane := true
@@ -381,175 +384,185 @@ func (d *Driver) Cycle(changes []rete.Change) ([]rete.InstChange, error) {
 }
 
 // inPlaceActs is how many activations of a cycle the driver performs in
-// place, on the caller's goroutine, before it hands the cycle's frontier
-// to the workers. Waking a parked worker and waiting for quiescence
-// costs a cycle 5–20 µs here; an activation costs ~0.3 µs. Sweep
-// (8-queens at 2 workers on 2 shared vCPUs, 2,033 cycles per run):
+// place before it hands the cycle's frontier to the workers. Waking a
+// parked worker and waiting for quiescence costs a cycle 5–20 µs here;
+// an activation ~0.3 µs. Sweep (8-queens, 2 workers, 2 shared vCPUs;
+// medians of eight interleaved 0.7 s runs; EXPERIMENTS.md):
 //
-//	budget                      1     16    64    256      1,024   ∞
-//	firings/s                   68k   76k   87k   110–128k 116k    128k
-//	cycles of 2,033 handed off  2,033 324   205   1        0       0
+//	budget                      1      16     64     256    1,024  ∞
+//	firings/s                   129k   132k   204k   221k   207k   245k
+//	cycles of 2,033 handed off  2,033  324    205    1      0      0
 //
-// 256 activations is ~75 µs of match, 3–4× what dispatching costs a
-// mid-size cycle. It is not a measured crossover: on that machine the
-// best value is ∞, because no workload in the repository has a grain at
-// which two goroutine workers beat one sequential matcher. It is a
-// bound on serialisation — the control never performs more than ~75 µs
-// of a cycle before the workers have it — so that the paper's
-// cross-product cycle (Tourney: one change, thousands of tokens) still
-// goes wide on a machine where wide wins.
+// From 256 up the differences are inside the host's drift. 256 is not a
+// crossover — no workload here has a grain at which two goroutine
+// workers beat one sequential matcher — but a bound on serialisation:
+// the control performs at most ~75 µs of a cycle before the workers
+// have it, so the paper's cross-product cycle (Tourney: one change,
+// thousands of tokens) still goes wide on a machine where wide wins.
 const inPlaceActs = 256
 
-// shareMemory tells the driver that its carrier's workers live in its
-// own memory — steps[w] is worker w's step, boxes[w] its mailbox — and
-// so turns the in-place head on.
-func (d *Driver) shareMemory(steps []*Step, boxes []*mailbox) {
-	d.steps, d.boxes, d.budget = steps, boxes, inPlaceActs
-	if d.rootBufs == nil {
-		d.rootBufs = make([][]Message, len(steps))
-	}
-}
-
 // inPlaceHead performs the first budget activations of a cycle on the
-// caller's goroutine, against the workers' own steps: between cycles
-// the workers are parked and their steps quiescent, and the counter and
+// caller's goroutine, in the sequential matcher's loop: one FIFO over
+// the run's one memory pair, each activation hashed once, where it is
+// made. Between cycles the workers are parked, and the counter and
 // mailbox mutexes order this goroutine's writes against theirs in both
-// directions. The cycle's roots are queued on their owners, the steps
-// are drained round-robin, and what a step leaves in Out moves to its
-// owner's queue by append. A cycle that drains inside the budget
-// has sent nothing, woken nobody and waits for nothing; one that
-// outgrows it is handed off, and inPlaceHead reports true: the caller
-// waits for quiescence as after any delivery.
+// directions. A cycle that drains inside the budget sends nothing,
+// wakes nobody and waits for nothing; one that outgrows it is handed
+// off, and inPlaceHead reports true: the caller waits for quiescence.
 //
-// What is counted does not depend on who carried it: a step-to-step
-// move in place is one of the mapping's messages, so Stats, bucket
-// loads and the flight recorder's send, recv, flush and handle events
-// are written exactly as the workers write them, on the owning worker's
-// track. Only the termination detector is skipped, because nothing is
-// in flight.
+// What is counted does not depend on who carried it: an activation is
+// booked to its bucket's owner, a successor whose owner is not its
+// parent's is a message, and Stats, bucket loads and the flight
+// recorder's events are written as the workers write them, on the
+// owners' tracks, sends coalesced per breadth-first level as a worker
+// coalesces them per turn. Only the termination detector is skipped.
+// The constant tests run once; the root mode decides whether their
+// delivery counts as one broadcast or as a routed run per owner.
 func (d *Driver) inPlaceHead(changes []rete.Change, budget int) (handedOff bool) {
-	t0 := d.Now()
-	cycle := d.curCycle.Load()
-	ctl := int32(d.controlTrack())
+	ts, cycle, ctl := d.Now(), d.curCycle.Load(), d.controlTrack()
 	// The previous cycle quiesced, so every phase token it made has
 	// been performed or built into a delta, and its deltas absorbed: the
-	// arenas they came from start over. Only here: a goroutine worker cannot tell where a cycle
-	// begins, and rewinding per turn would recycle tokens that are still
-	// queued or in flight.
-	if d.rootProc != nil {
-		d.rootProc.BeginPhase()
-	}
+	// arenas they came from start over. Only here: a goroutine worker
+	// cannot tell where a cycle begins.
+	d.proc.BeginPhase()
 	for _, s := range d.steps {
 		s.BeginPhase()
-		s.BeginTurn(t0, cycle)
 	}
-	// The constant tests run once, whichever root mode: under Fig 3-3
-	// every step would run them all and keep what it owns, which in
-	// place is one goroutine doing the same work once per worker (six
-	// alternated par-queens pairs: +5% to +12% work_per_s, all won).
-	// Fig 3-3 has no control-side processor, so a parked step lends its
-	// own. What the mode still decides is what the delivery counts as:
-	// one broadcast every step receives, or a routed run per owner.
-	proc := d.rootProc
-	if proc == nil {
-		proc = d.steps[0].proc
+	for i, ch := range changes {
+		n := len(d.queue)
+		d.queue = d.proc.RootActivationsInto(ch, d.handles[i], d.queue)
+		d.file(n, ctl)
 	}
-	d.rootsByOwner(proc, changes)
-	var bcast int32
 	if !d.opts.RouteRoots {
-		bcast = d.causal.NextBatch()
-		d.ctlTrack.Send(t0, cycle, bcast, obs.BroadcastDst, int32(len(d.steps)))
-	}
-	for dst, buf := range d.rootBufs {
-		s := d.steps[dst]
-		if !d.opts.RouteRoots {
-			s.ctrack.Recv(t0, cycle, bcast, ctl, 1)
-		} else if len(buf) > 0 {
-			batch := d.causal.NextBatch()
-			d.ctlTrack.Send(t0, cycle, batch, int32(dst), int32(len(buf)))
-			s.ctrack.Recv(t0, cycle, batch, ctl, int32(len(buf)))
-		}
-		s.queue(buf)
-		d.rootBufs[dst] = buf[:0]
-	}
-
-	acts := 0
-	for busy := true; busy && acts < budget; {
-		busy = false
-		for w, s := range d.steps {
-			if len(s.localQ) == 0 {
-				continue
-			}
-			busy = true
-			ts := d.Now()
-			s.turnTS = ts
-			acts += s.Drain(budget - acts)
-			d.carryOut(w, s, ts)
-			if acts >= budget {
-				break
-			}
+		clear(d.moves[ctl*ctl:]) // the control's row: one broadcast instead
+		bcast := d.causal.NextBatch()
+		d.ctlTrack.Send(ts, cycle, bcast, obs.BroadcastDst, int32(len(d.steps)))
+		for _, s := range d.steps {
+			s.ctrack.Recv(ts, cycle, bcast, int32(ctl), 1)
 		}
 	}
 
-	frontier := 0
-	for w, s := range d.steps {
-		frontier += len(s.localQ)
-		d.publish(w, s.EndTurn(true))
+	// level is where the next breadth-first level begins. Unlike the
+	// sequential matcher's, the FIFO keeps its drained prefix: it never
+	// holds more than the roots and the successors of budget activations.
+	part := d.opts.Partition
+	head, level, depth := 0, len(d.queue), int32(1)
+	for ; head < len(d.queue) && head < budget; head++ {
+		if head == level {
+			d.flush(ts, cycle)
+			ts, level, depth = d.Now(), len(d.queue), depth+1
+		}
+		act, b := d.queue[head], d.buckets[head]
+		w := part[b]
+		d.handled[w]++
+		if d.bucketLoad != nil {
+			d.bucketLoad[b]++ // the workers are parked: no lock
+		}
+		n := len(d.queue)
+		d.queue = d.proc.ProcessAt(act, int(b), d.queue)
+		d.steps[w].ctrack.Handle(ts, cycle, b, depth, d.file(n, w))
 	}
-	if frontier == 0 {
-		d.cyclesInPlace.Add(1)
-	} else {
+	d.flush(ts, cycle)
+	if n := len(d.instActs); n > 0 {
+		d.insts = d.build.Build(d.proc, d.instActs, d.insts)
+		d.instCount.Add(int64(n))
+		d.instActs = d.instActs[:0]
+	}
+	if handedOff = head < len(d.queue); handedOff {
 		d.cyclesHandedOff.Add(1)
-		d.handOff(cycle)
+		d.handOff(cycle, head, level, depth)
+	} else {
+		d.cyclesInPlace.Add(1)
 	}
-	return frontier > 0
+	d.queue, d.buckets = d.queue[:0], d.buckets[:0]
+	return handedOff
 }
 
-// carryOut moves what step w's drain left in Out to the owners' queues:
-// worker.flush without the mailboxes.
-func (d *Driver) carryOut(w int, s *Step, ts int64) {
-	if s.Pending == 0 {
-		return
-	}
-	d.msgsSent[w].Add(int64(s.Pending))
-	for dst, buf := range s.Out {
-		if len(buf) == 0 {
+// file sorts the activations appended to the queue from index n on,
+// made by an activation of owner from (the control, for roots), as the
+// sequential matcher files them: match work stays, in order, its bucket
+// beside it, and a production-node activation moves to instActs. It
+// counts the moves and returns the fan-out, what stayed.
+func (d *Driver) file(n, from int) int32 {
+	part, row, k := d.opts.Partition, d.moves[from*len(d.steps):], n
+	for i := n; i < len(d.queue); i++ {
+		act := &d.queue[i]
+		if act.Node.Kind == rete.KindProduction {
+			d.instActs = append(d.instActs, *act)
 			continue
 		}
-		batch := d.causal.NextBatch()
-		s.ctrack.Send(ts, s.turnCycle, batch, int32(dst), int32(len(buf)))
-		d.steps[dst].ctrack.Recv(ts, s.turnCycle, batch, int32(w), int32(len(buf)))
-		d.steps[dst].queue(buf)
-		s.Out[dst] = buf[:0]
+		b := d.proc.Bucket(*act)
+		row[part[b]]++ // branch-free: flush ignores the diagonal
+		if k != i {
+			d.queue[k] = *act
+		}
+		d.buckets = append(d.buckets, int32(b))
+		k++
 	}
-	s.ctrack.Flush(ts, s.turnCycle, int32(s.Pending))
-	s.Pending = 0
+	d.queue = d.queue[:k]
+	return int32(k - n)
+}
+
+// flush books what the head did since the last flush as a worker's
+// turn books it: its activations in Stats.Processed, and per sender one
+// send event and its receiver's recv per destination, one flush event
+// and the messages in Stats.MsgsSent. The control's row, routed roots,
+// gets the send and recv events only, as a routed delivery does.
+func (d *Driver) flush(ts int64, cycle int32) {
+	nw := len(d.steps)
+	for src := 0; src <= nw; src++ {
+		row, total := d.moves[src*nw:(src+1)*nw], int32(0)
+		for dst, n := range row {
+			if row[dst] = 0; n > 0 && dst != src {
+				batch := d.causal.NextBatch()
+				d.causal.Track(src).Send(ts, cycle, batch, int32(dst), n)
+				d.steps[dst].ctrack.Recv(ts, cycle, batch, int32(src), n)
+				total += n
+			}
+		}
+		if src == nw {
+			break
+		}
+		d.processed[src].Add(d.handled[src])
+		d.handled[src] = 0
+		if total > 0 {
+			d.msgsSent[src].Add(int64(total))
+			d.steps[src].ctrack.Flush(ts, cycle, total)
+		}
+	}
 }
 
 // handOff gives a cycle that outgrew its in-place budget to the
-// workers: the steps' queues are a breadth-first frontier, and each
-// step's share goes to its own worker as a run of MsgAct from the
-// control (a queued activation and a MsgAct carry the same activation,
-// bucket and depth). Three orderings keep the conflict set; the first
-// two were found by breaking them.
-func (d *Driver) handOff(cycle int32) {
-	// Empty every step before the first delivery is visible: a woken
-	// worker sends to its peers, and a peer's turn appends to the queue
-	// this loop would still be reading.
+// workers: the queue from head on is a breadth-first frontier (at depth
+// up to level, one deeper after), and each owner's share goes to its
+// worker in FIFO order as one exact-size run of MsgAct. Three orderings
+// keep the conflict set; the first two were found by breaking them.
+// First, the head has written all it writes without a lock — deltas,
+// loads, counts, these runs — before the first delivery is visible.
+func (d *Driver) handOff(cycle int32, head, level int, depth int32) {
+	part := d.opts.Partition
+	for _, b := range d.buckets[head:] {
+		d.handled[part[b]]++ // free again: it counts the shares
+	}
+	for w, n := range d.handled {
+		d.rootBufs[w] = slices.Grow(d.rootBufs[w][:0], int(n))
+		d.handled[w] = 0
+	}
+	for i := head; i < len(d.queue); i++ {
+		b, dep := d.buckets[i], depth
+		if i >= level {
+			dep++
+		}
+		d.rootBufs[part[b]] = append(d.rootBufs[part[b]], Message{Kind: MsgAct, Bucket: b, Depth: dep, Act: d.queue[i]})
+	}
 	total := 0
 	for w, s := range d.steps {
-		buf := d.rootBufs[w][:0]
-		for _, qa := range s.localQ {
-			buf = append(buf, Message{Kind: MsgAct, Bucket: qa.bucket, Depth: qa.depth, Act: qa.act})
-		}
-		d.rootBufs[w] = buf
-		s.localQ = s.localQ[:0]
 		// A turn queues its whole delivery before expanding any of it:
 		// the frontier can hold del(P) ahead of add(T) where del(T) will
 		// derive from del(P). worker.loop hands Handle a whole drained
 		// batch; the chaos layer has to be told.
-		s.handOffShare = len(buf)
-		total += len(buf)
+		s.handOffShare = len(d.rootBufs[w])
+		total += s.handOffShare
 	}
 	d.Sending(d.controlTrack(), total)
 	ts := d.Now()
@@ -635,27 +648,22 @@ func (d *Driver) broadcast(changes []rete.Change) error {
 	return nil
 }
 
-// rootsByOwner runs the constant tests once, on proc, and sorts each
-// root activation into its owner's buffer (Fig 3-2), coalescing per
-// destination so each worker gets at most one delivery. It reports how
-// many roots there are.
-func (d *Driver) rootsByOwner(proc *rete.Processor, changes []rete.Change) int {
-	roots := 0
+// routeRoots runs the constant tests once, on proc, and hash-routes
+// each root activation to its owner (Fig 3-2), coalescing per
+// destination so each worker gets at most one delivery. The head's
+// queue, idle on the message plane, is its scratch.
+func (d *Driver) routeRoots(changes []rete.Change) error {
+	sent := 0
 	for i, ch := range changes {
-		d.rootScratch = proc.RootActivationsInto(ch, d.handles[i], d.rootScratch[:0])
-		for _, act := range d.rootScratch {
-			b := proc.Bucket(act)
+		d.queue = d.proc.RootActivationsInto(ch, d.handles[i], d.queue[:0])
+		for _, act := range d.queue {
+			b := d.proc.Bucket(act)
 			owner := d.opts.Partition[b]
 			d.rootBufs[owner] = append(d.rootBufs[owner], Message{Kind: MsgAct, Bucket: int32(b), Depth: 1, Act: act})
-			roots++
+			sent++
 		}
 	}
-	return roots
-}
-
-// routeRoots hash-routes the cycle's root activations to their owners.
-func (d *Driver) routeRoots(changes []rete.Change) error {
-	sent := d.rootsByOwner(d.rootProc, changes)
+	d.queue = d.queue[:0]
 	if sent == 0 {
 		return nil
 	}

@@ -25,19 +25,20 @@
 // termination-detection counters per batch. Steady-state cycles reuse
 // the same buffers, the shared cycle packet, and arena-carved tokens.
 //
-// Even so, waking a parked goroutine and waiting for quiescence costs
-// 5–20 µs here against ~0.3 µs per activation — far past the right edge
-// of the paper's Fig 5-2 — so over the in-process mailboxes the driver
-// performs the head of every cycle in place, on the caller's goroutine
-// against the parked workers' steps (running the constant tests once,
-// whichever root mode), and only a cycle that outgrows that head
-// reaches the message plane (Driver.inPlaceHead, inPlaceActs).
+// In process the left and right memories are one pair of hash tables,
+// as in the paper's mapping, and the partition alone decides which
+// goroutine may touch a bucket. Waking a parked goroutine and waiting
+// for quiescence costs 5–20 µs here against ~0.3 µs per activation —
+// far past the right edge of the paper's Fig 5-2 — so the driver runs
+// the head of every cycle in place, in the sequential matcher's loop
+// over that pair, and only a cycle that outgrows the head reaches the
+// message plane (Driver.inPlaceHead, inPlaceActs).
 //
 // This is the "real implementation" the paper planned as future work
-// (on Nectar), transplanted to a shared-nothing goroutine machine. It
-// includes the distributed termination detection the paper's simulator
-// replaced with oracle knowledge: a counting detector by default, or
-// Mattern's four-counter method (package termdet).
+// (on Nectar), transplanted to goroutines. It includes the distributed
+// termination detection the paper's simulator replaced with oracle
+// knowledge: a counting detector by default, or Mattern's four-counter
+// method (package termdet).
 package parallel
 
 import (
@@ -260,15 +261,20 @@ func New(net *rete.Network, opts Options) (*Runtime, error) {
 	opts = d.opts
 
 	// The steps and mailboxes live in the driver's memory, which turns
-	// its in-place head on (Driver.shareMemory).
+	// its in-place head on, and share the driver's one memory pair.
+	if d.proc == nil {
+		d.proc = rete.NewProcessor(net, opts.NBuckets, d.tab)
+	}
+	left, right := d.proc.Memories()
 	dropped := opts.Metrics.Counter("parallel.dropped_post_close")
 	steps := make([]*Step, opts.Workers)
 	boxes := make([]*mailbox, opts.Workers)
 	for i := range steps {
+		proc := rete.NewProcessorOver(net, d.tab, left, right)
 		w := &worker{
 			id:    i,
 			rt:    rt,
-			step:  NewStep(net, d.tab, i, opts.Workers, opts.Partition, d.balancer != nil, d.causal.Track(i)),
+			step:  NewStep(proc, i, opts.Workers, opts.Partition, d.balancer != nil, d.causal.Track(i)),
 			inbox: newMailbox(dropped, d.causal != nil),
 		}
 		if opts.ChaosSeed != 0 {
@@ -277,7 +283,9 @@ func New(net *rete.Network, opts Options) (*Runtime, error) {
 		rt.workers = append(rt.workers, w)
 		steps[i], boxes[i] = w.step, w.inbox
 	}
-	d.shareMemory(steps, boxes)
+	d.steps, d.boxes, d.budget = steps, boxes, inPlaceActs
+	d.handled = make([]int64, opts.Workers)
+	d.moves = make([]int32, (opts.Workers+1)*opts.Workers)
 	for _, w := range rt.workers {
 		w.done.Add(1)
 		go w.loop()

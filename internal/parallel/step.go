@@ -1,30 +1,26 @@
 package parallel
 
 import (
-	"math"
-
 	"mpcrete/internal/obs"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/sched"
 )
 
 // Step is the worker step: one match processor's share of the mapping,
-// with no termination detector, no endpoints and no sockets. It owns
-// the rete.Processor holding the worker's slice of the hash-bucket
-// space, the worker's view of the bucket-to-worker assignment, and the
+// with no termination detector, no endpoints and no sockets. It holds
+// the worker's rete.Processor, which touches only the buckets the
+// worker's view of the bucket-to-worker assignment gives it, and the
 // buffers a turn fills. A carrier — the goroutine worker in runtime.go,
 // or transport.ServeConn behind a socket — decodes or drains messages,
 // hands them to Handle, ships what Handle left in Out and Moved, and
-// reports EndTurn's result to the cycle driver. The cycle driver itself
-// is a third carrier when the steps live in its memory: it performs the
-// head of every cycle on them in place (Driver.inPlaceHead).
+// reports EndTurn's result to the cycle driver.
 type Step struct {
 	id   int
 	proc *rete.Processor
 	part sched.Partition
 
 	// localQ is the FIFO of locally-owned activations, drained
-	// breadth-first (see Drain); rootScratch is the constant-test
+	// breadth-first (see Handle); rootScratch is the constant-test
 	// scratch and succScratch one activation's successors. instActs
 	// holds the turn's production-node activations, in production order,
 	// until EndTurn has insts build their deltas in one pass.
@@ -105,15 +101,15 @@ type Turn struct {
 	Loads []BucketLoad
 }
 
-// NewStep builds worker id's step over net and tab, the driver's table
-// or a wire worker's mirror of it. part is the initial assignment (its
-// length is the bucket-space size); trackLoads turns on
+// NewStep builds worker id's step over proc: in process one sharing the
+// driver's memories, behind a socket a private one. part is the initial
+// assignment (its length is the bucket-space size); trackLoads turns on
 // per-bucket activation counting; ctrack, when non-nil, receives one
 // handle event per activation.
-func NewStep(net *rete.Network, tab *rete.Table, id, workers int, part sched.Partition, trackLoads bool, ctrack *obs.TrackRecorder) *Step {
+func NewStep(proc *rete.Processor, id, workers int, part sched.Partition, trackLoads bool, ctrack *obs.TrackRecorder) *Step {
 	s := &Step{
 		id:     id,
-		proc:   rete.NewProcessor(net, len(part), tab),
+		proc:   proc,
 		part:   part,
 		Out:    make([][]Message, workers),
 		ctrack: ctrack,
@@ -169,17 +165,20 @@ func (s *Step) EndTurn(build bool) *Turn {
 // Handle performs the messages of one delivery. Every activation of
 // the delivery — the locally-owned roots of a MsgCycle, or a run of
 // MsgAct — is queued before any is expanded, so storage precedes
-// discovery (see Drain). Successors owned elsewhere are left in Out,
-// extracted buckets in Moved.
+// discovery, and migration orders are carried out as they come (the
+// step adopts the order's partition and extracts the buckets it loses,
+// left in Moved). The queue then drains in FIFO order, locally-owned
+// successors joining its tail — the zero-message fast path of the fine
+// granularity — and successors owned elsewhere are left in Out.
+//
+// Breadth-first order matches the sequential matcher's queue
+// discipline, which keeps the measured depth attribution of join
+// discovery comparable to the recorded trace: a depth-first expansion
+// could walk a chain into a join node before the sibling roots feeding
+// the join's other side have been stored, so the join would later fire
+// from the shallow side and the measured activation forest would
+// flatten.
 func (s *Step) Handle(ms []Message) {
-	s.queue(ms)
-	s.Drain(math.MaxInt)
-}
-
-// queue takes a delivery in without expanding it: activations join
-// localQ, migration orders are carried out (the step adopts the order's
-// partition and extracts the buckets it loses).
-func (s *Step) queue(ms []Message) {
 	for i := range ms {
 		m := &ms[i]
 		switch m.Kind {
@@ -214,27 +213,11 @@ func (s *Step) queue(ms []Message) {
 			s.proc.InjectBucket(m.Inject)
 		}
 	}
-}
-
-// Drain performs up to budget queued activations in FIFO order,
-// appending locally-owned successors to the same queue — the
-// zero-message fast path of the fine granularity — and reports how many
-// it performed; what it did not reach stays queued, in order.
-// Breadth-first order matches the sequential matcher's queue
-// discipline, which keeps the measured depth attribution of join
-// discovery comparable to the recorded trace: a depth-first expansion
-// could walk a chain into a join node before the sibling roots feeding
-// the join's other side have been stored, so the join would later fire
-// from the shallow side and the measured activation forest would
-// flatten.
-func (s *Step) Drain(budget int) int {
-	n := 0
-	for ; n < len(s.localQ) && n < budget; n++ {
-		la := s.localQ[n]
+	for i := 0; i < len(s.localQ); i++ {
+		la := s.localQ[i]
 		s.processOne(la.act, int(la.bucket), la.depth)
 	}
-	s.localQ = s.localQ[:copy(s.localQ, s.localQ[n:])]
-	return n
+	s.localQ = s.localQ[:0]
 }
 
 // processOne performs a single activation, queueing locally-owned

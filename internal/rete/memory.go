@@ -31,10 +31,10 @@ type rightEntry struct {
 // add to that bucket reuses the slot and a warmed bucket adds and
 // removes without allocating. Every slot between a bucket's length and
 // its capacity is zero: no removed entry keeps its token or wme
-// reachable.
+// reachable. No count is kept beside the buckets, so goroutines may
+// share a memory as long as each touches only the buckets it owns.
 type Memory[E leftEntry | rightEntry] struct {
 	buckets [][]E
-	size    int
 }
 
 // ValidNBuckets reports whether n can size a memory: a positive power
@@ -53,8 +53,13 @@ func newMemory[E leftEntry | rightEntry](nbuckets int) *Memory[E] {
 // NBuckets returns the bucket count.
 func (m *Memory[E]) NBuckets() int { return len(m.buckets) }
 
-// Len returns the number of stored entries.
-func (m *Memory[E]) Len() int { return m.size }
+// Len counts the stored entries, bucket by bucket, at quiescence.
+func (m *Memory[E]) Len() (n int) {
+	for _, b := range m.buckets {
+		n += len(b)
+	}
+	return n
+}
 
 // Bucket reduces a 64-bit hash key to a bucket index.
 func (m *Memory[E]) Bucket(key uint64) int { return int(key & uint64(len(m.buckets)-1)) }
@@ -62,7 +67,6 @@ func (m *Memory[E]) Bucket(key uint64) int { return int(key & uint64(len(m.bucke
 // add stores e in bucket b.
 func (m *Memory[E]) add(b int, e E) {
 	m.buckets[b] = append(m.buckets[b], e)
-	m.size++
 }
 
 // removeAt deletes entry i of bucket b. The entries behind it move down
@@ -76,7 +80,6 @@ func (m *Memory[E]) removeAt(b, i int) {
 	var zero E
 	bucket[last] = zero
 	m.buckets[b] = bucket[:last]
-	m.size--
 }
 
 // entries returns bucket b's entry slice; an activation scans it by
@@ -96,7 +99,6 @@ func (m *Memory[E]) Reset() {
 		clear(b)
 		m.buckets[i] = b[:0]
 	}
-	m.size = 0
 }
 
 // extract removes and returns all entries of bucket b (bucket
@@ -104,14 +106,12 @@ func (m *Memory[E]) Reset() {
 func (m *Memory[E]) extract(b int) []E {
 	entries := m.buckets[b]
 	m.buckets[b] = nil
-	m.size -= len(entries)
 	return entries
 }
 
 // inject appends entries to bucket b (bucket migration support).
 func (m *Memory[E]) inject(b int, entries []E) {
 	m.buckets[b] = append(m.buckets[b], entries...)
-	m.size += len(entries)
 }
 
 // removeLeft deletes the entry of left memory m for node n whose token

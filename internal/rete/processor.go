@@ -26,10 +26,10 @@ func (a Activation) HashKey(tab *Table) uint64 {
 	return HashKey(tab, a.Node, a.Side, a.Token, w)
 }
 
-// Processor owns a pair of hashed token memories and knows how to
-// perform single node activations against them. It has no queue and no
-// policy: it appends successor activations to a slice the caller
-// supplies, and the caller decides where they go (the sequential
+// Processor performs single node activations against a pair of hashed
+// token memories, its own or another's (NewProcessorOver). It has no
+// queue and no policy: it appends successor activations to a slice the
+// caller supplies, and the caller decides where they go (the sequential
 // matcher enqueues them; a distributed worker routes them to the owner
 // of their hash bucket).
 type Processor struct {
@@ -61,12 +61,13 @@ func NewProcessor(net *Network, nbuckets int, tab *Table) *Processor {
 	if nbuckets == 0 {
 		nbuckets = DefaultNBuckets
 	}
-	return &Processor{
-		net:   net,
-		tab:   tab,
-		left:  newMemory[leftEntry](nbuckets),
-		right: newMemory[rightEntry](nbuckets),
-	}
+	return NewProcessorOver(net, tab, newMemory[leftEntry](nbuckets), newMemory[rightEntry](nbuckets))
+}
+
+// NewProcessorOver creates a processor with arenas of its own over
+// another's memories (Memories); no two may touch one bucket at once.
+func NewProcessorOver(net *Network, tab *Table, left *Memory[leftEntry], right *Memory[rightEntry]) *Processor {
+	return &Processor{net: net, tab: tab, left: left, right: right}
 }
 
 // Network returns the compiled network.
@@ -115,10 +116,10 @@ func (p *Processor) Reset() {
 // collector, as stored tokens are. An owner calls it only at a point
 // where it can show the claim above — the sequential Matcher at the top of
 // every Apply (its caller absorbed the last result, or kept no delta
-// array of it), the parallel cycle driver before the first turn of a
-// cycle it runs on its own quiescent steps, the socket worker at the
-// top of every turn (its predecessor encoded all it made before it
-// returned). A goroutine worker, which cannot tell where a cycle
+// array of it), the parallel cycle driver at the top of a cycle it
+// heads in place, for its own processor and its parked steps', the
+// socket worker at the top of every turn (its predecessor encoded all
+// it made before it returned). A goroutine worker, which cannot tell where a cycle
 // begins, leaves it uncalled.
 func (p *Processor) BeginPhase() {
 	p.delArena.rewind()

@@ -182,7 +182,7 @@ func ServeConn(conn net.Conn) error {
 	}
 	w := &starWorker{
 		hello: h,
-		step:  parallel.NewStep(h.net, mirror, h.id, h.workers, h.partition, h.trackLoads, track),
+		step:  parallel.NewStep(rete.NewProcessor(h.net, len(h.partition), mirror), h.id, h.workers, h.partition, h.trackLoads, track),
 		track: track,
 		epoch: time.Now(),
 		conn:  conn,

@@ -119,9 +119,10 @@ type Session struct {
 	// order is LiveWMEs' scratch: working memory sorted by ID, held only
 	// for the length of one walk.
 	order []*ops5.WME
-	// free holds, by layout ID, the rows of deleted wmes that an act may
-	// refill (retire, row).
-	free    [][]*ops5.WME
+	// free holds, by layout ID, the rows of deleted wmes that an act
+	// refills. Every wme the session holds comes from it, so a session
+	// never holds more rows than its largest working memory.
+	free    rete.Rows
 	nextID  int
 	timetag int
 	fired   int
@@ -312,7 +313,7 @@ func (e *Session) match() {
 	e.absorb(e.matcher.Apply(changes))
 	for _, ch := range changes {
 		if ch.Tag == rete.Delete {
-			e.retire(ch.WME)
+			e.free.Retire(ch.WME)
 		}
 	}
 	// No matcher keeps the slice past Apply, so the next phase but one
@@ -321,47 +322,9 @@ func (e *Session) match() {
 	e.spare = changes
 }
 
-// retire puts the row of a wme nothing reads any more on its layout's
-// free list. Under the poison (rete.Retire) it is scrubbed to read as
-// the sentinel instead, and never refilled.
-func (e *Session) retire(w *ops5.WME) {
-	l := w.Layout()
-	if !rete.Retire(w) || l == nil {
-		return
-	}
-	id := l.ID()
-	if id >= len(e.free) {
-		e.free = slices.Grow(e.free, id+1-len(e.free))[:id+1]
-	}
-	e.free[id] = append(e.free[id], w)
-}
-
-// row returns a wme of layout l, the layout of src's class, with src's
-// attributes (none for a nil src) and its ID and time tag still to be
-// assigned: a free row refilled (ops5.WME.Refill), or, without one, a
-// fresh wme, as l.New or l.Conform makes it. A free row that cannot be
-// refilled is dropped. Every wme a session holds comes from here, so it
-// never holds more rows than its largest working memory.
-func (e *Session) row(l *ops5.Layout, src *ops5.WME) *ops5.WME {
-	if l != nil && l.ID() < len(e.free) {
-		if free := e.free[l.ID()]; len(free) > 0 {
-			w := free[len(free)-1]
-			free[len(free)-1] = nil
-			e.free[l.ID()] = free[:len(free)-1]
-			if w.Refill(src) {
-				return w
-			}
-		}
-	}
-	if src == nil {
-		return l.New()
-	}
-	return l.Conform(src)
-}
-
 // conform returns the session's own copy of w, laid out by the
 // network's layout of its class.
-func (e *Session) conform(w *ops5.WME) *ops5.WME { return e.row(e.c.net.Layout(w.Class), w) }
+func (e *Session) conform(w *ops5.WME) *ops5.WME { return e.free.Row(e.c.net.Layout(w.Class), w) }
 
 // absorb applies a match phase's deltas to the conflict set. It is the
 // last reader of every delta's WMEs array, which the matcher only lends
@@ -626,7 +589,7 @@ func (e *Session) act(in *Instantiation) error {
 		switch a.Kind {
 		case ops5.ActMake:
 			st := &in.info.Stores[i]
-			w := e.row(st.Layout, nil)
+			w := e.free.Row(st.Layout, nil)
 			if err := r.store(w, a, st); err != nil {
 				return err
 			}
@@ -643,7 +606,7 @@ func (e *Session) act(in *Instantiation) error {
 				return fmt.Errorf("engine: %s: modify of negated CE", in.Prod.Name)
 			}
 			e.removeWME(old.ID)
-			w := e.row(old.Layout(), old)
+			w := e.free.Row(old.Layout(), old)
 			if err := r.store(w, a, &in.info.Stores[i]); err != nil {
 				return err
 			}

@@ -130,24 +130,14 @@ func (e *Session) Reset() bool {
 	// Every row is dead now, live or pending (a pending Delete names one
 	// of the others), and a free row keeps nothing of this tenant.
 	for _, w := range e.wm {
-		e.retire(w)
+		e.free.Retire(w)
 	}
 	for _, ch := range e.pending {
 		if ch.Tag == rete.Add {
-			e.retire(ch.WME)
+			e.free.Retire(ch.WME)
 		}
 	}
-	for id, free := range e.free {
-		k := 0
-		for _, w := range free {
-			if w.Refill(nil) {
-				free[k] = w
-				k++
-			}
-		}
-		clear(free[k:])
-		e.free[id] = free[:k]
-	}
+	e.free.Scrub()
 	clear(e.wm)
 	e.conflict.reset()
 	// The change buffer keeps its capacity for the next tenant, and none

@@ -1,6 +1,10 @@
 package rete
 
-import "mpcrete/internal/ops5"
+import (
+	"slices"
+
+	"mpcrete/internal/ops5"
+)
 
 // arenaChunkLen is the length of an arena region that no phase has
 // sized: a token's run of handles is carved from one, and a token is
@@ -69,8 +73,8 @@ func PoisonRewinds() (restore func()) {
 }
 
 // Retire is the poison hook of an owner that recycles what its match
-// phases retire — the engine's working-memory rows and conflict-set
-// members — and reports whether the owner may reuse them. Without the
+// phases retire — working-memory rows (Rows) and the engine's
+// conflict-set members — and reports whether the owner may reuse them. Without the
 // poison it may, and Retire does nothing. Under PoisonRewinds it may
 // not: each of rows is scrubbed to read as poisonWME, and the owner
 // quarantines rows and records alike, so that a reader that kept one
@@ -83,6 +87,67 @@ func Retire(rows ...*ops5.WME) (reuse bool) {
 		*w = *poisonWME
 	}
 	return false
+}
+
+// Rows is a working memory's supply of wme rows: per layout id, the
+// rows of retired wmes, which Row refills before it allocates. The
+// engine's session draws every wme it holds from one, and a wire
+// worker's mirror draws every definition from one, so neither holds
+// more rows than its largest working memory and a few per layout.
+type Rows [][]*ops5.WME
+
+// Retire puts the row of a wme nothing reads any more on its layout's
+// free list. Under the poison (Retire) it is scrubbed to read as the
+// sentinel instead, and never refilled; a loose row is dropped.
+func (r *Rows) Retire(w *ops5.WME) {
+	l := w.Layout()
+	if !Retire(w) || l == nil {
+		return
+	}
+	id := l.ID()
+	if id >= len(*r) {
+		*r = slices.Grow(*r, id+1-len(*r))[:id+1]
+	}
+	(*r)[id] = append((*r)[id], w)
+}
+
+// Row returns a wme of layout l, the layout of src's class, with src's
+// attributes (none for a nil src) and its ID and time tag still to be
+// assigned: a free row refilled (ops5.WME.Refill), or, without one, a
+// fresh wme, as l.New or l.Conform makes it. A free row that cannot be
+// refilled is dropped.
+func (r Rows) Row(l *ops5.Layout, src *ops5.WME) *ops5.WME {
+	if l != nil && l.ID() < len(r) {
+		if free := r[l.ID()]; len(free) > 0 {
+			w := free[len(free)-1]
+			free[len(free)-1] = nil
+			r[l.ID()] = free[:len(free)-1]
+			if w.Refill(src) {
+				return w
+			}
+		}
+	}
+	if src == nil {
+		return l.New()
+	}
+	return l.Conform(src)
+}
+
+// Scrub blanks every free row, so that none keeps a value of the
+// working memory that retired it, and drops the rows that cannot be
+// refilled.
+func (r Rows) Scrub() {
+	for id, free := range r {
+		k := 0
+		for _, w := range free {
+			if w.Refill(nil) {
+				free[k] = w
+				k++
+			}
+		}
+		clear(free[k:])
+		r[id] = free[:k]
+	}
 }
 
 // carve hands out n elements. The run is full-capacity-capped so an

@@ -37,6 +37,10 @@ import (
 //	count and (name, value) pairs of the attributes outside the layout,
 //	    in ascending name order
 //
+// A value is wire.Enc.Value's: its kind byte, then a symbol's string or
+// a number's float bits byte-reversed, so a small integer takes at most
+// three bytes.
+//
 // There is one way to say each wme, so the encoding is canonical. The
 // decoder refuses, with ErrBadPayload, a layout id outside the table, a
 // named class the table does have a layout for, more slots than the
@@ -52,6 +56,13 @@ import (
 // in the order they arrive. A reference to an empty row, another time
 // tag, or a handle past mirrorMax is ErrBadPayload, and so is a
 // definition anywhere the control reads one.
+//
+// So a definition at a handle the mirror already fills replaces a wme
+// the control has freed, which no frame will name again: the mirror
+// retires its row (rete.Rows, as the engine retires a deleted wme's),
+// and a definition refills a retired row of its layout before it
+// allocates one. A worker therefore holds about as many rows as the
+// control's table has handles, however many definitions cross.
 //
 // Decoding resolves graph references against the receiver's compiled
 // network: node ids are bounds-checked into net.Nodes, and a
@@ -102,15 +113,17 @@ const noTag = math.MinInt
 // step and the cycle driver can index with them unchecked. The zero
 // bounds reject every index. tab resolves references: the control's
 // table, or — with mirror set — a worker's mirror, whose rows
-// definitions fill. layouts is the network's layout table; without one
-// every definition by layout id is refused. ring is the hello's ring
-// capacity, the most events a turnRecord holds (0: frames carry none).
+// definitions fill, drawn from rows. layouts is the network's layout
+// table; without one every definition by layout id is refused. ring is
+// the hello's ring capacity, the most events a turnRecord holds (0:
+// frames carry none).
 type dec struct {
 	wire.Dec
 	nbuckets, workers int
 	ring              int
 	tab               *rete.Table
 	mirror            bool
+	rows              rete.Rows // the mirror's retired rows, by layout
 	layouts           []*ops5.Layout
 	defs, refs        int64
 
@@ -224,7 +237,8 @@ func (e *enc) optWME(h int32) {
 
 // optWME decodes a wme position in any of its three forms to a handle
 // in d.tab (0 when absent, and after a failure). A definition fills the
-// mirror's row; a reference must name exactly what its row holds.
+// mirror's row, retiring the wme it held to d.rows; a reference must
+// name exactly what its row holds.
 func (d *dec) optWME() int32 {
 	switch form := d.Byte(); form {
 	case wmeNil:
@@ -234,6 +248,14 @@ func (d *dec) optWME() int32 {
 			return 0
 		}
 		h := d.handle()
+		if old := d.tab.WME(h); old != nil {
+			// The row at h is dead: the control defines a handle again
+			// only after freeing it, a cycle later, and on a worker only
+			// the mirror and the last cycle packet hold rows. A definition
+			// that fails leaves h empty.
+			d.rows.Retire(old)
+			d.tab.Define(h, nil)
+		}
 		w := d.def()
 		if d.Err != nil {
 			return 0
@@ -257,9 +279,10 @@ func (d *dec) optWME() int32 {
 	return 0
 }
 
-// def decodes a definition's body into a wme laid out by the table's
-// layout of its class (a loose one for a class the table lacks). After
-// a failure the result is not to be used.
+// def decodes a definition's body into a row of the table's layout of
+// its class, a retired one refilled where d.rows has one (a fresh loose
+// wme for a class the table lacks). After a failure the result is not
+// to be used.
 func (d *dec) def() *ops5.WME {
 	id, tag := d.Int(), d.Int()
 	var l *ops5.Layout
@@ -275,7 +298,7 @@ func (d *dec) def() *ops5.WME {
 		return nil
 	} else {
 		l = d.layouts[ref-1]
-		w = l.New()
+		w = d.rows.Row(l, nil)
 	}
 	w.ID, w.TimeTag = id, tag
 	slots := w.Slots()

@@ -156,3 +156,57 @@ func TestDefinitionFaults(t *testing.T) {
 		t.Errorf("the same bytes under the wider table: %v", d.Err)
 	}
 }
+
+// TestMirrorRecyclesRows: a definition at a handle the mirror already
+// fills retires the wme that was there — the control defines a handle
+// again only after freeing it — and the mirror's next definition of
+// that layout refills the retired row instead of allocating one: the
+// redefinition itself, or a later one at another handle. Under
+// rete.PoisonRewinds (TestPoisonedRewinds) a retired row reads as the
+// sentinel, and every definition takes a fresh row.
+func TestMirrorRecyclesRows(t *testing.T) {
+	network, _ := compileWorkload(t, "blocks")
+	other := network.Layouts()[0].Class()
+	if other == "block" {
+		other = network.Layouts()[1].Class()
+	}
+	d := dec{tab: rete.NewTable(), mirror: true, layouts: network.Layouts()}
+	tag := 0
+	// define defines w at handle h under the next time tag and returns
+	// the mirror's row.
+	define := func(h int32, w *ops5.WME) *ops5.WME {
+		tag++
+		w = network.Conform(w)
+		w.ID, w.TimeTag = tag, tag
+		e := enc{tab: rete.NewTable(), layouts: network.Layouts()}
+		e.def(h, w)
+		d.Reset(e.Buf)
+		if got := d.optWME(); d.Done() != nil || got != h {
+			t.Fatalf("definition at %d decoded to %d: %v", h, got, d.Err)
+		}
+		row := d.tab.WME(h)
+		if row.TimeTag != tag || !row.Equal(w) {
+			t.Fatalf("handle %d holds %d:%s, want %d:%s", h, row.TimeTag, row, tag, w)
+		}
+		return row
+	}
+	first := define(7, ops5.NewWME("block", "name", "b1", "on", "table"))
+	second := define(7, ops5.NewWME("block", "name", "b2"))
+	third := define(7, ops5.NewWME(other))
+	fourth := define(8, ops5.NewWME("block", "name", "b3", "clear", "yes"))
+	if !poisoned() {
+		if second != first || fourth != first || third == first {
+			t.Errorf("rows %p %p %p %p: want the redefinition and the later block to refill the first, the %s a row of its own", first, second, third, fourth, other)
+		}
+		return
+	}
+	if first.ID != -1 || second.ID != -1 {
+		t.Errorf("retired rows read %d and %d, want the sentinel's -1", first.ID, second.ID)
+	}
+	if second == first || fourth == first || fourth == second {
+		t.Error("a poisoned row was refilled")
+	}
+	if third.ID != 3 || fourth.ID != 4 {
+		t.Errorf("live rows read %d and %d, want 3 and 4", third.ID, fourth.ID)
+	}
+}

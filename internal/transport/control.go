@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"runtime"
@@ -173,7 +172,7 @@ func (c *Control) WaitWorkers() error {
 		cc := &ctlConn{
 			id:  id,
 			c:   conn,
-			fr:  frameReader{r: bufio.NewReaderSize(conn, 1<<16)},
+			fr:  frameReader{r: conn},
 			dec: dec{nbuckets: c.nbuckets, workers: c.opts.Workers, ring: c.ring, tab: c.Table(), layouts: c.network.Layouts()},
 			enc: enc{tab: c.Table(), layouts: c.network.Layouts()},
 		}

@@ -158,48 +158,87 @@ func (e *enc) flush(w io.Writer) error {
 	return err
 }
 
-// frameReader reads frames off one connection. It owns the header
-// scratch and the payload buffer, so a frame read allocates nothing
-// once the buffer has grown to the stream's largest payload.
+// frameReader reads frames off one connection. It reads ahead from
+// the connection straight into a buffer of its own and parses frames
+// out of it: buf[off:end] is what it has received and not yet handed
+// out. A frame that does not fit doubles the buffer, so a read
+// allocates nothing once the buffer holds the stream's largest frame,
+// and a stream of ever larger frames grows it O(log n) times.
 type frameReader struct {
-	r   io.Reader
-	hdr [frameHeader]byte
-	buf []byte
+	r        io.Reader
+	buf      []byte
+	off, end int
 }
+
+// readAhead is the size of a reader's first buffer. On 8-queens every
+// frame but the load cycle's fits.
+const readAhead = 4 << 10
 
 // next reads one frame. The payload aliases the reader's buffer and is
 // valid until the following call. A clean EOF before any header byte
 // returns io.EOF; an EOF anywhere inside a frame returns ErrTruncated.
 // An oversized length field or an unknown type byte returns the
-// matching typed error without consuming the payload.
+// matching typed error before the payload is read.
 func (fr *frameReader) next() (frameType, []byte, error) {
-	if _, err := io.ReadFull(fr.r, fr.hdr[:4]); err != nil {
-		if err == io.EOF {
+	if err := fr.fill(4); err != nil {
+		if err == io.EOF && fr.off == fr.end {
 			return 0, nil, io.EOF
 		}
-		return 0, nil, fmt.Errorf("%w: reading length: %v", ErrTruncated, err)
+		return 0, nil, truncated("length", err)
 	}
-	n := binary.BigEndian.Uint32(fr.hdr[:4])
+	n := binary.BigEndian.Uint32(fr.buf[fr.off:])
 	if n < 1 {
 		return 0, nil, fmt.Errorf("%w: zero-length frame", ErrBadPayload)
 	}
 	if n > MaxFrame {
 		return 0, nil, fmt.Errorf("%w: length field %d", ErrFrameTooLarge, n)
 	}
-	if _, err := io.ReadFull(fr.r, fr.hdr[4:]); err != nil {
-		return 0, nil, fmt.Errorf("%w: reading type: %v", ErrTruncated, err)
+	if err := fr.fill(frameHeader); err != nil {
+		return 0, nil, truncated("type", err)
 	}
-	ft := frameType(fr.hdr[4])
+	ft := frameType(fr.buf[fr.off+4])
 	if !ft.known() {
-		return 0, nil, fmt.Errorf("%w: %d", ErrUnknownFrameType, fr.hdr[4])
+		return 0, nil, fmt.Errorf("%w: %d", ErrUnknownFrameType, uint8(ft))
 	}
-	plen := int(n) - 1
-	if cap(fr.buf) < plen {
-		fr.buf = make([]byte, plen)
+	size := 4 + int(n)
+	if err := fr.fill(size); err != nil {
+		return 0, nil, truncated(fmt.Sprintf("%s payload (%d bytes)", ft, size-frameHeader), err)
 	}
-	payload := fr.buf[:plen]
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
-		return 0, nil, fmt.Errorf("%w: reading %s payload (%d bytes): %v", ErrTruncated, ft, plen, err)
-	}
+	payload := fr.buf[fr.off+frameHeader : fr.off+size : fr.off+size]
+	fr.off += size
 	return ft, payload, nil
+}
+
+// fill reads until at least n unparsed bytes are buffered, taking in
+// as much as one Read gives and the buffer holds. Before it reads, the
+// unparsed bytes move to the front of the buffer, or of a new one twice
+// as large (or as large as n) when n does not fit.
+func (fr *frameReader) fill(n int) error {
+	if fr.end-fr.off >= n {
+		return nil
+	}
+	if buf := fr.buf; fr.off > 0 || len(buf) < n {
+		if len(buf) < n {
+			buf = make([]byte, max(2*len(buf), n, readAhead))
+		}
+		fr.end = copy(buf, fr.buf[fr.off:fr.end])
+		fr.buf, fr.off = buf, 0
+	}
+	for fr.end < n {
+		k, err := fr.r.Read(fr.buf[fr.end:])
+		fr.end += k
+		if err != nil && fr.end < n {
+			return err
+		}
+	}
+	return nil
+}
+
+// truncated is the error of a stream that ended, or failed, inside a
+// frame, while reading what.
+func truncated(what string, err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("%w: reading %s: %v", ErrTruncated, what, err)
 }

@@ -7,11 +7,14 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"testing/iotest"
 
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/parallel"
@@ -103,65 +106,58 @@ func frameBytes(t *testing.T, ft frameType, payload []byte) []byte {
 	return b.Bytes()
 }
 
+// faultStream is a stream of TestFrameFaults and the typed error its
+// first read gives (nil: it holds the good frame).
+type faultStream struct {
+	name string
+	data []byte
+	want error
+}
+
+// faultStreams are the damaged streams the frame reader must map to
+// typed errors, and the good frame they are cut from.
+func faultStreams(t *testing.T) []faultStream {
+	good := frameBytes(t, ftCycle, []byte{1, 2, 3, 4})
+	oversized := make([]byte, 5)
+	binary.BigEndian.PutUint32(oversized, MaxFrame+1)
+	oversized[4] = byte(ftCycle)
+	retype := func(b byte) []byte {
+		bad := append([]byte(nil), good...)
+		bad[4] = b
+		return bad
+	}
+	return []faultStream{
+		{"roundtrip", good, nil},
+		{"truncated-header", good[:3], ErrTruncated},
+		{"truncated-payload", good[:len(good)-2], ErrTruncated},
+		{"oversized", oversized, ErrFrameTooLarge},
+		{"zero-length", make([]byte, 4), ErrBadPayload},
+		{"unknown-type", retype(0x7f), ErrUnknownFrameType},
+		// The byte of a retired frame stays reserved: no frame of the
+		// star may be read as one, nor one as a frame of the star.
+		{"reserved-type-3", retype(3), ErrUnknownFrameType},
+	}
+}
+
 // TestFrameFaults drives the reader with damaged streams and checks
 // each failure maps to its typed error, so the runtime can distinguish
 // a clean shutdown from wire corruption.
 func TestFrameFaults(t *testing.T) {
 	payload := []byte{1, 2, 3, 4}
-	good := frameBytes(t, ftCycle, payload)
-
-	t.Run("roundtrip", func(t *testing.T) {
-		ft, got, err := readFrame(bytes.NewReader(good))
-		if err != nil || ft != ftCycle || !bytes.Equal(got, payload) {
-			t.Fatalf("round trip: ft=%v payload=%v err=%v", ft, got, err)
-		}
-	})
-	t.Run("truncated-header", func(t *testing.T) {
-		_, _, err := readFrame(bytes.NewReader(good[:3]))
-		if !errors.Is(err, ErrTruncated) {
-			t.Fatalf("got %v, want ErrTruncated", err)
-		}
-	})
-	t.Run("truncated-payload", func(t *testing.T) {
-		_, _, err := readFrame(bytes.NewReader(good[:len(good)-2]))
-		if !errors.Is(err, ErrTruncated) {
-			t.Fatalf("got %v, want ErrTruncated", err)
-		}
-	})
-	t.Run("oversized", func(t *testing.T) {
-		hdr := make([]byte, 5)
-		binary.BigEndian.PutUint32(hdr, MaxFrame+1)
-		hdr[4] = byte(ftCycle)
-		_, _, err := readFrame(bytes.NewReader(hdr))
-		if !errors.Is(err, ErrFrameTooLarge) {
-			t.Fatalf("got %v, want ErrFrameTooLarge", err)
-		}
-	})
-	t.Run("zero-length", func(t *testing.T) {
-		hdr := make([]byte, 4)
-		_, _, err := readFrame(bytes.NewReader(hdr))
-		if !errors.Is(err, ErrBadPayload) {
-			t.Fatalf("got %v, want ErrBadPayload", err)
-		}
-	})
-	t.Run("unknown-type", func(t *testing.T) {
-		bad := append([]byte(nil), good...)
-		bad[4] = 0x7f
-		_, _, err := readFrame(bytes.NewReader(bad))
-		if !errors.Is(err, ErrUnknownFrameType) {
-			t.Fatalf("got %v, want ErrUnknownFrameType", err)
-		}
-	})
-	t.Run("reserved-type-3", func(t *testing.T) {
-		// The byte of a retired frame stays reserved: no frame of the
-		// star may be read as one, nor one as a frame of the star.
-		bad := append([]byte(nil), good...)
-		bad[4] = 3
-		_, _, err := readFrame(bytes.NewReader(bad))
-		if !errors.Is(err, ErrUnknownFrameType) || frameType(3).known() {
-			t.Fatalf("got %v, want ErrUnknownFrameType", err)
-		}
-	})
+	for _, fs := range faultStreams(t) {
+		t.Run(fs.name, func(t *testing.T) {
+			ft, got, err := readFrame(bytes.NewReader(fs.data))
+			if fs.want == nil && (err != nil || ft != ftCycle || !bytes.Equal(got, payload)) {
+				t.Fatalf("round trip: ft=%v payload=%v err=%v", ft, got, err)
+			}
+			if !errors.Is(err, fs.want) {
+				t.Fatalf("got %v, want %v", err, fs.want)
+			}
+		})
+	}
+	if frameType(3).known() {
+		t.Error("the reserved type 3 is a known frame type")
+	}
 	t.Run("garbage-batch-payload", func(t *testing.T) {
 		net, _ := mustCompile("blocks")
 		_, err := decodeDelivery(net, &dec{Dec: wire.Dec{B: []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}}}, ftCycle)
@@ -175,7 +171,7 @@ func TestFrameFaults(t *testing.T) {
 			t.Fatal("decoded garbage hello")
 		}
 	})
-	for _, old := range []byte{2, 3, 4, 5, 6, 7, 8, 9, 10} {
+	for _, old := range []byte{2, 3, 4, 5, 6, 7, 8, 9, 10, 11} {
 		t.Run(fmt.Sprintf("hello-version-%d", old), func(t *testing.T) {
 			// A version-2 peer hashes numbers into other buckets; a
 			// version-3 peer spells every wme out and knows no references;
@@ -189,23 +185,25 @@ func TestFrameFaults(t *testing.T) {
 			// version-9 peer ships bucket contents self-contained, to be
 			// forwarded verbatim, and takes orders and buckets unstamped; a
 			// version-10 peer echoes recv stamps, a flush count and a depth
-			// in every turn frame, and reads no ring capacity in the hello.
-			// Each must be turned away at the handshake, not mis-join or
+			// in every turn frame, and reads no ring capacity in the hello;
+			// a version-11 peer sends a number's float bits in their own
+			// order, so it would read every number of a version-12 stream
+			// as another. Each must be turned away at the handshake, not mis-join or
 			// mis-decode later.
 			net, _ := mustCompile("blocks")
 			hb := helloBytes(hello{workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, appendProgram(nil, net))
 			if _, err := decodeHello(hb); err != nil {
 				t.Fatalf("current hello refused: %v", err)
 			}
-			if protoVersion != 11 || hb[0] != protoVersion {
-				t.Fatalf("hello leads with %#x, want the version varint 11 (protoVersion %d)", hb[0], protoVersion)
+			if protoVersion != 12 || hb[0] != protoVersion {
+				t.Fatalf("hello leads with %#x, want the version varint 12 (protoVersion %d)", hb[0], protoVersion)
 			}
 			hb[0] = old
 			_, err := decodeHello(hb)
 			if !errors.Is(err, ErrBadPayload) {
 				t.Fatalf("version %d hello: got %v, want ErrBadPayload", old, err)
 			}
-			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", old)) || !strings.Contains(msg, "want 11") {
+			if msg := err.Error(); !strings.Contains(msg, fmt.Sprintf("version %d", old)) || !strings.Contains(msg, "want 12") {
 				t.Fatalf("error %q does not name both versions", msg)
 			}
 		})
@@ -237,8 +235,8 @@ func TestFrameFaults(t *testing.T) {
 
 // TestFrameAllocs pins the frame layer at zero allocations per frame
 // in steady state: the header is built in place ahead of the payload
-// and leaves with it in one Write, and the reader owns its header
-// scratch and payload buffer.
+// and leaves with it in one Write, and the reader parses frames out of
+// the one buffer it reads ahead into.
 func TestFrameAllocs(t *testing.T) {
 	payload := bytes.Repeat([]byte{7}, 100)
 	var e enc
@@ -267,6 +265,105 @@ func TestFrameAllocs(t *testing.T) {
 		}
 	}); n != 0 {
 		t.Errorf("reading a frame allocates %v times, want 0", n)
+	}
+}
+
+// readAll reads frames off r until the first error, and returns the
+// frames, each payload copied, and that error.
+func readAll(r io.Reader) ([]frameRead, error) {
+	var got []frameRead
+	fr := frameReader{r: r}
+	for {
+		ft, payload, err := fr.next()
+		if err != nil {
+			return got, err
+		}
+		got = append(got, frameRead{ft, string(payload)})
+	}
+}
+
+// frameRead is one frame as readAll returns it.
+type frameRead struct {
+	ft      frameType
+	payload string
+}
+
+// frameSentinel is the typed error err is, or err itself.
+func frameSentinel(err error) error {
+	for _, s := range []error{io.EOF, ErrTruncated, ErrFrameTooLarge, ErrUnknownFrameType, ErrBadPayload} {
+		if errors.Is(err, s) {
+			return s
+		}
+	}
+	return err
+}
+
+// TestFrameReaderPartialReads feeds a multi-frame stream, the same
+// stream cut inside its last frame, and every TestFrameFaults stream
+// through readers that hand them over a byte at a time, half a request
+// at a time, and with the EOF on the last data: the read-ahead reader
+// must give the same frames and the same typed error as from the whole
+// stream — io.EOF for a clean end at a frame boundary, ErrTruncated for
+// an end inside a frame. A TCP connection hands over what has arrived,
+// which is any of these.
+func TestFrameReaderPartialReads(t *testing.T) {
+	var multi bytes.Buffer
+	for i, n := range []int{0, 3, readAhead - frameHeader, 1, 3 * readAhead, 17, 2*readAhead + 5, 0} {
+		payload := bytes.Repeat([]byte{byte(i + 1)}, n)
+		if err := writeFrame(&multi, frameType(ftCycle+frameType(i%4)), payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	streams := append(faultStreams(t),
+		faultStream{"multi", multi.Bytes(), io.EOF},
+		faultStream{"multi-truncated", multi.Bytes()[:multi.Len()-1], ErrTruncated})
+	wrappers := []struct {
+		name string
+		wrap func(io.Reader) io.Reader
+	}{
+		{"one-byte", iotest.OneByteReader},
+		{"half", iotest.HalfReader},
+		{"data-err", iotest.DataErrReader},
+	}
+	for _, fs := range streams {
+		want, wantErr := readAll(bytes.NewReader(fs.data))
+		if fs.want != nil && frameSentinel(wantErr) != fs.want {
+			t.Fatalf("%s: whole stream ends with %v, want %v", fs.name, wantErr, fs.want)
+		}
+		for _, w := range wrappers {
+			got, err := readAll(w.wrap(bytes.NewReader(fs.data)))
+			if !slices.Equal(got, want) || frameSentinel(err) != frameSentinel(wantErr) {
+				t.Errorf("%s through %s: %d frames and %v, want %d frames and %v", fs.name, w.name, len(got), err, len(want), wantErr)
+			}
+		}
+	}
+}
+
+// TestFrameReaderGrowth: a stream of frames of rising size grows the
+// reader's buffer by doubling, O(log n) times for a largest frame of n
+// bytes, not once per new largest frame.
+func TestFrameReaderGrowth(t *testing.T) {
+	var stream bytes.Buffer
+	const frames, step = 400, 250
+	for i := 1; i <= frames; i++ {
+		if err := writeFrame(&stream, ftActs, bytes.Repeat([]byte{byte(i)}, i*step)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	fr := frameReader{r: &stream}
+	grew, size := 0, 0
+	for i := 1; i <= frames; i++ {
+		if _, payload, err := fr.next(); err != nil || len(payload) != i*step || payload[0] != byte(i) {
+			t.Fatalf("frame %d: %d bytes, err %v", i, len(payload), err)
+		}
+		if len(fr.buf) != size {
+			grew, size = grew+1, len(fr.buf)
+		}
+	}
+	// The first buffer, then one doubling per power of two up to the
+	// largest frame.
+	if most := 1 + bits.Len(uint(frames*step+frameHeader)/readAhead); grew > most {
+		t.Errorf("the buffer grew %d times, to %d bytes, for frames of up to %d: want at most %d", grew, size, frames*step, most)
 	}
 }
 

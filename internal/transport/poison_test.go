@@ -3,6 +3,7 @@ package transport
 import (
 	"testing"
 
+	"mpcrete/internal/ops5"
 	"mpcrete/internal/rete"
 )
 
@@ -11,7 +12,11 @@ import (
 // worker rewinds at the top of every turn (starWorker.turn): a token
 // that outlived the turn that made it — unencoded in a relay, or stored
 // in a bucket that later migrates — would cross the wire as wme -1 and
-// break parity or the reference check at the other end.
+// break parity or the reference check at the other end. A worker's
+// mirror retires the row a redefinition replaces, and under the poison
+// that row reads as the sentinel (MirrorRecyclesRows). The control's
+// table quarantines every handle it frees, so RecycleParity's churn
+// runs with no handle defined twice.
 func TestPoisonedRewinds(t *testing.T) {
 	t.Cleanup(rete.PoisonRewinds())
 	t.Run("ControlParity", TestControlParity)
@@ -19,4 +24,10 @@ func TestPoisonedRewinds(t *testing.T) {
 	t.Run("CrossCarrierMigrationAccounting", TestCrossCarrierMigrationAccounting)
 	t.Run("ControlForcedMigrationParity", TestControlForcedMigrationParity)
 	t.Run("ControlAdaptiveParity", TestControlAdaptiveParity)
+	t.Run("RecycleParity", TestRecycleParity)
+	t.Run("MirrorRecyclesRows", TestMirrorRecyclesRows)
 }
+
+// poisoned reports whether rete.PoisonRewinds is on: a retired row is
+// then scrubbed and may not be reused.
+func poisoned() bool { return !rete.Retire(new(ops5.WME)) }

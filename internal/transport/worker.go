@@ -1,7 +1,6 @@
 package transport
 
 import (
-	"bufio"
 	"fmt"
 	"net"
 	"time"
@@ -55,7 +54,8 @@ import (
 //	    echoed recv stamps, flush count and depth, which only the
 //	    control's recorder read, and under a recorder ends with the
 //	    worker's own events and the turn's aggregate
-const protoVersion = 11
+//	12  a number's float bits cross byte-reversed (wire.Enc.F64)
+const protoVersion = 12
 
 // maxRing bounds the ring capacity a hello asks for: 64Ki events.
 const maxRing = 1 << 16
@@ -162,7 +162,7 @@ func Serve(addr string, dialTimeout time.Duration) error {
 // connection. It returns nil on a clean shutdown frame.
 func ServeConn(conn net.Conn) error {
 	defer conn.Close()
-	fr := frameReader{r: bufio.NewReaderSize(conn, 1<<16)}
+	fr := frameReader{r: conn}
 
 	ft, payload, err := fr.next()
 	if err != nil {

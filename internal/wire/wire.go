@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"mpcrete/internal/ops5"
 )
@@ -24,15 +25,20 @@ type Enc struct {
 	Buf []byte
 }
 
-func (e *Enc) U64(v uint64)  { e.Buf = binary.AppendUvarint(e.Buf, v) }
-func (e *Enc) I64(v int64)   { e.Buf = binary.AppendVarint(e.Buf, v) }
-func (e *Enc) Byte(b byte)   { e.Buf = append(e.Buf, b) }
-func (e *Enc) Raw(b []byte)  { e.Buf = append(e.Buf, b...) }
-func (e *Enc) Str(s string)  { e.U64(uint64(len(s))); e.Buf = append(e.Buf, s...) }
-func (e *Enc) I32(v int32)   { e.I64(int64(v)) }
-func (e *Enc) Int(v int)     { e.I64(int64(v)) }
-func (e *Enc) Count(n int)   { e.U64(uint64(n)) }
-func (e *Enc) F64(v float64) { e.U64(math.Float64bits(v)) }
+func (e *Enc) U64(v uint64) { e.Buf = binary.AppendUvarint(e.Buf, v) }
+func (e *Enc) I64(v int64)  { e.Buf = binary.AppendVarint(e.Buf, v) }
+func (e *Enc) Byte(b byte)  { e.Buf = append(e.Buf, b) }
+func (e *Enc) Raw(b []byte) { e.Buf = append(e.Buf, b...) }
+func (e *Enc) Str(s string) { e.U64(uint64(len(s))); e.Buf = append(e.Buf, s...) }
+func (e *Enc) I32(v int32)  { e.I64(int64(v)) }
+func (e *Enc) Int(v int)    { e.I64(int64(v)) }
+func (e *Enc) Count(n int)  { e.U64(uint64(n)) }
+
+// F64 encodes a float's bits byte-reversed, as encoding/gob does: the
+// exponent and the high mantissa bits, where a small integer or a short
+// binary fraction keeps all its set bits, become the low bytes of the
+// uvarint, so 0 crosses in one byte and 3 or 64 in at most three.
+func (e *Enc) F64(v float64) { e.U64(bits.ReverseBytes64(math.Float64bits(v))) }
 
 func (e *Enc) Bool(b bool) {
 	if b {
@@ -126,7 +132,7 @@ func (d *Dec) I32() int32 {
 }
 
 func (d *Dec) Int() int     { return int(d.I64()) }
-func (d *Dec) F64() float64 { return math.Float64frombits(d.U64()) }
+func (d *Dec) F64() float64 { return math.Float64frombits(bits.ReverseBytes64(d.U64())) }
 
 // Count decodes a collection length, bounded both by an explicit limit
 // and by the bytes remaining (each element costs at least one byte), so

@@ -75,3 +75,33 @@ func TestStickyFailure(t *testing.T) {
 		}
 	}
 }
+
+// TestF64 pins the float form: a number crosses byte-reversed, so the
+// small integers a program's constants and counters are take a byte or
+// three, not ten, and every float64 — signed zeros, infinities, a NaN's
+// payload, subnormals — comes back bit for bit.
+func TestF64(t *testing.T) {
+	for _, row := range []struct {
+		v    float64
+		most int
+	}{{0, 1}, {1, 3}, {3, 3}, {64, 3}, {-0.5, 3}} {
+		var e Enc
+		e.F64(row.v)
+		if len(e.Buf) > row.most {
+			t.Errorf("%v takes %d bytes, want at most %d", row.v, len(e.Buf), row.most)
+		}
+	}
+	for _, v := range []float64{
+		0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+		math.Float64frombits(0x7ff8_0000_dead_beef), // a quiet NaN with a payload
+		math.SmallestNonzeroFloat64, math.MaxFloat64, -math.MaxFloat64, 1e-300, 0.1,
+	} {
+		var e Enc
+		e.F64(v)
+		d := Dec{B: e.Buf}
+		got := d.F64()
+		if err := d.Done(); err != nil || math.Float64bits(got) != math.Float64bits(v) {
+			t.Errorf("%v (%#x) came back as %v (%#x), err %v", v, math.Float64bits(v), got, math.Float64bits(got), err)
+		}
+	}
+}

@@ -98,7 +98,8 @@ type MMReport struct {
 	PredictedMakespanUS float64 `json:"predicted_makespan_us"`
 	MeasuredMakespanUS  float64 `json:"measured_makespan_us"`
 	// PredictedInsts / MeasuredInsts count instantiation deliveries
-	// (model: messages to control; runtime: deltas before netting).
+	// (model: messages to control; runtime: the raw deltas the engine's
+	// conflict set absorbs).
 	PredictedInsts int   `json:"predicted_insts"`
 	MeasuredInsts  int64 `json:"measured_insts"`
 	// Fired is the engine-level firing count, identical on both runs

@@ -26,8 +26,9 @@ import (
 // cycle makes no instantiation, and a member that Step or ConflictSet
 // hands out is valid until the next Step, Run, Reset or excise.
 type conflictSet struct {
-	list  []*Instantiation          // list[in.pos] == in
-	index map[uint64]*Instantiation // hash & mask -> chain through next
+	list   []*Instantiation          // list[in.pos] == in
+	index  map[uint64]*Instantiation // hash & mask -> chain through next
+	graves []*Instantiation          // the phase's graves (absorb)
 	// mask is all ones; a test narrows it so that every chain operation
 	// runs under collisions.
 	mask uint64
@@ -53,7 +54,7 @@ func newConflictSet() conflictSet {
 	return conflictSet{index: map[uint64]*Instantiation{}, mask: ^uint64(0)}
 }
 
-// find returns the instantiation ic names, or nil; h is ic's masked
+// find returns the member or grave ic names, or nil; h is ic's masked
 // hash.
 func (cs *conflictSet) find(ic *rete.InstChange, h uint64) *Instantiation {
 	for in := cs.index[h]; in != nil; in = in.next {
@@ -102,21 +103,57 @@ func (cs *conflictSet) member(ic *rete.InstChange) *Instantiation {
 	return in
 }
 
+// A grave's pos: chained in the index, or cancelled by an Add.
+const buried, cancelled = -1, -2
+
+// absorb applies a match phase's deltas, from whichever matcher, to the
+// set in the order they were made; it reads every lent WMEs array for
+// the last time. One rule: a Delete that finds no member (it fired, and
+// refraction took it out) leaves a grave, a record chained in the index
+// outside the list, and the phase's next Add of that instantiation
+// cancels against it instead of entering the set. Per instantiation a
+// phase's deltas alternate, the first saying whether the matcher had it
+// (parallel.Driver.Cycle), so the result is the phase's net change.
+func (cs *conflictSet) absorb(deltas []rete.InstChange) {
+	for i := range deltas {
+		if ic := &deltas[i]; ic.Tag == rete.Add {
+			cs.add(ic)
+		} else if !cs.delete(ic) {
+			g := cs.fill(ic, ic.Hash()&cs.mask)
+			g.pos = buried
+			cs.graves = append(cs.graves, g)
+		}
+	}
+	for _, g := range cs.graves {
+		if g.pos == buried {
+			cs.unlink(g)
+		}
+		cs.retire(g)
+	}
+	clear(cs.graves)
+	cs.graves = cs.graves[:0]
+}
+
 // add puts the instantiation ic names into the set. One already there
-// under the same identity is replaced, as assigning to a map key would.
-// The member is filled from ic — its wmes copied into the member's own
-// array, its time tags, what LEX and MEA compare, computed from them —
-// so the set keeps nothing the delta lent. This is the one place
-// recency is computed: a delta does not carry it, so no matcher, worker
-// or wire can disagree with the wmes about it.
+// under the same identity is replaced, as assigning to a map key would;
+// a grave is cancelled instead. The member is filled from ic — its wmes
+// copied into the member's own array, its time tags, what LEX and MEA
+// compare, computed from them — so the set keeps nothing the delta
+// lent. This is the one place recency is computed: a delta does not
+// carry it, so no matcher, worker or wire can disagree with the wmes
+// about it.
 func (cs *conflictSet) add(ic *rete.InstChange) {
 	h := ic.Hash() & cs.mask
 	if old := cs.find(ic, h); old != nil {
+		if old.pos == buried {
+			cs.unlink(old)
+			old.pos = cancelled
+			return
+		}
 		cs.remove(old)
 		cs.retire(old)
 	}
-	in := cs.member(ic)
-	copy(in.WMEs, ic.WMEs)
+	in := cs.fill(ic, h)
 	tags := in.TimeTags[:0]
 	for _, w := range ic.WMEs {
 		if w != nil {
@@ -124,24 +161,34 @@ func (cs *conflictSet) add(ic *rete.InstChange) {
 		}
 	}
 	slices.Sort(tags)
-	in.TimeTags, in.Prod, in.info = tags, ic.Info.Prod, ic.Info
-	in.hash, in.pos, in.next = h, len(cs.list), cs.index[h]
-	cs.index[h] = in
+	in.TimeTags, in.pos = tags, len(cs.list)
 	cs.list = append(cs.list, in)
 }
 
-// delete takes the instantiation ic names out of the set, if it is
-// there, and retires it.
-func (cs *conflictSet) delete(ic *rete.InstChange) {
-	if in := cs.find(ic, ic.Hash()&cs.mask); in != nil {
-		cs.remove(in)
-		cs.retire(in)
-	}
+// fill returns a record of ic's instantiation chained under h.
+func (cs *conflictSet) fill(ic *rete.InstChange, h uint64) *Instantiation {
+	in := cs.member(ic)
+	copy(in.WMEs, ic.WMEs)
+	in.Prod, in.info = ic.Info.Prod, ic.Info
+	in.hash, in.next = h, cs.index[h]
+	cs.index[h] = in
+	return in
 }
 
-// remove takes a member out of the set; the caller retires it, at once
-// or, for the fired member, at the next Step (hold).
-func (cs *conflictSet) remove(in *Instantiation) {
+// delete takes the instantiation ic names out of the set and retires
+// it, reporting whether it was a member.
+func (cs *conflictSet) delete(ic *rete.InstChange) bool {
+	in := cs.find(ic, ic.Hash()&cs.mask)
+	if in == nil || in.pos < 0 {
+		return false
+	}
+	cs.remove(in)
+	cs.retire(in)
+	return true
+}
+
+// unlink takes a record out of its index chain.
+func (cs *conflictSet) unlink(in *Instantiation) {
 	if head := cs.index[in.hash]; head != in {
 		for head.next != in {
 			head = head.next
@@ -153,6 +200,12 @@ func (cs *conflictSet) remove(in *Instantiation) {
 		delete(cs.index, in.hash)
 	}
 	in.next = nil
+}
+
+// remove takes a member out of the set; the caller retires it, at once
+// or, for the fired member, at the next Step (hold).
+func (cs *conflictSet) remove(in *Instantiation) {
+	cs.unlink(in)
 	last := len(cs.list) - 1
 	moved := cs.list[last]
 	cs.list[in.pos], moved.pos = moved, in.pos

@@ -3,25 +3,34 @@ package engine
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
+	"time"
 
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/rete"
 )
 
 // csHarness drives a conflictSet and, beside it, the structure it
-// replaced: a map keyed by InstChange.Key.
+// replaced: a map keyed by InstChange.Key. fired holds what the matcher
+// still has and the set does not, refracted; a phase's deltas are
+// queued in pending, and had says, per instantiation the phase names,
+// whether the matcher has it after the deltas queued so far.
 type csHarness struct {
-	cs    conflictSet
-	ref   map[string]rete.InstChange
-	infos []*rete.ProdInfo
-	wmes  []*ops5.WME
+	cs      conflictSet
+	ref     map[string]rete.InstChange
+	fired   map[string]rete.InstChange
+	pending []rete.InstChange
+	had     map[string]bool
+	infos   []*rete.ProdInfo
+	wmes    []*ops5.WME
 }
 
 func newCSHarness(t testing.TB, mask uint64) *csHarness {
-	h := &csHarness{cs: newConflictSet(), ref: map[string]rete.InstChange{}}
+	h := &csHarness{cs: newConflictSet(), ref: map[string]rete.InstChange{},
+		fired: map[string]rete.InstChange{}, had: map[string]bool{}}
 	h.cs.mask = mask
 	for i, name := range []string{"p", "q", "pq"} {
 		p, err := ops5.ParseProduction(fmt.Sprintf(`(p %s (x ^v 1) -(y ^v 1) (z ^v 1) --> (halt))`, name))
@@ -50,37 +59,97 @@ func (h *csHarness) delta(tag rete.Tag, a, b byte) rete.InstChange {
 
 // step performs one operation chosen by op: an add (possibly of an
 // identity already present), a delete (possibly of one absent), a
-// refraction of some member, an excise, or — rarely — a reset.
+// refraction of some member, an excise, or — rarely — a reset, each
+// outside a match phase; or it queues a delta into the current phase.
+// A queued delta's tag is the next in its instantiation's alternation,
+// the first a Delete if the matcher has it (a member, or fired) — the
+// condition the parallel driver keeps (parallel.Driver.Cycle). Any
+// other operation first absorbs the phase queued so far.
 func (h *csHarness) step(op, a, b byte) {
-	switch op % 8 {
+	if op%9 == 8 {
+		ic := h.delta(rete.Add, a, b)
+		k := ic.Key()
+		has, named := h.had[k]
+		if !named {
+			_, member := h.ref[k]
+			_, fired := h.fired[k]
+			has = member || fired
+		}
+		if has {
+			ic.Tag = rete.Delete
+		}
+		h.had[k] = !has
+		h.pending = append(h.pending, ic)
+		return
+	}
+	h.phase()
+	switch op % 9 {
 	case 0, 1, 2:
 		ic := h.delta(rete.Add, a, b)
 		h.cs.add(&ic)
 		h.ref[ic.Key()] = ic
+		delete(h.fired, ic.Key())
 	case 3, 4:
 		ic := h.delta(rete.Delete, a, b)
 		h.cs.delete(&ic)
 		delete(h.ref, ic.Key())
+		delete(h.fired, ic.Key())
 	case 5, 6:
 		if n := len(h.cs.list); n > 0 {
 			in := h.cs.list[int(a)%n]
 			h.cs.remove(in)
+			h.fired[in.Key()] = h.ref[in.Key()]
 			delete(h.ref, in.Key())
 		}
 	case 7:
 		if a%8 == 0 {
 			h.cs.reset()
 			clear(h.ref)
+			clear(h.fired)
 			return
 		}
 		name := h.infos[int(a)%3].Prod.Name
 		h.cs.removeProduction(name)
-		for k, ic := range h.ref {
-			if ic.Info.Prod.Name == name {
-				delete(h.ref, k)
+		for _, m := range []map[string]rete.InstChange{h.ref, h.fired} {
+			for k, ic := range m {
+				if ic.Info.Prod.Name == name {
+					delete(m, k)
+				}
 			}
 		}
 	}
+}
+
+// phase absorbs the queued deltas as one match phase, and moves the
+// reference by each instantiation's net: from the membership before
+// the phase, a net add makes a member, a net delete takes a member or a
+// fired one away, and no net change leaves a member a member and a
+// fired one fired — refraction survives a Delete and an Add.
+func (h *csHarness) phase() {
+	if len(h.pending) == 0 {
+		return
+	}
+	h.cs.absorb(h.pending)
+	net, last := map[string]int{}, map[string]rete.InstChange{}
+	for _, ic := range h.pending {
+		if ic.Tag == rete.Add {
+			net[ic.Key()]++
+			last[ic.Key()] = ic
+		} else {
+			net[ic.Key()]--
+		}
+	}
+	for k, n := range net {
+		switch {
+		case n > 0:
+			h.ref[k] = last[k]
+		case n < 0:
+			delete(h.ref, k)
+			delete(h.fired, k)
+		}
+	}
+	h.pending = h.pending[:0]
+	clear(h.had)
 }
 
 // check holds the set to the reference and to its own invariants.
@@ -125,7 +194,7 @@ func (h *csHarness) check(t testing.TB, when string) {
 		}
 		for ; in != nil; in = in.next {
 			chained++
-			if in.hash != hash || in.pos >= len(cs.list) || cs.list[in.pos] != in {
+			if in.hash != hash || in.pos < 0 || in.pos >= len(cs.list) || cs.list[in.pos] != in {
 				t.Fatalf("%s: chain %#x holds %s, which is not a member under that hash", when, hash, in.Key())
 			}
 		}
@@ -133,23 +202,35 @@ func (h *csHarness) check(t testing.TB, when string) {
 	if chained != len(cs.list) {
 		t.Fatalf("%s: %d instantiations are chained, %d are members", when, chained, len(cs.list))
 	}
+	if len(cs.graves) != 0 {
+		t.Fatalf("%s: %d graves outlived their phase", when, len(cs.graves))
+	}
 }
 
 // TestConflictSetMatchesKeyedReference holds the conflict set —
 // identity by production and wme IDs, hashed and compared without
 // building a key — to the map keyed by InstChange.Key it replaced, on
 // random sequences of adds, duplicate adds, deletes, deletes of the
-// absent, refractions, excises and resets, checked after every step.
-// It runs once with the full hash and once with the hash cut to two
-// bits, so that every chain operation (insert at the head, unlink from
-// the head, the middle and the tail) runs under collisions.
+// absent, refractions, excises, resets and match phases, checked after
+// every step. Two steps in three queue a phase's delta, over a third of
+// the identities, so a phase names a few of them several times. It
+// runs once with the full hash and once with the hash cut to two bits,
+// so that every chain operation (insert at the head, unlink from the
+// head, the middle and the tail) runs under collisions.
 func TestConflictSetMatchesKeyedReference(t *testing.T) {
 	for _, mask := range []uint64{^uint64(0), 3} {
 		rng := rand.New(rand.NewSource(23))
 		h := newCSHarness(t, mask)
 		longest := 0
-		for step := 0; step < 5000; step++ {
-			h.step(byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+		for step := 0; step <= 5000; step++ {
+			switch {
+			case step == 5000:
+				h.phase()
+			case rng.Intn(3) > 0:
+				h.step(8, byte(rng.Intn(5)), byte(rng.Intn(5)))
+			default:
+				h.step(byte(rng.Intn(256)), byte(rng.Intn(256)), byte(rng.Intn(256)))
+			}
 			h.check(t, fmt.Sprintf("mask %#x step %d", mask, step))
 			for _, in := range h.cs.index {
 				n := 0
@@ -166,17 +247,26 @@ func TestConflictSetMatchesKeyedReference(t *testing.T) {
 }
 
 // FuzzConflictSet is the same check on sequences the fuzzer writes:
-// three bytes a step, under the two-bit mask.
+// three bytes a step, under the two-bit mask. A step whose first byte
+// is 8 (mod 9) queues a delta of a match phase; the script's end
+// absorbs what is still queued.
 func FuzzConflictSet(f *testing.F) {
-	f.Add([]byte{0, 0, 0, 0, 0, 0, 3, 0, 0, 3, 0, 0})           // duplicate add, delete, delete of the absent
-	f.Add([]byte{0, 1, 2, 1, 6, 2, 2, 11, 2, 5, 1, 0, 7, 1, 0}) // three productions, one pair; refract; excise
-	f.Add([]byte{0, 1, 2, 0, 2, 1, 0, 3, 4, 7, 8, 0, 0, 1, 2})  // reset, then use again
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 3, 0, 0, 3, 0, 0})                                     // duplicate add, delete, delete of the absent
+	f.Add([]byte{0, 1, 2, 1, 6, 2, 2, 11, 2, 5, 1, 0, 7, 1, 0})                           // three productions, one pair; refract; excise
+	f.Add([]byte{0, 1, 2, 0, 2, 1, 0, 3, 4, 7, 8, 0, 0, 1, 2})                            // reset, then use again
+	f.Add([]byte{0, 1, 2, 5, 0, 0, 8, 1, 2, 8, 1, 2})                                     // fire one; a phase deletes and adds it: it stays fired
+	f.Add([]byte{0, 1, 2, 5, 0, 0, 8, 1, 2, 8, 1, 2, 8, 1, 2})                            // fire one; delete, add, delete: it is gone
+	f.Add([]byte{0, 1, 2, 8, 1, 2, 8, 1, 2, 8, 1, 2})                                     // a member: delete, add, delete
+	f.Add([]byte{8, 1, 2, 8, 1, 2, 0, 3, 4})                                              // a transient: add then delete
+	f.Add([]byte{0, 1, 2, 0, 3, 4, 5, 0, 0, 8, 1, 2, 8, 3, 4, 8, 3, 4, 8, 1, 2, 8, 6, 7}) // two phases' worth interleaved
 	f.Fuzz(func(t *testing.T, script []byte) {
 		h := newCSHarness(t, 3)
 		for i := 0; i+2 < len(script) && i < 3*400; i += 3 {
 			h.step(script[i], script[i+1], script[i+2])
 			h.check(t, fmt.Sprintf("step %d", i/3))
 		}
+		h.phase()
+		h.check(t, "the last phase")
 	})
 }
 
@@ -337,5 +427,61 @@ func TestResetScrubsTheFreeLists(t *testing.T) {
 	runSession(t, s, sessionTestWMEs(5), 100)
 	if got := fingerprint(t, s, &out); got != want {
 		t.Fatalf("the next tenant ran differently:\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestPhaseOfGravesIsLinear: one match phase of n Deletes that find no
+// member — n fired instantiations the matcher unmade — then the n Adds
+// that remake them, each cancelling against its grave. An Add finds its
+// grave through the set's index, so the phase costs O(n); a scan of the
+// phase's graves would cost O(n²), 100 times as much for 10 times the
+// deltas. Once warmed, the phase allocates nothing, and it leaves the
+// set as it found it.
+func TestPhaseOfGravesIsLinear(t *testing.T) {
+	p, err := ops5.ParseProduction(`(p fire (x ^v 1) -(y ^v 1) (z ^v 1) --> (halt))`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info := &rete.ProdInfo{Prod: p, Node: &rete.Node{ID: 7, Kind: rete.KindProduction}}
+	wmes := make([]*ops5.WME, 100)
+	for i := range wmes {
+		wmes[i] = ops5.NewWME("x", "v", 1)
+		wmes[i].ID, wmes[i].TimeTag = i+1, i+1
+	}
+	phase := func(n int) []rete.InstChange {
+		deltas := make([]rete.InstChange, 2*n)
+		for i := range n {
+			ws := []*ops5.WME{wmes[i/len(wmes)], nil, wmes[i%len(wmes)]}
+			deltas[i] = rete.InstChange{Tag: rete.Delete, Info: info, WMEs: ws}
+			deltas[n+i] = rete.InstChange{Tag: rete.Add, Info: info, WMEs: ws}
+		}
+		return deltas
+	}
+	cs := newConflictSet()
+	best := func(deltas []rete.InstChange) time.Duration {
+		cs.absorb(deltas) // warm the free list and the index
+		d := time.Duration(math.MaxInt64)
+		for range 5 {
+			start := time.Now()
+			cs.absorb(deltas)
+			d = min(d, time.Since(start))
+		}
+		return d
+	}
+	small, large := phase(1000), phase(10000)
+	ts, tl := best(small), best(large)
+	t.Logf("a phase of 1,000 graves and their adds: %v; of 10,000: %v (%.1fx)", ts, tl, float64(tl)/float64(ts))
+	if tl > 40*ts {
+		t.Errorf("10 times the graves cost %.1f times as much, want about 10", float64(tl)/float64(ts))
+	}
+	// The index settles after a few phases' rehashes.
+	for range 20 {
+		cs.absorb(large)
+	}
+	if avg := testing.AllocsPerRun(10, func() { cs.absorb(large) }); avg != 0 {
+		t.Errorf("a warmed phase of 10,000 graves allocates %.0f times, want 0", avg)
+	}
+	if len(cs.list) != 0 || len(cs.index) != 0 || len(cs.graves) != 0 {
+		t.Errorf("after the phase: %d members, %d chains, %d graves; want none", len(cs.list), len(cs.index), len(cs.graves))
 	}
 }

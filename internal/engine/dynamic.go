@@ -81,6 +81,6 @@ func (e *Session) AddProductionLive(p *ops5.Production) error {
 	for _, id := range ids {
 		changes = append(changes, rete.Change{Tag: rete.Add, WME: e.wm[id]})
 	}
-	e.absorb(m.ApplyFiltered(changes, func(n *rete.Node) bool { return allowed[n] }))
+	e.conflict.absorb(m.ApplyFiltered(changes, func(n *rete.Node) bool { return allowed[n] }))
 	return nil
 }

@@ -310,7 +310,7 @@ func (e *Session) match() {
 			delete(e.wm, ch.WME.ID)
 		}
 	}
-	e.absorb(e.matcher.Apply(changes))
+	e.conflict.absorb(e.matcher.Apply(changes))
 	for _, ch := range changes {
 		if ch.Tag == rete.Delete {
 			e.free.Retire(ch.WME)
@@ -325,19 +325,6 @@ func (e *Session) match() {
 // conform returns the session's own copy of w, laid out by the
 // network's layout of its class.
 func (e *Session) conform(w *ops5.WME) *ops5.WME { return e.free.Row(e.c.net.Layout(w.Class), w) }
-
-// absorb applies a match phase's deltas to the conflict set. It is the
-// last reader of every delta's WMEs array, which the matcher only lends
-// (rete.InstBuilder.Build): the set copies what it keeps.
-func (e *Session) absorb(deltas []rete.InstChange) {
-	for i := range deltas {
-		if ic := &deltas[i]; ic.Tag == rete.Add {
-			e.conflict.add(ic)
-		} else {
-			e.conflict.delete(ic)
-		}
-	}
-}
 
 // ConflictSet returns the current instantiations sorted best-first
 // under the configured strategy. The slice is the caller's; the members

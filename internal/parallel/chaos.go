@@ -8,8 +8,8 @@ package parallel
 //   - drained activation runs are randomly re-interleaved, preserving
 //     only per-bucket FIFO order — the one ordering the hashed
 //     memories rely on (a token's add and delete hash to the same
-//     bucket, and the netted conflict set is order-independent beyond
-//     that);
+//     bucket, and so do an instantiation's deltas, whose order is all
+//     the engine's conflict set reads; see Driver.Cycle);
 //   - turns are randomly split, with the tail of a batch carried into
 //     a later turn, so end-of-turn bookkeeping (conflict-set delivery,
 //     counter publication, termination-detection deregistration) fires
@@ -26,7 +26,7 @@ package parallel
 // the same perturbation schedule; the budgets have a stream of their
 // own, so cycle k draws the same budget however often the four-counter
 // poll yielded before it. The invariant the whole layer must
-// uphold — and the differential harness asserts — is that the netted
+// uphold — and the differential harness asserts — is that the
 // per-cycle conflict sets and final working memory are identical to an
 // unperturbed run.
 

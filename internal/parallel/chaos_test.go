@@ -11,8 +11,9 @@ import (
 
 // TestChaosParity runs the random add/delete parity check with the
 // chaos layer enabled: reordered drains, split turns, deferred
-// flushes, and jittered termination detection must leave the netted
-// conflict-set trajectory identical to the sequential matcher's. The
+// flushes, and jittered termination detection must leave the
+// conflict-set trajectory identical to the sequential matcher's, every
+// cycle's deltas alternating per instantiation (applyDeltas). The
 // heavyweight many-seed sweep lives in internal/difftest; this is the
 // in-package smoke that chaos itself upholds the invariant.
 func TestChaosParity(t *testing.T) {
@@ -62,8 +63,8 @@ func TestChaosParity(t *testing.T) {
 								live = append(live, w)
 							}
 						}
-						applyDeltas(seqCS, seq.Apply(ch))
-						applyDeltas(parCS, rt.Apply(ch))
+						applyDeltas(t, seqCS, seq.Apply(ch))
+						applyDeltas(t, parCS, rt.Apply(ch))
 						if !setsEqual(seqCS, parCS) {
 							t.Fatalf("divergence at cycle %d:\nseq: %v\npar: %v", i, seqCS, parCS)
 						}
@@ -98,7 +99,7 @@ func TestChaosCrossProductBurst(t *testing.T) {
 		id++
 		changes = append(changes, rete.Change{Tag: rete.Add, WME: w2})
 	}
-	applyDeltas(cs, rt.Apply(changes))
+	applyDeltas(t, cs, rt.Apply(changes))
 	if len(cs) != 1600 {
 		t.Fatalf("cross product = %d, want 1600", len(cs))
 	}
@@ -129,7 +130,7 @@ func TestChaosRepartition(t *testing.T) {
 			id++
 			ch = append(ch, rete.Change{Tag: rete.Add, WME: w})
 		}
-		applyDeltas(cs, rt.Apply(ch))
+		applyDeltas(t, cs, rt.Apply(ch))
 		newPart := make([]int, 16)
 		for b := range newPart {
 			newPart[b] = (b + round) % 4

@@ -23,7 +23,8 @@ import (
 //
 //   - Per-sender FIFO: messages from one sender to one worker arrive in
 //     send order (add-before-delete ordering of same-token activations
-//     relies on it).
+//     relies on it, and so does the order of one instantiation's deltas
+//     that the engine's conflict set reads; see Cycle).
 //   - Synchronous capture: a call captures the messages and everything
 //     they reference before it returns; the driver reuses the cycle
 //     packet and its buffers, and the caller the changes slice, as soon
@@ -46,7 +47,7 @@ type Carrier interface {
 // Driver is the cycle driver: the control processor of the paper's
 // mapping, written once for every carrier. It owns the termination
 // detectors, root broadcast (Fig 3-3) or routing (Fig 3-2), the
-// conflict-set intake and netting, the rebalance detector and the
+// conflict-set intake, the rebalance detector and the
 // migration protocol, the causal control track, cycle numbering, and
 // the run's statistics. A carrier embeds it: Runtime adds goroutine
 // workers over mailboxes, transport.Control adds worker connections.
@@ -104,12 +105,10 @@ type Driver struct {
 	handled  []int64
 	moves    []int32
 
-	// insts is the conflict-set intake; TurnDone appends each turn's
-	// deltas in bulk. netting holds the netting scratch reused across
-	// cycles.
-	instMu  sync.Mutex
-	insts   []rete.InstChange
-	netting netter
+	// insts is the conflict-set intake, Cycle's result; TurnDone appends
+	// each turn's deltas in bulk.
+	instMu sync.Mutex
+	insts  []rete.InstChange
 
 	// balancer is the online rebalance detector/planner (nil unless
 	// Options.Rebalance is enabled); loadMu guards bucketLoad, the
@@ -326,14 +325,16 @@ func (d *Driver) Apply(changes []rete.Change) []rete.InstChange {
 	return insts
 }
 
-// Cycle runs one parallel match phase and returns the conflict-set
-// deltas, netted per instantiation and deterministically ordered: by
-// production name, then by the matched wmes' IDs compared as numbers,
-// condition element by condition element (delivery order across workers
-// is not deterministic; the netted set is). The records are the caller's
-// for good; every WMEs array is the caller's to read until the next
-// Cycle (see netter). A lost message — a broken connection, a malformed
-// frame — is an error, never a hang.
+// Cycle runs one parallel match phase and returns its intake as it
+// stands: the in-place head's deltas, then each turn's as the turns
+// ended, valid until the next Cycle. The engine's conflict set settles
+// the phase from them in order, which the driver keeps right: every
+// delta of one instantiation is made at one bucket (the terminal
+// two-input node's for its equality values, or the group's home bucket
+// under bounded) by that bucket's single owner in FIFO order; the
+// in-place head's deltas come before any hand-off's; and migration
+// happens only between cycles. A lost message — a broken connection, a
+// malformed frame — is an error, never a hang.
 func (d *Driver) Cycle(changes []rete.Change) ([]rete.InstChange, error) {
 	if d.Closed() {
 		return nil, errors.New("parallel: Cycle after Close")
@@ -380,7 +381,7 @@ func (d *Driver) Cycle(changes []rete.Change) ([]rete.InstChange, error) {
 			return nil, err
 		}
 	}
-	return d.netting.net(d.insts), nil
+	return d.insts, nil
 }
 
 // inPlaceActs is how many activations of a cycle the driver performs in
@@ -691,7 +692,7 @@ type Stats struct {
 	// workers.
 	MsgsSent []int64
 	// Insts counts instantiation deltas delivered to the control side
-	// over all cycles (before netting).
+	// over all cycles.
 	Insts int64
 	// InPlace counts the cycles the driver performed whole on the
 	// caller's goroutine; HandedOff those it began there and handed to
@@ -723,93 +724,4 @@ func (d *Driver) Stats() Stats {
 // after Close — which is when post-mortem analysis runs.
 func (d *Driver) FlightDump() *obs.FlightDump {
 	return d.causal.Dump()
-}
-
-// netter nets raw deltas per instantiation: within one match phase an
-// instantiation may be added and deleted several times (e.g. through
-// negative-node transients whose interleaving is order-dependent); only
-// the net effect is meaningful, and netting makes the result
-// independent of worker scheduling. An instantiation is its production
-// and its wmes' IDs by condition-element position (nil positions
-// included): rete.InstChange's Hash and Same. The accumulators, the
-// open-addressing index over them and the sort permutation are scratch
-// reused across cycles; the returned slice is carved from result and
-// never reused (callers may retain it). A netted delta is the last raw
-// delta of its instantiation under the net's tag: every raw delta of
-// one instantiation names the same wmes, and every array is lent until
-// the next cycle (rete.InstBuilder.Build), so which one it carries
-// makes no difference to the engine, which copies what it keeps.
-type netter struct {
-	accs   []netAcc
-	index  []int32 // open addressing: 1 + position in accs, 0 for empty
-	order  []int32 // the standing accumulators, in output order
-	result rete.InstBuilder
-}
-
-// netAcc is one instantiation's running net: adds minus deletes, and
-// the position in the raw deltas of the last one seen.
-type netAcc struct {
-	net  int32
-	last int32
-}
-
-func (n *netter) net(raw []rete.InstChange) []rete.InstChange {
-	if len(raw) == 0 {
-		return nil
-	}
-	// At most half full, and cleared only as far as this phase reaches.
-	size := 4
-	for size < 2*len(raw) {
-		size *= 2
-	}
-	if len(n.index) < size {
-		n.index = make([]int32, size)
-	}
-	index := n.index[:size]
-	clear(index)
-	n.accs = n.accs[:0]
-	for i := range raw {
-		ic := &raw[i]
-		slot := ic.Hash() & uint64(size-1)
-		for index[slot] != 0 && !ic.Same(&raw[n.accs[index[slot]-1].last]) {
-			slot = (slot + 1) & uint64(size-1)
-		}
-		if index[slot] == 0 {
-			n.accs = append(n.accs, netAcc{})
-			index[slot] = int32(len(n.accs))
-		}
-		a := &n.accs[index[slot]-1]
-		if ic.Tag == rete.Add {
-			a.net++
-		} else {
-			a.net--
-		}
-		a.last = int32(i)
-	}
-	n.order = n.order[:0]
-	for i := range n.accs {
-		if n.accs[i].net != 0 {
-			n.order = append(n.order, int32(i))
-		}
-	}
-	if len(n.order) == 0 {
-		return nil
-	}
-	// Sort the permutation, not the deltas.
-	if len(n.order) > 1 {
-		slices.SortFunc(n.order, func(a, b int32) int {
-			return raw[n.accs[a].last].Compare(&raw[n.accs[b].last])
-		})
-	}
-	out := n.result.Result(len(n.order))
-	for _, ai := range n.order {
-		a := &n.accs[ai]
-		ic := raw[a.last]
-		ic.Tag = rete.Add
-		if a.net < 0 {
-			ic.Tag = rete.Delete
-		}
-		out = append(out, ic)
-	}
-	return out
 }

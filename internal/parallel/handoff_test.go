@@ -198,9 +198,11 @@ func handOffRounds(t *testing.T) map[string]struct {
 // TestHandOffKeepsConflictSet drives the in-place head and its hand-off
 // at every budget (and, as "chaos", at budgets the chaos layer draws,
 // with its split and shuffled turns), in both root modes, at one worker
-// and at three, and holds the netted conflict-set deltas of every cycle
-// to a sequential matcher's over the same network. It rides CI's -race run of this
-// package, and it fails in the two ways the hand-off was first broken:
+// and at three, and holds every cycle's conflict-set deltas, netted, to
+// a sequential matcher's over the same network, and raw to the condition
+// the engine's conflict set settles a phase by (applyDeltas). It rides
+// CI's -race run of this package, and it fails in the two ways the
+// hand-off was first broken:
 // emptying a step's queue after the first delivery is visible is a data
 // race on that queue (reported under -race, and otherwise a hang or a
 // wrong set from one run to the next), and handing a worker its share
@@ -237,30 +239,19 @@ func TestHandOffKeepsConflictSet(t *testing.T) {
 							rt.budget = budget
 						}
 
-						var want netter
-						id, cycle, standing := 1, 0, 0
+						id, cycle, has := 1, 0, map[string]bool{}
 						for r := 0; r < rounds; r++ {
 							for _, ch := range prog.round(&id) {
 								cycle++
-								exp := want.net(seq.Apply(ch))
-								got := rt.Apply(ch)
-								if len(got) != len(exp) {
-									t.Fatalf("round %d cycle %d (%d changes): %d deltas, sequential %d", r, cycle, len(ch), len(got), len(exp))
-								}
-								for i := range exp {
-									if got[i].Tag != exp[i].Tag || !got[i].Same(&exp[i]) {
-										t.Fatalf("round %d cycle %d: delta %d is %s %s, sequential %s %s",
-											r, cycle, i, got[i].Tag, got[i].Key(), exp[i].Tag, exp[i].Key())
-									}
-									if exp[i].Tag == rete.Add {
-										standing++
-									} else {
-										standing--
-									}
+								exp := netKeys(seq.Apply(ch))
+								raw := rt.Apply(ch)
+								applyDeltas(t, has, raw)
+								if got := netKeys(raw); fmt.Sprint(got) != fmt.Sprint(exp) {
+									t.Fatalf("round %d cycle %d (%d changes): deltas net to\n%v\nsequential\n%v", r, cycle, len(ch), got, exp)
 								}
 							}
-							if standing != 0 {
-								t.Fatalf("round %d: %d instantiations survive the delete burst", r, standing)
+							if len(has) != 0 {
+								t.Fatalf("round %d: %d instantiations survive the delete burst", r, len(has))
 							}
 						}
 						st := rt.Stats()
@@ -280,15 +271,13 @@ func TestHandOffKeepsConflictSet(t *testing.T) {
 }
 
 // TestInPlaceCycleAllocs pins what a warmed one-change cycle of 8-queens
-// allocates when it drains in place: nothing of its own. The netted
-// result is carved from the driver's slab (rete.InstBuilder); every
-// delta's wme array is lent from the head's processor, and its phase
-// tokens are carved there too, from arenas the head rewinds at the top
-// of each cycle; memory entries live in their buckets, and the FIFO is
-// reused. What is left is a new slab or arena chunk every hundred-odd
-// cycles. A key string or a map bucket per delta — what netting cost
-// before it compared IDs — would show here, and so would anything the
-// in-place path allocated per activation.
+// allocates when it drains in place: nothing of its own. The result is
+// the driver's intake, reused across cycles; every delta's wme array is
+// lent from the head's processor, and its phase tokens are carved there
+// too, from arenas the head rewinds at the top of each cycle; memory
+// entries live in their buckets, and the FIFO is reused. What is left
+// is a new arena chunk every hundred-odd cycles. Anything the in-place
+// path allocated per activation or per delta would show here.
 func TestInPlaceCycleAllocs(t *testing.T) {
 	prog, err := ops5.ParseProgram(workloads.Queens)
 	if err != nil {
@@ -343,149 +332,5 @@ func TestInPlaceCycleAllocs(t *testing.T) {
 	t.Logf("%.0f allocations per in-place cycle pair", avg)
 	if avg > 1 {
 		t.Errorf("a one-change in-place cycle pair allocates %.0f times, want <= 1", avg)
-	}
-}
-
-// TestNetMatchesKeyedReference holds the netter — identity by production
-// and wme IDs, hashed and compared without building a key — to netting
-// by InstChange.Key in a map, on random phases dense with repeats, and
-// checks the order Cycle documents: production name, then IDs as
-// numbers (so [2 10] precedes [10 2], which the key strings do not).
-func TestNetMatchesKeyedReference(t *testing.T) {
-	var infos []*rete.ProdInfo
-	for i, name := range []string{"b", "a", "ab"} {
-		p, err := ops5.ParseProduction(fmt.Sprintf(`(p %s (x ^v 1) -(y ^v 1) (z ^v 1) --> (halt))`, name))
-		if err != nil {
-			t.Fatal(err)
-		}
-		infos = append(infos, &rete.ProdInfo{Prod: p, Node: &rete.Node{ID: i, Kind: rete.KindProduction}})
-	}
-	wmes := make([]*ops5.WME, 13)
-	for i := range wmes {
-		wmes[i] = ops5.NewWME("x", "v", 1)
-		wmes[i].ID = i + 1
-	}
-	rng := newChaos(5, 0).rng
-	var n netter
-	for phase := 0; phase < 300; phase++ {
-		raw := make([]rete.InstChange, rng.Intn(40))
-		ref := map[string]int{}
-		for i := range raw {
-			raw[i] = rete.InstChange{
-				Tag:  rete.Tag(rng.Intn(2)),
-				Info: infos[rng.Intn(len(infos))],
-				// The negated middle position is nil, as InstBuilder.Build leaves it.
-				WMEs: []*ops5.WME{wmes[rng.Intn(4)*3], nil, wmes[rng.Intn(len(wmes))]},
-			}
-			if raw[i].Tag == rete.Add {
-				ref[raw[i].Key()]++
-			} else {
-				ref[raw[i].Key()]--
-			}
-		}
-		out := n.net(raw)
-		for i := range out {
-			k := out[i].Key()
-			if want := ref[k]; want == 0 || (want > 0) != (out[i].Tag == rete.Add) {
-				t.Fatalf("phase %d: %s %s, reference nets it to %d", phase, out[i].Tag, k, want)
-			}
-			delete(ref, k)
-			if i > 0 && out[i-1].Compare(&out[i]) >= 0 {
-				t.Fatalf("phase %d: %s before %s", phase, out[i-1].Key(), k)
-			}
-		}
-		for k, want := range ref {
-			if want != 0 {
-				t.Fatalf("phase %d: %s nets to %d in the reference and is missing", phase, k, want)
-			}
-		}
-	}
-	a := rete.InstChange{Info: infos[1], WMEs: []*ops5.WME{wmes[1], nil, wmes[9]}}
-	b := rete.InstChange{Info: infos[1], WMEs: []*ops5.WME{wmes[9], nil, wmes[1]}}
-	if a.Compare(&b) >= 0 || a.Key() < b.Key() {
-		t.Errorf("%s and %s: numeric order should differ from the keys' lexical order", a.Key(), b.Key())
-	}
-	if a.Compare(&rete.InstChange{Info: infos[2], WMEs: a.WMEs}) >= 0 {
-		t.Error(`production "a" should precede "ab"`)
-	}
-}
-
-// TestNetHandsOnAnAddsArray: a netted delta hands on an array that
-// names its instantiation's wmes, whichever raw delta it came from, and
-// that array is lent like every other: the engine's conflict set copies
-// an Add's wmes into the member it fills, so an array need only read
-// right until the next cycle. Two steps deliver the deltas of one
-// instantiation, as two workers' turns do. Before the next phase the
-// netted delta has the net's tag and reads as its wmes; once both
-// processors begin their next phase with the poison on, every raw
-// array, an Add's as much as a Delete's, reads as the sentinel, so
-// nothing a netted delta carried was carved for good.
-func TestNetHandsOnAnAddsArray(t *testing.T) {
-	t.Cleanup(rete.PoisonRewinds())
-	prog, err := ops5.ParseProgram(`(p pair (a ^v 1) -(veto ^v 1) (b ^v 1) --> (halt))`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	net, err := rete.Compile(prog.Productions)
-	if err != nil {
-		t.Fatal(err)
-	}
-	term := net.Prods["pair"].Node
-	wa, wb := ops5.NewWME("a", "v", 1), ops5.NewWME("b", "v", 1)
-	wa.ID, wa.TimeTag, wb.ID, wb.TimeTag = 3, 3, 17, 17
-	tab := rete.NewTable()
-	tok := rete.Token{H: tab.Handles([]rete.Change{{Tag: rete.Add, WME: wa}, {Tag: rete.Add, WME: wb}}, nil)}
-
-	const A, D = rete.Add, rete.Delete
-	for _, row := range []struct {
-		name    string
-		steps   [2][]rete.Tag // the deltas each step delivers, in order
-		want    rete.Tag      // the net's tag
-		cancels bool          // the deltas net to nothing
-	}{
-		{"add, add | delete", [2][]rete.Tag{{A, A}, {D}}, A, false},
-		{"add | delete, add, add, delete", [2][]rete.Tag{{A}, {D, A, A, D}}, A, false},
-		{"delete, add | add", [2][]rete.Tag{{D, A}, {A}}, A, false},
-		{"add, delete | add", [2][]rete.Tag{{A, D}, {A}}, A, false},
-		{"delete | add", [2][]rete.Tag{{D}, {A}}, D, true},
-		{"delete, delete | add", [2][]rete.Tag{{D, D}, {A}}, D, false},
-	} {
-		t.Run(row.name, func(t *testing.T) {
-			var raw []rete.InstChange
-			var procs [2]*rete.Processor
-			var builders [2]rete.InstBuilder
-			for i, tags := range row.steps {
-				procs[i] = rete.NewProcessor(net, 16, tab)
-				procs[i].BeginPhase() // an owner that rewinds: the in-place head, a socket worker
-				var acts []rete.Activation
-				for _, tag := range tags {
-					acts = append(acts, rete.Activation{Node: term, Side: rete.Left, Tag: tag, Token: tok})
-				}
-				raw = append(raw, builders[i].Build(procs[i], acts, nil)...)
-			}
-			var n netter
-			out := n.net(raw)
-			switch {
-			case row.cancels && len(out) != 0:
-				t.Fatalf("net = %v, want nothing", out)
-			case !row.cancels && (len(out) != 1 || out[0].Tag != row.want):
-				t.Fatalf("net = %v, want one %v", out, row.want)
-			}
-			for _, ic := range out {
-				if got := ic.WMEs; len(got) != 3 || got[0] != wa || got[1] != nil || got[2] != wb {
-					t.Fatalf("the netted %v reads %v, want [%v <nil> %v]", ic.Tag, got, wa, wb)
-				}
-			}
-			for _, p := range procs {
-				p.BeginPhase()
-			}
-			for i := range raw {
-				for _, w := range raw[i].WMEs {
-					if w == nil || w.ID != -1 {
-						t.Fatalf("raw %v %d reads %v after the next phase began: it was not lent from the rewound arena", raw[i].Tag, i, raw[i].WMEs)
-					}
-				}
-			}
-		})
 	}
 }

@@ -24,8 +24,8 @@ func rotatedPartition(nbuckets, workers, shift int) sched.Partition {
 }
 
 // TestForcedMigrationParity is the migration metamorphic property: for
-// any trajectory of wme changes and any migration schedule, the netted
-// conflict-set output must be byte-identical to the static run —
+// any trajectory of wme changes and any migration schedule, the
+// conflict-set trajectory must be identical to the static run's —
 // migration moves state, never match semantics. The schedule here is
 // the worst case the hook can express: every bucket changes owner at
 // every cycle boundary, so every stored token is extracted, shipped,
@@ -58,8 +58,8 @@ func TestForcedMigrationParity(t *testing.T) {
 				cycles := 0
 				step := func(tag rete.Tag, w *ops5.WME) {
 					ch := []rete.Change{{Tag: tag, WME: w}}
-					applyDeltas(seqCS, seq.Apply(ch))
-					applyDeltas(parCS, rt.Apply(ch))
+					applyDeltas(t, seqCS, seq.Apply(ch))
+					applyDeltas(t, parCS, rt.Apply(ch))
 					cycles++
 					if !setsEqual(seqCS, parCS) {
 						t.Fatalf("divergence after %v %v:\nseq: %v\npar: %v", tag, w, seqCS, parCS)
@@ -101,7 +101,7 @@ func TestForcedMigrationParity(t *testing.T) {
 
 // TestAdaptiveRebalanceParity runs the online detector end to end on a
 // pathologically bad initial assignment (every bucket on worker 0):
-// the balancer must migrate load off the hot worker while the netted
+// the balancer must migrate load off the hot worker while the
 // conflict-set trajectory stays identical to the sequential matcher's.
 func TestAdaptiveRebalanceParity(t *testing.T) {
 	srcs := []string{`(p j (a ^x <v>) (b ^x <v>) --> (halt))`}
@@ -135,8 +135,8 @@ func TestAdaptiveRebalanceParity(t *testing.T) {
 				ch = append(ch, rete.Change{Tag: rete.Add, WME: w})
 			}
 		}
-		applyDeltas(seqCS, seq.Apply(ch))
-		applyDeltas(parCS, rt.Apply(ch))
+		applyDeltas(t, seqCS, seq.Apply(ch))
+		applyDeltas(t, parCS, rt.Apply(ch))
 		if !setsEqual(seqCS, parCS) {
 			t.Fatalf("divergence at cycle %d:\nseq: %d insts\npar: %d insts", cycle, len(seqCS), len(parCS))
 		}

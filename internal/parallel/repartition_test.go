@@ -34,8 +34,8 @@ func TestRepartitionPreservesMatchState(t *testing.T) {
 
 	step := func(tag rete.Tag, w *ops5.WME) {
 		ch := []rete.Change{{Tag: tag, WME: w}}
-		applyDeltas(seqCS, seq.Apply(ch))
-		applyDeltas(parCS, rt.Apply(ch))
+		applyDeltas(t, seqCS, seq.Apply(ch))
+		applyDeltas(t, parCS, rt.Apply(ch))
 		if !setsEqual(seqCS, parCS) {
 			t.Fatalf("divergence after %v %v", tag, w)
 		}

@@ -77,8 +77,8 @@ type Options struct {
 	// quiescence, and when the detector arms (threshold, hysteresis,
 	// min-interval knobs — see sched.Rebalance) hot buckets migrate to
 	// new owners at the cycle boundary through the Repartition
-	// machinery. The netted conflict-set output is byte-identical to
-	// the static run — migration moves state, never match semantics.
+	// machinery. The conflict sets are identical to the static run's —
+	// migration moves state, never match semantics.
 	Rebalance sched.Rebalance
 	// ForceMigrate, when non-nil, is consulted at every cycle boundary
 	// (after the cycle's quiescence) with the 1-based number of the
@@ -96,8 +96,8 @@ type Options struct {
 	// broadcasting the cycle's changes for every worker to filter (the
 	// Fig 3-3 default). Routing eliminates the redundant all-workers
 	// constant-test pass at the cost of serializing constant tests on
-	// the control goroutine; the netted instantiation output is
-	// identical either way.
+	// the control goroutine; the conflict sets are identical either
+	// way.
 	RouteRoots bool
 	// ChaosSeed, when non-zero, enables the chaos scheduling layer
 	// (see chaos.go): workers randomly reorder drained activation runs
@@ -105,9 +105,9 @@ type Options struct {
 	// relies on), split turns, and jitter timing, and the driver draws
 	// each cycle's in-place budget at random, so -race stress explores
 	// interleavings and hand-off points a quiet machine never produces.
-	// The netted conflict-set output must be unchanged
-	// — the differential harness asserts exactly that. Zero (the
-	// default) compiles to the unperturbed fast path.
+	// The conflict sets must be unchanged — the differential harness
+	// asserts exactly that. Zero (the default) compiles to the
+	// unperturbed fast path.
 	ChaosSeed int64
 	// Metrics, when non-nil, receives runtime counters; currently
 	// parallel.dropped_post_close, the number of messages dropped by

@@ -126,8 +126,8 @@ func NewStep(proc *rete.Processor, id, workers int, part sched.Partition, trackL
 // so that their arenas are rewound and carved again
 // (rete.Processor.BeginPhase). It is the carrier's call, made only where
 // the carrier can show it: the cycle driver at the top of a cycle it
-// heads in place (the last cycle's result was netted and handed to a
-// caller who absorbed it), the socket worker at the top of every turn,
+// heads in place (the last cycle's result was handed to a caller who
+// absorbed it), the socket worker at the top of every turn,
 // whose predecessor encoded everything it made before it returned. The
 // goroutine worker never calls it.
 func (s *Step) BeginPhase() { s.proc.BeginPhase() }

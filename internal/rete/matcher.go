@@ -1,9 +1,7 @@
 package rete
 
 import (
-	"cmp"
 	"strconv"
-	"strings"
 
 	"mpcrete/internal/ops5"
 )
@@ -63,8 +61,8 @@ func wmeID(w *ops5.WME) int {
 // wmes' IDs by condition-element position, negated positions included;
 // an add and its corresponding delete name the same one. Hash and Same
 // say so without printing anything and are what conflict-set
-// bookkeeping runs on (the engine's conflict set, the parallel driver's
-// netting); Key prints it, for whoever wants text.
+// bookkeeping runs on (the engine's conflict set); Key prints it, for
+// whoever wants text.
 //
 // The hash is FNV-1a over the production node's id and the wme IDs, a
 // word at a time, with the high half folded down so that a table
@@ -88,25 +86,6 @@ func (ic *InstChange) Same(o *InstChange) bool {
 		}
 	}
 	return true
-}
-
-// Compare orders instantiations by production name, then by the
-// matched wmes' IDs compared as numbers, condition element by condition
-// element — the order the parallel driver returns a cycle's netted
-// deltas in. It is not the order of the Key strings, which compare IDs
-// as text.
-func (ic *InstChange) Compare(o *InstChange) int {
-	if ic.Info != o.Info {
-		if c := strings.Compare(ic.Info.Prod.Name, o.Info.Prod.Name); c != 0 {
-			return c
-		}
-	}
-	for i := 0; i < len(ic.WMEs) && i < len(o.WMEs); i++ {
-		if c := cmp.Compare(wmeID(ic.WMEs[i]), wmeID(o.WMEs[i])); c != 0 {
-			return c
-		}
-	}
-	return cmp.Compare(len(ic.WMEs), len(o.WMEs))
 }
 
 // Key identifies the instantiation by production name and matched wme

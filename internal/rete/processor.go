@@ -106,8 +106,8 @@ func (p *Processor) Reset() {
 // handed out so far is dead: the activations that carried its delete
 // tokens have been performed, its production-only tokens have been
 // built into deltas, and the deltas whose WMEs arrays
-// InstBuilder.Build lent from it have been absorbed, netted or encoded
-// by whoever received them. It rewinds that arena, so the phase about
+// InstBuilder.Build lent from it have been absorbed or encoded by
+// whoever received them. It rewinds that arena, so the phase about
 // to start carves its tokens and lent arrays from the same storage
 // again. It frees no handle: that is the table owner's BeginPhase.
 //
@@ -351,14 +351,15 @@ func testsPass(n *Node, rows []*ops5.WME, t Token, w *ops5.WME) bool {
 const instChangeSlabMax = 128 // 5 KB
 
 // InstBuilder turns production-node activations into conflict-set
-// deltas. It owns the slab the delta records are carved from, so a
-// steady-state match phase builds its result without allocating; the
-// sequential Matcher and each parallel worker step own one apiece, and
-// the parallel cycle driver one for its netted result.
+// deltas. It owns the slab the delta records are carved from (Result),
+// so a steady-state match phase builds its result without allocating:
+// the sequential Matcher carves each result there, while a parallel
+// worker step and the cycle driver's in-place head append to a slice
+// they reuse.
 //
-// The records are never reused and belong to the caller: they may be
-// held across any number of later phases. Every delta's WMEs array is
-// lent (see Build): a conflict set copies what it keeps.
+// The records Result carves are never reused and belong to the caller:
+// they may be held across any number of later phases. Every delta's
+// WMEs array is lent (see Build): a conflict set copies what it keeps.
 // The zero value is ready to use.
 type InstBuilder struct {
 	out slab[InstChange]

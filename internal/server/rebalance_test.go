@@ -14,8 +14,8 @@ import (
 // TestParallelRebalanceSessions serves sessions whose match phase runs
 // on per-session parallel runtimes with the online adaptive
 // rebalancer armed hair-trigger from an all-on-worker-0 assignment
-// (Config.NewMatcher, the ops5d -parallel/-rebalance path). Every
-// session's snapshot must stay byte-identical to the sequential
+// (Config.NewMatcher; ops5d itself serves on the sequential engine).
+// Every session's snapshot must stay byte-identical to the sequential
 // oracle, and closed sessions must release their worker goroutines
 // rather than being shelved dirty.
 func TestParallelRebalanceSessions(t *testing.T) {

@@ -84,8 +84,9 @@ type Config struct {
 	Metrics *obs.Registry
 	// NewMatcher, when non-nil, constructs each session's match
 	// implementation (e.g. a parallel runtime with the adaptive
-	// rebalancer armed — ops5d -parallel/-rebalance). Sessions whose
-	// matcher cannot reset are closed on release instead of pooled.
+	// rebalancer armed; ops5d has no such flag and serves on the
+	// sequential engine). Sessions whose matcher cannot reset are
+	// closed on release instead of pooled.
 	NewMatcher func() engine.MatchApplier
 }
 

@@ -32,8 +32,8 @@ type ControlOptions struct {
 	// activation counts in their turn frames, the cycle driver folds
 	// them into a sched.Balancer at every quiescence, and armed replans
 	// migrate buckets over the wire (ftRepart/ftBucketRelay/ftBucket)
-	// at cycle boundaries. The netted conflict-set output is identical
-	// to the static run.
+	// at cycle boundaries. The conflict sets are identical to the
+	// static run's.
 	Rebalance sched.Rebalance
 	// ForceMigrate is parallel.Options.ForceMigrate: consulted at every
 	// quiescent cycle boundary with the 1-based completed cycle number;
@@ -54,7 +54,8 @@ type ControlOptions struct {
 
 // Control is the control process of the multi-process runtime: the
 // star carrier of parallel.Driver. The embedded driver owns the MRA
-// cycle — root delivery, termination detection, netting, rebalancing
+// cycle — root delivery, termination detection, the conflict-set
+// intake, rebalancing
 // (Cycle, Apply, Stats, RebalanceStats, FlightDump and Err are its
 // methods). Control is the hub that moves its messages: it encodes the
 // driver's deliveries into frames, forwards worker-to-worker traffic,

@@ -1,10 +1,10 @@
 // Package transport carries internal/parallel's messages over TCP:
 // length-prefixed frames with coalesced per-batch payloads, the wire
 // realization of the paper's message-passing machine. The mapping
-// itself — the cycle, routing, termination accounting, netting,
-// migration, and what a worker turn computes — is parallel.Driver and
-// parallel.Step; nothing here decides bucket ownership, nets
-// instantiations or plans moves. There is one carrier, a star of worker
+// itself — the cycle, routing, termination accounting, the
+// conflict-set intake, migration, and what a worker turn computes — is
+// parallel.Driver and parallel.Step; nothing here decides bucket
+// ownership or plans moves. There is one carrier, a star of worker
 // connections: the driver in the control process (Control, control.go),
 // one step per worker (ServeConn, worker.go), a handshake that ships
 // the program for each worker to compile, per-batch framing, and relay

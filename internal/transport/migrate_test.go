@@ -35,13 +35,23 @@ func compileProdsT(t *testing.T, srcs ...string) *rete.Network {
 	return net
 }
 
-// foldInsts folds conflict-set deltas into a set.
-func foldInsts(cs map[string]bool, deltas []rete.InstChange) {
+// foldInsts folds one match phase's conflict-set deltas into a set, in
+// order, and holds them to the condition the engine's conflict set
+// settles a phase by (parallel.Driver.Cycle): per instantiation the
+// tags alternate, and the first says whether the set had it before the
+// phase. Nothing here fires, so the set is what the matcher has: an Add
+// of a member or a Delete of what is not one breaks the condition.
+func foldInsts(t testing.TB, cs map[string]bool, deltas []rete.InstChange) {
+	t.Helper()
 	for _, ic := range deltas {
+		k := ic.Key()
+		if cs[k] == (ic.Tag == rete.Add) {
+			t.Fatalf("%s %s: the deltas do not alternate from the set's (has it: %v)", ic.Tag, k, cs[k])
+		}
 		if ic.Tag == rete.Add {
-			cs[ic.Key()] = true
+			cs[k] = true
 		} else {
-			delete(cs, ic.Key())
+			delete(cs, k)
 		}
 	}
 }
@@ -176,12 +186,12 @@ func TestCrossCarrierMigrationAccounting(t *testing.T) {
 			drv, closeCarrier := c.open(t, compileProdsT(t, migrationProds...))
 			seqCS, parCS := map[string]bool{}, map[string]bool{}
 			for i, ch := range script {
-				foldInsts(seqCS, seq.Apply(ch))
+				foldInsts(t, seqCS, seq.Apply(ch))
 				insts, err := drv.Cycle(ch)
 				if err != nil {
 					t.Fatal(err)
 				}
-				foldInsts(parCS, insts)
+				foldInsts(t, parCS, insts)
 				if !sameSet(seqCS, parCS) {
 					t.Fatalf("divergence at step %d:\nseq: %v\ngot: %v", i, seqCS, parCS)
 				}
@@ -287,86 +297,98 @@ func TestMigrationOrdersReachEveryWorker(t *testing.T) {
 // migration metamorphic property: buckets migrate between worker
 // processes over real TCP connections mid-run — extraction, wire
 // serialization, relay through the control process, and injection at
-// the new owner — and the netted conflict-set trajectory must stay
-// identical to the sequential matcher's. The forced schedule rotates
+// the new owner — and the conflict-set trajectory must stay identical
+// to the sequential matcher's, the deltas of every cycle alternating
+// per instantiation (foldInsts). The forced schedule rotates
 // the whole partition at every cycle boundary, so every resident token
 // crosses the wire between every pair of cycles.
 func TestControlForcedMigrationParity(t *testing.T) {
-	srcs := migrationProds
-	const nbuckets = 64
 	for _, routed := range []bool{false, true} {
 		t.Run(fmt.Sprintf("routed=%v", routed), func(t *testing.T) {
-			const workers = 3
-			net := compileProdsT(t, srcs...)
-			seq := rete.NewMatcher(compileProdsT(t, srcs...), rete.MatcherOptions{NBuckets: nbuckets})
-			ctl, err := Listen(net, "127.0.0.1:0", ControlOptions{
-				Workers:    workers,
-				NBuckets:   nbuckets,
-				RouteRoots: routed,
-				ForceMigrate: func(cycle int) sched.Partition {
-					p := make(sched.Partition, nbuckets)
-					for b := range p {
-						p[b] = (b + cycle) % workers
-					}
-					return p
-				},
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ctl.Close()
-			werrs := startWorkers(t, ctl.Addr(), workers)
-			if err := ctl.WaitWorkers(); err != nil {
-				t.Fatal(err)
-			}
-
-			seqCS, wireCS := map[string]bool{}, map[string]bool{}
-			cycles := 0
-			for i, ch := range churnScript(30) {
-				foldInsts(seqCS, seq.Apply(ch))
-				got, err := ctl.Cycle(ch)
-				if err != nil {
-					t.Fatal(err)
-				}
-				foldInsts(wireCS, got)
-				cycles++
-				if !sameSet(seqCS, wireCS) {
-					t.Fatalf("divergence at step %d:\nseq:  %v\nwire: %v", i, seqCS, wireCS)
-				}
-			}
-			migs, moved, entries := ctl.RebalanceStats()
-			if int(migs) != cycles {
-				t.Errorf("forced schedule migrated %d times over %d cycles", migs, cycles)
-			}
-			if moved == 0 {
-				t.Error("forced full rotations moved no buckets")
-			}
-			if entries == 0 {
-				t.Error("no entries crossed the wire despite resident state")
-			}
-
-			if err := ctl.Close(); err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < workers; i++ {
-				select {
-				case err := <-werrs:
-					if err != nil {
-						t.Fatalf("worker exit: %v", err)
-					}
-				case <-time.After(10 * time.Second):
-					t.Fatal("worker did not exit")
-				}
+			for _, workers := range []int{1, 2, 3} {
+				t.Run(fmt.Sprintf("w%d", workers), func(t *testing.T) {
+					forcedMigrationParity(t, workers, routed)
+				})
 			}
 		})
+	}
+}
+
+// forcedMigrationParity is one row of TestControlForcedMigrationParity.
+// A single worker owns every bucket whatever the rotation, so its row
+// holds the intake and parity only.
+func forcedMigrationParity(t *testing.T, workers int, routed bool) {
+	const nbuckets = 64
+	net := compileProdsT(t, migrationProds...)
+	seq := rete.NewMatcher(compileProdsT(t, migrationProds...), rete.MatcherOptions{NBuckets: nbuckets})
+	ctl, err := Listen(net, "127.0.0.1:0", ControlOptions{
+		Workers:    workers,
+		NBuckets:   nbuckets,
+		RouteRoots: routed,
+		ForceMigrate: func(cycle int) sched.Partition {
+			p := make(sched.Partition, nbuckets)
+			for b := range p {
+				p[b] = (b + cycle) % workers
+			}
+			return p
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ctl.Close()
+	werrs := startWorkers(t, ctl.Addr(), workers)
+	if err := ctl.WaitWorkers(); err != nil {
+		t.Fatal(err)
+	}
+
+	seqCS, wireCS := map[string]bool{}, map[string]bool{}
+	cycles := 0
+	for i, ch := range churnScript(30) {
+		foldInsts(t, seqCS, seq.Apply(ch))
+		got, err := ctl.Cycle(ch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		foldInsts(t, wireCS, got)
+		cycles++
+		if !sameSet(seqCS, wireCS) {
+			t.Fatalf("divergence at step %d:\nseq:  %v\nwire: %v", i, seqCS, wireCS)
+		}
+	}
+	migs, moved, entries := ctl.RebalanceStats()
+	if workers > 1 {
+		if int(migs) != cycles {
+			t.Errorf("forced schedule migrated %d times over %d cycles", migs, cycles)
+		}
+		if moved == 0 {
+			t.Error("forced full rotations moved no buckets")
+		}
+		if entries == 0 {
+			t.Error("no entries crossed the wire despite resident state")
+		}
+	}
+
+	if err := ctl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < workers; i++ {
+		select {
+		case err := <-werrs:
+			if err != nil {
+				t.Fatalf("worker exit: %v", err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("worker did not exit")
+		}
 	}
 }
 
 // TestControlAdaptiveParity runs the online detector across worker
 // processes: a pathologically bad initial assignment (every bucket on
 // worker 0), per-bucket loads reported in turn frames, and the control
-// plane's balancer migrating buckets over the wire — with the netted
-// conflict sets identical to the sequential matcher throughout.
+// plane's balancer migrating buckets over the wire — with the conflict
+// sets identical to the sequential matcher throughout.
 func TestControlAdaptiveParity(t *testing.T) {
 	const (
 		workers  = 3
@@ -402,12 +424,12 @@ func TestControlAdaptiveParity(t *testing.T) {
 				ch = append(ch, rete.Change{Tag: rete.Add, WME: w})
 			}
 		}
-		foldInsts(seqCS, seq.Apply(ch))
+		foldInsts(t, seqCS, seq.Apply(ch))
 		got, err := ctl.Cycle(ch)
 		if err != nil {
 			t.Fatal(err)
 		}
-		foldInsts(wireCS, got)
+		foldInsts(t, wireCS, got)
 		if !sameSet(seqCS, wireCS) {
 			t.Fatalf("divergence at cycle %d:\nseq:  %v\nwire: %v", cycle, seqCS, wireCS)
 		}

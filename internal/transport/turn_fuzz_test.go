@@ -22,7 +22,7 @@ import (
 
 // handedDeltas is the match phase of a control whose worker sent one
 // turn frame: it answers the first Apply with the frame's deltas, as
-// the cycle driver hands them to the engine (netting aside).
+// the cycle driver hands them to the engine.
 type handedDeltas struct{ deltas []rete.InstChange }
 
 func (h *handedDeltas) Apply([]rete.Change) []rete.InstChange {

@@ -54,6 +54,7 @@ type body struct {
 	recv    bool  // message delivery: pay RecvOverhead before running
 	proc    int32 // destination processor
 	from    int32 // source processor (evDepart)
+	batch   int32 // flight-recorder stamp of a message (evDepart)
 }
 
 // lane is a FIFO of keys in (at, seq) order.

@@ -412,8 +412,9 @@ func TestCrossChainStorage(t *testing.T) {
 
 // BenchmarkRecorderOverhead compares a simulation run with no
 // observability attached (the nil-recorder fast path — every obs
-// instrument is a no-op on a nil receiver) against one recording a
-// full timeline and metrics registry. The "off" case is the guardrail:
+// instrument is a no-op on a nil receiver) against one recording into
+// a flight recorder, built once as core.NewFlightRecorder sizes it,
+// and a fresh metrics registry. The "off" case is the guardrail:
 // instrumenting the simulator hot paths must stay essentially free
 // (within ~2%) when nothing is attached.
 func BenchmarkRecorderOverhead(b *testing.B) {
@@ -432,9 +433,14 @@ func BenchmarkRecorderOverhead(b *testing.B) {
 		}
 	})
 	b.Run("recording", func(b *testing.B) {
+		rec, err := core.NewFlightRecorder(tr, base)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			cfg := base
-			cfg.Recorder = obs.NewRecorder()
+			cfg.Recorder = rec
 			cfg.Metrics = obs.NewRegistry()
 			if _, err := core.Simulate(tr, cfg); err != nil {
 				b.Fatal(err)

@@ -41,7 +41,7 @@ func main() {
 	central := flag.Bool("central", false, "centralized constant tests (ablation)")
 	swbcast := flag.Bool("swbcast", false, "software (serialized) broadcast")
 	dist := flag.Bool("dist", false, "print per-processor left-activation distribution per cycle")
-	timeline := flag.String("timeline", "", "write a Chrome trace-event timeline (open in Perfetto) here")
+	timeline := flag.String("timeline", "", "write the run's flight recording as a Chrome trace-event timeline (open in Perfetto) here")
 	metrics := flag.String("metrics", "", "write the run's metrics here (.json extension for JSON, CSV otherwise)")
 	verbose := flag.Bool("v", false, "print a per-cycle summary (activations, messages, time)")
 	flag.Parse()
@@ -114,10 +114,9 @@ func main() {
 	fatal(err)
 	cfg.Distribute(strat, tr.BucketLoad(false), tr.NBuckets)
 
-	var rec *obs.Recorder
 	if *timeline != "" {
-		rec = obs.NewRecorder()
-		cfg.Recorder = rec
+		cfg.Recorder, err = core.NewFlightRecorder(tr, cfg)
+		fatal(err)
 	}
 	var reg *obs.Registry
 	if *metrics != "" || *verbose {
@@ -150,7 +149,7 @@ func main() {
 	if *timeline != "" {
 		f, err := os.Create(*timeline)
 		fatal(err)
-		fatal(rec.WriteChromeTrace(f))
+		fatal(cfg.Recorder.Dump().WriteChromeTrace(f))
 		fatal(f.Close())
 		fmt.Printf("timeline written to %s (open at https://ui.perfetto.dev)\n", *timeline)
 	}

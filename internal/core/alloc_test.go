@@ -62,3 +62,30 @@ func TestSimulateSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestRecordedSimulateAllocs pins the cost of watching in allocations:
+// a warmed Simulate into a pre-built flight recorder allocates what an
+// unrecorded one does, at 8 cycles and at 72. Every event is a store
+// into a ring the recorder already holds, and a cycle's record reuses
+// the storage of the one it evicts.
+func TestRecordedSimulateAllocs(t *testing.T) {
+	for _, cycles := range []int{8, 72} {
+		tr := allocTrace(cycles)
+		cfg := NewConfig(8)
+		rec, err := NewFlightRecorder(tr, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Recorder = rec
+		run := func() {
+			if _, err := Simulate(tr, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		run()
+		runtime.GC()
+		if allocs := testing.AllocsPerRun(10, run); allocs != resultObjects {
+			t.Errorf("%d cycles: a warmed recorded Simulate allocates %.1f objects, want the Result's %d", cycles, allocs, resultObjects)
+		}
+	}
+}

@@ -18,10 +18,14 @@ import (
 // simulateAndDrop runs a generated section with a recorder attached
 // and keeps nothing of it but weak pointers to one root activation and
 // to the recorder.
-func simulateAndDrop(t *testing.T) (weak.Pointer[trace.Activation], weak.Pointer[obs.Recorder]) {
+func simulateAndDrop(t *testing.T) (weak.Pointer[trace.Activation], weak.Pointer[obs.CausalRecorder]) {
 	tr := workloads.Tourney()
 	cfg := NewConfig(8, WithOverhead(OverheadRuns()[2]))
-	cfg.Recorder = obs.NewRecorder()
+	rec, err := NewFlightRecorder(tr, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Recorder = rec
 	if _, err := Simulate(tr, cfg); err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +89,14 @@ func poolPoints() []poolPoint {
 		{"p32-swbcast", func(*trace.Trace) Config {
 			return NewConfig(32, WithSoftwareBroadcast(), WithOverhead(OverheadRuns()[2]))
 		}},
-		{"p8-recorder", func(*trace.Trace) Config {
-			return NewConfig(8, func(c *Config) { c.Recorder = obs.NewRecorder() })
+		{"p8-recorder", func(tr *trace.Trace) Config {
+			cfg := NewConfig(8)
+			rec, err := NewFlightRecorder(tr, cfg)
+			if err != nil {
+				panic(err)
+			}
+			cfg.Recorder = rec
+			return cfg
 		}},
 	}
 	var pts []poolPoint

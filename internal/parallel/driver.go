@@ -16,15 +16,23 @@ import (
 )
 
 // Carrier is what the cycle driver needs from a message plane: one
-// primitive, a message to a worker. The cycle's broadcast is that
-// message sent to every worker; routed roots, a hand-off's share and a
-// migration order are the same call. The driver's correctness
-// arguments rest on what every carrier keeps:
+// primitive, a wave of runs of messages to the workers. The cycle's
+// broadcast is the cycle message in every worker's run; routed roots, a
+// hand-off's shares and a migration's orders are the same call with a
+// run per worker. The driver's correctness arguments rest on what every
+// carrier keeps:
 //
 //   - Per-sender FIFO: messages from one sender to one worker arrive in
 //     send order (add-before-delete ordering of same-token activations
 //     relies on it, and so does the order of one instantiation's deltas
 //     that the engine's conflict set reads; see Cycle).
+//   - Wave first: every run of a wave is in front of its worker before
+//     any worker can send to another. Per-sender FIFO orders nothing
+//     between two senders, and a hand-off needs the control's add(T) to
+//     B queued before A can wake and send B del(T) (Driver.handOff).
+//     On the star it also fixes the order in which a worker's mirror
+//     meets a cycle's new wmes: in the cycle frame, never first in a
+//     faster peer's relay.
 //   - Synchronous capture: a call captures the messages and everything
 //     they reference before it returns; the driver reuses the cycle
 //     packet and its buffers, and the caller the changes slice, as soon
@@ -39,9 +47,10 @@ import (
 // the cycle, and a carrier that lost a registered message also calls
 // Fail, since no later cycle can reach quiescence.
 type Carrier interface {
-	// Deliver puts ms, all of one kind, in front of worker dst under
-	// one causal batch stamp.
-	Deliver(dst int, ms []Message, batch int32) error
+	// Deliver puts runs[w], all of one kind, in front of worker w under
+	// causal batch stamp batches[w], for every worker whose run is not
+	// empty, as one wave.
+	Deliver(runs [][]Message, batches []int32) error
 }
 
 // Driver is the cycle driver: the control processor of the paper's
@@ -71,24 +80,26 @@ type Driver struct {
 	handles []int32
 
 	// cyclePkt is the broadcast packet, reused across cycles and shared
-	// read-only by every worker; cycleMsg is the one MsgCycle message
-	// that carries it to each. proc runs routed roots' constant tests,
-	// and in process owns the one memory pair every step shares and runs
-	// the in-place head. rootBufs are per-destination buffers for routed
-	// roots and a hand-off's frontier.
-	cyclePkt *CyclePacket
-	cycleMsg [1]Message
-	proc     *rete.Processor
-	rootBufs [][]Message
+	// read-only by every worker; cycleRuns are the broadcast wave, the
+	// one MsgCycle message that carries it in every worker's run. proc
+	// runs routed roots' constant tests, and in process owns the one
+	// memory pair every step shares and runs the in-place head. runs are
+	// the per-destination runs of the other waves (routed roots, a
+	// hand-off's frontier, a migration's orders), and batches the stamps
+	// of a wave's runs.
+	cyclePkt  *CyclePacket
+	cycleRuns [][]Message
+	proc      *rete.Processor
+	runs      [][]Message
+	batches   []int32
 
-	// steps and boxes are the workers' steps and mailboxes when they
-	// live in the driver's memory (Runtime); nil otherwise, and then
-	// every cycle runs on the message plane. budget is how many
-	// activations of a cycle the driver performs in place before it
-	// hands the rest to the workers: inPlaceActs, except that in-package
-	// tests set it and budgets, when non-nil, draws it per cycle.
+	// steps are the workers' steps when they live in the driver's
+	// memory (Runtime); nil otherwise, and then every cycle runs on the
+	// message plane. budget is how many activations of a cycle the
+	// driver performs in place before it hands the rest to the workers:
+	// inPlaceActs, except that in-package tests set it and budgets, when
+	// non-nil, draws it per cycle.
 	steps   []*Step
-	boxes   []*mailbox
 	budget  int
 	budgets *chaos
 
@@ -183,7 +194,9 @@ func NewDriver(net *rete.Network, opts Options, c Carrier) (*Driver, error) {
 		opts:      opts,
 		carrier:   c,
 		tab:       rete.NewTable(),
-		rootBufs:  make([][]Message, opts.Workers),
+		cycleRuns: make([][]Message, opts.Workers),
+		runs:      make([][]Message, opts.Workers),
+		batches:   make([]int32, opts.Workers),
 		cyclePkt:  &CyclePacket{},
 		counter:   termdet.NewCounter(),
 		processed: make([]atomic.Int64, opts.Workers),
@@ -191,7 +204,10 @@ func NewDriver(net *rete.Network, opts Options, c Carrier) (*Driver, error) {
 		epoch:     time.Now(),
 		yield:     runtime.Gosched,
 	}
-	d.cycleMsg[0] = Message{Kind: MsgCycle, Cycle: d.cyclePkt}
+	cycleMsg := []Message{{Kind: MsgCycle, Cycle: d.cyclePkt}}
+	for w := range d.cycleRuns {
+		d.cycleRuns[w] = cycleMsg
+	}
 	if opts.Causal != nil {
 		if got := opts.Causal.Tracks(); got != opts.Workers+1 {
 			return nil, fmt.Errorf("parallel: causal recorder has %d tracks, want Workers+1 = %d (use NewFlightRecorder)", got, opts.Workers+1)
@@ -546,7 +562,7 @@ func (d *Driver) handOff(cycle int32, head, level int, depth int32) {
 		d.handled[part[b]]++ // free again: it counts the shares
 	}
 	for w, n := range d.handled {
-		d.rootBufs[w] = slices.Grow(d.rootBufs[w][:0], int(n))
+		d.runs[w] = slices.Grow(d.runs[w][:0], int(n))
 		d.handled[w] = 0
 	}
 	for i := head; i < len(d.queue); i++ {
@@ -554,7 +570,7 @@ func (d *Driver) handOff(cycle int32, head, level int, depth int32) {
 		if i >= level {
 			dep++
 		}
-		d.rootBufs[part[b]] = append(d.rootBufs[part[b]], Message{Kind: MsgAct, Bucket: b, Depth: dep, Act: d.queue[i]})
+		d.runs[part[b]] = append(d.runs[part[b]], Message{Kind: MsgAct, Bucket: b, Depth: dep, Act: d.queue[i]})
 	}
 	total := 0
 	for w, s := range d.steps {
@@ -562,32 +578,32 @@ func (d *Driver) handOff(cycle int32, head, level int, depth int32) {
 		// the frontier can hold del(P) ahead of add(T) where del(T) will
 		// derive from del(P). worker.loop hands Handle a whole drained
 		// batch; the chaos layer has to be told.
-		s.handOffShare = len(d.rootBufs[w])
+		s.handOffShare = len(d.runs[w])
 		total += s.handOffShare
 	}
 	d.Sending(d.controlTrack(), total)
-	ts := d.Now()
 	// The control's delivery to B is in B's mailbox before any worker
-	// can send to B: add(T) may travel control→B and del(T) A→B, and
-	// per-sender FIFO orders nothing between two senders, so A must not
-	// wake until B's share is queued. Hold every mailbox's lock across
-	// all the pushes. Workers only ever hold one mailbox lock at a time,
-	// so there is no order to deadlock on.
-	for _, m := range d.boxes {
-		m.mu.Lock()
+	// can send to B: add(T) may travel control→B and del(T) A→B, which
+	// the carrier's wave-first order keeps apart.
+	if err := d.deliverRuns(d.Now(), cycle); err != nil {
+		d.Fail(err)
 	}
-	for dst, buf := range d.rootBufs {
-		if len(buf) == 0 {
-			continue
+}
+
+// deliverRuns delivers runs as one wave, each non-empty run under a
+// stamp of its own, and empties them.
+func (d *Driver) deliverRuns(ts int64, cycle int32) error {
+	for dst, run := range d.runs {
+		if len(run) > 0 {
+			d.batches[dst] = d.causal.NextBatch()
+			d.ctlTrack.Send(ts, cycle, d.batches[dst], int32(dst), int32(len(run)))
 		}
-		batch := d.causal.NextBatch()
-		d.ctlTrack.Send(ts, cycle, batch, int32(dst), int32(len(buf)))
-		d.boxes[dst].enqueueLocked(buf, batch, int32(d.controlTrack()))
-		d.rootBufs[dst] = buf[:0]
 	}
-	for _, m := range d.boxes {
-		m.mu.Unlock()
+	err := d.carrier.Deliver(d.runs, d.batches)
+	for dst := range d.runs {
+		d.runs[dst] = d.runs[dst][:0]
 	}
+	return err
 }
 
 // quiesce waits for global quiescence and cross-checks the two
@@ -641,17 +657,15 @@ func (d *Driver) broadcast(changes []rete.Change) error {
 	// send.
 	batch := d.causal.NextBatch()
 	d.ctlTrack.Send(d.Now(), d.curCycle.Load(), batch, obs.BroadcastDst, int32(d.opts.Workers))
-	for w := range d.opts.Workers {
-		if err := d.carrier.Deliver(w, d.cycleMsg[:], batch); err != nil {
-			return err
-		}
+	for w := range d.batches {
+		d.batches[w] = batch
 	}
-	return nil
+	return d.carrier.Deliver(d.cycleRuns, d.batches)
 }
 
 // routeRoots runs the constant tests once, on proc, and hash-routes
 // each root activation to its owner (Fig 3-2), coalescing per
-// destination so each worker gets at most one delivery. The head's
+// destination so each worker gets at most one run of the wave. The head's
 // queue, idle on the message plane, is its scratch.
 func (d *Driver) routeRoots(changes []rete.Change) error {
 	sent := 0
@@ -660,7 +674,7 @@ func (d *Driver) routeRoots(changes []rete.Change) error {
 		for _, act := range d.queue {
 			b := d.proc.Bucket(act)
 			owner := d.opts.Partition[b]
-			d.rootBufs[owner] = append(d.rootBufs[owner], Message{Kind: MsgAct, Bucket: int32(b), Depth: 1, Act: act})
+			d.runs[owner] = append(d.runs[owner], Message{Kind: MsgAct, Bucket: int32(b), Depth: 1, Act: act})
 			sent++
 		}
 	}
@@ -669,19 +683,7 @@ func (d *Driver) routeRoots(changes []rete.Change) error {
 		return nil
 	}
 	d.Sending(d.controlTrack(), sent)
-	ts := d.Now()
-	for dst, buf := range d.rootBufs {
-		if len(buf) == 0 {
-			continue
-		}
-		batch := d.causal.NextBatch()
-		d.ctlTrack.Send(ts, d.curCycle.Load(), batch, int32(dst), int32(len(buf)))
-		if err := d.carrier.Deliver(dst, buf, batch); err != nil {
-			return err
-		}
-		d.rootBufs[dst] = buf[:0]
-	}
-	return nil
+	return d.deliverRuns(d.Now(), d.curCycle.Load())
 }
 
 // Stats reports per-worker work counts (snapshot).

@@ -82,9 +82,8 @@ func (m *mailbox) PushBatch(msgs []Message, batch, src int32) {
 	m.mu.Unlock()
 }
 
-// enqueueLocked is PushBatch with m.mu already held: the cycle driver's
-// hand-off holds every mailbox's lock across all of its pushes
-// (Driver.handOff).
+// enqueueLocked is PushBatch with m.mu already held: a wave holds every
+// mailbox's lock across all of its pushes (Runtime.Deliver).
 func (m *mailbox) enqueueLocked(msgs []Message, batch, src int32) {
 	if m.closed {
 		m.dropped.Add(int64(len(msgs)))

@@ -114,12 +114,10 @@ func (d *Driver) migrate(newPart sched.Partition) (MigrationStats, error) {
 	d.Sending(d.controlTrack(), d.opts.Workers)
 	for w := range orders {
 		orders[w].Part = newPart
-		order := [1]Message{{Kind: MsgMigrateOut, Order: &orders[w]}}
-		batch := d.causal.NextBatch()
-		d.ctlTrack.Send(ts, cycle, batch, int32(w), 1)
-		if err := d.carrier.Deliver(w, order[:], batch); err != nil {
-			return MigrationStats{}, err
-		}
+		d.runs[w] = append(d.runs[w], Message{Kind: MsgMigrateOut, Order: &orders[w]})
+	}
+	if err := d.deliverRuns(ts, cycle); err != nil {
+		return MigrationStats{}, err
 	}
 	if err := d.settle(); err != nil {
 		return MigrationStats{}, err

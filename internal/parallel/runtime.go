@@ -268,7 +268,6 @@ func New(net *rete.Network, opts Options) (*Runtime, error) {
 	left, right := d.proc.Memories()
 	dropped := opts.Metrics.Counter("parallel.dropped_post_close")
 	steps := make([]*Step, opts.Workers)
-	boxes := make([]*mailbox, opts.Workers)
 	for i := range steps {
 		proc := rete.NewProcessorOver(net, d.tab, left, right)
 		w := &worker{
@@ -281,9 +280,9 @@ func New(net *rete.Network, opts Options) (*Runtime, error) {
 			w.chaos = newChaos(opts.ChaosSeed, i)
 		}
 		rt.workers = append(rt.workers, w)
-		steps[i], boxes[i] = w.step, w.inbox
+		steps[i] = w.step
 	}
-	d.steps, d.boxes, d.budget = steps, boxes, inPlaceActs
+	d.steps, d.budget = steps, inPlaceActs
 	d.handled = make([]int64, opts.Workers)
 	d.moves = make([]int32, (opts.Workers+1)*opts.Workers)
 	for _, w := range rt.workers {
@@ -293,9 +292,22 @@ func New(net *rete.Network, opts Options) (*Runtime, error) {
 	return rt, nil
 }
 
-// Deliver implements Carrier.
-func (rt *Runtime) Deliver(dst int, ms []Message, batch int32) error {
-	rt.workers[dst].inbox.PushBatch(ms, batch, int32(rt.controlTrack()))
+// Deliver implements Carrier. It holds every mailbox's lock across all
+// the wave's pushes, so no worker wakes to its run before every run is
+// queued. Workers only ever hold one mailbox lock at a time, so there
+// is no order to deadlock on.
+func (rt *Runtime) Deliver(runs [][]Message, batches []int32) error {
+	for _, w := range rt.workers {
+		w.inbox.mu.Lock()
+	}
+	for dst, run := range runs {
+		if len(run) > 0 {
+			rt.workers[dst].inbox.enqueueLocked(run, batches[dst], int32(rt.controlTrack()))
+		}
+	}
+	for _, w := range rt.workers {
+		w.inbox.mu.Unlock()
+	}
 	return nil
 }
 

@@ -86,8 +86,8 @@ func TestRadixFlightsMatchReference(t *testing.T) {
 // TestNetworkBusyMatchesRecordedFlights checks the accountant on a
 // simulator's own flights: on a mesh, where per-hop transit makes the
 // flights of one sender overlap out of order, Stats' NetworkBusy after
-// each phase equals the reference union of the flight spans the
-// recorder saw.
+// each phase equals the reference union of the flights the recorder
+// saw, each a send and the receive that carries its stamp.
 func TestNetworkBusyMatchesRecordedFlights(t *testing.T) {
 	cfg := Config{Procs: 9, SendOverhead: US(0.3), Latency: US(0.5), Topology: Mesh2D{W: 3, H: 3}, PerHop: US(0.7), TrackNetwork: true}
 	type hop struct{ n int }
@@ -100,16 +100,29 @@ func TestNetworkBusyMatchesRecordedFlights(t *testing.T) {
 			ctx.Send((ctx.Proc()+1)%9, &hop{})
 		}
 	})
-	rec := obs.NewRecorder()
-	s.SetRecorder(rec)
+	rec := obs.NewCausalRecorder(9, 1<<13, 0, 0)
+	s.SetRecorder(rec, []int32{0, 1, 2, 3, 4, 5, 6, 7, 8})
 	for phase := 0; phase < 3; phase++ {
 		s.Inject(phase, &hop{n: 2 * netCompactAt / 3}, s.Now())
 		s.Run()
-		var fs []flight
-		for _, sp := range rec.Spans() {
-			if sp.Proc == obs.NetworkTrack {
-				fs = append(fs, flight{Time(sp.T0), Time(sp.T1)})
+		deps := map[int32]Time{}
+		var arrs []obs.CausalEvent
+		for _, td := range rec.Dump().Tracks {
+			if td.Dropped != 0 {
+				t.Fatalf("track %q dropped %d events", td.Name, td.Dropped)
 			}
+			for _, e := range td.Events {
+				switch e.Kind {
+				case obs.EvSend:
+					deps[e.Batch] = Time(e.TS)
+				case obs.EvRecv:
+					arrs = append(arrs, e)
+				}
+			}
+		}
+		var fs []flight
+		for _, e := range arrs {
+			fs = append(fs, flight{deps[e.Batch], Time(e.TS)})
 		}
 		if got, want := s.Stats().NetworkBusy, mergeFlights(fs); got != want || got == 0 {
 			t.Fatalf("phase %d: NetworkBusy = %d, reference over %d flights = %d", phase, got, len(fs), want)

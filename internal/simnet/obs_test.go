@@ -59,51 +59,67 @@ func TestIdleGapIgnoresZeroWorkTasks(t *testing.T) {
 	}
 }
 
-// kindedTask exercises the TraceKinder label on busy spans.
-type kindedTask struct {
-	kind string
-	run  func(ctx *Ctx)
-}
-
-func (k kindedTask) TraceKind() string { return k.kind }
-
-// TestRecorderSpans checks that busy spans (tagged with the payload
-// kind) sum to the busy total and that message flights land on the
-// network track.
+// TestRecorderSpans checks the flight events of a two-processor run:
+// the turns sum to the busy total, each carrying the messages it
+// consumed and the activations it handled, and one message is a send at
+// departure and a receive at arrival, on the tracks the processors were
+// given, joined by one stamp.
 func TestRecorderSpans(t *testing.T) {
 	cfg := Config{Procs: 2, SendOverhead: US(5), RecvOverhead: US(3), Latency: US(0.5)}
-	s := New(cfg, func(ctx *Ctx, p Payload) { p.(kindedTask).run(ctx) })
-	rec := obs.NewRecorder()
-	s.SetRecorder(rec)
+	s := closureSim(cfg)
+	rec := obs.NewCausalRecorder(2, 64, 0, 8)
+	s.SetRecorder(rec, []int32{1, 0})
 
-	recv := kindedTask{kind: "sink", run: func(ctx *Ctx) { ctx.Busy(US(2)) }}
-	s.Inject(0, kindedTask{kind: "source", run: func(ctx *Ctx) {
+	recv := closureTask(func(ctx *Ctx) {
+		ctx.Handle(7, 2, 0)
+		ctx.Busy(US(2))
+	})
+	s.Inject(0, closureTask(func(ctx *Ctx) {
+		ctx.Handle(3, 1, 1)
 		ctx.Busy(US(10))
 		ctx.Send(1, recv)
-	}}, 0)
+	}), 0)
 	s.Run()
 	st := s.Stats()
 
-	if got := rec.SpanTotal(""); got != int64(st.BusyTotal()) {
-		t.Errorf("span total = %d, busy total = %d", got, int64(st.BusyTotal()))
-	}
-	var kinds = map[string]int{}
-	var flights int
-	for _, sp := range rec.Spans() {
-		if sp.Proc == obs.NetworkTrack {
-			if sp.Kind != "flight" {
-				t.Errorf("network-track span kind %q", sp.Kind)
+	d := rec.Dump()
+	var busy int64
+	var send, recvEv obs.CausalEvent
+	for _, td := range d.Tracks {
+		var begin int64
+		for _, e := range td.Events {
+			switch e.Kind {
+			case obs.EvTurnBegin:
+				begin = e.TS
+			case obs.EvTurnEnd:
+				busy += e.TS - begin
+			case obs.EvSend:
+				send = e
+			case obs.EvRecv:
+				recvEv = e
 			}
-			if sp.T1-sp.T0 != int64(US(0.5)) {
-				t.Errorf("flight duration = %d, want latency", sp.T1-sp.T0)
-			}
-			flights++
-			continue
 		}
-		kinds[sp.Kind]++
 	}
-	if kinds["source"] != 1 || kinds["sink"] != 1 || flights != 1 {
-		t.Errorf("spans: kinds=%v flights=%d", kinds, flights)
+	if busy != int64(st.BusyTotal()) {
+		t.Errorf("turns last %d ns, busy total %d", busy, int64(st.BusyTotal()))
+	}
+	// Processor 0 records on track 1: its one turn consumed no message
+	// and handled one activation; processor 1's turn consumed the message.
+	sender, receiver := d.Tracks[1].Events, d.Tracks[0].Events
+	if end := sender[len(sender)-1]; end.Kind != obs.EvTurnEnd || end.Count != 0 || end.Depth != 1 {
+		t.Errorf("sender's last event %+v, want a turn end with 0 messages and 1 activation", end)
+	}
+	if end := receiver[len(receiver)-1]; end.Kind != obs.EvTurnEnd || end.Count != 1 || end.Depth != 1 {
+		t.Errorf("receiver's last event %+v, want a turn end with 1 message and 1 activation", end)
+	}
+	if send.Batch == 0 || recvEv.Batch != send.Batch || send.Dst != 0 || recvEv.Src != 1 {
+		t.Errorf("send %+v and receive %+v are not one message from track 1 to track 0", send, recvEv)
+	}
+	if send.TS != int64(US(15)) || recvEv.TS-send.TS != int64(US(0.5)) {
+		t.Errorf("send at %d, receive at %d; want 15 µs and the latency after", send.TS, recvEv.TS)
+	}
+	if agg := d.Cycles; len(agg) != 0 {
+		t.Errorf("simnet committed %d cycle records; cycles are its client's", len(agg))
 	}
 }
 

@@ -186,9 +186,9 @@ func TestNetworkBusyMerging(t *testing.T) {
 	}
 }
 
-// TestNetworkTrackingOptIn pins the gating: without TrackNetwork the
+// TestTrackNetworkOptIn pins the gating: without TrackNetwork the
 // send path keeps no flight records and Stats reports zero occupancy.
-func TestNetworkTrackingOptIn(t *testing.T) {
+func TestTrackNetworkOptIn(t *testing.T) {
 	s := closureSim(Config{Procs: 2, Latency: US(0.5)})
 	s.Inject(0, closureTask(func(ctx *Ctx) {
 		ctx.Send(1, closureTask(func(ctx *Ctx) {}))

@@ -81,7 +81,7 @@ type Control struct {
 
 // ctlConn is one worker's connection: the conn reader goroutine is the
 // single consumer of its frames (fr and dec) and the single producer of
-// its causal track; writers (the cycle's delivery and other readers'
+// its causal track; writers (the driver's waves and other readers'
 // relay forwarding) serialize on mu.
 type ctlConn struct {
 	id  int
@@ -92,6 +92,9 @@ type ctlConn struct {
 	// mu orders the connection's outgoing bytes, and with them the send
 	// state behind enc: a frame is encoded and written under one hold, so
 	// the worker's mirror sees definitions in the order they were made.
+	// A wave holds every connection's mu until all its frames are out
+	// (Deliver), so a cycle's new wmes reach a worker's mirror in the
+	// cycle frame's order, never first in a faster peer's relay.
 	mu  sync.Mutex
 	enc enc
 }
@@ -101,6 +104,11 @@ type ctlConn struct {
 func (cc *ctlConn) write(ft frameType, fill func(*enc)) error {
 	cc.mu.Lock()
 	defer cc.mu.Unlock()
+	return cc.writeLocked(ft, fill)
+}
+
+// writeLocked is write with cc.mu held.
+func (cc *ctlConn) writeLocked(ft frameType, fill func(*enc)) error {
 	e := &cc.enc
 	e.begin()
 	if fill != nil {
@@ -236,13 +244,32 @@ var kindFrames = [...]frameType{
 	parallel.MsgMigrateIn:  ftBucket,
 }
 
-// Deliver implements parallel.Carrier: the driver's messages to worker
-// dst in the frame of their kind, from the control.
-func (c *Control) Deliver(dst int, ms []parallel.Message, batch int32) error {
-	return c.deliver(c.conns[dst], int32(c.opts.Workers), ms, batch)
+// Deliver implements parallel.Carrier: each worker's run of the
+// driver's messages in the frame of their kind, from the control. It
+// holds every connection's write mutex until the last frame is out, so
+// a relay a worker sends in reply waits for the whole wave.
+func (c *Control) Deliver(runs [][]parallel.Message, batches []int32) error {
+	for _, cc := range c.conns {
+		cc.mu.Lock()
+	}
+	defer func() {
+		for _, cc := range c.conns {
+			cc.mu.Unlock()
+		}
+	}()
+	for dst, run := range runs {
+		if len(run) == 0 {
+			continue
+		}
+		if err := c.deliver(c.conns[dst], int32(c.opts.Workers), run, batches[dst]); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
-// deliver writes worker cc one frame that a turn frame will answer:
+// deliver writes worker cc, whose write mutex the caller holds, one
+// frame that a turn frame will answer:
 // messages from src — the driver's, or another worker's relay
 // forwarded — all of one kind, behind their causal stamp, the batch id
 // and the source. The payload is encoded with cc's send state, because
@@ -250,7 +277,7 @@ func (c *Control) Deliver(dst int, ms []parallel.Message, batch int32) error {
 // or a bucket is one message; a run of activations is coalesced.
 func (c *Control) deliver(cc *ctlConn, src int32, ms []parallel.Message, batch int32) error {
 	ft := kindFrames[ms[0].Kind]
-	err := cc.write(ft, func(e *enc) {
+	err := cc.writeLocked(ft, func(e *enc) {
 		e.I32(batch)
 		e.I32(src)
 		switch m := &ms[0]; ft {
@@ -331,7 +358,11 @@ func (c *Control) read(cc *ctlConn) error {
 			}
 			batch := c.opts.Causal.NextBatch()
 			track.Send(c.Now(), c.CurrentCycle(), batch, dst, int32(len(msgs)))
-			if err := c.deliver(c.conns[dst], int32(cc.id), msgs, batch); err != nil {
+			out := c.conns[dst]
+			out.mu.Lock()
+			err := c.deliver(out, int32(cc.id), msgs, batch)
+			out.mu.Unlock()
+			if err != nil {
 				return err
 			}
 		case ftTurn:

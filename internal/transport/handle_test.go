@@ -147,7 +147,13 @@ func (c *countConn) Write(p []byte) (int, error) {
 // the bits byte-reversed. The log line is the definition/reference
 // split per connection and the rows each worker's mirror made: every
 // definition at a handle the mirror fills refills a retired row, so
-// 2,061 definitions cost 676 rows.
+// 2,061 definitions cost 676 rows. The row count follows the order in
+// which a mirror meets definitions, and it is exact because a cycle
+// frame reaches every worker before any relay of its cycle
+// (parallel.Carrier's wave): a mirror meets each cycle's new wmes in
+// the cycle frame's order. While the control wrote the two cycle frames
+// one after the other, a fast worker's relay could define them to the
+// other first, and about one run in 70 made 675 rows.
 func TestWireBytesPerFiring(t *testing.T) {
 	const workers = 2
 	prog, err := ops5.ParseProgram(workloads.Queens)

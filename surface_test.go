@@ -30,10 +30,7 @@ var allowedUncalled = map[string]string{
 
 	// Readers only assertions need.
 	"Simulations": "sweep: the cache-miss count that proves a point is simulated once",
-	"BusyTotal":   "simnet: busy-time conservation across core, simnet and the recorder",
-	"Spans":       "obs: tests read the recorded spans back",
-	"Instants":    "obs: tests read the recorded instants back",
-	"SpanTotal":   "obs: recorder totals are checked against simnet's busy times",
+	"BusyTotal":   "simnet: busy-time conservation across core, simnet and the flight recorder",
 	"LoadPerProc": "sched: partition tests and the package example sum load per processor",
 
 	// Called by the standard library through an interface.

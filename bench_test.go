@@ -414,9 +414,10 @@ func TestCrossChainStorage(t *testing.T) {
 // observability attached (the nil-recorder fast path — every obs
 // instrument is a no-op on a nil receiver) against one recording into
 // a flight recorder, built once as core.NewFlightRecorder sizes it,
-// and a fresh metrics registry. The "off" case is the guardrail:
-// instrumenting the simulator hot paths must stay essentially free
-// (within ~2%) when nothing is attached.
+// and a fresh metrics registry; "registry" attaches the registry alone.
+// The "off" case is the guardrail: instrumenting the simulator hot
+// paths must stay essentially free (within ~2%) when nothing is
+// attached.
 func BenchmarkRecorderOverhead(b *testing.B) {
 	tr := workloads.Rubik()
 	base := core.Config{
@@ -428,6 +429,15 @@ func BenchmarkRecorderOverhead(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := core.Simulate(tr, base); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("registry", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			cfg := base
+			cfg.Metrics = obs.NewRegistry()
+			if _, err := core.Simulate(tr, cfg); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -191,6 +191,8 @@ type simulator struct {
 	// tracks maps each processor to its flight-recorder track
 	// (trackOf), for a run that records.
 	tracks []int32
+	// bucketTokens is publishMetrics' count of activations per bucket.
+	bucketTokens []int
 }
 
 // newAct draws an activation payload from the free list.
@@ -455,6 +457,14 @@ func NewFlightRecorder(tr *trace.Trace, cfg Config) (*obs.CausalRecorder, error)
 // processor 0, on the last.
 func trackOf(p, nprocs int) int { return (p + nprocs - 1) % nprocs }
 
+// countTokens counts a and its descendants into bucketTokens.
+func (s *simulator) countTokens(a *trace.Activation) {
+	s.bucketTokens[a.Bucket]++
+	for _, ch := range a.Children {
+		s.countTokens(ch)
+	}
+}
+
 // publishMetrics fills the registry from the completed run: the
 // per-cycle series the -v summaries render, the distributions the
 // Section 5.2 analysis reads off (tokens per bucket, idle gaps, queue
@@ -471,13 +481,14 @@ func (s *simulator) publishMetrics(reg *obs.Registry) {
 	}
 
 	tokens := reg.Histogram("trace/tokens_per_bucket", 1, 2, 4, 8, 16, 32, 64, 128, 256)
-	perBucket := make([]int, s.tr.NBuckets)
-	for _, load := range s.tr.BucketLoad(false) {
-		for b, n := range load {
-			perBucket[b] += n
+	s.bucketTokens = slices.Grow(s.bucketTokens[:0], s.tr.NBuckets)[:s.tr.NBuckets]
+	clear(s.bucketTokens)
+	for _, c := range s.tr.Cycles {
+		for _, r := range c.Roots {
+			s.countTokens(r)
 		}
 	}
-	for _, n := range perBucket {
+	for _, n := range s.bucketTokens {
 		if n > 0 {
 			tokens.Observe(float64(n))
 		}

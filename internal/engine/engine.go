@@ -50,9 +50,26 @@ func (s Strategy) String() string {
 // MatchApplier is the match-phase implementation the engine drives
 // once per MRA cycle. The sequential rete.Matcher and the distributed
 // parallel.Runtime both satisfy it, so an engine can run its match
-// phase on the goroutine machine unchanged.
+// phase on the goroutine machine unchanged. The engine reads a result
+// once, into its conflict set, then hands it back to a matcher that
+// takes results back (recycler); another may lend it until its next
+// Apply.
 type MatchApplier interface {
 	Apply(changes []rete.Change) []rete.InstChange
+}
+
+// recycler is a MatchApplier that takes read results back (rete.Matcher.Recycle).
+type recycler interface {
+	Recycle(result []rete.InstChange)
+}
+
+// absorb settles one match phase's result into the conflict set and
+// hands it back to the matcher if the matcher takes results back.
+func (e *Session) absorb(result []rete.InstChange) {
+	e.conflict.absorb(result)
+	if r, ok := e.matcher.(recycler); ok {
+		r.Recycle(result)
+	}
 }
 
 // Instantiation is a conflict-set member. It belongs to its session,
@@ -310,7 +327,7 @@ func (e *Session) match() {
 			delete(e.wm, ch.WME.ID)
 		}
 	}
-	e.conflict.absorb(e.matcher.Apply(changes))
+	e.absorb(e.matcher.Apply(changes))
 	for _, ch := range changes {
 		if ch.Tag == rete.Delete {
 			e.free.Retire(ch.WME)

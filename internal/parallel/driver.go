@@ -112,7 +112,6 @@ type Driver struct {
 	queue    []rete.Activation
 	buckets  []int32
 	instActs []rete.Activation
-	build    rete.InstBuilder
 	handled  []int64
 	moves    []int32
 
@@ -481,7 +480,7 @@ func (d *Driver) inPlaceHead(changes []rete.Change, budget int) (handedOff bool)
 	}
 	d.flush(ts, cycle)
 	if n := len(d.instActs); n > 0 {
-		d.insts = d.build.Build(d.proc, d.instActs, d.insts)
+		d.insts = d.proc.Build(d.instActs, d.insts)
 		d.instCount.Add(int64(n))
 		d.instActs = d.instActs[:0]
 	}

@@ -23,12 +23,11 @@ type Step struct {
 	// breadth-first (see Handle); rootScratch is the constant-test
 	// scratch and succScratch one activation's successors. instActs
 	// holds the turn's production-node activations, in production order,
-	// until EndTurn has insts build their deltas in one pass.
+	// until EndTurn builds their deltas in one pass.
 	localQ      []queuedAct
 	rootScratch []rete.Activation
 	succScratch []rete.Activation
 	instActs    []rete.Activation
-	insts       rete.InstBuilder
 
 	// Out[dst] holds the successor activations bound for worker dst and
 	// Pending their total; Moved holds the nonempty buckets a
@@ -146,13 +145,13 @@ func (s *Step) BeginTurn(ts int64, cycle int32) {
 // the next BeginTurn: Acts, and with build their deltas, built here in
 // one batch (the star's worker ships Acts unbuilt). Every delta's
 // array is lent from the step's processor until the carrier's next
-// BeginPhase (rete.InstBuilder.Build) — for good under a carrier that
+// BeginPhase (rete.Processor.Build) — for good under a carrier that
 // never calls it, whose turns of one cycle outlive each other in the
 // driver's intake.
 func (s *Step) EndTurn(build bool) *Turn {
 	s.turn.Acts = s.instActs
 	if build {
-		s.turn.Insts = s.insts.Build(s.proc, s.instActs, s.turn.Insts)
+		s.turn.Insts = s.proc.Build(s.instActs, s.turn.Insts)
 	}
 	for _, b := range s.dirty {
 		s.turn.Loads = append(s.turn.Loads, BucketLoad{Bucket: b, N: s.bucketLoad[b]})

@@ -26,7 +26,7 @@ const arenaChunkLen = 1024
 // lends to the phase itself: tokens made under a Delete activation —
 // they exist to find the entries they remove and to carry the delete
 // downstream — and tokens that only production nodes receive, which
-// InstBuilder.Build reads once and resolves out of. The lent arena
+// Processor.Build reads once and resolves out of. The lent arena
 // lends to whoever receives the phase's result: every delta's WMEs
 // array (Build), which the absorbing conflict set reads, copying what
 // it keeps, and nobody after. So everything the phase arena or the lent

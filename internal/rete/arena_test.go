@@ -29,14 +29,16 @@ func (ar *arena[T]) holds(r []T) bool {
 // TestPoisonedRewinds re-runs, with every rewound token overwritten by
 // the sentinel handle and every freed handle quarantined, the tests that would see a delete token used after
 // the phase that made it: the randomized differentials against the
-// naive matcher (every variant, hashed and linear memories), and the
+// naive matcher (every variant, hashed and linear memories), the
 // held-result test, whose deltas must have copied their wmes out of
-// their tokens.
+// their tokens, and a result held past handing it back (Recycle), which
+// must read as scrubbed.
 func TestPoisonedRewinds(t *testing.T) {
 	poison(t)
 	t.Run("RandomizedDifferential", TestMatcherRandomizedDifferential)
 	t.Run("BoundedDifferential", TestBoundedRandomizedDifferential)
 	t.Run("ResultBelongsToCaller", TestApplyResultBelongsToCaller)
+	t.Run("HandedBackRecordsAreScrubbed", checkHandedBackScrubbed)
 }
 
 // TestDeleteTokensAreNeverStored is the assertion the phase arena rests
@@ -182,7 +184,7 @@ func TestDeleteArenaKeepsItsLargestPhase(t *testing.T) {
 }
 
 // TestProductionOnlyTokensComeFromThePhaseArena: a token that a join
-// emits only to production nodes is read once, by InstBuilder.Build,
+// emits only to production nodes is read once, by Processor.Build,
 // which resolves its wmes out, so it is carved from the phase arena even
 // under an Add, and the Add delta built from it reads the same after
 // the phase arena has recycled the token (with the poison on, the token
@@ -200,8 +202,7 @@ func TestProductionOnlyTokensComeFromThePhaseArena(t *testing.T) {
 	if len(acts) != 1 || !p.delArena.holds(acts[0].Token.H) {
 		t.Fatalf("a join feeding one production node emitted %v, want one token from the phase arena", acts)
 	}
-	var b InstBuilder
-	held := b.Build(p, acts, nil)
+	held := p.Build(acts, nil)
 	p.delArena.rewind()
 	if p.tab.rows[acts[0].Token.H[0]] != poisonWME {
 		t.Fatal("the phase arena's rewind did not recycle the production-only token")

@@ -1,6 +1,7 @@
 package rete
 
 import (
+	"slices"
 	"strconv"
 
 	"mpcrete/internal/ops5"
@@ -43,7 +44,7 @@ type InstChange struct {
 	// WMEs holds the matched wmes indexed by original condition-element
 	// position; entries for negated CEs are nil. The array is lent: it
 	// is read until the match processor that made it starts its next
-	// phase (InstBuilder.Build), and a holder that keeps the
+	// phase (Processor.Build), and a holder that keeps the
 	// instantiation copies it.
 	WMEs []*ops5.WME
 }
@@ -168,10 +169,12 @@ type Matcher struct {
 	// instActs holds the phase's production-node activations, set aside
 	// in generation order until the queue has drained and the deltas can
 	// be built in one pass; instParents is the Seq of the activation that
-	// generated each. insts builds them.
+	// generated each.
 	instActs    []Activation
 	instParents []int
-	insts       InstBuilder
+	// spare is the storage of a result handed back (Recycle), which the
+	// next phase with deltas builds its result in.
+	spare []InstChange
 }
 
 // NewMatcher creates a matcher over a compiled network.
@@ -203,10 +206,11 @@ func (m *Matcher) Cycle() int { return m.cycle }
 // reallocating its hash tables.
 //
 // A reset matcher holds nothing of its last user's: the scratch slices
-// are cleared to their capacity, not just truncated, because their
-// backing arrays keep every activation of the largest phase so far,
-// each pointing at a token and a wme, and a shelved session would
-// otherwise keep the previous client's working memory reachable.
+// and the handed-back result are cleared to their capacity, not just
+// truncated, because their backing arrays keep every activation or
+// delta of the largest phase so far, each pointing at a token or a
+// wme, and a shelved session would otherwise keep the previous
+// client's working memory reachable.
 func (m *Matcher) Reset() {
 	m.proc.Reset()
 	m.tab.Reset()
@@ -215,18 +219,21 @@ func (m *Matcher) Reset() {
 	clear(m.queue[:cap(m.queue)])
 	m.queue = m.queue[:0]
 	clear(m.instActs[:cap(m.instActs)])
+	clear(m.spare[:cap(m.spare)])
+	m.spare = m.spare[:0]
 }
 
 // Apply runs one match phase over the given wme changes and returns
 // the conflict-set deltas in deterministic generation order.
 //
-// The records of the result belong to the caller: they are carved from
-// a slab that never hands a region out twice (see InstBuilder), so the
-// caller may keep them across any number of later calls, and a
-// steady-state phase allocates none of them. What a kept result pins is
-// the slab chunks it was carved from, a few kilobytes. The WMEs array
-// of every delta is lent: it is the caller's to read until the next
-// Apply, which recycles it.
+// The result is read once and then either handed back (Recycle), or
+// kept. A kept result's records are the caller's for good: the matcher
+// never writes to them again, so they may be held across any number of
+// later calls. A handed-back result's storage is where the next phase
+// builds its own, so a caller that hands every result back, as the
+// engine does, makes steady-state phases allocate no records. The WMEs
+// array of every delta is lent either way: it is the caller's to read
+// until the next Apply, which recycles it.
 func (m *Matcher) Apply(changes []Change) []InstChange {
 	return m.ApplyFiltered(changes, nil)
 }
@@ -278,7 +285,11 @@ func (m *Matcher) ApplyFiltered(changes []Change, allow func(*Node) bool) []Inst
 
 	var out []InstChange
 	if n := len(m.instActs); n > 0 {
-		out = m.insts.Build(m.proc, m.instActs, m.insts.Result(n))
+		out, m.spare = m.spare[:0], nil
+		if cap(out) < n {
+			out = make([]InstChange, 0, n)
+		}
+		out = m.proc.Build(m.instActs, out)
 		if m.listener != nil {
 			for i := range out {
 				m.listener.Instantiation(out[i], m.instParents[i])
@@ -292,6 +303,27 @@ func (m *Matcher) ApplyFiltered(changes []Change, allow func(*Node) bool) []Inst
 		m.listener.EndCycle(m.cycle)
 	}
 	return out
+}
+
+// Recycle hands back a result of Apply or ApplyFiltered that the
+// caller has finished reading, records and WMEs arrays alike. The next
+// phase with deltas builds its result in that storage, and allocates
+// one of exactly its own size only when it has more deltas than the
+// storage holds; a result smaller than the storage the matcher already
+// holds is ignored. Under PoisonRewinds the records are scrubbed
+// instead — every delta's WMEs becomes an array of the sentinel — and
+// never reused, so a reader that held a result past handing it back
+// reads the sentinel, not the next phase's deltas.
+func (m *Matcher) Recycle(result []InstChange) {
+	if poisonRewind {
+		for i := range result {
+			result[i].WMEs = slices.Repeat([]*ops5.WME{poisonWME}, len(result[i].WMEs))
+		}
+		return
+	}
+	if cap(result) > cap(m.spare) {
+		m.spare = result[:0]
+	}
 }
 
 // file sorts the activations appended to the queue from index n on,

@@ -357,25 +357,35 @@ func pairingBurst(t *testing.T, teams, slots int) (m *Matcher, adds, dels []Chan
 
 // TestApplyAllocsDoNotGrowWithOutput pins the allocation count of a
 // match phase to its arena chunks plus a fixed number of result arrays:
-// nothing is allocated per conflict-set delta.
+// nothing is allocated per conflict-set delta, and nothing at all for
+// the records of a result the caller hands back.
 func TestApplyAllocsDoNotGrowWithOutput(t *testing.T) {
-	measure := func(teams, slots int) (allocs float64, deltas int) {
+	measure := func(teams, slots int, handBack bool) (allocs float64, deltas int) {
 		m, adds, dels := pairingBurst(t, teams, slots)
 		m.Apply(adds)
 		m.Apply(dels) // the hash tables, queue and scratch grow here and never again
+		apply := func(chs []Change) int {
+			out := m.Apply(chs)
+			if handBack {
+				m.Recycle(out)
+			}
+			return len(out)
+		}
 		allocs = testing.AllocsPerRun(5, func() {
-			deltas = len(m.Apply(adds)) + len(m.Apply(dels))
+			deltas = apply(adds) + apply(dels)
 		})
 		return allocs, deltas
 	}
-	allocs, deltas := measure(60, 50)
+	allocs, deltas := measure(60, 50, false)
 	if deltas != 6000 {
 		t.Fatalf("60x50 add and delete bursts made %d deltas, want 6000", deltas)
 	}
 	// What the add burst keeps — its stored tokens' reference chunks
-	// (1,024 references) — plus the two result record arrays, each too
-	// large for a slab chunk: 12 (the same while the Add deltas' array
-	// was allocated beside them; 24 while every token also had a header
+	// (1,024 references) — plus the two result record arrays, each of
+	// exactly its own size because the caller keeps them: 12 (the same
+	// while the records were carved from a slab, which gave a result this
+	// large an array of its own, and while the Add deltas' array was
+	// allocated beside them; 24 while every token also had a header
 	// carved from token chunks of its own; 46 before the delete arena kept
 	// the chunks a phase outgrew and lent the Delete deltas their arrays;
 	// 60 before memory entries moved into their buckets). The delete
@@ -387,12 +397,17 @@ func TestApplyAllocsDoNotGrowWithOutput(t *testing.T) {
 	if allocs > 14 {
 		t.Errorf("60x50 burst pair: %.0f allocations for %d deltas, want <= 14", allocs, deltas)
 	}
-	allocs2, deltas2 := measure(120, 50)
+	// Handed back, each burst builds its result in the storage of the one
+	// before: the two record arrays are gone (9).
+	if back, _ := measure(60, 50, true); back > allocs-2 {
+		t.Errorf("60x50 burst pair with its results handed back: %.0f allocations, want <= %.0f: the records are still allocated", back, allocs-2)
+	}
+	allocs2, deltas2 := measure(120, 50, false)
 	if deltas2 != 12000 {
 		t.Fatalf("120x50 add and delete bursts made %d deltas, want 12000", deltas2)
 	}
 	// Twice the output needs twice the add arena's chunks and the same
-	// three result arrays: one more allocation per 750 deltas (8 for
+	// two result arrays: one more allocation per 750 deltas (8 for
 	// 6,000).
 	if extra := allocs2 - allocs; extra > float64(deltas2-deltas)/500 {
 		t.Errorf("doubling the burst added %.0f allocations for %d more deltas: allocations grow per delta", extra, deltas2-deltas)
@@ -492,9 +507,9 @@ func TestQueueBoundedByFrontier(t *testing.T) {
 // caller's, and until when (the burst benchmark nets the add burst's
 // deltas after the delete burst has run; the engine copies what it
 // keeps of a delta into its conflict set). The records — Tag and Info of
-// every delta — are carved from a slab and never reused: they are
-// unchanged after a thousand one-delta phases that carve from the same
-// chunks and beyond them. Every delta's WMEs array, an Add's as much as
+// every delta — of a result that is not handed back (Recycle) are never
+// written again: they are unchanged after a thousand one-delta phases.
+// Every delta's WMEs array, an Add's as much as
 // a Delete's, is lent from the lent arena until the next Apply: until
 // then it names the delta's wmes, and with the poison on it reads as the
 // sentinel right after it.
@@ -579,6 +594,74 @@ func TestApplyResultBelongsToCaller(t *testing.T) {
 	}
 }
 
+// TestKeptResultOutlivesLaterPhases: a result its caller keeps — the
+// add burst, read again after the delete burst — reads the same after
+// 50 later phases, all of whose results are handed back, so the
+// matcher has storage of its own to build in and must never choose the
+// kept result's.
+func TestKeptResultOutlivesLaterPhases(t *testing.T) {
+	m, adds, dels := pairingBurst(t, 6, 5)
+	kept := m.Apply(adds)
+	want := make([]string, len(kept))
+	for i := range kept {
+		want[i] = kept[i].Tag.String() + kept[i].Info.Prod.Name
+	}
+	for i := 0; i < 50; i++ {
+		m.Recycle(m.Apply([][]Change{dels, adds}[i%2]))
+	}
+	for i := range kept {
+		if got := kept[i].Tag.String() + kept[i].Info.Prod.Name; got != want[i] {
+			t.Fatalf("kept delta %d reads %s after 50 later phases, was %s", i, got, want[i])
+		}
+	}
+}
+
+// TestHandedBackResultBacksTheNext: the storage of a handed-back
+// result is where the next phase with deltas builds its own, an empty
+// phase in between leaves it there, and a phase with more deltas than
+// it holds grows it, to exactly its own size.
+func TestHandedBackResultBacksTheNext(t *testing.T) {
+	m, adds, dels := pairingBurst(t, 6, 5)
+	first := m.Apply(adds)
+	m.Recycle(first)
+	m.Recycle(m.Apply(nil))
+	next := m.Apply(dels)
+	if len(next) != 30 || &next[0] != &first[0] {
+		t.Fatalf("the delete burst's %d deltas were not built in the add burst's handed-back storage", len(next))
+	}
+	m.Recycle(next)
+	// A seventh team pairs with every slot: 35 deltas, more than the
+	// storage holds.
+	team := ops5.NewWME("team", "name", "t7")
+	team.ID, team.TimeTag = 1000, 1000
+	grown := m.Apply(append(adds[:len(adds):len(adds)], Change{Tag: Add, WME: team}))
+	if len(grown) != 35 || cap(grown) != 35 || &grown[0] == &first[0] {
+		t.Fatalf("a phase after a handed-back 30-delta result: %d deltas in an array of %d, the handed-back one %v; want 35 in a new one of 35", len(grown), cap(grown), &grown[0] == &first[0])
+	}
+}
+
+// checkHandedBackScrubbed is a subtest of TestPoisonedRewinds: with the
+// poison on, a handed-back result's records read as scrubbed — every
+// wme of every delta the sentinel — and the next phase builds its
+// result elsewhere, so a reader that held a result past handing it back
+// reads the sentinel, not the next phase's deltas.
+func checkHandedBackScrubbed(t *testing.T) {
+	m, adds, dels := pairingBurst(t, 6, 5)
+	back := m.Apply(adds)
+	m.Recycle(back)
+	next := m.Apply(dels)
+	for i := range back {
+		for _, w := range back[i].WMEs {
+			if w != poisonWME {
+				t.Fatalf("handed-back delta %d reads %v, want every wme the sentinel", i, back[i].WMEs)
+			}
+		}
+	}
+	if len(next) != 30 || &next[0] == &back[0] {
+		t.Fatalf("under the poison the delete burst's %d deltas were built in the handed-back storage", len(next))
+	}
+}
+
 // holdsNothing fails if any slot, up to capacity, of the matcher's
 // scratch slices, hash buckets, wme table or lent arena still points at
 // a token or a wme, or an arena keeps more than one ordinary region.
@@ -589,6 +672,11 @@ func holdsNothing(t *testing.T, m *Matcher) {
 			if a.Token.H != nil || a.WME != 0 {
 				t.Fatalf("%s slot %d of %d still holds an activation", name, i, cap(acts))
 			}
+		}
+	}
+	for i, ic := range m.spare[:cap(m.spare)] {
+		if ic.Info != nil || ic.WMEs != nil {
+			t.Fatalf("handed-back result slot %d of %d still holds a delta", i, cap(m.spare))
 		}
 	}
 	for b, bucket := range m.proc.left.buckets {
@@ -633,9 +721,9 @@ func holdsNothing(t *testing.T, m *Matcher) {
 // their capacity.
 func TestResetLetsGoOfTheLastTenant(t *testing.T) {
 	m, adds, dels := pairingBurst(t, 12, 10)
-	m.Apply(adds)
-	m.Apply(dels[len(dels)-5:]) // a smaller phase: the big one's tail stays in the arrays
-	if cap(m.queue) == 0 || cap(m.instActs) == 0 || m.proc.left.Len() == 0 || m.proc.delArena.used == 0 || len(m.tab.rows) < 2 {
+	m.Recycle(m.Apply(adds))
+	m.Recycle(m.Apply(dels[len(dels)-5:])) // a smaller phase: the big one's tail stays in the arrays
+	if cap(m.queue) == 0 || cap(m.instActs) == 0 || cap(m.spare) == 0 || m.proc.left.Len() == 0 || m.proc.delArena.used == 0 || len(m.tab.rows) < 2 {
 		t.Fatalf("the bursts left nothing behind to let go of: queue %d, instActs %d, left %d, phase handles %d, table rows %d",
 			cap(m.queue), cap(m.instActs), m.proc.left.Len(), m.proc.delArena.used, len(m.tab.rows))
 	}

@@ -116,8 +116,7 @@ func TestExtractInjectBucketDirect(t *testing.T) {
 	// Negative-node counts survive: deleting the b-wme at dst must
 	// re-propagate the left token (count 1 -> 0).
 	reborn := 0
-	var insts InstBuilder
-	for _, ic := range insts.Build(dst, rootsT(dst, Change{Tag: Delete, WME: wb}), nil) {
+	for _, ic := range dst.Build(rootsT(dst, Change{Tag: Delete, WME: wb}), nil) {
 		if ic.Tag == Add {
 			reborn++
 		}

@@ -139,11 +139,10 @@ func TestHashKeyOwnerBitMatchesFNV(t *testing.T) {
 // ownerBitMatcher is a FIFO sequential matcher over a Processor that
 // checks the owner bit of every activation it performs.
 type ownerBitMatcher struct {
-	t     *testing.T
-	tab   *rete.Table
-	proc  *rete.Processor
-	insts rete.InstBuilder
-	acts  int
+	t    *testing.T
+	tab  *rete.Table
+	proc *rete.Processor
+	acts int
 }
 
 func (o *ownerBitMatcher) Apply(changes []rete.Change) []rete.InstChange {
@@ -164,5 +163,5 @@ func (o *ownerBitMatcher) Apply(changes []rete.Change) []rete.InstChange {
 		o.acts++
 		queue = o.proc.ProcessAt(act, o.proc.Bucket(act), queue)
 	}
-	return o.insts.Build(o.proc, prods, nil)
+	return o.proc.Build(prods, nil)
 }

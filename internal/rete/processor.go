@@ -106,7 +106,7 @@ func (p *Processor) Reset() {
 // handed out so far is dead: the activations that carried its delete
 // tokens have been performed, its production-only tokens have been
 // built into deltas, and the deltas whose WMEs arrays
-// InstBuilder.Build lent from it have been absorbed or encoded by
+// Build lent from it have been absorbed or encoded by
 // whoever received them. It rewinds that arena, so the phase about
 // to start carves its tokens and lent arrays from the same storage
 // again. It frees no handle: that is the table owner's BeginPhase.
@@ -166,7 +166,7 @@ func (p *Processor) RootActivationsInto(ch Change, h int32, out []Activation) []
 //
 // Production-node activations are not match work. A successor aimed at
 // a production node is a conflict-set delta: callers set those aside
-// and convert them with InstBuilder.Build.
+// and convert them with Build.
 func (p *Processor) ProcessAt(a Activation, bucket int, out []Activation) []Activation {
 	switch a.Node.Kind {
 	case KindJoin:
@@ -343,36 +343,11 @@ func testsPass(n *Node, rows []*ops5.WME, t Token, w *ops5.WME) bool {
 	return true
 }
 
-// instChangeSlabMax is the chunk maximum of an InstBuilder's record
-// slab, sized in bytes: a conflict-set delta is 40 bytes. An owner
-// opened for one short run (a served session fires ~20 times) never
-// grows past the first chunks; one that runs 8-queens wastes at most
-// the last chunk, 5 KB over 2,033 firings.
-const instChangeSlabMax = 128 // 5 KB
-
-// InstBuilder turns production-node activations into conflict-set
-// deltas. It owns the slab the delta records are carved from (Result),
-// so a steady-state match phase builds its result without allocating:
-// the sequential Matcher carves each result there, while a parallel
-// worker step and the cycle driver's in-place head append to a slice
-// they reuse.
-//
-// The records Result carves are never reused and belong to the caller:
-// they may be held across any number of later phases. Every delta's
-// WMEs array is lent (see Build): a conflict set copies what it keeps.
-// The zero value is ready to use.
-type InstBuilder struct {
-	out slab[InstChange]
-}
-
-// Result returns an empty result slice with room for n deltas.
-func (b *InstBuilder) Result(n int) []InstChange {
-	return b.out.carve(n, instChangeSlabMax)[:0]
-}
-
 // Build converts production-node activations, made by p, into
 // conflict-set deltas, appended to out in order, mapping each compiled
-// token back to original CE positions. A delta carries what its
+// token back to original CE positions. out is storage the caller
+// reuses: the Matcher's handed-back result (Matcher.Recycle), a
+// parallel worker step's turn, the cycle driver's intake. A delta carries what its
 // receiver cannot recompute and nothing else: recency is derived from
 // WMEs where an instantiation enters a conflict set.
 //
@@ -388,7 +363,7 @@ func (b *InstBuilder) Result(n int) []InstChange {
 // the activations' tokens through p's table: once Build returns, the
 // deltas do not depend on the tokens, which is what lets a token that
 // only production nodes receive come from the phase arena.
-func (b *InstBuilder) Build(p *Processor, acts []Activation, out []InstChange) []InstChange {
+func (p *Processor) Build(acts []Activation, out []InstChange) []InstChange {
 	n := 0
 	for i := range acts {
 		n += len(acts[i].Node.Info.TokenPos)

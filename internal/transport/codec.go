@@ -605,7 +605,7 @@ func (d *dec) bucketContents(net *rete.Network) *rete.BucketContents {
 // worker fully processed, what the step produced, and — under a flight
 // recorder — the turn as the worker recorded it, decoded into storage
 // the connection keeps. The deltas' WMEs arrays are lent, as
-// rete.InstBuilder lends a match phase's: each frame carves them, at the
+// rete.Processor.Build lends a match phase's: each frame carves them, at the
 // total it declares, from buf, the connection's buffer, and wmes is the
 // frame's unconsumed share. They are read until the engine has absorbed
 // the cycle's result; the connection's first frame of the next cycle

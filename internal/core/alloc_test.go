@@ -4,7 +4,9 @@ import (
 	"runtime"
 	"testing"
 
+	"mpcrete/internal/sched"
 	"mpcrete/internal/trace"
+	"mpcrete/internal/workloads"
 )
 
 // allocTrace builds a synthetic section of identical cycles: every
@@ -87,5 +89,28 @@ func TestRecordedSimulateAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(10, run); allocs != resultObjects {
 			t.Errorf("%d cycles: a warmed recorded Simulate allocates %.1f objects, want the Result's %d", cycles, allocs, resultObjects)
 		}
+	}
+}
+
+// TestRebalanceSimulateAllocs pins what a warmed adaptive run costs:
+// the tourney section at P = 8 under Rebalance{Threshold: 1.1}, whose
+// three migrations move 789 buckets. Beyond the Result's objects the
+// run allocates its plan — a partition and a move list per cycle, and
+// per migration the balancer's candidate, hot list and sort and the
+// moves it names — and nothing per activation: the planner feeds each
+// cycle's activations to the balancer one by one. It reads 127 (202
+// while the planner built a bucket-load map per cycle).
+func TestRebalanceSimulateAllocs(t *testing.T) {
+	tr := workloads.Tourney()
+	cfg := NewConfig(8, func(c *Config) { c.Rebalance = sched.Rebalance{Threshold: 1.1} })
+	run := func() {
+		if _, err := Simulate(tr, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	runtime.GC()
+	if allocs := testing.AllocsPerRun(10, run); allocs > 127 {
+		t.Errorf("a warmed adaptive tourney run allocates %.1f objects, want at most 127", allocs)
 	}
 }

@@ -536,13 +536,14 @@ func (s *simulator) partition(cycle int) sched.Partition {
 // this is an online policy, not an oracle like PerCycle.
 func (s *simulator) planRebalance() {
 	nc := len(s.tr.Cycles)
-	loads := s.tr.BucketLoad(false)
 	bl := sched.NewBalancer(s.cfg.Rebalance, s.cfg.Partition, s.cfg.MatchProcs)
 	s.parts = make([]sched.Partition, nc)
 	s.migs = make([][]migMove, nc)
 	for ci := 0; ci < nc; ci++ {
 		s.parts[ci] = bl.Partition()
-		bl.ObserveCycle(loads[ci])
+		for _, r := range s.tr.Cycles[ci].Roots {
+			observeTokens(bl, r)
+		}
 		if np, ok := bl.EndCycle(); ok && ci+1 < nc {
 			old := s.parts[ci]
 			for _, b := range sched.PartitionMoves(old, np) {
@@ -555,6 +556,14 @@ func (s *simulator) planRebalance() {
 			s.res.Migrations++
 			s.res.BucketsMoved += len(moves)
 		}
+	}
+}
+
+// observeTokens feeds a and its descendants to bl, one activation each.
+func observeTokens(bl *sched.Balancer, a *trace.Activation) {
+	bl.Observe(a.Bucket, 1)
+	for _, ch := range a.Children {
+		observeTokens(bl, ch)
 	}
 }
 

@@ -125,7 +125,6 @@ func (c *Compiled) NewSession(opts SessionOptions) *Session {
 		matcher:  matcher,
 		opts:     opts,
 		shared:   true,
-		wm:       map[int]*ops5.WME{},
 		conflict: newConflictSet(),
 		nextID:   1,
 		timetag:  1,

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/rete"
@@ -70,16 +69,11 @@ func (e *Session) AddProductionLive(p *ops5.Production) error {
 	for _, n := range nodes {
 		allowed[n] = true
 	}
-	// Replay live working memory, deterministically ordered, through
-	// the new nodes only.
-	ids := make([]int, 0, len(e.wm))
-	for id := range e.wm {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	changes := make([]rete.Change, 0, len(ids))
-	for _, id := range ids {
-		changes = append(changes, rete.Change{Tag: rete.Add, WME: e.wm[id]})
+	// Replay live working memory, in ID order, through the new nodes
+	// only.
+	changes := make([]rete.Change, 0, e.wm.live)
+	for w := range e.LiveWMEs {
+		changes = append(changes, rete.Change{Tag: rete.Add, WME: w})
 	}
 	e.absorb(m.ApplyFiltered(changes, func(n *rete.Node) bool { return allowed[n] }))
 	return nil

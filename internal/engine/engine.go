@@ -124,7 +124,7 @@ type Session struct {
 	// network may be shared with other sessions and therefore must not
 	// be rewritten (see dynamic.go).
 	shared   bool
-	wm       map[int]*ops5.WME
+	wm       workingMemory
 	conflict conflictSet
 	// pending collects the wme changes of the next match phase; spare is
 	// the previous phase's buffer, swapped back in by match. keyBuf is
@@ -133,9 +133,6 @@ type Session struct {
 	pending []rete.Change
 	spare   []rete.Change
 	keyBuf  []byte
-	// order is LiveWMEs' scratch: working memory sorted by ID, held only
-	// for the length of one walk.
-	order []*ops5.WME
 	// free holds, by layout ID, the rows of deleted wmes that an act
 	// refills. Every wme the session holds comes from it, so a session
 	// never holds more rows than its largest working memory.
@@ -181,21 +178,115 @@ func (e *Session) Network() *rete.Network { return e.c.net }
 // Matcher returns the underlying match implementation.
 func (e *Session) Matcher() MatchApplier { return e.matcher }
 
+// workingMemory is the live wmes in ascending ID order. A session mints
+// IDs in increasing order, so a match phase's Add appends; its Delete
+// finds the wme by binary search and leaves a tombstone, a row with a
+// nil wme that keeps the ID for the search. Tombstones are compacted
+// away in place once they outnumber the live wmes, or, when they are a
+// quarter of the array or more, before a phase's Adds would grow it: so
+// each compaction frees room for a share of the Adds it costs. The
+// array grows at most once a phase, by at least the phase's Adds.
+type workingMemory struct {
+	rows []wmRow
+	live int
+}
+
+type wmRow struct {
+	id int
+	w  *ops5.WME // nil: a tombstone
+}
+
+// get returns the live wme with the given ID, or nil.
+func (m *workingMemory) get(id int) *ops5.WME {
+	if i, ok := m.find(id); ok {
+		return m.rows[i].w
+	}
+	return nil
+}
+
+// find returns the position of the row with the given ID, or where it
+// would be, by binary search.
+func (m *workingMemory) find(id int) (int, bool) {
+	i, j := 0, len(m.rows)
+	for i < j {
+		if h := int(uint(i+j) >> 1); m.rows[h].id < id {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i, i < len(m.rows) && m.rows[i].id == id
+}
+
+// apply applies a match phase's changes in order. An Add's ID is above
+// every ID the memory holds.
+func (m *workingMemory) apply(changes []rete.Change) {
+	adds := 0
+	for _, ch := range changes {
+		if ch.Tag == rete.Add {
+			adds++
+		}
+	}
+	if len(m.rows)+adds > cap(m.rows) {
+		if 4*(len(m.rows)-m.live) >= len(m.rows) {
+			m.compact()
+		}
+		m.rows = slices.Grow(m.rows, adds)
+	}
+	for _, ch := range changes {
+		if ch.Tag == rete.Add {
+			m.rows = append(m.rows, wmRow{ch.WME.ID, ch.WME})
+			m.live++
+		} else {
+			m.remove(ch.WME.ID)
+		}
+	}
+}
+
+// remove tombstones the live wme with the given ID.
+func (m *workingMemory) remove(id int) {
+	i, ok := m.find(id)
+	if !ok || m.rows[i].w == nil {
+		return
+	}
+	m.rows[i].w = nil
+	m.live--
+	if len(m.rows)-m.live > m.live {
+		m.compact()
+	}
+}
+
+// compact drops the tombstones, keeping the order.
+func (m *workingMemory) compact() {
+	m.rows = slices.DeleteFunc(m.rows, func(r wmRow) bool { return r.w == nil })
+}
+
+// reset empties the memory, keeping its array.
+func (m *workingMemory) reset() {
+	clear(m.rows)
+	m.rows, m.live = m.rows[:0], 0
+}
+
 // WMCount returns the current working-memory size.
-func (e *Session) WMCount() int { return len(e.wm) }
+func (e *Session) WMCount() int { return e.wm.live }
 
 // WMEs returns defensive copies of the live working-memory elements
 // sorted by ID (IDs and time tags preserved) — the final-state artifact
 // the differential test harness compares across match implementations.
 // Because the copies share nothing with the session, a caller may hand
 // them out (e.g. serialize a snapshot response) after releasing its
-// session lock without racing later mutations.
+// session lock without racing later mutations. The copies are made by
+// the chunk (ops5.Carver): a chunk of up to 32 KiB stays live while any
+// of its copies does.
 func (e *Session) WMEs() []*ops5.WME {
-	out := make([]*ops5.WME, 0, len(e.wm))
-	for _, w := range e.wm {
-		out = append(out, w.Clone())
+	var c ops5.Carver
+	for w := range e.LiveWMEs {
+		c.Expect(len(w.Slots()))
 	}
-	slices.SortFunc(out, func(a, b *ops5.WME) int { return cmp.Compare(a.ID, b.ID) })
+	out := make([]*ops5.WME, 0, e.wm.live)
+	for w := range e.LiveWMEs {
+		out = append(out, c.Clone(w))
+	}
 	return out
 }
 
@@ -204,22 +295,13 @@ func (e *Session) WMEs() []*ops5.WME {
 // the session's own storage, so the walk is valid only while the caller
 // holds whatever serialises the session (the server's session lock),
 // and a yielded wme must be neither kept past the walk nor changed.
-// Callers that need either take WMEs or Snapshot. Walks do not nest.
+// Callers that need either take WMEs or Snapshot.
 func (e *Session) LiveWMEs(yield func(*ops5.WME) bool) {
-	order := slices.Grow(e.order[:0], len(e.wm))
-	for _, w := range e.wm {
-		order = append(order, w)
-	}
-	slices.SortFunc(order, func(a, b *ops5.WME) int { return cmp.Compare(a.ID, b.ID) })
-	for _, w := range order {
-		if !yield(w) {
-			break
+	for _, r := range e.wm.rows {
+		if r.w != nil && !yield(r.w) {
+			return
 		}
 	}
-	// Cleared, so a session shelved in a pool does not pin its last
-	// tenant's working memory through the scratch.
-	clear(order)
-	e.order = order[:0]
 }
 
 // Fired returns the number of instantiations fired so far.
@@ -236,31 +318,58 @@ func (e *Session) NextTimeTag() int { return e.timetag }
 // assigned ID and time tag, and is valid while it is live: once a match
 // phase has deleted it, its row may be refilled as another wme.
 func (e *Session) MakeWME(class string, pairs ...any) *ops5.WME {
-	return e.addWME(e.conform(ops5.NewWME(class, pairs...)))
+	return e.insert([]*ops5.WME{ops5.NewWME(class, pairs...)})[0].WME
 }
 
 // InsertWMEs schedules pre-built wmes (e.g. parsed by ops5.ParseWMEs).
 // The session keeps its own copy of each, laid out by the network's
 // layout of its class so the match reads it by slot; the caller's wmes
-// are not touched and may be handed to any number of sessions.
-func (e *Session) InsertWMEs(wmes ...*ops5.WME) {
-	for _, w := range wmes {
-		e.addWME(e.conform(w))
-	}
-}
+// are not touched and may be handed to any number of sessions. The
+// copies are the rows of deleted wmes where the session has them, and
+// otherwise made by the chunk (ops5.Carver): a chunk of up to 32 KiB
+// stays live while any of its rows does.
+func (e *Session) InsertWMEs(wmes ...*ops5.WME) { e.insert(wmes) }
 
 // Assert schedules pre-built wmes and returns the session-owned copies
 // carrying their assigned IDs and time tags (the handle a Retract call
 // names). It is InsertWMEs with the assignment made visible — the
-// session-level API the multi-tenant server exposes. A returned wme is
-// valid while it is live, as MakeWME's is: a caller reads the IDs at
-// once, or copies what it keeps.
+// session-level API the multi-tenant server exposes — and makes its
+// copies as InsertWMEs does. A returned wme is valid while it is live,
+// as MakeWME's is: a caller reads the IDs at once, or copies what it
+// keeps.
 func (e *Session) Assert(wmes ...*ops5.WME) []*ops5.WME {
 	out := make([]*ops5.WME, len(wmes))
-	for i, w := range wmes {
-		out[i] = e.addWME(e.conform(w))
+	for i, ch := range e.insert(wmes) {
+		out[i] = ch.WME
 	}
 	return out
+}
+
+// insert schedules the session's own copies of wmes and returns their
+// Add changes, a view of pending. Free rows are taken first; the first
+// pass counts what is left to make, so the second makes it by the chunk.
+// The pending changes hold the batch's rows between the passes.
+func (e *Session) insert(wmes []*ops5.WME) []rete.Change {
+	net := e.c.net
+	var c ops5.Carver
+	start := len(e.pending)
+	e.pending = slices.Grow(e.pending, len(wmes))
+	for _, src := range wmes {
+		l := net.Layout(src.Class)
+		w := e.free.Reuse(l, src)
+		if w == nil {
+			c.Expect(l.Len())
+		}
+		e.pending = append(e.pending, rete.Change{Tag: rete.Add, WME: w})
+	}
+	batch := e.pending[start:]
+	for i := range batch {
+		if batch[i].WME == nil {
+			batch[i].WME = c.Conform(net.Layout(wmes[i].Class), wmes[i])
+		}
+		e.stamp(batch[i].WME)
+	}
+	return batch
 }
 
 // Retract schedules deletion of the live wme with the given ID,
@@ -268,16 +377,21 @@ func (e *Session) Assert(wmes ...*ops5.WME) []*ops5.WME {
 // earlier assert this cycle).
 func (e *Session) Retract(id int) bool { return e.removeWME(id) }
 
-func (e *Session) addWME(w *ops5.WME) *ops5.WME {
+// addWME schedules the addition of w, a row of the session's.
+func (e *Session) addWME(w *ops5.WME) {
+	e.pending = append(e.pending, rete.Change{Tag: rete.Add, WME: w})
+	e.stamp(w)
+}
+
+// stamp gives w, a pending addition, the next ID and time tag.
+func (e *Session) stamp(w *ops5.WME) {
 	w.ID = e.nextID
 	e.nextID++
 	w.TimeTag = e.timetag
 	e.timetag++
-	e.pending = append(e.pending, rete.Change{Tag: rete.Add, WME: w})
 	if e.opts.Watch >= 2 {
 		fmt.Fprintf(e.opts.Output, "=>wm: %d: %s\n", w.TimeTag, w)
 	}
-	return w
 }
 
 // removeWME schedules the deletion of the wme with the given ID and
@@ -292,7 +406,8 @@ func (e *Session) addWME(w *ops5.WME) *ops5.WME {
 // (driving negative counts below zero and leaking stale
 // instantiations).
 func (e *Session) removeWME(id int) bool {
-	w, found := e.wm[id]
+	w := e.wm.get(id)
+	found := w != nil
 	for _, ch := range e.pending {
 		if ch.WME.ID != id {
 			continue
@@ -320,13 +435,7 @@ func (e *Session) removeWME(id int) bool {
 func (e *Session) match() {
 	changes := e.pending
 	e.pending = e.spare[:0]
-	for _, ch := range changes {
-		if ch.Tag == rete.Add {
-			e.wm[ch.WME.ID] = ch.WME
-		} else {
-			delete(e.wm, ch.WME.ID)
-		}
-	}
+	e.wm.apply(changes)
 	e.absorb(e.matcher.Apply(changes))
 	for _, ch := range changes {
 		if ch.Tag == rete.Delete {
@@ -338,10 +447,6 @@ func (e *Session) match() {
 	clear(changes)
 	e.spare = changes
 }
-
-// conform returns the session's own copy of w, laid out by the
-// network's layout of its class.
-func (e *Session) conform(w *ops5.WME) *ops5.WME { return e.free.Row(e.c.net.Layout(w.Class), w) }
 
 // ConflictSet returns the current instantiations sorted best-first
 // under the configured strategy. The slice is the caller's; the members

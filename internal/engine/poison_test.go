@@ -81,6 +81,7 @@ func TestPoisonedRewinds(t *testing.T) {
 			t.Fatal("8-queens fires differently with rewound arrays poisoned")
 		}
 	})
+	t.Run("SnapshotOutlivesItsRows", checkSnapshotsOutlive)
 	t.Run("HandedBackDeltasReadScrubbed", func(t *testing.T) {
 		var spy *handBackSpy
 		got := queensTranscript(t, 0, nil, func(m *rete.Matcher) engine.MatchApplier {

@@ -129,7 +129,7 @@ func (e *Session) Reset() bool {
 	r.Reset()
 	// Every row is dead now, live or pending (a pending Delete names one
 	// of the others), and a free row keeps nothing of this tenant.
-	for _, w := range e.wm {
+	for w := range e.LiveWMEs {
 		e.free.Retire(w)
 	}
 	for _, ch := range e.pending {
@@ -138,7 +138,7 @@ func (e *Session) Reset() bool {
 		}
 	}
 	e.free.Scrub()
-	clear(e.wm)
+	e.wm.reset()
 	e.conflict.reset()
 	// The change buffer keeps its capacity for the next tenant, and none
 	// of this one's wmes.

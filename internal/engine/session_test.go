@@ -361,9 +361,7 @@ func TestSessionCloseIdempotent(t *testing.T) {
 
 // TestLiveWMEsWalk: the non-copying walk yields the session's own wmes
 // — the same elements WMEs copies, in the same ascending-ID order — a
-// break stops it, a warm walk allocates nothing, and the scratch it
-// sorts in is empty again afterwards, so a shelved session pins none of
-// its last tenant's working memory.
+// break stops it, a walk allocates nothing, and walks nest.
 func TestLiveWMEsWalk(t *testing.T) {
 	prog, err := ops5.ParseProgram(sessionTestProg)
 	if err != nil {
@@ -383,7 +381,7 @@ func TestLiveWMEsWalk(t *testing.T) {
 		if i >= len(copies) || w.ID != copies[i].ID || !w.Equal(copies[i]) {
 			t.Fatalf("walk position %d yields %d: %s, WMEs has %v", i, w.ID, w, copies)
 		}
-		if w == copies[i] || w != s.wm[w.ID] {
+		if w == copies[i] || w != s.wm.get(w.ID) {
 			t.Fatalf("walk position %d yields a copy, want the session's own wme", i)
 		}
 		i++
@@ -409,12 +407,15 @@ func TestLiveWMEsWalk(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("a warm walk allocates %v times, want 0", n)
 	}
-	if len(s.order) != 0 {
-		t.Errorf("scratch has length %d after a walk, want 0", len(s.order))
-	}
-	for i, w := range s.order[:cap(s.order)] {
-		if w != nil {
-			t.Fatalf("scratch slot %d still holds wme %d after the walk", i, w.ID)
+	pairs := 0
+	for a := range s.LiveWMEs {
+		for b := range s.LiveWMEs {
+			if a.ID < b.ID {
+				pairs++
+			}
 		}
+	}
+	if want := len(copies) * (len(copies) - 1) / 2; pairs != want {
+		t.Errorf("nested walks saw %d ordered pairs, want %d", pairs, want)
 	}
 }

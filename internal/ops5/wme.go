@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"unsafe"
 )
 
 // Attr is one named attribute value: the form in which a wme holds
@@ -91,7 +92,7 @@ func (l *Layout) Add(attr string) int {
 // New returns a wme of the layout's class with every attribute absent.
 // Up to eight slots, the wme and its slots are one allocation.
 func (l *Layout) New() *WME {
-	w := newSlotted(len(l.names))
+	w := (*Carver)(nil).slotted(len(l.names))
 	w.Class, w.layout = l.class, l
 	return w
 }
@@ -102,18 +103,7 @@ func (l *Layout) New() *WME {
 //
 // The nil layout has no slots, Slot finds nothing in it, and conforming
 // to it gives the loose form.
-func (l *Layout) Conform(w *WME) *WME {
-	var c *WME
-	if l != nil {
-		c = l.New()
-		c.Refill(w)
-	} else {
-		c = &WME{Class: w.Class}
-		c.setAll(w)
-	}
-	c.ID, c.TimeTag = w.ID, w.TimeTag
-	return c
-}
+func (l *Layout) Conform(w *WME) *WME { return (*Carver)(nil).Conform(l, w) }
 
 // WME is a working-memory element: a class name plus a set of
 // attribute-value pairs. Each wme carries a unique ID (assigned by the
@@ -172,25 +162,76 @@ type (
 	}
 )
 
-// newSlotted allocates a wme with n absent slots.
-func newSlotted(n int) *WME {
+// rowChunkBytes caps a Carver's chunk at the largest size-classed heap
+// object: a bigger one would be a large object rounded up to whole
+// pages.
+const rowChunkBytes = 32 << 10
+
+// A Carver makes rows by the batch. A caller counts the rows the batch
+// will make, by slot count (Expect), then takes them one at a time
+// (Conform, Clone). A row of one to four slots comes from a chunk of
+// rows of its width, one allocation sized to what is still expected
+// and capped at 32 KiB; a wider or slotless row is an allocation of its
+// own, as Layout.New makes it, and so is a row no Expect counted once
+// its width's chunk is used up. A chunk stays live while any of its
+// rows does. The zero Carver is ready; the nil Carver allocates every
+// row on its own.
+type Carver struct {
+	need [5]int // rows of one to four slots expected and not yet in a chunk
+	c1   []wme1
+	c2   []wme2
+	c3   []wme3
+	c4   []wme4
+}
+
+// Expect counts one more row of n slots that the batch will take.
+func (c *Carver) Expect(n int) {
+	if n >= 1 && n < len(c.need) {
+		c.need[n]++
+	}
+}
+
+// carve takes the next row of a chunk, allocating the chunk when the
+// last one is used up: as many rows as are still expected, at least
+// one, and no more than rowChunkBytes hold.
+func carve[T any](chunk *[]T, need *int) *T {
+	if len(*chunk) == 0 {
+		var row T
+		n := min(max(*need, 1), int(rowChunkBytes/unsafe.Sizeof(row)))
+		*need = max(*need-n, 0)
+		*chunk = make([]T, n)
+	}
+	x := &(*chunk)[0]
+	*chunk = (*chunk)[1:]
+	return x
+}
+
+// slotted returns a wme with n absent slots. Up to four slots it is a
+// row of the carver's chunk of its width (the nil carver's chunk is the
+// one row); up to eight, the wme and its slots are one allocation;
+// wider, the slots are a second.
+func (c *Carver) slotted(n int) *WME {
+	if c == nil {
+		var one Carver
+		c = &one
+	}
 	switch {
 	case n == 0:
 		return new(WME)
 	case n == 1:
-		x := new(wme1)
+		x := carve(&c.c1, &c.need[1])
 		x.slots = x.a[:]
 		return &x.WME
 	case n == 2:
-		x := new(wme2)
+		x := carve(&c.c2, &c.need[2])
 		x.slots = x.a[:]
 		return &x.WME
 	case n == 3:
-		x := new(wme3)
+		x := carve(&c.c3, &c.need[3])
 		x.slots = x.a[:]
 		return &x.WME
 	case n == 4:
-		x := new(wme4)
+		x := carve(&c.c4, &c.need[4])
 		x.slots = x.a[:]
 		return &x.WME
 	case n <= 8:
@@ -199,6 +240,30 @@ func newSlotted(n int) *WME {
 		return &x.WME
 	}
 	return &WME{slots: make([]Value, n)}
+}
+
+// Conform is l.Conform(w) into a row of the carver's.
+func (c *Carver) Conform(l *Layout, w *WME) *WME {
+	var r *WME
+	if l != nil {
+		r = c.slotted(len(l.names))
+		r.Class, r.layout = l.class, l
+		r.Refill(w)
+	} else {
+		r = &WME{Class: w.Class}
+		r.setAll(w)
+	}
+	r.ID, r.TimeTag = w.ID, w.TimeTag
+	return r
+}
+
+// Clone is w.Clone() into a row of the carver's.
+func (c *Carver) Clone(w *WME) *WME {
+	r := c.slotted(len(w.slots))
+	r.ID, r.TimeTag, r.Class, r.layout = w.ID, w.TimeTag, w.Class, w.layout
+	copy(r.slots, w.slots)
+	r.extra = slices.Clone(w.extra)
+	return r
 }
 
 // NewWME builds a loose wme from alternating attribute/value arguments.
@@ -327,13 +392,7 @@ func (w *WME) Len() int {
 // Clone returns a deep copy of the wme (same class, attributes and
 // layout, same ID and time tag): one allocation for a wme of up to
 // eight slots and no extras. Modify actions clone before rewriting.
-func (w *WME) Clone() *WME {
-	c := newSlotted(len(w.slots))
-	c.ID, c.TimeTag, c.Class, c.layout = w.ID, w.TimeTag, w.Class, w.layout
-	copy(c.slots, w.slots)
-	c.extra = slices.Clone(w.extra)
-	return c
-}
+func (w *WME) Clone() *WME { return (*Carver)(nil).Clone(w) }
 
 // Refill rewrites w, a row no reader holds any more, as a fresh wme of
 // its layout with src's attributes — what Conform would make of src,

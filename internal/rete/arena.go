@@ -113,24 +113,37 @@ func (r *Rows) Retire(w *ops5.WME) {
 
 // Row returns a wme of layout l, the layout of src's class, with src's
 // attributes (none for a nil src) and its ID and time tag still to be
-// assigned: a free row refilled (ops5.WME.Refill), or, without one, a
-// fresh wme, as l.New or l.Conform makes it. A free row that cannot be
-// refilled is dropped.
+// assigned: a free row refilled (Reuse), or, without one, a fresh wme,
+// as l.New or l.Conform makes it.
 func (r Rows) Row(l *ops5.Layout, src *ops5.WME) *ops5.WME {
-	if l != nil && l.ID() < len(r) {
-		if free := r[l.ID()]; len(free) > 0 {
-			w := free[len(free)-1]
-			free[len(free)-1] = nil
-			r[l.ID()] = free[:len(free)-1]
-			if w.Refill(src) {
-				return w
-			}
-		}
+	if w := r.Reuse(l, src); w != nil {
+		return w
 	}
 	if src == nil {
 		return l.New()
 	}
 	return l.Conform(src)
+}
+
+// Reuse returns a free row of layout l refilled with src's attributes
+// (ops5.WME.Refill), or nil when l has none. A free row that cannot be
+// refilled is dropped. A batch takes its free rows with Reuse and makes
+// the rest by the chunk (ops5.Carver).
+func (r Rows) Reuse(l *ops5.Layout, src *ops5.WME) *ops5.WME {
+	if l == nil || l.ID() >= len(r) {
+		return nil
+	}
+	free := r[l.ID()]
+	if len(free) == 0 {
+		return nil
+	}
+	w := free[len(free)-1]
+	free[len(free)-1] = nil
+	r[l.ID()] = free[:len(free)-1]
+	if !w.Refill(src) {
+		return nil
+	}
+	return w
 }
 
 // Scrub blanks every free row, so that none keeps a value of the

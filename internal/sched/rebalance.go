@@ -61,7 +61,7 @@ func PartitionMoves(old, new Partition) []int {
 // Balancer is the deterministic online hot-bucket detector and
 // migration planner shared by the live parallel runtime, the TCP
 // control plane, and the trace simulator. Callers feed it per-bucket
-// activation counts as cycles execute (Observe / ObserveCycle) and ask
+// activation counts as cycles execute (Observe) and ask
 // at every cycle boundary whether to migrate (EndCycle). All
 // arithmetic is integral — per-bucket loads decay by halving each
 // cycle — so every engine that replays the same observation sequence
@@ -91,14 +91,6 @@ func NewBalancer(reb Rebalance, initial Partition, procs int) *Balancer {
 func (bl *Balancer) Observe(b int, n int64) {
 	if b >= 0 && b < len(bl.load) {
 		bl.load[b] += n
-	}
-}
-
-// ObserveCycle records a whole cycle's bucket-load map (the
-// trace.BucketLoad shape) — the simulator's feeding path.
-func (bl *Balancer) ObserveCycle(load map[int]int) {
-	for b, n := range load {
-		bl.Observe(b, int64(n))
 	}
 }
 

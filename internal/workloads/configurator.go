@@ -1,6 +1,6 @@
 package workloads
 
-import "fmt"
+import "strings"
 
 // Configurator is an R1/XCON-flavored configuration system — the kind
 // of expert system the paper's introduction motivates. It expands
@@ -128,14 +128,19 @@ type ConfiguratorOrder struct {
 // ConfiguratorWMEs builds the initial working memory for a set of
 // orders.
 func ConfiguratorWMEs(orders ...ConfiguratorOrder) string {
-	out := ""
+	var b strings.Builder
 	for _, o := range orders {
-		out += fmt.Sprintf("(order ^id %s ^cpus %d ^disks %d)\n", o.ID, o.CPUs, o.Disks)
-		out += fmt.Sprintf("(phase ^of %s ^name expand)\n", o.ID)
-		out += fmt.Sprintf("(budget ^of %s ^used 0 ^max %d)\n", o.ID, o.PowerMax)
-		out += fmt.Sprintf("(next-seq ^of %s ^n 1)\n", o.ID)
+		b.WriteString("(order ^id ")
+		b.WriteString(o.ID)
+		writef(&b, " ^cpus %d ^disks %d)\n(phase ^of ", o.CPUs, o.Disks)
+		b.WriteString(o.ID)
+		b.WriteString(" ^name expand)\n(budget ^of ")
+		b.WriteString(o.ID)
+		writef(&b, " ^used 0 ^max %d)\n(next-seq ^of ", o.PowerMax)
+		b.WriteString(o.ID)
+		b.WriteString(" ^n 1)\n")
 	}
-	return out
+	return b.String()
 }
 
 // ConfiguratorComponents predicts the component count for an order:

@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"fmt"
+	"strings"
 
 	"mpcrete/internal/engine"
 	"mpcrete/internal/ops5"
@@ -38,27 +39,31 @@ func RecordRun(name, programSrc, wmeSrc string, maxCycles int) (*trace.Trace, *e
 // BlocksWorldWMEs builds an initial tower of n blocks (b1 on b2 on ...
 // on table) with unstack goals for the top n-1 blocks.
 func BlocksWorldWMEs(n int) string {
-	out := "(hand ^holding nothing ^from nowhere)\n"
+	var b strings.Builder
+	b.WriteString("(hand ^holding nothing ^from nowhere)\n")
 	for i := 1; i <= n; i++ {
-		on := "table"
+		writef(&b, "(block ^name b%d ^on ", i)
 		if i < n {
-			on = fmt.Sprintf("b%d", i+1)
+			writef(&b, "b%d", i+1)
+		} else {
+			b.WriteString("table")
 		}
-		clear := "no"
 		if i == 1 {
-			clear = "yes"
+			b.WriteString(" ^clear yes)\n")
+		} else {
+			b.WriteString(" ^clear no)\n")
 		}
-		out += fmt.Sprintf("(block ^name b%d ^on %s ^clear %s)\n", i, on, clear)
 	}
 	for i := 1; i < n; i++ {
 		task := "pending"
-		done := "no"
 		if i == 1 {
 			task = "unstack"
 		}
-		out += fmt.Sprintf("(goal ^task %s ^object b%d ^done %s)\n", task, i, done)
+		b.WriteString("(goal ^task ")
+		b.WriteString(task)
+		writef(&b, " ^object b%d ^done no)\n", i)
 	}
-	return out
+	return b.String()
 }
 
 // RubikLikeWMEs builds f faces of c cubies each plus one queued twist
@@ -66,26 +71,28 @@ func BlocksWorldWMEs(n int) string {
 // c cubies (one rub-move firing per cubie) before rub-advance unlocks
 // the next twist.
 func RubikLikeWMEs(f, c int) string {
-	out := "(phase ^name solve ^next 1)\n"
+	var b strings.Builder
+	b.WriteString("(phase ^name solve ^next 1)\n")
 	for i := 1; i <= f; i++ {
-		out += fmt.Sprintf("(twist ^face f%d ^seq %d)\n", i, i)
+		writef(&b, "(twist ^face f%d ^seq %d)\n", i, i)
 		for j := 1; j <= c; j++ {
-			out += fmt.Sprintf("(cubie ^face f%d ^pos %d ^moved no)\n", i, j)
+			writef(&b, "(cubie ^face f%d ^pos %d ^moved no)\n", i, j)
 		}
 	}
-	return out
+	return b.String()
 }
 
 // TourneyLikeWMEs builds t teams and s round/field slots plus the
 // propose phase marker; the cross-product pairing production generates
 // t*s pairings.
 func TourneyLikeWMEs(t, s int) string {
-	out := "(phase ^name propose)\n"
+	var b strings.Builder
+	b.WriteString("(phase ^name propose)\n")
 	for i := 1; i <= t; i++ {
-		out += fmt.Sprintf("(team ^name t%d)\n", i)
+		writef(&b, "(team ^name t%d)\n", i)
 	}
 	for i := 1; i <= s; i++ {
-		out += fmt.Sprintf("(slot ^round %d ^field f%d)\n", i, i%2+1)
+		writef(&b, "(slot ^round %d ^field f%d)\n", i, i%2+1)
 	}
-	return out
+	return b.String()
 }

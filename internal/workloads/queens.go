@@ -1,6 +1,9 @@
 package workloads
 
-import "fmt"
+import (
+	"strconv"
+	"strings"
+)
 
 // Queens is an N-queens solver written as a pure forward-chaining
 // production system with chronological backtracking — the classic
@@ -112,24 +115,42 @@ const Queens = `
 // the cursor, and (last, so its time tag is the newest bookkeeping
 // tag) the search phase.
 func QueensWMEs(n int) string {
-	out := fmt.Sprintf("(board ^n %d)\n(cursor ^col 1)\n", n)
+	var b strings.Builder
+	writef(&b, "(board ^n %d)\n(cursor ^col 1)\n", n)
 	for c := 1; c <= n; c++ {
 		for r := 1; r <= n; r++ {
-			out += fmt.Sprintf("(square ^col %d ^row %d)\n", c, r)
+			writef(&b, "(square ^col %d ^row %d)\n", c, r)
 		}
 	}
 	for c1 := 1; c1 <= n; c1++ {
 		for c2 := c1 + 1; c2 <= n; c2++ {
 			d := c2 - c1
 			for r1 := 1; r1 <= n; r1++ {
-				for _, r2 := range []int{r1, r1 - d, r1 + d} {
+				for _, r2 := range [...]int{r1, r1 - d, r1 + d} {
 					if r2 >= 1 && r2 <= n {
-						out += fmt.Sprintf("(attack ^c1 %d ^r1 %d ^c2 %d ^r2 %d)\n", c1, r1, c2, r2)
+						writef(&b, "(attack ^c1 %d ^r1 %d ^c2 %d ^r2 %d)\n", c1, r1, c2, r2)
 					}
 				}
 			}
 		}
 	}
-	out += "(phase ^name search ^target 0)\n"
-	return out
+	b.WriteString("(phase ^name search ^target 0)\n")
+	return b.String()
+}
+
+// writef writes format to b with each %d replaced by the next of args
+// in decimal: what fmt.Fprintf would write for the generators' one
+// verb, with no argument boxed.
+func writef(b *strings.Builder, format string, args ...int) {
+	var num [20]byte
+	for {
+		i := strings.Index(format, "%d")
+		if i < 0 {
+			b.WriteString(format)
+			return
+		}
+		b.WriteString(format[:i])
+		b.Write(strconv.AppendInt(num[:0], int64(args[0]), 10))
+		format, args = format[i+2:], args[1:]
+	}
 }

@@ -95,11 +95,15 @@ func TestRecordedSimulateAllocs(t *testing.T) {
 // TestRebalanceSimulateAllocs pins what a warmed adaptive run costs:
 // the tourney section at P = 8 under Rebalance{Threshold: 1.1}, whose
 // three migrations move 789 buckets. Beyond the Result's objects the
-// run allocates its plan — a partition and a move list per cycle, and
-// per migration the balancer's candidate, hot list and sort and the
-// moves it names — and nothing per activation: the planner feeds each
-// cycle's activations to the balancer one by one. It reads 127 (202
-// while the planner built a bucket-load map per cycle).
+// run allocates its plan — the balancer and its scratch, the per-cycle
+// partition and move-list tables, a candidate partition per replan,
+// and per migration its copy and the moves it names, each list sized
+// once — and nothing per activation: the planner feeds each cycle's
+// activations to the balancer one by one. It reads 29 (127 while each
+// plan grew a fresh hot list, sorted it through reflection and packed
+// it into a fresh per-processor slice, and each cycle's moves were
+// appended one at a time; 202 while the planner built a bucket-load
+// map per cycle).
 func TestRebalanceSimulateAllocs(t *testing.T) {
 	tr := workloads.Tourney()
 	cfg := NewConfig(8, func(c *Config) { c.Rebalance = sched.Rebalance{Threshold: 1.1} })
@@ -110,7 +114,9 @@ func TestRebalanceSimulateAllocs(t *testing.T) {
 	}
 	run()
 	runtime.GC()
-	if allocs := testing.AllocsPerRun(10, run); allocs > 127 {
-		t.Errorf("a warmed adaptive tourney run allocates %.1f objects, want at most 127", allocs)
+	allocs := testing.AllocsPerRun(10, run)
+	t.Logf("a warmed adaptive tourney run allocates %.0f objects", allocs)
+	if allocs > 29 {
+		t.Errorf("a warmed adaptive tourney run allocates %.1f objects, want at most 29", allocs)
 	}
 }

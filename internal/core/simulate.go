@@ -546,9 +546,12 @@ func (s *simulator) planRebalance() {
 		}
 		if np, ok := bl.EndCycle(); ok && ci+1 < nc {
 			old := s.parts[ci]
-			for _, b := range sched.PartitionMoves(old, np) {
-				s.migs[ci+1] = append(s.migs[ci+1], migMove{bucket: b, from: old[b], to: np[b]})
+			moved := sched.PartitionMoves(old, np)
+			moves := make([]migMove, len(moved))
+			for i, b := range moved {
+				moves[i] = migMove{bucket: b, from: old[b], to: np[b]}
 			}
+			s.migs[ci+1] = moves
 		}
 	}
 	for _, moves := range s.migs {

@@ -126,6 +126,7 @@ func (c *Compiled) NewSession(opts SessionOptions) *Session {
 		opts:     opts,
 		shared:   true,
 		conflict: newConflictSet(),
+		made:     ops5.Carver{Floor: actRowsPerChunk},
 		nextID:   1,
 		timetag:  1,
 	}

@@ -135,8 +135,14 @@ type Session struct {
 	keyBuf  []byte
 	// free holds, by layout ID, the rows of deleted wmes that an act
 	// refills. Every wme the session holds comes from it, so a session
-	// never holds more rows than its largest working memory.
-	free    rete.Rows
+	// never holds more rows than its largest working memory. An act
+	// that finds no free row makes one from made, a few rows a chunk.
+	free rete.Rows
+	made ops5.Carver
+	// binds is the act phase's scratch for bind actions' values,
+	// emptied and cleared after every firing (its values may hold
+	// strings).
+	binds   []ops5.Attr
 	nextID  int
 	timetag int
 	fired   int
@@ -687,18 +693,28 @@ func (r *rhs) store(w *ops5.WME, a *ops5.Action, st *rete.Stores) error {
 	return nil
 }
 
+// actRowsPerChunk is the floor of the session's carver (ops5.Carver):
+// an act that finds no free row takes the next row of a chunk of 8 of
+// its width. Once the free lists hold a working memory's worth, acts
+// rarely make a row, so a larger chunk would mostly go unused.
+const actRowsPerChunk = 8
+
 // act executes the RHS of the fired instantiation. A make builds its
 // wme in place, in the class's layout, and a modify its new wme as a
-// copy of the old: each into a recycled row where one is free (row),
-// one allocation where none is.
+// copy of the old: each into a recycled row where one is free
+// (rete.Rows.Row), a row of the session's carver where none is.
 func (e *Session) act(in *Instantiation) error {
-	r := rhs{in: in}
+	r := rhs{in: in, binds: e.binds}
+	defer func() {
+		clear(r.binds)
+		e.binds = r.binds[:0]
+	}()
 	for i := range in.Prod.RHS {
 		a := &in.Prod.RHS[i]
 		switch a.Kind {
 		case ops5.ActMake:
 			st := &in.info.Stores[i]
-			w := e.free.Row(st.Layout, nil)
+			w := e.free.Row(&e.made, st.Layout, nil)
 			if err := r.store(w, a, st); err != nil {
 				return err
 			}
@@ -715,7 +731,7 @@ func (e *Session) act(in *Instantiation) error {
 				return fmt.Errorf("engine: %s: modify of negated CE", in.Prod.Name)
 			}
 			e.removeWME(old.ID)
-			w := e.free.Row(old.Layout(), old)
+			w := e.free.Row(&e.made, old.Layout(), old)
 			if err := r.store(w, a, &in.info.Stores[i]); err != nil {
 				return err
 			}

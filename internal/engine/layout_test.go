@@ -144,8 +144,10 @@ func TestLiveAdditionOverOlderLayout(t *testing.T) {
 }
 
 // TestMakeAllocatesOnce pins the act phase's share of the flat form: a
-// make builds its wme in place in the class's layout — one allocation,
-// no map, no second pass.
+// make builds its wme in place in the class's layout — no map, no
+// second pass — in a row of the session's carver, so that with no free
+// row to refill, every actRowsPerChunk makes allocate once between them
+// (each make allocated once before the carver).
 func TestMakeAllocatesOnce(t *testing.T) {
 	prog := mustProgram(t, `(p r (a ^x <v> ^y <w>) --> (make b ^p <v> ^q (compute <w> + 1) ^r done))`)
 	e, err := New(prog, CompileOptions{}, SessionOptions{})
@@ -160,11 +162,13 @@ func TestMakeAllocatesOnce(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() {
 		e.pending = e.pending[:0]
-		if err := e.act(cs[0]); err != nil {
-			t.Fatal(err)
+		for range actRowsPerChunk {
+			if err := e.act(cs[0]); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}); n != 1 {
-		t.Errorf("one make allocates %v times, want 1", n)
+		t.Errorf("%d makes allocate %v times, want 1", actRowsPerChunk, n)
 	}
 	if got := e.pending[0].WME.String(); got != "(b ^p 1 ^q 3 ^r done)" {
 		t.Errorf("made %s", got)

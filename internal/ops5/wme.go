@@ -91,11 +91,7 @@ func (l *Layout) Add(attr string) int {
 
 // New returns a wme of the layout's class with every attribute absent.
 // Up to eight slots, the wme and its slots are one allocation.
-func (l *Layout) New() *WME {
-	w := (*Carver)(nil).slotted(len(l.names))
-	w.Class, w.layout = l.class, l
-	return w
-}
+func (l *Layout) New() *WME { return (*Carver)(nil).New(l) }
 
 // Conform returns a copy of w, a wme of the layout's class, laid out by
 // l: the attributes l has slots for in their slots, the rest as extras.
@@ -173,15 +169,20 @@ const rowChunkBytes = 32 << 10
 // rows of its width, one allocation sized to what is still expected
 // and capped at 32 KiB; a wider or slotless row is an allocation of its
 // own, as Layout.New makes it, and so is a row no Expect counted once
-// its width's chunk is used up. A chunk stays live while any of its
-// rows does. The zero Carver is ready; the nil Carver allocates every
+// its width's chunk is used up, unless the carver has a Floor. A chunk
+// stays live while any of its rows does. The zero Carver is ready; the nil Carver allocates every
 // row on its own.
 type Carver struct {
-	need [5]int // rows of one to four slots expected and not yet in a chunk
-	c1   []wme1
-	c2   []wme2
-	c3   []wme3
-	c4   []wme4
+	// Floor is the fewest rows a chunk is made of, however few are
+	// still expected: a carver that outlives its batches and makes its
+	// rows one at a time, unannounced, sets it so that they still come
+	// by the chunk. The zero Floor makes chunks of what is expected.
+	Floor int
+	need  [5]int // rows of one to four slots expected and not yet in a chunk
+	c1    []wme1
+	c2    []wme2
+	c3    []wme3
+	c4    []wme4
 }
 
 // Expect counts one more row of n slots that the batch will take.
@@ -193,11 +194,11 @@ func (c *Carver) Expect(n int) {
 
 // carve takes the next row of a chunk, allocating the chunk when the
 // last one is used up: as many rows as are still expected, at least
-// one, and no more than rowChunkBytes hold.
-func carve[T any](chunk *[]T, need *int) *T {
+// floor and one, and no more than rowChunkBytes hold.
+func carve[T any](chunk *[]T, need *int, floor int) *T {
 	if len(*chunk) == 0 {
 		var row T
-		n := min(max(*need, 1), int(rowChunkBytes/unsafe.Sizeof(row)))
+		n := min(max(*need, floor, 1), int(rowChunkBytes/unsafe.Sizeof(row)))
 		*need = max(*need-n, 0)
 		*chunk = make([]T, n)
 	}
@@ -219,19 +220,19 @@ func (c *Carver) slotted(n int) *WME {
 	case n == 0:
 		return new(WME)
 	case n == 1:
-		x := carve(&c.c1, &c.need[1])
+		x := carve(&c.c1, &c.need[1], c.Floor)
 		x.slots = x.a[:]
 		return &x.WME
 	case n == 2:
-		x := carve(&c.c2, &c.need[2])
+		x := carve(&c.c2, &c.need[2], c.Floor)
 		x.slots = x.a[:]
 		return &x.WME
 	case n == 3:
-		x := carve(&c.c3, &c.need[3])
+		x := carve(&c.c3, &c.need[3], c.Floor)
 		x.slots = x.a[:]
 		return &x.WME
 	case n == 4:
-		x := carve(&c.c4, &c.need[4])
+		x := carve(&c.c4, &c.need[4], c.Floor)
 		x.slots = x.a[:]
 		return &x.WME
 	case n <= 8:
@@ -240,6 +241,13 @@ func (c *Carver) slotted(n int) *WME {
 		return &x.WME
 	}
 	return &WME{slots: make([]Value, n)}
+}
+
+// New is l.New() into a row of the carver's.
+func (c *Carver) New(l *Layout) *WME {
+	w := c.slotted(len(l.names))
+	w.Class, w.layout = l.class, l
+	return w
 }
 
 // Conform is l.Conform(w) into a row of the carver's.

@@ -18,7 +18,9 @@ const arenaChunkLen = 1024
 // the lifetime of the runs carved from it. A match cycle therefore
 // costs O(runs/region) allocations instead of one per run.
 //
-// A Processor owns three, and each lends to one kind of reader.
+// A Processor owns three, beside the two regions (memory.go) that the
+// buckets it grows take their storage from, and each arena lends to
+// one kind of reader.
 // Tokens — runs of wme handles, which the collector never scans — come
 // from two of them. The token arena lends to the memories: tokens that
 // a memory may store live as long as the wmes they cover, and it is
@@ -114,15 +116,16 @@ func (r *Rows) Retire(w *ops5.WME) {
 // Row returns a wme of layout l, the layout of src's class, with src's
 // attributes (none for a nil src) and its ID and time tag still to be
 // assigned: a free row refilled (Reuse), or, without one, a fresh wme,
-// as l.New or l.Conform makes it.
-func (r Rows) Row(l *ops5.Layout, src *ops5.WME) *ops5.WME {
+// as c.New or c.Conform makes it (one allocation of its own for the
+// nil carver).
+func (r Rows) Row(c *ops5.Carver, l *ops5.Layout, src *ops5.WME) *ops5.WME {
 	if w := r.Reuse(l, src); w != nil {
 		return w
 	}
 	if src == nil {
-		return l.New()
+		return c.New(l)
 	}
-	return l.Conform(src)
+	return c.Conform(l, src)
 }
 
 // Reuse returns a free row of layout l refilled with src's attributes

@@ -316,7 +316,7 @@ func boundedKeyGreater(a, b [4]int) bool {
 func (p *Processor) processBounded(a Activation, b int, out []Activation) []Activation {
 	n := a.Node
 	if a.Tag == Add {
-		p.right.add(b, rightEntry{node: n, h: a.WME})
+		p.right.add(b, rightEntry{node: n, h: a.WME}, &p.rregs)
 	} else if !removeRight(p.right, b, n, a.WME) {
 		// Duplicate delete: the first removal already unwound every
 		// instantiation this wme participated in.

@@ -663,8 +663,9 @@ func checkHandedBackScrubbed(t *testing.T) {
 }
 
 // holdsNothing fails if any slot, up to capacity, of the matcher's
-// scratch slices, hash buckets, wme table or lent arena still points at
-// a token or a wme, or an arena keeps more than one ordinary region.
+// scratch slices, hash buckets, free bucket regions, wme table or lent
+// arena still points at a token or a wme, or an arena keeps more than
+// one ordinary region.
 func holdsNothing(t *testing.T, m *Matcher) {
 	t.Helper()
 	for name, acts := range map[string][]Activation{"queue": m.queue, "instActs": m.instActs} {
@@ -693,6 +694,8 @@ func holdsNothing(t *testing.T, m *Matcher) {
 			}
 		}
 	}
+	freeZero(t, "left regions", &m.proc.lregs)
+	freeZero(t, "right regions", &m.proc.rregs)
 	if tab := m.tab; len(tab.rows) != 1 || len(tab.byID) != 0 || len(tab.free)+len(tab.retired) != 0 {
 		t.Fatalf("the table holds %d rows, %d ids, %d free and %d retired handles", len(tab.rows), len(tab.byID), len(tab.free), len(tab.retired))
 	}

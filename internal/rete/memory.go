@@ -1,6 +1,9 @@
 package rete
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // leftEntry is one stored token of a left memory, qualified by its
 // owning two-input node; count is, at a negative node, the number of
@@ -23,16 +26,20 @@ type rightEntry struct {
 // scans only its own bucket, filtering by node identity — exactly the
 // paper's data structure.
 //
-// A bucket holds its entries by value, contiguously, and an entry holds
-// only what its side reads: a scan reads the node and the token or wme
-// of each entry without chasing a pointer to it, and there is no
-// per-entry object for the collector to trace. An add appends; a remove
-// closes the gap in place and zeroes the slot it vacates, so the next
-// add to that bucket reuses the slot and a warmed bucket adds and
-// removes without allocating. Every slot between a bucket's length and
-// its capacity is zero: no removed entry keeps its token or wme
-// reachable. No count is kept beside the buckets, so goroutines may
-// share a memory as long as each touches only the buckets it owns.
+// A bucket holds its entries by value, contiguously, in a region: a
+// scan reads the node and the token or wme of each entry without
+// chasing a pointer to it, and there is no per-entry object for the
+// collector to trace. The regions are not the memory's: an add that
+// finds its bucket full moves the entries into a region twice the size
+// from the regions of the processor that performs it (regions), which
+// takes the old one back. A remove closes the gap in place and zeroes
+// the slot it vacates, so the next add to that bucket reuses the slot
+// and a warmed bucket adds and removes without allocating. Every slot
+// between a bucket's length and its capacity is zero: no removed entry
+// keeps its token or wme reachable. No count is kept beside the
+// buckets, and a growth touches only its own bucket and its
+// processor's regions, so goroutines may share a memory as long as
+// each touches only the buckets it owns.
 type Memory[E leftEntry | rightEntry] struct {
 	buckets [][]E
 }
@@ -64,8 +71,12 @@ func (m *Memory[E]) Len() (n int) {
 // Bucket reduces a 64-bit hash key to a bucket index.
 func (m *Memory[E]) Bucket(key uint64) int { return int(key & uint64(len(m.buckets)-1)) }
 
-// add stores e in bucket b.
-func (m *Memory[E]) add(b int, e E) {
+// add stores e in bucket b, growing a full bucket into a region from
+// r, the regions of the processor performing the add.
+func (m *Memory[E]) add(b int, e E, r *regions[E]) {
+	if bucket := m.buckets[b]; len(bucket) == cap(bucket) {
+		m.buckets[b] = r.grow(bucket)
+	}
 	m.buckets[b] = append(m.buckets[b], e)
 }
 
@@ -90,28 +101,84 @@ func (m *Memory[E]) removeAt(b, i int) {
 // left memory and scans the right, a right activation the reverse.
 func (m *Memory[E]) entries(b int) []E { return m.buckets[b] }
 
-// Reset empties every bucket while keeping the bucket slices' backing
-// arrays for reuse — the session-pool hook. The stored entries are
-// zeroed, so the tokens and wmes they referenced become collectible.
-// Only legal at quiescence (no scan in progress).
+// Reset empties every bucket while keeping its region for reuse — the
+// session-pool hook. The stored entries are zeroed, so the tokens and
+// wmes they referenced become collectible. Only legal at quiescence
+// (no scan in progress).
 func (m *Memory[E]) Reset() {
-	for i, b := range m.buckets {
-		clear(b)
-		m.buckets[i] = b[:0]
+	for b := range m.buckets {
+		m.empty(b)
 	}
 }
 
-// extract removes and returns all entries of bucket b (bucket
-// migration support).
-func (m *Memory[E]) extract(b int) []E {
-	entries := m.buckets[b]
-	m.buckets[b] = nil
-	return entries
+// empty zeroes bucket b's entries and keeps its region, which moves
+// with the bucket: when a migration empties a bucket of a memory that
+// processors share, its next owner adds into the same region.
+func (m *Memory[E]) empty(b int) {
+	clear(m.buckets[b])
+	m.buckets[b] = m.buckets[b][:0]
 }
 
-// inject appends entries to bucket b (bucket migration support).
-func (m *Memory[E]) inject(b int, entries []E) {
-	m.buckets[b] = append(m.buckets[b], entries...)
+// regionChunkLen is the length of the chunks a processor's regions
+// carve bucket regions from: 1 KiB of right entries, 2.5 KiB of left
+// ones.
+const regionChunkLen = 64
+
+// regionClasses counts the region sizes carved from a chunk: 1, 2, 4,
+// 8 and 16 entries, a quarter of a chunk. A larger region is a heap
+// allocation of its own.
+const regionClasses = 5
+
+// regions is one processor's supply of bucket regions for one side:
+// power-of-two runs of entries, carved from the front of a chunk, with
+// a free list per size class that grow takes from first. A bucket that
+// outgrows its region (grow) puts the old one, cleared, back on its
+// class's list — the list of whichever processor grew it, since a
+// region belongs to its bucket and a bucket may change owners. A
+// region over a quarter of a chunk comes from the heap and goes back to
+// the collector: the free lists keep only what chunks hold, and a
+// chunk stays live while any region carved from it does.
+//
+// A regions is single-owner, like the Processor that embeds it.
+type regions[E leftEntry | rightEntry] struct {
+	chunk []E                  // the current chunk's uncarved rest
+	free  [regionClasses][][]E // per class, zeroed regions of 1<<class entries
+}
+
+// grow returns a region twice the size of full's (one entry for a
+// bucket that has none) holding full's entries, and takes full back.
+func (r *regions[E]) grow(full []E) []E {
+	n := max(1, 2*cap(full))
+	var next []E
+	switch c := bits.TrailingZeros(uint(n)); {
+	case n > regionChunkLen/4:
+		next = make([]E, 0, n)
+	case len(r.free[c]) > 0:
+		k := len(r.free[c]) - 1
+		next, r.free[c][k] = r.free[c][k], nil
+		r.free[c] = r.free[c][:k]
+	default:
+		if len(r.chunk) < n {
+			r.chunk = make([]E, regionChunkLen) // the rest is left unused
+		}
+		next, r.chunk = r.chunk[:0:n], r.chunk[n:]
+	}
+	next = append(next, full...)
+	r.put(full)
+	return next
+}
+
+// put clears region and, if a chunk holds it, puts it on its class's
+// free list.
+func (r *regions[E]) put(region []E) {
+	n := cap(region)
+	if n == 0 || n > regionChunkLen/4 {
+		return
+	}
+	region = region[:0]
+	clear(region[:n])
+	c := bits.TrailingZeros(uint(n))
+	r.free[c] = append(r.free[c], region)
 }
 
 // removeLeft deletes the entry of left memory m for node n whose token

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"mpcrete/internal/ops5"
@@ -38,15 +39,15 @@ func idKeyT(tab *Table, t Token) string {
 }
 
 func TestMemoryAddRemoveScan(t *testing.T) {
-	m := newMemory[rightEntry](8)
+	m, r := newMemory[rightEntry](8), &regions[rightEntry]{}
 	n1 := &Node{ID: 1, Kind: KindJoin}
 	n2 := &Node{ID: 2, Kind: KindJoin}
 
 	tab := NewTable()
 	h := tokenT(tab, mkWME(1, "a"), mkWME(2, "a")).H
-	m.add(3, rightEntry{node: n1, h: h[0]})
-	m.add(3, rightEntry{node: n2, h: h[1]}) // same bucket, different node
-	m.add(5, rightEntry{node: n1, h: h[1]})
+	m.add(3, rightEntry{node: n1, h: h[0]}, r)
+	m.add(3, rightEntry{node: n2, h: h[1]}, r) // same bucket, different node
+	m.add(5, rightEntry{node: n1, h: h[1]}, r)
 
 	if m.Len() != 3 {
 		t.Fatalf("len = %d", m.Len())
@@ -78,14 +79,14 @@ func TestMemoryAddRemoveScan(t *testing.T) {
 }
 
 func TestMemoryLeftTokens(t *testing.T) {
-	m := newMemory[leftEntry](4)
+	m, r := newMemory[leftEntry](4), &regions[leftEntry]{}
 	n := &Node{ID: 7, Kind: KindNegative}
 	tab := NewTable()
 	t1 := tokenT(tab, mkWME(1, "a"), mkWME(2, "b"))
 	t2 := tokenT(tab, mkWME(1, "a"), mkWME(3, "b"))
 
-	m.add(2, leftEntry{node: n, token: t1, count: 5})
-	m.add(2, leftEntry{node: n, token: t2})
+	m.add(2, leftEntry{node: n, token: t1, count: 5}, r)
+	m.add(2, leftEntry{node: n, token: t2}, r)
 
 	// Removal matches by handle sequence: a copy of t1's run.
 	probe := Token{H: slices.Clone(t1.H)}
@@ -108,13 +109,14 @@ func TestMemoryLeftTokens(t *testing.T) {
 // not allocate.
 func TestMemoryBucketKeepsOrderAndReusesSlots(t *testing.T) {
 	right, left := newMemory[rightEntry](4), newMemory[leftEntry](4)
+	rr, lr := &regions[rightEntry]{}, &regions[leftEntry]{}
 	n := &Node{ID: 1, Kind: KindJoin}
 	tab := NewTable()
 	var ts []Token
 	for id := 1; id <= 5; id++ {
 		ts = append(ts, tokenT(tab, mkWME(id, "a")))
-		right.add(1, rightEntry{node: n, h: ts[id-1].H[0]})
-		left.add(1, leftEntry{node: n, token: ts[id-1], count: id})
+		right.add(1, rightEntry{node: n, h: ts[id-1].H[0]}, rr)
+		left.add(1, leftEntry{node: n, token: ts[id-1], count: id}, lr)
 	}
 	removeRight(right, 1, n, ts[1].H[0])
 	removeLeft(left, 1, n, ts[3])
@@ -140,12 +142,260 @@ func TestMemoryBucketKeepsOrderAndReusesSlots(t *testing.T) {
 		}
 	}
 	if avg := testing.AllocsPerRun(100, func() {
-		right.add(1, rightEntry{node: n, h: ts[1].H[0]})
-		left.add(1, leftEntry{node: n, token: ts[3], count: 4})
+		right.add(1, rightEntry{node: n, h: ts[1].H[0]}, rr)
+		left.add(1, leftEntry{node: n, token: ts[3], count: 4}, lr)
 		removeRight(right, 1, n, ts[1].H[0])
 		removeLeft(left, 1, n, ts[3])
 	}); avg != 0 {
 		t.Errorf("a warmed bucket's add/remove pairs allocate %.1f times, want 0", avg)
+	}
+}
+
+// tailZero fails unless every slot of bucket between its length and
+// its capacity is the zero entry.
+func tailZero[E leftEntry | rightEntry](t *testing.T, what string, bucket []E) {
+	t.Helper()
+	for i, e := range bucket[len(bucket):cap(bucket)] {
+		if !reflect.ValueOf(e).IsZero() {
+			t.Fatalf("%s: slot %d of %d holds %+v", what, len(bucket)+i, cap(bucket), e)
+		}
+	}
+}
+
+// freeZero fails unless every region on r's free lists is of its
+// class's size, carved from a chunk, empty and zero.
+func freeZero[E leftEntry | rightEntry](t *testing.T, what string, r *regions[E]) {
+	t.Helper()
+	for c, list := range r.free {
+		for _, region := range list {
+			if len(region) != 0 || cap(region) != 1<<c || cap(region) > regionChunkLen/4 {
+				t.Fatalf("%s: class %d holds a region of %d/%d entries", what, c, len(region), cap(region))
+			}
+			tailZero(t, what, region)
+		}
+	}
+}
+
+// TestRegionsReuseAGrownBucketsRegion: a bucket that outgrows its
+// region leaves it, cleared, on its class's free list, and the next
+// bucket to grow into that class takes it instead of carving or
+// allocating.
+func TestRegionsReuseAGrownBucketsRegion(t *testing.T) {
+	m, r := newMemory[rightEntry](4), &regions[rightEntry]{}
+	n := &Node{ID: 1, Kind: KindJoin}
+	m.add(0, rightEntry{node: n, h: 1}, r)
+	m.add(0, rightEntry{node: n, h: 2}, r)
+	two := &m.entries(0)[0]
+	m.add(0, rightEntry{node: n, h: 3}, r) // 2 -> 4: the 2-entry region is free
+	if got := len(r.free[1]); got != 1 {
+		t.Fatalf("after a 2-entry bucket grew, class 1 holds %d regions, want 1", got)
+	}
+	freeZero(t, "after growth", r)
+	uncarved := len(r.chunk)
+	m.add(1, rightEntry{node: n, h: 4}, r) // takes the 1-entry region bucket 0 left
+	m.add(1, rightEntry{node: n, h: 5}, r) // takes the 2-entry one
+	if &m.entries(1)[0] != two {
+		t.Error("the next growth into class 1 did not take the region bucket 0 left")
+	}
+	if len(r.chunk) != uncarved || len(r.free[0])+len(r.free[1]) != 1 {
+		t.Errorf("growing into free regions carved %d entries and left %d and %d regions in classes 0 and 1, want 0, 1 and 0",
+			uncarved-len(r.chunk), len(r.free[0]), len(r.free[1]))
+	}
+	if got := fmt.Sprint(m.entries(0), m.entries(1)); got != fmt.Sprint([]rightEntry{{n, 1}, {n, 2}, {n, 3}}, []rightEntry{{n, 4}, {n, 5}}) {
+		t.Errorf("buckets read %s", got)
+	}
+}
+
+// TestRegionsKeepTheTailZero: every slot between a bucket's length and
+// its capacity reads zero after each growth — through every class and
+// into heap-sized regions —, after each removal and after Reset, and
+// so does every region on a free list.
+func TestRegionsKeepTheTailZero(t *testing.T) {
+	m, r := newMemory[leftEntry](2), &regions[leftEntry]{}
+	n := &Node{ID: 1, Kind: KindNegative}
+	tab := NewTable()
+	var ts []Token
+	for i := 1; i <= 3*regionChunkLen; i++ {
+		ts = append(ts, tokenT(tab, mkWME(i, "a")))
+		m.add(i%2, leftEntry{node: n, token: ts[i-1], count: i}, r)
+		tailZero(t, fmt.Sprintf("after add %d", i), m.entries(i%2))
+		freeZero(t, fmt.Sprintf("after add %d", i), r)
+	}
+	for i := 1; i <= len(ts); i += 3 {
+		if _, ok := removeLeft(m, i%2, n, ts[i-1]); !ok {
+			t.Fatalf("token %d is missing", i)
+		}
+		tailZero(t, fmt.Sprintf("after removing %d", i), m.entries(i%2))
+	}
+	m.Reset()
+	for b := range m.NBuckets() {
+		if bucket := m.entries(b); len(bucket) != 0 || cap(bucket) == 0 {
+			t.Fatalf("after Reset bucket %d holds %d/%d entries, want an empty region kept", b, len(bucket), cap(bucket))
+		}
+		tailZero(t, "after Reset", m.entries(b))
+	}
+}
+
+// TestRegionsLeaveHeapRegionsToTheCollector: a region over a quarter of
+// a chunk is a heap allocation of its own and never goes on a free
+// list, so the lists keep only what chunks hold.
+func TestRegionsLeaveHeapRegionsToTheCollector(t *testing.T) {
+	m, r := newMemory[rightEntry](1), &regions[rightEntry]{}
+	n := &Node{ID: 1, Kind: KindJoin}
+	for h := int32(1); h <= 4*regionChunkLen; h++ {
+		m.add(0, rightEntry{node: n, h: h}, r)
+	}
+	if got := cap(m.entries(0)); got != 4*regionChunkLen {
+		t.Fatalf("a bucket of %d entries is in a region of %d", 4*regionChunkLen, got)
+	}
+	freeZero(t, "after growing past a chunk", r)
+	listed := 0
+	for _, list := range r.free {
+		listed += len(list)
+	}
+	// One region of each chunk class: the bucket's own 1-, 2-, 4-, 8-
+	// and 16-entry regions. The 32- to 128-entry ones went to the
+	// collector.
+	if listed != regionClasses {
+		t.Errorf("the free lists hold %d regions, want %d", listed, regionClasses)
+	}
+	r.put(make([]rightEntry, 0, regionChunkLen/2))
+	freeZero(t, "after putting a heap region", r)
+}
+
+// TestExtractInjectKeepsOrderAndRegion moves a bucket of every size
+// class and beyond from one processor to another, over separate
+// memories and over one pair both share: every entry arrives, in
+// order, with its count, and over shared memories the bucket keeps its
+// region, so the next owner adds into it.
+func TestExtractInjectKeepsOrderAndRegion(t *testing.T) {
+	net := compileT(t, []string{`(p p1 (a ^x <v>) -(b ^x <v>) --> (halt))`})
+	var neg *Node
+	for _, nd := range net.Nodes {
+		if nd.Kind == KindNegative {
+			neg = nd
+		}
+	}
+	for _, shared := range []bool{false, true} {
+		for _, size := range []int{1, 3, 16, 17, 100} {
+			tab := NewTable()
+			src := NewProcessor(net, 8, tab)
+			dst := NewProcessor(net, 8, tab)
+			if shared {
+				dst = NewProcessorOver(net, tab, src.left, src.right)
+			}
+			var wantL []leftEntry
+			var wantR []rightEntry
+			for i := 1; i <= size; i++ {
+				tok := tokenT(tab, mkWME(i, "a"))
+				wantL = append(wantL, leftEntry{node: neg, token: tok, count: i % 3})
+				wantR = append(wantR, rightEntry{node: neg, h: tok.H[0]})
+				src.left.add(5, wantL[i-1], &src.lregs)
+				src.right.add(5, wantR[i-1], &src.rregs)
+			}
+			region := &src.left.entries(5)[:1][0]
+			bc := src.ExtractBucket(5)
+			if src.left.Len()+src.right.Len() != 0 {
+				t.Fatalf("shared=%v size %d: the source still holds entries", shared, size)
+			}
+			tailZero(t, "extracted left", src.left.entries(5))
+			tailZero(t, "extracted right", src.right.entries(5))
+			dst.InjectBucket(bc)
+			gotL, gotR := dst.left.entries(5), dst.right.entries(5)
+			if !slices.EqualFunc(gotL, wantL, func(a, b leftEntry) bool {
+				return a.node == b.node && a.token.Same(b.token) && a.count == b.count
+			}) || !slices.Equal(gotR, wantR) {
+				t.Errorf("shared=%v size %d: injected %v / %v, want %v / %v", shared, size, gotL, gotR, wantL, wantR)
+			}
+			if shared && &gotL[0] != region {
+				t.Errorf("shared=%v size %d: the bucket did not keep its region across the move", shared, size)
+			}
+		}
+	}
+}
+
+// TestExtractInjectConcurrentOwners runs two processors over one
+// shared memory pair, as the in-process runtime's steps do: each grows
+// and shrinks only the buckets it owns, concurrently, then the two
+// swap their buckets at a barrier (extract on one, inject on the
+// other) and go on growing them with the regions they did not carve.
+// Run under the race detector, it shows growth touches nothing but the
+// bucket and its processor's regions.
+func TestExtractInjectConcurrentOwners(t *testing.T) {
+	net := compileT(t, []string{`(p p1 (a ^x <v>) (b ^x <v>) --> (halt))`})
+	var join *Node
+	for _, nd := range net.Nodes {
+		if nd.Kind == KindJoin {
+			join = nd
+		}
+	}
+	const nb, per = 16, 40
+	tab := NewTable()
+	toks := make([]Token, 2*per)
+	for i := range toks {
+		toks[i] = tokenT(tab, mkWME(i+1, "a"))
+	}
+	p0 := NewProcessor(net, nb, tab)
+	procs := []*Processor{p0, NewProcessorOver(net, tab, p0.left, p0.right)}
+	fill := func(p *Processor, owner int, from, to int) {
+		for b := owner; b < nb; b += 2 {
+			for i := from; i < to; i++ {
+				p.left.add(b, leftEntry{node: join, token: toks[i], count: b}, &p.lregs)
+				p.right.add(b, rightEntry{node: join, h: toks[i].H[0]}, &p.rregs)
+			}
+			for i := from; i < to; i += 4 {
+				removeLeft(p.left, b, join, toks[i])
+				removeRight(p.right, b, join, toks[i].H[0])
+			}
+		}
+	}
+	var wg sync.WaitGroup
+	moved := make([][]*BucketContents, 2)
+	for id, p := range procs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			fill(p, id, 0, per)
+			for b := id; b < nb; b += 2 {
+				moved[id] = append(moved[id], p.ExtractBucket(b))
+			}
+		}()
+	}
+	wg.Wait()
+	for id, p := range procs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, bc := range moved[1-id] {
+				p.InjectBucket(bc)
+			}
+			fill(p, 1-id, per, 2*per)
+		}()
+	}
+	wg.Wait()
+	for b := range nb {
+		var want []int32
+		for i := range 2 * per {
+			if i%4 != 0 {
+				want = append(want, toks[i].H[0])
+			}
+		}
+		var gotR, gotL []int32
+		for _, e := range p0.right.entries(b) {
+			gotR = append(gotR, e.h)
+		}
+		for _, e := range p0.left.entries(b) {
+			gotL = append(gotL, e.token.H[0])
+		}
+		if !slices.Equal(gotR, want) || !slices.Equal(gotL, want) {
+			t.Fatalf("bucket %d holds %v / %v, want %v", b, gotL, gotR, want)
+		}
+		tailZero(t, "left", p0.left.entries(b))
+		tailZero(t, "right", p0.right.entries(b))
+	}
+	for _, p := range procs {
+		freeZero(t, "left", &p.lregs)
+		freeZero(t, "right", &p.rregs)
 	}
 }
 

@@ -43,6 +43,10 @@ type Processor struct {
 	arena    arena[int32]
 	delArena arena[int32]
 	lent     arena[*ops5.WME]
+	// lregs and rregs are the regions the buckets this processor grows
+	// grow into, of the left and of the right memory (see regions).
+	lregs regions[leftEntry]
+	rregs regions[rightEntry]
 	// bstack is the bounded enumerator's reusable DFS stack of candidate
 	// wme handles, one slot per positive collector of the group being
 	// enumerated (see bounded.go).
@@ -64,8 +68,9 @@ func NewProcessor(net *Network, nbuckets int, tab *Table) *Processor {
 	return NewProcessorOver(net, tab, newMemory[leftEntry](nbuckets), newMemory[rightEntry](nbuckets))
 }
 
-// NewProcessorOver creates a processor with arenas of its own over
-// another's memories (Memories); no two may touch one bucket at once.
+// NewProcessorOver creates a processor with arenas and regions of its
+// own over another's memories (Memories); no two may touch one bucket
+// at once.
 func NewProcessorOver(net *Network, tab *Table, left *Memory[leftEntry], right *Memory[rightEntry]) *Processor {
 	return &Processor{net: net, tab: tab, left: left, right: right}
 }
@@ -84,13 +89,14 @@ func (p *Processor) Memories() (left *Memory[leftEntry], right *Memory[rightEntr
 // Bucket maps an activation to its hash-bucket index.
 func (p *Processor) Bucket(a Activation) int { return p.left.Bucket(a.HashKey(p.tab)) }
 
-// Reset empties both memories (keeping their bucket storage) and
-// rewinds each arena to at most one ordinary region, returning the
-// processor to its freshly-constructed state over the same network —
-// the session-pool reuse hook. Nothing reachable from a reset processor
-// points at a wme of its last user (the bounded enumerator's scratch
-// holds handles), and the region a wide phase left an arena is let go.
-// Its table is its owner's to reset.
+// Reset empties both memories (keeping the regions of their buckets
+// and this processor's free regions) and rewinds each arena to at most
+// one ordinary region, returning the processor to its
+// freshly-constructed state over the same network — the session-pool
+// reuse hook. Nothing reachable from a reset processor points at a wme
+// of its last user (the bounded enumerator's scratch holds handles, and
+// every kept region is zeroed), and the region a wide phase left an
+// arena is let go. Its table is its owner's to reset.
 // Only legal at quiescence, and only while no token this processor made
 // is in use anywhere else: the memories that stored them are empty
 // after it, and the arenas' current regions are carved again.
@@ -201,36 +207,36 @@ type BucketContents struct {
 func (bc *BucketContents) Entries() int { return len(bc.LeftTokens) + len(bc.RightWMEs) }
 
 // ExtractBucket removes and returns the contents of bucket b in both
-// memories. The caller must be quiescent (no activation in flight for
+// memories; the bucket keeps its regions, emptied, for whoever adds to
+// it next. The caller must be quiescent (no activation in flight for
 // this bucket).
 func (p *Processor) ExtractBucket(b int) *BucketContents {
 	bc := &BucketContents{Bucket: b}
-	for _, e := range p.left.extract(b) {
+	for _, e := range p.left.entries(b) {
 		bc.LeftNodes = append(bc.LeftNodes, e.node)
 		bc.LeftTokens = append(bc.LeftTokens, e.token)
 		bc.LeftCounts = append(bc.LeftCounts, e.count)
 	}
-	for _, e := range p.right.extract(b) {
+	for _, e := range p.right.entries(b) {
 		bc.RightNodes = append(bc.RightNodes, e.node)
 		bc.RightWMEs = append(bc.RightWMEs, e.h)
 	}
+	p.left.empty(b)
+	p.right.empty(b)
 	return bc
 }
 
 // InjectBucket installs previously extracted contents into this
-// processor's memories. Bucket indices are global, so the receiving
-// processor stores them at the same index.
+// processor's memories, in order, behind whatever the bucket holds.
+// Bucket indices are global, so the receiving processor stores them at
+// the same index.
 func (p *Processor) InjectBucket(bc *BucketContents) {
-	lefts := make([]leftEntry, len(bc.LeftTokens))
-	for i := range lefts {
-		lefts[i] = leftEntry{node: bc.LeftNodes[i], token: bc.LeftTokens[i], count: bc.LeftCounts[i]}
+	for i, t := range bc.LeftTokens {
+		p.left.add(bc.Bucket, leftEntry{node: bc.LeftNodes[i], token: t, count: bc.LeftCounts[i]}, &p.lregs)
 	}
-	rights := make([]rightEntry, len(bc.RightWMEs))
-	for i := range rights {
-		rights[i] = rightEntry{node: bc.RightNodes[i], h: bc.RightWMEs[i]}
+	for i, h := range bc.RightWMEs {
+		p.right.add(bc.Bucket, rightEntry{node: bc.RightNodes[i], h: h}, &p.rregs)
 	}
-	p.left.inject(bc.Bucket, lefts)
-	p.right.inject(bc.Bucket, rights)
 }
 
 // emitTo fans a token out to every successor of n as left activations.
@@ -246,7 +252,7 @@ func (p *Processor) processJoin(a Activation, b int, out []Activation) []Activat
 	rows := p.tab.rows
 	if a.Side == Left {
 		if a.Tag == Add {
-			p.left.add(b, leftEntry{node: n, token: a.Token})
+			p.left.add(b, leftEntry{node: n, token: a.Token}, &p.lregs)
 		} else if _, ok := removeLeft(p.left, b, n, a.Token); !ok {
 			// Duplicate delete: the token's join effects were already
 			// unwound when it was first removed. Scanning again would
@@ -263,7 +269,7 @@ func (p *Processor) processJoin(a Activation, b int, out []Activation) []Activat
 	}
 	w := rows[a.WME]
 	if a.Tag == Add {
-		p.right.add(b, rightEntry{node: n, h: a.WME})
+		p.right.add(b, rightEntry{node: n, h: a.WME}, &p.rregs)
 	} else if !removeRight(p.right, b, n, a.WME) {
 		// Duplicate delete of a wme already out of right memory.
 		return out
@@ -289,7 +295,7 @@ func (p *Processor) processNegative(a Activation, b int, out []Activation) []Act
 					count++
 				}
 			}
-			p.left.add(b, leftEntry{node: n, token: a.Token, count: count})
+			p.left.add(b, leftEntry{node: n, token: a.Token, count: count}, &p.lregs)
 			if count == 0 {
 				out = p.emitTo(n, a.Token, Add, out)
 			}
@@ -303,7 +309,7 @@ func (p *Processor) processNegative(a Activation, b int, out []Activation) []Act
 	w := rows[a.WME]
 	es := p.left.entries(b)
 	if a.Tag == Add {
-		p.right.add(b, rightEntry{node: n, h: a.WME})
+		p.right.add(b, rightEntry{node: n, h: a.WME}, &p.rregs)
 		for i := range es {
 			if e := &es[i]; e.node == n && testsPass(n, rows, e.token, w) {
 				e.count++

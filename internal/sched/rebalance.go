@@ -1,6 +1,9 @@
 package sched
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Rebalance configures the online adaptive repartitioner. The zero
 // value disables rebalancing entirely (Enabled reports false), so it
@@ -47,9 +50,19 @@ func DefaultRebalance() Rebalance {
 }
 
 // PartitionMoves returns the buckets (ascending) whose owner differs
-// between two partitions of the same length.
+// between two partitions of the same length, in one allocation (none
+// when nothing moves).
 func PartitionMoves(old, new Partition) []int {
-	var moves []int
+	n := 0
+	for b := range old {
+		if b < len(new) && old[b] != new[b] {
+			n++
+		}
+	}
+	if n == 0 {
+		return nil
+	}
+	moves := make([]int, 0, n)
 	for b := range old {
 		if b < len(new) && old[b] != new[b] {
 			moves = append(moves, b)
@@ -69,10 +82,17 @@ func PartitionMoves(old, new Partition) []int {
 type Balancer struct {
 	reb   Rebalance
 	procs int
-	part  Partition // current assignment (owned copy)
-	load  []int64   // decayed per-bucket activation load
-	per   []int64   // per-processor scratch (imbalanceOf runs every cycle)
-	since int       // cycles since the last migration
+	part  Partition   // current assignment (owned copy)
+	load  []int64     // decayed per-bucket activation load
+	per   []int64     // per-processor scratch (imbalanceOf runs every cycle, plan per replan)
+	hot   []hotBucket // plan's scratch: the buckets with load
+	since int         // cycles since the last migration
+}
+
+// hotBucket is a bucket with decayed load, as plan packs it.
+type hotBucket struct {
+	b int
+	l int64
 }
 
 // NewBalancer creates a balancer over a copy of the initial partition.
@@ -169,24 +189,31 @@ func (bl *Balancer) replan() bool {
 // current owner on load ties so cold state does not churn. Buckets
 // with no decayed load keep their current owner.
 func (bl *Balancer) plan() Partition {
-	type hotBucket struct {
-		b int
-		l int64
+	n := 0
+	for _, l := range bl.load {
+		if l > 0 {
+			n++
+		}
 	}
-	hot := make([]hotBucket, 0, 16)
+	if cap(bl.hot) < n {
+		bl.hot = make([]hotBucket, 0, n)
+	}
+	hot := bl.hot[:0]
 	for b, l := range bl.load {
 		if l > 0 {
 			hot = append(hot, hotBucket{b, l})
 		}
 	}
-	sort.Slice(hot, func(i, j int) bool {
-		if hot[i].l != hot[j].l {
-			return hot[i].l > hot[j].l
+	slices.SortFunc(hot, func(x, y hotBucket) int {
+		if c := cmp.Compare(y.l, x.l); c != 0 {
+			return c
 		}
-		return hot[i].b < hot[j].b
+		return cmp.Compare(x.b, y.b)
 	})
+	bl.hot = hot
 	cand := append(Partition(nil), bl.part...)
-	per := make([]int64, bl.procs)
+	per := bl.per
+	clear(per)
 	for _, h := range hot {
 		best := 0
 		for p := 1; p < bl.procs; p++ {

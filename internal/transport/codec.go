@@ -298,7 +298,7 @@ func (d *dec) def() *ops5.WME {
 		return nil
 	} else {
 		l = d.layouts[ref-1]
-		w = d.rows.Row(l, nil)
+		w = d.rows.Row(nil, l, nil)
 	}
 	w.ID, w.TimeTag = id, tag
 	slots := w.Slots()

@@ -106,17 +106,19 @@ func (m *Memory[E]) entries(b int) []E { return m.buckets[b] }
 // wmes they referenced become collectible. Only legal at quiescence
 // (no scan in progress).
 func (m *Memory[E]) Reset() {
-	for b := range m.buckets {
-		m.empty(b)
+	for i, b := range m.buckets {
+		clear(b)
+		m.buckets[i] = b[:0]
 	}
 }
 
-// empty zeroes bucket b's entries and keeps its region, which moves
-// with the bucket: when a migration empties a bucket of a memory that
-// processors share, its next owner adds into the same region.
-func (m *Memory[E]) empty(b int) {
-	clear(m.buckets[b])
-	m.buckets[b] = m.buckets[b][:0]
+// release empties bucket b and gives its region to r, the regions of
+// the processor that extracts the bucket (migration): no memory keeps a
+// region for a bucket that has left it, and the bucket's next owner
+// grows it from its own regions.
+func (m *Memory[E]) release(b int, r *regions[E]) {
+	r.put(m.buckets[b])
+	m.buckets[b] = nil
 }
 
 // regionChunkLen is the length of the chunks a processor's regions
@@ -134,7 +136,8 @@ const regionClasses = 5
 // a free list per size class that grow takes from first. A bucket that
 // outgrows its region (grow) puts the old one, cleared, back on its
 // class's list — the list of whichever processor grew it, since a
-// region belongs to its bucket and a bucket may change owners. A
+// bucket may change owners — and so does a bucket that migrates away
+// (release), on the list of the processor that extracts it. A
 // region over a quarter of a chunk comes from the heap and goes back to
 // the collector: the free lists keep only what chunks hold, and a
 // chunk stays live while any region carved from it does.

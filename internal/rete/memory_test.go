@@ -2,6 +2,7 @@ package rete
 
 import (
 	"fmt"
+	"math/bits"
 	"reflect"
 	"slices"
 	"strconv"
@@ -263,12 +264,13 @@ func TestRegionsLeaveHeapRegionsToTheCollector(t *testing.T) {
 	freeZero(t, "after putting a heap region", r)
 }
 
-// TestExtractInjectKeepsOrderAndRegion moves a bucket of every size
-// class and beyond from one processor to another, over separate
+// TestExtractInjectKeepsOrderAndReleasesRegion moves a bucket of every
+// size class and beyond from one processor to another, over separate
 // memories and over one pair both share: every entry arrives, in
-// order, with its count, and over shared memories the bucket keeps its
-// region, so the next owner adds into it.
-func TestExtractInjectKeepsOrderAndRegion(t *testing.T) {
+// order, with its count, and the source memory keeps no region for the
+// bucket it gave up — a chunk-carved one goes, cleared, on the
+// extracting processor's free list, a heap-sized one to the collector.
+func TestExtractInjectKeepsOrderAndReleasesRegion(t *testing.T) {
 	net := compileT(t, []string{`(p p1 (a ^x <v>) -(b ^x <v>) --> (halt))`})
 	var neg *Node
 	for _, nd := range net.Nodes {
@@ -293,13 +295,24 @@ func TestExtractInjectKeepsOrderAndRegion(t *testing.T) {
 				src.left.add(5, wantL[i-1], &src.lregs)
 				src.right.add(5, wantR[i-1], &src.rregs)
 			}
-			region := &src.left.entries(5)[:1][0]
+			region := cap(src.left.entries(5))
+			listed := func() int { return len(src.lregs.free[bits.TrailingZeros(uint(region))]) }
+			before := 0
+			if region <= regionChunkLen/4 {
+				before = listed()
+			}
 			bc := src.ExtractBucket(5)
 			if src.left.Len()+src.right.Len() != 0 {
 				t.Fatalf("shared=%v size %d: the source still holds entries", shared, size)
 			}
-			tailZero(t, "extracted left", src.left.entries(5))
-			tailZero(t, "extracted right", src.right.entries(5))
+			if cap(src.left.entries(5))+cap(src.right.entries(5)) != 0 {
+				t.Errorf("shared=%v size %d: the source memory kept a region for the bucket it gave up", shared, size)
+			}
+			if region <= regionChunkLen/4 && listed() != before+1 {
+				t.Errorf("shared=%v size %d: the extracted %d-entry region is not on the extractor's free list", shared, size, region)
+			}
+			freeZero(t, "after extract", &src.lregs)
+			freeZero(t, "after extract", &src.rregs)
 			dst.InjectBucket(bc)
 			gotL, gotR := dst.left.entries(5), dst.right.entries(5)
 			if !slices.EqualFunc(gotL, wantL, func(a, b leftEntry) bool {
@@ -307,9 +320,8 @@ func TestExtractInjectKeepsOrderAndRegion(t *testing.T) {
 			}) || !slices.Equal(gotR, wantR) {
 				t.Errorf("shared=%v size %d: injected %v / %v, want %v / %v", shared, size, gotL, gotR, wantL, wantR)
 			}
-			if shared && &gotL[0] != region {
-				t.Errorf("shared=%v size %d: the bucket did not keep its region across the move", shared, size)
-			}
+			tailZero(t, "injected left", gotL)
+			tailZero(t, "injected right", gotR)
 		}
 	}
 }
@@ -317,8 +329,8 @@ func TestExtractInjectKeepsOrderAndRegion(t *testing.T) {
 // TestExtractInjectConcurrentOwners runs two processors over one
 // shared memory pair, as the in-process runtime's steps do: each grows
 // and shrinks only the buckets it owns, concurrently, then the two
-// swap their buckets at a barrier (extract on one, inject on the
-// other) and go on growing them with the regions they did not carve.
+// swap their buckets at a barrier (extract on one, which takes the
+// bucket's regions back, inject on the other) and go on growing them.
 // Run under the race detector, it shows growth touches nothing but the
 // bucket and its processor's regions.
 func TestExtractInjectConcurrentOwners(t *testing.T) {

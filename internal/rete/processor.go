@@ -207,9 +207,8 @@ type BucketContents struct {
 func (bc *BucketContents) Entries() int { return len(bc.LeftTokens) + len(bc.RightWMEs) }
 
 // ExtractBucket removes and returns the contents of bucket b in both
-// memories; the bucket keeps its regions, emptied, for whoever adds to
-// it next. The caller must be quiescent (no activation in flight for
-// this bucket).
+// memories, and gives the bucket's regions back to p's (release). The
+// caller must be quiescent (no activation in flight for this bucket).
 func (p *Processor) ExtractBucket(b int) *BucketContents {
 	bc := &BucketContents{Bucket: b}
 	for _, e := range p.left.entries(b) {
@@ -221,8 +220,8 @@ func (p *Processor) ExtractBucket(b int) *BucketContents {
 		bc.RightNodes = append(bc.RightNodes, e.node)
 		bc.RightWMEs = append(bc.RightWMEs, e.h)
 	}
-	p.left.empty(b)
-	p.right.empty(b)
+	p.left.release(b, &p.lregs)
+	p.right.release(b, &p.rregs)
 	return bc
 }
 

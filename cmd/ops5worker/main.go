@@ -1,9 +1,10 @@
 // Command ops5worker is one match process of the multi-process
 // runtime: it dials the control process (ops5run -transport tcp),
 // receives the program and its bucket partition in the handshake,
-// compiles the Rete network the control holds, and serves match turns
-// over its slice of the hash-table space until the control sends
-// shutdown.
+// compiles the Rete network the control holds (once per process per
+// program: workers that share a process share the network), and serves
+// match turns over its slice of the hash-table space until the control
+// sends shutdown.
 //
 // Usage:
 //

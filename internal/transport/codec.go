@@ -60,9 +60,12 @@ import (
 // So a definition at a handle the mirror already fills replaces a wme
 // the control has freed, which no frame will name again: the mirror
 // retires its row (rete.Rows, as the engine retires a deleted wme's),
-// and a definition refills a retired row of its layout before it
-// allocates one. A worker therefore holds about as many rows as the
-// control's table has handles, however many definitions cross.
+// and a definition refills a retired row of its layout, or else takes
+// the next row of the decoder's chunk of its width (dec.made). A worker
+// therefore holds about as many rows as the control's table has
+// handles, however many definitions cross, in a few chunks. A
+// definition's symbols come from the decoder's table (dec.value): a
+// symbol that crossed before costs no string.
 //
 // Decoding resolves graph references against the receiver's compiled
 // network: node ids are bounds-checked into net.Nodes, and a
@@ -123,7 +126,9 @@ type dec struct {
 	ring              int
 	tab               *rete.Table
 	mirror            bool
-	rows              rete.Rows // the mirror's retired rows, by layout
+	rows              rete.Rows         // the mirror's retired rows, by layout
+	made              ops5.Carver       // the mirror's fresh rows, by the chunk
+	syms              map[string]string // the symbols definitions name, interned (value)
 	layouts           []*ops5.Layout
 	defs, refs        int64
 
@@ -298,7 +303,7 @@ func (d *dec) def() *ops5.WME {
 		return nil
 	} else {
 		l = d.layouts[ref-1]
-		w = d.rows.Row(nil, l, nil)
+		w = d.rows.Row(&d.made, l, nil)
 	}
 	w.ID, w.TimeTag = id, tag
 	slots := w.Slots()
@@ -308,11 +313,11 @@ func (d *dec) def() *ops5.WME {
 		return nil
 	}
 	for i := 0; i < n; i++ {
-		slots[i] = d.Value()
+		slots[i] = d.value()
 	}
 	prev := ""
 	for i, n := 0, d.Count(1<<16); i < n; i++ {
-		name, v := d.Str(), d.Value()
+		name, v := d.Str(), d.value()
 		if d.Err != nil {
 			return nil
 		}
@@ -332,6 +337,38 @@ func (d *dec) def() *ops5.WME {
 		prev = name
 	}
 	return w
+}
+
+// mirrorRowsPerChunk is the floor of a worker's mirror carver
+// (dec.made): a definition that finds no retired row of its layout
+// takes the next row of a chunk of 24 of its width. 8-queens' mirror
+// holds 676 rows in three widths.
+const mirrorRowsPerChunk = 24
+
+// symbolTableCap bounds a decoder's symbol table (dec.syms): past it a
+// new symbol is a string of its own.
+const symbolTableCap = 4096
+
+// value decodes a value as wire.Dec.Value does, taking a symbol's
+// string from the decoder's table, so a symbol that crosses again
+// costs no string.
+func (d *dec) value() ops5.Value {
+	if len(d.B) == 0 || ops5.Kind(d.B[0]) != ops5.KindSym {
+		return d.Value()
+	}
+	d.Byte()
+	b := d.Bytes(d.Count(1<<20), "string bytes")
+	if s, ok := d.syms[string(b)]; ok {
+		return ops5.S(s)
+	}
+	s := string(b)
+	if d.Err == nil && len(d.syms) < symbolTableCap {
+		if d.syms == nil {
+			d.syms = make(map[string]string)
+		}
+		d.syms[s] = s
+	}
+	return ops5.S(s)
 }
 
 // wme decodes a wme position that must hold one.

@@ -3,8 +3,10 @@ package transport
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/parallel"
@@ -163,14 +165,15 @@ func TestDefinitionFaults(t *testing.T) {
 // that layout refills the retired row instead of allocating one: the
 // redefinition itself, or a later one at another handle. Under
 // rete.PoisonRewinds (TestPoisonedRewinds) a retired row reads as the
-// sentinel, and every definition takes a fresh row.
+// sentinel, and every definition takes a fresh row: the next row of the
+// decoder's chunk, beside the scrubbed ones, which stays live.
 func TestMirrorRecyclesRows(t *testing.T) {
 	network, _ := compileWorkload(t, "blocks")
 	other := network.Layouts()[0].Class()
 	if other == "block" {
 		other = network.Layouts()[1].Class()
 	}
-	d := dec{tab: rete.NewTable(), mirror: true, layouts: network.Layouts()}
+	d := dec{tab: rete.NewTable(), mirror: true, made: ops5.Carver{Floor: mirrorRowsPerChunk}, layouts: network.Layouts()}
 	tag := 0
 	// define defines w at handle h under the next time tag and returns
 	// the mirror's row.
@@ -208,5 +211,58 @@ func TestMirrorRecyclesRows(t *testing.T) {
 	}
 	if third.ID != 3 || fourth.ID != 4 {
 		t.Errorf("live rows read %d and %d, want 3 and 4", third.ID, fourth.ID)
+	}
+	// The block rows are consecutive rows of one chunk, the other
+	// class's row between the second and fourth if it has their width.
+	at := func(w *ops5.WME) uintptr { return uintptr(unsafe.Pointer(w)) }
+	if stride := at(second) - at(first); at(second) <= at(first) || at(fourth)-at(second) != stride && at(fourth)-at(second) != 2*stride {
+		t.Errorf("block rows at %#x, %#x and %#x: want neighbours in one chunk", at(first), at(second), at(fourth))
+	}
+}
+
+// TestSymbolTable: a symbol a decoder has met before decodes to the
+// string it kept, equal to what wire.Dec.Value allocates afresh, and
+// holding no byte of the payload. Past symbolTableCap distinct symbols
+// the table stays at its cap, and every further symbol decodes right,
+// each a string of its own; a symbol cut short is not kept.
+func TestSymbolTable(t *testing.T) {
+	var e wire.Enc
+	var want []ops5.Value
+	for i := range symbolTableCap + 100 {
+		sym := ops5.S(fmt.Sprintf("sym-%d", i))
+		want = append(want, sym, ops5.N(float64(i)), sym, ops5.Value{})
+	}
+	for _, v := range want {
+		e.Value(v)
+	}
+	d := dec{Dec: wire.Dec{B: e.Buf}}
+	fresh := wire.Dec{B: e.Buf}
+	got := make([]ops5.Value, len(want))
+	for i := range want {
+		if got[i] = d.value(); got[i] != fresh.Value() {
+			t.Fatalf("value %d decoded to %v, wire.Dec.Value's %v", i, got[i], want[i])
+		}
+	}
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	clear(e.Buf)
+	for i := 0; i < len(want); i += 4 {
+		if got[i] != want[i] || got[i+1] != want[i+1] || got[i+2] != want[i+2] || got[i+3] != want[i+3] {
+			t.Fatalf("values %d-%d read %v once the payload is cleared, want %v", i, i+3, got[i:i+4], want[i:i+4])
+		}
+		interned := unsafe.StringData(got[i].Sym) == unsafe.StringData(got[i+2].Sym)
+		if n := i / 4; interned != (n < symbolTableCap) {
+			t.Fatalf("symbol %d met twice decoded to one string: %v, want %v", n, interned, n < symbolTableCap)
+		}
+	}
+	if len(d.syms) != symbolTableCap {
+		t.Errorf("the table holds %d symbols, want its cap %d", len(d.syms), symbolTableCap)
+	}
+	var cut wire.Enc
+	cut.Value(ops5.S("cut short"))
+	short := dec{Dec: wire.Dec{B: cut.Buf[:len(cut.Buf)-1]}}
+	if short.value(); short.Err == nil || len(short.syms) != 0 {
+		t.Errorf("a cut symbol decoded with %v and left %d symbols in the table", short.Err, len(short.syms))
 	}
 }

@@ -148,8 +148,14 @@ func listen(network *rete.Network, addr string, opts parallel.Options, timeout t
 	if timeout == 0 {
 		timeout = 30 * time.Second
 	}
-	c := &Control{network: network, program: appendProgram(nil, network), digest: network.Digest(), opts: opts, timeout: timeout,
+	c := &Control{network: network, digest: network.Digest(), opts: opts, timeout: timeout,
 		ring: min(opts.Causal.RingCap(), maxRing)}
+	printed.Lock()
+	if printed.net != network || printed.digest != c.digest {
+		printed.net, printed.digest, printed.program = network, c.digest, appendProgram(nil, network)
+	}
+	c.program = printed.program
+	printed.Unlock()
 	d, err := parallel.NewDriver(network, opts, c)
 	if err != nil {
 		return nil, err
@@ -160,6 +166,20 @@ func listen(network *rete.Network, addr string, opts parallel.Options, timeout t
 		return nil, fmt.Errorf("transport: control listen: %w", err)
 	}
 	return c, nil
+}
+
+// printed is the program the last Control printed (appendProgram),
+// one entry keyed by the network and its digest: a Control over the
+// network the one before it held ships the same bytes without printing
+// them again, and a network transformed since (Unshare,
+// CopyAndConstrain, AddProductionPrivate) has another digest and is
+// printed anew. The entry keeps its network alive, so no other network
+// can take its address. Hellos only read the bytes.
+var printed struct {
+	sync.Mutex
+	net     *rete.Network
+	digest  uint64
+	program []byte
 }
 
 // Addr returns the listener's address for worker processes to dial.

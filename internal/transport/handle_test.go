@@ -271,34 +271,13 @@ func mirrorRows(t *testing.T, network *rete.Network, stream []byte) int {
 	return rows
 }
 
-// TestWireQueensBytesPerFiring is TestParQueensBytesPerFiring
-// (parallel) over the star, in the unit the benchmark's wire-queens row
-// reports: heap bytes per firing of an 8-queens session whose match
-// phase runs on Listen with two in-process ServeConn workers, from
-// Listen to Close and the workers' return, run to the halt: the
-// control's allocations and both workers' together. Run alone it reads
-// 782.2, and 748.2 after the package's other tests (886.0 and 849.0
-// while the driver netted each cycle's deltas into a result slab of its
-// own; 1,310.3 and 1,272.9 while each worker's mirror allocated a row
-// per definition, each connection end read through a 64 KiB
-// bufio.Reader and a number crossed as its float bits in a uvarint).
-func TestWireQueensBytesPerFiring(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("escape analysis decides differently under the race detector")
-	}
+// wireQueensRun runs an 8-queens session whose match phase runs on
+// Listen with two in-process ServeConn workers, from Listen to Close and
+// the workers' return, run to the halt, and returns the heap bytes and
+// objects the run allocated: the control's and both workers' together.
+func wireQueensRun(t *testing.T, c *engine.Compiled, board []*ops5.WME) (bytes, objects float64) {
+	t.Helper()
 	const workers = 2
-	prog, err := ops5.ParseProgram(workloads.Queens)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := engine.Compile(prog, engine.CompileOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	board, err := ops5.ParseWMEs(workloads.QueensWMEs(8))
-	if err != nil {
-		t.Fatal(err)
-	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	ctl, err := Listen(c.Network(), "127.0.0.1:0", ControlOptions{Workers: workers})
@@ -325,10 +304,70 @@ func TestWireQueensBytesPerFiring(t *testing.T) {
 	if fired != 2033 {
 		t.Fatalf("8-queens fired %d times, want 2033", fired)
 	}
-	perFiring := float64(after.TotalAlloc-before.TotalAlloc) / float64(fired)
-	t.Logf("%d firings, %.1f heap bytes per firing", fired, perFiring)
-	const pinned = 782.2
+	return float64(after.TotalAlloc - before.TotalAlloc), float64(after.Mallocs - before.Mallocs)
+}
+
+// warmWireQueens compiles 8-queens and its board and runs it over the
+// star once, so that the process's caches hold its program: the control
+// prints it once per network (Control.program) and a worker compiles it
+// once per process (decodeHello). What a run allocates then does not
+// depend on which tests ran before it.
+func warmWireQueens(t *testing.T) (*engine.Compiled, []*ops5.WME) {
+	t.Helper()
+	prog, err := ops5.ParseProgram(workloads.Queens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := engine.Compile(prog, engine.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	board, err := ops5.ParseWMEs(workloads.QueensWMEs(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	wireQueensRun(t, c, board)
+	return c, board
+}
+
+// TestWireQueensBytesPerFiring is TestParQueensBytesPerFiring
+// (parallel) over the star, in the unit the benchmark's wire-queens row
+// reports: heap bytes per firing of a warm wireQueensRun. It reads
+// 678.4, alone or after the package's other tests (782.2 run alone and 748.2 after the package's other tests while
+// every connection printed and compiled the program and a mirror's rows
+// and symbols were allocations of their own; 886.0 and 849.0 while the
+// driver netted each cycle's deltas into a result slab of its own;
+// 1,310.3 and 1,272.9 while each worker's mirror allocated a row per
+// definition, each connection end read through a 64 KiB bufio.Reader
+// and a number crossed as its float bits in a uvarint).
+func TestWireQueensBytesPerFiring(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("escape analysis decides differently under the race detector")
+	}
+	c, board := warmWireQueens(t)
+	bytes, _ := wireQueensRun(t, c, board)
+	perFiring := bytes / 2033
+	t.Logf("%.1f heap bytes per firing", perFiring)
+	const pinned = 678.4
 	if perFiring > pinned*1.03 {
 		t.Errorf("%.1f heap bytes per firing, want at most %.1f", perFiring, pinned*1.03)
+	}
+}
+
+// TestWireQueensRunAllocs pins the heap objects of a warm
+// wireQueensRun, control and both workers together: 711 to 723, 0.35 a
+// firing (4,155 to 4,161 while every connection printed and compiled
+// the program, and a mirror's rows and symbols were allocations of
+// their own).
+func TestWireQueensRunAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("escape analysis decides differently under the race detector")
+	}
+	c, board := warmWireQueens(t)
+	_, objects := wireQueensRun(t, c, board)
+	t.Logf("a warm 8-queens run over the star makes %.0f heap objects", objects)
+	const pinned = 718
+	if objects > pinned*1.05 {
+		t.Errorf("a warm 8-queens run over the star makes %.0f heap objects, want at most %.0f", objects, pinned*1.05)
 	}
 }

@@ -7,9 +7,11 @@ import (
 	"net"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"mpcrete/internal/engine"
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/wire"
@@ -246,8 +248,10 @@ func FuzzHello(f *testing.F) {
 		if id, digest := d.Int(), d.U64(); d.Done() != nil || id != h.id || digest != h.net.Digest() {
 			t.Fatalf("ready frame %x, want id %d and digest %#x", ready, h.id, h.net.Digest())
 		}
-		again, err := decodeHello(helloBytes(h, appendProgram(nil, h.net)))
-		if err != nil || again.net.Digest() != h.net.Digest() {
+		// Past the cache: the printed program is the one decodeHello
+		// just cached.
+		again, err := compileProgram(&dec{Dec: wire.Dec{B: appendProgram(nil, h.net)}})
+		if err != nil || again.Digest() != h.net.Digest() {
 			t.Fatalf("the program printed from the compiled network compiles to another (%v)", err)
 		}
 		go writeFrame(ctl, ftShutdown, nil)
@@ -260,4 +264,251 @@ func FuzzHello(f *testing.F) {
 			t.Fatal("worker ignored shutdown")
 		}
 	})
+}
+
+// readyOf hands a ServeConn worker the hello payload over a pipe and
+// returns the id and digest of its ready frame, then shuts it down.
+func readyOf(t *testing.T, payload []byte) (int, uint64) {
+	t.Helper()
+	ctl, wrk := net.Pipe()
+	defer ctl.Close()
+	served := make(chan error, 1)
+	go func() { served <- ServeConn(wrk) }()
+	go writeFrame(ctl, ftHello, payload)
+	ft, ready, err := readFrame(ctl)
+	if err != nil || ft != ftReady {
+		t.Fatalf("worker answered %v, %v to its hello", ft, err)
+	}
+	d := wire.Dec{B: ready}
+	id, digest := d.Int(), d.U64()
+	if err := d.Done(); err != nil {
+		t.Fatal(err)
+	}
+	go writeFrame(ctl, ftShutdown, nil)
+	if err := <-served; err != nil {
+		t.Fatalf("worker shutdown: %v", err)
+	}
+	return id, digest
+}
+
+// programOf parses a bundled workload's productions.
+func programOf(t *testing.T, name string) []*ops5.Production {
+	t.Helper()
+	wl, err := workloads.Named(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog, err := ops5.ParseProgram(wl.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog.Productions
+}
+
+// TestHelloCacheSharesNetwork: the workers of one process handed one
+// program compile it once. Their hellos, decoded together on a cold
+// cache, give one network, and each worker's ready frame carries its
+// digest.
+func TestHelloCacheSharesNetwork(t *testing.T) {
+	blocks, _ := compileWorkload(t, "blocks")
+	network, _ := compileWorkload(t, "monkey")
+	if _, err := decodeHello(twoWorkerHello(blocks)); err != nil {
+		t.Fatal(err)
+	}
+	var hellos [2][]byte
+	var nets [2]*rete.Network
+	var wg sync.WaitGroup
+	for id := range hellos {
+		hellos[id] = helloBytes(hello{id: id, workers: 2, nbuckets: 4, partition: []int{0, 1, 0, 1}}, appendProgram(nil, network))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h, err := decodeHello(hellos[id])
+			if err != nil {
+				t.Error(err)
+			}
+			nets[id] = h.net
+		}()
+	}
+	wg.Wait()
+	if nets[0] == nil || nets[0] != nets[1] {
+		t.Fatalf("the workers' hellos compiled to %p and %p, want one network", nets[0], nets[1])
+	}
+	for id, payload := range hellos {
+		if gotID, digest := readyOf(t, payload); gotID != id || digest != network.Digest() {
+			t.Errorf("worker %d answered id %d, digest %#x; want %d, %#x", id, gotID, digest, id, network.Digest())
+		}
+	}
+}
+
+// TestHelloCacheMisses: the cache holds one program, keyed by its
+// exact bytes. Another program, or the same productions as another
+// variant, compiles its own network; the first program then compiles
+// again, to a network with its old digest, which the next hello of it
+// reuses.
+func TestHelloCacheMisses(t *testing.T) {
+	blocksProds := programOf(t, "blocks")
+	shared, err := rete.CompileVariant(blocksProds, "shared")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounded, err := rete.CompileVariant(blocksProds, "bounded")
+	if err != nil {
+		t.Fatal(err)
+	}
+	monkey, _ := compileWorkload(t, "monkey")
+	decode := func(want *rete.Network) *rete.Network {
+		t.Helper()
+		h, err := decodeHello(twoWorkerHello(want))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if h.net.Variant() != want.Variant() || h.net.Digest() != want.Digest() {
+			t.Fatalf("a hello of a %s network of digest %#x compiled to %s, %#x", want.Variant(), want.Digest(), h.net.Variant(), h.net.Digest())
+		}
+		return h.net
+	}
+	a := decode(shared)
+	if decode(shared) != a {
+		t.Error("the same program compiled twice in a row")
+	}
+	if decode(monkey) == a {
+		t.Error("another program reused blocks' network")
+	}
+	if decode(bounded) == a {
+		t.Error("blocks as bounded reused blocks' shared network")
+	}
+	again := decode(shared)
+	if again == a {
+		t.Error("blocks' network outlived two other programs in a one-entry cache")
+	}
+	if decode(shared) != again {
+		t.Error("blocks compiled again right after it was cached")
+	}
+}
+
+// TestHelloCacheTranscripts: sessions of A, then B, then A twice — the
+// first two of A compiled by their workers, the last taken from the
+// cache — each fire as the sequential engine does.
+func TestHelloCacheTranscripts(t *testing.T) {
+	for _, name := range []string{"blocks", "monkey", "blocks", "blocks"} {
+		wl, err := workloads.Named(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog, err := ops5.ParseProgram(wl.Program)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := engine.Compile(prog, engine.CompileOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(opts engine.SessionOptions) string {
+			var out strings.Builder
+			opts.Output, opts.Watch = &out, 1
+			wmes, err := ops5.ParseWMEs(wl.WMEs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := c.NewSession(opts)
+			s.InsertWMEs(wmes...)
+			if _, err := s.Run(100_000); err != nil {
+				t.Fatal(err)
+			}
+			return out.String()
+		}
+		want := run(engine.SessionOptions{})
+		ctl, err := Listen(c.Network(), "127.0.0.1:0", ControlOptions{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		werrs := startWorkers(t, ctl.Addr(), 2)
+		if err := ctl.WaitWorkers(); err != nil {
+			t.Fatal(err)
+		}
+		got := run(engine.SessionOptions{Matcher: ctl})
+		ctl.Close()
+		for range 2 {
+			if err := <-werrs; err != nil {
+				t.Fatalf("%s: worker exit: %v", name, err)
+			}
+		}
+		if got != want {
+			t.Errorf("%s over the star fired\n%s\nwant\n%s", name, got, want)
+		}
+	}
+}
+
+// TestHelloCacheRefusals: a hello the worker refuses — source that
+// does not parse, a variant the compiler does not know — is never
+// cached: the same bytes are refused again, and the program cached
+// before it stays.
+func TestHelloCacheRefusals(t *testing.T) {
+	network, _ := compileWorkload(t, "blocks")
+	h, err := decodeHello(twoWorkerHello(network))
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := network.Prods[network.ProdOrder[0]].Prod.String()
+	program := func(variant, src string) []byte {
+		e := wire.Enc{}
+		e.Str(variant)
+		e.Count(1)
+		e.Str(src)
+		return e.Buf
+	}
+	for name, prog := range map[string][]byte{
+		"unparsable":      program("shared", "(p broken"),
+		"unknown-variant": program("no-such-variant", src),
+	} {
+		payload := helloBytes(hello{workers: 1, nbuckets: 1, partition: []int{0}}, prog)
+		for i := range 2 {
+			if _, err := decodeHello(payload); !errors.Is(err, ErrBadPayload) {
+				t.Errorf("%s, decoded %d times: %v, want ErrBadPayload", name, i+1, err)
+			}
+		}
+		helloCache.Lock()
+		if helloCache.net != h.net || !bytes.Equal(helloCache.program, appendProgram(nil, network)) {
+			t.Errorf("%s: the refused hello displaced the cached program", name)
+		}
+		helloCache.Unlock()
+	}
+}
+
+// TestControlPrintsOncePerDigest: Controls over one network ship one
+// printing of its program; once the network is transformed (Unshare)
+// its digest changes, and the next Control prints it again.
+func TestControlPrintsOncePerDigest(t *testing.T) {
+	network, _ := compileWorkload(t, "monkey")
+	listen := func() *Control {
+		t.Helper()
+		ctl, err := Listen(network, "127.0.0.1:0", ControlOptions{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl.Close()
+		return ctl
+	}
+	first, second := listen(), listen()
+	if &first.program[0] != &second.program[0] {
+		t.Error("a second Control printed an unchanged network's program again")
+	}
+	var shared *rete.Node
+	for _, n := range network.Nodes {
+		if n.IsTwoInput() && len(n.Succs) > 1 {
+			shared = n
+			break
+		}
+	}
+	if _, err := network.Unshare(shared); err != nil {
+		t.Fatal(err)
+	}
+	third := listen()
+	if third.digest == first.digest || third.digest != network.Digest() {
+		t.Fatalf("digest %#x after Unshare, %#x before, network's %#x", third.digest, first.digest, network.Digest())
+	}
+	if &third.program[0] == &first.program[0] {
+		t.Error("a Control over the transformed network shipped the printing made before the transformation")
+	}
 }

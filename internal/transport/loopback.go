@@ -15,13 +15,17 @@ import (
 // handshake that ops5run -transport tcp and ops5worker speak between
 // processes. It is how the difftest oracle, obsreport -transport tcp
 // and the benchmark's loopback side pass hold the star against the
-// in-process mailboxes.
+// in-process mailboxes. Its workers compile the program from their
+// hello once per process per program and share that network; the
+// control prints the program once per network (Control.program), so a
+// Loopback opened again over the same network does neither again.
 type Loopback struct {
 	net *rete.Network
 }
 
 // NewLoopback returns a Loopback for the given compiled network; its
-// workers compile it from their hello, as worker processes do.
+// workers compile it from their hello, as worker processes do, once per
+// process per program (decodeHello).
 func NewLoopback(network *rete.Network) *Loopback {
 	return &Loopback{net: network}
 }

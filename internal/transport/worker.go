@@ -1,8 +1,10 @@
 package transport
 
 import (
+	"bytes"
 	"fmt"
 	"net"
+	"sync"
 	"time"
 
 	"mpcrete/internal/obs"
@@ -16,7 +18,8 @@ import (
 // The worker half of the star carrier: parallel.Step behind a socket.
 // A worker process dials the control process, receives the program and
 // its slice of the topology in the hello handshake, compiles the
-// network it matches over, and then turns frames into step calls: each
+// network it matches over, once per process per program (decodeHello),
+// and then turns frames into step calls: each
 // incoming ftCycle, ftActs, ftRepart or ftBucket frame is decoded into
 // parallel.Messages, handed to Step.Handle as one turn, and answered
 // with what the step left behind — one coalesced ftRelay frame per
@@ -72,7 +75,10 @@ type hello struct {
 	// ring is the control's flight-recorder ring capacity (0: none).
 	ring      int
 	partition sched.Partition
-	net       *rete.Network // compiled from the hello's program
+	// net is compiled from the hello's program, or shared with every
+	// worker of the process handed the same program (decodeHello), so
+	// nothing on a worker may change it.
+	net *rete.Network
 }
 
 // appendProgram appends what a hello ships of a network: its variant,
@@ -102,10 +108,14 @@ func encodeHello(e *enc, h hello, program []byte) {
 	e.Raw(program)
 }
 
-// decodeHello reads a hello and compiles its program. Every count is
-// held to the bytes that remain, so a forged hello costs what its
-// length can buy; source that does not parse, or a variant the
-// compiler does not know, is ErrBadPayload like any other payload.
+// decodeHello reads a hello and compiles its program, once per process
+// per program: a hello whose program bytes are those of the last one
+// that compiled takes that network (helloCache), so every worker of a
+// process handed one program shares one read-only network, as
+// parallel.Runtime's workers do. Every count is held to the bytes that
+// remain, so a forged hello costs what its length can buy; source that
+// does not parse, or a variant the compiler does not know, is
+// ErrBadPayload like any other payload, and is never cached.
 func decodeHello(payload []byte) (hello, error) {
 	d := dec{Dec: wire.Dec{B: payload}}
 	if ver := d.U64(); d.Err == nil && ver != protoVersion {
@@ -120,6 +130,38 @@ func decodeHello(payload []byte) (hello, error) {
 	}
 	d.nbuckets, d.workers = h.nbuckets, h.workers
 	h.partition = d.partition()
+	if d.Err != nil {
+		return h, d.Err
+	}
+	c := &helloCache
+	c.Lock()
+	defer c.Unlock()
+	if c.net != nil && bytes.Equal(d.B, c.program) {
+		h.net = c.net
+		return h, nil
+	}
+	program := d.B
+	var err error
+	if h.net, err = compileProgram(&d); err != nil {
+		return h, err
+	}
+	c.program, c.net = append(c.program[:0], program...), h.net
+	return h, nil
+}
+
+// helloCache is decodeHello's one entry: the program bytes of the last
+// hello that compiled cleanly, and the network they compiled to. Its
+// lock is held across a compile, so workers of one process that
+// handshake together compile their common program once.
+var helloCache struct {
+	sync.Mutex
+	program []byte
+	net     *rete.Network
+}
+
+// compileProgram parses and compiles the program d holds to its end,
+// as appendProgram wrote it, past the cache.
+func compileProgram(d *dec) (*rete.Network, error) {
 	variant := d.Str()
 	prods := make([]*ops5.Production, d.Count(1<<20))
 	for i := 0; i < len(prods) && d.Err == nil; i++ {
@@ -129,13 +171,13 @@ func decodeHello(payload []byte) (hello, error) {
 		}
 	}
 	if err := d.Done(); err != nil {
-		return h, err
+		return nil, err
 	}
-	var err error
-	if h.net, err = rete.CompileVariant(prods, variant); err != nil {
-		return h, fmt.Errorf("%w: %v", ErrBadPayload, err)
+	net, err := rete.CompileVariant(prods, variant)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrBadPayload, err)
 	}
-	return h, nil
+	return net, nil
 }
 
 // Serve dials the control address, retrying until the timeout (worker
@@ -186,7 +228,7 @@ func ServeConn(conn net.Conn) error {
 		track: track,
 		epoch: time.Now(),
 		conn:  conn,
-		dec:   dec{nbuckets: h.nbuckets, workers: h.workers, tab: mirror, mirror: true, layouts: h.net.Layouts()},
+		dec:   dec{nbuckets: h.nbuckets, workers: h.workers, tab: mirror, mirror: true, made: ops5.Carver{Floor: mirrorRowsPerChunk}, layouts: h.net.Layouts()},
 		enc:   enc{tab: mirror, refsOnly: true, layouts: h.net.Layouts()},
 	}
 

@@ -40,8 +40,8 @@ func queensSession(t *testing.T, opts engine.SessionOptions) *engine.Session {
 
 // TestSteadyStateStepAllocs pins what a match-resolve-act cycle
 // allocates once the session is warm: one object in a hundred cycles,
-// a token arena region or the result array the engine hands back now
-// and then. The deltas, their arrays, the members and their arrays,
+// an arena region or the result array the engine hands back now and
+// then. The deltas, their arrays, the members and their arrays,
 // the conflict set's bookkeeping, the memory entries and the regions
 // of the buckets that hold them, the tokens, the bind values and the
 // wmes of makes and modifies are none of them heap objects of their
@@ -157,7 +157,9 @@ func checkStepResult(t *testing.T, poisoned bool) {
 // TestQueensBytesPerFiring is the allocation twin of transport's
 // TestWireBytesPerFiring, in the unit the benchmark's seq-queens row
 // reports: heap bytes per firing of an 8-queens session, opened on a
-// compiled network and run to the halt. It reads 250.5 (258.9 while
+// compiled network and run to the halt. It reads 198.9 (250.5 while
+// every token a memory stored came from an arena nothing but Reset
+// rewound, so a removed entry's run was never reused; 258.9 while
 // every growth of a memory bucket was a heap object of its own; 270.4 while
 // the board's rows were an allocation each and a map kept working
 // memory by ID; 375.0 while
@@ -187,8 +189,8 @@ func TestQueensBytesPerFiring(t *testing.T) {
 	}
 	perFiring := float64(after.TotalAlloc-before.TotalAlloc) / float64(fired)
 	t.Logf("%d firings, %.1f heap bytes per firing", fired, perFiring)
-	if perFiring > 250.5*1.03 {
-		t.Errorf("%.1f heap bytes per firing, want at most %.1f", perFiring, 250.5*1.03)
+	if perFiring > 198.9*1.03 {
+		t.Errorf("%.1f heap bytes per firing, want at most %.1f", perFiring, 198.9*1.03)
 	}
 }
 
@@ -196,10 +198,12 @@ func TestQueensBytesPerFiring(t *testing.T) {
 // a session opened on a compiled network, the board loaded, run to the
 // halt. Unlike TestSteadyStateStepAllocs' warm window it sees every
 // memory bucket grow from empty, the first rows of every width and the
-// first growth of every scratch slice. It reads 212 to 214 and is
-// pinned a few objects above (1,350 while every growth of a bucket was
-// a heap object of its own, a firing's bind values grew a fresh slice
-// and an act that found no free row allocated one).
+// first growth of every scratch slice. It reads 179 to 181 and is
+// pinned a few objects above (212 to 214 while stored tokens came from
+// a never-rewound arena and a layout's free rows grew their list 1, 2,
+// 4… from empty; 1,350 while every growth of a bucket was a heap object
+// of its own, a firing's bind values grew a fresh slice and an act that
+// found no free row allocated one).
 func TestQueensRunAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("escape analysis decides differently under the race detector")
@@ -213,8 +217,8 @@ func TestQueensRunAllocs(t *testing.T) {
 		}
 	})
 	t.Logf("a whole 8-queens run makes %.0f heap objects", n)
-	if n > 220 {
-		t.Errorf("a whole 8-queens run makes %.0f heap objects, want at most 220", n)
+	if n > 186 {
+		t.Errorf("a whole 8-queens run makes %.0f heap objects, want at most 186", n)
 	}
 }
 

@@ -18,23 +18,23 @@ const arenaChunkLen = 1024
 // the lifetime of the runs carved from it. A match cycle therefore
 // costs O(runs/region) allocations instead of one per run.
 //
-// A Processor owns three, beside the two regions (memory.go) that the
-// buckets it grows take their storage from, and each arena lends to
-// one kind of reader.
-// Tokens — runs of wme handles, which the collector never scans — come
-// from two of them. The token arena lends to the memories: tokens that
-// a memory may store live as long as the wmes they cover, and it is
-// rewound only by Processor.Reset, with the memories. The phase arena
-// lends to the phase itself: tokens made under a Delete activation —
-// they exist to find the entries they remove and to carry the delete
-// downstream — and tokens that only production nodes receive, which
-// Processor.Build reads once and resolves out of. The lent arena
-// lends to whoever receives the phase's result: every delta's WMEs
-// array (Build), which the absorbing conflict set reads, copying what
-// it keeps, and nobody after. So everything the phase arena or the lent
-// arena hands out is dead once the phase's result has been absorbed,
-// and an owner that can show that much calls Processor.BeginPhase to
-// rewind them.
+// A Processor owns two, beside the two regions (memory.go) that the
+// buckets it grows take their storage from and the store that the
+// tokens its memories keep are copied into, and each arena lends to one
+// kind of reader.
+// The phase arena lends tokens — runs of wme handles, which the
+// collector never scans — to the phase itself: every token an
+// activation carries, made by a root (RootActivationsInto), a join
+// (extend) or the bounded enumerator, and the copy a negative node
+// emits of an entry whose count flips (phaseCopy). No memory keeps one:
+// a left add stores a copy of its own (store), so a phase token exists
+// only to reach the nodes it is aimed at and, at a production node, to
+// be read once by Processor.Build, which resolves its wmes out. The lent
+// arena lends to whoever receives the phase's result: every delta's
+// WMEs array (Build), which the absorbing conflict set reads, copying
+// what it keeps, and nobody after. So everything either arena hands out
+// is dead once the phase's result has been absorbed, and an owner that
+// can show that much calls Processor.BeginPhase to rewind them.
 //
 // A rewind takes everything back and carves from the front of the
 // region again; a phase that outgrew its region is given, at that
@@ -51,12 +51,13 @@ type arena[T int32 | *ops5.WME] struct {
 }
 
 // poisonRewind makes rewind overwrite every run it recycles with the
-// poison — handle 0 in a token, poisonWME in a lent array — and makes a
+// poison — handle 0 in a token, poisonWME in a lent array — makes a
+// store clear every run released to it and never reuse it, and makes a
 // Table quarantine the handles it frees, so that a token used after its
-// arena was rewound, or after its wme was deleted, shows up as a wrong
-// conflict-set delta or a sentinel in a stored entry rather than as a
-// coincidence that happens to pass. Tests set it (PoisonRewinds);
-// nothing else does.
+// arena was rewound or its entry removed, or after its wme was deleted,
+// shows up as a wrong conflict-set delta or a sentinel in a stored
+// entry rather than as a coincidence that happens to pass. Tests set
+// it (PoisonRewinds); nothing else does.
 var poisonRewind bool
 
 // poisonWME is what a rewound token, a rewound lent array and a freed
@@ -91,6 +92,12 @@ func Retire(rows ...*ops5.WME) (reuse bool) {
 	return false
 }
 
+// freeListFloor is the capacity a free list — a store's of one width,
+// a Rows' of one layout — is given when its first entry goes on it, so
+// that a fresh owner's lists do not grow 1, 2, 4, 8… one entry at a
+// time.
+const freeListFloor = 32
+
 // Rows is a working memory's supply of wme rows: per layout id, the
 // rows of retired wmes, which Row refills before it allocates. The
 // engine's session draws every wme it holds from one, and a wire
@@ -109,6 +116,9 @@ func (r *Rows) Retire(w *ops5.WME) {
 	id := l.ID()
 	if id >= len(*r) {
 		*r = slices.Grow(*r, id+1-len(*r))[:id+1]
+	}
+	if (*r)[id] == nil {
+		(*r)[id] = make([]*ops5.WME, 0, freeListFloor)
 	}
 	(*r)[id] = append((*r)[id], w)
 }
@@ -209,35 +219,133 @@ func (ar *arena[T]) reset() {
 	}
 }
 
-// newToken carves an n-wide token for nodes to, activated under tag,
-// from the arena its lifetime calls for: the phase arena when no node
-// of to stores it — a delete token, or one that only production nodes
-// receive — and the other otherwise. It is decided per token, not
-// compiled in, because adding a production to a live network appends
-// successors to existing nodes.
-func (p *Processor) newToken(n int, tag Tag, to []*Node) Token {
-	if tag == Delete || onlyProductions(to) {
-		return Token{H: p.delArena.carve(n)}
-	}
-	return Token{H: p.arena.carve(n)}
-}
+// newToken carves an n-wide token from the phase arena.
+func (p *Processor) newToken(n int) Token { return Token{H: p.phase.carve(n)} }
 
-// onlyProductions reports whether every node of to is a production
-// node.
-func onlyProductions(to []*Node) bool {
-	for _, s := range to {
-		if s.Kind != KindProduction {
-			return false
-		}
-	}
-	return true
-}
-
-// extend returns a token covering t's wmes plus the wme of handle h,
-// for nodes to.
-func (p *Processor) extend(t Token, h int32, tag Tag, to []*Node) Token {
-	nt := p.newToken(len(t.H)+1, tag, to)
-	copy(nt.H, t.H)
+// extend returns a phase token covering t's wmes plus the wme of handle
+// h.
+func (p *Processor) extend(t Token, h int32) Token {
+	nt := p.newToken(len(t.H) + 1)
+	copyHandles(nt.H, t.H)
 	nt.H[len(t.H)] = h
 	return nt
+}
+
+// phaseCopy returns a phase token covering the same wmes as t: what a
+// node emits of a token a memory stores, since nothing but its entry may
+// hold a stored run.
+func (p *Processor) phaseCopy(t Token) Token {
+	nt := p.newToken(len(t.H))
+	copyHandles(nt.H, t.H)
+	return nt
+}
+
+// copyHandles copies src to the front of dst. It is a loop, not copy:
+// a token is a few handles wide, and copy would call memmove.
+func copyHandles(dst, src []int32) {
+	dst = dst[:len(src)]
+	for i, h := range src {
+		dst[i] = h
+	}
+}
+
+// storeChunkLen is the length, in handles, of the chunks a store carves
+// stored runs from: one chunk holds ~300 stored tokens.
+const storeChunkLen = 1024
+
+// store is one processor's supply of the runs its memories' left
+// entries keep. A left add copies the incoming phase token into a run
+// taken from the store of the processor that performs it (copy), and a
+// remove hands the removed entry's run straight back to the store of
+// the processor that performs it (release), on the free list for its
+// width, which copy draws from before it carves. Runs are carved from
+// the front of a chunk; a run that does not fit takes a fresh chunk and
+// leaves the rest of the old unused. Like the regions, a store belongs
+// to its processor, not to a memory: a bucket that changes owners gives
+// its runs back to whichever processor removes them, and a chunk stays
+// live while any run carved from it does. So the stored tokens a
+// long-lived processor holds are bounded by its live left entries, plus
+// one chunk, however long it runs.
+//
+// A store is single-owner, like the Processor that embeds it.
+type store struct {
+	chunk  []int32     // the current chunk; chunk[:used] is carved
+	used   int         // handles carved from the current chunk
+	carved int         // handles carved, across chunks, since the last reset
+	free   [][][]int32 // per width, released runs
+}
+
+// copy returns a run of the store holding h's handles: the last run
+// released at its width, or the next carved from the chunk. The slot a
+// run is taken from is not cleared: it names a run that holds handles,
+// not wmes, and at worst keeps its chunk live until the slot is
+// reused (reset clears every slot).
+func (s *store) copy(h []int32) []int32 {
+	n := len(h)
+	if n < len(s.free) {
+		if f := s.free[n]; len(f) > 0 {
+			r := f[len(f)-1]
+			s.free[n] = f[:len(f)-1]
+			copyHandles(r, h)
+			return r
+		}
+	}
+	return s.carve(h)
+}
+
+// carve is copy for a width with no released run.
+func (s *store) carve(h []int32) []int32 {
+	n := len(h)
+	if len(s.chunk)-s.used < n {
+		s.chunk, s.used = make([]int32, max(n, storeChunkLen)), 0
+	}
+	r := s.chunk[s.used : s.used+n : s.used+n]
+	s.used += n
+	s.carved += n
+	copyHandles(r, h)
+	return r
+}
+
+// release takes back run r, which nothing reads any more: its entry has
+// just been removed. Under poisonRewind it is cleared to handle 0, which
+// reads as poisonWME, and never reused (grow). The common case, a free
+// list with room, is kept apart from grow so that it stays short.
+func (s *store) release(r []int32) {
+	if n := len(r); n < len(s.free) && len(s.free[n]) < cap(s.free[n]) && !poisonRewind {
+		s.free[n] = append(s.free[n], r)
+		return
+	}
+	s.grow(r)
+}
+
+// grow is release for a width whose free list is full or not yet made.
+func (s *store) grow(r []int32) {
+	if poisonRewind {
+		clear(r)
+		return
+	}
+	n := len(r)
+	if n >= len(s.free) {
+		s.free = slices.Grow(s.free, n+1-len(s.free))[:n+1]
+	}
+	if s.free[n] == nil {
+		s.free[n] = make([][]int32, 0, freeListFloor)
+	}
+	s.free[n] = append(s.free[n], r)
+}
+
+// reset empties the free lists, keeping their storage, and rewinds the
+// current chunk to be carved from the front again; an earlier chunk is
+// left to the collector. The caller vouches that no run of the store is
+// in use — its memories are empty — and that no other processor's free
+// list holds one.
+func (s *store) reset() {
+	for n, f := range s.free {
+		clear(f[:cap(f)])
+		s.free[n] = f[:0]
+	}
+	if poisonRewind {
+		clear(s.chunk[:s.used])
+	}
+	s.used, s.carved = 0, 0
 }

@@ -31,23 +31,28 @@ func (ar *arena[T]) holds(r []T) bool {
 // the phase that made it: the randomized differentials against the
 // naive matcher (every variant, hashed and linear memories), the
 // held-result test, whose deltas must have copied their wmes out of
-// their tokens, and a result held past handing it back (Recycle), which
-// must read as scrubbed.
+// their tokens, a result held past handing it back (Recycle), which
+// must read as scrubbed, and the store's released runs, which read as
+// the sentinel and must be reached by no emitted token.
 func TestPoisonedRewinds(t *testing.T) {
 	poison(t)
 	t.Run("RandomizedDifferential", TestMatcherRandomizedDifferential)
 	t.Run("BoundedDifferential", TestBoundedRandomizedDifferential)
 	t.Run("ResultBelongsToCaller", TestApplyResultBelongsToCaller)
 	t.Run("HandedBackRecordsAreScrubbed", checkHandedBackScrubbed)
+	t.Run("StoreReleasesToTheSentinel", checkStoreReleasesToTheSentinel)
+	t.Run("NegatedFlipThenRemove", TestNegatedFlipThenRemoveInOnePhase)
 }
 
 // TestDeleteTokensAreNeverStored is the assertion the phase arena rests
 // on: whatever the program and the sequence of changes, no left memory
-// entry ever holds a token carved from it — neither a delete token nor
-// one made for production nodes only. It checks where the token's
-// handles live, and — with the poison on — that no stored token reads
-// as the sentinel, which is what a phase token stored in an earlier
-// phase, or a token naming a deleted wme, would have become. The same
+// entry ever holds a token carved from it — every token an activation
+// carries is, and a memory stores a copy from its processor's store.
+// It checks where the token's handles live, and — with the poison on —
+// that no stored token reads as the sentinel, which is what a phase
+// token stored in an earlier phase, a run released to the store while
+// its entry still held it, or a token naming a deleted wme, would have
+// become. The same
 // holds one level up, where every delta's array is lent: no
 // instantiation standing in a conflict set, copied out of its Add
 // delta as an engine copies it, reads as the sentinel.
@@ -68,7 +73,7 @@ func TestDeleteTokensAreNeverStored(t *testing.T) {
 			}
 			for b, bucket := range p.left.buckets {
 				for _, e := range bucket {
-					if p.delArena.holds(e.token.H) {
+					if p.phase.holds(e.token.H) {
 						t.Fatalf("trial %d step %d: left bucket %d stores token %v of node %d from the phase arena", trial, step, b, e.token, e.node.ID)
 					}
 					for _, h := range e.token.H {
@@ -98,8 +103,8 @@ func TestDeleteArenaIsRewoundOnlyWhenAsked(t *testing.T) {
 	m, adds, dels := pairingBurst(t, 3, 3)
 	m.Apply(adds)
 	m.Apply(dels)
-	region := &m.proc.delArena.buf[:1][0]
-	perPhase := m.proc.delArena.used
+	region := &m.proc.phase.buf[:1][0]
+	perPhase := m.proc.phase.used
 	for i := 0; i < 100; i++ {
 		m.Apply(adds)
 		m.Apply(dels)
@@ -107,8 +112,8 @@ func TestDeleteArenaIsRewoundOnlyWhenAsked(t *testing.T) {
 	if perPhase == 0 || perPhase*100 < arenaChunkLen {
 		t.Fatalf("%d handles a delete phase: 100 phases would not outgrow a region anyway", perPhase)
 	}
-	if &m.proc.delArena.buf[:1][0] != region || m.proc.delArena.used != perPhase {
-		t.Errorf("after 100 delete phases the delete arena is %d handles into another region, want %d into the first", m.proc.delArena.used, perPhase)
+	if &m.proc.phase.buf[:1][0] != region || m.proc.phase.used != perPhase {
+		t.Errorf("after 100 delete phases the delete arena is %d handles into another region, want %d into the first", m.proc.phase.used, perPhase)
 	}
 
 	p := NewProcessor(m.Network(), 16, NewTable())
@@ -155,7 +160,7 @@ func TestDeleteArenaKeepsItsLargestPhase(t *testing.T) {
 		sizes [2]int
 	}
 	held := func() regions {
-		ar, la := &m.proc.delArena, &m.proc.lent
+		ar, la := &m.proc.phase, &m.proc.lent
 		return regions{&ar.buf[:1][0], &la.buf[:1][0], [2]int{cap(ar.buf), cap(la.buf)}}
 	}
 	round(adds, dels, 600)
@@ -190,20 +195,21 @@ func TestDeleteArenaKeepsItsLargestPhase(t *testing.T) {
 // the phase arena has recycled the token (with the poison on, the token
 // itself reads as the sentinel): its array is the lent arena's, which
 // the next BeginPhase rewinds with it. Adding a production that shares
-// the join gives the join a memory successor, and from then on its add
-// tokens come from the arena that is never rewound: the choice is made
-// per token, not compiled in.
+// the join gives the join a memory successor, and its add tokens still
+// come from the phase arena: the successor stores a copy from the
+// processor's store, which no rewind touches, and the copy goes back to
+// the store when the delete removes it.
 func TestProductionOnlyTokensComeFromThePhaseArena(t *testing.T) {
 	poison(t)
 	net := compileT(t, []string{`(p pair (a ^x <v>) (b ^x <v>) --> (halt))`})
 	p := NewProcessor(net, 16, NewTable())
 	run := func(chs ...Change) []Activation { return rootsT(p, chs...) }
 	acts := run(Change{Tag: Add, WME: mkWME(1, "a", "x", 5)}, Change{Tag: Add, WME: mkWME(2, "b", "x", 5)})
-	if len(acts) != 1 || !p.delArena.holds(acts[0].Token.H) {
+	if len(acts) != 1 || !p.phase.holds(acts[0].Token.H) {
 		t.Fatalf("a join feeding one production node emitted %v, want one token from the phase arena", acts)
 	}
 	held := p.Build(acts, nil)
-	p.delArena.rewind()
+	p.phase.rewind()
 	if p.tab.rows[acts[0].Token.H[0]] != poisonWME {
 		t.Fatal("the phase arena's rewind did not recycle the production-only token")
 	}
@@ -219,12 +225,205 @@ func TestProductionOnlyTokensComeFromThePhaseArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	wa := mkWME(3, "a", "x", 5)
+	stored := func() (n int) {
+		t.Helper()
+		for _, bucket := range p.left.buckets {
+			for _, e := range bucket {
+				if p.phase.holds(e.token.H) || !p.store.holds(e.token.H) {
+					t.Fatalf("node %d stores %v outside the store", e.node.ID, e.token)
+				}
+				for _, h := range e.token.H {
+					if p.tab.rows[h] == poisonWME {
+						t.Fatalf("node %d stores a token that reads as the sentinel", e.node.ID)
+					}
+				}
+				n++
+			}
+		}
+		return n
+	}
 	acts = run(Change{Tag: Add, WME: wa})
-	if len(acts) != 1 || p.delArena.holds(acts[0].Token.H) || !p.arena.holds(acts[0].Token.H) {
-		t.Fatalf("a join with a memory successor emitted %v, want one token from the add arena", acts)
+	if len(acts) != 1 || !p.phase.holds(acts[0].Token.H) {
+		t.Fatalf("a join with a memory successor emitted %v, want one token from the phase arena", acts)
+	}
+	// a1 and a3 at the first join, [a3 b2] at the second.
+	if n := stored(); n != 3 {
+		t.Fatalf("the memories store %d tokens, want 3", n)
+	}
+	p.BeginPhase()
+	if n := stored(); n != 3 {
+		t.Fatalf("after the phase arena's rewind the memories store %d tokens, want 3", n)
 	}
 	acts = run(Change{Tag: Delete, WME: wa})
-	if len(acts) != 1 || acts[0].Tag != Delete || !p.delArena.holds(acts[0].Token.H) {
+	if len(acts) != 1 || acts[0].Tag != Delete || !p.phase.holds(acts[0].Token.H) {
 		t.Fatalf("the same join's delete emitted %v, want one token from the phase arena", acts)
+	}
+	if n := stored(); n != 1 {
+		t.Fatalf("after the delete the memories store %d tokens, want 1", n)
+	}
+}
+
+// holds reports whether run r was carved from the store's current
+// chunk.
+func (s *store) holds(r []int32) bool {
+	for i := range s.chunk[:s.used] {
+		if len(r) > 0 && &s.chunk[i] == &r[0] {
+			return true
+		}
+	}
+	return false
+}
+
+// freeHandles counts the handles of the runs on the store's free lists.
+func (s *store) freeHandles() (n int) {
+	for w, f := range s.free {
+		n += w * len(f)
+	}
+	return n
+}
+
+// TestStoreReusesReleasedRuns: a released run of each width is the
+// next run of that width the store keeps, so reuse carves nothing; a
+// width's free list is sized once; and reset rewinds the current chunk,
+// so the next run is carved from its front again, while a run that does
+// not fit takes a fresh chunk.
+func TestStoreReusesReleasedRuns(t *testing.T) {
+	var s store
+	run := func(w int) []int32 {
+		h := make([]int32, w)
+		for i := range h {
+			h[i] = int32(100*w + i)
+		}
+		return h
+	}
+	kept := map[int][]int32{}
+	for w := 1; w <= 8; w++ {
+		kept[w] = s.copy(run(w))
+		if !slices.Equal(kept[w], run(w)) || cap(kept[w]) != w {
+			t.Fatalf("a %d-wide run holds %v (capacity %d)", w, kept[w], cap(kept[w]))
+		}
+	}
+	first, carved := &s.chunk[0], s.carved
+	if carved != 36 || &kept[1][0] != first {
+		t.Fatalf("eight runs carved %d handles, want 36 from the chunk's front", carved)
+	}
+	for round := 0; round < 3; round++ {
+		for w := 8; w >= 1; w-- {
+			s.release(kept[w])
+			got := s.copy(run(w))
+			if &got[0] != &kept[w][0] || !slices.Equal(got, run(w)) {
+				t.Fatalf("round %d: the released %d-wide run is not the next %d-wide run kept", round, w, w)
+			}
+		}
+	}
+	if s.carved != carved {
+		t.Fatalf("reuse carved %d more handles", s.carved-carved)
+	}
+	for w := 1; w <= 8; w++ {
+		if f := s.free[w]; len(f) != 0 || cap(f) != freeListFloor {
+			t.Fatalf("width %d's free list is %d/%d, want 0/%d", w, len(f), cap(f), freeListFloor)
+		}
+	}
+
+	s.release(kept[3])
+	s.reset()
+	if s.used != 0 || s.carved != 0 || s.freeHandles() != 0 {
+		t.Fatalf("after reset the store has carved %d (%d in the chunk) and frees %d handles", s.carved, s.used, s.freeHandles())
+	}
+	if r := s.copy(run(3)); &r[0] != first {
+		t.Fatal("after reset the next run is not carved from the front of the kept chunk")
+	}
+	if r := s.copy(run(storeChunkLen)); &s.chunk[0] == first || &r[0] != &s.chunk[0] || len(s.chunk) != storeChunkLen {
+		t.Fatal("a run wider than the chunk's rest was not carved from the front of a fresh chunk")
+	}
+}
+
+// checkStoreReleasesToTheSentinel: under the poison a released run reads
+// as the sentinel, handle 0, and is never kept again.
+func checkStoreReleasesToTheSentinel(t *testing.T) {
+	var s store
+	r := s.copy([]int32{5, 6})
+	s.release(r)
+	if r[0] != 0 || r[1] != 0 {
+		t.Fatalf("a released run reads %v under the poison, want handle 0", r)
+	}
+	if got := s.copy([]int32{7, 8}); &got[0] == &r[0] {
+		t.Fatal("a run released under the poison was kept again")
+	}
+}
+
+// TestStoreIsBoundedByLiveEntries: a long-lived matcher running the
+// 60x50 add burst then delete burst, pair after pair. After one warm
+// pair a further pair carves nothing — every run its adds keep comes off
+// a free list the last delete burst filled —, the store never carved
+// more handles than the memories held at their peak, and once the
+// delete burst has emptied the memories every run carved is back on a
+// free list: the store holds no run.
+func TestStoreIsBoundedByLiveEntries(t *testing.T) {
+	m, adds, dels := pairingBurst(t, 60, 50)
+	s := &m.proc.store
+	live := func() (n int) {
+		for _, bucket := range m.proc.left.buckets {
+			for _, e := range bucket {
+				n += len(e.token.H)
+			}
+		}
+		return n
+	}
+	m.Recycle(m.Apply(adds))
+	peak := live()
+	m.Recycle(m.Apply(dels))
+	chunk, used, carved := &s.chunk[0], s.used, s.carved
+	if peak == 0 || carved > peak {
+		t.Fatalf("the first pair carved %d handles for a peak of %d stored", carved, peak)
+	}
+	for pair := 0; pair < 3; pair++ {
+		m.Recycle(m.Apply(adds))
+		if live() != peak {
+			t.Fatalf("pair %d: the add burst stores %d handles, want %d", pair, live(), peak)
+		}
+		m.Recycle(m.Apply(dels))
+		if &s.chunk[0] != chunk || s.used != used || s.carved != carved {
+			t.Fatalf("pair %d: the store carved %d more handles (%d into another chunk)", pair, s.carved-carved, s.used)
+		}
+		if n := m.proc.left.Len(); n != 0 {
+			t.Fatalf("pair %d: the delete burst left %d entries", pair, n)
+		}
+		if held := s.carved - s.freeHandles(); held != 0 {
+			t.Fatalf("pair %d: the store holds %d handles with every memory empty", pair, held)
+		}
+	}
+}
+
+// TestNegatedFlipThenRemoveInOnePhase: in one phase a right change flips
+// a negative entry's count, so the node emits the entry's token, and a
+// left delete then removes that entry, handing its run back to the
+// store, which the phase's next left add takes again. The emitted token
+// must be a phase copy: were it the stored run, its delta would be
+// built over the later add's wme (or, under the poison, the sentinel).
+// Both directions of the flip; the conflict set must equal the naive
+// matcher's.
+func TestNegatedFlipThenRemoveInOnePhase(t *testing.T) {
+	for _, nb := range []int{1, 64} {
+		h := newHarness(t, nb, `(p lone (a ^x <v>) -(b ^x <v>) --> (halt))`)
+		mk := func(class string, x int) *ops5.WME {
+			w := ops5.NewWME(class, "x", x)
+			w.ID, w.TimeTag = h.nextID, h.nextID
+			h.nextID++
+			return w
+		}
+		a5 := h.add("a", "x", 5)
+		h.checkNaive()
+		b5, a7 := mk("b", 5), mk("a", 7)
+		h.apply(Change{Tag: Add, WME: b5}, Change{Tag: Delete, WME: a5}, Change{Tag: Add, WME: a7})
+		h.checkNaive()
+		a5 = mk("a", 5)
+		h.apply(Change{Tag: Add, WME: a5})
+		a9 := mk("a", 9)
+		h.apply(Change{Tag: Delete, WME: b5}, Change{Tag: Delete, WME: a5}, Change{Tag: Add, WME: a9})
+		h.checkNaive()
+		if len(h.cs) != 2 {
+			t.Fatalf("buckets=%d: the conflict set holds %v, want lone[7] and lone[9]", nb, keys(h.cs))
+		}
 	}
 }

@@ -475,11 +475,10 @@ func (p *Processor) boundedNegCount(m *Node, exclude int32) int {
 	return count
 }
 
-// boundedEmit materializes the completed stack as an arena-carved token
-// and emits it to the group's production node; only that node receives
-// it, so it comes from the phase arena.
+// boundedEmit materializes the completed stack as a phase token and
+// emits it to the group's production node.
 func (p *Processor) boundedEmit(g *boundedGroup, tag Tag, out []Activation) []Activation {
-	t := p.newToken(g.nPos, tag, []*Node{g.terminal})
+	t := p.newToken(g.nPos)
 	copy(t.H, p.bstack)
 	return append(out, Activation{Node: g.terminal, Side: Left, Tag: tag, Token: t})
 }

@@ -338,7 +338,7 @@ func TestBoundedDigestRoundTrip(t *testing.T) {
 
 // TestBoundedAllocsSteadyState pins the enumerator's iterator path to
 // O(1) steady-state allocations per activation: with the DFS stack and
-// token arena warm, add/delete cycles that enumerate partial matches
+// phase arena warm, add/delete cycles that enumerate partial matches
 // but complete none must not allocate at all.
 func TestBoundedAllocsSteadyState(t *testing.T) {
 	prog, err := ops5.ParseProgram(crossChainSrc(4))

@@ -36,10 +36,13 @@ type rightEntry struct {
 // the slot it vacates, so the next add to that bucket reuses the slot
 // and a warmed bucket adds and removes without allocating. Every slot
 // between a bucket's length and its capacity is zero: no removed entry
-// keeps its token or wme reachable. No count is kept beside the
+// keeps its token or wme reachable. A left entry's token is its own:
+// a run of the store of the processor that added it, which nothing but
+// the entry holds and which a remove hands back to the store of the
+// processor that performs it (removeLeft). No count is kept beside the
 // buckets, and a growth touches only its own bucket and its
-// processor's regions, so goroutines may share a memory as long as
-// each touches only the buckets it owns.
+// processor's regions and store, so goroutines may share a memory as
+// long as each touches only the buckets it owns.
 type Memory[E leftEntry | rightEntry] struct {
 	buckets [][]E
 }
@@ -185,13 +188,16 @@ func (r *regions[E]) put(region []E) {
 }
 
 // removeLeft deletes the entry of left memory m for node n whose token
-// covers the same wmes as t and returns its count; ok is false if it is
-// absent.
-func removeLeft(m *Memory[leftEntry], b int, n *Node, t Token) (count int, ok bool) {
+// covers the same wmes as t, hands the entry's stored run back to s, the
+// store of the processor performing the remove, and returns its count;
+// ok is false if it is absent. Nothing but its entry holds a stored run,
+// so the run is free as soon as the entry is gone.
+func removeLeft(m *Memory[leftEntry], b int, n *Node, t Token, s *store) (count int, ok bool) {
 	bucket := m.buckets[b]
 	for i := range bucket {
 		if e := &bucket[i]; e.node == n && e.token.Same(t) {
 			count = e.count
+			s.release(e.token.H)
 			m.removeAt(b, i)
 			return count, true
 		}

@@ -91,14 +91,14 @@ func TestMemoryLeftTokens(t *testing.T) {
 
 	// Removal matches by handle sequence: a copy of t1's run.
 	probe := Token{H: slices.Clone(t1.H)}
-	if count, ok := removeLeft(m, 2, n, probe); !ok || count != 5 {
+	if count, ok := removeLeft(m, 2, n, probe, new(store)); !ok || count != 5 {
 		t.Fatalf("removeLeft = %d, %v, want 5, true", count, ok)
 	}
 	if m.Len() != 1 {
 		t.Errorf("len = %d", m.Len())
 	}
 	// Token with different coverage does not match.
-	if _, ok := removeLeft(m, 2, n, probe); ok {
+	if _, ok := removeLeft(m, 2, n, probe, new(store)); ok {
 		t.Error("removed absent token")
 	}
 }
@@ -106,21 +106,22 @@ func TestMemoryLeftTokens(t *testing.T) {
 // TestMemoryBucketKeepsOrderAndReusesSlots: entries live in their
 // bucket by value. Removal closes the gap without reordering what is
 // left (scan order is emission order), zeroes the slot it vacates, and
-// the next add takes that slot: a warmed bucket's add/remove pair does
-// not allocate.
+// the next add takes that slot: a warmed bucket's add/remove pair,
+// its stored run taken from a store and handed back to it, does not
+// allocate.
 func TestMemoryBucketKeepsOrderAndReusesSlots(t *testing.T) {
 	right, left := newMemory[rightEntry](4), newMemory[leftEntry](4)
-	rr, lr := &regions[rightEntry]{}, &regions[leftEntry]{}
+	rr, lr, s := &regions[rightEntry]{}, &regions[leftEntry]{}, new(store)
 	n := &Node{ID: 1, Kind: KindJoin}
 	tab := NewTable()
 	var ts []Token
 	for id := 1; id <= 5; id++ {
 		ts = append(ts, tokenT(tab, mkWME(id, "a")))
 		right.add(1, rightEntry{node: n, h: ts[id-1].H[0]}, rr)
-		left.add(1, leftEntry{node: n, token: ts[id-1], count: id}, lr)
+		left.add(1, leftEntry{node: n, token: Token{H: s.copy(ts[id-1].H)}, count: id}, lr)
 	}
 	removeRight(right, 1, n, ts[1].H[0])
-	removeLeft(left, 1, n, ts[3])
+	removeLeft(left, 1, n, ts[3], s)
 	var gotR, gotL []int
 	for _, e := range right.entries(1) {
 		gotR = append(gotR, tab.rows[e.h].ID)
@@ -144,9 +145,9 @@ func TestMemoryBucketKeepsOrderAndReusesSlots(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, func() {
 		right.add(1, rightEntry{node: n, h: ts[1].H[0]}, rr)
-		left.add(1, leftEntry{node: n, token: ts[3], count: 4}, lr)
+		left.add(1, leftEntry{node: n, token: Token{H: s.copy(ts[3].H)}, count: 4}, lr)
 		removeRight(right, 1, n, ts[1].H[0])
-		removeLeft(left, 1, n, ts[3])
+		removeLeft(left, 1, n, ts[3], s)
 	}); avg != 0 {
 		t.Errorf("a warmed bucket's add/remove pairs allocate %.1f times, want 0", avg)
 	}
@@ -223,7 +224,7 @@ func TestRegionsKeepTheTailZero(t *testing.T) {
 		freeZero(t, fmt.Sprintf("after add %d", i), r)
 	}
 	for i := 1; i <= len(ts); i += 3 {
-		if _, ok := removeLeft(m, i%2, n, ts[i-1]); !ok {
+		if _, ok := removeLeft(m, i%2, n, ts[i-1], new(store)); !ok {
 			t.Fatalf("token %d is missing", i)
 		}
 		tailZero(t, fmt.Sprintf("after removing %d", i), m.entries(i%2))
@@ -270,6 +271,8 @@ func TestRegionsLeaveHeapRegionsToTheCollector(t *testing.T) {
 // order, with its count, and the source memory keeps no region for the
 // bucket it gave up — a chunk-carved one goes, cleared, on the
 // extracting processor's free list, a heap-sized one to the collector.
+// Each injected token is a copy from the injector's store, not the
+// extracted run.
 func TestExtractInjectKeepsOrderAndReleasesRegion(t *testing.T) {
 	net := compileT(t, []string{`(p p1 (a ^x <v>) -(b ^x <v>) --> (halt))`})
 	var neg *Node
@@ -320,6 +323,11 @@ func TestExtractInjectKeepsOrderAndReleasesRegion(t *testing.T) {
 			}) || !slices.Equal(gotR, wantR) {
 				t.Errorf("shared=%v size %d: injected %v / %v, want %v / %v", shared, size, gotL, gotR, wantL, wantR)
 			}
+			for i, e := range gotL {
+				if &e.token.H[0] == &wantL[i].token.H[0] || !dst.store.holds(e.token.H) {
+					t.Fatalf("shared=%v size %d: injected token %d is not a copy from the injector's store", shared, size, i)
+				}
+			}
 			tailZero(t, "injected left", gotL)
 			tailZero(t, "injected right", gotR)
 		}
@@ -352,11 +360,11 @@ func TestExtractInjectConcurrentOwners(t *testing.T) {
 	fill := func(p *Processor, owner int, from, to int) {
 		for b := owner; b < nb; b += 2 {
 			for i := from; i < to; i++ {
-				p.left.add(b, leftEntry{node: join, token: toks[i], count: b}, &p.lregs)
+				p.addLeft(b, join, toks[i], b)
 				p.right.add(b, rightEntry{node: join, h: toks[i].H[0]}, &p.rregs)
 			}
 			for i := from; i < to; i += 4 {
-				removeLeft(p.left, b, join, toks[i])
+				removeLeft(p.left, b, join, toks[i], &p.store)
 				removeRight(p.right, b, join, toks[i].H[0])
 			}
 		}
@@ -453,7 +461,7 @@ func TestTokenOps(t *testing.T) {
 	tab := NewTable()
 	w1, w2 := mkWME(1, "a"), mkWME(2, "b")
 	t1, h2 := tokenT(tab, w1), tokenT(tab, w2).H[0]
-	t2 := NewProcessor(compileT(t, nil), 4, tab).extend(t1, h2, Add, nil)
+	t2 := NewProcessor(compileT(t, nil), 4, tab).extend(t1, h2)
 	if len(t1.H) != 1 || len(t2.H) != 2 {
 		t.Fatal("extend must not mutate the source token")
 	}

@@ -37,12 +37,12 @@ type Processor struct {
 	tab   *Table
 	left  *Memory[leftEntry]
 	right *Memory[rightEntry]
-	// arena holds the tokens a memory may store, delArena — the phase
-	// arena — the tokens read only within the phase that made them, and
-	// lent the arrays Build lends every delta (see arena).
-	arena    arena[int32]
-	delArena arena[int32]
-	lent     arena[*ops5.WME]
+	// phase holds the tokens activations carry, lent the arrays Build
+	// lends every delta (see arena), and store the runs of the tokens
+	// the memories keep (see store).
+	phase arena[int32]
+	lent  arena[*ops5.WME]
+	store store
 	// lregs and rregs are the regions the buckets this processor grows
 	// grow into, of the left and of the right memory (see regions).
 	lregs regions[leftEntry]
@@ -68,9 +68,9 @@ func NewProcessor(net *Network, nbuckets int, tab *Table) *Processor {
 	return NewProcessorOver(net, tab, newMemory[leftEntry](nbuckets), newMemory[rightEntry](nbuckets))
 }
 
-// NewProcessorOver creates a processor with arenas and regions of its
-// own over another's memories (Memories); no two may touch one bucket
-// at once.
+// NewProcessorOver creates a processor with arenas, regions and a store
+// of its own over another's memories (Memories); no two may touch one
+// bucket at once.
 func NewProcessorOver(net *Network, tab *Table, left *Memory[leftEntry], right *Memory[rightEntry]) *Processor {
 	return &Processor{net: net, tab: tab, left: left, right: right}
 }
@@ -90,36 +90,42 @@ func (p *Processor) Memories() (left *Memory[leftEntry], right *Memory[rightEntr
 func (p *Processor) Bucket(a Activation) int { return p.left.Bucket(a.HashKey(p.tab)) }
 
 // Reset empties both memories (keeping the regions of their buckets
-// and this processor's free regions) and rewinds each arena to at most
-// one ordinary region, returning the processor to its
-// freshly-constructed state over the same network — the session-pool
-// reuse hook. Nothing reachable from a reset processor points at a wme
-// of its last user (the bounded enumerator's scratch holds handles, and
+// and this processor's free regions), rewinds each arena to at most
+// one ordinary region and rewinds the store's current chunk, emptying
+// its free lists, returning the processor to its freshly-constructed
+// state over the same network — the session-pool reuse hook. Nothing
+// reachable from a reset processor points at a wme of its last user
+// (the bounded enumerator's scratch and the store hold handles, and
 // every kept region is zeroed), and the region a wide phase left an
 // arena is let go. Its table is its owner's to reset.
 // Only legal at quiescence, and only while no token this processor made
-// is in use anywhere else: the memories that stored them are empty
-// after it, and the arenas' current regions are carved again.
+// is in use anywhere else and no other processor's store holds a run of
+// this one's on a free list: the memories that stored them are empty
+// after it, and the arenas' current regions and the store's current
+// chunk are carved again. The sequential Matcher, the one owner that
+// resets, shares its memories with no other processor.
 func (p *Processor) Reset() {
 	p.left.Reset()
 	p.right.Reset()
-	p.arena.reset()
-	p.delArena.reset()
+	p.phase.reset()
 	p.lent.reset()
+	p.store.reset()
 }
 
-// BeginPhase tells the processor that everything its phase arena has
-// handed out so far is dead: the activations that carried its delete
-// tokens have been performed, its production-only tokens have been
-// built into deltas, and the deltas whose WMEs arrays
-// Build lent from it have been absorbed or encoded by
-// whoever received them. It rewinds that arena, so the phase about
-// to start carves its tokens and lent arrays from the same storage
-// again. It frees no handle: that is the table owner's BeginPhase.
+// BeginPhase tells the processor that everything its phase and lent
+// arenas have handed out so far is dead: the activations that carried
+// its tokens have been performed — a memory that kept one kept a copy
+// from the store —, its tokens for production nodes have been built
+// into deltas, and the deltas whose WMEs arrays Build lent have been
+// absorbed or encoded by whoever received them. It rewinds both arenas,
+// so the phase about to start carves its tokens and lent arrays from
+// the same storage again. It touches neither the store, whose runs
+// live as long as their entries, nor any handle: freeing those is the
+// table owner's BeginPhase.
 //
 // Calling it is optional and never calling it is always safe: phase
-// tokens and lent arrays are then carved region by region and left to the
-// collector, as stored tokens are. An owner calls it only at a point
+// tokens and lent arrays are then carved region by region and left to
+// the collector. An owner calls it only at a point
 // where it can show the claim above — the sequential Matcher at the top of
 // every Apply (its caller absorbed the last result, or kept no delta
 // array of it), the parallel cycle driver at the top of a cycle it
@@ -128,7 +134,7 @@ func (p *Processor) Reset() {
 // it made before it returned). A goroutine worker, which cannot tell where a cycle
 // begins, leaves it uncalled.
 func (p *Processor) BeginPhase() {
-	p.delArena.rewind()
+	p.phase.rewind()
 	p.lent.rewind()
 }
 
@@ -138,8 +144,8 @@ func (p *Processor) BeginPhase() {
 // sequential matcher, the parallel runtime's per-cycle constant-test
 // pass, and the control processor when it hash-routes root activations
 // to their owners instead of broadcasting. Copy-and-constraint node
-// copies filter right tokens here. Left root tokens are carved from the
-// processor's arena for their lifetime (newToken).
+// copies filter right tokens here. Left root tokens are phase tokens
+// (newToken).
 func (p *Processor) RootActivationsInto(ch Change, h int32, out []Activation) []Activation {
 	for _, a := range p.net.AlphasForClass(ch.WME.Class) {
 		if !a.Matches(ch.WME) {
@@ -151,7 +157,7 @@ func (p *Processor) RootActivationsInto(ch Change, h int32, out []Activation) []
 			}
 			act := Activation{Node: r.Node, Side: r.Side, Tag: ch.Tag, WME: h}
 			if r.Side == Left {
-				act.Token = p.newToken(1, ch.Tag, []*Node{r.Node})
+				act.Token = p.newToken(1)
 				act.Token.H[0] = h
 				act.WME = 0
 			}
@@ -208,7 +214,9 @@ func (bc *BucketContents) Entries() int { return len(bc.LeftTokens) + len(bc.Rig
 
 // ExtractBucket removes and returns the contents of bucket b in both
 // memories, and gives the bucket's regions back to p's (release). The
-// caller must be quiescent (no activation in flight for this bucket).
+// stored runs of its left tokens go with the contents, not back to a
+// store: the injector stores copies of its own. The caller must be
+// quiescent (no activation in flight for this bucket).
 func (p *Processor) ExtractBucket(b int) *BucketContents {
 	bc := &BucketContents{Bucket: b}
 	for _, e := range p.left.entries(b) {
@@ -228,14 +236,20 @@ func (p *Processor) ExtractBucket(b int) *BucketContents {
 // InjectBucket installs previously extracted contents into this
 // processor's memories, in order, behind whatever the bucket holds.
 // Bucket indices are global, so the receiving processor stores them at
-// the same index.
+// the same index, each left token copied into its store.
 func (p *Processor) InjectBucket(bc *BucketContents) {
 	for i, t := range bc.LeftTokens {
-		p.left.add(bc.Bucket, leftEntry{node: bc.LeftNodes[i], token: t, count: bc.LeftCounts[i]}, &p.lregs)
+		p.addLeft(bc.Bucket, bc.LeftNodes[i], t, bc.LeftCounts[i])
 	}
 	for i, h := range bc.RightWMEs {
 		p.right.add(bc.Bucket, rightEntry{node: bc.RightNodes[i], h: h}, &p.rregs)
 	}
+}
+
+// addLeft stores a copy of t, taken from p's store, as node n's entry in
+// left bucket b, with negative-node count count.
+func (p *Processor) addLeft(b int, n *Node, t Token, count int) {
+	p.left.add(b, leftEntry{node: n, token: Token{H: p.store.copy(t.H)}, count: count}, &p.lregs)
 }
 
 // emitTo fans a token out to every successor of n as left activations.
@@ -251,8 +265,8 @@ func (p *Processor) processJoin(a Activation, b int, out []Activation) []Activat
 	rows := p.tab.rows
 	if a.Side == Left {
 		if a.Tag == Add {
-			p.left.add(b, leftEntry{node: n, token: a.Token}, &p.lregs)
-		} else if _, ok := removeLeft(p.left, b, n, a.Token); !ok {
+			p.addLeft(b, n, a.Token, 0)
+		} else if _, ok := removeLeft(p.left, b, n, a.Token, &p.store); !ok {
 			// Duplicate delete: the token's join effects were already
 			// unwound when it was first removed. Scanning again would
 			// emit a second wave of successor deletes.
@@ -261,7 +275,7 @@ func (p *Processor) processJoin(a Activation, b int, out []Activation) []Activat
 		es := p.right.entries(b)
 		for i := range es {
 			if e := &es[i]; e.node == n && testsPass(n, rows, a.Token, rows[e.h]) {
-				out = p.emitTo(n, p.extend(a.Token, e.h, a.Tag, n.Succs), a.Tag, out)
+				out = p.emitTo(n, p.extend(a.Token, e.h), a.Tag, out)
 			}
 		}
 		return out
@@ -276,7 +290,7 @@ func (p *Processor) processJoin(a Activation, b int, out []Activation) []Activat
 	es := p.left.entries(b)
 	for i := range es {
 		if e := &es[i]; e.node == n && testsPass(n, rows, e.token, w) {
-			out = p.emitTo(n, p.extend(e.token, a.WME, a.Tag, n.Succs), a.Tag, out)
+			out = p.emitTo(n, p.extend(e.token, a.WME), a.Tag, out)
 		}
 	}
 	return out
@@ -294,13 +308,13 @@ func (p *Processor) processNegative(a Activation, b int, out []Activation) []Act
 					count++
 				}
 			}
-			p.left.add(b, leftEntry{node: n, token: a.Token, count: count}, &p.lregs)
+			p.addLeft(b, n, a.Token, count)
 			if count == 0 {
 				out = p.emitTo(n, a.Token, Add, out)
 			}
 			return out
 		}
-		if count, ok := removeLeft(p.left, b, n, a.Token); ok && count == 0 {
+		if count, ok := removeLeft(p.left, b, n, a.Token, &p.store); ok && count == 0 {
 			out = p.emitTo(n, a.Token, Delete, out)
 		}
 		return out
@@ -313,7 +327,7 @@ func (p *Processor) processNegative(a Activation, b int, out []Activation) []Act
 			if e := &es[i]; e.node == n && testsPass(n, rows, e.token, w) {
 				e.count++
 				if e.count == 1 {
-					out = p.emitTo(n, e.token, Delete, out)
+					out = p.emitTo(n, p.phaseCopy(e.token), Delete, out)
 				}
 			}
 		}
@@ -330,7 +344,7 @@ func (p *Processor) processNegative(a Activation, b int, out []Activation) []Act
 		if e := &es[i]; e.node == n && testsPass(n, rows, e.token, w) {
 			e.count--
 			if e.count == 0 {
-				out = p.emitTo(n, e.token, Add, out)
+				out = p.emitTo(n, p.phaseCopy(e.token), Add, out)
 			}
 		}
 	}
@@ -366,8 +380,8 @@ func testsPass(n *Node, rows []*ops5.WME, t Token, w *ops5.WME) bool {
 // The references of one batch are carved as one region and divided
 // among the deltas with capped capacity. The wmes are resolved out of
 // the activations' tokens through p's table: once Build returns, the
-// deltas do not depend on the tokens, which is what lets a token that
-// only production nodes receive come from the phase arena.
+// deltas do not depend on the tokens, which is what lets every token
+// come from the phase arena.
 func (p *Processor) Build(acts []Activation, out []InstChange) []InstChange {
 	n := 0
 	for i := range acts {

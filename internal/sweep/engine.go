@@ -207,11 +207,15 @@ func (e *Engine) simulateSafe(tr *trace.Trace, cfg core.Config) (res *core.Resul
 }
 
 // progress publishes completion and ETA through the obs registry.
+// Workers step it concurrently, so a step counts and publishes under
+// mu: a worker holding an older count can never write its gauges last,
+// and once every point is done they read total and 0.
 type progress struct {
 	reg   *obs.Registry
 	total int
-	done  atomic.Int64
 	start time.Time
+	mu    sync.Mutex
+	done  int64
 }
 
 func (e *Engine) startProgress(total int) *progress {
@@ -225,10 +229,13 @@ func (p *progress) step(failed bool) {
 	if failed {
 		p.reg.Counter("sweep/errors").Inc()
 	}
-	done := p.done.Add(1)
 	if p.reg == nil {
 		return
 	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.done++
+	done := p.done
 	elapsed := time.Since(p.start)
 	p.reg.Gauge("sweep/points_done").Set(float64(done))
 	p.reg.Gauge("sweep/elapsed_ms").Set(float64(elapsed.Milliseconds()))

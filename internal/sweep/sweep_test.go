@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -257,6 +258,58 @@ func TestProgressMetrics(t *testing.T) {
 	}
 	if got := reg.Counter("sweep/simulations").Value(); got != int64(eng.Simulations()) {
 		t.Errorf("simulations counter %v != engine count %d", got, eng.Simulations())
+	}
+}
+
+// TestProgressGaugesEndAtTotal: eight workers step one progress
+// concurrently over 96 points, and once Run returns its gauges read
+// exactly the total done and no time remaining, whichever worker
+// finished last. Run it with -count=50: a worker that published an
+// older count after a newer one shows up as points_done below total or
+// a nonzero eta_ms.
+func TestProgressGaugesEndAtTotal(t *testing.T) {
+	var procs []int
+	for p := 1; p <= 24; p++ {
+		procs = append(procs, p)
+	}
+	reg := obs.NewRegistry()
+	// Points are held back eight at a time and let go together, so that
+	// every worker steps the progress at once.
+	var mu sync.Mutex
+	held, release := 0, make(chan struct{})
+	point := func(*trace.Trace, core.Config) (*core.Result, error) {
+		mu.Lock()
+		wait := release
+		if held++; held == 8 {
+			held = 0
+			close(release)
+			release = make(chan struct{})
+		}
+		mu.Unlock()
+		<-wait
+		return &core.Result{}, nil
+	}
+	res, err := New(Workers(8), Metrics(reg), WithSimulate(point)).Run(Spec{
+		Name:      "progress-many",
+		Traces:    []*trace.Trace{synthTrace("theta", 8, 2, 5)},
+		Procs:     procs,
+		Overheads: core.OverheadRuns(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	total := float64(len(res.Cells))
+	if total != float64(len(procs)*len(core.OverheadRuns())) {
+		t.Fatalf("%v cells, want %d", total, len(procs)*len(core.OverheadRuns()))
+	}
+	if got := reg.Gauge("sweep/points_total").Value(); got != total {
+		t.Errorf("points_total = %v, want %v", got, total)
+	}
+	if got := reg.Gauge("sweep/points_done").Value(); got != total {
+		t.Errorf("points_done = %v, want %v", got, total)
+	}
+	if got := reg.Gauge("sweep/eta_ms").Value(); got != 0 {
+		t.Errorf("eta_ms at completion = %v, want 0", got)
 	}
 }
 

@@ -3,6 +3,7 @@ package transport
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"mpcrete/internal/obs"
 	"mpcrete/internal/ops5"
@@ -132,9 +133,12 @@ type dec struct {
 	layouts           []*ops5.Layout
 	defs, refs        int64
 
-	// handles is the unconsumed tail of the slab decoded tokens are
-	// carved from (token), as rete's arena carves the match's own.
-	handles []int32
+	// slab is the region decoded tokens are carved from (token), as
+	// rete's phase arena carves the match's own, and handles its
+	// unconsumed tail. No decoded token outlives the handling of its
+	// frame — a memory stores a copy of its own — so the owner rewinds
+	// the slab before each frame that carries tokens (rewindTokens).
+	slab, handles []int32
 }
 
 // index decodes an index into a space of the given size.
@@ -388,17 +392,21 @@ func (e *enc) token(t rete.Token) {
 	}
 }
 
-// Decoded tokens are carved from slabs of this many handles: a token a
-// worker stores keeps its slab alive, and a slab costs one allocation
-// per ~300 tokens.
+// handleSlab is the length of a decoder's first token slab, ~300
+// tokens; a frame that outgrows the slab leaves one twice as long.
 const handleSlab = 1024
+
+// rewindTokens takes back every token decoded since the last rewind:
+// the frames that carried them have been handled.
+func (d *dec) rewindTokens() { d.handles = d.slab }
 
 // token decodes a counted list of wmes into a token carved from the
 // decoder's slab.
 func (d *dec) token() rete.Token {
 	n := d.Count(1 << 16)
 	if len(d.handles) < n {
-		d.handles = make([]int32, max(n, handleSlab))
+		d.slab = make([]int32, max(n, 2*len(d.slab), handleSlab))
+		d.handles = d.slab
 	}
 	t := rete.Token{H: d.handles[:n:n]}
 	d.handles = d.handles[n:]
@@ -421,8 +429,10 @@ func (e *enc) changes(chs []rete.Change, hs []int32) {
 
 // changes decodes a cycle's wme changes into pkt, reusing its slices.
 func (d *dec) changes(pkt *parallel.CyclePacket) {
+	// Count holds n to the bytes that remain, so the packet grows once,
+	// to the frame's count, not one change at a time.
 	n := d.Count(1 << 24)
-	pkt.Changes, pkt.Handles = pkt.Changes[:0], pkt.Handles[:0]
+	pkt.Changes, pkt.Handles = slices.Grow(pkt.Changes[:0], n), slices.Grow(pkt.Handles[:0], n)
 	for i := 0; i < n; i++ {
 		tag, h := d.tag(), d.wme()
 		pkt.Changes = append(pkt.Changes, rete.Change{Tag: tag, WME: d.tab.WME(h)})

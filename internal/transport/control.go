@@ -333,9 +333,6 @@ func (c *Control) readLoop(cc *ctlConn) {
 func (c *Control) read(cc *ctlConn) error {
 	track := c.opts.Causal.Track(cc.id)
 	d := &cc.dec
-	// A relay is re-encoded before the next frame is read and nothing of
-	// it is kept, so every relay's tokens are carved from the same slab.
-	handles := make([]int32, handleSlab)
 	var msgs []parallel.Message
 	var tf turnFrame
 	var tfCycle int32
@@ -356,7 +353,10 @@ func (c *Control) read(cc *ctlConn) error {
 			if d.Err == nil && int(dst) == cc.id {
 				d.Fail(fmt.Sprintf("worker %d sent a %s frame to itself", cc.id, ft))
 			}
-			d.handles = handles
+			// A relay is re-encoded before the next frame is read and
+			// nothing of it is kept, so every relay's tokens are carved
+			// from the same slab.
+			d.rewindTokens()
 			if ft == ftRelay {
 				msgs = d.actList(c.network, msgs)
 			} else {

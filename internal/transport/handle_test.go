@@ -333,7 +333,9 @@ func warmWireQueens(t *testing.T) (*engine.Compiled, []*ops5.WME) {
 // TestWireQueensBytesPerFiring is TestParQueensBytesPerFiring
 // (parallel) over the star, in the unit the benchmark's wire-queens row
 // reports: heap bytes per firing of a warm wireQueensRun. It reads
-// 678.4, alone or after the package's other tests (782.2 run alone and 748.2 after the package's other tests while
+// 576.3–578.9, alone or after the package's other tests (678.4 while
+// every token a memory stored came from an arena nothing but Reset
+// rewound and a worker kept every decoded token's slab; 782.2 run alone and 748.2 after the package's other tests while
 // every connection printed and compiled the program and a mirror's rows
 // and symbols were allocations of their own; 886.0 and 849.0 while the
 // driver netted each cycle's deltas into a result slab of its own;
@@ -348,17 +350,19 @@ func TestWireQueensBytesPerFiring(t *testing.T) {
 	bytes, _ := wireQueensRun(t, c, board)
 	perFiring := bytes / 2033
 	t.Logf("%.1f heap bytes per firing", perFiring)
-	const pinned = 678.4
+	const pinned = 578.9
 	if perFiring > pinned*1.03 {
 		t.Errorf("%.1f heap bytes per firing, want at most %.1f", perFiring, pinned*1.03)
 	}
 }
 
 // TestWireQueensRunAllocs pins the heap objects of a warm
-// wireQueensRun, control and both workers together: 711 to 723, 0.35 a
-// firing (4,155 to 4,161 while every connection printed and compiled
-// the program, and a mirror's rows and symbols were allocations of
-// their own).
+// wireQueensRun, control and both workers together: 602 to 609, 0.30 a
+// firing (711 to 723 while stored tokens came from a never-rewound
+// arena, a mirror's free rows grew their lists one row at a time and a
+// cycle packet grew one change at a time; 4,155 to 4,161 while every
+// connection printed and compiled the program, and a mirror's rows and
+// symbols were allocations of their own).
 func TestWireQueensRunAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("escape analysis decides differently under the race detector")
@@ -366,7 +370,7 @@ func TestWireQueensRunAllocs(t *testing.T) {
 	c, board := warmWireQueens(t)
 	_, objects := wireQueensRun(t, c, board)
 	t.Logf("a warm 8-queens run over the star makes %.0f heap objects", objects)
-	const pinned = 718
+	const pinned = 606
 	if objects > pinned*1.05 {
 		t.Errorf("a warm 8-queens run over the star makes %.0f heap objects, want at most %.0f", objects, pinned*1.05)
 	}

@@ -295,6 +295,9 @@ func (w *starWorker) send(ft frameType) error {
 func (w *starWorker) turn(ft frameType, payload []byte) error {
 	d := &w.dec
 	d.Reset(payload)
+	// The previous turn's decoded tokens are dead, as its phase tokens
+	// are (BeginPhase below): every memory it added to stored copies.
+	d.rewindTokens()
 	// Every delivery opens with its causal stamp, which its recv names.
 	batch, src, n := d.I32(), d.I32(), int32(1)
 	switch ft {

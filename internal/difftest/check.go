@@ -413,17 +413,28 @@ func runConfig(c Case, cfg config, opts CheckOptions) *Outcome {
 		return &Outcome{Err: "build: " + err.Error()}
 	}
 	var out *Outcome
-	if c.IsScript() {
-		out = runScript(c, b.matcher, opts)
-	} else {
+	func() {
+		// A parallel runtime's failed cycle panics (parallel.Driver.Apply:
+		// the matcher interface has no error path). It is an outcome the
+		// sequential reference never has, so it is reported as a
+		// divergence, and the runtime is still finished below.
+		defer func() {
+			if r := recover(); r != nil {
+				out = &Outcome{Err: fmt.Sprint("panic: ", r)}
+			}
+		}()
+		if c.IsScript() {
+			out = runScript(c, b.matcher, opts)
+			return
+		}
 		var buf bytes.Buffer
 		e, err := engine.NewWithNetwork(prog, b.net, engine.SessionOptions{Matcher: b.matcher, Output: &buf})
 		if err != nil {
 			out = &Outcome{Err: "engine: " + err.Error()}
-		} else {
-			out = drive(e, &buf, c, opts)
+			return
 		}
-	}
+		out = drive(e, &buf, c, opts)
+	}()
 	if b.dump != nil {
 		// The run is quiescent here (between Apply calls), so the
 		// snapshot is race-free; taken before finish so a closed

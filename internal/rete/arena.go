@@ -18,16 +18,15 @@ const arenaChunkLen = 1024
 // the lifetime of the runs carved from it. A match cycle therefore
 // costs O(runs/region) allocations instead of one per run.
 //
-// A Processor owns two, beside the two regions (memory.go) that the
-// buckets it grows take their storage from and the store that the
-// tokens its memories keep are copied into, and each arena lends to one
-// kind of reader.
+// A Processor owns two, beside the three pools (pool) that the tokens
+// its memories keep and the buckets it grows take their storage from,
+// and each arena lends to one kind of reader.
 // The phase arena lends tokens — runs of wme handles, which the
 // collector never scans — to the phase itself: every token an
 // activation carries, made by a root (RootActivationsInto), a join
 // (extend) or the bounded enumerator, and the copy a negative node
 // emits of an entry whose count flips (phaseCopy). No memory keeps one:
-// a left add stores a copy of its own (store), so a phase token exists
+// a left add stores a copy of its own (addLeft), so a phase token exists
 // only to reach the nodes it is aimed at and, at a production node, to
 // be read once by Processor.Build, which resolves its wmes out. The lent
 // arena lends to whoever receives the phase's result: every delta's
@@ -52,8 +51,8 @@ type arena[T int32 | *ops5.WME] struct {
 
 // poisonRewind makes rewind overwrite every run it recycles with the
 // poison — handle 0 in a token, poisonWME in a lent array — makes a
-// store clear every run released to it and never reuse it, and makes a
-// Table quarantine the handles it frees, so that a token used after its
+// pool clear every run put back into it and never reuse it, and makes
+// a Table quarantine the handles it frees, so that a token used after its
 // arena was rewound or its entry removed, or after its wme was deleted,
 // shows up as a wrong conflict-set delta or a sentinel in a stored
 // entry rather than as a coincidence that happens to pass. Tests set
@@ -92,11 +91,11 @@ func Retire(rows ...*ops5.WME) (reuse bool) {
 	return false
 }
 
-// freeListFloor is the capacity a free list — a store's of one width,
+// freeListFloor is the capacity a free list — a pool's of one length,
 // a Rows' of one layout — is given when its first entry goes on it, so
 // that a fresh owner's lists do not grow 1, 2, 4, 8… one entry at a
 // time.
-const freeListFloor = 32
+const freeListFloor = 16
 
 // Rows is a working memory's supply of wme rows: per layout id, the
 // rows of retired wmes, which Row refills before it allocates. The
@@ -249,103 +248,99 @@ func copyHandles(dst, src []int32) {
 	}
 }
 
-// storeChunkLen is the length, in handles, of the chunks a store carves
-// stored runs from: one chunk holds ~300 stored tokens.
-const storeChunkLen = 1024
+// storeChunkLen is the length, in handles, of the chunks a processor's
+// store carves stored runs from: one chunk holds ~300 stored tokens.
+// regionChunkLen is the length of the chunks its bucket regions are
+// carved from: 1 KiB of right entries, 2.5 KiB of left ones.
+const (
+	storeChunkLen  = 1024
+	regionChunkLen = 64
+)
 
-// store is one processor's supply of the runs its memories' left
-// entries keep. A left add copies the incoming phase token into a run
-// taken from the store of the processor that performs it (copy), and a
-// remove hands the removed entry's run straight back to the store of
-// the processor that performs it (release), on the free list for its
-// width, which copy draws from before it carves. Runs are carved from
-// the front of a chunk; a run that does not fit takes a fresh chunk and
-// leaves the rest of the old unused. Like the regions, a store belongs
-// to its processor, not to a memory: a bucket that changes owners gives
-// its runs back to whichever processor removes them, and a chunk stays
-// live while any run carved from it does. So the stored tokens a
-// long-lived processor holds are bounded by its live left entries, plus
-// one chunk, however long it runs.
+// pool is one processor's supply of short runs of one element type. A
+// Processor keeps three: its store, whose runs of handles are the
+// tokens its memories' left entries keep, and the regions, runs of
+// entries, that the buckets it grows grow into, one pool per side.
+// take pops the last run put back at the length asked for, or carves
+// one from the front of the current chunk; a run that does not fit
+// takes a fresh chunk and leaves the rest of the old unused, and a run
+// over a quarter of a chunk is a heap allocation of its own. put clears
+// a run nothing reads any more and pushes it on the free list for its
+// capacity, or leaves a heap run to the collector. A left add copies
+// its token into a run of the adding processor's store (addLeft), and
+// a remove puts the entry's run back into the remover's (removeLeft);
+// a bucket that outgrows its region, or migrates away, puts the old
+// one back into the regions of the processor that grows or extracts
+// it. So a pool belongs to its processor, not to a memory: a bucket
+// that changes owners gives its runs back to whichever processor lets
+// go of them, and a chunk stays live while any run carved from it
+// does. So the stored tokens a long-lived processor holds are bounded
+// by its live left entries, plus one chunk, however long it runs, and
+// its regions by what its buckets grew to.
 //
-// A store is single-owner, like the Processor that embeds it.
-type store struct {
-	chunk  []int32     // the current chunk; chunk[:used] is carved
-	used   int         // handles carved from the current chunk
-	carved int         // handles carved, across chunks, since the last reset
-	free   [][][]int32 // per width, released runs
+// A pool is single-owner, like the Processor that embeds it.
+type pool[T int32 | leftEntry | rightEntry] struct {
+	chunkLen int     // the length of a chunk
+	chunk    []T     // the current chunk; chunk[:used] is carved
+	used     int     // elements carved from the current chunk
+	carved   int     // elements carved, across chunks, since the last reset
+	free     [][][]T // per length, runs put back
 }
 
-// copy returns a run of the store holding h's handles: the last run
-// released at its width, or the next carved from the chunk. The slot a
-// run is taken from is not cleared: it names a run that holds handles,
-// not wmes, and at worst keeps its chunk live until the slot is
-// reused (reset clears every slot).
-func (s *store) copy(h []int32) []int32 {
-	n := len(h)
-	if n < len(s.free) {
-		if f := s.free[n]; len(f) > 0 {
-			r := f[len(f)-1]
-			s.free[n] = f[:len(f)-1]
-			copyHandles(r, h)
-			return r
+// take returns a run of n zero elements: the last run put back at
+// length n, or the next carved from the chunk. The slot a run is taken
+// from is not cleared: the run is in use, and reset clears every slot.
+func (p *pool[T]) take(n int) []T {
+	if n < len(p.free) {
+		if f := p.free[n]; len(f) > 0 {
+			p.free[n] = f[:len(f)-1]
+			return f[len(f)-1]
 		}
 	}
-	return s.carve(h)
-}
-
-// carve is copy for a width with no released run.
-func (s *store) carve(h []int32) []int32 {
-	n := len(h)
-	if len(s.chunk)-s.used < n {
-		s.chunk, s.used = make([]int32, max(n, storeChunkLen)), 0
+	if n > p.chunkLen/4 {
+		return make([]T, n)
 	}
-	r := s.chunk[s.used : s.used+n : s.used+n]
-	s.used += n
-	s.carved += n
-	copyHandles(r, h)
+	if len(p.chunk)-p.used < n {
+		p.chunk, p.used = make([]T, p.chunkLen), 0
+	}
+	r := p.chunk[p.used : p.used+n : p.used+n]
+	p.used += n
+	p.carved += n
 	return r
 }
 
-// release takes back run r, which nothing reads any more: its entry has
-// just been removed. Under poisonRewind it is cleared to handle 0, which
-// reads as poisonWME, and never reused (grow). The common case, a free
-// list with room, is kept apart from grow so that it stays short.
-func (s *store) release(r []int32) {
-	if n := len(r); n < len(s.free) && len(s.free[n]) < cap(s.free[n]) && !poisonRewind {
-		s.free[n] = append(s.free[n], r)
+// put takes back run r, which nothing reads any more, cleared. A heap
+// run is left to the collector. Under poisonRewind every run is
+// cleared — a run of handles then reads as poisonWME — and never
+// reused.
+func (p *pool[T]) put(r []T) {
+	n := cap(r)
+	heap := n > p.chunkLen/4
+	if !heap || poisonRewind {
+		clear(r[:n])
+	}
+	if heap || n == 0 || poisonRewind {
 		return
 	}
-	s.grow(r)
+	if n >= len(p.free) {
+		p.free = slices.Grow(p.free, n+1-len(p.free))[:n+1]
+	}
+	if p.free[n] == nil {
+		p.free[n] = make([][]T, 0, freeListFloor)
+	}
+	p.free[n] = append(p.free[n], r[:n])
 }
 
-// grow is release for a width whose free list is full or not yet made.
-func (s *store) grow(r []int32) {
-	if poisonRewind {
-		clear(r)
-		return
-	}
-	n := len(r)
-	if n >= len(s.free) {
-		s.free = slices.Grow(s.free, n+1-len(s.free))[:n+1]
-	}
-	if s.free[n] == nil {
-		s.free[n] = make([][]int32, 0, freeListFloor)
-	}
-	s.free[n] = append(s.free[n], r)
-}
-
-// reset empties the free lists, keeping their storage, and rewinds the
-// current chunk to be carved from the front again; an earlier chunk is
-// left to the collector. The caller vouches that no run of the store is
-// in use — its memories are empty — and that no other processor's free
-// list holds one.
-func (s *store) reset() {
-	for n, f := range s.free {
+// reset empties the free lists, keeping their storage, and clears and
+// rewinds the current chunk to be carved from the front again; an
+// earlier chunk is left to the collector. The caller vouches that no
+// run of the pool is in use — the memories it fed are empty — and that
+// no other processor's free list holds one.
+func (p *pool[T]) reset() {
+	for n, f := range p.free {
 		clear(f[:cap(f)])
-		s.free[n] = f[:0]
+		p.free[n] = f[:0]
 	}
-	if poisonRewind {
-		clear(s.chunk[:s.used])
-	}
-	s.used, s.carved = 0, 0
+	clear(p.chunk[:p.used])
+	p.used, p.carved = 0, 0
 }

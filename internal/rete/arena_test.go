@@ -2,6 +2,7 @@ package rete
 
 import (
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -32,15 +33,15 @@ func (ar *arena[T]) holds(r []T) bool {
 // naive matcher (every variant, hashed and linear memories), the
 // held-result test, whose deltas must have copied their wmes out of
 // their tokens, a result held past handing it back (Recycle), which
-// must read as scrubbed, and the store's released runs, which read as
-// the sentinel and must be reached by no emitted token.
+// must read as scrubbed, and a negative entry's run put back into the
+// store in the phase that emitted its token (every pool's own poisoned
+// check is TestPool's).
 func TestPoisonedRewinds(t *testing.T) {
 	poison(t)
 	t.Run("RandomizedDifferential", TestMatcherRandomizedDifferential)
 	t.Run("BoundedDifferential", TestBoundedRandomizedDifferential)
 	t.Run("ResultBelongsToCaller", TestApplyResultBelongsToCaller)
 	t.Run("HandedBackRecordsAreScrubbed", checkHandedBackScrubbed)
-	t.Run("StoreReleasesToTheSentinel", checkStoreReleasesToTheSentinel)
 	t.Run("NegatedFlipThenRemove", TestNegatedFlipThenRemoveInOnePhase)
 }
 
@@ -263,93 +264,152 @@ func TestProductionOnlyTokensComeFromThePhaseArena(t *testing.T) {
 	}
 }
 
-// holds reports whether run r was carved from the store's current
+// holds reports whether run r was carved from the pool's current
 // chunk.
-func (s *store) holds(r []int32) bool {
-	for i := range s.chunk[:s.used] {
-		if len(r) > 0 && &s.chunk[i] == &r[0] {
+func (p *pool[T]) holds(r []T) bool {
+	for i := range p.chunk[:p.used] {
+		if len(r) > 0 && &p.chunk[i] == &r[0] {
 			return true
 		}
 	}
 	return false
 }
 
-// freeHandles counts the handles of the runs on the store's free lists.
-func (s *store) freeHandles() (n int) {
-	for w, f := range s.free {
+// freeLen counts the elements of the runs on the pool's free lists.
+func (p *pool[T]) freeLen() (n int) {
+	for w, f := range p.free {
 		n += w * len(f)
 	}
 	return n
 }
 
-// TestStoreReusesReleasedRuns: a released run of each width is the
-// next run of that width the store keeps, so reuse carves nothing; a
-// width's free list is sized once; and reset rewinds the current chunk,
-// so the next run is carved from its front again, while a run that does
-// not fit takes a fresh chunk.
-func TestStoreReusesReleasedRuns(t *testing.T) {
-	var s store
-	run := func(w int) []int32 {
-		h := make([]int32, w)
-		for i := range h {
-			h[i] = int32(100*w + i)
-		}
-		return h
+// listed returns the number of runs of length n on the pool's free
+// list.
+func (p *pool[T]) listed(n int) int {
+	if n >= len(p.free) {
+		return 0
 	}
-	kept := map[int][]int32{}
-	for w := 1; w <= 8; w++ {
-		kept[w] = s.copy(run(w))
-		if !slices.Equal(kept[w], run(w)) || cap(kept[w]) != w {
-			t.Fatalf("a %d-wide run holds %v (capacity %d)", w, kept[w], cap(kept[w]))
-		}
-	}
-	first, carved := &s.chunk[0], s.carved
-	if carved != 36 || &kept[1][0] != first {
-		t.Fatalf("eight runs carved %d handles, want 36 from the chunk's front", carved)
-	}
-	for round := 0; round < 3; round++ {
-		for w := 8; w >= 1; w-- {
-			s.release(kept[w])
-			got := s.copy(run(w))
-			if &got[0] != &kept[w][0] || !slices.Equal(got, run(w)) {
-				t.Fatalf("round %d: the released %d-wide run is not the next %d-wide run kept", round, w, w)
-			}
-		}
-	}
-	if s.carved != carved {
-		t.Fatalf("reuse carved %d more handles", s.carved-carved)
-	}
-	for w := 1; w <= 8; w++ {
-		if f := s.free[w]; len(f) != 0 || cap(f) != freeListFloor {
-			t.Fatalf("width %d's free list is %d/%d, want 0/%d", w, len(f), cap(f), freeListFloor)
-		}
-	}
+	return len(p.free[n])
+}
 
-	s.release(kept[3])
-	s.reset()
-	if s.used != 0 || s.carved != 0 || s.freeHandles() != 0 {
-		t.Fatalf("after reset the store has carved %d (%d in the chunk) and frees %d handles", s.carved, s.used, s.freeHandles())
-	}
-	if r := s.copy(run(3)); &r[0] != first {
-		t.Fatal("after reset the next run is not carved from the front of the kept chunk")
-	}
-	if r := s.copy(run(storeChunkLen)); &s.chunk[0] == first || &r[0] != &s.chunk[0] || len(s.chunk) != storeChunkLen {
-		t.Fatal("a run wider than the chunk's rest was not carved from the front of a fresh chunk")
+// TestPool checks each of a processor's pools — its store and its two
+// sides' regions — on its own chunk length.
+func TestPool(t *testing.T) {
+	n := &Node{ID: 1, Kind: KindNegative}
+	for _, c := range []struct {
+		name string
+		run  func(*testing.T)
+	}{
+		{"store", func(t *testing.T) {
+			checkPool(t, storeChunkLen, func(i int) int32 { return int32(i) })
+		}},
+		{"lregs", func(t *testing.T) {
+			checkPool(t, regionChunkLen, func(i int) leftEntry { return leftEntry{node: n, token: Token{H: []int32{int32(i)}}, count: i} })
+		}},
+		{"rregs", func(t *testing.T) {
+			checkPool(t, regionChunkLen, func(i int) rightEntry { return rightEntry{node: n, h: int32(i)} })
+		}},
+	} {
+		t.Run(c.name, c.run)
 	}
 }
 
-// checkStoreReleasesToTheSentinel: under the poison a released run reads
-// as the sentinel, handle 0, and is never kept again.
-func checkStoreReleasesToTheSentinel(t *testing.T) {
-	var s store
-	r := s.copy([]int32{5, 6})
-	s.release(r)
-	if r[0] != 0 || r[1] != 0 {
-		t.Fatalf("a released run reads %v under the poison, want handle 0", r)
+// checkPool: a run taken is zero and full-capacity-capped, and a fresh
+// pool carves them from the front of its chunk; a run put back reads
+// zero and is the next run taken at its length, so reuse carves
+// nothing; a free list is sized once, at the floor; a run over a
+// quarter of a chunk comes from the heap and put drops it; reset
+// empties the free lists and rewinds the chunk, so the next run is
+// carved, zero, from its front again, while a run that does not fit
+// takes a fresh chunk; and under the poison a run put back is cleared
+// and never taken again. mk makes a nonzero element.
+func checkPool[T int32 | leftEntry | rightEntry](t *testing.T, chunkLen int, mk func(int) T) {
+	p := &pool[T]{chunkLen: chunkLen}
+	var zero T
+	isZero := func(r []T) bool {
+		for _, e := range r[:cap(r)] {
+			if !reflect.DeepEqual(e, zero) {
+				return false
+			}
+		}
+		return true
 	}
-	if got := s.copy([]int32{7, 8}); &got[0] == &r[0] {
-		t.Fatal("a run released under the poison was kept again")
+	fill := func(r []T) []T {
+		for i := range r {
+			r[i] = mk(i + 1)
+		}
+		return r
 	}
+	const widths = 8
+	kept := map[int][]T{}
+	for w := 1; w <= widths; w++ {
+		kept[w] = p.take(w)
+		if len(kept[w]) != w || cap(kept[w]) != w || !isZero(kept[w]) {
+			t.Fatalf("a %d-run reads %v (capacity %d)", w, kept[w], cap(kept[w]))
+		}
+		fill(kept[w])
+	}
+	first, carved := &p.chunk[0], p.carved
+	if carved != 36 || &kept[1][0] != first {
+		t.Fatalf("eight runs carved %d elements, want 36 from the chunk's front", carved)
+	}
+	for round := 0; round < 3; round++ {
+		for w := widths; w >= 1; w-- {
+			p.put(kept[w])
+			if !isZero(kept[w]) {
+				t.Fatalf("round %d: a %d-run put back reads %v", round, w, kept[w])
+			}
+			got := p.take(w)
+			if &got[0] != &kept[w][0] || len(got) != w {
+				t.Fatalf("round %d: the %d-run put back is not the next %d-run taken", round, w, w)
+			}
+			fill(got)
+		}
+	}
+	if p.carved != carved {
+		t.Fatalf("reuse carved %d more elements", p.carved-carved)
+	}
+	for w := 1; w <= widths; w++ {
+		if f := p.free[w]; len(f) != 0 || cap(f) != freeListFloor {
+			t.Fatalf("the %d-runs' free list is %d/%d, want 0/%d", w, len(f), cap(f), freeListFloor)
+		}
+	}
+
+	big := fill(p.take(chunkLen/4 + 1))
+	if p.carved != carved || p.holds(big) || cap(big) != chunkLen/4+1 {
+		t.Fatalf("a run over a quarter chunk was carved (%d more elements)", p.carved-carved)
+	}
+	p.put(big)
+	if p.listed(cap(big)) != 0 || p.freeLen() != 0 {
+		t.Fatalf("put listed a heap run: the free lists hold %d elements", p.freeLen())
+	}
+
+	p.put(kept[3])
+	p.reset()
+	if p.used != 0 || p.carved != 0 || p.freeLen() != 0 {
+		t.Fatalf("after reset the pool has carved %d (%d in the chunk) and frees %d elements", p.carved, p.used, p.freeLen())
+	}
+	if r := p.take(3); &r[0] != first || !isZero(r) {
+		t.Fatalf("after reset the next run is not carved, zero, from the front of the kept chunk: %v", r)
+	}
+	for p.used+chunkLen/4 <= chunkLen {
+		p.take(chunkLen / 4)
+	}
+	if r := p.take(chunkLen / 4); &p.chunk[0] == first || &r[0] != &p.chunk[0] || len(p.chunk) != chunkLen {
+		t.Fatal("a run longer than the chunk's rest was not carved from the front of a fresh chunk")
+	}
+
+	t.Run("poisoned", func(t *testing.T) {
+		poison(t)
+		r := fill(p.take(2))
+		p.put(r)
+		if !isZero(r) {
+			t.Fatalf("a run put back reads %v under the poison, want zero (handle 0)", r)
+		}
+		if got := p.take(2); &got[0] == &r[0] || p.listed(2) != 0 {
+			t.Fatal("a run put back under the poison was taken again")
+		}
+	})
 }
 
 // TestStoreIsBoundedByLiveEntries: a long-lived matcher running the
@@ -389,7 +449,7 @@ func TestStoreIsBoundedByLiveEntries(t *testing.T) {
 		if n := m.proc.left.Len(); n != 0 {
 			t.Fatalf("pair %d: the delete burst left %d entries", pair, n)
 		}
-		if held := s.carved - s.freeHandles(); held != 0 {
+		if held := s.carved - s.freeLen(); held != 0 {
 			t.Fatalf("pair %d: the store holds %d handles with every memory empty", pair, held)
 		}
 	}

@@ -739,9 +739,9 @@ func TestResetLetsGoOfTheLastTenant(t *testing.T) {
 	m, adds, dels := pairingBurst(t, 12, 10)
 	m.Recycle(m.Apply(adds))
 	m.Recycle(m.Apply(dels[len(dels)-5:])) // a smaller phase: the big one's tail stays in the arrays
-	if cap(m.queue) == 0 || cap(m.instActs) == 0 || cap(m.spare) == 0 || m.proc.left.Len() == 0 || m.proc.phase.used == 0 || m.proc.store.freeHandles() == 0 || len(m.tab.rows) < 2 {
+	if cap(m.queue) == 0 || cap(m.instActs) == 0 || cap(m.spare) == 0 || m.proc.left.Len() == 0 || m.proc.phase.used == 0 || m.proc.store.freeLen() == 0 || len(m.tab.rows) < 2 {
 		t.Fatalf("the bursts left nothing behind to let go of: queue %d, instActs %d, left %d, phase handles %d, free stored handles %d, table rows %d",
-			cap(m.queue), cap(m.instActs), m.proc.left.Len(), m.proc.phase.used, m.proc.store.freeHandles(), len(m.tab.rows))
+			cap(m.queue), cap(m.instActs), m.proc.left.Len(), m.proc.phase.used, m.proc.store.freeLen(), len(m.tab.rows))
 	}
 	m.Reset()
 	holdsNothing(t, m)

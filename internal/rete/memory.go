@@ -1,9 +1,6 @@
 package rete
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 // leftEntry is one stored token of a left memory, qualified by its
 // owning two-input node; count is, at a negative node, the number of
@@ -31,18 +28,18 @@ type rightEntry struct {
 // chasing a pointer to it, and there is no per-entry object for the
 // collector to trace. The regions are not the memory's: an add that
 // finds its bucket full moves the entries into a region twice the size
-// from the regions of the processor that performs it (regions), which
-// takes the old one back. A remove closes the gap in place and zeroes
-// the slot it vacates, so the next add to that bucket reuses the slot
-// and a warmed bucket adds and removes without allocating. Every slot
-// between a bucket's length and its capacity is zero: no removed entry
-// keeps its token or wme reachable. A left entry's token is its own:
-// a run of the store of the processor that added it, which nothing but
-// the entry holds and which a remove hands back to the store of the
-// processor that performs it (removeLeft). No count is kept beside the
-// buckets, and a growth touches only its own bucket and its
-// processor's regions and store, so goroutines may share a memory as
-// long as each touches only the buckets it owns.
+// taken from the pool of the processor that performs it (lregs or
+// rregs), and puts the old one back there. A remove closes the gap in
+// place and zeroes the slot it vacates, so the next add to that bucket
+// reuses the slot and a warmed bucket adds and removes without
+// allocating. Every slot between a bucket's length and its capacity is
+// zero: no removed entry keeps its token or wme reachable. A left
+// entry's token is its own: a run of the store of the processor that
+// added it, which nothing but the entry holds and which a remove puts
+// back into the store of the processor that performs it (removeLeft).
+// No count is kept beside the buckets, and a growth touches only its
+// own bucket and its processor's pools, so goroutines may share a
+// memory as long as each touches only the buckets it owns.
 type Memory[E leftEntry | rightEntry] struct {
 	buckets [][]E
 }
@@ -76,9 +73,10 @@ func (m *Memory[E]) Bucket(key uint64) int { return int(key & uint64(len(m.bucke
 
 // add stores e in bucket b, growing a full bucket into a region from
 // r, the regions of the processor performing the add.
-func (m *Memory[E]) add(b int, e E, r *regions[E]) {
+func (m *Memory[E]) add(b int, e E, r *pool[E]) {
 	if bucket := m.buckets[b]; len(bucket) == cap(bucket) {
-		m.buckets[b] = r.grow(bucket)
+		m.buckets[b] = append(r.take(max(1, 2*cap(bucket)))[:0], bucket...)
+		r.put(bucket)
 	}
 	m.buckets[b] = append(m.buckets[b], e)
 }
@@ -115,89 +113,26 @@ func (m *Memory[E]) Reset() {
 	}
 }
 
-// release empties bucket b and gives its region to r, the regions of
-// the processor that extracts the bucket (migration): no memory keeps a
-// region for a bucket that has left it, and the bucket's next owner
-// grows it from its own regions.
-func (m *Memory[E]) release(b int, r *regions[E]) {
+// release empties bucket b and puts its region back into r, the
+// regions of the processor that extracts the bucket (migration): no
+// memory keeps a region for a bucket that has left it, and the
+// bucket's next owner grows it from its own regions.
+func (m *Memory[E]) release(b int, r *pool[E]) {
 	r.put(m.buckets[b])
 	m.buckets[b] = nil
 }
 
-// regionChunkLen is the length of the chunks a processor's regions
-// carve bucket regions from: 1 KiB of right entries, 2.5 KiB of left
-// ones.
-const regionChunkLen = 64
-
-// regionClasses counts the region sizes carved from a chunk: 1, 2, 4,
-// 8 and 16 entries, a quarter of a chunk. A larger region is a heap
-// allocation of its own.
-const regionClasses = 5
-
-// regions is one processor's supply of bucket regions for one side:
-// power-of-two runs of entries, carved from the front of a chunk, with
-// a free list per size class that grow takes from first. A bucket that
-// outgrows its region (grow) puts the old one, cleared, back on its
-// class's list — the list of whichever processor grew it, since a
-// bucket may change owners — and so does a bucket that migrates away
-// (release), on the list of the processor that extracts it. A
-// region over a quarter of a chunk comes from the heap and goes back to
-// the collector: the free lists keep only what chunks hold, and a
-// chunk stays live while any region carved from it does.
-//
-// A regions is single-owner, like the Processor that embeds it.
-type regions[E leftEntry | rightEntry] struct {
-	chunk []E                  // the current chunk's uncarved rest
-	free  [regionClasses][][]E // per class, zeroed regions of 1<<class entries
-}
-
-// grow returns a region twice the size of full's (one entry for a
-// bucket that has none) holding full's entries, and takes full back.
-func (r *regions[E]) grow(full []E) []E {
-	n := max(1, 2*cap(full))
-	var next []E
-	switch c := bits.TrailingZeros(uint(n)); {
-	case n > regionChunkLen/4:
-		next = make([]E, 0, n)
-	case len(r.free[c]) > 0:
-		k := len(r.free[c]) - 1
-		next, r.free[c][k] = r.free[c][k], nil
-		r.free[c] = r.free[c][:k]
-	default:
-		if len(r.chunk) < n {
-			r.chunk = make([]E, regionChunkLen) // the rest is left unused
-		}
-		next, r.chunk = r.chunk[:0:n], r.chunk[n:]
-	}
-	next = append(next, full...)
-	r.put(full)
-	return next
-}
-
-// put clears region and, if a chunk holds it, puts it on its class's
-// free list.
-func (r *regions[E]) put(region []E) {
-	n := cap(region)
-	if n == 0 || n > regionChunkLen/4 {
-		return
-	}
-	region = region[:0]
-	clear(region[:n])
-	c := bits.TrailingZeros(uint(n))
-	r.free[c] = append(r.free[c], region)
-}
-
 // removeLeft deletes the entry of left memory m for node n whose token
-// covers the same wmes as t, hands the entry's stored run back to s, the
-// store of the processor performing the remove, and returns its count;
-// ok is false if it is absent. Nothing but its entry holds a stored run,
-// so the run is free as soon as the entry is gone.
-func removeLeft(m *Memory[leftEntry], b int, n *Node, t Token, s *store) (count int, ok bool) {
+// covers the same wmes as t, puts the entry's stored run back into s,
+// the store of the processor performing the remove, and returns its
+// count; ok is false if it is absent. Nothing but its entry holds a
+// stored run, so the run is free as soon as the entry is gone.
+func removeLeft(m *Memory[leftEntry], b int, n *Node, t Token, s *pool[int32]) (count int, ok bool) {
 	bucket := m.buckets[b]
 	for i := range bucket {
 		if e := &bucket[i]; e.node == n && e.token.Same(t) {
 			count = e.count
-			s.release(e.token.H)
+			s.put(e.token.H)
 			m.removeAt(b, i)
 			return count, true
 		}

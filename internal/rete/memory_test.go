@@ -2,7 +2,6 @@ package rete
 
 import (
 	"fmt"
-	"math/bits"
 	"reflect"
 	"slices"
 	"strconv"
@@ -40,7 +39,7 @@ func idKeyT(tab *Table, t Token) string {
 }
 
 func TestMemoryAddRemoveScan(t *testing.T) {
-	m, r := newMemory[rightEntry](8), &regions[rightEntry]{}
+	m, r := newMemory[rightEntry](8), &pool[rightEntry]{chunkLen: regionChunkLen}
 	n1 := &Node{ID: 1, Kind: KindJoin}
 	n2 := &Node{ID: 2, Kind: KindJoin}
 
@@ -80,7 +79,7 @@ func TestMemoryAddRemoveScan(t *testing.T) {
 }
 
 func TestMemoryLeftTokens(t *testing.T) {
-	m, r := newMemory[leftEntry](4), &regions[leftEntry]{}
+	m, r := newMemory[leftEntry](4), &pool[leftEntry]{chunkLen: regionChunkLen}
 	n := &Node{ID: 7, Kind: KindNegative}
 	tab := NewTable()
 	t1 := tokenT(tab, mkWME(1, "a"), mkWME(2, "b"))
@@ -91,14 +90,14 @@ func TestMemoryLeftTokens(t *testing.T) {
 
 	// Removal matches by handle sequence: a copy of t1's run.
 	probe := Token{H: slices.Clone(t1.H)}
-	if count, ok := removeLeft(m, 2, n, probe, new(store)); !ok || count != 5 {
+	if count, ok := removeLeft(m, 2, n, probe, new(pool[int32])); !ok || count != 5 {
 		t.Fatalf("removeLeft = %d, %v, want 5, true", count, ok)
 	}
 	if m.Len() != 1 {
 		t.Errorf("len = %d", m.Len())
 	}
 	// Token with different coverage does not match.
-	if _, ok := removeLeft(m, 2, n, probe, new(store)); ok {
+	if _, ok := removeLeft(m, 2, n, probe, new(pool[int32])); ok {
 		t.Error("removed absent token")
 	}
 }
@@ -111,14 +110,20 @@ func TestMemoryLeftTokens(t *testing.T) {
 // allocate.
 func TestMemoryBucketKeepsOrderAndReusesSlots(t *testing.T) {
 	right, left := newMemory[rightEntry](4), newMemory[leftEntry](4)
-	rr, lr, s := &regions[rightEntry]{}, &regions[leftEntry]{}, new(store)
+	rr, lr := &pool[rightEntry]{chunkLen: regionChunkLen}, &pool[leftEntry]{chunkLen: regionChunkLen}
+	s := &pool[int32]{chunkLen: storeChunkLen}
+	stored := func(t Token) Token {
+		h := s.take(len(t.H))
+		copyHandles(h, t.H)
+		return Token{H: h}
+	}
 	n := &Node{ID: 1, Kind: KindJoin}
 	tab := NewTable()
 	var ts []Token
 	for id := 1; id <= 5; id++ {
 		ts = append(ts, tokenT(tab, mkWME(id, "a")))
 		right.add(1, rightEntry{node: n, h: ts[id-1].H[0]}, rr)
-		left.add(1, leftEntry{node: n, token: Token{H: s.copy(ts[id-1].H)}, count: id}, lr)
+		left.add(1, leftEntry{node: n, token: stored(ts[id-1]), count: id}, lr)
 	}
 	removeRight(right, 1, n, ts[1].H[0])
 	removeLeft(left, 1, n, ts[3], s)
@@ -145,7 +150,7 @@ func TestMemoryBucketKeepsOrderAndReusesSlots(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(100, func() {
 		right.add(1, rightEntry{node: n, h: ts[1].H[0]}, rr)
-		left.add(1, leftEntry{node: n, token: Token{H: s.copy(ts[3].H)}, count: 4}, lr)
+		left.add(1, leftEntry{node: n, token: stored(ts[3]), count: 4}, lr)
 		removeRight(right, 1, n, ts[1].H[0])
 		removeLeft(left, 1, n, ts[3], s)
 	}); avg != 0 {
@@ -164,56 +169,27 @@ func tailZero[E leftEntry | rightEntry](t *testing.T, what string, bucket []E) {
 	}
 }
 
-// freeZero fails unless every region on r's free lists is of its
-// class's size, carved from a chunk, empty and zero.
-func freeZero[E leftEntry | rightEntry](t *testing.T, what string, r *regions[E]) {
+// freeZero fails unless every run on r's free lists is of its list's
+// length, carved from a chunk and zero.
+func freeZero[E leftEntry | rightEntry](t *testing.T, what string, r *pool[E]) {
 	t.Helper()
-	for c, list := range r.free {
+	for n, list := range r.free {
 		for _, region := range list {
-			if len(region) != 0 || cap(region) != 1<<c || cap(region) > regionChunkLen/4 {
-				t.Fatalf("%s: class %d holds a region of %d/%d entries", what, c, len(region), cap(region))
+			if len(region) != n || cap(region) != n || n > r.chunkLen/4 {
+				t.Fatalf("%s: the %d-list holds a region of %d/%d entries", what, n, len(region), cap(region))
 			}
-			tailZero(t, what, region)
+			tailZero(t, what, region[:0])
 		}
 	}
 }
 
-// TestRegionsReuseAGrownBucketsRegion: a bucket that outgrows its
-// region leaves it, cleared, on its class's free list, and the next
-// bucket to grow into that class takes it instead of carving or
-// allocating.
-func TestRegionsReuseAGrownBucketsRegion(t *testing.T) {
-	m, r := newMemory[rightEntry](4), &regions[rightEntry]{}
-	n := &Node{ID: 1, Kind: KindJoin}
-	m.add(0, rightEntry{node: n, h: 1}, r)
-	m.add(0, rightEntry{node: n, h: 2}, r)
-	two := &m.entries(0)[0]
-	m.add(0, rightEntry{node: n, h: 3}, r) // 2 -> 4: the 2-entry region is free
-	if got := len(r.free[1]); got != 1 {
-		t.Fatalf("after a 2-entry bucket grew, class 1 holds %d regions, want 1", got)
-	}
-	freeZero(t, "after growth", r)
-	uncarved := len(r.chunk)
-	m.add(1, rightEntry{node: n, h: 4}, r) // takes the 1-entry region bucket 0 left
-	m.add(1, rightEntry{node: n, h: 5}, r) // takes the 2-entry one
-	if &m.entries(1)[0] != two {
-		t.Error("the next growth into class 1 did not take the region bucket 0 left")
-	}
-	if len(r.chunk) != uncarved || len(r.free[0])+len(r.free[1]) != 1 {
-		t.Errorf("growing into free regions carved %d entries and left %d and %d regions in classes 0 and 1, want 0, 1 and 0",
-			uncarved-len(r.chunk), len(r.free[0]), len(r.free[1]))
-	}
-	if got := fmt.Sprint(m.entries(0), m.entries(1)); got != fmt.Sprint([]rightEntry{{n, 1}, {n, 2}, {n, 3}}, []rightEntry{{n, 4}, {n, 5}}) {
-		t.Errorf("buckets read %s", got)
-	}
-}
-
 // TestRegionsKeepTheTailZero: every slot between a bucket's length and
-// its capacity reads zero after each growth — through every class and
+// its capacity reads zero after each growth — through every length and
 // into heap-sized regions —, after each removal and after Reset, and
-// so does every region on a free list.
+// so does every region on a free list, where each outgrown
+// chunk-carved region goes for the next growth to take.
 func TestRegionsKeepTheTailZero(t *testing.T) {
-	m, r := newMemory[leftEntry](2), &regions[leftEntry]{}
+	m, r := newMemory[leftEntry](2), &pool[leftEntry]{chunkLen: regionChunkLen}
 	n := &Node{ID: 1, Kind: KindNegative}
 	tab := NewTable()
 	var ts []Token
@@ -223,8 +199,21 @@ func TestRegionsKeepTheTailZero(t *testing.T) {
 		tailZero(t, fmt.Sprintf("after add %d", i), m.entries(i%2))
 		freeZero(t, fmt.Sprintf("after add %d", i), r)
 	}
+	// Each bucket outgrew regions of 1 to 64 entries: the chunk-carved
+	// ones, up to 16, are on the free lists, and the next bucket to grow
+	// takes one instead of carving.
+	for l := 1; l <= regionChunkLen/4; l *= 2 {
+		if r.listed(l) != 2 {
+			t.Fatalf("the %d-list holds %d regions, want the two the buckets outgrew", l, r.listed(l))
+		}
+	}
+	carved := r.carved
+	newMemory[leftEntry](1).add(0, leftEntry{node: n}, r)
+	if r.carved != carved || r.listed(1) != 1 {
+		t.Fatalf("a new bucket's growth carved %d entries and left %d 1-entry regions, want 0 and 1", r.carved-carved, r.listed(1))
+	}
 	for i := 1; i <= len(ts); i += 3 {
-		if _, ok := removeLeft(m, i%2, n, ts[i-1], new(store)); !ok {
+		if _, ok := removeLeft(m, i%2, n, ts[i-1], new(pool[int32])); !ok {
 			t.Fatalf("token %d is missing", i)
 		}
 		tailZero(t, fmt.Sprintf("after removing %d", i), m.entries(i%2))
@@ -238,35 +227,8 @@ func TestRegionsKeepTheTailZero(t *testing.T) {
 	}
 }
 
-// TestRegionsLeaveHeapRegionsToTheCollector: a region over a quarter of
-// a chunk is a heap allocation of its own and never goes on a free
-// list, so the lists keep only what chunks hold.
-func TestRegionsLeaveHeapRegionsToTheCollector(t *testing.T) {
-	m, r := newMemory[rightEntry](1), &regions[rightEntry]{}
-	n := &Node{ID: 1, Kind: KindJoin}
-	for h := int32(1); h <= 4*regionChunkLen; h++ {
-		m.add(0, rightEntry{node: n, h: h}, r)
-	}
-	if got := cap(m.entries(0)); got != 4*regionChunkLen {
-		t.Fatalf("a bucket of %d entries is in a region of %d", 4*regionChunkLen, got)
-	}
-	freeZero(t, "after growing past a chunk", r)
-	listed := 0
-	for _, list := range r.free {
-		listed += len(list)
-	}
-	// One region of each chunk class: the bucket's own 1-, 2-, 4-, 8-
-	// and 16-entry regions. The 32- to 128-entry ones went to the
-	// collector.
-	if listed != regionClasses {
-		t.Errorf("the free lists hold %d regions, want %d", listed, regionClasses)
-	}
-	r.put(make([]rightEntry, 0, regionChunkLen/2))
-	freeZero(t, "after putting a heap region", r)
-}
-
 // TestExtractInjectKeepsOrderAndReleasesRegion moves a bucket of every
-// size class and beyond from one processor to another, over separate
+// region length and beyond from one processor to another, over separate
 // memories and over one pair both share: every entry arrives, in
 // order, with its count, and the source memory keeps no region for the
 // bucket it gave up — a chunk-carved one goes, cleared, on the
@@ -299,11 +261,7 @@ func TestExtractInjectKeepsOrderAndReleasesRegion(t *testing.T) {
 				src.right.add(5, wantR[i-1], &src.rregs)
 			}
 			region := cap(src.left.entries(5))
-			listed := func() int { return len(src.lregs.free[bits.TrailingZeros(uint(region))]) }
-			before := 0
-			if region <= regionChunkLen/4 {
-				before = listed()
-			}
+			before := src.lregs.listed(region)
 			bc := src.ExtractBucket(5)
 			if src.left.Len()+src.right.Len() != 0 {
 				t.Fatalf("shared=%v size %d: the source still holds entries", shared, size)
@@ -311,7 +269,7 @@ func TestExtractInjectKeepsOrderAndReleasesRegion(t *testing.T) {
 			if cap(src.left.entries(5))+cap(src.right.entries(5)) != 0 {
 				t.Errorf("shared=%v size %d: the source memory kept a region for the bucket it gave up", shared, size)
 			}
-			if region <= regionChunkLen/4 && listed() != before+1 {
+			if region <= regionChunkLen/4 && src.lregs.listed(region) != before+1 {
 				t.Errorf("shared=%v size %d: the extracted %d-entry region is not on the extractor's free list", shared, size, region)
 			}
 			freeZero(t, "after extract", &src.lregs)

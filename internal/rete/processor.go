@@ -37,16 +37,16 @@ type Processor struct {
 	tab   *Table
 	left  *Memory[leftEntry]
 	right *Memory[rightEntry]
-	// phase holds the tokens activations carry, lent the arrays Build
-	// lends every delta (see arena), and store the runs of the tokens
-	// the memories keep (see store).
+	// phase holds the tokens activations carry and lent the arrays
+	// Build lends every delta (see arena). store holds the runs of the
+	// tokens the memories keep, and lregs and rregs the regions the
+	// buckets this processor grows grow into, of the left and of the
+	// right memory (see pool).
 	phase arena[int32]
 	lent  arena[*ops5.WME]
-	store store
-	// lregs and rregs are the regions the buckets this processor grows
-	// grow into, of the left and of the right memory (see regions).
-	lregs regions[leftEntry]
-	rregs regions[rightEntry]
+	store pool[int32]
+	lregs pool[leftEntry]
+	rregs pool[rightEntry]
 	// bstack is the bounded enumerator's reusable DFS stack of candidate
 	// wme handles, one slot per positive collector of the group being
 	// enumerated (see bounded.go).
@@ -68,11 +68,14 @@ func NewProcessor(net *Network, nbuckets int, tab *Table) *Processor {
 	return NewProcessorOver(net, tab, newMemory[leftEntry](nbuckets), newMemory[rightEntry](nbuckets))
 }
 
-// NewProcessorOver creates a processor with arenas, regions and a store
-// of its own over another's memories (Memories); no two may touch one
-// bucket at once.
+// NewProcessorOver creates a processor with arenas and pools of its own
+// over another's memories (Memories); no two may touch one bucket at
+// once.
 func NewProcessorOver(net *Network, tab *Table, left *Memory[leftEntry], right *Memory[rightEntry]) *Processor {
-	return &Processor{net: net, tab: tab, left: left, right: right}
+	return &Processor{net: net, tab: tab, left: left, right: right,
+		store: pool[int32]{chunkLen: storeChunkLen},
+		lregs: pool[leftEntry]{chunkLen: regionChunkLen},
+		rregs: pool[rightEntry]{chunkLen: regionChunkLen}}
 }
 
 // Network returns the compiled network.
@@ -91,13 +94,13 @@ func (p *Processor) Bucket(a Activation) int { return p.left.Bucket(a.HashKey(p.
 
 // Reset empties both memories (keeping the regions of their buckets
 // and this processor's free regions), rewinds each arena to at most
-// one ordinary region and rewinds the store's current chunk, emptying
-// its free lists, returning the processor to its freshly-constructed
-// state over the same network — the session-pool reuse hook. Nothing
-// reachable from a reset processor points at a wme of its last user
-// (the bounded enumerator's scratch and the store hold handles, and
-// every kept region is zeroed), and the region a wide phase left an
-// arena is let go. Its table is its owner's to reset.
+// one ordinary region and resets the store (pool.reset), returning the
+// processor to its freshly-constructed state over the same network —
+// the session-pool reuse hook. Nothing reachable from a reset
+// processor points at a wme of its last user (the bounded enumerator's
+// scratch and the store hold handles, and every kept region is
+// zeroed), and the region a wide phase left an arena is let go. Its
+// table is its owner's to reset.
 // Only legal at quiescence, and only while no token this processor made
 // is in use anywhere else and no other processor's store holds a run of
 // this one's on a free list: the memories that stored them are empty
@@ -119,9 +122,9 @@ func (p *Processor) Reset() {
 // into deltas, and the deltas whose WMEs arrays Build lent have been
 // absorbed or encoded by whoever received them. It rewinds both arenas,
 // so the phase about to start carves its tokens and lent arrays from
-// the same storage again. It touches neither the store, whose runs
-// live as long as their entries, nor any handle: freeing those is the
-// table owner's BeginPhase.
+// the same storage again. It touches neither the pools, whose runs
+// live as long as their entries and buckets, nor any handle: freeing
+// those is the table owner's BeginPhase.
 //
 // Calling it is optional and never calling it is always safe: phase
 // tokens and lent arrays are then carved region by region and left to
@@ -213,8 +216,8 @@ type BucketContents struct {
 func (bc *BucketContents) Entries() int { return len(bc.LeftTokens) + len(bc.RightWMEs) }
 
 // ExtractBucket removes and returns the contents of bucket b in both
-// memories, and gives the bucket's regions back to p's (release). The
-// stored runs of its left tokens go with the contents, not back to a
+// memories, and puts the bucket's regions back into p's (release). The
+// stored runs of its left tokens go with the contents, not back into a
 // store: the injector stores copies of its own. The caller must be
 // quiescent (no activation in flight for this bucket).
 func (p *Processor) ExtractBucket(b int) *BucketContents {
@@ -246,10 +249,12 @@ func (p *Processor) InjectBucket(bc *BucketContents) {
 	}
 }
 
-// addLeft stores a copy of t, taken from p's store, as node n's entry in
-// left bucket b, with negative-node count count.
+// addLeft stores a copy of t, in a run taken from p's store, as node
+// n's entry in left bucket b, with negative-node count count.
 func (p *Processor) addLeft(b int, n *Node, t Token, count int) {
-	p.left.add(b, leftEntry{node: n, token: Token{H: p.store.copy(t.H)}, count: count}, &p.lregs)
+	h := p.store.take(len(t.H))
+	copyHandles(h, t.H)
+	p.left.add(b, leftEntry{node: n, token: Token{H: h}, count: count}, &p.lregs)
 }
 
 // emitTo fans a token out to every successor of n as left activations.

@@ -104,6 +104,9 @@ type enc struct {
 	refsOnly bool
 	// defs and refs count the wmes that crossed in each form.
 	defs, refs int64
+	// err is sticky: the first handle the encoder was asked for that
+	// tab does not hold, which end reports for every frame after it.
+	err error
 }
 
 // noTag marks a handle a connection has not defined.
@@ -166,9 +169,17 @@ func (d *dec) handle() int32 {
 // --- wmes ---
 
 // wme encodes the wme at handle h: a reference when the receiver holds
-// it at this time tag, otherwise a definition.
+// it at this time tag, otherwise a definition. A handle tab does not
+// hold — 0, or one never filled — encodes nothing and fails the frame
+// (end).
 func (e *enc) wme(h int32) {
 	w := e.tab.WME(h)
+	if w == nil {
+		if e.err == nil {
+			e.err = fmt.Errorf("transport: encoding wme handle %d, which the table does not hold", h)
+		}
+		return
+	}
 	if e.refsOnly || int(h) < len(e.sent) && e.sent[h] == w.TimeTag {
 		e.refs++
 		e.Byte(wmeRef)

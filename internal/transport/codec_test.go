@@ -266,3 +266,30 @@ func TestSymbolTable(t *testing.T) {
 		t.Errorf("a cut symbol decoded with %v and left %d symbols in the table", short.Err, len(short.syms))
 	}
 }
+
+// TestEncodeUnheldHandleFails: a token naming a handle its encoder's
+// table does not hold — handle 0, which a run a memory has put back
+// reads as under the poison, or a handle never filled — fails its
+// frame with an error, on a control's encoder and a worker's alike,
+// and every frame after it; it does not crash the encoding process.
+func TestEncodeUnheldHandleFails(t *testing.T) {
+	tab := rete.NewTable()
+	w := ops5.NewWME("a", "x", 1)
+	w.ID, w.TimeTag = 1, 1
+	tab.Define(1, w)
+	for _, refsOnly := range []bool{false, true} {
+		for _, h := range []int32{0, 7} {
+			e := enc{tab: tab, refsOnly: refsOnly}
+			e.begin()
+			e.token(rete.Token{H: []int32{1, h}})
+			if err := e.end(ftRelay); err == nil {
+				t.Errorf("refsOnly=%v: a token naming handle %d encoded without an error", refsOnly, h)
+			}
+			e.begin()
+			e.token(rete.Token{H: []int32{1}})
+			if err := e.end(ftRelay); err == nil {
+				t.Errorf("refsOnly=%v: the frame after handle %d's encoded without an error", refsOnly, h)
+			}
+		}
+	}
+}

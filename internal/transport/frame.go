@@ -138,8 +138,12 @@ func (e *enc) begin() {
 	e.Buf = append(e.Buf, make([]byte, frameHeader)...)
 }
 
-// end closes the open frame by filling in its header.
+// end closes the open frame by filling in its header, or reports the
+// encoder's sticky error (enc.wme).
 func (e *enc) end(ft frameType) error {
+	if e.err != nil {
+		return e.err
+	}
 	n := len(e.Buf) - e.start - 4 // type byte + payload
 	if n > MaxFrame {
 		return fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, n)

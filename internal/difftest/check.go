@@ -3,6 +3,7 @@ package difftest
 import (
 	"bytes"
 	"fmt"
+	"runtime/debug"
 	"sort"
 	"strings"
 
@@ -102,6 +103,10 @@ type Outcome struct {
 	Err string
 	// Truncated is set when the Budget cut the run short.
 	Truncated bool
+	// Panic is a recovered panic's value and stack. A panic is a fault
+	// in any row, the reference included, so diff and checkConfigs
+	// report it even when every row panicked the same way.
+	Panic string
 	// Dump is the run's causal flight dump (parallel configurations
 	// with CheckOptions.FlightCycles set; nil otherwise). It is
 	// post-mortem context, not compared state.
@@ -111,6 +116,9 @@ type Outcome struct {
 // diff returns a description of the first difference from o to other,
 // or "" when equal.
 func (o *Outcome) diff(other *Outcome) string {
+	if o.Panic != "" || other.Panic != "" {
+		return fmt.Sprintf("panic:\n  ref: %s\n  got: %s", o.Panic, other.Panic)
+	}
 	for i := 0; i < len(o.Cycles) && i < len(other.Cycles); i++ {
 		if o.Cycles[i] != other.Cycles[i] {
 			return fmt.Sprintf("cycle %d:\n  ref: %s\n  got: %s", i, o.Cycles[i], other.Cycles[i])
@@ -387,6 +395,9 @@ func checkConfigs(c Case, configs []config, opts CheckOptions) *Mismatch {
 			out.Cycles = append(out.Cycles, "forced divergence ("+cfg.name+")")
 		}
 		if ref == nil {
+			if out.Panic != "" {
+				return &Mismatch{Case: c, Config: cfg.name, Detail: "the reference panicked: " + out.Panic, Dump: out.Dump}
+			}
 			ref = out
 			continue
 		}
@@ -415,12 +426,12 @@ func runConfig(c Case, cfg config, opts CheckOptions) *Outcome {
 	var out *Outcome
 	func() {
 		// A parallel runtime's failed cycle panics (parallel.Driver.Apply:
-		// the matcher interface has no error path). It is an outcome the
-		// sequential reference never has, so it is reported as a
-		// divergence, and the runtime is still finished below.
+		// the matcher interface has no error path). The panic is kept,
+		// stack and all, as the row's outcome, which Check always reports,
+		// and the runtime is still finished below.
 		defer func() {
 			if r := recover(); r != nil {
-				out = &Outcome{Err: fmt.Sprint("panic: ", r)}
+				out = &Outcome{Panic: fmt.Sprintf("%v\n%s", r, debug.Stack())}
 			}
 		}()
 		if c.IsScript() {

@@ -290,6 +290,36 @@ func (f filterMatcher) Apply(changes []rete.Change) []rete.InstChange {
 	return kept
 }
 
+// panicMatcher panics on every Apply: a fault every configuration
+// hits the same way.
+type panicMatcher struct{}
+
+func (panicMatcher) Apply([]rete.Change) []rete.InstChange { panic("shared fault") }
+
+// TestCheckReportsAPanicEveryRowShares: rows that all panic alike give
+// equal outcomes but are still a failure, reported with the stack.
+func TestCheckReportsAPanicEveryRowShares(t *testing.T) {
+	panicking := func(name string) config {
+		return config{name: name, build: func(prods []*ops5.Production, _ CheckOptions) (built, error) {
+			net, err := rete.Compile(prods)
+			return built{net: net, matcher: panicMatcher{}}, err
+		}}
+	}
+	c := Case{Name: "panics", ProgSrc: "(p pair (a ^x <v>) --> (make b ^y <v>))", WMESrc: "(a ^x 1)"}
+	m := checkConfigs(c, []config{panicking("ref"), panicking("other")}, quickOpts.withDefaults())
+	if m == nil {
+		t.Fatal("Check returned nil for rows that all panicked")
+	}
+	if m.Config != "ref" || !strings.Contains(m.Detail, "shared fault") || !strings.Contains(m.Detail, "panicMatcher.Apply") {
+		t.Fatalf("mismatch %s: %s; want the reference row, the panic value and its stack", m.Config, m.Detail)
+	}
+	ok := config{name: "ok", build: seqBuild("shared", checkNBuckets)}
+	m = checkConfigs(c, []config{ok, panicking("other")}, quickOpts.withDefaults())
+	if m == nil || m.Config != "other" || !strings.Contains(m.Detail, "shared fault") {
+		t.Fatalf("a panic in a non-reference row: got %v", m)
+	}
+}
+
 // brokenDiverges runs the case through the sequential reference and a
 // variant whose matcher drops production `drop`'s instantiations,
 // reporting whether they diverge — true exactly when the case actually

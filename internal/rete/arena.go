@@ -258,38 +258,61 @@ const (
 )
 
 // pool is one processor's supply of short runs of one element type. A
-// Processor keeps three: its store, whose runs of handles are the
-// tokens its memories' left entries keep, and the regions, runs of
-// entries, that the buckets it grows grow into, one pool per side.
+// Processor keeps three: its store, a pool[int32] whose runs of handles
+// are the tokens its memories' left entries keep, and the regions, runs
+// of entries, that the buckets it grows grow into, one pool per side.
 // take pops the last run put back at the length asked for, or carves
 // one from the front of the current chunk; a run that does not fit
 // takes a fresh chunk and leaves the rest of the old unused, and a run
-// over a quarter of a chunk is a heap allocation of its own. put clears
-// a run nothing reads any more and pushes it on the free list for its
-// capacity, or leaves a heap run to the collector. A left add copies
-// its token into a run of the adding processor's store (addLeft), and
-// a remove puts the entry's run back into the remover's (removeLeft);
-// a bucket that outgrows its region, or migrates away, puts the old
-// one back into the regions of the processor that grows or extracts
-// it. So a pool belongs to its processor, not to a memory: a bucket
-// that changes owners gives its runs back to whichever processor lets
-// go of them, and a chunk stays live while any run carved from it
-// does. So the stored tokens a long-lived processor holds are bounded
-// by its live left entries, plus one chunk, however long it runs, and
-// its regions by what its buckets grew to.
+// over a quarter of a chunk is a heap allocation of its own. put pushes
+// a run nothing reads any more on the free list for its capacity, or
+// leaves a heap run to the collector. A left add copies its token into
+// a run of the adding processor's store (addLeft), and a remove puts
+// the entry's run back into the remover's (removeLeft); a bucket that
+// outgrows its region, or migrates away, puts the old one back into the
+// regions of the processor that grows or extracts it. So a pool belongs
+// to its processor, not to a memory: a bucket that changes owners gives
+// its runs back to whichever processor lets go of them, and a chunk
+// stays live while any run carved from it does. So the stored tokens a
+// long-lived processor holds are bounded by its live left entries, plus
+// one chunk, however long it runs, and its regions by what its buckets
+// grew to.
+//
+// The element type decides the rest, so the zero pool is ready to use.
+// A region put back is cleared: every slot past a bucket's length reads
+// zero (Memory), and an entry names a node and a token. A run of
+// handles names nothing the collector traces, and addLeft overwrites
+// the whole run it takes, so it goes back as it is.
 //
 // A pool is single-owner, like the Processor that embeds it.
 type pool[T int32 | leftEntry | rightEntry] struct {
-	chunkLen int     // the length of a chunk
-	chunk    []T     // the current chunk; chunk[:used] is carved
-	used     int     // elements carved from the current chunk
-	carved   int     // elements carved, across chunks, since the last reset
-	free     [][][]T // per length, runs put back
+	chunk  []T     // the current chunk; chunk[:used] is carved
+	used   int     // elements carved from the current chunk
+	carved int     // elements carved, across chunks, since the last reset
+	free   [][][]T // per length, runs put back
 }
 
-// take returns a run of n zero elements: the last run put back at
-// length n, or the next carved from the chunk. The slot a run is taken
-// from is not cleared: the run is in use, and reset clears every slot.
+// regions reports whether the pool holds bucket regions, not runs of
+// handles.
+func (p *pool[T]) regions() bool {
+	var zero T
+	_, handles := any(zero).(int32)
+	return !handles
+}
+
+// chunkLen is the length of the pool's chunks.
+func (p *pool[T]) chunkLen() int {
+	if p.regions() {
+		return regionChunkLen
+	}
+	return storeChunkLen
+}
+
+// take returns a run of n elements: the last run put back at length n,
+// or the next carved from the chunk. A region reads zero; a run of
+// handles taken off a free list still holds the handles it held. The
+// slot a run is taken from is not cleared: the run is in use, and reset
+// clears every slot.
 func (p *pool[T]) take(n int) []T {
 	if n < len(p.free) {
 		if f := p.free[n]; len(f) > 0 {
@@ -297,11 +320,12 @@ func (p *pool[T]) take(n int) []T {
 			return f[len(f)-1]
 		}
 	}
-	if n > p.chunkLen/4 {
+	chunkLen := p.chunkLen()
+	if n > chunkLen/4 {
 		return make([]T, n)
 	}
 	if len(p.chunk)-p.used < n {
-		p.chunk, p.used = make([]T, p.chunkLen), 0
+		p.chunk, p.used = make([]T, chunkLen), 0
 	}
 	r := p.chunk[p.used : p.used+n : p.used+n]
 	p.used += n
@@ -309,14 +333,14 @@ func (p *pool[T]) take(n int) []T {
 	return r
 }
 
-// put takes back run r, which nothing reads any more, cleared. A heap
-// run is left to the collector. Under poisonRewind every run is
-// cleared — a run of handles then reads as poisonWME — and never
-// reused.
+// put takes back run r, which nothing reads any more; a region is
+// cleared. A heap run is left to the collector. Under poisonRewind
+// every run is cleared — a run of handles then reads as poisonWME —
+// and never reused.
 func (p *pool[T]) put(r []T) {
 	n := cap(r)
-	heap := n > p.chunkLen/4
-	if !heap || poisonRewind {
+	heap := n > p.chunkLen()/4
+	if (!heap && p.regions()) || poisonRewind {
 		clear(r[:n])
 	}
 	if heap || n == 0 || poisonRewind {

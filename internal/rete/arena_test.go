@@ -314,18 +314,20 @@ func TestPool(t *testing.T) {
 	}
 }
 
-// checkPool: a run taken is zero and full-capacity-capped, and a fresh
-// pool carves them from the front of its chunk; a run put back reads
-// zero and is the next run taken at its length, so reuse carves
-// nothing; a free list is sized once, at the floor; a run over a
-// quarter of a chunk comes from the heap and put drops it; reset
-// empties the free lists and rewinds the chunk, so the next run is
-// carved, zero, from its front again, while a run that does not fit
-// takes a fresh chunk; and under the poison a run put back is cleared
-// and never taken again. mk makes a nonzero element.
+// checkPool: a zero pool carves runs, zero and full-capacity-capped,
+// from the front of a chunk of chunkLen; a run put back is the next run
+// taken at its length, so reuse carves nothing, and it reads zero if
+// it is a region while a run of handles keeps its handles; a free list
+// is sized once, at the floor; a run over a quarter of a chunk comes
+// from the heap and put drops it; reset empties the free lists and
+// rewinds the chunk, so the next run is carved, zero, from its front
+// again, while a run that does not fit takes a fresh chunk; and under
+// the poison a run put back is cleared and never taken again. mk makes
+// a nonzero element.
 func checkPool[T int32 | leftEntry | rightEntry](t *testing.T, chunkLen int, mk func(int) T) {
-	p := &pool[T]{chunkLen: chunkLen}
+	p := new(pool[T])
 	var zero T
+	_, handles := any(zero).(int32)
 	isZero := func(r []T) bool {
 		for _, e := range r[:cap(r)] {
 			if !reflect.DeepEqual(e, zero) {
@@ -350,14 +352,14 @@ func checkPool[T int32 | leftEntry | rightEntry](t *testing.T, chunkLen int, mk 
 		fill(kept[w])
 	}
 	first, carved := &p.chunk[0], p.carved
-	if carved != 36 || &kept[1][0] != first {
-		t.Fatalf("eight runs carved %d elements, want 36 from the chunk's front", carved)
+	if carved != 36 || &kept[1][0] != first || len(p.chunk) != chunkLen {
+		t.Fatalf("eight runs carved %d elements, want 36 from the front of a %d-chunk (got %d)", carved, chunkLen, len(p.chunk))
 	}
 	for round := 0; round < 3; round++ {
 		for w := widths; w >= 1; w-- {
 			p.put(kept[w])
-			if !isZero(kept[w]) {
-				t.Fatalf("round %d: a %d-run put back reads %v", round, w, kept[w])
+			if isZero(kept[w]) == handles {
+				t.Fatalf("round %d: a %d-run put back reads %v, want zero exactly for a region", round, w, kept[w])
 			}
 			got := p.take(w)
 			if &got[0] != &kept[w][0] || len(got) != w {

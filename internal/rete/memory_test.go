@@ -39,7 +39,7 @@ func idKeyT(tab *Table, t Token) string {
 }
 
 func TestMemoryAddRemoveScan(t *testing.T) {
-	m, r := newMemory[rightEntry](8), &pool[rightEntry]{chunkLen: regionChunkLen}
+	m, r := newMemory[rightEntry](8), new(pool[rightEntry])
 	n1 := &Node{ID: 1, Kind: KindJoin}
 	n2 := &Node{ID: 2, Kind: KindJoin}
 
@@ -79,7 +79,7 @@ func TestMemoryAddRemoveScan(t *testing.T) {
 }
 
 func TestMemoryLeftTokens(t *testing.T) {
-	m, r := newMemory[leftEntry](4), &pool[leftEntry]{chunkLen: regionChunkLen}
+	m, r := newMemory[leftEntry](4), new(pool[leftEntry])
 	n := &Node{ID: 7, Kind: KindNegative}
 	tab := NewTable()
 	t1 := tokenT(tab, mkWME(1, "a"), mkWME(2, "b"))
@@ -110,8 +110,8 @@ func TestMemoryLeftTokens(t *testing.T) {
 // allocate.
 func TestMemoryBucketKeepsOrderAndReusesSlots(t *testing.T) {
 	right, left := newMemory[rightEntry](4), newMemory[leftEntry](4)
-	rr, lr := &pool[rightEntry]{chunkLen: regionChunkLen}, &pool[leftEntry]{chunkLen: regionChunkLen}
-	s := &pool[int32]{chunkLen: storeChunkLen}
+	rr, lr := new(pool[rightEntry]), new(pool[leftEntry])
+	s := new(pool[int32])
 	stored := func(t Token) Token {
 		h := s.take(len(t.H))
 		copyHandles(h, t.H)
@@ -175,7 +175,7 @@ func freeZero[E leftEntry | rightEntry](t *testing.T, what string, r *pool[E]) {
 	t.Helper()
 	for n, list := range r.free {
 		for _, region := range list {
-			if len(region) != n || cap(region) != n || n > r.chunkLen/4 {
+			if len(region) != n || cap(region) != n || n > r.chunkLen()/4 {
 				t.Fatalf("%s: the %d-list holds a region of %d/%d entries", what, n, len(region), cap(region))
 			}
 			tailZero(t, what, region[:0])
@@ -189,7 +189,7 @@ func freeZero[E leftEntry | rightEntry](t *testing.T, what string, r *pool[E]) {
 // so does every region on a free list, where each outgrown
 // chunk-carved region goes for the next growth to take.
 func TestRegionsKeepTheTailZero(t *testing.T) {
-	m, r := newMemory[leftEntry](2), &pool[leftEntry]{chunkLen: regionChunkLen}
+	m, r := newMemory[leftEntry](2), new(pool[leftEntry])
 	n := &Node{ID: 1, Kind: KindNegative}
 	tab := NewTable()
 	var ts []Token

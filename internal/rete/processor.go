@@ -72,10 +72,7 @@ func NewProcessor(net *Network, nbuckets int, tab *Table) *Processor {
 // over another's memories (Memories); no two may touch one bucket at
 // once.
 func NewProcessorOver(net *Network, tab *Table, left *Memory[leftEntry], right *Memory[rightEntry]) *Processor {
-	return &Processor{net: net, tab: tab, left: left, right: right,
-		store: pool[int32]{chunkLen: storeChunkLen},
-		lregs: pool[leftEntry]{chunkLen: regionChunkLen},
-		rregs: pool[rightEntry]{chunkLen: regionChunkLen}}
+	return &Processor{net: net, tab: tab, left: left, right: right}
 }
 
 // Network returns the compiled network.

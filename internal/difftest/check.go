@@ -114,10 +114,14 @@ type Outcome struct {
 }
 
 // diff returns a description of the first difference from o to other,
-// or "" when equal.
+// or "" when equal. A panic, then a differing error, come before the
+// cycles: a run that failed stops short, and its error says why.
 func (o *Outcome) diff(other *Outcome) string {
 	if o.Panic != "" || other.Panic != "" {
 		return fmt.Sprintf("panic:\n  ref: %s\n  got: %s", o.Panic, other.Panic)
+	}
+	if o.Err != other.Err {
+		return fmt.Sprintf("err: ref %q, got %q", o.Err, other.Err)
 	}
 	for i := 0; i < len(o.Cycles) && i < len(other.Cycles); i++ {
 		if o.Cycles[i] != other.Cycles[i] {
@@ -142,8 +146,6 @@ func (o *Outcome) diff(other *Outcome) string {
 		return fmt.Sprintf("fired: ref %d, got %d", o.Fired, other.Fired)
 	case o.Halted != other.Halted:
 		return fmt.Sprintf("halted: ref %v, got %v", o.Halted, other.Halted)
-	case o.Err != other.Err:
-		return fmt.Sprintf("err: ref %q, got %q", o.Err, other.Err)
 	case o.Truncated != other.Truncated:
 		return fmt.Sprintf("truncated: ref %v, got %v", o.Truncated, other.Truncated)
 	}

@@ -2,6 +2,7 @@ package difftest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -317,6 +318,41 @@ func TestCheckReportsAPanicEveryRowShares(t *testing.T) {
 	m = checkConfigs(c, []config{ok, panicking("other")}, quickOpts.withDefaults())
 	if m == nil || m.Config != "other" || !strings.Contains(m.Detail, "shared fault") {
 		t.Fatalf("a panic in a non-reference row: got %v", m)
+	}
+}
+
+// stallMatcher matches only its first phase, as a runtime whose worker
+// died after the first cycle does: every later Apply finds nothing.
+type stallMatcher struct {
+	inner  engine.MatchApplier
+	phases *int
+}
+
+func (s stallMatcher) Apply(changes []rete.Change) []rete.InstChange {
+	if *s.phases++; *s.phases > 1 {
+		return nil
+	}
+	return s.inner.Apply(changes)
+}
+
+// TestCheckReportsAFailedRowsError: a row whose run failed stops short,
+// and its mismatch names the failure, not the cycle count it fell
+// short by.
+func TestCheckReportsAFailedRowsError(t *testing.T) {
+	const why = "transport: worker 1 acts turn: wire: malformed payload: side 7 at offset 12"
+	failing := config{name: "failing", build: func(prods []*ops5.Production, _ CheckOptions) (built, error) {
+		net, err := rete.Compile(prods)
+		if err != nil {
+			return built{}, err
+		}
+		m := rete.NewMatcher(net, rete.MatcherOptions{NBuckets: checkNBuckets})
+		return built{net: net, matcher: stallMatcher{inner: m, phases: new(int)}, finish: func() error { return errors.New(why) }}, nil
+	}}
+	c := Case{Name: "chain", ProgSrc: "(p ab (a ^x <v>) --> (make b ^y <v>)) (p bc (b ^y <v>) --> (make c ^z <v>))", WMESrc: "(a ^x 1)"}
+	ok := config{name: "ok", build: seqBuild("shared", checkNBuckets)}
+	m := checkConfigs(c, []config{ok, failing}, quickOpts.withDefaults())
+	if m == nil || m.Config != "failing" || !strings.Contains(m.Detail, why) {
+		t.Fatalf("a failed row: got %v, want its mismatch to carry %q", m, why)
 	}
 }
 

@@ -444,6 +444,9 @@ func (d *Driver) inPlaceHead(changes []rete.Change, budget int) (handedOff bool)
 	for _, s := range d.steps {
 		s.BeginPhase()
 	}
+	// The FIFO and its buckets take about a root per change (Step.reserve).
+	d.queue = slices.Grow(d.queue, len(changes))
+	d.buckets = slices.Grow(d.buckets, len(changes))
 	for i, ch := range changes {
 		n := len(d.queue)
 		d.queue = d.proc.RootActivationsInto(ch, d.handles[i], d.queue)

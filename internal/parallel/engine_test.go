@@ -92,9 +92,11 @@ func TestEngineOnParallelRuntime(t *testing.T) {
 // the goroutine runtime, in the unit the benchmark's par-queens row
 // reports: heap bytes per firing of an 8-queens session whose match
 // phase runs on parallel.New with two workers, from the runtime's
-// construction to its Close, run to the halt. It reads 278.4–288.1,
-// 288.1 in most runs alone (343.5–354.9 while every token a memory
-// stored came from an arena nothing but Reset rewound; 444.3–455.7 while the driver netted each cycle's deltas into a
+// construction to its Close, run to the halt. It reads 276.4–277.3,
+// and 286.2–286.8 in about one run of five (281.9–288.1 while the
+// steps' queues and shares, the in-place head's FIFO and a phase's
+// handle list grew from empty by doubling; 343.5–354.9 while every
+// token a memory stored came from an arena nothing but Reset rewound; 444.3–455.7 while the driver netted each cycle's deltas into a
 // result slab of its own; 530.5 while each step had a memory pair of
 // its own and the in-place head dealt the roots into messages and
 // per-step queues; 819.4 while every make and modify allocated its row
@@ -134,8 +136,51 @@ func TestParQueensBytesPerFiring(t *testing.T) {
 	}
 	perFiring := float64(after.TotalAlloc-before.TotalAlloc) / float64(fired)
 	t.Logf("%d firings, %.1f heap bytes per firing", fired, perFiring)
-	const pinned = 288.1
+	const pinned = 286.8
 	if perFiring > pinned*1.03 {
 		t.Errorf("%.1f heap bytes per firing, want at most %.1f", perFiring, pinned*1.03)
+	}
+}
+
+// TestParQueensRunAllocs pins the heap objects of a whole 8-queens run
+// on the goroutine runtime, as TestQueensRunAllocs (engine) does the
+// sequential one's and TestWireQueensRunAllocs (transport) the star's:
+// parallel.New with two workers, a session over it, the board loaded,
+// run to the halt, Close. It reads 250 to 251 (301 to 302 while the
+// steps' queues and shares, the in-place head's FIFO and a phase's
+// handle list grew from empty by doubling).
+func TestParQueensRunAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("escape analysis decides differently under the race detector")
+	}
+	prog, err := ops5.ParseProgram(workloads.Queens)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := engine.Compile(prog, engine.CompileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	board, err := ops5.ParseWMEs(workloads.QueensWMEs(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := testing.AllocsPerRun(5, func() {
+		rt, err := New(c.Network(), Options{Workers: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := c.NewSession(engine.SessionOptions{Matcher: rt})
+		s.InsertWMEs(board...)
+		fired, err := s.Run(100_000)
+		rt.Close()
+		if err != nil || fired != 2033 {
+			t.Fatalf("8-queens fired %d times (%v), want 2033", fired, err)
+		}
+	})
+	t.Logf("a whole 8-queens run on two goroutine workers makes %.0f heap objects", n)
+	const pinned = 251
+	if n > pinned*1.05 {
+		t.Errorf("a whole 8-queens run on two goroutine workers makes %.0f heap objects, want at most %.0f", n, pinned*1.05)
 	}
 }

@@ -43,10 +43,15 @@ func (t *Table) WME(h int32) *ops5.WME {
 	return t.rows[h]
 }
 
+// Len returns one past the highest handle the table has given out or
+// filled.
+func (t *Table) Len() int { return len(t.rows) }
+
 // Handles registers a phase's changes and appends one handle per change
-// to out. An Add of an ID the table holds keeps its handle (a live
-// production addition replays live wmes); a Delete of one it does not
-// hold — a duplicate — gets a handle for the phase only.
+// to out, which grows once, to hold them all. An Add of an ID the table
+// holds keeps its handle (a live production addition replays live
+// wmes); a Delete of one it does not hold — a duplicate — gets a handle
+// for the phase only.
 func (t *Table) Handles(changes []Change, out []int32) []int32 {
 	// Sized for the first phase, a session's initial working memory: an
 	// index grown entry by entry costs twice the bytes.
@@ -54,6 +59,7 @@ func (t *Table) Handles(changes []Change, out []int32) []int32 {
 		t.byID = make(map[int]int32, len(changes))
 	}
 	t.rows = slices.Grow(t.rows, len(changes))
+	out = slices.Grow(out, len(changes))
 	for _, ch := range changes {
 		id := ch.WME.ID
 		h, ok := t.byID[id]
@@ -96,6 +102,11 @@ func (t *Table) Reset() {
 	clear(t.byID)
 	t.free, t.retired = t.free[:0], t.retired[:0]
 }
+
+// Grow makes room for n more rows without another allocation: a mirror
+// about to decode a frame that defines up to n new handles grows once
+// for the frame, not once per doubling. The caller bounds n.
+func (t *Table) Grow(n int) { t.rows = slices.Grow(t.rows, n) }
 
 // Define fills row h of a mirror with w, growing the table to hold it.
 // The caller bounds h.

@@ -73,6 +73,15 @@ import (
 // production travels as its terminal node's id, which must name a
 // production node, so a frame cross-wired from a different program
 // fails with ErrBadPayload instead of corrupting the match state.
+//
+// The reservation rule: a buffer a frame fills is sized once, from the
+// count the frame declares, before the first element is decoded — a
+// cycle frame's changes (and the mirror's rows they define), an
+// activation list, a turn frame's deltas, a move list — and never from
+// a count alone: dec.fits holds it to the elements the payload's unread
+// bytes could encode at their smallest (the min*Bytes constants), so a
+// forged count buys no more memory than a few times its frame's own
+// bytes. Nothing on the wire says how large a buffer is.
 
 // mirrorMax bounds the handles on the wire, and with them a worker's
 // mirror: 2^20 rows, 8 MiB of references. A run whose control table
@@ -144,6 +153,27 @@ type dec struct {
 	slab, handles []int32
 }
 
+// The fewest bytes an element of each counted list takes on the wire,
+// by which dec.fits holds a reservation to its frame: a wme reference
+// is its form byte, handle and time tag; a change its tag and a wme
+// position, a reference at the least; an activation its bucket, depth,
+// node, side, tag and token flag and a wme position's form byte; a
+// delta its tag, production, position count and a position for its
+// first condition element; a move its bucket and new owner.
+const (
+	minRefBytes        = 3
+	minChangeBytes     = 1 + minRefBytes
+	minActivationBytes = 7
+	minDeltaBytes      = 4
+	minMoveBytes       = 2
+)
+
+// fits holds n, a count the frame declares, to the elements of at least
+// minSize bytes each that the payload's unread rest could encode: what
+// a decoder may reserve for them. Every buffer sized from a wire count
+// is sized through it.
+func (d *dec) fits(n, minSize int) int { return min(n, len(d.B)/minSize) }
+
 // index decodes an index into a space of the given size.
 func (d *dec) index(size int, what string) int32 {
 	v := d.I64()
@@ -187,8 +217,13 @@ func (e *enc) wme(h int32) {
 		e.Int(w.TimeTag)
 		return
 	}
-	for int(h) >= len(e.sent) {
-		e.sent = append(e.sent, noTag)
+	if int(h) >= len(e.sent) {
+		// Grow once to every handle the table has given out, not to h.
+		n := e.tab.Len()
+		e.sent = slices.Grow(e.sent, n-len(e.sent))
+		for len(e.sent) < n {
+			e.sent = append(e.sent, noTag)
+		}
 	}
 	e.sent[h] = w.TimeTag
 	e.defs++
@@ -412,9 +447,14 @@ const handleSlab = 1024
 func (d *dec) rewindTokens() { d.handles = d.slab }
 
 // token decodes a counted list of wmes into a token carved from the
-// decoder's slab.
+// decoder's slab. A count the payload cannot hold as references fails
+// before the slab grows for it.
 func (d *dec) token() rete.Token {
 	n := d.Count(1 << 16)
+	if d.fits(n, minRefBytes) < n {
+		d.Fail(fmt.Sprintf("token of %d wmes in %d bytes", n, len(d.B)))
+		return rete.Token{}
+	}
 	if len(d.handles) < n {
 		d.slab = make([]int32, max(n, 2*len(d.slab), handleSlab))
 		d.handles = d.slab
@@ -429,8 +469,21 @@ func (d *dec) token() rete.Token {
 
 // --- changes, activations, instantiations ---
 
+// changeBytes is what a cycle frame reserves per change (enc.changes).
+// 8-queens' cycle frames, header and stamp included, measure in bytes
+// per change:
+//
+//	changes in the frame    1      2     4–5    571 (the load)
+//	bytes a change          14–29  19.5  12–16  21.9
+//
+// so the load frame, every change a definition, opens at the size it
+// fills, and a frame of a few changes reserves less than the encoder's
+// first buffer already holds.
+const changeBytes = 24
+
 // changes encodes a cycle's wme changes, whose wmes have handles hs.
 func (e *enc) changes(chs []rete.Change, hs []int32) {
+	e.Buf = slices.Grow(e.Buf, len(chs)*changeBytes)
 	e.Count(len(chs))
 	for i, ch := range chs {
 		e.Byte(byte(ch.Tag))
@@ -440,11 +493,17 @@ func (e *enc) changes(chs []rete.Change, hs []int32) {
 
 // changes decodes a cycle's wme changes into pkt, reusing its slices.
 func (d *dec) changes(pkt *parallel.CyclePacket) {
-	// Count holds n to the bytes that remain, so the packet grows once,
-	// to the frame's count, not one change at a time.
+	// The packet grows once, to the frame's count, not one change at a
+	// time, and a mirror makes room for a row per change: the control
+	// hands out handles densely from 1, so a broadcast frame's new wmes
+	// land just past the mirror's last row.
 	n := d.Count(1 << 24)
-	pkt.Changes, pkt.Handles = slices.Grow(pkt.Changes[:0], n), slices.Grow(pkt.Handles[:0], n)
-	for i := 0; i < n; i++ {
+	k := d.fits(n, minChangeBytes)
+	pkt.Changes, pkt.Handles = slices.Grow(pkt.Changes[:0], k), slices.Grow(pkt.Handles[:0], k)
+	if d.mirror {
+		d.tab.Grow(k)
+	}
+	for i := 0; i < n && d.Err == nil; i++ {
 		tag, h := d.tag(), d.wme()
 		pkt.Changes = append(pkt.Changes, rete.Change{Tag: tag, WME: d.tab.WME(h)})
 		pkt.Handles = append(pkt.Handles, h)
@@ -525,8 +584,8 @@ func (e *enc) actList(ms []parallel.Message) {
 
 func (d *dec) actList(net *rete.Network, buf []parallel.Message) []parallel.Message {
 	n := d.Count(1 << 24)
-	buf = buf[:0]
-	for i := 0; i < n; i++ {
+	buf = slices.Grow(buf[:0], d.fits(n, minActivationBytes))
+	for i := 0; i < n && d.Err == nil; i++ {
 		buf = append(buf, parallel.Message{Kind: parallel.MsgAct, Bucket: d.bucket(), Depth: d.I32(), Act: d.activation(net)})
 	}
 	return buf
@@ -593,9 +652,10 @@ func (e *enc) moves(mvs []parallel.BucketMove) {
 }
 
 func (d *dec) moves() []parallel.BucketMove {
-	mvs := make([]parallel.BucketMove, d.Count(1<<24))
-	for i := range mvs {
-		mvs[i] = parallel.BucketMove{Bucket: d.bucket(), NewOwner: d.worker()}
+	n := d.Count(1 << 24)
+	mvs := make([]parallel.BucketMove, 0, d.fits(n, minMoveBytes))
+	for i := 0; i < n && d.Err == nil; i++ {
+		mvs = append(mvs, parallel.BucketMove{Bucket: d.bucket(), NewOwner: d.worker()})
 	}
 	return mvs
 }
@@ -645,12 +705,12 @@ func (e *enc) bucketContents(bc *rete.BucketContents) {
 
 func (d *dec) bucketContents(net *rete.Network) *rete.BucketContents {
 	bc := &rete.BucketContents{Bucket: int(d.bucket())}
-	for i, n := 0, d.Count(1<<24); i < n; i++ {
+	for i, n := 0, d.Count(1<<24); i < n && d.Err == nil; i++ {
 		bc.LeftNodes = append(bc.LeftNodes, d.node(net))
 		bc.LeftCounts = append(bc.LeftCounts, d.Int())
 		bc.LeftTokens = append(bc.LeftTokens, d.token())
 	}
-	for i, n := 0, d.Count(1<<24); i < n; i++ {
+	for i, n := 0, d.Count(1<<24); i < n && d.Err == nil; i++ {
 		bc.RightNodes = append(bc.RightNodes, d.node(net))
 		bc.RightWMEs = append(bc.RightWMEs, d.wme())
 	}
@@ -740,24 +800,24 @@ func (d *dec) turn(net *rete.Network, tf *turnFrame) error {
 		d.Fail("negative turn count")
 	}
 	tf.turn.Handled = d.I64()
-	tf.turn.Insts = tf.turn.Insts[:0]
 	n := d.Count(1 << 24)
-	// Every wme position costs a byte, so count holds the total to the
-	// frame's size.
+	tf.turn.Insts = slices.Grow(tf.turn.Insts[:0], d.fits(n, minDeltaBytes))
+	// Every wme position costs a byte, so Count has held the total to
+	// the frame's size, and fits(nw, 1) is nw.
 	nw, k := d.Count(1<<24), len(tf.buf)
 	if cap(tf.buf)-k < nw {
-		tf.buf, k = make([]*ops5.WME, 0, max(nw, 2*cap(tf.buf))), 0
+		tf.buf, k = make([]*ops5.WME, 0, max(d.fits(nw, 1), 2*cap(tf.buf))), 0
 	}
 	tf.buf = tf.buf[:k+nw]
 	tf.wmes = tf.buf[k : k+nw : k+nw]
-	for i := 0; i < n; i++ {
+	for i := 0; i < n && d.Err == nil; i++ {
 		tf.turn.Insts = append(tf.turn.Insts, d.instChange(net, tf))
 	}
 	if len(tf.wmes) != 0 {
 		d.Fail("instantiations fall short of the frame's declared totals")
 	}
 	tf.turn.Loads = tf.turn.Loads[:0]
-	for i, n := 0, d.Count(1<<24); i < n; i++ {
+	for i, n := 0, d.Count(1<<24); i < n && d.Err == nil; i++ {
 		tf.turn.Loads = append(tf.turn.Loads, parallel.BucketLoad{Bucket: d.bucket(), N: d.I64()})
 	}
 	if d.ring > 0 {

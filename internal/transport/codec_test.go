@@ -2,14 +2,20 @@ package transport
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
 
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/parallel"
+	"mpcrete/internal/raceflag"
 	"mpcrete/internal/rete"
 	"mpcrete/internal/wire"
 )
@@ -290,6 +296,119 @@ func TestEncodeUnheldHandleFails(t *testing.T) {
 			if err := e.end(ftRelay); err == nil {
 				t.Errorf("refsOnly=%v: the frame after handle %d's encoded without an error", refsOnly, h)
 			}
+		}
+	}
+}
+
+// forgedCountFrames are an acts frame and a turn frame's payload that
+// each declare 2^24 elements in 64 bytes. They are committed as seeds
+// of FuzzTransportFrame (the whole frame) and FuzzTurnFrame (the
+// payload), so the fuzz smoke starts from a forged count.
+func forgedCountFrames() (actsFrame, turnPayload []byte) {
+	pad := func(b []byte) []byte { return append(b, make([]byte, 64-len(b))...) }
+	acts := pad(payloadOf(&enc{}, func(e *enc) {
+		e.I32(0) // batch
+		e.I32(2) // source: the control
+		e.Count(1 << 24)
+	}))
+	var b bytes.Buffer
+	writeFrame(&b, ftActs, acts)
+	turn := pad(payloadOf(&enc{}, func(e *enc) {
+		e.Int(1)         // messages processed
+		e.I64(0)         // activations
+		e.Count(1 << 24) // deltas
+		e.Count(1 << 24) // wme positions
+	}))
+	return b.Bytes(), turn
+}
+
+// TestReservationsHeldToTheFrame: a count a frame declares sizes the
+// buffer it fills only as far as the frame's bytes could fill it
+// (dec.fits). An acts frame and a turn frame that declare 2^24 elements
+// in a 64-byte payload, and two that declare as many elements as their
+// payload has bytes left, are refused with ErrBadPayload, and decoding
+// one allocates at most 16 times its payload. From the counts alone the
+// first two would reserve over a gigabyte, and the last two 76 and 38
+// times their payload.
+func TestReservationsHeldToTheFrame(t *testing.T) {
+	network, _ := mustCompile("blocks")
+	actsFrame, turnPayload := forgedCountFrames()
+	_, actsPayload, err := readFrame(bytes.NewReader(actsFrame))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// As many elements as bytes left: Count lets the count through.
+	byteCount := func(head func(e *enc)) []byte {
+		e := enc{}
+		head(&e)
+		n := 64 - len(e.Buf) - 1 // a count under 128 takes a byte
+		e.Count(n)
+		return append(e.Buf, make([]byte, n)...)
+	}
+	actsFull := byteCount(func(e *enc) { e.I32(0); e.I32(2) })
+	turnFull := byteCount(func(e *enc) { e.Int(1); e.I64(0) })
+
+	// A worker's decoder for the acts, a control's for the turns; every
+	// decode reserves afresh.
+	wd := dec{nbuckets: rete.DefaultNBuckets, workers: 2, tab: fixtureTable(), mirror: true, layouts: network.Layouts()}
+	cd := dec{nbuckets: rete.DefaultNBuckets, workers: 2, tab: fixtureTable(), layouts: network.Layouts()}
+	var tf turnFrame
+	acts := func(p []byte) error {
+		wd.Reset(p)
+		wd.I32()
+		wd.I32()
+		wd.actList(network, nil)
+		return wd.Done()
+	}
+	turn := func(p []byte) error {
+		cd.Reset(p)
+		tf.turn.Insts, tf.buf = nil, nil
+		return cd.turn(network, &tf)
+	}
+	for _, c := range []struct {
+		name    string
+		payload []byte
+		decode  func([]byte) error
+	}{
+		{"acts declaring 2^24", actsPayload, acts},
+		{"turn declaring 2^24", turnPayload, turn},
+		{"acts declaring its bytes", actsFull, acts},
+		{"turn declaring its bytes", turnFull, turn},
+	} {
+		if len(c.payload) != 64 {
+			t.Fatalf("%s: a %d-byte payload, want 64", c.name, len(c.payload))
+		}
+		if err := c.decode(c.payload); !errors.Is(err, ErrBadPayload) {
+			t.Errorf("%s: %v, want ErrBadPayload", c.name, err)
+		}
+		if raceflag.Enabled {
+			continue // escape analysis decides differently under the race detector
+		}
+		const runs = 100
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for range runs {
+			c.decode(c.payload)
+		}
+		runtime.ReadMemStats(&after)
+		per := (after.TotalAlloc - before.TotalAlloc) / runs
+		t.Logf("%s: %d bytes allocated per decode", c.name, per)
+		if per > 16*uint64(len(c.payload)) {
+			t.Errorf("%s: decoding a %d-byte payload allocates %d bytes, want at most 16 times the payload", c.name, len(c.payload), per)
+		}
+	}
+}
+
+// TestForgedCountSeeds: forgedCountFrames are committed as the seeds
+// named by their content, as the fuzzers' other generated seeds are.
+func TestForgedCountSeeds(t *testing.T) {
+	actsFrame, turnPayload := forgedCountFrames()
+	for fuzzer, data := range map[string][]byte{"FuzzTransportFrame": actsFrame, "FuzzTurnFrame": turnPayload} {
+		content := "go test fuzz v1\n[]byte(" + strconv.Quote(string(data)) + ")\n"
+		name := fmt.Sprintf("%x", sha256.Sum256([]byte(content)))[:16]
+		path := filepath.Join("testdata", "fuzz", fuzzer, name)
+		if got, err := os.ReadFile(path); err != nil || string(got) != content {
+			t.Errorf("the forged-count seed of %s is not committed as %s (%v)", fuzzer, path, err)
 		}
 	}
 }

@@ -21,7 +21,11 @@
 // them. A frame is built in place behind its reserved header and
 // leaves in one Write; a worker's whole turn — its relays and the
 // closing turn frame — leaves in one. codec.go has the payloads' wme
-// contract.
+// contract and the reservation rule: a buffer a frame fills is sized
+// once from the count the frame declares, held to what the frame's
+// bytes could encode, and an encoder or reader starts at the size of a
+// typical frame (readAhead), so neither end regrows a buffer by
+// doubling on every connection.
 package transport
 
 import (
@@ -133,7 +137,13 @@ var (
 // in one Write.
 
 // begin opens a frame at the end of the buffer, reserving its header.
+// An encoder's first frame reserves readAhead bytes, as a reader's
+// first read does, so a connection's buffer takes its working size at
+// once instead of doubling up to it from a header.
 func (e *enc) begin() {
+	if e.Buf == nil {
+		e.Buf = make([]byte, 0, readAhead)
+	}
 	e.start = len(e.Buf)
 	e.Buf = append(e.Buf, make([]byte, frameHeader)...)
 }
@@ -174,8 +184,16 @@ type frameReader struct {
 	off, end int
 }
 
-// readAhead is the size of a reader's first buffer. On 8-queens every
-// frame but the load cycle's fits.
+// readAhead is the size of a reader's first buffer and of an
+// encoder's (enc.begin). On 8-queens every frame but the load cycle's
+// fits, and so does every worker's write, a turn's relays and turn
+// frame together (bytes, 2 workers, header included):
+//
+//	frames          n      p50   p99   max
+//	hello           2    2,416       2,416
+//	cycle       4,066       28    62  12,526 (the load: 571 changes)
+//	acts        1,747       69   374     418
+//	worker write 5,815      29   386     525
 const readAhead = 4 << 10
 
 // next reads one frame. The payload aliases the reader's buffer and is

@@ -333,7 +333,10 @@ func warmWireQueens(t *testing.T) (*engine.Compiled, []*ops5.WME) {
 // TestWireQueensBytesPerFiring is TestParQueensBytesPerFiring
 // (parallel) over the star, in the unit the benchmark's wire-queens row
 // reports: heap bytes per firing of a warm wireQueensRun. It reads
-// 576.3–578.9, alone or after the package's other tests (678.4 while
+// 509.5–512.2, alone or after the package's other tests (576.3–578.9
+// while every connection's buffers — frame encoders, the control's send
+// state, a mirror's rows, decoded activation and delta lists, the
+// worker step's queues — grew from empty by doubling; 678.4 while
 // every token a memory stored came from an arena nothing but Reset
 // rewound and a worker kept every decoded token's slab; 782.2 run alone and 748.2 after the package's other tests while
 // every connection printed and compiled the program and a mirror's rows
@@ -350,15 +353,17 @@ func TestWireQueensBytesPerFiring(t *testing.T) {
 	bytes, _ := wireQueensRun(t, c, board)
 	perFiring := bytes / 2033
 	t.Logf("%.1f heap bytes per firing", perFiring)
-	const pinned = 578.9
+	const pinned = 512.2
 	if perFiring > pinned*1.03 {
 		t.Errorf("%.1f heap bytes per firing, want at most %.1f", perFiring, pinned*1.03)
 	}
 }
 
 // TestWireQueensRunAllocs pins the heap objects of a warm
-// wireQueensRun, control and both workers together: 602 to 609, 0.30 a
-// firing (711 to 723 while stored tokens came from a never-rewound
+// wireQueensRun, control and both workers together: 472 to 479, 0.23 a
+// firing (602 to 609 while every connection's buffers grew from empty
+// by doubling instead of taking their size from the frame or delivery
+// that fills them; 711 to 723 while stored tokens came from a never-rewound
 // arena, a mirror's free rows grew their lists one row at a time and a
 // cycle packet grew one change at a time; 4,155 to 4,161 while every
 // connection printed and compiled the program, and a mirror's rows and
@@ -370,7 +375,7 @@ func TestWireQueensRunAllocs(t *testing.T) {
 	c, board := warmWireQueens(t)
 	_, objects := wireQueensRun(t, c, board)
 	t.Logf("a warm 8-queens run over the star makes %.0f heap objects", objects)
-	const pinned = 606
+	const pinned = 476
 	if objects > pinned*1.05 {
 		t.Errorf("a warm 8-queens run over the star makes %.0f heap objects, want at most %.0f", objects, pinned*1.05)
 	}

@@ -2,7 +2,10 @@ package transport
 
 import (
 	"errors"
+	"fmt"
+	"net"
 	"sync"
+	"time"
 
 	"mpcrete/internal/parallel"
 	"mpcrete/internal/rete"
@@ -30,9 +33,12 @@ func NewLoopback(network *rete.Network) *Loopback {
 	return &Loopback{net: network}
 }
 
-// Open implements parallel.Transport. The stop function closes the
-// control, waits for the worker loops and records their errors in the
-// driver's sticky Err; it may be called more than once.
+// Open implements parallel.Transport. A worker loop that fails fails
+// the driver with its own error before its connection closes, so the
+// run's sticky Err is the worker's failure, not the control's EOF on
+// that connection. The stop function closes the control, waits for the
+// worker loops and records any later errors of theirs; it may be called
+// more than once.
 func (l *Loopback) Open(opts parallel.Options) (*parallel.Driver, func(), error) {
 	ctl, stop, err := l.open(opts)
 	if err != nil {
@@ -50,7 +56,7 @@ func (l *Loopback) open(opts parallel.Options) (*Control, func(), error) {
 	served := make(chan error, ctl.opts.Workers)
 	for range ctl.opts.Workers {
 		// One dial each: the listener is already up.
-		go func() { served <- Serve(ctl.Addr(), 0) }()
+		go func() { served <- serveLoop(ctl) }()
 	}
 	stop := sync.OnceFunc(func() {
 		ctl.Close()
@@ -67,4 +73,21 @@ func (l *Loopback) open(opts parallel.Options) (*Control, func(), error) {
 		return nil, nil, err
 	}
 	return ctl, stop, nil
+}
+
+// serveLoop dials ctl and runs one worker loop on the connection. A
+// worker's error goes to the driver while its connection is still
+// open: the control's reader sees the connection end only after, and
+// Driver.Fail keeps the first error.
+func serveLoop(ctl *Control) error {
+	conn, err := net.DialTimeout("tcp", ctl.Addr(), time.Second)
+	if err != nil {
+		return fmt.Errorf("transport: dialing control at %s: %w", ctl.Addr(), err)
+	}
+	defer conn.Close()
+	err = serveConn(conn)
+	if err != nil {
+		ctl.Fail(err)
+	}
+	return err
 }

@@ -226,6 +226,40 @@ func TestLoopbackWorkerErrorAfterClose(t *testing.T) {
 	}
 }
 
+// TestLoopbackWorkerErrorReachesTheRun: a worker that fails its turn
+// fails the run with its own error. Worker 1 is handed an acts frame
+// whose bucket is outside the topology's; the next cycle's error is the
+// worker's ErrBadPayload, naming its turn, not the control's EOF on the
+// connection the worker closed.
+func TestLoopbackWorkerErrorReachesTheRun(t *testing.T) {
+	net, changes := compileWorkload(t, "blocks")
+	ctl, stop, err := NewLoopback(net).open(parallel.Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	if _, err := ctl.Cycle(changes); err != nil {
+		t.Fatal(err)
+	}
+	err = ctl.conns[1].write(ftActs, func(e *enc) {
+		e.I32(0)
+		e.I32(2)
+		e.Count(1)
+		e.I32(1 << 20) // bucket
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	del := []rete.Change{{Tag: rete.Delete, WME: changes[0].WME}}
+	_, err = ctl.Cycle(del)
+	if !errors.Is(err, ErrBadPayload) || !strings.Contains(err.Error(), "worker 1 acts turn") || !strings.Contains(err.Error(), "bucket 1048576") {
+		t.Fatalf("Cycle after worker 1 failed its turn = %v, want worker 1's ErrBadPayload naming its acts turn and the bucket", err)
+	}
+	if err := ctl.Err(); err == nil || strings.Contains(err.Error(), "EOF") {
+		t.Fatalf("the run's Err = %v, want the worker's own error", err)
+	}
+}
+
 // rightAct builds a minimal right activation for plumbing tests.
 func rightAct(net *rete.Network) rete.Activation {
 	var node *rete.Node

@@ -201,9 +201,14 @@ func Serve(addr string, dialTimeout time.Duration) error {
 }
 
 // ServeConn runs the worker protocol on an established control
-// connection. It returns nil on a clean shutdown frame.
+// connection and closes it. It returns nil on a clean shutdown frame.
 func ServeConn(conn net.Conn) error {
 	defer conn.Close()
+	return serveConn(conn)
+}
+
+// serveConn is ServeConn leaving the connection open.
+func serveConn(conn net.Conn) error {
 	fr := frameReader{r: conn}
 
 	ft, payload, err := fr.next()
@@ -228,8 +233,11 @@ func ServeConn(conn net.Conn) error {
 		track: track,
 		epoch: time.Now(),
 		conn:  conn,
-		dec:   dec{nbuckets: h.nbuckets, workers: h.workers, tab: mirror, mirror: true, made: ops5.Carver{Floor: mirrorRowsPerChunk}, layouts: h.net.Layouts()},
-		enc:   enc{tab: mirror, refsOnly: true, layouts: h.net.Layouts()},
+		// The mirror's free rows are indexed by layout id, sized once
+		// from the program's layout table.
+		dec: dec{nbuckets: h.nbuckets, workers: h.workers, tab: mirror, mirror: true, rows: make(rete.Rows, len(h.net.Layouts())),
+			made: ops5.Carver{Floor: mirrorRowsPerChunk}, layouts: h.net.Layouts()},
+		enc: enc{tab: mirror, refsOnly: true, layouts: h.net.Layouts()},
 	}
 
 	w.enc.begin()

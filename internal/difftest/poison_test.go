@@ -3,7 +3,7 @@ package difftest
 import (
 	"testing"
 
-	"mpcrete/internal/rete"
+	"mpcrete/internal/alloc"
 )
 
 // TestPoisonedRewinds re-runs the differential matrix — the corpus, the
@@ -12,7 +12,7 @@ import (
 // wme, so that a token used after its arena was rewound is a
 // divergence from the sequential oracle and not a coincidence.
 func TestPoisonedRewinds(t *testing.T) {
-	t.Cleanup(rete.PoisonRewinds())
+	t.Cleanup(alloc.Poison())
 	t.Run("Corpus", TestCorpus)
 	t.Run("GeneratedCases", TestGeneratedCasesCheckClean)
 	t.Run("TCPTransportParity", TestTCPTransportParity)

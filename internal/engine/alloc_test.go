@@ -88,7 +88,7 @@ func TestStepResultBelongsToCaller(t *testing.T) { checkStepResult(t, false) }
 
 // checkStepResult runs 8-queens one Step at a time, holding each
 // result across the caller's reads and then across the next Step. With
-// poisoned set, the rewinds are poisoned (rete.PoisonRewinds), so a
+// poisoned set, the rewinds are poisoned (alloc.Poison), so a
 // result held past its Step must read as retired: its production nil,
 // and every wme the next Step deleted the sentinel (id -1).
 func checkStepResult(t *testing.T, poisoned bool) {

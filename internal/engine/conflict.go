@@ -3,6 +3,7 @@ package engine
 import (
 	"slices"
 
+	"mpcrete/internal/alloc"
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/rete"
 )
@@ -37,17 +38,12 @@ type conflictSet struct {
 	// member the last Step fired, retired at the next.
 	free  []*Instantiation
 	fired *Instantiation
-	// chunk, refs and tags are the unconsumed tails of the slabs a member
-	// is carved from when its production's free list is empty — the
-	// record, its WMEs and its TimeTags. A slab hands no region out twice:
-	// chunks run 8, 16, 32, 32, ... records and 32, 64, 128, 256, 256,
-	// ... references or tags (2 KB).
-	chunk    []Instantiation
-	chunkLen int
-	refs     []*ops5.WME
-	refsLen  int
-	tags     []int
-	tagsLen  int
+	// recs, refs and tags are the never-rewound arenas a member is
+	// carved from when its production's free list is empty: the record,
+	// its WMEs and its TimeTags.
+	recs alloc.Arena[Instantiation]
+	refs alloc.Arena[*ops5.WME]
+	tags alloc.Arena[int]
 }
 
 func newConflictSet() conflictSet {
@@ -65,18 +61,6 @@ func (cs *conflictSet) find(ic *rete.InstChange, h uint64) *Instantiation {
 	return nil
 }
 
-// carve cuts an n-element region from the tail *s of a never-reused
-// slab whose last chunk was *last long.
-func carve[T any](s *[]T, last *int, n int) []T {
-	if n > len(*s) {
-		*last = min(max(2**last, 32), 256)
-		*s = make([]T, max(*last, n))
-	}
-	r := (*s)[:n:n]
-	*s = (*s)[n:]
-	return r
-}
-
 // member returns a record for the instantiation ic names: a retired
 // one of the same production, arrays and all, or a fresh one with
 // arrays of ic's shape.
@@ -86,20 +70,15 @@ func (cs *conflictSet) member(ic *rete.InstChange) *Instantiation {
 		cs.free[id] = in.next
 		return in
 	}
-	if len(cs.chunk) == 0 {
-		cs.chunkLen = min(max(2*cs.chunkLen, 8), 32)
-		cs.chunk = make([]Instantiation, cs.chunkLen)
-	}
-	in := &cs.chunk[0]
-	cs.chunk = cs.chunk[1:]
+	in := &cs.recs.Take(1)[0]
 	tags := 0
 	for _, w := range ic.WMEs {
 		if w != nil {
 			tags++
 		}
 	}
-	in.WMEs = carve(&cs.refs, &cs.refsLen, len(ic.WMEs))
-	in.TimeTags = carve(&cs.tags, &cs.tagsLen, tags)
+	in.WMEs = cs.refs.Take(len(ic.WMEs))
+	in.TimeTags = cs.tags.Take(tags)
 	return in
 }
 
@@ -214,10 +193,10 @@ func (cs *conflictSet) remove(in *Instantiation) {
 }
 
 // retire puts a member no longer in the set on its production's free
-// list. Under the poison (rete.Retire) it is quarantined instead: its
+// list. Under the poison (alloc.Poison) it is quarantined instead: its
 // production reads as nil, and it is never reused.
 func (cs *conflictSet) retire(in *Instantiation) {
-	if !rete.Retire() {
+	if alloc.Poisoned() {
 		in.Prod, in.info = nil, nil
 		return
 	}

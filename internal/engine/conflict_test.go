@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"mpcrete/internal/alloc"
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/rete"
 )
@@ -333,7 +334,7 @@ func TestResetLetsGoOfTheLastTenant(t *testing.T) {
 	s.Assert(wmes...)
 	s.match()
 	cs := &s.conflict
-	if len(cs.list) == 0 || cap(cs.chunk) == 0 || cap(cs.tags) == 0 {
+	if len(cs.list) == 0 || cap(cs.recs.Region()) == 0 || cap(cs.tags.Region()) == 0 {
 		t.Fatalf("the workload left the conflict set nothing to let go of: %d members", len(cs.list))
 	}
 	if !s.Reset() {
@@ -347,18 +348,20 @@ func TestResetLetsGoOfTheLastTenant(t *testing.T) {
 	if len(cs.index) != 0 {
 		t.Fatalf("the index still holds %d chains", len(cs.index))
 	}
-	for i := range cs.chunk {
-		if in := &cs.chunk[i]; in.Prod != nil || in.WMEs != nil || in.TimeTags != nil || in.info != nil || in.next != nil {
-			t.Fatalf("instantiation %d of the slab's tail is not zero: %+v", i, *in)
+	recs := cs.recs.Region()
+	for i, in := range recs[len(recs):cap(recs)] {
+		if in.Prod != nil || in.WMEs != nil || in.TimeTags != nil || in.info != nil || in.next != nil {
+			t.Fatalf("instantiation %d of the arena's tail is not zero: %+v", i, in)
 		}
 	}
-	for i, tag := range cs.tags {
+	tags := cs.tags.Region()
+	for i, tag := range tags[len(tags):cap(tags)] {
 		if tag != 0 {
-			t.Fatalf("time tag %d of the slab's tail is %d", i, tag)
+			t.Fatalf("time tag %d of the arena's tail is %d", i, tag)
 		}
 	}
-	if len(cs.tags) > 256 {
-		t.Fatalf("the time-tag slab's tail is %d long: an oversized chunk outlived its one member", len(cs.tags))
+	if cap(tags) > alloc.ChunkLen[int]() {
+		t.Fatalf("the time-tag arena's region is %d long: an oversized region outlived its one member", cap(tags))
 	}
 }
 
@@ -396,14 +399,21 @@ func TestResetScrubsTheFreeLists(t *testing.T) {
 	if !s.Reset() {
 		t.Fatal("Reset refused")
 	}
+	// Each layout's free rows are taken off and put back in order.
 	rows := 0
-	for _, free := range s.free {
-		for _, w := range free {
-			rows++
+	for _, l := range c.Network().Layouts() {
+		var free []*ops5.WME
+		for s.free.Listed(l.ID()) > 0 {
+			w := s.free.Get(l.ID())
 			if w.ID != 0 || w.TimeTag != 0 || w.Len() != 0 {
 				t.Fatalf("free row %d:%d %s is not blank", w.ID, w.TimeTag, w)
 			}
+			free = append(free, w)
 		}
+		for i := len(free) - 1; i >= 0; i-- {
+			s.free.Push(l.ID(), free[i])
+		}
+		rows += len(free)
 	}
 	if rows < held {
 		t.Fatalf("%d free rows after a reset, want at least the %d the last tenant held", rows, held)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"mpcrete/internal/alloc"
 	"mpcrete/internal/engine"
 	"mpcrete/internal/rete"
 )
@@ -57,7 +58,7 @@ func queensTranscript(t *testing.T, every int, check func(s *engine.Session), wr
 // fire on the sentinel.
 func TestPoisonedRewinds(t *testing.T) {
 	clean := queensTranscript(t, 0, nil, nil)
-	t.Cleanup(rete.PoisonRewinds())
+	t.Cleanup(alloc.Poison())
 	t.Run("StepResultBelongsToCaller", func(t *testing.T) { checkStepResult(t, true) })
 	t.Run("ConflictSetKeepsNoLentArray", func(t *testing.T) {
 		checked := 0

@@ -137,7 +137,6 @@ func (e *Session) Reset() bool {
 			e.free.Retire(ch.WME)
 		}
 	}
-	e.free.Scrub()
 	e.wm.reset()
 	e.conflict.reset()
 	// The change buffer keeps its capacity for the next tenant, and none

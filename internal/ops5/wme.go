@@ -6,6 +6,8 @@ import (
 	"strconv"
 	"strings"
 	"unsafe"
+
+	"mpcrete/internal/alloc"
 )
 
 // Attr is one named attribute value: the form in which a wme holds
@@ -166,23 +168,24 @@ const rowChunkBytes = 32 << 10
 // A Carver makes rows by the batch. A caller counts the rows the batch
 // will make, by slot count (Expect), then takes them one at a time
 // (Conform, Clone). A row of one to four slots comes from a chunk of
-// rows of its width, one allocation sized to what is still expected
-// and capped at 32 KiB; a wider or slotless row is an allocation of its
-// own, as Layout.New makes it, and so is a row no Expect counted once
-// its width's chunk is used up, unless the carver has a Floor. A chunk
-// stays live while any of its rows does. The zero Carver is ready; the nil Carver allocates every
-// row on its own.
+// rows of its width, a never-rewound arena whose regions are sized to
+// what is still expected and capped at 32 KiB; a wider or slotless row
+// is an allocation of its own, as Layout.New makes it, and so is a row
+// no Expect counted once its width's chunk is used up, unless the
+// carver has a Floor. A chunk stays live while any of its rows does.
+// The zero Carver is ready; the nil Carver allocates every row on its
+// own.
 type Carver struct {
 	// Floor is the fewest rows a chunk is made of, however few are
 	// still expected: a carver that outlives its batches and makes its
 	// rows one at a time, unannounced, sets it so that they still come
 	// by the chunk. The zero Floor makes chunks of what is expected.
 	Floor int
-	need  [5]int // rows of one to four slots expected and not yet in a chunk
-	c1    []wme1
-	c2    []wme2
-	c3    []wme3
-	c4    []wme4
+	need  [5]int // rows of one to four slots expected and not yet taken
+	c1    alloc.Arena[wme1]
+	c2    alloc.Arena[wme2]
+	c3    alloc.Arena[wme3]
+	c4    alloc.Arena[wme4]
 }
 
 // Expect counts one more row of n slots that the batch will take.
@@ -192,19 +195,13 @@ func (c *Carver) Expect(n int) {
 	}
 }
 
-// carve takes the next row of a chunk, allocating the chunk when the
-// last one is used up: as many rows as are still expected, at least
-// floor and one, and no more than rowChunkBytes hold.
-func carve[T any](chunk *[]T, need *int, floor int) *T {
-	if len(*chunk) == 0 {
-		var row T
-		n := min(max(*need, floor, 1), int(rowChunkBytes/unsafe.Sizeof(row)))
-		*need = max(*need-n, 0)
-		*chunk = make([]T, n)
-	}
-	x := &(*chunk)[0]
-	*chunk = (*chunk)[1:]
-	return x
+// carve takes the next row of a chunk; a fresh chunk holds as many rows
+// as are still expected, at least floor and one, and no more than
+// rowChunkBytes hold.
+func carve[T any](a *alloc.Arena[T], need *int, floor int) *T {
+	n := min(max(*need, floor, 1), rowChunkBytes/int(unsafe.Sizeof(*new(T))))
+	*need = max(*need-1, 0)
+	return &a.TakeSized(1, n)[0]
 }
 
 // slotted returns a wme with n absent slots. Up to four slots it is a

@@ -3,7 +3,7 @@ package parallel
 import (
 	"testing"
 
-	"mpcrete/internal/rete"
+	"mpcrete/internal/alloc"
 )
 
 // TestPoisonedRewinds re-runs, with every rewound delete token
@@ -17,7 +17,7 @@ import (
 // of a cycle; rewinding any later — per turn, say — fails the hand-off
 // matrix within a round.
 func TestPoisonedRewinds(t *testing.T) {
-	t.Cleanup(rete.PoisonRewinds())
+	t.Cleanup(alloc.Poison())
 	t.Run("HandOffKeepsConflictSet", TestHandOffKeepsConflictSet)
 	t.Run("ForcedMigrationParity", TestForcedMigrationParity)
 	t.Run("AdaptiveRebalanceParity", TestAdaptiveRebalanceParity)

@@ -6,25 +6,43 @@ import (
 	"slices"
 	"testing"
 
+	"mpcrete/internal/alloc"
 	"mpcrete/internal/ops5"
 )
 
-// poison switches poisonRewind on for the rest of the test.
+// poison switches the poison on for the rest of the test.
 func poison(t *testing.T) {
 	t.Helper()
-	t.Cleanup(PoisonRewinds())
+	t.Cleanup(alloc.Poison())
 }
 
-// holds reports whether run r was carved from the arena's current
-// region.
-func (ar *arena[T]) holds(r []T) bool {
-	region := ar.buf[:cap(ar.buf)]
-	for i := range region {
-		if len(r) > 0 && &region[i] == &r[0] {
+// within reports whether run r starts inside s: a region an arena lent
+// it from, or the part of a chunk a pool carved.
+func within[T any](s, r []T) bool {
+	for i := range s {
+		if len(r) > 0 && &s[i] == &r[0] {
 			return true
 		}
 	}
 	return false
+}
+
+// lent reports whether run r was lent from the arena's current region.
+func lent[T any](a *alloc.Arena[T], r []T) bool {
+	region := a.Region()
+	return within(region[:cap(region)], r)
+}
+
+// carved reports whether run r was carved from the pool's current
+// chunk.
+func carved[T any](p *alloc.Pool[T], r []T) bool { return within(p.Carved(), r) }
+
+// freeLen counts the elements of the runs on a pool's free lists.
+func freeLen[T any](p *alloc.Pool[T]) (n int) {
+	for k := 1; k <= alloc.ChunkLen[T]()/4; k++ {
+		n += k * p.Listed(k)
+	}
+	return n
 }
 
 // TestPoisonedRewinds re-runs, with every rewound token overwritten by
@@ -74,7 +92,7 @@ func TestDeleteTokensAreNeverStored(t *testing.T) {
 			}
 			for b, bucket := range p.left.buckets {
 				for _, e := range bucket {
-					if p.phase.holds(e.token.H) {
+					if lent(&p.phase, e.token.H) {
 						t.Fatalf("trial %d step %d: left bucket %d stores token %v of node %d from the phase arena", trial, step, b, e.token, e.node.ID)
 					}
 					for _, h := range e.token.H {
@@ -104,17 +122,18 @@ func TestDeleteArenaIsRewoundOnlyWhenAsked(t *testing.T) {
 	m, adds, dels := pairingBurst(t, 3, 3)
 	m.Apply(adds)
 	m.Apply(dels)
-	region := &m.proc.phase.buf[:1][0]
-	perPhase := m.proc.phase.used
+	ar := &m.proc.phase
+	region := &ar.Region()[:1][0]
+	perPhase := len(ar.Region())
 	for i := 0; i < 100; i++ {
 		m.Apply(adds)
 		m.Apply(dels)
 	}
-	if perPhase == 0 || perPhase*100 < arenaChunkLen {
+	if perPhase == 0 || perPhase*100 < alloc.ChunkLen[int32]() {
 		t.Fatalf("%d handles a delete phase: 100 phases would not outgrow a region anyway", perPhase)
 	}
-	if &m.proc.phase.buf[:1][0] != region || m.proc.phase.used != perPhase {
-		t.Errorf("after 100 delete phases the delete arena is %d handles into another region, want %d into the first", m.proc.phase.used, perPhase)
+	if &ar.Region()[:1][0] != region || len(ar.Region()) != perPhase {
+		t.Errorf("after 100 delete phases the delete arena is %d handles into another region, want %d into the first", len(ar.Region()), perPhase)
 	}
 
 	p := NewProcessor(m.Network(), 16, NewTable())
@@ -132,7 +151,7 @@ func TestDeleteArenaIsRewoundOnlyWhenAsked(t *testing.T) {
 			handles += len(a.Token.H)
 		}
 	}
-	if handles < 2*arenaChunkLen {
+	if handles < 2*alloc.ChunkLen[int32]() {
 		t.Fatalf("only %d handles of delete tokens reached the production node: not past a region boundary", handles)
 	}
 }
@@ -162,12 +181,12 @@ func TestDeleteArenaKeepsItsLargestPhase(t *testing.T) {
 	}
 	held := func() regions {
 		ar, la := &m.proc.phase, &m.proc.lent
-		return regions{&ar.buf[:1][0], &la.buf[:1][0], [2]int{cap(ar.buf), cap(la.buf)}}
+		return regions{&ar.Region()[:1][0], &la.Region()[:1][0], [2]int{cap(ar.Region()), cap(la.Region())}}
 	}
 	round(adds, dels, 600)
 	round(adds, dels, 600)
 	r := held()
-	if r.sizes[0] <= arenaChunkLen || r.sizes[1] < 600*4 {
+	if r.sizes[0] <= alloc.ChunkLen[int32]() || r.sizes[1] < 600*4 {
 		t.Fatalf("a 30x20 delete burst left regions of %v, want a phase region past a chunk and a lent one of its 2,400 wmes", r.sizes)
 	}
 	for i := 0; i < 10; i++ {
@@ -206,15 +225,15 @@ func TestProductionOnlyTokensComeFromThePhaseArena(t *testing.T) {
 	p := NewProcessor(net, 16, NewTable())
 	run := func(chs ...Change) []Activation { return rootsT(p, chs...) }
 	acts := run(Change{Tag: Add, WME: mkWME(1, "a", "x", 5)}, Change{Tag: Add, WME: mkWME(2, "b", "x", 5)})
-	if len(acts) != 1 || !p.phase.holds(acts[0].Token.H) {
+	if len(acts) != 1 || !lent(&p.phase, acts[0].Token.H) {
 		t.Fatalf("a join feeding one production node emitted %v, want one token from the phase arena", acts)
 	}
 	held := p.Build(acts, nil)
-	p.phase.rewind()
+	p.phase.Rewind()
 	if p.tab.rows[acts[0].Token.H[0]] != poisonWME {
 		t.Fatal("the phase arena's rewind did not recycle the production-only token")
 	}
-	if got := held[0].Key(); held[0].Tag != Add || got != "pair[1 2]" || !p.lent.holds(held[0].WMEs) {
+	if got := held[0].Key(); held[0].Tag != Add || got != "pair[1 2]" || !lent(&p.lent, held[0].WMEs) {
 		t.Fatalf("the Add delta built from a production-only token reads %v %s after its token was recycled, want + pair[1 2] in a lent array", held[0].Tag, got)
 	}
 	p.BeginPhase()
@@ -230,7 +249,7 @@ func TestProductionOnlyTokensComeFromThePhaseArena(t *testing.T) {
 		t.Helper()
 		for _, bucket := range p.left.buckets {
 			for _, e := range bucket {
-				if p.phase.holds(e.token.H) || !p.store.holds(e.token.H) {
+				if lent(&p.phase, e.token.H) || !carved(&p.store, e.token.H) {
 					t.Fatalf("node %d stores %v outside the store", e.node.ID, e.token)
 				}
 				for _, h := range e.token.H {
@@ -244,7 +263,7 @@ func TestProductionOnlyTokensComeFromThePhaseArena(t *testing.T) {
 		return n
 	}
 	acts = run(Change{Tag: Add, WME: wa})
-	if len(acts) != 1 || !p.phase.holds(acts[0].Token.H) {
+	if len(acts) != 1 || !lent(&p.phase, acts[0].Token.H) {
 		t.Fatalf("a join with a memory successor emitted %v, want one token from the phase arena", acts)
 	}
 	// a1 and a3 at the first join, [a3 b2] at the second.
@@ -256,40 +275,12 @@ func TestProductionOnlyTokensComeFromThePhaseArena(t *testing.T) {
 		t.Fatalf("after the phase arena's rewind the memories store %d tokens, want 3", n)
 	}
 	acts = run(Change{Tag: Delete, WME: wa})
-	if len(acts) != 1 || acts[0].Tag != Delete || !p.phase.holds(acts[0].Token.H) {
+	if len(acts) != 1 || acts[0].Tag != Delete || !lent(&p.phase, acts[0].Token.H) {
 		t.Fatalf("the same join's delete emitted %v, want one token from the phase arena", acts)
 	}
 	if n := stored(); n != 1 {
 		t.Fatalf("after the delete the memories store %d tokens, want 1", n)
 	}
-}
-
-// holds reports whether run r was carved from the pool's current
-// chunk.
-func (p *pool[T]) holds(r []T) bool {
-	for i := range p.chunk[:p.used] {
-		if len(r) > 0 && &p.chunk[i] == &r[0] {
-			return true
-		}
-	}
-	return false
-}
-
-// freeLen counts the elements of the runs on the pool's free lists.
-func (p *pool[T]) freeLen() (n int) {
-	for w, f := range p.free {
-		n += w * len(f)
-	}
-	return n
-}
-
-// listed returns the number of runs of length n on the pool's free
-// list.
-func (p *pool[T]) listed(n int) int {
-	if n >= len(p.free) {
-		return 0
-	}
-	return len(p.free[n])
 }
 
 // TestPool checks each of a processor's pools — its store and its two
@@ -301,13 +292,13 @@ func TestPool(t *testing.T) {
 		run  func(*testing.T)
 	}{
 		{"store", func(t *testing.T) {
-			checkPool(t, storeChunkLen, func(i int) int32 { return int32(i) })
+			checkPool(t, func(i int) int32 { return int32(i) })
 		}},
 		{"lregs", func(t *testing.T) {
-			checkPool(t, regionChunkLen, func(i int) leftEntry { return leftEntry{node: n, token: Token{H: []int32{int32(i)}}, count: i} })
+			checkPool(t, func(i int) leftEntry { return leftEntry{node: n, token: Token{H: []int32{int32(i)}}, count: i} })
 		}},
 		{"rregs", func(t *testing.T) {
-			checkPool(t, regionChunkLen, func(i int) rightEntry { return rightEntry{node: n, h: int32(i)} })
+			checkPool(t, func(i int) rightEntry { return rightEntry{node: n, h: int32(i)} })
 		}},
 	} {
 		t.Run(c.name, c.run)
@@ -315,19 +306,16 @@ func TestPool(t *testing.T) {
 }
 
 // checkPool: a zero pool carves runs, zero and full-capacity-capped,
-// from the front of a chunk of chunkLen; a run put back is the next run
-// taken at its length, so reuse carves nothing, and it reads zero if
-// it is a region while a run of handles keeps its handles; a free list
-// is sized once, at the floor; a run over a quarter of a chunk comes
-// from the heap and put drops it; reset empties the free lists and
-// rewinds the chunk, so the next run is carved, zero, from its front
-// again, while a run that does not fit takes a fresh chunk; and under
-// the poison a run put back is cleared and never taken again. mk makes
-// a nonzero element.
-func checkPool[T int32 | leftEntry | rightEntry](t *testing.T, chunkLen int, mk func(int) T) {
-	p := new(pool[T])
+// from the front of a chunk of alloc.ChunkLen; a run put back reads
+// zero and is the next run taken at its length, so reuse carves
+// nothing; a run over a quarter of a chunk comes from the heap and put
+// drops it; reset empties the free lists and rewinds the chunk, so the
+// next run is carved, zero, from its front again, while a run that does
+// not fit takes a fresh chunk; and under the poison a run put back is
+// cleared and never taken again. mk makes a nonzero element.
+func checkPool[T int32 | leftEntry | rightEntry](t *testing.T, mk func(int) T) {
+	p, chunkLen := new(alloc.Pool[T]), alloc.ChunkLen[T]()
 	var zero T
-	_, handles := any(zero).(int32)
 	isZero := func(r []T) bool {
 		for _, e := range r[:cap(r)] {
 			if !reflect.DeepEqual(e, zero) {
@@ -345,70 +333,65 @@ func checkPool[T int32 | leftEntry | rightEntry](t *testing.T, chunkLen int, mk 
 	const widths = 8
 	kept := map[int][]T{}
 	for w := 1; w <= widths; w++ {
-		kept[w] = p.take(w)
+		kept[w] = p.Take(w)
 		if len(kept[w]) != w || cap(kept[w]) != w || !isZero(kept[w]) {
 			t.Fatalf("a %d-run reads %v (capacity %d)", w, kept[w], cap(kept[w]))
 		}
 		fill(kept[w])
 	}
-	first, carved := &p.chunk[0], p.carved
-	if carved != 36 || &kept[1][0] != first || len(p.chunk) != chunkLen {
-		t.Fatalf("eight runs carved %d elements, want 36 from the front of a %d-chunk (got %d)", carved, chunkLen, len(p.chunk))
+	first := &p.Carved()[0]
+	if c := p.Carved(); len(c) != 36 || &kept[1][0] != first || cap(c) != chunkLen {
+		t.Fatalf("eight runs carved %d elements, want 36 from the front of a %d-chunk (got %d)", len(c), chunkLen, cap(c))
 	}
 	for round := 0; round < 3; round++ {
 		for w := widths; w >= 1; w-- {
-			p.put(kept[w])
-			if isZero(kept[w]) == handles {
-				t.Fatalf("round %d: a %d-run put back reads %v, want zero exactly for a region", round, w, kept[w])
+			p.Put(kept[w])
+			if !isZero(kept[w]) {
+				t.Fatalf("round %d: a %d-run put back reads %v, want zero", round, w, kept[w])
 			}
-			got := p.take(w)
+			got := p.Take(w)
 			if &got[0] != &kept[w][0] || len(got) != w {
 				t.Fatalf("round %d: the %d-run put back is not the next %d-run taken", round, w, w)
 			}
 			fill(got)
 		}
 	}
-	if p.carved != carved {
-		t.Fatalf("reuse carved %d more elements", p.carved-carved)
-	}
-	for w := 1; w <= widths; w++ {
-		if f := p.free[w]; len(f) != 0 || cap(f) != freeListFloor {
-			t.Fatalf("the %d-runs' free list is %d/%d, want 0/%d", w, len(f), cap(f), freeListFloor)
-		}
+	if len(p.Carved()) != 36 {
+		t.Fatalf("reuse carved %d more elements", len(p.Carved())-36)
 	}
 
-	big := fill(p.take(chunkLen/4 + 1))
-	if p.carved != carved || p.holds(big) || cap(big) != chunkLen/4+1 {
-		t.Fatalf("a run over a quarter chunk was carved (%d more elements)", p.carved-carved)
+	big := fill(p.Take(chunkLen/4 + 1))
+	if len(p.Carved()) != 36 || carved(p, big) || cap(big) != chunkLen/4+1 {
+		t.Fatalf("a run over a quarter chunk was carved (%d more elements)", len(p.Carved())-36)
 	}
-	p.put(big)
-	if p.listed(cap(big)) != 0 || p.freeLen() != 0 {
-		t.Fatalf("put listed a heap run: the free lists hold %d elements", p.freeLen())
+	p.Put(big)
+	if p.Listed(cap(big)) != 0 || freeLen(p) != 0 {
+		t.Fatalf("put listed a heap run: the free lists hold %d elements", freeLen(p))
 	}
 
-	p.put(kept[3])
-	p.reset()
-	if p.used != 0 || p.carved != 0 || p.freeLen() != 0 {
-		t.Fatalf("after reset the pool has carved %d (%d in the chunk) and frees %d elements", p.carved, p.used, p.freeLen())
+	p.Put(kept[3])
+	p.Reset()
+	if len(p.Carved()) != 0 || freeLen(p) != 0 {
+		t.Fatalf("after reset the pool has carved %d and frees %d elements", len(p.Carved()), freeLen(p))
 	}
-	if r := p.take(3); &r[0] != first || !isZero(r) {
+	if r := p.Take(3); &r[0] != first || !isZero(r) {
 		t.Fatalf("after reset the next run is not carved, zero, from the front of the kept chunk: %v", r)
 	}
-	for p.used+chunkLen/4 <= chunkLen {
-		p.take(chunkLen / 4)
+	for len(p.Carved())+chunkLen/4 <= chunkLen {
+		p.Take(chunkLen / 4)
 	}
-	if r := p.take(chunkLen / 4); &p.chunk[0] == first || &r[0] != &p.chunk[0] || len(p.chunk) != chunkLen {
+	if r := p.Take(chunkLen / 4); &p.Carved()[0] == first || &r[0] != &p.Carved()[0] || cap(p.Carved()) != chunkLen {
 		t.Fatal("a run longer than the chunk's rest was not carved from the front of a fresh chunk")
 	}
 
 	t.Run("poisoned", func(t *testing.T) {
 		poison(t)
-		r := fill(p.take(2))
-		p.put(r)
+		r := fill(p.Take(2))
+		p.Put(r)
 		if !isZero(r) {
 			t.Fatalf("a run put back reads %v under the poison, want zero (handle 0)", r)
 		}
-		if got := p.take(2); &got[0] == &r[0] || p.listed(2) != 0 {
+		if got := p.Take(2); &got[0] == &r[0] || p.Listed(2) != 0 {
 			t.Fatal("a run put back under the poison was taken again")
 		}
 	})
@@ -417,10 +400,10 @@ func checkPool[T int32 | leftEntry | rightEntry](t *testing.T, chunkLen int, mk 
 // TestStoreIsBoundedByLiveEntries: a long-lived matcher running the
 // 60x50 add burst then delete burst, pair after pair. After one warm
 // pair a further pair carves nothing — every run its adds keep comes off
-// a free list the last delete burst filled —, the store never carved
-// more handles than the memories held at their peak, and once the
-// delete burst has emptied the memories every run carved is back on a
-// free list: the store holds no run.
+// a free list the last delete burst filled —, and once the delete burst
+// has emptied the memories every run the memories held at their peak is
+// back on a free list and no other: the store never carved more handles
+// than the memories held at their peak, and holds no run.
 func TestStoreIsBoundedByLiveEntries(t *testing.T) {
 	m, adds, dels := pairingBurst(t, 60, 50)
 	s := &m.proc.store
@@ -435,9 +418,9 @@ func TestStoreIsBoundedByLiveEntries(t *testing.T) {
 	m.Recycle(m.Apply(adds))
 	peak := live()
 	m.Recycle(m.Apply(dels))
-	chunk, used, carved := &s.chunk[0], s.used, s.carved
-	if peak == 0 || carved > peak {
-		t.Fatalf("the first pair carved %d handles for a peak of %d stored", carved, peak)
+	chunk, used := &s.Carved()[0], len(s.Carved())
+	if peak == 0 || freeLen(s) != peak {
+		t.Fatalf("the first pair freed %d handles for a peak of %d stored", freeLen(s), peak)
 	}
 	for pair := 0; pair < 3; pair++ {
 		m.Recycle(m.Apply(adds))
@@ -445,14 +428,14 @@ func TestStoreIsBoundedByLiveEntries(t *testing.T) {
 			t.Fatalf("pair %d: the add burst stores %d handles, want %d", pair, live(), peak)
 		}
 		m.Recycle(m.Apply(dels))
-		if &s.chunk[0] != chunk || s.used != used || s.carved != carved {
-			t.Fatalf("pair %d: the store carved %d more handles (%d into another chunk)", pair, s.carved-carved, s.used)
+		if &s.Carved()[0] != chunk || len(s.Carved()) != used {
+			t.Fatalf("pair %d: the store carved %d handles into its chunk, want %d into the same one", pair, len(s.Carved()), used)
 		}
 		if n := m.proc.left.Len(); n != 0 {
 			t.Fatalf("pair %d: the delete burst left %d entries", pair, n)
 		}
-		if held := s.carved - s.freeLen(); held != 0 {
-			t.Fatalf("pair %d: the store holds %d handles with every memory empty", pair, held)
+		if n := freeLen(s); n != peak {
+			t.Fatalf("pair %d: the store frees %d handles with every memory empty, want the peak's %d", pair, n, peak)
 		}
 	}
 }

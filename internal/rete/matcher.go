@@ -4,6 +4,7 @@ import (
 	"slices"
 	"strconv"
 
+	"mpcrete/internal/alloc"
 	"mpcrete/internal/ops5"
 )
 
@@ -310,12 +311,12 @@ func (m *Matcher) ApplyFiltered(changes []Change, allow func(*Node) bool) []Inst
 // phase with deltas builds its result in that storage, and allocates
 // one of exactly its own size only when it has more deltas than the
 // storage holds; a result smaller than the storage the matcher already
-// holds is ignored. Under PoisonRewinds the records are scrubbed
+// holds is ignored. Under alloc.Poison the records are scrubbed
 // instead — every delta's WMEs becomes an array of the sentinel — and
 // never reused, so a reader that held a result past handing it back
 // reads the sentinel, not the next phase's deltas.
 func (m *Matcher) Recycle(result []InstChange) {
-	if poisonRewind {
+	if alloc.Poisoned() {
 		for i := range result {
 			result[i].WMEs = slices.Repeat([]*ops5.WME{poisonWME}, len(result[i].WMEs))
 		}

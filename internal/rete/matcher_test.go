@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"mpcrete/internal/alloc"
 	"mpcrete/internal/ops5"
 )
 
@@ -534,12 +535,12 @@ func TestApplyResultBelongsToCaller(t *testing.T) {
 		t.Helper()
 		for i := range held {
 			// Until the next Apply a lent array is as good as any.
-			if !m.proc.lent.holds(held[i].WMEs) {
+			if !lent(&m.proc.lent, held[i].WMEs) {
 				t.Fatalf("%s delta %d: array %v is not lent from the lent arena", what, i, held[i].WMEs)
 			}
 		}
 		m.Apply(nil)
-		if !poisonRewind {
+		if !alloc.Poisoned() {
 			return
 		}
 		for i := range held {
@@ -705,24 +706,18 @@ func holdsNothing(t *testing.T, m *Matcher) {
 			t.Fatalf("table row %d still holds a wme", i+1)
 		}
 	}
-	for name, n := range map[string]int{"phase": cap(m.proc.phase.buf), "lent": cap(m.proc.lent.buf)} {
-		if n > arenaChunkLen {
-			t.Fatalf("%s arena keeps a region of %d", name, n)
-		}
+	if n := cap(m.proc.phase.Region()); n > alloc.ChunkLen[int32]() {
+		t.Fatalf("phase arena keeps a region of %d", n)
+	}
+	if n := cap(m.proc.lent.Region()); n > alloc.ChunkLen[*ops5.WME]() {
+		t.Fatalf("lent arena keeps a region of %d", n)
 	}
 	// The store keeps one chunk, rewound, and free lists that hold no
 	// run: the next tenant carves from the chunk's front.
-	if s := &m.proc.store; s.used != 0 || s.carved != 0 || len(s.chunk) > storeChunkLen {
-		t.Fatalf("the store keeps a chunk of %d carved %d handles in (%d in all)", len(s.chunk), s.used, s.carved)
+	if s := &m.proc.store; len(s.Carved()) != 0 || freeLen(s) != 0 {
+		t.Fatalf("the store has carved %d handles into its chunk and frees %d", len(s.Carved()), freeLen(s))
 	}
-	for w, f := range m.proc.store.free {
-		for i, r := range f[:cap(f)] {
-			if r != nil {
-				t.Fatalf("the store's %d-wide free list: slot %d of %d still holds a run", w, i, cap(f))
-			}
-		}
-	}
-	for i, w := range m.proc.lent.buf[:cap(m.proc.lent.buf)] {
+	for i, w := range m.proc.lent.Region()[:cap(m.proc.lent.Region())] {
 		if w != nil {
 			t.Fatalf("lent arena: slot %d of the region is still set", i)
 		}
@@ -739,9 +734,9 @@ func TestResetLetsGoOfTheLastTenant(t *testing.T) {
 	m, adds, dels := pairingBurst(t, 12, 10)
 	m.Recycle(m.Apply(adds))
 	m.Recycle(m.Apply(dels[len(dels)-5:])) // a smaller phase: the big one's tail stays in the arrays
-	if cap(m.queue) == 0 || cap(m.instActs) == 0 || cap(m.spare) == 0 || m.proc.left.Len() == 0 || m.proc.phase.used == 0 || m.proc.store.freeLen() == 0 || len(m.tab.rows) < 2 {
+	if cap(m.queue) == 0 || cap(m.instActs) == 0 || cap(m.spare) == 0 || m.proc.left.Len() == 0 || len(m.proc.phase.Region()) == 0 || freeLen(&m.proc.store) == 0 || len(m.tab.rows) < 2 {
 		t.Fatalf("the bursts left nothing behind to let go of: queue %d, instActs %d, left %d, phase handles %d, free stored handles %d, table rows %d",
-			cap(m.queue), cap(m.instActs), m.proc.left.Len(), m.proc.phase.used, m.proc.store.freeLen(), len(m.tab.rows))
+			cap(m.queue), cap(m.instActs), m.proc.left.Len(), len(m.proc.phase.Region()), freeLen(&m.proc.store), len(m.tab.rows))
 	}
 	m.Reset()
 	holdsNothing(t, m)
@@ -752,8 +747,8 @@ func TestResetLetsGoOfTheLastTenant(t *testing.T) {
 	wide.Apply(wadds)
 	wide.Apply(wdels)
 	wide.Apply(wadds)
-	if ar, la := &wide.proc.phase, &wide.proc.lent; cap(ar.buf) <= arenaChunkLen || cap(la.buf) <= arenaChunkLen {
-		t.Fatalf("a 30x20 delete burst left regions of %d and %d, want both past a chunk", cap(ar.buf), cap(la.buf))
+	if ar, la := cap(wide.proc.phase.Region()), cap(wide.proc.lent.Region()); ar <= alloc.ChunkLen[int32]() || la <= alloc.ChunkLen[*ops5.WME]() {
+		t.Fatalf("a 30x20 delete burst left regions of %d and %d, want both past a chunk", ar, la)
 	}
 	wide.Reset()
 	holdsNothing(t, wide)

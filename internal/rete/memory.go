@@ -1,6 +1,10 @@
 package rete
 
-import "fmt"
+import (
+	"fmt"
+
+	"mpcrete/internal/alloc"
+)
 
 // leftEntry is one stored token of a left memory, qualified by its
 // owning two-input node; count is, at a negative node, the number of
@@ -73,10 +77,10 @@ func (m *Memory[E]) Bucket(key uint64) int { return int(key & uint64(len(m.bucke
 
 // add stores e in bucket b, growing a full bucket into a region from
 // r, the regions of the processor performing the add.
-func (m *Memory[E]) add(b int, e E, r *pool[E]) {
+func (m *Memory[E]) add(b int, e E, r *alloc.Pool[E]) {
 	if bucket := m.buckets[b]; len(bucket) == cap(bucket) {
-		m.buckets[b] = append(r.take(max(1, 2*cap(bucket)))[:0], bucket...)
-		r.put(bucket)
+		m.buckets[b] = append(r.Take(max(1, 2*cap(bucket)))[:0], bucket...)
+		r.Put(bucket)
 	}
 	m.buckets[b] = append(m.buckets[b], e)
 }
@@ -117,8 +121,8 @@ func (m *Memory[E]) Reset() {
 // regions of the processor that extracts the bucket (migration): no
 // memory keeps a region for a bucket that has left it, and the
 // bucket's next owner grows it from its own regions.
-func (m *Memory[E]) release(b int, r *pool[E]) {
-	r.put(m.buckets[b])
+func (m *Memory[E]) release(b int, r *alloc.Pool[E]) {
+	r.Put(m.buckets[b])
 	m.buckets[b] = nil
 }
 
@@ -127,12 +131,12 @@ func (m *Memory[E]) release(b int, r *pool[E]) {
 // the store of the processor performing the remove, and returns its
 // count; ok is false if it is absent. Nothing but its entry holds a
 // stored run, so the run is free as soon as the entry is gone.
-func removeLeft(m *Memory[leftEntry], b int, n *Node, t Token, s *pool[int32]) (count int, ok bool) {
+func removeLeft(m *Memory[leftEntry], b int, n *Node, t Token, s *alloc.Pool[int32]) (count int, ok bool) {
 	bucket := m.buckets[b]
 	for i := range bucket {
 		if e := &bucket[i]; e.node == n && e.token.Same(t) {
 			count = e.count
-			s.put(e.token.H)
+			s.Put(e.token.H)
 			m.removeAt(b, i)
 			return count, true
 		}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"mpcrete/internal/alloc"
 	"mpcrete/internal/ops5"
 )
 
@@ -39,7 +40,7 @@ func idKeyT(tab *Table, t Token) string {
 }
 
 func TestMemoryAddRemoveScan(t *testing.T) {
-	m, r := newMemory[rightEntry](8), new(pool[rightEntry])
+	m, r := newMemory[rightEntry](8), new(alloc.Pool[rightEntry])
 	n1 := &Node{ID: 1, Kind: KindJoin}
 	n2 := &Node{ID: 2, Kind: KindJoin}
 
@@ -79,7 +80,7 @@ func TestMemoryAddRemoveScan(t *testing.T) {
 }
 
 func TestMemoryLeftTokens(t *testing.T) {
-	m, r := newMemory[leftEntry](4), new(pool[leftEntry])
+	m, r := newMemory[leftEntry](4), new(alloc.Pool[leftEntry])
 	n := &Node{ID: 7, Kind: KindNegative}
 	tab := NewTable()
 	t1 := tokenT(tab, mkWME(1, "a"), mkWME(2, "b"))
@@ -90,14 +91,14 @@ func TestMemoryLeftTokens(t *testing.T) {
 
 	// Removal matches by handle sequence: a copy of t1's run.
 	probe := Token{H: slices.Clone(t1.H)}
-	if count, ok := removeLeft(m, 2, n, probe, new(pool[int32])); !ok || count != 5 {
+	if count, ok := removeLeft(m, 2, n, probe, new(alloc.Pool[int32])); !ok || count != 5 {
 		t.Fatalf("removeLeft = %d, %v, want 5, true", count, ok)
 	}
 	if m.Len() != 1 {
 		t.Errorf("len = %d", m.Len())
 	}
 	// Token with different coverage does not match.
-	if _, ok := removeLeft(m, 2, n, probe, new(pool[int32])); ok {
+	if _, ok := removeLeft(m, 2, n, probe, new(alloc.Pool[int32])); ok {
 		t.Error("removed absent token")
 	}
 }
@@ -110,10 +111,10 @@ func TestMemoryLeftTokens(t *testing.T) {
 // allocate.
 func TestMemoryBucketKeepsOrderAndReusesSlots(t *testing.T) {
 	right, left := newMemory[rightEntry](4), newMemory[leftEntry](4)
-	rr, lr := new(pool[rightEntry]), new(pool[leftEntry])
-	s := new(pool[int32])
+	rr, lr := new(alloc.Pool[rightEntry]), new(alloc.Pool[leftEntry])
+	s := new(alloc.Pool[int32])
 	stored := func(t Token) Token {
-		h := s.take(len(t.H))
+		h := s.Take(len(t.H))
 		copyHandles(h, t.H)
 		return Token{H: h}
 	}
@@ -170,15 +171,22 @@ func tailZero[E leftEntry | rightEntry](t *testing.T, what string, bucket []E) {
 }
 
 // freeZero fails unless every run on r's free lists is of its list's
-// length, carved from a chunk and zero.
-func freeZero[E leftEntry | rightEntry](t *testing.T, what string, r *pool[E]) {
+// length and zero. It takes each run off and puts them back in the
+// order they were.
+func freeZero[E leftEntry | rightEntry](t *testing.T, what string, r *alloc.Pool[E]) {
 	t.Helper()
-	for n, list := range r.free {
-		for _, region := range list {
-			if len(region) != n || cap(region) != n || n > r.chunkLen()/4 {
+	for n := 1; n <= alloc.ChunkLen[E]()/4; n++ {
+		var held [][]E
+		for r.Listed(n) > 0 {
+			region := r.Take(n)
+			if len(region) != n || cap(region) != n {
 				t.Fatalf("%s: the %d-list holds a region of %d/%d entries", what, n, len(region), cap(region))
 			}
 			tailZero(t, what, region[:0])
+			held = append(held, region)
+		}
+		for i := len(held) - 1; i >= 0; i-- {
+			r.Put(held[i])
 		}
 	}
 }
@@ -189,11 +197,11 @@ func freeZero[E leftEntry | rightEntry](t *testing.T, what string, r *pool[E]) {
 // so does every region on a free list, where each outgrown
 // chunk-carved region goes for the next growth to take.
 func TestRegionsKeepTheTailZero(t *testing.T) {
-	m, r := newMemory[leftEntry](2), new(pool[leftEntry])
+	m, r := newMemory[leftEntry](2), new(alloc.Pool[leftEntry])
 	n := &Node{ID: 1, Kind: KindNegative}
 	tab := NewTable()
 	var ts []Token
-	for i := 1; i <= 3*regionChunkLen; i++ {
+	for i := 1; i <= 3*alloc.ChunkLen[leftEntry](); i++ {
 		ts = append(ts, tokenT(tab, mkWME(i, "a")))
 		m.add(i%2, leftEntry{node: n, token: ts[i-1], count: i}, r)
 		tailZero(t, fmt.Sprintf("after add %d", i), m.entries(i%2))
@@ -202,18 +210,18 @@ func TestRegionsKeepTheTailZero(t *testing.T) {
 	// Each bucket outgrew regions of 1 to 64 entries: the chunk-carved
 	// ones, up to 16, are on the free lists, and the next bucket to grow
 	// takes one instead of carving.
-	for l := 1; l <= regionChunkLen/4; l *= 2 {
-		if r.listed(l) != 2 {
-			t.Fatalf("the %d-list holds %d regions, want the two the buckets outgrew", l, r.listed(l))
+	for l := 1; l <= alloc.ChunkLen[leftEntry]()/4; l *= 2 {
+		if r.Listed(l) != 2 {
+			t.Fatalf("the %d-list holds %d regions, want the two the buckets outgrew", l, r.Listed(l))
 		}
 	}
-	carved := r.carved
+	carvedLen := len(r.Carved())
 	newMemory[leftEntry](1).add(0, leftEntry{node: n}, r)
-	if r.carved != carved || r.listed(1) != 1 {
-		t.Fatalf("a new bucket's growth carved %d entries and left %d 1-entry regions, want 0 and 1", r.carved-carved, r.listed(1))
+	if len(r.Carved()) != carvedLen || r.Listed(1) != 1 {
+		t.Fatalf("a new bucket's growth carved %d entries and left %d 1-entry regions, want 0 and 1", len(r.Carved())-carvedLen, r.Listed(1))
 	}
 	for i := 1; i <= len(ts); i += 3 {
-		if _, ok := removeLeft(m, i%2, n, ts[i-1], new(pool[int32])); !ok {
+		if _, ok := removeLeft(m, i%2, n, ts[i-1], new(alloc.Pool[int32])); !ok {
 			t.Fatalf("token %d is missing", i)
 		}
 		tailZero(t, fmt.Sprintf("after removing %d", i), m.entries(i%2))
@@ -261,7 +269,7 @@ func TestExtractInjectKeepsOrderAndReleasesRegion(t *testing.T) {
 				src.right.add(5, wantR[i-1], &src.rregs)
 			}
 			region := cap(src.left.entries(5))
-			before := src.lregs.listed(region)
+			before := src.lregs.Listed(region)
 			bc := src.ExtractBucket(5)
 			if src.left.Len()+src.right.Len() != 0 {
 				t.Fatalf("shared=%v size %d: the source still holds entries", shared, size)
@@ -269,7 +277,7 @@ func TestExtractInjectKeepsOrderAndReleasesRegion(t *testing.T) {
 			if cap(src.left.entries(5))+cap(src.right.entries(5)) != 0 {
 				t.Errorf("shared=%v size %d: the source memory kept a region for the bucket it gave up", shared, size)
 			}
-			if region <= regionChunkLen/4 && src.lregs.listed(region) != before+1 {
+			if region <= alloc.ChunkLen[leftEntry]()/4 && src.lregs.Listed(region) != before+1 {
 				t.Errorf("shared=%v size %d: the extracted %d-entry region is not on the extractor's free list", shared, size, region)
 			}
 			freeZero(t, "after extract", &src.lregs)
@@ -282,7 +290,7 @@ func TestExtractInjectKeepsOrderAndReleasesRegion(t *testing.T) {
 				t.Errorf("shared=%v size %d: injected %v / %v, want %v / %v", shared, size, gotL, gotR, wantL, wantR)
 			}
 			for i, e := range gotL {
-				if &e.token.H[0] == &wantL[i].token.H[0] || !dst.store.holds(e.token.H) {
+				if &e.token.H[0] == &wantL[i].token.H[0] || !carved(&dst.store, e.token.H) {
 					t.Fatalf("shared=%v size %d: injected token %d is not a copy from the injector's store", shared, size, i)
 				}
 			}

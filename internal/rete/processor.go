@@ -1,6 +1,9 @@
 package rete
 
-import "mpcrete/internal/ops5"
+import (
+	"mpcrete/internal/alloc"
+	"mpcrete/internal/ops5"
+)
 
 // Activation is one unit of match work: a token arriving at a node's
 // left or right input. It is the currency both of the sequential
@@ -38,15 +41,15 @@ type Processor struct {
 	left  *Memory[leftEntry]
 	right *Memory[rightEntry]
 	// phase holds the tokens activations carry and lent the arrays
-	// Build lends every delta (see arena). store holds the runs of the
-	// tokens the memories keep, and lregs and rregs the regions the
-	// buckets this processor grows grow into, of the left and of the
-	// right memory (see pool).
-	phase arena[int32]
-	lent  arena[*ops5.WME]
-	store pool[int32]
-	lregs pool[leftEntry]
-	rregs pool[rightEntry]
+	// Build lends every delta. store holds the runs of the tokens the
+	// memories keep, and lregs and rregs the regions the buckets this
+	// processor grows grow into, of the left and of the right memory
+	// (see arena.go).
+	phase alloc.Arena[int32]
+	lent  alloc.Arena[*ops5.WME]
+	store alloc.Pool[int32]
+	lregs alloc.Pool[leftEntry]
+	rregs alloc.Pool[rightEntry]
 	// bstack is the bounded enumerator's reusable DFS stack of candidate
 	// wme handles, one slot per positive collector of the group being
 	// enumerated (see bounded.go).
@@ -91,7 +94,7 @@ func (p *Processor) Bucket(a Activation) int { return p.left.Bucket(a.HashKey(p.
 
 // Reset empties both memories (keeping the regions of their buckets
 // and this processor's free regions), rewinds each arena to at most
-// one ordinary region and resets the store (pool.reset), returning the
+// one ordinary region and resets the store (alloc.Pool.Reset), returning the
 // processor to its freshly-constructed state over the same network —
 // the session-pool reuse hook. Nothing reachable from a reset
 // processor points at a wme of its last user (the bounded enumerator's
@@ -107,9 +110,9 @@ func (p *Processor) Bucket(a Activation) int { return p.left.Bucket(a.HashKey(p.
 func (p *Processor) Reset() {
 	p.left.Reset()
 	p.right.Reset()
-	p.phase.reset()
-	p.lent.reset()
-	p.store.reset()
+	p.phase.Reset()
+	p.lent.Reset()
+	p.store.Reset()
 }
 
 // BeginPhase tells the processor that everything its phase and lent
@@ -134,8 +137,8 @@ func (p *Processor) Reset() {
 // it made before it returned). A goroutine worker, which cannot tell where a cycle
 // begins, leaves it uncalled.
 func (p *Processor) BeginPhase() {
-	p.phase.rewind()
-	p.lent.rewind()
+	p.phase.Rewind()
+	p.lent.Rewind()
 }
 
 // RootActivationsInto runs the constant tests for one wme change, at
@@ -249,7 +252,7 @@ func (p *Processor) InjectBucket(bc *BucketContents) {
 // addLeft stores a copy of t, in a run taken from p's store, as node
 // n's entry in left bucket b, with negative-node count count.
 func (p *Processor) addLeft(b int, n *Node, t Token, count int) {
-	h := p.store.take(len(t.H))
+	h := p.store.Take(len(t.H))
 	copyHandles(h, t.H)
 	p.left.add(b, leftEntry{node: n, token: Token{H: h}, count: count}, &p.lregs)
 }
@@ -389,7 +392,7 @@ func (p *Processor) Build(acts []Activation, out []InstChange) []InstChange {
 	for i := range acts {
 		n += len(acts[i].Node.Info.TokenPos)
 	}
-	refs := p.lent.carve(n)
+	refs := p.lent.Take(n)
 	rows := p.tab.rows
 	for _, a := range acts {
 		info := a.Node.Info

@@ -3,6 +3,7 @@ package rete
 import (
 	"slices"
 
+	"mpcrete/internal/alloc"
 	"mpcrete/internal/ops5"
 )
 
@@ -19,7 +20,7 @@ import (
 // live wme has exactly one handle, so handles compare as identities
 // (Token.Same, a right memory's removal). A deleted wme keeps its handle
 // until the owner begins its next phase (BeginPhase), because the
-// phase's delete tokens still name it. Under PoisonRewinds a freed
+// phase's delete tokens still name it. Under alloc.Poison a freed
 // handle is quarantined instead — never reused, its row poisonWME — so a
 // token that outlives its wme reads as a wrong delta.
 //
@@ -88,7 +89,7 @@ func (t *Table) Handles(changes []Change, out []int32) []int32 {
 func (t *Table) BeginPhase() {
 	for _, h := range t.retired {
 		t.rows[h] = poisonWME
-		if !poisonRewind {
+		if !alloc.Poisoned() {
 			t.free = append(t.free, h)
 		}
 	}

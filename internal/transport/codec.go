@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"mpcrete/internal/alloc"
 	"mpcrete/internal/obs"
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/parallel"
@@ -145,12 +146,12 @@ type dec struct {
 	layouts           []*ops5.Layout
 	defs, refs        int64
 
-	// slab is the region decoded tokens are carved from (token), as
-	// rete's phase arena carves the match's own, and handles its
-	// unconsumed tail. No decoded token outlives the handling of its
-	// frame — a memory stores a copy of its own — so the owner rewinds
-	// the slab before each frame that carries tokens (rewindTokens).
-	slab, handles []int32
+	// tokens is the arena decoded tokens are carved from (token), as
+	// rete's phase arena carves the match's own. No decoded token
+	// outlives the handling of its frame — a memory stores a copy of its
+	// own — so the owner rewinds it before each frame that carries
+	// tokens.
+	tokens alloc.Arena[int32]
 }
 
 // The fewest bytes an element of each counted list takes on the wire,
@@ -438,29 +439,16 @@ func (e *enc) token(t rete.Token) {
 	}
 }
 
-// handleSlab is the length of a decoder's first token slab, ~300
-// tokens; a frame that outgrows the slab leaves one twice as long.
-const handleSlab = 1024
-
-// rewindTokens takes back every token decoded since the last rewind:
-// the frames that carried them have been handled.
-func (d *dec) rewindTokens() { d.handles = d.slab }
-
 // token decodes a counted list of wmes into a token carved from the
-// decoder's slab. A count the payload cannot hold as references fails
-// before the slab grows for it.
+// decoder's arena. A count the payload cannot hold as references fails
+// before the arena grows for it.
 func (d *dec) token() rete.Token {
 	n := d.Count(1 << 16)
 	if d.fits(n, minRefBytes) < n {
 		d.Fail(fmt.Sprintf("token of %d wmes in %d bytes", n, len(d.B)))
 		return rete.Token{}
 	}
-	if len(d.handles) < n {
-		d.slab = make([]int32, max(n, 2*len(d.slab), handleSlab))
-		d.handles = d.slab
-	}
-	t := rete.Token{H: d.handles[:n:n]}
-	d.handles = d.handles[n:]
+	t := rete.Token{H: d.tokens.Take(n)}
 	for i := range t.H {
 		t.H[i] = d.wme()
 	}
@@ -612,7 +600,7 @@ func (e *enc) instChange(a rete.Activation) {
 }
 
 // instChange decodes one delta of a turn frame, carving its array from
-// the frame's slab, and holds it to its production's shape — a position
+// the frame's region, and holds it to its production's shape — a position
 // per condition element, empty exactly at the negated ones — which the
 // engine indexes by.
 func (d *dec) instChange(net *rete.Network, tf *turnFrame) rete.InstChange {
@@ -723,25 +711,19 @@ func (d *dec) bucketContents(net *rete.Network) *rete.BucketContents {
 // worker fully processed, what the step produced, and — under a flight
 // recorder — the turn as the worker recorded it, decoded into storage
 // the connection keeps. The deltas' WMEs arrays are lent, as
-// rete.Processor.Build lends a match phase's: each frame carves them, at the
-// total it declares, from buf, the connection's buffer, and wmes is the
-// frame's unconsumed share. They are read until the engine has absorbed
-// the cycle's result; the connection's first frame of the next cycle
-// takes them back (rewind). A frame that does not fit starts a buffer
-// twice as large, and leaves the old one to the deltas carved from it.
+// rete.Processor.Build lends a match phase's: each frame carves them, at
+// the total it declares, from the connection's lent arena, and wmes is
+// the frame's unconsumed share. They are read until the engine has
+// absorbed the cycle's result; the connection's first frame of the next
+// cycle rewinds the arena. A connection's turn frames carry a few deltas
+// each, so a frame that does not fit takes a region of its own total or
+// twice the last, not a 4 KiB one.
 type turnFrame struct {
 	n    int
 	turn parallel.Turn
 	rec  turnRecord
-	buf  []*ops5.WME
+	lent alloc.Arena[*ops5.WME]
 	wmes []*ops5.WME
-}
-
-// rewind takes back every array the frames decoded so far carved: their
-// cycle's result has been absorbed. Cleared, the buffer pins no wme.
-func (tf *turnFrame) rewind() {
-	clear(tf.buf)
-	tf.buf = tf.buf[:0]
 }
 
 // turnRecord ends a turn frame when the hello's ring capacity is
@@ -803,13 +785,8 @@ func (d *dec) turn(net *rete.Network, tf *turnFrame) error {
 	n := d.Count(1 << 24)
 	tf.turn.Insts = slices.Grow(tf.turn.Insts[:0], d.fits(n, minDeltaBytes))
 	// Every wme position costs a byte, so Count has held the total to
-	// the frame's size, and fits(nw, 1) is nw.
-	nw, k := d.Count(1<<24), len(tf.buf)
-	if cap(tf.buf)-k < nw {
-		tf.buf, k = make([]*ops5.WME, 0, max(d.fits(nw, 1), 2*cap(tf.buf))), 0
-	}
-	tf.buf = tf.buf[:k+nw]
-	tf.wmes = tf.buf[k : k+nw : k+nw]
+	// the frame's size.
+	tf.wmes = tf.lent.TakeSized(d.Count(1<<24), 2*cap(tf.lent.Region()))
 	for i := 0; i < n && d.Err == nil; i++ {
 		tf.turn.Insts = append(tf.turn.Insts, d.instChange(net, tf))
 	}

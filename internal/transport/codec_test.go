@@ -8,11 +8,13 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 	"unsafe"
 
+	"mpcrete/internal/alloc"
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/parallel"
 	"mpcrete/internal/raceflag"
@@ -170,7 +172,7 @@ func TestDefinitionFaults(t *testing.T) {
 // again only after freeing it — and the mirror's next definition of
 // that layout refills the retired row instead of allocating one: the
 // redefinition itself, or a later one at another handle. Under
-// rete.PoisonRewinds (TestPoisonedRewinds) a retired row reads as the
+// alloc.Poison (TestPoisonedRewinds) a retired row reads as the
 // sentinel, and every definition takes a fresh row: the next row of the
 // decoder's chunk, beside the scrubbed ones, which stays live.
 func TestMirrorRecyclesRows(t *testing.T) {
@@ -203,7 +205,7 @@ func TestMirrorRecyclesRows(t *testing.T) {
 	second := define(7, ops5.NewWME("block", "name", "b2"))
 	third := define(7, ops5.NewWME(other))
 	fourth := define(8, ops5.NewWME("block", "name", "b3", "clear", "yes"))
-	if !poisoned() {
+	if !alloc.Poisoned() {
 		if second != first || fourth != first || third == first {
 			t.Errorf("rows %p %p %p %p: want the redefinition and the later block to refill the first, the %s a row of its own", first, second, third, fourth, other)
 		}
@@ -300,6 +302,26 @@ func TestEncodeUnheldHandleFails(t *testing.T) {
 	}
 }
 
+// TestRewoundTokensReadTheSentinel: a decoded token is carved from the
+// decoder's token arena, which its owner rewinds before the next frame
+// that carries tokens. Under the poison a token kept past that rewind
+// reads handle 0, the sentinel, not the handles it was decoded with.
+func TestRewoundTokensReadTheSentinel(t *testing.T) {
+	t.Cleanup(alloc.Poison())
+	tab, want := fixtureTable(), []int32{faultHandle, probeHandle}
+	e := enc{tab: tab, refsOnly: true}
+	e.token(rete.Token{H: want})
+	d := dec{Dec: wire.Dec{B: e.Buf}, tab: tab}
+	tok := d.token()
+	if err := d.Done(); err != nil || !slices.Equal(tok.H, want) {
+		t.Fatalf("decoded %v (%v), want %v", tok.H, err, want)
+	}
+	d.tokens.Rewind()
+	if !slices.Equal(tok.H, []int32{0, 0}) {
+		t.Fatalf("a token kept past its rewind reads %v, want the sentinel handle 0", tok.H)
+	}
+}
+
 // forgedCountFrames are an acts frame and a turn frame's payload that
 // each declare 2^24 elements in 64 bytes. They are committed as seeds
 // of FuzzTransportFrame (the whole frame) and FuzzTurnFrame (the
@@ -362,7 +384,7 @@ func TestReservationsHeldToTheFrame(t *testing.T) {
 	}
 	turn := func(p []byte) error {
 		cd.Reset(p)
-		tf.turn.Insts, tf.buf = nil, nil
+		tf = turnFrame{}
 		return cd.turn(network, &tf)
 	}
 	for _, c := range []struct {

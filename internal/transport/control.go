@@ -355,8 +355,8 @@ func (c *Control) read(cc *ctlConn) error {
 			}
 			// A relay is re-encoded before the next frame is read and
 			// nothing of it is kept, so every relay's tokens are carved
-			// from the same slab.
-			d.rewindTokens()
+			// from the same region.
+			d.tokens.Rewind()
 			if ft == ftRelay {
 				msgs = d.actList(c.network, msgs)
 			} else {
@@ -390,7 +390,7 @@ func (c *Control) read(cc *ctlConn) error {
 			// absorbed the last one's result, so the arrays this
 			// connection lent its deltas are free again.
 			if cycle := c.CurrentCycle(); cycle != tfCycle {
-				tf.rewind()
+				tf.lent.Rewind()
 				tfCycle = cycle
 			}
 			if err := d.turn(c.network, &tf); err != nil {

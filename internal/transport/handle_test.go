@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"mpcrete/internal/alloc"
 	"mpcrete/internal/engine"
 	"mpcrete/internal/ops5"
 	"mpcrete/internal/raceflag"
@@ -22,7 +23,7 @@ import (
 // read it, and the worker's mirror refills the row it retires: every
 // cycle's conflict set equals the sequential matcher's, every handle
 // names at least 11 wmes in turn, and no worker ever sends a
-// definition. Under rete.PoisonRewinds (TestPoisonedRewinds) the table
+// definition. Under alloc.Poison (TestPoisonedRewinds) the table
 // quarantines what it frees, so there every handle names exactly one.
 func TestRecycleParity(t *testing.T) {
 	const (
@@ -76,9 +77,9 @@ func TestRecycleParity(t *testing.T) {
 				t.Fatal("no handle was ever filled")
 			}
 			for h, ids := range named {
-				if poisoned() && len(ids) != 1 {
+				if alloc.Poisoned() && len(ids) != 1 {
 					t.Errorf("handle %d named %d wmes under the poison, want 1 (quarantined once freed)", h, len(ids))
-				} else if !poisoned() && len(ids) < 11 {
+				} else if !alloc.Poisoned() && len(ids) < 11 {
 					t.Errorf("handle %d named %d wmes, want at least 11 (reused 10 times)", h, len(ids))
 				}
 			}
@@ -265,8 +266,8 @@ func mirrorRows(t *testing.T, network *rete.Network, stream []byte) int {
 			rows++
 		}
 	}
-	for _, free := range d.rows {
-		rows += len(free)
+	for _, l := range network.Layouts() {
+		rows += d.rows.Listed(l.ID())
 	}
 	return rows
 }

@@ -3,8 +3,7 @@ package transport
 import (
 	"testing"
 
-	"mpcrete/internal/ops5"
-	"mpcrete/internal/rete"
+	"mpcrete/internal/alloc"
 )
 
 // TestPoisonedRewinds re-runs the carrier parity tests with every
@@ -18,7 +17,7 @@ import (
 // table quarantines every handle it frees, so RecycleParity's churn
 // runs with no handle defined twice.
 func TestPoisonedRewinds(t *testing.T) {
-	t.Cleanup(rete.PoisonRewinds())
+	t.Cleanup(alloc.Poison())
 	t.Run("ControlParity", TestControlParity)
 	t.Run("LoopbackParity", TestLoopbackParity)
 	t.Run("CrossCarrierMigrationAccounting", TestCrossCarrierMigrationAccounting)
@@ -27,7 +26,3 @@ func TestPoisonedRewinds(t *testing.T) {
 	t.Run("RecycleParity", TestRecycleParity)
 	t.Run("MirrorRecyclesRows", TestMirrorRecyclesRows)
 }
-
-// poisoned reports whether rete.PoisonRewinds is on: a retired row is
-// then scrubbed and may not be reused.
-func poisoned() bool { return !rete.Retire(new(ops5.WME)) }

@@ -233,9 +233,7 @@ func serveConn(conn net.Conn) error {
 		track: track,
 		epoch: time.Now(),
 		conn:  conn,
-		// The mirror's free rows are indexed by layout id, sized once
-		// from the program's layout table.
-		dec: dec{nbuckets: h.nbuckets, workers: h.workers, tab: mirror, mirror: true, rows: make(rete.Rows, len(h.net.Layouts())),
+		dec: dec{nbuckets: h.nbuckets, workers: h.workers, tab: mirror, mirror: true,
 			made: ops5.Carver{Floor: mirrorRowsPerChunk}, layouts: h.net.Layouts()},
 		enc: enc{tab: mirror, refsOnly: true, layouts: h.net.Layouts()},
 	}
@@ -305,7 +303,7 @@ func (w *starWorker) turn(ft frameType, payload []byte) error {
 	d.Reset(payload)
 	// The previous turn's decoded tokens are dead, as its phase tokens
 	// are (BeginPhase below): every memory it added to stored copies.
-	d.rewindTokens()
+	d.tokens.Rewind()
 	// Every delivery opens with its causal stamp, which its recv names.
 	batch, src, n := d.I32(), d.I32(), int32(1)
 	switch ft {

@@ -17,8 +17,8 @@ import (
 // gains a caller, so the list can only shrink.
 var allowedUncalled = map[string]string{
 	// Test seams: a test switches something on or substitutes a fake.
-	"PoisonRewinds": "rete: TestPoisonedRewinds in six packages reruns the differentials with recycled tokens overwritten",
-	"WithSimulate":  "sweep: tests substitute a counting or failing simulate function",
+	"Poison":       "alloc: TestPoisonedRewinds in six packages reruns the differentials with recycled storage overwritten",
+	"WithSimulate": "sweep: tests substitute a counting or failing simulate function",
 
 	// References and oracles the tests compare against.
 	"LoadCorpus":             "difftest: reads testdata/corpus for the differential tests of three packages",
@@ -32,6 +32,8 @@ var allowedUncalled = map[string]string{
 	"Simulations": "sweep: the cache-miss count that proves a point is simulated once",
 	"BusyTotal":   "simnet: busy-time conservation across core, simnet and the flight recorder",
 	"LoadPerProc": "sched: partition tests and the package example sum load per processor",
+	"Carved":      "alloc: where a pool's runs come from, for the store and region tests",
+	"Listed":      "alloc: a pool's free-list lengths, for the store, region and row tests",
 
 	// Called by the standard library through an interface.
 	"MarshalText":   "obs: encoding/json calls it on every event of a flight dump, so a kind travels by name",

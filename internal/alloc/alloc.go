@@ -44,8 +44,9 @@ func scrub[T any](r []T) {
 		return
 	}
 	if s, ok := sentinels[(*T)(nil)]; ok {
+		v := s.(T)
 		for i := range r {
-			r[i] = s.(T)
+			r[i] = v
 		}
 	}
 }
@@ -187,15 +188,4 @@ func (p *Pool[T]) Reset() {
 	}
 	clear(p.chunk[:p.used])
 	p.used = 0
-}
-
-// Carved returns the part of the current chunk carved so far.
-func (p *Pool[T]) Carved() []T { return p.chunk[:p.used] }
-
-// Listed returns the length of key's free list.
-func (p *Pool[T]) Listed(key int) int {
-	if key >= len(p.free) {
-		return 0
-	}
-	return len(p.free[key])
 }

@@ -96,11 +96,14 @@ func TestPool(t *testing.T) {
 	var p Pool[*cell]
 	x := &cell{v: 7}
 	r := p.Take(4)
+	if &r[0] != &p.chunk[0] || len(p.chunk) != ChunkLen[*cell]() || cap(r) != 4 {
+		t.Fatal("a zero pool's first run was not carved, capacity-capped, from the front of a ChunkLen chunk")
+	}
 	r[1] = x
 	p.Put(r)
 	if Poisoned() {
-		if r[1] != cellSentinel || p.Listed(4) != 0 {
-			t.Fatalf("a run put back under the poison reads %v and is listed %d times", r[1], p.Listed(4))
+		if r[1] != cellSentinel || listed(&p, 4) != 0 {
+			t.Fatalf("a run put back under the poison reads %v and is listed %d times", r[1], listed(&p, 4))
 		}
 		if got := p.Take(4); &got[0] == &r[0] {
 			t.Fatal("a run put back under the poison was taken again")
@@ -113,10 +116,10 @@ func TestPool(t *testing.T) {
 		}
 		return
 	}
-	if r[1] != nil || p.Listed(4) != 1 || cap(p.free[4]) != freeListFloor {
-		t.Fatalf("a run put back reads %v; its list holds %d of %d", r[1], p.Listed(4), cap(p.free[4]))
+	if r[1] != nil || listed(&p, 4) != 1 || cap(p.free[4]) != freeListFloor {
+		t.Fatalf("a run put back reads %v; its list holds %d of %d", r[1], listed(&p, 4), cap(p.free[4]))
 	}
-	if got := p.Take(4); &got[0] != &r[0] || p.Listed(4) != 0 {
+	if got := p.Take(4); &got[0] != &r[0] || listed(&p, 4) != 0 || p.used != 4 {
 		t.Fatal("the run put back is not the next run taken at its length")
 	}
 	a, b := new(*cell), new(*cell)
@@ -127,7 +130,15 @@ func TestPool(t *testing.T) {
 	}
 	p.Push(9, a)
 	p.Reset()
-	if p.Listed(9) != 0 || p.free[9][:1][0] != nil || len(p.Carved()) != 0 {
+	if listed(&p, 9) != 0 || p.free[9][:1][0] != nil || p.used != 0 {
 		t.Fatal("Reset left a free list holding an element, or a chunk carved")
 	}
+}
+
+// listed returns the length of key's free list.
+func listed[T any](p *Pool[T], key int) int {
+	if key >= len(p.free) {
+		return 0
+	}
+	return len(p.free[key])
 }

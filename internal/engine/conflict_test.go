@@ -368,11 +368,11 @@ func TestResetLetsGoOfTheLastTenant(t *testing.T) {
 // TestResetScrubsTheFreeLists: what a session recycles — the rows of
 // deleted wmes and the instantiations the conflict set retired — stays
 // with it across a reset for the next tenant, and none of it reaches a
-// value of the last one. After a reset every free row is blank (no ID,
-// time tag or attribute value), every free instantiation holds no wme,
-// and the fired one is let go; the last tenant's live and pending wmes
-// are among the free rows. The next tenant then runs as on a fresh
-// session.
+// value of the last one. After a reset every row the last tenant held
+// is blank (no ID, time tag or attribute value), every free
+// instantiation holds no wme, and the fired one is let go; the last
+// tenant's live and pending wmes are among the free rows. The next
+// tenant then runs as on a fresh session.
 func TestResetScrubsTheFreeLists(t *testing.T) {
 	want := referenceRun(t, sessionTestProg, sessionTestWMEs(5), 100)
 	prog, err := ops5.ParseProgram(sessionTestProg)
@@ -388,30 +388,40 @@ func TestResetScrubsTheFreeLists(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Every row the tenant holds at some point, live or pending.
+	seen := map[*ops5.WME]bool{}
+	see := func() {
+		for w := range s.LiveWMEs {
+			seen[w] = true
+		}
+	}
 	s.Assert(wmes...)
+	see()
 	for i := 0; i < 3; i++ {
 		if in, err := s.Step(); err != nil || in == nil {
 			t.Fatalf("step %d: %v, %v", i, in, err)
 		}
+		see()
 	}
-	s.MakeWME("item", "name", "pending", "state", "raw")
+	seen[s.MakeWME("item", "name", "pending", "state", "raw")] = true
 	held := s.WMCount() + 1
 	if !s.Reset() {
 		t.Fatal("Reset refused")
+	}
+	for w := range seen {
+		if w.ID != 0 || w.TimeTag != 0 || w.Len() != 0 {
+			t.Fatalf("row %d:%d %s is not blank", w.ID, w.TimeTag, w)
+		}
 	}
 	// Each layout's free rows are taken off and put back in order.
 	rows := 0
 	for _, l := range c.Network().Layouts() {
 		var free []*ops5.WME
-		for s.free.Listed(l.ID()) > 0 {
-			w := s.free.Get(l.ID())
-			if w.ID != 0 || w.TimeTag != 0 || w.Len() != 0 {
-				t.Fatalf("free row %d:%d %s is not blank", w.ID, w.TimeTag, w)
-			}
+		for w := s.free.Reuse(l, nil); w != nil; w = s.free.Reuse(l, nil) {
 			free = append(free, w)
 		}
 		for i := len(free) - 1; i >= 0; i-- {
-			s.free.Push(l.ID(), free[i])
+			s.free.Retire(free[i])
 		}
 		rows += len(free)
 	}

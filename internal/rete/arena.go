@@ -31,10 +31,7 @@ import (
 // a negative id.
 var poisonWME = &ops5.WME{ID: -1, TimeTag: -1, Class: "rewound-token"}
 
-func init() {
-	alloc.Sentinel(poisonWME)
-	alloc.Sentinel(*poisonWME)
-}
+func init() { alloc.Sentinel(poisonWME) }
 
 // Rows is a working memory's supply of wme rows: the rows of retired
 // wmes, blank, on a free list per layout id, which Row refills before
@@ -43,14 +40,18 @@ func init() {
 // neither holds more rows than its largest working memory and a few per
 // layout. Its free lists are a pool's, keyed by layout id. The zero Rows
 // is ready to use.
-type Rows struct{ alloc.Pool[ops5.WME] }
+type Rows struct{ free alloc.Pool[ops5.WME] }
 
 // Retire blanks the row of a wme nothing reads any more and puts it on
-// its layout's free list; under the poison it reads as the sentinel
-// instead, and is never refilled. A loose row is dropped.
+// its layout's free list. A loose row, or one laid out before its
+// layout grew, is dropped. Under the poison every retired row reads as
+// the sentinel instead, and none is refilled.
 func (r *Rows) Retire(w *ops5.WME) {
-	if l := w.Layout(); l != nil && w.Refill(nil) {
-		r.Push(l.ID(), w)
+	switch l := w.Layout(); {
+	case alloc.Poisoned():
+		*w = *poisonWME
+	case l != nil && w.Refill(nil):
+		r.free.Push(l.ID(), w)
 	}
 }
 
@@ -77,7 +78,7 @@ func (r *Rows) Reuse(l *ops5.Layout, src *ops5.WME) *ops5.WME {
 	if l == nil {
 		return nil
 	}
-	if w := r.Get(l.ID()); w != nil && w.Refill(src) {
+	if w := r.free.Get(l.ID()); w != nil && w.Refill(src) {
 		return w
 	}
 	return nil

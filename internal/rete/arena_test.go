@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"mpcrete/internal/alloc"
 	"mpcrete/internal/ops5"
@@ -33,14 +34,23 @@ func lent[T any](a *alloc.Arena[T], r []T) bool {
 	return within(region[:cap(region)], r)
 }
 
-// carved reports whether run r was carved from the pool's current
-// chunk.
-func carved[T any](p *alloc.Pool[T], r []T) bool { return within(p.Carved(), r) }
+// listed returns the length of key's free list, taking what it holds
+// off and putting it back in the order it was.
+func listed[T any](p *alloc.Pool[T], key int) int {
+	var held []*T
+	for x := p.Get(key); x != nil; x = p.Get(key) {
+		held = append(held, x)
+	}
+	for i := len(held) - 1; i >= 0; i-- {
+		p.Push(key, held[i])
+	}
+	return len(held)
+}
 
 // freeLen counts the elements of the runs on a pool's free lists.
 func freeLen[T any](p *alloc.Pool[T]) (n int) {
 	for k := 1; k <= alloc.ChunkLen[T]()/4; k++ {
-		n += k * p.Listed(k)
+		n += k * listed(p, k)
 	}
 	return n
 }
@@ -51,9 +61,9 @@ func freeLen[T any](p *alloc.Pool[T]) (n int) {
 // naive matcher (every variant, hashed and linear memories), the
 // held-result test, whose deltas must have copied their wmes out of
 // their tokens, a result held past handing it back (Recycle), which
-// must read as scrubbed, and a negative entry's run put back into the
-// store in the phase that emitted its token (every pool's own poisoned
-// check is TestPool's).
+// must read as scrubbed, a negative entry's run put back into the
+// store in the phase that emitted its token, and retired wme rows of
+// every kind (every pool's own poisoned check is TestPool's).
 func TestPoisonedRewinds(t *testing.T) {
 	poison(t)
 	t.Run("RandomizedDifferential", TestMatcherRandomizedDifferential)
@@ -61,6 +71,45 @@ func TestPoisonedRewinds(t *testing.T) {
 	t.Run("ResultBelongsToCaller", TestApplyResultBelongsToCaller)
 	t.Run("HandedBackRecordsAreScrubbed", checkHandedBackScrubbed)
 	t.Run("NegatedFlipThenRemove", TestNegatedFlipThenRemoveInOnePhase)
+	t.Run("RowsRetire", TestRowsRetire)
+}
+
+// TestRowsRetire: a retired row goes, blank, on its layout's free list
+// and is the next row Reuse refills, while a loose row and one laid out
+// before its layout grew are dropped. Under the poison every retired
+// row, of all three kinds, reads as the sentinel, and none is refilled.
+func TestRowsRetire(t *testing.T) {
+	var r Rows
+	l := ops5.NewLayout(0, "a", "x")
+	stale := l.Conform(ops5.NewWME("a", "x", 1))
+	l.Add("y")
+	laid := l.Conform(ops5.NewWME("a", "x", 2, "y", 3))
+	loose := ops5.NewWME("a", "x", 4)
+	rows := map[string]*ops5.WME{"stale": stale, "laid-out": laid, "loose": loose}
+	for _, w := range []*ops5.WME{stale, laid, loose} {
+		w.ID, w.TimeTag = 9, 9
+		r.Retire(w)
+	}
+	if alloc.Poisoned() {
+		for name, w := range rows {
+			if !reflect.DeepEqual(*w, *poisonWME) {
+				t.Errorf("a %s row retired under the poison reads %d:%d %s", name, w.ID, w.TimeTag, w)
+			}
+		}
+		if w := r.Reuse(l, nil); w != nil {
+			t.Fatalf("a row retired under the poison was refilled: %s", w)
+		}
+		return
+	}
+	if laid.ID != 0 || laid.TimeTag != 0 || laid.Len() != 0 {
+		t.Fatalf("the retired row reads %d:%d %s, want blank", laid.ID, laid.TimeTag, laid)
+	}
+	if w := r.Reuse(l, nil); w != laid {
+		t.Fatalf("Reuse refilled %p, want the laid-out row %p", w, laid)
+	}
+	if w := r.Reuse(l, nil); w != nil {
+		t.Fatalf("a %s row was listed", map[bool]string{true: "stale", false: "loose"}[w == stale])
+	}
 }
 
 // TestDeleteTokensAreNeverStored is the assertion the phase arena rests
@@ -249,8 +298,8 @@ func TestProductionOnlyTokensComeFromThePhaseArena(t *testing.T) {
 		t.Helper()
 		for _, bucket := range p.left.buckets {
 			for _, e := range bucket {
-				if lent(&p.phase, e.token.H) || !carved(&p.store, e.token.H) {
-					t.Fatalf("node %d stores %v outside the store", e.node.ID, e.token)
+				if lent(&p.phase, e.token.H) {
+					t.Fatalf("node %d stores %v from the phase arena", e.node.ID, e.token)
 				}
 				for _, h := range e.token.H {
 					if p.tab.rows[h] == poisonWME {
@@ -274,12 +323,28 @@ func TestProductionOnlyTokensComeFromThePhaseArena(t *testing.T) {
 	if n := stored(); n != 3 {
 		t.Fatalf("after the phase arena's rewind the memories store %d tokens, want 3", n)
 	}
+	var before [][]int32
+	for _, bucket := range p.left.buckets {
+		for _, e := range bucket {
+			before = append(before, e.token.H)
+		}
+	}
 	acts = run(Change{Tag: Delete, WME: wa})
 	if len(acts) != 1 || acts[0].Tag != Delete || !lent(&p.phase, acts[0].Token.H) {
 		t.Fatalf("the same join's delete emitted %v, want one token from the phase arena", acts)
 	}
 	if n := stored(); n != 1 {
 		t.Fatalf("after the delete the memories store %d tokens, want 1", n)
+	}
+	// The store scrubs, under the poison, what the delete gives back.
+	freed := 0
+	for _, h := range before {
+		if !slices.ContainsFunc(h, func(h int32) bool { return h != 0 }) {
+			freed += len(h)
+		}
+	}
+	if freed != 3 {
+		t.Fatalf("the delete gave the store back %d handles, want the 3 of [a3] and [a3 b2]", freed)
 	}
 }
 
@@ -306,11 +371,11 @@ func TestPool(t *testing.T) {
 }
 
 // checkPool: a zero pool carves runs, zero and full-capacity-capped,
-// from the front of a chunk of alloc.ChunkLen; a run put back reads
+// one after another from the front of a chunk; a run put back reads
 // zero and is the next run taken at its length, so reuse carves
 // nothing; a run over a quarter of a chunk comes from the heap and put
 // drops it; reset empties the free lists and rewinds the chunk, so the
-// next run is carved, zero, from its front again, while a run that does
+// same runs are carved, zero, where they were, while a run that does
 // not fit takes a fresh chunk; and under the poison a run put back is
 // cleared and never taken again. mk makes a nonzero element.
 func checkPool[T int32 | leftEntry | rightEntry](t *testing.T, mk func(int) T) {
@@ -332,16 +397,21 @@ func checkPool[T int32 | leftEntry | rightEntry](t *testing.T, mk func(int) T) {
 	}
 	const widths = 8
 	kept := map[int][]T{}
-	for w := 1; w <= widths; w++ {
-		kept[w] = p.Take(w)
-		if len(kept[w]) != w || cap(kept[w]) != w || !isZero(kept[w]) {
-			t.Fatalf("a %d-run reads %v (capacity %d)", w, kept[w], cap(kept[w]))
+	carve := func() {
+		for w := 1; w <= widths; w++ {
+			r := p.Take(w)
+			if len(r) != w || cap(r) != w || !isZero(r) {
+				t.Fatalf("a %d-run reads %v (capacity %d)", w, r, cap(r))
+			}
+			if k, ok := kept[w]; ok && &r[0] != &k[0] {
+				t.Fatalf("after reset the %d-run was not carved where it was", w)
+			}
+			kept[w] = fill(r)
 		}
-		fill(kept[w])
 	}
-	first := &p.Carved()[0]
-	if c := p.Carved(); len(c) != 36 || &kept[1][0] != first || cap(c) != chunkLen {
-		t.Fatalf("eight runs carved %d elements, want 36 from the front of a %d-chunk (got %d)", len(c), chunkLen, cap(c))
+	carve()
+	if !within(unsafe.Slice(&kept[1][0], 36), kept[widths]) {
+		t.Fatal("eight runs were not carved one after another")
 	}
 	for round := 0; round < 3; round++ {
 		for w := widths; w >= 1; w-- {
@@ -356,31 +426,32 @@ func checkPool[T int32 | leftEntry | rightEntry](t *testing.T, mk func(int) T) {
 			fill(got)
 		}
 	}
-	if len(p.Carved()) != 36 {
-		t.Fatalf("reuse carved %d more elements", len(p.Carved())-36)
-	}
+	next := &p.Take(1)[0]
 
 	big := fill(p.Take(chunkLen/4 + 1))
-	if len(p.Carved()) != 36 || carved(p, big) || cap(big) != chunkLen/4+1 {
-		t.Fatalf("a run over a quarter chunk was carved (%d more elements)", len(p.Carved())-36)
+	if cap(big) != chunkLen/4+1 {
+		t.Fatalf("a run over a quarter chunk has capacity %d", cap(big))
 	}
 	p.Put(big)
-	if p.Listed(cap(big)) != 0 || freeLen(p) != 0 {
+	if again := p.Take(chunkLen/4 + 1); &again[0] == &big[0] || freeLen(p) != 0 {
 		t.Fatalf("put listed a heap run: the free lists hold %d elements", freeLen(p))
 	}
 
 	p.Put(kept[3])
 	p.Reset()
-	if len(p.Carved()) != 0 || freeLen(p) != 0 {
-		t.Fatalf("after reset the pool has carved %d and frees %d elements", len(p.Carved()), freeLen(p))
+	if freeLen(p) != 0 {
+		t.Fatalf("after reset the pool frees %d elements", freeLen(p))
 	}
-	if r := p.Take(3); &r[0] != first || !isZero(r) {
-		t.Fatalf("after reset the next run is not carved, zero, from the front of the kept chunk: %v", r)
+	carve()
+	if &p.Take(1)[0] != next {
+		t.Fatal("reuse or a heap run carved from the chunk")
 	}
-	for len(p.Carved())+chunkLen/4 <= chunkLen {
+	for used := 37; used+chunkLen/4 <= chunkLen; used += chunkLen / 4 {
 		p.Take(chunkLen / 4)
 	}
-	if r := p.Take(chunkLen / 4); &p.Carved()[0] == first || &r[0] != &p.Carved()[0] || cap(p.Carved()) != chunkLen {
+	fresh := p.Take(chunkLen / 4)
+	p.Reset()
+	if &p.Take(1)[0] != &fresh[0] {
 		t.Fatal("a run longer than the chunk's rest was not carved from the front of a fresh chunk")
 	}
 
@@ -391,7 +462,7 @@ func checkPool[T int32 | leftEntry | rightEntry](t *testing.T, mk func(int) T) {
 		if !isZero(r) {
 			t.Fatalf("a run put back reads %v under the poison, want zero (handle 0)", r)
 		}
-		if got := p.Take(2); &got[0] == &r[0] || p.Listed(2) != 0 {
+		if got := p.Take(2); &got[0] == &r[0] || listed(p, 2) != 0 {
 			t.Fatal("a run put back under the poison was taken again")
 		}
 	})
@@ -418,7 +489,6 @@ func TestStoreIsBoundedByLiveEntries(t *testing.T) {
 	m.Recycle(m.Apply(adds))
 	peak := live()
 	m.Recycle(m.Apply(dels))
-	chunk, used := &s.Carved()[0], len(s.Carved())
 	if peak == 0 || freeLen(s) != peak {
 		t.Fatalf("the first pair freed %d handles for a peak of %d stored", freeLen(s), peak)
 	}
@@ -428,12 +498,11 @@ func TestStoreIsBoundedByLiveEntries(t *testing.T) {
 			t.Fatalf("pair %d: the add burst stores %d handles, want %d", pair, live(), peak)
 		}
 		m.Recycle(m.Apply(dels))
-		if &s.Carved()[0] != chunk || len(s.Carved()) != used {
-			t.Fatalf("pair %d: the store carved %d handles into its chunk, want %d into the same one", pair, len(s.Carved()), used)
-		}
 		if n := m.proc.left.Len(); n != 0 {
 			t.Fatalf("pair %d: the delete burst left %d entries", pair, n)
 		}
+		// Every run is back, so a run the pair carved would be freed
+		// beside the peak's.
 		if n := freeLen(s); n != peak {
 			t.Fatalf("pair %d: the store frees %d handles with every memory empty, want the peak's %d", pair, n, peak)
 		}

@@ -712,10 +712,9 @@ func holdsNothing(t *testing.T, m *Matcher) {
 	if n := cap(m.proc.lent.Region()); n > alloc.ChunkLen[*ops5.WME]() {
 		t.Fatalf("lent arena keeps a region of %d", n)
 	}
-	// The store keeps one chunk, rewound, and free lists that hold no
-	// run: the next tenant carves from the chunk's front.
-	if s := &m.proc.store; len(s.Carved()) != 0 || freeLen(s) != 0 {
-		t.Fatalf("the store has carved %d handles into its chunk and frees %d", len(s.Carved()), freeLen(s))
+	// The store's free lists hold no run (alloc.Pool.Reset).
+	if n := freeLen(&m.proc.store); n != 0 {
+		t.Fatalf("the store frees %d handles", n)
 	}
 	for i, w := range m.proc.lent.Region()[:cap(m.proc.lent.Region())] {
 		if w != nil {

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"mpcrete/internal/alloc"
 	"mpcrete/internal/ops5"
@@ -177,7 +178,7 @@ func freeZero[E leftEntry | rightEntry](t *testing.T, what string, r *alloc.Pool
 	t.Helper()
 	for n := 1; n <= alloc.ChunkLen[E]()/4; n++ {
 		var held [][]E
-		for r.Listed(n) > 0 {
+		for k := listed(r, n); k > 0; k-- {
 			region := r.Take(n)
 			if len(region) != n || cap(region) != n {
 				t.Fatalf("%s: the %d-list holds a region of %d/%d entries", what, n, len(region), cap(region))
@@ -211,14 +212,13 @@ func TestRegionsKeepTheTailZero(t *testing.T) {
 	// ones, up to 16, are on the free lists, and the next bucket to grow
 	// takes one instead of carving.
 	for l := 1; l <= alloc.ChunkLen[leftEntry]()/4; l *= 2 {
-		if r.Listed(l) != 2 {
-			t.Fatalf("the %d-list holds %d regions, want the two the buckets outgrew", l, r.Listed(l))
+		if listed(r, l) != 2 {
+			t.Fatalf("the %d-list holds %d regions, want the two the buckets outgrew", l, listed(r, l))
 		}
 	}
-	carvedLen := len(r.Carved())
 	newMemory[leftEntry](1).add(0, leftEntry{node: n}, r)
-	if len(r.Carved()) != carvedLen || r.Listed(1) != 1 {
-		t.Fatalf("a new bucket's growth carved %d entries and left %d 1-entry regions, want 0 and 1", len(r.Carved())-carvedLen, r.Listed(1))
+	if listed(r, 1) != 1 {
+		t.Fatalf("a new bucket's growth left %d 1-entry regions, want 1: it carved instead of taking one", listed(r, 1))
 	}
 	for i := 1; i <= len(ts); i += 3 {
 		if _, ok := removeLeft(m, i%2, n, ts[i-1], new(alloc.Pool[int32])); !ok {
@@ -269,7 +269,7 @@ func TestExtractInjectKeepsOrderAndReleasesRegion(t *testing.T) {
 				src.right.add(5, wantR[i-1], &src.rregs)
 			}
 			region := cap(src.left.entries(5))
-			before := src.lregs.Listed(region)
+			before := listed(&src.lregs, region)
 			bc := src.ExtractBucket(5)
 			if src.left.Len()+src.right.Len() != 0 {
 				t.Fatalf("shared=%v size %d: the source still holds entries", shared, size)
@@ -277,7 +277,7 @@ func TestExtractInjectKeepsOrderAndReleasesRegion(t *testing.T) {
 			if cap(src.left.entries(5))+cap(src.right.entries(5)) != 0 {
 				t.Errorf("shared=%v size %d: the source memory kept a region for the bucket it gave up", shared, size)
 			}
-			if region <= alloc.ChunkLen[leftEntry]()/4 && src.lregs.Listed(region) != before+1 {
+			if region <= alloc.ChunkLen[leftEntry]()/4 && listed(&src.lregs, region) != before+1 {
 				t.Errorf("shared=%v size %d: the extracted %d-entry region is not on the extractor's free list", shared, size, region)
 			}
 			freeZero(t, "after extract", &src.lregs)
@@ -289,8 +289,10 @@ func TestExtractInjectKeepsOrderAndReleasesRegion(t *testing.T) {
 			}) || !slices.Equal(gotR, wantR) {
 				t.Errorf("shared=%v size %d: injected %v / %v, want %v / %v", shared, size, gotL, gotR, wantL, wantR)
 			}
+			// A fresh store carves the copies one after another.
+			copies := unsafe.Slice(&gotL[0].token.H[0], len(gotL))
 			for i, e := range gotL {
-				if &e.token.H[0] == &wantL[i].token.H[0] || !carved(&dst.store, e.token.H) {
+				if &e.token.H[0] == &wantL[i].token.H[0] || !within(copies, e.token.H) {
 					t.Fatalf("shared=%v size %d: injected token %d is not a copy from the injector's store", shared, size, i)
 				}
 			}

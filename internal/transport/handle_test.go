@@ -267,7 +267,9 @@ func mirrorRows(t *testing.T, network *rete.Network, stream []byte) int {
 		}
 	}
 	for _, l := range network.Layouts() {
-		rows += d.rows.Listed(l.ID())
+		for d.rows.Reuse(l, nil) != nil {
+			rows++
+		}
 	}
 	return rows
 }

@@ -32,8 +32,6 @@ var allowedUncalled = map[string]string{
 	"Simulations": "sweep: the cache-miss count that proves a point is simulated once",
 	"BusyTotal":   "simnet: busy-time conservation across core, simnet and the flight recorder",
 	"LoadPerProc": "sched: partition tests and the package example sum load per processor",
-	"Carved":      "alloc: where a pool's runs come from, for the store and region tests",
-	"Listed":      "alloc: a pool's free-list lengths, for the store, region and row tests",
 
 	// Called by the standard library through an interface.
 	"MarshalText":   "obs: encoding/json calls it on every event of a flight dump, so a kind travels by name",

@@ -71,13 +71,13 @@ func (cs *conflictSet) member(ic *rete.InstChange) *Instantiation {
 		return in
 	}
 	in := &cs.recs.Take(1)[0]
-	tags := 0
-	for _, w := range ic.WMEs {
+	ws, tags := ic.WMEs(), 0
+	for _, w := range ws {
 		if w != nil {
 			tags++
 		}
 	}
-	in.WMEs = cs.refs.Take(len(ic.WMEs))
+	in.WMEs = cs.refs.Take(len(ws))
 	in.TimeTags = cs.tags.Take(tags)
 	return in
 }
@@ -134,7 +134,7 @@ func (cs *conflictSet) add(ic *rete.InstChange) {
 	}
 	in := cs.fill(ic, h)
 	tags := in.TimeTags[:0]
-	for _, w := range ic.WMEs {
+	for _, w := range in.WMEs {
 		if w != nil {
 			tags = append(tags, w.TimeTag)
 		}
@@ -147,7 +147,7 @@ func (cs *conflictSet) add(ic *rete.InstChange) {
 // fill returns a record of ic's instantiation chained under h.
 func (cs *conflictSet) fill(ic *rete.InstChange, h uint64) *Instantiation {
 	in := cs.member(ic)
-	copy(in.WMEs, ic.WMEs)
+	copy(in.WMEs, ic.WMEs())
 	in.Prod, in.info = ic.Info.Prod, ic.Info
 	in.hash, in.next = h, cs.index[h]
 	cs.index[h] = in

@@ -38,7 +38,7 @@ func newCSHarness(t testing.TB, mask uint64) *csHarness {
 		if err != nil {
 			t.Fatal(err)
 		}
-		h.infos = append(h.infos, &rete.ProdInfo{Prod: p, Node: &rete.Node{ID: 100 + i, Kind: rete.KindProduction}})
+		h.infos = append(h.infos, &rete.ProdInfo{Prod: p, Node: &rete.Node{ID: 100 + i, Kind: rete.KindProduction}, TokenPos: []int{0, -1, 1}})
 	}
 	for id := 1; id <= 5; id++ {
 		w := ops5.NewWME("x", "v", 1)
@@ -55,7 +55,7 @@ func newCSHarness(t testing.TB, mask uint64) *csHarness {
 // reference may keep them; a matcher only lends its.
 func (h *csHarness) delta(tag rete.Tag, a, b byte) rete.InstChange {
 	w1, w2 := h.wmes[int(a)%5], h.wmes[int(b)%5]
-	return rete.InstChange{Tag: tag, Info: h.infos[int(a/5)%3], WMEs: []*ops5.WME{w1, nil, w2}}
+	return rete.NewInstChange(tag, h.infos[int(a/5)%3], []*ops5.WME{w1, nil, w2})
 }
 
 // step performs one operation chosen by op: an add (possibly of an
@@ -167,9 +167,9 @@ func (h *csHarness) check(t testing.TB, when string) {
 			t.Fatalf("%s: member %s is not in the reference", when, in.Key())
 		case in.pos != i:
 			t.Fatalf("%s: %s at position %d records position %d", when, in.Key(), i, in.pos)
-		case !slices.Equal(in.WMEs, want.WMEs) || in.Prod != want.Info.Prod:
+		case !slices.Equal(in.WMEs, want.WMEs()) || in.Prod != want.Info.Prod:
 			t.Fatalf("%s: %s does not hold the wmes of the last add of that identity", when, in.Key())
-		case &in.WMEs[0] == &want.WMEs[0]:
+		case &in.WMEs[0] == &want.WMEs()[0]:
 			t.Fatalf("%s: %s holds the array its delta lent", when, in.Key())
 		}
 		// Recency is the set's own work: the sorted tags of the wmes that
@@ -462,7 +462,7 @@ func TestPhaseOfGravesIsLinear(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	info := &rete.ProdInfo{Prod: p, Node: &rete.Node{ID: 7, Kind: rete.KindProduction}}
+	info := &rete.ProdInfo{Prod: p, Node: &rete.Node{ID: 7, Kind: rete.KindProduction}, TokenPos: []int{0, -1, 1}}
 	wmes := make([]*ops5.WME, 100)
 	for i := range wmes {
 		wmes[i] = ops5.NewWME("x", "v", 1)
@@ -472,8 +472,8 @@ func TestPhaseOfGravesIsLinear(t *testing.T) {
 		deltas := make([]rete.InstChange, 2*n)
 		for i := range n {
 			ws := []*ops5.WME{wmes[i/len(wmes)], nil, wmes[i%len(wmes)]}
-			deltas[i] = rete.InstChange{Tag: rete.Delete, Info: info, WMEs: ws}
-			deltas[n+i] = rete.InstChange{Tag: rete.Add, Info: info, WMEs: ws}
+			deltas[i] = rete.NewInstChange(rete.Delete, info, ws)
+			deltas[n+i] = rete.NewInstChange(rete.Add, info, ws)
 		}
 		return deltas
 	}

@@ -93,7 +93,7 @@ type Instantiation struct {
 // delta names the instantiation as the matcher does, which is where its
 // identity (Hash, Same) and its key are defined.
 func (in *Instantiation) delta() rete.InstChange {
-	return rete.InstChange{Info: in.info, WMEs: in.WMEs}
+	return rete.NewInstChange(rete.Add, in.info, in.WMEs)
 }
 
 // Key identifies the instantiation (production name + wme IDs). The

@@ -117,7 +117,7 @@ func (s *handBackSpy) Recycle(result []rete.InstChange) {
 	s.Matcher.Recycle(result)
 	for i := range result {
 		s.records++
-		for _, w := range result[i].WMEs {
+		for _, w := range result[i].WMEs() {
 			if w.ID != -1 {
 				s.t.Fatalf("handed-back delta %s reads wme %d, want the sentinel", result[i].Key(), w.ID)
 			}

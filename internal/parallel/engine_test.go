@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"mpcrete/internal/engine"
 	"mpcrete/internal/ops5"
@@ -92,8 +93,22 @@ func TestEngineOnParallelRuntime(t *testing.T) {
 // the goroutine runtime, in the unit the benchmark's par-queens row
 // reports: heap bytes per firing of an 8-queens session whose match
 // phase runs on parallel.New with two workers, from the runtime's
-// construction to its Close, run to the halt. It reads 276.4–277.3,
-// and 286.2–286.8 in about one run of five (281.9–288.1 while the
+// construction to its Close, run to the halt.
+//
+// The raw reading has two modes, and the scheduler picks one. In the
+// load cycle, the one cycle the in-place head hands off, a worker's
+// flush can reach the other worker's mailbox before that worker has
+// drained the control's share of 102 activations. Then the push doubles
+// the queue under the undrained share (mailbox.regrown: 204 slots of
+// Message, 8.0 bytes a firing) and the next turn is that much larger
+// (Step.reserve, about 1.7 more). The other order regrows nothing, or 9
+// slots. Which comes first moves between rounds: out of 180 runs at
+// GOMAXPROCS 2 and 1, 88 regrew a share. So the pin subtracts the
+// regrown slots, which the mailbox counts, and reads the rest:
+// 273.2–276.6. Raw, the runs read 273.5–276.9 and 283.0–284.3
+// (274.2–275.7 and 284.0–287.3 while a delta carried its wme run as a
+// slice header; 276.4–277.3 and 286.2–286.8 before match storage came
+// from one leaf package's arenas and pools; 281.9–288.1 while the
 // steps' queues and shares, the in-place head's FIFO and a phase's
 // handle list grew from empty by doubling; 343.5–354.9 while every
 // token a memory stored came from an arena nothing but Reset rewound; 444.3–455.7 while the driver netted each cycle's deltas into a
@@ -134,11 +149,16 @@ func TestParQueensBytesPerFiring(t *testing.T) {
 	if fired != 2033 {
 		t.Fatalf("8-queens fired %d times, want 2033", fired)
 	}
-	perFiring := float64(after.TotalAlloc-before.TotalAlloc) / float64(fired)
-	t.Logf("%d firings, %.1f heap bytes per firing", fired, perFiring)
-	const pinned = 286.8
+	regrown := 0
+	for _, w := range rt.workers {
+		regrown += w.inbox.regrown
+	}
+	total := float64(after.TotalAlloc - before.TotalAlloc)
+	perFiring := (total - float64(regrown)*float64(unsafe.Sizeof(Message{}))) / float64(fired)
+	t.Logf("%d firings, %.1f heap bytes per firing, %.1f without the %d mailbox slots regrown", fired, total/float64(fired), perFiring, regrown)
+	const pinned = 276.6
 	if perFiring > pinned*1.03 {
-		t.Errorf("%.1f heap bytes per firing, want at most %.1f", perFiring, pinned*1.03)
+		t.Errorf("%.1f heap bytes per firing without the regrown mailbox slots, want at most %.1f", perFiring, pinned*1.03)
 	}
 }
 

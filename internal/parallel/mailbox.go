@@ -50,6 +50,10 @@ type mailbox struct {
 	// runtime, so during normal operation the count stays zero — soak
 	// runs assert exactly that.
 	dropped *obs.Counter
+	// regrown sums the slots of the queues a push grew because it found
+	// messages still queued and no room behind them: the growth that
+	// depends on whether the receiver drained before the sender pushed.
+	regrown int
 }
 
 func newMailbox(dropped *obs.Counter, stamped bool) *mailbox {
@@ -89,7 +93,11 @@ func (m *mailbox) enqueueLocked(msgs []Message, batch, src int32) {
 		m.dropped.Add(int64(len(msgs)))
 		return
 	}
+	grow := len(m.queue) > 0 && len(m.queue)+len(msgs) > cap(m.queue)
 	m.queue = append(m.queue, msgs...)
+	if grow {
+		m.regrown += cap(m.queue)
+	}
 	if m.stamped {
 		m.stamps = append(m.stamps, recvStamp{Batch: batch, Src: src, Count: int32(len(msgs))})
 	}

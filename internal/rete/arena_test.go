@@ -282,12 +282,12 @@ func TestProductionOnlyTokensComeFromThePhaseArena(t *testing.T) {
 	if p.tab.rows[acts[0].Token.H[0]] != poisonWME {
 		t.Fatal("the phase arena's rewind did not recycle the production-only token")
 	}
-	if got := held[0].Key(); held[0].Tag != Add || got != "pair[1 2]" || !lent(&p.lent, held[0].WMEs) {
+	if got := held[0].Key(); held[0].Tag != Add || got != "pair[1 2]" || !lent(&p.lent, held[0].WMEs()) {
 		t.Fatalf("the Add delta built from a production-only token reads %v %s after its token was recycled, want + pair[1 2] in a lent array", held[0].Tag, got)
 	}
 	p.BeginPhase()
-	if held[0].WMEs[0] != poisonWME {
-		t.Fatalf("the Add delta's array reads %v after the next BeginPhase: it was not lent", held[0].WMEs)
+	if held[0].WMEs()[0] != poisonWME {
+		t.Fatalf("the Add delta's array reads %v after the next BeginPhase: it was not lent", held[0].WMEs())
 	}
 
 	if err := net.AddProduction(mustParse(t, `(p triple (a ^x <v>) (b ^x <v>) (c ^x <v>) --> (halt))`)[0]); err != nil {

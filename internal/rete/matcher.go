@@ -1,8 +1,10 @@
 package rete
 
 import (
+	"fmt"
 	"slices"
 	"strconv"
+	"unsafe"
 
 	"mpcrete/internal/alloc"
 	"mpcrete/internal/ops5"
@@ -34,21 +36,49 @@ type Event struct {
 
 // InstChange is a conflict-set delta produced by a production node: the
 // one thing a match processor tells the control processor, so it
-// carries what the receiver cannot recompute and nothing else (40
+// carries what the receiver cannot recompute and nothing else (24
 // bytes). Recency — the sorted time tags conflict resolution compares —
 // is a function of WMEs and is computed where an instantiation enters a
 // conflict set.
+//
+// The matched wmes are a run as long as the production's LHS, so the
+// record keeps only the run's first element and reads its length off
+// Info (WMEs); NewInstChange, the one way to make a delta, refuses a
+// run of any other length.
 type InstChange struct {
-	Tag Tag
 	// Info is the compilation record of the production instantiated.
 	Info *ProdInfo
-	// WMEs holds the matched wmes indexed by original condition-element
-	// position; entries for negated CEs are nil. The array is lent: it
-	// is read until the match processor that made it starts its next
-	// phase (Processor.Build), and a holder that keeps the
-	// instantiation copies it.
-	WMEs []*ops5.WME
+	// w is the first element of the matched-wme run (NewInstChange).
+	w   **ops5.WME
+	Tag Tag
 }
+
+// NewInstChange makes the delta tag of info's instantiation over wmes,
+// the matched wmes indexed by original condition-element position
+// (nil at a negated one). It panics, naming the production, unless
+// wmes has one element per condition element: WMEs reads the run back
+// at exactly that length.
+func NewInstChange(tag Tag, info *ProdInfo, wmes []*ops5.WME) InstChange {
+	if len(wmes) != len(info.TokenPos) {
+		badRun(info, len(wmes))
+	}
+	return InstChange{Info: info, w: unsafe.SliceData(wmes), Tag: tag}
+}
+
+// badRun is NewInstChange's refusal, kept out of line so that the
+// constructor inlines into Build's loop.
+//
+//go:noinline
+func badRun(info *ProdInfo, n int) {
+	panic(fmt.Sprintf("rete: delta of %q over %d wmes, the production has %d condition elements", info.Prod.Name, n, len(info.TokenPos)))
+}
+
+// WMEs returns the matched wmes indexed by original condition-element
+// position; entries for negated CEs are nil. The array is lent: it is
+// read until the match processor that made it starts its next phase
+// (Processor.Build), and a holder that keeps the instantiation copies
+// it.
+func (ic *InstChange) WMEs() []*ops5.WME { return unsafe.Slice(ic.w, len(ic.Info.TokenPos)) }
 
 // wmeID is the identity of one matched-wme position; a negated
 // condition element's nil reads as 0, below every real ID.
@@ -71,7 +101,7 @@ func wmeID(w *ops5.WME) int {
 // indexed by the low bits sees all of it.
 func (ic *InstChange) Hash() uint64 {
 	h := (uint64(fnvOffset64) ^ uint64(ic.Info.Node.ID)) * fnvPrime64
-	for _, w := range ic.WMEs {
+	for _, w := range ic.WMEs() {
 		h = (h ^ uint64(wmeID(w))) * fnvPrime64
 	}
 	return h ^ h>>32
@@ -79,11 +109,12 @@ func (ic *InstChange) Hash() uint64 {
 
 // Same reports whether ic and o name the same instantiation.
 func (ic *InstChange) Same(o *InstChange) bool {
-	if ic.Info != o.Info || len(ic.WMEs) != len(o.WMEs) {
+	if ic.Info != o.Info {
 		return false
 	}
-	for i, w := range ic.WMEs {
-		if wmeID(w) != wmeID(o.WMEs[i]) {
+	ws := o.WMEs()
+	for i, w := range ic.WMEs() {
+		if wmeID(w) != wmeID(ws[i]) {
 			return false
 		}
 	}
@@ -100,7 +131,7 @@ func (ic *InstChange) AppendKey(buf []byte) []byte {
 	buf = append(buf, ic.Info.Prod.Name...)
 	buf = append(buf, '[')
 	first := true
-	for _, w := range ic.WMEs {
+	for _, w := range ic.WMEs() {
 		if w == nil {
 			continue
 		}
@@ -318,7 +349,8 @@ func (m *Matcher) ApplyFiltered(changes []Change, allow func(*Node) bool) []Inst
 func (m *Matcher) Recycle(result []InstChange) {
 	if alloc.Poisoned() {
 		for i := range result {
-			result[i].WMEs = slices.Repeat([]*ops5.WME{poisonWME}, len(result[i].WMEs))
+			ic := &result[i]
+			*ic = NewInstChange(ic.Tag, ic.Info, slices.Repeat([]*ops5.WME{poisonWME}, len(ic.Info.TokenPos)))
 		}
 		return
 	}

@@ -2,12 +2,18 @@ package rete
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strconv"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"mpcrete/internal/alloc"
 	"mpcrete/internal/ops5"
+	"mpcrete/internal/raceflag"
 )
 
 // harness couples a matcher with an accumulated conflict set and a
@@ -66,7 +72,7 @@ func (h *harness) apply(changes ...Change) {
 				h.t.Fatalf("duplicate instantiation %s", key)
 			}
 			h.cs[key] = true
-			h.held[key] = slices.Clone(ic.WMEs)
+			h.held[key] = slices.Clone(ic.WMEs())
 		} else {
 			if !h.cs[key] {
 				h.t.Fatalf("deletion of absent instantiation %s", key)
@@ -382,7 +388,8 @@ func TestApplyAllocsDoNotGrowWithOutput(t *testing.T) {
 		t.Fatalf("60x50 add and delete bursts made %d deltas, want 6000", deltas)
 	}
 	// The two result record arrays, each of exactly its own size because
-	// the caller keeps them, and nothing else: 2, and 3 in some runs
+	// the caller keeps them (TestKeptBurstBytesPerDelta pins their
+	// bytes), and nothing else: 2, and 3 in some runs
 	// after the package's other tests (12 while the tokens
 	// the add burst stored were carved from chunks that no delete gave
 	// back, the same while the records were carved from a slab, which
@@ -413,6 +420,78 @@ func TestApplyAllocsDoNotGrowWithOutput(t *testing.T) {
 	// deltas while the add burst carved its stored tokens afresh).
 	if extra := allocs2 - allocs; extra > 1 {
 		t.Errorf("doubling the burst added %.0f allocations for %d more deltas: allocations grow per delta", extra, deltas2-deltas)
+	}
+}
+
+// TestNewInstChangeRefusesAnotherLength: a delta is made only over a
+// run of one wme per condition element of its production, because
+// WMEs reads the run back at exactly that length. A run one short, one
+// long or empty panics, naming the production; the right length reads
+// back as the very run it was made over.
+func TestNewInstChangeRefusesAnotherLength(t *testing.T) {
+	net := compileT(t, []string{`(p pair (a ^x <v>) -(c ^x <v>) (b ^y <v>) --> (halt))`})
+	info := net.Prods["pair"]
+	w1, w2 := ops5.NewWME("a", "x", 1), ops5.NewWME("b", "y", 1)
+	w1.ID, w2.ID = 1, 2
+	for _, ws := range [][]*ops5.WME{{w1, nil}, {w1, nil, w2, nil}, nil} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, `delta of "pair" over `+strconv.Itoa(len(ws))+` wmes, the production has 3`) {
+					t.Errorf("a run of %d made a delta of a 3-element production (recovered %q)", len(ws), msg)
+				}
+			}()
+			NewInstChange(Add, info, ws)
+		}()
+	}
+	ws := []*ops5.WME{w1, nil, w2}
+	ic := NewInstChange(Delete, info, ws)
+	if got := ic.WMEs(); len(got) != 3 || cap(got) != 3 || &got[0] != &ws[0] || ic.Tag != Delete || ic.Key() != "pair[1 2]" {
+		t.Fatalf("the delta reads %v (tag %v, key %s), want the run it was made over", got, ic.Tag, ic.Key())
+	}
+}
+
+// TestKeptBurstBytesPerDelta pins what a delta costs a caller that
+// keeps its result: a 60x50 add burst's 3,000 deltas come in one array
+// of 24-byte records and nothing else, so the phase allocates 24 bytes
+// a delta plus the allocator's rounding of that array up to whole
+// pages (40 bytes a delta and its rounding while a delta carried its
+// wme run as a slice header).
+func TestKeptBurstBytesPerDelta(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("escape analysis decides differently under the race detector")
+	}
+	const record = 24
+	if size := unsafe.Sizeof(InstChange{}); size != record {
+		t.Fatalf("InstChange is %d bytes, want %d", size, record)
+	}
+	m, adds, dels := pairingBurst(t, 60, 50)
+	// The hash tables, queue and arenas grow in the first pair, and the
+	// second add burst still grows a few runs of the store.
+	for range 2 {
+		m.Apply(adds)
+		m.Apply(dels)
+	}
+	// The least of five runs: now and then a burst still grows the match
+	// queue by a few objects, which no delta pays for.
+	var before, after runtime.MemStats
+	bytes := uint64(math.MaxUint64)
+	for range 5 {
+		runtime.ReadMemStats(&before)
+		kept := m.Apply(adds)
+		runtime.ReadMemStats(&after)
+		bytes = min(bytes, after.TotalAlloc-before.TotalAlloc)
+		if len(kept) != 3000 {
+			t.Fatalf("60x50 add burst made %d deltas, want 3000", len(kept))
+		}
+		m.Apply(dels)
+	}
+	const page = 8 << 10
+	array := (3000*record + page - 1) / page * page
+	perDelta := float64(bytes) / 3000
+	t.Logf("%.2f heap bytes per kept delta", perDelta)
+	if want := float64(array) / 3000; perDelta > want {
+		t.Errorf("a kept 60x50 add burst allocates %.2f bytes a delta, want at most %.3f (%d-byte records in one page-rounded array)", perDelta, want, record)
 	}
 }
 
@@ -535,8 +614,8 @@ func TestApplyResultBelongsToCaller(t *testing.T) {
 		t.Helper()
 		for i := range held {
 			// Until the next Apply a lent array is as good as any.
-			if !lent(&m.proc.lent, held[i].WMEs) {
-				t.Fatalf("%s delta %d: array %v is not lent from the lent arena", what, i, held[i].WMEs)
+			if !lent(&m.proc.lent, held[i].WMEs()) {
+				t.Fatalf("%s delta %d: array %v is not lent from the lent arena", what, i, held[i].WMEs())
 			}
 		}
 		m.Apply(nil)
@@ -544,9 +623,9 @@ func TestApplyResultBelongsToCaller(t *testing.T) {
 			return
 		}
 		for i := range held {
-			for _, w := range held[i].WMEs {
+			for _, w := range held[i].WMEs() {
 				if w != poisonWME {
-					t.Fatalf("held %s delta %d reads %v after the next Apply: its array was not lent from the rewound arena", what, i, held[i].WMEs)
+					t.Fatalf("held %s delta %d reads %v after the next Apply: its array was not lent from the rewound arena", what, i, held[i].WMEs())
 				}
 			}
 		}
@@ -653,9 +732,9 @@ func checkHandedBackScrubbed(t *testing.T) {
 	m.Recycle(back)
 	next := m.Apply(dels)
 	for i := range back {
-		for _, w := range back[i].WMEs {
+		for _, w := range back[i].WMEs() {
 			if w != poisonWME {
-				t.Fatalf("handed-back delta %d reads %v, want every wme the sentinel", i, back[i].WMEs)
+				t.Fatalf("handed-back delta %d reads %v, want every wme the sentinel", i, back[i].WMEs())
 			}
 		}
 	}
@@ -678,7 +757,7 @@ func holdsNothing(t *testing.T, m *Matcher) {
 		}
 	}
 	for i, ic := range m.spare[:cap(m.spare)] {
-		if ic.Info != nil || ic.WMEs != nil {
+		if ic != (InstChange{}) {
 			t.Fatalf("handed-back result slot %d of %d still holds a delta", i, cap(m.spare))
 		}
 	}

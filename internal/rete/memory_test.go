@@ -391,7 +391,12 @@ func TestExtractInjectConcurrentOwners(t *testing.T) {
 // million: a right entry is its node and wme handle, a left entry its
 // node, token and count, an activation carries its token by value and
 // its wme as a handle in the padding after side and tag, and a
-// conflict-set delta is what PR 26 cut it to.
+// conflict-set delta is its production, the first element of its wme
+// run and its tag.
+//
+// History of InstChange: 40 bytes while it carried the run as a slice
+// header; 24 since the run's length is read off its production
+// (InstChange.WMEs).
 func TestHotRecordSizes(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -401,7 +406,7 @@ func TestHotRecordSizes(t *testing.T) {
 		{"rightEntry", reflect.TypeFor[rightEntry]().Size(), 16},
 		{"leftEntry", reflect.TypeFor[leftEntry]().Size(), 40},
 		{"Activation", reflect.TypeFor[Activation]().Size(), 40},
-		{"InstChange", reflect.TypeFor[InstChange]().Size(), 40},
+		{"InstChange", reflect.TypeFor[InstChange]().Size(), 24},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)

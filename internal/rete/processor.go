@@ -406,7 +406,7 @@ func (p *Processor) Build(acts []Activation, out []InstChange) []InstChange {
 				w[i] = rows[a.Token.H[pos]]
 			}
 		}
-		out = append(out, InstChange{Tag: a.Tag, Info: info, WMEs: w})
+		out = append(out, NewInstChange(a.Tag, info, w))
 	}
 	return out
 }

@@ -602,31 +602,34 @@ func (e *enc) instChange(a rete.Activation) {
 // instChange decodes one delta of a turn frame, carving its array from
 // the frame's region, and holds it to its production's shape — a position
 // per condition element, empty exactly at the negated ones — which the
-// engine indexes by.
+// engine indexes by. A delta whose position count is not its
+// production's fails the frame before any delta is made of it
+// (rete.NewInstChange would refuse the run).
 func (d *dec) instChange(net *rete.Network, tf *turnFrame) rete.InstChange {
-	ic := rete.InstChange{Tag: d.tag()}
+	tag := d.tag()
 	n := d.node(net)
 	if n == nil {
-		return ic
+		return rete.InstChange{}
 	}
-	if n.Kind != rete.KindProduction || n.Info == nil {
+	info := n.Info
+	if n.Kind != rete.KindProduction || info == nil {
 		d.Fail(fmt.Sprintf("node %d is not a production's terminal", n.ID))
-		return ic
+		return rete.InstChange{}
 	}
-	ic.Info = n.Info
 	nw := d.Count(len(tf.wmes))
-	if d.Err == nil && nw != len(n.Info.TokenPos) {
-		d.Fail(fmt.Sprintf("delta of %q carries %d wme positions, the production has %d condition elements", n.Info.Prod.Name, nw, len(n.Info.TokenPos)))
-		return ic
+	if d.Err != nil || nw != len(info.TokenPos) {
+		d.Fail(fmt.Sprintf("delta of %q carries %d wme positions, the production has %d condition elements", info.Prod.Name, nw, len(info.TokenPos)))
+		return rete.InstChange{}
 	}
-	ic.WMEs, tf.wmes = tf.wmes[:nw:nw], tf.wmes[nw:]
-	for i := range ic.WMEs {
-		ic.WMEs[i] = d.tab.WME(d.optWME())
-		if d.Err == nil && (ic.WMEs[i] == nil) != (n.Info.TokenPos[i] < 0) {
-			d.Fail(fmt.Sprintf("delta of %q: position %d is empty, or filled at a negated condition element", n.Info.Prod.Name, i))
+	ws := tf.wmes[:nw:nw]
+	tf.wmes = tf.wmes[nw:]
+	for i := range ws {
+		ws[i] = d.tab.WME(d.optWME())
+		if d.Err == nil && (ws[i] == nil) != (info.TokenPos[i] < 0) {
+			d.Fail(fmt.Sprintf("delta of %q: position %d is empty, or filled at a negated condition element", info.Prod.Name, i))
 		}
 	}
-	return ic
+	return rete.NewInstChange(tag, info, ws)
 }
 
 // --- migration payloads: move lists, partitions, bucket contents ---

@@ -429,7 +429,7 @@ func TestControlRejectsBadReferences(t *testing.T) {
 		t.Run(row.name, func(t *testing.T) {
 			insts, err := cycleAgainstForger(t, network, changes, row.frame)
 			switch {
-			case row.sound && (err != nil || len(insts) != 1 || insts[0].WMEs[0] != insts[0].WMEs[1] || insts[0].WMEs[1] != insts[0].WMEs[2]):
+			case row.sound && (err != nil || len(insts) != 1 || insts[0].WMEs()[0] != insts[0].WMEs()[1] || insts[0].WMEs()[1] != insts[0].WMEs()[2]):
 				t.Fatalf("sound turn: insts=%v err=%v, want one delta over the control's one wme", insts, err)
 			case !row.sound && (!errors.Is(err, ErrBadPayload) || !strings.Contains(err.Error(), row.why)):
 				t.Fatalf("Cycle returned %v, want ErrBadPayload: ... %s", err, row.why)

@@ -201,7 +201,7 @@ func TestControlRejectsBadShapes(t *testing.T) {
 			frame := turnOf(row.node(sn), len(row.filled), func(e *enc) { forgeDelta(e, ref, row.filled...) })
 			insts, err := cycleAgainstForger(t, network, changes, frame)
 			switch {
-			case row.why == "" && (err != nil || len(insts) != 1 || len(insts[0].WMEs) != len(row.filled)):
+			case row.why == "" && (err != nil || len(insts) != 1 || len(insts[0].WMEs()) != len(row.filled)):
 				t.Fatalf("sound turn: insts=%v err=%v, want its one delta", insts, err)
 			case row.why != "" && !errors.Is(err, ErrBadPayload):
 				t.Fatalf("Cycle returned %v, want ErrBadPayload", err)

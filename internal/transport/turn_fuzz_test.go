@@ -50,7 +50,7 @@ func actsOf(tab *rete.Table, insts []rete.InstChange) []rete.Activation {
 		tok := make([]int32, ic.Info.Node.TokenLen)
 		for ce, pos := range ic.Info.TokenPos {
 			if pos >= 0 {
-				tok[pos] = handle[ic.WMEs[ce]]
+				tok[pos] = handle[ic.WMEs()[ce]]
 			}
 		}
 		acts[i] = prodAct(ic.Info.Node, ic.Tag, tok...)
